@@ -1,30 +1,28 @@
 """Randomized differential conformance harness for the forwarding pipeline.
 
-Four PRs of deferral/coalescing machinery now interact — send windows,
-handle promises, dependency-tracked prefix flushing, ``clFlush``
-submission barriers, transfer coalescing in every direction and
-coalesced result reads.  Each optimisation is unit-tested in isolation;
-what this harness locks down is their *composition*: a seeded generator
+The forwarding pipeline is one composition of deferral/coalescing
+machinery — send windows, handle promises, dependency-tracked prefix
+flushing, ``clFlush`` submission barriers, transfer coalescing in every
+direction and coalesced result reads — selected as a whole by
+``batch_window > 0``.  What this harness locks down is that
+*composition*: a seeded generator
 builds small workload DAGs (multi-queue kernels, user-event gating,
 blocking and non-blocking transfers, ``clFlush``/``clFinish``, mid-run
 creation failures, duplicate and failing program builds, iterative
-producer->consumer loops) and runs each program under six pipeline
+producer->consumer loops) and runs each program under four
 configurations:
 
-* ``sync`` — batching fully disabled, every extension off including
-  the program build cache and predictive pushes (one round trip per
-  forwarded call: the semantics oracle);
-* ``batched`` — send windows, deferred relays and handle promises on,
-  every coalescing knob off, pushes off;
-* ``coalesced_off`` — the full pipeline with ``coalesce_reads=False``
-  (the read-coalescing ablation mirror);
-* ``coalesced_on`` — everything on (the shipping default);
+* ``sync`` — the paper's synchronous reference path
+  (``batch_window=0``) with the program build cache and predictive
+  pushes off too (one round trip per forwarded call: the semantics
+  oracle);
+* ``full`` — the whole pipeline, everything on (the shipping default);
 * ``cache_off`` — the full pipeline with ``program_cache=False`` (the
   content-addressed build-cache ablation mirror: every build pays the
   synchronous per-server fan-out and no daemon may touch its cache);
 * ``push_off`` — the full pipeline with ``push_transfers=False`` (the
   PR-9 ablation mirror: pure demand-driven coherence).  Diffing this
-  cell against ``coalesced_on`` is what proves speculative pushes
+  cell against ``full`` is what proves speculative pushes
   never change buffer bytes, directory state or error behaviour.
 
 The paper's headline property is that dOpenCL preserves *unmodified
@@ -32,8 +30,8 @@ OpenCL semantics*; the pipeline being "just" a communication
 optimisation means every configuration must produce **bit-identical
 buffer contents**, **identical coherence-directory state** and the same
 error behaviour, while the ``NetStats`` counters obey the structural
-invariants each configuration promises (a sync run never batches, an
-ablated run never fuses, more machinery never costs more round trips).
+invariants each configuration promises (a sync run never batches or
+fuses, the pipeline never costs more round trips than the oracle).
 Any divergence is reported with the generating seed so the exact
 program can be replayed.
 
@@ -94,41 +92,25 @@ from repro.testbed import deploy_dopencl
 #: run of many seeds stays inside the time budget.
 BUFFER_ELEMS = 64
 
-#: The six pipeline configurations every generated program runs under
-#: (see the module docstring).  ``sync`` is the oracle.
+#: The four configurations every generated program runs under (see the
+#: module docstring).  ``sync`` is the oracle.
 CONFIGS: Dict[str, Dict[str, object]] = {
-    "sync": dict(
-        batch_window=0,
-        defer_event_relays=False,
-        coalesce_uploads=False,
-        defer_creations=False,
-        coalesce_transfers=False,
-        coalesce_reads=False,
-        push_transfers=False,
-        program_cache=False,
-    ),
-    "batched": dict(
-        coalesce_uploads=False,
-        coalesce_transfers=False,
-        coalesce_reads=False,
-        push_transfers=False,
-    ),
-    "coalesced_off": dict(coalesce_reads=False),
-    "coalesced_on": {},
+    "sync": dict(batch_window=0, push_transfers=False, program_cache=False),
+    "full": {},
     "cache_off": dict(program_cache=False),
     "push_off": dict(push_transfers=False),
 }
 
 #: The configurations that run with the program build cache enabled —
 #: their daemon-side build counters must agree exactly (the same builds
-#: resolve through the same cache regardless of coalescing machinery).
-CACHED_CONFIGS = ("batched", "coalesced_off", "coalesced_on", "push_off")
+#: resolve through the same cache whether or not pushes run).
+CACHED_CONFIGS = ("full", "push_off")
 
 #: The configurations that must never plan, execute, commit or waste a
 #: speculative push (client- and daemon-side counters all zero); every
 #: other configuration runs with ``push_transfers=True`` and is held to
 #: the push-counter algebra instead.
-PUSH_OFF_CONFIGS = ("sync", "batched", "push_off")
+PUSH_OFF_CONFIGS = ("sync", "push_off")
 
 #: Kernels the generator draws from: one pure producer, one
 #: read-modify-write, one two-input combiner (the shapes that exercise
@@ -929,7 +911,7 @@ def run_multi_seed(
     n_clients: int,
     n_ops: Optional[int] = None,
     n_servers: Optional[int] = None,
-    config: str = "coalesced_on",
+    config: str = "full",
 ) -> Dict[str, object]:
     """Run one multi-client seed and assert the tenant-isolation
     differential: every client's observables (mid-run reads, final
@@ -1072,7 +1054,7 @@ def run_push_fault_seed(seed: int) -> Dict[str, object]:
     both the abandoned push and the retried demand path are exercised.
     """
     spec = push_fault_spec(seed)
-    flags = dict(CONFIGS["coalesced_on"])
+    flags = dict(CONFIGS["full"])
     tag = f"seed {seed} schedule sever-push"
     baseline = run_program_resilient(spec, flags, None)
     assert baseline["stats"]["push_commits"] > 0, (
@@ -1136,7 +1118,7 @@ def run_deferred_read_fault_seed(seed: int) -> Dict[str, object]:
     (which :func:`deferred_read_fault_spec` pins to the deferred
     fetch) and heals it one blocked transfer later."""
     spec = deferred_read_fault_spec(seed)
-    flags = dict(CONFIGS["coalesced_on"])
+    flags = dict(CONFIGS["full"])
     tag = f"seed {seed} schedule sever-fetch"
     baseline = run_program_resilient(spec, flags, None)
     assert baseline["stats"]["deferred_reads"] > 0, (
@@ -1324,7 +1306,7 @@ def _check_resilience_stats(tag: str, stats: Dict[str, int]) -> None:
 
 
 def run_seed_with_faults(
-    seed: int, schedule: str, config: str = "coalesced_on"
+    seed: int, schedule: str, config: str = "full"
 ) -> Dict[str, object]:
     """Run one (seed, schedule) combination and assert its contract.
 
@@ -1389,20 +1371,13 @@ def _check_stats_invariants(
     assert sync["flush_barriers"] == 0, f"{tag}: sync config recorded barriers"
     assert sync["prefix_flushes"] == 0, f"{tag}: sync config prefix-flushed"
     assert sync["relays_deferred"] == 0, f"{tag}: sync config deferred relays"
-    for name in ("sync", "batched", "coalesced_off"):
-        stats = outcomes[name]["stats"]
-        assert stats["coalesced_reads"] == 0, (
-            f"{tag}: {name} config fused result reads with coalesce_reads off"
-        )
-    for name in ("sync", "batched"):
-        stats = outcomes[name]["stats"]
-        for key in ("coalesced_uploads", "coalesced_downloads",
-                    "coalesced_peer_transfers"):
-            assert stats[key] == 0, f"{tag}: {name} config has {key} != 0"
+    for key in ("coalesced_reads", "coalesced_uploads", "coalesced_downloads",
+                "coalesced_peer_transfers"):
+        assert sync[key] == 0, f"{tag}: sync config has {key} != 0"
     # Build-cache structural invariants.  With the cache disabled no
     # counter may move on either side of the wire; with it enabled the
     # daemon aggregates are an exact function of the program's build
-    # keys, independent of every coalescing knob.
+    # keys, independent of the push switch.
     for name in ("sync", "cache_off"):
         stats = outcomes[name]["stats"]
         for key in ("build_cache_hits", "negative_build_hits"):
@@ -1472,21 +1447,15 @@ def _check_stats_invariants(
         )
     # The pipeline is a communication optimisation: no deferred
     # configuration may ever spend as much as the synchronous oracle.
-    # (The *intra*-pipeline ordering is deliberately not asserted
-    # exactly: transfer coalescing reorders execution into download /
-    # peer / upload phases, and on adversarial interleavings the phase
-    # boundary can shift a window flush by a round trip even while
-    # fusing fetches — observed at seed 307.  The deterministic
-    # coalescing floors are gated by the smoke benchmark instead.)
     rt = {name: outcomes[name]["stats"]["round_trips"] for name in outcomes}
-    for name in ("batched", "coalesced_off", "coalesced_on", "cache_off", "push_off"):
+    for name in ("full", "cache_off", "push_off"):
         assert rt[name] < rt["sync"], (
             f"{tag}: {name} config did not beat the synchronous oracle ({rt})"
         )
     # The build cache only ever removes round trips from the full
     # pipeline (every generated program builds at least once, so the
     # saving is strict).
-    assert rt["coalesced_on"] < rt["cache_off"], (
+    assert rt["full"] < rt["cache_off"], (
         f"{tag}: program cache did not save round trips ({rt})"
     )
 
@@ -1613,10 +1582,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(
                 f"seed {seed}: ok ({summary['protocol']}, "
                 f"{summary['n_servers']} servers, {summary['n_ops']} ops; "
-                f"round trips sync={rt['sync']} batched={rt['batched']} "
-                f"coalesced_off={rt['coalesced_off']} "
-                f"coalesced_on={rt['coalesced_on']} cache_off={rt['cache_off']} "
-                f"push_off={rt['push_off']})"
+                f"round trips sync={rt['sync']} full={rt['full']} "
+                f"cache_off={rt['cache_off']} push_off={rt['push_off']})"
             )
     if failures:
         print(f"{failures}/{len(seeds)} seeds diverged")

@@ -1,15 +1,11 @@
 """Fast perf smoke: round-trip and wire-byte counters on a mini Fig. 4.
 
-Runs the unmodified Mandelbrot application three times through dOpenCL
-on a reduced workload that completes in tier-1 time budget:
+Runs the unmodified Mandelbrot application twice through dOpenCL on a
+reduced workload that completes in tier-1 time budget:
 
-* ``sync`` — the forwarding pipeline fully disabled (``batch_window=0``
-  and every PR-2 extension off): one synchronous round trip per
-  forwarded call, the pre-pipeline behaviour;
-* ``pr1`` — the PR-1 pipeline: send windows and ``CommandBatch``
-  coalescing on, but event-completion relays still synchronous (one
-  request per replica server), no transfer coalescing in any direction,
-  and synchronous creation fan-outs;
+* ``sync`` — the paper's synchronous reference path (``batch_window=0``,
+  program cache off): one round trip per forwarded call, synchronous
+  creation fan-outs and relays, one stream per transfer;
 * ``batched`` — the full pipeline (fully deferred creation calls /
   handle promises, dependency-tracked windows with prefix flushing,
   deferred relays, window-aware transfer coalescing, reply caches).
@@ -26,27 +22,24 @@ remote tile arguments moves **two buffers per (remote daemon, target)
 pair** in one launch.  Under MSI that is two coherence *downloads* per
 source daemon (fused into one ``CoalescedBufferDownload`` fetch each);
 under MOSI it is two *server-to-server hops* per daemon pair (fused
-into one ``BufferPeerTransferBatch`` round trip each).  Each protocol
-runs with transfer coalescing on and off (``coalesce_transfers``), and
-the gate requires strictly fewer round trips coalesced, bytes no worse,
-and the identical image.
+into one ``BufferPeerTransferBatch`` round trip each).  The gate
+requires the fused machinery to fire per protocol and the identical
+image; the round-trip floors are exact-gated by
+``repro.tools.benchdiff`` against ``BENCH_smoke.json``.
 
 A third, *readback* mini Fig. 4 (:func:`render_readback`) exercises the
 result-gather tail: the same tiles are composed on the **client**, each
 queue is ``clFlush``-ed (submission barriers ride the windows — zero
-round trips), and the client reads every tile back to back.  With
-``coalesce_reads`` on, the two finished tiles per daemon fuse onto one
-``CoalescedBufferDownload`` fetch, so the readback costs one round trip
-per daemon instead of one per buffer; the gate requires strictly fewer
-round trips than the ablation, bytes no worse, identical image, per
-protocol.
+round trips), and the client reads every tile back to back.  The two
+finished tiles per daemon fuse onto one ``CoalescedBufferDownload``
+fetch, so the readback costs one round trip per daemon instead of one
+per buffer.
 
 The counters are the regression tripwire: the batched run must cut at
 least :data:`MIN_ROUND_TRIP_REDUCTION` of the synchronous run's round
-trips **and** at least :data:`MIN_ROUND_TRIP_REDUCTION_VS_PR1` of the
-PR-1 run's, stay at or below the :data:`MAX_BATCHED_ROUND_TRIPS`
-absolute ceiling (creation calls may no longer force synchronous
-fan-outs), with no more wire bytes and the identical image.
+trips, stay at or below the :data:`MAX_BATCHED_ROUND_TRIPS` absolute
+ceiling (creation calls may no longer force synchronous fan-outs), with
+no more wire bytes and the identical image.
 """
 
 from __future__ import annotations
@@ -72,66 +65,35 @@ SMOKE_DEVICES = 4
 #: synchronous run's round trips.
 MIN_ROUND_TRIP_REDUCTION = 0.40
 
-#: Acceptance floor for the pipeline extensions: the full pipeline must
-#: remove at least this fraction of the *PR-1* run's round trips.
-MIN_ROUND_TRIP_REDUCTION_VS_PR1 = 0.25
-
 #: Absolute ceiling on the batched variant's round trips (PR 3): with
 #: creation calls fully deferred the mini Fig. 4 must stay at or below
 #: this — the pre-deferral pipeline needed 68.
 MAX_BATCHED_ROUND_TRIPS = 48
 
 #: Deployment flags per benchmark variant (see module docstring).  The
-#: two historical baselines pin ``program_cache=False``: they reproduce
-#: the pre-cache pipeline stages exactly (synchronous build round
-#: trips), so their counters stay comparable across PRs; ``batched`` is
-#: the full current pipeline, program cache included.
+#: reference run pins ``program_cache=False``: it reproduces the
+#: pre-cache synchronous build round trips, so its counters stay
+#: comparable across PRs; ``batched`` is the full current pipeline,
+#: program cache included.
 VARIANTS = {
-    "sync": dict(
-        batch_window=0,
-        defer_event_relays=False,
-        coalesce_uploads=False,
-        defer_creations=False,
-        coalesce_transfers=False,
-        program_cache=False,
-    ),
-    "pr1": dict(
-        defer_event_relays=False,
-        coalesce_uploads=False,
-        defer_creations=False,
-        coalesce_transfers=False,
-        program_cache=False,
-    ),
+    "sync": dict(batch_window=0, program_cache=False),
     "batched": {},
 }
 
 #: The gathered-workload variants: the same mini Fig. 4 composed
-#: on-device (see :func:`render_gathered`), per coherence protocol,
-#: with download/peer-transfer coalescing on and off.  Read coalescing
-#: is pinned off so the pair isolates ``coalesce_transfers`` exactly
-#: (the read knob has its own ablation pair below).
+#: on-device (see :func:`render_gathered`), per coherence protocol.
 GATHER_VARIANTS = {
-    "gather_uncoalesced": dict(
-        coherence_protocol="msi", coalesce_transfers=False, coalesce_reads=False
-    ),
-    "gather": dict(coherence_protocol="msi", coalesce_reads=False),
-    "mosi_uncoalesced": dict(
-        coherence_protocol="mosi", coalesce_transfers=False, coalesce_reads=False
-    ),
-    "mosi": dict(coherence_protocol="mosi", coalesce_reads=False),
+    "gather": dict(coherence_protocol="msi"),
+    "mosi": dict(coherence_protocol="mosi"),
 }
 
 #: The gathered-*readback* variants: the mini Fig. 4 composed on the
 #: **client** (see :func:`render_readback`) — every device renders two
 #: row-interleaved tiles, each queue is ``clFlush``-ed (submission
 #: barriers ride the windows), and the client reads all tiles back to
-#: back — per coherence protocol, with read coalescing on and off.
+#: back — per coherence protocol.
 READBACK_VARIANTS = {
-    "readback_uncoalesced": dict(coherence_protocol="msi", coalesce_reads=False),
     "readback": dict(coherence_protocol="msi"),
-    "readback_mosi_uncoalesced": dict(
-        coherence_protocol="mosi", coalesce_reads=False
-    ),
     "readback_mosi": dict(coherence_protocol="mosi"),
 }
 
@@ -269,18 +231,17 @@ def render_readback(cl, config: MandelbrotConfig) -> np.ndarray:
 
 
 def bench_smoke(n_devices: int = SMOKE_DEVICES, config: MandelbrotConfig = SMOKE_CONFIG) -> ExperimentRecord:
-    """Run the mini Fig. 4 workload sync vs PR-1 vs fully batched, plus
-    the gathered workload per coherence protocol with transfer
-    coalescing on/off.
+    """Run the mini Fig. 4 workload sync vs fully batched, plus the
+    gathered and readback workloads per coherence protocol.
 
     Row per variant: the client driver's round-trip/batch/byte counters,
-    the virtual-time total, the reduction ratios against both baselines,
-    and the pipeline counters (deferred/suppressed relays, coalesced
+    the virtual-time total, the reduction ratios against the sync
+    baseline, and the pipeline counters (deferred/suppressed relays, coalesced
     transfers per direction, the daemons' aggregate reply-cache hits).
     """
     record = ExperimentRecord(
         experiment="bench_smoke",
-        title="Call-forwarding smoke: sync vs PR-1 vs batched round trips (mini Fig. 4)",
+        title="Call-forwarding smoke: sync vs batched round trips (mini Fig. 4)",
         columns=[
             "variant",
             "round_trips",
@@ -290,7 +251,6 @@ def bench_smoke(n_devices: int = SMOKE_DEVICES, config: MandelbrotConfig = SMOKE
             "bytes_received",
             "total_time",
             "rt_reduction",
-            "rt_reduction_vs_pr1",
             "byte_reduction",
             "relays_deferred",
             "relays_suppressed",
@@ -308,11 +268,9 @@ def bench_smoke(n_devices: int = SMOKE_DEVICES, config: MandelbrotConfig = SMOKE
         notes=(
             f"{config.width}x{config.height}/{config.max_iter}-iter Mandelbrot on "
             f"{n_devices} servers ({n_devices - 1} replica servers per event); "
-            f"acceptance: >= {MIN_ROUND_TRIP_REDUCTION:.0%} fewer round trips than sync "
-            f"and >= {MIN_ROUND_TRIP_REDUCTION_VS_PR1:.0%} fewer than PR-1, bytes no "
-            "worse, image identical; gathered MSI/MOSI variants must spend strictly "
-            "fewer round trips with transfer coalescing on than off, readback "
-            "variants strictly fewer with read coalescing on than off"
+            f"acceptance: >= {MIN_ROUND_TRIP_REDUCTION:.0%} fewer round trips than sync, "
+            "bytes no worse, image identical; gathered MSI/MOSI variants must fuse "
+            "downloads / peer transfers, readback variants must fuse result reads"
         ),
     )
     images = {}
@@ -338,7 +296,7 @@ def bench_smoke(n_devices: int = SMOKE_DEVICES, config: MandelbrotConfig = SMOKE
         counters[variant] = deployment.driver.stats.snapshot()
         totals[variant] = deployment.api.now
         daemon_hits[variant] = sum(d.gcf.stats.reply_cache_hits for d in deployment.daemons)
-    sync, pr1 = counters["sync"], counters["pr1"]
+    sync = counters["sync"]
     for variant in [*VARIANTS, *GATHER_VARIANTS, *READBACK_VARIANTS]:
         c = counters[variant]
         plain = variant in VARIANTS
@@ -354,9 +312,6 @@ def bench_smoke(n_devices: int = SMOKE_DEVICES, config: MandelbrotConfig = SMOKE
                 1.0 - c["round_trips"] / sync["round_trips"]
                 if plain and variant != "sync"
                 else 0.0
-            ),
-            rt_reduction_vs_pr1=(
-                1.0 - c["round_trips"] / pr1["round_trips"] if variant == "batched" else 0.0
             ),
             byte_reduction=(
                 1.0 - c["bytes_sent"] / sync["bytes_sent"]
@@ -376,7 +331,7 @@ def bench_smoke(n_devices: int = SMOKE_DEVICES, config: MandelbrotConfig = SMOKE
             flush_barriers=c["flush_barriers"],
             prefix_flushes=c["prefix_flushes"],
         )
-    for variant in ("pr1", "batched", *GATHER_VARIANTS, *READBACK_VARIANTS):
+    for variant in ("batched", *GATHER_VARIANTS, *READBACK_VARIANTS):
         if not (images["sync"] == images[variant]).all():
             raise AssertionError(f"{variant} forwarding changed the rendered image")
     return record
@@ -387,28 +342,21 @@ def assert_smoke_record(record: ExperimentRecord) -> None:
     target so the two cannot drift.
 
     The full pipeline must cut >= 40% of the synchronous run's round
-    trips, >= 25% of the PR-1 run's (deferred creations + relays +
-    coalescing are the delta) and stay at or below the absolute
+    trips and stay at or below the absolute
     :data:`MAX_BATCHED_ROUND_TRIPS` ceiling, genuinely coalesce
     commands, exercise the relay-deferral and reply-cache paths, cost no
-    extra wire bytes at any step, and cost no virtual time beyond the
-    deferred launch hand-off.  The gathered variants must show
-    window-aware transfer coalescing paying in *both* remaining
-    directions: strictly fewer round trips (MSI: fused downloads;
-    MOSI: fused server-to-server batches), bytes no worse.  The
-    readback variants must show read coalescing reclaiming the
-    readback tail per protocol: strictly fewer round trips with
-    ``coalesce_reads`` on than off, bytes no worse, ``clFlush``
-    submission barriers recorded without costing a single round
-    trip."""
+    extra wire bytes, and cost no virtual time beyond the deferred
+    launch hand-off.  The gathered variants must show the right
+    coalescing machinery firing per protocol (MSI: fused downloads;
+    MOSI: fused server-to-server batches); the readback variants must
+    fuse result reads per protocol, with ``clFlush`` submission
+    barriers recorded.  (The exact round-trip floors of these variants
+    are gated by ``repro.tools.benchdiff``.)"""
     rows = {row["variant"]: row for row in record.rows}
-    sync, pr1, batched = rows["sync"], rows["pr1"], rows["batched"]
+    sync, batched = rows["sync"], rows["batched"]
     assert sync["batches"] == 0  # the baseline ran genuinely unbatched
-    assert sync["relays_deferred"] == 0 and pr1["relays_deferred"] == 0
+    assert sync["relays_deferred"] == 0
     assert batched["round_trips"] <= (1 - MIN_ROUND_TRIP_REDUCTION) * sync["round_trips"]
-    assert batched["round_trips"] <= (
-        1 - MIN_ROUND_TRIP_REDUCTION_VS_PR1
-    ) * pr1["round_trips"]
     # PR 3: creation calls no longer force synchronous fan-outs.
     assert batched["round_trips"] <= MAX_BATCHED_ROUND_TRIPS
     assert batched["batches"] > 0
@@ -423,45 +371,19 @@ def assert_smoke_record(record: ExperimentRecord) -> None:
     assert batched["relays_suppressed"] > 0
     assert batched["encode_cache_hits"] > 0
     assert batched["decode_cache_hits"] > 0
-    # Bytes monotonically no worse at every pipeline step.
-    assert batched["bytes_sent"] <= pr1["bytes_sent"] <= sync["bytes_sent"]
-    assert batched["bytes_received"] <= pr1["bytes_received"] <= sync["bytes_received"]
+    assert batched["bytes_sent"] <= sync["bytes_sent"]
+    assert batched["bytes_received"] <= sync["bytes_received"]
     assert batched["total_time"] <= sync["total_time"] * 1.001
-    assert batched["total_time"] <= pr1["total_time"] * 1.001
-    # The gathered variants: download & peer-transfer coalescing pays.
-    gather, gather_u = rows["gather"], rows["gather_uncoalesced"]
-    mosi, mosi_u = rows["mosi"], rows["mosi_uncoalesced"]
-    assert gather["round_trips"] < gather_u["round_trips"]
-    assert mosi["round_trips"] < mosi_u["round_trips"]
-    assert gather["bytes_sent"] <= gather_u["bytes_sent"]
-    assert mosi["bytes_sent"] <= mosi_u["bytes_sent"]
     # The right machinery fired per protocol — MSI's client-mediated
     # revalidations fuse into merged downloads, MOSI's direct exchanges
-    # into peer-transfer batches — and the ablation really disabled it.
-    assert gather["coalesced_downloads"] > 0
-    assert gather_u["coalesced_downloads"] == 0
-    assert mosi["coalesced_peer_transfers"] > 0
-    assert mosi_u["coalesced_peer_transfers"] == 0
-    assert mosi["total_time"] <= mosi_u["total_time"] * 1.001
-    # The readback variants: coalesced result reads reclaim the
-    # readback tail under both protocols, and the ablation flag
-    # really disabled the gang (single fetches, no wrapped groups).
-    for on_key, off_key in (
-        ("readback", "readback_uncoalesced"),
-        ("readback_mosi", "readback_mosi_uncoalesced"),
-    ):
-        on, off = rows[on_key], rows[off_key]
-        assert on["round_trips"] < off["round_trips"]
-        assert on["bytes_sent"] <= off["bytes_sent"]
-        assert on["bytes_received"] <= off["bytes_received"]
-        assert on["coalesced_reads"] > 0
-        assert off["coalesced_reads"] == 0
-        # clFlush rode the windows in both runs: barriers recorded,
-        # and not one round trip spent on them (the batched mini
-        # Fig. 4 reads one buffer per daemon, so the whole saving
-        # between the pair is the readback fusion).
-        assert on["flush_barriers"] > 0 and off["flush_barriers"] > 0
-        assert on["total_time"] <= off["total_time"] * 1.001
+    # into peer-transfer batches.
+    assert rows["gather"]["coalesced_downloads"] > 0
+    assert rows["mosi"]["coalesced_peer_transfers"] > 0
+    # The readback variants: result reads fuse under both protocols,
+    # and clFlush rode the windows as recorded barriers.
+    for key in READBACK_VARIANTS:
+        assert rows[key]["coalesced_reads"] > 0
+        assert rows[key]["flush_barriers"] > 0
 
 
 def smoke_payload(record: ExperimentRecord) -> dict:
@@ -474,34 +396,24 @@ def smoke_payload(record: ExperimentRecord) -> dict:
         "experiment": record.experiment,
         "n_servers": SMOKE_DEVICES,
         "round_trips_sync": rows["sync"]["round_trips"],
-        "round_trips_pr1": rows["pr1"]["round_trips"],
         "round_trips_batched": rows["batched"]["round_trips"],
         "rt_reduction": rows["batched"]["rt_reduction"],
-        "rt_reduction_vs_pr1": rows["batched"]["rt_reduction_vs_pr1"],
         "bytes_sent_sync": rows["sync"]["bytes_sent"],
-        "bytes_sent_pr1": rows["pr1"]["bytes_sent"],
         "bytes_sent_batched": rows["batched"]["bytes_sent"],
         "byte_reduction": rows["batched"]["byte_reduction"],
         "relays_deferred": rows["batched"]["relays_deferred"],
         "relays_suppressed": rows["batched"]["relays_suppressed"],
         "reply_cache_hits": rows["batched"]["reply_cache_hits"],
         "round_trips_gather": rows["gather"]["round_trips"],
-        "round_trips_gather_uncoalesced": rows["gather_uncoalesced"]["round_trips"],
         "round_trips_mosi": rows["mosi"]["round_trips"],
-        "round_trips_mosi_uncoalesced": rows["mosi_uncoalesced"]["round_trips"],
         "round_trips_readback": rows["readback"]["round_trips"],
-        "round_trips_readback_uncoalesced": rows["readback_uncoalesced"]["round_trips"],
         "round_trips_readback_mosi": rows["readback_mosi"]["round_trips"],
-        "round_trips_readback_mosi_uncoalesced": rows["readback_mosi_uncoalesced"][
-            "round_trips"
-        ],
         "coalesced_downloads": rows["gather"]["coalesced_downloads"],
         "coalesced_peer_transfers": rows["mosi"]["coalesced_peer_transfers"],
         "coalesced_reads": rows["readback"]["coalesced_reads"],
         "coalesced_read_sections": rows["readback"]["coalesced_read_sections"],
         "flush_barriers": rows["readback"]["flush_barriers"],
         "min_rt_reduction": MIN_ROUND_TRIP_REDUCTION,
-        "min_rt_reduction_vs_pr1": MIN_ROUND_TRIP_REDUCTION_VS_PR1,
         "max_batched_round_trips": MAX_BATCHED_ROUND_TRIPS,
     }
 

@@ -397,8 +397,9 @@ class DOpenCLAPI:
         copy is invalid (then it downloads the whole object from the
         modified owner).  A blocking read that must download also
         gang-revalidates the sibling dirty buffers stranded on the same
-        daemon in one fused fetch (``coalesce_reads``), so back-to-back
-        result reads cost one round trip per source daemon.
+        daemon in one fused fetch, so back-to-back result reads cost one
+        round trip per source daemon (the reference path,
+        ``batch_window=0``, fetches one buffer per read).
 
         A non-blocking read (with ``defer_reads`` on, the default) is a
         *deferred fetch*: the enqueue records a read-dep on the buffer's
@@ -452,7 +453,7 @@ class DOpenCLAPI:
                 self.clock.advance_to(ev.wait(self.clock.now))
         event = EventStub(queue.context, self.driver.new_id(), queue.server.name, CL_COMMAND_READ_BUFFER)
         self.driver._events[event.id] = event
-        # Read coalescing (coalesce_reads): when this blocking read must
+        # Read coalescing: when this blocking read must
         # download its buffer, the sibling dirty buffers stranded on the
         # same daemon ride the same CoalescedBufferDownload fetch — the
         # next back-to-back result read finds its client copy already
@@ -463,7 +464,7 @@ class DOpenCLAPI:
         # a poisoned producer surfaces here and no directory records a
         # transfer that never happened.
         siblings: List[BufferStub] = []
-        if blocking and self.driver.coalesce_reads:
+        if blocking and self.driver.batching_enabled:
             source = buffer.planner.client_download_source()
             if source is not None:
                 siblings = self.driver.read_gang_candidates(buffer, source)
@@ -579,14 +580,14 @@ class DOpenCLAPI:
         (:class:`~repro.core.protocol.messages.
         CreateProgramWithSourceRequest`), costing no round trip of its
         own — the bytes travel in the batch the next sync point (usually
-        ``clBuildProgram``) sends anyway.  With ``defer_creations``
-        disabled the legacy bulk stream is used ("the implementation of
-        some OpenCL functions ... includes bulk data transfers", Section
-        III-B)."""
+        ``clBuildProgram``) sends anyway.  The reference path
+        (``batch_window=0``) uses the paper's bulk stream ("the
+        implementation of some OpenCL functions ... includes bulk data
+        transfers", Section III-B)."""
         self._tick()
         require(bool(source.strip()), ErrorCode.CL_INVALID_VALUE, "empty program source")
         program = ProgramStub(context, self.driver.new_id(), source)
-        if self.driver.creations_deferred:
+        if self.driver.batching_enabled:
             # Content-addressed creation (the client-stub cache): a
             # server this connection epoch already windowed a build of
             # this source to retains it in its daemon build cache, so
@@ -737,9 +738,10 @@ class DOpenCLAPI:
         """Program queries: SOURCE, KERNEL_NAMES, or BINARIES.
 
         ``BINARIES`` fetches the serialized ``CompiledProgram`` from
-        one context server (flush + one synchronous round trip); the
-        compiler is deterministic, so every server holds the identical
-        binary and the reply is replicated client-side per server."""
+        the first live context server (flush + one synchronous round
+        trip through the retry layer); the compiler is deterministic, so
+        every server holds the identical binary and the reply is
+        replicated client-side per server."""
         self._tick()
         if key == "SOURCE":
             return program.source
@@ -757,17 +759,12 @@ class DOpenCLAPI:
                     "program has not been built successfully",
                 )
             servers = program.context.unique_servers
-            conn = servers[0]
-            self.driver.flush_connections([conn])
-            t = self.clock.now
-            outcome = self.driver.gcf.request(
-                conn.daemon.gcf, P.GetProgramBinaryRequest(program_id=program.id), t
+            conn = next((c for c in servers if c.connected and not c.dead), servers[0])
+            self.driver._check_usable(conn)  # no live server: its terminal error
+            outcome = self.driver.roundtrip(
+                conn, P.GetProgramBinaryRequest(program_id=program.id)
             )
-            self.clock.advance_to(outcome.reply_arrival)
-            resp = outcome.response
-            if resp.error:
-                raise CLError(resp.error, resp.detail)
-            return [bytes(resp.binary)] * len(servers)
+            return [bytes(outcome.response.binary)] * len(servers)
         raise CLError(ErrorCode.CL_INVALID_VALUE, f"unknown program info key {key!r}")
 
     def clCreateProgramWithBinary(self, context: ContextStub, binary: bytes) -> ProgramStub:

@@ -24,39 +24,29 @@ Windows are **dependency-tracked** (see
 :mod:`repro.core.client.windows`): each deferred command records the
 handles it reads and writes, so targeted sync points —
 ``clWaitForEvents`` / ``EventStub.wait`` and blocking transfers — drain
-only the windows in the transitive dependency closure of the awaited
-handle (:meth:`DOpenCLDriver.flush_for_handles`), while ``clFinish``
-keeps its full-drain semantics (:meth:`DOpenCLDriver.flush_all`).
-Windows also flush before any synchronous request or bulk stream to the
-same daemon (which preserves per-daemon program order) and when they
-reach ``batch_window`` commands.
+only the relevant *prefixes* (``SendWindow.split_prefix``) of the
+windows in the transitive dependency closure of the awaited handle
+(:meth:`DOpenCLDriver.flush_for_handles`), ``clFlush`` records a
+zero-round-trip **submission barrier** prefix flushing never reorders
+across (:meth:`DOpenCLDriver.mark_flush_barrier`), and ``clFinish``
+drains everything (:meth:`DOpenCLDriver.flush_all`).  Windows also
+flush before any synchronous request or bulk stream to the same daemon
+(which preserves per-daemon program order) and when they reach
+``batch_window`` commands.
 
-PR 2 additions (see ``docs/architecture.md``): event-completion relays
-ride the send windows instead of round-tripping per replica server, and
-multiple coherence uploads to one daemon coalesce into a single bulk
-stream.
+The rest of the pipeline rides the same windows (design reference:
+``docs/architecture.md``): event-completion relays join the replica
+servers' windows instead of round-tripping; coherence transfers
+coalesce per route in every direction
+(:meth:`DOpenCLDriver.run_transfer_plans`); and a blocking read that
+must download gang-revalidates the sibling dirty buffers stranded on
+the same daemon (:meth:`DOpenCLDriver.read_gang_candidates`).
 
-PR 4 extends the coalescing to the remaining transfer directions
-(:meth:`DOpenCLDriver.run_transfer_plans` via ``split_transfer_plan``):
-several coherence *downloads* from one daemon fuse into a single
-``CoalescedBufferDownload`` fetch, and several MOSI server-to-server
-hops along one (src, dst) daemon pair fuse into a single
-``BufferPeerTransferBatch`` round trip.  Targeted sync points also
-gained **prefix flushing**: they dispatch only the window prefix up to
-the awaited handles' producers (``SendWindow.split_prefix``), leaving
-causally unrelated commands queued behind them.
-
-PR 5 makes the window graph ``clFlush``-aware and coalesces *result
-reads*: ``clFlush`` records a **submission barrier** on its daemon's
-window (:meth:`DOpenCLDriver.mark_flush_barrier`) instead of
-force-dispatching it — prefix flushing then never reorders synchronous
-traffic across a flush (``SendWindow.barrier_floor``) — and a blocking
-``clEnqueueReadBuffer`` that must download its buffer gang-revalidates
-the sibling dirty buffers stranded on the same daemon
-(:meth:`DOpenCLDriver.read_gang_candidates`) in one
-``CoalescedBufferDownload`` fetch, so back-to-back result reads cost
-one round trip per source daemon (``coalesce_reads=False`` is the
-ablation flag).
+One switch selects all of it: ``batch_window == 0`` is the paper's
+synchronous **reference path** as a whole (Section III-B — synchronous
+creation fan-outs and bulk-stream program source, one synchronous relay
+per replica server, one stream per transfer, one fetch per blocking
+read); any positive window runs the whole pipeline.
 """
 
 from __future__ import annotations
@@ -72,7 +62,7 @@ from repro.core.client.connection import (
     parse_server_list,
 )
 from repro.core.client.platform import DOpenCLPlatform
-from repro.core.client.windows import WindowCommand, closure, closure_servers
+from repro.core.client.windows import WindowCommand, closure
 from repro.core.client.stubs import (
     BufferStub,
     ContextStub,
@@ -167,11 +157,6 @@ class DOpenCLDriver:
         coherence_protocol: str = "msi",
         name: Optional[str] = None,
         batch_window: Optional[int] = DEFAULT_BATCH_WINDOW,
-        defer_event_relays: bool = True,
-        coalesce_uploads: bool = True,
-        defer_creations: bool = True,
-        coalesce_transfers: bool = True,
-        coalesce_reads: bool = True,
         push_transfers: bool = True,
         defer_reads: bool = True,
         retry_policy: Optional[RetryPolicy] = None,
@@ -187,38 +172,9 @@ class DOpenCLDriver:
         self.devmgr_config_text = devmgr_config_text
         self.device_manager = device_manager
         self.coherence_protocol = coherence_protocol
-        #: Send-window size; 0/None disables batching (every call becomes
-        #: a synchronous round trip, the pre-pipeline behaviour).
+        #: Send-window size; 0/None selects the synchronous reference
+        #: path as a whole (see the module docstring).
         self.batch_window = int(batch_window or 0)
-        #: When True (default) event-completion relays join the replica
-        #: servers' send windows instead of issuing one synchronous
-        #: request per replica server, and relays for events without
-        #: replicas are suppressed entirely.  False reproduces the PR-1
-        #: relay behaviour (the benchmark baseline).
-        self.defer_event_relays = bool(defer_event_relays)
-        #: When True (default) multiple coherence uploads to the same
-        #: daemon between sync points are merged into a single bulk
-        #: stream with one init header (see ``run_transfer_plans``).
-        self.coalesce_uploads = bool(coalesce_uploads)
-        #: When True (default) the *other* transfer directions coalesce
-        #: too: multiple downloads from one daemon merge into a single
-        #: ``CoalescedBufferDownload`` fetch, and multiple MOSI
-        #: server-to-server hops along one (src, dst) pair merge into a
-        #: single ``BufferPeerTransferBatch`` round trip.  False
-        #: restores one stream/request per transfer (the PR-3
-        #: behaviour, and the ablation baseline for the MOSI smoke
-        #: variant).
-        self.coalesce_transfers = bool(coalesce_transfers)
-        #: When True (default) blocking ``clEnqueueReadBuffer`` calls
-        #: coalesce their result gathers per source daemon: a read that
-        #: must download its buffer gang-revalidates the sibling dirty
-        #: buffers stranded on the same daemon in one
-        #: ``CoalescedBufferDownload`` fetch, so back-to-back result
-        #: reads cost one fetch round trip per daemon instead of one
-        #: per buffer (see :meth:`read_gang_candidates`).  False
-        #: restores one fetch per read — the ablation flag mirroring
-        #: ``coalesce_transfers``.
-        self.coalesce_reads = bool(coalesce_reads)
         #: When True (default) the coherence layer is *push-capable*
         #: (PR 9): kernel launches carry the
         #: :class:`~repro.core.coherence.planner.TransferPlanner`'s push
@@ -228,8 +184,7 @@ class DOpenCLDriver:
         #: points here *consume* staged pushes — validating the epoch —
         #: instead of orchestrating demand transfers.  False restores
         #: pure demand-driven coherence: no hints, no staging, byte- and
-        #: plan-identical to the pre-push directory (the ablation flag
-        #: mirroring ``coalesce_transfers``).
+        #: plan-identical to the pre-push directory.
         self.push_transfers = bool(push_transfers)
         #: When True (default) non-blocking ``clEnqueueReadBuffer``
         #: calls are *deferred fetches*: the enqueue records a read-dep
@@ -268,13 +223,6 @@ class DOpenCLDriver:
         #: :class:`~repro.core.protocol.messages.PushCommit` a planned
         #: server-to-server leg converts them into.
         self._peer_commits: Dict[int, Tuple[int, str]] = {}
-        #: When True (default) creation calls are *handle promises*:
-        #: they join the send windows like any enqueue-class command and
-        #: daemon-side failures surface at the next sync point touching
-        #: that daemon.  False restores the synchronous fan-out (one
-        #: flush plus one request per server — the PR-1 baseline, with
-        #: errors checked eagerly at the call site).
-        self.defer_creations = bool(defer_creations)
         # Nesting depth of flush_connections' dispatch loop.  While > 0,
         # windows already swapped out (but not yet dispatched) are no
         # longer protected by in-window program order, so defer() must
@@ -501,17 +449,10 @@ class DOpenCLDriver:
 
     @property
     def batching_enabled(self) -> bool:
-        """Whether forwarded calls ride send windows (window size > 0)."""
+        """The one pipeline switch: True (window size > 0) runs the
+        whole forwarding pipeline, False the paper's synchronous
+        reference path as a whole (see the module docstring)."""
         return self.batch_window > 0
-
-    @property
-    def creations_deferred(self) -> bool:
-        """Whether creation calls currently ride the send windows as
-        handle promises — the single gate consulted by
-        :meth:`forward_creation` and the API's program-source path, so
-        the deferral decision can never diverge between creation
-        types."""
-        return self.defer_creations and self.batching_enabled
 
     @property
     def stats(self):
@@ -552,8 +493,8 @@ class DOpenCLDriver:
           (:meth:`flush_for_handles`); causally unrelated windows stay
           queued;
         * any synchronous request or bulk stream to the same daemon
-          (``roundtrip`` / ``fanout`` / ``send_bulk`` / ``fetch_bulk``
-          flush first, preserving per-daemon program order);
+          (``roundtrip`` / ``fanout`` / ``send_bulk`` flush first,
+          preserving per-daemon program order);
         * the window reaching ``batch_window`` commands.
 
         ``raise_errors=False`` is for calls made from inside a
@@ -757,18 +698,6 @@ class DOpenCLDriver:
         self.resolve_deferred_reads(everything=True)
         self._surface_deferred_failure()
 
-    def closure_connections(self, handles: Iterable[int]) -> List[ServerConnection]:
-        """The live connections in the transitive dependency closure of
-        ``handles`` (see :func:`repro.core.client.windows.
-        closure_servers` for the walk)."""
-        windows = {c.name: c.window for c in self.connections()}
-        names = closure_servers(handles, windows, self._events.get)
-        return [
-            self._connections[name]
-            for name in sorted(names)
-            if name in self._connections and self._connections[name].connected
-        ]
-
     def flush_for_handles(
         self, handles: Iterable[int], raise_errors: bool = True
     ) -> FrozenSet[int]:
@@ -954,10 +883,6 @@ class DOpenCLDriver:
         )
         self.stats.deferred_reads += 1
 
-    def has_deferred_read(self, event: EventStub) -> bool:
-        """True iff ``event`` belongs to a still-pending deferred read."""
-        return any(d.event is event for d in self._deferred_reads)
-
     def resolve_deferred_reads(
         self,
         event: Optional[EventStub] = None,
@@ -974,7 +899,7 @@ class DOpenCLDriver:
         dependencies — a read whose ``wait_for`` names another pending
         read pulls that one into the same group — and the whole group
         resolves in enqueue order, fusing its downloads per source
-        daemon exactly like a blocking read's ``coalesce_reads`` gang.
+        daemon exactly like a blocking read's gang.
 
         Re-entrant calls (resolution drains windows and waits on events,
         whose hooks land back here) are no-ops."""
@@ -1082,9 +1007,7 @@ class DOpenCLDriver:
             try:
                 if items:
                     self.run_transfer_plans(
-                        items,
-                        preferred_queue=None,
-                        read_group=self.coalesce_reads and len(items) > 1,
+                        items, preferred_queue=None, read_group=len(items) > 1
                     )
             except CLError as exc:
                 self._poison_deferred_group(live, exc)
@@ -1163,21 +1086,6 @@ class DOpenCLDriver:
         self.check(outcome.response)
         self.clock.advance_to(arrival)
         return outcome, arrival
-
-    def fetch_bulk(self, conn: ServerConnection, request: P.Request):
-        """Ordered stream-based download (flushes the window first)."""
-        self.flush_connection(conn)
-        result = self._transport(
-            conn,
-            lambda: self.gcf.fetch_bulk(conn.daemon.gcf, request, self.clock.now),
-            type(request).__name__,
-        )
-        if result is None:
-            self._surface_transport_loss(conn)
-        response, payload, arrival = result
-        self.check(response)
-        self.clock.advance_to(arrival)
-        return response, payload, arrival
 
     # ------------------------------------------------------------------
     # connection management (Section III-C + IV-B)
@@ -1366,10 +1274,10 @@ class DOpenCLDriver:
         (which register an event another server produces) are annotated
         separately as writing nothing.
 
-        Falls back to the synchronous fan-out (eager error check at the
-        call site) when ``defer_creations`` or batching is disabled —
-        the PR-1 baseline behaviour."""
-        if self.creations_deferred:
+        On the reference path (``batch_window == 0``) this is the
+        synchronous fan-out, with the error checked eagerly at the call
+        site."""
+        if self.batching_enabled:
             self.fanout_deferred(servers, make_msg)
         else:
             self.fanout(servers, make_msg)
@@ -1394,7 +1302,7 @@ class DOpenCLDriver:
             owner = self._connections.get(stub.owner_server) if stub.owner_server else None
             if owner is not None and getattr(owner.daemon, "direct_event_broadcast", False):
                 return
-            if self.defer_event_relays and not stub.has_replicas:
+            if self.batching_enabled and not stub.has_replicas:
                 # No server holds a user-event replica of this event
                 # (transfer/read events are client-local): a relay would
                 # only earn an error Ack from every daemon.  Skip it.
@@ -1405,7 +1313,7 @@ class DOpenCLDriver:
             for conn in stub.context.unique_servers:
                 if conn.name == stub.owner_server or not conn.connected:
                     continue
-                if self.defer_event_relays:
+                if self.batching_enabled:
                     # The relay joins the replica server's send window:
                     # no round trip now, and program order puts it after
                     # the replica's (possibly still windowed)
@@ -1432,9 +1340,8 @@ class DOpenCLDriver:
                     )
                     self.stats.relays_deferred += 1
                     continue
-                # Legacy (PR-1) relay: flush so the replica exists, then
-                # one synchronous request per replica server.
-                self.flush_connection(conn, raise_errors=False)
+                # Reference path: one synchronous request per replica
+                # server (its replica's creation already round-tripped).
                 self.gcf.request(
                     conn.daemon.gcf,
                     P.SetUserEventStatusRequest(event_id=msg.event_id, status=CL_COMPLETE),
@@ -1718,9 +1625,9 @@ class DOpenCLDriver:
         (:meth:`~repro.core.coherence.planner.TransferPlanner.
         gang_candidate`): a sibling with write history the client never
         demand-reads is server-side working state, not a pending result
-        — revalidating it buys nothing.  The gate rides the ablation
-        flag because it is the access-pattern half of the PR-9
-        replication schedule: with pushes off the gang is computed
+        — revalidating it buys nothing.  The gate rides
+        ``push_transfers`` because it is the access-pattern half of the
+        PR-9 replication schedule: with pushes off the gang is computed
         exactly as before the refactor (the planner-equivalence
         property).  Released buffers are pruned from the context's
         registry on the way through."""
@@ -1747,13 +1654,14 @@ class DOpenCLDriver:
         preferred_queue: Optional[QueueStub] = None,
         read_group: bool = False,
     ) -> None:
-        """Execute several buffers' coherence plans with window-aware
-        coalescing of every transfer direction.
+        """Execute several buffers' coherence plans.
 
-        The plans are partitioned by :func:`split_transfer_plan` (see
-        there for why the regrouping preserves every data dependency)
-        and executed downloads-first, then server-to-server hops, then
-        uploads:
+        On the reference path (``batch_window == 0``) every transfer
+        runs in plan order as its own stream
+        (:meth:`_run_transfers_unmerged`).  Otherwise the plans are
+        partitioned by :func:`split_transfer_plan` (see there for why
+        the regrouping preserves every data dependency) and executed
+        downloads-first, then server-to-server hops, then uploads:
 
         * two or more downloads from one daemon fuse into a single
           :class:`~repro.core.protocol.messages.CoalescedBufferDownload`
@@ -1766,47 +1674,36 @@ class DOpenCLDriver:
           :class:`~repro.core.protocol.messages.CoalescedBufferUpload`
           stream (one init round trip, one raw stream).
 
-        ``coalesce_uploads=False`` restores per-buffer upload streams,
-        ``coalesce_transfers=False`` per-transfer downloads and peer
-        requests; with both off the pre-coalescing immediate-order
-        execution (the PR-1 baseline) is reproduced exactly.
-
-        ``read_group=True`` marks the items as a blocking read's gang
-        (the read's own plan plus its
-        :meth:`read_gang_candidates`): download fusion then runs under
-        the ``coalesce_reads`` flag's authority even when
-        ``coalesce_transfers`` is off, and fused groups are counted in
-        ``NetStats.coalesced_reads`` / ``coalesced_read_sections`` on
-        top of the ordinary download counters."""
+        ``read_group=True`` marks the items as a read's gang (a
+        blocking read's own plan plus its :meth:`read_gang_candidates`,
+        or a group of deferred reads): fused download groups are then
+        counted in ``NetStats.coalesced_reads`` /
+        ``coalesced_read_sections`` on top of the ordinary download
+        counters."""
         items = [(buffer, plan) for buffer, plan in items if plan]
-        if not items:
-            return
-        if not (self.coalesce_uploads or self.coalesce_transfers or read_group):
+        if not self.batching_enabled:
             for buffer, plan in items:
                 self._run_transfers_unmerged(buffer, plan, preferred_queue)
             return
         downloads, peers, uploads = split_transfer_plan(items)
         for server_name, buffers in downloads.items():
-            if (self.coalesce_transfers or read_group) and len(buffers) > 1:
+            if len(buffers) > 1:
                 if read_group:
                     self.stats.coalesced_reads += 1
                     self.stats.coalesced_read_sections += len(buffers)
                 self._download_many_from_server(buffers, server_name, preferred_queue)
             else:
-                for buffer in buffers:
-                    self._download_from_server(buffer, server_name, preferred_queue)
+                self._download_from_server(buffers[0], server_name, preferred_queue)
         for (src_name, dst_name), buffers in peers.items():
-            if self.coalesce_transfers and len(buffers) > 1:
+            if len(buffers) > 1:
                 self._peer_transfer_many(buffers, src_name, dst_name)
             else:
-                for buffer in buffers:
-                    self._server_to_server(buffer, src_name, dst_name)
+                self._server_to_server(buffers[0], src_name, dst_name)
         for server_name, buffers in uploads.items():
-            if self.coalesce_uploads and len(buffers) > 1:
+            if len(buffers) > 1:
                 self._upload_many_to_server(buffers, server_name, preferred_queue)
             else:
-                for buffer in buffers:
-                    self._upload_to_server(buffer, server_name, preferred_queue)
+                self._upload_to_server(buffers[0], server_name, preferred_queue)
 
     def _run_transfers_unmerged(
         self,
@@ -1814,7 +1711,8 @@ class DOpenCLDriver:
         plan: Sequence[Transfer],
         preferred_queue: Optional[QueueStub],
     ) -> None:
-        """The pre-coalescing execution path: one stream per transfer."""
+        """The reference execution path: one stream per transfer, in
+        plan order."""
         for transfer in plan:
             if transfer.src == CLIENT:
                 self._upload_to_server(buffer, transfer.dst, preferred_queue)

@@ -83,9 +83,9 @@ class SendWindow:
     """One connection's ordered window of deferred commands.
 
     Keeps a write-handle index alongside the command list so the
-    closure walk's ``writers_of`` is a dictionary lookup instead of a
-    scan — the walk runs once per drain pass of every targeted sync
-    point, over every window — plus the window's ``clFlush``
+    closure walk finds a handle's writers by dictionary lookup instead
+    of a scan — the walk runs once per drain pass of every targeted
+    sync point, over every window — plus the window's ``clFlush``
     **submission barriers** (positions recorded by
     :meth:`mark_barrier`), which :meth:`split_prefix` must never let a
     partial dispatch reorder across."""
@@ -206,10 +206,6 @@ class SendWindow:
         """The windowed request messages, in program order."""
         return [c.msg for c in self.commands]
 
-    def writers_of(self, handle_id: int) -> List[WindowCommand]:
-        """Commands in this window that produce ``handle_id``."""
-        return self._writers.get(handle_id, [])
-
     def __len__(self) -> int:
         return len(self.commands)
 
@@ -309,14 +305,3 @@ def closure(
                     push(read)
     return frozenset(servers), frozenset(seen)
 
-
-def closure_servers(
-    handles: Iterable[int],
-    windows,
-    event_of,
-) -> FrozenSet[str]:
-    """Server names in the transitive dependency closure of ``handles``
-    (the server half of :func:`closure`, kept for callers that do not
-    need the relevance set)."""
-    servers, _seen = closure(handles, windows, event_of)
-    return servers

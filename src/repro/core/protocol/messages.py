@@ -328,9 +328,9 @@ class PushCommit(Request):
 # ----------------------------------------------------------------------
 @message_type
 class CreateProgramRequest(Request):
-    """Init message for the program-source stream — the legacy
-    (``defer_creations=False``) path where ``clCreateProgramWithSource``
-    is a bulk transfer (Section III-B)."""
+    """Init message for the program-source stream — the reference
+    (``batch_window=0``) path where ``clCreateProgramWithSource`` is a
+    bulk transfer (Section III-B)."""
 
     program_id: int
     context_id: int

@@ -262,8 +262,7 @@ class NetStats:
     ``deferred_read_batches``
         Client-side: deferred-read resolution groups that actually ran
         a sync point (one group may cover several pending reads, whose
-        downloads fuse under ``coalesce_reads`` exactly like a blocking
-        read's gang).
+        downloads fuse exactly like a blocking read's gang).
 
     ``round_trips`` (a property) is ``requests + batches + bulk_fetches``:
     every synchronous client<->server exchange the process blocked on.

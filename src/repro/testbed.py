@@ -64,11 +64,6 @@ def deploy_dopencl(
     workload_scale: float = 1.0,
     n_clients: int = 1,
     batch_window: Optional[int] = None,
-    defer_event_relays: bool = True,
-    coalesce_uploads: bool = True,
-    defer_creations: bool = True,
-    coalesce_transfers: bool = True,
-    coalesce_reads: bool = True,
     push_transfers: bool = True,
     defer_reads: bool = True,
     retry_policy: Optional[RetryPolicy] = None,
@@ -84,15 +79,16 @@ def deploy_dopencl(
     corresponding entry of ``devmgr_config_texts`` (paper Listing 3)
     instead of a server list.
 
-    ``batch_window`` tunes the drivers' asynchronous call-forwarding
-    window (``None`` keeps the driver default; ``0`` disables batching so
-    every forwarded call is a synchronous round trip).
-    ``defer_event_relays`` / ``coalesce_uploads`` / ``defer_creations`` /
-    ``coalesce_transfers`` / ``coalesce_reads`` toggle the pipeline
-    extensions (all default on; turning all off reproduces the PR-1
-    forwarding behaviour — the benchmark baseline: synchronous creation
-    fan-outs, synchronous relays, per-transfer streams in every
-    direction, one fetch per blocking read).  ``push_transfers`` toggles
+    ``batch_window`` is the one pipeline switch.  ``None`` keeps the
+    driver default and any positive value sizes the send windows of the
+    **whole** forwarding pipeline (deferred calls and creations,
+    deferred/suppressed event relays, transfer coalescing in every
+    direction, gang reads).  **Window 0 = reference path**: the paper's
+    synchronous behaviour as a whole (Section III-B) — one round trip
+    per forwarded call, synchronous creation fan-outs with the program
+    source as a bulk stream, one synchronous relay per replica server,
+    one stream per transfer, one fetch per blocking read.  There is no
+    per-stage switch in between.  ``push_transfers`` toggles
     daemon-initiated predictive replication (PR 9) on every driver;
     ``False`` restores pure demand-driven coherence.  ``defer_reads``
     toggles window-deferred non-blocking reads on every driver (on, the
@@ -153,11 +149,6 @@ def deploy_dopencl(
         raise ValueError(f"cluster has only {len(client_hosts)} client hosts, need {n_clients}")
     for i, host in enumerate(client_hosts):
         kwargs = {
-            "defer_event_relays": defer_event_relays,
-            "coalesce_uploads": coalesce_uploads,
-            "defer_creations": defer_creations,
-            "coalesce_transfers": coalesce_transfers,
-            "coalesce_reads": coalesce_reads,
             "push_transfers": push_transfers,
             "defer_reads": defer_reads,
             "retry_policy": retry_policy,

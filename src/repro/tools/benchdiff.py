@@ -41,30 +41,27 @@ from repro.bench.harness import REPO_ROOT
 #: Compared keys -> relative tolerance.  Round trips are deterministic
 #: integers (exact); byte counts tolerate small codec-level drift.  The
 #: ``gather``/``mosi`` keys gate the download and peer-transfer
-#: coalescing floors (the gathered mini Fig. 4, coalescing on vs off)
-#: exactly like the upload keys always gated the plain workload; the
-#: ``readback`` keys gate the result-read coalescing floor the same way
-#: (the client-composed mini Fig. 4, ``coalesce_reads`` on vs off),
-#: together with the fused-group and ``clFlush``-barrier counters.
+#: coalescing floors (the gathered mini Fig. 4); the ``readback`` keys
+#: gate the result-read coalescing floor the same way (the
+#: client-composed mini Fig. 4), together with the fused-group and
+#: ``clFlush``-barrier counters; the relay and reply-cache counters of
+#: the batched run are exact too.
 DEFAULT_TOLERANCES: Dict[str, float] = {
     "round_trips_sync": 0.0,
-    "round_trips_pr1": 0.0,
     "round_trips_batched": 0.0,
     "round_trips_gather": 0.0,
-    "round_trips_gather_uncoalesced": 0.0,
     "round_trips_mosi": 0.0,
-    "round_trips_mosi_uncoalesced": 0.0,
     "round_trips_readback": 0.0,
-    "round_trips_readback_uncoalesced": 0.0,
     "round_trips_readback_mosi": 0.0,
-    "round_trips_readback_mosi_uncoalesced": 0.0,
     "coalesced_downloads": 0.0,
     "coalesced_peer_transfers": 0.0,
     "coalesced_reads": 0.0,
     "coalesced_read_sections": 0.0,
     "flush_barriers": 0.0,
+    "relays_deferred": 0.0,
+    "relays_suppressed": 0.0,
+    "reply_cache_hits": 0.0,
     "bytes_sent_sync": 0.02,
-    "bytes_sent_pr1": 0.02,
     "bytes_sent_batched": 0.02,
 }
 

@@ -145,11 +145,13 @@ def _run_two_remote_inputs(protocol: str, coalesce: bool):
     """Two buffers are produced on server 1, then a kernel on server 0
     consumes both: validating them on s0 moves two buffers along the
     same route between sync points — MSI plans two s1->client downloads
-    plus two client->s0 uploads, MOSI two direct s1->s0 hops."""
+    plus two client->s0 uploads, MOSI two direct s1->s0 hops.
+    ``coalesce=False`` is the reference path (``batch_window=0``): one
+    stream per transfer."""
     deployment = deploy_dopencl(
         make_ib_cpu_cluster(2),
         coherence_protocol=protocol,
-        coalesce_transfers=coalesce,
+        batch_window=None if coalesce else 0,
     )
     api = deployment.api
     devices = api.clGetDeviceIDs(api.clGetPlatformIDs()[0])
@@ -277,17 +279,18 @@ def test_rejected_coalesced_download_registers_nothing():
 
 
 # ----------------------------------------------------------------------
-# coalesced result reads (coalesce_reads)
+# coalesced result reads
 # ----------------------------------------------------------------------
-def _run_readback(protocol: str, coalesce_reads: bool):
+def _run_readback(protocol: str, coalesce: bool):
     """Produce two buffers on server 1 and one on server 0, finish, then
-    read all three back to back — the readback-tail shape: with
-    ``coalesce_reads`` on, the first read of a server-1 buffer
-    gang-revalidates the second onto the same fetch."""
+    read all three back to back — the readback-tail shape: in the
+    pipeline the first read of a server-1 buffer gang-revalidates the
+    second onto the same fetch; ``coalesce=False`` is the
+    reference path (``batch_window=0``), one fetch per read."""
     deployment = deploy_dopencl(
         make_ib_cpu_cluster(2),
         coherence_protocol=protocol,
-        coalesce_reads=coalesce_reads,
+        batch_window=None if coalesce else 0,
     )
     api = deployment.api
     devices = api.clGetDeviceIDs(api.clGetPlatformIDs()[0])

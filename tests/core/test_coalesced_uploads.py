@@ -29,8 +29,12 @@ __kernel void add(__global float *out, __global const float *a,
 # end-to-end: merged vs unmerged execution
 # ----------------------------------------------------------------------
 def _run_two_buffer_kernel(coalesce: bool, protocol: str = "msi"):
+    """``coalesce=False`` is the reference path (``batch_window=0``):
+    one stream per transfer."""
     deployment = deploy_dopencl(
-        make_ib_cpu_cluster(2), coherence_protocol=protocol, coalesce_uploads=coalesce
+        make_ib_cpu_cluster(2),
+        coherence_protocol=protocol,
+        batch_window=None if coalesce else 0,
     )
     api = deployment.api
     devices = api.clGetDeviceIDs(api.clGetPlatformIDs()[0])
@@ -81,9 +85,11 @@ def test_coalescing_saves_round_trips_and_bytes():
     assert sm.coalesced_uploads == 1
     assert sm.coalesced_upload_sections == 3
     assert su.coalesced_uploads == 0
-    # One merged stream pays one init round trip instead of three.
+    # One merged stream pays one init round trip instead of three (the
+    # reference path also streams the program source to both servers).
     assert sm.round_trips < su.round_trips
-    assert sm.bulk_sends == su.bulk_sends - 2
+    assert sm.bulk_sends == 1
+    assert su.bulk_sends == 3 + 2
     assert sm.bytes_sent < su.bytes_sent
 
 

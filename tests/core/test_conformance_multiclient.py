@@ -75,7 +75,7 @@ def test_push_ablation_is_observably_identical(seed, n_clients):
     client's reads, final buffer bytes, directory state, errors and
     build logs must be bit-identical between the two deployments."""
     mspec = generate_multi_program(seed, n_clients)
-    pushed, _ = run_multi_program(mspec, dict(CONFIGS["coalesced_on"]))
+    pushed, _ = run_multi_program(mspec, dict(CONFIGS["full"]))
     ablated, _ = run_multi_program(mspec, dict(CONFIGS["push_off"]))
     for ci, (on, off) in enumerate(zip(pushed, ablated)):
         for key in ("reads", "final", "directories", "errors", "build_logs"):
@@ -95,7 +95,7 @@ def test_program_cache_ablation_is_observably_identical(seed, n_clients):
     errors and build logs (including the cached *failed* build's log) —
     must be bit-identical between the two deployments."""
     mspec = generate_multi_program(seed, n_clients)
-    cached, _ = run_multi_program(mspec, dict(CONFIGS["coalesced_on"]))
+    cached, _ = run_multi_program(mspec, dict(CONFIGS["full"]))
     ablated, _ = run_multi_program(mspec, dict(CONFIGS["cache_off"]))
     for ci, (on, off) in enumerate(zip(cached, ablated)):
         for key in ("reads", "final", "directories", "errors", "build_logs"):

@@ -4,9 +4,8 @@ Each seed generates a small workload DAG (multi-queue kernels,
 user-event gating, blocking/non-blocking transfers, producer->consumer
 iteration loops, ``clFlush`` / ``clFinish``, a mid-run creation
 failure, duplicate-source and failing program builds) and runs it
-under the six pipeline configurations (sync oracle / batched /
-coalesced-off / coalesced-on / cache-off ablation / push-off
-ablation), asserting bit-identical buffer contents, identical
+under the four configurations (sync oracle / full pipeline /
+cache-off ablation / push-off ablation), asserting bit-identical buffer contents, identical
 directory state, identical error behaviour, identical build logs and
 the ``NetStats`` structural invariants (including the exact
 build-cache algebra) — see :mod:`repro.bench.conformance`.  Every
@@ -25,7 +24,7 @@ TIER1_SEEDS = 24
 
 @pytest.mark.parametrize("seed", range(TIER1_SEEDS))
 def test_differential_conformance(seed):
-    """All six configurations produce identical observable results.
+    """All four configurations produce identical observable results.
 
     The ``push_off`` cell rides the same all-configs-vs-sync diff, so
     every seed here doubles as the ISSUE-9 proof that speculative

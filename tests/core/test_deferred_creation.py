@@ -208,10 +208,10 @@ def test_deployment_stays_usable_after_creation_failure():
     np.testing.assert_allclose(data.view(np.float32), 12.0)
 
 
-def test_creation_deferral_disabled_restores_eager_errors():
-    """defer_creations=False (the PR-1 baseline / benchmark ablation):
-    creation failures raise at the call site again."""
-    deployment = deploy_dopencl(make_desktop_and_gpu_server(), defer_creations=False)
+def test_reference_path_raises_creation_errors_eagerly():
+    """batch_window=0 (the synchronous reference path): creation
+    failures raise at the call site."""
+    deployment = deploy_dopencl(make_desktop_and_gpu_server(), batch_window=0)
     api = deployment.api
     gpus = api.clGetDeviceIDs(api.clGetPlatformIDs()[0], CL_DEVICE_TYPE_GPU)
     ctx = api.clCreateContext(gpus[:1])

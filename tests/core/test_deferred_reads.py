@@ -21,8 +21,8 @@ here by a test that fails on the old code:
    the coherence machinery (and the wire) untouched.
 
 Plus the composition contracts: a PR-9 staged push satisfies a deferred
-read without any fetch round trip; ``coalesce_reads`` fuses a gang of
-deferred fetches into one resolution batch; a daemon lost under the
+read without any fetch round trip; a gang of deferred fetches fuses
+into one resolution batch; a daemon lost under the
 deferred fetch poisons the event deterministically; releasing a buffer
 resolves its pending deferred read first.
 """
@@ -78,14 +78,14 @@ def _scaled_buffer(api, ctx, program, device, value=2.0, n=64):
 
 
 # ----------------------------------------------------------------------
-# bug 1: the stale-read hazard, under every flag combination
+# bug 1: the stale-read hazard, under every switch combination
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
-    "defer_reads,coalesce_reads,push_transfers",
-    list(itertools.product((True, False), repeat=3)),
+    "defer_reads,batch_window,push_transfers",
+    list(itertools.product((True, False), (None, 0), (True, False))),
 )
 def test_nonblocking_read_observes_its_producer(
-    defer_reads, coalesce_reads, push_transfers
+    defer_reads, batch_window, push_transfers
 ):
     """A non-blocking read enqueued right behind the (still windowed)
     kernel that writes the buffer must observe the post-kernel bytes —
@@ -94,7 +94,7 @@ def test_nonblocking_read_observes_its_producer(
     stale host copy (all ones)."""
     deployment, api, devices, ctx, program = _deployment(
         defer_reads=defer_reads,
-        coalesce_reads=coalesce_reads,
+        batch_window=batch_window,
         push_transfers=push_transfers,
     )
     queue, buf, _ = _scaled_buffer(api, ctx, program, devices[0])
@@ -247,12 +247,10 @@ def test_staged_push_satisfies_deferred_read_without_a_fetch():
     assert ev.completed_at == ev.completion_arrival  # the push's arrival
 
 
-def test_coalesce_reads_fuses_a_gang_of_deferred_fetches():
+def test_deferred_fetches_fuse_as_a_gang():
     """Two deferred reads stranded on the same daemon resolve in one
     batch whose downloads fuse exactly like a blocking read's gang."""
-    deployment, api, devices, ctx, program = _deployment(
-        coalesce_reads=True, push_transfers=False
-    )
+    deployment, api, devices, ctx, program = _deployment(push_transfers=False)
     driver = deployment.driver
     queue, buf_a, _ = _scaled_buffer(api, ctx, program, devices[0], value=2.0)
     kernel = api.clCreateKernel(program, "scale")

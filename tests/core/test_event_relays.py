@@ -4,7 +4,8 @@ Covers: relays joining send windows instead of round-tripping, the
 create-before-status ordering guarantee (both the in-window ordering the
 deferral relies on and the hoisting the direct broadcast needs),
 suppression of relays for replica-less events, virtual-time causality of
-relayed completions, and the legacy (PR-1) fallback.
+relayed completions, and the synchronous reference path
+(``batch_window=0``).
 """
 
 import numpy as np
@@ -164,18 +165,20 @@ def test_replica_less_events_do_not_relay():
     driver.flush_all()
 
 
-def test_legacy_flag_restores_synchronous_relays():
-    """defer_event_relays=False reproduces the PR-1 behaviour: one
-    synchronous SetUserEventStatusRequest per replica server, nothing
-    deferred."""
+def test_reference_path_relays_synchronously():
+    """batch_window=0 is the paper's relay behaviour: one synchronous
+    SetUserEventStatusRequest per replica server, nothing deferred."""
     deployment, api, devices, ctx, queue, buf, kernel, n = _prepared(
-        n_servers=3, defer_event_relays=False
+        n_servers=3, batch_window=0
     )
     driver = deployment.driver
-    event = api.clEnqueueNDRangeKernel(queue, kernel, (n,))
     requests_before = driver.stats.requests
+    # The launch itself round-trips, so the completion — and with it the
+    # relays — lands during the enqueue.
+    event = api.clEnqueueNDRangeKernel(queue, kernel, (n,))
     api.clWaitForEvents([event])
     assert driver.stats.relays_deferred == 0
+    assert driver.stats.relays_suppressed == 0
     assert driver.stats.requests >= requests_before + 2  # sync relays went out
     for dev in devices[1:]:
         daemon = deployment.daemon_on(dev.server.name)
@@ -214,7 +217,7 @@ def test_overflow_relays_cannot_overtake_swapped_out_batches():
         assert replica.end >= ev.completed_at
 
 
-def test_deferred_and_legacy_relays_agree_on_data():
+def test_deferred_and_reference_relays_agree_on_data():
     """The relay pipeline is a pure communication optimisation: results
     are bit-identical either way."""
 
@@ -227,4 +230,4 @@ def test_deferred_and_legacy_relays_agree_on_data():
         data, _ = api.clEnqueueReadBuffer(q1, buf)
         return data.view(np.float32)
 
-    np.testing.assert_array_equal(run(), run(defer_event_relays=False))
+    np.testing.assert_array_equal(run(), run(batch_window=0))

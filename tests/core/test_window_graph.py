@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.client.windows import SendWindow, WindowCommand, closure_servers
+from repro.core.client.windows import SendWindow, WindowCommand, closure
 from repro.core.protocol import messages as P
 from repro.hw.cluster import make_ib_cpu_cluster
 from repro.ocl import CL_MEM_COPY_HOST_PTR, CL_MEM_READ_WRITE, CL_MEM_WRITE_ONLY
@@ -64,7 +64,7 @@ def test_closure_recurses_through_unresolved_event_reads():
     wa.append(WindowCommand("launch1", reads=(10, 2), writes=(1,)))
     wb.append(WindowCommand("launch2", reads=(11,), writes=(2,)))
     wc.append(WindowCommand("unrelated", reads=(12,), writes=(3,)))
-    servers = closure_servers([1], {"A": wa, "B": wb, "C": wc}, events.get)
+    servers, _seen = closure([1], {"A": wa, "B": wb, "C": wc}, events.get)
     assert servers == frozenset({"A", "B"})
 
 
@@ -73,7 +73,7 @@ def test_closure_skips_resolved_events():
     wa, wb = SendWindow(), SendWindow()
     wa.append(WindowCommand("launch1", reads=(2,), writes=(1,)))
     wb.append(WindowCommand("old-launch", reads=(), writes=(2,)))
-    servers = closure_servers([1], {"A": wa, "B": wb}, events.get)
+    servers, _seen = closure([1], {"A": wa, "B": wb}, events.get)
     assert servers == frozenset({"A"})
 
 
@@ -84,7 +84,7 @@ def test_closure_of_buffer_handle_finds_its_writers():
     wa, wb = SendWindow(), SendWindow()
     wa.append(WindowCommand("launch1", reads=(2,), writes=(1, 50)))  # writes buffer 50
     wb.append(WindowCommand("launch2", reads=(), writes=(2,)))
-    servers = closure_servers([50], {"A": wa, "B": wb}, events.get)
+    servers, _seen = closure([50], {"A": wa, "B": wb}, events.get)
     assert servers == frozenset({"A", "B"})
 
 
@@ -93,25 +93,25 @@ def test_closure_walk_does_not_rescan_windows_per_handle(monkeypatch):
     closure probed every window's writer index once per visited handle
     (including every non-event buffer handle seeded by ``cmd.reads``),
     so a drain over H handles and W windows cost H*W probes.  The walk
-    now merges the writer indexes once per pass; per-handle work is a
-    single dictionary lookup and ``writers_of`` is never probed in the
-    hot loop."""
+    now merges the writer indexes once per pass — one
+    ``SendWindow.writer_index`` read per window — and per-handle work
+    is a single dictionary lookup in the merged map."""
     probes = {"n": 0}
-    original = SendWindow.writers_of
+    original = SendWindow.writer_index
 
-    def counting(self, handle):
+    def counting(self):
         probes["n"] += 1
-        return original(self, handle)
+        return original(self)
 
-    monkeypatch.setattr(SendWindow, "writers_of", counting)
+    monkeypatch.setattr(SendWindow, "writer_index", counting)
     windows = {f"s{i}": SendWindow() for i in range(8)}
     for i, window in enumerate(windows.values()):
         window.append(WindowCommand(f"cmd{i}", reads=(), writes=(10_000 + i,)))
     handles = list(range(500))  # non-event handles, as cmd.reads would seed
-    servers = closure_servers(handles, windows, {}.get)
+    servers, _seen = closure(handles, windows, {}.get)
     assert servers == frozenset()
     # Pre-fix: len(handles) * len(windows) == 4000 probes.
-    assert probes["n"] <= len(windows)
+    assert 0 < probes["n"] <= len(windows)
 
 
 def test_blocking_read_prefix_flushes_only_up_to_the_producer():
@@ -247,7 +247,7 @@ def test_closure_recurses_through_barrier_forced_commands():
     wa.append(WindowCommand("producer", reads=(), writes=(1,)))
     wb.append(WindowCommand("gate-producer", reads=(), writes=(2,)))
     wc.append(WindowCommand("unrelated", reads=(), writes=(9,)))
-    servers = closure_servers([1], {"A": wa, "B": wb, "C": wc}, events.get)
+    servers, _seen = closure([1], {"A": wa, "B": wb, "C": wc}, events.get)
     assert servers == frozenset({"A", "B"})  # C stays untouched
 
 
