@@ -259,10 +259,10 @@ def bench_stream(
             deferred_read_batches=counters["deferred_read_batches"],
             coalesced_reads=counters["coalesced_reads"],
         )
-    for variant in ("pipelined", "serial"):
-        for i, frame in enumerate(runs[variant]["frames"]):
-            expected = mandelbrot_reference(frame_config(i, base))
-            if not (frame == expected).all():
+    for i in range(n_frames):
+        expected = mandelbrot_reference(frame_config(i, base))
+        for variant in ("pipelined", "serial"):
+            if not (runs[variant]["frames"][i] == expected).all():
                 raise AssertionError(
                     f"{variant} frame {i} diverged from the host reference"
                 )

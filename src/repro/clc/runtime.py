@@ -152,28 +152,52 @@ class ExecContext:
             )
         self._local_arrays: Dict[str, np.ndarray] = {}
         self._group_count = group_count
+        # Lane compaction (vecrt.compact): the chunk lanes still being
+        # executed, as indices, or None for all of them; and the ID
+        # vectors already gathered for that selection.
+        self._selection: Optional[np.ndarray] = None
+        self._selected_ids: Dict[Tuple[int, int], np.ndarray] = {}
+
+    # -- lane compaction -----------------------------------------------------
+    def narrow(self, ix: np.ndarray) -> Optional[np.ndarray]:
+        """Keep only lanes ``ix`` of the current selection; returns the
+        previous selection for :meth:`widen`."""
+        previous = self._selection
+        self._selection = ix if previous is None else previous[ix]
+        self._selected_ids = {}
+        return previous
+
+    def widen(self, previous: Optional[np.ndarray]) -> None:
+        """Back to the selection :meth:`narrow` returned."""
+        self._selection = previous
+        self._selected_ids = {}
 
     # -- work-item functions -------------------------------------------------
     def _dim_ok(self, d: int) -> bool:
         return 0 <= d < self.nd.work_dim
 
-    def get_work_dim(self) -> np.uint64:
+    def _ids(self, table: List[np.ndarray], d: int) -> np.ndarray:
+        if not self._dim_ok(d):
+            return np.uint64(0)
+        if self._selection is None:
+            return table[d]
+        key = (id(table), d)
+        ids = self._selected_ids.get(key)
+        if ids is None:
+            ids = self._selected_ids[key] = table[d][self._selection]
+        return ids
+
+    def get_work_dim(self) -> np.uint32:
         return np.uint32(self.nd.work_dim)
 
     def get_global_id(self, d: int) -> np.ndarray:
-        if not self._dim_ok(d):
-            return np.uint64(0)
-        return self._global_ids[d]
+        return self._ids(self._global_ids, d)
 
     def get_local_id(self, d: int) -> np.ndarray:
-        if not self._dim_ok(d):
-            return np.uint64(0)
-        return self._local_ids[d]
+        return self._ids(self._local_ids, d)
 
     def get_group_id(self, d: int) -> np.ndarray:
-        if not self._dim_ok(d):
-            return np.uint64(0)
-        return self._group_ids[d]
+        return self._ids(self._group_ids, d)
 
     def get_global_size(self, d: int) -> np.uint64:
         if not self._dim_ok(d):

@@ -39,11 +39,6 @@ def merge(m: np.ndarray, new: Any, old: Any) -> np.ndarray:
     return np.where(m, new, old)
 
 
-def default(ctx, dtype: str) -> Any:
-    """Zero value used for declarations under a partial mask."""
-    return np.zeros(ctx.lanes, dtype=np.dtype(dtype))
-
-
 def cast(ctx, mn: int, val: Any, dtype: str) -> Any:
     ctx.ops += mn * W_ALU
     dt = np.dtype(dtype)
@@ -52,15 +47,89 @@ def cast(ctx, mn: int, val: Any, dtype: str) -> Any:
     return dt.type(val)
 
 
-def uniform(val: Any) -> int:
-    """Collapse a uniform value (e.g. a work-item dimension index)."""
+def uniform(val: Any, m: Any = None) -> int:
+    """Collapse a uniform value (e.g. a work-item dimension index).
+
+    Only the lanes active under ``m`` have to agree: inactive lanes may
+    hold anything (a stale value from before a ``return``, or whatever a
+    merge-free store left there).  With no active lane the result is
+    never used, so any dimension will do."""
     arr = np.asarray(val)
     if arr.ndim == 0:
         return int(arr)
+    if m is not None:
+        arr = arr[m]
+    if arr.size == 0:
+        return 0
     first = arr.flat[0]
     if not np.all(arr == first):
         raise CLCRuntimeError("non-uniform value where a uniform was required")
     return int(first)
+
+
+# -- lane compaction -------------------------------------------------------
+#: A loop compacts at the head of an iteration once the active lanes are
+#: at most this share of the current width ...
+COMPACT_OCCUPANCY = 0.9
+#: ... and the current width is above this many lanes: below it a NumPy
+#: call costs about the same whatever the width, so gathering buys
+#: nothing.  Both come from the measured tables in docs/architecture.md
+#: ("Lane compaction"); they are not parameters of anything.
+COMPACT_MIN_LANES = 4096
+
+
+def _per_lane(val: Any) -> bool:
+    return isinstance(val, np.ndarray) and val.ndim == 1
+
+
+def compact(ctx, state, scatter, m: np.ndarray, *vals):
+    """Narrow execution to the active lanes of ``m``.
+
+    ``vals`` are the per-lane values in scope (uniform scalars pass
+    through) and ``scatter`` says, per value, whether the loop assigns
+    it and something reads it afterwards.  Returns ``[state, mask,
+    *gathered]``: an all-true mask of the new width and every value
+    gathered down to it.  ``state`` is ``None`` for a loop's first
+    compaction and records what :func:`expand` needs: the context's lane
+    selection at loop entry and, per compaction, the surviving lanes,
+    the width they were gathered from and the values at that width —
+    all of them the first time (the full-width values come back at the
+    exit), later only the ``scatter`` ones (lanes that leave the loop
+    after this compaction still need theirs).  ``flatnonzero`` keeps
+    lane order, so stores and atomics still happen in lane order."""
+    ix = np.flatnonzero(m)
+    previous = ctx.narrow(ix)
+    if state is None:
+        state = (previous, [(ix, m.shape[0], vals)])
+    else:
+        kept = tuple(v if flag else None for flag, v in zip(scatter, vals))
+        state[1].append((ix, m.shape[0], kept))
+    out = [state, np.ones(ix.shape[0], dtype=bool)]
+    out.extend(v[ix] if _per_lane(v) else v for v in vals)
+    return out
+
+
+def expand(ctx, state, scatter, *vals):
+    """Undo every :func:`compact` of one loop at its exit, last first.
+
+    ``scatter`` and ``vals`` are as for :func:`compact`.  A ``scatter``
+    variable is written, level by level, over the surviving lanes of a
+    *copy* of the wider value (plain assignments alias arrays between
+    variables); every other variable gets its full-width value back.
+    Returns ``[width at loop entry, *values]``."""
+    selection, levels = state
+    ctx.widen(selection)
+    vals = list(vals)
+    for ix, width, saved in reversed(levels):
+        for i, flag in enumerate(scatter):
+            if flag:
+                full = np.empty(width, dtype=np.asarray(vals[i]).dtype)
+                full[:] = saved[i]
+                full[ix] = vals[i]
+                vals[i] = full
+            else:
+                vals[i] = saved[i]
+    return [levels[0][1], *vals]
 
 
 # -- arithmetic ----------------------------------------------------------

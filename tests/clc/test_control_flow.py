@@ -130,6 +130,27 @@ def test_early_return_divergence():
     assert v[0] == -1 and v[1] == 2
 
 
+def test_uniform_argument_ignores_lanes_that_returned():
+    """``d`` is declared after some lanes returned: those lanes hold
+    whatever the declaration left there, and only the active lanes have
+    to agree on the dimension index."""
+    src = """
+    __kernel void dims(__global int *out, const int n) {
+        int g = (int)get_global_id(0);
+        if (g >= n) return;
+        int d = 1;
+        out[g] = (int)get_global_size(d) + (int)get_local_id(d - 1);
+    }
+    """
+
+    def make():
+        return [np.zeros(8, dtype=np.int32), 5]
+
+    (v, _), (i, _) = run_both(src, "dims", (8,), make)
+    np.testing.assert_array_equal(v, i)
+    np.testing.assert_array_equal(v, [1, 2, 3, 4, 5, 0, 0, 0])
+
+
 def test_while_with_divergent_trip_counts():
     src = """
     __kernel void collatz(__global int *out) {

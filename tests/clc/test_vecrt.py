@@ -156,3 +156,39 @@ def test_cast_preserves_scalarness(ctx):
     assert np.isscalar(rt.cast(ctx, 1, 3.5, "int32")) or rt.cast(ctx, 1, 3.5, "int32").ndim == 0
     arr = rt.cast(ctx, 4, np.ones(4, dtype=np.float64), "float32")
     assert arr.dtype == np.float32
+
+
+def test_uniform_looks_at_active_lanes_only():
+    val = np.array([7, 1, 1, 9])
+    assert rt.uniform(val, np.array([False, True, True, False])) == 1
+    with pytest.raises(CLCRuntimeError, match="non-uniform"):
+        rt.uniform(val, np.array([True, True, False, False]))
+    assert rt.uniform(val, np.zeros(4, dtype=bool)) == 0  # never used: any dimension will do
+
+
+def test_compact_then_expand_restores_every_lane():
+    """Two compactions of one loop: values of lanes that left after the
+    first one come back from the level they were saved at."""
+    from repro.clc.runtime import ExecContext, NDRange
+
+    ctx = ExecContext(NDRange.create((8,), (4,)), 0, 2)
+    x = np.arange(8, dtype=np.int32) * 10  # assigned in the loop, read after it
+    y = np.arange(8, dtype=np.int32)  # only read
+    u = np.int32(5)  # uniform: passes through
+    m = np.array([True, False, True, True, False, True, False, True])
+    scatter = (True, False, False)
+    state, m1, x1, y1, u1 = rt.compact(ctx, None, scatter, m, x, y, u)
+    assert m1.all() and m1.size == 5 and u1 is u
+    np.testing.assert_array_equal(y1, [0, 2, 3, 5, 7])
+    np.testing.assert_array_equal(ctx.get_global_id(0), [0, 2, 3, 5, 7])
+    x1 = x1 + 1  # lanes 0 2 3 5 7 run an iteration
+    state, m2, x2, y2, _ = rt.compact(
+        ctx, state, scatter, np.array([True, False, False, True, True]), x1, y1, u
+    )
+    np.testing.assert_array_equal(ctx.get_global_id(0), [0, 5, 7])
+    x2 = x2 + 100  # lanes 0 5 7 run another
+    width, x3, y3, u3 = rt.expand(ctx, state, scatter, x2, y2, u)
+    assert width == 8 and y3 is y and u3 is u
+    np.testing.assert_array_equal(x3, [101, 10, 21, 31, 40, 151, 60, 171])
+    np.testing.assert_array_equal(x, np.arange(8) * 10)  # scattered into a copy
+    np.testing.assert_array_equal(ctx.get_global_id(0), np.arange(8))

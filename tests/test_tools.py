@@ -135,3 +135,36 @@ def test_cachestat_reports_replica_residency_and_push_ratios():
     residency = replica_residency(deployment)
     assert sum(residency["client"].values()) == 1  # one live buffer
     assert sum(residency[daemon.name].values()) == 1
+
+
+def test_clcdump_prints_decisions_and_run_report(capsys):
+    from repro.clc import vecrt
+    from repro.tools import clcdump
+
+    merge, compact = vecrt.merge, vecrt.compact
+    clcdump._main(["--app", "mandelbrot", "--run", "96"])
+    text = capsys.readouterr().out
+    assert "# merge elided: zr_" in text and "# merge kept: iter_" in text
+    assert "# loop 2: compactable" in text
+    report = text[text.index("run: kernel 'mandelbrot', 96 work-items"):]
+    assert "vector ops=" in report and "interp ops=" in report
+    assert "merges executed=" in report and "compactions fired=0" in report
+    assert "buffers identical on both backends: yes" in report
+    assert (vecrt.merge, vecrt.compact) == (merge, compact)  # counters removed again
+
+
+def test_clcdump_reads_a_file_and_reports_a_backend_failure(tmp_path, capsys):
+    from repro.tools import clcdump
+
+    source = tmp_path / "k.cl"
+    source.write_text(
+        "__kernel void k(__global int *out, const int n) {\n"
+        "    int g = (int)get_global_id(0);\n"
+        "    for (int i = 0; i < 2; i++) barrier(CLK_LOCAL_MEM_FENCE);\n"
+        "    out[g] = n;\n"
+        "}\n"
+    )
+    clcdump._main([str(source), "--run", "8"])
+    text = capsys.readouterr().out
+    assert "# loop 1: masked (barrier)" in text
+    assert "vector ops=" in text and "interp failed: barrier()" in text
