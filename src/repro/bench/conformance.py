@@ -1026,7 +1026,7 @@ def fault_plan(schedule: str) -> FaultPlan:
         "sever-push": [FaultAction("sever", nth=1, tag="s2s-push", heal_after=1)],
         "sever-fetch": [
             FaultAction(
-                "sever", nth=1, tag="bulk:BufferDataDownload", heal_after=1
+                "sever", nth=1, tag="bulk:CoalescedBufferDownload", heal_after=1
             )
         ],
     }[schedule]
@@ -1114,7 +1114,7 @@ def run_deferred_read_fault_seed(seed: int) -> Dict[str, object]:
     degrade deterministically — the retry policy replays the fetch
     over the healed link, the waited event still resolves, and every
     observable byte stays identical to the fault-free run.  The
-    schedule severs the link at the first ``bulk:BufferDataDownload``
+    schedule severs the link at the first ``bulk:CoalescedBufferDownload``
     (which :func:`deferred_read_fault_spec` pins to the deferred
     fetch) and heals it one blocked transfer later."""
     spec = deferred_read_fault_spec(seed)

@@ -138,17 +138,6 @@ def common_type(a: ScalarType, b: ScalarType) -> ScalarType:
     return usual_arithmetic_conversions(a, b)
 
 
-def can_convert(src: object, dst: object) -> bool:
-    """Implicit conversion admissibility."""
-    if src == dst:
-        return True
-    if isinstance(src, ScalarType) and isinstance(dst, ScalarType):
-        return True  # all scalar conversions are implicit in C
-    if isinstance(src, PointerType) and isinstance(dst, PointerType):
-        return src.pointee == dst.pointee  # allow address-space-lax matches
-    return False
-
-
 def type_from_literal_suffix(text: str) -> Optional[ScalarType]:
     """Type of an integer literal from its suffix (``u``, ``l``, ``ul``)."""
     suffix = ""

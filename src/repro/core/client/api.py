@@ -341,7 +341,7 @@ class DOpenCLAPI:
             # Read-modify-write: fetch a valid copy before a partial update.
             buffer.planner.note_client_demand()
             plan = buffer.planner.acquire_read("client")
-            self.driver.run_transfer_plan(buffer, plan, queue)
+            self.driver.run_transfer_plans([(buffer, plan)], queue)
         buffer.write_host(offset, raw)
         event = self.driver.new_event_stub(queue.context, queue.server.name, CL_COMMAND_WRITE_BUFFER)
         self._upload_with_event(buffer, queue, event, wait_for)
@@ -513,8 +513,11 @@ class DOpenCLAPI:
         self._check_queue_buffer(queue, dst)
         if nbytes is None:
             nbytes = src.size - src_offset
-        # Bounds of both ranges validated before any coherence traffic
-        # or directory mutation (validate-before-mutate).
+        # Overlap and the bounds of both ranges validated (in the native
+        # runtime's order) before any coherence traffic or directory
+        # mutation (validate-before-mutate).
+        if src is dst and src_offset < dst_offset + nbytes and dst_offset < src_offset + nbytes:
+            raise CLError(ErrorCode.CL_MEM_COPY_OVERLAP)
         src.check_range(src_offset, nbytes)
         dst.check_range(dst_offset, nbytes)
         # WAR hazard: pending deferred reads of dst see pre-copy bytes.
@@ -523,10 +526,10 @@ class DOpenCLAPI:
         # dst on the client, push dst to the queue's server.
         src.planner.note_client_demand()
         plan = src.planner.acquire_read("client")
-        self.driver.run_transfer_plan(src, plan, queue)
+        self.driver.run_transfer_plans([(src, plan)], queue)
         if not dst.planner.is_valid("client") and (dst_offset != 0 or nbytes != dst.size):
             dst.planner.note_client_demand()
-            self.driver.run_transfer_plan(dst, dst.planner.acquire_read("client"), queue)
+            self.driver.run_transfer_plans([(dst, dst.planner.acquire_read("client"))], queue)
         dst.write_host(dst_offset, src.read_host(src_offset, nbytes))
         event = self.driver.new_event_stub(queue.context, queue.server.name, CL_COMMAND_WRITE_BUFFER)
         self._upload_with_event(dst, queue, event, wait_for)

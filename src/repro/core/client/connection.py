@@ -101,6 +101,3 @@ class DaemonDirectory:
                 f"cannot resolve server {address!r}",
             )
         return daemon
-
-    def __contains__(self, address: str) -> bool:
-        return address_host(address) in self._daemons

@@ -1598,17 +1598,6 @@ class DOpenCLDriver:
         context._internal_queues[server_name] = queue
         return queue
 
-    def run_transfer_plan(
-        self,
-        buffer: BufferStub,
-        plan: Sequence[Transfer],
-        preferred_queue: Optional[QueueStub] = None,
-    ) -> None:
-        """Execute one buffer's coherence plan: move whole-object copies
-        between the client and servers (MSI) or directly between servers
-        (MOSI)."""
-        self.run_transfer_plans([(buffer, plan)], preferred_queue)
-
     def read_gang_candidates(
         self, buffer: BufferStub, source: str
     ) -> List[BufferStub]:
@@ -1654,25 +1643,21 @@ class DOpenCLDriver:
         preferred_queue: Optional[QueueStub] = None,
         read_group: bool = False,
     ) -> None:
-        """Execute several buffers' coherence plans.
+        """Execute several buffers' coherence plans (whole-object copies
+        between client and servers under MSI, directly between servers
+        under MOSI).
 
-        On the reference path (``batch_window == 0``) every transfer
-        runs in plan order as its own stream
-        (:meth:`_run_transfers_unmerged`).  Otherwise the plans are
+        A transfer is always a *section table*: the plans are
         partitioned by :func:`split_transfer_plan` (see there for why
-        the regrouping preserves every data dependency) and executed
-        downloads-first, then server-to-server hops, then uploads:
-
-        * two or more downloads from one daemon fuse into a single
-          :class:`~repro.core.protocol.messages.CoalescedBufferDownload`
-          fetch (one request round trip streaming all sections back);
-        * two or more MOSI hops along one (src, dst) daemon pair fuse
-          into a single :class:`~repro.core.protocol.messages.
-          BufferPeerTransferBatch` round trip (one direct
-          daemon-to-daemon stream for all sections);
-        * two or more uploads to one daemon fuse into a single
-          :class:`~repro.core.protocol.messages.CoalescedBufferUpload`
-          stream (one init round trip, one raw stream).
+        the regrouping preserves every data dependency) and each route
+        group runs through one of three executors — downloads first
+        (:meth:`_download`, one fetch per source daemon), then
+        server-to-server hops (:meth:`_peer_transfer`, one round trip
+        per (src, dst) pair), then uploads (:meth:`_upload`, one stream
+        per destination daemon) — whatever the group's size.  What the
+        reference path (``batch_window == 0``) changes is the
+        *grouping*, not the messages: every transfer is its own
+        one-section group, run in plan order.
 
         ``read_group=True`` marks the items as a read's gang (a
         blocking read's own plan plus its :meth:`read_gang_candidates`,
@@ -1681,45 +1666,21 @@ class DOpenCLDriver:
         ``coalesced_read_sections`` on top of the ordinary download
         counters."""
         items = [(buffer, plan) for buffer, plan in items if plan]
-        if not self.batching_enabled:
-            for buffer, plan in items:
-                self._run_transfers_unmerged(buffer, plan, preferred_queue)
-            return
-        downloads, peers, uploads = split_transfer_plan(items)
-        for server_name, buffers in downloads.items():
-            if len(buffers) > 1:
-                if read_group:
+        if self.batching_enabled:
+            batches = [items]
+        else:
+            batches = [[(buffer, [t])] for buffer, plan in items for t in plan]
+        for batch in batches:
+            downloads, peers, uploads = split_transfer_plan(batch)
+            for src_name, buffers in downloads.items():
+                if read_group and len(buffers) > 1:
                     self.stats.coalesced_reads += 1
                     self.stats.coalesced_read_sections += len(buffers)
-                self._download_many_from_server(buffers, server_name, preferred_queue)
-            else:
-                self._download_from_server(buffers[0], server_name, preferred_queue)
-        for (src_name, dst_name), buffers in peers.items():
-            if len(buffers) > 1:
-                self._peer_transfer_many(buffers, src_name, dst_name)
-            else:
-                self._server_to_server(buffers[0], src_name, dst_name)
-        for server_name, buffers in uploads.items():
-            if len(buffers) > 1:
-                self._upload_many_to_server(buffers, server_name, preferred_queue)
-            else:
-                self._upload_to_server(buffers[0], server_name, preferred_queue)
-
-    def _run_transfers_unmerged(
-        self,
-        buffer: BufferStub,
-        plan: Sequence[Transfer],
-        preferred_queue: Optional[QueueStub],
-    ) -> None:
-        """The reference execution path: one stream per transfer, in
-        plan order."""
-        for transfer in plan:
-            if transfer.src == CLIENT:
-                self._upload_to_server(buffer, transfer.dst, preferred_queue)
-            elif transfer.dst == CLIENT:
-                self._download_from_server(buffer, transfer.src, preferred_queue)
-            else:
-                self._server_to_server(buffer, transfer.src, transfer.dst)
+                self._download(buffers, src_name, preferred_queue)
+            for (src_name, dst_name), buffers in peers.items():
+                self._peer_transfer(buffers, src_name, dst_name)
+            for dst_name, buffers in uploads.items():
+                self._upload(buffers, dst_name, preferred_queue)
 
     def _queue_on(self, buffer: BufferStub, server_name: str, preferred: Optional[QueueStub]) -> QueueStub:
         if preferred is not None and preferred.server.name == server_name:
@@ -1734,46 +1695,32 @@ class DOpenCLDriver:
         self._events[stub.id] = stub
         return stub
 
-    def _upload_to_server(self, buffer: BufferStub, server_name: str, preferred: Optional[QueueStub]) -> None:
-        conn = self.connection(server_name)
-        queue = self._queue_on(buffer, server_name, preferred)
-        stub = self._new_transfer_event(buffer.context, server_name)
-        init = P.BufferDataUpload(
-            buffer_id=buffer.id,
-            queue_id=queue.id,
-            event_id=stub.id,
-            offset=0,
-            nbytes=buffer.size,
-            wait_event_ids=[],
-        )
-        # Zero-copy: the client copy streams out as the ndarray itself.
-        self.send_bulk(conn, init, buffer.data, buffer.size)
-
-    def _upload_many_to_server(
+    def _upload(
         self,
         buffers: Sequence[BufferStub],
-        server_name: str,
+        dst_name: str,
         preferred: Optional[QueueStub],
     ) -> None:
-        """Fuse several whole-object uploads to one daemon into a single
-        bulk stream (one init header, one raw stream, zero-copy: the
+        """Client->server route: the group's whole-object uploads ride
+        one bulk stream (one init header, one raw stream, zero-copy: the
         payload is the list of client-side ndarrays, never
         concatenated)."""
-        conn = self.connection(server_name)
-        queue = self._queue_on(buffers[0], server_name, preferred)
+        conn = self.connection(dst_name)
+        queue = self._queue_on(buffers[0], dst_name, preferred)
         event_ids = [
-            self._new_transfer_event(buffer.context, server_name).id for buffer in buffers
+            self._new_transfer_event(buffer.context, dst_name).id for buffer in buffers
         ]
-        total = sum(b.size for b in buffers)
+        sizes = [b.size for b in buffers]
         init = P.CoalescedBufferUpload(
             queue_id=queue.id,
             buffer_ids=[b.id for b in buffers],
             event_ids=event_ids,
-            nbytes_list=[b.size for b in buffers],
+            nbytes_list=sizes,
         )
-        self.stats.coalesced_uploads += 1
-        self.stats.coalesced_upload_sections += len(buffers)
-        self.send_bulk(conn, init, [b.data for b in buffers], total)
+        if len(buffers) > 1:
+            self.stats.coalesced_uploads += 1
+            self.stats.coalesced_upload_sections += len(buffers)
+        self.send_bulk(conn, init, [b.data for b in buffers], sum(sizes))
 
     def _fetch_bulk_prefixed(self, conn: ServerConnection, make_request, seen):
         """Stream-based download that flushes only ``conn``'s window
@@ -1805,165 +1752,110 @@ class DOpenCLDriver:
         self.clock.advance_to(arrival)
         return response, payload, arrival
 
-    def _download_from_server(self, buffer: BufferStub, server_name: str, preferred: Optional[QueueStub]) -> None:
-        # The download is gated daemon-side on the buffer's producing
-        # command: drain the buffer's dependency closure first so a
+    def _download(
+        self,
+        buffers: Sequence[BufferStub],
+        src_name: str,
+        preferred: Optional[QueueStub],
+    ) -> None:
+        """Server->client route: the group's whole-object downloads ride
+        one fetch — one request round trip, one stream back (the payload
+        is the daemon's list of per-section arrays, zero-copy, never
+        concatenated), one registered event per section."""
+        # The download is gated daemon-side on each buffer's producing
+        # command: drain the dependency closures first so a
         # dispatched-but-pending writer (waiting on an event produced on
         # another daemon) can complete.  The transfer queue's handles
         # join the seeds so the drain covers its (possibly windowed)
         # creation *and* its in-order command chain — the daemon-side
-        # read enqueues behind every prior command of that queue — and
+        # reads enqueue behind every prior command of that queue — and
         # the fetch then pushes out only whatever relevant prefix
         # remains; later, unrelated commands stay windowed.
-        conn = self.connection(server_name)
-        queue = self._queue_on(buffer, server_name, preferred)
-        seen = self.flush_for_handles(
-            self.buffer_sync_handles(buffer) + self.queue_sync_handles(queue),
-            raise_errors=False,
-        )
-        # A staged push with the current epoch already carries exactly
-        # the bytes this fetch would download: consume it and skip the
-        # round trip (the flush above is the same one the demand path
-        # performs, so push-off behaviour is untouched).
-        if self.push_transfers and self._apply_staged_push(buffer):
-            return
-        attempt_stubs: List[EventStub] = []
-
-        def make_request():
-            # Fresh transfer event per attempt: the daemon registers the
-            # event ID before streaming data back, so a retried fetch
-            # must not replay an already-registered ID.
-            stub = self._new_transfer_event(buffer.context, server_name)
-            attempt_stubs[:] = [stub]
-            return P.BufferDataDownload(
-                buffer_id=buffer.id,
-                queue_id=queue.id,
-                event_id=stub.id,
-                offset=0,
-                nbytes=buffer.size,
-                wait_event_ids=[],
-            )
-
-        try:
-            _response, payload, arrival = self._fetch_bulk_prefixed(conn, make_request, seen)
-        except CLError as exc:
-            # The directory already marked the client copy valid
-            # (acquire_read is optimistic); the bytes never arrived.
-            # A push staged meanwhile stays parked: the rollback must
-            # not resurrect the optimistic acquire — only a *planned*
-            # retry read may consume it.
-            buffer.planner.abort_client_fetch(
-                f"download from {server_name!r} failed: {exc}"
-            )
-            raise
-        buffer.data[:] = as_uint8_array(payload)
-        self._record_fetch_completion(buffer, attempt_stubs[-1], arrival)
-
-    def _download_many_from_server(
-        self,
-        buffers: Sequence[BufferStub],
-        server_name: str,
-        preferred: Optional[QueueStub],
-    ) -> None:
-        """Fuse several whole-object downloads from one daemon into a
-        single fetch: one request round trip, one merged stream back
-        (the payload is the daemon's list of per-section arrays,
-        zero-copy, never concatenated), one registered event per
-        section — the download mirror of :meth:`_upload_many_to_server`."""
-        conn = self.connection(server_name)
-        queue = self._queue_on(buffers[0], server_name, preferred)
+        conn = self.connection(src_name)
+        queue = self._queue_on(buffers[0], src_name, preferred)
         handles: List[int] = self.queue_sync_handles(queue)
         for buffer in buffers:
             handles.extend(self.buffer_sync_handles(buffer))
         seen = self.flush_for_handles(handles, raise_errors=False)
-        # Sections already staged by a current-epoch push drop out of
-        # the fetch; with every section staged the round trip vanishes
-        # entirely.  Push-off leaves ``remaining == buffers`` and the
-        # path below byte-identical to before.
+        # A staged push with the current epoch already carries exactly
+        # the bytes its section would download: consume it and drop the
+        # section; with every section staged the round trip vanishes
+        # (the flush above is the same one the demand path performs, so
+        # push-off behaviour is untouched).
         remaining = list(buffers)
         if self.push_transfers:
             remaining = [b for b in buffers if not self._apply_staged_push(b)]
             if not remaining:
                 return
+        sizes = [b.size for b in remaining]
         attempt_stubs: List[EventStub] = []
 
         def make_request():
-            # Fresh transfer events per attempt (see _download_from_server).
+            # Fresh transfer events per attempt: the daemon registers
+            # the event IDs before streaming data back, so a retried
+            # fetch must not replay already-registered IDs.
             attempt_stubs[:] = [
-                self._new_transfer_event(buffer.context, server_name)
+                self._new_transfer_event(buffer.context, src_name)
                 for buffer in remaining
             ]
             return P.CoalescedBufferDownload(
                 queue_id=queue.id,
                 buffer_ids=[b.id for b in remaining],
                 event_ids=[stub.id for stub in attempt_stubs],
-                nbytes_list=[b.size for b in remaining],
+                nbytes_list=sizes,
             )
 
-        self.stats.coalesced_downloads += 1
-        self.stats.coalesced_download_sections += len(remaining)
+        if len(buffers) > 1:
+            self.stats.coalesced_downloads += 1
+            self.stats.coalesced_download_sections += len(remaining)
         try:
             _response, payload, arrival = self._fetch_bulk_prefixed(conn, make_request, seen)
         except CLError as exc:
-            for buffer in remaining:  # optimistic acquire_read: see above
+            # The directories already marked the client copies valid
+            # (acquire_read is optimistic); the bytes never arrived.
+            # A push staged meanwhile stays parked: the rollback must
+            # not resurrect the optimistic acquire — only a *planned*
+            # retry read may consume it.
+            for buffer in remaining:
                 buffer.planner.abort_client_fetch(
-                    f"download from {server_name!r} failed: {exc}"
+                    f"download from {src_name!r} failed: {exc}"
                 )
             raise
-        sections = split_sections(payload, [b.size for b in remaining])
-        for buffer, data, stub in zip(remaining, sections, attempt_stubs):
+        for buffer, data, stub in zip(remaining, split_sections(payload, sizes), attempt_stubs):
             buffer.data[:] = data
             self._record_fetch_completion(buffer, stub, arrival)
 
-    def _server_to_server(self, buffer: BufferStub, src_name: str, dst_name: str) -> None:
-        """Section III-F: direct daemon-to-daemon synchronisation."""
-        # Like the download path: the source's copy may still be owed a
-        # write by a dispatched-but-pending command (gated on an event
-        # produced elsewhere) — drain the buffer's dependency closure so
-        # the peer copy ships the completed state.
-        self.flush_for_handles(self.buffer_sync_handles(buffer), raise_errors=False)
-        # A replica already staged at the destination by a current-epoch
-        # push replaces the whole demand hop with one deferred commit.
-        if self.push_transfers and self._apply_peer_push(buffer, dst_name):
-            return
-        src = self.connection(src_name)
-        # The destination's window may hold commands that must precede the
-        # incoming copy (buffer-state order is per-daemon).
-        dst = self._connections.get(dst_name)
-        if dst is not None and dst.connected:
-            self.flush_connection(dst)
-        self.roundtrip(
-            src,
-            P.BufferPeerTransferRequest(
-                buffer_id=buffer.id, peer_name=dst_name, nbytes=buffer.size
-            ),
-        )
-
-    def _peer_transfer_many(
+    def _peer_transfer(
         self, buffers: Sequence[BufferStub], src_name: str, dst_name: str
     ) -> None:
-        """Fuse several MOSI hops along one (src, dst) daemon pair into
-        a single :class:`~repro.core.protocol.messages.
-        BufferPeerTransferBatch` round trip — the source daemon ships
-        every section to the peer in one direct exchange."""
+        """Section III-F server-to-server route: one round trip makes
+        the source daemon ship the group's sections to the peer in one
+        direct exchange."""
+        # Like the download path: a source copy may still be owed a
+        # write by a dispatched-but-pending command (gated on an event
+        # produced elsewhere) — drain the dependency closures so the
+        # peer copies ship the completed state.
         handles: List[int] = []
         for buffer in buffers:
             handles.extend(self.buffer_sync_handles(buffer))
         self.flush_for_handles(handles, raise_errors=False)
-        # Sections already staged at the destination commit via their
-        # deferred PushCommit and drop out of the batch (see
-        # :meth:`_apply_peer_push`); push-off leaves the batch whole.
+        # Sections already staged at the destination by a current-epoch
+        # push commit via their deferred PushCommit and drop out (see
+        # :meth:`_apply_peer_push`); push-off leaves the group whole.
         remaining = list(buffers)
         if self.push_transfers:
             remaining = [b for b in buffers if not self._apply_peer_push(b, dst_name)]
             if not remaining:
                 return
         src = self.connection(src_name)
+        # The destination's window may hold commands that must precede
+        # the incoming copies (buffer-state order is per-daemon).
         dst = self._connections.get(dst_name)
         if dst is not None and dst.connected:
             self.flush_connection(dst)
-        self.stats.coalesced_peer_transfers += 1
-        self.stats.coalesced_peer_transfer_sections += len(remaining)
+        if len(buffers) > 1:
+            self.stats.coalesced_peer_transfers += 1
+            self.stats.coalesced_peer_transfer_sections += len(remaining)
         self.roundtrip(
             src,
             P.BufferPeerTransferBatch(

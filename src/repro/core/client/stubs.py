@@ -147,6 +147,14 @@ class QueueStub:
         """Whether the queue executes commands in submission order."""
         return not (self.properties & CL_QUEUE_OUT_OF_ORDER_EXEC_MODE_ENABLE)
 
+    def retain(self) -> None:
+        """``clRetainCommandQueue``."""
+        self.refcount += 1
+
+    def release(self) -> None:
+        """``clReleaseCommandQueue`` (remote release handled by the API)."""
+        self.refcount -= 1
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<QueueStub #{self.id} on {self.server.name!r}>"
 

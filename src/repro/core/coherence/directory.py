@@ -115,7 +115,7 @@ def split_transfer_plan(
 
     Directory state is mutated at *planning* time (``acquire_read``),
     never at execution time — grouping therefore leaves the
-    directories in exactly the state the unmerged execution would.
+    directories in exactly the state one-at-a-time execution would.
     """
     downloads: Dict[str, List[object]] = {}
     peers: Dict[Tuple[str, str], List[object]] = {}

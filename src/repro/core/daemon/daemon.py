@@ -39,6 +39,7 @@ that client's lease.
 
 from __future__ import annotations
 
+import functools
 from collections import OrderedDict
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -582,6 +583,26 @@ class Daemon:
                     self.device_manager.gcf, P.ClientLostNotification(auth_id=auth), t
                 )
 
+        def ack_handler(msg_cls):
+            """Register a handler that replies a plain :class:`Ack`: it
+            returns the time the command completes (``None``: at once,
+            at ``t``) and reports failure by raising ``CLError``, which
+            becomes the error ``Ack`` at ``t`` here."""
+
+            def register(fn):
+                @gcf.on_request(msg_cls)
+                @functools.wraps(fn)
+                def handler(msg, t, sender):
+                    try:
+                        done = fn(msg, t, sender)
+                    except CLError as exc:
+                        return P.Ack(error=exc.code.value, detail=exc.message), t
+                    return P.Ack(), t if done is None else done
+
+                return fn
+
+            return register
+
         # -- discovery ---------------------------------------------------
         @gcf.on_request(P.ListDevicesRequest)
         def list_devices(msg: P.ListDevicesRequest, t: float, sender: GCFProcess):
@@ -613,61 +634,42 @@ class Daemon:
             )
 
         # -- contexts / queues ---------------------------------------------
-        @gcf.on_request(P.CreateContextRequest)
+        @ack_handler(P.CreateContextRequest)
         def create_context(msg: P.CreateContextRequest, t: float, sender: GCFProcess):
-            try:
-                visible = set(self._visible_device_ids(sender.name))
-                for i in msg.device_ids:
-                    if i not in visible:
-                        raise CLError(
-                            ErrorCode.CL_DEVICE_NOT_ASSIGNED_WWU,
-                            f"device {i} is not assigned to this client",
-                        )
-                self._admit_object(sender.name)
-                devices = [self.platform.devices[i] for i in msg.device_ids]
-                self.registry.put(sender.name, msg.context_id, Context(devices))
-                return P.Ack(), t
-            except CLError as exc:
-                return P.Ack(error=exc.code.value, detail=exc.message), t
+            visible = set(self._visible_device_ids(sender.name))
+            for i in msg.device_ids:
+                if i not in visible:
+                    raise CLError(
+                        ErrorCode.CL_DEVICE_NOT_ASSIGNED_WWU,
+                        f"device {i} is not assigned to this client",
+                    )
+            self._admit_object(sender.name)
+            devices = [self.platform.devices[i] for i in msg.device_ids]
+            self.registry.put(sender.name, msg.context_id, Context(devices))
 
-        @gcf.on_request(P.ReleaseContextRequest)
+        @ack_handler(P.ReleaseContextRequest)
         def release_context(msg, t, sender):
-            try:
-                self.registry.pop(sender.name, msg.context_id)
-                return P.Ack(), t
-            except CLError as exc:
-                return P.Ack(error=exc.code.value, detail=exc.message), t
+            self.registry.pop(sender.name, msg.context_id)
 
-        @gcf.on_request(P.CreateQueueRequest)
+        @ack_handler(P.CreateQueueRequest)
         def create_queue(msg: P.CreateQueueRequest, t: float, sender: GCFProcess):
-            try:
-                self._admit_object(sender.name)
-                ctx = self._ctx(sender.name, msg.context_id)
-                device = self.platform.devices[msg.device_id]
-                queue = CommandQueue(ctx, device, msg.properties)
-                queue.workload_scale = self.workload_scale
-                self.registry.put(sender.name, msg.queue_id, queue)
-                return P.Ack(), t
-            except CLError as exc:
-                return P.Ack(error=exc.code.value, detail=exc.message), t
+            self._admit_object(sender.name)
+            ctx = self._ctx(sender.name, msg.context_id)
+            device = self.platform.devices[msg.device_id]
+            queue = CommandQueue(ctx, device, msg.properties)
+            queue.workload_scale = self.workload_scale
+            self.registry.put(sender.name, msg.queue_id, queue)
 
-        @gcf.on_request(P.ReleaseQueueRequest)
+        @ack_handler(P.ReleaseQueueRequest)
         def release_queue(msg, t, sender):
-            try:
-                self.registry.pop(sender.name, msg.queue_id)
-                return P.Ack(), t
-            except CLError as exc:
-                return P.Ack(error=exc.code.value, detail=exc.message), t
+            self.registry.pop(sender.name, msg.queue_id)
 
-        @gcf.on_request(P.FinishRequest)
+        @ack_handler(P.FinishRequest)
         def finish(msg: P.FinishRequest, t: float, sender: GCFProcess):
-            try:
-                queue = self._queue(sender.name, msg.queue_id)
-                return P.Ack(), queue.finish(t)
-            except CLError as exc:
-                return P.Ack(error=exc.code.value, detail=exc.message), t
+            queue = self._queue(sender.name, msg.queue_id)
+            return queue.finish(t)
 
-        @gcf.on_request(P.FlushRequest)
+        @ack_handler(P.FlushRequest)
         def flush(msg: P.FlushRequest, t: float, sender: GCFProcess):
             # The submission guarantee itself is discharged by batch
             # replay order: the client's window put every pre-flush
@@ -678,32 +680,20 @@ class Daemon:
             # queue handle (a flush on a never-created or
             # poison-skipped queue is a client error, not a silent
             # no-op).
-            try:
-                self._queue(sender.name, msg.queue_id)
-                return P.Ack(), t
-            except CLError as exc:
-                return P.Ack(error=exc.code.value, detail=exc.message), t
+            self._queue(sender.name, msg.queue_id)
 
         # -- buffers --------------------------------------------------------
-        @gcf.on_request(P.CreateBufferRequest)
+        @ack_handler(P.CreateBufferRequest)
         def create_buffer(msg: P.CreateBufferRequest, t: float, sender: GCFProcess):
-            try:
-                self._admit_object(sender.name)
-                ctx = self._ctx(sender.name, msg.context_id)
-                self.registry.put(sender.name, msg.buffer_id, Buffer(ctx, msg.flags, msg.size))
-                return P.Ack(), t
-            except CLError as exc:
-                return P.Ack(error=exc.code.value, detail=exc.message), t
+            self._admit_object(sender.name)
+            ctx = self._ctx(sender.name, msg.context_id)
+            self.registry.put(sender.name, msg.buffer_id, Buffer(ctx, msg.flags, msg.size))
 
-        @gcf.on_request(P.ReleaseBufferRequest)
+        @ack_handler(P.ReleaseBufferRequest)
         def release_buffer(msg, t, sender):
-            try:
-                obj = self.registry.pop(sender.name, msg.buffer_id)
-                if isinstance(obj, Buffer):
-                    obj.release()
-                return P.Ack(), t
-            except CLError as exc:
-                return P.Ack(error=exc.code.value, detail=exc.message), t
+            obj = self.registry.pop(sender.name, msg.buffer_id)
+            if isinstance(obj, Buffer):
+                obj.release()
 
         @gcf.on_request(P.BufferDataUpload)
         def upload_init(msg: P.BufferDataUpload, t: float, sender: GCFProcess):
@@ -750,13 +740,12 @@ class Daemon:
 
         @gcf.on_bulk_sink(P.CoalescedBufferUpload)
         def coalesced_upload_sink(msg: P.CoalescedBufferUpload, payload, arrival: float, sender: GCFProcess):
-            # One raw stream carrying several whole-object uploads: each
-            # section becomes an ordinary enqueued write on the same
-            # queue, in section order, with its own registered event —
-            # byte-for-byte what the unmerged per-buffer streams would
-            # have produced.  The payload arrives either as the client's
-            # list of per-section arrays (zero-copy) or as one flat
-            # concatenation (decoded stream).
+            # One raw stream carrying the section table's whole-object
+            # uploads: each section becomes an ordinary enqueued write
+            # on the same queue, in section order, with its own
+            # registered event.  The payload arrives either as the
+            # client's list of per-section arrays (zero-copy) or as one
+            # flat concatenation (decoded stream).
             queue = self._queue(sender.name, msg.queue_id)
             sections = split_sections(payload, msg.nbytes_list)
             for buffer_id, event_id, data in zip(msg.buffer_ids, msg.event_ids, sections):
@@ -765,46 +754,18 @@ class Daemon:
                 self.registry.put(sender.name, event_id, event)
                 self._arm_completion_callback(event, event_id, sender)
 
-        @gcf.on_bulk_source(P.BufferDataDownload)
-        def download_source(msg: P.BufferDataDownload, t: float, sender: GCFProcess):
-            try:
-                buffer = self.registry.get(sender.name, msg.buffer_id, Buffer)
-                queue = self._queue(sender.name, msg.queue_id)
-                wait = self._events(sender.name, msg.wait_event_ids)
-                nbytes = msg.nbytes if msg.nbytes > 0 else buffer.size - msg.offset
-                data, event = queue.enqueue_read_buffer(buffer, t, msg.offset, nbytes, wait)
-                self.registry.put(sender.name, msg.event_id, event)
-                self._arm_completion_callback(event, msg.event_id, sender)
-                if not event.resolved:
-                    raise CLError(
-                        ErrorCode.CL_INVALID_OPERATION,
-                        "download gated on an incomplete user event",
-                    )
-                # Zero-copy: the freshly read array streams back as-is
-                # (enqueue_read_buffer already returned an owned copy).
-                return P.BufferDataResponse(nbytes=nbytes), event.end, data, nbytes
-            except CLError as exc:
-                return (
-                    P.BufferDataResponse(error=exc.code.value, detail=exc.message),
-                    t,
-                    b"",
-                    0,
-                )
-
         @gcf.on_bulk_source(P.CoalescedBufferDownload)
         def coalesced_download_source(msg: P.CoalescedBufferDownload, t: float, sender: GCFProcess):
-            # One fetch round trip streaming several whole-object reads
-            # back: each section becomes an ordinary enqueued read on
-            # the same queue, in section order, with its own registered
-            # event — byte-for-byte what the unmerged per-buffer fetches
-            # would have produced.  The section *table* is validated
-            # before anything enqueues, so a stale ID rejects the merged
-            # fetch before any section applies.  A mid-loop gating
+            # One fetch round trip streaming the section table's
+            # whole-object reads back: each section becomes an ordinary
+            # enqueued read on the same queue, in section order, with
+            # its own registered event.  The section *table* is
+            # validated before anything enqueues, so a stale ID rejects
+            # the fetch before any section applies.  A mid-loop gating
             # failure (a read behind an unresolved user event) fails the
-            # whole fetch like the unmerged path fails that section's
-            # fetch; earlier sections' reads stay enqueued either way,
-            # and the client applies no bytes because the error raises
-            # out of the blocking call.
+            # whole fetch; earlier sections' reads stay enqueued, and
+            # the client applies no bytes because the error raises out
+            # of the blocking call.
             try:
                 if not (
                     len(msg.buffer_ids) == len(msg.event_ids) == len(msg.nbytes_list)
@@ -844,65 +805,41 @@ class Daemon:
                     0,
                 )
 
-        @gcf.on_request(P.BufferPeerTransferRequest)
-        def peer_transfer(msg: P.BufferPeerTransferRequest, t: float, sender: GCFProcess):
-            # Section III-F server-to-server synchronisation (MOSI): this
-            # server pushes its buffer copy straight to a peer daemon,
-            # bypassing the client.
-            try:
-                buffer = self.registry.get(sender.name, msg.buffer_id, Buffer)
-                peer = self.peer_daemons.get(msg.peer_name)
-                if peer is None:
-                    raise CLError(
-                        ErrorCode.CL_INVALID_SERVER_WWU,
-                        f"daemon {self.name!r} has no peer {msg.peer_name!r}",
-                    )
-                arrival = self.network.transfer(
-                    self.host, peer.host, t, msg.nbytes, tag="s2s-buffer"
-                )
-                peer_buffer = peer.registry.get(sender.name, msg.buffer_id, Buffer)
-                peer_buffer.write(0, buffer.array)
-                return P.Ack(), arrival
-            except CLError as exc:
-                return P.Ack(error=exc.code.value, detail=exc.message), t
-
-        @gcf.on_request(P.BufferPeerTransferBatch)
+        @ack_handler(P.BufferPeerTransferBatch)
         def peer_transfer_batch(msg: P.BufferPeerTransferBatch, t: float, sender: GCFProcess):
-            # The batched Section III-F exchange: several buffer copies
-            # move to the same peer in one direct daemon-to-daemon
-            # stream, answered by a single Ack.  The whole section table
-            # (source and destination copies) is validated before any
-            # bytes move, so a stale ID rejects the batch whole.
-            try:
-                if not (len(msg.buffer_ids) == len(msg.nbytes_list) and msg.buffer_ids):
-                    raise CLError(
-                        ErrorCode.CL_INVALID_VALUE,
-                        "batched peer transfer needs aligned, non-empty section lists",
-                    )
-                peer = self.peer_daemons.get(msg.peer_name)
-                if peer is None:
-                    raise CLError(
-                        ErrorCode.CL_INVALID_SERVER_WWU,
-                        f"daemon {self.name!r} has no peer {msg.peer_name!r}",
-                    )
-                buffers = [
-                    self.registry.get(sender.name, buffer_id, Buffer)
-                    for buffer_id in msg.buffer_ids
-                ]
-                peer_buffers = [
-                    peer.registry.get(sender.name, buffer_id, Buffer)
-                    for buffer_id in msg.buffer_ids
-                ]
-                arrival = self.network.transfer(
-                    self.host, peer.host, t, sum(msg.nbytes_list), tag="s2s-buffer"
+            # Section III-F server-to-server synchronisation (MOSI): the
+            # section table's buffer copies move straight to the peer
+            # daemon in one direct stream, bypassing the client, and are
+            # answered by a single Ack.  The whole table (source and
+            # destination copies) is validated before any bytes move, so
+            # a stale ID rejects the batch whole.
+            if not (len(msg.buffer_ids) == len(msg.nbytes_list) and msg.buffer_ids):
+                raise CLError(
+                    ErrorCode.CL_INVALID_VALUE,
+                    "batched peer transfer needs aligned, non-empty section lists",
                 )
-                for src_buffer, dst_buffer in zip(buffers, peer_buffers):
-                    dst_buffer.write(0, src_buffer.array)
-                return P.Ack(), arrival
-            except CLError as exc:
-                return P.Ack(error=exc.code.value, detail=exc.message), t
+            peer = self.peer_daemons.get(msg.peer_name)
+            if peer is None:
+                raise CLError(
+                    ErrorCode.CL_INVALID_SERVER_WWU,
+                    f"daemon {self.name!r} has no peer {msg.peer_name!r}",
+                )
+            buffers = [
+                self.registry.get(sender.name, buffer_id, Buffer)
+                for buffer_id in msg.buffer_ids
+            ]
+            peer_buffers = [
+                peer.registry.get(sender.name, buffer_id, Buffer)
+                for buffer_id in msg.buffer_ids
+            ]
+            arrival = self.network.transfer(
+                self.host, peer.host, t, sum(msg.nbytes_list), tag="s2s-buffer"
+            )
+            for src_buffer, dst_buffer in zip(buffers, peer_buffers):
+                dst_buffer.write(0, src_buffer.array)
+            return arrival
 
-        @gcf.on_request(P.PushCommit)
+        @ack_handler(P.PushCommit)
         def push_commit(msg: P.PushCommit, t: float, sender: GCFProcess):
             # The client-authorised apply of a speculative peer push
             # (PR 9): pop the staged bytes this daemon parked in
@@ -915,30 +852,23 @@ class Daemon:
             # a replayed commit) answers a deterministic error; the
             # commit's mutation extractor then poisons the buffer, so
             # the stale replica can never be silently read.
-            try:
-                buffer = self.registry.get(sender.name, msg.buffer_id, Buffer)
-                staged = self._push_staging.pop((sender.name, msg.buffer_id), None)
-                if staged is None or staged[0] != msg.epoch:
-                    raise CLError(
-                        ErrorCode.CL_INVALID_OPERATION,
-                        f"daemon {self.name!r}: no staged push for buffer "
-                        f"{msg.buffer_id} at epoch {msg.epoch}",
-                    )
-                _epoch, data, available_at = staged
-                buffer.write(0, as_uint8_array(data))
-                return P.Ack(), max(t, available_at)
-            except CLError as exc:
-                return P.Ack(error=exc.code.value, detail=exc.message), t
+            buffer = self.registry.get(sender.name, msg.buffer_id, Buffer)
+            staged = self._push_staging.pop((sender.name, msg.buffer_id), None)
+            if staged is None or staged[0] != msg.epoch:
+                raise CLError(
+                    ErrorCode.CL_INVALID_OPERATION,
+                    f"daemon {self.name!r}: no staged push for buffer "
+                    f"{msg.buffer_id} at epoch {msg.epoch}",
+                )
+            _epoch, data, available_at = staged
+            buffer.write(0, as_uint8_array(data))
+            return max(t, available_at)
 
         # -- programs / kernels ----------------------------------------------
-        @gcf.on_request(P.CreateProgramRequest)
+        @ack_handler(P.CreateProgramRequest)
         def create_program_init(msg: P.CreateProgramRequest, t: float, sender: GCFProcess):
-            try:
-                self._admit_object(sender.name)
-                self._ctx(sender.name, msg.context_id)
-                return P.Ack(), t
-            except CLError as exc:
-                return P.Ack(error=exc.code.value, detail=exc.message), t
+            self._admit_object(sender.name)
+            self._ctx(sender.name, msg.context_id)
 
         @gcf.on_bulk_sink(P.CreateProgramRequest)
         def create_program_sink(msg: P.CreateProgramRequest, payload, arrival: float, sender: GCFProcess):
@@ -949,22 +879,18 @@ class Daemon:
                 source = str(payload)
             self.registry.put(sender.name, msg.program_id, Program(ctx, source))
 
-        @gcf.on_request(P.CreateProgramWithSourceRequest)
+        @ack_handler(P.CreateProgramWithSourceRequest)
         def create_program_deferred(
             msg: P.CreateProgramWithSourceRequest, t: float, sender: GCFProcess
         ):
             # The deferred-creation path: the source arrived inline with
             # the batch, so program registration is an ordinary replayed
             # sub-command (no stream, no round trip of its own).
-            try:
-                self._admit_object(sender.name)
-                ctx = self._ctx(sender.name, msg.context_id)
-                self.registry.put(sender.name, msg.program_id, Program(ctx, msg.source))
-                return P.Ack(), t
-            except CLError as exc:
-                return P.Ack(error=exc.code.value, detail=exc.message), t
+            self._admit_object(sender.name)
+            ctx = self._ctx(sender.name, msg.context_id)
+            self.registry.put(sender.name, msg.program_id, Program(ctx, msg.source))
 
-        @gcf.on_request(P.CreateProgramCachedRequest)
+        @ack_handler(P.CreateProgramCachedRequest)
         def create_program_cached(
             msg: P.CreateProgramCachedRequest, t: float, sender: GCFProcess
         ):
@@ -974,25 +900,21 @@ class Daemon:
             # re-materialised from the build cache.  A miss is only
             # possible after eviction; it poisons the provisional ID
             # like any failed creation.
-            try:
-                self._admit_object(sender.name)
-                ctx = self._ctx(sender.name, msg.context_id)
-                source = (
-                    self.buildcache.source_for(msg.digest)
-                    if self.buildcache is not None
-                    else None
+            self._admit_object(sender.name)
+            ctx = self._ctx(sender.name, msg.context_id)
+            source = (
+                self.buildcache.source_for(msg.digest)
+                if self.buildcache is not None
+                else None
+            )
+            if source is None:
+                raise CLError(
+                    ErrorCode.CL_INVALID_PROGRAM,
+                    f"no cached source for digest {msg.digest[:12]}…",
                 )
-                if source is None:
-                    raise CLError(
-                        ErrorCode.CL_INVALID_PROGRAM,
-                        f"no cached source for digest {msg.digest[:12]}…",
-                    )
-                self.registry.put(sender.name, msg.program_id, Program(ctx, source))
-                return P.Ack(), t
-            except CLError as exc:
-                return P.Ack(error=exc.code.value, detail=exc.message), t
+            self.registry.put(sender.name, msg.program_id, Program(ctx, source))
 
-        @gcf.on_request(P.CreateProgramWithBinaryRequest)
+        @ack_handler(P.CreateProgramWithBinaryRequest)
         def create_program_with_binary(
             msg: P.CreateProgramWithBinaryRequest, t: float, sender: GCFProcess
         ):
@@ -1001,23 +923,19 @@ class Daemon:
             # handle.  The program still requires clBuildProgram before
             # kernel creation (OpenCL semantics); that build resolves as
             # a cache hit against the entry installed here.
+            self._admit_object(sender.name)
+            ctx = self._ctx(sender.name, msg.context_id)
             try:
-                self._admit_object(sender.name)
-                ctx = self._ctx(sender.name, msg.context_id)
-                try:
-                    if self.buildcache is not None:
-                        entry, _ = self.buildcache.install_binary(msg.binary)
-                        compiled = entry.compiled
-                    else:
-                        compiled = deserialize_program(msg.binary)
-                except CLCompileError as exc:
-                    raise CLError(ErrorCode.CL_INVALID_BINARY, str(exc)) from exc
-                self.registry.put(
-                    sender.name, msg.program_id, Program(ctx, compiled.source)
-                )
-                return P.Ack(), t
-            except CLError as exc:
-                return P.Ack(error=exc.code.value, detail=exc.message), t
+                if self.buildcache is not None:
+                    entry, _ = self.buildcache.install_binary(msg.binary)
+                    compiled = entry.compiled
+                else:
+                    compiled = deserialize_program(msg.binary)
+            except CLCompileError as exc:
+                raise CLError(ErrorCode.CL_INVALID_BINARY, str(exc)) from exc
+            self.registry.put(
+                sender.name, msg.program_id, Program(ctx, compiled.source)
+            )
 
         @gcf.on_request(P.BuildProgramRequest)
         def build_program(msg: P.BuildProgramRequest, t: float, sender: GCFProcess):
@@ -1030,7 +948,7 @@ class Daemon:
             # client fills kernel stubs from the cached table).
             return self._resolve_build(program, msg.options, t)
 
-        @gcf.on_request(P.BuildProgramCachedRequest)
+        @ack_handler(P.BuildProgramCachedRequest)
         def build_program_cached(
             msg: P.BuildProgramCachedRequest, t: float, sender: GCFProcess
         ):
@@ -1041,17 +959,14 @@ class Daemon:
             # and the daemon program enters the identical ERROR state
             # here (nothing is left to report, and a batch poison would
             # re-raise an already-surfaced failure).
-            try:
-                program = self.registry.get(sender.name, msg.program_id, Program)
-                if program.digest != msg.digest:
-                    raise CLError(
-                        ErrorCode.CL_INVALID_PROGRAM,
-                        "cached build digest does not match program source",
-                    )
-            except CLError as exc:
-                return P.Ack(error=exc.code.value, detail=exc.message), t
+            program = self.registry.get(sender.name, msg.program_id, Program)
+            if program.digest != msg.digest:
+                raise CLError(
+                    ErrorCode.CL_INVALID_PROGRAM,
+                    "cached build digest does not match program source",
+                )
             _, done = self._resolve_build(program, msg.options, t)
-            return P.Ack(), done
+            return done
 
         @gcf.on_request(P.GetProgramBinaryRequest)
         def get_program_binary(msg: P.GetProgramBinaryRequest, t: float, sender: GCFProcess):
@@ -1066,48 +981,32 @@ class Daemon:
             except CLError as exc:
                 return P.GetProgramBinaryResponse(error=exc.code.value, detail=exc.message), t
 
-        @gcf.on_request(P.ReleaseProgramRequest)
+        @ack_handler(P.ReleaseProgramRequest)
         def release_program(msg, t, sender):
-            try:
-                self.registry.pop(sender.name, msg.program_id)
-                return P.Ack(), t
-            except CLError as exc:
-                return P.Ack(error=exc.code.value, detail=exc.message), t
+            self.registry.pop(sender.name, msg.program_id)
 
-        @gcf.on_request(P.CreateKernelRequest)
+        @ack_handler(P.CreateKernelRequest)
         def create_kernel(msg: P.CreateKernelRequest, t: float, sender: GCFProcess):
             # Fire-and-forget: the metadata already travelled with the
             # build reply, so creation answers a plain Ack.
-            try:
-                self._admit_object(sender.name)
-                program = self.registry.get(sender.name, msg.program_id, Program)
-                self.registry.put(sender.name, msg.kernel_id, Kernel(program, msg.name))
-                return P.Ack(), t
-            except CLError as exc:
-                return P.Ack(error=exc.code.value, detail=exc.message), t
+            self._admit_object(sender.name)
+            program = self.registry.get(sender.name, msg.program_id, Program)
+            self.registry.put(sender.name, msg.kernel_id, Kernel(program, msg.name))
 
-        @gcf.on_request(P.SetKernelArgRequest)
+        @ack_handler(P.SetKernelArgRequest)
         def set_kernel_arg(msg: P.SetKernelArgRequest, t: float, sender: GCFProcess):
-            try:
-                kernel = self.registry.get(sender.name, msg.kernel_id, Kernel)
-                if msg.kind == "buffer":
-                    value = self.registry.get(sender.name, msg.buffer_id, Buffer)
-                elif msg.kind == "local":
-                    value = LocalMemory(msg.local_nbytes)
-                else:
-                    value = msg.value
-                kernel.set_arg(msg.index, value)
-                return P.Ack(), t
-            except CLError as exc:
-                return P.Ack(error=exc.code.value, detail=exc.message), t
+            kernel = self.registry.get(sender.name, msg.kernel_id, Kernel)
+            if msg.kind == "buffer":
+                value = self.registry.get(sender.name, msg.buffer_id, Buffer)
+            elif msg.kind == "local":
+                value = LocalMemory(msg.local_nbytes)
+            else:
+                value = msg.value
+            kernel.set_arg(msg.index, value)
 
-        @gcf.on_request(P.ReleaseKernelRequest)
+        @ack_handler(P.ReleaseKernelRequest)
         def release_kernel(msg, t, sender):
-            try:
-                self.registry.pop(sender.name, msg.kernel_id)
-                return P.Ack(), t
-            except CLError as exc:
-                return P.Ack(error=exc.code.value, detail=exc.message), t
+            self.registry.pop(sender.name, msg.kernel_id)
 
         @gcf.on_request(P.EnqueueKernelRequest)
         def enqueue_kernel(msg: P.EnqueueKernelRequest, t: float, sender: GCFProcess):
@@ -1136,69 +1035,52 @@ class Daemon:
                 return P.EnqueueKernelResponse(error=exc.code.value, detail=exc.message), t
 
         # -- events ------------------------------------------------------------
-        @gcf.on_request(P.CreateUserEventRequest)
+        @ack_handler(P.CreateUserEventRequest)
         def create_user_event(msg: P.CreateUserEventRequest, t: float, sender: GCFProcess):
-            try:
-                self._admit_object(sender.name)
-                ctx = self._ctx(sender.name, msg.context_id)
-                event = UserEvent(ctx, t)
-                self.registry.put(sender.name, msg.event_id, event)
-                # A relay or direct broadcast may have overtaken this
-                # (deferred) creation on the wire; apply the buffered
-                # status now, with the buffered time as causality floor.
-                pending = self._pop_pending_status(sender.name, msg.event_id)
-                if pending is not None:
-                    status, t_status = pending
-                    event.set_status(status, max(t, t_status))
-                return P.Ack(), t
-            except CLError as exc:
-                return P.Ack(error=exc.code.value, detail=exc.message), t
+            self._admit_object(sender.name)
+            ctx = self._ctx(sender.name, msg.context_id)
+            event = UserEvent(ctx, t)
+            self.registry.put(sender.name, msg.event_id, event)
+            # A relay or direct broadcast may have overtaken this
+            # (deferred) creation on the wire; apply the buffered
+            # status now, with the buffered time as causality floor.
+            pending = self._pop_pending_status(sender.name, msg.event_id)
+            if pending is not None:
+                status, t_status = pending
+                event.set_status(status, max(t, t_status))
 
-        @gcf.on_request(P.SetUserEventStatusRequest)
+        @ack_handler(P.SetUserEventStatusRequest)
         def set_user_event_status(msg: P.SetUserEventStatusRequest, t: float, sender: GCFProcess):
-            try:
-                # One delivery policy for every status source (app
-                # fan-out, relay, broadcast): apply to the replica,
-                # ignore duplicates for already-resolved ones, buffer
-                # statuses whose replica creation has not replayed yet.
-                # msg.min_time is the relay's causality floor: a status
-                # riding an early-dispatched batch still takes effect no
-                # sooner than the completion it reports became knowable
-                # here (see SetUserEventStatusRequest).
-                delivered = self.deliver_event_status(
-                    sender.name, msg.event_id, msg.status, max(t, msg.min_time)
+            # One delivery policy for every status source (app
+            # fan-out, relay, broadcast): apply to the replica,
+            # ignore duplicates for already-resolved ones, buffer
+            # statuses whose replica creation has not replayed yet.
+            # msg.min_time is the relay's causality floor: a status
+            # riding an early-dispatched batch still takes effect no
+            # sooner than the completion it reports became knowable
+            # here (see SetUserEventStatusRequest).
+            delivered = self.deliver_event_status(
+                sender.name, msg.event_id, msg.status, max(t, msg.min_time)
+            )
+            if not delivered:
+                # The request path's half of the overflow policy:
+                # the status was dropped (buffer full), so the
+                # client gets a faithful error reply instead of a
+                # silently lost completion.
+                raise CLError(
+                    ErrorCode.CL_OUT_OF_RESOURCES,
+                    f"daemon {self.name!r}: event-status buffer "
+                    f"full ({PENDING_EVENT_STATUS_LIMIT} statuses "
+                    "buffered ahead of their replica creations "
+                    "for this client)",
                 )
-                if not delivered:
-                    # The request path's half of the overflow policy:
-                    # the status was dropped (buffer full), so the
-                    # client gets a faithful error reply instead of a
-                    # silently lost completion.
-                    return (
-                        P.Ack(
-                            error=ErrorCode.CL_OUT_OF_RESOURCES.value,
-                            detail=(
-                                f"daemon {self.name!r}: event-status buffer "
-                                f"full ({PENDING_EVENT_STATUS_LIMIT} statuses "
-                                "buffered ahead of their replica creations "
-                                "for this client)"
-                            ),
-                        ),
-                        t,
-                    )
-                return P.Ack(), t
-            except CLError as exc:
-                return P.Ack(error=exc.code.value, detail=exc.message), t
 
-        @gcf.on_request(P.ReleaseEventRequest)
+        @ack_handler(P.ReleaseEventRequest)
         def release_event(msg, t, sender):
-            try:
-                self.registry.pop(sender.name, msg.event_id)
-                # A status buffered for the now-released replica has no
-                # consumer any more (client IDs are never reused).
-                self._pop_pending_status(sender.name, msg.event_id)
-                return P.Ack(), t
-            except CLError as exc:
-                return P.Ack(error=exc.code.value, detail=exc.message), t
+            self.registry.pop(sender.name, msg.event_id)
+            # A status buffered for the now-released replica has no
+            # consumer any more (client IDs are never reused).
+            self._pop_pending_status(sender.name, msg.event_id)
 
         # -- device manager ------------------------------------------------------
         @gcf.on_notification(P.LeaseAssignNotification)

@@ -173,13 +173,15 @@ class ReleaseBufferRequest(Request):
 
 @message_type
 class BufferDataUpload(Request):
-    """Init message for a client->server buffer stream (upload path).
+    """Init message for an *application* write's client->server stream
+    (``clEnqueueWriteBuffer`` / the upload half of ``clEnqueueCopyBuffer``):
+    the one transfer that carries a wait list and a user-visible event.
+    Coherence transfers use the section-table messages below.
 
     ``replica_servers`` names the peer daemons holding user-event
     replicas of ``event_id`` — set only when the receiving daemon runs
     the Section III-F direct broadcast, so it targets exactly the
-    replica holders instead of blanketing every peer.  Internal
-    coherence transfers (replica-less events) leave it empty."""
+    replica holders instead of blanketing every peer."""
 
     buffer_id: int
     queue_id: int
@@ -192,17 +194,17 @@ class BufferDataUpload(Request):
 
 @message_type
 class CoalescedBufferUpload(Request):
-    """Init message for a *merged* client->server upload stream.
+    """Init message for a coherence client->server upload stream.
 
-    When the coherence protocol needs to validate several buffers on the
-    same daemon between two sync points (typically the buffer arguments
-    of one kernel launch), the driver fuses the per-buffer
-    ``BufferDataUpload`` streams into one: a single init round trip and
-    a single raw stream whose payload is the concatenation of the
-    sections.  ``buffer_ids[i]`` / ``event_ids[i]`` / ``nbytes_list[i]``
-    describe section ``i`` (whole-object coherence uploads, so offsets
-    are always zero); the daemon enqueues one write per section, in
-    order, on ``queue_id`` and registers each section's event.
+    A coherence transfer is a *section table*: the buffers the protocol
+    must validate on one daemon between two sync points (typically the
+    buffer arguments of one kernel launch; a single buffer on the
+    reference path) ride one init round trip and one raw stream whose
+    payload is the concatenation of the sections.  ``buffer_ids[i]`` /
+    ``event_ids[i]`` / ``nbytes_list[i]`` describe section ``i``
+    (whole-object uploads, so offsets are always zero); the daemon
+    enqueues one write per section, in order, on ``queue_id`` and
+    registers each section's (replica-less, internal) event.
     """
 
     queue_id: int
@@ -212,34 +214,18 @@ class CoalescedBufferUpload(Request):
 
 
 @message_type
-class BufferDataDownload(Request):
-    """Request for a server->client buffer stream (download path)."""
-
-    buffer_id: int
-    queue_id: int
-    event_id: int
-    offset: int
-    nbytes: int
-    wait_event_ids: List[int]
-
-
-@message_type
 class CoalescedBufferDownload(Request):
-    """Request for a *merged* server->client download stream.
+    """Request for a coherence server->client download stream.
 
-    The download twin of :class:`CoalescedBufferUpload`: when the
-    coherence protocol must revalidate the client's copy of several
-    buffers held by the same daemon between two sync points (typically
-    the remote buffer arguments of one kernel launch), the driver fuses
-    the per-buffer ``BufferDataDownload`` fetches into one — a single
-    request round trip whose reply streams every section back together
-    (the payload is the list of per-section arrays, zero-copy, never
-    concatenated).  ``buffer_ids[i]`` / ``event_ids[i]`` /
-    ``nbytes_list[i]`` describe section ``i`` (whole-object coherence
-    downloads, so offsets are always zero); the daemon enqueues one
-    read per section, in order, on ``queue_id`` and registers each
-    section's event — byte-for-byte what the unmerged fetches would
-    have produced."""
+    The download twin of :class:`CoalescedBufferUpload`: the buffers
+    whose client copy must be revalidated from one daemon between two
+    sync points (one or more) ride a single request round trip whose
+    reply streams every section back together (the payload is the list
+    of per-section arrays, zero-copy, never concatenated).
+    ``buffer_ids[i]`` / ``event_ids[i]`` / ``nbytes_list[i]`` describe
+    section ``i`` (whole-object downloads, so offsets are always zero);
+    the daemon enqueues one read per section, in order, on ``queue_id``
+    and registers each section's event."""
 
     queue_id: int
     buffer_ids: List[int]
@@ -257,26 +243,14 @@ class BufferDataResponse(Response):
 
 
 @message_type
-class BufferPeerTransferRequest(Request):
-    """Server-to-server buffer synchronisation (Section III-F extension)."""
-
-    buffer_id: int
-    peer_name: str
-    nbytes: int
-
-
-@message_type
 class BufferPeerTransferBatch(Request):
-    """Batched Section III-F server-to-server synchronisation: one
-    request makes the receiving daemon push *several* buffer copies to
-    the same peer daemon in one direct exchange.
-
-    When a MOSI plan moves two or more buffers along the same
-    ``(source, destination)`` daemon pair between sync points, the
-    driver sends this envelope instead of one
-    :class:`BufferPeerTransferRequest` per buffer: one client round
-    trip, and one daemon-to-daemon stream carrying every section
-    (``buffer_ids[i]`` / ``nbytes_list[i]``) back to back."""
+    """Section III-F server-to-server synchronisation: one request makes
+    the receiving daemon push the listed buffer copies (one or more —
+    every MOSI hop along the same ``(source, destination)`` daemon pair
+    between two sync points) to the peer daemon in one direct exchange:
+    one client round trip, and one daemon-to-daemon stream carrying
+    every section (``buffer_ids[i]`` / ``nbytes_list[i]``) back to
+    back."""
 
     peer_name: str
     buffer_ids: List[int]

@@ -61,13 +61,5 @@ class Host:
 
         return Interval(ready, ready + self.upload_duration(device, nbytes), tag)
 
-    def download(self, device: ComputeDevice, ready: float, nbytes: int, tag: object = None):
-        """Charge a device-to-host transfer; returns the busy interval."""
-        if self.device_needs_bus(device):
-            return self.pcie.read(ready, nbytes, tag)
-        from repro.sim.timeline import Interval
-
-        return Interval(ready, ready + self.download_duration(device, nbytes), tag)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Host {self.name!r} devices={len(self.devices)}>"

@@ -31,8 +31,5 @@ class PCIeBus:
     def write(self, ready: float, nbytes: int, tag: object = None) -> Interval:
         return self.timeline.allocate(ready, self.write_duration(nbytes), tag)
 
-    def read(self, ready: float, nbytes: int, tag: object = None) -> Interval:
-        return self.timeline.allocate(ready, self.read_duration(nbytes), tag)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<PCIeBus {self.spec.name!r}>"

@@ -115,12 +115,18 @@ class NetStats:
         relays skipped entirely because the event has no user-event
         replicas anywhere.
     ``coalesced_uploads`` / ``coalesced_upload_sections``
-        Coherence uploads merged into single bulk streams, and how many
-        per-buffer sections those merged streams carried.
+        Coherence upload *gangs*: groups of two or more buffers bound
+        for one daemon that rode a single bulk stream, and the
+        per-buffer sections those streams carried.  Every coherence
+        transfer ships as a section table; these (and the download /
+        peer-transfer pairs below) count only groups that entered with
+        two or more members — once, with the sections actually
+        shipped (staged pushes may consume the rest) — so they stay 0
+        on the reference path, whose groups are all singletons.
     ``coalesced_downloads`` / ``coalesced_download_sections``
-        Coherence downloads merged into single bulk fetches (one
-        request round trip streaming several buffers back), and how
-        many per-buffer sections those merged fetches carried.
+        Coherence download gangs (one request round trip streaming
+        several buffers back from one daemon), and the per-buffer
+        sections those fetches carried.
     ``coalesced_reads`` / ``coalesced_read_sections``
         Blocking-``clEnqueueReadBuffer`` result gathers fused per
         source daemon: a blocking read that must download its buffer
@@ -136,9 +142,9 @@ class NetStats:
         (``SendWindow.barrier_floor``) so nothing overtakes flushed
         commands.
     ``coalesced_peer_transfers`` / ``coalesced_peer_transfer_sections``
-        MOSI server-to-server exchanges batched onto one
-        ``BufferPeerTransferBatch`` round trip (same (src, dst) daemon
-        pair), and the per-buffer sections those batches carried.
+        MOSI server-to-server gangs: two or more hops along one
+        (src, dst) daemon pair on one ``BufferPeerTransferBatch`` round
+        trip, and the per-buffer sections those batches carried.
     ``prefix_flushes``
         Targeted sync points that dispatched only a window *prefix*
         (up to the awaited handle's producer), leaving causally
@@ -661,19 +667,22 @@ class GCFProcess:
             raise NetworkError(
                 f"process {target.name!r} has no handler for {type(msg).__name__}"
             )
-        arrival = self.network.transfer(self.host, target.host, t, msg.wire_size, tag=type(msg).__name__)
+        # ``wire_size`` walks the whole payload: evaluate it once per message.
+        msg_size = msg.wire_size
+        arrival = self.network.transfer(self.host, target.host, t, msg_size, tag=type(msg).__name__)
         iv = target.cpu.allocate(arrival, target.host.spec.request_overhead, type(msg).__name__)
         response, t_done = handler(msg, iv.end, self)
         if t_done < iv.end:
             raise NetworkError(
                 f"handler for {type(msg).__name__} returned t_done={t_done} < start={iv.end}"
             )
+        response_size = response.wire_size
         reply_arrival = self.network.transfer(
-            target.host, self.host, t_done, response.wire_size, tag=type(response).__name__
+            target.host, self.host, t_done, response_size, tag=type(response).__name__
         )
         self.stats.requests += 1
-        self.stats.bytes_sent += msg.wire_size
-        self.stats.bytes_received += response.wire_size
+        self.stats.bytes_sent += msg_size
+        self.stats.bytes_received += response_size
         return RequestOutcome(response, t, arrival, t_done, reply_arrival)
 
     def request_batch(
@@ -719,8 +728,9 @@ class GCFProcess:
                 self.stats.encode_cache_hits += 1
             commands.append(m.cached_wire())
         batch = CommandBatch(commands=commands, epoch=epoch, seq=seq)
+        batch_size = batch.wire_size
         arrival = self.network.transfer(
-            self.host, target.host, t, batch.wire_size, tag="CommandBatch"
+            self.host, target.host, t, batch_size, tag="CommandBatch"
         )
         iv = target.cpu.allocate(arrival, target.host.spec.request_overhead, "CommandBatch")
         reply, t_done = handler(batch, iv.end, self)
@@ -733,13 +743,14 @@ class GCFProcess:
                 f"process {target.name!r} answered a {len(msgs)}-command batch with "
                 f"{type(reply).__name__}"
             )
+        reply_size = reply.wire_size
         reply_arrival = self.network.transfer(
-            target.host, self.host, t_done, reply.wire_size, tag="CommandBatchResponse"
+            target.host, self.host, t_done, reply_size, tag="CommandBatchResponse"
         )
         self.stats.batches += 1
         self.stats.batched_commands += len(msgs)
-        self.stats.bytes_sent += batch.wire_size
-        self.stats.bytes_received += reply.wire_size
+        self.stats.bytes_sent += batch_size
+        self.stats.bytes_received += reply_size
         decode_hits = self._decode_cache.hits
         responses = [self._decode_cache.decode(raw) for raw in reply.results]
         self.stats.decode_cache_hits += self._decode_cache.hits - decode_hits
@@ -747,10 +758,11 @@ class GCFProcess:
 
     def notify(self, target: "GCFProcess", msg: Notification, t: float) -> float:
         """One-way asynchronous notification; returns delivery time."""
-        arrival = self.network.transfer(self.host, target.host, t, msg.wire_size, tag=type(msg).__name__)
+        msg_size = msg.wire_size
+        arrival = self.network.transfer(self.host, target.host, t, msg_size, tag=type(msg).__name__)
         target.notification_log.append((arrival, self.name, msg))
         self.stats.notifications += 1
-        self.stats.bytes_sent += msg.wire_size
+        self.stats.bytes_sent += msg_size
         handler = target._notification_handlers.get(type(msg))
         if handler is not None:
             handler(msg, arrival, self)
@@ -825,16 +837,18 @@ class GCFProcess:
             raise NetworkError(
                 f"process {target.name!r} has no bulk source for {type(request).__name__}"
             )
-        arrival = self.network.transfer(self.host, target.host, t, request.wire_size)
+        request_size = request.wire_size
+        arrival = self.network.transfer(self.host, target.host, t, request_size)
         iv = target.cpu.allocate(arrival, target.host.spec.request_overhead, type(request).__name__)
         response, t_done, payload, nbytes = source(request, iv.end, self)
-        reply_arrival = self.network.transfer(target.host, self.host, t_done, response.wire_size)
+        response_size = response.wire_size
+        reply_arrival = self.network.transfer(target.host, self.host, t_done, response_size)
         data_arrival = self.network.transfer(
             target.host, self.host, reply_arrival, nbytes, tag=f"bulk:{type(request).__name__}"
         )
         self.stats.bulk_fetches += 1
-        self.stats.bytes_sent += request.wire_size
-        self.stats.bytes_received += response.wire_size + nbytes
+        self.stats.bytes_sent += request_size
+        self.stats.bytes_received += response_size + nbytes
         return response, payload, data_arrival
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -82,11 +82,6 @@ class StreamResult:
         return self.arrival - self.requested_at
 
     @property
-    def payload_time(self) -> float:
-        """Raw-payload flow time only."""
-        return self.arrival - self.started_at
-
-    @property
     def effective_bandwidth(self) -> float:
         """Bytes per second over the whole transfer."""
         if self.total_time <= 0.0:

@@ -95,15 +95,6 @@ class Kernel:
     def buffer_args(self) -> List[Buffer]:
         return [a for a in self.args if isinstance(a, Buffer)]
 
-    def arg_info(self, index: int) -> str:
-        require(
-            0 <= index < self.num_args,
-            ErrorCode.CL_INVALID_ARG_INDEX,
-            f"bad arg index {index}",
-        )
-        sym = self.compiled.info.param_symbols[index]
-        return str(sym.type)
-
     def retain(self) -> None:
         self.refcount += 1
 

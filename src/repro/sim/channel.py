@@ -40,10 +40,6 @@ class Channel:
     def __len__(self) -> int:
         return len(self._items)
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def close(self) -> None:
         self._closed = True
         while self._getters:

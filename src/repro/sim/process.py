@@ -110,10 +110,6 @@ class Process(SimEvent):
         boot.callbacks.append(self._resume)
         boot.succeed()
 
-    @property
-    def is_alive(self) -> bool:
-        return not self.triggered
-
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`ProcessKilled` into the process at the current time."""
         if self.triggered:

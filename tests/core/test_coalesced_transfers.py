@@ -337,29 +337,69 @@ def test_merged_reads_match_unmerged_byte_for_byte(protocol):
     assert sm.bytes_sent < su.bytes_sent
 
 
-def test_single_reads_are_never_wrapped():
-    """A read with no fusable sibling ships the plain per-buffer
-    ``BufferDataDownload`` — no gang group, no section bookkeeping."""
-    deployment = deploy_dopencl(make_ib_cpu_cluster(2))
+BUMP = """
+__kernel void bump(__global float *x, const int n) {
+    int i = (int)get_global_id(0);
+    if (i < n) x[i] = x[i] + 1.0f;
+}
+"""
+
+
+@pytest.mark.parametrize("batch_window", [0, None])
+@pytest.mark.parametrize("protocol", ["msi", "mosi"])
+def test_lone_transfers_ship_one_section_tables(protocol, batch_window, monkeypatch):
+    """A transfer is always a section table: a buffer moving alone
+    along any route ships the same ``CoalescedBufferUpload`` /
+    ``BufferPeerTransferBatch`` / ``CoalescedBufferDownload`` a gang
+    does, with exactly one section — on the reference path and in the
+    pipeline alike.  It is not a gang, so no ``coalesced_*`` counter
+    moves."""
+    import repro.core.protocol.messages as P
+    from repro.ocl import CL_MEM_COPY_HOST_PTR, CL_MEM_READ_WRITE
+
+    deployment = deploy_dopencl(
+        make_ib_cpu_cluster(2), coherence_protocol=protocol, batch_window=batch_window
+    )
+    gcf = deployment.driver.gcf
+    sent = []
+    for name in ("request", "fetch_bulk"):
+
+        def spy(target, msg, t, _send=getattr(gcf, name)):
+            sent.append(msg)
+            return _send(target, msg, t)
+
+        monkeypatch.setattr(gcf, name, spy)
     api = deployment.api
     devices = api.clGetDeviceIDs(api.clGetPlatformIDs()[0])
     ctx = api.clCreateContext(devices)
-    q1 = api.clCreateCommandQueue(ctx, devices[1])
     n = 64
-    program = api.clCreateProgramWithSource(ctx, FILL)
+    x = np.arange(n, dtype=np.float32)
+    buf = api.clCreateBuffer(ctx, CL_MEM_READ_WRITE | CL_MEM_COPY_HOST_PTR, x.nbytes, x)
+    program = api.clCreateProgramWithSource(ctx, BUMP)
     api.clBuildProgram(program)
-    buf = api.clCreateBuffer(ctx, CL_MEM_WRITE_ONLY, 4 * n)
-    fill = api.clCreateKernel(program, "fill")
-    api.clSetKernelArg(fill, 0, buf)
-    api.clSetKernelArg(fill, 1, np.float32(3.0))
-    api.clSetKernelArg(fill, 2, n)
-    api.clEnqueueNDRangeKernel(q1, fill, (n,))
-    api.clFinish(q1)
-    data, _ = api.clEnqueueReadBuffer(q1, buf)
-    np.testing.assert_allclose(data.view(np.float32), 3.0 + np.arange(n))
+    bump = api.clCreateKernel(program, "bump")
+    api.clSetKernelArg(bump, 0, buf)
+    api.clSetKernelArg(bump, 1, n)
+    # client -> server 0 (upload), server 0 -> server 1 (via the client
+    # under MSI, a direct hop under MOSI), server 1 -> client (download).
+    queues = [api.clCreateCommandQueue(ctx, device) for device in devices]
+    for queue in queues:
+        api.clEnqueueNDRangeKernel(queue, bump, (n,))
+    data, _ = api.clEnqueueReadBuffer(queues[1], buf)
+    np.testing.assert_array_equal(data.view(np.float32), x + 2.0)
+
+    up, down, hop = P.CoalescedBufferUpload, P.CoalescedBufferDownload, P.BufferPeerTransferBatch
+    transfers = [m for m in sent if isinstance(m, (up, down, hop))]
+    assert [type(m) for m in transfers] == (
+        [up, down, up, down] if protocol == "msi" else [up, hop, down]
+    )
+    for msg in transfers:
+        assert msg.buffer_ids == [buf.id] and msg.nbytes_list == [x.nbytes]
     stats = deployment.driver.stats
+    assert stats.coalesced_uploads == 0 and stats.coalesced_upload_sections == 0
+    assert stats.coalesced_downloads == 0 and stats.coalesced_download_sections == 0
+    assert stats.coalesced_peer_transfers == 0
     assert stats.coalesced_reads == 0 and stats.coalesced_read_sections == 0
-    assert stats.coalesced_downloads == 0  # the plain envelope shipped
 
 
 def test_cross_daemon_reads_split_per_source():
@@ -369,7 +409,7 @@ def test_cross_daemon_reads_split_per_source():
     dep, bufs, _datas = _run_readback("msi", True)
     stats = dep.driver.stats
     # Only the two server-1 buffers fused; server 0's buffer shipped
-    # alone (a gang of one is not a gang).
+    # alone (a one-section table is not a gang).
     assert stats.coalesced_reads == 1
     assert stats.coalesced_read_sections == 2
 

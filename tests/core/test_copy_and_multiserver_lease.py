@@ -7,7 +7,13 @@ from repro.hw.cluster import Cluster, make_ib_cpu_cluster
 from repro.hw.node import Host
 from repro.hw.specs import GIGABIT_ETHERNET, GPU_SERVER
 from repro.net import Network
-from repro.ocl import CL_MEM_COPY_HOST_PTR, CL_MEM_READ_WRITE, CL_DEVICE_TYPE_GPU
+from repro.ocl import (
+    CL_DEVICE_TYPE_GPU,
+    CL_MEM_COPY_HOST_PTR,
+    CL_MEM_READ_WRITE,
+    CLError,
+    ErrorCode,
+)
 from repro.testbed import deploy_dopencl
 
 
@@ -40,6 +46,40 @@ def test_copy_buffer_partial_ranges():
     expected = dst_init.copy()
     expected[16:24] = src_data[8:16]
     np.testing.assert_array_equal(data, expected)
+
+
+@pytest.mark.parametrize("batch_window", [0, None])
+def test_overlapping_self_copy_rejected_before_any_traffic(batch_window):
+    """Transparency: native raises ``CL_MEM_COPY_OVERLAP`` for a
+    self-copy whose ranges overlap (``ocl/queue.py``); dOpenCL used to
+    copy silently.  The check runs before any coherence traffic or
+    directory mutation, and a disjoint self-copy still works."""
+    deployment = deploy_dopencl(make_ib_cpu_cluster(1), batch_window=batch_window)
+    api = deployment.api
+    devices = api.clGetDeviceIDs(api.clGetPlatformIDs()[0])
+    ctx = api.clCreateContext(devices)
+    queue = api.clCreateCommandQueue(ctx, devices[0])
+    init = np.arange(64, dtype=np.uint8)
+    buf = api.clCreateBuffer(ctx, CL_MEM_READ_WRITE | CL_MEM_COPY_HOST_PTR, 64, init)
+    # Leave the only valid copy on the server, so an unvalidated copy
+    # would have to download before it could mutate anything.
+    api.clEnqueueWriteBuffer(queue, buf, True, 0, init)
+    before = (
+        deployment.driver.stats.snapshot(),
+        dict(buf.coherence.state),
+        deployment.driver.pending_commands(),
+    )
+    with pytest.raises(CLError) as err:
+        api.clEnqueueCopyBuffer(queue, buf, buf, 0, 8, 32)
+    assert err.value.code == ErrorCode.CL_MEM_COPY_OVERLAP
+    assert before == (
+        deployment.driver.stats.snapshot(),
+        dict(buf.coherence.state),
+        deployment.driver.pending_commands(),
+    )
+    api.clEnqueueCopyBuffer(queue, buf, buf, 0, 32, 32)  # adjacent, not overlapping
+    data, _ = api.clEnqueueReadBuffer(queue, buf)
+    np.testing.assert_array_equal(data, np.concatenate([init[:32], init[:32]]))
 
 
 TWO_GPU_REQUEST = """

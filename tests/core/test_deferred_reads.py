@@ -282,7 +282,7 @@ def test_daemon_loss_poisons_the_deferred_read_event():
     injector = install_fault_injector(
         deployment.cluster.network,
         FaultPlan(
-            actions=[FaultAction("crash", nth=1, tag="bulk:BufferDataDownload")],
+            actions=[FaultAction("crash", nth=1, tag="bulk:CoalescedBufferDownload")],
             max_transfers=10_000,
         ),
     )

@@ -18,6 +18,7 @@ from repro.ocl import (
     CLError,
     ErrorCode,
 )
+from repro.ocl.constants import CL_COMMAND_NDRANGE_KERNEL, CL_COMPLETE
 from repro.testbed import deploy_dopencl, native_api_on
 
 VECADD = """
@@ -326,3 +327,84 @@ def test_dopencl_has_network_overhead_vs_native():
     assert t_dcl > t_native  # forwarding costs something
     # ... but not catastrophically (compute still dominates at scale).
     assert t_dcl < t_native + 0.5
+
+
+@pytest.mark.parametrize("batch_window", [0, None])
+def test_release_retain_and_event_query_surface(batch_window):
+    """API surface no other tier-1 test executes (function-call census):
+    ``clReleaseContext`` / ``clRetainCommandQueue`` /
+    ``clReleaseCommandQueue`` down to the daemon's ``release_context`` /
+    ``release_queue`` handlers, ``clGetEventInfo``,
+    ``clSetEventCallback`` and ``clCreateKernelsInProgram`` — with the
+    use-after-release error codes, on the reference path and the
+    pipeline alike."""
+    deployment = deploy_dopencl(make_ib_cpu_cluster(2), batch_window=batch_window)
+    cl = deployment.api
+    devices = cl.clGetDeviceIDs(cl.clGetPlatformIDs()[0])
+    ctx = cl.clCreateContext(devices)
+    queue = cl.clCreateCommandQueue(ctx, devices[0])
+    other = cl.clCreateCommandQueue(ctx, devices[1])
+    program = cl.clCreateProgramWithSource(ctx, SCALE)
+    cl.clBuildProgram(program)
+    with pytest.raises(CLError) as err:
+        cl.clCreateKernelsInProgram(program)
+    assert err.value.code == ErrorCode.CL_INVALID_OPERATION
+    kernel = cl.clCreateKernel(program, "scale")
+    x = np.arange(64, dtype=np.float32)
+    buf = cl.clCreateBuffer(ctx, CL_MEM_READ_WRITE | CL_MEM_COPY_HOST_PTR, x.nbytes, x)
+    cl.clSetKernelArg(kernel, 0, buf)
+    cl.clSetKernelArg(kernel, 1, np.float32(2.0))
+    cl.clSetKernelArg(kernel, 2, 64)
+
+    # Event queries: answered from the stub, before and after the wait.
+    event = cl.clEnqueueNDRangeKernel(queue, kernel, (64,))
+    assert cl.clGetEventInfo(event, "COMMAND_TYPE") == CL_COMMAND_NDRANGE_KERNEL
+    if not event.resolved:  # the pipeline: the launch is still windowed
+        assert cl.clGetEventInfo(event) != CL_COMPLETE
+        with pytest.raises(CLError) as err:
+            cl.clSetEventCallback(event, lambda *args: None)
+        assert err.value.code == ErrorCode.CL_INVALID_OPERATION
+    cl.clWaitForEvents([event])
+    assert cl.clGetEventInfo(event) == CL_COMPLETE
+    fired = []
+    cl.clSetEventCallback(event, lambda ev, status, t: fired.append((ev, status, t)))
+    assert fired == [(event, CL_COMPLETE, event.completion_arrival)]
+    for call in (
+        lambda: cl.clSetEventCallback(event, lambda *args: None, status=1),
+        lambda: cl.clGetEventInfo(event, "NO_SUCH_KEY"),
+    ):
+        with pytest.raises(CLError) as err:
+            call()
+        assert err.value.code == ErrorCode.CL_INVALID_VALUE
+
+    # Queue release: a retained queue survives one release (used to
+    # crash — QueueStub had no retain/release); the last release drops
+    # the daemon-side object, and any later use is CL_INVALID_COMMAND_QUEUE.
+    daemon = deployment.daemon_on(queue.server.name)
+    client = deployment.driver.gcf.name
+    cl.clRetainCommandQueue(queue)
+    cl.clReleaseCommandQueue(queue)
+    cl.clFinish(queue)
+    assert daemon.registry.peek(client, queue.id) is not None
+    cl.clReleaseCommandQueue(queue)
+    with pytest.raises(CLError) as err:
+        cl.clFinish(queue)
+    assert err.value.code == ErrorCode.CL_INVALID_COMMAND_QUEUE
+    assert daemon.registry.peek(client, queue.id) is None
+    with pytest.raises(CLError) as err:
+        cl.clEnqueueNDRangeKernel(queue, kernel, (64,))
+        cl.clFinish(other)
+    assert err.value.code == ErrorCode.CL_INVALID_COMMAND_QUEUE
+
+    # Context release: retained once, so the first release forwards
+    # nothing; the last drops the object on every server of the context.
+    cl.clRetainContext(ctx)
+    cl.clReleaseContext(ctx)
+    cl.clFinish(other)
+    assert all(d.registry.peek(client, ctx.id) is not None for d in deployment.daemons)
+    cl.clReleaseContext(ctx)
+    with pytest.raises(CLError) as err:
+        cl.clCreateBuffer(ctx, CL_MEM_READ_WRITE, 64)
+        cl.clFinish(other)
+    assert err.value.code == ErrorCode.CL_INVALID_CONTEXT
+    assert all(d.registry.peek(client, ctx.id) is None for d in deployment.daemons)

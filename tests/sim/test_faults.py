@@ -33,7 +33,7 @@ def test_action_filters():
     assert not act.matches("x", "b", "CommandBatch")
     assert not act.matches("a", "x", "CommandBatch")
     prefix = FaultAction("truncate", tag_prefix="bulk:")
-    assert prefix.matches("a", "b", "bulk:BufferDataDownload")
+    assert prefix.matches("a", "b", "bulk:CoalescedBufferDownload")
     assert not prefix.matches("a", "b", "stream-init")
     wildcard = FaultAction("drop")
     assert wildcard.matches("anyone", "anywhere", "anything")
