@@ -10,17 +10,14 @@ Applies the shared gate
 
 import pytest
 
-from repro.bench.multiclient import (
-    assert_multiclient_record,
-    bench_multiclient,
-    save_multiclient_json,
-)
+from repro.bench.multiclient import assert_multiclient_record, bench_multiclient
+from repro.tools.benchdiff import save_snapshot
 
 
 @pytest.mark.benchmark(group="smoke")
 def test_bench_multiclient_counters(benchmark, record_saver):
     record = benchmark.pedantic(bench_multiclient, rounds=1, iterations=1)
     record_saver(record)
-    path = save_multiclient_json(record)
+    path = save_snapshot("multiclient", record)
     print(f"[headline counters saved to {path}]")
     assert_multiclient_record(record)

@@ -10,13 +10,14 @@ counters to ``benchmarks/results/bench_osem.json`` and ``BENCH_osem.json``.
 
 import pytest
 
-from repro.bench.osem import assert_osem_record, bench_osem, save_osem_json
+from repro.bench.osem import assert_osem_record, bench_osem
+from repro.tools.benchdiff import save_snapshot
 
 
 @pytest.mark.benchmark(group="smoke")
 def test_bench_osem_counters(benchmark, record_saver):
     record = benchmark.pedantic(bench_osem, rounds=1, iterations=1)
     record_saver(record)
-    path = save_osem_json(record)
+    path = save_snapshot("osem", record)
     print(f"[headline counters saved to {path}]")
     assert_osem_record(record)

@@ -1,76 +1,61 @@
 """Randomized differential conformance harness for the forwarding pipeline.
 
-The forwarding pipeline is one composition of deferral/coalescing
-machinery — send windows, handle promises, dependency-tracked prefix
-flushing, ``clFlush`` submission barriers, transfer coalescing in every
-direction and coalesced result reads — selected as a whole by
-``batch_window > 0``.  What this harness locks down is that
-*composition*: a seeded generator
-builds small workload DAGs (multi-queue kernels, user-event gating,
-blocking and non-blocking transfers, ``clFlush``/``clFinish``, mid-run
-creation failures, duplicate and failing program builds, iterative
-producer->consumer loops) and runs each program under four
-configurations:
-
-* ``sync`` — the paper's synchronous reference path
-  (``batch_window=0``) with the program build cache and predictive
-  pushes off too (one round trip per forwarded call: the semantics
-  oracle);
-* ``full`` — the whole pipeline, everything on (the shipping default);
-* ``cache_off`` — the full pipeline with ``program_cache=False`` (the
-  content-addressed build-cache ablation mirror: every build pays the
-  synchronous per-server fan-out and no daemon may touch its cache);
-* ``push_off`` — the full pipeline with ``push_transfers=False`` (the
-  PR-9 ablation mirror: pure demand-driven coherence).  Diffing this
-  cell against ``full`` is what proves speculative pushes
-  never change buffer bytes, directory state or error behaviour.
-
 The paper's headline property is that dOpenCL preserves *unmodified
-OpenCL semantics*; the pipeline being "just" a communication
-optimisation means every configuration must produce **bit-identical
-buffer contents**, **identical coherence-directory state** and the same
-error behaviour, while the ``NetStats`` counters obey the structural
-invariants each configuration promises (a sync run never batches or
-fuses, the pipeline never costs more round trips than the oracle).
+OpenCL semantics*; the forwarding pipeline (``batch_window > 0``: send
+windows, handle promises, prefix flushing, ``clFlush`` barriers,
+transfer coalescing in every direction, gang reads, deferred reads,
+predictive pushes, the build cache) being "just" a communication
+optimisation means every way of running a program must produce
+**bit-identical buffer contents**, **identical coherence-directory
+state**, the same errors and the same build logs.  A seeded generator
+(:func:`generate_program`) builds small workload DAGs — multi-queue
+kernels, user-event gating, blocking / non-blocking / deferred
+transfers, ``clFlush``/``clFinish``, mid-run creation failures,
+duplicate and failing program builds, producer->consumer loops — and
+**one executor**, :class:`ProgramRun`, interprets them against whatever
+API object it is handed.  Three drivers deploy, arm and compare:
+
+* :func:`run_seed` — the program under the four :data:`CONFIGS`
+  (``sync``: the paper's reference path, ``batch_window=0`` with build
+  cache and pushes off too, the semantics oracle; ``full``: the
+  shipping default; ``cache_off`` / ``push_off``: the
+  ``program_cache=False`` / ``push_transfers=False`` ablation mirrors).
+  Every configuration must equal ``sync`` observably, and the
+  ``NetStats`` counters must obey the structural invariants each one
+  promises (:func:`_check_stats_invariants`).
+* :func:`run_multi_seed` (``--clients N``) — *programs-of-programs*: N
+  client programs on disjoint and overlapping daemon subsets of one
+  shared deployment, interleaved at op granularity by a seed-replayable
+  schedule.  Every tenant's observables must be bit-identical to its
+  solo run, and the daemons' per-client registries, status buffers and
+  build cache are audited.
+* :func:`run_seed_with_faults` (``--faults``) — the program under a
+  deterministic fault schedule (:func:`fault_plan`: drops, delays,
+  truncated bulk streams, link severs, daemon crashes — see
+  :mod:`repro.sim.faults`) with the client's retry policy installed
+  and the executor's *guarded* policy.  A recoverable schedule must
+  leave every observable bit-identical to the fault-free run; an
+  unrecoverable one must fail **deterministically** with daemon-loss
+  errors only, and never hang (the injector's transfer budget is the
+  watchdog).
+
 Any divergence is reported with the generating seed so the exact
-program can be replayed.
-
-The harness also runs **under fire**: ``--faults`` replays every program
-against deterministic fault schedules (message drops, delays, truncated
-bulk streams, link severs, daemon crashes — see
-:mod:`repro.sim.faults`) with the client's retry policy installed.  A
-*recoverable* schedule must leave every observable bit-identical to the
-fault-free run of the same configuration; an *unrecoverable* schedule
-(a crash, a permanently severed link) must fail **deterministically** —
-the same ops observe the same ``CL_DEVICE_NOT_AVAILABLE``-class errors
-on every run — and never hang (the injector's transfer budget is the
-watchdog).
-
-The harness also scales **out**: ``--clients N`` generates
-*programs-of-programs* — N independent client programs on disjoint and
-overlapping daemon subsets of one shared deployment, interleaved at op
-granularity by a seed-replayable schedule.  The multi-tenant
-differential oracle asserts every client's observables (mid-run reads,
-final buffer bytes, coherence-directory state, errors) are
-**bit-identical to its solo run**: contention may reorder wire traffic
-between clients, but a daemon serving N tenants must never change any
-one tenant's semantics (per-client registry namespaces, status-buffer
-bounds and reply/replay-cache keying are what this locks down).
-
-Runnable outside tier-1 for soak testing::
+program can be replayed.  Runnable outside tier-1 for soak testing::
 
     PYTHONPATH=src python -m repro.bench.conformance --seeds 200
     PYTHONPATH=src python -m repro.bench.conformance --seed 1234567
     PYTHONPATH=src python -m repro.bench.conformance --faults --seeds 50
     PYTHONPATH=src python -m repro.bench.conformance --clients 4 --seeds 500
 
-(pocl's approach: a reproducible, seed-driven conformance suite is what
-lets an OpenCL runtime refactor aggressively without regressing
-semantics.)
+(pocl's approach: a reproducible, seed-driven conformance suite, run
+unchanged against every target, is what lets an OpenCL runtime refactor
+aggressively without regressing semantics.)
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import random
 from typing import Dict, List, Optional, Tuple
 
@@ -356,25 +341,118 @@ def generate_program(
     }
 
 
-def _apply_op(
-    cl, ctx, program, queues, buffers, events, reads, errors, build_logs,
-    op_index, op, pending_reads=None,
-) -> None:
-    """Interpret one program-spec op (shared by the fault-free and
-    faulted runners).  Mutates ``events``/``reads``/``errors``/
-    ``build_logs`` (and, for ``read_async ... later`` ops,
-    ``pending_reads``) in place.
+#: Daemon-aggregate counters (keys of ``Deployment.daemon_stats()``)
+#: reported as an outcome's ``build_stats`` — the structural
+#: observables of the content-addressed build cache.
+BUILD_STAT_KEYS = (
+    "programs_built", "build_cache_hits", "negative_build_hits",
+    "binaries_shipped", "build_seconds_saved",
+)
 
-    A gate or set target referencing a user event that failed to be
-    created (possible only under an unrecoverable fault schedule, where
-    the creating op's error was recorded) is skipped — deterministically,
-    since the same creation fails on every replay of the same schedule.
-    Objects that could not be created at all (``None`` placeholders from
-    :func:`run_program_resilient`'s guarded setup) raise the
-    daemon-loss error the failed creation already recorded.
+#: Daemon-aggregate counters reported as an outcome's ``push_stats`` —
+#: the daemon side of the push-counter algebra.
+PUSH_STAT_KEYS = ("daemon_pushes", "push_bytes")
+
+
+def _pick(stats: Dict[str, object], keys: Tuple[str, ...]) -> Dict[str, object]:
+    return {key: stats[key] for key in keys}
+
+
+class ProgramRun:
+    """The one program executor: a program spec interpreted against one
+    OpenCL API object.
+
+    ``cl`` is an argument because the callers already pass different
+    ones (``deployment.api`` for a solo run, ``deployment.apis[ci]`` per
+    tenant); nothing below touches anything but its ``cl*`` surface and
+    the buffer stubs' coherence state.  Construction is the set-up
+    phase (context, queues, program build, initialised buffers),
+    :meth:`apply` interprets one op, :meth:`finalize` drains every
+    queue, sweeps the pending ``later`` reads, reads every buffer back
+    and returns the observable outcome — all under one of two error
+    policies:
+
+    * ``guarded=False`` (the configuration differential and the
+      multi-client runs): a ``CLError`` propagates, except where the
+      failure *is* the op (``bad_create`` / ``build_bad`` record their
+      op index in ``errors``);
+    * ``guarded=True`` (the fault matrix — what a resilient application
+      would observe): every set-up step, op and finalize step is
+      individually guarded.  A ``CLError`` is recorded positionally in
+      ``errors`` as ``(step, code)`` and interpretation continues; an
+      object that could not be created leaves a ``None`` placeholder
+      whose dependants fail with the daemon-loss error the creation
+      already recorded; an unreadable buffer's ``final`` / directory
+      entry is ``("error", code)``.  Deterministic on replay, since
+      occurrence-counted faults hit the same step every time.
     """
 
-    def require(obj):
+    def __init__(self, cl, spec: Dict[str, object], guarded: bool = False) -> None:
+        self.cl = cl
+        self.guarded = guarded
+        self.events: Dict[int, object] = {}
+        self.reads: Dict[int, bytes] = {}
+        self.errors: List[object] = []
+        self.build_logs: Dict[int, str] = {}
+        #: op index -> ``(array, event)`` of every ``read_async ...
+        #: later`` op, checked by :meth:`finalize`.
+        self.pending_reads: Dict[int, Tuple] = {}
+        devices = cl.clGetDeviceIDs(cl.clGetPlatformIDs()[0])
+        self.ctx = cl.clCreateContext(devices)
+        self.queues = [
+            self._create(f"queue:{qi}", cl.clCreateCommandQueue, self.ctx, devices[d])
+            for qi, d in enumerate(spec["queue_devices"])
+        ]
+        self.program = None
+        program = self._create(
+            "program", cl.clCreateProgramWithSource, self.ctx, PROGRAM_SOURCE
+        )
+        if program is not None:
+            with self._guard("build"):
+                cl.clBuildProgram(program)
+                self.program = program
+        self.buffers = []
+        for bi, init in enumerate(spec["buffer_inits"]):
+            data = np.array(init, dtype=np.float32)
+            self.buffers.append(
+                self._create(
+                    f"buffer:{bi}", cl.clCreateBuffer, self.ctx,
+                    CL_MEM_READ_WRITE | CL_MEM_COPY_HOST_PTR, data.nbytes, data,
+                )
+            )
+
+    @classmethod
+    def execute(
+        cls, cl, spec: Dict[str, object], guarded: bool = False
+    ) -> Dict[str, object]:
+        """A solo run: set up, every op in program order, finalize."""
+        run = cls(cl, spec, guarded)
+        for op_index, op in enumerate(spec["ops"]):
+            run.apply(op_index, op)
+        return run.finalize()
+
+    @contextlib.contextmanager
+    def _guard(self, *step):
+        """The error policy around one step: re-raise (unguarded) or
+        record ``(*step, code)`` and carry on (guarded)."""
+        try:
+            yield
+        except CLError as exc:
+            if not self.guarded:
+                raise
+            self.errors.append((*step, int(exc.code)))
+
+    def _create(self, step: str, create, *args):
+        """One set-up creation under the policy: the object, or the
+        ``None`` placeholder its failure leaves behind."""
+        with self._guard(step):
+            return create(*args)
+        return None
+
+    @staticmethod
+    def _require(obj):
+        """``obj``, or the daemon-loss error of the set-up step that
+        left its ``None`` placeholder."""
         if obj is None:
             raise CLError(
                 ErrorCode.CL_DEVICE_NOT_AVAILABLE,
@@ -382,270 +460,296 @@ def _apply_op(
             )
         return obj
 
-    kind = op[0]
-    if kind == "kernel":
-        _, name, qi, args, scalar, gate = op
-        kernel = cl.clCreateKernel(require(program), name)
-        if name == "sum2":
-            out, a, b = args
-            cl.clSetKernelArg(kernel, 0, require(buffers[out]))
-            cl.clSetKernelArg(kernel, 1, require(buffers[a]))
-            cl.clSetKernelArg(kernel, 2, require(buffers[b]))
-            cl.clSetKernelArg(kernel, 3, BUFFER_ELEMS)
-        else:
-            cl.clSetKernelArg(kernel, 0, require(buffers[args[0]]))
-            cl.clSetKernelArg(kernel, 1, np.float32(scalar))
-            cl.clSetKernelArg(kernel, 2, BUFFER_ELEMS)
-        gate_event = events.get(gate) if gate is not None else None
-        wait_for = [gate_event] if gate_event is not None else None
-        cl.clEnqueueNDRangeKernel(
-            require(queues[qi]), kernel, (BUFFER_ELEMS,), wait_for=wait_for
-        )
-    elif kind == "write":
-        _, bi, qi, blocking, offset_elems, data = op
-        cl.clEnqueueWriteBuffer(
-            require(queues[qi]),
-            require(buffers[bi]),
-            blocking,
-            offset_elems * 4,
-            np.array(data, dtype=np.float32),
-        )
-    elif kind in ("read", "read_nb"):
-        _, bi, qi = op
-        data, ev = cl.clEnqueueReadBuffer(
-            require(queues[qi]), require(buffers[bi]), blocking=(kind == "read")
-        )
-        if kind == "read_nb":
-            # Deferred fetch: the array fills when the event resolves —
-            # recording the bytes before the wait would capture the
-            # placeholder, not the read.
-            cl.clWaitForEvents([ev])
-        reads[op_index] = data.tobytes()
-    elif kind == "read_async":
-        _, bi, qi, gate, via = op
-        gate_event = events.get(gate) if gate is not None else None
-        wait_for = [gate_event] if gate_event is not None else None
-        data, ev = cl.clEnqueueReadBuffer(
-            require(queues[qi]), require(buffers[bi]), blocking=False,
-            wait_for=wait_for,
-        )
-        if via == "later" and pending_reads is not None:
-            # Longest deferral window: checked by the runner's
-            # end-of-program sweep, after the closing finishes.
-            pending_reads[op_index] = (data, ev)
-        else:
-            if via == "finish":
-                cl.clFinish(require(queues[qi]))
+    def apply(self, op_index: int, op: Tuple) -> None:
+        """Interpret one program-spec op under the run's error policy."""
+        with self._guard(op_index):
+            self._interpret(op_index, op)
+
+    def _interpret(self, op_index: int, op: Tuple) -> None:
+        """The op interpreter proper.  A gate or set target referencing
+        a user event that failed to be created (possible only under an
+        unrecoverable fault schedule, where the creating op's error was
+        recorded) is skipped — deterministically, since the same
+        creation fails on every replay of the same schedule."""
+        cl, ctx, program = self.cl, self.ctx, self.program
+        queues, buffers, events = self.queues, self.buffers, self.events
+        reads, errors, build_logs = self.reads, self.errors, self.build_logs
+        require = self._require
+        kind = op[0]
+        if kind == "kernel":
+            _, name, qi, args, scalar, gate = op
+            kernel = cl.clCreateKernel(require(program), name)
+            if name == "sum2":
+                out, a, b = args
+                cl.clSetKernelArg(kernel, 0, require(buffers[out]))
+                cl.clSetKernelArg(kernel, 1, require(buffers[a]))
+                cl.clSetKernelArg(kernel, 2, require(buffers[b]))
+                cl.clSetKernelArg(kernel, 3, BUFFER_ELEMS)
             else:
+                cl.clSetKernelArg(kernel, 0, require(buffers[args[0]]))
+                cl.clSetKernelArg(kernel, 1, np.float32(scalar))
+                cl.clSetKernelArg(kernel, 2, BUFFER_ELEMS)
+            gate_event = events.get(gate) if gate is not None else None
+            wait_for = [gate_event] if gate_event is not None else None
+            cl.clEnqueueNDRangeKernel(
+                require(queues[qi]), kernel, (BUFFER_ELEMS,), wait_for=wait_for
+            )
+        elif kind == "write":
+            _, bi, qi, blocking, offset_elems, data = op
+            cl.clEnqueueWriteBuffer(
+                require(queues[qi]),
+                require(buffers[bi]),
+                blocking,
+                offset_elems * 4,
+                np.array(data, dtype=np.float32),
+            )
+        elif kind in ("read", "read_nb"):
+            _, bi, qi = op
+            data, ev = cl.clEnqueueReadBuffer(
+                require(queues[qi]), require(buffers[bi]), blocking=(kind == "read")
+            )
+            if kind == "read_nb":
+                # Deferred fetch: the array fills when the event resolves —
+                # recording the bytes before the wait would capture the
+                # placeholder, not the read.
                 cl.clWaitForEvents([ev])
             reads[op_index] = data.tobytes()
-    elif kind == "flush":
-        cl.clFlush(require(queues[op[1]]))
-    elif kind == "finish":
-        cl.clFinish(require(queues[op[1]]))
-    elif kind == "user_event":
-        events[op[1]] = cl.clCreateUserEvent(ctx)
-    elif kind == "set_event":
-        event = events.get(op[1])
-        if event is not None:
-            cl.clSetUserEventStatus(event, 0)
-    elif kind == "churn":
-        _, variant, kernel_name = op
-        if variant in (0, 2):
-            scratch = cl.clCreateBuffer(ctx, CL_MEM_READ_WRITE, 4 * BUFFER_ELEMS)
-            cl.clRetainMemObject(scratch)
-            cl.clReleaseMemObject(scratch)
-            cl.clReleaseMemObject(scratch)
-        if variant in (1, 2):
-            kernel = cl.clCreateKernel(require(program), kernel_name)
-            cl.clRetainKernel(kernel)
-            cl.clReleaseKernel(kernel)
-            cl.clReleaseKernel(kernel)
-    elif kind == "loop":
-        _, bi, out_bi, qa, qb, scalar, rounds = op
-        buf = require(buffers[bi])
-        out = require(buffers[out_bi])
-        for r in range(rounds):
-            producer = cl.clCreateKernel(require(program), "fill")
-            cl.clSetKernelArg(producer, 0, buf)
-            cl.clSetKernelArg(producer, 1, np.float32(scalar + r))
-            cl.clSetKernelArg(producer, 2, BUFFER_ELEMS)
-            cl.clEnqueueNDRangeKernel(require(queues[qa]), producer, (BUFFER_ELEMS,))
-            # The producer's sync point: its completion notification
-            # (carrying any staged push) arrives here, before the
-            # consumer's transfer plan is made — the OSEM ordering.
-            cl.clFinish(require(queues[qa]))
-            consumer = cl.clCreateKernel(require(program), "sum2")
-            cl.clSetKernelArg(consumer, 0, out)
-            cl.clSetKernelArg(consumer, 1, buf)
-            cl.clSetKernelArg(consumer, 2, buf)
-            cl.clSetKernelArg(consumer, 3, BUFFER_ELEMS)
-            cl.clEnqueueNDRangeKernel(require(queues[qb]), consumer, (BUFFER_ELEMS,))
-        cl.clFinish(require(queues[qb]))
-    elif kind == "build_dup":
-        _, variant, qi, bi, scalar = op
-        source, options, kernel_name = BUILD_DUP_VARIANTS[variant]
-        extra = cl.clCreateProgramWithSource(ctx, source)
-        cl.clBuildProgram(extra, options)
-        build_logs[op_index] = cl.clGetProgramBuildInfo(extra, None, "LOG")
-        kernel = cl.clCreateKernel(extra, kernel_name)
-        cl.clSetKernelArg(kernel, 0, require(buffers[bi]))
-        if kernel_name == "scale":
-            cl.clSetKernelArg(kernel, 1, np.float32(scalar))
-            cl.clSetKernelArg(kernel, 2, BUFFER_ELEMS)
-        else:
-            cl.clSetKernelArg(kernel, 1, BUFFER_ELEMS)
-        cl.clEnqueueNDRangeKernel(require(queues[qi]), kernel, (BUFFER_ELEMS,))
-        cl.clReleaseKernel(kernel)
-        cl.clReleaseProgram(extra)
-    elif kind == "build_bad":
-        # The failure is part of the program's expected behaviour, so
-        # it is recorded positionally like bad_create (not re-raised):
-        # under fault schedules the op must not trip the daemon-loss
-        # error audit, and on repeats the negatively-cached replay must
-        # produce the identical log captured below.
-        bad_program = cl.clCreateProgramWithSource(ctx, BROKEN_PROGRAM_SOURCE)
-        try:
-            cl.clBuildProgram(bad_program)
-        except CLError:
-            errors.append(op_index)
-        build_logs[op_index] = cl.clGetProgramBuildInfo(bad_program, None, "LOG")
-        cl.clReleaseProgram(bad_program)
-    elif kind == "bad_create":
-        # Mid-run creation failure: conflicting access flags pass
-        # the client-side checks but fail daemon-side, so the
-        # provisional handle poisons under deferred creations and
-        # the error surfaces at the forced sync — while the sync
-        # configuration raises at the call itself.  Either way the
-        # error is observed at this op and the handle is disposed
-        # of (releasing a poisoned handle retires the poison).
-        bad = None
-        try:
-            bad = cl.clCreateBuffer(
-                ctx, CL_MEM_READ_WRITE | CL_MEM_WRITE_ONLY, 4 * BUFFER_ELEMS
+        elif kind == "read_async":
+            _, bi, qi, gate, via = op
+            gate_event = events.get(gate) if gate is not None else None
+            wait_for = [gate_event] if gate_event is not None else None
+            data, ev = cl.clEnqueueReadBuffer(
+                require(queues[qi]), require(buffers[bi]), blocking=False,
+                wait_for=wait_for,
             )
-        except CLError:
-            errors.append(op_index)
-        if bad is not None:
+            if via == "later":
+                # Longest deferral window: checked by the runner's
+                # end-of-program sweep, after the closing finishes.
+                self.pending_reads[op_index] = (data, ev)
+            else:
+                if via == "finish":
+                    cl.clFinish(require(queues[qi]))
+                else:
+                    cl.clWaitForEvents([ev])
+                reads[op_index] = data.tobytes()
+        elif kind == "flush":
+            cl.clFlush(require(queues[op[1]]))
+        elif kind == "finish":
+            cl.clFinish(require(queues[op[1]]))
+        elif kind == "user_event":
+            events[op[1]] = cl.clCreateUserEvent(ctx)
+        elif kind == "set_event":
+            event = events.get(op[1])
+            if event is not None:
+                cl.clSetUserEventStatus(event, 0)
+        elif kind == "churn":
+            _, variant, kernel_name = op
+            if variant in (0, 2):
+                scratch = cl.clCreateBuffer(ctx, CL_MEM_READ_WRITE, 4 * BUFFER_ELEMS)
+                cl.clRetainMemObject(scratch)
+                cl.clReleaseMemObject(scratch)
+                cl.clReleaseMemObject(scratch)
+            if variant in (1, 2):
+                kernel = cl.clCreateKernel(require(program), kernel_name)
+                cl.clRetainKernel(kernel)
+                cl.clReleaseKernel(kernel)
+                cl.clReleaseKernel(kernel)
+        elif kind == "loop":
+            _, bi, out_bi, qa, qb, scalar, rounds = op
+            buf = require(buffers[bi])
+            out = require(buffers[out_bi])
+            for r in range(rounds):
+                producer = cl.clCreateKernel(require(program), "fill")
+                cl.clSetKernelArg(producer, 0, buf)
+                cl.clSetKernelArg(producer, 1, np.float32(scalar + r))
+                cl.clSetKernelArg(producer, 2, BUFFER_ELEMS)
+                cl.clEnqueueNDRangeKernel(require(queues[qa]), producer, (BUFFER_ELEMS,))
+                # The producer's sync point: its completion notification
+                # (carrying any staged push) arrives here, before the
+                # consumer's transfer plan is made — the OSEM ordering.
+                cl.clFinish(require(queues[qa]))
+                consumer = cl.clCreateKernel(require(program), "sum2")
+                cl.clSetKernelArg(consumer, 0, out)
+                cl.clSetKernelArg(consumer, 1, buf)
+                cl.clSetKernelArg(consumer, 2, buf)
+                cl.clSetKernelArg(consumer, 3, BUFFER_ELEMS)
+                cl.clEnqueueNDRangeKernel(require(queues[qb]), consumer, (BUFFER_ELEMS,))
+            cl.clFinish(require(queues[qb]))
+        elif kind == "build_dup":
+            _, variant, qi, bi, scalar = op
+            source, options, kernel_name = BUILD_DUP_VARIANTS[variant]
+            extra = cl.clCreateProgramWithSource(ctx, source)
+            cl.clBuildProgram(extra, options)
+            build_logs[op_index] = cl.clGetProgramBuildInfo(extra, None, "LOG")
+            kernel = cl.clCreateKernel(extra, kernel_name)
+            cl.clSetKernelArg(kernel, 0, require(buffers[bi]))
+            if kernel_name == "scale":
+                cl.clSetKernelArg(kernel, 1, np.float32(scalar))
+                cl.clSetKernelArg(kernel, 2, BUFFER_ELEMS)
+            else:
+                cl.clSetKernelArg(kernel, 1, BUFFER_ELEMS)
+            cl.clEnqueueNDRangeKernel(require(queues[qi]), kernel, (BUFFER_ELEMS,))
+            cl.clReleaseKernel(kernel)
+            cl.clReleaseProgram(extra)
+        elif kind == "build_bad":
+            # The failure is part of the program's expected behaviour, so
+            # it is recorded positionally like bad_create (not re-raised):
+            # under fault schedules the op must not trip the daemon-loss
+            # error audit, and on repeats the negatively-cached replay must
+            # produce the identical log captured below.
+            bad_program = cl.clCreateProgramWithSource(ctx, BROKEN_PROGRAM_SOURCE)
             try:
-                cl.clFinish(require(queues[0]))
+                cl.clBuildProgram(bad_program)
             except CLError:
                 errors.append(op_index)
-            cl.clReleaseMemObject(bad)
-        else:
-            # The creation raised eagerly.  Under deferred creations
-            # that means a window-overflow flush surfaced one server's
-            # failure mid-call — replicas of the doomed creation may
-            # still sit in other servers' windows with no handle left
-            # to release.  Drain them here so the poison is fully
-            # observed at this op: the only deferred failure possible
-            # at this point is the same creation's (already recorded
-            # once above), so the swallow cannot hide anything else.
-            queue = next((q for q in queues if q is not None), None)
-            if queue is not None:
+            build_logs[op_index] = cl.clGetProgramBuildInfo(bad_program, None, "LOG")
+            cl.clReleaseProgram(bad_program)
+        elif kind == "bad_create":
+            # Mid-run creation failure: conflicting access flags pass
+            # the client-side checks but fail daemon-side, so the
+            # provisional handle poisons under deferred creations and
+            # the error surfaces at the forced sync — while the sync
+            # configuration raises at the call itself.  Either way the
+            # error is observed at this op and the handle is disposed
+            # of (releasing a poisoned handle retires the poison).
+            bad = None
+            try:
+                bad = cl.clCreateBuffer(
+                    ctx, CL_MEM_READ_WRITE | CL_MEM_WRITE_ONLY, 4 * BUFFER_ELEMS
+                )
+            except CLError:
+                errors.append(op_index)
+            if bad is not None:
                 try:
-                    cl.clFinish(queue)
+                    cl.clFinish(require(queues[0]))
                 except CLError:
-                    pass
+                    errors.append(op_index)
+                cl.clReleaseMemObject(bad)
+            else:
+                # The creation raised eagerly.  Under deferred creations
+                # that means a window-overflow flush surfaced one server's
+                # failure mid-call — replicas of the doomed creation may
+                # still sit in other servers' windows with no handle left
+                # to release.  Drain them here so the poison is fully
+                # observed at this op: the only deferred failure possible
+                # at this point is the same creation's (already recorded
+                # once above), so the swallow cannot hide anything else.
+                queue = next((q for q in queues if q is not None), None)
+                if queue is not None:
+                    try:
+                        cl.clFinish(queue)
+                    except CLError:
+                        pass
 
-
-def _sweep_pending_reads(cl, pending_reads, reads) -> None:
-    """Record the bytes of every ``read_async ... later`` op: the
-    closing finishes already resolved the deferred fetches, so each wait
-    is a no-op confirmation that the event did resolve before the bytes
-    are trusted."""
-    for op_index in sorted(pending_reads):
-        data, ev = pending_reads.pop(op_index)
-        cl.clWaitForEvents([ev])
-        reads[op_index] = data.tobytes()
+    def finalize(self) -> Dict[str, object]:
+        """Drain every queue, record the ``read_async ... later`` reads,
+        read every buffer back and return the observable outcome:
+        ``reads`` (op index -> bytes of every mid-run read), ``final``
+        (buffer index -> bytes after the full drain), ``directories``
+        (buffer index -> coherence state map), ``errors``, ``build_logs``
+        (op index -> ``clGetProgramBuildInfo`` log of every build op)
+        and, for a guarded run, ``lost`` (buffers whose only valid copy
+        died with a daemon)."""
+        cl = self.cl
+        for qi, queue in enumerate(self.queues):
+            with self._guard("finish", qi):
+                cl.clFinish(self._require(queue))
+        # The closing finishes already resolved the deferred fetches, so
+        # each wait is a no-op confirmation that the event did resolve
+        # before the bytes are trusted — or, under a daemon loss, the
+        # poisoned read's positional error.
+        for op_index in sorted(self.pending_reads):
+            data, ev = self.pending_reads.pop(op_index)
+            with self._guard(op_index):
+                cl.clWaitForEvents([ev])
+                self.reads[op_index] = data.tobytes()
+        final: Dict[int, object] = {}
+        for bi, buffer in enumerate(self.buffers):
+            try:
+                data, _ev = cl.clEnqueueReadBuffer(
+                    self._require(self.queues[0]), self._require(buffer)
+                )
+                final[bi] = data.tobytes()
+            except CLError as exc:
+                if not self.guarded:
+                    raise
+                final[bi] = ("error", int(exc.code))
+        never_created = ("error", int(ErrorCode.CL_DEVICE_NOT_AVAILABLE))
+        outcome = {
+            "reads": self.reads,
+            "final": final,
+            "directories": {
+                bi: never_created if buffer is None else {
+                    party: state.value
+                    for party, state in buffer.coherence.state.items()
+                }
+                for bi, buffer in enumerate(self.buffers)
+            },
+            "errors": self.errors,
+            "build_logs": self.build_logs,
+        }
+        if self.guarded:
+            outcome["lost"] = sorted(
+                bi for bi, buffer in enumerate(self.buffers)
+                if buffer is not None and buffer.coherence.data_lost
+            )
+        return outcome
 
 
 def run_program(spec: Dict[str, object], flags: Dict[str, object]) -> Dict[str, object]:
     """Interpret a program spec under one pipeline configuration.
 
-    Returns the observable outcome the differential comparison keys on:
-    ``reads`` (op index -> bytes of every blocking/non-blocking mid-run
-    read), ``final`` (buffer index -> bytes after the closing
-    full-drain readback), ``directories`` (buffer index -> coherence
-    state map), ``errors`` (op indices where a ``CLError`` was
-    observed), ``build_logs`` (op index -> ``clGetProgramBuildInfo``
-    log of every build op, which a negatively-cached failure must
-    replay bit-identically), the client's ``NetStats`` snapshot and
-    ``build_stats`` (the daemon-aggregate build-cache counters).
+    Returns the observable outcome the differential comparison keys on
+    (see :meth:`ProgramRun.finalize`) plus the client's ``NetStats``
+    snapshot (``stats``) and the daemon-aggregate ``build_stats`` /
+    ``push_stats`` counters.
     """
     deployment = deploy_dopencl(
         make_ib_cpu_cluster(spec["n_servers"]),
         coherence_protocol=spec["protocol"],
         **flags,
     )
-    cl = deployment.api
-    devices = cl.clGetDeviceIDs(cl.clGetPlatformIDs()[0])
-    ctx = cl.clCreateContext(devices)
-    queues = [cl.clCreateCommandQueue(ctx, devices[d]) for d in spec["queue_devices"]]
-    program = cl.clCreateProgramWithSource(ctx, PROGRAM_SOURCE)
-    cl.clBuildProgram(program)
-    buffers = []
-    for init in spec["buffer_inits"]:
-        data = np.array(init, dtype=np.float32)
-        buffers.append(
-            cl.clCreateBuffer(
-                ctx, CL_MEM_READ_WRITE | CL_MEM_COPY_HOST_PTR, data.nbytes, data
-            )
+    outcome = ProgramRun.execute(deployment.api, spec)
+    daemon_stats = deployment.daemon_stats()
+    outcome["stats"] = deployment.driver.stats.snapshot()
+    outcome["build_stats"] = _pick(daemon_stats, BUILD_STAT_KEYS)
+    outcome["push_stats"] = _pick(daemon_stats, PUSH_STAT_KEYS)
+    return outcome
+
+
+def _assert_same_observables(
+    tag: str, outcome: Dict[str, object], oracle: Dict[str, object], versus: str
+) -> None:
+    """The differential proper: ``outcome``'s errors, mid-run reads,
+    final buffer bytes, directory state and build logs equal
+    ``oracle``'s — key by key, so the message names what diverged (and
+    ``tag`` carries the seed that replays it)."""
+    assert outcome["errors"] == oracle["errors"], (
+        f"{tag}: observed errors {outcome['errors']}, {versus} {oracle['errors']}"
+    )
+    assert outcome["reads"].keys() == oracle["reads"].keys(), (
+        f"{tag}: performed different reads than {versus}"
+    )
+    for op_index, payload in oracle["reads"].items():
+        assert outcome["reads"][op_index] == payload, (
+            f"{tag}: read at op {op_index} diverged from {versus}"
         )
-    events: Dict[int, object] = {}
-    reads: Dict[int, bytes] = {}
-    errors: List[int] = []
-    build_logs: Dict[int, str] = {}
-    pending_reads: Dict[int, Tuple] = {}
-    for op_index, op in enumerate(spec["ops"]):
-        _apply_op(
-            cl, ctx, program, queues, buffers, events, reads, errors,
-            build_logs, op_index, op, pending_reads,
+    assert outcome["final"].keys() == oracle["final"].keys()
+    for bi, payload in oracle["final"].items():
+        assert outcome["final"][bi] == payload, (
+            f"{tag}: final contents of buffer {bi} diverged from {versus}"
         )
-    for queue in queues:
-        cl.clFinish(queue)
-    _sweep_pending_reads(cl, pending_reads, reads)
-    final: Dict[int, bytes] = {}
-    for bi, buffer in enumerate(buffers):
-        data, _ev = cl.clEnqueueReadBuffer(queues[0], buffer)
-        final[bi] = data.tobytes()
-    directories = {
-        bi: {party: state.value for party, state in buffer.coherence.state.items()}
-        for bi, buffer in enumerate(buffers)
-    }
-    return {
-        "reads": reads,
-        "final": final,
-        "directories": directories,
-        "errors": errors,
-        "build_logs": build_logs,
-        "stats": deployment.driver.stats.snapshot(),
-        "build_stats": _daemon_build_stats(deployment),
-        "push_stats": _daemon_push_stats(deployment),
-    }
-
-
-def _daemon_push_stats(deployment) -> Dict[str, int]:
-    """Deployment-aggregate push-execution counters (summed over
-    daemons) — the daemon side of the push-counter algebra."""
-    daemons = deployment.daemons
-    return {
-        "daemon_pushes": sum(d.gcf.stats.daemon_pushes for d in daemons),
-        "push_bytes": sum(d.gcf.stats.push_bytes for d in daemons),
-    }
-
-
-def _daemon_build_stats(deployment) -> Dict[str, object]:
-    """Deployment-aggregate build-cache counters (summed over daemons)
-    — the structural observables of the content-addressed cache."""
-    daemons = deployment.daemons
-    return {
-        "programs_built": sum(d.gcf.stats.programs_built for d in daemons),
-        "build_cache_hits": sum(d.gcf.stats.build_cache_hits for d in daemons),
-        "negative_build_hits": sum(d.gcf.stats.negative_build_hits for d in daemons),
-        "binaries_shipped": sum(d.gcf.stats.binaries_shipped for d in daemons),
-        "build_seconds_saved": sum(d.gcf.stats.build_seconds_saved for d in daemons),
-    }
+    assert outcome["directories"] == oracle["directories"], (
+        f"{tag}: directory state diverged: "
+        f"{outcome['directories']} vs {versus} {oracle['directories']}"
+    )
+    # Build logs are part of the oracle: a negatively-cached replay, a
+    # cross-daemon shipped binary or a cross-tenant cache hit must
+    # reproduce the clGetProgramBuildInfo text of the fresh compile.
+    assert outcome["build_logs"] == oracle["build_logs"], (
+        f"{tag}: build logs diverged: "
+        f"{outcome['build_logs']} vs {versus} {oracle['build_logs']}"
+    )
 
 
 # ----------------------------------------------------------------------
@@ -722,74 +826,6 @@ def generate_multi_program(
     }
 
 
-class _ClientRun:
-    """Per-client interpreter state inside one shared deployment (the
-    arguments :func:`_apply_op` threads through, bundled per tenant)."""
-
-    def __init__(self, cl) -> None:
-        self.cl = cl
-        self.ctx = None
-        self.program = None
-        self.queues: List[object] = []
-        self.buffers: List[object] = []
-        self.events: Dict[int, object] = {}
-        self.reads: Dict[int, bytes] = {}
-        self.errors: List[int] = []
-        self.build_logs: Dict[int, str] = {}
-        self.pending_reads: Dict[int, Tuple] = {}
-
-    def setup(self, spec: Dict[str, object]) -> None:
-        """The per-client setup phase (same shape as :func:`run_program`:
-        context, queues, program build, initialised buffers)."""
-        cl = self.cl
-        devices = cl.clGetDeviceIDs(cl.clGetPlatformIDs()[0])
-        self.ctx = cl.clCreateContext(devices)
-        self.queues = [
-            cl.clCreateCommandQueue(self.ctx, devices[d]) for d in spec["queue_devices"]
-        ]
-        self.program = cl.clCreateProgramWithSource(self.ctx, PROGRAM_SOURCE)
-        cl.clBuildProgram(self.program)
-        for init in spec["buffer_inits"]:
-            data = np.array(init, dtype=np.float32)
-            self.buffers.append(
-                cl.clCreateBuffer(
-                    self.ctx, CL_MEM_READ_WRITE | CL_MEM_COPY_HOST_PTR, data.nbytes, data
-                )
-            )
-
-    def apply(self, op_index: int, op: Tuple) -> None:
-        """Interpret one of this client's ops via the shared interpreter."""
-        _apply_op(
-            self.cl, self.ctx, self.program, self.queues, self.buffers,
-            self.events, self.reads, self.errors, self.build_logs, op_index, op,
-            self.pending_reads,
-        )
-
-    def finalize(self, stats: Dict[str, int]) -> Dict[str, object]:
-        """Drain every queue, read back every buffer and snapshot the
-        observables (the same outcome dict :func:`run_program` returns)."""
-        cl = self.cl
-        for queue in self.queues:
-            cl.clFinish(queue)
-        _sweep_pending_reads(cl, self.pending_reads, self.reads)
-        final: Dict[int, bytes] = {}
-        for bi, buffer in enumerate(self.buffers):
-            data, _ev = cl.clEnqueueReadBuffer(self.queues[0], buffer)
-            final[bi] = data.tobytes()
-        directories = {
-            bi: {party: state.value for party, state in buffer.coherence.state.items()}
-            for bi, buffer in enumerate(self.buffers)
-        }
-        return {
-            "reads": self.reads,
-            "final": final,
-            "directories": directories,
-            "errors": self.errors,
-            "build_logs": self.build_logs,
-            "stats": stats,
-        }
-
-
 def run_multi_program(
     mspec: Dict[str, object], flags: Dict[str, object]
 ) -> Tuple[List[Dict[str, object]], object]:
@@ -802,8 +838,8 @@ def run_multi_program(
     cross-client deadlock fails fast instead of hanging tier-1.
 
     Returns ``(outcomes, deployment)`` — one outcome dict per client
-    (same shape as :func:`run_program`) plus the deployment for
-    daemon-side isolation audits.
+    (:meth:`ProgramRun.finalize` plus the client's ``stats``) and the
+    deployment for daemon-side isolation audits.
     """
     n_clients = mspec["n_clients"]
     cluster = make_ib_cpu_cluster(mspec["n_servers"], n_clients=n_clients)
@@ -820,18 +856,20 @@ def run_multi_program(
     install_fault_injector(
         cluster.network, FaultPlan(actions=[], max_transfers=MULTI_WATCHDOG_TRANSFERS)
     )
-    runs = [_ClientRun(deployment.apis[ci]) for ci in range(n_clients)]
-    for ci in range(n_clients):
-        runs[ci].setup(mspec["clients"][ci])
-    cursors = [0] * n_clients
-    for ci in mspec["schedule"]:
-        op_index = cursors[ci]
-        cursors[ci] += 1
-        runs[ci].apply(op_index, mspec["clients"][ci]["ops"][op_index])
-    outcomes = [
-        runs[ci].finalize(deployment.drivers[ci].stats.snapshot())
+    runs = [
+        ProgramRun(deployment.apis[ci], mspec["clients"][ci])
         for ci in range(n_clients)
     ]
+    pending = [iter(enumerate(spec["ops"])) for spec in mspec["clients"]]
+    for ci in mspec["schedule"]:
+        runs[ci].apply(*next(pending[ci]))
+    outcomes = []
+    for run, driver in zip(runs, deployment.drivers):
+        # A tenant's counters are snapshotted *before* its closing drain
+        # and readback (run_program snapshots after): the summaries'
+        # aggregate round trips and the golden digests pin this.
+        stats = driver.stats.snapshot()
+        outcomes.append({**run.finalize(), "stats": stats})
     return outcomes, deployment
 
 
@@ -892,7 +930,7 @@ def _audit_multi_build_cache(
     options)`` key *cluster-wide* (cross-tenant and cross-daemon
     sharing both engage); with ``program_cache=False`` no build-cache
     counter may move at all."""
-    stats = _daemon_build_stats(deployment)
+    stats = _pick(deployment.daemon_stats(), BUILD_STAT_KEYS)
     if flags.get("program_cache", True):
         unique = len(set().union(*(build_pairs(spec) for spec in mspec["clients"])))
         assert stats["programs_built"] == unique, (
@@ -929,30 +967,9 @@ def run_multi_seed(
     _audit_isolation(tag, mspec, deployment)
     _audit_multi_build_cache(tag, mspec, deployment, flags)
     for ci in range(n_clients):
-        solo = run_client_solo(mspec, ci, flags)
-        shared = outcomes[ci]
-        ctag = f"{tag} client {ci}"
-        assert shared["errors"] == solo["errors"], (
-            f"{ctag}: contention changed observed errors: "
-            f"{shared['errors']} vs solo {solo['errors']}"
-        )
-        assert shared["build_logs"] == solo["build_logs"], (
-            f"{ctag}: cross-tenant build-cache sharing changed a build "
-            f"log: {shared['build_logs']} vs solo {solo['build_logs']}"
-        )
-        assert shared["reads"].keys() == solo["reads"].keys(), (
-            f"{ctag}: contention changed which reads happened"
-        )
-        for op_index, payload in solo["reads"].items():
-            assert shared["reads"][op_index] == payload, (
-                f"{ctag}: read at op {op_index} diverged from the solo run"
-            )
-        assert shared["final"] == solo["final"], (
-            f"{ctag}: final buffer contents diverged from the solo run"
-        )
-        assert shared["directories"] == solo["directories"], (
-            f"{ctag}: directory state diverged: "
-            f"{shared['directories']} vs solo {solo['directories']}"
+        _assert_same_observables(
+            f"{tag} client {ci}", outcomes[ci], run_client_solo(mspec, ci, flags),
+            "the solo run",
         )
     return {
         "seed": seed,
@@ -982,21 +999,6 @@ RECOVERABLE_SCHEDULES = (
 #: Schedules that destroy state for good: runs must fail with the same
 #: deterministic ``CL_DEVICE_NOT_AVAILABLE``-class errors every time.
 UNRECOVERABLE_SCHEDULES = ("crash", "sever-permanent")
-
-#: Schedules that target the daemon-initiated push path.  Kept out of
-#: the generic matrix above because a randomly generated program is not
-#: guaranteed to emit any ``s2s-push`` traffic (MSI protocol, or no
-#: producer->consumer loop drawn) and the matrix asserts every schedule
-#: fires; :func:`run_push_fault_seed` forces the push path instead.
-PUSH_SCHEDULES = ("sever-push",)
-
-#: Schedules that target the deferred-read fetch path.  Also kept out
-#: of the generic matrix: a random program may resolve every deferred
-#: read off a staged push (no demand fetch at all), so the matrix
-#: cannot assert the schedule fires.  :func:`run_deferred_read_fault_seed`
-#: replays a deterministic program whose *first* bulk download is a
-#: deferred fetch instead.
-DEFERRED_READ_SCHEDULES = ("sever-fetch",)
 
 #: Error codes an unrecoverable schedule may surface (daemon-loss class).
 DAEMON_LOSS_CODES = frozenset(
@@ -1034,58 +1036,33 @@ def fault_plan(schedule: str) -> FaultPlan:
 
 
 def push_fault_spec(seed: int) -> Dict[str, object]:
-    """The program :func:`run_push_fault_seed` replays: the generated
+    """The program the ``sever-push`` schedule replays: the generated
     program for ``seed`` forced onto MOSI with a deterministic
     cross-daemon producer->consumer loop appended, so the s2s push path
-    engages regardless of what the seed happened to draw."""
+    engages regardless of what the seed happened to draw.
+
+    The contract: cutting the s2s mesh under a speculative push (at the
+    first ``s2s-push`` transfer, healed one blocked transfer later)
+    must *degrade to demand fetch* — the owning daemon abandons the
+    push, the consumer pays the ordinary client-mediated transfer, and
+    every observable stays bit-identical to the fault-free run."""
     spec = generate_program(seed)
     spec["protocol"] = "mosi"
     spec["ops"] = list(spec["ops"]) + [("loop", 0, 1, 0, 1, 1.25, 4)]
     return spec
 
 
-def run_push_fault_seed(seed: int) -> Dict[str, object]:
-    """The severed-push-link contract: cutting the s2s mesh under a
-    speculative push must *degrade to demand fetch* — the owning daemon
-    abandons the push, the consumer pays the ordinary client-mediated
-    transfer, and every observable stays bit-identical to the
-    fault-free run.  The schedule severs the peer link at the first
-    ``s2s-push`` transfer and heals it one blocked transfer later, so
-    both the abandoned push and the retried demand path are exercised.
-    """
-    spec = push_fault_spec(seed)
-    flags = dict(CONFIGS["full"])
-    tag = f"seed {seed} schedule sever-push"
-    baseline = run_program_resilient(spec, flags, None)
-    assert baseline["stats"]["push_commits"] > 0, (
-        f"{tag}: fault-free run never committed a push — the schedule "
-        f"would be vacuous"
-    )
-    faulted = run_program_resilient(spec, flags, fault_plan("sever-push"))
-    _check_resilience_stats(tag, faulted["stats"])
-    assert _semantics(faulted) == _semantics(baseline), (
-        f"{tag}: severed push link changed observable behaviour: "
-        f"{_semantics(faulted)} vs {_semantics(baseline)}"
-    )
-    assert faulted["stats"]["dead_daemons"] == 0, (
-        f"{tag}: severed push link killed a daemon"
-    )
-    return {
-        "seed": seed,
-        "schedule": "sever-push",
-        "fired": (faulted["injector"] or {}).get("fired_actions", 0),
-        "baseline_commits": baseline["stats"]["push_commits"],
-        "faulted_commits": faulted["stats"]["push_commits"],
-    }
-
-
 def deferred_read_fault_spec(seed: int) -> Dict[str, object]:
-    """The program :func:`run_deferred_read_fault_seed` replays: a
-    fixed shape (kernel -> deferred read, twice, on two daemons) whose
-    scalars and initial data are drawn from ``seed``.  The buffers are
-    created from host pointers, so the kernels only ever *upload* —
-    the first bulk download on the wire is guaranteed to be the
-    deferred fetch the ``sever-fetch`` schedule targets."""
+    """The program the ``sever-fetch`` schedule replays: a fixed shape
+    (kernel -> deferred read, twice, on two daemons) whose scalars and
+    initial data are drawn from ``seed``.  The buffers are created from
+    host pointers, so the kernels only ever *upload* — the first bulk
+    download on the wire is guaranteed to be the deferred fetch the
+    schedule severs (healed one blocked transfer later).
+
+    The contract: the retry policy replays the fetch over the healed
+    link, the waited event still resolves, and every observable byte
+    stays identical to the fault-free run."""
     rng = random.Random(seed)
     inits = [
         [round(rng.uniform(-4.0, 4.0), 3) for _ in range(BUFFER_ELEMS)]
@@ -1108,41 +1085,21 @@ def deferred_read_fault_spec(seed: int) -> Dict[str, object]:
     }
 
 
-def run_deferred_read_fault_seed(seed: int) -> Dict[str, object]:
-    """The severed-fetch contract: cutting the client<->daemon link at
-    the exact transfer that carries a deferred read's fetch must
-    degrade deterministically — the retry policy replays the fetch
-    over the healed link, the waited event still resolves, and every
-    observable byte stays identical to the fault-free run.  The
-    schedule severs the link at the first ``bulk:CoalescedBufferDownload``
-    (which :func:`deferred_read_fault_spec` pins to the deferred
-    fetch) and heals it one blocked transfer later."""
-    spec = deferred_read_fault_spec(seed)
-    flags = dict(CONFIGS["full"])
-    tag = f"seed {seed} schedule sever-fetch"
-    baseline = run_program_resilient(spec, flags, None)
-    assert baseline["stats"]["deferred_reads"] > 0, (
-        f"{tag}: fault-free run never deferred a read — the schedule "
-        f"would be vacuous"
-    )
-    faulted = run_program_resilient(spec, flags, fault_plan("sever-fetch"))
-    _check_resilience_stats(tag, faulted["stats"])
-    fired = (faulted["injector"] or {}).get("fired_actions", 0)
-    assert fired > 0, f"{tag}: the sever-fetch schedule never fired"
-    assert _semantics(faulted) == _semantics(baseline), (
-        f"{tag}: severed deferred fetch changed observable behaviour: "
-        f"{_semantics(faulted)} vs {_semantics(baseline)}"
-    )
-    assert faulted["stats"]["dead_daemons"] == 0, (
-        f"{tag}: severed deferred fetch killed a daemon"
-    )
-    return {
-        "seed": seed,
-        "schedule": "sever-fetch",
-        "fired": fired,
-        "baseline_deferred": baseline["stats"]["deferred_reads"],
-        "faulted_deferred": faulted["stats"]["deferred_reads"],
-    }
+#: Schedules that replay a *forced* program instead of the seed's
+#: generated one, kept out of the generic matrix (which asserts every
+#: schedule fires): a random program is not guaranteed to emit any
+#: ``s2s-push`` traffic (MSI protocol, or no producer->consumer loop
+#: drawn), and may resolve every deferred read off a staged push (no
+#: demand fetch at all).  ``schedule -> (spec builder, witness)``: the
+#: cell is vacuous — and fails — unless the fault-free baseline moved
+#: the witness ``NetStats`` counter and the schedule fired.
+FORCED_PROGRAMS = {
+    "sever-push": (push_fault_spec, "push_commits"),
+    "sever-fetch": (deferred_read_fault_spec, "deferred_reads"),
+}
+
+#: Every named schedule, in ``--faults`` matrix order.
+ALL_SCHEDULES = RECOVERABLE_SCHEDULES + UNRECOVERABLE_SCHEDULES + tuple(FORCED_PROGRAMS)
 
 
 def run_program_resilient(
@@ -1151,18 +1108,15 @@ def run_program_resilient(
     plan: Optional[FaultPlan] = None,
 ) -> Dict[str, object]:
     """Interpret a program spec with the retry policy installed and (when
-    ``plan`` is given) a fault injector armed.
+    ``plan`` is given) a fault injector armed, under the guarded policy
+    of :class:`ProgramRun`.
 
     The injector is installed *after* deployment, so connect/discovery
     traffic is never faulted — the schedules target the steady state,
     which is where the resilience machinery lives.  Each daemon's
     :meth:`~repro.core.daemon.daemon.Daemon.crash` is registered as its
-    host's crash hook.
-
-    Unlike :func:`run_program`, every op is individually guarded: a
-    ``CLError`` is recorded as ``(op_index, code)`` and interpretation
-    continues — exactly what a resilient application would observe.  The
-    final readback records ``("error", code)`` for unreadable buffers.
+    host's crash hook.  Returns the guarded outcome plus the client's
+    ``stats`` and the ``injector`` snapshot (``None`` without a plan).
     """
     deployment = deploy_dopencl(
         make_ib_cpu_cluster(spec["n_servers"]),
@@ -1175,109 +1129,10 @@ def run_program_resilient(
         injector = install_fault_injector(deployment.cluster.network, plan)
         for daemon in deployment.daemons:
             injector.register_crash_hook(daemon.host.name, daemon.crash)
-    cl = deployment.api
-    errors: List[object] = []
-
-    def setup(step: str, fn):
-        # A daemon lost mid-setup must not abort the run: the failed
-        # step is recorded positionally (deterministic on replay, since
-        # occurrence-counted faults hit the same step every time) and
-        # the placeholder None propagates the loss to every dependent op
-        # through _apply_op's require() guard.
-        try:
-            return fn()
-        except CLError as exc:
-            errors.append((step, int(exc.code)))
-            return None
-
-    devices = cl.clGetDeviceIDs(cl.clGetPlatformIDs()[0])
-    ctx = cl.clCreateContext(devices)
-    queues = [
-        setup(f"queue:{qi}", lambda d=d: cl.clCreateCommandQueue(ctx, devices[d]))
-        for qi, d in enumerate(spec["queue_devices"])
-    ]
-    program = setup(
-        "program", lambda: cl.clCreateProgramWithSource(ctx, PROGRAM_SOURCE)
-    )
-    if program is not None:
-        try:
-            cl.clBuildProgram(program)
-        except CLError as exc:
-            errors.append(("build", int(exc.code)))
-            program = None
-    buffers = []
-    for bi, init in enumerate(spec["buffer_inits"]):
-        data = np.array(init, dtype=np.float32)
-        buffers.append(
-            setup(
-                f"buffer:{bi}",
-                lambda data=data: cl.clCreateBuffer(
-                    ctx, CL_MEM_READ_WRITE | CL_MEM_COPY_HOST_PTR, data.nbytes, data
-                ),
-            )
-        )
-    events: Dict[int, object] = {}
-    reads: Dict[int, bytes] = {}
-    build_logs: Dict[int, str] = {}
-    pending_reads: Dict[int, Tuple] = {}
-    for op_index, op in enumerate(spec["ops"]):
-        try:
-            _apply_op(
-                cl, ctx, program, queues, buffers, events, reads, errors,
-                build_logs, op_index, op, pending_reads,
-            )
-        except CLError as exc:
-            errors.append((op_index, int(exc.code)))
-    unavailable = int(ErrorCode.CL_DEVICE_NOT_AVAILABLE)
-    for qi, queue in enumerate(queues):
-        try:
-            if queue is None:
-                raise CLError(ErrorCode.CL_DEVICE_NOT_AVAILABLE, "queue never created")
-            cl.clFinish(queue)
-        except CLError as exc:
-            errors.append(("finish", qi, int(exc.code)))
-    # Pending ``later`` reads sweep individually guarded: a read whose
-    # deferred fetch was poisoned by a daemon loss records its error
-    # positionally (deterministic on replay) instead of aborting.
-    for op_index in sorted(pending_reads):
-        data, ev = pending_reads.pop(op_index)
-        try:
-            cl.clWaitForEvents([ev])
-            reads[op_index] = data.tobytes()
-        except CLError as exc:
-            errors.append((op_index, int(exc.code)))
-    final: Dict[int, object] = {}
-    for bi, buffer in enumerate(buffers):
-        try:
-            if buffer is None or queues[0] is None:
-                raise CLError(ErrorCode.CL_DEVICE_NOT_AVAILABLE, "never created")
-            data, _ev = cl.clEnqueueReadBuffer(queues[0], buffer)
-            final[bi] = data.tobytes()
-        except CLError as exc:
-            final[bi] = ("error", int(exc.code))
-    directories = {
-        bi: (
-            {party: state.value for party, state in buffer.coherence.state.items()}
-            if buffer is not None
-            else ("error", unavailable)
-        )
-        for bi, buffer in enumerate(buffers)
-    }
-    lost = sorted(
-        bi
-        for bi, b in enumerate(buffers)
-        if b is not None and b.coherence.data_lost
-    )
-    return {
-        "reads": reads,
-        "final": final,
-        "directories": directories,
-        "errors": errors,
-        "build_logs": build_logs,
-        "lost": lost,
-        "stats": deployment.driver.stats.snapshot(),
-        "injector": injector.snapshot() if injector is not None else None,
-    }
+    outcome = ProgramRun.execute(deployment.api, spec, guarded=True)
+    outcome["stats"] = deployment.driver.stats.snapshot()
+    outcome["injector"] = injector.snapshot() if injector is not None else None
+    return outcome
 
 
 def _semantics(outcome: Dict[str, object]) -> Dict[str, object]:
@@ -1308,22 +1163,46 @@ def _check_resilience_stats(tag: str, stats: Dict[str, int]) -> None:
 def run_seed_with_faults(
     seed: int, schedule: str, config: str = "full"
 ) -> Dict[str, object]:
-    """Run one (seed, schedule) combination and assert its contract.
+    """Run one (seed, schedule) fault cell and assert its contract.
 
-    Recoverable schedule: the faulted run must be bit-identical (reads,
-    final contents, directory state, observed errors) to the fault-free
-    run of the same configuration.  Unrecoverable schedule: the faulted
-    run must reproduce *itself* exactly on a second run, and every error
-    it surfaces must be daemon-loss class.  Either way the resilience
-    counters are audited and the watchdog bounds the run.
+    The program is the seed's generated one, or the schedule's row of
+    :data:`FORCED_PROGRAMS` (whose vacuity check is asserted first).
+    Unrecoverable schedule: the faulted run must reproduce *itself*
+    exactly on a second run, and every error it surfaces must be
+    daemon-loss class.  Any other schedule is recoverable: the faulted
+    run must be bit-identical (reads, final contents, directory state,
+    observed errors) to the fault-free run of the same configuration
+    and kill no daemon.  Either way the resilience counters are
+    audited and the watchdog bounds the run.
     """
-    spec = generate_program(seed)
+    build_spec, witness = FORCED_PROGRAMS.get(schedule, (generate_program, None))
+    spec = build_spec(seed)
     flags = dict(CONFIGS[config])
     tag = f"seed {seed} schedule {schedule}"
     baseline = run_program_resilient(spec, flags, None)
     faulted = run_program_resilient(spec, flags, fault_plan(schedule))
+    fired = faulted["injector"]["fired_actions"]
     _check_resilience_stats(tag, faulted["stats"])
-    if schedule in RECOVERABLE_SCHEDULES:
+    if witness is not None:
+        assert baseline["stats"][witness] > 0, (
+            f"{tag}: fault-free run never moved {witness} — the schedule "
+            f"would be vacuous"
+        )
+        assert fired > 0, f"{tag}: the {schedule} schedule never fired"
+    if schedule in UNRECOVERABLE_SCHEDULES:
+        again = run_program_resilient(spec, flags, fault_plan(schedule))
+        assert _semantics(faulted) == _semantics(again), (
+            f"{tag}: unrecoverable fault is not deterministic: "
+            f"{_semantics(faulted)} vs {_semantics(again)}"
+        )
+        # Guarded-policy records — ``(step, code)`` errors and
+        # ``("error", code)`` readbacks — all end in their code.
+        for entry in (*faulted["errors"], *faulted["final"].values()):
+            if isinstance(entry, tuple):
+                assert entry[-1] in DAEMON_LOSS_CODES, (
+                    f"{tag}: error {entry} is not daemon-loss class"
+                )
+    else:
         assert _semantics(faulted) == _semantics(baseline), (
             f"{tag}: recoverable fault changed observable behaviour: "
             f"{_semantics(faulted)} vs {_semantics(baseline)}"
@@ -1331,32 +1210,17 @@ def run_seed_with_faults(
         assert faulted["stats"]["dead_daemons"] == 0, (
             f"{tag}: recoverable schedule killed a daemon"
         )
-    else:
-        again = run_program_resilient(spec, flags, fault_plan(schedule))
-        assert _semantics(faulted) == _semantics(again), (
-            f"{tag}: unrecoverable fault is not deterministic: "
-            f"{_semantics(faulted)} vs {_semantics(again)}"
-        )
-        for entry in faulted["errors"]:
-            if isinstance(entry, tuple):
-                code = entry[-1]
-                assert code in DAEMON_LOSS_CODES, (
-                    f"{tag}: op error {entry} is not daemon-loss class"
-                )
-        for payload in faulted["final"].values():
-            if isinstance(payload, tuple):
-                assert payload[1] in DAEMON_LOSS_CODES, (
-                    f"{tag}: final readback error {payload} is not daemon-loss class"
-                )
     return {
         "seed": seed,
         "schedule": schedule,
         "config": config,
-        "fired": (faulted["injector"] or {}).get("fired_actions", 0),
+        "fired": fired,
         "errors": len(faulted["errors"]),
         "baseline_errors": len(baseline["errors"]),
         "retries": faulted["stats"]["retries"],
         "dead_daemons": faulted["stats"]["dead_daemons"],
+        "baseline_stats": baseline["stats"],
+        "faulted_stats": faulted["stats"],
     }
 
 
@@ -1420,6 +1284,9 @@ def _check_stats_invariants(
         )
     unique = len(build_pairs(spec))
     servers = spec["n_servers"]
+    # Under the cache every clBuildProgram fans one cached-build request
+    # out to each of the context's servers.
+    builds = 1 + sum(op[0] in ("build_dup", "build_bad") for op in spec["ops"])
     reference = outcomes[CACHED_CONFIGS[0]]["build_stats"]
     for name in CACHED_CONFIGS:
         build = outcomes[name]["build_stats"]
@@ -1439,11 +1306,10 @@ def _check_stats_invariants(
             f"{tag}: {name} shipped {build['binaries_shipped']} entries, "
             f"expected {unique} keys x {servers - 1} siblings"
         )
-        total_builds = _build_resolutions(spec)
         hits = build["build_cache_hits"] + build["negative_build_hits"]
-        assert build["programs_built"] + hits == total_builds, (
+        assert build["programs_built"] + hits == builds * servers, (
             f"{tag}: {name} resolved {build['programs_built']} + {hits} "
-            f"builds, expected {total_builds}"
+            f"builds, expected {builds * servers}"
         )
     # The pipeline is a communication optimisation: no deferred
     # configuration may ever spend as much as the synchronous oracle.
@@ -1460,14 +1326,6 @@ def _check_stats_invariants(
     )
 
 
-def _build_resolutions(spec: Dict[str, object]) -> int:
-    """Total daemon-side build resolutions a spec causes under the
-    program cache: every ``clBuildProgram`` fans one cached-build
-    request out to each of the context's servers."""
-    builds = 1 + sum(op[0] in ("build_dup", "build_bad") for op in spec["ops"])
-    return builds * spec["n_servers"]
-
-
 def run_seed(
     seed: int, n_ops: Optional[int] = None, n_servers: Optional[int] = None
 ) -> Dict[str, object]:
@@ -1480,35 +1338,8 @@ def run_seed(
     <seed>`` (or by parametrising the tier-1 test with it)."""
     spec = generate_program(seed, n_ops=n_ops, n_servers=n_servers)
     outcomes = {name: run_program(spec, flags) for name, flags in CONFIGS.items()}
-    oracle = outcomes["sync"]
-    tag = f"seed {seed}"
     for name, outcome in outcomes.items():
-        assert outcome["errors"] == oracle["errors"], (
-            f"{tag}: {name} observed errors at ops {outcome['errors']}, "
-            f"sync at {oracle['errors']}"
-        )
-        assert outcome["reads"].keys() == oracle["reads"].keys(), (
-            f"{tag}: {name} performed different reads"
-        )
-        for op_index, payload in oracle["reads"].items():
-            assert outcome["reads"][op_index] == payload, (
-                f"{tag}: {name} read at op {op_index} diverged from sync"
-            )
-        for bi, payload in oracle["final"].items():
-            assert outcome["final"][bi] == payload, (
-                f"{tag}: {name} final contents of buffer {bi} diverged from sync"
-            )
-        assert outcome["directories"] == oracle["directories"], (
-            f"{tag}: {name} directory state diverged: "
-            f"{outcome['directories']} vs {oracle['directories']}"
-        )
-        # Build logs are part of the oracle: a negatively-cached replay
-        # (or a cross-daemon shipped binary) must reproduce the same
-        # clGetProgramBuildInfo text as the fresh synchronous compile.
-        assert outcome["build_logs"] == oracle["build_logs"], (
-            f"{tag}: {name} build logs diverged: "
-            f"{outcome['build_logs']} vs {oracle['build_logs']}"
-        )
+        _assert_same_observables(f"seed {seed}: {name}", outcome, outcomes["sync"], "sync")
     _check_stats_invariants(seed, spec, outcomes)
     return {
         "seed": seed,
@@ -1558,111 +1389,60 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--schedule", default=None,
-        choices=RECOVERABLE_SCHEDULES + UNRECOVERABLE_SCHEDULES
-        + PUSH_SCHEDULES + DEFERRED_READ_SCHEDULES,
+        choices=ALL_SCHEDULES,
         help="with --faults: run only this schedule",
     )
     args = parser.parse_args(argv)
     seeds = [args.seed] if args.seed is not None else list(
         range(args.start, args.start + args.seeds)
     )
+    # A mode is its ``(label, thunk)`` cells, the one-line template its
+    # summaries print through and a noun for the verdict; the soak loop
+    # below is the same for all three.
     if args.faults:
-        return _main_faults(seeds, args.schedule)
-    if args.clients > 1:
-        return _main_multi(seeds, args.clients, args.ops, args.servers)
+        schedules = (args.schedule,) if args.schedule else ALL_SCHEDULES
+        cells = [
+            (f"seed {seed} schedule {name}",
+             functools.partial(run_seed_with_faults, seed, name))
+            for seed in seeds for name in schedules
+        ]
+        template = "fired={fired} retries={retries} errors={errors} dead={dead_daemons}"
+        noun = "fault combinations"
+    elif args.clients > 1:
+        cells = [
+            (f"seed {seed} clients {args.clients}",
+             functools.partial(run_multi_seed, seed, args.clients,
+                               n_ops=args.ops, n_servers=args.servers))
+            for seed in seeds
+        ]
+        template = (
+            "{protocol}, {n_servers} servers, {n_ops} ops, "
+            "{round_trips} aggregate round trips"
+        )
+        noun = f"{args.clients}-client seeds"
+    else:
+        cells = [
+            (f"seed {seed}",
+             functools.partial(run_seed, seed, n_ops=args.ops, n_servers=args.servers))
+            for seed in seeds
+        ]
+        template = "{protocol}, {n_servers} servers, {n_ops} ops; round trips " + (
+            " ".join(f"{name}={{round_trips[{name}]}}" for name in CONFIGS)
+        )
+        noun = "seeds"
     failures = 0
-    for seed in seeds:
+    for label, run_cell in cells:
         try:
-            summary = run_seed(seed, n_ops=args.ops, n_servers=args.servers)
+            summary = run_cell()
         except AssertionError as exc:
             failures += 1
-            print(f"seed {seed}: FAIL — {exc}")
+            print(f"{label}: FAIL — {exc}")
         else:
-            rt = summary["round_trips"]
-            print(
-                f"seed {seed}: ok ({summary['protocol']}, "
-                f"{summary['n_servers']} servers, {summary['n_ops']} ops; "
-                f"round trips sync={rt['sync']} full={rt['full']} "
-                f"cache_off={rt['cache_off']} push_off={rt['push_off']})"
-            )
+            print(f"{label}: ok ({template.format_map(summary)})")
     if failures:
-        print(f"{failures}/{len(seeds)} seeds diverged")
+        print(f"{failures}/{len(cells)} {noun} diverged")
         return 1
-    print(f"all {len(seeds)} seeds conform")
-    return 0
-
-
-def _main_multi(
-    seeds: List[int], n_clients: int, n_ops: Optional[int], n_servers: Optional[int]
-) -> int:
-    """The ``--clients N`` soak loop: every seed as a multi-tenant
-    program-of-programs, each client diffed against its solo run."""
-    failures = 0
-    for seed in seeds:
-        try:
-            summary = run_multi_seed(seed, n_clients, n_ops=n_ops, n_servers=n_servers)
-        except AssertionError as exc:
-            failures += 1
-            print(f"seed {seed} clients {n_clients}: FAIL — {exc}")
-        else:
-            print(
-                f"seed {seed} clients {n_clients}: ok ({summary['protocol']}, "
-                f"{summary['n_servers']} servers, {summary['n_ops']} ops, "
-                f"{summary['round_trips']} aggregate round trips)"
-            )
-    if failures:
-        print(f"{failures}/{len(seeds)} multi-client seeds diverged")
-        return 1
-    print(f"all {len(seeds)} multi-client seeds conform ({n_clients} clients each)")
-    return 0
-
-
-def _main_faults(seeds: List[int], schedule: Optional[str]) -> int:
-    """The ``--faults`` soak loop: every (seed, schedule) combination."""
-    schedules = (
-        (schedule,)
-        if schedule
-        else RECOVERABLE_SCHEDULES + UNRECOVERABLE_SCHEDULES
-        + PUSH_SCHEDULES + DEFERRED_READ_SCHEDULES
-    )
-    failures = 0
-    combos = 0
-    for seed in seeds:
-        for name in schedules:
-            combos += 1
-            try:
-                if name in PUSH_SCHEDULES:
-                    summary = run_push_fault_seed(seed)
-                    print(
-                        f"seed {seed} schedule {name}: ok "
-                        f"(fired={summary['fired']} "
-                        f"commits {summary['baseline_commits']}->"
-                        f"{summary['faulted_commits']})"
-                    )
-                    continue
-                if name in DEFERRED_READ_SCHEDULES:
-                    summary = run_deferred_read_fault_seed(seed)
-                    print(
-                        f"seed {seed} schedule {name}: ok "
-                        f"(fired={summary['fired']} "
-                        f"deferred {summary['baseline_deferred']}->"
-                        f"{summary['faulted_deferred']})"
-                    )
-                    continue
-                summary = run_seed_with_faults(seed, name)
-            except AssertionError as exc:
-                failures += 1
-                print(f"seed {seed} schedule {name}: FAIL — {exc}")
-            else:
-                print(
-                    f"seed {seed} schedule {name}: ok "
-                    f"(fired={summary['fired']} retries={summary['retries']} "
-                    f"errors={summary['errors']} dead={summary['dead_daemons']})"
-                )
-    if failures:
-        print(f"{failures}/{combos} fault combinations diverged")
-        return 1
-    print(f"all {combos} fault combinations conform")
+    print(f"all {len(cells)} {noun} conform")
     return 0
 
 

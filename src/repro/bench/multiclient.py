@@ -32,14 +32,12 @@ tolerance) by :mod:`repro.tools.benchdiff` in tier-1.
 
 from __future__ import annotations
 
-import json
 import math
-import os
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
-from repro.bench.harness import REPO_ROOT, ExperimentRecord
+from repro.bench.harness import ExperimentRecord
 from repro.hw.cluster import make_multi_client_gpu_server
 from repro.ocl.constants import CL_DEVICE_TYPE_GPU, CL_MEM_WRITE_ONLY
 from repro.testbed import deploy_dopencl
@@ -136,7 +134,7 @@ def _run_scale(n_clients: int) -> Dict[str, object]:
         group_makespans[group] = max(group_makespans.get(group, 0.0), makespan)
     launches = n_clients * ROUNDS
     makespan_max, makespan_min = max(makespans), min(makespans)
-    daemons = deployment.daemons
+    daemons = deployment.daemon_stats()
     return {
         "n_clients": n_clients,
         "launches": launches,
@@ -145,16 +143,13 @@ def _run_scale(n_clients: int) -> Dict[str, object]:
         "fairness_ratio": max(group_makespans.values()) / min(group_makespans.values()),
         "throughput": launches / makespan_max,
         "p99_sync_latency": p99(latencies),
-        "decode_cache_hits": sum(d.gcf.stats.decode_cache_hits for d in daemons),
-        "reply_cache_hits": sum(d.gcf.stats.reply_cache_hits for d in daemons),
-        "programs_built": sum(d.gcf.stats.programs_built for d in daemons),
-        "build_cache_hits": sum(d.gcf.stats.build_cache_hits for d in daemons),
-        "build_seconds_saved": sum(d.gcf.stats.build_seconds_saved for d in daemons),
-        "dropped_event_statuses": sum(
-            d.gcf.stats.dropped_event_statuses for d in daemons
-        ),
-        "refused_connections": sum(d.gcf.stats.refused_connections for d in daemons),
-        "quota_rejections": sum(d.gcf.stats.quota_rejections for d in daemons),
+        **{
+            key: daemons[key]
+            for key in ("decode_cache_hits", "reply_cache_hits", "programs_built",
+                        "build_cache_hits", "build_seconds_saved",
+                        "dropped_event_statuses", "refused_connections",
+                        "quota_rejections")
+        },
     }
 
 
@@ -236,9 +231,9 @@ def assert_multiclient_record(record: ExperimentRecord) -> None:
 
 def multiclient_payload(record: ExperimentRecord) -> dict:
     """The headline numbers of a contention sweep as the flat dict
-    committed to ``BENCH_multiclient.json`` — shared by
-    :func:`save_multiclient_json` and the benchdiff regression checker,
-    so the recorded snapshot and the comparison can never drift apart.
+    committed to ``BENCH_multiclient.json`` — the ``payload`` column of
+    ``repro.tools.benchdiff.SNAPSHOTS``, so the recorded snapshot and
+    the comparison can never drift apart.
     Every per-scale key is gated exactly (the simulation is
     deterministic)."""
     rows = {row["n_clients"]: row for row in record.rows}
@@ -256,14 +251,3 @@ def multiclient_payload(record: ExperimentRecord) -> dict:
         payload[f"programs_built_{n_clients}"] = row["programs_built"]
         payload[f"build_cache_hits_{n_clients}"] = row["build_cache_hits"]
     return payload
-
-
-def save_multiclient_json(record: ExperimentRecord, directory: Optional[str] = None) -> str:
-    """Write the headline numbers to ``BENCH_multiclient.json`` (repo
-    root by default); returns the path."""
-    if directory is None:
-        directory = REPO_ROOT
-    path = os.path.join(directory, "BENCH_multiclient.json")
-    with open(path, "w") as fh:
-        json.dump(multiclient_payload(record), fh, indent=2)
-    return path

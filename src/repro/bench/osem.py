@@ -20,12 +20,9 @@ counters land in ``BENCH_osem.json`` at the repo root.
 
 from __future__ import annotations
 
-import json
-import os
-from typing import Optional
 
 from repro.apps.osem import ListModeOSEM, disk_phantom, generate_events
-from repro.bench.harness import REPO_ROOT, ExperimentRecord
+from repro.bench.harness import ExperimentRecord
 from repro.hw.cluster import make_desktop_and_gpu_server, make_ib_cpu_cluster
 from repro.ocl.constants import CL_DEVICE_TYPE_GPU
 from repro.testbed import deploy_dopencl
@@ -112,12 +109,11 @@ def _cluster_repeat_setup() -> dict:
         program = api.clCreateProgramWithSource(ctx, CLUSTER_SOURCE)
         api.clBuildProgram(program)
         api.clFinish(queue)
-    daemons = deployment.daemons
+    stats = deployment.daemon_stats()
     return {
-        "programs_built": sum(d.gcf.stats.programs_built for d in daemons),
-        "binaries_shipped": sum(d.gcf.stats.binaries_shipped for d in daemons),
-        "build_cache_hits": sum(d.gcf.stats.build_cache_hits for d in daemons),
-        "build_seconds_saved": sum(d.gcf.stats.build_seconds_saved for d in daemons),
+        key: stats[key]
+        for key in ("programs_built", "binaries_shipped", "build_cache_hits",
+                    "build_seconds_saved")
     }
 
 
@@ -155,7 +151,6 @@ def bench_osem() -> ExperimentRecord:
     deployment = deploy_dopencl(make_desktop_and_gpu_server())
     api = deployment.api
     driver = deployment.driver
-    daemons = deployment.daemons
     gpus = api.clGetDeviceIDs(api.clGetPlatformIDs()[0], CL_DEVICE_TYPE_GPU)
     osem = ListModeOSEM(
         api, gpus, image_size=OSEM_IMAGE_SIZE, n_subsets=OSEM_SUBSETS, n_samples=OSEM_SAMPLES
@@ -163,13 +158,14 @@ def bench_osem() -> ExperimentRecord:
     events = generate_events(disk_phantom(OSEM_IMAGE_SIZE), OSEM_EVENTS, seed=7)
 
     def counters():
+        daemons = deployment.daemon_stats()
         return {
             "round_trips": driver.stats.round_trips,
             "batched_commands": driver.stats.batched_commands,
-            "reply_cache_hits": sum(d.gcf.stats.reply_cache_hits for d in daemons),
-            "decode_cache_hits": sum(d.gcf.stats.decode_cache_hits for d in daemons),
+            "reply_cache_hits": daemons["reply_cache_hits"],
+            "decode_cache_hits": daemons["decode_cache_hits"],
             "bytes_sent": driver.stats.bytes_sent,
-            "programs_built": sum(d.gcf.stats.programs_built for d in daemons),
+            "programs_built": daemons["programs_built"],
         }
 
     def add_row(phase: str, before, after) -> None:
@@ -191,11 +187,12 @@ def bench_osem() -> ExperimentRecord:
     # Push-protocol verdict for the whole run (counters are cumulative,
     # so they are read once after the last iteration): the client's
     # hint/commit/waste tally plus the daemons' aggregate executions.
+    daemons = deployment.daemon_stats()
     record.add(
         phase="push_counters",
         speculative_pushes=driver.stats.speculative_pushes,
-        daemon_pushes=sum(d.gcf.stats.daemon_pushes for d in daemons),
-        push_bytes=sum(d.gcf.stats.push_bytes for d in daemons),
+        daemon_pushes=daemons["daemon_pushes"],
+        push_bytes=daemons["push_bytes"],
         push_commits=driver.stats.push_commits,
         wasted_pushes=driver.stats.wasted_pushes,
     )
@@ -263,9 +260,9 @@ def assert_osem_record(record: ExperimentRecord) -> None:
 
 def osem_payload(record: ExperimentRecord) -> dict:
     """The headline counters of an OSEM run as the flat dict committed
-    to ``BENCH_osem.json`` — shared by :func:`save_osem_json` and the
-    benchdiff regression checker, so the recorded snapshot and the
-    comparison can never drift apart."""
+    to ``BENCH_osem.json`` — the ``payload`` column of
+    ``repro.tools.benchdiff.SNAPSHOTS``, so the recorded snapshot and
+    the comparison can never drift apart."""
     rows = {row["phase"]: row for row in record.rows}
     steady = rows[f"iteration_{OSEM_ITERATIONS}"]
     return {
@@ -290,14 +287,3 @@ def osem_payload(record: ExperimentRecord) -> dict:
         "cluster_binaries_shipped": rows["cluster_repeat_setup"]["binaries_shipped"],
         "cluster_build_cache_hits": rows["cluster_repeat_setup"]["build_cache_hits"],
     }
-
-
-def save_osem_json(record: ExperimentRecord, directory: Optional[str] = None) -> str:
-    """Write the headline counters to ``BENCH_osem.json`` (repo root by
-    default); returns the path."""
-    if directory is None:
-        directory = REPO_ROOT
-    path = os.path.join(directory, "BENCH_osem.json")
-    with open(path, "w") as fh:
-        json.dump(osem_payload(record), fh, indent=2)
-    return path

@@ -44,14 +44,12 @@ no more wire bytes and the identical image.
 
 from __future__ import annotations
 
-import json
-import os
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
 from repro.apps.mandelbrot import MANDELBROT_KERNEL, MandelbrotConfig, render_dopencl
-from repro.bench.harness import REPO_ROOT, ExperimentRecord
+from repro.bench.harness import ExperimentRecord
 from repro.hw.cluster import make_ib_cpu_cluster
 from repro.ocl.constants import CL_MEM_WRITE_ONLY
 from repro.testbed import deploy_dopencl
@@ -283,19 +281,19 @@ def bench_smoke(n_devices: int = SMOKE_DEVICES, config: MandelbrotConfig = SMOKE
         images[variant] = result.image
         counters[variant] = deployment.driver.stats.snapshot()
         totals[variant] = result.timings.total
-        daemon_hits[variant] = sum(d.gcf.stats.reply_cache_hits for d in deployment.daemons)
+        daemon_hits[variant] = deployment.daemon_stats()["reply_cache_hits"]
     for variant, flags in GATHER_VARIANTS.items():
         deployment = deploy_dopencl(make_ib_cpu_cluster(n_devices), **flags)
         images[variant] = render_gathered(deployment.api, config)
         counters[variant] = deployment.driver.stats.snapshot()
         totals[variant] = deployment.api.now
-        daemon_hits[variant] = sum(d.gcf.stats.reply_cache_hits for d in deployment.daemons)
+        daemon_hits[variant] = deployment.daemon_stats()["reply_cache_hits"]
     for variant, flags in READBACK_VARIANTS.items():
         deployment = deploy_dopencl(make_ib_cpu_cluster(n_devices), **flags)
         images[variant] = render_readback(deployment.api, config)
         counters[variant] = deployment.driver.stats.snapshot()
         totals[variant] = deployment.api.now
-        daemon_hits[variant] = sum(d.gcf.stats.reply_cache_hits for d in deployment.daemons)
+        daemon_hits[variant] = deployment.daemon_stats()["reply_cache_hits"]
     sync = counters["sync"]
     for variant in [*VARIANTS, *GATHER_VARIANTS, *READBACK_VARIANTS]:
         c = counters[variant]
@@ -388,9 +386,9 @@ def assert_smoke_record(record: ExperimentRecord) -> None:
 
 def smoke_payload(record: ExperimentRecord) -> dict:
     """The headline counters of a smoke run as the flat dict committed
-    to ``BENCH_smoke.json`` — shared by :func:`save_smoke_json` and the
-    benchdiff regression checker (``repro.tools.benchdiff``), so the
-    recorded snapshot and the comparison can never drift apart."""
+    to ``BENCH_smoke.json`` — the ``payload`` column of
+    ``repro.tools.benchdiff.SNAPSHOTS``, so the recorded snapshot and
+    the comparison can never drift apart."""
     rows = {row["variant"]: row for row in record.rows}
     return {
         "experiment": record.experiment,
@@ -416,14 +414,3 @@ def smoke_payload(record: ExperimentRecord) -> dict:
         "min_rt_reduction": MIN_ROUND_TRIP_REDUCTION,
         "max_batched_round_trips": MAX_BATCHED_ROUND_TRIPS,
     }
-
-
-def save_smoke_json(record: ExperimentRecord, directory: Optional[str] = None) -> str:
-    """Write the headline counters to ``BENCH_smoke.json`` (repo root by
-    default) for the CI driver; returns the path."""
-    if directory is None:
-        directory = REPO_ROOT
-    path = os.path.join(directory, "BENCH_smoke.json")
-    with open(path, "w") as fh:
-        json.dump(smoke_payload(record), fh, indent=2)
-    return path

@@ -46,8 +46,6 @@ single-variable ablation — ``pipelined`` vs ``serial`` must differ in
 
 from __future__ import annotations
 
-import json
-import os
 import statistics
 from typing import Dict, List, Optional
 
@@ -58,7 +56,7 @@ from repro.apps.mandelbrot import (
     MandelbrotConfig,
     mandelbrot_reference,
 )
-from repro.bench.harness import REPO_ROOT, ExperimentRecord
+from repro.bench.harness import ExperimentRecord
 from repro.hw.cluster import make_ib_cpu_cluster
 from repro.hw.specs import GIGABIT_ETHERNET
 from repro.ocl.constants import CL_MEM_WRITE_ONLY
@@ -333,8 +331,8 @@ def assert_stream_record(record: ExperimentRecord) -> None:
 
 def stream_payload(record: ExperimentRecord) -> dict:
     """The headline numbers of a stream run as the flat dict committed
-    to ``BENCH_stream.json`` — shared by :func:`save_stream_json` and
-    the benchdiff regression checker (``repro.tools.benchdiff``)."""
+    to ``BENCH_stream.json`` — the ``payload`` column of
+    ``repro.tools.benchdiff.SNAPSHOTS``."""
     rows = {row["variant"]: row for row in record.rows}
     c = rows["compute_only"]["periods"]
     t = statistics.median(
@@ -361,14 +359,3 @@ def stream_payload(record: ExperimentRecord) -> dict:
         "max_bound_error": MAX_BOUND_ERROR,
         "max_pipelined_ratio": MAX_PIPELINED_RATIO,
     }
-
-
-def save_stream_json(record: ExperimentRecord, directory: Optional[str] = None) -> str:
-    """Write the headline numbers to ``BENCH_stream.json`` (repo root by
-    default) for the CI driver; returns the path."""
-    if directory is None:
-        directory = REPO_ROOT
-    path = os.path.join(directory, "BENCH_stream.json")
-    with open(path, "w") as fh:
-        json.dump(stream_payload(record), fh, indent=2)
-    return path

@@ -1372,6 +1372,17 @@ class DOpenCLDriver:
         stub = EventStub(context, self.new_id(), owner_server, command_type)
         stub.attach_flush_hook(self.flush_for_event)
         self._events[stub.id] = stub
+        owner = self._connections.get(owner_server)
+        if owner is not None and owner.dead:
+            # Born poisoned: _declare_daemon_lost swept the events that
+            # existed then, and this command's send is about to fail —
+            # yet the stub still becomes its in-order queue's last
+            # event, so a later waiter must see the loss, not a
+            # never-resolving dependency.
+            stub.poisoned = (
+                int(ErrorCode.CL_DEVICE_NOT_AVAILABLE),
+                f"daemon {owner.name!r} died: {owner.dead_reason}",
+            )
         replicas = [c for c in context.unique_servers if c.name != owner_server and c.connected]
         if replicas:
             stub.has_replicas = True

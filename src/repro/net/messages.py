@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import OrderedDict
-from typing import Any, Dict, List, Tuple, Type, TypeVar
+from typing import Any, Dict, List, Optional, Tuple, Type, TypeVar
 
 from repro.net.codec import CodecError, decode, encode, encoded_size
 
@@ -53,6 +53,7 @@ M = TypeVar("M", bound="Message")
 def message_type(cls: Type[M]) -> Type[M]:
     """Class decorator: make ``cls`` a dataclass and register its wire name."""
     cls = dataclasses.dataclass(cls)
+    cls._payload_fields = tuple(f.name for f in dataclasses.fields(cls))
     wire_name = cls.__name__
     if wire_name in _REGISTRY and _REGISTRY[wire_name] is not cls:
         raise ValueError(f"duplicate message type {wire_name!r}")
@@ -68,11 +69,19 @@ def registered_types() -> Dict[str, Type["Message"]]:
 class Message:
     """Base class for all wire messages."""
 
+    #: Payload field names in declaration order, computed once per
+    #: class by :func:`message_type` (``None`` on undecorated classes).
+    _payload_fields: Optional[Tuple[str, ...]] = None
+
     def to_payload(self) -> Dict[str, Any]:
-        """The message's payload fields as a plain (encodable) dict."""
-        if not dataclasses.is_dataclass(self):
+        """The message's payload fields as a plain (encodable) dict.
+
+        Shallow: the values are the message's own field objects, not
+        copies — the codec only reads them, and messages are frozen by
+        convention (module docstring)."""
+        if self._payload_fields is None:
             raise TypeError(f"{type(self).__name__} is not a @message_type dataclass")
-        return dataclasses.asdict(self)
+        return {name: getattr(self, name) for name in self._payload_fields}
 
     def to_wire(self) -> bytes:
         """Encode the message into its wire bytes (uncached)."""

@@ -47,6 +47,16 @@ class Deployment:
                 return daemon
         raise KeyError(host_name)
 
+    def daemon_stats(self) -> Dict[str, float]:
+        """Key-wise sum of every daemon's ``NetStats.snapshot()`` — the
+        deployment-aggregate daemon-side counters the benches and the
+        conformance invariants pick their keys from."""
+        total: Dict[str, float] = {}
+        for daemon in self.daemons:
+            for key, value in daemon.gcf.stats.snapshot().items():
+                total[key] = total.get(key, 0) + value
+        return total
+
 
 def server_config_text(cluster: Cluster) -> str:
     """A paper-Listing-2 style server list for all cluster servers."""

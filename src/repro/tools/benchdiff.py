@@ -23,8 +23,9 @@ benchmarks/bench_stream.py`` rewrites all four).
 
 Used two ways:
 
-* tier-1: ``tests/test_bench_regression.py`` calls :func:`compare`
-  against the committed files;
+* tier-1: ``tests/test_bench_regression.py`` and
+  ``tests/test_bench_stream.py`` call :func:`check_snapshot` on the
+  session's shared records;
 * CLI: ``PYTHONPATH=src python -m repro.tools.benchdiff`` (or
   ``tools/benchdiff.py``) prints a report per snapshot and exits
   non-zero on violations.
@@ -34,9 +35,13 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional
 
-from repro.bench.harness import REPO_ROOT
+from repro.bench.harness import REPO_ROOT, ExperimentRecord
+from repro.bench.multiclient import SCALES, bench_multiclient, multiclient_payload
+from repro.bench.osem import bench_osem, osem_payload
+from repro.bench.smoke import bench_smoke, smoke_payload
+from repro.bench.stream import bench_stream, stream_payload
 
 #: Compared keys -> relative tolerance.  Round trips are deterministic
 #: integers (exact); byte counts tolerate small codec-level drift.  The
@@ -96,8 +101,6 @@ def _multiclient_tolerances() -> Dict[str, float]:
     shared decode-cache hits and the one-compile-per-fleet build-cache
     counters at 1/8/64/256 tenants) is an exact property of the
     deterministic simulation, so all keys gate at 0.0."""
-    from repro.bench.multiclient import SCALES
-
     keys = {}
     for n in SCALES:
         keys[f"throughput_{n}"] = 0.0
@@ -132,16 +135,65 @@ STREAM_TOLERANCES: Dict[str, float] = {
     "deferred_read_batches": 0.0,
 }
 
-COMMITTED_PATH = os.path.join(REPO_ROOT, "BENCH_smoke.json")
-OSEM_COMMITTED_PATH = os.path.join(REPO_ROOT, "BENCH_osem.json")
-MULTICLIENT_COMMITTED_PATH = os.path.join(REPO_ROOT, "BENCH_multiclient.json")
-STREAM_COMMITTED_PATH = os.path.join(REPO_ROOT, "BENCH_stream.json")
+
+class Snapshot(NamedTuple):
+    """One committed ``BENCH_<name>.json``: the workload that produces
+    its record, the record -> flat payload function, and the compared
+    keys with their tolerances."""
+
+    bench: Callable[[], ExperimentRecord]
+    payload: Callable[[ExperimentRecord], Dict[str, object]]
+    tolerances: Dict[str, float]
 
 
-def load_committed(path: Optional[str] = None) -> Dict[str, object]:
-    """The committed benchmark snapshot (``BENCH_smoke.json``)."""
-    with open(path or COMMITTED_PATH) as fh:
+#: The one snapshot table: ``name`` -> :class:`Snapshot` for every
+#: ``BENCH_<name>.json`` at the repo root (``tests/test_flag_matrix.py``
+#: keeps the two sets equal).  Recording, loading, the tier-1 gate and
+#: the CLI all go through it.
+SNAPSHOTS: Dict[str, Snapshot] = {
+    "smoke": Snapshot(bench_smoke, smoke_payload, DEFAULT_TOLERANCES),
+    "osem": Snapshot(bench_osem, osem_payload, OSEM_TOLERANCES),
+    "multiclient": Snapshot(
+        bench_multiclient, multiclient_payload, MULTICLIENT_TOLERANCES
+    ),
+    "stream": Snapshot(bench_stream, stream_payload, STREAM_TOLERANCES),
+}
+
+
+def snapshot_path(name: str, directory: Optional[str] = None) -> str:
+    """Path of ``BENCH_<name>.json`` (repo root by default)."""
+    return os.path.join(directory or REPO_ROOT, f"BENCH_{name}.json")
+
+
+def save_snapshot(
+    name: str, record: ExperimentRecord, directory: Optional[str] = None
+) -> str:
+    """Write ``record``'s headline payload to ``BENCH_<name>.json`` (how
+    ``benchmarks/bench_<name>.py`` re-records a snapshot); returns the
+    path."""
+    path = snapshot_path(name, directory)
+    with open(path, "w") as fh:
+        json.dump(SNAPSHOTS[name].payload(record), fh, indent=2)
+    return path
+
+
+def load_committed(name: str, directory: Optional[str] = None) -> Dict[str, object]:
+    """The committed ``BENCH_<name>.json`` snapshot."""
+    with open(snapshot_path(name, directory)) as fh:
         return json.load(fh)
+
+
+def check_snapshot(name: str, record: ExperimentRecord) -> List[str]:
+    """:func:`compare` ``record``'s payload against the committed
+    ``BENCH_<name>.json`` under that snapshot's tolerances (the tier-1
+    gate)."""
+    snapshot = SNAPSHOTS[name]
+    return compare(
+        snapshot.payload(record),
+        load_committed(name),
+        snapshot.tolerances,
+        snapshot=f"BENCH_{name}.json",
+    )
 
 
 def compare(
@@ -187,39 +239,6 @@ def compare(
     return problems
 
 
-def run_fresh() -> Dict[str, object]:
-    """Run the smoke benchmark and return its headline payload."""
-    from repro.bench.smoke import bench_smoke, smoke_payload
-
-    return smoke_payload(bench_smoke())
-
-
-def run_fresh_osem() -> Dict[str, object]:
-    """Run the OSEM benchmark and return its headline payload (the dict
-    :func:`repro.bench.osem.save_osem_json` would write)."""
-    from repro.bench.osem import bench_osem, osem_payload
-
-    return osem_payload(bench_osem())
-
-
-def run_fresh_multiclient() -> Dict[str, object]:
-    """Run the multi-tenant contention sweep and return its headline
-    payload (the dict :func:`repro.bench.multiclient.save_multiclient_json`
-    would write)."""
-    from repro.bench.multiclient import bench_multiclient, multiclient_payload
-
-    return multiclient_payload(bench_multiclient())
-
-
-def run_fresh_stream() -> Dict[str, object]:
-    """Run the streaming overlap benchmark and return its headline
-    payload (the dict :func:`repro.bench.stream.save_stream_json`
-    would write)."""
-    from repro.bench.stream import bench_stream, stream_payload
-
-    return stream_payload(bench_stream())
-
-
 def format_report(
     fresh: Dict[str, object],
     committed: Dict[str, object],
@@ -249,53 +268,19 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--committed",
-        default=COMMITTED_PATH,
-        help="path of the committed smoke snapshot (default: repo-root BENCH_smoke.json)",
-    )
-    parser.add_argument(
-        "--committed-osem",
-        default=OSEM_COMMITTED_PATH,
-        help="path of the committed OSEM snapshot (default: repo-root BENCH_osem.json)",
-    )
-    parser.add_argument(
-        "--committed-multiclient",
-        default=MULTICLIENT_COMMITTED_PATH,
-        help=(
-            "path of the committed multi-tenant snapshot "
-            "(default: repo-root BENCH_multiclient.json)"
-        ),
-    )
-    parser.add_argument(
-        "--committed-stream",
-        default=STREAM_COMMITTED_PATH,
-        help=(
-            "path of the committed streaming-overlap snapshot "
-            "(default: repo-root BENCH_stream.json)"
-        ),
+        "--committed-dir",
+        default=REPO_ROOT,
+        help="directory holding the committed BENCH_*.json snapshots "
+        "(default: the repo root)",
     )
     args = parser.parse_args(argv)
     failed = False
-    for title, path, tolerances, runner in (
-        ("BENCH_smoke.json", args.committed, DEFAULT_TOLERANCES, run_fresh),
-        ("BENCH_osem.json", args.committed_osem, OSEM_TOLERANCES, run_fresh_osem),
-        (
-            "BENCH_multiclient.json",
-            args.committed_multiclient,
-            MULTICLIENT_TOLERANCES,
-            run_fresh_multiclient,
-        ),
-        (
-            "BENCH_stream.json",
-            args.committed_stream,
-            STREAM_TOLERANCES,
-            run_fresh_stream,
-        ),
-    ):
-        committed = load_committed(path)
-        fresh = runner()
-        problems = compare(fresh, committed, tolerances, snapshot=title)
-        print(format_report(fresh, committed, problems, title, tolerances))
+    for name, snapshot in SNAPSHOTS.items():
+        title = f"BENCH_{name}.json"
+        fresh = snapshot.payload(snapshot.bench())
+        committed = load_committed(name, args.committed_dir)
+        problems = compare(fresh, committed, snapshot.tolerances, snapshot=title)
+        print(format_report(fresh, committed, problems, title, snapshot.tolerances))
         print()
         failed = failed or bool(problems)
     return 1 if failed else 0

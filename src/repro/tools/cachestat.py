@@ -68,8 +68,8 @@ def push_summary(deployment) -> Dict[str, object]:
     """Deployment-wide push-protocol verdict: the client-side
     hint/commit/waste tally (summed over drivers), the daemon-side
     execution totals, and the derived hit/waste ratios."""
-    drivers = getattr(deployment, "drivers", [])
-    daemons = getattr(deployment, "daemons", [])
+    drivers = deployment.drivers
+    daemons = deployment.daemon_stats()
     speculative = sum(d.stats.speculative_pushes for d in drivers)
     commits = sum(d.stats.push_commits for d in drivers)
     wasted = sum(d.stats.wasted_pushes for d in drivers)
@@ -77,8 +77,8 @@ def push_summary(deployment) -> Dict[str, object]:
         "speculative_pushes": speculative,
         "push_commits": commits,
         "wasted_pushes": wasted,
-        "daemon_pushes": sum(d.gcf.stats.daemon_pushes for d in daemons),
-        "push_bytes": sum(d.gcf.stats.push_bytes for d in daemons),
+        "daemon_pushes": daemons["daemon_pushes"],
+        "push_bytes": daemons["push_bytes"],
         "hit_ratio": (commits / speculative) if speculative else 0.0,
         "waste_ratio": (wasted / speculative) if speculative else 0.0,
     }

@@ -1,44 +1,27 @@
 """Shared tier-1 fixtures.
 
-The benchmark workloads are deterministic, so the
-smoke/OSEM/multiclient/stream records are computed once per session and
-shared between the gate tests (``test_bench_smoke.py`` /
-``test_bench_osem.py`` / ``test_bench_multiclient.py`` /
-``test_bench_stream.py``) and the benchdiff regression tests
-(``test_bench_regression.py``) — running the most expensive workloads in
-the suite twice would buy nothing.
+The benchmark workloads are deterministic, so each record of the
+snapshot table (``repro.tools.benchdiff.SNAPSHOTS``: smoke, OSEM,
+multiclient, stream) is computed once per session as the
+``<name>_record`` fixture and shared between the gate tests
+(``test_bench_smoke.py`` / ``test_bench_osem.py`` /
+``test_bench_multiclient.py`` / ``test_bench_stream.py``) and the
+benchdiff regression tests (``test_bench_regression.py``) — running the
+most expensive workloads in the suite twice would buy nothing.
 """
 
 import pytest
 
-
-@pytest.fixture(scope="session")
-def smoke_record():
-    """One shared run of the mini Fig. 4 smoke workload."""
-    from repro.bench.smoke import bench_smoke
-
-    return bench_smoke()
+from repro.tools.benchdiff import SNAPSHOTS
 
 
-@pytest.fixture(scope="session")
-def osem_record():
-    """One shared run of the mini Fig. 5 OSEM workload."""
-    from repro.bench.osem import bench_osem
+def _record_fixture(name):
+    @pytest.fixture(scope="session", name=f"{name}_record")
+    def record():
+        return SNAPSHOTS[name].bench()
 
-    return bench_osem()
-
-
-@pytest.fixture(scope="session")
-def multiclient_record():
-    """One shared run of the 1/8/64/256-tenant contention sweep."""
-    from repro.bench.multiclient import bench_multiclient
-
-    return bench_multiclient()
+    record.__doc__ = f"One shared run of the ``BENCH_{name}.json`` workload."
+    return record
 
 
-@pytest.fixture(scope="session")
-def stream_record():
-    """One shared run of the double-buffered Mandelbrot-zoom stream."""
-    from repro.bench.stream import bench_stream
-
-    return bench_stream()
+globals().update({f"{name}_record": _record_fixture(name) for name in SNAPSHOTS})

@@ -222,3 +222,51 @@ def test_only_copy_dying_is_reported_then_recoverable_by_overwrite():
     assert not buf.coherence.data_lost
     data, _ = api.clEnqueueReadBuffer(queues[0], buf)
     np.testing.assert_allclose(data.view(np.float32), 7.0)
+
+
+def test_command_enqueued_on_a_dead_daemon_is_born_poisoned():
+    """Regression (conformance seed 15 x crash / sever-permanent): a
+    command enqueued *after* its daemon was declared dead fails with
+    the daemon-loss error but still becomes its in-order queue's last
+    event.  That event stub postdates the poisoning sweep of the
+    declaration, so it must be born poisoned: a later deferred read on
+    the same queue depends on it and has to surface
+    ``CL_DEVICE_NOT_AVAILABLE`` — not ``EventStub.wait``'s deadlock
+    guard (``CL_INVALID_EVENT_WAIT_LIST``)."""
+    deployment = deploy_dopencl(make_ib_cpu_cluster(2), retry_policy=RetryPolicy())
+    api = deployment.api
+    devices = api.clGetDeviceIDs(api.clGetPlatformIDs()[0])
+    ctx = api.clCreateContext(devices)
+    queues = [api.clCreateCommandQueue(ctx, d) for d in devices]
+    x = np.ones(64, dtype=np.float32)
+    buf = api.clCreateBuffer(ctx, CL_MEM_READ_WRITE | CL_MEM_COPY_HOST_PTR, x.nbytes, x)
+    for queue in queues:
+        api.clFinish(queue)
+
+    victim = deployment.daemons[0]
+    injector = install_fault_injector(
+        deployment.cluster.network,
+        FaultPlan(
+            [FaultAction("crash", nth=1, dst=victim.host.name, host=victim.host.name)],
+            max_transfers=100_000,
+        ),
+    )
+    injector.register_crash_hook(victim.host.name, victim.crash)
+    with pytest.raises(CLError):
+        api.clFinish(queues[0])
+    assert deployment.driver.stats.dead_daemons == 1
+
+    # The write's event is created after the declaration's sweep.
+    with pytest.raises(CLError) as write_err:
+        api.clEnqueueWriteBuffer(queues[0], buf, True, 0, x)
+    assert write_err.value.code == ErrorCode.CL_DEVICE_NOT_AVAILABLE
+    orphan = deployment.driver._events[queues[0].last_event_id]
+    assert not orphan.resolved
+    assert orphan.poisoned is not None
+    assert orphan.poisoned[0] == int(ErrorCode.CL_DEVICE_NOT_AVAILABLE)
+
+    # The deferred read is queued behind it on the in-order queue.
+    _data, event = api.clEnqueueReadBuffer(queues[0], buf, blocking=False)
+    with pytest.raises(CLError) as read_err:
+        api.clWaitForEvents([event])
+    assert read_err.value.code == ErrorCode.CL_DEVICE_NOT_AVAILABLE

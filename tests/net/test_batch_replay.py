@@ -71,6 +71,9 @@ def test_unstamped_batch_wire_shape_is_unchanged(rig):
     assert "epoch" not in unstamped.to_payload()
     stamped = CommandBatch(commands=[b"x"], epoch=0, seq=0)
     assert stamped.to_payload()["seq"] == 0
+    # The payload dict is shallow: the codec reads the message's own
+    # field objects, no per-encode deep copy.
+    assert stamped.to_payload()["commands"] is stamped.commands
     assert stamped.wire_size > unstamped.wire_size
     # Decoding the legacy payload yields the unstamped defaults.
     assert CommandBatch.from_wire(unstamped.cached_wire()).seq == -1

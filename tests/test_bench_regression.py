@@ -14,46 +14,25 @@ session fixtures (``tests/conftest.py``) — the same runs the gate tests
 validate — so the expensive workloads execute once per suite.
 """
 
-from repro.bench.multiclient import multiclient_payload
-from repro.bench.osem import osem_payload
-from repro.bench.smoke import smoke_payload
-from repro.tools.benchdiff import (
-    DEFAULT_TOLERANCES,
-    MULTICLIENT_COMMITTED_PATH,
-    MULTICLIENT_TOLERANCES,
-    OSEM_COMMITTED_PATH,
-    OSEM_TOLERANCES,
-    compare,
-    load_committed,
-)
+from repro.tools.benchdiff import DEFAULT_TOLERANCES, check_snapshot, compare
 
 
 def test_fresh_smoke_counters_match_committed_snapshot(smoke_record):
-    committed = load_committed()
-    problems = compare(smoke_payload(smoke_record), committed)
+    problems = check_snapshot("smoke", smoke_record)
     assert not problems, "bench counters drifted from BENCH_smoke.json:\n" + "\n".join(
         problems
     )
 
 
 def test_fresh_osem_counters_match_committed_snapshot(osem_record):
-    committed = load_committed(OSEM_COMMITTED_PATH)
-    problems = compare(
-        osem_payload(osem_record), committed, OSEM_TOLERANCES, snapshot="BENCH_osem.json"
-    )
+    problems = check_snapshot("osem", osem_record)
     assert not problems, "bench counters drifted from BENCH_osem.json:\n" + "\n".join(
         problems
     )
 
 
 def test_fresh_multiclient_counters_match_committed_snapshot(multiclient_record):
-    committed = load_committed(MULTICLIENT_COMMITTED_PATH)
-    problems = compare(
-        multiclient_payload(multiclient_record),
-        committed,
-        MULTICLIENT_TOLERANCES,
-        snapshot="BENCH_multiclient.json",
-    )
+    problems = check_snapshot("multiclient", multiclient_record)
     assert not problems, (
         "bench counters drifted from BENCH_multiclient.json:\n" + "\n".join(problems)
     )

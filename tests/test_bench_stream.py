@@ -13,13 +13,8 @@ Re-record with ``PYTHONPATH=src python -m pytest
 benchmarks/bench_stream.py``.
 """
 
-from repro.bench.stream import assert_stream_record, stream_payload
-from repro.tools.benchdiff import (
-    STREAM_COMMITTED_PATH,
-    STREAM_TOLERANCES,
-    compare,
-    load_committed,
-)
+from repro.bench.stream import assert_stream_record
+from repro.tools.benchdiff import check_snapshot
 
 
 def test_stream_overlap_gate(stream_record):
@@ -27,13 +22,7 @@ def test_stream_overlap_gate(stream_record):
 
 
 def test_fresh_stream_counters_match_committed_snapshot(stream_record):
-    committed = load_committed(STREAM_COMMITTED_PATH)
-    problems = compare(
-        stream_payload(stream_record),
-        committed,
-        STREAM_TOLERANCES,
-        snapshot="BENCH_stream.json",
-    )
+    problems = check_snapshot("stream", stream_record)
     assert not problems, "bench counters drifted from BENCH_stream.json:\n" + "\n".join(
         problems
     )

@@ -85,6 +85,24 @@ def test_cachestat_shows_cluster_build_cache_state():
     assert "entries (LRU -> MRU):" in text
 
 
+def test_daemon_stats_is_the_key_wise_sum_over_daemons():
+    """``Deployment.daemon_stats()`` — the one aggregator the benches,
+    the conformance invariants and cachestat pick their keys from —
+    equals the per-daemon sums on a two-server run."""
+    deployment = deploy_dopencl(make_ib_cpu_cluster(2, n_clients=2), n_clients=2)
+    for api in deployment.apis:
+        _build_on(api, _GOOD_SOURCE)
+    snapshots = [daemon.gcf.stats.snapshot() for daemon in deployment.daemons]
+    total = deployment.daemon_stats()
+    assert set(total) == set(snapshots[0])
+    for key in total:
+        assert total[key] == snapshots[0][key] + snapshots[1][key], key
+    # The run really moved counters on both daemons, unevenly.
+    assert total["programs_built"] == 1
+    assert total["binaries_shipped"] == 1
+    assert all(snapshot["batched_commands_received"] > 0 for snapshot in snapshots)
+
+
 def test_cachestat_reports_disabled_cache():
     deployment = deploy_dopencl(make_ib_cpu_cluster(1), program_cache=False)
     _build_on(deployment.api, _GOOD_SOURCE)
