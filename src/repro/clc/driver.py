@@ -12,10 +12,12 @@ build cache ships between cluster nodes and what
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.clc.codegen import compile_module
 from repro.clc.errors import CLCompileError
@@ -155,6 +157,39 @@ def kernel_arg_metadata(program: CompiledProgram) -> Dict[str, Dict[str, object]
             "writable_buffer_args": writable,
         }
     return out
+
+
+#: ``(digest, options)`` -> what :func:`front_end_outcome` resolved in
+#: this process, least recently used first; bounded so a process that
+#: builds generated sources forever stays flat.
+_FRONT_END_OUTCOMES: "OrderedDict[Tuple[str, str], Tuple[Optional[dict], str]]" = OrderedDict()
+_FRONT_END_OUTCOMES_MAX = 256
+
+
+def front_end_outcome(
+    source: str, options: str = "", digest: Optional[str] = None
+) -> Tuple[Optional[Dict[str, Dict[str, object]]], str]:
+    """What a *client* needs of a build: ``(kernel_arg_metadata, "")``
+    when ``source`` compiles, ``(None, build log)`` when it does not.
+
+    The compiler is deterministic, so the whole front-end (code
+    generation included: it can still reject a program) runs once per
+    ``(digest, options)`` per process, however many client drivers
+    build the source.  The metadata is the caller's own deep copy.
+    ``digest`` is ``program_digest(source)`` if the caller has it."""
+    key = (digest or program_digest(source), options)
+    outcome = _FRONT_END_OUTCOMES.get(key)
+    if outcome is None:
+        try:
+            outcome = (kernel_arg_metadata(compile_program(source, options)), "")
+        except CLCompileError as exc:
+            outcome = (None, str(exc))
+        _FRONT_END_OUTCOMES[key] = outcome
+        if len(_FRONT_END_OUTCOMES) > _FRONT_END_OUTCOMES_MAX:
+            _FRONT_END_OUTCOMES.popitem(last=False)
+    else:
+        _FRONT_END_OUTCOMES.move_to_end(key)
+    return copy.deepcopy(outcome[0]), outcome[1]
 
 
 def _encode_type(t: object) -> Dict[str, object]:

@@ -30,14 +30,15 @@ depends on.
 
 from __future__ import annotations
 
+import copy
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.clc import CLCompileError, LocalMemory
 from repro.clc.driver import (
-    compile_program,
     deserialize_program,
+    front_end_outcome,
     kernel_arg_metadata,
 )
 from repro.core.client.driver import DOpenCLDriver, ProgramBuildRecord
@@ -684,24 +685,21 @@ class DOpenCLAPI:
 
         The compiler is deterministic, so the client can reproduce the
         daemon's build outcome — kernel metadata on success, the exact
-        build log on failure — by running the front-end once per
-        ``(digest, options)`` pair and replaying the record afterwards.
+        build log on failure — from one front-end run per ``(digest,
+        options)`` pair (shared by every driver in the process, see
+        :func:`repro.clc.driver.front_end_outcome`) and replay its own
+        record afterwards.
         The front-end pass is modeled as free client-side work; the
         real build cost lands on each daemon's timeline when its
         windowed ``BuildProgramCachedRequest`` dispatches."""
         servers = program.context.unique_servers
         record = self.driver.build_record(program.digest, options)
         if record is None:
-            try:
-                compiled = compile_program(program.source, options)
-            except CLCompileError as exc:
-                record = ProgramBuildRecord(
-                    kind="failure", log=str(exc), detail=str(exc)
-                )
+            kernel_meta, log = front_end_outcome(program.source, options, program.digest)
+            if kernel_meta is None:
+                record = ProgramBuildRecord(kind="failure", log=log, detail=log)
             else:
-                record = ProgramBuildRecord(
-                    kind="success", kernel_meta=kernel_arg_metadata(compiled)
-                )
+                record = ProgramBuildRecord(kind="success", kernel_meta=kernel_meta)
             self.driver.remember_build(program.digest, options, record)
         else:
             record.hits += 1
@@ -729,7 +727,7 @@ class DOpenCLAPI:
             )
         for conn in servers:
             program.build_logs[conn.name] = record.log
-        program.kernel_meta = dict(record.kernel_meta)
+        program.kernel_meta = copy.deepcopy(record.kernel_meta)  # the stub's own
         program.build_status = "SUCCESS"
 
     def clGetProgramBuildInfo(self, program: ProgramStub, device, key: str) -> object:

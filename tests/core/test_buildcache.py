@@ -13,6 +13,7 @@ import pytest
 from repro.clc.driver import compile_program, program_digest, serialize_program
 from repro.core.daemon.buildcache import DEFAULT_CAPACITY, ProgramBuildCache
 from repro.hw.cluster import make_ib_cpu_cluster
+from repro.ocl import CLError
 from repro.testbed import deploy_dopencl
 
 
@@ -164,3 +165,96 @@ def test_daemon_restart_rehydrates_the_build_cache_from_a_sibling():
     victim.crash()
     victim.restart()
     assert victim.gcf.stats.cache_entries_rehydrated == 2
+
+
+# ----------------------------------------------------------------------
+# the client front-end: once per (digest, options) per process
+# ----------------------------------------------------------------------
+def _counting_front_end(monkeypatch):
+    from repro.clc import driver as clc_driver
+
+    runs = []
+    real = clc_driver.compile_program
+    monkeypatch.setattr(
+        clc_driver, "compile_program", lambda *args: (runs.append(args), real(*args))[1]
+    )
+    return runs
+
+
+def _build_on_every_tenant(deployment, source, options=""):
+    programs = []
+    for api in deployment.apis:
+        devices = api.clGetDeviceIDs(api.clGetPlatformIDs()[0])
+        ctx = api.clCreateContext(devices[:1])
+        program = api.clCreateProgramWithSource(ctx, source)
+        try:
+            api.clBuildProgram(program, options)
+        except CLError as exc:
+            program.failure = str(exc)
+        programs.append(program)
+    return programs
+
+
+def test_two_drivers_share_one_front_end_run(monkeypatch):
+    """Two tenants (two client drivers in this process) build one source:
+    the front-end runs once, both stubs get equal metadata, neither can
+    see the other mutate its copy, and each driver keeps its own record
+    with its own hit count."""
+    from repro.hw.cluster import make_multi_client_gpu_server
+
+    runs = _counting_front_end(monkeypatch)
+    source = _source(7101)  # a digest no other test builds
+    deployment = deploy_dopencl(make_multi_client_gpu_server(2), n_clients=2)
+    first, second = _build_on_every_tenant(deployment, source)
+    client_runs = [args for args in runs if args[0] == source]
+    assert len(client_runs) == 1
+    assert first.kernel_meta == second.kernel_meta and first.kernel_meta["k7101"]["num_args"] == 2
+    first.kernel_meta["k7101"]["arg_kinds"].append("mutated")
+    first.kernel_meta["extra"] = {}
+    assert "extra" not in second.kernel_meta
+    assert second.kernel_meta["k7101"]["arg_kinds"] == ["buffer", "value"]
+    digest = program_digest(source)
+    for driver in deployment.drivers:
+        assert driver.build_record(digest, "").hits == 0  # each driver's first sighting
+        assert driver.stats.build_cache_hits == 0
+    # A rebuild on one tenant is that driver's hit, nobody else's, and
+    # no front-end run at all.
+    third = _build_on_every_tenant(deployment, source)[0]
+    assert third.kernel_meta["k7101"]["arg_kinds"] == ["buffer", "value"]
+    assert [d.build_record(digest, "").hits for d in deployment.drivers] == [1, 1]
+    assert len([args for args in runs if args[0] == source]) == 1
+    # Other options are another outcome.
+    _build_on_every_tenant(deployment, source, "-DX=1")
+    assert len([args for args in runs if args[0] == source]) == 2
+
+
+def test_a_failed_build_replays_the_identical_log_across_drivers(monkeypatch):
+    from repro.hw.cluster import make_multi_client_gpu_server
+
+    runs = _counting_front_end(monkeypatch)
+    source = "__kernel void broken7102(__global float *x) { x[0] = undeclared; }"
+    deployment = deploy_dopencl(make_multi_client_gpu_server(2), n_clients=2)
+    first, second = _build_on_every_tenant(deployment, source)
+    assert len([args for args in runs if args[0] == source]) == 1
+    assert first.failure == second.failure and "undeclared" in first.failure
+    assert first.build_status == second.build_status == "ERROR"
+    assert list(first.build_logs.values()) == list(second.build_logs.values())
+    for driver in deployment.drivers:
+        assert driver.stats.negative_build_hits == 0
+    again = _build_on_every_tenant(deployment, source)
+    assert [p.failure for p in again] == [first.failure] * 2
+    assert [d.stats.negative_build_hits for d in deployment.drivers] == [1, 1]
+
+
+def test_front_end_memo_is_bounded(monkeypatch):
+    from collections import OrderedDict
+
+    from repro.clc import driver as clc_driver
+
+    memo = OrderedDict()
+    monkeypatch.setattr(clc_driver, "_FRONT_END_OUTCOMES", memo)
+    monkeypatch.setattr(clc_driver, "_FRONT_END_OUTCOMES_MAX", 2)
+    for i in (7103, 7104, 7103, 7105):  # 7104 is the least recently used
+        meta, log = clc_driver.front_end_outcome(_source(i))
+        assert log == "" and list(meta) == [f"k{i}"]
+    assert [key[0] for key in memo] == [program_digest(_source(i)) for i in (7103, 7105)]

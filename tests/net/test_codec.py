@@ -92,6 +92,16 @@ def test_empty_input_rejected():
         decode(b"")
 
 
+def test_malformed_wire_strings_and_keys_rejected():
+    # Bad wire data is CodecError, never UnicodeDecodeError / TypeError.
+    with pytest.raises(CodecError):
+        decode(b"\x05\x01\x00\x00\x00\xff")  # a str that is not UTF-8
+    with pytest.raises(CodecError):
+        decode(b"\x08\x01\x00\x00\x00" + encode([]) + encode(1))  # a list as dict key
+    with pytest.raises(CodecError):
+        decode(b"\x08\x01\x00\x00\x00" + encode(1) + encode(1))  # an int as dict key
+
+
 def test_encoded_size_matches():
     v = {"a": [1, 2.0, "three"]}
     assert encoded_size(v) == len(encode(v))
@@ -151,6 +161,9 @@ def test_object_dtype_rejected_both_ways():
     hostile = b"\x09" + encode("|O") + struct.pack("<I", 8) + b"\x00" * 8
     with pytest.raises(CodecError):
         decode(hostile)
+    for dtype_name in ("?i4", ",i4", ""):  # numpy: TypeError, SyntaxError, TypeError
+        with pytest.raises(CodecError):
+            decode(b"\x09" + encode(dtype_name) + struct.pack("<I", 4) + b"\x00" * 4)
 
 
 # ----------------------------------------------------------------------

@@ -7,9 +7,11 @@ invariant that the reply cache never skips handler execution.
 """
 
 import numpy as np
+import pytest
 
 from repro.core.protocol import messages as P
 from repro.hw.cluster import make_ib_cpu_cluster
+from repro.net.codec import CodecError, encode
 from repro.net.messages import Message, ReplyCache, WireDecodeCache
 from repro.ocl import CL_MEM_COPY_HOST_PTR, CL_MEM_READ_WRITE
 from repro.testbed import deploy_dopencl
@@ -234,3 +236,38 @@ def test_counter_invariants_hold_over_a_real_workload():
     # Conservation: every sub-command the client batched out was
     # dispatched by exactly one daemon.
     assert c.batched_commands == received_total
+
+
+@pytest.mark.parametrize(
+    "envelope",
+    [
+        ["Ack", {"bogus": 1}],  # unknown field
+        ["Ack", [1, 2]],  # payload is not a dict
+        ["SetKernelArgRequest", {}],  # required fields missing
+        ["NoSuchMessage", {}],
+    ],
+)
+def test_malformed_sub_command_is_answered_positionally(envelope):
+    """A sub-command the codec can decode but no message class accepts
+    is ``CodecError`` like any other bad wire data: the dispatcher
+    answers its slot with the error reply and runs its neighbours."""
+    raw = encode(envelope)
+    with pytest.raises(CodecError):
+        Message.from_wire(raw)
+
+    daemon, client = _raw_pair()
+    bad = P.FlushRequest(queue_id=99)
+    bad.__dict__["_cached_wire"] = raw  # what request_batch puts in the envelope
+    cmds = [P.ReleaseBufferRequest(buffer_id=1), bad, P.ReleaseBufferRequest(buffer_id=2)]
+    out = client.request_batch(daemon.gcf, cmds, 0.0)
+    assert [type(r) for r in out.responses] == [P.Ack] * 3
+    assert "undecodable batched command" in out.responses[1].detail
+    assert out.responses[1].error != 0
+    ran = [iv.tag for iv in daemon.gcf.cpu if iv.tag == "ReleaseBufferRequest"]
+    assert len(ran) == 2  # slots 0 and 2 reached their handler
+    assert daemon.gcf.stats.batched_commands_received == 3
+
+
+def test_omitting_a_defaulted_field_stays_legal():
+    assert Message.from_wire(encode(["Ack", {"detail": "x"}])) == P.Ack(detail="x")
+    assert Message.from_wire(encode(["Ack", {"detail": "x", "error": 3}])) == P.Ack(3, "x")

@@ -186,3 +186,56 @@ def test_clcdump_reads_a_file_and_reports_a_backend_failure(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "# loop 1: masked (barrier)" in text
     assert "vector ops=" in text and "interp failed: barrier()" in text
+
+
+# ----------------------------------------------------------------------
+# perfpair: the statistics, with a stubbed benchmark runner
+# ----------------------------------------------------------------------
+def _stub_run(wall_s, virtual_s=0.5, correct=True):
+    return {
+        "correct": correct,
+        "metrics": {
+            "wall_s": {"value": wall_s, "unit": "s"},
+            "virtual_s": {"value": virtual_s, "unit": "sim_s"},
+        },
+    }
+
+
+def test_perfpair_statistics():
+    from repro.tools import perfpair
+
+    parent = [10.0, 12.0, 11.0, 13.0, 10.0]
+    change = [8.0, 9.0, 11.0, 14.0, 7.0]  # 3 wins, 1 tie, 1 loss
+    pairs = [(_stub_run(p), _stub_run(c)) for p, c in zip(parent, change)]
+    wall, virtual = perfpair.summarise(pairs)
+    assert (wall["metric"], wall["unit"]) == ("wall_s", "s")
+    assert (wall["parent_median"], wall["change_median"]) == (11.0, 9.0)
+    assert wall["parent_iqr"] == pytest.approx(2.0)  # inclusive quartiles 10 and 12
+    assert wall["change_iqr"] == pytest.approx(3.0)  # 8 and 11
+    assert wall["ratio"] == pytest.approx(9.0 / 11.0)
+    assert wall["wins"] == 3 and wall["equal_per_seed"] is None
+    assert virtual["equal_per_seed"] is True and virtual["wins"] == 0
+    pairs[2] = (_stub_run(11.0, virtual_s=0.5), _stub_run(11.0, virtual_s=0.25))
+    assert perfpair.summarise(pairs)[1]["equal_per_seed"] is False
+    assert "DIFFERS PER SEED" in perfpair.format_table(perfpair.summarise(pairs), 5)
+
+
+def test_perfpair_alternates_order_and_flags_incorrect_runs(capsys):
+    from repro.tools import perfpair
+
+    calls = []
+
+    def runner(root, workload, seed, seconds):
+        calls.append((root, workload, seed, seconds))
+        is_parent = root == "/parent"
+        return _stub_run(10.0 if is_parent else 7.0, correct=is_parent or seed != 2)
+
+    argv = ["--parent", "/parent", "--workload", "tenant_steady", "--pairs", "4", "--seconds", "2"]
+    assert perfpair.main(argv, runner=runner) == 1  # the change's seed-2 run was incorrect
+    assert [seed for _, _, seed, _ in calls] == [0, 0, 1, 1, 2, 2, 3, 3]
+    assert [root == "/parent" for root, *_ in calls] == [True, False, False, True] * 2
+    assert all(call[1:] == ("tenant_steady", call[2], 2.0) for call in calls)
+    out, err = capsys.readouterr()
+    assert "wall_s" in out and "0.700" in out and "  4/4 " in out
+    assert "pair 2 change" in err
+    assert perfpair.main(argv, runner=lambda *a: _stub_run(1.0)) == 0
