@@ -994,6 +994,7 @@ FAULT_WATCHDOG_TRANSFERS = 100_000
 #: faulted run has to be bit-identical to the fault-free run.
 RECOVERABLE_SCHEDULES = (
     "drop-batch", "drop-reply", "delay-batch", "truncate-bulk", "sever-heal",
+    "drop-request", "drop-build",
 )
 
 #: Schedules that destroy state for good: runs must fail with the same
@@ -1009,9 +1010,10 @@ DAEMON_LOSS_CODES = frozenset(
 def fault_plan(schedule: str) -> FaultPlan:
     """Build a fresh :class:`FaultPlan` for a named schedule.
 
-    Every schedule targets batch or bulk traffic (occurrence-counted, so
-    the same program faults the same message every run) and carries the
-    :data:`FAULT_WATCHDOG_TRANSFERS` budget.
+    Every schedule targets steady-state traffic — batches, bulk streams,
+    the s2s mesh, the request leg of a synchronous fan-out — by tag
+    (occurrence-counted, so the same program faults the same message
+    every run) and carries the :data:`FAULT_WATCHDOG_TRANSFERS` budget.
     """
     actions = {
         "drop-batch": [FaultAction("drop", nth=2, tag="CommandBatch")],
@@ -1025,6 +1027,8 @@ def fault_plan(schedule: str) -> FaultPlan:
         "sever-permanent": [
             FaultAction("sever", nth=2, tag="CommandBatch", heal_after=None)
         ],
+        "drop-request": [FaultAction("drop", nth=1, tag="FinishRequest")],
+        "drop-build": [FaultAction("drop", nth=1, tag="BuildProgramRequest")],
         "sever-push": [FaultAction("sever", nth=1, tag="s2s-push", heal_after=1)],
         "sever-fetch": [
             FaultAction(
@@ -1098,6 +1102,10 @@ FORCED_PROGRAMS = {
     "sever-fetch": (deferred_read_fault_spec, "deferred_reads"),
 }
 
+#: Schedules whose traffic only exists off the ``full`` configuration
+#: (the program cache replaces the synchronous build fan-out).
+SCHEDULE_CONFIGS = {"drop-build": "cache_off"}
+
 #: Every named schedule, in ``--faults`` matrix order.
 ALL_SCHEDULES = RECOVERABLE_SCHEDULES + UNRECOVERABLE_SCHEDULES + tuple(FORCED_PROGRAMS)
 
@@ -1160,13 +1168,13 @@ def _check_resilience_stats(tag: str, stats: Dict[str, int]) -> None:
         assert stats[key] >= 0, f"{tag}: negative counter {key}"
 
 
-def run_seed_with_faults(
-    seed: int, schedule: str, config: str = "full"
-) -> Dict[str, object]:
+def run_seed_with_faults(seed: int, schedule: str) -> Dict[str, object]:
     """Run one (seed, schedule) fault cell and assert its contract.
 
     The program is the seed's generated one, or the schedule's row of
-    :data:`FORCED_PROGRAMS` (whose vacuity check is asserted first).
+    :data:`FORCED_PROGRAMS` (whose vacuity check is asserted first); the
+    configuration is ``full`` unless :data:`SCHEDULE_CONFIGS` names
+    another.
     Unrecoverable schedule: the faulted run must reproduce *itself*
     exactly on a second run, and every error it surfaces must be
     daemon-loss class.  Any other schedule is recoverable: the faulted
@@ -1177,6 +1185,7 @@ def run_seed_with_faults(
     """
     build_spec, witness = FORCED_PROGRAMS.get(schedule, (generate_program, None))
     spec = build_spec(seed)
+    config = SCHEDULE_CONFIGS.get(schedule, "full")
     flags = dict(CONFIGS[config])
     tag = f"seed {seed} schedule {schedule}"
     baseline = run_program_resilient(spec, flags, None)

@@ -300,7 +300,7 @@ class DOpenCLAPI:
             # completes; here the pending deferred fetch must run before
             # the release forwards, or the resolution would fetch a
             # buffer the daemon already freed.
-            self.driver.resolve_deferred_reads(buffers=[buffer])
+            self.driver.resolve_deferred_reads([buffer.id])
         buffer.release()
         if buffer.released:
             # Drop it from the read-coalescing candidate pool eagerly —
@@ -336,7 +336,7 @@ class DOpenCLAPI:
         # WAR hazard: a pending deferred read of this buffer must
         # observe the *pre-write* bytes — resolve it before the write
         # mutates anything.
-        self.driver.resolve_deferred_reads(buffers=[buffer], events=wait_for)
+        self.driver.resolve_deferred_reads([buffer.id] + [e.id for e in wait_for or ()])
         partial = offset != 0 or raw.size != buffer.size
         if partial and not buffer.planner.is_valid("client"):
             # Read-modify-write: fetch a valid copy before a partial update.
@@ -381,7 +381,7 @@ class DOpenCLAPI:
         )
         # Ordered + zero-copy: flushes the window, then streams the
         # client-side ndarray itself (no tobytes() materialisation).
-        self.driver.send_bulk(queue.server, init, buffer.data, buffer.size)
+        self.driver.send_bulk([queue.server], lambda c: init, buffer.data, buffer.size)
 
     def clEnqueueReadBuffer(
         self,
@@ -452,8 +452,9 @@ class DOpenCLAPI:
                 # ev.wait drains the relevant send windows (flush hook)
                 # before resolving.
                 self.clock.advance_to(ev.wait(self.clock.now))
-        event = EventStub(queue.context, self.driver.new_id(), queue.server.name, CL_COMMAND_READ_BUFFER)
-        self.driver._events[event.id] = event
+        event = self.driver.register_event(
+            EventStub(queue.context, self.driver.new_id(), queue.server.name, CL_COMMAND_READ_BUFFER)
+        )
         # Read coalescing: when this blocking read must
         # download its buffer, the sibling dirty buffers stranded on the
         # same daemon ride the same CoalescedBufferDownload fetch — the
@@ -522,7 +523,7 @@ class DOpenCLAPI:
         src.check_range(src_offset, nbytes)
         dst.check_range(dst_offset, nbytes)
         # WAR hazard: pending deferred reads of dst see pre-copy bytes.
-        self.driver.resolve_deferred_reads(buffers=[dst], events=wait_for)
+        self.driver.resolve_deferred_reads([dst.id] + [e.id for e in wait_for or ()])
         # Client-mediated copy: validate the client's copy of src, update
         # dst on the client, push dst to the queue's server.
         src.planner.note_client_demand()
@@ -613,19 +614,14 @@ class DOpenCLAPI:
             self.driver.forward_creation(context.unique_servers, make_create)
             return program
         payload = source.encode("utf-8")
-        self.driver.flush_connections(context.unique_servers)
-        t = self.clock.now
-        latest = t
-        for conn in context.unique_servers:
-            init = P.CreateProgramRequest(
+        self.driver.send_bulk(
+            context.unique_servers,
+            lambda conn: P.CreateProgramRequest(
                 program_id=program.id, context_id=context.id, source_bytes=len(payload)
-            )
-            outcome, arrival = self.driver.gcf.send_bulk(
-                conn.daemon.gcf, init, payload, len(payload), t
-            )
-            self.driver.check(outcome.response)
-            latest = max(latest, arrival)
-        self.clock.advance_to(latest)
+            ),
+            payload,
+            len(payload),
+        )
         return program
 
     def clBuildProgram(self, program: ProgramStub, options: str = "") -> None:
@@ -653,18 +649,14 @@ class DOpenCLAPI:
         if self.driver.program_cache:
             self._build_program_cached(program, options)
             return
-        outcomes = {}
-        self.driver.flush_connections(program.context.unique_servers)
-        t = self.clock.now
-        latest = t
+        # Replay-safe under a retry policy: a re-sent BuildProgramRequest
+        # is a deterministic rebuild answering the identical reply.
+        outcomes = self.driver.fanout(
+            program.context.unique_servers,
+            lambda conn: P.BuildProgramRequest(program_id=program.id, options=options),
+            check=False,
+        )
         failures = []
-        for conn in program.context.unique_servers:
-            outcome = self.driver.gcf.request(
-                conn.daemon.gcf, P.BuildProgramRequest(program_id=program.id, options=options), t
-            )
-            outcomes[conn.name] = outcome
-            latest = max(latest, outcome.reply_arrival)
-        self.clock.advance_to(latest)
         for name, outcome in outcomes.items():
             resp = outcome.response
             program.build_logs[name] = resp.log
@@ -704,9 +696,9 @@ class DOpenCLAPI:
         else:
             record.hits += 1
             if record.kind == "success":
-                self.driver.gcf.stats.build_cache_hits += 1
+                self.driver.stats.build_cache_hits += 1
             else:
-                self.driver.gcf.stats.negative_build_hits += 1
+                self.driver.stats.negative_build_hits += 1
         self.driver.fanout_deferred(
             servers,
             lambda conn: P.BuildProgramCachedRequest(
@@ -760,8 +752,8 @@ class DOpenCLAPI:
                     "program has not been built successfully",
                 )
             servers = program.context.unique_servers
+            # With no live server left, the first one's terminal error.
             conn = next((c for c in servers if c.connected and not c.dead), servers[0])
-            self.driver._check_usable(conn)  # no live server: its terminal error
             outcome = self.driver.roundtrip(
                 conn, P.GetProgramBinaryRequest(program_id=program.id)
             )
@@ -955,7 +947,9 @@ class DOpenCLAPI:
             for i in kernel.writable_buffer_args
             if isinstance(kernel.args[i], BufferStub)
         ]
-        self.driver.resolve_deferred_reads(buffers=war_buffers, events=wait_for)
+        self.driver.resolve_deferred_reads(
+            [b.id for b in war_buffers] + [e.id for e in wait_for or ()]
+        )
         plans = []
         for buffer in kernel.buffer_args():
             if buffer.flags & CL_MEM_WRITE_ONLY and buffer.pristine:

@@ -9,6 +9,9 @@ device-manager assignment), the unique-ID allocator for stubs, the
 fan-out machinery for compound-stub call replication, the execution of
 coherence-protocol transfer plans, and the event-consistency protocol
 (original event + user-event replicas + completion notifications).
+Talking to a daemon is delegated to the driver's :class:`~repro.core.
+client.resilience.Transport`; what stays here is *ordering* — how much of
+a send window must precede an exchange (all, the relevant prefix, none).
 
 It also owns the **asynchronous command-forwarding pipeline**: enqueue-
 class requests (kernel launches, kernel-arg updates, releases, event
@@ -67,21 +70,19 @@ from repro.core.client.stubs import (
     BufferStub,
     ContextStub,
     EventStub,
-    KernelStub,
-    ProgramStub,
     QueueStub,
     RemoteDevice,
     ServerHandle,
     UserEventStub,
 )
-from repro.core.client.resilience import RetryPolicy, cl_error_for
+from repro.core.client.resilience import RetryPolicy, Transport
 from repro.core.coherence.directory import CLIENT, Transfer
 from repro.core.coherence.planner import split_transfer_plan
 from repro.core.devmgr.config import parse_devmgr_config
 from repro.core.protocol import messages as P
 from repro.hw.node import Host
 from repro.net.gcf import GCFProcess, RequestOutcome
-from repro.net.link import ConnectionRefused, ConnectionReset
+from repro.net.link import ConnectionRefused
 from repro.net.network import Network
 from repro.net.streams import as_uint8_array, split_sections
 from repro.ocl.constants import (
@@ -92,7 +93,6 @@ from repro.ocl.constants import (
 )
 from repro.ocl.errors import CLError
 from repro.sim.clock import VirtualClock
-from repro.sim.errors import CommunicationError
 
 #: Default send-window size: a window is force-flushed once it holds this
 #: many deferred commands (sync points flush earlier).
@@ -162,6 +162,12 @@ class DOpenCLDriver:
         retry_policy: Optional[RetryPolicy] = None,
         program_cache: bool = True,
     ) -> None:
+        if retry_policy is not None and not batch_window:
+            raise ValueError(
+                "batch_window=0 cannot run under a retry_policy: the reference "
+                "path's single creation/enqueue requests carry no replay "
+                "identity, so a retried one could execute twice"
+            )
         self.host = host
         self.network = network
         self.directory = directory or DaemonDirectory()
@@ -223,27 +229,10 @@ class DOpenCLDriver:
         #: :class:`~repro.core.protocol.messages.PushCommit` a planned
         #: server-to-server leg converts them into.
         self._peer_commits: Dict[int, Tuple[int, str]] = {}
-        # Nesting depth of flush_connections' dispatch loop.  While > 0,
-        # windows already swapped out (but not yet dispatched) are no
-        # longer protected by in-window program order, so defer() must
-        # not trigger overflow flushes — a mid-dispatch relay batch could
-        # otherwise overtake the swapped-out batch holding its replica's
-        # CreateUserEventRequest.  Overflowing windows drain at the
-        # enclosing drain loop / next flush point instead.
-        self._dispatch_depth = 0
-        # First unreported daemon-side failure of a deferred command:
-        # (message, response, reply_arrival).  Stashed when a flush runs
-        # in a context that must not raise (e.g. inside a notification
-        # handler) and surfaced at the next client-initiated sync point.
-        self._deferred_failure: Optional[Tuple[P.Request, object, float]] = None
-        #: Optional :class:`~repro.core.client.resilience.RetryPolicy`.
-        #: ``None`` (the default) keeps every transport call exactly the
-        #: pre-resilience single attempt — zero overhead, zero wire
-        #: change.  With a policy, synchronous exchanges retry with
-        #: exponential backoff, batches carry a replay identity for the
-        #: daemon-side dedupe, and an exhausted budget declares the
-        #: daemon dead (see :meth:`_declare_daemon_lost`).
-        self.retry_policy = retry_policy
+        #: Every exchange with a daemon, the retry loop (``retry_policy``
+        #: ``None``, the default, keeps each a single attempt — zero
+        #: overhead, zero wire change) and the deferred-failure stash.
+        self.transport = Transport(self.gcf, self.clock, retry_policy, self._on_daemon_lost)
         #: When True (default) the client participates in the
         #: content-addressed program build cache: ``clBuildProgram``
         #: resolves kernel-arg metadata locally (a stub-cache hit costs
@@ -284,6 +273,16 @@ class DOpenCLDriver:
         """Allocate the next client-unique stub ID."""
         return next(self._ids)
 
+    def register_event(self, stub: EventStub, flush_hook=None) -> EventStub:
+        """Enter ``stub`` in the driver's event table — where completion
+        notifications, the window graph's closure walk and daemon-loss
+        poisoning find it — after attaching ``flush_hook``, the drain its
+        ``wait()`` runs first (none for an event born complete)."""
+        if flush_hook is not None:
+            stub.attach_flush_hook(flush_hook)
+        self._events[stub.id] = stub
+        return stub
+
     # ------------------------------------------------------------------
     # client-stub program build cache
     # ------------------------------------------------------------------
@@ -319,13 +318,9 @@ class DOpenCLDriver:
     def connection(self, name: str) -> ServerConnection:
         """The live connection called ``name`` (CLError when absent)."""
         conn = self._connections.get(name)
-        if conn is not None and conn.dead:
-            raise CLError(
-                ErrorCode.CL_DEVICE_NOT_AVAILABLE,
-                f"daemon {name!r} is dead: {conn.dead_reason}",
-            )
-        if conn is None or not conn.connected:
+        if conn is None:
             raise CLError(ErrorCode.CL_INVALID_SERVER_WWU, f"not connected to {name!r}")
+        self.transport.check_usable(conn)
         return conn
 
     def register_context(self, context: ContextStub) -> None:
@@ -333,119 +328,27 @@ class DOpenCLDriver:
         the API layer when ``clCreateContext`` succeeds)."""
         self.contexts.append(context)
 
-    # ------------------------------------------------------------------
-    # resilience: retries, timeouts, daemon-loss declaration
-    # ------------------------------------------------------------------
-    def _check_usable(self, conn: ServerConnection) -> None:
-        """Raise the connection's terminal error: ``CL_DEVICE_NOT_AVAILABLE``
-        for a daemon declared dead, ``CL_INVALID_SERVER_WWU`` for an
-        orderly disconnect."""
-        if conn.dead:
-            raise CLError(
-                ErrorCode.CL_DEVICE_NOT_AVAILABLE,
-                f"daemon {conn.name!r} is dead: {conn.dead_reason}",
-            )
-        if not conn.connected:
-            raise CLError(
-                ErrorCode.CL_INVALID_SERVER_WWU,
-                f"server {conn.name!r} was disconnected; objects on it are gone",
-            )
-
-    def _daemon_gone(self, conn: ServerConnection) -> bool:
-        """Cheap crash probe: a crashed daemon wiped its peer table, so
-        this client is no longer registered there.  Only consulted on
-        the resilient path (a retry policy is installed)."""
-        return self.gcf.name not in conn.daemon.gcf.peers
-
-    def _transport(self, conn: ServerConnection, attempt_fn, description: str):
-        """Run one synchronous transport exchange under the retry policy.
-
-        Without a policy this is exactly ``attempt_fn()`` — the
-        pre-resilience behaviour, including its exceptions.  With a
-        policy, a :class:`CommunicationError` charges the policy's
-        timeout penalty on the client clock (``stats.timeouts``) and the
-        exchange is re-attempted with exponential backoff
-        (``stats.retries``); a :class:`ConnectionReset` — or a crash
-        detected by :meth:`_daemon_gone` — skips the remaining budget.
-        When the budget is exhausted the daemon is declared dead and
-        ``None`` is returned; the caller's sync path surfaces the stashed
-        failure (callers inside notification handlers must not raise).
-        """
-        policy = self.retry_policy
-        if policy is None:
-            return attempt_fn()
-        if conn.dead:
-            return None
-        last_exc: Optional[BaseException] = None
-        for attempt in range(policy.max_attempts):
-            if self._daemon_gone(conn):
-                reset = ConnectionReset(
-                    f"daemon {conn.name!r} dropped the session (crash/restart)"
-                )
-                self._declare_daemon_lost(conn, last_exc or reset)
-                return None
-            try:
-                return attempt_fn()
-            except ConnectionReset as exc:
-                self._declare_daemon_lost(conn, exc)
-                return None
-            except CommunicationError as exc:
-                last_exc = exc
-                self.stats.timeouts += 1
-                self.clock.advance_by(policy.penalty(attempt))
-                if attempt + 1 < policy.max_attempts:
-                    self.stats.retries += 1
-        self._declare_daemon_lost(conn, last_exc)
-        return None
-
-    def _declare_daemon_lost(self, conn: ServerConnection, exc: BaseException) -> None:
-        """Graceful degradation after an exhausted retry budget (or a
-        connection reset): mark the connection dead, make its devices
-        unavailable, poison every unresolved event homed on the daemon,
-        evict its replicas from every buffer's coherence directory, and
-        stash a deferred failure so the loss surfaces as a
-        ``CL_DEVICE_NOT_AVAILABLE``-class error at the next sync point.
-        Never raises — it can run inside notification-handler flushes."""
-        if conn.dead:
-            return
-        code, detail = cl_error_for(exc)
-        conn.dead = True
-        conn.dead_reason = detail
-        conn.connected = False
-        conn.window.swap_out()  # anything still windowed can never be delivered
-        self.stats.dead_daemons += 1
-        for dev in conn.devices:
-            dev.available = False
-        self.gcf.peers.pop(conn.daemon.gcf.name, None)
-        conn.daemon.gcf.peers.pop(self.gcf.name, None)
-        poison = (int(code), f"daemon {conn.name!r} died: {detail}")
+    def _on_daemon_lost(self, conn: ServerConnection, code: int, reason: str) -> None:
+        """The driver's half of a daemon-loss declaration (the transport
+        marked the connection dead): poison every unresolved event homed
+        on the daemon, evict its replicas from every coherence directory
+        and drop the commit records it can no longer apply.  Never
+        raises — it can run inside a notification handler's flush."""
         for stub in self._events.values():
             if stub.owner_server == conn.name and not stub.resolved:
-                stub.poisoned = poison
+                stub.poisoned = (code, reason)
         for context in self.contexts:
             for buffer in context.live_buffers:
-                if buffer.released:
-                    continue
-                self.stats.evicted_replicas += buffer.planner.evict(
-                    conn.name, reason=f"daemon {conn.name!r} died: {detail}"
-                )
+                if not buffer.released:
+                    self.stats.evicted_replicas += buffer.planner.evict(
+                        conn.name, reason=reason
+                    )
         # Commit records destined for the dead daemon can never be
         # applied (the staged bytes died with its process).
         for buffer_id, (_epoch, target) in list(self._peer_commits.items()):
             if target == conn.name:
                 del self._peer_commits[buffer_id]
                 self.stats.wasted_pushes += 1
-        if self._deferred_failure is None:
-            response = P.Ack(error=int(code), detail=poison[1])
-            self._deferred_failure = (None, response, self.clock.now)
-
-    @staticmethod
-    def check(response) -> object:
-        """Raise a faithful CLError if a daemon response reports one."""
-        error = getattr(response, "error", 0)
-        if error:
-            raise CLError(ErrorCode(error), getattr(response, "detail", ""))
-        return response
 
     @property
     def batching_enabled(self) -> bool:
@@ -504,19 +407,15 @@ class DOpenCLDriver:
 
         With batching disabled this degenerates to an immediate
         synchronous round trip (identical outcome, eager error check)."""
-        self._check_usable(conn)
+        self.transport.check_usable(conn)
         if type(msg) not in P.DEFERRABLE:
             raise CLError(
                 ErrorCode.CL_INVALID_OPERATION,
                 f"{type(msg).__name__} cannot be forwarded asynchronously",
             )
         if not self.batching_enabled:
-            outcome = self.gcf.request(conn.daemon.gcf, msg, self.clock.now)
-            self.clock.advance_to(outcome.reply_arrival)
-            if raise_errors:
-                self.check(outcome.response)
-            elif getattr(outcome.response, "error", 0) and self._deferred_failure is None:
-                self._deferred_failure = (msg, outcome.response, outcome.reply_arrival)
+            outcome = self.transport.request([conn], lambda c: msg, check=raise_errors)
+            self.transport.record_failures([msg], outcome[conn.name])
             return
         default_reads, creates = P.request_handles(msg)
         conn.window.append(
@@ -526,43 +425,12 @@ class DOpenCLDriver:
                 creates if writes is None else writes,
             )
         )
-        if len(conn.window) >= self.batch_window and self._dispatch_depth == 0:
+        if len(conn.window) >= self.batch_window and self.transport.dispatch_depth == 0:
             # Overflow flush — suppressed while a dispatch loop is live
-            # (see ``_dispatch_depth``): commands deferred mid-dispatch
+            # (see ``Transport.dispatch_depth``): commands deferred mid-dispatch
             # wait for the enclosing drain so they can never overtake a
             # swapped-out batch they causally depend on.
             self.flush_connection(conn, raise_errors=raise_errors)
-
-    def _record_batch_failures(self, window: Sequence[P.Request], outcome) -> None:
-        """Stash the first daemon-reported failure of a dispatched batch
-        (checked per batch, as each returns, so a later transport error
-        cannot discard an earlier batch's deferred error)."""
-        if self._deferred_failure is not None:
-            return
-        for msg, response in zip(window, outcome.responses):
-            if getattr(response, "error", 0):
-                self._deferred_failure = (msg, response, outcome.reply_arrival)
-                return
-
-    def _surface_deferred_failure(self) -> None:
-        """Raise the stashed deferred-command failure, if any — called at
-        client-initiated sync points only, never from inside a
-        daemon-to-client callback."""
-        if self._deferred_failure is None:
-            return
-        msg, response, reply_arrival = self._deferred_failure
-        self._deferred_failure = None
-        self.clock.advance_to(reply_arrival)  # the client learns here
-        if msg is None:
-            # A daemon-loss declaration (no single command to blame).
-            raise CLError(ErrorCode(response.error), getattr(response, "detail", ""))
-        _reads, creates = P.request_handles(msg)
-        ids = f" (handle {', '.join(map(str, sorted(creates)))})" if creates else ""
-        raise CLError(
-            ErrorCode(response.error),
-            f"deferred {type(msg).__name__}{ids} failed: "
-            f"{getattr(response, 'detail', '')}",
-        )
 
     def flush_connections(
         self, conns: Sequence[ServerConnection], raise_errors: bool = True
@@ -585,72 +453,11 @@ class DOpenCLDriver:
         # Swap every window out first: completion notifications fired
         # while a batch is dispatched may defer/flush more commands,
         # which must land in a fresh window.
-        batches = [(conn, conn.window.swap_out()) for conn in conns if conn.window]
-        self._dispatch_command_batches(batches)
+        self.transport.dispatch_batches(
+            [(conn, conn.window.swap_out()) for conn in conns if conn.window]
+        )
         if raise_errors:
-            self._surface_deferred_failure()
-
-    def _dispatch_command_batches(
-        self, batches: Sequence[Tuple[ServerConnection, List[WindowCommand]]]
-    ) -> None:
-        """Send each prepared command list as one CommandBatch (all at
-        the same client time) and record deferred failures.  The lists
-        must already be detached from their windows (``swap_out`` /
-        ``split_prefix``) — dispatching can defer new commands, which
-        belong in the live windows, not the batches in flight."""
-        if not batches:
-            return
-        t = self.clock.now
-        self._dispatch_depth += 1
-        try:
-            for conn, commands in batches:
-                msgs = [c.msg for c in commands]
-                if self.retry_policy is None:
-                    outcome = self.gcf.request_batch(conn.daemon.gcf, msgs, t)
-                else:
-                    outcome = self._dispatch_batch_resilient(conn, msgs)
-                    if outcome is None:
-                        continue  # daemon declared dead; failure stashed
-                self._record_batch_failures(msgs, outcome)
-        finally:
-            self._dispatch_depth -= 1
-
-    def _dispatch_batch_resilient(self, conn: ServerConnection, msgs: List[P.Request]):
-        """Dispatch one batch under the retry policy: stamp it with the
-        connection's replay identity (epoch, next sequence number) so
-        every re-send is byte-identical and the daemon's dispatch dedupe
-        can re-answer an already-executed replay from its cached reply.
-        Returns the :class:`~repro.net.gcf.BatchOutcome`, or ``None``
-        when the daemon was declared dead mid-dispatch."""
-        if conn.dead:
-            self._record_lost_batch(conn, msgs)
-            return None
-        seq = conn.next_seq
-        conn.next_seq += 1
-        attempts = iter(range(1_000_000))
-
-        def attempt():
-            if next(attempts) > 0:
-                self.stats.replayed_batches += 1
-            return self.gcf.request_batch(
-                conn.daemon.gcf, msgs, self.clock.now, epoch=conn.epoch, seq=seq
-            )
-
-        outcome = self._transport(conn, attempt, "CommandBatch")
-        if outcome is None:
-            self._record_lost_batch(conn, msgs)
-        return outcome
-
-    def _record_lost_batch(self, conn: ServerConnection, msgs: Sequence[P.Request]) -> None:
-        """Stash a positional failure for a batch that could never be
-        delivered (its daemon is dead): the first undeliverable command
-        is blamed, mirroring how a daemon-side error would surface."""
-        if self._deferred_failure is None and msgs:
-            response = P.Ack(
-                error=int(ErrorCode.CL_DEVICE_NOT_AVAILABLE),
-                detail=f"daemon {conn.name!r} died: {conn.dead_reason}",
-            )
-            self._deferred_failure = (msgs[0], response, self.clock.now)
+            self.transport.surface_deferred_failure()
 
     def flush_connection(self, conn: ServerConnection, raise_errors: bool = True) -> None:
         """Send ``conn``'s window as one CommandBatch and settle the
@@ -695,8 +502,8 @@ class DOpenCLDriver:
         # Full sync point: every pending deferred read resolves here —
         # ``clFinish`` promises all forwarded work (fetches included)
         # has completed.
-        self.resolve_deferred_reads(everything=True)
-        self._surface_deferred_failure()
+        self.resolve_deferred_reads()
+        self.transport.surface_deferred_failure()
 
     def flush_for_handles(
         self, handles: Iterable[int], raise_errors: bool = True
@@ -737,7 +544,7 @@ class DOpenCLDriver:
                     batches.append((conn, prefix))
             if not batches:
                 break
-            self._dispatch_command_batches(batches)
+            self.transport.dispatch_batches(batches)
         else:
             raise CLError(
                 ErrorCode.CL_INVALID_OPERATION,
@@ -749,8 +556,8 @@ class DOpenCLDriver:
             # or buffer the closure walk visited ride this flush (the
             # "next relevant flush" of the deferred-fetch contract).
             # Internal drains (raise_errors=False) stay resolution-free.
-            self.resolve_deferred_reads(relevant=seen)
-            self._surface_deferred_failure()
+            self.resolve_deferred_reads(seen)
+            self.transport.surface_deferred_failure()
         return seen
 
     def _split_relevant_prefix(
@@ -834,9 +641,10 @@ class DOpenCLDriver:
         Client-local (no replica fan-out — daemons never gate on it) and
         wired so that ``wait()`` resolves the pending fetch instead of
         merely draining windows."""
-        stub = EventStub(context, self.new_id(), owner_server, CL_COMMAND_READ_BUFFER)
-        stub.attach_flush_hook(self._flush_for_deferred_read)
-        self._events[stub.id] = stub
+        stub = self.register_event(
+            EventStub(context, self.new_id(), owner_server, CL_COMMAND_READ_BUFFER),
+            lambda stub: self.resolve_deferred_reads([stub.id]),
+        )
         self._local_event_ids.add(stub.id)
         return stub
 
@@ -853,18 +661,10 @@ class DOpenCLDriver:
         ids: List[int] = []
         for ev in wait_for or ():
             if ev.id in self._local_event_ids:
-                if not ev.resolved:
-                    self.resolve_deferred_reads(event=ev)
-                continue
-            ids.append(ev.id)
+                self.resolve_deferred_reads([ev.id])  # no-op once resolved
+            else:
+                ids.append(ev.id)
         return ids
-
-    def _flush_for_deferred_read(self, stub: EventStub) -> None:
-        """Flush hook of a deferred-read event: resolve its fetch (which
-        drains the read's dependency closure on the way)."""
-        if stub.resolved:
-            return
-        self.resolve_deferred_reads(event=stub)
 
     def record_deferred_read(
         self,
@@ -883,44 +683,29 @@ class DOpenCLDriver:
         )
         self.stats.deferred_reads += 1
 
-    def resolve_deferred_reads(
-        self,
-        event: Optional[EventStub] = None,
-        buffers: Optional[Iterable[BufferStub]] = None,
-        events: Optional[Iterable[EventStub]] = None,
-        relevant: Optional[FrozenSet[int]] = None,
-        everything: bool = False,
-    ) -> None:
-        """Resolve pending deferred reads selected by any of the given
-        criteria (a specific read ``event`` — or any of ``events`` —,
-        reads of the given ``buffers``, reads whose event or buffer
-        handle appears in a flush's ``relevant`` set, or ``everything``
-        for a full sync point).  The selection is closed transitively over event
-        dependencies — a read whose ``wait_for`` names another pending
-        read pulls that one into the same group — and the whole group
-        resolves in enqueue order, fusing its downloads per source
+    def resolve_deferred_reads(self, handles: Optional[Iterable[int]] = None) -> None:
+        """Resolve the pending deferred reads whose event or buffer is
+        among ``handles`` (stub IDs are client-unique across events and
+        buffers, so one ID set names a read event, a wait-list event, a
+        buffer about to be overwritten or released, or a flush's whole
+        relevance set alike); ``None`` is the full sync point and selects
+        every pending read.  The selection is closed transitively over
+        event dependencies — a read whose ``wait_for`` names another
+        pending read pulls that one into the same group — and the whole
+        group resolves in enqueue order, fusing its downloads per source
         daemon exactly like a blocking read's gang.
 
         Re-entrant calls (resolution drains windows and waits on events,
         whose hooks land back here) are no-ops."""
         if self._resolving_reads or not self._deferred_reads:
             return
-        buffer_ids = {b.id for b in buffers} if buffers is not None else None
-        event_ids = {e.id for e in events} if events is not None else set()
-        if event is not None:
-            event_ids.add(event.id)
-        selected: List[_DeferredRead] = []
-        for d in self._deferred_reads:
-            if everything:
-                selected.append(d)
-            elif d.event.id in event_ids:
-                selected.append(d)
-            elif buffer_ids is not None and d.buffer.id in buffer_ids:
-                selected.append(d)
-            elif relevant is not None and (
-                d.event.id in relevant or d.buffer.id in relevant
-            ):
-                selected.append(d)
+        if handles is not None:
+            handles = frozenset(handles)
+        selected = [
+            d
+            for d in self._deferred_reads
+            if handles is None or d.event.id in handles or d.buffer.id in handles
+        ]
         if not selected:
             return
         # Transitive closure over event deps: if a selected read's
@@ -1035,60 +820,40 @@ class DOpenCLDriver:
             if d in self._deferred_reads:
                 self._deferred_reads.remove(d)
 
-    def _surface_transport_loss(self, conn: ServerConnection) -> None:
-        """A sync-path transport call came back ``None`` (daemon declared
-        dead mid-exchange): surface the stashed failure — or, if an
-        earlier deferred failure already occupies the slot, the
-        connection's terminal error.  Always raises."""
-        self._surface_deferred_failure()
-        self._check_usable(conn)
-        raise CLError(  # pragma: no cover - _check_usable always raises here
-            ErrorCode.CL_DEVICE_NOT_AVAILABLE, f"daemon {conn.name!r} unreachable"
-        )
+    # ------------------------------------------------------------------
+    # synchronous exchanges, ordered behind the whole send window
+    # ------------------------------------------------------------------
+    def fanout(
+        self, servers: Sequence[ServerConnection], make_msg, check: bool = True
+    ) -> Dict[str, RequestOutcome]:
+        """Send ``make_msg(conn)`` to every server and wait for all the
+        replies (:meth:`~repro.core.client.resilience.Transport.exchange`),
+        each server's send window flushed first so its daemon observes
+        every previously issued command before this one.  ``check=False``
+        hands error replies back (the build fan-out collects every log)."""
+        self.flush_connections(servers)
+        return self.transport.request(servers, make_msg, check)
 
     def roundtrip(self, conn: ServerConnection, msg: P.Request) -> RequestOutcome:
-        """Synchronous request to ``conn`` with ordering preserved: the
-        send window is flushed first so the daemon observes every
-        previously issued command before this one.  Under a retry policy
-        the exchange is re-attempted on communication faults; requests
-        routed here are idempotent on replay (validation-only inits,
-        whole-object peer writes, finish barriers)."""
-        self.flush_connection(conn)
-        outcome = self._transport(
-            conn,
-            lambda: self.gcf.request(conn.daemon.gcf, msg, self.clock.now),
-            type(msg).__name__,
-        )
-        if outcome is None:
-            self._surface_transport_loss(conn)
-        self.clock.advance_to(outcome.reply_arrival)
-        self.check(outcome.response)
-        return outcome
+        """:meth:`fanout` of one request to one server."""
+        return self.fanout([conn], lambda c: msg)[conn.name]
 
-    def send_bulk(self, conn: ServerConnection, init: P.Request, payload, nbytes: int):
-        """Ordered stream-based upload (flushes the window first).
-
-        Replay-safe under the retry policy: the init handler only
-        validates (no state change), and the sink applies a whole-object
-        write, so re-running the full init + payload + sink sequence
-        after a lost leg converges to the same daemon state."""
-        self.flush_connection(conn)
-        result = self._transport(
-            conn,
-            lambda: self.gcf.send_bulk(
-                conn.daemon.gcf, init, payload, nbytes, self.clock.now
-            ),
-            type(init).__name__,
-        )
-        if result is None:
-            self._surface_transport_loss(conn)
-        outcome, arrival = result
-        self.check(outcome.response)
-        self.clock.advance_to(arrival)
-        return outcome, arrival
+    def send_bulk(
+        self, servers: Sequence[ServerConnection], make_init, payload, nbytes: int
+    ) -> Dict[str, RequestOutcome]:
+        """Ordered stream-based upload of ``payload`` to every server
+        behind its ``make_init(conn)`` exchange (each window is flushed
+        first)."""
+        self.flush_connections(servers)
+        return self.transport.upload(servers, make_init, payload, nbytes)
 
     # ------------------------------------------------------------------
     # connection management (Section III-C + IV-B)
+    #
+    # Session management — handshake + device list, the device-manager
+    # lease, teardown — talks to GCF directly: it runs before (or ends)
+    # the ServerConnection the transport would flush, retry against and
+    # declare dead, and the device manager is no daemon at all.
     # ------------------------------------------------------------------
     def ensure_connected(self) -> None:
         """Automatic connection on first device query (initialisation
@@ -1119,7 +884,7 @@ class DOpenCLDriver:
             daemon.gcf, P.ListDevicesRequest(device_type=CL_DEVICE_TYPE_ALL), self.clock.now
         )
         self.clock.advance_to(outcome.reply_arrival)
-        resp = self.check(outcome.response)
+        resp = self.transport.check(outcome.response)
         conn = ServerConnection(name=name, daemon=daemon, connected_at=t)
         conn.devices = [
             RemoteDevice(self.platform, conn, device_id, info)
@@ -1171,7 +936,7 @@ class DOpenCLDriver:
             self.clock.now,
         )
         self.clock.advance_to(outcome.reply_arrival)
-        resp = self.check(outcome.response)
+        resp = self.transport.check(outcome.response)
         self.auth_id = resp.auth_id
         for server_name in resp.server_names or []:
             self.connect_server(server_name, auth_id=self.auth_id)
@@ -1190,39 +955,6 @@ class DOpenCLDriver:
     # ------------------------------------------------------------------
     # fan-out (compound stub call replication)
     # ------------------------------------------------------------------
-    def fanout(self, servers: Sequence[ServerConnection], make_msg) -> Dict[str, RequestOutcome]:
-        """Send one request per server at the same client time and wait
-        for all responses (GCF communicates asynchronously, Section
-        III-B: "the client never waits for a communication operation to
-        complete before it proceeds").  Each server's send window is
-        flushed first so the fanned-out call stays ordered."""
-        for conn in servers:
-            self._check_usable(conn)
-        self.flush_connections(servers)
-        t = self.clock.now
-        outcomes: Dict[str, RequestOutcome] = {}
-        latest = t
-        for conn in servers:
-            # Through the retry layer: fanned-out requests (finish
-            # barriers, info queries) are idempotent on replay.  The
-            # clock only moves past ``t`` when a retry charged its
-            # timeout penalty, so the happy path is byte-identical.
-            outcome = self._transport(
-                conn,
-                lambda conn=conn: self.gcf.request(
-                    conn.daemon.gcf, make_msg(conn), self.clock.now
-                ),
-                "fanout request",
-            )
-            if outcome is None:
-                self._surface_transport_loss(conn)
-            outcomes[conn.name] = outcome
-            latest = max(latest, outcome.reply_arrival)
-        self.clock.advance_to(latest)
-        for outcome in outcomes.values():
-            self.check(outcome.response)
-        return outcomes
-
     @staticmethod
     def _replicated(servers: Sequence[ServerConnection], make_msg) -> List[P.Request]:
         """Build ``make_msg(conn)`` per server, collapsing field-identical
@@ -1342,10 +1074,10 @@ class DOpenCLDriver:
                     continue
                 # Reference path: one synchronous request per replica
                 # server (its replica's creation already round-tripped).
-                self.gcf.request(
-                    conn.daemon.gcf,
+                self.transport.post(
+                    conn,
                     P.SetUserEventStatusRequest(event_id=msg.event_id, status=CL_COMPLETE),
-                    max(arrival, self.clock.now),
+                    arrival,
                 )
 
     def flush_for_event(self, stub: EventStub) -> None:
@@ -1369,12 +1101,12 @@ class DOpenCLDriver:
         """Create an event stub and its user-event replicas on every
         non-owning server of the context.  Replica creation is deferred
         into the send windows (it is enqueue-class traffic)."""
-        stub = EventStub(context, self.new_id(), owner_server, command_type)
-        stub.attach_flush_hook(self.flush_for_event)
-        self._events[stub.id] = stub
+        stub = self.register_event(
+            EventStub(context, self.new_id(), owner_server, command_type), self.flush_for_event
+        )
         owner = self._connections.get(owner_server)
         if owner is not None and owner.dead:
-            # Born poisoned: _declare_daemon_lost swept the events that
+            # Born poisoned: _on_daemon_lost swept the events that
             # existed then, and this command's send is about to fail —
             # yet the stub still becomes its in-order queue's last
             # event, so a later waiter must see the loss, not a
@@ -1421,9 +1153,7 @@ class DOpenCLDriver:
     def new_user_event_stub(self, context: ContextStub) -> UserEventStub:
         """``clCreateUserEvent``: a user-event stub with replicas on every
         server of the context (deferred, enqueue-class traffic)."""
-        stub = UserEventStub(context, self.new_id())
-        stub.attach_flush_hook(self.flush_for_event)
-        self._events[stub.id] = stub
+        stub = self.register_event(UserEventStub(context, self.new_id()), self.flush_for_event)
         if context.unique_servers:
             stub.has_replicas = True
             stub.replica_servers = tuple(c.name for c in context.unique_servers)
@@ -1701,10 +1431,9 @@ class DOpenCLDriver:
     def _new_transfer_event(self, context: ContextStub, server_name: str) -> EventStub:
         """A replica-less event stub tracking one internal protocol
         transfer (upload/download) on ``server_name``."""
-        stub = EventStub(context, self.new_id(), server_name, 0)
-        stub.attach_flush_hook(self.flush_for_event)
-        self._events[stub.id] = stub
-        return stub
+        return self.register_event(
+            EventStub(context, self.new_id(), server_name, 0), self.flush_for_event
+        )
 
     def _upload(
         self,
@@ -1731,37 +1460,21 @@ class DOpenCLDriver:
         if len(buffers) > 1:
             self.stats.coalesced_uploads += 1
             self.stats.coalesced_upload_sections += len(buffers)
-        self.send_bulk(conn, init, [b.data for b in buffers], sum(sizes))
+        self.send_bulk([conn], lambda c: init, [b.data for b in buffers], sum(sizes))
 
     def _fetch_bulk_prefixed(self, conn: ServerConnection, make_request, seen):
         """Stream-based download that flushes only ``conn``'s window
         prefix relevant to ``seen`` (a relevance set from
         :meth:`flush_for_handles`) instead of the whole window —
         commands queued after the downloaded data's producers stay
-        windowed.
-
-        ``make_request`` builds the fetch request (and registers its
-        transfer-event stubs); it is invoked *per attempt* under the
-        retry policy because the daemon registers the request's event
-        IDs before the reply leg — replaying the same IDs after a lost
-        reply would be rejected as duplicates, so every retry fetches
-        under fresh ones."""
+        windowed.  ``make_request`` builds the fetch request (and
+        registers its transfer-event stubs) once *per attempt*
+        (:meth:`~repro.core.client.resilience.Transport.fetch`)."""
         if conn.window:
             prefix = self._split_relevant_prefix(conn, seen)
             if prefix:
-                self._dispatch_command_batches([(conn, prefix)])
-
-        def attempt():
-            request = make_request()
-            return self.gcf.fetch_bulk(conn.daemon.gcf, request, self.clock.now)
-
-        result = self._transport(conn, attempt, "bulk fetch")
-        if result is None:
-            self._surface_transport_loss(conn)
-        response, payload, arrival = result
-        self.check(response)
-        self.clock.advance_to(arrival)
-        return response, payload, arrival
+                self.transport.dispatch_batches([(conn, prefix)])
+        return self.transport.fetch(conn, make_request)
 
     def _download(
         self,
@@ -1820,7 +1533,7 @@ class DOpenCLDriver:
             self.stats.coalesced_downloads += 1
             self.stats.coalesced_download_sections += len(remaining)
         try:
-            _response, payload, arrival = self._fetch_bulk_prefixed(conn, make_request, seen)
+            fetched = self._fetch_bulk_prefixed(conn, make_request, seen)
         except CLError as exc:
             # The directories already marked the client copies valid
             # (acquire_read is optimistic); the bytes never arrived.
@@ -1832,9 +1545,10 @@ class DOpenCLDriver:
                     f"download from {src_name!r} failed: {exc}"
                 )
             raise
-        for buffer, data, stub in zip(remaining, split_sections(payload, sizes), attempt_stubs):
+        sections = split_sections(fetched.payload, sizes)
+        for buffer, data, stub in zip(remaining, sections, attempt_stubs):
             buffer.data[:] = data
-            self._record_fetch_completion(buffer, stub, arrival)
+            self._record_fetch_completion(buffer, stub, fetched.arrival)
 
     def _peer_transfer(
         self, buffers: Sequence[BufferStub], src_name: str, dst_name: str

@@ -272,7 +272,7 @@ class Daemon:
         the status-before-create buffers, the client sessions and their
         auth mappings, and the GCF peer table.  Clearing ``gcf.peers``
         is what the client driver's liveness probe observes
-        (``DOpenCLDriver._daemon_gone``), so a crash is detected as an
+        (``Transport.attempt``), so a crash is detected as an
         immediate connection reset rather than a timeout.  The
         incarnation counter lets tests distinguish pre- and post-crash
         state after a :meth:`restart`."""

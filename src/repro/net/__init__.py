@@ -42,12 +42,11 @@ from repro.net.messages import (
 )
 from repro.net.network import Network
 from repro.net.nic import NIC
-from repro.net.gcf import BatchOutcome, GCFProcess, NetStats, RequestOutcome
+from repro.net.gcf import GCFProcess, NetStats, RequestOutcome
 from repro.net.streams import StreamResult, as_byte_view, as_uint8_array, payload_nbytes
 from repro.net.iperf import IperfResult, run_iperf
 
 __all__ = [
-    "BatchOutcome",
     "ChannelClosed",
     "CodecError",
     "CommandBatch",

@@ -346,38 +346,19 @@ class NetStats:
 
 
 class RequestOutcome:
-    """Timing breakdown of one request/response round trip."""
+    """Timing breakdown of one synchronous exchange.
 
-    __slots__ = ("response", "sent_at", "request_arrival", "handled_at", "reply_arrival")
-
-    def __init__(
-        self,
-        response: Response,
-        sent_at: float,
-        request_arrival: float,
-        handled_at: float,
-        reply_arrival: float,
-    ) -> None:
-        self.response = response
-        self.sent_at = sent_at
-        self.request_arrival = request_arrival
-        self.handled_at = handled_at
-        self.reply_arrival = reply_arrival
-
-    @property
-    def round_trip(self) -> float:
-        """Elapsed virtual time from send to reply arrival."""
-        return self.reply_arrival - self.sent_at
-
-
-class BatchOutcome:
-    """Pipelined outcome of one :meth:`GCFProcess.request_batch` trip.
-
-    Carries the decoded per-command responses (batch order) plus the
-    timing of the single round trip all of them shared.
+    ``responses`` holds the decoded replies: one per command (batch
+    order) for a :meth:`GCFProcess.request_batch` trip, else one.
+    ``arrival`` is when the last leg landed — the reply, or a bulk
+    exchange's raw payload — and ``payload`` what a bulk fetch streamed
+    back.
     """
 
-    __slots__ = ("responses", "sent_at", "request_arrival", "handled_at", "reply_arrival")
+    __slots__ = (
+        "responses", "sent_at", "request_arrival", "handled_at", "reply_arrival",
+        "arrival", "payload",
+    )
 
     def __init__(
         self,
@@ -392,14 +373,18 @@ class BatchOutcome:
         self.request_arrival = request_arrival
         self.handled_at = handled_at
         self.reply_arrival = reply_arrival
+        self.arrival = reply_arrival
+        self.payload: Any = None
+
+    @property
+    def response(self) -> Response:
+        """The reply of a single-message exchange."""
+        return self.responses[0]
 
     @property
     def round_trip(self) -> float:
-        """Elapsed virtual time the whole batch's round trip took."""
+        """Elapsed virtual time from send to reply arrival."""
         return self.reply_arrival - self.sent_at
-
-    def __len__(self) -> int:
-        return len(self.responses)
 
 
 class GCFProcess:
@@ -660,6 +645,34 @@ class GCFProcess:
     # ------------------------------------------------------------------
     # message-based communication
     # ------------------------------------------------------------------
+    def _round_trip(
+        self, target: "GCFProcess", handler: Callable, msg: Message, t: float
+    ) -> Tuple[RequestOutcome, list]:
+        """The one round-trip body under :meth:`request`,
+        :meth:`request_batch` and :meth:`fetch_bulk`: size each message
+        once (``wire_size`` walks the payload), request leg, the
+        target's ``request_overhead`` CPU slice, ``handler``, reply leg,
+        byte counters.  Legs and slice are tagged with their message's
+        class name — what fault plans address.  Returns the outcome plus
+        whatever ``handler`` returned beyond ``(response, t_done)`` (a
+        bulk source's ``payload, nbytes``)."""
+        name = type(msg).__name__
+        msg_size = msg.wire_size
+        arrival = self.network.transfer(self.host, target.host, t, msg_size, tag=name)
+        iv = target.cpu.allocate(arrival, target.host.spec.request_overhead, name)
+        response, t_done, *extra = handler(msg, iv.end, self)
+        if t_done < iv.end:
+            raise NetworkError(
+                f"handler for {name} returned t_done={t_done} < start={iv.end}"
+            )
+        response_size = response.wire_size
+        reply_arrival = self.network.transfer(
+            target.host, self.host, t_done, response_size, tag=type(response).__name__
+        )
+        self.stats.bytes_sent += msg_size
+        self.stats.bytes_received += response_size
+        return RequestOutcome([response], t, arrival, t_done, reply_arrival), extra
+
     def request(self, target: "GCFProcess", msg: Request, t: float) -> RequestOutcome:
         """Synchronous request/response round trip."""
         handler = target._request_handlers.get(type(msg))
@@ -667,23 +680,9 @@ class GCFProcess:
             raise NetworkError(
                 f"process {target.name!r} has no handler for {type(msg).__name__}"
             )
-        # ``wire_size`` walks the whole payload: evaluate it once per message.
-        msg_size = msg.wire_size
-        arrival = self.network.transfer(self.host, target.host, t, msg_size, tag=type(msg).__name__)
-        iv = target.cpu.allocate(arrival, target.host.spec.request_overhead, type(msg).__name__)
-        response, t_done = handler(msg, iv.end, self)
-        if t_done < iv.end:
-            raise NetworkError(
-                f"handler for {type(msg).__name__} returned t_done={t_done} < start={iv.end}"
-            )
-        response_size = response.wire_size
-        reply_arrival = self.network.transfer(
-            target.host, self.host, t_done, response_size, tag=type(response).__name__
-        )
+        outcome, _ = self._round_trip(target, handler, msg, t)
         self.stats.requests += 1
-        self.stats.bytes_sent += msg_size
-        self.stats.bytes_received += response_size
-        return RequestOutcome(response, t, arrival, t_done, reply_arrival)
+        return outcome
 
     def request_batch(
         self,
@@ -692,14 +691,15 @@ class GCFProcess:
         t: float,
         epoch: int = 0,
         seq: int = -1,
-    ) -> BatchOutcome:
+    ) -> RequestOutcome:
         """Forward a whole send window in ONE round trip.
 
         The commands are serialised into a :class:`CommandBatch` envelope
         (one protocol header for the lot), dispatched by the target's
         ``CommandBatch`` handler — which decodes each sub-command once and
         charges CPU per command — and their responses come back together
-        in the single :class:`CommandBatchResponse` reply.
+        in the single :class:`CommandBatchResponse` reply, decoded into
+        the outcome's ``responses`` (batch order).
 
         Encoding is memoised per command instance
         (:meth:`~repro.net.messages.Message.cached_wire`): a command
@@ -728,33 +728,19 @@ class GCFProcess:
                 self.stats.encode_cache_hits += 1
             commands.append(m.cached_wire())
         batch = CommandBatch(commands=commands, epoch=epoch, seq=seq)
-        batch_size = batch.wire_size
-        arrival = self.network.transfer(
-            self.host, target.host, t, batch_size, tag="CommandBatch"
-        )
-        iv = target.cpu.allocate(arrival, target.host.spec.request_overhead, "CommandBatch")
-        reply, t_done = handler(batch, iv.end, self)
-        if t_done < iv.end:
-            raise NetworkError(
-                f"handler for CommandBatch returned t_done={t_done} < start={iv.end}"
-            )
+        outcome, _ = self._round_trip(target, handler, batch, t)
+        reply = outcome.response
         if not isinstance(reply, CommandBatchResponse) or len(reply.results) != len(msgs):
             raise NetworkError(
                 f"process {target.name!r} answered a {len(msgs)}-command batch with "
                 f"{type(reply).__name__}"
             )
-        reply_size = reply.wire_size
-        reply_arrival = self.network.transfer(
-            target.host, self.host, t_done, reply_size, tag="CommandBatchResponse"
-        )
         self.stats.batches += 1
         self.stats.batched_commands += len(msgs)
-        self.stats.bytes_sent += batch_size
-        self.stats.bytes_received += reply_size
         decode_hits = self._decode_cache.hits
-        responses = [self._decode_cache.decode(raw) for raw in reply.results]
+        outcome.responses = [self._decode_cache.decode(raw) for raw in reply.results]
         self.stats.decode_cache_hits += self._decode_cache.hits - decode_hits
-        return BatchOutcome(responses, t, arrival, t_done, reply_arrival)
+        return outcome
 
     def notify(self, target: "GCFProcess", msg: Notification, t: float) -> float:
         """One-way asynchronous notification; returns delivery time."""
@@ -799,12 +785,13 @@ class GCFProcess:
         payload: Any,
         nbytes: int,
         t: float,
-    ) -> Tuple[RequestOutcome, float]:
+    ) -> RequestOutcome:
         """Stream-based upload: initialising request/response exchange,
         then the raw payload.  ``payload`` is handed to the target's
         bulk-sink handler as-is (zero-copy: pass an ndarray or memoryview
-        and no intermediate byte string is materialised).  Returns
-        ``(init_outcome, arrival)``.
+        and no intermediate byte string is materialised).  Returns the
+        init exchange's outcome with ``arrival`` moved to when the
+        payload landed.
 
         When the init reply reports an error the stream is aborted: the
         payload is never transferred and the sink never runs — the
@@ -819,37 +806,33 @@ class GCFProcess:
             )
         outcome = self.request(target, init, t)
         if getattr(outcome.response, "error", 0):
-            return outcome, outcome.reply_arrival
-        arrival = self.network.transfer(
+            return outcome
+        outcome.arrival = self.network.transfer(
             self.host, target.host, outcome.reply_arrival, nbytes, tag=f"bulk:{type(init).__name__}"
         )
         self.stats.bulk_sends += 1
         self.stats.bytes_sent += nbytes
-        sink(init, payload, arrival, self)
-        return outcome, arrival
+        sink(init, payload, outcome.arrival, self)
+        return outcome
 
-    def fetch_bulk(self, target: "GCFProcess", request: Request, t: float) -> Tuple[Response, Any, float]:
+    def fetch_bulk(self, target: "GCFProcess", request: Request, t: float) -> RequestOutcome:
         """Stream-based download: request, then the raw payload streams
-        back.  Returns ``(response, payload, arrival)``; the payload is
-        whatever the bulk source produced (ndarray/bytes), unconverted."""
+        back.  The outcome's ``payload`` is whatever the bulk source
+        produced (ndarray/bytes), unconverted, and ``arrival`` is when
+        it landed."""
         source = target._bulk_source_handlers.get(type(request))
         if source is None:
             raise NetworkError(
                 f"process {target.name!r} has no bulk source for {type(request).__name__}"
             )
-        request_size = request.wire_size
-        arrival = self.network.transfer(self.host, target.host, t, request_size)
-        iv = target.cpu.allocate(arrival, target.host.spec.request_overhead, type(request).__name__)
-        response, t_done, payload, nbytes = source(request, iv.end, self)
-        response_size = response.wire_size
-        reply_arrival = self.network.transfer(target.host, self.host, t_done, response_size)
-        data_arrival = self.network.transfer(
-            target.host, self.host, reply_arrival, nbytes, tag=f"bulk:{type(request).__name__}"
+        outcome, (payload, nbytes) = self._round_trip(target, source, request, t)
+        outcome.payload = payload
+        outcome.arrival = self.network.transfer(
+            target.host, self.host, outcome.reply_arrival, nbytes, tag=f"bulk:{type(request).__name__}"
         )
         self.stats.bulk_fetches += 1
-        self.stats.bytes_sent += request_size
-        self.stats.bytes_received += response_size + nbytes
-        return response, payload, data_arrival
+        self.stats.bytes_received += nbytes
+        return outcome
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<GCFProcess {self.name!r} on {self.host.name!r}>"

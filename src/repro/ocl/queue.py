@@ -11,7 +11,7 @@ manager" measurement.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -52,7 +52,10 @@ class CommandQueue:
         self.device = device
         self.properties = properties
         self.in_order = not (properties & CL_QUEUE_OUT_OF_ORDER_EXEC_MODE_ENABLE)
-        self.events: List[Event] = []
+        #: Commands still awaiting a dependency, and the latest ``end``
+        #: among the resolved ones: all :meth:`finish` needs, no history.
+        self._unresolved: Set[Event] = set()
+        self._latest_end = float("-inf")
         self._prev: Optional[Event] = None
         #: Benchmark rescaling knob (see EXPERIMENTS.md): multiplies kernel
         #: op counts so reduced-size workloads charge paper-size costs.
@@ -83,7 +86,6 @@ class CommandQueue:
         if self.in_order and self._prev is not None:
             deps.append(self._prev)
         event = Event(self.context, command_type, queued_at=t)
-        self.events.append(event)
         if self.in_order:
             self._prev = event
 
@@ -105,9 +107,12 @@ class CommandQueue:
                 ready = max(ready, d.end)
             start, end = schedule(ready, duration)
             event.submitted_at = min(start, max(t, ready))
+            self._unresolved.discard(event)
+            self._latest_end = max(self._latest_end, end)
             event._mark_resolved(start, end)
 
         if remaining:
+            self._unresolved.add(event)
             for d in list(remaining):
                 d.on_resolve(try_resolve)
         else:
@@ -264,15 +269,12 @@ class CommandQueue:
 
     def finish(self, t: float) -> float:
         """``clFinish``: returns the time all enqueued commands complete."""
-        latest = t
-        for ev in self.events:
-            if not ev.resolved:
-                raise CLError(
-                    ErrorCode.CL_INVALID_OPERATION,
-                    "deadlock: clFinish with commands gated on an incomplete user event",
-                )
-            latest = max(latest, ev.end)
-        return latest
+        if self._unresolved:
+            raise CLError(
+                ErrorCode.CL_INVALID_OPERATION,
+                "deadlock: clFinish with commands gated on an incomplete user event",
+            )
+        return max(t, self._latest_end)
 
     def flush(self, t: float) -> float:
         return t
@@ -284,4 +286,4 @@ class CommandQueue:
         self.refcount -= 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<CommandQueue dev={self.device.name!r} events={len(self.events)}>"
+        return f"<CommandQueue dev={self.device.name!r} unresolved={len(self._unresolved)}>"

@@ -126,7 +126,8 @@ def test_rejected_init_streams_nothing_and_applies_nothing():
     bulk_sends_before = driver.stats.bulk_sends
     with pytest.raises(Exception):
         driver.send_bulk(
-            conn, init, [np.ones(before.size, np.uint8), np.ones(16, np.uint8)],
+            [conn], lambda c: init,
+            [np.ones(before.size, np.uint8), np.ones(16, np.uint8)],
             before.size + 16,
         )
     # The stream never flowed and the valid section was not applied.

@@ -24,7 +24,8 @@ Plus the composition contracts: a PR-9 staged push satisfies a deferred
 read without any fetch round trip; a gang of deferred fetches fuses
 into one resolution batch; a daemon lost under the
 deferred fetch poisons the event deterministically; releasing a buffer
-resolves its pending deferred read first.
+resolves its pending deferred read first; one selector call naming a
+wait-list event and a WAR buffer resolves the union.
 """
 
 import itertools
@@ -310,3 +311,29 @@ def test_release_resolves_the_pending_deferred_read_first():
     np.testing.assert_allclose(data.view(np.float32), 2.0)
     assert ev.resolved
     api.clFinish(queue)  # the deferred remote release replays cleanly
+
+
+def test_wait_list_event_and_war_buffer_select_the_union():
+    """A launch that overwrites a buffer with a pending deferred read
+    (WAR) *and* waits on another pending read's event names both in one
+    selector call: the two reads — different buffers, different daemons
+    — resolve together, before the launch is forwarded, each with its
+    pre-launch bytes."""
+    deployment, api, devices, ctx, program = _deployment(push_transfers=False)
+    driver = deployment.driver
+    queue_a, buf_a, _ = _scaled_buffer(api, ctx, program, devices[0], value=2.0)
+    queue_b, buf_b, _ = _scaled_buffer(api, ctx, program, devices[1], value=3.0)
+    data_a, ev_a = api.clEnqueueReadBuffer(queue_a, buf_a, blocking=False)
+    data_b, ev_b = api.clEnqueueReadBuffer(queue_b, buf_b, blocking=False)
+    assert not ev_a.resolved and not ev_b.resolved
+    kernel = api.clCreateKernel(program, "scale")
+    api.clSetKernelArg(kernel, 0, buf_b)
+    api.clSetKernelArg(kernel, 1, np.float32(5.0))
+    api.clSetKernelArg(kernel, 2, 64)
+    api.clEnqueueNDRangeKernel(queue_b, kernel, (64,), wait_for=[ev_a])
+    assert ev_a.resolved and ev_b.resolved
+    assert driver.stats.deferred_read_batches == 1
+    np.testing.assert_allclose(data_a.view(np.float32), 2.0)
+    np.testing.assert_allclose(data_b.view(np.float32), 3.0)
+    data, _ = api.clEnqueueReadBuffer(queue_b, buf_b)
+    np.testing.assert_allclose(data.view(np.float32), 15.0)

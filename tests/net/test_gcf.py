@@ -1,7 +1,15 @@
 import pytest
 
 from repro.hw import GIGABIT_ETHERNET, Host, WESTMERE_NODE
-from repro.net import GCFProcess, Network, message_type, Notification, Request, Response
+from repro.net import (
+    GCFProcess,
+    Network,
+    Notification,
+    Request,
+    RequestOutcome,
+    Response,
+    message_type,
+)
 from repro.net.link import ConnectionRefused, NetworkError
 
 
@@ -58,6 +66,55 @@ def test_handler_cannot_travel_back_in_time(pair):
 
     with pytest.raises(NetworkError):
         a.request(b, PingRequest(payload="x"), t=0.0)
+
+
+def test_bulk_source_cannot_travel_back_in_time_either(pair):
+    """``fetch_bulk`` shares the round-trip body of ``request``: the
+    monotonic ``t_done`` check guards bulk sources too."""
+    _, a, b = pair
+
+    @b.on_bulk_source(PingRequest)
+    def source(msg, t, sender):
+        return PingResponse(echoed=""), t - 1.0, b"xyz", 3
+
+    with pytest.raises(NetworkError):
+        a.fetch_bulk(b, PingRequest(payload="x"), 0.0)
+
+
+def test_every_leg_of_every_round_trip_is_tagged(pair, monkeypatch):
+    """Fault plans address transfers by tag: both control legs of a
+    request, a batch *and* a bulk fetch carry their message's class
+    name, and all three hand back the one outcome class."""
+    net, a, b = pair
+    b.install_batch_dispatch()
+
+    @b.on_request(PingRequest)
+    def handle(msg, t, sender):
+        return PingResponse(echoed=msg.payload), t
+
+    @b.on_bulk_source(PingRequest)
+    def source(msg, t, sender):
+        return PingResponse(echoed=""), t, b"xyz", 3
+
+    tags = []
+    transfer = net.transfer
+
+    def spy(src, dst, ready, nbytes, tag=None):
+        tags.append(tag)
+        return transfer(src, dst, ready, nbytes, tag=tag)
+
+    monkeypatch.setattr(net, "transfer", spy)
+    ping = PingRequest(payload="x")
+    outcomes = [a.request(b, ping, 0.0), a.request_batch(b, [ping], 0.0), a.fetch_bulk(b, ping, 0.0)]
+    assert tags == [
+        "PingRequest", "PingResponse",
+        "CommandBatch", "CommandBatchResponse",
+        "PingRequest", "PingResponse", "bulk:PingRequest",
+    ]
+    assert [type(o) for o in outcomes] == [RequestOutcome] * 3
+    assert outcomes[1].responses == [outcomes[0].response]
+    assert bytes(outcomes[2].payload) == b"xyz"
+    assert outcomes[2].arrival > outcomes[2].reply_arrival
 
 
 def test_requests_serialise_on_server_cpu(pair):
