@@ -24,8 +24,9 @@ IMAGE_SIZE = 48
 N_EVENTS = 10000
 ITERATIONS = 3
 
-# Rescale the reduced-size workload to paper magnitudes (EXPERIMENTS.md):
-# kernel costs x4000, network scaled to match the paper's 3D volumes.
+# Rescale the reduced-size workload to paper magnitudes (methodology:
+# repro.bench.figures' module docstring): kernel costs x4000, network
+# scaled to match the paper's 3D volumes.
 SCALE = OSEM_WORKLOAD_SCALE
 
 

@@ -4,7 +4,7 @@ The paper reconstructs quadHIDAC PET patient data with EMRECON — both
 proprietary.  Per the substitution rule we generate *synthetic* list-mode
 events from a numeric phantom (the data path, iteration structure, and
 kernel/buffer/transfer pattern are identical; only the clinical content
-differs — see DESIGN.md).
+differs).
 
 The reconstruction itself is a faithful list-mode OSEM: ordered subsets,
 per-event forward projection along the line of response, multiplicative

@@ -1,7 +1,7 @@
 """Experiment runners: one function per figure of the paper's Section V.
 
-Workload rescaling methodology (documented in EXPERIMENTS.md): each
-experiment runs a reduced-size workload but charges paper-size costs:
+Workload rescaling methodology: each experiment runs a reduced-size
+workload but charges paper-size costs:
 
 * ``workload_scale`` multiplies kernel op counts so *compute* time matches
   the paper-size problem;

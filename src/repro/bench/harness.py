@@ -3,7 +3,7 @@
 Each figure-level benchmark produces an :class:`ExperimentRecord` — the
 rows the paper's figure plots — which is printed, saved under
 ``benchmarks/results/`` and shape-checked by assertions in the benchmark
-itself.  EXPERIMENTS.md collects the paper-vs-measured comparison.
+itself.  :mod:`repro.bench.figures` documents the rescaling methodology.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ The vector backend counts *weighted abstract operations per active lane*
 second; the kernel's execution time is then launch overhead + ops/rate.
 
 ``workload_scale`` supports the benchmark-rescaling methodology described
-in EXPERIMENTS.md: benches run reduced-size workloads but charge the cost
+in :mod:`repro.bench.figures`: benches run reduced-size workloads but charge the cost
 of the paper-size ones by scaling the measured op count.
 """
 

@@ -490,8 +490,15 @@ class Daemon:
         # creations: a failed creation poisons the IDs it was promising
         # (observe), and any later sub-command reading or extending a
         # poisoned ID is answered with the original error positionally,
-        # without executing its handler (guard).
+        # without executing its handler (guard).  The guard also holds
+        # the sender to the registry it shares: only deferrable types
+        # (Ack-class replies, roles declared) may ride a batch.
+        def reject(detail):
+            return P.Ack(error=ErrorCode.CL_INVALID_OPERATION.value, detail=detail)
+
         def batch_guard(sub, sender):
+            if type(sub) not in P.DEFERRABLE:
+                return reject(f"{type(sub).__name__} cannot be batch-forwarded")
             released = P.released_handle(sub)
             if released is not None and self.registry.unpoison(sender.name, released):
                 # Disposing of a poisoned handle retires the poison
@@ -542,9 +549,7 @@ class Daemon:
                 )
 
         gcf.install_batch_dispatch(
-            on_error=lambda detail: P.Ack(
-                error=ErrorCode.CL_INVALID_OPERATION.value, detail=detail
-            ),
+            on_error=reject,
             guard=batch_guard,
             observe=batch_observe,
         )

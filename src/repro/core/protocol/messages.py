@@ -9,18 +9,21 @@ a unique ID which corresponds to a remote object" (Section III-D).
 Responses carry ``error`` (an OpenCL error code, 0 on success) and
 ``detail`` so the client driver can re-raise a faithful ``CLError``.
 
-The module ends with the :data:`DEFERRABLE` registry — the contract
-between the client driver's send windows and the daemon's batch
-dispatcher; see its documentation for the rules a request type must obey
-to be listed there — and :func:`request_handles`, the shared
-handle-dependency metadata both sides of the wire consult: the client's
-window graph to compute flush closures, the daemon's batch dispatcher to
-poison commands that depend on a failed creation.
+What the forwarding pipeline knows about a request is declared **on the
+request** and compiled at registration, like the codec: each stub-ID
+field's role (:func:`reads`, :func:`creates`, :func:`mutates`,
+:func:`releases`) feeds :func:`request_handles`, the dependency metadata
+both sides of the wire consult, and :func:`message_type` takes how the
+request may be (re)sent.  The module ends with the :data:`DEFERRABLE`
+registry derived from it — the contract between the client driver's send
+windows and the daemon's batch dispatcher; see its documentation for the
+rules a deferrable request type must obey.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+import dataclasses
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.net.messages import (
     CommandBatch,
@@ -28,8 +31,96 @@ from repro.net.messages import (
     Notification,
     Request,
     Response,
-    message_type,
+    registered_types,
 )
+from repro.net.messages import message_type as _register
+
+# ----------------------------------------------------------------------
+# field roles (window graph + batch poisoning) and registration
+# ----------------------------------------------------------------------
+_EMPTY: FrozenSet[int] = frozenset()
+
+
+def reads(default: object = dataclasses.MISSING):
+    """Field role: a stub ID the request consumes — the window graph
+    drains the windows producing it; the daemon answers the original
+    error, unexecuted, while it is poisoned.  A ``List`` field gives its
+    members (``None``: none); a defaulted ``int`` holding 0 names nothing
+    (client IDs start at 1; a local/value ``clSetKernelArg`` leaves it)."""
+    return dataclasses.field(default=default, metadata={"handle": "reads"})
+
+
+def creates():
+    """Field role: the provisional ID the request brings into existence
+    (a handle promise) — poisoned if the request fails or is skipped, so
+    dependents are skipped and the error surfaces positionally."""
+    return dataclasses.field(metadata={"handle": "creates"})
+
+
+def mutates():
+    """Field role: read, and updated in place.  If the request fails (or
+    the poison guard skips it) the daemon's copy keeps the previous
+    state while the client believes the update took, so the dispatcher
+    poisons the handle too: nothing may execute against the stale state
+    (e.g. a launch running with a kernel's previous arg binding and
+    silently writing the wrong buffer)."""
+    return dataclasses.field(metadata={"handle": "mutates"})
+
+
+def releases():
+    """Field role: read, and disposed of.  Releasing a *poisoned* handle
+    is the client cleaning up after a failed creation: the object never
+    existed, so the release succeeds as a no-op and clears the poison
+    entry (otherwise disposal would re-raise the already-surfaced
+    creation error forever)."""
+    return dataclasses.field(metadata={"handle": "releases"})
+
+
+def _compile_roles(cls: type) -> None:
+    """Generate ``cls``'s three extractors from its role-tagged fields,
+    one expression each (they run three times per forwarded command)."""
+    required, optional, created, mutated, released = [], [], [], [], "None"
+    for f in dataclasses.fields(cls):
+        role, ref = f.metadata.get("handle"), f"m.{f.name}"
+        if role == "creates":
+            created.append(ref)
+        elif role is not None:
+            if f.type.startswith("List"):
+                optional.append(f"set({ref} or [])")
+            elif f.default is dataclasses.MISSING:
+                required.append(ref)
+            else:
+                optional.append(f"({{{ref}}} if {ref} else set())")
+            if role == "mutates":
+                mutated.append(ref)
+            elif role == "releases":
+                released = ref
+
+    def ids(refs: List[str], unions: List[str] = ()) -> str:
+        parts = [f"{{{', '.join(refs)}}}"] * bool(refs) + list(unions)
+        return f"frozenset({' | '.join(parts)})" if parts else "_EMPTY"
+
+    cls._handles = eval(f"lambda m: ({ids(required, optional)}, {ids(created)})")
+    cls._mutations = eval(f"lambda m: {ids(mutated)}")
+    cls._released = eval(f"lambda m: {released}")
+
+
+def message_type(cls: type = None, *, deferrable: bool = False, replay_safe: str = None):
+    """:func:`repro.net.messages.message_type` plus this module's
+    declarations: ``deferrable`` — the request obeys the
+    :data:`DEFERRABLE` rules and rides a (replay-deduped) send window —
+    or ``replay_safe`` — why a ``Transport`` exchange may re-send it, in
+    the words of ``docs/architecture.md``'s exchange table.  Roles
+    matter on deferrable requests only: nothing else is ever windowed."""
+
+    def register(cls: type) -> type:
+        cls = _register(cls)
+        cls.deferrable, cls.replay_safe = deferrable, replay_safe
+        _compile_roles(cls)
+        return cls
+
+    return register if cls is None else register(cls)
+
 
 # ----------------------------------------------------------------------
 # generic
@@ -70,7 +161,7 @@ class ListDevicesResponse(Response):
     detail: str = ""
 
 
-@message_type
+@message_type(replay_safe="a query changes nothing")
 class ServerInfoRequest(Request):
     """``clGetServerInfoWWU`` (paper Listing 1)."""
 
@@ -87,7 +178,7 @@ class ServerInfoResponse(Response):
 # ----------------------------------------------------------------------
 # contexts / queues (compound and simple stubs, Section III-D)
 # ----------------------------------------------------------------------
-@message_type
+@message_type(deferrable=True)
 class CreateContextRequest(Request):
     """Create this server's member of a compound context stub.
 
@@ -96,36 +187,36 @@ class CreateContextRequest(Request):
     stub is usable immediately; a daemon-side failure poisons the
     provisional ID and surfaces at the next sync point."""
 
-    context_id: int
+    context_id: int = creates()
     device_ids: List[int]
 
 
-@message_type
+@message_type(deferrable=True)
 class ReleaseContextRequest(Request):
     """Drop the server-side context object (deferrable release class)."""
 
-    context_id: int
+    context_id: int = releases()
 
 
-@message_type
+@message_type(deferrable=True)
 class CreateQueueRequest(Request):
     """``clCreateCommandQueue`` on the one server owning the device
     (deferrable handle promise, like :class:`CreateContextRequest`)."""
 
-    queue_id: int
-    context_id: int
+    queue_id: int = creates()
+    context_id: int = reads()
     device_id: int
     properties: int = 0
 
 
-@message_type
+@message_type(deferrable=True)
 class ReleaseQueueRequest(Request):
     """Drop the server-side command queue (deferrable release class)."""
 
-    queue_id: int
+    queue_id: int = releases()
 
 
-@message_type
+@message_type(replay_safe="a barrier changes nothing")
 class FinishRequest(Request):
     """``clFinish``: blocks the client until the queue drains — always a
     synchronous round trip, and therefore a flush point."""
@@ -133,7 +224,7 @@ class FinishRequest(Request):
     queue_id: int
 
 
-@message_type
+@message_type(deferrable=True)
 class FlushRequest(Request):
     """``clFlush``: submission guarantee only, so it rides the batch.
 
@@ -145,33 +236,33 @@ class FlushRequest(Request):
     is discharged by program-order batch replay — see the flush handler
     in :mod:`repro.core.daemon.daemon`."""
 
-    queue_id: int
+    queue_id: int = reads()
 
 
 # ----------------------------------------------------------------------
 # memory objects (Section III-D, coherence)
 # ----------------------------------------------------------------------
-@message_type
+@message_type(deferrable=True)
 class CreateBufferRequest(Request):
     """Allocate this server's copy of a compound buffer stub
     (deferrable handle promise; allocation failures — e.g. exceeding
     device memory — poison the provisional ``buffer_id`` and surface at
     the next sync point touching the daemon)."""
 
-    buffer_id: int
-    context_id: int
+    buffer_id: int = creates()
+    context_id: int = reads()
     flags: int
     size: int
 
 
-@message_type
+@message_type(deferrable=True)
 class ReleaseBufferRequest(Request):
     """Drop the server-side buffer copy (deferrable release class)."""
 
-    buffer_id: int
+    buffer_id: int = releases()
 
 
-@message_type
+@message_type(replay_safe="init only validates; the whole-object write lands with the last leg")
 class BufferDataUpload(Request):
     """Init message for an *application* write's client->server stream
     (``clEnqueueWriteBuffer`` / the upload half of ``clEnqueueCopyBuffer``):
@@ -192,7 +283,7 @@ class BufferDataUpload(Request):
     replica_servers: List[str] = None
 
 
-@message_type
+@message_type(replay_safe="init only validates; the whole-object write lands with the last leg")
 class CoalescedBufferUpload(Request):
     """Init message for a coherence client->server upload stream.
 
@@ -213,7 +304,7 @@ class CoalescedBufferUpload(Request):
     nbytes_list: List[int]
 
 
-@message_type
+@message_type(replay_safe="a fresh request (fresh transfer-event IDs) is built per attempt")
 class CoalescedBufferDownload(Request):
     """Request for a coherence server->client download stream.
 
@@ -242,7 +333,7 @@ class BufferDataResponse(Response):
     detail: str = ""
 
 
-@message_type
+@message_type(replay_safe="re-ships whole objects")
 class BufferPeerTransferBatch(Request):
     """Section III-F server-to-server synchronisation: one request makes
     the receiving daemon push the listed buffer copies (one or more —
@@ -280,7 +371,7 @@ class PeerPushRequest(Request):
     nbytes: int
 
 
-@message_type
+@message_type(deferrable=True)
 class PushCommit(Request):
     """Client -> consumer daemon: land a staged speculative push.
 
@@ -293,7 +384,10 @@ class PushCommit(Request):
     with a deterministic error that surfaces at the next sync point —
     it never writes stale bytes."""
 
-    buffer_id: int
+    # Read for the window graph (the consumer's closure must drain the
+    # commit); mutated because a failed or skipped commit leaves the
+    # daemon's copy pre-push while the directory believes it landed.
+    buffer_id: int = mutates()
     epoch: int
 
 
@@ -311,19 +405,19 @@ class CreateProgramRequest(Request):
     source_bytes: int
 
 
-@message_type
+@message_type(deferrable=True)
 class CreateProgramWithSourceRequest(Request):
     """Deferrable ``clCreateProgramWithSource``: the source rides the
     send window inline instead of a dedicated bulk stream, so program
     creation costs no round trip of its own — the bytes travel in the
     ``CommandBatch`` the next sync point sends anyway."""
 
-    program_id: int
-    context_id: int
+    program_id: int = creates()
+    context_id: int = reads()
     source: str
 
 
-@message_type
+@message_type(deferrable=True)
 class CreateProgramCachedRequest(Request):
     """Deferrable ``clCreateProgramWithSource`` by *content address*:
     the client-stub cache already saw this source build on this daemon
@@ -334,12 +428,12 @@ class CreateProgramCachedRequest(Request):
     source_for`); an unknown digest — only possible after eviction —
     poisons the provisional ID like any failed creation."""
 
-    program_id: int
-    context_id: int
+    program_id: int = creates()
+    context_id: int = reads()
     digest: str
 
 
-@message_type
+@message_type(replay_safe="a deterministic rebuild answering the identical reply")
 class BuildProgramRequest(Request):
     """``clBuildProgram`` on one server (synchronous: the client needs
     the per-server build status)."""
@@ -348,7 +442,7 @@ class BuildProgramRequest(Request):
     options: str = ""
 
 
-@message_type
+@message_type(deferrable=True)
 class BuildProgramCachedRequest(Request):
     """Deferrable ``clBuildProgram`` for cache-enabled clients: the
     client resolved the build outcome locally (client-stub cache hit,
@@ -361,24 +455,26 @@ class BuildProgramCachedRequest(Request):
     the identical ``ERROR`` state, so there is nothing left to report
     at the next sync point."""
 
-    program_id: int
+    # Built in place; the client saw the outcome locally and will not
+    # re-check, so an unresolvable build leaves a handle nobody may use.
+    program_id: int = mutates()
     digest: str
     options: str = ""
 
 
-@message_type
+@message_type(deferrable=True)
 class CreateProgramWithBinaryRequest(Request):
     """Deferrable ``clCreateProgramWithBinary``: the serialized
     :class:`~repro.clc.driver.CompiledProgram` blob rides the send
     window; the daemon installs it into its build cache (skipping the
     compiler front-end) and registers the program handle."""
 
-    program_id: int
-    context_id: int
+    program_id: int = creates()
+    context_id: int = reads()
     binary: bytes = b""
 
 
-@message_type
+@message_type(replay_safe="a query changes nothing")
 class GetProgramBinaryRequest(Request):
     """``clGetProgramInfo(CL_PROGRAM_BINARIES)``: fetch the serialized
     program binary of a built program (synchronous — the client blocks
@@ -415,46 +511,46 @@ class BuildProgramResponse(Response):
     detail: str = ""
 
 
-@message_type
+@message_type(deferrable=True)
 class ReleaseProgramRequest(Request):
     """Drop the server-side program (deferrable release class)."""
 
-    program_id: int
+    program_id: int = releases()
 
 
-@message_type
+@message_type(deferrable=True)
 class CreateKernelRequest(Request):
     """``clCreateKernel`` (deferrable handle promise): the argument
     metadata the client needs arrived with the build reply
     (:class:`BuildProgramResponse`), so the creation itself is
     fire-and-forget and answers a plain :class:`Ack`."""
 
-    kernel_id: int
-    program_id: int
+    kernel_id: int = creates()
+    program_id: int = reads()
     name: str
 
 
-@message_type
+@message_type(deferrable=True)
 class SetKernelArgRequest(Request):
     """``clSetKernelArg`` replicated to every server of the context —
     the canonical deferrable (and reply-cacheable) command."""
 
-    kernel_id: int
+    kernel_id: int = mutates()
     index: int
     kind: str  # "buffer" | "local" | "value"
-    buffer_id: int = 0
+    buffer_id: int = reads(default=0)
     local_nbytes: int = 0
     value: object = None
 
 
-@message_type
+@message_type(deferrable=True)
 class ReleaseKernelRequest(Request):
     """Drop the server-side kernel (deferrable release class)."""
 
-    kernel_id: int
+    kernel_id: int = releases()
 
 
-@message_type
+@message_type(deferrable=True)
 class EnqueueKernelRequest(Request):
     """``clEnqueueNDRangeKernel`` — fire-and-forget from the client's
     point of view, so it rides the send window.
@@ -472,13 +568,13 @@ class EnqueueKernelRequest(Request):
     (see :class:`PeerPushRequest`); absent under the ``push_transfers``
     ablation flag."""
 
-    queue_id: int
-    kernel_id: int
-    event_id: int
+    queue_id: int = reads()
+    kernel_id: int = reads()
+    event_id: int = creates()
     global_size: List[int]
     local_size: List[int] = None  # empty/None -> implementation choice
     global_offset: List[int] = None
-    wait_event_ids: List[int] = None
+    wait_event_ids: List[int] = reads(default=None)
     replica_servers: List[str] = None
     push_hints: List[Dict[str, object]] = None
 
@@ -494,16 +590,16 @@ class EnqueueKernelResponse(Response):
 # ----------------------------------------------------------------------
 # events (Section III-D consistency protocol)
 # ----------------------------------------------------------------------
-@message_type
+@message_type(deferrable=True)
 class CreateUserEventRequest(Request):
     """Create a user-event replica (the consistency protocol's stand-in
     for a remote original event, Section III-D)."""
 
-    event_id: int
-    context_id: int
+    event_id: int = creates()
+    context_id: int = reads()
 
 
-@message_type
+@message_type(deferrable=True)
 class SetUserEventStatusRequest(Request):
     """Complete a user event / user-event replica.
 
@@ -523,16 +619,16 @@ class SetUserEventStatusRequest(Request):
     at 0 (the status is known at call time).
     """
 
-    event_id: int
+    event_id: int = reads()
     status: int
     min_time: float = 0.0
 
 
-@message_type
+@message_type(deferrable=True)
 class ReleaseEventRequest(Request):
     """Drop the server-side event (deferrable release class)."""
 
-    event_id: int
+    event_id: int = releases()
 
 
 @message_type
@@ -681,153 +777,26 @@ class ClientLostNotification(Notification):
 #: the provisional ID when the batch replays, and a failure poisons the
 #: ID (see :func:`request_handles`) so dependents are skipped and the
 #: error surfaces positionally in the batch reply.
-DEFERRABLE = frozenset(
-    {
-        CreateContextRequest,
-        CreateQueueRequest,
-        CreateBufferRequest,
-        CreateProgramWithSourceRequest,
-        CreateProgramCachedRequest,
-        CreateProgramWithBinaryRequest,
-        BuildProgramCachedRequest,
-        CreateKernelRequest,
-        SetKernelArgRequest,
-        EnqueueKernelRequest,
-        PushCommit,
-        CreateUserEventRequest,
-        SetUserEventStatusRequest,
-        FlushRequest,
-        ReleaseContextRequest,
-        ReleaseQueueRequest,
-        ReleaseBufferRequest,
-        ReleaseProgramRequest,
-        ReleaseKernelRequest,
-        ReleaseEventRequest,
-    }
-)
-
-# ----------------------------------------------------------------------
-# handle-dependency metadata (window graph + batch poisoning)
-# ----------------------------------------------------------------------
-_EMPTY: FrozenSet[int] = frozenset()
-
-#: Per-request extractors returning ``(reads, creates)`` — the client
-#: handle IDs a request consumes and the provisional IDs it brings into
-#: existence.  Kept in one table so the two consumers can never drift.
-_HANDLE_EXTRACTORS: Dict[type, Callable[[Request], Tuple[FrozenSet[int], FrozenSet[int]]]] = {
-    CreateContextRequest: lambda m: (_EMPTY, frozenset({m.context_id})),
-    ReleaseContextRequest: lambda m: (frozenset({m.context_id}), _EMPTY),
-    CreateQueueRequest: lambda m: (frozenset({m.context_id}), frozenset({m.queue_id})),
-    ReleaseQueueRequest: lambda m: (frozenset({m.queue_id}), _EMPTY),
-    FinishRequest: lambda m: (frozenset({m.queue_id}), _EMPTY),
-    FlushRequest: lambda m: (frozenset({m.queue_id}), _EMPTY),
-    CreateBufferRequest: lambda m: (frozenset({m.context_id}), frozenset({m.buffer_id})),
-    ReleaseBufferRequest: lambda m: (frozenset({m.buffer_id}), _EMPTY),
-    CreateProgramWithSourceRequest: lambda m: (
-        frozenset({m.context_id}),
-        frozenset({m.program_id}),
-    ),
-    CreateProgramCachedRequest: lambda m: (
-        frozenset({m.context_id}),
-        frozenset({m.program_id}),
-    ),
-    CreateProgramWithBinaryRequest: lambda m: (
-        frozenset({m.context_id}),
-        frozenset({m.program_id}),
-    ),
-    BuildProgramCachedRequest: lambda m: (frozenset({m.program_id}), _EMPTY),
-    ReleaseProgramRequest: lambda m: (frozenset({m.program_id}), _EMPTY),
-    CreateKernelRequest: lambda m: (frozenset({m.program_id}), frozenset({m.kernel_id})),
-    ReleaseKernelRequest: lambda m: (frozenset({m.kernel_id}), _EMPTY),
-    SetKernelArgRequest: lambda m: (
-        frozenset({m.kernel_id} | ({m.buffer_id} if m.kind == "buffer" else set())),
-        _EMPTY,
-    ),
-    EnqueueKernelRequest: lambda m: (
-        frozenset({m.queue_id, m.kernel_id} | set(m.wait_event_ids or [])),
-        frozenset({m.event_id}),
-    ),
-    # A push commit both reads and rewrites the buffer's daemon copy:
-    # reads for the window graph (the consuming command's closure must
-    # drain it), mutation for poisoning (see _MUTATION_EXTRACTORS).
-    PushCommit: lambda m: (frozenset({m.buffer_id}), _EMPTY),
-    CreateUserEventRequest: lambda m: (
-        frozenset({m.context_id}),
-        frozenset({m.event_id}),
-    ),
-    SetUserEventStatusRequest: lambda m: (frozenset({m.event_id}), _EMPTY),
-    ReleaseEventRequest: lambda m: (frozenset({m.event_id}), _EMPTY),
-}
-
-
-#: Requests that *mutate* a handle they read: if one fails (or is
-#: skipped by the poison guard), the client's picture of that handle and
-#: the daemon's diverge — the daemon's copy keeps the previous state
-#: while the client believes the update took.  The dispatcher therefore
-#: poisons the mutated handle too, so nothing executes against the
-#: stale state (e.g. a launch running with a kernel's previous arg
-#: binding and silently writing the wrong buffer).
-_MUTATION_EXTRACTORS: Dict[type, Callable[[Request], FrozenSet[int]]] = {
-    SetKernelArgRequest: lambda m: frozenset({m.kernel_id}),
-    # A failed (or poison-skipped) push commit leaves the daemon's
-    # buffer copy at the pre-push version while the client's directory
-    # believes the current one landed — poison the buffer so nothing
-    # executes against the stale bytes.
-    PushCommit: lambda m: frozenset({m.buffer_id}),
-    # A cached build mutates the program into its built state; if the
-    # daemon cannot resolve it (the client observed the outcome locally
-    # and will not re-check), the divergent handle must not be used.
-    BuildProgramCachedRequest: lambda m: frozenset({m.program_id}),
-}
-
-#: Release-class requests and the handle they dispose of.  Releasing a
-#: *poisoned* handle is the client cleaning up after a failed creation:
-#: the object never existed, so the release succeeds as a no-op and
-#: clears the poison entry (otherwise disposal would re-raise the
-#: already-surfaced creation error forever).
-_RELEASE_EXTRACTORS: Dict[type, Callable[[Request], int]] = {
-    ReleaseContextRequest: lambda m: m.context_id,
-    ReleaseQueueRequest: lambda m: m.queue_id,
-    ReleaseBufferRequest: lambda m: m.buffer_id,
-    ReleaseProgramRequest: lambda m: m.program_id,
-    ReleaseKernelRequest: lambda m: m.kernel_id,
-    ReleaseEventRequest: lambda m: m.event_id,
-}
+DEFERRABLE = frozenset(c for c in registered_types().values() if getattr(c, "deferrable", False))
 
 
 def request_mutations(msg: Request) -> FrozenSet[int]:
-    """The handle IDs ``msg`` mutates in place (see
-    :data:`_MUTATION_EXTRACTORS`): poisoned alongside its creations when
-    the command fails or is skipped, because client and daemon state
-    have diverged for them."""
-    extract = _MUTATION_EXTRACTORS.get(type(msg))
-    return _EMPTY if extract is None else extract(msg)
+    """The handle IDs ``msg`` :func:`mutates` in place: poisoned
+    alongside its creations when the command fails or is skipped."""
+    return msg._mutations()
 
 
 def released_handle(msg: Request) -> Optional[int]:
-    """The handle a release-class request disposes of, or ``None`` for
-    non-release requests (see :data:`_RELEASE_EXTRACTORS`)."""
-    extract = _RELEASE_EXTRACTORS.get(type(msg))
-    return None if extract is None else extract(msg)
+    """The handle ``msg`` :func:`releases`, or ``None`` for any other request."""
+    return msg._released()
 
 
 def request_handles(msg: Request) -> Tuple[FrozenSet[int], FrozenSet[int]]:
-    """``(reads, creates)`` — the stub IDs ``msg`` depends on and the
-    provisional IDs it creates.
-
-    This is the shared dependency vocabulary of the forwarding pipeline:
-
-    * the **client window graph** uses it (plus driver-supplied extras,
-      e.g. a launch's buffer arguments) to compute which send windows a
-      sync point must drain;
-    * the **daemon batch dispatcher** uses it to *poison* dependents of
-      a failed creation: a command whose reads or creates intersect a
-      poisoned ID is answered with the creation's error positionally,
-      without executing its handler.
-
-    Requests outside the table (synchronous discovery/stream traffic)
-    read and create nothing the pipeline tracks."""
-    extract = _HANDLE_EXTRACTORS.get(type(msg))
-    if extract is None:
-        return _EMPTY, _EMPTY
-    return extract(msg)
+    """``(reads, creates)`` — the stub IDs ``msg`` depends on
+    (:func:`reads`, :func:`mutates`, :func:`releases` fields) and the
+    provisional IDs it :func:`creates`: the dependency vocabulary the
+    client window graph (plus driver-supplied extras, e.g. a launch's
+    buffer arguments) and the daemon batch dispatcher share.  Requests
+    without tagged fields (synchronous discovery/stream traffic) read
+    and create nothing the pipeline tracks."""
+    return msg._handles()

@@ -5,7 +5,7 @@ All bandwidths are bytes/second, latencies seconds, memory sizes bytes.
 operations counted by the kernel executor (:mod:`repro.clc.runtime`) — a
 single calibration constant per device, not a marketing FLOPS figure.
 
-Bandwidth calibration note (see DESIGN.md): the paper's "38.8 GB/s" PCIe
+Bandwidth calibration note: the paper's "38.8 GB/s" PCIe
 write figure is a pinned-cache artifact; we instead derive self-consistent
 numbers from the paper's own ratios (GigE write path ~50x slower than PCIe
 write, GigE read path ~4.5x slower than PCIe read, device reads ~15x slower
@@ -57,7 +57,7 @@ class DeviceSpec:
 
     def scaled(self, factor: float) -> "DeviceSpec":
         """A copy with throughput scaled by ``factor`` (benchmark rescaling
-        for reduced-size workloads; see EXPERIMENTS.md)."""
+        for reduced-size workloads; see :mod:`repro.bench.figures`)."""
         return replace(self, ops_per_second=self.ops_per_second * factor)
 
 

@@ -57,7 +57,7 @@ class CommandQueue:
         self._unresolved: Set[Event] = set()
         self._latest_end = float("-inf")
         self._prev: Optional[Event] = None
-        #: Benchmark rescaling knob (see EXPERIMENTS.md): multiplies kernel
+        #: Benchmark rescaling knob (see :mod:`repro.bench.figures`): multiplies kernel
         #: op counts so reduced-size workloads charge paper-size costs.
         self.workload_scale = 1.0
         self.refcount = 1

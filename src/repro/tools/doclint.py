@@ -1,6 +1,6 @@
 """Documentation lint: docstring coverage and markdown link integrity.
 
-The container has no ``pydocstyle``, so this module implements the two
+The container has no ``pydocstyle``, so this module implements the
 checks the tier-1 suite gates docs on (``tests/test_doclint.py``):
 
 * :func:`missing_docstrings` — an AST walk enforcing the docstring
@@ -14,8 +14,10 @@ checks the tier-1 suite gates docs on (``tests/test_doclint.py``):
   must exist and the anchor must match a heading in it, using GitHub's
   slugification.  ``http(s)``/``mailto`` links are skipped (no network
   in tier-1).
+* :func:`dangling_markdown_paths` — a markdown file a Python source
+  names (docstring, comment or string) must exist in the repository.
 
-Both return human-readable problem strings (empty list = clean) so the
+All return human-readable problem strings (empty list = clean) so the
 test failure output names every offender directly.
 """
 
@@ -121,4 +123,21 @@ def broken_markdown_links(files: Iterable[str]) -> List[str]:
                     continue  # anchors into source files: not checkable
                 if _github_slug(anchor) not in _markdown_anchors(resolved):
                     problems.append(f"{path}: broken anchor {target!r}")
+    return problems
+
+
+_MARKDOWN_PATH_RE = re.compile(r"[\w./-]+\.md\b")
+
+
+def dangling_markdown_paths(roots: Iterable[str], repo_root: str) -> List[str]:
+    """Every ``*.md`` path named in a Python file under ``roots`` that
+    exists neither relative to ``repo_root`` nor beside the file."""
+    problems: List[str] = []
+    for path in _iter_python_files(roots):
+        bases = (repo_root, os.path.dirname(path))
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                for name in _MARKDOWN_PATH_RE.findall(line):
+                    if not any(os.path.exists(os.path.join(base, name)) for base in bases):
+                        problems.append(f"{path}:{lineno}: names {name!r}, which does not exist")
     return problems

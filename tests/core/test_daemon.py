@@ -215,6 +215,47 @@ def test_poison_skipped_commands_still_charge_dispatch_time(setup):
     assert any("skipped" in str(iv.tag) for iv in daemon.gcf.cpu)
 
 
+def test_batch_refuses_sub_commands_outside_the_deferrable_registry(setup):
+    """The daemon enforces the registry it shares with the client's send
+    windows: a batched sub-command whose type is not in ``DEFERRABLE``
+    (its reply carries data, or it must stay a sync point) never reaches
+    its handler and answers an error ``Ack`` — rule 1, Ack-class replies
+    only, holds on the receiving side too."""
+    _, daemon, client = setup
+    setup_out = client.request_batch(
+        daemon.gcf,
+        [
+            P.CreateContextRequest(context_id=1, device_ids=[0]),
+            P.CreateQueueRequest(queue_id=2, context_id=1, device_id=0),
+            P.CreateProgramWithSourceRequest(
+                program_id=3, context_id=1, source="__kernel void k() {}"
+            ),
+        ],
+        0.0,
+    )
+    assert all(not r.error for r in setup_out.responses)
+    built, objects = daemon.gcf.stats.programs_built, daemon.registry.count("client")
+    smuggled = [
+        P.BuildProgramRequest(program_id=3),
+        P.FinishRequest(queue_id=2),
+        P.ListDevicesRequest(device_type=0xFFFFFFFF),
+        P.ServerInfoRequest(),
+    ]
+    out = client.request_batch(daemon.gcf, smuggled, 1.0)
+    for sub, reply in zip(smuggled, out.responses):
+        assert type(reply) is P.Ack
+        assert reply.error == ErrorCode.CL_INVALID_OPERATION.value
+        assert reply.detail == f"{type(sub).__name__} cannot be batch-forwarded"
+        assert type(sub) not in P.DEFERRABLE
+    assert daemon.gcf.stats.programs_built == built  # no handler ran
+    assert daemon.registry.count("client") == objects
+    # ... and nothing was poisoned: the same build, sent the way the
+    # protocol allows, goes through.
+    sync = client.request(daemon.gcf, P.BuildProgramRequest(program_id=3), 2.0)
+    assert type(sync.response) is P.BuildProgramResponse and not sync.response.error
+    assert daemon.gcf.stats.programs_built == built + 1
+
+
 def test_status_for_non_replica_object_is_not_buffered(setup):
     """A status delivered for an ID registered as something other than a
     user-event replica updates nothing and must not be buffered under a
