@@ -11,14 +11,26 @@ divergence is realised with an active-lane mask (``_m``, popcount
 * ``return`` removes lanes for the rest of the function and accumulates
   the return value under the mask.
 
-The generated code is three-address style: every operation is a call into
-:mod:`repro.clc.vecrt`, which also charges the op-accounting used by the
-device cost model.  Deviations from C (documented): both arms of ``?:``
-and both operands of ``&&``/``||`` are evaluated (vector semantics), so
-side effects inside them happen unconditionally.
+The unit of generated code is the *basic block*: a straight-line run of
+operations executed under one ``_mn``.  Arithmetic, comparisons and
+math builtins are emitted as plain NumPy expressions, one
+nested expression per statement; :mod:`repro.clc.vecrt` is called only
+for what carries OpenCL C semantics (masked assignment, mask
+partitioning, C integer division and shifts, conversions, checked
+memory access, atomics, barriers).  The op accounting of the device
+cost model is charged once per block, ``_ctx.ops += _mn * K`` with ``K``
+the static sum of the block's op weights: every weight is an
+integer-valued float, so the total is exactly what one charge per op
+gave.  Deviation from C (documented): both operands of ``&&``/``||`` and
+both arms of ``?:`` are evaluated and charged for every active lane, so
+assignments, atomics and calls inside them happen unconditionally.
+Their *loads* do not: a load in the right operand or in an arm is
+bounds-checked and performed only for the lanes C would evaluate it on,
+so ``i < n && data[i] > 0`` cannot fault on the lanes it guards.
 
-Two analyses keep the generated code from paying for lanes and values
-nobody reads (``docs/architecture.md``, "Kernel execution"):
+The analyses that keep the generated code from paying for lanes, values
+and bookkeeping nobody needs (``docs/architecture.md``, "Kernel
+execution"):
 
 * **Merge elision.**  A store under a mask needs ``merge(_m, new, old)``
   only if a masked-off lane can still read the old value.  Masked-off
@@ -35,40 +47,49 @@ nobody reads (``docs/architecture.md``, "Kernel execution"):
   the active lanes once occupancy drops (thresholds in ``vecrt``), runs
   on with an all-true mask, and scatters back at its exit.  ``_mn`` is
   always the active-lane count, so every charge is unchanged.
+* **Structured masks.**  A construct that removes no lane for good (no
+  ``return``, no ``break``/``continue`` of an enclosing loop inside it)
+  restores its entry mask and count for free; otherwise the counts of
+  disjoint lane sets add up.  Only a loop that contains a ``return``
+  recounts, and only functions with such a loop keep ``_ret``.
+* **Uniformity.**  A variable is uniform iff every store to it is a
+  merge-free store of a uniform expression (literals, size queries,
+  operators over uniform variables).  A uniform condition is a Python
+  ``if``: it never touches the mask.
+* **Local value numbering.**  A side-effect-free expression generated
+  twice from the same code, with nothing it reads assigned in between
+  and no lane joining, is computed once and charged twice.
 
-Each decision is left as a comment in the generated source.
+Uniformity and value numbering need facts only a generation walk
+produces (which stores merge; which expressions recur while still
+valid), so every function is generated twice: a dry run that collects
+:class:`_Facts`, then the real one.  Each decision is left as a comment
+in the generated source.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from repro.clc import cast as A
 from repro.clc.errors import CLCompileError
 from repro.clc.sema import AnalyzedProgram, FunctionInfo, Symbol
 from repro.clc.types import PointerType, ScalarType, VoidType
+from repro.clc.vecrt import W_ALU, W_ATOMIC, W_DIV, W_MEM
 
-_BINOP_FN = {
-    "+": "add",
-    "-": "sub",
-    "*": "mul",
-    "<<": "shl",
-    ">>": "shr",
-    "&": "bitand",
-    "|": "bitor",
-    "^": "bitxor",
-    "<": "lt",
-    "<=": "le",
-    ">": "gt",
-    ">=": "ge",
-    "==": "eq",
-    "!=": "ne",
-    "&&": "and_",
-    "||": "or_",
-}
+#: C binary operators NumPy computes differently from C (``/`` only on
+#: integers) go through ``vecrt``; the others are the Python operator of
+#: the same spelling on NumPy values of one dtype (sema has applied C's
+#: conversions), except the logical ones, whose operands are bools.
+_RT_OP = {"<<": "shl", ">>": "shr", "%": "imod", "/": "idiv"}
+_LOGICAL_OP = {"&&": "&", "||": "|"}
 
 _LOOPS = (A.While, A.DoWhile, A.For)
+_LEAVES = (A.Break, A.Continue, A.Return)
+_ATOMS = (A.VarRef, A.IntLiteral, A.FloatLiteral, A.BoolLiteral)
+_LANE_QUERIES = ("get_global_id", "get_local_id", "get_group_id")
 _NOTHING: FrozenSet[str] = frozenset()
 
 
@@ -127,9 +148,15 @@ class _Summary(NamedTuple):
     #: by the lane's group and ``__private`` arrays by the lane itself,
     #: directly or in a helper function it calls.
     group_state: Optional[str]
+    #: Does something besides computing a value (assigns, calls a user
+    #: function, an atomic or a barrier); indexes memory; asks which
+    #: work-item it runs on.
+    effects: bool
+    loads: bool
+    lane_query: bool
 
 
-_EMPTY = _Summary(_NOTHING, _NOTHING, _NOTHING, False, None)
+_EMPTY = _Summary(_NOTHING, _NOTHING, _NOTHING, False, None, False, False, False)
 
 
 def _summary(node: Optional[A.Node], memo: Dict[int, _Summary]) -> _Summary:
@@ -143,6 +170,9 @@ def _summary(node: Optional[A.Node], memo: Dict[int, _Summary]) -> _Summary:
     reads = kills = writes = _NOTHING
     returns = isinstance(node, A.Return)
     group_state = None
+    effects = isinstance(node, A.Assign)
+    loads = isinstance(node, A.Index)
+    lane_query = False
     parts = _children(node)
     if isinstance(node, A.VarRef):
         if _is_value(node.symbol):
@@ -153,6 +183,7 @@ def _summary(node: Optional[A.Node], memo: Dict[int, _Summary]) -> _Summary:
             kills = writes
             parts = (node.value,)
     elif isinstance(node, (A.UnaryOp, A.PostfixOp)) and node.op in ("++", "--"):
+        effects = True
         if isinstance(node.operand, A.VarRef):
             writes = frozenset((node.operand.symbol.slot,))
     elif isinstance(node, A.VarDecl) and node.array_size is not None:
@@ -162,6 +193,8 @@ def _summary(node: Optional[A.Node], memo: Dict[int, _Summary]) -> _Summary:
     elif isinstance(node, A.Call):
         builtin = getattr(node, "builtin", None)
         callee = getattr(node, "func", None)
+        effects = callee is not None or (builtin is not None and builtin.kind in ("barrier", "atomic"))
+        lane_query = builtin is not None and builtin.name in _LANE_QUERIES
         if builtin is not None and builtin.kind == "barrier":
             group_state = "barrier"
         elif builtin is not None and builtin.kind == "atomic" and isinstance(node.args[0], A.VarRef):
@@ -176,10 +209,13 @@ def _summary(node: Optional[A.Node], memo: Dict[int, _Summary]) -> _Summary:
             writes |= sub.writes
             returns = returns or sub.returns
             group_state = group_state or sub.group_state
-    if not (reads or writes or returns or group_state):
+            effects = effects or sub.effects
+            loads = loads or sub.loads
+            lane_query = lane_query or sub.lane_query
+    if not (reads or writes or returns or group_state or effects or loads or lane_query):
         found = _EMPTY
     else:
-        found = _Summary(reads, kills, writes, returns, group_state)
+        found = _Summary(reads, kills, writes, returns, group_state, effects, loads, lane_query)
     memo[id(node)] = found
     return found
 
@@ -259,14 +295,40 @@ class _Liveness:
         return head
 
 
-def _binds_continue(node: A.Node) -> bool:
-    """Does ``node`` (a loop body) contain a ``continue`` of its own
-    loop, i.e. outside any nested loop?"""
+def _binds(node: A.Node, kinds) -> bool:
+    """Does ``node`` contain a statement of ``kinds`` (``break``,
+    ``continue``) that binds a loop around it, i.e. outside any loop
+    nested in it?"""
     return any(
-        isinstance(child, A.Continue)
-        or (not isinstance(child, _LOOPS) and _binds_continue(child))
+        isinstance(child, kinds) or (not isinstance(child, _LOOPS) and _binds(child, kinds))
         for child in _children(node)
     )
+
+
+def _always_leaves(stmt: A.Stmt) -> bool:
+    """Is the last statement of ``stmt`` a ``break``, ``continue`` or
+    ``return``: does no lane fall out of its end?"""
+    while isinstance(stmt, A.Block) and stmt.stmts:
+        stmt = stmt.stmts[-1]
+    return isinstance(stmt, _LEAVES)
+
+
+def _walk(node: A.Node):
+    yield node
+    for child in _children(node):
+        yield from _walk(child)
+
+
+class _Facts(NamedTuple):
+    """What the dry run of a function learned for the real one."""
+
+    #: Slots that hold a NumPy scalar wherever they are read.
+    uniform: FrozenSet[str]
+    #: ``id`` of a side-effect-free expression -> the code generated for
+    #: it without value numbering: what makes two expressions "the same".
+    canon: Dict[int, str]
+    #: ``id`` of the expressions whose value a later one reuses.
+    named: Set[int]
 
 
 #: A construct being generated that parks lanes: where they rejoin (for
@@ -275,126 +337,190 @@ _Frame = Tuple[str, FrozenSet[str]]
 
 
 class FunctionCodegen:
-    def __init__(self, info: FunctionInfo, consts: Dict[str, str], summaries: Dict[int, _Summary]) -> None:
+    def __init__(
+        self,
+        info: FunctionInfo,
+        consts: Dict[str, str],
+        summaries: Dict[int, _Summary],
+        called: Set[str],
+        facts: Optional[_Facts] = None,
+    ) -> None:
         self.info = info
-        self.consts = consts  # literal expression -> module-level name
+        self.consts = consts  # module-level expression -> its name
         self.summaries = summaries  # the program's _summary memo
+        self.facts = facts  # None: this is the dry run that collects them
         self.lines: List[str] = []
         self.indent = 1
         self._temp = 0
         self._label = 0
-        self.loop_stack: List[str] = []  # continue-mask variable names
+        self.loop_stack: List[int] = []  # labels of the loops being generated
         self.frames: List[_Frame] = []  # constructs that park lanes, outermost first
         self.decl_depth: Dict[str, int] = {}  # slot -> len(frames) at its declaration
         self.scope: List[Symbol] = []  # scalar variables in scope, in declaration order
         self.returns = 0  # return statements generated so far
-        self.has_return = _summary(info.node.body, summaries).returns
         self.is_void = isinstance(info.return_type, VoidType)
+        #: ``_ret`` (who has returned) is read where a loop that contains
+        #: a ``return`` exits, and nowhere else.
+        self.needs_ret = any(isinstance(n, _LOOPS) and self.does(n).returns for n in _walk(info.node.body))
+        self.pending = 0.0  # op weights of the current block, not charged yet
+        self.lanes = ("_m", "_mn")  # mask and count that loads are performed under
+        self.unused: Optional[A.Expr] = None  # the expression whose value nobody reads
+        #: canonical code -> (id of the expression, code holding its value,
+        #: op weight, summary) of the values that can still be reused.
+        self.avail: Dict[str, Tuple[int, str, float, _Summary]] = {}
+        # What the dry run collects: slots that may be uniform, and every
+        # store as (slot, value expression or None, merged).
+        self.candidates = {
+            sym.slot for sym in info.param_symbols if info.is_kernel and info.name not in called and _is_value(sym)
+        }
+        self.stores: List[Tuple[str, Optional[A.Expr], bool]] = []
+        self.canon: Dict[int, str] = {}
+        self.named: Set[int] = set()
+
+    def does(self, node: Optional[A.Node]) -> _Summary:
+        return _summary(node, self.summaries)
+
+    def collected(self) -> _Facts:
+        """The dry run's verdicts.  Uniformity is the greatest fixpoint:
+        assume every candidate uniform, drop the ones a store contradicts."""
+        uniform = self.candidates - {slot for slot, _, merged in self.stores if merged}
+        while True:
+            varying = {
+                slot for slot, value, _ in self.stores if slot in uniform and not self._uniform(value, uniform)
+            }
+            if not varying:
+                return _Facts(frozenset(uniform), self.canon, self.named)
+            uniform -= varying
+
+    def _uniform(self, expr: Optional[A.Expr], slots) -> bool:
+        does = self.does(expr)
+        return not (does.effects or does.loads or does.lane_query) and does.reads <= slots
+
+    def uniform_note(self, cond: A.Expr) -> Optional[str]:
+        """The comment for a condition every active lane agrees on, or
+        ``None`` if that cannot be proved."""
+        if self.facts is None or not self._uniform(cond, self.facts.uniform):
+            return None
+        return "  # uniform: " + (", ".join(sorted(self.does(cond).reads)) or "constant")
 
     # -- emission helpers ---------------------------------------------------
     def emit(self, line: str) -> None:
         self.lines.append("    " * self.indent + line)
 
-    def temp(self) -> str:
-        self._temp += 1
-        return f"_t{self._temp}"
-
     def label(self) -> int:
         self._label += 1
         return self._label
 
-    def fresh_mask_count(self) -> None:
-        self.emit("_mn = _rt.count(_m)")
+    def temp(self, code: str) -> str:
+        """A new temporary holding the value ``code`` has here."""
+        self._temp += 1
+        self.emit(f"_t{self._temp} = {code}")
+        return f"_t{self._temp}"
+
+    def hold(self, code: str) -> str:
+        """``code`` evaluated here, once: a name for its value."""
+        return code if code.isidentifier() else self.temp(code)
+
+    def flush(self) -> None:
+        """End the current block: charge its operations, all executed
+        under the ``_mn`` of this point."""
+        if self.pending:
+            ops = int(self.pending) if self.pending.is_integer() else self.pending
+            self.emit(f"_ctx.ops += _mn * {ops}  # block: {ops} ops")
+            self.pending = 0.0
 
     def const(self, dtype: str, value: object) -> str:
         """A literal, built once at module level instead of per use."""
-        expr = f"_np.dtype('{dtype}').type({value!r})"
-        name = self.consts.get(expr)
-        if name is None:
-            name = self.consts[expr] = f"_c{len(self.consts)}"
-        return name
+        return self.consts.setdefault(f"_np.dtype('{dtype}').type({value!r})", f"_c{len(self.consts)}")
+
+    def forget(self, slot: Optional[str] = None) -> None:
+        """A variable (or, with no ``slot``, memory) changes: values
+        computed from it are no longer reusable."""
+        self.avail = {
+            key: entry
+            for key, entry in self.avail.items()
+            if (slot not in entry[3].reads if slot else not entry[3].loads)
+        }
 
     # -- top level ------------------------------------------------------------
     def generate(self) -> str:
         info = self.info
-        _Liveness(self.summaries).run(info.node)
         # A kernel's scalar arguments are uniform for as long as nothing
         # assigns them: no lane-wise value to gather.
-        written = _summary(info.node.body, self.summaries).writes
+        written = self.does(info.node.body).writes
         for sym in info.param_symbols:
             self.decl_depth[sym.slot] = 0
             if _is_value(sym) and (sym.slot in written or not info.is_kernel):
                 self.scope.append(sym)
-        params = ", ".join(sym.slot for sym in info.param_symbols)
-        header = f"def _fn_{info.name}(_ctx, _m, {params}):" if params else f"def _fn_{info.name}(_ctx, _m):"
-        self.lines.append(header)
-        self.emit("_mn = _rt.count(_m)")
+        params = "".join(f", {sym.slot}" for sym in info.param_symbols)
+        self.lines.append(f"def _fn_{info.name}(_ctx, _m, _mn{params}):")
         self.emit("_w = _m.shape[0]")
-        if self.has_return:
+        if self.needs_ret:
             self.emit("_ret = _np.zeros_like(_m)")
         if not self.is_void:
             self.emit(f"_retv = {self.const(info.return_type.dtype, 0)}")
-        self.visit_block(info.node.body)
-        if not self.is_void:
-            self.emit("return _retv")
-        else:
-            self.emit("return None")
+        self.visit_block(info.node.body, dead=True)
+        self.flush()
+        self.emit("return None" if self.is_void else "return _retv")
         return "\n".join(self.lines)
 
     # -- statements --------------------------------------------------------
-    def visit_block(self, block: A.Block) -> None:
-        if not block.stmts:
-            self.emit("pass")
-            return
+    def visit_block(self, block: A.Block, dead: bool = False) -> None:
+        """``dead``: nothing reads the mask after the block's last
+        statement, so a ``break``/``continue``/``return`` there need not
+        clear it."""
         in_scope = len(self.scope)
         for stmt in block.stmts:
-            self.visit_stmt(stmt)
+            self.visit_stmt(stmt, dead and stmt is block.stmts[-1])
         del self.scope[in_scope:]
 
-    def visit_stmt(self, stmt: A.Stmt) -> None:
+    def visit_stmt(self, stmt: A.Stmt, dead: bool = False) -> None:
         if isinstance(stmt, A.Block):
-            if stmt.stmts:
-                self.visit_block(stmt)
-            return
-        if isinstance(stmt, A.DeclStmt):
+            self.visit_block(stmt, dead)
+        elif isinstance(stmt, A.DeclStmt):
             for decl in stmt.decls:
                 self.visit_decl(decl)
-            return
-        if isinstance(stmt, A.ExprStmt):
-            self.visit_expr(stmt.expr)
-            return
-        if isinstance(stmt, A.If):
+        elif isinstance(stmt, A.ExprStmt):
+            self.visit_discarded(stmt.expr)
+        elif isinstance(stmt, A.If):
             self.visit_if(stmt)
-            return
-        if isinstance(stmt, _LOOPS):
+        elif isinstance(stmt, _LOOPS):
             self.visit_loop(stmt)
-            return
-        if isinstance(stmt, A.Break):
-            self.emit("_m = _np.zeros_like(_m)")
-            self.emit("_mn = 0")
-            return
+        elif isinstance(stmt, _LEAVES):
+            self.visit_leave(stmt, dead)
+        else:
+            raise CLCompileError(f"codegen: unhandled statement {type(stmt).__name__}", stmt.line, stmt.col)
+
+    def visit_discarded(self, expr: A.Expr) -> None:
+        """An expression evaluated for what it does (its value is
+        computed all the same if it can fault)."""
+        self.unused = expr
+        code = self.visit_expr(expr)
+        if code and not code.isidentifier():
+            self.emit(code)
+
+    def visit_leave(self, stmt: A.Stmt, dead: bool) -> None:
+        """``break``, ``continue``, ``return``: the active lanes go."""
+        value = self.visit_expr(stmt.value) if getattr(stmt, "value", None) is not None else None
+        self.flush()
         if isinstance(stmt, A.Continue):
-            cnt = self.loop_stack[-1]
-            self.emit(f"{cnt} = {cnt} | _m")
-            self.emit("_m = _np.zeros_like(_m)")
-            self.emit("_mn = 0")
-            return
-        if isinstance(stmt, A.Return):
-            if stmt.value is not None:
-                v = self.visit_expr(stmt.value)
-                if self.returns == 0 and not self.loop_stack:
-                    # No lane has returned yet, so no lane's value is lost.
-                    self.emit("# merge elided: first return")
-                    self.emit(f"_retv = {v}")
-                else:
-                    self.emit("# merge kept: lanes that returned earlier keep their value")
-                    self.emit(f"_retv = {v} if _mn == _w else _rt.merge(_m, {v}, _retv)")
+            k = self.loop_stack[-1]
+            self.emit(f"_mcn{k}, _mncn{k} = _mcn{k} | _m, _mncn{k} + _mn")
+        elif isinstance(stmt, A.Return):
+            if value is not None and self.returns == 0 and not self.loop_stack:
+                # No lane has returned yet, so no lane's value is lost.
+                self.emit("# merge elided: first return")
+                self.emit(f"_retv = {value}")
+            elif value is not None:
+                value = self.hold(value)
+                self.emit("# merge kept: lanes that returned earlier keep their value")
+                self.emit(f"_retv = {value} if _mn == _w else _rt.merge(_m, {value}, _retv)")
             self.returns += 1
-            self.emit("_ret = _ret | _m")
+            if self.loop_stack:
+                self.emit("_ret = _ret | _m")
+        if not dead:
             self.emit("_m = _np.zeros_like(_m)")
             self.emit("_mn = 0")
-            return
-        raise CLCompileError(f"codegen: unhandled statement {type(stmt).__name__}", stmt.line, stmt.col)
 
     def visit_decl(self, decl: A.VarDecl) -> None:
         sym: Symbol = decl.symbol
@@ -407,45 +533,78 @@ class FunctionCodegen:
             return
         # A declaration starts the variable's life: no lane holds an old
         # value, so it is a plain assignment under any mask.
-        if decl.init is not None:
-            v = self.visit_expr(decl.init)
-            self.emit(f"{sym.slot} = {v}")
-        else:
-            self.emit(f"{sym.slot} = {self.const(sym.type.dtype, 0)}")
+        v = self.visit_expr(decl.init) if decl.init is not None else self.const(sym.type.dtype, 0)
+        self.emit(f"{sym.slot} = {v}")
         self.decl_depth[sym.slot] = len(self.frames)
         if _is_value(sym):
             self.scope.append(sym)
+            self.candidates.add(sym.slot)
+            self.stores.append((sym.slot, decl.init, False))
 
-    def _not_returned(self) -> str:
-        return " & _rt.not_(_ret)" if self.has_return else ""
+    @contextlib.contextmanager
+    def suite(self, head: str):
+        """The indented suite of the Python statement ``head``; the
+        current block ends with it.  With nothing in it, it is ``pass``
+        — or, for ``if _mn:``, which only skips work, nothing at all."""
+        self.emit(head)
+        first = len(self.lines)
+        self.indent += 1
+        yield
+        self.flush()
+        if len(self.lines) == first and head == "if _mn:":
+            self.lines.pop()
+        elif len(self.lines) == first:
+            self.emit("pass")
+        self.indent -= 1
+
+    def visit_arm(self, head: str, block: A.Block, frame: _Frame, dead: bool = False) -> None:
+        """One arm of an ``if`` under the Python statement ``head``.
+        Values computed inside are out of reach once other lanes join."""
+        with self.suite(head):
+            self.frames.append(frame)
+            outside = dict(self.avail)
+            self.visit_block(block, dead)
+            self.avail = {key: entry for key, entry in self.avail.items() if outside.get(key) is entry}
+            self.frames.pop()
 
     def visit_if(self, stmt: A.If) -> None:
         c = self.visit_expr(stmt.cond)
         k = self.label()
-        save, then_end = f"_msv{k}", f"_mth{k}"
-        self.emit(f"{save} = _m")
-        self.emit(f"_m = {save} & {c}")
-        self.fresh_mask_count()
-        self.emit("if _mn:")
-        self.indent += 1
-        self.frames.append((f"at the else of if {k}" if stmt.els else f"after if {k}", stmt.live_else))
-        self.visit_block(stmt.then)
-        self.frames.pop()
-        self.indent -= 1
-        self.emit(f"{then_end} = _m")
-        if stmt.els is not None:
-            self.emit(f"_m = {save} & _rt.not_({c}){self._not_returned()}")
-            self.fresh_mask_count()
-            self.emit("if _mn:")
-            self.indent += 1
-            self.frames.append((f"after if {k}", stmt.live_after))
-            self.visit_block(stmt.els)
-            self.frames.pop()
-            self.indent -= 1
-            self.emit(f"_m = {then_end} | _m")
+        self.flush()
+        then_frame = (f"at the else of if {k}" if stmt.els else f"after if {k}", stmt.live_else)
+        else_frame = (f"after if {k}", stmt.live_after)
+        uniform = self.uniform_note(stmt.cond)
+        if uniform is not None:
+            self.visit_arm(f"if {c}:{uniform}", stmt.then, then_frame)
+            if stmt.els is not None:
+                self.visit_arm("else:", stmt.els, else_frame)
+            return
+        # Lanes an arm removes for good (they return, or break/continue a
+        # loop around the if) must stay removed after it.
+        restores = not any(
+            self.does(arm).returns or _binds(arm, (A.Break, A.Continue)) for arm in (stmt.then, stmt.els) if arm
+        )
+        leaves = stmt.els is None and _always_leaves(stmt.then)
+        if restores:
+            self.emit(f"_msv{k}, _mnsv{k} = _m, _mn")
+        if restores and stmt.els is None:
+            self.emit(f"_m, _mn = _rt.restrict(_m, _mn, {c})")
         else:
-            self.emit(f"_m = ({save} & _rt.not_({c}){self._not_returned()}) | {then_end}")
-        self.fresh_mask_count()
+            self.emit(f"_m, _mn, _mel{k}, _mnel{k} = _rt.split(_m, _mn, {c})")
+        self.visit_arm("if _mn:", stmt.then, then_frame, dead=leaves)
+        if stmt.els is not None:
+            if not restores:
+                self.emit(f"_mth{k}, _mnth{k} = _m, _mn")
+            self.emit(f"_m, _mn = _mel{k}, _mnel{k}")
+            self.visit_arm("if _mn:", stmt.els, else_frame)
+        if restores:
+            self.emit(f"_m, _mn = _msv{k}, _mnsv{k}  # mask restored: if {k} parks nobody for good")
+        elif stmt.els is not None:
+            self.emit(f"_m, _mn = _mth{k} | _m, _mnth{k} + _mn")
+        elif leaves:
+            self.emit(f"_m, _mn = _mel{k}, _mnel{k}  # the then-arm of if {k} always leaves")
+        else:
+            self.emit(f"_m, _mn = _m | _mel{k}, _mn + _mnel{k}")
 
     def visit_loop(self, stmt) -> None:
         """``while``, ``do``/``while`` and ``for`` share one shape: the
@@ -455,18 +614,19 @@ class FunctionCodegen:
         if isinstance(stmt, A.For) and stmt.init is not None:
             self.visit_stmt(stmt.init)
         k = self.label()
-        save, cnt, state = f"_msv{k}", f"_mcn{k}", f"_cp{k}"
-        reason = _summary(stmt, self.summaries).group_state
-        carried = self._carried(stmt) if reason is None else None
-        self.emit(f"# loop {k}: " + ("compactable" if reason is None else f"masked ({reason})"))
-        self.emit(f"{save} = _m")
+        state = f"_cp{k}"
+        does = self.does(stmt)
+        carried = self._carried(stmt) if does.group_state is None else None
+        self.flush()
+        self.emit(f"# loop {k}: " + ("compactable" if does.group_state is None else f"masked ({does.group_state})"))
+        self.emit(f"_msv{k}, _mnsv{k} = _m, _mn")
         if carried:
             names = ", ".join(name for name, _ in carried)
             flags = f"_sc{k}"  # which of them the exit scatters back
             self.emit(f"{state}, {flags} = None, ({', '.join(str(flag) for _, flag in carried)},)")
-        self.emit("while True:")
+        self.emit("while _mn:")
         self.indent += 1
-        self.emit("if not _mn: break")
+        self.avail = {}  # every iteration recomputes; compaction changes the width
         if carried:
             self.emit("if _w > _rt.COMPACT_MIN_LANES and _mn <= _rt.COMPACT_OCCUPANCY * _w:")
             self.emit(f"    {state}, _m, {names} = _rt.compact(_ctx, {state}, {flags}, _m, {names})")
@@ -474,63 +634,122 @@ class FunctionCodegen:
         self.frames.append((f"after loop {k}", stmt.live_after))
 
         def narrow_by_condition() -> None:
-            if stmt.cond is not None:
-                c = self.visit_expr(stmt.cond)
-                self.emit(f"_m = _m & {c}")
-                self.fresh_mask_count()
+            if stmt.cond is None:
+                return
+            c = self.visit_expr(stmt.cond)
+            self.flush()
+            uniform = self.uniform_note(stmt.cond)
+            if uniform is not None:
+                self.emit(f"if not {c}: break{uniform}")
+                return
+            self.emit(f"_m, _mn = _rt.restrict(_m, _mn, {c})")
+            if not isinstance(stmt, A.DoWhile):
+                self.emit("if not _mn: break")
 
         if not isinstance(stmt, A.DoWhile):
             narrow_by_condition()
-            if stmt.cond is not None:
-                self.emit("if not _mn: break")
-        continues = _binds_continue(stmt.body)
+        continues = _binds(stmt.body, A.Continue)
         if continues:
-            self.emit(f"{cnt} = _np.zeros_like(_m)")
+            self.emit(f"_mcn{k}, _mncn{k} = _np.zeros_like(_m), 0")
             self.frames.append((f"at the continue target of loop {k}", stmt.live_continue))
-        self.loop_stack.append(cnt)
+        self.loop_stack.append(k)
         self.visit_block(stmt.body)
         self.loop_stack.pop()
+        self.flush()
         if continues:
             self.frames.pop()
-            self.emit(f"_m = _m | {cnt}")
-            self.fresh_mask_count()
+            self.emit(f"_m, _mn = _m | _mcn{k}, _mn + _mncn{k}")
+            self.avail = {}
         if isinstance(stmt, A.DoWhile):
             narrow_by_condition()
         elif isinstance(stmt, A.For) and stmt.step is not None:
-            self.emit("if _mn:")
-            self.indent += 1
-            self.visit_expr(stmt.step)
-            self.indent -= 1
+            with self.suite("if _mn:"):
+                self.visit_discarded(stmt.step)
         self.frames.pop()
         self.indent -= 1
         if carried:
             self.emit(f"if {state} is not None:")
             self.emit(f"    _w, {names} = _rt.expand(_ctx, {state}, {flags}, {names})")
-        self.emit(f"_m = {save}{self._not_returned()}")
-        self.fresh_mask_count()
+        if does.returns:
+            self.emit(f"_m = _msv{k} & ~_ret")
+            self.emit("_mn = _rt.count(_m)")
+        else:
+            self.emit(f"_m, _mn = _msv{k}, _mnsv{k}  # mask restored: loop {k} parks nobody for good")
+        self.avail = {}
         del self.scope[in_scope:]
 
     def _carried(self, stmt) -> List[Tuple[str, bool]]:
         """What a compaction of this loop gathers: every per-lane
-        variable in scope plus the return state, each with whether the
-        loop's exit must scatter it back (assigned in the loop and read
-        after it) or can simply restore the full-width value."""
-        does = _summary(stmt, self.summaries)  # a ``for``'s init writes only its own variables
+        variable in scope plus, if lanes return inside it, the return
+        state, each with whether the loop's exit must scatter it back
+        (assigned in the loop and read after it) or can simply restore
+        the full-width value."""
+        does = self.does(stmt)  # a ``for``'s init writes only its own variables
         carried = [
             (sym.slot, sym.slot in does.writes and sym.slot in stmt.live_after) for sym in self.scope
         ]
-        if self.has_return:
-            carried.append(("_ret", does.returns))
+        if does.returns:
+            carried.append(("_ret", True))
             if not self.is_void:
-                carried.append(("_retv", does.returns))
+                carried.append(("_retv", True))
         return carried
 
     # -- expressions ---------------------------------------------------------
     def visit_expr(self, expr: A.Expr) -> str:
+        """Python code for the value of ``expr``.  What has an effect is
+        emitted on the way, in C's order; the code returned only
+        computes, so the caller may nest it in a larger expression."""
         method = getattr(self, f"gen_{type(expr).__name__}", None)
         if method is None:
             raise CLCompileError(f"codegen: unhandled expression {type(expr).__name__}", expr.line, expr.col)
-        return method(expr)
+        does = self.does(expr)
+        if does.effects or isinstance(expr, _ATOMS):
+            return method(expr)
+        # Local value numbering.  The dry run finds out which values are
+        # reused (``named``); the real one gives exactly those a name.
+        dry = self.facts is None
+        key = None if dry else self.facts.canon[id(expr)]
+        if dry or key not in self.avail:
+            charged = self.pending
+            code = method(expr)
+            if dry:  # the key *is* the code generated without numbering
+                key = self.canon[id(expr)] = code
+            elif id(expr) in self.facts.named:
+                code = self.hold(code)
+            if key not in self.avail:
+                self.avail[key] = (id(expr), code, self.pending - charged, does)
+                return code
+        first, code, weight, _ = self.avail[key]
+        self.named.add(first)
+        if not dry:
+            self.pending += weight  # computed once, charged every time
+        return code
+
+    def operands(self, exprs: List[A.Expr]) -> List[str]:
+        """The code of each of ``exprs``, evaluated left to right: a
+        value is held in a temporary if a later one has effects."""
+        codes = []
+        for i, expr in enumerate(exprs):
+            code = self.visit_expr(expr)
+            if any(self.does(later).effects for later in exprs[i + 1 :]):
+                code = self.hold(code)
+            codes.append(code)
+        return codes
+
+    def under(self, cond: str, expr: A.Expr) -> str:
+        """``expr`` where only the lanes on which ``cond`` holds
+        evaluate it in C: its loads are checked and performed for those
+        lanes only (everything else happens on every active lane)."""
+        if not self.does(expr).loads:
+            return self.visit_expr(expr)
+        k = self.label()
+        outer = self.lanes
+        self.emit(f"_g{k} = {outer[0]} & {cond}")
+        self.emit(f"_gn{k} = _rt.count(_g{k})")
+        self.lanes = (f"_g{k}", f"_gn{k}")
+        code = self.visit_expr(expr)
+        self.lanes = outer
+        return code
 
     def gen_IntLiteral(self, expr: A.IntLiteral) -> str:
         return self.const(expr.type.dtype, expr.value)
@@ -544,22 +763,18 @@ class FunctionCodegen:
     def gen_VarRef(self, expr: A.VarRef) -> str:
         return expr.symbol.slot
 
-    def gen_ImplicitCast(self, expr: A.ImplicitCast) -> str:
-        v = self.visit_expr(expr.expr)
-        t = self.temp()
-        self.emit(f"{t} = _rt.cast(_ctx, _mn, {v}, '{expr.target_type.dtype}')")
-        return t
+    def _cast(self, code: str, dtype: str) -> str:
+        self.pending += W_ALU
+        return f"_rt.cast({code}, '{dtype}')"
 
-    def gen_Cast(self, expr: A.Cast) -> str:
-        v = self.visit_expr(expr.expr)
-        t = self.temp()
-        self.emit(f"{t} = _rt.cast(_ctx, _mn, {v}, '{expr.target_type.dtype}')")
-        return t
+    def gen_ImplicitCast(self, expr: A.ImplicitCast) -> str:
+        return self._cast(self.visit_expr(expr.expr), expr.target_type.dtype)
+
+    gen_Cast = gen_ImplicitCast
 
     def gen_UnaryOp(self, expr: A.UnaryOp) -> str:
         if expr.op in ("++", "--"):
-            new, _old = self._emit_incdec(expr.operand, expr.op)
-            return new
+            return self._incdec(expr, prefix=True)
         if expr.op == "&":
             raise CLCompileError(
                 "address-of is only supported as the first argument of atomics",
@@ -569,202 +784,181 @@ class FunctionCodegen:
         v = self.visit_expr(expr.operand)
         if expr.op == "+":
             return v
-        t = self.temp()
-        if expr.op == "-":
-            self.emit(f"{t} = _rt.neg(_ctx, _mn, {v})")
-        elif expr.op == "~":
-            self.emit(f"{t} = _rt.invert(_ctx, _mn, {v})")
-        elif expr.op == "!":
-            self.emit(f"{t} = _rt.not_({v})")
-        else:  # pragma: no cover
-            raise CLCompileError(f"codegen: unary {expr.op!r}", expr.line, expr.col)
-        return t
+        if expr.op == "!":  # of a bool
+            return f"(~{v})"
+        self.pending += W_ALU
+        return f"({expr.op}{v})"
 
     def gen_PostfixOp(self, expr: A.PostfixOp) -> str:
-        _new, old = self._emit_incdec(expr.operand, expr.op)
-        return old
+        return self._incdec(expr, prefix=False)
 
-    def _emit_incdec(self, target: A.Expr, op: str) -> tuple:
-        """x++/++x desugared; returns (new_value_ref, old_value_ref)."""
-        fn = "add" if op == "++" else "sub"
-        t_type: ScalarType = target.type
-        one = self.const(t_type.dtype, 1)
-        old = self.temp()
+    def _incdec(self, expr, prefix: bool) -> str:
+        """``x++`` / ``++x`` (``x`` a variable or a buffer element)."""
+        target = expr.operand
+        used = expr is not self.unused
+        op = "+" if expr.op == "++" else "-"
+        one = self.const(target.type.dtype, 1)
+        self.pending += W_ALU
         if isinstance(target, A.VarRef):
-            slot = target.symbol.slot
-            self.emit(f"{old} = {slot}")
-            new = self.temp()
-            self.emit(f"{new} = _rt.{fn}(_ctx, _mn, {old}, {one})")
-            self._store_var(target.symbol, new)
-            return new, old
-        # Index target
-        base_sym, idx = self._index_parts(target)
-        self.emit(f"{old} = {self._load_code(base_sym, idx)}")
-        new = self.temp()
-        self.emit(f"{new} = _rt.{fn}(_ctx, _mn, {old}, {one})")
-        self._emit_store(base_sym, idx, new)
-        return new, old
+            old = self.temp(target.symbol.slot) if used and not prefix else target.symbol.slot
+            new = f"({old} {op} {one})"
+            if used and prefix:
+                new = self.hold(new)
+            self._store_var(target.symbol, new, None)
+        else:
+            sym, idx = target.base.symbol, self.hold(self.visit_expr(target.index))
+            old = self._load_code(sym, idx)
+            if used:
+                old = self.hold(old)
+            new = f"({old} {op} {one})"
+            if used and prefix:
+                new = self.hold(new)
+            self._emit_store(sym, idx, new)
+        return (new if prefix else old) if used else ""
+
+    def _binary(self, op: str, a: str, b: str, result: ScalarType) -> str:
+        self.pending += W_DIV if op in ("/", "%") else W_ALU
+        if op in _RT_OP and not (op == "/" and result.is_float):
+            return f"_rt.{_RT_OP[op]}({a}, {b})"
+        return f"({a} {_LOGICAL_OP.get(op, op)} {b})"
 
     def gen_BinaryOp(self, expr: A.BinaryOp) -> str:
         if expr.op == ",":
-            self.visit_expr(expr.lhs)
+            unused = expr is self.unused
+            self.visit_discarded(expr.lhs)
+            if unused:
+                self.unused = expr.rhs
             return self.visit_expr(expr.rhs)
+        if expr.op not in ("&&", "||"):
+            a, b = self.operands([expr.lhs, expr.rhs])
+            return self._binary(expr.op, a, b, expr.type)
         a = self.visit_expr(expr.lhs)
-        b = self.visit_expr(expr.rhs)
-        t = self.temp()
-        if expr.op == "/":
-            fn = "fdiv" if expr.type.is_float else "idiv"
-        elif expr.op == "%":
-            fn = "imod"
-        else:
-            fn = _BINOP_FN[expr.op]
-        self.emit(f"{t} = _rt.{fn}(_ctx, _mn, {a}, {b})")
-        return t
+        rhs = self.does(expr.rhs)
+        if rhs.loads or rhs.effects:
+            a = self.hold(a)
+        b = self.under(a if expr.op == "&&" else f"~{a}", expr.rhs)
+        return self._binary(expr.op, a, b, expr.type)
 
     def gen_Ternary(self, expr: A.Ternary) -> str:
         c = self.visit_expr(expr.cond)
-        a = self.visit_expr(expr.then)
-        b = self.visit_expr(expr.els)
-        t = self.temp()
-        self.emit(f"{t} = _rt.select(_ctx, _mn, {c}, {a}, {b})")
-        return t
+        if any(self.does(arm).loads or self.does(arm).effects for arm in (expr.then, expr.els)):
+            c = self.hold(c)
+        a = self.under(c, expr.then)
+        if self.does(expr.els).effects:
+            a = self.hold(a)
+        b = self.under(f"~{c}", expr.els)
+        self.pending += W_ALU
+        return f"_np.where({c}, {a}, {b})"
 
     # -- assignment ------------------------------------------------------------
-    def _store_var(self, sym: Symbol, value_ref: str) -> None:
-        """``sym = value`` for the active lanes.  Lanes parked by a
-        construct entered since ``sym`` was declared keep the old value
-        only if they can still read it where they rejoin."""
+    def _store_var(self, sym: Symbol, code: str, value: Optional[A.Expr]) -> None:
+        """``sym = code`` for the active lanes (``value`` is the
+        expression stored, ``None`` for one that is uniform whenever
+        ``sym`` is).  Lanes parked by a construct entered since ``sym``
+        was declared keep the old value only if they can still read it
+        where they rejoin."""
         slot = sym.slot
-        parked = self.frames[self.decl_depth[slot]:]
+        parked = self.frames[self.decl_depth[slot] :]
         where = next((what for what, live in parked if slot in live), None)
+        self.stores.append((slot, value, where is not None))
+        self.forget(slot)
         if where is not None:
+            code = self.hold(code)
             self.emit(f"# merge kept: {slot} live {where}")
-            self.emit(f"{slot} = {value_ref} if _mn == _w else _rt.merge(_m, {value_ref}, {slot})")
+            self.emit(f"{slot} = {code} if _mn == _w else _rt.merge(_m, {code}, {slot})")
             return
         if parked:
             self.emit(f"# merge elided: {slot} dead {parked[-1][0]}")
-        self.emit(f"{slot} = {value_ref}")
+        self.emit(f"{slot} = {code}")
 
-    def _index_parts(self, expr: A.Index) -> tuple:
-        base_sym: Symbol = expr.base.symbol
-        idx = self.visit_expr(expr.index)
-        return base_sym, idx
-
-    def _load_code(self, sym: Symbol, idx: str) -> str:
+    def _load_code(self, sym: Symbol, idx: str, lanes: Tuple[str, str] = ("_m", "_mn")) -> str:
+        self.pending += W_MEM
         space = _space_of(sym)
         if space in ("global", "constant"):
-            return f"_rt.load_global(_ctx, _mn, _m, {sym.slot}, {idx})"
-        if space == "local":
-            return f"_rt.load_local(_ctx, _mn, _m, {sym.slot}, {idx})"
-        return f"_rt.load_private(_ctx, _mn, _m, {sym.slot}, {idx})"
+            return f"_rt.load_global({lanes[1]}, {lanes[0]}, {sym.slot}, {idx})"
+        return f"_rt.load_{space}(_ctx, {lanes[1]}, {lanes[0]}, {sym.slot}, {idx})"
 
-    def _emit_store(self, sym: Symbol, idx: str, value_ref: str) -> None:
+    def _emit_store(self, sym: Symbol, idx: str, code: str) -> None:
+        self.pending += W_MEM
+        self.forget()
         space = _space_of(sym)
         if space in ("global", "constant"):
-            self.emit(f"_rt.store_global(_ctx, _mn, _m, {sym.slot}, {idx}, {value_ref})")
-        elif space == "local":
-            self.emit(f"_rt.store_local(_ctx, _mn, _m, {sym.slot}, {idx}, {value_ref})")
+            self.emit(f"_rt.store_global(_mn, _m, {sym.slot}, {idx}, {code})")
         else:
-            self.emit(f"_rt.store_private(_ctx, _mn, _m, {sym.slot}, {idx}, {value_ref})")
+            self.emit(f"_rt.store_{space}(_ctx, _mn, _m, {sym.slot}, {idx}, {code})")
 
     def gen_Index(self, expr: A.Index) -> str:
-        base_sym, idx = self._index_parts(expr)
-        t = self.temp()
-        self.emit(f"{t} = {self._load_code(base_sym, idx)}")
-        return t
+        return self._load_code(expr.base.symbol, self.visit_expr(expr.index), self.lanes)
 
     def gen_Assign(self, expr: A.Assign) -> str:
-        value = self.visit_expr(expr.value)
-        target_t: ScalarType = expr.target.type
-        common: ScalarType = expr.common_type
-        if isinstance(expr.target, A.VarRef):
-            sym = expr.target.symbol
-            if expr.op == "=":
-                result = value
-            else:
-                cur = sym.slot
-                result = self._compound(cur, value, expr.op, common, target_t)
-            self._store_var(sym, result)
-            out = self.temp()
-            self.emit(f"{out} = {sym.slot}")
-            return out
-        base_sym, idx = self._index_parts(expr.target)
-        if expr.op == "=":
-            result = value
-        else:
-            cur = self.temp()
-            self.emit(f"{cur} = {self._load_code(base_sym, idx)}")
-            result = self._compound(cur, value, expr.op, common, target_t)
-        self._emit_store(base_sym, idx, result)
-        return result
+        used = expr is not self.unused
+        target = expr.target
+        if isinstance(target, A.VarRef):
+            value = self.visit_expr(expr.value)
+            if expr.op != "=":
+                value = self._compound(target.symbol.slot, value, expr)
+            self._store_var(target.symbol, value, expr.value)
+            return self.temp(target.symbol.slot) if used else ""
+        value, idx = self.operands([expr.value, target.index])
+        if expr.op != "=":
+            idx = self.hold(idx)
+            value = self._compound(self._load_code(target.base.symbol, idx), value, expr)
+        if used:
+            value = self.hold(value)
+        self._emit_store(target.base.symbol, idx, value)
+        return value if used else ""
 
-    def _compound(self, cur: str, value: str, op: str, common: ScalarType, target: ScalarType) -> str:
-        base_op = op[:-1]
-        lhs = cur
+    def _compound(self, cur: str, value: str, expr: A.Assign) -> str:
+        """``cur op value`` in the common type, converted back."""
+        common, target = expr.common_type, expr.target.type
         if common != target:
-            lhs = self.temp()
-            self.emit(f"{lhs} = _rt.cast(_ctx, _mn, {cur}, '{common.dtype}')")
-        t = self.temp()
-        if base_op == "/":
-            fn = "fdiv" if common.is_float else "idiv"
-        elif base_op == "%":
-            fn = "imod"
-        else:
-            fn = _BINOP_FN[base_op]
-        self.emit(f"{t} = _rt.{fn}(_ctx, _mn, {lhs}, {value})")
-        if common != target:
-            back = self.temp()
-            self.emit(f"{back} = _rt.cast(_ctx, _mn, {t}, '{target.dtype}')")
-            return back
-        return t
+            cur = self._cast(cur, common.dtype)
+        code = self._binary(expr.op[:-1], cur, value, common)
+        return self._cast(code, target.dtype) if common != target else code
 
     # -- calls -------------------------------------------------------------------
     def gen_Call(self, expr: A.Call) -> str:
         if getattr(expr, "convert_type", None) is not None:
-            v = self.visit_expr(expr.args[0])
-            t = self.temp()
-            self.emit(f"{t} = _rt.cast(_ctx, _mn, {v}, '{expr.convert_type.dtype}')")
-            return t
+            return self._cast(self.visit_expr(expr.args[0]), expr.convert_type.dtype)
         builtin = getattr(expr, "builtin", None)
-        if builtin is not None:
-            if builtin.kind == "workitem":
-                t = self.temp()
-                if builtin.name == "get_work_dim":
-                    self.emit(f"{t} = _ctx.get_work_dim()")
-                else:
-                    d = self.visit_expr(expr.args[0])
-                    self.emit(f"{t} = _ctx.{builtin.name}(_rt.uniform({d}, _m))")
-                return t
-            if builtin.kind == "barrier":
-                self.emit("_rt.barrier(_ctx, _m)")
-                return "None"
-            if builtin.kind == "math":
-                args = ", ".join(self.visit_expr(a) for a in expr.args)
-                t = self.temp()
-                self.emit(
-                    f"{t} = _rt.math(_ctx, _mn, '{builtin.impl}', {builtin.weight}, {args})"
-                )
-                return t
-            if builtin.kind == "atomic":
-                return self._gen_atomic(expr, builtin)
-            raise CLCompileError(  # pragma: no cover
-                f"codegen: builtin kind {builtin.kind!r}", expr.line, expr.col
-            )
-        info: FunctionInfo = expr.func
-        args = [self.visit_expr(a) for a in expr.args]
-        t = self.temp()
-        arg_list = ", ".join(["_ctx", "_m"] + args)
-        self.emit(f"{t} = _fn_{info.name}({arg_list})")
-        return t
+        if builtin is None:
+            args = "".join(f", {code}" for code in self.operands(expr.args))
+            self.forget()  # the callee may store
+            return self.hold(f"_fn_{expr.func.name}(_ctx, _m, _mn{args})")
+        if builtin.kind == "workitem":
+            if builtin.name == "get_work_dim":
+                return "_ctx.get_work_dim()"
+            d = self.visit_expr(expr.args[0])
+            dim = expr.args[0]
+            while isinstance(dim, (A.Cast, A.ImplicitCast)):
+                dim = dim.expr
+            if isinstance(dim, A.IntLiteral):  # nothing to collapse
+                return f"_ctx.{builtin.name}({dim.value})"
+            return f"_ctx.{builtin.name}(_rt.uniform({d}, {self.lanes[0]}))"
+        if builtin.kind == "barrier":
+            self.pending += W_ALU  # a barrier is not free
+            self.emit("_rt.barrier(_ctx, _m)")
+            return ""
+        if builtin.kind == "math":
+            args = ", ".join(self.operands(expr.args))
+            self.pending += builtin.weight
+            fn = self.consts.setdefault(f"_impls['{builtin.impl}']", f"_f_{builtin.impl}")
+            return f"{fn}({args})"
+        if builtin.kind == "atomic":
+            return self._gen_atomic(expr, builtin)
+        raise CLCompileError(  # pragma: no cover
+            f"codegen: builtin kind {builtin.kind!r}", expr.line, expr.col
+        )
 
     def _gen_atomic(self, expr: A.Call, builtin) -> str:
         ptr = expr.args[0]
+        used = expr is not self.unused
         if isinstance(ptr, A.UnaryOp) and ptr.op == "&" and isinstance(ptr.operand, A.Index):
             base_sym = ptr.operand.base.symbol
-            idx = self.visit_expr(ptr.operand.index)
+            idx, *vals = self.operands([ptr.operand.index, *expr.args[1:]])
         elif isinstance(ptr, A.VarRef) and isinstance(ptr.type, PointerType):
             base_sym = ptr.symbol
-            idx = self.const("int64", 0)
+            idx, *vals = [self.const("int64", 0), *self.operands(expr.args[1:])]
         else:
             raise CLCompileError(
                 f"{expr.name}: first argument must be &buf[i] or a pointer variable",
@@ -773,19 +967,21 @@ class FunctionCodegen:
             )
         space = _space_of(base_sym)
         kind = "global" if space in ("global", "constant") else space
-        vals = [self.visit_expr(a) for a in expr.args[1:]]
-        t = self.temp()
-        val_part = (", " + ", ".join(vals)) if vals else ""
-        self.emit(
-            f"{t} = _rt.atomic(_ctx, _mn, _m, '{builtin.name}', '{kind}', {base_sym.slot}, {idx}{val_part})"
-        )
-        return t
+        self.pending += W_ATOMIC
+        self.forget()
+        args = ", ".join([base_sym.slot, idx, *vals])
+        call = f"_rt.atomic(_ctx, _mn, _m, {used}, '{builtin.name}', '{kind}', {args})"
+        if used:
+            return self.hold(call)
+        self.emit(call)
+        return ""
 
 
 MODULE_PRELUDE = '''\
 """Generated by repro.clc.codegen — do not edit."""
 import numpy as _np
 from repro.clc import vecrt as _rt
+from repro.clc.builtins import NUMPY_IMPLS as _impls
 '''
 
 
@@ -793,9 +989,13 @@ def generate_module(analyzed: AnalyzedProgram) -> str:
     """Generate the Python module source for an analyzed program."""
     consts: Dict[str, str] = {}
     summaries: Dict[int, _Summary] = {}
+    called = set().union(*(info.callees for info in analyzed.functions.values()))
     functions = []
     for info in analyzed.functions.values():
-        functions.append(FunctionCodegen(info, consts, summaries).generate())
+        _Liveness(summaries).run(info.node)
+        dry = FunctionCodegen(info, consts, summaries, called)
+        dry.generate()
+        functions.append(FunctionCodegen(info, consts, summaries, called, dry.collected()).generate())
         functions.append("")
     literals = [f"{name} = {expr}" for expr, name in consts.items()]
     return "\n".join([MODULE_PRELUDE, *literals, "", *functions])

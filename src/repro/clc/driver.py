@@ -120,9 +120,11 @@ def compile_program(source: str, options: str = "") -> CompiledProgram:
 # content addressing + binary round-trip
 # ----------------------------------------------------------------------
 #: Format tag of the serialized-program container; bumped whenever the
-#: payload layout changes so stale binaries fail loudly instead of
-#: executing garbage.
-BINARY_MAGIC = "CLCB1"
+#: payload layout *or the generated module's contract with ``vecrt``*
+#: changes, so stale binaries are refused at load instead of failing at
+#: their first launch.  (``CLCB2``: block-charged modules, kernels take
+#: ``(_ctx, _m, _mn, ...)``.)
+BINARY_MAGIC = "CLCB2"
 
 
 def program_digest(source: str) -> str:
@@ -295,6 +297,18 @@ def deserialize_program(blob: bytes) -> CompiledProgram:
         raise CLCompileError(f"invalid program binary: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("magic") != BINARY_MAGIC:
         raise CLCompileError("invalid program binary: bad magic")
+    try:
+        return _assemble(doc)
+    except CLCompileError:
+        raise
+    except Exception as exc:  # a blob is outside input: whatever it breaks is the blob's fault
+        raise CLCompileError(f"invalid program binary: {type(exc).__name__}: {exc}") from exc
+
+
+def _assemble(doc: Dict[str, object]) -> CompiledProgram:
+    """The program a decoded, right-magic binary document describes."""
+    if not isinstance(doc["source"], str) or not isinstance(doc["kernels"], list):
+        raise CLCompileError("invalid program binary: source must be text and kernels a list")
     namespace: Dict[str, object] = {}
     code = compile(doc["python_source"], "<clc-binary>", "exec")
     exec(code, namespace)

@@ -9,6 +9,7 @@ feeds the device cost model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -116,11 +117,6 @@ class ExecutionStats:
     work_items: int = 0
     chunks: int = 0
 
-    def merge(self, other: "ExecutionStats") -> None:
-        self.ops += other.ops
-        self.work_items += other.work_items
-        self.chunks += other.chunks
-
 
 class ExecContext:
     """Per-chunk execution state handed to generated vector code."""
@@ -130,33 +126,45 @@ class ExecContext:
         self.group_size = nd.group_size
         self.lanes = group_count * nd.group_size
         self.ops = 0.0
-        self.lane_ids = np.arange(self.lanes)
-        lin = np.arange(group_start * nd.group_size, (group_start + group_count) * nd.group_size)
-        group_lin = lin // nd.group_size
-        local_lin = lin % nd.group_size
-        self.group_ordinal = group_lin - group_start
-        self._group_ids: List[np.ndarray] = []
-        self._local_ids: List[np.ndarray] = []
-        self._global_ids: List[np.ndarray] = []
-        g_rest, l_rest = group_lin, local_lin
-        for d in range(nd.work_dim):
-            ng, nl = nd.num_groups[d], nd.local_size[d]
-            gc = g_rest % ng
-            lc = l_rest % nl
-            g_rest = g_rest // ng
-            l_rest = l_rest // nl
-            self._group_ids.append(gc.astype(np.uint64))
-            self._local_ids.append(lc.astype(np.uint64))
-            self._global_ids.append(
-                (gc * nl + lc + nd.global_offset[d]).astype(np.uint64)
-            )
-        self._local_arrays: Dict[str, np.ndarray] = {}
+        self._group_start = group_start
         self._group_count = group_count
+        # Work-item ID vectors, (work-item function, dimension) -> one
+        # entry per lane, built on first use like ``lane_ids`` and
+        # ``group_ordinal``: a kernel that reads get_global_id(0) once
+        # builds one table, not nine.
+        self._id_tables: Dict[Tuple[str, int], np.ndarray] = {}
+        self._local_arrays: Dict[str, np.ndarray] = {}
         # Lane compaction (vecrt.compact): the chunk lanes still being
         # executed, as indices, or None for all of them; and the ID
         # vectors already gathered for that selection.
         self._selection: Optional[np.ndarray] = None
-        self._selected_ids: Dict[Tuple[int, int], np.ndarray] = {}
+        self._selected_ids: Dict[Tuple[str, int], np.ndarray] = {}
+
+    @cached_property
+    def lane_ids(self) -> np.ndarray:
+        return np.arange(self.lanes)
+
+    @cached_property
+    def group_ordinal(self) -> np.ndarray:
+        return self.lane_ids // self.group_size
+
+    def _id_table(self, kind: str, d: int) -> np.ndarray:
+        table = self._id_tables.get((kind, d))
+        if table is None:
+            # Linear work-item index -> coordinate d of its group and of
+            # itself within the group.
+            nd = self.nd
+            lin = self.lane_ids + self._group_start * nd.group_size
+            group, local = lin // nd.group_size, lin % nd.group_size
+            for earlier in range(d):
+                group, local = group // nd.num_groups[earlier], local // nd.local_size[earlier]
+            group, local = group % nd.num_groups[d], local % nd.local_size[d]
+            if kind == "global":
+                table = group * nd.local_size[d] + local + nd.global_offset[d]
+            else:
+                table = group if kind == "group" else local
+            table = self._id_tables[kind, d] = table.astype(np.uint64)
+        return table
 
     # -- lane compaction -----------------------------------------------------
     def narrow(self, ix: np.ndarray) -> Optional[np.ndarray]:
@@ -176,28 +184,27 @@ class ExecContext:
     def _dim_ok(self, d: int) -> bool:
         return 0 <= d < self.nd.work_dim
 
-    def _ids(self, table: List[np.ndarray], d: int) -> np.ndarray:
+    def _ids(self, kind: str, d: int) -> np.ndarray:
         if not self._dim_ok(d):
             return np.uint64(0)
         if self._selection is None:
-            return table[d]
-        key = (id(table), d)
-        ids = self._selected_ids.get(key)
+            return self._id_table(kind, d)
+        ids = self._selected_ids.get((kind, d))
         if ids is None:
-            ids = self._selected_ids[key] = table[d][self._selection]
+            ids = self._selected_ids[kind, d] = self._id_table(kind, d)[self._selection]
         return ids
 
     def get_work_dim(self) -> np.uint32:
         return np.uint32(self.nd.work_dim)
 
     def get_global_id(self, d: int) -> np.ndarray:
-        return self._ids(self._global_ids, d)
+        return self._ids("global", d)
 
     def get_local_id(self, d: int) -> np.ndarray:
-        return self._ids(self._local_ids, d)
+        return self._ids("local", d)
 
     def get_group_id(self, d: int) -> np.ndarray:
-        return self._ids(self._group_ids, d)
+        return self._ids("group", d)
 
     def get_global_size(self, d: int) -> np.uint64:
         if not self._dim_ok(d):
@@ -319,7 +326,7 @@ def execute_kernel(
                 else:
                     chunk_args.append(value)
             mask = np.ones(ctx.lanes, dtype=bool)
-            kernel.vector_fn(ctx, mask, *chunk_args)
+            kernel.vector_fn(ctx, mask, ctx.lanes, *chunk_args)
             stats.ops += ctx.ops
             stats.work_items += ctx.lanes
             stats.chunks += 1

@@ -133,11 +133,6 @@ def is_arithmetic(t: object) -> bool:
     return isinstance(t, ScalarType)
 
 
-def common_type(a: ScalarType, b: ScalarType) -> ScalarType:
-    """Alias used by the ternary operator and function-argument matching."""
-    return usual_arithmetic_conversions(a, b)
-
-
 def type_from_literal_suffix(text: str) -> Optional[ScalarType]:
     """Type of an integer literal from its suffix (``u``, ``l``, ``ul``)."""
     suffix = ""

@@ -1,13 +1,20 @@
 """Runtime helpers called by vector-backend generated code.
 
-The code generator (:mod:`repro.clc.codegen`) emits three-address Python
-that calls these helpers.  Every helper that represents kernel work takes
-the execution context and the active lane count and charges the op
-accounting used by the device cost model.
+The code generator (:mod:`repro.clc.codegen`) emits plain NumPy
+expressions for arithmetic, comparisons and math builtins and charges
+the op accounting itself, once per basic block.  What is left here is
+what carries OpenCL C semantics NumPy does not have: masked assignment,
+partitioning the active lanes by a condition, lane compaction, C integer
+division and shifts, conversions, bounds-checked memory access, atomics
+and barriers.  The ``W_*`` weights below are what the generator charges
+per active lane.
 
 Conventions: ``m`` is the active-lane mask (bool ndarray of shape
 ``(lanes,)``), ``mn`` its popcount; values are NumPy scalars (uniform) or
-arrays of shape ``(lanes,)``.
+arrays of shape ``(lanes,)``.  Helpers look at active lanes only, so
+inactive lanes may hold anything; ``mn == m.shape[0]`` (every lane
+active) is the fast path of the memory helpers: nothing to gather,
+nothing to park.
 """
 
 from __future__ import annotations
@@ -16,7 +23,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.clc.builtins import NUMPY_IMPLS
 from repro.clc.errors import CLCRuntimeError
 
 # -- op-accounting weights (abstract "ops" per active lane) -------------
@@ -26,12 +32,9 @@ W_MEM = 2.0
 W_ATOMIC = 4.0
 
 
+# -- masks -----------------------------------------------------------------
 def count(m: np.ndarray) -> int:
     return int(np.count_nonzero(m))
-
-
-def not_(c: Any) -> Any:
-    return np.logical_not(c)
 
 
 def merge(m: np.ndarray, new: Any, old: Any) -> np.ndarray:
@@ -39,8 +42,28 @@ def merge(m: np.ndarray, new: Any, old: Any) -> np.ndarray:
     return np.where(m, new, old)
 
 
-def cast(ctx, mn: int, val: Any, dtype: str) -> Any:
-    ctx.ops += mn * W_ALU
+def restrict(m: np.ndarray, mn: int, c: Any):
+    """The lanes of ``m`` (``mn`` of them) where ``c`` holds, and how
+    many they are.  A uniform ``c`` keeps or drops every lane and is
+    never broadcast against the mask."""
+    if c.ndim == 0:
+        return (m, mn) if c else (np.zeros_like(m), 0)
+    m = m & c
+    return m, int(np.count_nonzero(m))
+
+
+def split(m: np.ndarray, mn: int, c: Any):
+    """:func:`restrict`, plus the other lanes of ``m`` and their count:
+    the two arms of an ``if``."""
+    if c.ndim == 0:
+        return (m, mn, np.zeros_like(m), 0) if c else (np.zeros_like(m), 0, m, mn)
+    then = m & c
+    n = int(np.count_nonzero(then))
+    return then, n, m & ~c, mn - n
+
+
+# -- values ----------------------------------------------------------------
+def cast(val: Any, dtype: str) -> Any:
     dt = np.dtype(dtype)
     if isinstance(val, np.ndarray):
         return val.astype(dt, copy=False)
@@ -132,38 +155,13 @@ def expand(ctx, state, scatter, *vals):
     return [levels[0][1], *vals]
 
 
-# -- arithmetic ----------------------------------------------------------
-def _charge(ctx, mn: int, w: float) -> None:
-    ctx.ops += mn * w
-
-
-def add(ctx, mn, a, b):
-    _charge(ctx, mn, W_ALU)
-    return np.add(a, b)
-
-
-def sub(ctx, mn, a, b):
-    _charge(ctx, mn, W_ALU)
-    return np.subtract(a, b)
-
-
-def mul(ctx, mn, a, b):
-    _charge(ctx, mn, W_ALU)
-    return np.multiply(a, b)
-
-
-def fdiv(ctx, mn, a, b):
-    _charge(ctx, mn, W_DIV)
-    return np.divide(a, b)
-
-
-def idiv(ctx, mn, a, b):
+# -- C integer arithmetic ---------------------------------------------------
+def idiv(a, b):
     """C-style integer division: truncation toward zero.
 
     Division by zero is UB in C; this substrate defines it as 0 (both
     backends agree, so differential tests stay meaningful).
     """
-    _charge(ctx, mn, W_DIV)
     zero = np.asarray(b) == 0
     b_safe = np.where(zero, np.ones_like(b), b)
     q = np.floor_divide(a, b_safe)
@@ -174,153 +172,65 @@ def idiv(ctx, mn, a, b):
     return np.where(zero, np.zeros_like(out), out)
 
 
-def imod(ctx, mn, a, b):
+def imod(a, b):
     """C-style remainder (sign of the dividend); x % 0 defined as 0."""
-    _charge(ctx, mn, W_DIV)
     zero = np.asarray(b) == 0
     b_safe = np.where(zero, np.ones_like(b), b)
     out = np.fmod(a, b_safe)
     return np.where(zero, np.zeros_like(out), out)
 
 
-def neg(ctx, mn, a):
-    _charge(ctx, mn, W_ALU)
-    return np.negative(a)
-
-
-def invert(ctx, mn, a):
-    _charge(ctx, mn, W_ALU)
-    return np.invert(a)
-
-
-def shl(ctx, mn, a, b):
-    _charge(ctx, mn, W_ALU)
+def shl(a, b):
     width = np.dtype(np.asarray(a).dtype).itemsize * 8
     return np.left_shift(a, np.asarray(b) & (width - 1))
 
 
-def shr(ctx, mn, a, b):
-    _charge(ctx, mn, W_ALU)
+def shr(a, b):
     width = np.dtype(np.asarray(a).dtype).itemsize * 8
     return np.right_shift(a, np.asarray(b) & (width - 1))
 
 
-def bitand(ctx, mn, a, b):
-    _charge(ctx, mn, W_ALU)
-    return np.bitwise_and(a, b)
-
-
-def bitor(ctx, mn, a, b):
-    _charge(ctx, mn, W_ALU)
-    return np.bitwise_or(a, b)
-
-
-def bitxor(ctx, mn, a, b):
-    _charge(ctx, mn, W_ALU)
-    return np.bitwise_xor(a, b)
-
-
-# -- comparisons / logic ---------------------------------------------------
-def lt(ctx, mn, a, b):
-    _charge(ctx, mn, W_ALU)
-    return np.less(a, b)
-
-
-def le(ctx, mn, a, b):
-    _charge(ctx, mn, W_ALU)
-    return np.less_equal(a, b)
-
-
-def gt(ctx, mn, a, b):
-    _charge(ctx, mn, W_ALU)
-    return np.greater(a, b)
-
-
-def ge(ctx, mn, a, b):
-    _charge(ctx, mn, W_ALU)
-    return np.greater_equal(a, b)
-
-
-def eq(ctx, mn, a, b):
-    _charge(ctx, mn, W_ALU)
-    return np.equal(a, b)
-
-
-def ne(ctx, mn, a, b):
-    _charge(ctx, mn, W_ALU)
-    return np.not_equal(a, b)
-
-
-def and_(ctx, mn, a, b):
-    _charge(ctx, mn, W_ALU)
-    return np.logical_and(a, b)
-
-
-def or_(ctx, mn, a, b):
-    _charge(ctx, mn, W_ALU)
-    return np.logical_or(a, b)
-
-
-def select(ctx, mn, c, a, b):
-    _charge(ctx, mn, W_ALU)
-    return np.where(c, a, b)
-
-
-def math(ctx, mn, impl: str, weight: float, *args):
-    _charge(ctx, mn, weight)
-    return NUMPY_IMPLS[impl](*args)
-
-
 # -- memory ----------------------------------------------------------------
-def _safe_index(m: np.ndarray, idx: Any, size: int, what: str) -> np.ndarray:
-    idx_arr = np.asarray(idx)
-    if idx_arr.ndim == 0:
-        idx_arr = np.broadcast_to(idx_arr, m.shape)
-    active = idx_arr[m]
-    if active.size:
-        bad = (active < 0) | (active >= size)
-        if bad.any():
-            off = int(active[np.argmax(bad)])
-            raise CLCRuntimeError(
-                f"out-of-bounds {what}: index {off} not in [0, {size})"
-            )
-    return np.where(m, idx_arr, 0)
+def _select(mn: int, m: np.ndarray, size: int, what: str, idx: Any, *others):
+    """``idx`` and ``others`` (per-lane arrays or uniform scalars) of the
+    active lanes, in lane order, the indices bounds-checked."""
+    if not _per_lane(idx):
+        idx = np.broadcast_to(idx, m.shape)
+    picked = (idx, *others)
+    if mn != m.shape[0]:
+        picked = tuple(v[m] if _per_lane(v) else v for v in picked)
+        idx = picked[0]
+    if mn and (idx.min() < 0 or idx.max() >= size):
+        off = int(idx[np.argmax((idx < 0) | (idx >= size))])
+        raise CLCRuntimeError(f"out-of-bounds {what}: index {off} not in [0, {size})")
+    return picked
 
 
-def load_global(ctx, mn, m, buf: np.ndarray, idx):
-    _charge(ctx, mn, W_MEM)
-    safe = _safe_index(m, idx, buf.shape[0], "global load")
-    return buf[safe]
+def _load_index(mn: int, m: np.ndarray, size: int, what: str, idx: Any) -> np.ndarray:
+    """An index every lane can load from: the active lanes' own,
+    bounds-checked; element 0 for the others."""
+    safe = idx if mn == m.shape[0] and _per_lane(idx) else np.where(m, idx, 0)
+    if mn and (safe.min() < 0 or safe.max() >= size):
+        _select(mn, m, size, what, idx)  # raises, naming the first offending lane
+    return safe
 
 
-def store_global(ctx, mn, m, buf: np.ndarray, idx, val):
-    _charge(ctx, mn, W_MEM)
-    idx_arr = np.asarray(idx)
-    if idx_arr.ndim == 0:
-        idx_arr = np.broadcast_to(idx_arr, m.shape)
-    _safe_index(m, idx_arr, buf.shape[0], "global store")
-    val_arr = np.asarray(val, dtype=buf.dtype)
-    if val_arr.ndim == 0:
-        val_arr = np.broadcast_to(val_arr, m.shape)
-    buf[idx_arr[m]] = val_arr[m]
+def load_global(mn, m, buf: np.ndarray, idx):
+    return buf[_load_index(mn, m, buf.shape[0], "global load", idx)]
+
+
+def store_global(mn, m, buf: np.ndarray, idx, val):
+    idx, val = _select(mn, m, buf.shape[0], "global store", idx, val)
+    buf[idx] = val
 
 
 def load_local(ctx, mn, m, arr: np.ndarray, idx):
-    _charge(ctx, mn, W_MEM)
-    safe = _safe_index(m, idx, arr.shape[1], "local load")
-    return arr[ctx.group_ordinal, safe]
+    return arr[ctx.group_ordinal, _load_index(mn, m, arr.shape[1], "local load", idx)]
 
 
 def store_local(ctx, mn, m, arr: np.ndarray, idx, val):
-    _charge(ctx, mn, W_MEM)
-    idx_arr = np.asarray(idx)
-    if idx_arr.ndim == 0:
-        idx_arr = np.broadcast_to(idx_arr, m.shape)
-    _safe_index(m, idx_arr, arr.shape[1], "local store")
-    val_arr = np.asarray(val, dtype=arr.dtype)
-    if val_arr.ndim == 0:
-        val_arr = np.broadcast_to(val_arr, m.shape)
-    arr[ctx.group_ordinal[m], idx_arr[m]] = val_arr[m]
+    idx, val, rows = _select(mn, m, arr.shape[1], "local store", idx, val, ctx.group_ordinal)
+    arr[rows, idx] = val
 
 
 def private_array(ctx, dtype: str, size: int) -> np.ndarray:
@@ -328,27 +238,20 @@ def private_array(ctx, dtype: str, size: int) -> np.ndarray:
 
 
 def load_private(ctx, mn, m, arr: np.ndarray, idx):
-    _charge(ctx, mn, W_MEM)
-    safe = _safe_index(m, idx, arr.shape[1], "private load")
-    return arr[ctx.lane_ids, safe]
+    return arr[ctx.lane_ids, _load_index(mn, m, arr.shape[1], "private load", idx)]
 
 
 def store_private(ctx, mn, m, arr: np.ndarray, idx, val):
-    _charge(ctx, mn, W_MEM)
-    idx_arr = np.asarray(idx)
-    if idx_arr.ndim == 0:
-        idx_arr = np.broadcast_to(idx_arr, m.shape)
-    _safe_index(m, idx_arr, arr.shape[1], "private store")
-    val_arr = np.asarray(val, dtype=arr.dtype)
-    if val_arr.ndim == 0:
-        val_arr = np.broadcast_to(val_arr, m.shape)
-    arr[ctx.lane_ids[m], idx_arr[m]] = val_arr[m]
+    idx, val, rows = _select(mn, m, arr.shape[1], "private store", idx, val, ctx.lane_ids)
+    arr[rows, idx] = val
 
 
 # -- atomics -----------------------------------------------------------------
 _ATOMIC_UFUNC = {
     "atomic_add": np.add,
     "atomic_sub": np.subtract,
+    "atomic_inc": np.add,
+    "atomic_dec": np.subtract,
     "atomic_min": np.minimum,
     "atomic_max": np.maximum,
     "atomic_and": np.bitwise_and,
@@ -357,72 +260,32 @@ _ATOMIC_UFUNC = {
 }
 
 
-def atomic(ctx, mn, m, op: str, kind: str, arr: np.ndarray, idx, *vals):
-    """Vectorised atomics on global/local/private storage.
+def atomic(ctx, mn, m, fetch: bool, op: str, kind: str, arr: np.ndarray, idx, *vals):
+    """Vectorised atomics on global/local/private storage, applied in
+    lane order.
 
-    Returns the value observed *before this dispatch's updates* (OpenCL
-    leaves intra-dispatch ordering undefined; the reference interpreter
-    provides exact serialised semantics for differential checks on end
-    state).
+    With ``fetch`` returns the value observed *before this dispatch's
+    updates* (OpenCL leaves intra-dispatch ordering undefined; the
+    reference interpreter provides exact serialised semantics for
+    differential checks on end state); without, the caller discards the
+    result and the full-width gather is skipped.
     """
-    _charge(ctx, mn, W_ATOMIC)
-    if kind == "global":
-        size = arr.shape[0]
-        target = arr
-        rows = None
-    elif kind == "local":
-        size = arr.shape[1]
-        target = arr
-        rows = ctx.group_ordinal
-    else:  # private
-        size = arr.shape[1]
-        target = arr
-        rows = ctx.lane_ids
-    idx_arr = np.asarray(idx)
-    if idx_arr.ndim == 0:
-        idx_arr = np.broadcast_to(idx_arr, m.shape)
-    _safe_index(m, idx_arr, size, f"{op}")
-    sel = idx_arr[m]
-    if rows is None:
-        old = target[np.where(m, idx_arr, 0)]
-    else:
-        old = target[rows, np.where(m, idx_arr, 0)]
-
-    def _vals(i: int) -> np.ndarray:
-        v = np.asarray(vals[i], dtype=target.dtype)
-        if v.ndim == 0:
-            v = np.broadcast_to(v, m.shape)
-        return v[m]
-
+    rows = None if kind == "global" else ctx.group_ordinal if kind == "local" else ctx.lane_ids
+    size = arr.shape[0 if rows is None else 1]
+    everyone = mn == m.shape[0]
+    sel, *vals = _select(mn, m, size, op, idx, *vals)
+    old = None
+    if fetch:
+        safe = sel if everyone else np.where(m, idx, 0)
+        old = arr[safe] if rows is None else arr[rows, safe]
+    at = sel if rows is None else (rows if everyone else rows[m], sel)
     if op in _ATOMIC_UFUNC:
-        ufunc = _ATOMIC_UFUNC[op]
-        if rows is None:
-            ufunc.at(target, sel, _vals(0))
-        else:
-            ufunc.at(target, (rows[m], sel), _vals(0))
-    elif op == "atomic_inc":
-        if rows is None:
-            np.add.at(target, sel, target.dtype.type(1))
-        else:
-            np.add.at(target, (rows[m], sel), target.dtype.type(1))
-    elif op == "atomic_dec":
-        if rows is None:
-            np.subtract.at(target, sel, target.dtype.type(1))
-        else:
-            np.subtract.at(target, (rows[m], sel), target.dtype.type(1))
+        _ATOMIC_UFUNC[op].at(arr, at, vals[0] if vals else arr.dtype.type(1))
     elif op == "atomic_xchg":
-        if rows is None:
-            target[sel] = _vals(0)
-        else:
-            target[rows[m], sel] = _vals(0)
+        arr[at] = vals[0]
     elif op == "atomic_cmpxchg":
-        cmp_v, new_v = _vals(0), _vals(1)
-        if rows is None:
-            cur = target[sel]
-            target[sel] = np.where(cur == cmp_v, new_v, cur)
-        else:
-            cur = target[rows[m], sel]
-            target[rows[m], sel] = np.where(cur == cmp_v, new_v, cur)
+        cur = arr[at]
+        arr[at] = np.where(cur == vals[0], vals[1], cur)
     else:  # pragma: no cover - sema rejects unknown atomics
         raise CLCRuntimeError(f"unknown atomic {op!r}")
     return old
@@ -433,7 +296,6 @@ def barrier(ctx, m) -> None:
     semantics automatically, but *divergent* barriers (not all work-items
     of a group reach it) are undefined behaviour in OpenCL — we detect and
     report them."""
-    ctx.ops += count(m)  # a barrier is not free
     if ctx.group_size <= 1:
         return
     per_group = m.reshape(-1, ctx.group_size)

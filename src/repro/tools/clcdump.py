@@ -6,14 +6,19 @@
 Prints the Python module :mod:`repro.clc.codegen` generates for an
 OpenCL C translation unit.  The module carries one comment per
 compiler decision (``# merge elided: zr_16 dead after loop 2``,
-``# loop 2: masked (barrier)``), so the liveness and compaction
-verdicts can be read without reading the code generator.
+``# loop 2: masked (barrier)``, ``# block: 8 ops``, ``# mask restored:
+if 3 parks nobody for good``, ``# uniform: s_42``), so the liveness,
+compaction, block, mask and uniformity verdicts can be read without
+reading the code generator.
 
 With ``--run N`` one ``N``-work-item launch of one kernel is executed on
 both backends and the report adds, per backend, ``ops`` and
 ``work_items`` (:class:`~repro.clc.runtime.ExecutionStats`), and for the
-vector backend the ``vecrt.merge`` calls executed and the lane
-compactions fired, then whether every buffer ended up identical.  The
+vector backend the ``vecrt.merge`` calls executed, the lane compactions
+fired, the blocks charged (``_ctx.ops +=`` lines executed) and the
+Python-level calls the launch made (:func:`launch_counts`: what the
+generated code costs the host, whatever the lane count), then whether
+every buffer ended up identical.  The
 interpreter runs one work-item at a time, so keep ``N`` modest for
 kernels with long loops.  ``--app`` supplies real arguments (a row of
 the stream bench's widest frame; one seeded OSEM event set); a kernel from a
@@ -29,7 +34,8 @@ holds the golden table).
 from __future__ import annotations
 
 import argparse
-from typing import List, Optional, Sequence, Tuple
+import sys
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -91,6 +97,40 @@ def _copy_args(args: Sequence[object]) -> List[object]:
     return [a.copy() if isinstance(a, np.ndarray) else a for a in args]
 
 
+def launch_counts(python_source: str, launch: Callable[[], object]) -> Tuple[int, int]:
+    """Run ``launch()`` — kernels of the module ``python_source`` — and
+    count what it costs the host: ``(calls, blocks)``.
+
+    ``calls`` is every Python function entered plus every C function
+    called (``sys.setprofile`` ``call`` + ``c_call`` events; operators
+    are neither), ``blocks`` every ``_ctx.ops +=`` line executed.  Both
+    are deterministic: ``tests/clc/test_block_codegen.py`` holds the
+    bundled kernels to a budget with them."""
+    charges = {n for n, line in enumerate(python_source.splitlines(), 1) if "_ctx.ops +=" in line}
+    counts = [0, 0]
+
+    def profiler(frame, event, arg):
+        if event in ("call", "c_call"):
+            counts[0] += 1
+
+    def line_tracer(frame, event, arg):
+        if event == "line" and frame.f_lineno in charges:
+            counts[1] += 1
+        return line_tracer
+
+    def tracer(frame, event, arg):
+        return line_tracer if frame.f_code.co_filename == "<clc-codegen>" else None
+
+    sys.settrace(tracer)
+    sys.setprofile(profiler)
+    try:
+        launch()
+    finally:
+        sys.setprofile(None)
+        sys.settrace(None)
+    return counts[0] - 1, counts[1]  # less the c_call of the closing sys.setprofile
+
+
 def run_report(program: CompiledProgram, kernel_name: str, lanes: int, args: Sequence[object]) -> str:
     """Execute one launch on both backends and tabulate what it cost."""
     kernel = program.kernel(kernel_name)
@@ -117,13 +157,20 @@ def run_report(program: CompiledProgram, kernel_name: str, lanes: int, args: Seq
     finally:
         for name, original in originals.items():
             setattr(vecrt, name, original)
+    calls = blocks = 0
+    if not isinstance(results["vector"][0], CLCRuntimeError):  # a third launch, without the wrappers above
+        bound = _copy_args(args)
+        calls, blocks = launch_counts(program.python_source, lambda: execute_kernel(kernel, (lanes,), bound))
     lines = [f"run: kernel {kernel_name!r}, {lanes} work-items"]
     for backend, (stats, _) in results.items():
         if isinstance(stats, CLCRuntimeError):
             lines.append(f"  {backend:<6} failed: {stats}")
         else:
             lines.append(f"  {backend:<6} ops={stats.ops:.0f} work_items={stats.work_items} chunks={stats.chunks}")
-    lines.append(f"  vector merges executed={counts['merge']} compactions fired={counts['compact']}")
+    lines.append(
+        f"  vector merges executed={counts['merge']} compactions fired={counts['compact']} "
+        f"blocks charged={blocks} python-level calls={calls}"
+    )
     if not any(isinstance(stats, CLCRuntimeError) for stats, _ in results.values()):
         same = all(
             np.array_equal(v, i, equal_nan=True)

@@ -427,3 +427,74 @@ def test_math_builtins():
     execute_kernel(prog.kernel("m"), (64,), [out_i, x], backend="interp")
     np.testing.assert_allclose(out_v, out_i, rtol=1e-6)
     assert np.all(np.isfinite(out_v))
+
+
+# ----------------------------------------------------------------------
+# guarded accesses: no fault on lanes C never evaluates
+# ----------------------------------------------------------------------
+# 8 work-items over a 5-element buffer.  ``&&`` / ``||`` / ``?:`` are
+# evaluated for every active lane on the vector backend, but their
+# loads are performed only where C would perform them.
+GUARDED = {
+    "and": "if (i < n && data[i] > 0) out[i] = data[i];",
+    "ternary": "out[i] = (i < n) ? data[i] : -1;",
+    "or_return": "if (i >= n || data[i] == 0) return; out[i] = 7;",
+    "nested_and": "if (i >= 1 && i < n && data[i] > 1) out[i] = data[i] + data[i - 1];",
+    "nested_right": "if (i < n && (data[i] > 1 || data[(i + 1) % n] > 4)) out[i] = 1;",
+    "ternary_in_and": "if (i < n + 1 && ((i < n) ? data[i] : 9) > 2) out[i] = 3;",
+}
+
+
+@pytest.mark.parametrize("idiom", sorted(GUARDED))
+def test_guarded_load_does_not_fault_on_the_lanes_it_guards(idiom):
+    src = f"""
+    __kernel void g(__global const int *data, __global int *out, const int n) {{
+        int i = (int)get_global_id(0);
+        {GUARDED[idiom]}
+    }}
+    """
+    data = np.array([3, 0, 2, 0, 5], dtype=np.int32)
+    vec, ref = run_both(src, "g", (8,), lambda: [data, np.full(8, -9, dtype=np.int32), 5])
+    np.testing.assert_array_equal(vec[1], ref[1])
+
+
+def test_guarded_load_inside_a_compacted_loop(monkeypatch):
+    """The guard's mask has the compacted width; the loop's trip count
+    differs per lane, so the gather really happens."""
+    from repro.clc import vecrt
+
+    compactions, compact = [], vecrt.compact
+    monkeypatch.setattr(vecrt, "COMPACT_MIN_LANES", 4)
+    monkeypatch.setattr(vecrt, "compact", lambda *args: compactions.append(1) or compact(*args))
+    src = """
+    __kernel void g(__global const int *data, __global int *out, const int n) {
+        int i = (int)get_global_id(0);
+        int acc = 0;
+        for (int k = 0; k < i; k++) {
+            int j = i + k;
+            if (j < n && data[j] > 0) acc += data[j];
+            acc += (j < n) ? data[j] : 1;
+        }
+        out[i] = acc;
+    }
+    """
+    data = np.arange(1, 21, dtype=np.int32)
+    vec, ref = run_both(src, "g", (16,), lambda: [data, np.zeros(16, dtype=np.int32), 20])
+    np.testing.assert_array_equal(vec[1], ref[1])
+    assert compactions
+
+
+def test_unguarded_out_of_bounds_load_still_faults():
+    from repro.clc import CLCRuntimeError
+
+    src = """
+    __kernel void g(__global const int *data, __global int *out, const int n) {
+        int i = (int)get_global_id(0);
+        if (i < n + 1 && data[i] > 0) out[i] = 1;
+    }
+    """
+    prog = compile_program(src)
+    args = [np.ones(5, dtype=np.int32), np.zeros(8, dtype=np.int32), 5]
+    for backend in ("vector", "interp"):
+        with pytest.raises(CLCRuntimeError, match=r"index 5 not in \[0, 5\)"):
+            execute_kernel(prog.kernel("g"), (8,), args, backend=backend)

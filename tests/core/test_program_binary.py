@@ -152,3 +152,86 @@ def test_binaries_query_with_every_server_dead_reports_the_loss():
     with pytest.raises(CLError) as err:
         api.clGetProgramInfo(program, "BINARIES")
     assert err.value.code == ErrorCode.CL_DEVICE_NOT_AVAILABLE
+
+
+# ----------------------------------------------------------------------
+# malformed and stale binaries: CL_INVALID_BINARY, never a raw exception
+# ----------------------------------------------------------------------
+def _doc_damage(name):
+    """A right-magic (or, for ``stale_magic``, previous-ABI) blob that
+    ``json.loads`` accepts and whose contents are wrong in one way."""
+    import json
+
+    from repro.clc.driver import compile_program, serialize_program
+
+    doc = json.loads(serialize_program(compile_program(SCALE)))
+    if name == "missing_key":
+        del doc["python_source"]
+    elif name == "source_does_not_compile":
+        doc["python_source"] = "def _fn_scale(:"
+    elif name == "source_raises_on_import":
+        doc["python_source"] = "raise RuntimeError('boom')"
+    elif name == "kernel_absent_from_module":
+        doc["kernels"][0]["name"] = "no_such_kernel"
+    elif name == "kernels_not_a_list":
+        doc["kernels"] = 7
+    elif name == "garbage_params_entry":
+        doc["kernels"][0]["params"] = [3]
+    elif name == "stale_magic":
+        doc["magic"] = "CLCB1"
+    return json.dumps(doc, sort_keys=True).encode()
+
+
+DAMAGED_DOCS = [
+    "missing_key", "source_does_not_compile", "source_raises_on_import",
+    "kernel_absent_from_module", "kernels_not_a_list", "garbage_params_entry", "stale_magic",
+]
+
+
+@pytest.mark.parametrize("damage", DAMAGED_DOCS)
+def test_damaged_binary_document_is_a_compile_error(damage):
+    from repro.clc import CLCompileError
+    from repro.clc.driver import deserialize_program
+
+    with pytest.raises(CLCompileError, match="invalid program binary"):
+        deserialize_program(_doc_damage(damage))
+
+
+@pytest.mark.parametrize("damage", DAMAGED_DOCS)
+def test_damaged_binary_document_is_invalid_binary_at_the_api(damage):
+    deployment, api, ctx, queue, program = _built()
+    api.clFinish(queue)  # the deferred source build lands in the daemons' caches
+    driver = deployment.driver
+    round_trips, pending = driver.stats.round_trips, driver.pending_commands()
+    cached = [len(d.buildcache) for d in deployment.daemons]
+    with pytest.raises(CLError) as err:
+        api.clCreateProgramWithBinary(ctx, _doc_damage(damage))
+    assert err.value.code == ErrorCode.CL_INVALID_BINARY
+    assert driver.stats.round_trips == round_trips and driver.pending_commands() == pending
+    assert [len(d.buildcache) for d in deployment.daemons] == cached
+
+
+@pytest.mark.parametrize("cache", [True, False], ids=["build_cache", "no_build_cache"])
+@pytest.mark.parametrize("damage", DAMAGED_DOCS)
+def test_damaged_binary_document_is_invalid_binary_at_the_daemon(damage, cache):
+    """A client that skips its own validation: the daemon answers
+    ``CL_INVALID_BINARY``, registers no program and caches nothing."""
+    from repro.core.daemon import Daemon
+    from repro.core.protocol import messages as P
+    from repro.hw import Host
+    from repro.hw.specs import GIGABIT_ETHERNET, GPU_SERVER, WESTMERE_NODE
+    from repro.net import GCFProcess, Network
+
+    net = Network(GIGABIT_ETHERNET)
+    daemon = Daemon(net.add_host(Host(GPU_SERVER, name="srv")), net, program_cache=cache)
+    client = GCFProcess("client", net.add_host(Host(WESTMERE_NODE, name="cli")), net)
+    client.request(daemon.gcf, P.CreateContextRequest(context_id=1, device_ids=[0]), 0.0)
+    registered = daemon.registry.count("client")
+    out = client.request(
+        daemon.gcf,
+        P.CreateProgramWithBinaryRequest(program_id=3, context_id=1, binary=_doc_damage(damage)),
+        0.0,
+    )
+    assert out.response.error == ErrorCode.CL_INVALID_BINARY.value
+    assert daemon.registry.count("client") == registered
+    assert daemon.buildcache is None or len(daemon.buildcache) == 0
