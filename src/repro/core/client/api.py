@@ -325,8 +325,8 @@ class DOpenCLAPI:
         data: np.ndarray,
         wait_for: Optional[Sequence[EventStub]] = None,
     ) -> EventStub:
-        """Host-to-buffer write: update the client copy, stream it to the
-        queue's server, and mark that server's copy Modified."""
+        """Host-to-buffer write: stream the bytes to the queue's server
+        and mark that server's copy Modified (:meth:`_write_through`)."""
         t = self._tick()
         self._check_queue_buffer(queue, buffer)
         raw = np.ascontiguousarray(data).view(np.uint8).ravel()
@@ -337,31 +337,33 @@ class DOpenCLAPI:
         # observe the *pre-write* bytes — resolve it before the write
         # mutates anything.
         self.driver.resolve_deferred_reads([buffer.id] + [e.id for e in wait_for or ()])
-        partial = offset != 0 or raw.size != buffer.size
-        if partial and not buffer.planner.is_valid("client"):
-            # Read-modify-write: fetch a valid copy before a partial update.
-            buffer.planner.note_client_demand()
-            plan = buffer.planner.acquire_read("client")
-            self.driver.run_transfer_plans([(buffer, plan)], queue)
-        buffer.write_host(offset, raw)
-        event = self.driver.new_event_stub(queue.context, queue.server.name, CL_COMMAND_WRITE_BUFFER)
-        self._upload_with_event(buffer, queue, event, wait_for)
-        # The application's host pointer is transient: after the upload the
-        # *server's* copy is the modified one and the client stub (like all
-        # other copies) is invalid — which is why a subsequent read streams
-        # the data back over the network (the Fig. 7 measurement).
-        self.driver.note_host_write(buffer, queue.server.name)
+        event = self._write_through(queue, buffer, offset, raw, wait_for)
         if blocking and event.resolved:
             self.clock.advance_to(event.completion_arrival)
         return event
 
-    def _upload_with_event(
+    def _write_through(
         self,
-        buffer: BufferStub,
         queue: QueueStub,
-        event: EventStub,
+        buffer: BufferStub,
+        offset: int,
+        raw: np.ndarray,
         wait_for: Optional[Sequence[EventStub]],
-    ) -> None:
+    ) -> EventStub:
+        """The one host-write path (``clEnqueueWriteBuffer`` and the
+        client-mediated copy).  The protocol ships whole objects: a
+        write covering the buffer streams ``raw`` itself — the daemon
+        copies it into device memory before the upload returns — while a
+        partial write merges ``raw`` into a valid client copy
+        (read-modify-write) and streams that.  A failed upload puts the
+        merged range back, so every copy keeps its bytes and, since
+        ``note_host_write`` never ran, the directory its state."""
+        whole = offset == 0 and raw.size == buffer.size
+        if not whole and not buffer.planner.is_valid("client"):
+            buffer.planner.note_client_demand()
+            plan = buffer.planner.acquire_read("client")
+            self.driver.run_transfer_plans([(buffer, plan)], queue)
+        event = self.driver.new_event_stub(queue.context, queue.server.name, CL_COMMAND_WRITE_BUFFER)
         # Same dependency bookkeeping as a kernel launch: the upload is
         # gated daemon-side on its wait list (and the queue's previous
         # command), so the stub records the chain (for waits on the
@@ -379,9 +381,27 @@ class DOpenCLAPI:
             wait_event_ids=self.driver.daemon_wait_ids(wait_for),
             replica_servers=self.driver.replica_broadcast_targets(event),
         )
-        # Ordered + zero-copy: flushes the window, then streams the
-        # client-side ndarray itself (no tobytes() materialisation).
-        self.driver.send_bulk([queue.server], lambda c: init, buffer.data, buffer.size)
+        if whole:
+            buffer.pristine = False
+            payload, undo = raw, None
+        else:
+            undo = buffer.data[offset : offset + raw.size].copy()
+            buffer.write_host(offset, raw)
+            payload = buffer.data
+        try:
+            # Ordered + zero-copy: flushes the window, then streams the
+            # ndarray itself (no tobytes() materialisation).
+            self.driver.send_bulk([queue.server], lambda c: init, payload, buffer.size)
+        except BaseException:
+            if undo is not None:
+                buffer.data[offset : offset + raw.size] = undo
+            raise
+        # The application's host pointer is transient: after the upload the
+        # *server's* copy is the modified one and the client stub (like all
+        # other copies) is invalid — which is why a subsequent read streams
+        # the data back over the network (the Fig. 7 measurement).
+        self.driver.note_host_write(buffer, queue.server.name)
+        return event
 
     def clEnqueueReadBuffer(
         self,
@@ -524,19 +544,13 @@ class DOpenCLAPI:
         dst.check_range(dst_offset, nbytes)
         # WAR hazard: pending deferred reads of dst see pre-copy bytes.
         self.driver.resolve_deferred_reads([dst.id] + [e.id for e in wait_for or ()])
-        # Client-mediated copy: validate the client's copy of src, update
-        # dst on the client, push dst to the queue's server.
+        # Client-mediated copy: validate the client's copy of src, then
+        # write its slice to dst through the host-write path.
         src.planner.note_client_demand()
         plan = src.planner.acquire_read("client")
         self.driver.run_transfer_plans([(src, plan)], queue)
-        if not dst.planner.is_valid("client") and (dst_offset != 0 or nbytes != dst.size):
-            dst.planner.note_client_demand()
-            self.driver.run_transfer_plans([(dst, dst.planner.acquire_read("client"))], queue)
-        dst.write_host(dst_offset, src.read_host(src_offset, nbytes))
-        event = self.driver.new_event_stub(queue.context, queue.server.name, CL_COMMAND_WRITE_BUFFER)
-        self._upload_with_event(dst, queue, event, wait_for)
-        self.driver.note_host_write(dst, queue.server.name)
-        return event
+        raw = src.data[src_offset : src_offset + nbytes]
+        return self._write_through(queue, dst, dst_offset, raw, wait_for)
 
     def _check_queue_buffer(self, queue: QueueStub, buffer: BufferStub) -> None:
         if not isinstance(buffer, BufferStub):

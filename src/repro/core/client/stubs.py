@@ -178,6 +178,9 @@ class BufferStub:
         self.id = stub_id
         self.flags = flags
         self.size = int(size)
+        #: The client copy.  Its bytes mean something only while the
+        #: directory calls the client valid: a whole-buffer write streams
+        #: the application's array and leaves this copy stale (Invalid).
         self.data = np.zeros(self.size, dtype=np.uint8)
         directory_cls = {"msi": MSIDirectory, "mosi": MOSIDirectory}.get(protocol)
         if directory_cls is None:

@@ -798,8 +798,9 @@ class Daemon:
                         )
                     tcur = max(tcur, event.end)
                     total += nbytes
-                    # Zero-copy: the per-section arrays stream back as a
-                    # list, never concatenated.
+                    # Zero-copy: read-only views of device memory stream
+                    # back as a list, never concatenated; the client
+                    # copies each into its copy on arrival.
                     sections.append(data)
                 return P.BufferDataResponse(nbytes=total), tcur, sections, total
             except CLError as exc:

@@ -148,7 +148,7 @@ class NativeAPI:
         data, event = queue.enqueue_read_buffer(buffer, t, offset, nbytes, wait_for)
         if blocking:
             self.clock.advance_to(event.wait(t))
-        return data, event
+        return data.copy(), event
 
     def clEnqueueCopyBuffer(
         self,

@@ -98,10 +98,15 @@ class Buffer:
             )
         return self.array.view(dtype)
 
-    def read(self, offset: int, nbytes: int) -> np.ndarray:
+    def view(self, offset: int, nbytes: int) -> np.ndarray:
+        """A validated, read-only view of ``nbytes`` bytes at ``offset``.
+        No copy: the receiver copies where the bytes change owner (a
+        device write, a client copy, the array handed to an application)."""
         self._check_alive()
         self._check_range(offset, nbytes)
-        return self.array[offset : offset + nbytes].copy()
+        out = self.array[offset : offset + nbytes]
+        out.flags.writeable = False
+        return out
 
     def write(self, offset: int, data: np.ndarray) -> int:
         self._check_alive()

@@ -170,11 +170,12 @@ class CommandQueue:
         nbytes: Optional[int] = None,
         wait_for: Optional[Sequence[Event]] = None,
     ) -> tuple:
-        """Device-to-host download; returns ``(data, event)``."""
+        """Device-to-host download; returns ``(data, event)``, ``data`` a
+        read-only view of device memory (the caller copies it)."""
         self._check_buffer(buffer)
         if nbytes is None:
             nbytes = buffer.size - offset
-        data = buffer.read(offset, nbytes)
+        data = buffer.view(offset, nbytes)
         duration = self.device.host.download_duration(self.device.hw, nbytes)
         event = self._enqueue(
             CL_COMMAND_READ_BUFFER, t, duration, wait_for, self._bus_schedule("read", "d2h")
@@ -200,8 +201,7 @@ class CommandQueue:
             lo2, hi2 = dst_offset, dst_offset + nbytes
             if lo1 < hi2 and lo2 < hi1:
                 raise CLError(ErrorCode.CL_MEM_COPY_OVERLAP)
-        data = src.read(src_offset, nbytes)
-        dst.write(dst_offset, data)
+        dst.write(dst_offset, src.view(src_offset, nbytes))
         duration = nbytes / DEVICE_COPY_BANDWIDTH
         return self._enqueue(
             CL_COMMAND_COPY_BUFFER, t, duration, wait_for, self._device_schedule("copy")

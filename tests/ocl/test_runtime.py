@@ -235,7 +235,7 @@ def test_buffer_release_frees_device_memory(api):
     api.clReleaseMemObject(buf)
     assert dev.hw.allocated_bytes == before
     with pytest.raises(CLError):
-        buf.read(0, 4)
+        buf.view(0, 4)
 
 
 def test_profiling_info(api):
