@@ -1,8 +1,8 @@
-"""Perf smoke — OSEM reply-cache payoff (fast; tier-1 budget).
+"""Perf smoke — OSEM steady-state forwarding (fast; tier-1 budget).
 
 The repeated-arg counterpart of ``bench_smoke``: list-mode OSEM re-binds
 identical kernel arguments every subset of every iteration, so the
-daemon reply/decode caches answer nearly all of its steady-state command
+daemons' batch decode cache answers most of its steady-state command
 traffic.  Applies the shared gate
 (:func:`repro.bench.osem.assert_osem_record`) and records the headline
 counters to ``benchmarks/results/bench_osem.json`` and ``BENCH_osem.json``.

@@ -145,7 +145,7 @@ def _run_scale(n_clients: int) -> Dict[str, object]:
         "p99_sync_latency": p99(latencies),
         **{
             key: daemons[key]
-            for key in ("decode_cache_hits", "reply_cache_hits", "programs_built",
+            for key in ("decode_cache_hits", "programs_built",
                         "build_cache_hits", "build_seconds_saved",
                         "dropped_event_statuses", "refused_connections",
                         "quota_rejections")
@@ -168,7 +168,6 @@ def bench_multiclient(scales=SCALES) -> ExperimentRecord:
             "throughput",
             "p99_sync_latency",
             "decode_cache_hits",
-            "reply_cache_hits",
             "programs_built",
             "build_cache_hits",
             "build_seconds_saved",

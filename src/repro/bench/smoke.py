@@ -8,7 +8,7 @@ reduced workload that completes in tier-1 time budget:
   creation fan-outs and relays, one stream per transfer;
 * ``batched`` — the full pipeline (fully deferred creation calls /
   handle promises, dependency-tracked windows with prefix flushing,
-  deferred relays, window-aware transfer coalescing, reply caches).
+  deferred relays, window-aware transfer coalescing, encode cache).
 
 The workload runs on :data:`SMOKE_DEVICES` servers, so every kernel
 event has ``SMOKE_DEVICES - 1`` >= 2 user-event replicas — the
@@ -234,8 +234,8 @@ def bench_smoke(n_devices: int = SMOKE_DEVICES, config: MandelbrotConfig = SMOKE
 
     Row per variant: the client driver's round-trip/batch/byte counters,
     the virtual-time total, the reduction ratios against the sync
-    baseline, and the pipeline counters (deferred/suppressed relays, coalesced
-    transfers per direction, the daemons' aggregate reply-cache hits).
+    baseline, and the pipeline counters (deferred/suppressed relays,
+    encode-cache hits, coalesced transfers per direction).
     """
     record = ExperimentRecord(
         experiment="bench_smoke",
@@ -253,8 +253,6 @@ def bench_smoke(n_devices: int = SMOKE_DEVICES, config: MandelbrotConfig = SMOKE
             "relays_deferred",
             "relays_suppressed",
             "encode_cache_hits",
-            "decode_cache_hits",
-            "reply_cache_hits",
             "coalesced_uploads",
             "coalesced_downloads",
             "coalesced_peer_transfers",
@@ -274,26 +272,22 @@ def bench_smoke(n_devices: int = SMOKE_DEVICES, config: MandelbrotConfig = SMOKE
     images = {}
     counters: Dict[str, Dict[str, int]] = {}
     totals: Dict[str, float] = {}
-    daemon_hits: Dict[str, int] = {}
     for variant, flags in VARIANTS.items():
         deployment = deploy_dopencl(make_ib_cpu_cluster(n_devices), **flags)
         result = render_dopencl(deployment.api, config)
         images[variant] = result.image
         counters[variant] = deployment.driver.stats.snapshot()
         totals[variant] = result.timings.total
-        daemon_hits[variant] = deployment.daemon_stats()["reply_cache_hits"]
     for variant, flags in GATHER_VARIANTS.items():
         deployment = deploy_dopencl(make_ib_cpu_cluster(n_devices), **flags)
         images[variant] = render_gathered(deployment.api, config)
         counters[variant] = deployment.driver.stats.snapshot()
         totals[variant] = deployment.api.now
-        daemon_hits[variant] = deployment.daemon_stats()["reply_cache_hits"]
     for variant, flags in READBACK_VARIANTS.items():
         deployment = deploy_dopencl(make_ib_cpu_cluster(n_devices), **flags)
         images[variant] = render_readback(deployment.api, config)
         counters[variant] = deployment.driver.stats.snapshot()
         totals[variant] = deployment.api.now
-        daemon_hits[variant] = deployment.daemon_stats()["reply_cache_hits"]
     sync = counters["sync"]
     for variant in [*VARIANTS, *GATHER_VARIANTS, *READBACK_VARIANTS]:
         c = counters[variant]
@@ -319,8 +313,6 @@ def bench_smoke(n_devices: int = SMOKE_DEVICES, config: MandelbrotConfig = SMOKE
             relays_deferred=c["relays_deferred"],
             relays_suppressed=c["relays_suppressed"],
             encode_cache_hits=c["encode_cache_hits"],
-            decode_cache_hits=c["decode_cache_hits"],
-            reply_cache_hits=daemon_hits[variant],
             coalesced_uploads=c["coalesced_uploads"],
             coalesced_downloads=c["coalesced_downloads"],
             coalesced_peer_transfers=c["coalesced_peer_transfers"],
@@ -342,7 +334,7 @@ def assert_smoke_record(record: ExperimentRecord) -> None:
     The full pipeline must cut >= 40% of the synchronous run's round
     trips and stay at or below the absolute
     :data:`MAX_BATCHED_ROUND_TRIPS` ceiling, genuinely coalesce
-    commands, exercise the relay-deferral and reply-cache paths, cost no
+    commands, exercise the relay-deferral and encode-cache paths, cost no
     extra wire bytes, and cost no virtual time beyond the deferred
     launch hand-off.  The gathered variants must show the right
     coalescing machinery firing per protocol (MSI: fused downloads;
@@ -360,15 +352,10 @@ def assert_smoke_record(record: ExperimentRecord) -> None:
     assert batched["batches"] > 0
     assert batched["batched_commands"] / batched["batches"] > 2.0
     # The PR-2 machinery really ran: relays rode windows, useless relays
-    # were skipped, and replicated commands were encoded once / their
-    # identical replies decoded once.  (Daemon reply-cache hits need a
-    # workload that repeats identical requests to one daemon — this one
-    # doesn't, so they are recorded but not gated here; the cache has
-    # its own unit tests.)
+    # were skipped, and replicated commands were encoded once.
     assert batched["relays_deferred"] > 0
     assert batched["relays_suppressed"] > 0
     assert batched["encode_cache_hits"] > 0
-    assert batched["decode_cache_hits"] > 0
     assert batched["bytes_sent"] <= sync["bytes_sent"]
     assert batched["bytes_received"] <= sync["bytes_received"]
     assert batched["total_time"] <= sync["total_time"] * 1.001
@@ -401,7 +388,6 @@ def smoke_payload(record: ExperimentRecord) -> dict:
         "byte_reduction": rows["batched"]["byte_reduction"],
         "relays_deferred": rows["batched"]["relays_deferred"],
         "relays_suppressed": rows["batched"]["relays_suppressed"],
-        "reply_cache_hits": rows["batched"]["reply_cache_hits"],
         "round_trips_gather": rows["gather"]["round_trips"],
         "round_trips_mosi": rows["mosi"]["round_trips"],
         "round_trips_readback": rows["readback"]["round_trips"],

@@ -129,9 +129,8 @@ def message_type(cls: type = None, *, deferrable: bool = False, replay_safe: str
 class Ack(Response):
     """Generic success/error reply for calls that return no data.
 
-    This is the response type of every deferrable command, which is what
-    makes the daemon-side reply cache effective: a successful batch of N
-    commands answers N byte-identical ``Ack()`` encodings.
+    This is the response type of every deferrable command: a successful
+    batch of N commands answers N ``Ack()`` objects.
     """
 
     error: int = 0
@@ -533,7 +532,7 @@ class CreateKernelRequest(Request):
 @message_type(deferrable=True)
 class SetKernelArgRequest(Request):
     """``clSetKernelArg`` replicated to every server of the context —
-    the canonical deferrable (and reply-cacheable) command."""
+    the canonical deferrable command."""
 
     kernel_id: int = mutates()
     index: int

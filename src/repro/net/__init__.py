@@ -8,7 +8,7 @@ The stack, bottom-up:
   times in the paper's Fig. 6.
 * :mod:`repro.net.network` — host registry and host-to-host transfers.
 * :mod:`repro.net.codec` — tagged binary wire codec (message sizes are
-  *measured from real encodings*, not guessed).
+  the exact lengths of their encodings, not guesses).
 * :mod:`repro.net.messages` — message base classes and the type registry.
 * :mod:`repro.net.gcf` — the Generic Communication Framework look-alike the
   paper builds on ([15], [16]): process objects, request/response
@@ -43,7 +43,7 @@ from repro.net.messages import (
 from repro.net.network import Network
 from repro.net.nic import NIC
 from repro.net.gcf import GCFProcess, NetStats, RequestOutcome
-from repro.net.streams import StreamResult, as_byte_view, as_uint8_array, payload_nbytes
+from repro.net.streams import as_byte_view, as_uint8_array, payload_nbytes
 from repro.net.iperf import IperfResult, run_iperf
 
 __all__ = [
@@ -69,7 +69,6 @@ __all__ = [
     "Request",
     "RequestOutcome",
     "Response",
-    "StreamResult",
     "as_byte_view",
     "as_uint8_array",
     "decode",

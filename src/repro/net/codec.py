@@ -1,14 +1,18 @@
 """Tagged binary wire codec.
 
-Messages in the reproduction are *actually serialised* so that the network
-cost model charges measured sizes rather than guesses, and so that the
-daemon genuinely cannot share Python object state with the client driver
-(the property that forces the stub/compound-stub design of the paper).
+The codec defines every message's wire form, so the network cost model
+charges the exact size of a message's encoding rather than a guess.
+Inside the simulator only a batch's commands are actually encoded (see
+:mod:`repro.net.messages`); every other message crosses as the object
+and is priced by :func:`encoded_size`'s arithmetic, which this module's
+encoder keeps honest as the oracle.
 
 Supported value types: ``None``, ``bool``, ``int`` (64-bit signed),
 ``float`` (IEEE double), ``str``, ``bytes``, ``list``/``tuple`` (encoded
-identically), ``dict`` with ``str`` keys, and 1-D ``numpy.ndarray`` of a
-simple dtype.
+identically), ``dict`` with ``str`` keys, 1-D ``numpy.ndarray`` of a
+simple dtype, and every registered message class (added to the tables by
+:func:`repro.net.messages.message_type`: a nested message is the
+``bytes`` of its own encoding).
 
 The codec is zero-copy where it matters:
 

@@ -14,14 +14,17 @@ dispatch, and supports the paper's two communication patterns:
   request/response round trip), :meth:`GCFProcess.request_batch` (one
   round trip carrying a whole send window of commands) and
   :meth:`GCFProcess.notify` (asynchronous one-way notification);
-* **stream-based** — :meth:`GCFProcess.stream` (an initialising
+* **stream-based** — :meth:`GCFProcess.send_bulk` (an initialising
   request/response exchange followed by the raw bulk payload, exactly the
-  sequence described in Section III-B).
+  sequence described in Section III-B) and :meth:`GCFProcess.fetch_bulk`
+  (a request whose reply is followed by the payload).
 
-Messages are really serialised; their measured byte counts drive the
-network cost model.  Every process keeps a :class:`NetStats` tally of the
-round trips and wire bytes it initiated — the counters behind the
-batching benchmarks.
+Messages cross by reference: the receiver gets the sender's object, and
+the network cost model charges its ``wire_size`` — the exact length of
+its encoding plus the protocol header.  Only a batch's commands are
+encoded and decoded (:meth:`GCFProcess.install_batch_dispatch`).  Every
+process keeps a :class:`NetStats` tally of the round trips and wire bytes
+it initiated — the counters behind the batching benchmarks.
 """
 
 from __future__ import annotations
@@ -37,13 +40,11 @@ from repro.net.messages import (
     CommandBatchResponse,
     Message,
     Notification,
-    ReplyCache,
     Request,
     Response,
     WireDecodeCache,
 )
 from repro.net.network import Network
-from repro.net.streams import StreamResult
 from repro.sim.timeline import Timeline
 
 #: A request handler receives ``(message, t_start, sender)`` and returns
@@ -77,9 +78,9 @@ class NetStats:
     ``batched_commands_received``
         Sub-commands this process *dispatched* as a batch receiver
         (``install_batch_dispatch``); every received sub-command is
-        counted exactly once — decoded, served from a cache, poisoned
-        or undispatchable alike — so the cache counters below can be
-        audited against it (see ``tests/net/test_wire_caches.py``).
+        counted exactly once — decoded, served from the decode cache,
+        poisoned or undispatchable alike — so ``decode_cache_hits`` can
+        be audited against it (see ``tests/net/test_wire_caches.py``).
     ``poisoned_commands``
         Batched sub-commands short-circuited by the dispatch guard
         (e.g. a command depending on a failed creation's provisional
@@ -87,12 +88,11 @@ class NetStats:
     ``notifications``
         One-way asynchronous messages sent (``GCFProcess.notify``); they
         cost bytes but no round trip.
-    ``streams`` / ``bulk_sends`` / ``bulk_fetches``
-        Stream-based bulk transfers: raw streams, uploads (init
-        request + pushed payload) and downloads (request + pulled
-        payload).  A bulk *fetch* blocks on the reply, so it counts as a
-        round trip; a bulk *send*'s init request is already counted in
-        ``requests``.
+    ``bulk_sends`` / ``bulk_fetches``
+        Stream-based bulk transfers: uploads (init request + pushed
+        payload) and downloads (request + pulled payload).  A bulk
+        *fetch* blocks on the reply, so it counts as a round trip; a
+        bulk *send*'s init request is already counted in ``requests``.
     ``bytes_sent`` / ``bytes_received``
         Wire bytes (message encodings incl. protocol headers, plus raw
         bulk payloads) this process put on / took off the network.
@@ -101,14 +101,10 @@ class NetStats:
         assembling batches — a command replicated to N daemons is
         encoded once and hits this counter N-1 times.
     ``decode_cache_hits``
-        Wire decodings answered from the process's
-        :class:`~repro.net.messages.WireDecodeCache`: on a daemon these
-        are byte-identical sub-commands decoded once; on a client,
-        byte-identical batched replies (typically the success ``Ack``).
-    ``reply_cache_hits``
-        Daemon-side reply encodings reused from the
-        :class:`~repro.net.messages.ReplyCache` (the handler still ran;
-        only the re-encoding was skipped).
+        Daemon-side: batched sub-commands answered from the batch
+        receiver's :class:`~repro.net.messages.WireDecodeCache` —
+        byte-identical commands decoded once.  Replies cross as objects,
+        so a client never decodes and keeps this at 0.
     ``relays_deferred`` / ``relays_suppressed``
         Client-side event-consistency traffic accounting: completion
         relays that joined a send window instead of round-tripping, and
@@ -281,14 +277,12 @@ class NetStats:
         "batched_commands_received",
         "poisoned_commands",
         "notifications",
-        "streams",
         "bulk_sends",
         "bulk_fetches",
         "bytes_sent",
         "bytes_received",
         "encode_cache_hits",
         "decode_cache_hits",
-        "reply_cache_hits",
         "relays_deferred",
         "relays_suppressed",
         "coalesced_uploads",
@@ -348,8 +342,8 @@ class NetStats:
 class RequestOutcome:
     """Timing breakdown of one synchronous exchange.
 
-    ``responses`` holds the decoded replies: one per command (batch
-    order) for a :meth:`GCFProcess.request_batch` trip, else one.
+    ``responses`` holds the replies: one per command (batch order) for a
+    :meth:`GCFProcess.request_batch` trip, else one.
     ``arrival`` is when the last leg landed — the reply, or a bulk
     exchange's raw payload — and ``payload`` what a bulk fetch streamed
     back.
@@ -405,9 +399,6 @@ class GCFProcess:
         #: Extra server-side work per accepted connection (session setup,
         #: worker spawn).  Daemons set this; plain processes keep 0.
         self.connect_setup_duration = 0.0
-        # Bounded byte-identical reply/command decode reuse (hit counts
-        # surface as ``stats.decode_cache_hits``); see repro.net.messages.
-        self._decode_cache = WireDecodeCache()
         self.peers: Dict[str, "GCFProcess"] = {}
         # Bounded log of (arrival_time, sender, message) for
         # introspection/tests; see :meth:`set_notification_log_limit`.
@@ -471,14 +462,13 @@ class GCFProcess:
     def install_batch_dispatch(
         self,
         on_error: Optional[Callable[[str], Response]] = None,
-        reply_cache_size: int = 256,
         guard: Optional[Callable[[Message, "GCFProcess"], Optional[Response]]] = None,
         observe: Optional[Callable[[Message, Response, "GCFProcess"], None]] = None,
         replay_cache_size: int = 512,
     ) -> None:
         """Make this process accept :class:`CommandBatch` envelopes.
 
-        The installed handler decodes the envelope's sub-commands once,
+        The installed handler decodes the envelope's sub-commands,
         charges the host's (cheaper) ``batch_command_overhead`` per
         command, and replays each through the handler registered for its
         type, in order — the server half of asynchronous batched call
@@ -498,27 +488,18 @@ class GCFProcess:
         in the batch reply: slot ``i`` answers for command ``i``, whether
         it ran, was poisoned, or could not be dispatched at all.
 
-        Two per-process caches remove redundant codec work without ever
-        skipping a handler (handlers have side effects and always run):
-
-        * byte-identical sub-commands — e.g. a ``SetKernelArgRequest``
-          re-sent with unchanged arguments — are decoded once through
-          the process's :class:`~repro.net.messages.WireDecodeCache`;
-        * the **reply cache** (:class:`~repro.net.messages.ReplyCache`,
-          bounded by ``reply_cache_size``) is keyed by the sub-command's
-          raw bytes (its request digest) and reuses the reply's encoding
-          whenever the handler produced a response equal to last time —
-          in steady state nearly every deferred command answers the
-          identical success ``Ack``, so replicated requests are encoded
-          once and their replies decoded from cache on the client side.
-          Guarded and undispatchable replies go through the same cache,
-          so repeated failures account identically to repeated
-          successes.
-
-        Every received sub-command — executed, guarded or
+        Each slot of the :class:`CommandBatchResponse` is the reply
+        object itself — the handler's, the guard's or ``on_error``'s —
+        exactly as :meth:`request` hands back a single reply.  The
+        commands are the one part of a batch that crosses as bytes:
+        byte-identical sub-commands — e.g. a ``SetKernelArgRequest``
+        re-sent with unchanged arguments, or one source built by N
+        tenants — are decoded once through this receiver's
+        :class:`~repro.net.messages.WireDecodeCache` (handlers still
+        always run).  Every received sub-command — executed, guarded or
         undispatchable — bumps ``stats.batched_commands_received``
-        exactly once; cache hits surface as ``stats.decode_cache_hits``
-        and ``stats.reply_cache_hits``.
+        exactly once; reused decodes surface as
+        ``stats.decode_cache_hits``.
 
         **Replay dedupe** (exactly-once effect): a batch carrying a
         replay identity (``msg.seq >= 0``) is looked up in a bounded
@@ -530,19 +511,13 @@ class GCFProcess:
         re-counted in ``batched_commands_received``).  Identity-less
         batches (``seq < 0``, the happy path) skip the lookup entirely.
         """
-        reply_cache = ReplyCache(maxsize=reply_cache_size)
+        decode_cache = WireDecodeCache()
         replay_cache: "OrderedDict[Tuple[str, int, int], CommandBatchResponse]" = OrderedDict()
 
-        def encode_reply(raw: bytes, response: Response) -> bytes:
-            reply_hits = reply_cache.hits
-            wire = reply_cache.encode(raw, response)
-            self.stats.reply_cache_hits += reply_cache.hits - reply_hits
-            return wire
-
-        def undispatchable(raw: bytes, detail: str) -> bytes:
+        def undispatchable(detail: str) -> Response:
             if on_error is None:
                 raise NetworkError(f"process {self.name!r}: {detail}")
-            return encode_reply(raw, on_error(detail))
+            return on_error(detail)
 
         @self.on_request(CommandBatch)
         def dispatch_batch(msg: CommandBatch, t: float, sender: "GCFProcess"):
@@ -555,22 +530,20 @@ class GCFProcess:
                     self.stats.deduped_batches += 1
                     return cached, t
             per_cmd = self.host.spec.batch_command_overhead
-            results: List[bytes] = []
+            results: List[Response] = []
             tcur = t
             self.stats.batched_commands_received += len(msg.commands)
             for raw in msg.commands:
+                decode_hits = decode_cache.hits
                 try:
-                    decode_hits = self._decode_cache.hits
-                    sub = self._decode_cache.decode(raw)
-                    self.stats.decode_cache_hits += self._decode_cache.hits - decode_hits
+                    sub = decode_cache.decode(raw)
                 except CodecError as exc:
-                    results.append(undispatchable(raw, f"undecodable batched command: {exc}"))
+                    results.append(undispatchable(f"undecodable batched command: {exc}"))
                     continue
+                self.stats.decode_cache_hits += decode_cache.hits - decode_hits
                 handler = self._request_handlers.get(type(sub))
                 if handler is None or isinstance(sub, CommandBatch):
-                    results.append(
-                        undispatchable(raw, f"{type(sub).__name__} cannot be batch-forwarded")
-                    )
+                    results.append(undispatchable(f"{type(sub).__name__} cannot be batch-forwarded"))
                     continue
                 if guard is not None:
                     short = guard(sub, sender)
@@ -589,7 +562,7 @@ class GCFProcess:
                             self.stats.poisoned_commands += 1
                         if observe is not None:
                             observe(sub, short, sender)
-                        results.append(encode_reply(raw, short))
+                        results.append(short)
                         continue
                 iv = self.cpu.allocate(tcur, per_cmd, type(sub).__name__)
                 response, t_done = handler(sub, iv.end, sender)
@@ -601,7 +574,7 @@ class GCFProcess:
                 tcur = t_done
                 if observe is not None:
                     observe(sub, response, sender)
-                results.append(encode_reply(raw, response))
+                results.append(response)
             reply = CommandBatchResponse(results=results)
             if replay_key is not None and replay_cache_size > 0:
                 replay_cache[replay_key] = reply
@@ -696,19 +669,17 @@ class GCFProcess:
 
         The commands are serialised into a :class:`CommandBatch` envelope
         (one protocol header for the lot), dispatched by the target's
-        ``CommandBatch`` handler — which decodes each sub-command once and
+        ``CommandBatch`` handler — which decodes each sub-command and
         charges CPU per command — and their responses come back together
-        in the single :class:`CommandBatchResponse` reply, decoded into
-        the outcome's ``responses`` (batch order).
+        in the single :class:`CommandBatchResponse` reply, as the
+        outcome's ``responses`` (batch order; the receiver's objects, as
+        for :meth:`request`).
 
         Encoding is memoised per command instance
         (:meth:`~repro.net.messages.Message.cached_wire`): a command
         replicated into several daemons' windows as the *same* instance
         is encoded exactly once (``stats.encode_cache_hits`` counts the
-        reuses).  Reply decoding goes through the process's
-        :class:`~repro.net.messages.WireDecodeCache`, so byte-identical
-        replies — overwhelmingly the success ``Ack`` — are decoded once
-        (``stats.decode_cache_hits``).
+        reuses).
 
         ``epoch``/``seq`` stamp the batch's replay identity for the
         receiver's dispatch dedupe (see :meth:`install_batch_dispatch`);
@@ -737,9 +708,7 @@ class GCFProcess:
             )
         self.stats.batches += 1
         self.stats.batched_commands += len(msgs)
-        decode_hits = self._decode_cache.hits
-        outcome.responses = [self._decode_cache.decode(raw) for raw in reply.results]
-        self.stats.decode_cache_hits += self._decode_cache.hits - decode_hits
+        outcome.responses = reply.results
         return outcome
 
     def notify(self, target: "GCFProcess", msg: Notification, t: float) -> float:
@@ -757,27 +726,6 @@ class GCFProcess:
     # ------------------------------------------------------------------
     # stream-based communication
     # ------------------------------------------------------------------
-    def stream(
-        self,
-        target: "GCFProcess",
-        nbytes: int,
-        t: float,
-        init: Optional[Request] = None,
-        tag: object = None,
-    ) -> StreamResult:
-        """Bulk data transfer: an initialising request/response exchange
-        followed by the raw payload (Section III-B).  Returns timing."""
-        if init is not None:
-            outcome = self.request(target, init, t)
-            start = outcome.reply_arrival
-        else:
-            # Stream channel already set up: only a half handshake.
-            start = self.network.transfer(self.host, target.host, t, 96, tag="stream-init")
-        arrival = self.network.transfer(self.host, target.host, start, nbytes, tag=tag or "stream")
-        self.stats.streams += 1
-        self.stats.bytes_sent += nbytes
-        return StreamResult(requested_at=t, started_at=start, arrival=arrival, nbytes=nbytes)
-
     def send_bulk(
         self,
         target: "GCFProcess",

@@ -1,10 +1,14 @@
 """Message base classes, the wire-type registry, and the batch envelope.
 
 A message class declares its payload fields as a dataclass; the registry
-assigns each class a stable wire name.  ``to_wire`` produces real bytes in
-the :mod:`repro.net.codec` format — the byte count (plus the protocol
-header) is what the network model charges for message-based
-communication.
+assigns each class a stable wire name.  ``to_wire`` produces its bytes in
+the :mod:`repro.net.codec` format, and ``wire_size`` — the length of those
+bytes plus the protocol header — is what the network model charges for
+message-based communication.  Inside the simulator a message crosses by
+reference: :class:`~repro.net.gcf.GCFProcess` hands the receiver the
+object and charges its ``wire_size``.  The one exception is a
+:class:`CommandBatch`, whose commands are encoded by the sender and
+decoded by the receiver.
 
 Compiled at registration
 ------------------------
@@ -20,6 +24,12 @@ defaulted field left out) is decoded generically and checked against the
 class.  :meth:`Message.to_payload` is the same payload as a dict, for
 tests and oracles: ``to_wire() == encode([name, to_payload()])``.
 
+A message held in another message's field (a
+:class:`CommandBatchResponse`'s replies) is a value like any other: the
+codec encodes it as the ``bytes`` of its own encoding and sizes it as
+``5 + encoded_size()``, so the envelope prices exactly like one carrying
+the encoded replies.
+
 ``wire_size`` never encodes: it is the length of the cached encoding
 when the message has one (see below), else the class's constant part
 plus the value sizes (``wire_size == len(to_wire()) +
@@ -33,19 +43,19 @@ header and one network round trip, instead of one per command.
 Encoding caches
 ---------------
 
-Messages submitted to the forwarding pipeline are *frozen by convention*:
-once a request has been appended to a send window (or dispatched), its
-payload fields must not be mutated.  That contract makes two caches safe:
+Messages are *frozen by convention*: once a request has been appended to
+a send window (or dispatched), or a reply handed back, its payload
+fields must not be mutated — the receiver holds the same object.  That
+contract makes the two caches of the batched commands safe:
 
 * :meth:`Message.cached_wire` memoises ``to_wire()`` per instance, so a
   command replicated into N send windows (the same instance, deduplicated
   by the client driver's ``fanout_deferred``) is encoded once and the
   bytes are reused for every window — and sized by their length;
 * :class:`WireDecodeCache` is a bounded LRU from raw wire bytes to the
-  decoded message, so byte-identical commands or replies (e.g. the
-  ubiquitous success ``Ack``) are decoded once per process.  Decoded
-  instances are shared — callers must treat them as read-only, which
-  both the daemon handlers and the client reply-settling path do.
+  decoded message, so a batch receiver decodes byte-identical commands
+  once.  Decoded instances are shared — the handlers treat them as
+  read-only.
 """
 
 from __future__ import annotations
@@ -119,15 +129,26 @@ def _compile_codec(cls: Type["Message"], fields: Tuple[str, ...]) -> _Codec:
     return _Codec(fields, encode_message, size_message, decode_message)
 
 
+def _encode_nested(msg: "Message", out: bytearray) -> None:
+    ENCODERS[bytes](msg.to_wire(), out)
+
+
+def _size_nested(msg: "Message") -> int:
+    return 5 + msg.encoded_size()  # a bytes value: tag, length, the encoding
+
+
 def message_type(cls: Type[M]) -> Type[M]:
-    """Class decorator: make ``cls`` a dataclass, compile its wire codec
-    and register its wire name."""
+    """Class decorator: make ``cls`` a dataclass, compile its wire codec,
+    register its wire name and make its instances values the codec can
+    nest (module docstring)."""
     cls = dataclasses.dataclass(cls)
     wire_name = cls.__name__
     if wire_name in _REGISTRY and _REGISTRY[wire_name] is not cls:
         raise ValueError(f"duplicate message type {wire_name!r}")
     cls._codec = _compile_codec(cls, tuple(f.name for f in dataclasses.fields(cls)))
     _DECODERS[wire_name.encode("utf-8")] = cls._codec.decode
+    ENCODERS[cls] = _encode_nested
+    SIZERS[cls] = _size_nested
     _REGISTRY[wire_name] = cls
     return cls
 
@@ -218,9 +239,8 @@ class WireDecodeCache:
 
     Shared-instance semantics: a hit returns the *same* message object as
     the first decode, so callers must not mutate what they get back (see
-    module docstring).  ``hits`` counts reused decodes — the quantity the
-    daemon reply cache and the client reply-settling path report through
-    ``NetStats.decode_cache_hits``.
+    module docstring).  ``hits`` counts reused decodes — what a batch
+    receiver reports as ``NetStats.decode_cache_hits``.
     """
 
     def __init__(self, maxsize: int = 256) -> None:
@@ -242,51 +262,6 @@ class WireDecodeCache:
             if len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
         return msg
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-class ReplyCache:
-    """Bounded LRU keyed by a request's wire bytes, storing the response
-    it produced together with that response's encoding.
-
-    The daemon's batch dispatcher *always* executes the handler (handlers
-    have side effects — the cache must never skip them); the cache only
-    removes the cost of re-encoding an identical reply.  On replay, if
-    the fresh response compares equal to the cached one, the cached wire
-    bytes are reused and ``hits`` is bumped (reported through
-    ``NetStats.reply_cache_hits``); otherwise the entry is refreshed.
-    In steady state almost every deferred command answers the same
-    success ``Ack``, so hit rates are high.
-    """
-
-    def __init__(self, maxsize: int = 256) -> None:
-        self.maxsize = int(maxsize)
-        self.hits = 0
-        self._entries: "OrderedDict[bytes, Tuple[Message, bytes]]" = OrderedDict()
-
-    def encode(self, request_wire: bytes, response: "Message") -> bytes:
-        """Return ``response``'s wire bytes, reusing the cached encoding
-        when this request digest previously produced an equal response."""
-        key = bytes(request_wire)
-        cached = self._entries.get(key)
-        if cached is not None:
-            self._entries.move_to_end(key)
-            cached_response, cached_wire = cached
-            try:
-                same = cached_response == response
-            except Exception:  # unhashable/array-valued payloads: no reuse
-                same = False
-            if same:
-                self.hits += 1
-                return cached_wire
-        wire = response.to_wire()
-        if self.maxsize > 0:
-            self._entries[key] = (response, wire)
-            if len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-        return wire
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -345,16 +320,16 @@ CommandBatch._codec = property(
 class CommandBatchResponse(Response):
     """Per-command responses of a :class:`CommandBatch`, in batch order.
 
-    ``results[i]`` is the wire encoding of the response answering the
-    ``i``-th sub-command — whether its handler ran, the dispatch guard
-    short-circuited it (a command poisoned by a failed creation), or it
-    could not be dispatched at all.  Failures are therefore always
-    reported *positionally*: the sender decodes the slots and settles
-    each deferred command's outcome (error checks, response callbacks)
+    ``results[i]`` is the response answering the ``i``-th sub-command —
+    whether its handler ran, the dispatch guard short-circuited it (a
+    command poisoned by a failed creation), or it could not be
+    dispatched at all.  Failures are therefore always reported
+    *positionally*: the sender settles each deferred command's outcome
     from the single reply, attributing any error to the exact call that
-    caused it.
+    caused it.  The responses are carried as objects and priced as their
+    encodings (module docstring).
     """
 
-    results: List[bytes]
+    results: List[Response]
     error: int = 0
     detail: str = ""

@@ -1,4 +1,4 @@
-"""Stream-based bulk data transfer: results and zero-copy payload views.
+"""Stream-based bulk data transfer: zero-copy payload views.
 
 The stream path (Section III-B) moves raw binary payloads; the helpers
 here let both endpoints hand buffers straight through the buffer protocol
@@ -7,7 +7,6 @@ without intermediate ``tobytes()``/``bytearray`` copies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -59,31 +58,3 @@ def split_sections(payload: Any, nbytes_list) -> list:
         sections.append(flat[cursor : cursor + nbytes])
         cursor += nbytes
     return sections
-
-
-@dataclass(frozen=True)
-class StreamResult:
-    """Timing of one bulk transfer.
-
-    ``requested_at`` — when the sender initiated the stream;
-    ``started_at`` — when the raw payload began flowing (after the
-    initialising request/response exchange);
-    ``arrival`` — when the last byte reached the destination.
-    """
-
-    requested_at: float
-    started_at: float
-    arrival: float
-    nbytes: int
-
-    @property
-    def total_time(self) -> float:
-        """Init exchange plus payload time."""
-        return self.arrival - self.requested_at
-
-    @property
-    def effective_bandwidth(self) -> float:
-        """Bytes per second over the whole transfer."""
-        if self.total_time <= 0.0:
-            return float("inf")
-        return self.nbytes / self.total_time

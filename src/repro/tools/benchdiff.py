@@ -49,8 +49,8 @@ from repro.bench.stream import bench_stream, stream_payload
 #: coalescing floors (the gathered mini Fig. 4); the ``readback`` keys
 #: gate the result-read coalescing floor the same way (the
 #: client-composed mini Fig. 4), together with the fused-group and
-#: ``clFlush``-barrier counters; the relay and reply-cache counters of
-#: the batched run are exact too.
+#: ``clFlush``-barrier counters; the relay counters of the batched run
+#: are exact too.
 DEFAULT_TOLERANCES: Dict[str, float] = {
     "round_trips_sync": 0.0,
     "round_trips_batched": 0.0,
@@ -65,14 +65,13 @@ DEFAULT_TOLERANCES: Dict[str, float] = {
     "flush_barriers": 0.0,
     "relays_deferred": 0.0,
     "relays_suppressed": 0.0,
-    "reply_cache_hits": 0.0,
     "bytes_sent_sync": 0.02,
     "bytes_sent_batched": 0.02,
 }
 
 #: OSEM-snapshot keys -> relative tolerance (``BENCH_osem.json``): the
-#: reply-cache payoff counters of the repeated-arg workload, the
-#: program-build-cache floors (the cache-on/cache-off setup ablation
+#: steady-state iteration counters of the repeated-arg workload (batched
+#: commands and daemon decode-cache hits), the program-build-cache floors (the cache-on/cache-off setup ablation
 #: pair and the one-compile-per-cluster repeat-setup phase) and the
 #: push-transfer floor (steady-state iteration round trips with
 #: predictive pushes on vs the ``push_transfers=False`` ablation cell,
@@ -87,7 +86,6 @@ OSEM_TOLERANCES: Dict[str, float] = {
     "push_commits": 0.0,
     "wasted_pushes": 0.0,
     "iteration_batched_commands": 0.0,
-    "iteration_reply_cache_hits": 0.0,
     "iteration_decode_cache_hits": 0.0,
     "cluster_programs_built": 0.0,
     "cluster_binaries_shipped": 0.0,

@@ -490,6 +490,45 @@ def test_zero_active_lanes_at_loop_entry(compactions):
     np.testing.assert_array_equal(out, -1)
 
 
+_LOCAL_TILE = """
+__kernel void k(__global float *out, const int n) {
+    __local float tile[64];
+    int gid = (int)get_global_id(0);
+    int lid = (int)get_local_id(0);
+    if (gid < n) tile[lid] = (float)gid * 0.75f + 0.5f;
+    else tile[lid] = -1.0f;
+    barrier(CLK_LOCAL_MEM_FENCE);
+    float acc = 0.0f;
+    for (int j = 0; j <= lid; j++) acc += tile[j];
+    int k = 0;
+    while (k < lid % 7) { acc = acc * 0.5f + (float)k; k++; }
+    out[gid] = acc;
+}
+"""
+
+
+@pytest.mark.parametrize("floor", [vecrt.COMPACT_MIN_LANES, _FLOOR], ids=["masked", "compacting"])
+def test_kernel_body_local_array_matches(floor, compactions, monkeypatch):
+    """A ``__local`` array declared in the kernel body (``local_array``):
+    filled under a divergent branch, barriered, read back per work-group.
+    Each work-item reads only its own and lower work-items' slots, so the
+    sequential interpreter — which has no barrier — computes the same
+    values from the barrier-free source."""
+    monkeypatch.setattr(vecrt, "COMPACT_MIN_LANES", floor)
+    prog = compile_program(_LOCAL_TILE)
+    assert "_ctx.local_array('tile" in prog.python_source
+    assert "masked (local memory)" in prog.python_source
+    reference = compile_program(_LOCAL_TILE.replace("barrier(CLK_LOCAL_MEM_FENCE);", ""))
+    outs = []
+    for program, backend in ((prog, "vector"), (reference, "interp")):
+        out = np.full(96, -7, dtype=np.float32)
+        compactions.append(0)
+        execute_kernel(program.kernel("k"), (96,), [out, 80], local_size=(32,), backend=backend)
+        outs.append(out)
+    np.testing.assert_array_equal(outs[0], outs[1])
+    assert (compactions[0] > 0) == (floor == _FLOOR)  # the private loop compacts
+
+
 def test_loop_with_barrier_is_not_compacted(compactions):
     source = """
     __kernel void k(__global int *out, __global const int *stop) {

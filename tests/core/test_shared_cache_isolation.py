@@ -1,14 +1,12 @@
 """Cross-client isolation of the daemon's shared caches.
 
-One daemon serves many tenants through four shared, bounded caches:
+One daemon serves many tenants through three shared, bounded caches:
 
-* the :class:`~repro.net.messages.WireDecodeCache` — keyed by raw wire
-  bytes, so N clients submitting the byte-identical command pay for one
-  decode.  Sharing the decoded *message* must never share registry
-  state: objects stay namespaced per sending client;
-* the :class:`~repro.net.messages.ReplyCache` — keyed by the request's
-  wire bytes; it only reuses an *encoding* after the handler ran and
-  produced an equal response, so it is semantically invisible;
+* the batch receiver's :class:`~repro.net.messages.WireDecodeCache` —
+  keyed by raw wire bytes, so N clients submitting the byte-identical
+  batched command pay for one decode.  Sharing the decoded *message*
+  must never share registry state: objects stay namespaced per sending
+  client;
 * the batch **replay-dedupe** cache — keyed ``(sender name, epoch,
   seq)``; a replayed batch from client A must be re-answered with A's
   cached response and never with B's, even when both stamped the same

@@ -30,7 +30,7 @@ def test_stamped_batch_is_deduped_on_replay(rig):
     assert daemon.gcf.stats.deduped_batches == 0
 
     # The wire-level replay of the same (client, epoch, seq): the daemon
-    # answers from its reply cache without re-running any handler.
+    # answers from its replay cache without re-running any handler.
     outcome2 = driver.gcf.request_batch(daemon.gcf, msgs, driver.clock.now, seq=7)
     assert daemon.gcf.stats.batched_commands_received == received + 1
     assert daemon.gcf.stats.deduped_batches == 1

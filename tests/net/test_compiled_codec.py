@@ -3,7 +3,8 @@ generic value-by-value walk they replaced.
 
 ``reference_encode`` / ``reference_size`` are that walk, kept here
 verbatim as the oracle: one ``isinstance`` ladder per value, over the
-``[name, to_payload()]`` envelope.  Every registered message class must
+``[name, to_payload()]`` envelope (a nested message is the ``bytes`` of
+its own envelope's encoding).  Every registered message class must
 produce the same bytes, the same size (with and without a cached
 encoding) and the same decoded message through its compiled codec, and
 reject the same values with :class:`CodecError`.
@@ -26,6 +27,7 @@ from repro.net.messages import (
     CommandBatch,
     CommandBatchResponse,
     Message,
+    Response,
     registered_types,
 )
 from repro.ocl.errors import ErrorCode
@@ -37,7 +39,13 @@ _INT64_MAX = 2**63 - 1
 # ----------------------------------------------------------------------
 # the oracle: the generic codec as it was before the dispatch tables
 # ----------------------------------------------------------------------
+def _envelope(msg):
+    return [type(msg).__name__, msg.to_payload()]
+
+
 def reference_size(value):
+    if isinstance(value, Message):
+        return 5 + reference_size(_envelope(value))
     if value is None or value is True or value is False:
         return 1
     if isinstance(value, (int, np.integer)):
@@ -71,6 +79,8 @@ def reference_size(value):
 
 
 def _reference_encode_into(value, out):
+    if isinstance(value, Message):
+        value = reference_encode(_envelope(value))
     if value is None:
         out.append(0x00)
     elif value is True:
@@ -136,7 +146,7 @@ def reference_encode(value):
 # ----------------------------------------------------------------------
 def assert_codec_equivalent(msg):
     """Bytes and sizes of ``msg`` agree with the oracle; returns the wire."""
-    envelope = [type(msg).__name__, msg.to_payload()]
+    envelope = _envelope(msg)
     wire = msg.to_wire()
     assert wire == reference_encode(envelope)
     assert wire == encode(envelope)  # the value-level codec agrees too
@@ -238,10 +248,35 @@ def test_round_trip_restores_the_message(cls, data):
     assert Message.from_wire(msg.to_wire()) == msg
 
 
+RESPONSE_TYPES = [cls for cls in REPRO_TYPES if issubclass(cls, Response)]
+
+
+@pytest.mark.parametrize("cls", RESPONSE_TYPES, ids=lambda cls: cls.__name__)
+@given(data=st.data())
+@settings(max_examples=4, deadline=None)
+def test_object_replies_price_and_encode_as_their_encodings(cls, data):
+    """A batch carries its replies as objects: priced and encoded
+    exactly like the envelope holding their encodings."""
+    replies = [_build(cls, data, any_values) for _ in range(data.draw(st.integers(0, 3)))]
+    as_objects = CommandBatchResponse(results=replies)
+    as_bytes = CommandBatchResponse(results=[reply.to_wire() for reply in replies])
+    assert as_objects.wire_size == as_bytes.wire_size
+    assert as_objects.to_wire() == as_bytes.to_wire()
+
+
 # ----------------------------------------------------------------------
 # hand-made edges
 # ----------------------------------------------------------------------
 _STRIDED = np.arange(12, dtype=np.uint8).reshape(3, 4).T  # neither C- nor 1-D
+
+#: A batch reply the way the batch receiver builds it: replies as objects.
+OBJECT_REPLIES = CommandBatchResponse(
+    results=[
+        P.Ack(),
+        P.Ack(error=ErrorCode.CL_INVALID_VALUE, detail="poisoned"),
+        P.BuildProgramResponse(kernels={"k": {"num_args": 1, "arg_kinds": ["buffer"]}}),
+    ]
+)
 
 EDGE_MESSAGES = [
     P.Ack(error=ErrorCode.CL_INVALID_VALUE, detail="IntEnum in an int field"),
@@ -271,10 +306,15 @@ EDGE_MESSAGES = [
     CommandBatch(commands=[P.Ack().to_wire()], epoch=2, seq=5),
     CommandBatch(commands=[], epoch=7, seq=-1),  # epoch without seq: still unstamped
     CommandBatchResponse(results=[P.Ack().to_wire()] * 3),
+    OBJECT_REPLIES,
 ]
 
 
-@pytest.mark.parametrize("msg", EDGE_MESSAGES, ids=lambda msg: type(msg).__name__)
+@pytest.mark.parametrize(
+    "msg",
+    EDGE_MESSAGES,
+    ids=lambda msg: "ObjectReplies" if msg is OBJECT_REPLIES else type(msg).__name__,
+)
 def test_edge_values_keep_their_exact_bytes(msg):
     assert_codec_equivalent(msg)
 
@@ -313,7 +353,7 @@ UNENCODABLE = [
 @pytest.mark.parametrize("msg", UNENCODABLE, ids=lambda msg: type(msg).__name__)
 def test_unencodable_values_raise_codec_error_from_both_entry_points(msg):
     with pytest.raises(CodecError):
-        reference_encode([type(msg).__name__, msg.to_payload()])
+        reference_encode(_envelope(msg))
     with pytest.raises(CodecError):
         msg.to_wire()
     with pytest.raises(CodecError):

@@ -169,33 +169,54 @@ def test_connect_handler_can_refuse(pair):
         a.connect(b, 0.0)
 
 
+def _upload_sink(b):
+    """Accept ``PingRequest`` uploads on ``b``; returns the list the sink
+    appends each landed ``(payload, arrival)`` to."""
+    landed = []
+
+    @b.on_request(PingRequest)
+    def init(msg, t, sender):
+        return PingResponse(echoed="ok"), t
+
+    @b.on_bulk_sink(PingRequest)
+    def sink(msg, payload, t, sender):
+        landed.append((payload, t))
+
+    return landed
+
+
+def _upload(a, b, nbytes, t):
+    """One ``send_bulk`` of ``nbytes`` (the payload object is a token:
+    only ``nbytes`` is priced) and its effective bandwidth."""
+    outcome = a.send_bulk(b, PingRequest(payload="start"), b"token", nbytes, t)
+    return outcome, nbytes / (outcome.arrival - outcome.sent_at)
+
+
 def test_stream_bulk_transfer(pair):
-    net, a, b = pair
-    nbytes = 100 << 20
-    result = a.stream(b, nbytes, t=0.0)
-    assert result.arrival > result.started_at > result.requested_at
+    _, a, b = pair
+    landed = _upload_sink(b)
+    outcome, bandwidth = _upload(a, b, 100 << 20, 0.0)
+    assert outcome.arrival > outcome.reply_arrival > outcome.sent_at
+    assert landed == [(b"token", outcome.arrival)]
     # Large streams approach the effective bandwidth.
-    assert result.effective_bandwidth == pytest.approx(
-        GIGABIT_ETHERNET.effective_bandwidth, rel=0.05
-    )
+    assert bandwidth == pytest.approx(GIGABIT_ETHERNET.effective_bandwidth, rel=0.05)
 
 
 def test_stream_with_init_request(pair):
     _, a, b = pair
-
-    @b.on_request(PingRequest)
-    def handle(msg, t, sender):
-        return PingResponse(echoed="ok"), t
-
-    r = a.stream(b, 1 << 20, t=0.0, init=PingRequest(payload="start"))
-    assert r.started_at > 2 * GIGABIT_ETHERNET.latency  # full init round trip
+    _upload_sink(b)
+    outcome, _ = _upload(a, b, 1 << 20, 0.0)
+    # The payload starts after the full init round trip.
+    assert outcome.reply_arrival > 2 * GIGABIT_ETHERNET.latency
+    assert a.stats.requests == 1 and a.stats.bulk_sends == 1
 
 
 def test_small_stream_less_efficient_than_large(pair):
     _, a, b = pair
-    small = a.stream(b, 1 << 20, t=100.0)
-    large = a.stream(b, 512 << 20, t=200.0)
-    assert small.effective_bandwidth < large.effective_bandwidth
+    _upload_sink(b)
+    _, small = _upload(a, b, 1 << 20, 100.0)
+    _, large = _upload(a, b, 512 << 20, 200.0)
+    assert small < large
 
 
 def test_message_wire_round_trip():
@@ -252,6 +273,29 @@ def test_request_batch_cheaper_than_n_requests(pair):
 
     batch_bytes = CommandBatch(commands=[m.to_wire() for m in msgs]).wire_size
     assert batch_bytes < sum(m.wire_size for m in msgs)
+
+
+def test_batch_replies_price_exactly_as_their_encodings(pair):
+    """A fixed batch whose replies come from the handler, the guard and
+    ``on_error``: the replies cross as objects, and the bytes and the
+    virtual time they cost are pinned to what the encoded replies cost."""
+    _, a, b = pair
+
+    @b.on_request(PingRequest)
+    def handle(msg, t, sender):
+        return PingResponse(echoed=msg.payload.upper()), t + 1e-6
+
+    b.install_batch_dispatch(
+        on_error=lambda detail: PingResponse(echoed=detail),
+        guard=lambda sub, sender: PingResponse(echoed="guarded") if sub.payload == "m2" else None,
+    )
+    msgs = [PingRequest(payload=f"m{i}") for i in range(4)] + [StatusNote(status=1)]
+    outcome = a.request_batch(b, msgs, 0.0)
+    assert [r.echoed for r in outcome.responses] == [
+        "M0", "M1", "guarded", "M3", "StatusNote cannot be batch-forwarded",
+    ]
+    assert (a.stats.bytes_sent, a.stats.bytes_received) == (359, 440)
+    assert outcome.reply_arrival == 0.00023051999999999995
 
 
 def test_request_batch_needs_batch_handler(pair):

@@ -1,9 +1,10 @@
-"""The encode/decode/reply caches behind batched call forwarding.
+"""The encode/decode caches behind batched call forwarding.
 
-Unit tests for :class:`repro.net.messages.WireDecodeCache` and
-:class:`repro.net.messages.ReplyCache`, plus daemon-level tests showing
-the caches at work under ``install_batch_dispatch`` — including the
-invariant that the reply cache never skips handler execution.
+Unit tests for :class:`repro.net.messages.WireDecodeCache`, plus
+daemon-level tests showing the caches at work under
+``install_batch_dispatch`` — including the invariant that a cached
+decode never skips handler execution, and that replies come back as
+the receiver's own objects.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from repro.core.protocol import messages as P
 from repro.hw.cluster import make_ib_cpu_cluster
 from repro.net.codec import CodecError, encode
-from repro.net.messages import Message, ReplyCache, WireDecodeCache
+from repro.net.messages import Message, WireDecodeCache
 from repro.ocl import CL_MEM_COPY_HOST_PTR, CL_MEM_READ_WRITE
 from repro.testbed import deploy_dopencl
 
@@ -59,40 +60,6 @@ def test_decode_cache_matches_from_wire():
 
 
 # ----------------------------------------------------------------------
-# unit: ReplyCache
-# ----------------------------------------------------------------------
-def test_reply_cache_reuses_encoding_for_equal_responses():
-    cache = ReplyCache(maxsize=4)
-    request_wire = P.FlushRequest(queue_id=1).to_wire()
-    first = cache.encode(request_wire, P.Ack())
-    second = cache.encode(request_wire, P.Ack())
-    assert first == second
-    assert cache.hits == 1
-
-
-def test_reply_cache_refreshes_on_different_response():
-    """Same request digest, different outcome (state changed between
-    replays): the cache must re-encode, not serve the stale reply."""
-    cache = ReplyCache(maxsize=4)
-    request_wire = P.FlushRequest(queue_id=1).to_wire()
-    ok = cache.encode(request_wire, P.Ack())
-    err = cache.encode(request_wire, P.Ack(error=5, detail="boom"))
-    assert ok != err
-    assert Message.from_wire(err).error == 5
-    assert cache.hits == 0
-    # And the refreshed entry now serves the new reply.
-    assert cache.encode(request_wire, P.Ack(error=5, detail="boom")) == err
-    assert cache.hits == 1
-
-
-def test_reply_cache_is_bounded():
-    cache = ReplyCache(maxsize=2)
-    for i in range(5):
-        cache.encode(P.FlushRequest(queue_id=i).to_wire(), P.Ack())
-    assert len(cache) == 2
-
-
-# ----------------------------------------------------------------------
 # daemon-level: the caches under install_batch_dispatch
 # ----------------------------------------------------------------------
 def _prepared(**kwargs):
@@ -115,9 +82,9 @@ def _prepared(**kwargs):
 
 def test_identical_replications_hit_daemon_caches_but_handlers_still_run():
     """Re-sending a byte-identical SetKernelArg to one daemon hits its
-    decode and reply caches — and the handler still executed each time,
-    which the kernel result proves (the arg was genuinely re-applied
-    after being changed in between)."""
+    decode cache — and the handler still executed each time, which the
+    kernel result proves (the arg was genuinely re-applied after being
+    changed in between)."""
     deployment, api, devices, ctx, queue, buf, kernel, n = _prepared()
     driver = deployment.driver
     daemon = deployment.daemon_on(devices[0].server.name)
@@ -129,8 +96,7 @@ def test_identical_replications_hit_daemon_caches_but_handlers_still_run():
     api.clEnqueueNDRangeKernel(queue, kernel, (n,))
     api.clFinish(queue)
     assert daemon.gcf.stats.decode_cache_hits > 0
-    assert daemon.gcf.stats.reply_cache_hits > 0
-    # The last (cached-encoding) arg update was still applied: x * 2.
+    # The last (cached-decode) arg update was still applied: x * 2.
     data, _ = api.clEnqueueReadBuffer(queue, buf)
     np.testing.assert_allclose(data.view(np.float32), 2.0)
 
@@ -144,16 +110,6 @@ def test_client_encode_cache_dedups_fanned_out_commands():
     api.clSetKernelArg(kernel, 1, np.float32(5.0))  # fans out to 2 servers
     driver.flush_all()
     assert driver.stats.encode_cache_hits > hits_before
-
-
-def test_client_decode_cache_dedups_identical_acks():
-    deployment, api, devices, ctx, queue, buf, kernel, n = _prepared()
-    driver = deployment.driver
-    for _ in range(3):
-        api.clSetKernelArg(kernel, 1, np.float32(5.0))
-    hits_before = driver.stats.decode_cache_hits
-    driver.flush_all()  # batches of identical Acks come back
-    assert driver.stats.decode_cache_hits > hits_before
 
 
 # ----------------------------------------------------------------------
@@ -175,20 +131,19 @@ def _raw_pair():
 
 
 def test_fully_cached_batch_still_counts_every_sub_command():
-    """A batch answered entirely from the decode + reply caches bumps
+    """A batch decoded entirely from the decode cache bumps
     ``batched_commands_received`` by its full length, and the cache
-    counters stay consistent with it: N sub-commands received -> N
-    decode hits and N reply hits on the repeat."""
+    counter stays consistent with it: N sub-commands received -> N
+    decode hits on the repeat."""
     daemon, client = _raw_pair()
     cmds = [P.FlushRequest(queue_id=i) for i in range(5)]
     client.request_batch(daemon.gcf, cmds, 0.0)
     stats = daemon.gcf.stats
     assert stats.batched_commands_received == 5
-    first_decode, first_reply = stats.decode_cache_hits, stats.reply_cache_hits
+    first_decode = stats.decode_cache_hits
     client.request_batch(daemon.gcf, cmds, 1.0)  # byte-identical repeat
     assert stats.batched_commands_received == 10
     assert stats.decode_cache_hits - first_decode == 5
-    assert stats.reply_cache_hits - first_reply == 5
     # Sender-side mirror: commands sent == commands received, and the
     # repeat's encodings all came from the per-instance cache.
     assert client.stats.batched_commands == stats.batched_commands_received
@@ -196,21 +151,45 @@ def test_fully_cached_batch_still_counts_every_sub_command():
 
 
 def test_undispatchable_replies_account_like_normal_ones():
-    """Regression for encode/decode cache-hit asymmetry: a repeated
-    *undispatchable* sub-command (here: a nested batch) used to hit the
-    decode cache while its error reply bypassed the reply cache.  Both
-    sides must count now."""
+    """A repeated *undispatchable* sub-command (here: a nested batch) is
+    counted, decoded from the cache and answered positionally exactly
+    like a dispatchable one."""
     from repro.net.messages import CommandBatch
 
     daemon, client = _raw_pair()
     nested = CommandBatch(commands=[P.FlushRequest(queue_id=1).to_wire()])
     out1 = client.request_batch(daemon.gcf, [nested], 0.0)
     assert out1.responses[0].error != 0  # rejected, positionally
-    reply_before = daemon.gcf.stats.reply_cache_hits
+    decode_before = daemon.gcf.stats.decode_cache_hits
     out2 = client.request_batch(daemon.gcf, [nested], 1.0)
-    assert out2.responses[0].error != 0
-    assert daemon.gcf.stats.reply_cache_hits == reply_before + 1
+    assert out2.responses[0] == out1.responses[0]
+    assert daemon.gcf.stats.decode_cache_hits == decode_before + 1
     assert daemon.gcf.stats.batched_commands_received == 2
+
+
+def test_batched_replies_are_the_handlers_own_objects():
+    """A batched reply crosses like a single request's: ``request_batch``
+    hands back the very objects the handlers returned, in batch order,
+    and a deduped replay re-answers equal ones without re-running any
+    handler."""
+    daemon, client = _raw_pair()
+    returned = []
+    handler = daemon.gcf._request_handlers[P.FlushRequest]
+
+    def recording(msg, t, sender):
+        response, t_done = handler(msg, t, sender)
+        returned.append(response)
+        return response, t_done
+
+    daemon.gcf._request_handlers[P.FlushRequest] = recording
+    cmds = [P.FlushRequest(queue_id=i) for i in range(3)]
+    first = client.request_batch(daemon.gcf, cmds, 0.0, epoch=0, seq=0)
+    assert len(returned) == 3
+    assert all(got is own for got, own in zip(first.responses, returned))
+    replay = client.request_batch(daemon.gcf, cmds, 1.0, epoch=0, seq=0)
+    assert daemon.gcf.stats.deduped_batches == 1
+    assert len(returned) == 3  # no handler ran again
+    assert replay.responses == first.responses
 
 
 def test_counter_invariants_hold_over_a_real_workload():
@@ -228,7 +207,6 @@ def test_counter_invariants_hold_over_a_real_workload():
     for daemon in deployment.daemons:
         s = daemon.gcf.stats
         assert s.decode_cache_hits <= s.batched_commands_received
-        assert s.reply_cache_hits <= s.batched_commands_received
         assert s.poisoned_commands <= s.batched_commands_received
         received_total += s.batched_commands_received
     c = driver.stats

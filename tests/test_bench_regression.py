@@ -14,6 +14,12 @@ session fixtures (``tests/conftest.py``) — the same runs the gate tests
 validate — so the expensive workloads execute once per suite.
 """
 
+import json
+import shutil
+
+import pytest
+
+from repro.tools import benchdiff
 from repro.tools.benchdiff import DEFAULT_TOLERANCES, check_snapshot, compare
 
 
@@ -53,3 +59,34 @@ def test_compare_flags_regressions_and_stale_snapshots():
     assert any("bytes_sent_batched" in p for p in compare(blowup, committed))
     missing = {k: v for k, v in committed.items() if k != "round_trips_sync"}
     assert any("missing" in p for p in compare(dict(committed), missing))
+
+
+@pytest.fixture
+def committed_copy(tmp_path, monkeypatch, request):
+    """The committed snapshots copied to ``tmp_path``, with the CLI's
+    workloads answered by the session's shared records."""
+    for name, snapshot in benchdiff.SNAPSHOTS.items():
+        shutil.copy(benchdiff.snapshot_path(name), tmp_path)
+        record = request.getfixturevalue(f"{name}_record")
+        monkeypatch.setitem(
+            benchdiff.SNAPSHOTS, name, snapshot._replace(bench=lambda record=record: record)
+        )
+    return str(tmp_path)
+
+
+def test_cli_passes_on_the_committed_snapshots(committed_copy, capsys):
+    assert benchdiff.main(["--committed-dir", committed_copy]) == 0
+    report = capsys.readouterr().out
+    assert report.count("OK: counters match the committed snapshot.") == len(benchdiff.SNAPSHOTS)
+
+
+def test_cli_fails_and_names_a_perturbed_key(committed_copy, capsys):
+    committed = benchdiff.load_committed("osem", committed_copy)
+    committed["iteration_decode_cache_hits"] += 1
+    with open(benchdiff.snapshot_path("osem", committed_copy), "w") as fh:
+        json.dump(committed, fh)
+    assert benchdiff.main(["--committed-dir", committed_copy]) == 1
+    violations = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  - ")]
+    assert len(violations) == 1
+    assert "iteration_decode_cache_hits" in violations[0]
+    assert "BENCH_osem.json" in violations[0]
