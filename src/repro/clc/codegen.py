@@ -59,6 +59,24 @@ execution"):
 * **Local value numbering.**  A side-effect-free expression generated
   twice from the same code, with nothing it reads assigned in between
   and no lane joining, is computed once and charged twice.
+* **In-place expression chains.**  In a left-nested chain of arithmetic,
+  bitwise or logical operators the left operand of the next operator is
+  a fresh intermediate nobody else holds, so the next operator updates
+  it in place: ``_e4 = (_c4 * zr_16); _e4 *= zi_17; _e4 += ci_15``.  A
+  NumPy scalar rebinds instead; operands are never swapped.  A
+  value-numbered ``_tK``, a cast, a load, a helper result or a variable
+  never heads a chain.
+* **In-place masked integer updates.**  A kept merge
+  ``x = merge(_m, x ± u, x)`` of an integer ``x`` that *owns* its array
+  (:func:`_owners`: nothing else can hold it) is ``x ±= _m`` (``u`` the
+  literal 1) or ``x ±= u * _m``, and ``x ±= u`` with every lane active:
+  exact under wrapping arithmetic.  Floats keep the merge (``-0.0``,
+  NaN).
+* **Lane retirement.**  Lanes a kernel's top-level ``if (...) return;``
+  removes never run again; unless what follows needs work-group state,
+  the survivors' values are gathered once (as a loop's compaction does)
+  and the rest of the kernel runs on an all-true mask.  Nothing is
+  scattered back: nothing follows the kernel.
 
 Uniformity and value numbering need facts only a generation walk
 produces (which stores merge; which expressions recur while still
@@ -85,6 +103,8 @@ from repro.clc.vecrt import W_ALU, W_ATOMIC, W_DIV, W_MEM
 #: conversions), except the logical ones, whose operands are bools.
 _RT_OP = {"<<": "shl", ">>": "shr", "%": "imod", "/": "idiv"}
 _LOGICAL_OP = {"&&": "&", "||": "|"}
+#: The Python operators (after ``_LOGICAL_OP``) with an augmented form.
+_IN_PLACE = ("+", "-", "*", "/", "&", "|", "^")
 
 _LOOPS = (A.While, A.DoWhile, A.For)
 _LEAVES = (A.Break, A.Continue, A.Return)
@@ -319,6 +339,106 @@ def _walk(node: A.Node):
         yield from _walk(child)
 
 
+def _converted(expr: A.Expr) -> Optional[A.Expr]:
+    """The operand of a cast or a ``convert_T()`` (``astype(copy=False)``
+    may return it), or ``None``."""
+    if isinstance(expr, (A.Cast, A.ImplicitCast)):
+        return expr.expr
+    if isinstance(expr, A.Call) and getattr(expr, "convert_type", None) is not None:
+        return expr.args[0]
+    return None
+
+
+def _fresh(expr: A.Expr, named: Set[int]) -> bool:
+    """Is the value of ``expr`` a NumPy scalar or an array no name holds
+    yet: a literal, or an operator NumPy computes, not shared by value
+    numbering?  ``?:`` is not (under a uniform condition it is an arm's
+    own value), nor are C's integer ``/`` and ``%``: over uniform
+    operands their ``np.where`` gives a 0-d array, which an in-place
+    update cannot widen to the lanes."""
+    while id(expr) not in named and _converted(expr) is not None:
+        expr = _converted(expr)
+    if id(expr) in named:
+        return False
+    if isinstance(expr, (A.IntLiteral, A.FloatLiteral, A.BoolLiteral)):
+        return True
+    if isinstance(expr, A.UnaryOp):
+        return expr.op in ("-", "~", "!")
+    if isinstance(expr, A.BinaryOp):
+        return expr.op not in (",", "%") and not (expr.op == "/" and not expr.type.is_float)
+    return False
+
+
+def _aliases(expr: Optional[A.Expr]) -> Set[str]:
+    """The variables whose array the value of ``expr`` may be: a
+    variable, through casts, unary ``+`` and the right of ``,``.  (The
+    value of an assignment or a ``++`` is its target's; the target of
+    one whose value is used never owns, see :func:`_owners`.)"""
+    while expr is not None and not isinstance(expr, A.VarRef):
+        if isinstance(expr, A.UnaryOp) and expr.op == "+":
+            expr = expr.operand
+        elif isinstance(expr, A.BinaryOp) and expr.op == ",":
+            expr = expr.rhs
+        else:
+            expr = _converted(expr)
+    return set() if expr is None else {expr.symbol.slot}
+
+
+def _owners(body: A.Block, named: Set[int]) -> FrozenSet[str]:
+    """The integer locals of a function that own their array, so that an
+    in-place update changes no other name's value: every store to one is
+    :func:`_fresh`, and it is never the bare value (:func:`_aliases`) of
+    a store to a variable, a helper argument, a ``return`` or a ``?:``
+    arm, nor the target of an assignment or ``++``/``--`` whose value is
+    used (those values are the variable's array).  Parameters never own:
+    the caller holds their arrays.  ``vecrt.compact`` gathers copies and
+    ``vecrt.expand`` scatters into copies, so compaction keeps
+    ownership."""
+    discarded: Set[int] = set()
+
+    def discard(expr: A.Expr) -> None:
+        discarded.add(id(expr))
+        if isinstance(expr, A.BinaryOp) and expr.op == ",":
+            discard(expr.rhs)
+
+    for node in _walk(body):  # whose value nobody reads (``FunctionCodegen.unused``)
+        if isinstance(node, A.ExprStmt):
+            discard(node.expr)
+        elif isinstance(node, A.For) and node.step is not None:
+            discard(node.step)
+        elif isinstance(node, A.BinaryOp) and node.op == ",":
+            discard(node.lhs)
+    owned: Set[str] = set()
+    lost: Set[str] = set()
+    for node in _walk(body):
+        if isinstance(node, A.VarDecl) and _is_value(node.symbol):
+            slot = node.symbol.slot
+            if not node.symbol.type.is_float and node.symbol.type.dtype != "bool":
+                owned.add(slot)
+            if node.init is not None and not _fresh(node.init, named):
+                lost.add(slot)
+            lost |= _aliases(node.init)
+        elif isinstance(node, A.Assign) and isinstance(node.target, A.VarRef):
+            slot = node.target.symbol.slot
+            if node.op == "=":
+                if not _fresh(node.value, named):
+                    lost.add(slot)
+                lost |= _aliases(node.value)
+            if id(node) not in discarded:
+                lost.add(slot)
+        elif isinstance(node, (A.UnaryOp, A.PostfixOp)) and node.op in ("++", "--"):
+            if id(node) not in discarded:
+                lost |= _aliases(node.operand)
+        elif isinstance(node, A.Call) and getattr(node, "func", None) is not None:
+            for arg in node.args:
+                lost |= _aliases(arg)
+        elif isinstance(node, A.Return):
+            lost |= _aliases(node.value)
+        elif isinstance(node, A.Ternary):
+            lost |= _aliases(node.then) | _aliases(node.els)
+    return frozenset(owned - lost)
+
+
 class _Facts(NamedTuple):
     """What the dry run of a function learned for the real one."""
 
@@ -327,8 +447,11 @@ class _Facts(NamedTuple):
     #: ``id`` of a side-effect-free expression -> the code generated for
     #: it without value numbering: what makes two expressions "the same".
     canon: Dict[int, str]
-    #: ``id`` of the expressions whose value a later one reuses.
+    #: ``id`` of the expressions whose value is computed once and read
+    #: more than once: the first and every reuse.
     named: Set[int]
+    #: Slots updated in place where a merge is kept (:func:`_owners`).
+    owners: FrozenSet[str]
 
 
 #: A construct being generated that parks lanes: where they rejoin (for
@@ -376,6 +499,20 @@ class FunctionCodegen:
         self.stores: List[Tuple[str, Optional[A.Expr], bool]] = []
         self.canon: Dict[int, str] = {}
         self.named: Set[int] = set()
+        #: Code whose value is an array (or NumPy scalar) nothing else
+        #: holds: an operator's result, or the name a chain updates.
+        self.fresh: Set[str] = set()
+        #: Top-level ``if``s of a kernel nobody calls whose then-arm
+        #: always returns, with statements after them and none of those
+        #: needing work-group state: the lanes they remove are retired.
+        stmts = info.node.body.stmts
+        self.retiring = {
+            id(stmt)
+            for i, stmt in enumerate(stmts)
+            if info.is_kernel and info.name not in called
+            and isinstance(stmt, A.If) and stmt.els is None and _always_leaves(stmt.then)
+            and stmts[i + 1 :] and not any(self.does(rest).group_state for rest in stmts[i + 1 :])
+        }
 
     def does(self, node: Optional[A.Node]) -> _Summary:
         return _summary(node, self.summaries)
@@ -389,7 +526,8 @@ class FunctionCodegen:
                 slot for slot, value, _ in self.stores if slot in uniform and not self._uniform(value, uniform)
             }
             if not varying:
-                return _Facts(frozenset(uniform), self.canon, self.named)
+                owners = _owners(self.info.node.body, self.named)
+                return _Facts(frozenset(uniform), self.canon, self.named, owners)
             uniform -= varying
 
     def _uniform(self, expr: Optional[A.Expr], slots) -> bool:
@@ -605,6 +743,20 @@ class FunctionCodegen:
             self.emit(f"_m, _mn = _mel{k}, _mnel{k}  # the then-arm of if {k} always leaves")
         else:
             self.emit(f"_m, _mn = _m | _mel{k}, _mn + _mnel{k}")
+        if id(stmt) in self.retiring:
+            self.retire(k)
+
+    def retire(self, k: int) -> None:
+        """The lanes ``if k`` returned never run again: gather every
+        per-lane value in scope down to the survivors, once, with the
+        machinery of a loop's compaction (``scatter`` is ``None``: nothing
+        follows the kernel, so nothing is expanded), and run on with an
+        all-true mask.  Values numbered before it have the old width."""
+        names = "".join(f", {sym.slot}" for sym in self.scope) + (", _ret" if self.needs_ret else "")
+        self.emit(f"if _mn < _w:  # lanes retired: if {k} returns them for good")
+        self.emit(f"    _m{names} = _rt.compact(_ctx, None, None, _m{names})[1{':' if names else ''}]")
+        self.emit("    _w = _mn")
+        self.avail = {}
 
     def visit_loop(self, stmt) -> None:
         """``while``, ``do``/``while`` and ``for`` share one shape: the
@@ -715,12 +867,13 @@ class FunctionCodegen:
             if dry:  # the key *is* the code generated without numbering
                 key = self.canon[id(expr)] = code
             elif id(expr) in self.facts.named:
+                self.fresh.discard(code)  # read again later: never updated in place
                 code = self.hold(code)
             if key not in self.avail:
                 self.avail[key] = (id(expr), code, self.pending - charged, does)
                 return code
         first, code, weight, _ = self.avail[key]
-        self.named.add(first)
+        self.named.update((first, id(expr)))
         if not dry:
             self.pending += weight  # computed once, charged every time
         return code
@@ -785,9 +938,15 @@ class FunctionCodegen:
         if expr.op == "+":
             return v
         if expr.op == "!":  # of a bool
-            return f"(~{v})"
+            return self.fresh_code(f"(~{v})")
         self.pending += W_ALU
-        return f"({expr.op}{v})"
+        return self.fresh_code(f"({expr.op}{v})")
+
+    def fresh_code(self, code: str) -> str:
+        """``code``, an operator's result: it may head a chain."""
+        if self.facts is not None:  # the dry run's code is the canonical form
+            self.fresh.add(code)
+        return code
 
     def gen_PostfixOp(self, expr: A.PostfixOp) -> str:
         return self._incdec(expr, prefix=False)
@@ -804,7 +963,7 @@ class FunctionCodegen:
             new = f"({old} {op} {one})"
             if used and prefix:
                 new = self.hold(new)
-            self._store_var(target.symbol, new, None)
+            self._store_var(target.symbol, new, None, (op, one, True))
         else:
             sym, idx = target.base.symbol, self.hold(self.visit_expr(target.index))
             old = self._load_code(sym, idx)
@@ -820,7 +979,17 @@ class FunctionCodegen:
         self.pending += W_DIV if op in ("/", "%") else W_ALU
         if op in _RT_OP and not (op == "/" and result.is_float):
             return f"_rt.{_RT_OP[op]}({a}, {b})"
-        return f"({a} {_LOGICAL_OP.get(op, op)} {b})"
+        op = _LOGICAL_OP.get(op, op)
+        if a not in self.fresh or op not in _IN_PLACE:
+            return self.fresh_code(f"({a} {op} {b})")
+        # sema gave both operands the result's type, so the update keeps it
+        if not a.isidentifier():
+            self._temp += 1
+            self.emit(f"_e{self._temp} = {a}  # in place: the chain's next operators reuse this array")
+            a = f"_e{self._temp}"
+            self.fresh.add(a)
+        self.emit(f"{a} {op}= {b}")
+        return a
 
     def gen_BinaryOp(self, expr: A.BinaryOp) -> str:
         if expr.op == ",":
@@ -848,20 +1017,31 @@ class FunctionCodegen:
             a = self.hold(a)
         b = self.under(f"~{c}", expr.els)
         self.pending += W_ALU
+        if self.uniform_note(expr.cond) is not None:  # picks an arm's own value: see _owners
+            return f"({a} if {c} else {b})"
         return f"_np.where({c}, {a}, {b})"
 
     # -- assignment ------------------------------------------------------------
-    def _store_var(self, sym: Symbol, code: str, value: Optional[A.Expr]) -> None:
+    def _store_var(
+        self, sym: Symbol, code: str, value: Optional[A.Expr], step: Optional[Tuple[str, str, bool]] = None
+    ) -> None:
         """``sym = code`` for the active lanes (``value`` is the
         expression stored, ``None`` for one that is uniform whenever
-        ``sym`` is).  Lanes parked by a construct entered since ``sym``
-        was declared keep the old value only if they can still read it
-        where they rejoin."""
+        ``sym`` is; ``step`` is ``(op, u, u is 1)`` when ``code`` is
+        ``sym op u``, ``op`` one of ``+ -`` in ``sym``'s type).  Lanes
+        parked by a construct entered since ``sym`` was declared keep the
+        old value only if they can still read it where they rejoin."""
         slot = sym.slot
         parked = self.frames[self.decl_depth[slot] :]
         where = next((what for what, live in parked if slot in live), None)
         self.stores.append((slot, value, where is not None))
         self.forget(slot)
+        if where is not None and step is not None and self.facts is not None and slot in self.facts.owners:
+            op, u, unit = step
+            u = self.hold(u)
+            self.emit(f"# merge in place: {slot} live {where}, owns its array")
+            self.emit(f"{slot} {op}= {u} if _mn == _w else {'_m' if unit else f'{u} * _m'}")
+            return
         if where is not None:
             code = self.hold(code)
             self.emit(f"# merge kept: {slot} live {where}")
@@ -895,9 +1075,13 @@ class FunctionCodegen:
         target = expr.target
         if isinstance(target, A.VarRef):
             value = self.visit_expr(expr.value)
+            step = None
+            if expr.op in ("+=", "-=") and expr.common_type == target.type:
+                unit = isinstance(expr.value, A.IntLiteral) and expr.value.value == 1
+                step = (expr.op[0], value, unit)
             if expr.op != "=":
                 value = self._compound(target.symbol.slot, value, expr)
-            self._store_var(target.symbol, value, expr.value)
+            self._store_var(target.symbol, value, expr.value, step)
             return self.temp(target.symbol.slot) if used else ""
         value, idx = self.operands([expr.value, target.index])
         if expr.op != "=":

@@ -8,7 +8,8 @@ feeds the device cost model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -55,34 +56,27 @@ class NDRange:
             raise CLCRuntimeError("global offset dimensionality mismatch")
         return NDRange(gs, ls, off)
 
-    @property
+    # Derived once per NDRange (the instance is immutable, and launches of
+    # one shape share it: see _nd_range).
+    @cached_property
     def work_dim(self) -> int:
         return len(self.global_size)
 
-    @property
+    @cached_property
     def total_work_items(self) -> int:
-        n = 1
-        for g in self.global_size:
-            n *= g
-        return n
+        return math.prod(self.global_size)
 
-    @property
+    @cached_property
     def group_size(self) -> int:
-        n = 1
-        for v in self.local_size:
-            n *= v
-        return n
+        return math.prod(self.local_size)
 
-    @property
+    @cached_property
     def num_groups(self) -> Tuple[int, ...]:
         return tuple(g // l for g, l in zip(self.global_size, self.local_size))
 
-    @property
+    @cached_property
     def total_groups(self) -> int:
-        n = 1
-        for g in self.num_groups:
-            n *= g
-        return n
+        return math.prod(self.num_groups)
 
 
 def _default_local(g: int, first_dim: bool) -> int:
@@ -90,11 +84,32 @@ def _default_local(g: int, first_dim: bool) -> int:
     first dimension (1 for the rest), mirroring a typical runtime choice."""
     if not first_dim:
         return 1
-    best = 1
-    for cand in range(1, min(g, 256) + 1):
-        if g % cand == 0:
-            best = cand
-    return best
+    return next(cand for cand in range(min(g, 256), 0, -1) if g % cand == 0)
+
+
+#: Launch shape -> its validated NDRange (bounded: shapes are few).
+_ND_RANGES: Dict[tuple, NDRange] = {}
+
+
+def _nd_range(global_size, local_size, global_offset) -> NDRange:
+    """:meth:`NDRange.create`, memoised per shape: a launch of a shape
+    seen before skips the validation it already passed.  Anything that
+    is not a sequence of hashable values goes to ``create`` as it is, so
+    every error reads as it always did."""
+    try:
+        key = (
+            tuple(global_size),
+            None if local_size is None else tuple(local_size),
+            None if global_offset is None else tuple(global_offset),
+        )
+        nd = _ND_RANGES.get(key)
+    except TypeError:
+        return NDRange.create(global_size, local_size, global_offset)
+    if nd is None:
+        nd = NDRange.create(global_size, local_size, global_offset)
+        if len(_ND_RANGES) < 1024:
+            _ND_RANGES[key] = nd
+    return nd
 
 
 class LocalMemory:
@@ -150,7 +165,11 @@ class ExecContext:
 
     def _id_table(self, kind: str, d: int) -> np.ndarray:
         table = self._id_tables.get((kind, d))
-        if table is None:
+        if table is None and kind == "global" and self.nd.work_dim == 1:
+            # One dimension: the global ID is the linear index plus the offset.
+            first = self._group_start * self.group_size + self.nd.global_offset[0]
+            table = self._id_tables[kind, d] = np.arange(first, first + self.lanes, dtype=np.uint64)
+        elif table is None:
             # Linear work-item index -> coordinate d of its group and of
             # itself within the group.
             nd = self.nd
@@ -295,7 +314,7 @@ def execute_kernel(
     ``backend`` is ``"vector"`` (production) or ``"interp"`` (reference).
     Returns the :class:`ExecutionStats` consumed by the device cost model.
     """
-    nd = NDRange.create(global_size, local_size, global_offset)
+    nd = _nd_range(global_size, local_size, global_offset)
     bound = bind_args(kernel.info, args)
     if backend == "interp":
         from repro.clc.interp import execute_interp
@@ -308,23 +327,26 @@ def execute_kernel(
     groups_per_chunk = max(1, max_lanes // nd.group_size)
     total_groups = nd.total_groups
     start = 0
-    param_syms = kernel.info.param_symbols
+    local = [
+        (i, sym, value)
+        for i, (sym, value) in enumerate(zip(kernel.info.param_symbols, bound))
+        if isinstance(value, LocalMemory)
+    ]
     with np.errstate(all="ignore"):
         while start < total_groups:
             count = min(groups_per_chunk, total_groups - start)
             ctx = ExecContext(nd, start, count)
-            chunk_args: List[object] = []
-            for sym, value in zip(param_syms, bound):
-                if isinstance(value, LocalMemory):
+            chunk_args = bound
+            if local:  # each chunk gets its own work-groups' __local arrays
+                chunk_args = list(bound)
+                for i, sym, value in local:
                     elems = value.nbytes // sym.type.pointee.size
                     if elems <= 0:
                         raise CLCRuntimeError(
                             f"local argument {sym.name!r}: {value.nbytes} bytes is less "
                             f"than one {sym.type.pointee} element"
                         )
-                    chunk_args.append(ctx.local_arg_array(sym.type.pointee.dtype, elems))
-                else:
-                    chunk_args.append(value)
+                    chunk_args[i] = ctx.local_arg_array(sym.type.pointee.dtype, elems)
             mask = np.ones(ctx.lanes, dtype=bool)
             kernel.vector_fn(ctx, mask, ctx.lanes, *chunk_args)
             stats.ops += ctx.ops

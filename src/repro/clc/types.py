@@ -11,6 +11,7 @@ explicit casts).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Optional
 
 import numpy as np
@@ -26,7 +27,7 @@ class ScalarType:
     is_float: bool
     signed: bool  # meaningful for integers only
 
-    @property
+    @cached_property
     def np_dtype(self) -> np.dtype:
         return np.dtype(self.dtype)
 

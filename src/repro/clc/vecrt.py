@@ -64,10 +64,9 @@ def split(m: np.ndarray, mn: int, c: Any):
 
 # -- values ----------------------------------------------------------------
 def cast(val: Any, dtype: str) -> Any:
-    dt = np.dtype(dtype)
     if isinstance(val, np.ndarray):
-        return val.astype(dt, copy=False)
-    return dt.type(val)
+        return val.astype(dtype, copy=False)
+    return np.dtype(dtype).type(val)
 
 
 def uniform(val: Any, m: Any = None) -> int:
@@ -118,8 +117,10 @@ def compact(ctx, state, scatter, m: np.ndarray, *vals):
     the width they were gathered from and the values at that width —
     all of them the first time (the full-width values come back at the
     exit), later only the ``scatter`` ones (lanes that leave the loop
-    after this compaction still need theirs).  ``flatnonzero`` keeps
-    lane order, so stores and atomics still happen in lane order."""
+    after this compaction still need theirs).  A kernel that retires the
+    lanes of its guard ``return`` passes ``state`` and ``scatter`` as
+    ``None`` and drops the state: it never expands.  ``flatnonzero``
+    keeps lane order, so stores and atomics still happen in lane order."""
     ix = np.flatnonzero(m)
     previous = ctx.narrow(ix)
     if state is None:

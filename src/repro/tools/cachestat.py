@@ -159,7 +159,7 @@ def cachestat_text(deployment) -> str:
     return "\n".join(lines).rstrip("\n")
 
 
-def _main() -> None:  # pragma: no cover - exercised via cachestat_text tests
+def _main() -> None:
     from repro.hw.cluster import make_ib_cpu_cluster
     from repro.testbed import deploy_dopencl
 

@@ -7,19 +7,20 @@ Prints the Python module :mod:`repro.clc.codegen` generates for an
 OpenCL C translation unit.  The module carries one comment per
 compiler decision (``# merge elided: zr_16 dead after loop 2``,
 ``# loop 2: masked (barrier)``, ``# block: 8 ops``, ``# mask restored:
-if 3 parks nobody for good``, ``# uniform: s_42``), so the liveness,
-compaction, block, mask and uniformity verdicts can be read without
-reading the code generator.
+if 3 parks nobody for good``, ``# uniform: s_42``, ``# merge in place:
+iter_18 ...``, ``# lanes retired: ...``, ``# in place: ...``), so the
+liveness, compaction, block, mask, uniformity and in-place verdicts can
+be read without reading the code generator.
 
 With ``--run N`` one ``N``-work-item launch of one kernel is executed on
 both backends and the report adds, per backend, ``ops`` and
 ``work_items`` (:class:`~repro.clc.runtime.ExecutionStats`), and for the
 vector backend the ``vecrt.merge`` calls executed, the lane compactions
-fired, the blocks charged (``_ctx.ops +=`` lines executed) and the
-Python-level calls the launch made (:func:`launch_counts`: what the
-generated code costs the host, whatever the lane count), then whether
-every buffer ended up identical.  The
-interpreter runs one work-item at a time, so keep ``N`` modest for
+fired, the lanes a kernel's guard ``return`` retired, the blocks charged
+(``_ctx.ops +=`` lines executed) and the Python-level calls the launch
+made (:func:`launch_counts`: what the generated code costs the host,
+whatever the lane count), then whether every buffer ended up identical.
+The interpreter runs one work-item at a time, so keep ``N`` modest for
 kernels with long loops.  ``--app`` supplies real arguments (a row of
 the stream bench's widest frame; one seeded OSEM event set); a kernel from a
 file gets zero-filled ``N``-element buffers, ``N`` for every integer
@@ -134,20 +135,24 @@ def launch_counts(python_source: str, launch: Callable[[], object]) -> Tuple[int
 def run_report(program: CompiledProgram, kernel_name: str, lanes: int, args: Sequence[object]) -> str:
     """Execute one launch on both backends and tabulate what it cost."""
     kernel = program.kernel(kernel_name)
-    counts = {"merge": 0, "compact": 0}
-    originals = {name: getattr(vecrt, name) for name in counts}
+    counts = {"merge": 0, "compact": 0, "retired": 0}
+    originals = {name: getattr(vecrt, name) for name in ("merge", "compact")}
 
-    def counted(name):
-        def wrapper(*args):
-            counts[name] += 1
-            return originals[name](*args)
+    def merge(*args):
+        counts["merge"] += 1
+        return originals["merge"](*args)
 
-        return wrapper
+    def compact(ctx, state, scatter, m, *vals):
+        if scatter is None:  # a kernel retiring the lanes of its guard return
+            counts["retired"] += m.shape[0] - int(np.count_nonzero(m))
+        else:
+            counts["compact"] += 1
+        return originals["compact"](ctx, state, scatter, m, *vals)
 
     results = {}
     try:
-        for name in counts:  # generated code reaches vecrt through the module
-            setattr(vecrt, name, counted(name))
+        # generated code reaches vecrt through the module
+        vecrt.merge, vecrt.compact = merge, compact
         for backend in ("vector", "interp"):
             bound = _copy_args(args)
             try:
@@ -169,7 +174,7 @@ def run_report(program: CompiledProgram, kernel_name: str, lanes: int, args: Seq
             lines.append(f"  {backend:<6} ops={stats.ops:.0f} work_items={stats.work_items} chunks={stats.chunks}")
     lines.append(
         f"  vector merges executed={counts['merge']} compactions fired={counts['compact']} "
-        f"blocks charged={blocks} python-level calls={calls}"
+        f"lanes retired={counts['retired']} blocks charged={blocks} python-level calls={calls}"
     )
     if not any(isinstance(stats, CLCRuntimeError) for stats, _ in results.values()):
         same = all(

@@ -199,12 +199,14 @@ _LANES = (2, 8, 20)
 
 @pytest.fixture
 def compactions(monkeypatch):
-    """Lower the compaction floor; count compactions per launch."""
+    """Lower the compaction floor; count loop compactions per launch (a
+    kernel's lane retirement calls ``compact`` with no ``scatter``)."""
     launches = []
     original = vecrt.compact
 
     def counting(*args):
-        launches[-1] += 1
+        if args[2] is not None:
+            launches[-1] += 1
         return original(*args)
 
     monkeypatch.setattr(vecrt, "COMPACT_MIN_LANES", _FLOOR)
@@ -219,13 +221,19 @@ class _Gen:
     Choices come from a ``random.Random`` seeded by hypothesis: a
     program is a hundred choices, and drawing each one interactively
     costs more than compiling and running it.  A failure prints the
-    source, which is what one debugs from anyway."""
+    source, which is what one debugs from anyway.  ``aliases`` adds
+    stores that give a variable's array a second name (copies, casts,
+    ``?:`` arms, helper arguments and results, the values of ``++`` and
+    of assignments) and integer updates the in-place rules rewrite; it
+    draws from the generator only when on, so the other streams (and the
+    golden programs) are unchanged."""
 
-    def __init__(self, seed, exits=(), calls=False, atomics=False):
+    def __init__(self, seed, exits=(), calls=False, atomics=False, aliases=False):
         self.rng = random.Random(seed)
         self.exits = exits  # of "break", "continue", "return"
         self.calls = calls
         self.atomics = atomics
+        self.aliases = aliases
         self.names = 0
 
     def pick(self, *options):
@@ -261,10 +269,34 @@ class _Gen:
             return f"{target} = helper({self.expr(scope)}, {self.expr(scope)});"
         if self.atomics and self.flip():
             return f"atomic_add(&bins[({self.expr(scope)}) & 7], {self.expr(scope, 1)});"
+        if self.aliases and self.flip():
+            return self.alias(target, self.pick(*_CF_VARS), scope)
         kind = self.pick("=", "=", "+=", "^=", "++")
         if kind == "++":
             return f"{target}++;"
         return f"{target} {kind} {self.expr(scope)};"
+
+    def alias(self, target, source, scope):
+        """A store to ``target`` that may give ``source``'s array a
+        second name, or an update of ``source`` (``x``/``y``/``z``: the
+        only names a store may change)."""
+        other = self.pick(*scope)
+        uniform_select = f"{target} = (a > {self.rng.randint(-5, 9)}) ? {source} : {other};"
+        return self.pick(
+            f"{target} = {source};",
+            f"{target} = (int){source};",
+            uniform_select,
+            uniform_select,  # half the time it selects ``other``
+            f"{target} = ({self.expr(scope, 1)} > 0) ? {other} : {source};",
+            f"{target} = {source}{self.pick('++', '--')};",
+            f"{target} = {self.pick('++', '--')}{source};",
+            f"{target} = ({source} = {self.expr(scope)});",
+            f"{target} = ({source} += {self.expr(scope, 1)});",
+            f"{target} = same({source});",
+            f"{target} = bump({source}, {self.expr(scope, 1)});",
+            f"{source} {self.pick('+=', '-=')} {self.pick(1, 1, 3, 'a', other)};",
+            f"{source}{self.pick('++', '--')};",
+        )
 
     def exit(self, scope, in_loop):
         allowed = [e for e in self.exits if in_loop or e == "return"]
@@ -325,8 +357,17 @@ int helper(int a, int b) {
 """
 
 
+#: The helpers of ``_Gen(aliases=True)``: one returns its parameter's
+#: own array, the other increments its parameter under divergence.
+_ALIAS_HELPERS = """
+int same(int p) { return p; }
+int bump(int p, int g) { if ((g & 1) == 0) p++; if (g > 3) p -= 2; return p + g; }
+"""
+
+
 def _kernel(body, result="x ^ (y * 31) ^ (z * 17)"):
-    return f"""{_HELPER if "helper(" in body else ""}
+    aliasing = "same(" in body or "bump(" in body
+    return f"""{_HELPER if "helper(" in body else ""}{_ALIAS_HELPERS if aliasing else ""}
     __kernel void k(__global int *out, __global int *bins, const int a, const int b) {{
         int gid = (int)get_global_id(0);
         int x = gid * a + 1;
@@ -352,12 +393,13 @@ def _check(source, lanes, a, b, compactions):
     np.testing.assert_array_equal(bins_v, bins_i, err_msg=source)
 
 
-def _differential(compactions, build, min_fired=1):
-    """Run ``build(seed) -> (body, result expression)`` on 150 drawn
-    programs; at least one launch must have compacted ``min_fired`` times."""
+def _differential(compactions, build, min_fired=1, examples=150):
+    """Run ``build(seed) -> (body, result expression)`` on ``examples``
+    drawn programs; at least one launch must have compacted
+    ``min_fired`` times."""
 
     @given(seed=st.integers(0, 2**32), lanes=st.sampled_from(_LANES), a=st.integers(-5, 9), b=st.integers(-5, 9))
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=examples, deadline=None)
     def run(seed, lanes, a, b):
         body, result = build(seed)
         _check(_kernel(body, result), lanes, a, b, compactions)
@@ -432,6 +474,86 @@ def test_atomics_inside_compacted_loops_match(compactions):
         return f"{{ {g.loop(_CF_VARS, 1, False, body=body)} }}", "x"
 
     _differential(compactions, build)
+
+
+#: What ``_aliasing_program`` adds to the result: ``p`` and ``q`` own
+#: their arrays until its store may share one.
+_ALIASING_RESULT = "x ^ (y * 31) ^ (z * 17) ^ (p * 7) ^ (q * 13)"
+
+
+def _aliasing_program(seed):
+    """A random block (loops, exits, helpers, atomics); two owners ``p``
+    and ``q``; a store that may give one's array a second name (itself
+    under an ``if`` or not); then three divergent updates, alternating
+    between the two names, each under an ``if`` or in a loop with random
+    statements: an update made in place where it must not be shows in
+    the result."""
+    g = _Gen(seed, exits=("break", "continue", "return"), calls=True, atomics=True)
+    parts = [g.block(_CF_VARS, 2, False), "int p = gid * 3 + a;", "int q = (gid ^ b) - 1;"]
+    g.aliases = True
+    scope = _CF_VARS + ("p", "q")
+    target, source = g.rng.sample(("p", "q"), 2)
+    share = g.alias(target, source, scope)
+    parts.append(f"if ({g.cond(scope)}) {{ {share} }}" if g.flip() else share)
+    order = g.rng.sample((target, source), 2)
+    for name in order + order[:1]:
+        update = f"{name}{g.pick('++', '--', ' += 3', ' -= a', ' += gid')};"
+        if g.flip():
+            parts.append(f"if ({g.cond(scope)}) {{ {update} }}")
+        else:
+            parts.append(f"{{ {g.loop(scope, 1, False, body=f'{update} {g.stmt(_CF_VARS, 0, True)}')} }}")
+    return " ".join(parts)
+
+
+def test_stores_that_share_arrays_match(compactions):
+    """The ownership rule of the in-place integer updates, drawn: 200
+    programs whose stores give arrays second names next to divergent
+    updates, among loops, exits, helpers and atomics.  About two in five
+    keep an owner for the in-place path to run (a quarter is the floor),
+    and every one agrees with the interpreter."""
+    in_place = []
+
+    def build(seed):
+        body = _aliasing_program(seed)
+        in_place.append("# merge in place" in compile_program(_kernel(body, _ALIASING_RESULT)).python_source)
+        return body, _ALIASING_RESULT
+
+    _differential(compactions, build, examples=200)
+    assert sum(in_place) >= len(in_place) // 4
+
+
+_COUNTED = """
+__kernel void k(__global int *out, __global const int *stop) {
+    int gid = (int)get_global_id(0);
+    int steps = 0;
+    int hits = gid & 1;
+    int seen = gid * 2;
+    int first = seen;
+    while (steps < stop[gid]) {
+        if ((steps ^ gid) & 1) hits++;
+        seen += 3;
+        steps++;
+    }
+    out[gid] = (steps * 100 + hits) * 1000 + first + seen;
+}
+"""
+
+
+def test_in_place_increments_across_compactions(compactions):
+    """``steps`` and ``hits`` own their arrays and are updated in place
+    before, between and after compactions; ``seen`` shares its first
+    array with ``first``, so it keeps the merge (an in-place update in
+    the first, full-width iteration would change ``first``)."""
+    source = compile_program(_COUNTED).python_source
+    for owner in ("steps", "hits"):
+        assert f"# merge in place: {owner}_" in source
+    assert "# merge kept: seen_" in source
+    stop = np.repeat([1, 3, 6, 10], 16)
+    out = _run_exit_at(stop, compactions, _COUNTED)
+    assert max(compactions) >= 2
+    gid = np.arange(64)
+    hits = (gid & 1) + [sum((s ^ g) & 1 for s in range(n)) for g, n in zip(gid, stop)]
+    np.testing.assert_array_equal(out, (stop * 100 + hits) * 1000 + 4 * gid + 3 * stop)
 
 
 # -- compaction edge cases -------------------------------------------------

@@ -80,6 +80,17 @@ def test_cli_passes_on_the_committed_snapshots(committed_copy, capsys):
     assert report.count("OK: counters match the committed snapshot.") == len(benchdiff.SNAPSHOTS)
 
 
+def test_save_snapshot_writes_what_load_committed_reads(smoke_record, tmp_path):
+    """How ``benchmarks/bench_<name>.py`` re-records: the file lands in
+    the given directory and reads back as the record's payload, which
+    matches the committed snapshot."""
+    path = benchdiff.save_snapshot("smoke", smoke_record, str(tmp_path))
+    assert path == benchdiff.snapshot_path("smoke", str(tmp_path)) and path.startswith(str(tmp_path))
+    saved = benchdiff.load_committed("smoke", str(tmp_path))
+    assert saved == json.loads(json.dumps(benchdiff.SNAPSHOTS["smoke"].payload(smoke_record)))
+    assert compare(saved, benchdiff.load_committed("smoke")) == []
+
+
 def test_cli_fails_and_names_a_perturbed_key(committed_copy, capsys):
     committed = benchdiff.load_committed("osem", committed_copy)
     committed["iteration_decode_cache_hits"] += 1

@@ -103,6 +103,15 @@ def test_daemon_stats_is_the_key_wise_sum_over_daemons():
     assert all(snapshot["batched_commands_received"] > 0 for snapshot in snapshots)
 
 
+def test_cachestat_cli_builds_on_two_servers_and_prints_both(capsys):
+    from repro.tools import cachestat
+
+    cachestat._main()
+    text = capsys.readouterr().out
+    assert text.count("Daemon ") == 2 and text.count("binary") == 2
+    assert "compiled=1" in text and "binaries_shipped=1" in text
+
+
 def test_cachestat_reports_disabled_cache():
     deployment = deploy_dopencl(make_ib_cpu_cluster(1), program_cache=False)
     _build_on(deployment.api, _GOOD_SOURCE)
@@ -162,11 +171,12 @@ def test_clcdump_prints_decisions_and_run_report(capsys):
     merge, compact = vecrt.merge, vecrt.compact
     clcdump._main(["--app", "mandelbrot", "--run", "96"])
     text = capsys.readouterr().out
-    assert "# merge elided: zr_" in text and "# merge kept: iter_" in text
-    assert "# loop 2: compactable" in text
+    assert "# merge elided: zr_" in text and "# merge in place: iter_" in text
+    assert "# loop 2: compactable" in text and "# lanes retired: if 1 returns them for good" in text
     report = text[text.index("run: kernel 'mandelbrot', 96 work-items"):]
     assert "vector ops=" in report and "interp ops=" in report
-    assert "merges executed=" in report and "compactions fired=0" in report
+    assert "merges executed=0" in report and "compactions fired=0" in report
+    assert "lanes retired=0" in report  # every pixel of the row is inside the image
     assert "buffers identical on both backends: yes" in report
     assert (vecrt.merge, vecrt.compact) == (merge, compact)  # counters removed again
 
@@ -218,6 +228,40 @@ def test_perfpair_statistics():
     pairs[2] = (_stub_run(11.0, virtual_s=0.5), _stub_run(11.0, virtual_s=0.25))
     assert perfpair.summarise(pairs)[1]["equal_per_seed"] is False
     assert "DIFFERS PER SEED" in perfpair.format_table(perfpair.summarise(pairs), 5)
+
+
+def _stub_root(tmp_path, body):
+    """A checkout whose ``benchmarks/perf/run.py`` is ``body``."""
+    script = tmp_path / "benchmarks" / "perf" / "run.py"
+    script.parent.mkdir(parents=True)
+    script.write_text(body)
+    return str(tmp_path)
+
+
+def test_perfpair_runs_a_checkouts_benchmark_and_reads_its_last_line(tmp_path):
+    from repro.tools import perfpair
+
+    root = _stub_root(
+        tmp_path,
+        "import json, sys\n"
+        "print('warming up')\n"
+        "print(json.dumps({'correct': True, 'argv': sys.argv[1:], 'metrics': {}}))\n",
+    )
+    run = perfpair.run_benchmark(root, "stream_zoom", 3, 0.5)
+    assert run == {
+        "correct": True,
+        "metrics": {},
+        "argv": ["--workload", "stream_zoom", "--seed", "3", "--seconds", "0.5"],
+    }
+
+
+def test_perfpair_stops_when_a_run_prints_no_result(tmp_path):
+    from repro.tools import perfpair
+
+    root = _stub_root(tmp_path, "import sys\nprint('crashed before the result')\nsys.exit(3)\n")
+    with pytest.raises(SystemExit) as stop:
+        perfpair.run_benchmark(root, "tenant_steady", 0, 1.0)
+    assert "printed no result (exit code 3)" in str(stop.value)
 
 
 def test_perfpair_alternates_order_and_flags_incorrect_runs(capsys):
