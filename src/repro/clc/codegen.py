@@ -349,24 +349,34 @@ def _converted(expr: A.Expr) -> Optional[A.Expr]:
     return None
 
 
+def _bare(op: str, result: ScalarType) -> bool:
+    """Is C's binary ``op`` over operands of type ``result`` the bare
+    NumPy operator of its spelling (:meth:`FunctionCodegen._binary`), so
+    that its value is a NumPy scalar or an array no name holds yet?  Not
+    ``,``, nor what goes through ``vecrt``: over uniform operands the
+    ``np.where`` of C's integer ``/`` and ``%`` gives a 0-d array, which
+    an in-place update cannot widen to the lanes."""
+    return op != "," and (op not in _RT_OP or (op == "/" and result.is_float))
+
+
+def _operator(expr: A.Expr) -> bool:
+    """Is ``expr`` a unary or binary operator whose value is
+    :func:`_bare`?"""
+    if isinstance(expr, A.UnaryOp):
+        return expr.op in ("-", "~", "!")
+    return isinstance(expr, A.BinaryOp) and _bare(expr.op, expr.type)
+
+
 def _fresh(expr: A.Expr, named: Set[int]) -> bool:
     """Is the value of ``expr`` a NumPy scalar or an array no name holds
-    yet: a literal, or an operator NumPy computes, not shared by value
-    numbering?  ``?:`` is not (under a uniform condition it is an arm's
-    own value), nor are C's integer ``/`` and ``%``: over uniform
-    operands their ``np.where`` gives a 0-d array, which an in-place
-    update cannot widen to the lanes."""
+    yet: a literal, or an :func:`_operator` (through casts) not shared
+    by value numbering?  ``?:`` is not: under a uniform condition it is
+    an arm's own value."""
     while id(expr) not in named and _converted(expr) is not None:
         expr = _converted(expr)
     if id(expr) in named:
         return False
-    if isinstance(expr, (A.IntLiteral, A.FloatLiteral, A.BoolLiteral)):
-        return True
-    if isinstance(expr, A.UnaryOp):
-        return expr.op in ("-", "~", "!")
-    if isinstance(expr, A.BinaryOp):
-        return expr.op not in (",", "%") and not (expr.op == "/" and not expr.type.is_float)
-    return False
+    return isinstance(expr, (A.IntLiteral, A.FloatLiteral, A.BoolLiteral)) or _operator(expr)
 
 
 def _aliases(expr: Optional[A.Expr]) -> Set[str]:
@@ -387,13 +397,14 @@ def _aliases(expr: Optional[A.Expr]) -> Set[str]:
 def _owners(body: A.Block, named: Set[int]) -> FrozenSet[str]:
     """The integer locals of a function that own their array, so that an
     in-place update changes no other name's value: every store to one is
-    :func:`_fresh`, and it is never the bare value (:func:`_aliases`) of
-    a store to a variable, a helper argument, a ``return`` or a ``?:``
-    arm, nor the target of an assignment or ``++``/``--`` whose value is
-    used (those values are the variable's array).  Parameters never own:
-    the caller holds their arrays.  ``vecrt.compact`` gathers copies and
-    ``vecrt.expand`` scatters into copies, so compaction keeps
-    ownership."""
+    :func:`_fresh` (a compound assignment is if its operator is
+    :func:`_bare`: ``x /= u`` is ``_rt.idiv``), and it is never the bare
+    value (:func:`_aliases`) of a store to a variable, a helper argument,
+    a ``return`` or a ``?:`` arm, nor the target of an assignment or
+    ``++``/``--`` whose value is used (those values are the variable's
+    array).  Parameters never own: the caller holds their arrays.
+    ``vecrt.compact`` gathers copies and ``vecrt.expand`` scatters into
+    copies, so compaction keeps ownership."""
     discarded: Set[int] = set()
 
     def discard(expr: A.Expr) -> None:
@@ -424,6 +435,8 @@ def _owners(body: A.Block, named: Set[int]) -> FrozenSet[str]:
                 if not _fresh(node.value, named):
                     lost.add(slot)
                 lost |= _aliases(node.value)
+            elif not _bare(node.op[:-1], node.common_type):
+                lost.add(slot)
             if id(node) not in discarded:
                 lost.add(slot)
         elif isinstance(node, (A.UnaryOp, A.PostfixOp)) and node.op in ("++", "--"):
@@ -499,9 +512,6 @@ class FunctionCodegen:
         self.stores: List[Tuple[str, Optional[A.Expr], bool]] = []
         self.canon: Dict[int, str] = {}
         self.named: Set[int] = set()
-        #: Code whose value is an array (or NumPy scalar) nothing else
-        #: holds: an operator's result, or the name a chain updates.
-        self.fresh: Set[str] = set()
         #: Top-level ``if``s of a kernel nobody calls whose then-arm
         #: always returns, with statements after them and none of those
         #: needing work-group state: the lanes they remove are retired.
@@ -867,7 +877,6 @@ class FunctionCodegen:
             if dry:  # the key *is* the code generated without numbering
                 key = self.canon[id(expr)] = code
             elif id(expr) in self.facts.named:
-                self.fresh.discard(code)  # read again later: never updated in place
                 code = self.hold(code)
             if key not in self.avail:
                 self.avail[key] = (id(expr), code, self.pending - charged, does)
@@ -938,15 +947,9 @@ class FunctionCodegen:
         if expr.op == "+":
             return v
         if expr.op == "!":  # of a bool
-            return self.fresh_code(f"(~{v})")
+            return f"(~{v})"
         self.pending += W_ALU
-        return self.fresh_code(f"({expr.op}{v})")
-
-    def fresh_code(self, code: str) -> str:
-        """``code``, an operator's result: it may head a chain."""
-        if self.facts is not None:  # the dry run's code is the canonical form
-            self.fresh.add(code)
-        return code
+        return f"({expr.op}{v})"
 
     def gen_PostfixOp(self, expr: A.PostfixOp) -> str:
         return self._incdec(expr, prefix=False)
@@ -975,21 +978,30 @@ class FunctionCodegen:
             self._emit_store(sym, idx, new)
         return (new if prefix else old) if used else ""
 
-    def _binary(self, op: str, a: str, b: str, result: ScalarType) -> str:
+    def _binary(self, op: str, a: str, b: str, result: ScalarType, head: bool = False) -> str:
+        """``a op b``; ``head``: ``a`` is the value of an operator nobody
+        else holds (:meth:`heads_chain`), updated in place if ``op`` has
+        an augmented form."""
         self.pending += W_DIV if op in ("/", "%") else W_ALU
-        if op in _RT_OP and not (op == "/" and result.is_float):
+        if not _bare(op, result):
             return f"_rt.{_RT_OP[op]}({a}, {b})"
         op = _LOGICAL_OP.get(op, op)
-        if a not in self.fresh or op not in _IN_PLACE:
-            return self.fresh_code(f"({a} {op} {b})")
+        if not head or op not in _IN_PLACE:
+            return f"({a} {op} {b})"
         # sema gave both operands the result's type, so the update keeps it
         if not a.isidentifier():
             self._temp += 1
             self.emit(f"_e{self._temp} = {a}  # in place: the chain's next operators reuse this array")
             a = f"_e{self._temp}"
-            self.fresh.add(a)
         self.emit(f"{a} {op}= {b}")
         return a
+
+    def heads_chain(self, lhs: A.Expr) -> bool:
+        """May the operator whose left operand is ``lhs`` update that
+        value in place: is it an :func:`_operator` (not a cast, a load,
+        a call or a variable) that value numbering does not read again?
+        Never in the dry run, whose code is the canonical form."""
+        return self.facts is not None and id(lhs) not in self.facts.named and _operator(lhs)
 
     def gen_BinaryOp(self, expr: A.BinaryOp) -> str:
         if expr.op == ",":
@@ -998,15 +1010,16 @@ class FunctionCodegen:
             if unused:
                 self.unused = expr.rhs
             return self.visit_expr(expr.rhs)
+        head = self.heads_chain(expr.lhs)
         if expr.op not in ("&&", "||"):
             a, b = self.operands([expr.lhs, expr.rhs])
-            return self._binary(expr.op, a, b, expr.type)
+            return self._binary(expr.op, a, b, expr.type, head)
         a = self.visit_expr(expr.lhs)
         rhs = self.does(expr.rhs)
         if rhs.loads or rhs.effects:
             a = self.hold(a)
         b = self.under(a if expr.op == "&&" else f"~{a}", expr.rhs)
-        return self._binary(expr.op, a, b, expr.type)
+        return self._binary(expr.op, a, b, expr.type, head)
 
     def gen_Ternary(self, expr: A.Ternary) -> str:
         c = self.visit_expr(expr.cond)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -87,29 +87,27 @@ def _default_local(g: int, first_dim: bool) -> int:
     return next(cand for cand in range(min(g, 256), 0, -1) if g % cand == 0)
 
 
-#: Launch shape -> its validated NDRange (bounded: shapes are few).
-_ND_RANGES: Dict[tuple, NDRange] = {}
+#: Validated NDRanges of the launch shapes seen last (a program launches
+#: few shapes; the bound only caps a caller that sweeps them).
+_created = lru_cache(maxsize=256)(NDRange.create)
 
 
 def _nd_range(global_size, local_size, global_offset) -> NDRange:
-    """:meth:`NDRange.create`, memoised per shape: a launch of a shape
-    seen before skips the validation it already passed.  Anything that
-    is not a sequence of hashable values goes to ``create`` as it is, so
-    every error reads as it always did."""
+    """:meth:`NDRange.create`, memoised per launch shape: a launch of a
+    shape seen before skips the validation it already passed (and finds
+    its derived sizes computed).  Anything that is not a sequence of
+    hashable values goes to ``create`` as it is, so every error reads as
+    it always did."""
     try:
         key = (
             tuple(global_size),
             None if local_size is None else tuple(local_size),
             None if global_offset is None else tuple(global_offset),
         )
-        nd = _ND_RANGES.get(key)
+        hash(key)
     except TypeError:
         return NDRange.create(global_size, local_size, global_offset)
-    if nd is None:
-        nd = NDRange.create(global_size, local_size, global_offset)
-        if len(_ND_RANGES) < 1024:
-            _ND_RANGES[key] = nd
-    return nd
+    return _created(*key)
 
 
 class LocalMemory:

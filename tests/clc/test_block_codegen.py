@@ -356,21 +356,32 @@ def test_chain_never_updates_a_value_that_is_read_again():
     assert not re.search(r"_t\d+ [-+*]= ", code)  # a value-numbered temporary is never updated
 
 
-def test_uniform_integer_quotient_keeps_its_merge(floor):
-    """``n / 2`` is ``np.where`` over scalars, a 0-d array: an in-place
-    ``q += _m`` could not widen it to the lanes."""
-    source = """
-    __kernel void k(__global int *out, const int n) {
+#: Uniform integer quotients and remainders, stored by a declaration, by a
+#: compound assignment, and by one through a conversion (``char`` divides
+#: as ``int``); with ``n = 9``, what lanes 0 and 1 store.
+QUOTIENTS = {
+    "declared": ("int q = n / 2; int r = n % 3;", [400, 500 - 1]),
+    "compound": ("int q = n + 1; q /= 2; int r = n - 1; r %= 3;", [502, 602 - 1]),
+    "compound_char": ("char q = (char)(n + 1); q /= 2; char r = (char)n; r %= 4;", [501, 601 - 1]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(QUOTIENTS))
+def test_uniform_integer_quotient_keeps_its_merge(case, floor):
+    """``n / 2`` and ``q /= 2`` are ``np.where`` over scalars, a 0-d
+    array: an in-place ``q += _m`` could not widen it to the lanes."""
+    stores, expected = QUOTIENTS[case]
+    source = f"""
+    __kernel void k(__global int *out, const int n) {{
         int gid = (int)get_global_id(0);
-        int q = n / 2;
-        int r = n % 3;
-        if (gid & 1) { q++; r--; }
+        {stores}
+        if (gid & 1) {{ q++; r--; }}
         out[gid] = q * 100 + r;
-    }
+    }}
     """
     program, (out, _) = _both(source, 8, lambda: [np.zeros(8, dtype=np.int32), 9])
     assert "# merge kept: q_" in program.python_source and "# merge kept: r_" in program.python_source
-    assert list(out[:2]) == [400, 500 - 1]
+    assert list(out[:2]) == expected
 
 
 def test_lanes_retired_by_the_guard_store_and_count_in_lane_order(monkeypatch):

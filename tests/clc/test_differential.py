@@ -224,9 +224,10 @@ class _Gen:
     source, which is what one debugs from anyway.  ``aliases`` adds
     stores that give a variable's array a second name (copies, casts,
     ``?:`` arms, helper arguments and results, the values of ``++`` and
-    of assignments) and integer updates the in-place rules rewrite; it
-    draws from the generator only when on, so the other streams (and the
-    golden programs) are unchanged."""
+    of assignments) and integer updates: the ones the in-place rules
+    rewrite, and the ``/=`` and ``%=`` that end ownership.  It draws from
+    the generator only when on, so the other streams (and the golden
+    programs) are unchanged."""
 
     def __init__(self, seed, exits=(), calls=False, atomics=False, aliases=False):
         self.rng = random.Random(seed)
@@ -295,6 +296,7 @@ class _Gen:
             f"{target} = same({source});",
             f"{target} = bump({source}, {self.expr(scope, 1)});",
             f"{source} {self.pick('+=', '-=')} {self.pick(1, 1, 3, 'a', other)};",
+            f"{source} {self.pick('/=', '%=')} {self.pick(2, 3, '(a & 7)', '(gid & 3)')};",
             f"{source}{self.pick('++', '--')};",
         )
 
@@ -483,21 +485,26 @@ _ALIASING_RESULT = "x ^ (y * 31) ^ (z * 17) ^ (p * 7) ^ (q * 13)"
 
 def _aliasing_program(seed):
     """A random block (loops, exits, helpers, atomics); two owners ``p``
-    and ``q``; a store that may give one's array a second name (itself
-    under an ``if`` or not); then three divergent updates, alternating
-    between the two names, each under an ``if`` or in a loop with random
-    statements: an update made in place where it must not be shows in
-    the result."""
+    and ``q`` (``q`` half the time uniform), half the time replaced by a
+    quotient or remainder of itself (of a uniform ``q``, a 0-d array);
+    half the time a store that may give one's array a second name (itself
+    under an ``if`` or not); then three divergent updates (increments, or
+    a ``/=`` or ``%=``, which ends ownership), alternating between the
+    two names, each under an ``if`` or in a loop with random statements:
+    an update made in place where it must not be shows in the result."""
     g = _Gen(seed, exits=("break", "continue", "return"), calls=True, atomics=True)
-    parts = [g.block(_CF_VARS, 2, False), "int p = gid * 3 + a;", "int q = (gid ^ b) - 1;"]
+    parts = [g.block(_CF_VARS, 2, False), "int p = gid * 3 + a;", f"int q = {g.pick('(gid ^ b)', 'b')} - 1;"]
     g.aliases = True
+    if g.flip():  # on every lane: a uniform q stays uniform
+        parts.append(f"q {g.pick('/=', '%=')} {g.pick(2, 3, '(a & 7)')};")
     scope = _CF_VARS + ("p", "q")
     target, source = g.rng.sample(("p", "q"), 2)
-    share = g.alias(target, source, scope)
-    parts.append(f"if ({g.cond(scope)}) {{ {share} }}" if g.flip() else share)
+    if g.flip():
+        share = g.alias(target, source, scope)
+        parts.append(f"if ({g.cond(scope)}) {{ {share} }}" if g.flip() else share)
     order = g.rng.sample((target, source), 2)
     for name in order + order[:1]:
-        update = f"{name}{g.pick('++', '--', ' += 3', ' -= a', ' += gid')};"
+        update = f"{name}{g.pick('++', '--', ' += 3', ' -= a', ' += gid', ' /= 2', ' %= 3')};"
         if g.flip():
             parts.append(f"if ({g.cond(scope)}) {{ {update} }}")
         else:
@@ -507,10 +514,11 @@ def _aliasing_program(seed):
 
 def test_stores_that_share_arrays_match(compactions):
     """The ownership rule of the in-place integer updates, drawn: 200
-    programs whose stores give arrays second names next to divergent
-    updates, among loops, exits, helpers and atomics.  About two in five
-    keep an owner for the in-place path to run (a quarter is the floor),
-    and every one agrees with the interpreter."""
+    programs whose stores give arrays second names, and whose uniform
+    quotients are 0-d arrays, next to divergent updates, among loops,
+    exits, helpers and atomics.  About three in five keep an owner for
+    the in-place path to run (a quarter is the floor), and every one
+    agrees with the interpreter."""
     in_place = []
 
     def build(seed):
