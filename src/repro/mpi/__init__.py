@@ -8,9 +8,9 @@ network: blocking send/recv, Bcast/Scatter/Gather/Reduce/Allreduce/
 Barrier, SPMD launch, and clock bridging to the per-rank native OpenCL
 runtime.
 
-Rank programs are generators (cooperative processes of
-:class:`repro.sim.Environment`); communication calls are used as
-``yield from comm.send(...)``.
+Rank programs are generators resumed in virtual-time order by
+:class:`repro.sim.process.Scheduler`; a rank waits with ``yield <seconds>``
+and communicates with ``yield from comm.send(...)``.
 """
 
 from repro.mpi.comm import Communicator, MPIError

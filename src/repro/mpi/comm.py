@@ -2,17 +2,15 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any
 
 import numpy as np
 
 from repro.hw.node import Host
 from repro.net.codec import CodecError, encoded_size
-from repro.net.frames import transfer_duration
 from repro.net.network import Network
 from repro.net.streams import payload_nbytes as _raw_payload_nbytes
-from repro.sim.channel import Channel
-from repro.sim.process import Environment
+from repro.sim.process import Scheduler
 
 #: Per-message software overhead (matching, envelope processing).
 MPI_OVERHEAD = 3e-6
@@ -46,22 +44,16 @@ def payload_nbytes(obj: Any) -> int:
 
 
 class World:
-    """Shared state of one SPMD run: hosts, channels, environment."""
+    """Shared state of one SPMD run: hosts and the rank scheduler, whose
+    mailbox ``(src, dst)`` is the FIFO from rank ``src`` to rank ``dst``."""
 
-    def __init__(self, env: Environment, network: Network, hosts: list) -> None:
+    def __init__(self, scheduler: Scheduler, network: Network, hosts: list) -> None:
         if not hosts:
             raise MPIError("world needs at least one rank")
-        self.env = env
+        self.scheduler = scheduler
         self.network = network
         self.hosts = hosts
         self.size = len(hosts)
-        # one FIFO per (src, dst) pair
-        self.channels: Dict[Tuple[int, int], Channel] = {}
-        for src in range(self.size):
-            for dst in range(self.size):
-                if src != dst:
-                    self.channels[(src, dst)] = Channel(env, name=f"{src}->{dst}")
-        self.barrier_round = 0
 
     def comm(self, rank: int) -> "Communicator":
         return Communicator(self, rank)
@@ -75,8 +67,8 @@ class Communicator:
         self.rank = rank
 
     @property
-    def env(self) -> Environment:
-        return self.world.env
+    def now(self) -> float:
+        return self.world.scheduler.now
 
     @property
     def size(self) -> int:
@@ -102,21 +94,21 @@ class Communicator:
             raise MPIError(f"bad destination rank {dest}")
         if dest == self.rank:
             raise MPIError("send to self would deadlock a blocking pair")
-        env = self.env
+        scheduler = self.world.scheduler
         nbytes = payload_nbytes(obj)
         spec = self.world.network.spec
         src_host, dst_host = self.host, self.world.hosts[dest]
         if src_host is dst_host:
             # co-located ranks: shared-memory copy
-            yield env.timeout(MPI_OVERHEAD + nbytes / 8e9)
-            yield self.world.channels[(self.rank, dest)].put((env.now, obj, nbytes, tag, self.rank))
+            yield MPI_OVERHEAD + nbytes / 8e9
+            scheduler.put((self.rank, dest), (self.now, obj, nbytes, tag, self.rank))
+            yield 0.0  # resume after the receiver's wake-up
             return
-        tx = src_host.nic.send(env.now, nbytes, tag=f"mpi:{self.rank}->{dest}")
-        yield env.timeout(max(0.0, tx.end - env.now) + MPI_OVERHEAD)
+        tx = src_host.nic.send(self.now, nbytes, tag=f"mpi:{self.rank}->{dest}")
+        yield max(0.0, tx.end - self.now) + MPI_OVERHEAD
         arrival_earliest = tx.start + spec.latency
-        yield self.world.channels[(self.rank, dest)].put(
-            (arrival_earliest, obj, nbytes, tag, self.rank)
-        )
+        scheduler.put((self.rank, dest), (arrival_earliest, obj, nbytes, tag, self.rank))
+        yield 0.0  # resume after the receiver's wake-up
 
     def recv(self, source: int, tag: int = ANY_TAG):
         """Blocking receive; returns the payload object.
@@ -125,37 +117,30 @@ class Communicator:
         effect that makes a many-to-one gather root-bound)."""
         if not 0 <= source < self.size:
             raise MPIError(f"bad source rank {source}")
-        env = self.env
-        item = yield self.world.channels[(source, self.rank)].get()
+        item = yield (source, self.rank)
         earliest, obj, nbytes, msg_tag, src_rank = item
         if tag != ANY_TAG and msg_tag != tag:
             raise MPIError(f"tag mismatch: wanted {tag}, got {msg_tag}")
         src_host, dst_host = self.world.hosts[src_rank], self.host
         if src_host is dst_host:
-            if earliest > env.now:
-                yield env.timeout(earliest - env.now)
+            if earliest > self.now:
+                yield earliest - self.now
             return obj
-        rx = dst_host.nic.receive(max(env.now, earliest), nbytes, tag=f"mpi:{src_rank}->{self.rank}")
-        if rx.end > env.now:
-            yield env.timeout(rx.end - env.now)
+        rx = dst_host.nic.receive(max(self.now, earliest), nbytes, tag=f"mpi:{src_rank}->{self.rank}")
+        if rx.end > self.now:
+            yield rx.end - self.now
         return obj
-
-    def sendrecv(self, obj: Any, dest: int, source: int, tag: int = 0):
-        yield from self.send(obj, dest, tag)
-        result = yield from self.recv(source, tag)
-        return result
 
     # ------------------------------------------------------------------
     # OpenCL clock bridging
     # ------------------------------------------------------------------
     def sync_clock(self, api) -> Any:
-        """Bridge a per-rank OpenCL API clock with the SPMD environment.
+        """Bridge a per-rank OpenCL API clock with the rank scheduler.
 
         Call after a batch of OpenCL work: advances simulated time by the
         OpenCL time consumed; afterwards the two clocks agree."""
-        env = self.env
-        if api.clock.now > env.now:
-            yield env.timeout(api.clock.now - env.now)
+        if api.clock.now > self.now:
+            yield api.clock.now - self.now
         else:
-            api.clock.advance_to(env.now)
-        return env.now
+            api.clock.advance_to(self.now)
+        return self.now

@@ -7,9 +7,9 @@ from typing import Any, Callable, List, Optional, Sequence
 
 import repro.mpi.collectives  # noqa: F401 — attaches collective methods
 from repro.hw.node import Host
-from repro.mpi.comm import Communicator, World
+from repro.mpi.comm import World
 from repro.net.network import Network
-from repro.sim.process import Environment
+from repro.sim.process import Scheduler
 
 
 @dataclass
@@ -18,7 +18,6 @@ class MPIRunResult:
 
     results: List[Any]  # per-rank return values
     elapsed: float  # simulated wall-clock of the whole job
-    env: Environment
 
     @property
     def root_result(self) -> Any:
@@ -40,19 +39,20 @@ def mpi_run(
 ) -> MPIRunResult:
     """Execute ``main(comm, *args)`` on every rank (mpiexec-style).
 
-    ``main`` must be a generator function; ranks run as cooperative
-    processes over the shared simulated network.
+    ``main`` must be a generator function; ranks run on one
+    :class:`~repro.sim.process.Scheduler` over the shared simulated network.
     """
-    env = Environment()
-    world = World(env, network, list(hosts))
+    scheduler = Scheduler()
+    world = World(scheduler, network, list(hosts))
 
     def wrap(rank: int):
         comm = world.comm(rank)
-        yield env.timeout(MPI_INIT_OVERHEAD)
+        yield MPI_INIT_OVERHEAD
         rank_args = per_rank_args[rank] if per_rank_args is not None else args
         result = yield from main(comm, *rank_args)
         return result
 
-    processes = [env.process(wrap(rank), name=f"rank{rank}") for rank in range(world.size)]
-    env.run(until=env.all_of(processes))
-    return MPIRunResult(results=[p.value for p in processes], elapsed=env.now, env=env)
+    for rank in range(world.size):
+        scheduler.spawn(wrap(rank))
+    elapsed = scheduler.run()
+    return MPIRunResult(results=scheduler.results, elapsed=elapsed)

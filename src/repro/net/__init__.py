@@ -29,7 +29,6 @@ from repro.net.link import (
     NetworkError,
     StreamTruncated,
 )
-from repro.sim.channel import ChannelClosed
 from repro.sim.errors import CommunicationError
 from repro.net.messages import (
     CommandBatch,
@@ -47,7 +46,6 @@ from repro.net.streams import as_byte_view, as_uint8_array, payload_nbytes
 from repro.net.iperf import IperfResult, run_iperf
 
 __all__ = [
-    "ChannelClosed",
     "CodecError",
     "CommandBatch",
     "CommandBatchResponse",

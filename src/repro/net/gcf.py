@@ -29,8 +29,8 @@ it initiated — the counters behind the batching benchmarks.
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple, Type
+from collections import OrderedDict
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.hw.node import Host
 from repro.net.codec import CodecError
@@ -53,10 +53,9 @@ RequestHandler = Callable[[Message, float, "GCFProcess"], Tuple[Response, float]
 #: A notification handler receives ``(message, arrival_time, sender)``.
 NotificationHandler = Callable[[Message, float, "GCFProcess"], None]
 
-#: Default bound on the per-process notification log.  The log is a
-#: debugging/test aid; unbounded growth made long benchmark runs
-#: accumulate memory linearly with event count.
-NOTIFICATION_LOG_LIMIT = 256
+#: Batch replies a receiver keeps for replay dedupe (see
+#: :meth:`GCFProcess.install_batch_dispatch`), least recently used out.
+REPLAY_CACHE_SIZE = 512
 
 
 class NetStats:
@@ -400,16 +399,6 @@ class GCFProcess:
         #: worker spawn).  Daemons set this; plain processes keep 0.
         self.connect_setup_duration = 0.0
         self.peers: Dict[str, "GCFProcess"] = {}
-        # Bounded log of (arrival_time, sender, message) for
-        # introspection/tests; see :meth:`set_notification_log_limit`.
-        self.notification_log: Deque[Tuple[float, str, Message]] = deque(
-            maxlen=NOTIFICATION_LOG_LIMIT
-        )
-
-    def set_notification_log_limit(self, limit: Optional[int]) -> None:
-        """Re-bound the notification log; ``None`` makes it unbounded
-        (opt-in, for tests that need the full history)."""
-        self.notification_log = deque(self.notification_log, maxlen=limit)
 
     # ------------------------------------------------------------------
     # handler registration (server side)
@@ -464,7 +453,6 @@ class GCFProcess:
         on_error: Optional[Callable[[str], Response]] = None,
         guard: Optional[Callable[[Message, "GCFProcess"], Optional[Response]]] = None,
         observe: Optional[Callable[[Message, Response, "GCFProcess"], None]] = None,
-        replay_cache_size: int = 512,
     ) -> None:
         """Make this process accept :class:`CommandBatch` envelopes.
 
@@ -502,9 +490,9 @@ class GCFProcess:
         ``stats.decode_cache_hits``.
 
         **Replay dedupe** (exactly-once effect): a batch carrying a
-        replay identity (``msg.seq >= 0``) is looked up in a bounded
-        cache keyed ``(sender name, epoch, seq)`` *before* any handler
-        runs.  A hit re-answers the replayed batch from the cached
+        replay identity (``msg.seq >= 0``) is looked up in a cache of
+        ``REPLAY_CACHE_SIZE`` replies keyed ``(sender name, epoch, seq)``
+        *before* any handler runs.  A hit re-answers the replayed batch from the cached
         :class:`CommandBatchResponse` — no handler re-executes, no
         kernel runs twice, no transfer double-applies — and bumps
         ``stats.deduped_batches`` (the batch's sub-commands are *not*
@@ -576,9 +564,9 @@ class GCFProcess:
                     observe(sub, response, sender)
                 results.append(response)
             reply = CommandBatchResponse(results=results)
-            if replay_key is not None and replay_cache_size > 0:
+            if replay_key is not None:
                 replay_cache[replay_key] = reply
-                if len(replay_cache) > replay_cache_size:
+                if len(replay_cache) > REPLAY_CACHE_SIZE:
                     replay_cache.popitem(last=False)
             return reply, tcur
 
@@ -715,7 +703,6 @@ class GCFProcess:
         """One-way asynchronous notification; returns delivery time."""
         msg_size = msg.wire_size
         arrival = self.network.transfer(self.host, target.host, t, msg_size, tag=type(msg).__name__)
-        target.notification_log.append((arrival, self.name, msg))
         self.stats.notifications += 1
         self.stats.bytes_sent += msg_size
         handler = target._notification_handlers.get(type(msg))

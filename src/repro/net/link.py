@@ -1,11 +1,10 @@
 """Network-layer errors.
 
 All of them derive from :class:`NetworkError`, which itself derives from
-:class:`repro.sim.errors.CommunicationError` — the shared base that also
-covers :class:`repro.sim.channel.ChannelClosed`.  Client resilience code
-catches :class:`CommunicationError` to mean "the message did not make it"
-regardless of which layer noticed; see
-:mod:`repro.core.client.resilience` for the mapping to OpenCL error codes.
+:class:`repro.sim.errors.CommunicationError`.  Client resilience code
+catches :class:`CommunicationError` to mean "the message did not make it";
+see :mod:`repro.core.client.resilience` for the mapping to OpenCL error
+codes.
 """
 
 from repro.sim.errors import CommunicationError

@@ -1,34 +1,23 @@
 """Deterministic virtual-time simulation kernel.
 
-This package provides the two timing models the reproduction is built on:
+This package provides the one timing model the reproduction is built on,
+**client-driven timestamping** (:mod:`repro.sim.clock`,
+:mod:`repro.sim.timeline`): every logical entity (an application thread, a
+daemon, a device, a NIC) owns a clock and/or an interval timeline.  API
+calls advance clocks; shared resources serialise work through first-fit
+interval allocation, which makes contention results independent of the
+*real* execution order of the simulated clients.
 
-* **Client-driven timestamping** (:mod:`repro.sim.clock`,
-  :mod:`repro.sim.timeline`): every logical entity (an application thread, a
-  daemon, a device, a NIC) owns a clock and/or an interval timeline.  API
-  calls advance clocks; shared resources serialise work through first-fit
-  interval allocation, which makes contention results independent of the
-  *real* execution order of the simulated clients.
+Besides it, :mod:`repro.sim.process` holds the rank scheduler of the SPMD
+mini-MPI baseline: rank generators resumed in virtual-time order, so that
+their clock and timeline calls happen in time order too.
 
-* **Generator-based processes** (:mod:`repro.sim.process`,
-  :mod:`repro.sim.channel`): a miniature SimPy-style discrete-event engine
-  used where genuinely concurrent control flow is required (the SPMD
-  mini-MPI baseline).
-
-Both models share one unit of time: seconds, as ``float``.
+Time is measured in seconds, as ``float``.
 """
 
 from repro.sim.clock import VirtualClock
-from repro.sim.errors import (
-    CommunicationError,
-    ProcessKilled,
-    SimulationError,
-    WatchdogTimeout,
-)
-from repro.sim.eventqueue import EventQueue
+from repro.sim.errors import CommunicationError, SimulationError, WatchdogTimeout
 from repro.sim.timeline import Interval, Timeline
-from repro.sim.process import Environment, Process, SimEvent, Timeout
-from repro.sim.channel import Channel, ChannelClosed
-from repro.sim.watchdog import drain_within, get_within, guarded
 
 #: Names served lazily from :mod:`repro.sim.faults` (PEP 562): the fault
 #: module raises :mod:`repro.net.link` error classes, and ``repro.net``
@@ -47,25 +36,14 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "Channel",
-    "ChannelClosed",
     "CommunicationError",
-    "Environment",
-    "EventQueue",
     "FaultAction",
     "FaultInjector",
     "FaultPlan",
     "Interval",
-    "Process",
-    "ProcessKilled",
-    "SimEvent",
     "SimulationError",
     "Timeline",
-    "Timeout",
     "VirtualClock",
     "WatchdogTimeout",
-    "drain_within",
-    "get_within",
-    "guarded",
     "install_fault_injector",
 ]

@@ -8,9 +8,8 @@ class SimulationError(RuntimeError):
 class CommunicationError(RuntimeError):
     """Common base for every message-plumbing failure in the repo.
 
-    Both the process-model channels (:class:`~repro.sim.channel.ChannelClosed`)
-    and the call-model network errors (:class:`repro.net.link.NetworkError`
-    and its subclasses) derive from this type, so resilience code can catch
+    The network errors (:class:`repro.net.link.NetworkError` and its
+    subclasses) derive from this type, so resilience code can catch
     "anything that means the message did not make it" with one handler.  It
     lives here rather than in :mod:`repro.net` because the sim layer must not
     import the net layer.
@@ -20,9 +19,8 @@ class CommunicationError(RuntimeError):
 class WatchdogTimeout(SimulationError):
     """A watchdog deadline elapsed before the awaited condition held.
 
-    Raised by :mod:`repro.sim.watchdog` utilities and by
-    :class:`repro.sim.faults.FaultInjector` when a run exceeds its transfer
-    budget — the simulation analogue of a test harness hang.
+    Raised by :class:`repro.sim.faults.FaultInjector` when a run exceeds
+    its transfer budget — the simulation analogue of a test harness hang.
     """
 
 
@@ -35,10 +33,6 @@ class TimelineError(SimulationError):
     """An interval reservation conflicts with existing reservations."""
 
 
-class ProcessKilled(SimulationError):
-    """Raised inside a process generator when it is forcibly interrupted."""
-
-
 class DeadlockError(SimulationError):
-    """The process environment ran out of events while processes are still
-    waiting — a genuine deadlock in the simulated program."""
+    """The rank scheduler ran out of work while ranks are still waiting —
+    a genuine deadlock in the simulated program."""

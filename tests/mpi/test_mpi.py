@@ -152,9 +152,9 @@ def test_barrier_synchronises():
     def main(comm):
         # Rank 0 is slow before the barrier.
         if comm.rank == 0:
-            yield comm.env.timeout(0.5)
+            yield 0.5
         yield from comm.barrier()
-        return comm.env.now
+        return comm.now
 
     result = run(4, main)
     assert all(t >= 0.5 for t in result.results)
@@ -206,11 +206,11 @@ def test_clock_bridging_with_opencl():
 
     def main(comm):
         api = native_api_on(comm.host)
-        api.clock.advance_to(comm.env.now)
+        api.clock.advance_to(comm.now)
         api.clock.advance_by(0.25)  # pretend 250 ms of OpenCL work
         yield from comm.sync_clock(api)
         yield from comm.barrier()
-        return comm.env.now
+        return comm.now
 
     result = run(2, main)
     assert all(t >= 0.25 for t in result.results)
@@ -218,7 +218,7 @@ def test_clock_bridging_with_opencl():
 
 def test_per_rank_args():
     def main(comm, offset):
-        yield comm.env.timeout(0.0)
+        yield 0.0
         return comm.rank + offset
 
     result = run(3, main, per_rank_args=[(10,), (20,), (30,)])

@@ -135,12 +135,10 @@ def test_notification_is_one_way(pair):
 
     @b.on_notification(StatusNote)
     def handle(msg, t, sender):
-        seen.append((msg.status, t))
+        seen.append((msg.status, t, sender.name))
 
     arrival = a.notify(b, StatusNote(status=7), t=0.0)
-    assert seen and seen[0][0] == 7
-    assert seen[0][1] == arrival
-    assert b.notification_log[0][1] == "client"
+    assert seen == [(7, arrival, "client")]
 
 
 def test_connect_disconnect(pair):
@@ -327,28 +325,3 @@ def test_stats_track_requests_and_bytes(pair):
     snap = a.stats.snapshot()
     assert snap["round_trips"] == 1
 
-
-# ----------------------------------------------------------------------
-# bounded notification log
-# ----------------------------------------------------------------------
-def test_notification_log_is_bounded(pair):
-    from repro.net.gcf import NOTIFICATION_LOG_LIMIT
-
-    _, a, b = pair
-    for i in range(NOTIFICATION_LOG_LIMIT + 50):
-        a.notify(b, StatusNote(status=i), t=float(i))
-    assert len(b.notification_log) == NOTIFICATION_LOG_LIMIT
-    # The newest entries are retained.
-    assert b.notification_log[-1][2].status == NOTIFICATION_LOG_LIMIT + 49
-
-
-def test_notification_log_limit_is_adjustable(pair):
-    _, a, b = pair
-    b.set_notification_log_limit(2)
-    for i in range(5):
-        a.notify(b, StatusNote(status=i), t=float(i))
-    assert [m.status for _, _, m in b.notification_log] == [3, 4]
-    b.set_notification_log_limit(None)  # opt back into unbounded
-    for i in range(5, 400):
-        a.notify(b, StatusNote(status=i), t=float(i))
-    assert len(b.notification_log) == 2 + 395

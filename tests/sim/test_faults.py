@@ -1,12 +1,9 @@
-"""Unit tests for the fault-injection layer and the sim-clock watchdog."""
+"""Unit tests for the fault-injection layer."""
 
 import pytest
 
-from repro.sim.channel import Channel
 from repro.sim.errors import WatchdogTimeout
 from repro.sim.faults import FaultAction, FaultInjector, FaultPlan, install_fault_injector
-from repro.sim.process import Environment
-from repro.sim.watchdog import drain_within, get_within, guarded
 from repro.net.link import (
     ConnectionReset,
     LinkSevered,
@@ -148,59 +145,3 @@ def test_install_on_network_object():
     inj = install_fault_injector(net, FaultPlan())
     assert net.fault_injector is inj
 
-
-# ----------------------------------------------------------------------
-# watchdog helpers
-# ----------------------------------------------------------------------
-def test_get_within_returns_delivered_item():
-    env = Environment()
-    ch = Channel(env, name="wd")
-    ch.put("payload", delay=0.5)
-    assert get_within(env, ch, deadline=2.0, label="test") == "payload"
-
-
-def test_get_within_times_out_with_label():
-    env = Environment()
-    ch = Channel(env, name="starved")
-    with pytest.raises(WatchdogTimeout, match="starved"):
-        get_within(env, ch, deadline=1.0, label="never-delivered")
-
-
-def test_drain_within_collects_and_reports_progress():
-    env = Environment()
-    ch = Channel(env, name="drain")
-    for i in range(3):
-        ch.put(i, delay=0.1 * (i + 1))
-    assert drain_within(env, ch, 3, deadline=5.0) == [0, 1, 2]
-
-    env2 = Environment()
-    ch2 = Channel(env2, name="short")
-    ch2.put("only", delay=0.1)
-    with pytest.raises(WatchdogTimeout, match="1/3"):
-        drain_within(env2, ch2, 3, deadline=1.0)
-
-
-def test_guarded_wait_inside_process():
-    env = Environment()
-    results = []
-
-    def waiter():
-        value = yield from guarded(env, env.timeout(0.5, value="done"), 2.0, "ok-wait")
-        results.append(value)
-
-    env.process(waiter())
-    env.run()
-    assert results == ["done"]
-
-    env2 = Environment()
-    failures = []
-
-    def starved():
-        try:
-            yield from guarded(env2, env2.event(), 1.0, "starved-wait")
-        except WatchdogTimeout as exc:
-            failures.append(str(exc))
-
-    env2.process(starved())
-    env2.run()
-    assert failures and "starved-wait" in failures[0]

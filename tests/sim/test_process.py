@@ -1,232 +1,165 @@
+"""The rank scheduler: time order, scheduling order on ties, mailboxes."""
+
 import pytest
 
-from repro.sim import Channel, ChannelClosed, Environment
-from repro.sim.errors import DeadlockError, ProcessKilled, SimulationError
+from repro.sim.errors import DeadlockError, SimulationError
+from repro.sim.process import Scheduler
 
 
 def test_timeout_advances_clock():
-    env = Environment()
+    s = Scheduler()
     log = []
 
-    def proc():
-        yield env.timeout(1.5)
-        log.append(env.now)
-        yield env.timeout(0.5)
-        log.append(env.now)
+    def rank():
+        yield 1.5
+        log.append(s.now)
+        yield 0.5
+        log.append(s.now)
 
-    p = env.process(proc())
-    env.run(until=p)
+    s.spawn(rank())
+    assert s.run() == 2.0
     assert log == [1.5, 2.0]
 
 
 def test_process_return_value():
-    env = Environment()
+    s = Scheduler()
 
-    def proc():
-        yield env.timeout(1.0)
-        return 42
+    def rank(value):
+        yield 1.0
+        return value
 
-    assert env.run(until=env.process(proc())) == 42
-
-
-def test_join_another_process():
-    env = Environment()
-
-    def worker():
-        yield env.timeout(2.0)
-        return "done"
-
-    def boss():
-        w = env.process(worker())
-        result = yield w
-        return (env.now, result)
-
-    assert env.run(until=env.process(boss())) == (2.0, "done")
-
-
-def test_join_already_finished_process():
-    env = Environment()
-
-    def worker():
-        yield env.timeout(1.0)
-        return 7
-
-    def boss(w):
-        yield env.timeout(5.0)
-        v = yield w  # worker long done
-        return (env.now, v)
-
-    w = env.process(worker())
-    assert env.run(until=env.process(boss(w))) == (5.0, 7)
+    s.spawn(rank(42))
+    s.spawn(rank(7))
+    s.run()
+    assert s.results == [42, 7]
 
 
 def test_two_processes_interleave():
-    env = Environment()
+    s = Scheduler()
     log = []
 
-    def p(name, dt, n):
+    def rank(name, dt, n):
         for _ in range(n):
-            yield env.timeout(dt)
-            log.append((env.now, name))
+            yield dt
+            log.append((s.now, name))
 
-    a = env.process(p("a", 1.0, 3))
-    b = env.process(p("b", 1.5, 2))
-    env.run(until=env.all_of([a, b]))
-    # At t=3.0 both fire; b scheduled its 3.0 timeout at t=1.5 (before a did
-    # at t=2.0), so b's event was enqueued first and fires first.
+    s.spawn(rank("a", 1.0, 3))
+    s.spawn(rank("b", 1.5, 2))
+    s.run()
+    # At t=3.0 both resume; b scheduled its 3.0 wake-up at t=1.5 (before a
+    # did at t=2.0), so b runs first.
     assert log == [(1.0, "a"), (1.5, "b"), (2.0, "a"), (3.0, "b"), (3.0, "a")]
 
 
-def test_negative_timeout_rejected():
-    env = Environment()
-    with pytest.raises(SimulationError):
-        env.timeout(-1.0)
-
-
-def test_yield_non_event_raises():
-    env = Environment()
-
-    def bad():
-        yield 17
-
-    p = env.process(bad())
-    with pytest.raises(SimulationError):
-        env.run(until=p)
-
-
-def test_process_failure_propagates_to_joiner():
-    env = Environment()
-
-    def worker():
-        yield env.timeout(1.0)
-        raise ValueError("boom")
-
-    def boss():
-        yield env.process(worker())
-
-    with pytest.raises(ValueError, match="boom"):
-        env.run(until=env.process(boss()))
-
-
-def test_interrupt():
-    env = Environment()
+def test_deterministic_ordering_same_time():
+    """Equal-time wake-ups run in scheduling order, not rank order."""
+    s = Scheduler()
     log = []
 
-    def sleeper():
-        try:
-            yield env.timeout(100.0)
-        except ProcessKilled:
-            log.append(env.now)
+    def rank(name, first):
+        yield first
+        yield 2.0 - first  # every rank wakes at t=2.0
+        log.append(name)
 
-    def killer(victim):
-        yield env.timeout(3.0)
-        victim.interrupt("enough")
-
-    v = env.process(sleeper())
-    env.process(killer(v))
-    env.run(until=v)
-    assert log == [3.0]
+    # Scheduling order of the t=2.0 wake-ups is the order of the first
+    # wake-ups: e, c, a, d, b (binary fractions, so every sum is exactly 2).
+    for name, first in zip("abcde", (0.25, 0.5, 0.125, 0.375, 0.0625)):
+        s.spawn(rank(name, first))
+    s.run()
+    assert log == list("ecadb")
 
 
-def test_any_of():
-    env = Environment()
+def test_put_wakes_the_waiter_before_the_putter_resumes():
+    s = Scheduler()
+    log = []
 
-    def fast():
-        yield env.timeout(1.0)
-        return "fast"
+    def receiver():
+        item = yield ("mbox",)
+        log.append(("got", item, s.now))
 
-    def slow():
-        yield env.timeout(9.0)
-        return "slow"
+    def sender():
+        yield 1.0
+        s.put(("mbox",), "x")
+        yield 0.0
+        log.append(("sent", s.now))
 
-    def waiter():
-        got = yield env.any_of([env.process(fast()), env.process(slow())])
-        return (env.now, got)
-
-    t, got = env.run(until=env.process(waiter()))
-    assert t == 1.0
-    assert got == ["fast"]
+    s.spawn(receiver())
+    s.spawn(sender())
+    s.run()
+    assert log == [("got", "x", 1.0), ("sent", 1.0)]
 
 
 def test_channel_put_get():
-    env = Environment()
-    ch = Channel(env)
+    """A mailbox is a FIFO channel: items put before anyone waits queue in
+    order, and a wait on a non-empty mailbox still resumes through the
+    heap, after ranks already scheduled at the same time."""
+    s = Scheduler()
     log = []
 
     def producer():
         for i in range(3):
-            yield env.timeout(1.0)
-            yield ch.put(i)
+            s.put(("q",), i)
+        yield 0.0
 
     def consumer():
+        yield 1.0
         for _ in range(3):
-            item = yield ch.get()
-            log.append((env.now, item))
+            item = yield ("q",)
+            log.append((s.now, item))
 
-    env.process(producer())
-    c = env.process(consumer())
-    env.run(until=c)
-    assert log == [(1.0, 0), (2.0, 1), (3.0, 2)]
+    def bystander():
+        yield 1.0
+        log.append((s.now, "bystander"))
 
-
-def test_channel_delay_models_latency():
-    env = Environment()
-    ch = Channel(env)
-
-    def producer():
-        yield ch.put("msg", delay=2.5)
-
-    def consumer():
-        item = yield ch.get()
-        return (env.now, item)
-
-    env.process(producer())
-    assert env.run(until=env.process(consumer())) == (2.5, "msg")
-
-
-def test_channel_close_fails_getters():
-    env = Environment()
-    ch = Channel(env)
-
-    def consumer():
-        try:
-            yield ch.get()
-        except ChannelClosed:
-            return "closed"
-
-    def closer():
-        yield env.timeout(1.0)
-        ch.close()
-
-    c = env.process(consumer())
-    env.process(closer())
-    assert env.run(until=c) == "closed"
+    s.spawn(producer())
+    s.spawn(consumer())
+    s.spawn(bystander())
+    s.run()
+    assert log == [(1.0, "bystander"), (1.0, 0), (1.0, 1), (1.0, 2)]
 
 
 def test_deadlock_detection():
-    env = Environment()
-    ch = Channel(env)
+    s = Scheduler()
 
-    def starved():
-        yield ch.get()
+    def starved(key):
+        yield key
 
-    with pytest.raises(DeadlockError):
-        env.run(until=env.process(starved()))
+    s.spawn(starved((0, 1)))
+    s.spawn(starved((2, 1)))
+    with pytest.raises(DeadlockError, match=r"\(0, \(0, 1\)\), \(1, \(2, 1\)\)"):
+        s.run()
 
 
-def test_deterministic_ordering_same_time():
-    results = []
-    for _ in range(3):
-        env = Environment()
-        log = []
+def test_negative_timeout_rejected():
+    s = Scheduler()
 
-        def p(name):
-            yield env.timeout(1.0)
-            log.append(name)
+    def rank():
+        yield -1.0
 
-        for name in "abcde":
-            env.process(p(name))
-        env.run()
-        results.append(tuple(log))
-    assert len(set(results)) == 1
-    assert results[0] == tuple("abcde")
+    s.spawn(rank())
+    with pytest.raises(SimulationError, match="negative delay"):
+        s.run()
+
+
+def test_two_waiters_on_one_key_rejected():
+    s = Scheduler()
+
+    def rank():
+        yield ("shared",)
+
+    s.spawn(rank())
+    s.spawn(rank())
+    with pytest.raises(SimulationError, match="both wait"):
+        s.run()
+
+
+def test_process_failure_propagates_out_of_run():
+    s = Scheduler()
+
+    def rank():
+        yield 1.0
+        raise ValueError("boom")
+
+    s.spawn(rank())
+    with pytest.raises(ValueError, match="boom"):
+        s.run()
