@@ -22,14 +22,29 @@ bisectable list maintained on every insert — and
 :meth:`Timeline.next_free` searches runs instead of reservations.  Only a
 zero-duration request, which fits at any reservation *boundary* (also one
 inside a run), searches the reservations themselves.
+
+Pruning behind a floor
+----------------------
+
+Given a *floor* (:meth:`Timeline.attach_floor`: no request will be ready
+before it), a timeline drops the reservations that end before it, which
+first-fit from ``ready >= floor`` never reads (docs/architecture.md,
+"Virtual time").  A request ready before that *horizon* raises
+:class:`TimelineError`.  ``len()``, iteration and ``busy_runs()`` see the
+live reservations; ``busy_until`` and ``busy_time()`` the whole history.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Iterator, List, NamedTuple, Optional, Tuple
+from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.sim.errors import TimelineError
+
+#: Reservations a timeline with a floor holds before it first prunes; it
+#: prunes again once it holds twice what survived (and at least this
+#: many), so pruning costs O(1) per allocation.  0 prunes at every one.
+PRUNE_AT = 32
 
 
 class Interval(NamedTuple):
@@ -76,19 +91,17 @@ class Timeline:
         reserve capacity.
     """
 
-    __slots__ = ("name", "epsilon", "_records", "_runs")
+    __slots__ = (
+        "name", "epsilon", "_records", "_runs", "_floor", "_prune_at",
+        "horizon", "pruned", "_pruned_busy", "_pruned_end", "_pruned_reach",
+    )
 
     def __init__(self, name: str = "", epsilon: float = 1e-15) -> None:
         self.name = name
         self.epsilon = epsilon
-        # Two lists sorted by start: the reservations as plain
-        # ``(start, end, tag)`` tuples and the busy runs (module
-        # docstring) as ``(start, end)``.  Plain tuples on purpose: a
-        # long run keeps hundreds of thousands, and the garbage
-        # collector stops tracking a tuple of floats and a string at
-        # its first pass, which it never does for an object.
-        self._records: List[Tuple[float, float, object]] = []
-        self._runs: List[Tuple[float, float]] = []
+        self._floor: Optional[Callable[[], float]] = None
+        self._prune_at = float("inf")
+        self.clear()
 
     # ------------------------------------------------------------------
     # queries
@@ -101,16 +114,22 @@ class Timeline:
 
     @property
     def busy_until(self) -> float:
-        """The end of the last reservation (0.0 when empty)."""
+        """The end of the last reservation (0.0 when there never was one)."""
         if not self._records:
-            return 0.0
+            return self._pruned_end
         return self._records[-1][1]
 
     def busy_time(self, window_start: float = 0.0, window_end: Optional[float] = None) -> float:
-        """Total reserved time overlapping ``[window_start, window_end)``."""
+        """Total reserved time overlapping ``[window_start, window_end)``.
+        Of a window starting behind the horizon only the whole history (from
+        0.0, past every pruned reservation) is known; others raise."""
         if window_end is None:
             window_end = self.busy_until
         total = 0.0
+        if window_start < self.horizon:
+            if window_start != 0.0 or window_end < self._pruned_reach:
+                raise self._behind(window_start)
+            total = self._pruned_busy
         for start, end, _ in self._records:
             lo = max(start, window_start)
             hi = min(end, window_end)
@@ -126,9 +145,49 @@ class Timeline:
         return self.busy_time(window_start, window_end) / span
 
     def busy_runs(self) -> List[Tuple[float, float]]:
-        """The busy runs (module docstring) as ``(start, end)`` pairs
-        in time order."""
+        """The busy runs (module docstring) of the live reservations as
+        ``(start, end)`` pairs in time order."""
         return list(self._runs)
+
+    # ------------------------------------------------------------------
+    # pruning
+    # ------------------------------------------------------------------
+    def attach_floor(self, floor: Callable[[], float]) -> None:
+        """Prune behind ``floor()`` from now on (module docstring)."""
+        self._floor = floor
+        self._prune_at = PRUNE_AT
+
+    def prune(self, floor: float) -> int:
+        """Drop the reservations that end before ``floor`` and move the
+        horizon there; returns how many were dropped."""
+        records, runs = self._records, self._runs
+        busy, last, reach = self._pruned_busy, self._pruned_end, self._pruned_reach
+        k = chains = 0
+        for start, end, _ in records:
+            if end >= floor:
+                break
+            lo = max(start, 0.0)  # busy_time()'s sum, term for term
+            if end > lo:
+                busy += end - lo
+            if k == 0 or start != last:
+                chains += 1
+            last, reach, k = end, max(reach, end), k + 1
+        if k:
+            if k < len(records) and records[k][0] == last:
+                # The first survivor continues the last dropped chain:
+                # that run stays, and now starts with the survivor.
+                del runs[: chains - 1]
+                runs[0] = (records[k][0], runs[0][1])
+            else:
+                del runs[:chains]
+            del records[:k]
+            self._pruned_busy, self._pruned_end, self._pruned_reach = busy, last, reach
+            self.pruned += k
+        self.horizon = max(self.horizon, floor)
+        return k
+
+    def _behind(self, ready: float) -> TimelineError:
+        return TimelineError(f"timeline {self.name!r}: {ready} is behind the horizon {self.horizon}")
 
     # ------------------------------------------------------------------
     # allocation
@@ -137,6 +196,8 @@ class Timeline:
         """Earliest start time ``>= ready`` with a free gap of ``duration``."""
         if duration < 0.0:
             raise TimelineError(f"timeline {self.name!r}: negative duration {duration}")
+        if ready < self.horizon:
+            raise self._behind(ready)
         # Zero duration fits at any reservation boundary, also one
         # inside a run; anything longer only between runs.
         return _first_fit(self._records if duration == 0.0 else self._runs, ready, duration)
@@ -174,6 +235,11 @@ class Timeline:
         interval positioned after any reservation covering ``ready``.
         """
         records, runs = self._records, self._runs
+        if len(records) >= self._prune_at:
+            self.prune(self._floor())
+            self._prune_at = max(PRUNE_AT, 2 * len(records)) if PRUNE_AT else 0
+        if ready < self.horizon:
+            raise self._behind(ready)
         if runs and ready > runs[-1][0] and duration >= self.epsilon > 0.0:
             # Behind the last run's start, where virtual time mostly
             # moves: nothing to search, and (unless a zero-width
@@ -199,6 +265,8 @@ class Timeline:
         conflict with an existing reservation."""
         if end < start:
             raise TimelineError(f"timeline {self.name!r}: end {end} < start {start}")
+        if start < self.horizon:
+            raise self._behind(start)
         iv = Interval(start, end, tag)
         pos = bisect.bisect_left(self._records, (start,))
         for neighbour in map(Interval._make, self._records[max(pos - 1, 0) : pos + 1]):
@@ -209,8 +277,20 @@ class Timeline:
         return iv
 
     def clear(self) -> None:
-        self._records.clear()
-        self._runs.clear()
+        """Forget every reservation, pruned ones and the horizon too."""
+        # Two lists sorted by start: the reservations as plain
+        # ``(start, end, tag)`` tuples and the busy runs (module
+        # docstring) as ``(start, end)``.  Plain tuples on purpose: a
+        # timeline without a floor keeps hundreds of thousands on a long
+        # run, and the garbage collector stops tracking a tuple of floats
+        # and a string at its first pass, which it never does for an object.
+        self._records: List[Tuple[float, float, object]] = []
+        self._runs: List[Tuple[float, float]] = []
+        self.horizon = float("-inf")  # the latest floor pruned to
+        self.pruned = 0  # reservations dropped so far
+        # What the dropped ones leave: their busy_time() share, the last
+        # one's end and the latest end among them.
+        self._pruned_busy, self._pruned_end, self._pruned_reach = 0.0, 0.0, float("-inf")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Timeline {self.name!r} n={len(self)} busy_until={self.busy_until:.9f}>"

@@ -20,6 +20,7 @@ from repro.hw.cluster import Cluster
 from repro.hw.node import Host
 from repro.ocl.api import NativeAPI
 from repro.sim.clock import VirtualClock
+from repro.sim.timeline import Timeline
 
 
 @dataclass
@@ -46,6 +47,20 @@ class Deployment:
             if daemon.host.name == host_name:
                 return daemon
         raise KeyError(host_name)
+
+    def timelines(self) -> Dict[str, List[Timeline]]:
+        """Every timeline the cluster and the deployment's processes own,
+        by host name: NIC directions, PCIe bus, devices, and the CPU of
+        each daemon, driver and device manager on the host."""
+        by_host = {
+            host.name: [host.nic.tx, host.nic.rx, host.pcie.timeline]
+            + [device.timeline for device in host.devices]
+            for host in self.cluster.hosts
+        }
+        managers = [self.device_manager] if self.device_manager is not None else []
+        for process in [*self.daemons, *self.drivers, *managers]:
+            by_host[process.gcf.host.name].append(process.gcf.cpu)
+        return by_host
 
     def daemon_stats(self) -> Dict[str, float]:
         """Key-wise sum of every daemon's ``NetStats.snapshot()`` — the
@@ -182,6 +197,13 @@ def deploy_dopencl(
         )
         deployment.drivers.append(driver)
         deployment.apis.append(DOpenCLAPI(driver))
+    # The cluster-wide clock floor (docs/architecture.md, Virtual time):
+    # every timeline request descends from a client call made at or
+    # after its client's clock, so none is ready before the slowest one.
+    drivers = deployment.drivers
+    for timelines in deployment.timelines().values():
+        for timeline in timelines:
+            timeline.attach_floor(lambda: min(driver.clock.now for driver in drivers))
     return deployment
 
 

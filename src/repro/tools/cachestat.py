@@ -15,7 +15,9 @@ directories, which are the authoritative replica map) and its
 still staged awaiting a commit), followed by a deployment-wide push
 summary with the hit/waste ratios
 (``push_commits / speculative_pushes`` and
-``wasted_pushes / speculative_pushes``).
+``wasted_pushes / speculative_pushes``).  Last comes one line per host
+on its timelines: live reservations, horizon and reservations pruned so
+far (:mod:`repro.sim.timeline`, "Pruning behind a floor").
 
 Works against any object exposing ``daemons`` (a
 :class:`~repro.testbed.Deployment`) or directly against an iterable of
@@ -95,6 +97,17 @@ def _residency_line(per_state: Dict[str, int]) -> str:
     return f"{by_state} (valid {resident}/{total})"
 
 
+def _timeline_line(host: str, timelines) -> str:
+    """One host's timelines: live reservations, the latest horizon any
+    of them pruned to, and the reservations pruned so far."""
+    horizon = max(tl.horizon for tl in timelines)
+    shown = f"{horizon:.6f}s" if horizon > float("-inf") else "none"
+    return (
+        f"Timelines {host}: live={sum(len(tl) for tl in timelines)} "
+        f"horizon={shown} pruned={sum(tl.pruned for tl in timelines)}"
+    )
+
+
 def cachestat_text(deployment) -> str:
     """Render the build-cache state of every daemon in ``deployment``
     (a testbed ``Deployment`` or any iterable of daemons), plus — when
@@ -145,6 +158,8 @@ def cachestat_text(deployment) -> str:
     client_row = residency.get("client")
     if client_row:
         lines.append(f"Client replicas: {_residency_line(client_row)}")
+    if hasattr(deployment, "timelines"):
+        lines.extend(_timeline_line(host, tls) for host, tls in deployment.timelines().items())
     if getattr(deployment, "drivers", []):
         summary = push_summary(deployment)
         lines.append(

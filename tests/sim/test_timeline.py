@@ -1,10 +1,13 @@
 import bisect
+import math
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Interval, Timeline
+from repro.sim import timeline as timeline_module
 from repro.sim.errors import TimelineError
 
 
@@ -291,6 +294,105 @@ def test_run_index_matches_linear_first_fit(ops):
     assert tl.busy_time(3.0, 11.5) == oracle.busy_time(3.0, 11.5)
     for ready, duration in [(0.0, 0.0), (5.0, 0.0), (5.0, 1e-16), (0.0, 0.25), (7.25, 3.0)]:
         assert tl.next_free(ready, duration) == oracle.next_free(ready, duration)
+
+
+@given(
+    ops=st.lists(_OPS | st.tuples(st.just("prune"), st.none(), st.none()), min_size=1, max_size=60)
+)
+@settings(max_examples=300, deadline=None)
+def test_pruning_matches_the_unpruned_oracle(ops):
+    """Prunes at the tightest legal floor — the earliest time any later
+    request is ready at — change no answer, no busy_until and no
+    busy_time(), and keep the live reservations a suffix of the oracle's."""
+    tl, oracle = Timeline("t"), LinearTimeline("t")
+    later = [at for op, at, _ in ops if op != "prune"]
+    for n, (op, at, span) in enumerate(ops):
+        if op == "prune":
+            floor = min(later, default=24.0)
+            tl.prune(floor)
+            assert tl.horizon == floor
+            behind = math.nextafter(floor, -math.inf)
+            for call in (lambda: tl.next_free(behind, 0.0), lambda: tl.allocate(behind, 1.0),
+                         lambda: tl.reserve(behind, floor)):
+                with pytest.raises(TimelineError, match="behind the horizon"):
+                    call()
+            # Zero duration fits at any boundary: exactly at the horizon
+            # it still lands where it did.
+            assert tl.allocate(floor, 0.0) == oracle.allocate(floor, 0.0)
+            continue
+        later.pop(0)
+        args = (at, span, n) if op == "allocate" else (at, at + span, n)
+        try:
+            expected = getattr(oracle, op)(*args)
+        except TimelineError as exc:
+            with pytest.raises(TimelineError, match=re.escape(str(exc))):
+                getattr(tl, op)(*args)
+        else:
+            assert getattr(tl, op)(*args) == expected  # (start, end, tag)
+        assert len(tl) + tl.pruned == len(oracle)
+        assert list(tl) == list(oracle)[tl.pruned :]
+        assert tl.busy_runs() == _runs_of(list(tl))
+        assert tl.busy_until == oracle.busy_until
+        try:
+            assert tl.busy_time() == oracle.busy_time()
+        except TimelineError:
+            # A zero-width reservation sorted behind a longer one with the
+            # same start ends the list: busy_until cuts that one short, and
+            # the pruned sum, which cannot, refuses instead of differing.
+            assert max(iv.end for iv in oracle) > oracle.busy_until
+    if tl.horizon <= 3.0:
+        assert tl.busy_time(3.0, 11.5) == oracle.busy_time(3.0, 11.5)
+    for ready, duration in [(0.0, 0.0), (5.0, 0.0), (5.0, 1e-16), (0.0, 0.25), (7.25, 3.0), (24.0, 0.5)]:
+        if ready >= tl.horizon:
+            assert tl.next_free(ready, duration) == oracle.next_free(ready, duration)
+
+
+def test_a_reservation_ending_at_the_floor_is_kept():
+    """Pruning drops what ends *before* the floor, so work starting at
+    the floor still joins the run that ends there, as without pruning."""
+    tl = Timeline()
+    tl.allocate(0.0, 1.0)
+    tl.allocate(1.0, 1.0)
+    assert tl.prune(2.0) == 1
+    assert list(tl) == [Interval(1.0, 2.0)]
+    assert tl.busy_runs() == [(1.0, 2.0)]
+    tl.allocate(2.0, 1.0)
+    assert tl.busy_runs() == [(1.0, 3.0)]
+    assert tl.busy_time() == 3.0
+
+
+def test_busy_accounting_survives_pruning_everything():
+    tl = Timeline()
+    for ready in (0.5, 2.0, 4.0):
+        tl.allocate(ready, 1.0)
+    assert tl.prune(10.0) == 3 and len(tl) == 0 and tl.busy_runs() == []
+    assert tl.busy_until == 5.0
+    assert tl.busy_time() == 3.0
+    assert tl.busy_time(10.0, 20.0) == 0.0
+    with pytest.raises(TimelineError, match="behind the horizon"):
+        tl.busy_time(1.0, 20.0)
+    tl.clear()
+    assert (tl.horizon, tl.pruned, tl.busy_until, tl.busy_time()) == (-math.inf, 0, 0.0, 0.0)
+
+
+def test_a_floor_prunes_amortised(monkeypatch):
+    """A timeline with a floor prunes once it holds PRUNE_AT
+    reservations, then once it holds twice what survived."""
+    monkeypatch.setattr(timeline_module, "PRUNE_AT", 4)
+    now = [0.0]
+    tl = Timeline()
+    tl.attach_floor(lambda: now[0])
+    for i in range(4):
+        tl.allocate(float(i), 1.0)
+    assert tl.pruned == 0 and tl.horizon == -math.inf
+    now[0] = 3.0
+    tl.allocate(4.0, 1.0)  # the fifth allocation prunes first
+    assert (tl.pruned, len(tl), tl.horizon) == (2, 3, 3.0)
+    tl.allocate(5.0, 1.0)
+    assert tl.pruned == 2  # next prune at max(4, 2 * 2 survivors) records
+    with pytest.raises(TimelineError, match="behind the horizon"):
+        tl.allocate(2.5, 1.0)
+    assert tl.busy_time() == 6.0 and tl.busy_until == 6.0
 
 
 def test_zero_width_reservation_at_the_tail_matches_the_oracle():

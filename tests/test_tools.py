@@ -164,6 +164,27 @@ def test_cachestat_reports_replica_residency_and_push_ratios():
     assert sum(residency[daemon.name].values()) == 1
 
 
+def test_cachestat_prints_one_timeline_line_per_host(monkeypatch):
+    from repro.sim import timeline
+
+    monkeypatch.setattr(timeline, "PRUNE_AT", 0)  # prune at every allocation
+    deployment = deploy_dopencl(make_ib_cpu_cluster(2, n_clients=2), n_clients=2)
+    for api in deployment.apis:
+        _build_on(api, _GOOD_SOURCE)
+    lines = [line for line in cachestat_text(deployment).splitlines() if line.startswith("Timelines ")]
+    by_host = deployment.timelines()
+    assert len(lines) == len(by_host) == len(deployment.cluster.hosts)
+    for line, (host, timelines) in zip(lines, by_host.items()):
+        live = sum(len(tl) for tl in timelines)
+        pruned = sum(tl.pruned for tl in timelines)
+        horizon = max(tl.horizon for tl in timelines)
+        assert line == f"Timelines {host}: live={live} horizon={horizon:.6f}s pruned={pruned}"
+    assert sum(tl.pruned for tls in by_host.values() for tl in tls) > 0
+    # A deployment nothing pruned on says so.
+    idle = cachestat_text(deploy_dopencl(make_ib_cpu_cluster(1)))
+    assert "live=0 horizon=none pruned=0" in idle
+
+
 def test_clcdump_prints_decisions_and_run_report(capsys):
     from repro.clc import vecrt
     from repro.tools import clcdump
