@@ -213,11 +213,12 @@ class DOpenCLAPI:
 
     def clFinish(self, queue: QueueStub) -> None:
         """Synchronization point: every send window drains (commands on
-        other servers may gate this queue through event wait lists)
-        before the blocking finish round trip."""
+        other servers may gate this queue through event wait lists), and
+        the ``FinishRequest`` closes the drain's last batch to the
+        queue's daemon — one round trip, or the Finish's own when the
+        drain sends that daemon nothing (:meth:`DOpenCLDriver.finish`)."""
         self._tick()
-        self.driver.flush_all()
-        self.driver.fanout([queue.server], lambda c: P.FinishRequest(queue_id=queue.id))
+        self.driver.finish(queue.server, P.FinishRequest(queue_id=queue.id))
 
     def clFlush(self, queue: QueueStub) -> None:
         """Submission guarantee without blocking: everything enqueued on

@@ -433,8 +433,8 @@ class DOpenCLDriver:
             self.flush_connection(conn, raise_errors=raise_errors)
 
     def flush_connections(
-        self, conns: Sequence[ServerConnection], raise_errors: bool = True
-    ) -> None:
+        self, conns: Sequence[ServerConnection], raise_errors: bool = True, tail=None
+    ) -> Optional[RequestOutcome]:
         """Dispatch the send windows of ``conns`` — one CommandBatch per
         daemon, all sent at the same client time — then settle every
         deferred command from the batched replies.
@@ -449,15 +449,17 @@ class DOpenCLDriver:
         transfer) is what blocks.  Deferred daemon-side errors are raised
         here when ``raise_errors`` (the client-initiated sync points);
         flushes triggered from notification handlers pass ``False`` and
-        the failure surfaces at the next sync point instead."""
+        the failure surfaces at the next sync point instead.  ``tail``:
+        see :meth:`~repro.core.client.resilience.Transport.dispatch_batches`."""
         # Swap every window out first: completion notifications fired
         # while a batch is dispatched may defer/flush more commands,
         # which must land in a fresh window.
-        self.transport.dispatch_batches(
-            [(conn, conn.window.swap_out()) for conn in conns if conn.window]
+        folded = self.transport.dispatch_batches(
+            [(conn, conn.window.swap_out()) for conn in conns if conn.window], tail
         )
         if raise_errors:
             self.transport.surface_deferred_failure()
+        return folded
 
     def flush_connection(self, conn: ServerConnection, raise_errors: bool = True) -> None:
         """Send ``conn``'s window as one CommandBatch and settle the
@@ -478,7 +480,7 @@ class DOpenCLDriver:
         if self.batching_enabled and conn.window.mark_barrier():
             self.stats.flush_barriers += 1
 
-    def flush_all(self) -> None:
+    def flush_all(self, tail=None) -> Optional[RequestOutcome]:
         """Drain every connection's send window (full sync point —
         ``clFinish`` semantics).
 
@@ -487,10 +489,13 @@ class DOpenCLDriver:
         relays to other servers' (already swapped-out) windows.  A full
         sync point promises that everything forwarded so far — including
         such relays — has reached its daemon, so this loops until all
-        windows are empty (bounded by :data:`MAX_DRAIN_PASSES`)."""
+        windows are empty (bounded by :data:`MAX_DRAIN_PASSES`).  ``tail``
+        rides every pass's batch to its connection; the last one answered
+        is returned, ordered after everything the drain sent there."""
+        folded = None
         for _ in range(MAX_DRAIN_PASSES):
             targets = [c for c in self._connections.values() if c.connected]
-            self.flush_connections(targets, raise_errors=False)
+            folded = self.flush_connections(targets, raise_errors=False, tail=tail) or folded
             if not any(c.window for c in targets):
                 break
         else:
@@ -504,6 +509,22 @@ class DOpenCLDriver:
         # has completed.
         self.resolve_deferred_reads()
         self.transport.surface_deferred_failure()
+        return folded
+
+    def finish(self, conn: ServerConnection, msg: P.Request) -> None:
+        """``clFinish``: drain every window with ``msg`` closing each batch
+        to ``conn`` and block on the last one's reply (earlier ones, which
+        may report a deadlock a later relay resolved, are superseded).  If
+        the drain sent ``conn`` nothing, lost it, or left it more to send
+        (deferred reads), ``msg`` goes alone (:meth:`fanout`)."""
+        folded = self.flush_all((conn, msg))
+        if folded is None or conn.window or not conn.connected:
+            self.fanout([conn], lambda c: msg)
+            return
+        self.stats.folded_finishes += 1
+        self.clock.advance_to(folded.reply_arrival)
+        if folded.responses:  # else every command succeeded, the Finish too
+            self.transport.check(folded.responses[-1])
 
     def flush_for_handles(
         self, handles: Iterable[int], raise_errors: bool = True

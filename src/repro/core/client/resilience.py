@@ -311,24 +311,30 @@ class Transport:
     # batch dispatch and the failure stash
     # ------------------------------------------------------------------
     def dispatch_batches(
-        self, batches: Sequence[Tuple[ServerConnection, Sequence[WindowCommand]]]
-    ) -> None:
+        self, batches: Sequence[Tuple[ServerConnection, Sequence[WindowCommand]]], tail=None
+    ) -> Optional[RequestOutcome]:
         """Send each ``(connection, window commands)`` pair as one
         CommandBatch, all at the same client time, and stash the first
         failure.  The command lists must already be detached from their
         windows (``swap_out`` / ``split_prefix``): dispatching can defer
         new commands, which belong in the live windows.
 
+        ``tail = (connection, closes_batch request)`` rides last in the
+        batch to that connection, its reply no deferred failure; that
+        batch's outcome is returned (``None``: none was answered).
+
         Without a policy a batch is identity-less (no replay fields on
         the wire); with one it carries the connection's ``(epoch, next
         seq)``, so every re-send is byte-identical and the daemon's
         dispatch dedupe answers a replay from its cached reply."""
         if not batches:
-            return
+            return None
+        folded = None
         self.dispatch_depth += 1
         try:
             for conn, commands in batches:
                 msgs = [c.msg for c in commands]
+                sent = msgs + [tail[1]] if tail is not None and conn is tail[0] else msgs
                 epoch, seq = 0, -1
                 if self.policy is not None:
                     epoch, seq = conn.epoch, conn.next_seq
@@ -339,14 +345,17 @@ class Transport:
                     if next(sends):
                         self.stats.replayed_batches += 1
                     return self.gcf.request_batch(
-                        conn.gcf, msgs, self.clock.now, epoch=epoch, seq=seq
+                        conn.gcf, sent, self.clock.now, epoch=epoch, seq=seq
                     )
 
                 outcome = self.attempt(conn, send)
                 if outcome is not None:  # else declared dead: the loss is stashed
                     self.record_failures(msgs, outcome)
+                    if sent is not msgs:
+                        folded = outcome
         finally:
             self.dispatch_depth -= 1
+        return folded
 
     def _stash(self, msg: Optional[P.Request], error: int, detail: str, arrival: float) -> None:
         if self._deferred_failure is None:

@@ -22,7 +22,8 @@ promises*): program order guarantees a creation replays before anything
 that uses its provisional ID, and a failed creation **poisons** that ID
 in the registry — later sub-commands depending on it are answered
 positionally with the original error, without executing (the
-``guard``/``observe`` hooks of ``install_batch_dispatch``).
+``guard``/``observe`` hooks of ``install_batch_dispatch``), and a
+``closes_batch`` request (``clFinish``) may only come last.
 
 Event statuses tolerate wire-level reordering: a
 ``SetUserEventStatusRequest`` (or Section III-F direct broadcast)
@@ -496,8 +497,8 @@ class Daemon:
         def reject(detail):
             return P.Ack(error=ErrorCode.CL_INVALID_OPERATION.value, detail=detail)
 
-        def batch_guard(sub, sender):
-            if type(sub) not in P.DEFERRABLE:
+        def batch_guard(sub, sender, last):
+            if type(sub) not in P.DEFERRABLE and not (last and sub.closes_batch):
                 return reject(f"{type(sub).__name__} cannot be batch-forwarded")
             released = P.released_handle(sub)
             if released is not None and self.registry.unpoison(sender.name, released):

@@ -105,17 +105,21 @@ def _compile_roles(cls: type) -> None:
     cls._released = eval(f"lambda m: {released}")
 
 
-def message_type(cls: type = None, *, deferrable: bool = False, replay_safe: str = None):
+def message_type(
+    cls: type = None, *, deferrable: bool = False, replay_safe: str = None, closes_batch=False
+):
     """:func:`repro.net.messages.message_type` plus this module's
     declarations: ``deferrable`` — the request obeys the
     :data:`DEFERRABLE` rules and rides a (replay-deduped) send window —
     or ``replay_safe`` — why a ``Transport`` exchange may re-send it, in
-    the words of ``docs/architecture.md``'s exchange table.  Roles
+    the words of ``docs/architecture.md``'s exchange table — and
+    ``closes_batch``: the request may ride last in a batch, and nowhere
+    else in one (see :data:`DEFERRABLE`).  Roles
     matter on deferrable requests only: nothing else is ever windowed."""
 
     def register(cls: type) -> type:
         cls = _register(cls)
-        cls.deferrable, cls.replay_safe = deferrable, replay_safe
+        cls.deferrable, cls.replay_safe, cls.closes_batch = deferrable, replay_safe, closes_batch
         _compile_roles(cls)
         return cls
 
@@ -129,8 +133,9 @@ def message_type(cls: type = None, *, deferrable: bool = False, replay_safe: str
 class Ack(Response):
     """Generic success/error reply for calls that return no data.
 
-    This is the response type of every deferrable command: a successful
-    batch of N commands answers N ``Ack()`` objects.
+    This is the response type of every deferrable command; it is
+    :attr:`~repro.net.messages.Response.bare`, so a batch of N successful
+    commands answers none, only an empty :class:`CommandBatchResponse`.
     """
 
     error: int = 0
@@ -215,10 +220,12 @@ class ReleaseQueueRequest(Request):
     queue_id: int = releases()
 
 
-@message_type(replay_safe="a barrier changes nothing")
+@message_type(replay_safe="a barrier changes nothing", closes_batch=True)
 class FinishRequest(Request):
-    """``clFinish``: blocks the client until the queue drains — always a
-    synchronous round trip, and therefore a flush point."""
+    """``clFinish``: blocks the client until the queue drains, so it is a
+    flush point.  When the drain sends the queue's daemon a batch, the
+    Finish rides as that batch's last sub-command and the client blocks
+    on the batch's reply; otherwise it is a round trip of its own."""
 
     queue_id: int
 
@@ -765,6 +772,11 @@ class ClientLostNotification(Notification):
 #:    handler for the type (the dispatcher replays sub-commands through
 #:    the normal handler table), and the type must not itself be an
 #:    envelope (nested batches are rejected).
+#:
+#: A ``closes_batch`` request (``FinishRequest``) is not deferrable but
+#: may be a batch's last sub-command, appended at dispatch: its handler
+#: returns when the queue drains, so anywhere else it would stall the
+#: commands behind it, and the daemon refuses it there.
 #:
 #: Flush points — where windows drain and deferred errors surface — are
 #: enumerated in :meth:`repro.core.client.driver.DOpenCLDriver.defer`'s

@@ -140,6 +140,10 @@ class NetStats:
         MOSI server-to-server gangs: two or more hops along one
         (src, dst) daemon pair on one ``BufferPeerTransferBatch`` round
         trip, and the per-buffer sections those batches carried.
+    ``folded_finishes``
+        Client-side: ``clFinish`` calls answered by their drain's last
+        batch to the queue's daemon, the ``FinishRequest`` riding as its
+        last sub-command, instead of by a round trip of their own.
     ``prefix_flushes``
         Targeted sync points that dispatched only a window *prefix*
         (up to the awaited handle's producer), leaving causally
@@ -293,6 +297,7 @@ class NetStats:
         "flush_barriers",
         "coalesced_peer_transfers",
         "coalesced_peer_transfer_sections",
+        "folded_finishes",
         "prefix_flushes",
         "dropped_event_statuses",
         "timeouts",
@@ -341,8 +346,9 @@ class NetStats:
 class RequestOutcome:
     """Timing breakdown of one synchronous exchange.
 
-    ``responses`` holds the replies: one per command (batch order) for a
-    :meth:`GCFProcess.request_batch` trip, else one.
+    ``responses`` holds the replies: for a :meth:`GCFProcess.request_batch`
+    trip one per command (batch order), or none when all were bare
+    successes; else one.
     ``arrival`` is when the last leg landed — the reply, or a bulk
     exchange's raw payload — and ``payload`` what a bulk fetch streamed
     back.
@@ -466,9 +472,10 @@ class GCFProcess:
         raises :class:`NetworkError`.
 
         ``guard``/``observe`` are the dispatch *interceptor* hooks the
-        daemon uses for dependency poisoning: ``guard(sub, sender)`` may
-        return a Response that short-circuits the sub-command (placed in
-        its positional reply slot without running the handler, counted in
+        daemon uses for dependency poisoning: ``guard(sub, sender, last)``
+        (``last``: ``sub`` closes the batch) may return a Response that
+        short-circuits the sub-command (placed in its positional reply
+        slot without running the handler, counted in
         ``stats.poisoned_commands``); ``observe(sub, response, sender)``
         sees every sub-command's outcome — guarded or executed — so a
         failed creation can poison its provisional IDs for later
@@ -478,7 +485,9 @@ class GCFProcess:
 
         Each slot of the :class:`CommandBatchResponse` is the reply
         object itself — the handler's, the guard's or ``on_error``'s —
-        exactly as :meth:`request` hands back a single reply.  The
+        exactly as :meth:`request` hands back a single reply — unless
+        every slot is a :attr:`~repro.net.messages.Response.bare`
+        success, which the reply lists as no slots at all.  The
         commands are the one part of a batch that crosses as bytes:
         byte-identical sub-commands — e.g. a ``SetKernelArgRequest``
         re-sent with unchanged arguments, or one source built by N
@@ -521,7 +530,8 @@ class GCFProcess:
             results: List[Response] = []
             tcur = t
             self.stats.batched_commands_received += len(msg.commands)
-            for raw in msg.commands:
+            last = len(msg.commands) - 1
+            for i, raw in enumerate(msg.commands):
                 decode_hits = decode_cache.hits
                 try:
                     sub = decode_cache.decode(raw)
@@ -534,7 +544,7 @@ class GCFProcess:
                     results.append(undispatchable(f"{type(sub).__name__} cannot be batch-forwarded"))
                     continue
                 if guard is not None:
-                    short = guard(sub, sender)
+                    short = guard(sub, sender, i == last)
                     if short is not None:
                         # Skipping still costs the dispatch slice: the
                         # daemon decoded and inspected the command to
@@ -563,6 +573,8 @@ class GCFProcess:
                 if observe is not None:
                     observe(sub, response, sender)
                 results.append(response)
+            if all(r.bare and not r.error for r in results):
+                results = []
             reply = CommandBatchResponse(results=results)
             if replay_key is not None:
                 replay_cache[replay_key] = reply
@@ -661,7 +673,8 @@ class GCFProcess:
         charges CPU per command — and their responses come back together
         in the single :class:`CommandBatchResponse` reply, as the
         outcome's ``responses`` (batch order; the receiver's objects, as
-        for :meth:`request`).
+        for :meth:`request`; none when every command succeeded with a
+        bare reply).
 
         Encoding is memoised per command instance
         (:meth:`~repro.net.messages.Message.cached_wire`): a command
@@ -689,7 +702,7 @@ class GCFProcess:
         batch = CommandBatch(commands=commands, epoch=epoch, seq=seq)
         outcome, _ = self._round_trip(target, handler, batch, t)
         reply = outcome.response
-        if not isinstance(reply, CommandBatchResponse) or len(reply.results) != len(msgs):
+        if not isinstance(reply, CommandBatchResponse) or len(reply.results) not in (0, len(msgs)):
             raise NetworkError(
                 f"process {target.name!r} answered a {len(msgs)}-command batch with "
                 f"{type(reply).__name__}"

@@ -146,6 +146,7 @@ def message_type(cls: Type[M]) -> Type[M]:
     if wire_name in _REGISTRY and _REGISTRY[wire_name] is not cls:
         raise ValueError(f"duplicate message type {wire_name!r}")
     cls._codec = _compile_codec(cls, tuple(f.name for f in dataclasses.fields(cls)))
+    cls.bare = cls._codec.fields == ("error", "detail")
     _DECODERS[wire_name.encode("utf-8")] = cls._codec.decode
     ENCODERS[cls] = _encode_nested
     SIZERS[cls] = _size_nested
@@ -274,6 +275,10 @@ class Request(Message):
 class Response(Message):
     """Reply to a :class:`Request`."""
 
+    #: Set by :func:`message_type`: the only fields are ``error`` and
+    #: ``detail`` (see :class:`CommandBatchResponse`).
+    bare = False
+
 
 class Notification(Message):
     """One-way asynchronous message (e.g. an event status update)."""
@@ -326,7 +331,9 @@ class CommandBatchResponse(Response):
     dispatched at all.  Failures are therefore always reported
     *positionally*: the sender settles each deferred command's outcome
     from the single reply, attributing any error to the exact call that
-    caused it.  The responses are carried as objects and priced as their
+    caused it — unless every reply is a :attr:`Response.bare` success:
+    then ``results`` is empty, and the reply costs about one reply's
+    bytes.  The responses are carried as objects and priced as their
     encodings (module docstring).
     """
 

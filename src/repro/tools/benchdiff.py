@@ -16,8 +16,8 @@ Round-trip and cache-hit counters are compared exactly by default; byte
 counters get a small relative tolerance (codec-level changes
 legitimately move a few header bytes).  Both directions are violations:
 *worse* means a regression, *better* means the committed snapshot is
-stale and must be re-recorded
-(``PYTHONPATH=src python -m pytest benchmarks/bench_smoke.py
+stale and must be re-recorded, which way is better being per key
+(:func:`improved`) (``PYTHONPATH=src python -m pytest benchmarks/bench_smoke.py
 benchmarks/bench_osem.py benchmarks/bench_multiclient.py
 benchmarks/bench_stream.py`` rewrites all four).
 
@@ -134,6 +134,17 @@ STREAM_TOLERANCES: Dict[str, float] = {
 }
 
 
+def improved(key: str, got: float, want: float) -> bool:
+    """Whether ``key`` moving from ``want`` to ``got`` is better: higher
+    for throughputs, cache hits, push commits and coalescing counters,
+    closer to 1 for fairness ratios, lower for everything else."""
+    if key.startswith("fairness_ratio"):
+        return abs(got - 1.0) < abs(want - 1.0)
+    if any(part in key for part in ("throughput_", "_hits", "push_commits", "coalesced_")):
+        return got > want
+    return got < want
+
+
 class Snapshot(NamedTuple):
     """One committed ``BENCH_<name>.json``: the workload that produces
     its record, the record -> flat payload function, and the compared
@@ -205,10 +216,10 @@ def compare(
     Returns human-readable violation strings (empty list = clean); each
     names ``snapshot`` so the remedy points at the right file.  A key
     is violated when the fresh value differs from the committed one by
-    more than ``tolerance * committed`` in *either* direction — higher
-    is a perf regression, lower is a stale snapshot (see module
-    docstring).  A compared key missing from either payload is itself a
-    violation: silently skipping it would let the floor rot."""
+    more than ``tolerance * committed`` in *either* direction — worse
+    is a perf regression, better (:func:`improved`) a stale snapshot.
+    A compared key missing from either payload is itself a violation:
+    silently skipping it would let the floor rot."""
     problems: List[str] = []
     for key, tolerance in (tolerances or DEFAULT_TOLERANCES).items():
         if key not in committed:
@@ -224,14 +235,14 @@ def compare(
         allowed = abs(want) * tolerance
         if abs(got - want) <= allowed:
             continue
-        direction = "regressed" if got > want else "improved"
+        better = improved(key, got, want)
         problems.append(
-            f"{key}: {direction} — fresh {got:g} vs committed {want:g} "
-            f"(tolerance ±{tolerance:.0%}); "
+            f"{key}: {'improved' if better else 'regressed'} — fresh {got:g} "
+            f"vs committed {want:g} (tolerance ±{tolerance:.0%}); "
             + (
-                f"fix the regression or re-record {snapshot}"
-                if got > want
-                else f"re-record {snapshot} to bank the improvement"
+                f"re-record {snapshot} to bank the improvement"
+                if better
+                else f"fix the regression or re-record {snapshot}"
             )
         )
     return problems

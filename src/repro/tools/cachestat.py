@@ -15,9 +15,10 @@ directories, which are the authoritative replica map) and its
 still staged awaiting a commit), followed by a deployment-wide push
 summary with the hit/waste ratios
 (``push_commits / speculative_pushes`` and
-``wasted_pushes / speculative_pushes``).  Last comes one line per host
-on its timelines: live reservations, horizon and reservations pruned so
-far (:mod:`repro.sim.timeline`, "Pruning behind a floor").
+``wasted_pushes / speculative_pushes``), one line per client (round
+trips, ``folded_finishes``) and one per host on its timelines: live
+reservations, horizon and reservations pruned so far
+(:mod:`repro.sim.timeline`, "Pruning behind a floor").
 
 Works against any object exposing ``daemons`` (a
 :class:`~repro.testbed.Deployment`) or directly against an iterable of
@@ -158,6 +159,10 @@ def cachestat_text(deployment) -> str:
     client_row = residency.get("client")
     if client_row:
         lines.append(f"Client replicas: {_residency_line(client_row)}")
+    for driver in getattr(deployment, "drivers", []):
+        stats = driver.stats
+        lines.append(f"Client {driver.gcf.name}: round_trips={stats.round_trips} "
+                     f"folded_finishes={stats.folded_finishes}")
     if hasattr(deployment, "timelines"):
         lines.extend(_timeline_line(host, tls) for host, tls in deployment.timelines().items())
     if getattr(deployment, "drivers", []):

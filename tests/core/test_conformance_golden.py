@@ -11,7 +11,9 @@ a sha256 (first 16 hex digits) captured at commit ``69d9626`` (PR 15,
 the parent of the one-executor refactor), before any harness code
 changed.  It must pass unmodified across harness refactors; a pipeline
 change that moves a round-trip count re-records the affected rows and
-says why.
+says why: the rows whose round trips fell when ``clFinish`` started
+riding its daemon's batch were re-recorded, their semantic slices
+unchanged.
 
 Re-print the table with ``PYTHONPATH=src python
 tests/core/test_conformance_golden.py``.
@@ -68,48 +70,48 @@ FAULT_CELLS = {
 SOLO_SEEDS = range(8)
 MULTI_CELLS = ((0, 2), (0, 4))
 
-#: Captured at 69d9626 (see the module docstring).
+#: Captured at 69d9626; later re-recordings are in the module docstring.
 GOLDEN = {
     "solo:0:sync": "8db8ed0f57625b33",
-    "solo:0:full": "bf92569186bc2b0c",
-    "solo:0:cache_off": "95eb6829b387ebf7",
-    "solo:0:push_off": "c30236a0ee057214",
+    "solo:0:full": "8d8c4cad569a389b",
+    "solo:0:cache_off": "7819b4d4cdfd2195",
+    "solo:0:push_off": "df5bfc2ffd1aa2a1",
     "solo:1:sync": "43b9d5b3c281d46a",
     "solo:1:full": "566474a2ec4d5ca0",
     "solo:1:cache_off": "46ce25dfca97c7f7",
     "solo:1:push_off": "566474a2ec4d5ca0",
     "solo:2:sync": "2d8efa92172fcf79",
-    "solo:2:full": "0cc8d06893d16a87",
-    "solo:2:cache_off": "51000deb9c641f34",
-    "solo:2:push_off": "0cc8d06893d16a87",
+    "solo:2:full": "db41e6ad6724a022",
+    "solo:2:cache_off": "3d96c732bd8dd077",
+    "solo:2:push_off": "db41e6ad6724a022",
     "solo:3:sync": "ba52d62ce8886c7d",
-    "solo:3:full": "42ecd82d6d2f1260",
-    "solo:3:cache_off": "aabaf87940afec9b",
-    "solo:3:push_off": "42ecd82d6d2f1260",
+    "solo:3:full": "6ff56ed6003595e7",
+    "solo:3:cache_off": "3f057f6fb294bdc2",
+    "solo:3:push_off": "6ff56ed6003595e7",
     "solo:4:sync": "440f8877b238c965",
-    "solo:4:full": "85e60abbe0272d96",
-    "solo:4:cache_off": "5d023bad74297dae",
-    "solo:4:push_off": "85e60abbe0272d96",
+    "solo:4:full": "3beac358c628badf",
+    "solo:4:cache_off": "7771947ae355c69d",
+    "solo:4:push_off": "3beac358c628badf",
     "solo:5:sync": "2fcfa8fda9cd9b6f",
-    "solo:5:full": "e4594d90f40aefc9",
-    "solo:5:cache_off": "74fff56e482c3e7c",
-    "solo:5:push_off": "f4e3028e5150329e",
+    "solo:5:full": "f4e3028e5150329e",
+    "solo:5:cache_off": "c454d0e4d17fa94a",
+    "solo:5:push_off": "bef420e6414509d6",
     "solo:6:sync": "4e4e47d3540fb645",
-    "solo:6:full": "32dffd9a9fc2ec9f",
-    "solo:6:cache_off": "4974e0eeff22fd1c",
-    "solo:6:push_off": "32dffd9a9fc2ec9f",
+    "solo:6:full": "1b1da1ea75cca53e",
+    "solo:6:cache_off": "a1058479d5bb86dd",
+    "solo:6:push_off": "1b1da1ea75cca53e",
     "solo:7:sync": "a75d0e0f325e4767",
-    "solo:7:full": "b65adbf2e9ca2639",
-    "solo:7:cache_off": "9f568a541da11ce0",
-    "solo:7:push_off": "8b32d4cac7d70968",
-    "multi:0:2": ["527305c7bd7269dc", "5b46fba7bb5ac8cc"],
+    "solo:7:full": "03f27fb125023e52",
+    "solo:7:cache_off": "bb2467a0442d4f06",
+    "solo:7:push_off": "156aa27c28992fec",
+    "multi:0:2": ["527305c7bd7269dc", "817aaf753b6c098d"],
     "multi:0:4": [
-        "49976d28d6df7d08", "5596c7fe8e81f3fd", "0779036bc3dbcd2b",
-        "82be87632073945c",
+        "19dcdcc50ccacb6c", "5596c7fe8e81f3fd", "a77c1d7a184f93ce",
+        "705fcddf473c05cb",
     ],
-    "fault:0:crash": "a8faeb9577b6f807",
-    "fault:0:sever-push": "3efb6cc2bed02e9f",
-    "fault:0:sever-fetch": "4ee46129fd31dfef",
+    "fault:0:crash": "fa52484beca4bc88",
+    "fault:0:sever-push": "2964ff299e580e94",
+    "fault:0:sever-fetch": "950cdf561b9e5414",
 }
 
 

@@ -220,7 +220,9 @@ def test_batch_refuses_sub_commands_outside_the_deferrable_registry(setup):
     windows: a batched sub-command whose type is not in ``DEFERRABLE``
     (its reply carries data, or it must stay a sync point) never reaches
     its handler and answers an error ``Ack`` — rule 1, Ack-class replies
-    only, holds on the receiving side too."""
+    only, holds on the receiving side too.  The one exception is a
+    ``closes_batch`` request (``FinishRequest``) in last place; anywhere
+    else it is refused like the rest."""
     _, daemon, client = setup
     setup_out = client.request_batch(
         daemon.gcf,
@@ -241,12 +243,15 @@ def test_batch_refuses_sub_commands_outside_the_deferrable_registry(setup):
         P.ListDevicesRequest(device_type=0xFFFFFFFF),
         P.ServerInfoRequest(),
     ]
-    out = client.request_batch(daemon.gcf, smuggled, 1.0)
+    closing = P.FinishRequest(queue_id=2)
+    out = client.request_batch(daemon.gcf, [*smuggled, closing], 1.0)
     for sub, reply in zip(smuggled, out.responses):
         assert type(reply) is P.Ack
         assert reply.error == ErrorCode.CL_INVALID_OPERATION.value
         assert reply.detail == f"{type(sub).__name__} cannot be batch-forwarded"
         assert type(sub) not in P.DEFERRABLE
+    assert out.responses[-1] == P.Ack()  # a Finish closing the batch runs
+    assert P.FinishRequest.closes_batch and not P.BuildProgramRequest.closes_batch
     assert daemon.gcf.stats.programs_built == built  # no handler ran
     assert daemon.registry.count("client") == objects
     # ... and nothing was poisoned: the same build, sent the way the

@@ -285,7 +285,7 @@ def test_batch_replies_price_exactly_as_their_encodings(pair):
 
     b.install_batch_dispatch(
         on_error=lambda detail: PingResponse(echoed=detail),
-        guard=lambda sub, sender: PingResponse(echoed="guarded") if sub.payload == "m2" else None,
+        guard=lambda sub, sender, last: PingResponse(echoed="guarded") if sub.payload == "m2" else None,
     )
     msgs = [PingRequest(payload=f"m{i}") for i in range(4)] + [StatusNote(status=1)]
     outcome = a.request_batch(b, msgs, 0.0)

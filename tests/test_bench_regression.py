@@ -61,6 +61,26 @@ def test_compare_flags_regressions_and_stale_snapshots():
     assert any("missing" in p for p in compare(dict(committed), missing))
 
 
+@pytest.mark.parametrize(
+    "key, committed, better, worse",
+    [
+        ("round_trips_batched", 24, 23, 25),  # lower is better
+        ("throughput_8", 462.0, 463.0, 461.0),  # higher is better
+        ("decode_cache_hits_8", 134, 165, 133),  # higher is better
+        ("fairness_ratio_8", 1.08, 0.95, 1.2),  # closer to 1 is better
+    ],
+)
+def test_compare_labels_each_key_by_its_direction(key, committed, better, worse):
+    """A move towards a key's better side is an improvement to bank, a
+    move away from it a regression to fix — at the same tolerance."""
+    tolerances = {key: 0.0}
+    (banked,) = compare({key: better}, {key: committed}, tolerances)
+    assert banked.startswith(f"{key}: improved") and "bank the improvement" in banked
+    (fix,) = compare({key: worse}, {key: committed}, tolerances)
+    assert fix.startswith(f"{key}: regressed") and "fix the regression" in fix
+    assert compare({key: better}, {key: committed}, {key: 1.0}) == []
+
+
 @pytest.fixture
 def committed_copy(tmp_path, monkeypatch, request):
     """The committed snapshots copied to ``tmp_path``, with the CLI's
