@@ -992,6 +992,8 @@ class DOpenCLAPI:
         # buffers whose access history shows a stable producer->consumer
         # edge ask the daemon to stream the replica at completion.
         push_hints = self.driver.plan_push_hints(written_buffers, server.name)
+        buffer_ids = [b.id for b in kernel.buffer_args()]
+        updates = self._fold_arg_updates(server, kernel, buffer_ids)
         self.driver.defer(
             server,
             P.EnqueueKernelRequest(
@@ -1004,13 +1006,11 @@ class DOpenCLAPI:
                 wait_event_ids=self.driver.daemon_wait_ids(wait_for),
                 replica_servers=self.driver.replica_broadcast_targets(event),
                 push_hints=push_hints,
+                args=updates or None,
             ),
-            reads=(
-                [queue.id, kernel.id]
-                + [e.id for e in (wait_for or [])]
-                + [b.id for b in kernel.buffer_args()]
-            ),
+            reads=[queue.id, kernel.id] + [e.id for e in (wait_for or [])] + buffer_ids,
             writes=[event.id] + [b.id for b in written_buffers],
+            weight=1 + len(updates),
         )
         # The kernel (may have) modified its writable buffer arguments:
         # that server's copies become Modified, everything else Invalid.
@@ -1021,6 +1021,20 @@ class DOpenCLAPI:
             value.pristine = False
             value.last_write_event = event.id
         return event
+
+    def _fold_arg_updates(self, server, kernel: KernelStub, buffer_ids) -> List[list]:
+        """Take ``kernel``'s argument updates at the tail of ``server``'s
+        window (behind its last ``clFlush`` barrier) as the launch's
+        ``[index, value]`` entries.  An update naming a buffer the launch
+        does not read (since overwritten) stops the fold, so the launch
+        reads what they read and the window graph sees what it saw."""
+        taken = server.window.take_tail(
+            lambda c: type(c.msg) is P.SetKernelArgRequest
+            and c.msg.kernel_id == kernel.id
+            and (not c.msg.buffer_id or c.msg.buffer_id in buffer_ids)
+        )
+        self.driver.stats.folded_kernel_args += len(taken)
+        return [[c.msg.index, c.msg.arg] for c in taken]
 
     # -- events -------------------------------------------------------------------------
     def clWaitForEvents(self, events: Sequence[EventStub]) -> None:

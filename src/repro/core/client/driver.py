@@ -35,7 +35,7 @@ across (:meth:`DOpenCLDriver.mark_flush_barrier`), and ``clFinish``
 drains everything (:meth:`DOpenCLDriver.flush_all`).  Windows also
 flush before any synchronous request or bulk stream to the same daemon
 (which preserves per-daemon program order) and when they reach
-``batch_window`` commands.
+``batch_window`` application calls.
 
 The rest of the pipeline rides the same windows (design reference:
 ``docs/architecture.md``): event-completion relays join the replica
@@ -372,6 +372,7 @@ class DOpenCLDriver:
         raise_errors: bool = True,
         reads: Optional[Iterable[int]] = None,
         writes: Optional[Iterable[int]] = None,
+        weight: int = 1,
     ) -> None:
         """Append a deferrable command to ``conn``'s send window.
 
@@ -383,6 +384,8 @@ class DOpenCLDriver:
         with a command's *creations* counting as writes; call sites with
         richer knowledge (kernel launches and their buffer arguments,
         replica bookkeeping that produces nothing) pass explicit sets.
+        ``weight``: the application calls the command stands for
+        (:class:`~repro.core.client.windows.WindowCommand`).
 
         **Flush-point semantics** — the window the command joins drains
         (and any deferred daemon-side failure surfaces as ``CLError``) at
@@ -398,7 +401,8 @@ class DOpenCLDriver:
         * any synchronous request or bulk stream to the same daemon
           (``roundtrip`` / ``fanout`` / ``send_bulk`` flush first,
           preserving per-daemon program order);
-        * the window reaching ``batch_window`` commands.
+        * the window reaching ``batch_window`` application calls
+          (:attr:`~repro.core.client.windows.SendWindow.calls`).
 
         ``raise_errors=False`` is for calls made from inside a
         daemon-to-client callback, where raising would unwind the wrong
@@ -423,9 +427,10 @@ class DOpenCLDriver:
                 msg,
                 default_reads if reads is None else reads,
                 creates if writes is None else writes,
+                weight,
             )
         )
-        if len(conn.window) >= self.batch_window and self.transport.dispatch_depth == 0:
+        if conn.window.calls >= self.batch_window and self.transport.dispatch_depth == 0:
             # Overflow flush — suppressed while a dispatch loop is live
             # (see ``Transport.dispatch_depth``): commands deferred mid-dispatch
             # wait for the enclosing drain so they can never overtake a
@@ -622,11 +627,11 @@ class DOpenCLDriver:
         return handles
 
     def pending_commands(self, name: Optional[str] = None) -> int:
-        """Deferred commands currently windowed (for ``name``, or all)."""
+        """Deferred application calls currently windowed (for ``name``, or all)."""
         if name is not None:
             conn = self._connections.get(name)
-            return len(conn.window) if conn is not None else 0
-        return sum(len(c.window) for c in self._connections.values())
+            return conn.window.calls if conn is not None else 0
+        return sum(c.window.calls for c in self._connections.values())
 
     def window_messages(self, name: str) -> List[P.Request]:
         """The requests currently windowed for connection ``name``, in

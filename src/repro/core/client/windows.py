@@ -63,14 +63,18 @@ class WindowCommand:
     *replica* creations and status updates write nothing: the replica
     registers an event another server produces, and a status reports a
     completion the client already holds, so the graph never needs to
-    chase either."""
+    chase either.  ``weight`` counts the application calls it stands
+    for: a launch carrying ``k`` folded argument updates weighs ``1 + k``."""
 
-    __slots__ = ("msg", "reads", "writes")
+    __slots__ = ("msg", "reads", "writes", "weight")
 
-    def __init__(self, msg, reads: Iterable[int] = (), writes: Iterable[int] = ()) -> None:
+    def __init__(
+        self, msg, reads: Iterable[int] = (), writes: Iterable[int] = (), weight: int = 1
+    ) -> None:
         self.msg = msg
         self.reads: Tuple[int, ...] = tuple(reads)
         self.writes: Tuple[int, ...] = tuple(writes)
+        self.weight = weight
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -90,18 +94,33 @@ class SendWindow:
     :meth:`mark_barrier`), which :meth:`split_prefix` must never let a
     partial dispatch reorder across."""
 
-    __slots__ = ("commands", "_writers", "_barriers")
+    __slots__ = ("commands", "calls", "_writers", "_barriers")
 
     def __init__(self) -> None:
         self.commands: List[WindowCommand] = []
+        self.calls = 0  #: summed weights: what ``batch_window`` counts
         self._writers: dict = {}
         self._barriers: List[int] = []
 
     def append(self, command: WindowCommand) -> None:
         """Queue a command at the window's tail (program order)."""
         self.commands.append(command)
+        self.calls += command.weight
         for handle in command.writes:
             self._writers.setdefault(handle, []).append(command)
+
+    def take_tail(self, keep) -> List[WindowCommand]:
+        """Detach the longest run of tail commands behind the last
+        barrier that write nothing and satisfy ``keep(command)``, in
+        program order (the writer index needs no update)."""
+        commands = self.commands
+        cut = len(commands)
+        while cut > self.barrier_floor and not commands[cut - 1].writes and keep(commands[cut - 1]):
+            cut -= 1
+        taken = commands[cut:]
+        del commands[cut:]
+        self.calls -= sum(command.weight for command in taken)
+        return taken
 
     def mark_barrier(self) -> bool:
         """Record a ``clFlush`` submission barrier at the window's
@@ -143,6 +162,7 @@ class SendWindow:
         barrier list resets with it."""
         taken = self.commands
         self.commands = []
+        self.calls = 0
         self._writers = {}
         self._barriers = []
         return taken
@@ -187,6 +207,7 @@ class SendWindow:
             return []
         prefix = self.commands[:cut]
         self.commands = self.commands[cut:]
+        self.calls -= sum(cmd.weight for cmd in prefix)
         self._writers = {}
         for cmd in self.commands:
             for handle in cmd.writes:

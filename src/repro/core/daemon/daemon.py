@@ -467,6 +467,16 @@ class Daemon:
     def _events(self, client: str, ids: Optional[List[int]]) -> List[Event]:
         return [self.registry.get(client, i, Event) for i in (ids or [])]
 
+    def _set_kernel_arg(self, client: str, kernel_id: int, index: int, kind: str, value) -> None:
+        """``clSetKernelArg`` for a request and a folded entry alike:
+        ``value`` is a buffer ID, a ``__local`` size or a scalar."""
+        kernel = self.registry.get(client, kernel_id, Kernel)
+        if kind == "buffer":
+            value = self.registry.get(client, value, Buffer)
+        elif kind == "local":
+            value = LocalMemory(value)
+        kernel.set_arg(index, value)
+
     def _visible_device_ids(self, client: str) -> List[int]:
         if not self.managed:
             return list(range(len(self.platform.devices)))
@@ -497,9 +507,43 @@ class Daemon:
         def reject(detail):
             return P.Ack(error=ErrorCode.CL_INVALID_OPERATION.value, detail=detail)
 
+        def skipped(name, hit):
+            poisoned_id, code, cause = hit
+            detail = f"depends on ID {poisoned_id}, poisoned by a failed creation ({cause})"
+            return P.Ack(error=code, detail=f"{name} skipped: {detail}")
+
+        def bind_folded_args(sub, client):
+            # A launch's ``args`` replay first, as the SetKernelArgRequests
+            # they stand for: guarded on kernel and buffer, then bound.  The
+            # first skipped or failed poisons the kernel (``mutates``) and
+            # answers for the launch, whose event the observer poisons.
+            kernel_id = sub.kernel_id
+            for index, value in sub.args:
+                kernel = self.registry.peek(client, kernel_id)
+                kind = "value"  # an unknown kernel or index fails as the request would
+                if isinstance(kernel, Kernel) and 0 <= index < kernel.num_args:
+                    kind = kernel.compiled.arg_kinds[index]
+                ids = frozenset((kernel_id, value)) if kind == "buffer" else (kernel_id,)
+                hit = self.registry.poison_info(client, ids)
+                if hit is not None:
+                    failure = skipped("SetKernelArgRequest", hit)
+                else:
+                    try:
+                        self._set_kernel_arg(client, kernel_id, index, kind, value)
+                        continue
+                    except CLError as exc:
+                        failure = P.Ack(error=exc.code.value, detail=exc.message)
+                self.registry.poison(client, (kernel_id,), failure.error, failure.detail)
+                return failure
+            return None
+
         def batch_guard(sub, sender, last):
             if type(sub) not in P.DEFERRABLE and not (last and sub.closes_batch):
                 return reject(f"{type(sub).__name__} cannot be batch-forwarded")
+            if type(sub) is P.EnqueueKernelRequest and sub.args:
+                failure = bind_folded_args(sub, sender.name)
+                if failure is not None:
+                    return failure
             released = P.released_handle(sub)
             if released is not None and self.registry.unpoison(sender.name, released):
                 # Disposing of a poisoned handle retires the poison
@@ -517,16 +561,7 @@ class Daemon:
             if not reads and not creates:
                 return None
             hit = self.registry.poison_info(sender.name, [*reads, *creates])
-            if hit is None:
-                return None
-            poisoned_id, code, poison_detail = hit
-            return P.Ack(
-                error=code,
-                detail=(
-                    f"{type(sub).__name__} skipped: depends on ID {poisoned_id}, "
-                    f"poisoned by a failed creation ({poison_detail})"
-                ),
-            )
+            return None if hit is None else skipped(type(sub).__name__, hit)
 
         def batch_observe(sub, response, sender):
             error = getattr(response, "error", 0)
@@ -1002,14 +1037,7 @@ class Daemon:
 
         @ack_handler(P.SetKernelArgRequest)
         def set_kernel_arg(msg: P.SetKernelArgRequest, t: float, sender: GCFProcess):
-            kernel = self.registry.get(sender.name, msg.kernel_id, Kernel)
-            if msg.kind == "buffer":
-                value = self.registry.get(sender.name, msg.buffer_id, Buffer)
-            elif msg.kind == "local":
-                value = LocalMemory(msg.local_nbytes)
-            else:
-                value = msg.value
-            kernel.set_arg(msg.index, value)
+            self._set_kernel_arg(sender.name, msg.kernel_id, msg.index, msg.kind, msg.arg)
 
         @ack_handler(P.ReleaseKernelRequest)
         def release_kernel(msg, t, sender):

@@ -539,7 +539,8 @@ class CreateKernelRequest(Request):
 @message_type(deferrable=True)
 class SetKernelArgRequest(Request):
     """``clSetKernelArg`` replicated to every server of the context —
-    the canonical deferrable command."""
+    unless windowed right before a launch of its kernel, which then
+    carries it instead (:attr:`EnqueueKernelRequest.args`)."""
 
     kernel_id: int = mutates()
     index: int
@@ -547,6 +548,11 @@ class SetKernelArgRequest(Request):
     buffer_id: int = reads(default=0)
     local_nbytes: int = 0
     value: object = None
+
+    @property
+    def arg(self) -> object:
+        """The value as a folded entry carries it: a buffer ID, a ``__local`` size or a scalar."""
+        return {"buffer": self.buffer_id, "local": self.local_nbytes}.get(self.kind, self.value)
 
 
 @message_type(deferrable=True)
@@ -572,7 +578,12 @@ class EnqueueKernelRequest(Request):
     (``"client"`` or a peer daemon name).  At kernel completion the
     daemon streams the written replica toward the target speculatively
     (see :class:`PeerPushRequest`); absent under the ``push_transfers``
-    ablation flag."""
+    ablation flag.
+
+    ``args``: the argument updates windowed right before the launch, as
+    ``[index, value]`` entries the daemon binds first, with each kind
+    taken from its kernel, exactly as their requests would (no handle
+    role: only the kernel knows which values are buffer IDs)."""
 
     queue_id: int = reads()
     kernel_id: int = reads()
@@ -583,6 +594,7 @@ class EnqueueKernelRequest(Request):
     wait_event_ids: List[int] = reads(default=None)
     replica_servers: List[str] = None
     push_hints: List[Dict[str, object]] = None
+    args: List[List[object]] = None
 
 
 @message_type

@@ -144,6 +144,10 @@ class NetStats:
         Client-side: ``clFinish`` calls answered by their drain's last
         batch to the queue's daemon, the ``FinishRequest`` riding as its
         last sub-command, instead of by a round trip of their own.
+    ``folded_kernel_args``
+        Client-side: ``clSetKernelArg`` updates windowed right before
+        their kernel's launch, which rode it as ``args`` entries instead
+        of as batched sub-commands of their own.
     ``prefix_flushes``
         Targeted sync points that dispatched only a window *prefix*
         (up to the awaited handle's producer), leaving causally
@@ -298,6 +302,7 @@ class NetStats:
         "coalesced_peer_transfers",
         "coalesced_peer_transfer_sections",
         "folded_finishes",
+        "folded_kernel_args",
         "prefix_flushes",
         "dropped_event_statuses",
         "timeouts",
@@ -489,9 +494,10 @@ class GCFProcess:
         every slot is a :attr:`~repro.net.messages.Response.bare`
         success, which the reply lists as no slots at all.  The
         commands are the one part of a batch that crosses as bytes:
-        byte-identical sub-commands — e.g. a ``SetKernelArgRequest``
-        re-sent with unchanged arguments, or one source built by N
-        tenants — are decoded once through this receiver's
+        byte-identical sub-commands — e.g. one source built by N
+        tenants, or the same ``FinishRequest`` from tenants whose
+        drivers numbered their queues alike — are decoded once through
+        this receiver's
         :class:`~repro.net.messages.WireDecodeCache` (handlers still
         always run).  Every received sub-command — executed, guarded or
         undispatchable — bumps ``stats.batched_commands_received``

@@ -24,14 +24,13 @@ WINDOW = 100
 ELEMS = 32
 
 #: Each tenant's client clock after the 1 000 rounds, recorded with
-#: pruning off (since ``clFinish`` rides its batch: each round's launch
-#: now waits for the Finish's bytes, and the batch reply it blocks on
-#: is a little larger than the Finish's ``Ack`` was).
+#: pruning off (since a launch carries the argument updates windowed
+#: right before it: each round's batch is three sub-commands, not six).
 FINAL_CLOCKS = [
-    "0x1.3790cb6591086p-2",
-    "0x1.371c901dcf688p-2",
-    "0x1.375b2ce1094aap-2",
-    "0x1.3799c9a4432cdp-2",
+    "0x1.2d6f83fc5509ap-2",
+    "0x1.2cfbc107121b4p-2",
+    "0x1.2d39584d711d1p-2",
+    "0x1.2d76ef93d01efp-2",
 ]
 
 
