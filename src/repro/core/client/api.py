@@ -10,11 +10,11 @@ Paper-parity limitations are honoured: images, samplers, buffer mapping
 and event profiling raise ``CL_INVALID_OPERATION`` (Section III-B lists
 them as unimplemented in dOpenCL).
 
-Enqueue-class calls (``clEnqueueNDRangeKernel``, ``clSetKernelArg``,
-releases, event status updates) **and creation calls**
-(``clCreateContext`` / ``clCreateCommandQueue`` / ``clCreateBuffer`` /
-``clCreateProgramWithSource`` / ``clCreateKernel``) are forwarded
-*asynchronously*: they join the driver's per-connection send windows and
+Enqueue-class calls (``clEnqueueNDRangeKernel``, releases, event status
+updates) **and creation calls** (``clCreateContext`` /
+``clCreateCommandQueue`` / ``clCreateBuffer`` / ``clCreateProgramWithSource``;
+``clCreateKernel`` and ``clSetKernelArg`` ride the launches that need them)
+are forwarded *asynchronously*: they join the driver's per-connection send windows and
 are coalesced into one ``CommandBatch`` round trip per daemon at the
 next synchronization point — see :mod:`repro.core.client.driver`.
 Creation calls are *handle promises*: the stub (with its client-assigned
@@ -824,12 +824,11 @@ class DOpenCLAPI:
             )
 
     def clCreateKernel(self, program: ProgramStub, name: str) -> KernelStub:
-        """Create the kernel on every server (handle promise).
-
-        The argument metadata arrived with the build replies
-        (``BuildProgramResponse.kernels``), so the stub is assembled
-        entirely client-side — including eager rejection of unknown
-        kernel names — and the per-server creation is fire-and-forget."""
+        """Assemble the stub client-side from the argument metadata the
+        build replies carried (``BuildProgramResponse.kernels``), rejecting
+        unknown names.  The reference path creates the kernel on every
+        server; the pipeline sends nothing (:meth:`KernelStub.ship_to`),
+        so the stub holds its program until the kernel's last release."""
         self._tick()
         if program.build_status != "SUCCESS":
             raise CLError(
@@ -839,20 +838,24 @@ class DOpenCLAPI:
         meta = program.kernel_meta.get(name)
         if meta is None:
             raise CLError(ErrorCode.CL_INVALID_KERNEL_NAME, f"no kernel {name!r}")
-        kernel_id = self.driver.new_id()
-        self.driver.forward_creation(
-            program.context.unique_servers,
-            lambda conn: P.CreateKernelRequest(kernel_id=kernel_id, program_id=program.id, name=name),
-        )
-        return KernelStub(
+        kernel = KernelStub(
             program,
-            kernel_id,
+            self.driver.new_id(),
             name,
             num_args=int(meta["num_args"]),
             arg_kinds=list(meta.get("arg_kinds") or []),
             arg_types=list(meta.get("arg_types") or []),
             writable_buffer_args=list(meta.get("writable_buffer_args") or []),
         )
+        if self.driver.batching_enabled:
+            self._check_servers(program.context)
+            program.retain()
+        else:
+            self.driver.fanout(
+                program.context.unique_servers,
+                lambda conn: P.CreateKernelRequest(kernel_id=kernel.id, program_id=program.id, name=name),
+            )
+        return kernel
 
     def clCreateKernelsInProgram(self, program: ProgramStub) -> List[KernelStub]:
         """Not forwarded by dOpenCL; create kernels by name instead."""
@@ -862,8 +865,8 @@ class DOpenCLAPI:
         )
 
     def clSetKernelArg(self, kernel: KernelStub, index: int, value: object) -> None:
-        """Validate the argument client-side, then replicate the update
-        through the send windows (deferred, batched per daemon)."""
+        """Validate the argument client-side and record it on the stub;
+        only the reference path sends the update, to every server."""
         self._tick()
         require(
             0 <= index < kernel.num_args,
@@ -901,25 +904,36 @@ class DOpenCLAPI:
             msg_kwargs = dict(kind="value", value=wire_value)
         kernel.args[index] = value
         kernel.args_set[index] = True
-        # Per-command traffic: replicated through the send windows, one
-        # batched round trip per daemon at the next sync point.
-        self.driver.fanout_deferred(
-            kernel.context.unique_servers,
-            lambda conn: P.SetKernelArgRequest(kernel_id=kernel.id, index=index, **msg_kwargs),
-        )
+        update = P.SetKernelArgRequest(kernel_id=kernel.id, index=index, **msg_kwargs)
+        kernel.wire[index] = update.arg
+        if self.driver.batching_enabled:
+            self._check_servers(kernel.context)
+        else:
+            self.driver.fanout_deferred(kernel.context.unique_servers, lambda conn: update)
 
     def clRetainKernel(self, kernel: KernelStub) -> None:
         """Bump the kernel stub's reference count."""
         kernel.retain()
 
     def clReleaseKernel(self, kernel: KernelStub) -> None:
-        """Drop a reference; the last one defers the remote releases."""
+        """Drop a reference; the last one defers the remote releases (on
+        the pipeline to the kernel's holders only, then its program's)."""
         kernel.release()
         if kernel.refcount <= 0:
+            batching = self.driver.batching_enabled
+            if batching:
+                self._check_servers(kernel.context)
             self.driver.fanout_deferred(
-                kernel.context.unique_servers,
+                [c for c in kernel.context.unique_servers if not batching or c.name in kernel.bound],
                 lambda conn: P.ReleaseKernelRequest(kernel_id=kernel.id),
             )
+            if batching and kernel.refcount == 0:
+                self.clReleaseProgram(kernel.program)
+
+    def _check_servers(self, context: ContextStub) -> None:
+        """Fail on a lost daemon as a fan-out to ``context`` would."""
+        for conn in context.unique_servers:
+            self.driver.transport.check_usable(conn)
 
     def clEnqueueNDRangeKernel(
         self,
@@ -943,6 +957,8 @@ class DOpenCLAPI:
                 f"argument {missing} of {kernel.name!r} is not set",
             )
         server = queue.server
+        # A lost daemon fails the launch before any transfer toward it.
+        self.driver.transport.check_usable(server)
         # Memory consistency (Section III-D): "When a server is about to
         # execute a command, it requires a valid copy of each memory object
         # *that will be read*" — the client runs the MSI plan per buffer
@@ -992,8 +1008,11 @@ class DOpenCLAPI:
         # buffers whose access history shows a stable producer->consumer
         # edge ask the daemon to stream the replica at completion.
         push_hints = self.driver.plan_push_hints(written_buffers, server.name)
-        buffer_ids = [b.id for b in kernel.buffer_args()]
-        updates = self._fold_arg_updates(server, kernel, buffer_ids)
+        # On the pipeline the launch carries what its daemon lacks: the
+        # kernel's creation, and the argument values not bound there yet.
+        create, entries = kernel.ship_to(server.name) if self.driver.batching_enabled else (False, [])
+        self.driver.stats.kernels_created_on_launch += create
+        self.driver.stats.folded_kernel_args += len(entries)
         self.driver.defer(
             server,
             P.EnqueueKernelRequest(
@@ -1006,11 +1025,13 @@ class DOpenCLAPI:
                 wait_event_ids=self.driver.daemon_wait_ids(wait_for),
                 replica_servers=self.driver.replica_broadcast_targets(event),
                 push_hints=push_hints,
-                args=updates or None,
+                args=entries or None,
+                program_id=kernel.program.id if create else None,
+                name=kernel.name if create else None,
             ),
-            reads=[queue.id, kernel.id] + [e.id for e in (wait_for or [])] + buffer_ids,
+            reads=[queue.id, kernel.id] + [e.id for e in wait_for or ()] + [b.id for b in kernel.buffer_args()],
             writes=[event.id] + [b.id for b in written_buffers],
-            weight=1 + len(updates),
+            weight=1 + create + len(entries),
         )
         # The kernel (may have) modified its writable buffer arguments:
         # that server's copies become Modified, everything else Invalid.
@@ -1021,20 +1042,6 @@ class DOpenCLAPI:
             value.pristine = False
             value.last_write_event = event.id
         return event
-
-    def _fold_arg_updates(self, server, kernel: KernelStub, buffer_ids) -> List[list]:
-        """Take ``kernel``'s argument updates at the tail of ``server``'s
-        window (behind its last ``clFlush`` barrier) as the launch's
-        ``[index, value]`` entries.  An update naming a buffer the launch
-        does not read (since overwritten) stops the fold, so the launch
-        reads what they read and the window graph sees what it saw."""
-        taken = server.window.take_tail(
-            lambda c: type(c.msg) is P.SetKernelArgRequest
-            and c.msg.kernel_id == kernel.id
-            and (not c.msg.buffer_id or c.msg.buffer_id in buffer_ids)
-        )
-        self.driver.stats.folded_kernel_args += len(taken)
-        return [[c.msg.index, c.msg.arg] for c in taken]
 
     # -- events -------------------------------------------------------------------------
     def clWaitForEvents(self, events: Sequence[EventStub]) -> None:

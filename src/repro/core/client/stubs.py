@@ -20,6 +20,7 @@ import numpy as np
 from repro.clc.driver import program_digest
 from repro.core.coherence.directory import MOSIDirectory, MSIDirectory
 from repro.core.coherence.planner import TransferPlanner
+from repro.net.codec import encode
 from repro.ocl.constants import (
     CL_COMMAND_USER,
     CL_COMPLETE,
@@ -298,8 +299,9 @@ class ProgramStub:
 
 
 class KernelStub:
-    """Compound stub: kernel replicated everywhere; argument metadata
-    cached client-side from the first server's response."""
+    """Compound stub: argument metadata cached client-side from the
+    build reply, argument values as set.  On the pipeline a daemon gets
+    the kernel and each value from the first launch there that needs it."""
 
     def __init__(
         self,
@@ -321,11 +323,25 @@ class KernelStub:
         self.writable_buffer_args = set(writable_buffer_args)
         self.args: List[object] = [None] * num_args
         self.args_set: List[bool] = [False] * num_args
+        self.wire: List[object] = [None] * num_args  #: each value as a launch entry carries it
+        #: Server name -> ``{index: wire encoding}`` bound there, for each daemon holding the kernel.
+        self.bound: Dict[str, Dict[int, bytes]] = {}
         self.refcount = 1
 
     def buffer_args(self) -> List[BufferStub]:
         """The currently bound buffer arguments (coherence planning)."""
         return [a for a in self.args if isinstance(a, BufferStub)]
+
+    def ship_to(self, server: str):
+        """What a launch on ``server`` carries, recorded as held there:
+        whether it creates the kernel, and the ``[index, value]`` entries
+        the daemon has not bound.  Values compare by wire encoding (``1``,
+        ``1.0``, ``True``, ``0.0``, ``-0.0`` differ); a NaN always re-ships."""
+        create = server not in self.bound
+        held = self.bound.setdefault(server, {})
+        entries = [[i, v] for i, v in enumerate(self.wire) if held.get(i) != encode(v) or v != v]
+        held.update((i, encode(v)) for i, v in entries)
+        return create, entries
 
     def retain(self) -> None:
         """``clRetainKernel``."""

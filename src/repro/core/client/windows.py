@@ -64,7 +64,8 @@ class WindowCommand:
     registers an event another server produces, and a status reports a
     completion the client already holds, so the graph never needs to
     chase either.  ``weight`` counts the application calls it stands
-    for: a launch carrying ``k`` folded argument updates weighs ``1 + k``."""
+    for: a launch carrying its kernel's creation and ``k`` argument
+    entries weighs ``2 + k``."""
 
     __slots__ = ("msg", "reads", "writes", "weight")
 
@@ -108,19 +109,6 @@ class SendWindow:
         self.calls += command.weight
         for handle in command.writes:
             self._writers.setdefault(handle, []).append(command)
-
-    def take_tail(self, keep) -> List[WindowCommand]:
-        """Detach the longest run of tail commands behind the last
-        barrier that write nothing and satisfy ``keep(command)``, in
-        program order (the writer index needs no update)."""
-        commands = self.commands
-        cut = len(commands)
-        while cut > self.barrier_floor and not commands[cut - 1].writes and keep(commands[cut - 1]):
-            cut -= 1
-        taken = commands[cut:]
-        del commands[cut:]
-        self.calls -= sum(command.weight for command in taken)
-        return taken
 
     def mark_barrier(self) -> bool:
         """Record a ``clFlush`` submission barrier at the window's

@@ -467,8 +467,14 @@ class Daemon:
     def _events(self, client: str, ids: Optional[List[int]]) -> List[Event]:
         return [self.registry.get(client, i, Event) for i in (ids or [])]
 
+    def _create_kernel(self, client: str, msg) -> None:
+        """``clCreateKernel`` for a request and a launch carrying it alike."""
+        self._admit_object(client)
+        program = self.registry.get(client, msg.program_id, Program)
+        self.registry.put(client, msg.kernel_id, Kernel(program, msg.name))
+
     def _set_kernel_arg(self, client: str, kernel_id: int, index: int, kind: str, value) -> None:
-        """``clSetKernelArg`` for a request and a folded entry alike:
+        """``clSetKernelArg`` for a request and a launch entry alike:
         ``value`` is a buffer ID, a ``__local`` size or a scalar."""
         kernel = self.registry.get(client, kernel_id, Kernel)
         if kind == "buffer":
@@ -512,36 +518,38 @@ class Daemon:
             detail = f"depends on ID {poisoned_id}, poisoned by a failed creation ({cause})"
             return P.Ack(error=code, detail=f"{name} skipped: {detail}")
 
-        def bind_folded_args(sub, client):
-            # A launch's ``args`` replay first, as the SetKernelArgRequests
-            # they stand for: guarded on kernel and buffer, then bound.  The
-            # first skipped or failed poisons the kernel (``mutates``) and
-            # answers for the launch, whose event the observer poisons.
-            kernel_id = sub.kernel_id
-            for index, value in sub.args:
-                kernel = self.registry.peek(client, kernel_id)
-                kind = "value"  # an unknown kernel or index fails as the request would
-                if isinstance(kernel, Kernel) and 0 <= index < kernel.num_args:
-                    kind = kernel.compiled.arg_kinds[index]
-                ids = frozenset((kernel_id, value)) if kind == "buffer" else (kernel_id,)
-                hit = self.registry.poison_info(client, ids)
-                if hit is not None:
-                    failure = skipped("SetKernelArgRequest", hit)
-                else:
-                    try:
-                        self._set_kernel_arg(client, kernel_id, index, kind, value)
-                        continue
-                    except CLError as exc:
-                        failure = P.Ack(error=exc.code.value, detail=exc.message)
+        def run_carried(sub, client):
+            # A launch first runs what it carries as the requests it stands
+            # for (a poisoned program re-raises as the creation's guard
+            # would).  The first skipped or failed step poisons the kernel
+            # and answers for the launch, whose event the observer poisons.
+            kernel_id, failure = sub.kernel_id, None
+            try:
+                if sub.program_id:
+                    self.registry.get(client, sub.program_id, Program)
+                    self._create_kernel(client, sub)
+                for index, value in sub.args or ():
+                    kernel = self.registry.peek(client, kernel_id)
+                    kind = "value"  # an unknown kernel or index fails as the request would
+                    if isinstance(kernel, Kernel) and 0 <= index < kernel.num_args:
+                        kind = kernel.compiled.arg_kinds[index]
+                    ids = frozenset((kernel_id, value)) if kind == "buffer" else (kernel_id,)
+                    hit = self.registry.poison_info(client, ids)
+                    if hit is not None:
+                        failure = skipped("SetKernelArgRequest", hit)
+                        break
+                    self._set_kernel_arg(client, kernel_id, index, kind, value)
+            except CLError as exc:
+                failure = P.Ack(error=exc.code.value, detail=exc.message)
+            if failure is not None:
                 self.registry.poison(client, (kernel_id,), failure.error, failure.detail)
-                return failure
-            return None
+            return failure
 
         def batch_guard(sub, sender, last):
             if type(sub) not in P.DEFERRABLE and not (last and sub.closes_batch):
                 return reject(f"{type(sub).__name__} cannot be batch-forwarded")
-            if type(sub) is P.EnqueueKernelRequest and sub.args:
-                failure = bind_folded_args(sub, sender.name)
+            if type(sub) is P.EnqueueKernelRequest:
+                failure = run_carried(sub, sender.name)
                 if failure is not None:
                     return failure
             released = P.released_handle(sub)
@@ -1029,11 +1037,7 @@ class Daemon:
 
         @ack_handler(P.CreateKernelRequest)
         def create_kernel(msg: P.CreateKernelRequest, t: float, sender: GCFProcess):
-            # Fire-and-forget: the metadata already travelled with the
-            # build reply, so creation answers a plain Ack.
-            self._admit_object(sender.name)
-            program = self.registry.get(sender.name, msg.program_id, Program)
-            self.registry.put(sender.name, msg.kernel_id, Kernel(program, msg.name))
+            self._create_kernel(sender.name, msg)
 
         @ack_handler(P.SetKernelArgRequest)
         def set_kernel_arg(msg: P.SetKernelArgRequest, t: float, sender: GCFProcess):

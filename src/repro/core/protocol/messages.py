@@ -524,23 +524,21 @@ class ReleaseProgramRequest(Request):
     program_id: int = releases()
 
 
-@message_type(deferrable=True)
+@message_type
 class CreateKernelRequest(Request):
-    """``clCreateKernel`` (deferrable handle promise): the argument
-    metadata the client needs arrived with the build reply
-    (:class:`BuildProgramResponse`), so the creation itself is
-    fire-and-forget and answers a plain :class:`Ack`."""
+    """``clCreateKernel`` as the reference path's synchronous fan-out
+    (the pipeline's launches carry it, :class:`EnqueueKernelRequest`);
+    the argument metadata arrived with the build reply, so an :class:`Ack`."""
 
-    kernel_id: int = creates()
-    program_id: int = reads()
+    kernel_id: int
+    program_id: int
     name: str
 
 
 @message_type(deferrable=True)
 class SetKernelArgRequest(Request):
-    """``clSetKernelArg`` replicated to every server of the context —
-    unless windowed right before a launch of its kernel, which then
-    carries it instead (:attr:`EnqueueKernelRequest.args`)."""
+    """``clSetKernelArg`` on the reference path (the pipeline's launches
+    carry the values, :class:`EnqueueKernelRequest`)."""
 
     kernel_id: int = mutates()
     index: int
@@ -551,7 +549,7 @@ class SetKernelArgRequest(Request):
 
     @property
     def arg(self) -> object:
-        """The value as a folded entry carries it: a buffer ID, a ``__local`` size or a scalar."""
+        """The value as a launch entry carries it: a buffer ID, a ``__local`` size or a scalar."""
         return {"buffer": self.buffer_id, "local": self.local_nbytes}.get(self.kind, self.value)
 
 
@@ -580,10 +578,10 @@ class EnqueueKernelRequest(Request):
     (see :class:`PeerPushRequest`); absent under the ``push_transfers``
     ablation flag.
 
-    ``args``: the argument updates windowed right before the launch, as
-    ``[index, value]`` entries the daemon binds first, with each kind
-    taken from its kernel, exactly as their requests would (no handle
-    role: only the kernel knows which values are buffer IDs)."""
+    ``program_id`` / ``name``: the kernel's creation, when the daemon
+    lacks the kernel; ``args``: the ``[index, value]`` entries it has not
+    bound (no handle role: only the kernel knows which are buffer IDs).
+    The daemon runs both as the requests they stand for, then launches."""
 
     queue_id: int = reads()
     kernel_id: int = reads()
@@ -595,6 +593,8 @@ class EnqueueKernelRequest(Request):
     replica_servers: List[str] = None
     push_hints: List[Dict[str, object]] = None
     args: List[List[object]] = None
+    program_id: int = reads(default=None)
+    name: str = None
 
 
 @message_type

@@ -144,10 +144,12 @@ class NetStats:
         Client-side: ``clFinish`` calls answered by their drain's last
         batch to the queue's daemon, the ``FinishRequest`` riding as its
         last sub-command, instead of by a round trip of their own.
+    ``kernels_created_on_launch``
+        Client-side: kernel creations that rode a launch to a daemon
+        lacking the kernel (the pipeline sends no ``CreateKernelRequest``).
     ``folded_kernel_args``
-        Client-side: ``clSetKernelArg`` updates windowed right before
-        their kernel's launch, which rode it as ``args`` entries instead
-        of as batched sub-commands of their own.
+        Client-side: argument values launches carried as ``args``
+        entries (the pipeline sends no ``SetKernelArgRequest``).
     ``prefix_flushes``
         Targeted sync points that dispatched only a window *prefix*
         (up to the awaited handle's producer), leaving causally
@@ -302,6 +304,7 @@ class NetStats:
         "coalesced_peer_transfers",
         "coalesced_peer_transfer_sections",
         "folded_finishes",
+        "kernels_created_on_launch",
         "folded_kernel_args",
         "prefix_flushes",
         "dropped_event_statuses",

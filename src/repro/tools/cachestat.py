@@ -16,7 +16,7 @@ still staged awaiting a commit), followed by a deployment-wide push
 summary with the hit/waste ratios
 (``push_commits / speculative_pushes`` and
 ``wasted_pushes / speculative_pushes``), one line per client (round
-trips and the two fold counters) and one per host on its timelines: live
+trips and the three kernel/fold counters) and one per host on its timelines: live
 reservations, horizon and reservations pruned so far
 (:mod:`repro.sim.timeline`, "Pruning behind a floor").
 
@@ -163,6 +163,7 @@ def cachestat_text(deployment) -> str:
         stats = driver.stats
         lines.append(f"Client {driver.gcf.name}: round_trips={stats.round_trips} "
                      f"folded_finishes={stats.folded_finishes} "
+                     f"kernels_created_on_launch={stats.kernels_created_on_launch} "
                      f"folded_kernel_args={stats.folded_kernel_args}")
     if hasattr(deployment, "timelines"):
         lines.extend(_timeline_line(host, tls) for host, tls in deployment.timelines().items())

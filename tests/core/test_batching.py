@@ -51,7 +51,8 @@ def _prepared(n_servers=2, **kwargs):
 def test_enqueue_class_calls_are_windowed_not_round_tripped():
     deployment, api, devices, ctx, queue, buf, kernel, n = _prepared()
     driver = deployment.driver
-    assert driver.pending_commands() > 0  # the clSetKernelArg traffic
+    # clCreateKernel and clSetKernelArg send nothing: the launch carries them.
+    assert driver.pending_commands() == 0
     # Settle the first launch (it includes the coherence upload).
     api.clEnqueueNDRangeKernel(queue, kernel, (n,))
     api.clFinish(queue)
@@ -133,8 +134,11 @@ def test_window_fills_force_a_flush():
     before = driver.stats.batches
     for _ in range(4):
         api.clSetKernelArg(kernel, 1, np.float32(2.0))
-    # 2 servers x 4 windowed commands -> both windows hit the cap.
-    assert driver.stats.batches >= before + 1
+    assert driver.stats.batches == before  # the values stay on the stub
+    # The launch weighs 5 calls (itself, the kernel's creation, three
+    # argument entries): the window hits the cap.
+    api.clEnqueueNDRangeKernel(queue, kernel, (n,))
+    assert driver.stats.batches == before + 1
     assert driver.pending_commands(queue.server.name) == 0
 
 

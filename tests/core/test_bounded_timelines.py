@@ -24,13 +24,14 @@ WINDOW = 100
 ELEMS = 32
 
 #: Each tenant's client clock after the 1 000 rounds, recorded with
-#: pruning off (since a launch carries the argument updates windowed
-#: right before it: each round's batch is three sub-commands, not six).
+#: pruning off (since a launch carries its kernel's creation and the
+#: argument values its daemon lacks: each round's batch is two
+#: sub-commands, the launch and the Finish).
 FINAL_CLOCKS = [
-    "0x1.2d6f83fc5509ap-2",
-    "0x1.2cfbc107121b4p-2",
-    "0x1.2d39584d711d1p-2",
-    "0x1.2d76ef93d01efp-2",
+    "0x1.2aca696bf6c3ap-2",
+    "0x1.2a566e90e1cccp-2",
+    "0x1.2a93deae4b503p-2",
+    "0x1.2ad14ecbb4d3bp-2",
 ]
 
 

@@ -13,7 +13,25 @@ changed.  It must pass unmodified across harness refactors; a pipeline
 change that moves a round-trip count re-records the affected rows and
 says why: the rows whose round trips fell when ``clFinish`` started
 riding its daemon's batch were re-recorded, their semantic slices
-unchanged.
+unchanged.  So were the rows whose round trips moved when
+``clCreateKernel`` / ``clSetKernelArg`` stopped sending and a launch
+started carrying what its daemon lacks (each row's slice without
+``round_trips`` identical before and after).  Round trips before →
+after, as full/cache_off/push_off for the solo rows, per tenant for
+the multi rows:
+
+* ``solo:0`` 102/117/105 → 90/105/91;
+* ``solo:1`` 13/17/13 → 12/16/12;
+* ``solo:3`` 21/25/21 → 20/24/20;
+* ``solo:4`` 21/33/21 → 21/32/21;
+* ``solo:5`` 31/48/30 → 32/48/31, the one rise: no capacity flush
+  fires in its ``build_dup`` op any more, so a later targeted flush
+  reaches one more window and a relay goes out in a second pass;
+* ``solo:6`` 38/42/38 → 36/40/36;
+* ``solo:7`` 56/62/54 → 54/60/52;
+* ``multi:0:2`` 10/68 → 10/58;
+* ``multi:0:4`` 57/20/13/10 → 49/16/12/10;
+* ``fault:0:sever-push`` 146 → 124.
 
 Re-print the table with ``PYTHONPATH=src python
 tests/core/test_conformance_golden.py``.
@@ -73,44 +91,44 @@ MULTI_CELLS = ((0, 2), (0, 4))
 #: Captured at 69d9626; later re-recordings are in the module docstring.
 GOLDEN = {
     "solo:0:sync": "8db8ed0f57625b33",
-    "solo:0:full": "8d8c4cad569a389b",
-    "solo:0:cache_off": "7819b4d4cdfd2195",
-    "solo:0:push_off": "df5bfc2ffd1aa2a1",
+    "solo:0:full": "4d42a557be652ae3",
+    "solo:0:cache_off": "df5bfc2ffd1aa2a1",
+    "solo:0:push_off": "5c7a72ff4e702568",
     "solo:1:sync": "43b9d5b3c281d46a",
-    "solo:1:full": "566474a2ec4d5ca0",
-    "solo:1:cache_off": "46ce25dfca97c7f7",
-    "solo:1:push_off": "566474a2ec4d5ca0",
+    "solo:1:full": "a01de7ba88e056c8",
+    "solo:1:cache_off": "901f5d2f2c690dc9",
+    "solo:1:push_off": "a01de7ba88e056c8",
     "solo:2:sync": "2d8efa92172fcf79",
     "solo:2:full": "db41e6ad6724a022",
     "solo:2:cache_off": "3d96c732bd8dd077",
     "solo:2:push_off": "db41e6ad6724a022",
     "solo:3:sync": "ba52d62ce8886c7d",
-    "solo:3:full": "6ff56ed6003595e7",
-    "solo:3:cache_off": "3f057f6fb294bdc2",
-    "solo:3:push_off": "6ff56ed6003595e7",
+    "solo:3:full": "2087ff62fac6cc8b",
+    "solo:3:cache_off": "f247cdb1382847f9",
+    "solo:3:push_off": "2087ff62fac6cc8b",
     "solo:4:sync": "440f8877b238c965",
     "solo:4:full": "3beac358c628badf",
-    "solo:4:cache_off": "7771947ae355c69d",
+    "solo:4:cache_off": "b28d1565760ee242",
     "solo:4:push_off": "3beac358c628badf",
     "solo:5:sync": "2fcfa8fda9cd9b6f",
-    "solo:5:full": "f4e3028e5150329e",
+    "solo:5:full": "e4594d90f40aefc9",
     "solo:5:cache_off": "c454d0e4d17fa94a",
-    "solo:5:push_off": "bef420e6414509d6",
+    "solo:5:push_off": "f4e3028e5150329e",
     "solo:6:sync": "4e4e47d3540fb645",
-    "solo:6:full": "1b1da1ea75cca53e",
-    "solo:6:cache_off": "a1058479d5bb86dd",
-    "solo:6:push_off": "1b1da1ea75cca53e",
+    "solo:6:full": "9553ee5d766bdb18",
+    "solo:6:cache_off": "55c15a39a589e8fe",
+    "solo:6:push_off": "9553ee5d766bdb18",
     "solo:7:sync": "a75d0e0f325e4767",
-    "solo:7:full": "03f27fb125023e52",
-    "solo:7:cache_off": "bb2467a0442d4f06",
-    "solo:7:push_off": "156aa27c28992fec",
-    "multi:0:2": ["527305c7bd7269dc", "817aaf753b6c098d"],
+    "solo:7:full": "156aa27c28992fec",
+    "solo:7:cache_off": "00ca2a6238533411",
+    "solo:7:push_off": "fbf2614ef75c2df9",
+    "multi:0:2": ["527305c7bd7269dc", "9711a48addb15872"],
     "multi:0:4": [
-        "19dcdcc50ccacb6c", "5596c7fe8e81f3fd", "a77c1d7a184f93ce",
+        "20423d6eaeaf488a", "ef0ee54c49884deb", "0879570f07930f8d",
         "705fcddf473c05cb",
     ],
     "fault:0:crash": "fa52484beca4bc88",
-    "fault:0:sever-push": "2964ff299e580e94",
+    "fault:0:sever-push": "8d6f511a9d652de3",
     "fault:0:sever-fetch": "950cdf561b9e5414",
 }
 

@@ -1,16 +1,17 @@
-"""A kernel launch carries the argument updates windowed right before it.
+"""Kernel objects and arguments on demand.
 
-``clSetKernelArg`` calls for kernel K that sit at the tail of K's
-launch daemon's send window — behind the last ``clFlush`` barrier,
-nothing else in between — leave the window and ride the
-``EnqueueKernelRequest`` as ``[index, value]`` entries.  The fold is an
-encoding only: the daemon replays the entries as the updates they
-replace, so every effect and the first error are those of the unfolded
-sequence.  Most tests here run a scenario twice, once with the fold
-patched away, and compare what the runs leave observable.
+On the pipeline ``clCreateKernel`` and ``clSetKernelArg`` validate
+client-side and record their result on the ``KernelStub``; neither
+sends anything.  A launch of kernel K on daemon S carries what S lacks:
+K's creation (``EnqueueKernelRequest.program_id`` / ``name``) if S has
+never created K, and an ``[index, value]`` entry (``args``) for every
+argument value S has not bound.  The daemon runs each carried step as
+the request it stands for, so the first error and every effect stay
+those of the eager fan-out the reference path (``batch_window=0``)
+still sends.
 """
 
-import contextlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +22,8 @@ from hypothesis import strategies as st
 from repro.bench.conformance import ProgramRun, generate_program
 from repro.bench.multiclient import MULTI_SOURCE
 from repro.clc import LocalMemory
-from repro.core.client.api import DOpenCLAPI
 from repro.core.client.resilience import RetryPolicy
+from repro.core.daemon.admission import AdmissionPolicy
 from repro.core.protocol import messages as P
 from repro.hw import GPU_SERVER, Host
 from repro.hw.cluster import (
@@ -86,12 +87,13 @@ class Rig:
         hit = (daemon or self.daemon).registry.poison_info(self.client, (handle,))
         return 0 if hit is None else hit[1]
 
-    def bound(self, kernel, buffers):
+    def bound(self, kernel, buffers, daemon=None):
         """The daemon-side binding of ``kernel``: a buffer as its
         client handle, a ``__local`` size as ``("local", n)``."""
-        objects = {id(self.daemon.registry.peek(self.client, b.id)): b.id for b in buffers}
+        registry = (daemon or self.daemon).registry
+        objects = {id(registry.peek(self.client, b.id)): b.id for b in buffers}
         out = []
-        for arg in self.daemon.registry.peek(self.client, kernel.id).args:
+        for arg in registry.peek(self.client, kernel.id).args:
             if id(arg) in objects:
                 out.append(objects[id(arg)])
             elif isinstance(arg, LocalMemory):
@@ -107,6 +109,20 @@ class Rig:
             errors.append(0)
         except CLError as exc:
             errors.append(int(exc.code))
+
+    def launches(self):
+        """Record every launch the driver windows, as
+        ``(server, program_id, args)``; returns the growing list."""
+        driver, seen = self.deployment.driver, []
+        defer = driver.defer
+
+        def spy(conn, msg, *args, **kwargs):
+            if isinstance(msg, P.EnqueueKernelRequest):
+                seen.append((conn.name, msg.program_id, msg.args))
+            return defer(conn, msg, *args, **kwargs)
+
+        driver.defer = spy
+        return seen
 
 
 def _gpu_rig(source=SCALE, **kwargs):
@@ -137,27 +153,6 @@ def _cpu_rig(n_servers, **kwargs):
     return Rig(deployment, api, ctx, queues, program, deployment.daemons[0])
 
 
-@contextlib.contextmanager
-def _unfolded():
-    """Patch the fold away: every update travels as its own command."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(DOpenCLAPI, "_fold_arg_updates", lambda self, server, kernel, ids: [])
-        yield
-
-
-def _both(scenario, encoding=("args",)):
-    """Run ``scenario`` folded and unfolded; everything it observes but
-    the ``encoding`` keys must be equal, and the unfolded run's launches
-    (key ``"args"``) carry no entries.  Returns both runs' observables."""
-    folded = scenario()
-    with _unfolded():
-        unfolded = scenario()
-    assert all(args is None for args in unfolded["args"])
-    strip = lambda run: {k: v for k, v in run.items() if k not in encoding}  # noqa: E731
-    assert strip(folded) == strip(unfolded)
-    return folded, unfolded
-
-
 def _windowed_args(rig, queue=None):
     """The ``args`` of every launch windowed for ``queue``'s daemon."""
     server = (queue or rig.queues[0]).server.name
@@ -179,146 +174,155 @@ def _exhaust_device(rig):
 
 
 # ----------------------------------------------------------------------
-# poisoning: entry by entry, the unfolded sequence's effects
+# poisoning: step by step, the eager sequence's effects
 # ----------------------------------------------------------------------
 def test_an_entry_naming_a_poisoned_buffer_poisons_the_kernel_and_the_launch():
-    def scenario():
-        rig = _gpu_rig()
-        api, errors = rig.api, []
-        good = rig.buffer()
-        kernel = api.clCreateKernel(rig.program, "scale")
-        _set_scale(api, kernel, good, 2.0)
-        api.clEnqueueNDRangeKernel(rig.queues[0], kernel, (N,))
-        rig.sync(errors)  # bound to `good`, scaled once
-        _kept = _exhaust_device(rig)
-        bad = api.clCreateBuffer(rig.ctx, CL_MEM_WRITE_ONLY, 1 << 30)  # fails remotely
-        api.clSetKernelArg(kernel, 0, bad)
-        api.clSetKernelArg(kernel, 1, np.float32(8.0))
-        event = api.clEnqueueNDRangeKernel(rig.queues[0], kernel, (N,))
-        args = _windowed_args(rig)
-        rig.sync(errors)
-        return {
-            "args": args,
-            "errors": errors,
-            "kernel": rig.poison(kernel.id),
-            "event": rig.poison(event.id),
-            "bound": rig.bound(kernel, [good]),
-            "good": rig.read(good).tolist(),
-            "bad": bad.id,
-        }
-
-    observed, _ = _both(scenario)
-    assert observed["args"] == [[[0, observed["bad"]], [1, 8.0]]]
+    rig = _gpu_rig()
+    api, errors = rig.api, []
+    good = rig.buffer()
+    kernel = api.clCreateKernel(rig.program, "scale")
+    _set_scale(api, kernel, good, 2.0)
+    api.clEnqueueNDRangeKernel(rig.queues[0], kernel, (N,))
+    rig.sync(errors)  # bound to `good`, scaled once
+    _kept = _exhaust_device(rig)
+    bad = api.clCreateBuffer(rig.ctx, CL_MEM_WRITE_ONLY, 1 << 30)  # fails remotely
+    api.clSetKernelArg(kernel, 0, bad)
+    api.clSetKernelArg(kernel, 1, np.float32(8.0))
+    event = api.clEnqueueNDRangeKernel(rig.queues[0], kernel, (N,))
+    # Argument 2 is bound already: only the two changed values ship.
+    assert _windowed_args(rig) == [[[0, bad.id], [1, 8.0]]]
+    rig.sync(errors)
     alloc = int(ErrorCode.CL_MEM_OBJECT_ALLOCATION_FAILURE)
-    assert observed["errors"] == [0, alloc]
-    assert observed["kernel"] == observed["event"] == alloc
+    assert errors == [0, alloc]
+    assert rig.poison(kernel.id) == rig.poison(event.id) == alloc
     # The skipped entry left arg 0 bound to `good`, and the entry behind
     # it never bound (the kernel was poisoned): nothing ran stale-bound.
-    good_id = observed["bound"][0]
-    assert observed["bound"] == [good_id, 2.0, N]
-    assert observed["good"] == [2.0] * N
+    assert rig.bound(kernel, [good]) == [good.id, 2.0, N]
+    assert rig.read(good).tolist() == [2.0] * N
 
 
 def test_a_poisoned_wait_event_still_binds_the_entries():
-    """The entries bind although the launch is skipped, so the kernel is
-    not poisoned and its next launch — no new clSetKernelArg — runs."""
-
-    def scenario():
-        rig = _gpu_rig()
-        api, queue, errors = rig.api, rig.queues[0], []
-        a, b = rig.buffer(), rig.buffer()
-        k1 = api.clCreateKernel(rig.program, "scale")
-        k2 = api.clCreateKernel(rig.program, "scale")
-        rig.sync(errors)
-        _set_scale(api, k1, a, 2.0)
-        failed = api.clEnqueueNDRangeKernel(queue, k1, (N,), local_size=(7,))
-        _set_scale(api, k2, b, 3.0)
-        gated = api.clEnqueueNDRangeKernel(queue, k2, (N,), wait_for=[failed])
-        args = _windowed_args(rig)
-        rig.sync(errors)
-        poisoned = [rig.poison(h) for h in (k1.id, failed.id, k2.id, gated.id)]
-        api.clEnqueueNDRangeKernel(queue, k2, (N,))
-        rig.sync(errors)
-        return {
-            "args": args,
-            "errors": errors,
-            "poisoned": poisoned,
-            "bound": rig.bound(k2, [a, b]),
-            "data": [rig.read(a).tolist(), rig.read(b).tolist()],
-            "b": b.id,
-        }
-
-    observed, _ = _both(scenario)
-    assert [len(args) for args in observed["args"]] == [3, 3]
+    """The creation and the entries run although the launch is skipped,
+    so the kernel is not poisoned and its next launch — no new
+    clSetKernelArg, so it carries nothing — runs."""
+    rig = _gpu_rig()
+    api, queue, errors = rig.api, rig.queues[0], []
+    a, b = rig.buffer(), rig.buffer()
+    k1 = api.clCreateKernel(rig.program, "scale")
+    k2 = api.clCreateKernel(rig.program, "scale")
+    rig.sync(errors)
+    _set_scale(api, k1, a, 2.0)
+    failed = api.clEnqueueNDRangeKernel(queue, k1, (N,), local_size=(7,))
+    _set_scale(api, k2, b, 3.0)
+    gated = api.clEnqueueNDRangeKernel(queue, k2, (N,), wait_for=[failed])
+    assert [len(args) for args in _windowed_args(rig)] == [3, 3]
+    rig.sync(errors)
+    poisoned = [rig.poison(h) for h in (k1.id, failed.id, k2.id, gated.id)]
+    api.clEnqueueNDRangeKernel(queue, k2, (N,))
+    assert _windowed_args(rig) == [None]
+    rig.sync(errors)
     bad_size = int(ErrorCode.CL_INVALID_WORK_GROUP_SIZE)
-    assert observed["errors"] == [0, bad_size, 0]
-    assert observed["poisoned"] == [0, bad_size, 0, bad_size]
-    assert observed["bound"] == [observed["b"], 3.0, N]
-    assert observed["data"] == [[1.0] * N, [3.0] * N]
+    assert errors == [0, bad_size, 0]
+    assert poisoned == [0, bad_size, 0, bad_size]
+    assert rig.bound(k2, [a, b]) == [b.id, 3.0, N]
+    assert [rig.read(a).tolist(), rig.read(b).tolist()] == [[1.0] * N, [3.0] * N]
 
 
 def test_an_entry_that_fails_to_bind_poisons_the_kernel():
-    def scenario():
-        rig = _gpu_rig()
-        api, queue, errors = rig.api, rig.queues[0], []
-        buf = rig.buffer()
-        kernel = api.clCreateKernel(rig.program, "scale")
-        api.clSetKernelArg(kernel, 0, buf)
-        api.clSetKernelArg(kernel, 1, "two")  # passes the client, not the daemon
-        api.clSetKernelArg(kernel, 2, N)
-        event = api.clEnqueueNDRangeKernel(queue, kernel, (N,))
-        args = _windowed_args(rig)
-        rig.sync(errors)
-        return {
-            "args": args,
-            "errors": errors,
-            "poisoned": [rig.poison(kernel.id), rig.poison(event.id)],
-            "bound": rig.bound(kernel, [buf]),
-            "data": rig.read(buf).tolist(),
-            "buf": buf.id,
-        }
-
-    observed, _ = _both(scenario)
-    assert observed["args"] == [[[0, observed["buf"]], [1, "two"], [2, N]]]
+    rig = _gpu_rig()
+    api, queue, errors = rig.api, rig.queues[0], []
+    buf = rig.buffer()
+    kernel = api.clCreateKernel(rig.program, "scale")
+    api.clSetKernelArg(kernel, 0, buf)
+    api.clSetKernelArg(kernel, 1, "two")  # passes the client, not the daemon
+    api.clSetKernelArg(kernel, 2, N)
+    event = api.clEnqueueNDRangeKernel(queue, kernel, (N,))
+    assert _windowed_args(rig) == [[[0, buf.id], [1, "two"], [2, N]]]
+    rig.sync(errors)
     bad_value = int(ErrorCode.CL_INVALID_ARG_VALUE)
-    assert observed["errors"] == [bad_value]
-    assert observed["poisoned"] == [bad_value, bad_value]
-    assert observed["bound"][0] == observed["buf"]  # bound before the failure
-    assert observed["data"] == [1.0] * N
+    assert errors == [bad_value]
+    assert [rig.poison(kernel.id), rig.poison(event.id)] == [bad_value, bad_value]
+    assert rig.bound(kernel, [buf])[0] == buf.id  # bound before the failure
+    assert rig.read(buf).tolist() == [1.0] * N
 
 
 def test_a_launch_that_fails_after_every_entry_bound_leaves_the_kernel_usable():
-    def scenario():
-        rig = _gpu_rig()
-        api, queue, errors = rig.api, rig.queues[0], []
-        buf = rig.buffer()
-        kernel = api.clCreateKernel(rig.program, "scale")
-        rig.sync(errors)
-        _set_scale(api, kernel, buf, 2.0)
-        event = api.clEnqueueNDRangeKernel(queue, kernel, (N,), local_size=(7,))
-        args = _windowed_args(rig)
-        rig.sync(errors)
-        poisoned = [rig.poison(kernel.id), rig.poison(event.id)]
-        api.clEnqueueNDRangeKernel(queue, kernel, (N,))
-        rig.sync(errors)
-        return {"args": args, "errors": errors, "poisoned": poisoned, "data": rig.read(buf).tolist()}
-
-    observed, _ = _both(scenario)
-    assert [len(args) for args in observed["args"]] == [3]
+    rig = _gpu_rig()
+    api, queue, errors = rig.api, rig.queues[0], []
+    buf = rig.buffer()
+    kernel = api.clCreateKernel(rig.program, "scale")
+    rig.sync(errors)
+    _set_scale(api, kernel, buf, 2.0)
+    event = api.clEnqueueNDRangeKernel(queue, kernel, (N,), local_size=(7,))
+    assert [len(args) for args in _windowed_args(rig)] == [3]
+    rig.sync(errors)
+    poisoned = [rig.poison(kernel.id), rig.poison(event.id)]
+    api.clEnqueueNDRangeKernel(queue, kernel, (N,))
+    rig.sync(errors)
     bad_size = int(ErrorCode.CL_INVALID_WORK_GROUP_SIZE)
-    assert observed["errors"] == [0, bad_size, 0]
-    assert observed["poisoned"] == [0, bad_size]
-    assert observed["data"] == [2.0] * N
+    assert errors == [0, bad_size, 0]
+    assert poisoned == [0, bad_size]
+    assert rig.read(buf).tolist() == [2.0] * N
+
+
+def _quota_at(rig, extra=0):
+    """Cap the client's registry at what it holds now (plus ``extra``)."""
+    held = rig.daemon.registry.count(rig.client)
+    rig.daemon.admission.policy = AdmissionPolicy(max_objects_per_client=held + extra)
+
+
+def test_a_refused_creation_poisons_the_kernel_and_the_launch():
+    rig = _gpu_rig()
+    api, errors = rig.api, []
+    buf = rig.buffer()
+    kernel = api.clCreateKernel(rig.program, "scale")
+    _set_scale(api, kernel, buf, 2.0)
+    _quota_at(rig)
+    event = api.clEnqueueNDRangeKernel(rig.queues[0], kernel, (N,))
+    rig.sync(errors)
+    refused = int(ErrorCode.CL_OUT_OF_RESOURCES)
+    assert errors == [refused]
+    assert rig.poison(kernel.id) == rig.poison(event.id) == refused
+    assert rig.daemon.registry.peek(rig.client, kernel.id) is None
+    assert rig.deployment.driver.stats.kernels_created_on_launch == 1
+    # Released, the never-created kernel retires its poison as a no-op.
+    api.clReleaseKernel(kernel)
+    rig.sync(errors)
+    assert errors == [refused, 0] and rig.poison(kernel.id) == 0
+    assert rig.read(buf).tolist() == [1.0] * N
+
+
+def test_a_poisoned_program_poisons_the_carried_creation_and_the_launch():
+    rig = _gpu_rig()
+    api, errors = rig.api, []
+    buf = rig.buffer()
+    _quota_at(rig)
+    program = api.clCreateProgramWithSource(rig.ctx, SCALE)  # refused remotely
+    api.clBuildProgram(program)  # the client-side build cache answers
+    rig.sync(errors)
+    rig.daemon.admission.policy = AdmissionPolicy()
+    kernel = api.clCreateKernel(program, "scale")
+    _set_scale(api, kernel, buf, 2.0)
+    event = api.clEnqueueNDRangeKernel(rig.queues[0], kernel, (N,))
+    rig.sync(errors)
+    refused = int(ErrorCode.CL_OUT_OF_RESOURCES)
+    assert errors == [refused, refused]  # the program's creation, then the launch
+    assert rig.poison(kernel.id) == rig.poison(event.id) == refused
+    detail = rig.daemon.registry.poison_info(rig.client, (kernel.id,))[2]
+    assert f"ID {program.id} was poisoned" in detail
+    assert rig.read(buf).tolist() == [1.0] * N
 
 
 # ----------------------------------------------------------------------
-# where the fold stops
+# what a launch carries
 # ----------------------------------------------------------------------
 def test_reference_path_sends_every_update_as_its_own_round_trip(monkeypatch):
     rig = _gpu_rig(batch_window=0)
     api, driver = rig.api, rig.deployment.driver
     buf = rig.buffer()
+    before = driver.stats.round_trips
     kernel = api.clCreateKernel(rig.program, "scale")
+    assert driver.stats.round_trips - before == 1
     sent = []
     request = driver.gcf.request
 
@@ -332,93 +336,154 @@ def test_reference_path_sends_every_update_as_its_own_round_trip(monkeypatch):
     assert driver.stats.round_trips - before == 3
     api.clEnqueueNDRangeKernel(rig.queues[0], kernel, (N,))
     assert [type(m) for m in sent] == [P.SetKernelArgRequest] * 3 + [P.EnqueueKernelRequest]
-    assert sent[-1].args is None
-    assert driver.stats.folded_kernel_args == 0
+    assert sent[-1].args is None and sent[-1].program_id is None
+    stats = driver.stats
+    assert stats.folded_kernel_args == stats.kernels_created_on_launch == 0
     api.clFinish(rig.queues[0])
     assert rig.read(buf).tolist() == [2.0] * N
 
 
-def _flush_between(rig, kernel, other):
-    rig.api.clFlush(rig.queues[0])
+def test_a_kernel_never_launched_sends_nothing():
+    rig = _gpu_rig()
+    api, stats = rig.api, rig.deployment.driver.stats
+    buf = rig.buffer()
+    before = stats.snapshot()
+    kernel = api.clCreateKernel(rig.program, "scale")
+    _set_scale(api, kernel, buf, 2.0)
+    api.clRetainKernel(kernel)
+    api.clReleaseKernel(kernel)
+    api.clReleaseKernel(kernel)
+    assert rig.deployment.driver.pending_commands() == 0
+    assert stats.snapshot() == before  # not a byte, not a round trip
 
 
-def _create_between(rig, kernel, other):
-    rig.api.clCreateBuffer(rig.ctx, CL_MEM_READ_WRITE, 64)
+def test_other_daemons_keep_their_updates_for_a_later_launch():
+    """A launch on S creates K on S only; a later launch on T ships the
+    creation and every argument; relaunching on S with one argument
+    changed ships exactly that entry.  The stub keeps its program alive
+    for T, although the application released it before any launch."""
+    rig = _cpu_rig(2)
+    api, (q0, q1) = rig.api, rig.queues
+    s, t = (rig.deployment.daemon_on(q.server.name) for q in (q0, q1))
+    launches = rig.launches()
+    buf = rig.buffer()
+    kernel = api.clCreateKernel(rig.program, "scale")
+    api.clReleaseProgram(rig.program)
+    _set_scale(api, kernel, buf, 2.0)
+    api.clEnqueueNDRangeKernel(q0, kernel, (N,))
+    api.clFinish(q0)
+    assert rig.deployment.driver.window_messages(q1.server.name) == []
+    assert t.registry.peek(rig.client, kernel.id) is None
+    api.clEnqueueNDRangeKernel(q1, kernel, (N,))
+    api.clFinish(q1)
+    api.clSetKernelArg(kernel, 1, np.float32(3.0))
+    api.clEnqueueNDRangeKernel(q0, kernel, (N,))
+    api.clFinish(q0)
+    entries = [[0, buf.id], [1, 2.0], [2, N]]
+    assert launches == [
+        (s.name, rig.program.id, entries),
+        (t.name, rig.program.id, entries),
+        (s.name, None, [[1, 3.0]]),
+    ]
+    assert rig.bound(kernel, [buf], daemon=t) == [buf.id, 2.0, N]
+    assert rig.read(buf).tolist() == [12.0] * N
+    api.clReleaseKernel(kernel)  # both holders, then the program everywhere
+    windowed = [rig.deployment.driver.window_messages(q.server.name) for q in (q0, q1)]
+    assert [[type(m) for m in w] for w in windowed] == [
+        [P.ReleaseKernelRequest, P.ReleaseProgramRequest]
+    ] * 2
+    api.clFinish(q0)
+    api.clFinish(q1)
+    assert all(d.registry.peek(rig.client, rig.program.id) is None for d in (s, t))
 
 
-def _other_kernel_between(rig, kernel, other):
-    rig.api.clSetKernelArg(other, 2, N)
-
-
-@pytest.mark.parametrize(
-    "between, windowed",
-    [
-        (_flush_between, P.FlushRequest),
-        (_create_between, P.CreateBufferRequest),
-        (_other_kernel_between, P.SetKernelArgRequest),
-    ],
-)
-def test_any_command_between_the_updates_and_the_launch_stops_the_fold(between, windowed):
-    def scenario():
-        rig = _gpu_rig()
-        api, queue = rig.api, rig.queues[0]
-        buf = rig.buffer()
-        kernel = api.clCreateKernel(rig.program, "scale")
-        other = api.clCreateKernel(rig.program, "scale")
-        api.clFinish(queue)
-        api.clSetKernelArg(kernel, 0, buf)
-        api.clSetKernelArg(kernel, 1, np.float32(2.0))
-        between(rig, kernel, other)
-        api.clSetKernelArg(kernel, 2, N)
+def test_values_compare_with_their_type_and_a_nan_always_reships():
+    rig = _gpu_rig()
+    api, queue = rig.api, rig.queues[0]
+    launches = rig.launches()
+    buf = rig.buffer()
+    kernel = api.clCreateKernel(rig.program, "scale")
+    _set_scale(api, kernel, buf, 1.0)
+    steps = [
+        (2, N), (2, np.int32(N)), (2, float(N)), (2, float(N)), (2, True), (2, 1),
+        (1, np.float32("nan")), (1, None),
+    ]
+    for index, value in steps:
+        if value is not None:
+            api.clSetKernelArg(kernel, index, value)
         api.clEnqueueNDRangeKernel(queue, kernel, (N,))
-        window = rig.deployment.driver.window_messages(queue.server.name)
-        observed = {
-            "args": _windowed_args(rig),
-            "window": [type(m) for m in window if not isinstance(m, P.EnqueueKernelRequest)],
-            "pending": rig.deployment.driver.pending_commands(),
-        }
-        api.clFinish(queue)
-        observed["data"] = rig.read(buf).tolist()
-        return observed
-
-    folded, unfolded = _both(scenario, encoding=("args", "window"))
-    assert folded["args"] == [[[2, N]]]
-    assert folded["window"] == [P.SetKernelArgRequest] * 2 + [windowed]
-    assert unfolded["window"] == folded["window"] + [P.SetKernelArgRequest]
-    assert folded["pending"] == 5  # the launch weighs 1 + its one entry
-    assert folded["data"] == [2.0] * N
+    api.clFinish(queue)
+    shipped = [args for _server, _program, args in launches]
+    assert shipped[0] == [[0, buf.id], [1, 1.0], [2, N]]
+    # An np.int32 ships as the int already bound; 16.0, True and 1 each
+    # differ from the value before them (though Python calls them equal).
+    assert shipped[1:6] == [None, [[2, float(N)]], None, [[2, True]], [[2, 1]]]
+    assert [type(shipped[i][0][1]) for i in (2, 4, 5)] == [float, bool, int]
+    for args in shipped[6:]:  # NaN never equals what the daemon holds
+        assert len(args) == 1 and args[0][0] == 1 and math.isnan(args[0][1])
+    assert math.isnan(rig.bound(kernel, [buf])[1])
 
 
-def test_an_update_naming_a_buffer_the_launch_does_not_read_stops_the_fold():
-    """``a`` was bound and then replaced: the update naming it stays a
-    command of its own, so the launch reads exactly what it read before
-    and prefix flushes cut the window where they always did."""
+def test_a_signed_zero_reships_and_reads_back_as_natively():
+    """``0.0 == -0.0`` in Python, but their encodings differ: setting
+    ``-0.0`` after a launch with ``0.0`` ships the new value, and the
+    read-back sign bits equal ``NativeAPI``'s."""
 
-    def scenario():
-        rig = _gpu_rig()
-        api, queue = rig.api, rig.queues[0]
-        a, b = rig.buffer(), rig.buffer()
-        kernel = api.clCreateKernel(rig.program, "scale")
-        api.clFinish(queue)
-        api.clSetKernelArg(kernel, 0, a)
-        api.clSetKernelArg(kernel, 1, np.float32(2.0))
-        api.clSetKernelArg(kernel, 2, N)
-        api.clSetKernelArg(kernel, 0, b)
-        api.clEnqueueNDRangeKernel(queue, kernel, (N,))
-        observed = {"args": _windowed_args(rig), "b": b.id}
-        observed["pending"] = rig.deployment.driver.pending_commands()
-        api.clFinish(queue)
-        observed["data"] = [rig.read(a).tolist(), rig.read(b).tolist()]
-        return observed
+    def program(cl, queue, ctx):
+        buf = cl.clCreateBuffer(ctx, CL_MEM_READ_WRITE, N * 4)
+        cl.clEnqueueWriteBuffer(queue, buf, True, 0, np.ones(N, dtype=np.float32))
+        prog = cl.clCreateProgramWithSource(ctx, SCALE)
+        cl.clBuildProgram(prog)
+        kernel = cl.clCreateKernel(prog, "scale")
+        cl.clFinish(queue)
+        _set_scale(cl, kernel, buf, 0.0)
+        cl.clEnqueueNDRangeKernel(queue, kernel, (N,))  # 1 * 0.0
+        cl.clSetKernelArg(kernel, 1, np.float32(-0.0))
+        cl.clEnqueueNDRangeKernel(queue, kernel, (N,))  # 0.0 * -0.0
+        cl.clFinish(queue)
+        data, _ = cl.clEnqueueReadBuffer(queue, buf)
+        return bytes(data)
 
-    folded, _ = _both(scenario)
-    assert folded["args"] == [[[1, 2.0], [2, N], [0, folded["b"]]]]
-    assert folded["pending"] == 5
-    assert folded["data"] == [[1.0] * N, [2.0] * N]
+    native = NativeAPI(Host(GPU_SERVER))
+    gpu = native.clGetDeviceIDs(native.clGetPlatformIDs()[0], CL_DEVICE_TYPE_GPU)[0]
+    ctx = native.clCreateContext([gpu])
+    expected = program(native, native.clCreateCommandQueue(ctx, gpu), ctx)
+    assert expected == np.full(N, -0.0, dtype=np.float32).tobytes()
+
+    rig = _gpu_rig()
+    launches = rig.launches()
+    assert program(rig.api, rig.queues[0], rig.ctx) == expected
+    shipped = launches[1][2]
+    assert shipped == [[1, 0.0]] and math.copysign(1.0, shipped[0][1]) == -1.0
+
+
+def test_a_redundant_release_leaves_the_program_alone():
+    """Releasing a kernel once too often fails at the next sync point,
+    as a windowed release of an object the daemon no longer holds does,
+    and the program the application still holds keeps creating and
+    launching kernels."""
+    rig = _gpu_rig()
+    api, queue = rig.api, rig.queues[0]
+    buf = rig.buffer()
+    kernel = api.clCreateKernel(rig.program, "scale")
+    _set_scale(api, kernel, buf, 2.0)
+    api.clEnqueueNDRangeKernel(queue, kernel, (N,))
+    api.clReleaseKernel(kernel)
+    api.clReleaseKernel(kernel)
+    errors = []
+    rig.sync(errors)
+    again = api.clCreateKernel(rig.program, "scale")
+    _set_scale(api, again, buf, 3.0)
+    api.clEnqueueNDRangeKernel(queue, again, (N,))
+    rig.sync(errors)
+    assert errors == [ErrorCode.CL_INVALID_VALUE, 0]  # "no object with ID"
+    assert rig.poison(rig.program.id) == 0
+    assert rig.read(buf).tolist() == [6.0] * N
 
 
 def test_a_repeated_index_keeps_program_order():
-    """Last value wins, as on the native runtime: the bytes are equal."""
+    """Last value wins, as on the native runtime: the bytes are equal,
+    and the launch carries each index once, with its last value."""
 
     def program(cl, queue, ctx):
         out = cl.clCreateBuffer(ctx, CL_MEM_READ_WRITE, N * 4)
@@ -450,67 +515,65 @@ def test_a_repeated_index_keeps_program_order():
     assert np.frombuffer(expected, np.float32).tolist() == [1.0 + 5.5 * i for i in range(N)]
 
     rig = _gpu_rig()
-    sent = []
-    defer = rig.deployment.driver.defer
-
-    def spy(conn, msg, *args, **kwargs):
-        if isinstance(msg, P.EnqueueKernelRequest):
-            sent.append(msg.args)
-        return defer(conn, msg, *args, **kwargs)
-
-    rig.deployment.driver.defer = spy
+    launches = rig.launches()
     got, (out, inp) = program(rig.api, rig.queues[0], rig.ctx)
     assert got == expected
-    assert sent == [[
-        [0, inp.id], [1, inp.id], [2, 8], [3, 2.0], [4, 7],
-        [2, 16], [3, 5.5], [4, True], [0, out.id],
-    ]]
-    assert rig.deployment.driver.stats.folded_kernel_args == 9
-
-
-def test_other_daemons_keep_their_updates_for_a_later_launch():
-    """The fold touches the launch daemon's window only: the other
-    server still receives every update, and a launch there later runs
-    without new clSetKernelArg calls."""
-
-    def scenario():
-        rig = _cpu_rig(2)
-        api, (q0, q1) = rig.api, rig.queues
-        buf = rig.buffer()
-        kernel = api.clCreateKernel(rig.program, "scale")
-        api.clFinish(q0)
-        _set_scale(api, kernel, buf, 2.0)
-        api.clEnqueueNDRangeKernel(q0, kernel, (N,))
-        observed = {
-            "args": _windowed_args(rig, q0),
-            "other": [
-                m.index for m in rig.deployment.driver.window_messages(q1.server.name)
-                if isinstance(m, P.SetKernelArgRequest)
-            ],
-        }
-        api.clFinish(q0)
-        api.clEnqueueNDRangeKernel(q1, kernel, (N,))
-        api.clFinish(q1)
-        observed["data"] = rig.read(buf, q1).tolist()
-        return observed
-
-    folded, _ = _both(scenario)
-    assert [len(args) for args in folded["args"]] == [3]
-    assert folded["other"] == [0, 1, 2]
-    assert folded["data"] == [4.0] * N
+    assert [args for _s, _p, args in launches] == [
+        [[0, out.id], [1, inp.id], [2, 16], [3, 5.5], [4, True]]
+    ]
+    assert rig.deployment.driver.stats.folded_kernel_args == 5
 
 
 # ----------------------------------------------------------------------
-# replay, batch shape, observability
+# daemon loss, replay, batch shape, observability
 # ----------------------------------------------------------------------
+def test_a_lost_daemon_fails_kernel_calls_with_the_daemon_loss_error():
+    """A kernel call on a context with a lost daemon raises
+    ``CL_DEVICE_NOT_AVAILABLE`` as the fan-out did, though nothing is
+    sent; a relaunch on the lost daemon raises it before planning the
+    peer copy toward it (which the peer answered ``CL_INVALID_MEM_OBJECT``
+    from the crashed daemon's empty registry)."""
+    rig = _cpu_rig(2, coherence_protocol="mosi", retry_policy=RetryPolicy())
+    api, (q0, q1) = rig.api, rig.queues
+    buf = rig.buffer()
+    kernel = api.clCreateKernel(rig.program, "scale")
+    _set_scale(api, kernel, buf, 2.0)
+    api.clEnqueueNDRangeKernel(q1, kernel, (N,))
+    api.clFinish(q1)
+    api.clEnqueueNDRangeKernel(q0, kernel, (N,))  # buf's valid copy: q0's daemon
+    api.clFinish(q0)
+    injector = install_fault_injector(
+        rig.deployment.cluster.network,
+        FaultPlan(
+            [FaultAction("crash", dst=q1.server.name, tag="CommandBatch")],
+            max_transfers=10_000,
+        ),
+    )
+    for daemon in rig.deployment.daemons:
+        injector.register_crash_hook(daemon.host.name, daemon.crash)
+    calls = [
+        lambda: (api.clCreateUserEvent(rig.ctx), api.clFinish(q1)),  # the loss surfaces
+        lambda: api.clEnqueueNDRangeKernel(q1, kernel, (N,)),
+        lambda: api.clCreateKernel(rig.program, "scale"),
+        lambda: api.clSetKernelArg(kernel, 1, np.float32(3.0)),
+        lambda: api.clReleaseKernel(kernel),
+    ]
+    codes = []
+    for call in calls:
+        with pytest.raises(CLError) as err:
+            call()
+        codes.append(int(err.value.code))
+    assert codes == [int(ErrorCode.CL_DEVICE_NOT_AVAILABLE)] * len(calls)
+
+
 def test_a_dropped_folded_reply_binds_the_entries_once(monkeypatch):
     rig = _gpu_rig(retry_policy=RetryPolicy())
     api, daemon, driver = rig.api, rig.daemon, rig.deployment.driver
     buf = rig.buffer()
     kernel = api.clCreateKernel(rig.program, "scale")
-    api.clFinish(rig.queues[0])
-    binds, launches = [], []
-    bind = daemon._set_kernel_arg
+    creations, binds, launches = [], [], []
+    create, bind = daemon._create_kernel, daemon._set_kernel_arg
+    monkeypatch.setattr(daemon, "_create_kernel", lambda *a: creations.append(a) or create(*a))
     monkeypatch.setattr(daemon, "_set_kernel_arg", lambda *a: binds.append(a) or bind(*a))
     launch = daemon.gcf._request_handlers[P.EnqueueKernelRequest]
     monkeypatch.setitem(
@@ -527,6 +590,7 @@ def test_a_dropped_folded_reply_binds_the_entries_once(monkeypatch):
     api.clFinish(rig.queues[0])
     assert injector.injected_drops == 1
     assert driver.stats.replayed_batches == 1 and daemon.gcf.stats.deduped_batches == 1
+    assert len(creations) == 1
     assert [index for _client, _kernel, index, _kind, _value in binds] == [0, 1, 2]
     assert len(launches) == 1 and len(launches[0].args) == 3
     assert rig.read(buf).tolist() == [2.0] * N
@@ -564,25 +628,24 @@ def _tenant_rounds(rounds):
     return deployment, sizes
 
 
-def test_a_tenant_round_is_a_batch_of_three_sub_commands():
-    """CreateKernel, the launch carrying three entries, and Finish —
-    where unfolded updates make it six; the round trips stay put."""
+def test_a_tenant_round_is_a_batch_of_two_sub_commands():
+    """The launch carrying its kernel's creation and three entries, and
+    the Finish: a round trip per tenant and round, where a creation and
+    three updates sent as commands of their own would make it six."""
     deployment, sizes = _tenant_rounds(2)
-    with _unfolded():
-        reference, reference_sizes = _tenant_rounds(2)
-    assert sizes == [3] * 6 and reference_sizes == [6] * 6
+    assert sizes == [2] * 6
     text = cachestat_text(deployment)
-    for driver, twin in zip(deployment.drivers, reference.drivers):
-        assert driver.stats.round_trips == twin.stats.round_trips
-        assert driver.stats.folded_kernel_args == 6 and twin.stats.folded_kernel_args == 0
-        assert driver.stats.batched_commands == twin.stats.batched_commands - 6
-        assert f"folded_finishes={driver.stats.folded_finishes} folded_kernel_args=6" in text
-    for cl, twin in zip(deployment.apis, reference.apis):
-        assert cl.now < twin.now
+    for driver in deployment.drivers:
+        stats = driver.stats
+        assert stats.kernels_created_on_launch == 2 and stats.folded_kernel_args == 6
+        assert (
+            f"folded_finishes={stats.folded_finishes} "
+            "kernels_created_on_launch=2 folded_kernel_args=6"
+        ) in text
 
 
 # ----------------------------------------------------------------------
-# oracles: the wire price, and the dispatch positions of drawn programs
+# oracles: the wire price, and the arguments drawn programs launch with
 # ----------------------------------------------------------------------
 _ENTRY_VALUES = st.one_of(
     st.integers(min_value=1, max_value=2**40),  # a buffer ID or a __local size
@@ -593,63 +656,66 @@ _ENTRY_VALUES = st.one_of(
 
 
 @settings(max_examples=200, deadline=None)
-@given(entries=st.lists(st.tuples(st.integers(0, 31), _ENTRY_VALUES), max_size=12))
-def test_a_folded_launch_is_priced_as_its_encoding(entries):
+@given(
+    entries=st.lists(st.tuples(st.integers(0, 31), _ENTRY_VALUES), max_size=12),
+    creation=st.none() | st.tuples(st.integers(1, 2**40), st.text(max_size=12)),
+)
+def test_a_folded_launch_is_priced_as_its_encoding(entries, creation):
+    program_id, name = creation or (None, None)
     msg = P.EnqueueKernelRequest(
         queue_id=3, kernel_id=9, event_id=12, global_size=[32], local_size=[],
         global_offset=[], wait_event_ids=[], replica_servers=[], push_hints=None,
         args=[[index, value] for index, value in entries] or None,
+        program_id=program_id, name=name,
     )
     assert msg.wire_size == len(msg.to_wire()) + MESSAGE_HEADER_BYTES
     assert P.EnqueueKernelRequest.from_wire(msg.to_wire()) == msg
 
 
-def _dispatch_log(seed, window):
-    """Run drawn program ``seed`` at ``batch_window=window``; log every
-    client exchange as ``(API calls so far, kind, daemon, application
-    calls carried)``."""
+def _launch_bindings(seed, window):
+    """Run drawn program ``seed`` at ``batch_window=window``; for every
+    launch a daemon runs, the kernel's binding there (a buffer as the
+    client ID it was registered under) and the stub's ``wire`` when the
+    launch was windowed."""
     spec = generate_program(seed)
     deployment = deploy_dopencl(
         make_ib_cpu_cluster(spec["n_servers"]),
         coherence_protocol=spec["protocol"],
         batch_window=window,
     )
-    api, gcf = deployment.api, deployment.driver.gcf
-    calls, log = [0], []
-    tick = api._tick
+    driver, client = deployment.driver, deployment.driver.gcf.name
+    expected, observed = {}, []
+    enqueue = deployment.api.clEnqueueNDRangeKernel
 
-    def counting_tick():
-        calls[0] += 1
-        return tick()
+    def launch(queue, kernel, *args, **kwargs):
+        event = enqueue(queue, kernel, *args, **kwargs)
+        expected[event.id] = list(kernel.wire)
+        return event
 
-    api._tick = counting_tick
+    deployment.api.clEnqueueNDRangeKernel = launch
+    for daemon in deployment.daemons:
+        handlers = daemon.gcf._request_handlers
+        run = handlers[P.EnqueueKernelRequest]
 
-    def logged(kind, weigh):
-        send = getattr(gcf, kind)
+        def spy(msg, t, sender, _run=run, _daemon=daemon):
+            kernel = _daemon.registry.peek(client, msg.kernel_id)
+            ids = {id(obj): key for key, obj in _daemon.registry._objects[client].items()}
+            observed.append((msg.event_id, [
+                ids[id(a)] if id(a) in ids else getattr(a, "nbytes", a) for a in kernel.args
+            ]))
+            return _run(msg, t, sender)
 
-        def spy(target, payload, *args, **kwargs):
-            log.append((calls[0], kind, target.name, weigh(payload)))
-            return send(target, payload, *args, **kwargs)
-
-        setattr(gcf, kind, spy)
-
-    logged("request", lambda msg: 1)
-    logged("send_bulk", lambda msg: 1)
-    logged("fetch_bulk", lambda msg: 1)
-    logged(
-        "request_batch",
-        lambda msgs: sum(1 + len(getattr(m, "args", None) or ()) for m in msgs),
-    )
-    outcome = ProgramRun.execute(api, spec)
-    return log, deployment.driver.stats.round_trips, outcome
+        handlers[P.EnqueueKernelRequest] = spy
+    ProgramRun.execute(deployment.api, spec)
+    return expected, observed, driver.stats
 
 
 @settings(max_examples=12, deadline=None)
 @given(seed=st.integers(0, 10_000), window=st.sampled_from([1, 2, 3, 5, 32]))
-def test_drawn_programs_dispatch_where_they_did_unfolded(seed, window):
-    folded = _dispatch_log(seed, window)
-    with _unfolded():
-        unfolded = _dispatch_log(seed, window)
-    assert folded[0] == unfolded[0]
-    assert folded[1] == unfolded[1]
-    assert folded[2]["final"] == unfolded[2]["final"]
+def test_drawn_programs_launch_with_the_arguments_they_set(seed, window):
+    expected, observed, stats = _launch_bindings(seed, window)
+    assert len(observed) == len(expected)
+    for event_id, bound in observed:
+        assert bound == pytest.approx(expected[event_id])
+    assert stats.kernels_created_on_launch <= len(expected)
+    assert stats.folded_kernel_args <= 4 * len(expected)

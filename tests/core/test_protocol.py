@@ -196,7 +196,7 @@ def test_metadata_rows_name_registered_handled_requests(entries):
     what a batch can carry: role-tagged classes are all deferrable."""
     requests = _protocol_requests()
     tagged = {cls for cls in requests if _roles(cls)}
-    assert tagged and len(P.DEFERRABLE) == 20
+    assert tagged and len(P.DEFERRABLE) == 19
     for cls in P.DEFERRABLE | tagged:
         assert cls in requests, cls
         assert ("Daemon", "request") in entries.get(cls, []), cls.__name__
@@ -280,7 +280,11 @@ _OLD_HANDLE_EXTRACTORS = {
         _EMPTY,
     ),
     P.EnqueueKernelRequest: lambda m: (
-        frozenset({m.queue_id, m.kernel_id} | set(m.wait_event_ids or [])),
+        frozenset(
+            {m.queue_id, m.kernel_id}
+            | set(m.wait_event_ids or [])
+            | ({m.program_id} if m.program_id else set())
+        ),
         frozenset({m.event_id}),
     ),
     P.PushCommit: lambda m: (frozenset({m.buffer_id}), _EMPTY),
@@ -311,6 +315,16 @@ _OLD_RELEASE_EXTRACTORS = {
 # deferred and, since the daemon enforces DEFERRABLE, never batched — so
 # it was dropped on purpose and the class reads nothing.
 del _OLD_HANDLE_EXTRACTORS[P.FinishRequest]
+
+# Stated exception 3: a launch carrying its kernel's creation reads the
+# creation's ``program_id`` (a poisoned program poisons the launch); the
+# ``EnqueueKernelRequest`` row above gained that term when the field did.
+
+# Stated exception 4: ``CreateKernelRequest`` left the deferrable set —
+# the pipeline carries the creation on a launch, and the reference path
+# sends it as a synchronous fan-out, so its fields declare no roles.
+_OLD_DEFERRABLE = _OLD_DEFERRABLE - {P.CreateKernelRequest}
+del _OLD_HANDLE_EXTRACTORS[P.CreateKernelRequest]
 
 _IDS = st.integers(min_value=1, max_value=40)  # client IDs start at count(1)
 _ID_LISTS = st.lists(_IDS, max_size=6)  # narrow range: duplicates are common
@@ -367,6 +381,7 @@ def test_derived_metadata_equals_the_hand_kept_tables(cls, data):
 NEVER_UNDER_A_POLICY = {
     P.ListDevicesRequest: "session management: runs before the ServerConnection exists",
     P.CreateProgramRequest: "reference path only, and window 0 x policy is unrepresentable",
+    P.CreateKernelRequest: "reference path only, and window 0 x policy is unrepresentable",
 }
 
 

@@ -135,14 +135,16 @@ def test_blocking_read_prefix_flushes_only_up_to_the_producer():
     driver.flush_all()
     ev1 = api.clEnqueueNDRangeKernel(qa1, k1, (64,))  # the producer of b1
     ev2 = api.clEnqueueNDRangeKernel(qa2, k2, (64,))  # after it, same window
-    assert driver.pending_commands(devices[0].server.name) == 2
+    # Each launch weighs 5 calls: itself, its kernel's creation and
+    # three argument entries.
+    assert driver.pending_commands(devices[0].server.name) == 10
     flushes_before = driver.stats.prefix_flushes
     data, _ = api.clEnqueueReadBuffer(qa1, b1)
     np.testing.assert_allclose(data.view(np.float32), 2.0)
     # The producer flushed (and resolved); the independent launch after
     # it is still windowed, and the split was counted.
     assert ev1.resolved and not ev2.resolved
-    assert driver.pending_commands(devices[0].server.name) == 1
+    assert driver.pending_commands(devices[0].server.name) == 5
     assert driver.stats.prefix_flushes > flushes_before
     # The suffix still runs to completion at its own sync point.
     data, _ = api.clEnqueueReadBuffer(qa2, b2)

@@ -406,15 +406,18 @@ def test_undecorated_message_class_says_so():
 # the messages a real run sends
 # ----------------------------------------------------------------------
 def test_conformance_seed_corpus(monkeypatch):
-    """Every message one ``full``-config conformance program encodes or
-    sizes, replayed through the oracle."""
+    """Every message two ``full``-config conformance programs encode or
+    size, replayed through the oracle (a launch now carries what a
+    program's kernel creations and argument updates sent, so one
+    program no longer reaches the corpus floor)."""
     seen = []
     to_wire, encoded = Message.to_wire, Message.encoded_size
     monkeypatch.setattr(Message, "to_wire", lambda self: (seen.append(self), to_wire(self))[1])
     monkeypatch.setattr(
         Message, "encoded_size", lambda self: (seen.append(self), encoded(self))[1]
     )
-    conformance.run_program(conformance.generate_program(3), conformance.CONFIGS["full"])
+    for seed in (3, 0):
+        conformance.run_program(conformance.generate_program(seed), conformance.CONFIGS["full"])
     monkeypatch.undo()
     assert len(seen) > 100
     assert len({type(msg) for msg in seen}) >= 12

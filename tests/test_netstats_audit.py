@@ -62,3 +62,30 @@ def test_snapshot_covers_every_slot_plus_round_trips():
     snapshot = NetStats().snapshot()
     assert set(snapshot) == set(NetStats.__slots__) | {"round_trips"}
     assert all(v == 0 for v in snapshot.values())
+
+
+def test_the_kernel_counters_count_what_launches_carry():
+    """``kernels_created_on_launch`` / ``folded_kernel_args`` (snapshot
+    keys) are the creations and ``[index, value]`` entries the windowed
+    launches of a drawn conformance program carry."""
+    from repro.bench.conformance import ProgramRun, generate_program
+    from repro.core.protocol import messages as P
+    from repro.hw.cluster import make_ib_cpu_cluster
+    from repro.testbed import deploy_dopencl
+
+    spec = generate_program(0)
+    deployment = deploy_dopencl(make_ib_cpu_cluster(spec["n_servers"]))
+    driver, carried = deployment.driver, [0, 0]
+    defer = driver.defer
+
+    def spy(conn, msg, *args, **kwargs):
+        if isinstance(msg, P.EnqueueKernelRequest):
+            carried[0] += msg.program_id is not None
+            carried[1] += len(msg.args or ())
+        return defer(conn, msg, *args, **kwargs)
+
+    driver.defer = spy
+    ProgramRun.execute(deployment.api, spec)
+    snapshot = driver.stats.snapshot()
+    assert carried[0] > 0 and carried[1] > carried[0]
+    assert [snapshot["kernels_created_on_launch"], snapshot["folded_kernel_args"]] == carried
