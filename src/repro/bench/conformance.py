@@ -15,11 +15,10 @@ duplicate and failing program builds, producer->consumer loops — and
 **one executor**, :class:`ProgramRun`, interprets them against whatever
 API object it is handed.  Three drivers deploy, arm and compare:
 
-* :func:`run_seed` — the program under the four :data:`CONFIGS`
-  (``sync``: the paper's reference path, ``batch_window=0`` with build
-  cache and pushes off too, the semantics oracle; ``full``: the
-  shipping default; ``cache_off`` / ``push_off``: the
-  ``program_cache=False`` / ``push_transfers=False`` ablation mirrors).
+* :func:`run_seed` — the program under the three :data:`CONFIGS`
+  (``sync``: the paper's reference path, ``batch_window=0`` with pushes
+  off too, the semantics oracle; ``full``: the shipping default;
+  ``push_off``: the ``push_transfers=False`` ablation mirror).
   Every configuration must equal ``sync`` observably, and the
   ``NetStats`` counters must obey the structural invariants each one
   promises (:func:`_check_stats_invariants`).
@@ -77,18 +76,18 @@ from repro.testbed import deploy_dopencl
 #: run of many seeds stays inside the time budget.
 BUFFER_ELEMS = 64
 
-#: The four configurations every generated program runs under (see the
+#: The three configurations every generated program runs under (see the
 #: module docstring).  ``sync`` is the oracle.
 CONFIGS: Dict[str, Dict[str, object]] = {
-    "sync": dict(batch_window=0, push_transfers=False, program_cache=False),
+    "sync": dict(batch_window=0, push_transfers=False),
     "full": {},
-    "cache_off": dict(program_cache=False),
     "push_off": dict(push_transfers=False),
 }
 
-#: The configurations that run with the program build cache enabled —
-#: their daemon-side build counters must agree exactly (the same builds
-#: resolve through the same cache whether or not pushes run).
+#: The pipeline configurations, whose builds go through the program
+#: build cache — their daemon-side build counters must agree exactly
+#: (the same builds resolve through the same cache whether or not
+#: pushes run).
 CACHED_CONFIGS = ("full", "push_off")
 
 #: The configurations that must never plan, execute, commit or waste a
@@ -166,8 +165,8 @@ def build_pairs(spec: Dict[str, object]) -> set:
     """The unique ``(source, options)`` build keys a program spec
     attempts (the setup build plus every build op — failed builds count
     too: negatives are cached and shipped exactly like binaries).
-    Under the program cache the size of this set is precisely the
-    number of compiles the whole cluster may run."""
+    On the pipeline the size of this set is precisely the number of
+    compiles the whole cluster may run."""
     pairs = {(PROGRAM_SOURCE, "")}
     for op in spec["ops"]:
         if op[0] == "build_dup":
@@ -176,6 +175,24 @@ def build_pairs(spec: Dict[str, object]) -> set:
         elif op[0] == "build_bad":
             pairs.add((BROKEN_PROGRAM_SOURCE, ""))
     return pairs
+
+
+def build_requests(spec: Dict[str, object]) -> int:
+    """The build requests a program spec sends: the setup build plus
+    every build op, each to every server of its context."""
+    builds = 1 + sum(op[0] in ("build_dup", "build_bad") for op in spec["ops"])
+    return builds * spec["n_servers"]
+
+
+def _audit_reference_builds(tag: str, build: Dict[str, object], requests: int) -> None:
+    """The reference path's daemon build counters: every build request
+    handled is one compile, with no cache hit and nothing shipped."""
+    expected = dict.fromkeys(BUILD_STAT_KEYS, 0)
+    expected["programs_built"] = requests
+    assert build == expected, (
+        f"{tag}: reference-path build counters {build}, expected "
+        f"{requests} compiles and nothing else"
+    )
 
 
 def generate_program(
@@ -925,23 +942,21 @@ def _audit_isolation(tag: str, mspec: Dict[str, object], deployment) -> None:
 def _audit_multi_build_cache(
     tag: str, mspec: Dict[str, object], deployment, flags: Dict[str, object]
 ) -> None:
-    """Shared-deployment build-cache audit: with the cache on, N
-    tenants' builds compile exactly once per unique ``(source,
-    options)`` key *cluster-wide* (cross-tenant and cross-daemon
-    sharing both engage); with ``program_cache=False`` no build-cache
-    counter may move at all."""
+    """Shared-deployment build-cache audit: on the pipeline, N tenants'
+    builds compile exactly once per unique ``(source, options)`` key
+    *cluster-wide* (cross-tenant and cross-daemon sharing both engage);
+    on the reference path every tenant's build request is a compile of
+    its own (:func:`_audit_reference_builds`)."""
     stats = _pick(deployment.daemon_stats(), BUILD_STAT_KEYS)
-    if flags.get("program_cache", True):
-        unique = len(set().union(*(build_pairs(spec) for spec in mspec["clients"])))
-        assert stats["programs_built"] == unique, (
-            f"{tag}: {stats['programs_built']} compiles for {unique} unique "
-            f"(source, options) keys across all tenants"
-        )
-    else:
-        for key, value in stats.items():
-            assert value == 0, (
-                f"{tag}: cache-off deployment moved build counter {key}={value}"
-            )
+    if flags.get("batch_window") == 0:
+        requests = sum(build_requests(spec) for spec in mspec["clients"])
+        _audit_reference_builds(tag, stats, requests)
+        return
+    unique = len(set().union(*(build_pairs(spec) for spec in mspec["clients"])))
+    assert stats["programs_built"] == unique, (
+        f"{tag}: {stats['programs_built']} compiles for {unique} unique "
+        f"(source, options) keys across all tenants"
+    )
 
 
 def run_multi_seed(
@@ -994,7 +1009,7 @@ FAULT_WATCHDOG_TRANSFERS = 100_000
 #: faulted run has to be bit-identical to the fault-free run.
 RECOVERABLE_SCHEDULES = (
     "drop-batch", "drop-reply", "delay-batch", "truncate-bulk", "sever-heal",
-    "drop-request", "drop-build",
+    "drop-request",
 )
 
 #: Schedules that destroy state for good: runs must fail with the same
@@ -1028,7 +1043,6 @@ def fault_plan(schedule: str) -> FaultPlan:
             FaultAction("sever", nth=2, tag="CommandBatch", heal_after=None)
         ],
         "drop-request": [FaultAction("drop", nth=1, tag="FinishRequest")],
-        "drop-build": [FaultAction("drop", nth=1, tag="BuildProgramRequest")],
         "sever-push": [FaultAction("sever", nth=1, tag="s2s-push", heal_after=1)],
         "sever-fetch": [
             FaultAction(
@@ -1102,10 +1116,6 @@ FORCED_PROGRAMS = {
     "sever-fetch": (deferred_read_fault_spec, "deferred_reads"),
 }
 
-#: Schedules whose traffic only exists off the ``full`` configuration
-#: (the program cache replaces the synchronous build fan-out).
-SCHEDULE_CONFIGS = {"drop-build": "cache_off"}
-
 #: Every named schedule, in ``--faults`` matrix order.
 ALL_SCHEDULES = RECOVERABLE_SCHEDULES + UNRECOVERABLE_SCHEDULES + tuple(FORCED_PROGRAMS)
 
@@ -1172,9 +1182,8 @@ def run_seed_with_faults(seed: int, schedule: str) -> Dict[str, object]:
     """Run one (seed, schedule) fault cell and assert its contract.
 
     The program is the seed's generated one, or the schedule's row of
-    :data:`FORCED_PROGRAMS` (whose vacuity check is asserted first); the
-    configuration is ``full`` unless :data:`SCHEDULE_CONFIGS` names
-    another.
+    :data:`FORCED_PROGRAMS` (whose vacuity check is asserted first),
+    run on the ``full`` configuration.
     Unrecoverable schedule: the faulted run must reproduce *itself*
     exactly on a second run, and every error it surfaces must be
     daemon-loss class.  Any other schedule is recoverable: the faulted
@@ -1185,8 +1194,7 @@ def run_seed_with_faults(seed: int, schedule: str) -> Dict[str, object]:
     """
     build_spec, witness = FORCED_PROGRAMS.get(schedule, (generate_program, None))
     spec = build_spec(seed)
-    config = SCHEDULE_CONFIGS.get(schedule, "full")
-    flags = dict(CONFIGS[config])
+    flags = dict(CONFIGS["full"])
     tag = f"seed {seed} schedule {schedule}"
     baseline = run_program_resilient(spec, flags, None)
     faulted = run_program_resilient(spec, flags, fault_plan(schedule))
@@ -1222,7 +1230,6 @@ def run_seed_with_faults(seed: int, schedule: str) -> Dict[str, object]:
     return {
         "seed": seed,
         "schedule": schedule,
-        "config": config,
         "fired": fired,
         "errors": len(faulted["errors"]),
         "baseline_errors": len(baseline["errors"]),
@@ -1247,20 +1254,15 @@ def _check_stats_invariants(
     for key in ("coalesced_reads", "coalesced_uploads", "coalesced_downloads",
                 "coalesced_peer_transfers"):
         assert sync[key] == 0, f"{tag}: sync config has {key} != 0"
-    # Build-cache structural invariants.  With the cache disabled no
-    # counter may move on either side of the wire; with it enabled the
-    # daemon aggregates are an exact function of the program's build
-    # keys, independent of the push switch.
-    for name in ("sync", "cache_off"):
-        stats = outcomes[name]["stats"]
-        for key in ("build_cache_hits", "negative_build_hits"):
-            assert stats[key] == 0, (
-                f"{tag}: {name} config moved client build counter {key}"
-            )
-        for key, value in outcomes[name]["build_stats"].items():
-            assert value == 0, (
-                f"{tag}: {name} config moved daemon build counter {key}={value}"
-            )
+    # Build structural invariants.  The reference path compiles every
+    # build request it handles and never touches a build cache on
+    # either side of the wire; on the pipeline the daemon aggregates
+    # are an exact function of the program's build keys, independent of
+    # the push switch.
+    for key in ("build_cache_hits", "negative_build_hits"):
+        assert sync[key] == 0, f"{tag}: sync config moved client build counter {key}"
+    requests = build_requests(spec)
+    _audit_reference_builds(tag, outcomes["sync"]["build_stats"], requests)
     # Push-transfer structural invariants.  A push-off configuration
     # never plans, executes, commits or wastes a push on either side of
     # the wire; a push-on configuration obeys the algebra
@@ -1293,9 +1295,6 @@ def _check_stats_invariants(
         )
     unique = len(build_pairs(spec))
     servers = spec["n_servers"]
-    # Under the cache every clBuildProgram fans one cached-build request
-    # out to each of the context's servers.
-    builds = 1 + sum(op[0] in ("build_dup", "build_bad") for op in spec["ops"])
     reference = outcomes[CACHED_CONFIGS[0]]["build_stats"]
     for name in CACHED_CONFIGS:
         build = outcomes[name]["build_stats"]
@@ -1316,23 +1315,17 @@ def _check_stats_invariants(
             f"expected {unique} keys x {servers - 1} siblings"
         )
         hits = build["build_cache_hits"] + build["negative_build_hits"]
-        assert build["programs_built"] + hits == builds * servers, (
+        assert build["programs_built"] + hits == requests, (
             f"{tag}: {name} resolved {build['programs_built']} + {hits} "
-            f"builds, expected {builds * servers}"
+            f"builds, expected {requests}"
         )
     # The pipeline is a communication optimisation: no deferred
     # configuration may ever spend as much as the synchronous oracle.
     rt = {name: outcomes[name]["stats"]["round_trips"] for name in outcomes}
-    for name in ("full", "cache_off", "push_off"):
+    for name in CACHED_CONFIGS:
         assert rt[name] < rt["sync"], (
             f"{tag}: {name} config did not beat the synchronous oracle ({rt})"
         )
-    # The build cache only ever removes round trips from the full
-    # pipeline (every generated program builds at least once, so the
-    # saving is strict).
-    assert rt["full"] < rt["cache_off"], (
-        f"{tag}: program cache did not save round trips ({rt})"
-    )
 
 
 def run_seed(

@@ -45,22 +45,6 @@ __kernel void saxpy(__global float *y, __global const float *x,
 """
 
 
-def _setup_round_trips(program_cache: bool) -> int:
-    """Round trips one OSEM setup costs on a fresh Fig. 5 deployment
-    with the program cache on or off — the ablation pair the snapshot
-    gates (cache-on drops the synchronous build fan-out)."""
-    deployment = deploy_dopencl(make_desktop_and_gpu_server(), program_cache=program_cache)
-    api = deployment.api
-    gpus = api.clGetDeviceIDs(api.clGetPlatformIDs()[0], CL_DEVICE_TYPE_GPU)
-    osem = ListModeOSEM(
-        api, gpus, image_size=OSEM_IMAGE_SIZE, n_subsets=OSEM_SUBSETS, n_samples=OSEM_SAMPLES
-    )
-    events = generate_events(disk_phantom(OSEM_IMAGE_SIZE), OSEM_EVENTS, seed=7)
-    before = deployment.driver.stats.round_trips
-    osem.setup(events)
-    return deployment.driver.stats.round_trips - before
-
-
 def _iteration_round_trips_push_off() -> int:
     """Steady-state iteration round trips with ``push_transfers=False``
     on a fresh Fig. 5 deployment — the PR-9 ablation cell: demand-driven
@@ -111,8 +95,8 @@ def _cluster_repeat_setup() -> dict:
 def bench_osem() -> ExperimentRecord:
     """Run the mini Fig. 5 OSEM offload and record per-iteration
     round-trip and cache-hit counters (one row per iteration, plus the
-    setup row, the cache-off ablation setup and the cluster repeat-setup
-    build-floor phase)."""
+    setup row, the push-off ablation iterations and the cluster
+    repeat-setup build-floor phase)."""
     record = ExperimentRecord(
         experiment="bench_osem",
         title="OSEM iterations: steady-state forwarding on repeated kernel args",
@@ -128,9 +112,8 @@ def bench_osem() -> ExperimentRecord:
             f"{OSEM_IMAGE_SIZE}x{OSEM_IMAGE_SIZE} image, {OSEM_SUBSETS} subsets, "
             f"{OSEM_EVENTS} events, {OSEM_ITERATIONS} iterations on the Fig. 5 "
             "desktop->GPU-server offload; acceptance: steady-state iterations "
-            "cost constant round trips and daemon decode-cache hits; the "
-            "program build cache drops setup round trips vs the cache-off "
-            f"ablation, two tenants on {CLUSTER_SERVERS} daemons compile "
+            "cost constant round trips and daemon decode-cache hits; "
+            f"two tenants on {CLUSTER_SERVERS} daemons compile "
             "the shared source exactly once cluster-wide, and predictive "
             "pushes (push_transfers) hold steady-state iteration round "
             "trips strictly below the push-off ablation"
@@ -179,7 +162,6 @@ def bench_osem() -> ExperimentRecord:
     )
     # Ablation cells + cluster floor, on their own fresh deployments so
     # the iteration rows above stay untouched by the extra phases.
-    record.add(phase="setup_cache_off", round_trips=_setup_round_trips(False))
     record.add(phase="iteration_push_off", round_trips=_iteration_round_trips_push_off())
     record.add(phase="cluster_repeat_setup", **_cluster_repeat_setup())
     return record
@@ -187,9 +169,8 @@ def bench_osem() -> ExperimentRecord:
 
 def assert_osem_record(record: ExperimentRecord) -> None:
     """The OSEM smoke gate: iterations are steady-state, predictive
-    pushes commit, and the program build cache holds its floors (setup
-    round trips drop vs the ablation; one compile per unique source
-    cluster-wide)."""
+    pushes commit, and the program build cache holds its floor (one
+    compile per unique source cluster-wide)."""
     iterations = [
         row
         for row in record.rows
@@ -220,9 +201,6 @@ def assert_osem_record(record: ExperimentRecord) -> None:
         <= push["daemon_pushes"]
         <= push["speculative_pushes"]
     )
-    # The deferred cached build removes the synchronous build fan-out
-    # from setup; the ablation pays it.
-    assert rows["setup"]["round_trips"] < rows["setup_cache_off"]["round_trips"]
     # OSEM builds one program; the offload daemon compiles it once.
     assert rows["setup"]["programs_built"] == 1
     # The hard cluster floor: 2 tenants x CLUSTER_SERVERS daemons, one
@@ -249,7 +227,6 @@ def osem_payload(record: ExperimentRecord) -> dict:
         "n_events": OSEM_EVENTS,
         "n_iterations": OSEM_ITERATIONS,
         "setup_round_trips": rows["setup"]["round_trips"],
-        "setup_round_trips_cache_off": rows["setup_cache_off"]["round_trips"],
         "programs_built": rows["setup"]["programs_built"],
         "iteration_round_trips": steady["round_trips"],
         "iteration_round_trips_push_off": rows["iteration_push_off"]["round_trips"],

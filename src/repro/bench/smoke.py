@@ -3,9 +3,9 @@
 Runs the unmodified Mandelbrot application twice through dOpenCL on a
 reduced workload that completes in tier-1 time budget:
 
-* ``sync`` — the paper's synchronous reference path (``batch_window=0``,
-  program cache off): one round trip per forwarded call, synchronous
-  creation fan-outs and relays, one stream per transfer;
+* ``sync`` — the paper's synchronous reference path (``batch_window=0``):
+  one round trip per forwarded call, synchronous creation fan-outs,
+  builds and relays, one stream per transfer;
 * ``batched`` — the full pipeline (fully deferred creation calls /
   handle promises, dependency-tracked windows with prefix flushing,
   deferred relays, window-aware transfer coalescing, encode cache).
@@ -68,13 +68,11 @@ MIN_ROUND_TRIP_REDUCTION = 0.40
 #: this — the pre-deferral pipeline needed 68.
 MAX_BATCHED_ROUND_TRIPS = 48
 
-#: Deployment flags per benchmark variant (see module docstring).  The
-#: reference run pins ``program_cache=False``: it reproduces the
-#: pre-cache synchronous build round trips, so its counters stay
-#: comparable across PRs; ``batched`` is the full current pipeline,
-#: program cache included.
+#: Deployment flags per benchmark variant (see module docstring):
+#: ``sync`` is the reference path (one synchronous build round trip per
+#: server), ``batched`` the full current pipeline.
 VARIANTS = {
-    "sync": dict(batch_window=0, program_cache=False),
+    "sync": dict(batch_window=0),
     "batched": {},
 }
 

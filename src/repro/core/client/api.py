@@ -608,25 +608,12 @@ class DOpenCLAPI:
         require(bool(source.strip()), ErrorCode.CL_INVALID_VALUE, "empty program source")
         program = ProgramStub(context, self.driver.new_id(), source)
         if self.driver.batching_enabled:
-            # Content-addressed creation (the client-stub cache): a
-            # server this connection epoch already windowed a build of
-            # this source to retains it in its daemon build cache, so
-            # the creation rides as a digest reference instead of
-            # re-shipping the inline source.
-            def make_create(conn):
-                if self.driver.program_cache and self.driver.server_has_digest(
-                    conn, program.digest
-                ):
-                    return P.CreateProgramCachedRequest(
-                        program_id=program.id,
-                        context_id=context.id,
-                        digest=program.digest,
-                    )
-                return P.CreateProgramWithSourceRequest(
+            self.driver.forward_creation(
+                context.unique_servers,
+                lambda conn: P.CreateProgramWithSourceRequest(
                     program_id=program.id, context_id=context.id, source=source
-                )
-
-            self.driver.forward_creation(context.unique_servers, make_create)
+                ),
+            )
             return program
         payload = source.encode("utf-8")
         self.driver.send_bulk(
@@ -642,30 +629,26 @@ class DOpenCLAPI:
     def clBuildProgram(self, program: ProgramStub, options: str = "") -> None:
         """Build on every server; failures merge into one CLError.
 
-        With the program cache enabled (the default) the build is fully
-        asynchronous: the client resolves kernel-argument metadata from
-        its own build-record cache — running the deterministic compiler
-        front-end locally on the first sighting of a ``(digest,
-        options)`` pair — and defers a digest-keyed
-        ``BuildProgramCachedRequest`` into each server's send window.
-        The daemon charges (or cache-skips) the build cost on its own
-        timeline when the batch dispatches, so ``clBuildProgram``
-        itself costs zero round trips.  Failed builds replay from the
-        client record with the identical log and error.
+        On the pipeline the build is fully asynchronous: the client
+        resolves kernel-argument metadata from its own build-record
+        cache — running the deterministic compiler front-end locally on
+        the first sighting of a ``(digest, options)`` pair — and defers
+        a digest-keyed ``BuildProgramCachedRequest`` into each server's
+        send window.  The daemon charges (or cache-skips) the build
+        cost on its own timeline when the batch dispatches, so
+        ``clBuildProgram`` itself costs zero round trips.  Failed builds
+        replay from the client record with the identical log and error.
 
-        With the cache disabled the legacy synchronous fan-out runs:
-        one ``BuildProgramRequest`` round trip per server, which also
-        makes it the sync point where any deferred program creation
-        lands.  Either way the kernel argument metadata ends up cached
-        on the stub so ``clCreateKernel`` needs no reply data of its
-        own."""
+        The reference path (``batch_window=0``) is the paper's
+        synchronous fan-out: one ``BuildProgramRequest`` round trip per
+        server, each a fresh compile.  Either way the kernel argument
+        metadata ends up cached on the stub so ``clCreateKernel`` needs
+        no reply data of its own."""
         self._tick()
         program.options = options
-        if self.driver.program_cache:
+        if self.driver.batching_enabled:
             self._build_program_cached(program, options)
             return
-        # Replay-safe under a retry policy: a re-sent BuildProgramRequest
-        # is a deterministic rebuild answering the identical reply.
         outcomes = self.driver.fanout(
             program.context.unique_servers,
             lambda conn: P.BuildProgramRequest(program_id=program.id, options=options),
@@ -688,7 +671,7 @@ class DOpenCLAPI:
         program.build_status = "SUCCESS"
 
     def _build_program_cached(self, program: ProgramStub, options: str) -> None:
-        """Cache-on build path: local metadata, deferred daemon builds.
+        """The pipeline's build: local metadata, deferred daemon builds.
 
         The compiler is deterministic, so the client can reproduce the
         daemon's build outcome — kernel metadata on success, the exact
@@ -720,8 +703,6 @@ class DOpenCLAPI:
                 program_id=program.id, digest=program.digest, options=options
             ),
         )
-        for conn in servers:
-            self.driver.remember_server_digest(conn, program.digest)
         if record.kind == "failure":
             program.build_status = "ERROR"
             for conn in servers:
@@ -798,16 +779,11 @@ class DOpenCLAPI:
                 program_id=program.id, context_id=context.id, binary=program.binary
             ),
         )
-        if self.driver.program_cache:
-            self.driver.remember_build(
-                program.digest,
-                compiled.options,
-                ProgramBuildRecord(
-                    kind="success", kernel_meta=kernel_arg_metadata(compiled)
-                ),
-            )
-            for conn in context.unique_servers:
-                self.driver.remember_server_digest(conn, program.digest)
+        self.driver.remember_build(
+            program.digest,
+            compiled.options,
+            ProgramBuildRecord(kind="success", kernel_meta=kernel_arg_metadata(compiled)),
+        )
         return program
 
     def clRetainProgram(self, program: ProgramStub) -> None:
@@ -905,7 +881,7 @@ class DOpenCLAPI:
         kernel.args[index] = value
         kernel.args_set[index] = True
         update = P.SetKernelArgRequest(kernel_id=kernel.id, index=index, **msg_kwargs)
-        kernel.wire[index] = update.arg
+        kernel.set_wire(index, update.arg)
         if self.driver.batching_enabled:
             self._check_servers(kernel.context)
         else:

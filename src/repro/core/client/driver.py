@@ -47,9 +47,11 @@ the same daemon (:meth:`DOpenCLDriver.read_gang_candidates`).
 
 One switch selects all of it: ``batch_window == 0`` is the paper's
 synchronous **reference path** as a whole (Section III-B — synchronous
-creation fan-outs and bulk-stream program source, one synchronous relay
-per replica server, one stream per transfer, one fetch per blocking
-read); any positive window runs the whole pipeline.
+creation fan-outs and bulk-stream program source, one synchronous
+compile per server per build, one synchronous relay per replica server,
+one stream per transfer, one fetch per blocking read); any positive
+window runs the whole pipeline, builds included (the client resolves
+each build locally and windows a ``BuildProgramCachedRequest``).
 """
 
 from __future__ import annotations
@@ -160,7 +162,6 @@ class DOpenCLDriver:
         push_transfers: bool = True,
         defer_reads: bool = True,
         retry_policy: Optional[RetryPolicy] = None,
-        program_cache: bool = True,
     ) -> None:
         if retry_policy is not None and not batch_window:
             raise ValueError(
@@ -233,28 +234,9 @@ class DOpenCLDriver:
         #: ``None``, the default, keeps each a single attempt — zero
         #: overhead, zero wire change) and the deferred-failure stash.
         self.transport = Transport(self.gcf, self.clock, retry_policy, self._on_daemon_lost)
-        #: When True (default) the client participates in the
-        #: content-addressed program build cache: ``clBuildProgram``
-        #: resolves kernel-arg metadata locally (a stub-cache hit costs
-        #: nothing; a miss runs one local front-end pass) and rides the
-        #: send windows as a digest-keyed
-        #: ``BuildProgramCachedRequest`` instead of a synchronous
-        #: per-server round trip, and a re-created already-built source
-        #: rides as a ``CreateProgramCachedRequest`` digest reference
-        #: instead of re-shipping inline source.  False restores the
-        #: synchronous build fan-out — the ``program_cache`` ablation
-        #: flag (deployment-wide: ``deploy_dopencl`` threads the same
-        #: value to every daemon).
-        self.program_cache = bool(program_cache)
         #: Client-stub build cache: ``(source digest, options) ->``
         #: :class:`ProgramBuildRecord` (the locally-resolved outcome).
         self._program_builds: Dict[Tuple[str, str], ProgramBuildRecord] = {}
-        #: digest -> {(server name, connection epoch)} known to hold the
-        #: source in their daemon build cache — the safety record behind
-        #: digest-reference creations (an epoch bump on reconnect
-        #: invalidates the record, because a crashed daemon's cache died
-        #: with its process).
-        self._digest_servers: Dict[str, Set[Tuple[str, int]]] = {}
         #: Every context created through this driver (registered by the
         #: API layer) — the walk list for replica eviction on daemon
         #: loss.
@@ -288,28 +270,12 @@ class DOpenCLDriver:
     # ------------------------------------------------------------------
     def build_record(self, digest: str, options: str) -> Optional[ProgramBuildRecord]:
         """The locally-cached build outcome for ``(digest, options)``,
-        or ``None`` (including when the cache flag is off)."""
-        if not self.program_cache:
-            return None
+        or ``None``."""
         return self._program_builds.get((digest, options))
 
     def remember_build(self, digest: str, options: str, record: ProgramBuildRecord) -> None:
         """Seed the client-stub cache with a locally-resolved outcome."""
         self._program_builds[(digest, options)] = record
-
-    def server_has_digest(self, conn: ServerConnection, digest: str) -> bool:
-        """Whether ``conn``'s daemon is known (this connection epoch) to
-        retain ``digest``'s source in its build cache — the guard for
-        digest-reference creations.  An epoch bump on reconnect
-        invalidates the record (the old process's cache is gone)."""
-        return (conn.name, conn.epoch) in self._digest_servers.get(digest, ())
-
-    def remember_server_digest(self, conn: ServerConnection, digest: str) -> None:
-        """Record that ``conn``'s daemon holds ``digest`` (after a
-        build or binary install was windowed to it: per-daemon program
-        order guarantees the entry exists before any later
-        digest-reference creation replays)."""
-        self._digest_servers.setdefault(digest, set()).add((conn.name, conn.epoch))
 
     def connections(self) -> List[ServerConnection]:
         """Every live server connection."""

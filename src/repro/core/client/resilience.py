@@ -21,11 +21,11 @@ itself lives here, once, as the driver's :class:`Transport`:
 
 **The replay contract.**  Everything the retry loop may re-send is
 either *replay-safe* (validation-only init whose whole-object write
-lands with the last leg; barrier; query; deterministic rebuild; fetch
-under fresh event IDs per attempt) or *deduped* (a ``CommandBatch``
-sent under a policy carries the connection's ``(epoch, seq)``, which
-the daemon answers from its cached reply).  The reference path's single
-creation / enqueue requests are neither, so ``batch_window=0`` with a
+lands with the last leg; barrier; query; fetch under fresh event IDs
+per attempt) or *deduped* (a ``CommandBatch`` sent under a policy
+carries the connection's ``(epoch, seq)``, which the daemon answers
+from its cached reply).  The reference path's single creation / build /
+enqueue requests are neither, so ``batch_window=0`` with a
 retry policy is rejected at driver construction.  The per-exchange table
 is in ``docs/architecture.md``, "Failure semantics", as are the *CL
 error mapping rules* whose single home is :func:`cl_error_for`.

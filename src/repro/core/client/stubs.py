@@ -324,6 +324,7 @@ class KernelStub:
         self.args: List[object] = [None] * num_args
         self.args_set: List[bool] = [False] * num_args
         self.wire: List[object] = [None] * num_args  #: each value as a launch entry carries it
+        self.encoded: List[bytes] = [b""] * num_args  #: each ``wire`` value's encoding
         #: Server name -> ``{index: wire encoding}`` bound there, for each daemon holding the kernel.
         self.bound: Dict[str, Dict[int, bytes]] = {}
         self.refcount = 1
@@ -332,6 +333,12 @@ class KernelStub:
         """The currently bound buffer arguments (coherence planning)."""
         return [a for a in self.args if isinstance(a, BufferStub)]
 
+    def set_wire(self, index: int, value: object) -> None:
+        """Record argument ``index`` as a launch entry carries it,
+        encoding it once for :meth:`ship_to`'s comparisons."""
+        self.wire[index] = value
+        self.encoded[index] = encode(value)
+
     def ship_to(self, server: str):
         """What a launch on ``server`` carries, recorded as held there:
         whether it creates the kernel, and the ``[index, value]`` entries
@@ -339,8 +346,12 @@ class KernelStub:
         ``1.0``, ``True``, ``0.0``, ``-0.0`` differ); a NaN always re-ships."""
         create = server not in self.bound
         held = self.bound.setdefault(server, {})
-        entries = [[i, v] for i, v in enumerate(self.wire) if held.get(i) != encode(v) or v != v]
-        held.update((i, encode(v)) for i, v in entries)
+        entries = [
+            [i, v]
+            for i, (v, e) in enumerate(zip(self.wire, self.encoded))
+            if held.get(i) != e or v != v
+        ]
+        held.update((i, self.encoded[i]) for i, _ in entries)
         return create, entries
 
     def retain(self) -> None:

@@ -8,7 +8,7 @@ contexts, clients and tenants: two applications submitting the same
 dozen kernels pay for one compile per cluster, not one per
 (daemon, context).
 
-Three entry kinds live in the cache:
+Two entry kinds live in the cache:
 
 * **binary** — a successful build: the in-memory
   :class:`~repro.clc.driver.CompiledProgram` plus its serialized blob
@@ -17,11 +17,12 @@ Three entry kinds live in the cache:
   returns;
 * **negative** — a failed build: the deterministic compiler's build log
   and error, replayed verbatim so a cached failure is bit-identical to
-  a fresh one (same ``CL_BUILD_PROGRAM_FAILURE``, same log);
-* both carry the original ``source`` so a digest-keyed
-  ``CreateProgramCachedRequest`` can re-materialise the server-side
-  :class:`~repro.ocl.program.Program` without the client re-shipping
-  inline source.
+  a fresh one (same ``CL_BUILD_PROGRAM_FAILURE``, same log).
+
+Only the pipeline's ``BuildProgramCachedRequest`` reads or fills the
+cache (plus ``clCreateProgramWithBinary``'s install); the reference
+path's ``BuildProgramRequest`` compiles every time.  Program creation
+always carries the source, so an eviction only ever costs a compile.
 
 The cache is bounded (LRU, :data:`DEFAULT_CAPACITY` entries) with an
 ``evictions`` counter; lifetimes are independent of program objects, so
@@ -92,6 +93,9 @@ class ProgramBuildCache:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def __contains__(self, key: Tuple[str, str]) -> bool:
+        return key in self._entries
+
     def lookup(self, digest: str, options: str) -> Optional[BuildCacheEntry]:
         """The cached outcome for ``(digest, options)``, LRU-touched;
         ``None`` on a miss."""
@@ -100,15 +104,6 @@ class ProgramBuildCache:
             self._entries.move_to_end((digest, options))
             entry.hits += 1
         return entry
-
-    def source_for(self, digest: str) -> Optional[str]:
-        """The program source behind ``digest`` if *any* entry (any
-        options, either kind) carries it — what re-materialises a
-        digest-keyed program creation without inline source."""
-        for entry in reversed(self._entries.values()):
-            if entry.digest == digest:
-                return entry.source
-        return None
 
     def store_success(self, compiled: CompiledProgram) -> BuildCacheEntry:
         """Cache a successful build (serializing its shippable blob);

@@ -60,7 +60,7 @@ from repro.ocl.platform import Platform
 from repro.ocl.program import Program, build_duration
 from repro.ocl.queue import CommandQueue
 from repro.clc import LocalMemory
-from repro.clc.driver import deserialize_program, kernel_arg_metadata, serialize_program
+from repro.clc.driver import kernel_arg_metadata, serialize_program
 from repro.clc.errors import CLCompileError
 from repro.core.daemon.admission import AdmissionControl, AdmissionPolicy
 from repro.core.daemon.buildcache import ProgramBuildCache
@@ -108,7 +108,6 @@ class Daemon:
         name: Optional[str] = None,
         device_manager: Optional[object] = None,
         admission: Optional[AdmissionPolicy] = None,
-        program_cache: bool = True,
     ) -> None:
         self.host = host
         self.network = network
@@ -157,16 +156,12 @@ class Daemon:
         #: :data:`PENDING_EVENT_STATUS_LIMIT`); a second status for the
         #: same replica keeps the *later* causality floor.
         self._pending_event_status: Dict[str, "OrderedDict[int, Tuple[int, float]]"] = {}
-        #: Content-addressed program build cache (``None`` when the
-        #: deployment-wide ``program_cache`` ablation flag is off): one
-        #: compile per unique ``(source digest, options)`` per daemon,
-        #: with binaries shipped to :attr:`peer_daemons` so steady-state
-        #: builds drop to one per *cluster*.  See
-        #: :mod:`repro.core.daemon.buildcache`.
-        self.program_cache = bool(program_cache)
-        self.buildcache: Optional[ProgramBuildCache] = (
-            ProgramBuildCache() if program_cache else None
-        )
+        #: Content-addressed program build cache, serving the
+        #: pipeline's ``BuildProgramCachedRequest``: one compile per
+        #: unique ``(source digest, options)`` per daemon, with binaries
+        #: shipped to :attr:`peer_daemons` so steady-state builds drop
+        #: to one per *cluster*.  See :mod:`repro.core.daemon.buildcache`.
+        self.buildcache = ProgramBuildCache()
         #: Bumped by :meth:`crash`: which "life" of the process this is.
         self.incarnation = 0
         self._install_handlers()
@@ -283,11 +278,7 @@ class Daemon:
         self.client_auth.clear()
         self.auth_devices.clear()
         self.gcf.peers.clear()
-        if self.program_cache:
-            # The build cache dies with the process (it is in-memory
-            # state); reconnecting clients re-ship inline source because
-            # their per-(server, epoch) stub records no longer match.
-            self.buildcache = ProgramBuildCache()
+        self.buildcache = ProgramBuildCache()  # in-memory: dies with the process
         self.incarnation += 1
 
     def restart(self, t: float = 0.0) -> float:
@@ -342,14 +333,14 @@ class Daemon:
         source is also compiled once per cluster.  Best-effort — a
         partitioned peer simply compiles for itself later."""
         for peer in self.peer_daemons.values():
-            if peer is self or peer.buildcache is None:
+            if peer is self or entry.key in peer.buildcache:
                 continue
             try:
                 self.network.transfer(self.host, peer.host, t, entry.nbytes, tag="s2s-binary")
             except CommunicationError:
                 continue
-            if peer.buildcache.install_entry(entry):
-                self.gcf.stats.binaries_shipped += 1
+            peer.buildcache.install_entry(entry)
+            self.gcf.stats.binaries_shipped += 1
 
     def _rehydrate_build_cache(self, t: float) -> float:
         """Repopulate an empty (post-:meth:`crash`) build cache from the
@@ -359,10 +350,8 @@ class Daemon:
         name order for determinism; a partitioned sibling is skipped
         (best-effort, like :meth:`_ship_build_entry`).  Returns the time
         the rehydration traffic lands."""
-        if self.buildcache is None:
-            return t
         for peer in sorted(self.peer_daemons.values(), key=lambda d: d.name):
-            if peer is self or peer.buildcache is None:
+            if peer is self:
                 continue
             entries = peer.buildcache.entries()
             if not entries:
@@ -382,61 +371,20 @@ class Daemon:
                 return t
         return t
 
-    def _resolve_build(
+    def _compile(
         self, program: Program, options: str, t: float
     ) -> Tuple[P.BuildProgramResponse, float]:
-        """Build ``program`` through the content-addressed cache.
-
-        Cache hit (binary or shipped): adopt the compiled program, zero
-        compile time.  Negative hit: replay the identical failure, zero
-        compile time.  Miss (or cache disabled): invoke the compiler,
-        charge ``build_duration`` on this daemon's timeline, and — when
-        caching — store the outcome and ship it to the sibling daemons.
-        Every path answers a complete :class:`BuildProgramResponse`;
-        the cached-build handler collapses it to an Ack."""
-        stats = self.gcf.stats
-        cache = self.buildcache
-        if cache is not None:
-            entry = cache.lookup(program.digest, options)
-            if entry is not None:
-                stats.build_seconds_saved += build_duration(program.source)
-                if entry.kind == "binary":
-                    stats.build_cache_hits += 1
-                    program.adopt(entry.compiled, options)
-                    return (
-                        P.BuildProgramResponse(
-                            status="SUCCESS", log="", kernels=self._kernel_metadata(program)
-                        ),
-                        t,
-                    )
-                stats.negative_build_hits += 1
-                program.adopt_failure(entry.log, options)
-                return (
-                    P.BuildProgramResponse(
-                        status="ERROR",
-                        log=entry.log,
-                        error=entry.error,
-                        detail=entry.detail,
-                    ),
-                    t,
-                )
-            stats.programs_built += 1
-        # Reserve the compile on the daemon CPU timeline (first-fit
-        # allocation would otherwise let later batches slide into the
-        # gap and run dependent commands before the build completes —
-        # the legacy path never hit this because the client blocked on
-        # the build reply).
-        duration = build_duration(program.source)
-        iv = self.gcf.cpu.allocate(t, duration, "ProgramBuild")
-        done = iv.end
+        """Invoke the compiler on ``program`` (one ``programs_built``)
+        and answer the complete :class:`BuildProgramResponse` plus the
+        time the build completes.  The compile is reserved on the daemon
+        CPU timeline: first-fit allocation would otherwise let later
+        batches slide into the gap and run dependent commands before
+        the build completes."""
+        self.gcf.stats.programs_built += 1
+        done = self.gcf.cpu.allocate(t, build_duration(program.source), "ProgramBuild").end
         try:
             program.build(options, t)
         except CLError as exc:
-            if cache is not None:
-                failure = cache.store_failure(
-                    program.source, options, program.build_log, exc.code.value, exc.message
-                )
-                self._ship_build_entry(failure, done)
             return (
                 P.BuildProgramResponse(
                     status="ERROR",
@@ -446,14 +394,41 @@ class Daemon:
                 ),
                 done,
             )
-        if cache is not None:
-            self._ship_build_entry(cache.store_success(program.compiled), done)
         return (
             P.BuildProgramResponse(
                 status="SUCCESS", log="", kernels=self._kernel_metadata(program)
             ),
             done,
         )
+
+    def _resolve_build(self, program: Program, options: str, t: float) -> float:
+        """Build ``program`` through the content-addressed cache and
+        return the time the build completes.
+
+        Cache hit (binary or shipped): adopt the compiled program, zero
+        compile time.  Negative hit: replay the identical failure, zero
+        compile time.  Miss: :meth:`_compile`, store the outcome and
+        ship it to the sibling daemons."""
+        stats = self.gcf.stats
+        entry = self.buildcache.lookup(program.digest, options)
+        if entry is None:
+            reply, done = self._compile(program, options, t)
+            if reply.error:
+                entry = self.buildcache.store_failure(
+                    program.source, options, reply.log, reply.error, reply.detail
+                )
+            else:
+                entry = self.buildcache.store_success(program.compiled)
+            self._ship_build_entry(entry, done)
+            return done
+        stats.build_seconds_saved += build_duration(program.source)
+        if entry.kind == "binary":
+            stats.build_cache_hits += 1
+            program.adopt(entry.compiled, options)
+        else:
+            stats.negative_build_hits += 1
+            program.adopt_failure(entry.log, options)
+        return t
 
     # ------------------------------------------------------------------
     # registry helpers
@@ -940,52 +915,22 @@ class Daemon:
             ctx = self._ctx(sender.name, msg.context_id)
             self.registry.put(sender.name, msg.program_id, Program(ctx, msg.source))
 
-        @ack_handler(P.CreateProgramCachedRequest)
-        def create_program_cached(
-            msg: P.CreateProgramCachedRequest, t: float, sender: GCFProcess
-        ):
-            # The content-addressed creation path: the client's stub
-            # cache saw this source build on this daemon (same epoch),
-            # so only the digest rides the window and the source is
-            # re-materialised from the build cache.  A miss is only
-            # possible after eviction; it poisons the provisional ID
-            # like any failed creation.
-            self._admit_object(sender.name)
-            ctx = self._ctx(sender.name, msg.context_id)
-            source = (
-                self.buildcache.source_for(msg.digest)
-                if self.buildcache is not None
-                else None
-            )
-            if source is None:
-                raise CLError(
-                    ErrorCode.CL_INVALID_PROGRAM,
-                    f"no cached source for digest {msg.digest[:12]}…",
-                )
-            self.registry.put(sender.name, msg.program_id, Program(ctx, source))
-
         @ack_handler(P.CreateProgramWithBinaryRequest)
         def create_program_with_binary(
             msg: P.CreateProgramWithBinaryRequest, t: float, sender: GCFProcess
         ):
             # clCreateProgramWithBinary: install the serialized program
-            # into the build cache (when enabled) and register the
-            # handle.  The program still requires clBuildProgram before
-            # kernel creation (OpenCL semantics); that build resolves as
+            # into the build cache and register the handle.  The program
+            # still requires clBuildProgram before kernel creation
+            # (OpenCL semantics); on the pipeline that build resolves as
             # a cache hit against the entry installed here.
             self._admit_object(sender.name)
             ctx = self._ctx(sender.name, msg.context_id)
             try:
-                if self.buildcache is not None:
-                    entry, _ = self.buildcache.install_binary(msg.binary)
-                    compiled = entry.compiled
-                else:
-                    compiled = deserialize_program(msg.binary)
+                entry, _ = self.buildcache.install_binary(msg.binary)
             except CLCompileError as exc:
                 raise CLError(ErrorCode.CL_INVALID_BINARY, str(exc)) from exc
-            self.registry.put(
-                sender.name, msg.program_id, Program(ctx, compiled.source)
-            )
+            self.registry.put(sender.name, msg.program_id, Program(ctx, entry.source))
 
         @gcf.on_request(P.BuildProgramRequest)
         def build_program(msg: P.BuildProgramRequest, t: float, sender: GCFProcess):
@@ -993,16 +938,16 @@ class Daemon:
                 program = self.registry.get(sender.name, msg.program_id, Program)
             except CLError as exc:
                 return P.BuildProgramResponse(error=exc.code.value, detail=exc.message), t
-            # Ship every kernel's argument metadata with the build
-            # status: this is what lets clCreateKernel defer (the
-            # client fills kernel stubs from the cached table).
-            return self._resolve_build(program, msg.options, t)
+            # The reference path compiles every time, without the build
+            # cache, and ships every kernel's argument metadata with the
+            # build status (the client fills kernel stubs from it).
+            return self._compile(program, msg.options, t)
 
         @ack_handler(P.BuildProgramCachedRequest)
         def build_program_cached(
             msg: P.BuildProgramCachedRequest, t: float, sender: GCFProcess
         ):
-            # The deferred build of cache-enabled clients: the client
+            # The pipeline's deferred build: the client
             # already resolved the outcome locally, so no reply data is
             # needed and a *negatively-cached* failure answers a success
             # Ack — the error surfaced at the clBuildProgram call site
@@ -1015,18 +960,16 @@ class Daemon:
                     ErrorCode.CL_INVALID_PROGRAM,
                     "cached build digest does not match program source",
                 )
-            _, done = self._resolve_build(program, msg.options, t)
-            return done
+            return self._resolve_build(program, msg.options, t)
 
         @gcf.on_request(P.GetProgramBinaryRequest)
         def get_program_binary(msg: P.GetProgramBinaryRequest, t: float, sender: GCFProcess):
             try:
                 program = self.registry.get(sender.name, msg.program_id, Program)
                 compiled = program.require_built()
-                if self.buildcache is not None:
-                    entry = self.buildcache.lookup(program.digest, program.options)
-                    if entry is not None and entry.kind == "binary":
-                        return P.GetProgramBinaryResponse(binary=entry.blob), t
+                entry = self.buildcache.lookup(program.digest, program.options)
+                if entry is not None and entry.kind == "binary":
+                    return P.GetProgramBinaryResponse(binary=entry.blob), t
                 return P.GetProgramBinaryResponse(binary=serialize_program(compiled)), t
             except CLError as exc:
                 return P.GetProgramBinaryResponse(error=exc.code.value, detail=exc.message), t

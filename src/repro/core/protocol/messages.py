@@ -423,26 +423,12 @@ class CreateProgramWithSourceRequest(Request):
     source: str
 
 
-@message_type(deferrable=True)
-class CreateProgramCachedRequest(Request):
-    """Deferrable ``clCreateProgramWithSource`` by *content address*:
-    the client-stub cache already saw this source build on this daemon
-    (same connection epoch), so the creation rides the send window as a
-    digest reference instead of re-shipping the inline source.  The
-    daemon re-materialises the program from its build cache's retained
-    source (:meth:`~repro.core.daemon.buildcache.ProgramBuildCache.
-    source_for`); an unknown digest — only possible after eviction —
-    poisons the provisional ID like any failed creation."""
-
-    program_id: int = creates()
-    context_id: int = reads()
-    digest: str
-
-
-@message_type(replay_safe="a deterministic rebuild answering the identical reply")
+@message_type
 class BuildProgramRequest(Request):
-    """``clBuildProgram`` on one server (synchronous: the client needs
-    the per-server build status)."""
+    """``clBuildProgram`` on one server — the reference
+    (``batch_window=0``) path's synchronous build: the client needs the
+    per-server build status, and the daemon compiles every time without
+    touching its build cache."""
 
     program_id: int
     options: str = ""
@@ -450,7 +436,7 @@ class BuildProgramRequest(Request):
 
 @message_type(deferrable=True)
 class BuildProgramCachedRequest(Request):
-    """Deferrable ``clBuildProgram`` for cache-enabled clients: the
+    """The pipeline's (``batch_window > 0``) ``clBuildProgram``: the
     client resolved the build outcome locally (client-stub cache hit,
     or a local front-end pass on a miss), so no reply data is needed —
     the command rides the send window and the daemon resolves it

@@ -204,12 +204,12 @@ class NetStats:
         Daemon-side: program builds that actually invoked the compiler
         (``repro.clc.compile_program``) and charged ``build_duration``
         on this daemon's timeline — successful *and* failed compiles
-        alike.  With the build cache on, every build-class request
-        (``BuildProgramRequest`` or ``BuildProgramCachedRequest``)
-        resolves to exactly one of ``programs_built``,
-        ``build_cache_hits`` or ``negative_build_hits``, so the
-        triple's sum equals the build requests handled — and is
-        invariant under the ``program_cache`` ablation flag.
+        alike.  Every build request resolves to exactly one of
+        ``programs_built``, ``build_cache_hits`` or
+        ``negative_build_hits``, so the triple's sum equals the build
+        requests handled; the reference path's ``BuildProgramRequest``
+        always compiles, the pipeline's ``BuildProgramCachedRequest``
+        only on a cache miss.
     ``build_cache_hits``
         Daemon-side: builds answered from the content-addressed build
         cache (adopting a cached ``CompiledProgram`` — compiled here

@@ -94,7 +94,6 @@ def deploy_dopencl(
     retry_policy: Optional[RetryPolicy] = None,
     client_server_lists: Optional[List[List[str]]] = None,
     admission: Optional[AdmissionPolicy] = None,
-    program_cache: bool = True,
 ) -> Deployment:
     """Install daemons on every server and client drivers on the client
     host(s).
@@ -111,7 +110,8 @@ def deploy_dopencl(
     direction, gang reads).  **Window 0 = reference path**: the paper's
     synchronous behaviour as a whole (Section III-B) — one round trip
     per forwarded call, synchronous creation fan-outs with the program
-    source as a bulk stream, one synchronous relay per replica server,
+    source as a bulk stream, one fresh compile per server per build,
+    one synchronous relay per replica server,
     one stream per transfer, one fetch per blocking read.  There is no
     per-stage switch in between.  ``push_transfers`` toggles
     daemon-initiated predictive replication (PR 9) on every driver;
@@ -134,10 +134,9 @@ def deploy_dopencl(
     (session cap, per-client registry quota, status-buffer bound) on
     every daemon.
 
-    ``program_cache`` toggles the cluster-wide content-addressed build
-    cache (client build records, daemon build caches, sibling binary
-    shipping) on every daemon and driver; ``False`` is the ablation
-    baseline that rebuilds from source everywhere.
+    Every daemon owns a content-addressed build cache (with sibling
+    binary shipping); the pipeline's builds go through it, while the
+    reference path compiles on every server every time.
     """
     manager = None
     if managed:
@@ -151,7 +150,6 @@ def deploy_dopencl(
             cluster.network,
             device_manager=manager,
             admission=admission,
-            program_cache=program_cache,
         )
         daemon.workload_scale = workload_scale
         daemon.start(0.0)
@@ -177,7 +175,6 @@ def deploy_dopencl(
             "push_transfers": push_transfers,
             "defer_reads": defer_reads,
             "retry_policy": retry_policy,
-            "program_cache": program_cache,
         }
         if batch_window is not None:
             kwargs["batch_window"] = batch_window

@@ -71,15 +71,15 @@ DEFAULT_TOLERANCES: Dict[str, float] = {
 
 #: OSEM-snapshot keys -> relative tolerance (``BENCH_osem.json``): the
 #: steady-state iteration counters of the repeated-arg workload (batched
-#: commands and daemon decode-cache hits), the program-build-cache floors (the cache-on/cache-off setup ablation
-#: pair and the one-compile-per-cluster repeat-setup phase) and the
+#: commands and daemon decode-cache hits), the program-build-cache
+#: floors (setup round trips and the one-compile-per-cluster
+#: repeat-setup phase) and the
 #: push-transfer floor (steady-state iteration round trips with
 #: predictive pushes on vs the ``push_transfers=False`` ablation cell,
 #: plus the commit/waste tally) — all exact properties of the
 #: deterministic simulation.
 OSEM_TOLERANCES: Dict[str, float] = {
     "setup_round_trips": 0.0,
-    "setup_round_trips_cache_off": 0.0,
     "programs_built": 0.0,
     "iteration_round_trips": 0.0,
     "iteration_round_trips_push_off": 0.0,

@@ -131,10 +131,6 @@ def cachestat_text(deployment) -> str:
                 f"bytes={stats.push_bytes} staged_pending={staged}"
             )
         cache = daemon.buildcache
-        if cache is None:
-            lines.append("  build cache: disabled (program_cache=False)")
-            lines.append("")
-            continue
         lines.append(
             f"  build cache: {len(cache)}/{cache.capacity} entries, "
             f"{cache.evictions} evictions"

@@ -27,10 +27,6 @@ __kernel void scale(__global float *x, const float f, const int n) {
 
 
 def _prepared(n_servers=2, **kwargs):
-    # Window mechanics are measured around the program build; pin the
-    # build cache off so the compile stays a synchronous round trip and
-    # the latency splits below isolate the enqueue pipeline.
-    kwargs.setdefault("program_cache", False)
     deployment = deploy_dopencl(make_ib_cpu_cluster(n_servers), **kwargs)
     api = deployment.api
     devices = api.clGetDeviceIDs(api.clGetPlatformIDs()[0])
@@ -41,6 +37,9 @@ def _prepared(n_servers=2, **kwargs):
     buf = api.clCreateBuffer(ctx, CL_MEM_READ_WRITE | CL_MEM_COPY_HOST_PTR, x.nbytes, x)
     program = api.clCreateProgramWithSource(ctx, SCALE)
     api.clBuildProgram(program)
+    # Drain the set-up (creations and the windowed build) so the
+    # latency splits below isolate the enqueue pipeline.
+    api.clFinish(queue)
     kernel = api.clCreateKernel(program, "scale")
     api.clSetKernelArg(kernel, 0, buf)
     api.clSetKernelArg(kernel, 1, np.float32(2.0))

@@ -3,17 +3,21 @@
 The cluster-wide sharing semantics (one compile per unique ``(source,
 options)`` pair, binary shipping, bit-identical negative replays) are
 locked down end-to-end by the conformance suite and the benchmarks;
-this file pins the cache data structure itself: LRU bounding with an
-eviction counter, key composition, sibling-entry adoption and the
-crash lifetime.
+this file pins the cache data structure itself (LRU bounding with an
+eviction counter, key composition, sibling-entry adoption, the crash
+lifetime) and the one build path on each side of the ``batch_window``
+switch, eviction included.
 """
 
+import numpy as np
 import pytest
 
 from repro.clc.driver import compile_program, program_digest, serialize_program
 from repro.core.daemon.buildcache import DEFAULT_CAPACITY, ProgramBuildCache
+from repro.hw import Host
 from repro.hw.cluster import make_ib_cpu_cluster
-from repro.ocl import CLError
+from repro.hw.specs import GPU_SERVER
+from repro.ocl import CL_MEM_COPY_HOST_PTR, CL_MEM_READ_WRITE, CLError, NativeAPI
 from repro.testbed import deploy_dopencl
 
 
@@ -101,15 +105,6 @@ def test_install_entry_copies_sibling_entries_including_negatives():
     # only the sibling's copy).
     assert adopted.hits == 1 and binary.hits == 0
     assert sibling.lookup(negative.digest, "").kind == "negative"
-
-
-def test_source_for_matches_any_options_and_kind():
-    cache = ProgramBuildCache()
-    assert cache.source_for(program_digest(_source(0))) is None
-    cache.store_success(_compiled(0, "-DBIAS=1.0f"))
-    assert cache.source_for(program_digest(_source(0))) == _source(0)
-    cache.store_failure("bad source", "", "log", -11)
-    assert cache.source_for(program_digest("bad source")) == "bad source"
 
 
 def test_default_capacity_is_generous_but_bounded():
@@ -258,3 +253,131 @@ def test_front_end_memo_is_bounded(monkeypatch):
         meta, log = clc_driver.front_end_outcome(_source(i))
         assert log == "" and list(meta) == [f"k{i}"]
     assert [key[0] for key in memo] == [program_digest(_source(i)) for i in (7103, 7105)]
+
+
+# ----------------------------------------------------------------------
+# one program path per side of the switch
+# ----------------------------------------------------------------------
+N = 16
+
+
+def _create_build_and_run(cl, ctx, queue, source, name):
+    """Create and build ``source``, launch ``name`` (``x[i] += c``) on
+    ``arange(N)`` and read the buffer back."""
+    program = cl.clCreateProgramWithSource(ctx, source)
+    cl.clBuildProgram(program)
+    x = np.arange(N, dtype=np.float32)
+    buf = cl.clCreateBuffer(ctx, CL_MEM_READ_WRITE | CL_MEM_COPY_HOST_PTR, x.nbytes, x)
+    kernel = cl.clCreateKernel(program, name)
+    cl.clSetKernelArg(kernel, 0, buf)
+    cl.clSetKernelArg(kernel, 1, N)
+    cl.clEnqueueNDRangeKernel(queue, kernel, (N,))
+    data, _ = cl.clEnqueueReadBuffer(queue, buf)
+    cl.clFinish(queue)
+    return bytes(data)
+
+
+def _native_bytes(source, name):
+    native = NativeAPI(Host(GPU_SERVER))
+    device = native.clGetDeviceIDs(native.clGetPlatformIDs()[0])[0]
+    ctx = native.clCreateContext([device])
+    queue = native.clCreateCommandQueue(ctx, device)
+    return _create_build_and_run(native, ctx, queue, source, name)
+
+
+def _tenant(api):
+    devices = api.clGetDeviceIDs(api.clGetPlatformIDs()[0])
+    ctx = api.clCreateContext(devices[:1])
+    return ctx, api.clCreateCommandQueue(ctx, devices[0])
+
+
+def _build_only(api, ctx, queue, sources):
+    for source in sources:
+        api.clBuildProgram(api.clCreateProgramWithSource(ctx, source))
+    api.clFinish(queue)
+
+
+def test_a_recreated_source_runs_after_its_cache_entry_was_evicted():
+    """65 distinct builds overflow the daemon's 64-entry cache; creating
+    and building the first source again still computes what
+    ``NativeAPI`` computes (a creation by digest failed here)."""
+    sources = [_source(i) for i in range(7201, 7201 + DEFAULT_CAPACITY + 1)]
+    deployment = deploy_dopencl(make_ib_cpu_cluster(1))
+    ctx, queue = _tenant(deployment.api)
+    _build_only(deployment.api, ctx, queue, sources)
+    assert deployment.daemons[0].buildcache.evictions == 1
+    got = _create_build_and_run(deployment.api, ctx, queue, sources[0], "k7201")
+    assert got == _native_bytes(sources[0], "k7201")
+
+
+def test_another_tenants_builds_cannot_evict_a_tenants_program():
+    """Tenant B's 64 builds evict tenant A's entry from the shared
+    daemon cache; A's re-created program still builds, runs and reads
+    back ``NativeAPI``'s bytes."""
+    from repro.hw.cluster import make_multi_client_gpu_server
+
+    source = _source(7300)
+    deployment = deploy_dopencl(make_multi_client_gpu_server(2), n_clients=2)
+    a, b = deployment.apis
+    ctx_a, queue_a = _tenant(a)
+    _build_only(a, ctx_a, queue_a, [source])
+    ctx_b, queue_b = _tenant(b)
+    _build_only(b, ctx_b, queue_b, [_source(i) for i in range(7301, 7301 + DEFAULT_CAPACITY)])
+    cache = deployment.daemons[0].buildcache
+    assert cache.lookup(program_digest(source), "") is None
+    got = _create_build_and_run(a, ctx_a, queue_a, source, "k7300")
+    assert got == _native_bytes(source, "k7300")
+
+
+def _request_tags(deployment):
+    tags = []
+    network = deployment.cluster.network
+    real = network.transfer
+
+    def spy(src, dst, ready, nbytes, tag=None):
+        tags.append(tag)
+        return real(src, dst, ready, nbytes, tag)
+
+    network.transfer = spy
+    return tags
+
+
+@pytest.mark.parametrize("batch_window", [0, None])
+def test_each_side_of_the_switch_has_one_build_path(batch_window):
+    """With default options the reference path compiles on every server
+    through ``BuildProgramRequest`` and its daemon caches stay empty;
+    the pipeline never sends a ``BuildProgramRequest``, compiles once
+    and ships the binary to the sibling."""
+    deployment = deploy_dopencl(make_ib_cpu_cluster(2), batch_window=batch_window)
+    tags = _request_tags(deployment)
+    api = deployment.api
+    devices = api.clGetDeviceIDs(api.clGetPlatformIDs()[0])
+    ctx = api.clCreateContext(devices)
+    queue = api.clCreateCommandQueue(ctx, devices[0])
+    _build_only(api, ctx, queue, [_source(7400), _source(7400)])
+    stats = deployment.daemon_stats()
+    if batch_window == 0:
+        assert tags.count("BuildProgramRequest") == 4
+        assert [len(d.buildcache) for d in deployment.daemons] == [0, 0]
+        assert (stats["programs_built"], stats["build_cache_hits"]) == (4, 0)
+        assert stats["binaries_shipped"] == 0
+    else:
+        assert "BuildProgramRequest" not in tags
+        assert [len(d.buildcache) for d in deployment.daemons] == [1, 1]
+        assert (stats["programs_built"], stats["build_cache_hits"]) == (1, 3)
+        assert stats["binaries_shipped"] == 1
+
+
+def test_a_sibling_that_holds_the_key_gets_no_transfer():
+    """node00 (cache capacity 1) builds X, Y, X: the second compile of X
+    finds node01 already holding it, so only two ``s2s-binary``
+    transfers cross the mesh — one per ``binaries_shipped``."""
+    deployment = deploy_dopencl(make_ib_cpu_cluster(2))
+    deployment.daemons[0].buildcache.capacity = 1
+    tags = _request_tags(deployment)
+    ctx, queue = _tenant(deployment.api)
+    for i in (7500, 7501, 7500):
+        _build_only(deployment.api, ctx, queue, [_source(i)])
+    stats = deployment.daemons[0].gcf.stats
+    assert stats.programs_built == 3
+    assert tags.count("s2s-binary") == stats.binaries_shipped == 2

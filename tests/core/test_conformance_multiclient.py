@@ -39,20 +39,6 @@ def test_multi_client_run_matches_each_solo_run(seed, n_clients):
     assert summary["n_clients"] == n_clients
 
 
-#: Cells re-run with ``program_cache=False``: the solo differential must
-#: hold without the cache too, proving the isolation properties are not
-#: an artefact of build-cache sharing.  (6, 3) is the regression cell
-#: where a window-overflow flush once leaked a poisoned creation across
-#: ops.
-CACHE_OFF_CELLS = ((0, 2), (6, 3), (9, 4))
-
-
-@pytest.mark.parametrize("seed,n_clients", CACHE_OFF_CELLS)
-def test_multi_client_differential_holds_with_cache_off(seed, n_clients):
-    summary = run_multi_seed(seed, n_clients, config="cache_off")
-    assert summary["seed"] == seed
-
-
 #: Cells re-run with ``push_transfers=False``: daemon-initiated pushes
 #: are a pure transport optimisation too, so the solo differential must
 #: hold — and the ablation below must be observably identical — under
@@ -81,26 +67,6 @@ def test_push_ablation_is_observably_identical(seed, n_clients):
         for key in ("reads", "final", "directories", "errors", "build_logs"):
             assert on[key] == off[key], (
                 f"seed {seed} clients {n_clients} client {ci}: push "
-                f"ablation changed {key}"
-            )
-
-
-@pytest.mark.parametrize("seed,n_clients", CACHE_OFF_CELLS)
-def test_program_cache_ablation_is_observably_identical(seed, n_clients):
-    """Satellite: the build cache is a pure transport optimisation.
-
-    The same program-of-programs runs once with the cluster build cache
-    on and once with ``program_cache=False``; every client's observables
-    — mid-run reads, final buffer bytes, directory state, surfaced
-    errors and build logs (including the cached *failed* build's log) —
-    must be bit-identical between the two deployments."""
-    mspec = generate_multi_program(seed, n_clients)
-    cached, _ = run_multi_program(mspec, dict(CONFIGS["full"]))
-    ablated, _ = run_multi_program(mspec, dict(CONFIGS["cache_off"]))
-    for ci, (on, off) in enumerate(zip(cached, ablated)):
-        for key in ("reads", "final", "directories", "errors", "build_logs"):
-            assert on[key] == off[key], (
-                f"seed {seed} clients {n_clients} client {ci}: program-cache "
                 f"ablation changed {key}"
             )
 

@@ -11,33 +11,9 @@ import numpy as np
 import pytest
 
 import repro.core.protocol.messages as P
-from repro.bench.conformance import (
-    CONFIGS,
-    _semantics,
-    generate_program,
-    run_program_resilient,
-)
 from repro.hw.cluster import make_ib_cpu_cluster
 from repro.ocl import CL_MEM_READ_WRITE, CLError
-from repro.sim.faults import FaultAction, FaultPlan
 from repro.testbed import deploy_dopencl
-
-
-@pytest.mark.parametrize("seed", (0, 1, 2, 3))
-@pytest.mark.parametrize("leg", ("BuildProgramRequest", "BuildProgramResponse"))
-def test_dropped_build_leg_is_absorbed(leg, seed):
-    """``clBuildProgram`` with the program cache off is a synchronous
-    fan-out like any other: a dropped request *or* reply leg costs one
-    retry (a replayed build is a deterministic rebuild) instead of
-    escaping the ``cl*`` call as the simulator's ``MessageDropped``."""
-    spec, flags = generate_program(seed), dict(CONFIGS["cache_off"])
-    baseline = run_program_resilient(spec, flags, None)
-    plan = FaultPlan([FaultAction("drop", nth=1, tag=leg)], max_transfers=100_000)
-    faulted = run_program_resilient(spec, flags, plan)
-    assert faulted["injector"]["injected_drops"] == 1
-    assert faulted["stats"]["retries"] == 1
-    assert faulted["stats"]["dead_daemons"] == 0
-    assert _semantics(faulted) == _semantics(baseline)
 
 
 def _live_queue():

@@ -196,7 +196,7 @@ def test_metadata_rows_name_registered_handled_requests(entries):
     what a batch can carry: role-tagged classes are all deferrable."""
     requests = _protocol_requests()
     tagged = {cls for cls in requests if _roles(cls)}
-    assert tagged and len(P.DEFERRABLE) == 19
+    assert tagged and len(P.DEFERRABLE) == 18
     for cls in P.DEFERRABLE | tagged:
         assert cls in requests, cls
         assert ("Daemon", "request") in entries.get(cls, []), cls.__name__
@@ -231,7 +231,6 @@ _OLD_DEFERRABLE = frozenset(
         P.CreateQueueRequest,
         P.CreateBufferRequest,
         P.CreateProgramWithSourceRequest,
-        P.CreateProgramCachedRequest,
         P.CreateProgramWithBinaryRequest,
         P.BuildProgramCachedRequest,
         P.CreateKernelRequest,
@@ -260,10 +259,6 @@ _OLD_HANDLE_EXTRACTORS = {
     P.CreateBufferRequest: lambda m: (frozenset({m.context_id}), frozenset({m.buffer_id})),
     P.ReleaseBufferRequest: lambda m: (frozenset({m.buffer_id}), _EMPTY),
     P.CreateProgramWithSourceRequest: lambda m: (
-        frozenset({m.context_id}),
-        frozenset({m.program_id}),
-    ),
-    P.CreateProgramCachedRequest: lambda m: (
         frozenset({m.context_id}),
         frozenset({m.program_id}),
     ),
@@ -326,6 +321,11 @@ del _OLD_HANDLE_EXTRACTORS[P.FinishRequest]
 _OLD_DEFERRABLE = _OLD_DEFERRABLE - {P.CreateKernelRequest}
 del _OLD_HANDLE_EXTRACTORS[P.CreateKernelRequest]
 
+# Stated exception 5: ``CreateProgramCachedRequest`` (a creation by
+# source digest) is gone with the digest-reference creation; its rows —
+# the ``CreateProgramWithSourceRequest`` rows with ``digest`` for
+# ``source`` — were deleted from both tables above.
+
 _IDS = st.integers(min_value=1, max_value=40)  # client IDs start at count(1)
 _ID_LISTS = st.lists(_IDS, max_size=6)  # narrow range: duplicates are common
 
@@ -382,6 +382,7 @@ NEVER_UNDER_A_POLICY = {
     P.ListDevicesRequest: "session management: runs before the ServerConnection exists",
     P.CreateProgramRequest: "reference path only, and window 0 x policy is unrepresentable",
     P.CreateKernelRequest: "reference path only, and window 0 x policy is unrepresentable",
+    P.BuildProgramRequest: "reference path only, and window 0 x policy is unrepresentable",
 }
 
 

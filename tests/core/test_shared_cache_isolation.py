@@ -20,6 +20,7 @@ One daemon serves many tenants through three shared, bounded caches:
 
 import pytest
 
+from repro.clc.driver import program_digest
 from repro.core.daemon import Daemon
 from repro.core.daemon.admission import AdmissionPolicy
 from repro.core.protocol import messages as P
@@ -127,16 +128,14 @@ _BUILD_SEQUENCE = [
     P.CreateProgramWithSourceRequest(
         program_id=2, context_id=1, source=_SHARED_SOURCE
     ),
+    P.BuildProgramCachedRequest(program_id=2, digest=program_digest(_SHARED_SOURCE)),
 ]
 
 
 def _create_and_build(client, daemon, t):
-    """The creations ride a batch; the synchronous build is its own
-    request after it (the daemon refuses it in a batch).  All three
-    replies, in order."""
-    created = client.request_batch(daemon.gcf, list(_BUILD_SEQUENCE), t)
-    built = client.request(daemon.gcf, P.BuildProgramRequest(program_id=2), created.arrival)
-    return created.responses + built.responses
+    """The creations and the pipeline's cached build ride one batch;
+    the replies its failed commands answer (none when all succeed)."""
+    return client.request_batch(daemon.gcf, list(_BUILD_SEQUENCE), t).responses
 
 
 def test_cross_client_build_shares_the_compile_but_not_the_program(daemon_and_net):
@@ -147,9 +146,9 @@ def test_cross_client_build_shares_the_compile_but_not_the_program(daemon_and_ne
     daemon, net = daemon_and_net
     a = connect_client(net, daemon, "a")
     b = connect_client(net, daemon, "b")
-    assert all(not r.error for r in _create_and_build(a, daemon, 0.0))
+    assert not _create_and_build(a, daemon, 0.0)
     a.request_batch(daemon.gcf, [P.ReleaseProgramRequest(program_id=2)], 1.0)
-    assert all(not r.error for r in _create_and_build(b, daemon, 2.0))
+    assert not _create_and_build(b, daemon, 2.0)
     assert daemon.gcf.stats.programs_built == 1
     assert daemon.gcf.stats.build_cache_hits == 1
     # The shared entry never blurred the namespaces: B holds its own
@@ -167,7 +166,7 @@ def test_build_cache_entries_do_not_consume_registry_quota():
     server = net.add_host(Host(GPU_SERVER, name="srv"))
     daemon = Daemon(server, net, admission=AdmissionPolicy(max_objects_per_client=2))
     a = connect_client(net, daemon, "a")
-    assert all(not r.error for r in _create_and_build(a, daemon, 0.0))
+    assert not _create_and_build(a, daemon, 0.0)
     # A is at quota (context + program); one more creation is rejected.
     rejected = a.request_batch(
         daemon.gcf, [P.CreateUserEventRequest(event_id=3, context_id=1)], 1.0
@@ -186,7 +185,7 @@ def test_build_cache_entries_do_not_consume_registry_quota():
     # A second tenant at the same quota builds the shared source: the
     # cache answers the build without charging anyone's namespace.
     b = connect_client(net, daemon, "b")
-    assert all(not r.error for r in _create_and_build(b, daemon, 4.0))
+    assert not _create_and_build(b, daemon, 4.0)
     assert daemon.gcf.stats.programs_built == 1
     assert daemon.gcf.stats.build_cache_hits == 1
     assert daemon.gcf.stats.quota_rejections == 1  # unchanged

@@ -173,7 +173,7 @@ REPRO_TYPES = sorted(
 
 def test_every_protocol_class_is_covered():
     assert P.Ack in REPRO_TYPES and CommandBatch in REPRO_TYPES
-    assert len(REPRO_TYPES) >= 49
+    assert len(REPRO_TYPES) >= 48
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 The forwarding pipeline has one switch (``batch_window``: 0 is the
 paper's synchronous reference path, anything else the whole pipeline)
-plus three genuinely two-sided ones.  A new keyword argument on the
+plus two genuinely two-sided ones.  A new keyword argument on the
 deployment or driver surface — or a new conformance configuration, a
 second conformance executor, a snapshot outside the benchdiff table —
 fails here until it is argued for.  So does a second way to talk to a
@@ -25,7 +25,7 @@ from repro.hw.cluster import make_ib_cpu_cluster
 from repro.testbed import deploy_dopencl
 from repro.tools.benchdiff import SNAPSHOTS, snapshot_path
 
-PIPELINE_SWITCHES = {"batch_window", "push_transfers", "defer_reads", "program_cache"}
+PIPELINE_SWITCHES = {"batch_window", "push_transfers", "defer_reads"}
 
 #: Keyword arguments that describe the deployment (topology, protocol,
 #: tenancy, resilience), not the forwarding pipeline.
@@ -53,8 +53,8 @@ def test_driver_pipeline_switches():
     assert _params(DOpenCLDriver.__init__) - DRIVER_ARGS == PIPELINE_SWITCHES
 
 
-def test_conformance_runs_four_configurations():
-    assert set(conformance.CONFIGS) == {"sync", "full", "cache_off", "push_off"}
+def test_conformance_runs_three_configurations():
+    assert set(conformance.CONFIGS) == {"sync", "full", "push_off"}
     used = set().union(*(flags for flags in conformance.CONFIGS.values()))
     assert used <= PIPELINE_SWITCHES
 

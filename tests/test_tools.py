@@ -112,14 +112,6 @@ def test_cachestat_cli_builds_on_two_servers_and_prints_both(capsys):
     assert "compiled=1" in text and "binaries_shipped=1" in text
 
 
-def test_cachestat_reports_disabled_cache():
-    deployment = deploy_dopencl(make_ib_cpu_cluster(1), program_cache=False)
-    _build_on(deployment.api, _GOOD_SOURCE)
-    text = cachestat_text(deployment)
-    assert "disabled (program_cache=False)" in text
-    assert "entries" not in text
-
-
 def test_cachestat_reports_replica_residency_and_push_ratios():
     """PR-9 additions: per-daemon replica residency from the coherence
     directories and the deployment-wide push hit/waste summary."""
