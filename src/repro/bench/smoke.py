@@ -270,12 +270,14 @@ def bench_smoke(n_devices: int = SMOKE_DEVICES, config: MandelbrotConfig = SMOKE
     images = {}
     counters: Dict[str, Dict[str, int]] = {}
     totals: Dict[str, float] = {}
+    census = {}
     for variant, flags in VARIANTS.items():
         deployment = deploy_dopencl(make_ib_cpu_cluster(n_devices), **flags)
         result = render_dopencl(deployment.api, config)
         images[variant] = result.image
         counters[variant] = deployment.driver.stats.snapshot()
         totals[variant] = result.timings.total
+        census[variant] = dict(deployment.census(), sent=dict(deployment.driver.stats.commands))
     for variant, flags in GATHER_VARIANTS.items():
         deployment = deploy_dopencl(make_ib_cpu_cluster(n_devices), **flags)
         images[variant] = render_gathered(deployment.api, config)
@@ -318,6 +320,7 @@ def bench_smoke(n_devices: int = SMOKE_DEVICES, config: MandelbrotConfig = SMOKE
             coalesced_read_sections=c["coalesced_read_sections"],
             flush_barriers=c["flush_barriers"],
             prefix_flushes=c["prefix_flushes"],
+            **census.get(variant, {}),
         )
     for variant in ("batched", *GATHER_VARIANTS, *READBACK_VARIANTS):
         if not (images["sync"] == images[variant]).all():
@@ -375,6 +378,7 @@ def smoke_payload(record: ExperimentRecord) -> dict:
     ``repro.tools.benchdiff.SNAPSHOTS``, so the recorded snapshot and
     the comparison can never drift apart."""
     rows = {row["variant"]: row for row in record.rows}
+    objects = rows["batched"]["objects"]
     return {
         "experiment": record.experiment,
         "n_servers": SMOKE_DEVICES,
@@ -395,6 +399,13 @@ def smoke_payload(record: ExperimentRecord) -> dict:
         "coalesced_reads": rows["readback"]["coalesced_reads"],
         "coalesced_read_sections": rows["readback"]["coalesced_read_sections"],
         "flush_barriers": rows["readback"]["flush_barriers"],
+        "batched_commands_batched": rows["batched"]["batched_commands"],
+        "buffers_created_batched": objects.get("Buffer", [0, 0])[0],
+        "replicas_created_batched": objects.get("UserEvent", [0, 0])[0],
+        "commands_batched": {
+            name: count for name, (count, _nbytes) in sorted(rows["batched"]["sent"].items())
+        },
+        "objects_batched": dict(sorted(objects.items())),
         "min_rt_reduction": MIN_ROUND_TRIP_REDUCTION,
         "max_batched_round_trips": MAX_BATCHED_ROUND_TRIPS,
     }

@@ -544,7 +544,10 @@ class Daemon:
             if not reads and not creates:
                 return None
             hit = self.registry.poison_info(sender.name, [*reads, *creates])
-            return None if hit is None else skipped(type(sub).__name__, hit)
+            if hit is None:
+                return None
+            self.registry.name(sender.name, reads)  # a skipped command still named them
+            return skipped(type(sub).__name__, hit)
 
         def batch_observe(sub, response, sender):
             error = getattr(response, "error", 0)

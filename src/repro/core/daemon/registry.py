@@ -13,11 +13,16 @@ that reads or would extend it is rejected with the original error
 *without executing* (the daemon's batch-dispatch guard consults
 :meth:`Registry.poison_info`).  Client drivers never reuse IDs, so a
 poisoned ID stays poisoned until the client disconnects.
+
+The registry also keeps the **object census** (:attr:`Registry.census`):
+per kind (``Buffer``, ``UserEvent``, ``Kernel``, ...) how many objects
+were created and how many of them any command ever named — looked up by
+a handler, or named by a batched command the dispatch guard skipped.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Optional, Tuple, Type, TypeVar
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Type, TypeVar
 
 from repro.ocl.constants import ErrorCode
 from repro.ocl.errors import CLError
@@ -42,6 +47,10 @@ class Registry:
         self._objects: Dict[str, Dict[int, object]] = {}
         #: client -> {poisoned id -> (error code int, detail)}.
         self._poisoned: Dict[str, Dict[int, Tuple[int, str]]] = {}
+        #: kind -> ``[created, named]`` (see the module docstring).
+        self.census: Dict[str, List[int]] = {}
+        #: client -> ids of its live objects some command has named.
+        self._named: Dict[str, Set[int]] = {}
 
     def client_names(self) -> Iterator[str]:
         """Clients that currently own registered objects."""
@@ -56,7 +65,18 @@ class Registry:
                 f"duplicate object ID {obj_id} for client {client!r}",
             )
         table[obj_id] = obj
+        self.census.setdefault(type(obj).__name__, [0, 0])[0] += 1
         return obj
+
+    def name(self, client: str, ids: Iterable[int]) -> None:
+        """Record that a command named ``ids`` (unknown ids are skipped)."""
+        table = self._objects.get(client, {})
+        named = self._named.setdefault(client, set())
+        for obj_id in ids:
+            obj = table.get(obj_id)
+            if obj is not None and obj_id not in named:
+                named.add(obj_id)
+                self.census[type(obj).__name__][1] += 1
 
     def get(self, client: str, obj_id: int, expected: Optional[Type[T]] = None) -> T:
         """Look an object up, optionally type-checked (faithful CLError).
@@ -71,8 +91,7 @@ class Registry:
             raise CLError(
                 ErrorCode(code), f"ID {pid} was poisoned by a failed command: {detail}"
             )
-        table = self._objects.get(client, {})
-        obj = table.get(obj_id)
+        obj = self._objects.get(client, {}).get(obj_id)
         if obj is None:
             code = _KIND_ERRORS.get(expected.__name__, ErrorCode.CL_INVALID_VALUE) if expected else ErrorCode.CL_INVALID_VALUE
             raise CLError(code, f"no object with ID {obj_id} for client {client!r}")
@@ -81,6 +100,7 @@ class Registry:
                 _KIND_ERRORS.get(expected.__name__, ErrorCode.CL_INVALID_VALUE),
                 f"object {obj_id} is a {type(obj).__name__}, expected {expected.__name__}",
             )
+        self.name(client, (obj_id,))
         return obj
 
     def peek(self, client: str, obj_id: int) -> Optional[object]:
@@ -95,12 +115,14 @@ class Registry:
         obj = table.pop(obj_id, None)
         if obj is None:
             raise CLError(ErrorCode.CL_INVALID_VALUE, f"no object with ID {obj_id}")
+        self._named.get(client, set()).discard(obj_id)
         return obj
 
     def drop_client(self, client: str) -> Iterator[Tuple[int, object]]:
         """Remove and yield all of a client's objects (disconnect cleanup,
         including its poisoned-ID table)."""
         self._poisoned.pop(client, None)
+        self._named.pop(client, None)
         table = self._objects.pop(client, {})
         return iter(table.items())
 

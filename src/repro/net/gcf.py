@@ -277,9 +277,16 @@ class NetStats:
 
     ``round_trips`` (a property) is ``requests + batches + bulk_fetches``:
     every synchronous client<->server exchange the process blocked on.
+
+    ``commands`` (not a counter, so not in :meth:`snapshot`) is the
+    per-class census of batched sub-commands: registered class name ->
+    ``[count, bytes]``, the bytes being each command's encoding as the
+    batch prices it.  The client counts what it sent, a daemon what it
+    dispatched (deduped replays excluded), so on a clean run the two
+    sides agree class by class.
     """
 
-    __slots__ = (
+    COUNTERS = (
         "requests",
         "batches",
         "batched_commands",
@@ -331,10 +338,21 @@ class NetStats:
         "deferred_reads",
         "deferred_read_batches",
     )
+    __slots__ = COUNTERS + ("commands",)
 
     def __init__(self) -> None:
-        for name in self.__slots__:
+        for name in self.COUNTERS:
             setattr(self, name, 0)
+        self.commands: Dict[str, List[int]] = {}
+
+    def count_command(self, name: str, nbytes: int) -> None:
+        """Add one batched sub-command of class ``name`` to the census."""
+        entry = self.commands.get(name)
+        if entry is None:
+            self.commands[name] = [1, nbytes]
+        else:
+            entry[0] += 1
+            entry[1] += nbytes
 
     @property
     def round_trips(self) -> int:
@@ -343,7 +361,7 @@ class NetStats:
 
     def snapshot(self) -> Dict[str, int]:
         """All counters (plus the derived ``round_trips``) as a dict."""
-        return {name: getattr(self, name) for name in self.__slots__} | {
+        return {name: getattr(self, name) for name in self.COUNTERS} | {
             "round_trips": self.round_trips
         }
 
@@ -548,6 +566,7 @@ class GCFProcess:
                     results.append(undispatchable(f"undecodable batched command: {exc}"))
                     continue
                 self.stats.decode_cache_hits += decode_cache.hits - decode_hits
+                self.stats.count_command(type(sub).__name__, len(raw))
                 handler = self._request_handlers.get(type(sub))
                 if handler is None or isinstance(sub, CommandBatch):
                     results.append(undispatchable(f"{type(sub).__name__} cannot be batch-forwarded"))
@@ -718,6 +737,8 @@ class GCFProcess:
             )
         self.stats.batches += 1
         self.stats.batched_commands += len(msgs)
+        for m, raw in zip(msgs, commands):
+            self.stats.count_command(type(m).__name__, len(raw))
         outcome.responses = reply.results
         return outcome
 

@@ -72,6 +72,24 @@ class Deployment:
                 total[key] = total.get(key, 0) + value
         return total
 
+    def census(self) -> Dict[str, Dict[str, List[int]]]:
+        """The daemons' command and object census, summed: ``commands``
+        (class name -> ``[count, bytes]`` dispatched) and ``objects``
+        (kind -> ``[created, named]``, see
+        :class:`~repro.core.daemon.registry.Registry`).  A crashed
+        daemon's registry died with it, so its objects count as dropped."""
+        total: Dict[str, Dict[str, List[int]]] = {"commands": {}, "objects": {}}
+        for daemon in self.daemons:
+            for key, table in (
+                ("commands", daemon.gcf.stats.commands),
+                ("objects", daemon.registry.census),
+            ):
+                for name, (a, b) in table.items():
+                    entry = total[key].setdefault(name, [0, 0])
+                    entry[0] += a
+                    entry[1] += b
+        return total
+
 
 def server_config_text(cluster: Cluster) -> str:
     """A paper-Listing-2 style server list for all cluster servers."""

@@ -50,7 +50,8 @@ from repro.bench.stream import bench_stream, stream_payload
 #: gate the result-read coalescing floor the same way (the
 #: client-composed mini Fig. 4), together with the fused-group and
 #: ``clFlush``-barrier counters; the relay counters of the batched run
-#: are exact too.
+#: are exact too, and so is its command census (batched commands, and
+#: the buffer copies and event replicas its daemons created).
 DEFAULT_TOLERANCES: Dict[str, float] = {
     "round_trips_sync": 0.0,
     "round_trips_batched": 0.0,
@@ -65,6 +66,9 @@ DEFAULT_TOLERANCES: Dict[str, float] = {
     "flush_barriers": 0.0,
     "relays_deferred": 0.0,
     "relays_suppressed": 0.0,
+    "batched_commands_batched": 0.0,
+    "buffers_created_batched": 0.0,
+    "replicas_created_batched": 0.0,
     "bytes_sent_sync": 0.02,
     "bytes_sent_batched": 0.02,
 }

@@ -18,7 +18,11 @@ summary with the hit/waste ratios
 ``wasted_pushes / speculative_pushes``), one line per client (round
 trips and the three kernel/fold counters) and one per host on its timelines: live
 reservations, horizon and reservations pruned so far
-(:mod:`repro.sim.timeline`, "Pruning behind a floor").
+(:mod:`repro.sim.timeline`, "Pruning behind a floor").  The command
+census closes each daemon's and each client's block: batched
+sub-commands per message class (count and bytes — dispatched on a
+daemon, sent by a client) and, per daemon, the objects of each kind its
+registry created and how many of those any command ever named.
 
 Works against any object exposing ``daemons`` (a
 :class:`~repro.testbed.Deployment`) or directly against an iterable of
@@ -98,6 +102,24 @@ def _residency_line(per_state: Dict[str, int]) -> str:
     return f"{by_state} (valid {resident}/{total})"
 
 
+def _census_lines(stats, registry=None) -> List[str]:
+    """The command census of one process (``commands: Class=count/bytes``,
+    by class name) and, for a daemon, its registry's object census
+    (``objects: Kind=created/named``)."""
+    lines = []
+    if stats.commands:
+        lines.append("  commands: " + " ".join(
+            f"{name}={count}/{nbytes}B"
+            for name, (count, nbytes) in sorted(stats.commands.items())
+        ))
+    if registry is not None and registry.census:
+        lines.append("  objects: " + " ".join(
+            f"{kind}={created}/{named}"
+            for kind, (created, named) in sorted(registry.census.items())
+        ))
+    return lines
+
+
 def _timeline_line(host: str, timelines) -> str:
     """One host's timelines: live reservations, the latest horizon any
     of them pruned to, and the reservations pruned so far."""
@@ -145,6 +167,7 @@ def cachestat_text(deployment) -> str:
             f"  hit ratio: {_hit_ratio(stats):.2f}  "
             f"build seconds saved: {stats.build_seconds_saved:.3f}"
         )
+        lines.extend(_census_lines(stats, daemon.registry))
         entries = cache.entries()
         if entries:
             lines.append("  entries (LRU -> MRU):")
@@ -161,6 +184,7 @@ def cachestat_text(deployment) -> str:
                      f"folded_finishes={stats.folded_finishes} "
                      f"kernels_created_on_launch={stats.kernels_created_on_launch} "
                      f"folded_kernel_args={stats.folded_kernel_args}")
+        lines.extend(_census_lines(stats))
     if hasattr(deployment, "timelines"):
         lines.extend(_timeline_line(host, tls) for host, tls in deployment.timelines().items())
     if getattr(deployment, "drivers", []):

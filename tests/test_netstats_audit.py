@@ -60,7 +60,7 @@ def test_snapshot_covers_every_slot_plus_round_trips():
     """The snapshot dict (what conformance and the benches assert on)
     exposes every counter exactly once, plus the derived round_trips."""
     snapshot = NetStats().snapshot()
-    assert set(snapshot) == set(NetStats.__slots__) | {"round_trips"}
+    assert set(snapshot) == set(NetStats.COUNTERS) | {"round_trips"}
     assert all(v == 0 for v in snapshot.values())
 
 
