@@ -728,6 +728,7 @@ def run_program(spec: Dict[str, object], flags: Dict[str, object]) -> Dict[str, 
     )
     outcome = ProgramRun.execute(deployment.api, spec)
     daemon_stats = deployment.daemon_stats()
+    outcome["objects"] = deployment.census()["objects"]
     outcome["stats"] = deployment.driver.stats.snapshot()
     outcome["build_stats"] = _pick(daemon_stats, BUILD_STAT_KEYS)
     outcome["push_stats"] = _pick(daemon_stats, PUSH_STAT_KEYS)
@@ -981,6 +982,7 @@ def run_multi_seed(
     tag = f"seed {seed} clients {n_clients}"
     _audit_isolation(tag, mspec, deployment)
     _audit_multi_build_cache(tag, mspec, deployment, flags)
+    _check_residency(tag, deployment.census()["objects"])
     for ci in range(n_clients):
         _assert_same_observables(
             f"{tag} client {ci}", outcomes[ci], run_client_solo(mspec, ci, flags),
@@ -1148,9 +1150,23 @@ def run_program_resilient(
         for daemon in deployment.daemons:
             injector.register_crash_hook(daemon.host.name, daemon.crash)
     outcome = ProgramRun.execute(deployment.api, spec, guarded=True)
+    outcome["objects"] = deployment.census()["objects"]
     outcome["stats"] = deployment.driver.stats.snapshot()
     outcome["injector"] = injector.snapshot() if injector is not None else None
     return outcome
+
+
+def _check_residency(tag: str, objects: Dict[str, List[int]]) -> None:
+    """The pipeline's residency invariant over the daemons' object
+    census: user-event replicas created <= replicas a waiting command
+    named (the cross-server waits), buffer copies created <= (buffer,
+    server) pairs a command used.  A crashed daemon's namespace counts
+    as dropped (its census died with its registry)."""
+    for kind in ("UserEvent", "Buffer"):
+        created, named = objects.get(kind, (0, 0))
+        assert created <= named, (
+            f"{tag}: {created} {kind} copies created but commands named {named}"
+        )
 
 
 def _semantics(outcome: Dict[str, object]) -> Dict[str, object]:
@@ -1200,6 +1216,8 @@ def run_seed_with_faults(seed: int, schedule: str) -> Dict[str, object]:
     faulted = run_program_resilient(spec, flags, fault_plan(schedule))
     fired = faulted["injector"]["fired_actions"]
     _check_resilience_stats(tag, faulted["stats"])
+    for outcome in (baseline, faulted):
+        _check_residency(tag, outcome["objects"])
     if witness is not None:
         assert baseline["stats"][witness] > 0, (
             f"{tag}: fault-free run never moved {witness} — the schedule "
@@ -1246,6 +1264,8 @@ def _check_stats_invariants(
     """The per-configuration ``NetStats`` structural invariants (seed in
     every message so a violation is replayable)."""
     tag = f"seed {seed}"
+    for name in CACHED_CONFIGS:
+        _check_residency(f"{tag}: {name}", outcomes[name]["objects"])
     sync = outcomes["sync"]["stats"]
     assert sync["batches"] == 0, f"{tag}: sync config dispatched batches"
     assert sync["flush_barriers"] == 0, f"{tag}: sync config recorded barriers"

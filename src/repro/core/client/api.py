@@ -68,6 +68,7 @@ from repro.ocl.constants import (
     ErrorCode,
 )
 from repro.ocl.errors import CLError, require
+from repro.ocl.memory import check_buffer_args
 
 
 class DOpenCLAPI:
@@ -249,7 +250,9 @@ class DOpenCLAPI:
         size: int,
         host_data: Optional[np.ndarray] = None,
     ) -> BufferStub:
-        """Create a compound buffer stub plus one remote copy per server."""
+        """Create a compound buffer stub: one remote copy per server on the
+        reference path; on the pipeline nothing is sent — a copy is
+        created where a command first uses the buffer."""
         self._tick()
         require(size > 0, ErrorCode.CL_INVALID_BUFFER_SIZE, f"size must be positive, got {size}")
         if flags & (CL_MEM_COPY_HOST_PTR | CL_MEM_USE_HOST_PTR):
@@ -274,18 +277,25 @@ class DOpenCLAPI:
                 f"host data is {raw.size} bytes, buffer is {size}",
             )
             buffer.write_host(0, raw)  # also clears the pristine flag
-        # Remote copies are plain allocations: host-pointer flags stay
-        # client-side (the data reaches servers through coherence uploads).
-        # A handle promise: daemon-side allocation failures (device
-        # memory exhaustion, per-device size limits) poison the
-        # provisional buffer ID and surface at the next sync point.
-        remote_flags = buffer.flags & ~(CL_MEM_COPY_HOST_PTR | CL_MEM_USE_HOST_PTR)
-        self.driver.forward_creation(
-            context.unique_servers,
-            lambda conn: P.CreateBufferRequest(
-                buffer_id=buffer.id, context_id=context.id, flags=remote_flags, size=size
-            ),
-        )
+        # Remote copies are plain allocations (``remote_flags``): host
+        # data reaches servers through coherence uploads.  A daemon-side
+        # allocation failure (device memory exhaustion, per-device size
+        # limits) poisons the buffer ID there and fails the command that
+        # needed the copy.
+        if self.driver.batching_enabled:
+            # The checks a daemon would make that need no device memory.
+            require(context.refcount > 0, ErrorCode.CL_INVALID_CONTEXT, "context was released")
+            check_buffer_args(
+                buffer.flags,
+                size,
+                min(int(d.get_info("MAX_MEM_ALLOC_SIZE")) for d in context.devices),
+            )
+            self._check_servers(context)
+        else:
+            buffer.holders = dict.fromkeys(context.server_names)
+            self.driver.forward_creation(
+                context.unique_servers, lambda conn: self.driver.buffer_creation(buffer)
+            )
         # Registered for the read-coalescing planner's sibling scan.
         context.live_buffers.append(buffer)
         return buffer
@@ -295,7 +305,8 @@ class DOpenCLAPI:
         buffer.retain()
 
     def clReleaseMemObject(self, buffer: BufferStub) -> None:
-        """Drop a reference; the last one defers the remote releases."""
+        """Drop a reference; the last one defers the remote releases to
+        the copies' holders."""
         if buffer.refcount == 1:
             # Real OpenCL's enqueued read retains the mem object until it
             # completes; here the pending deferred fetch must run before
@@ -312,9 +323,8 @@ class DOpenCLAPI:
             context.live_buffers = [
                 b for b in context.live_buffers if not b.released
             ]
-            self.driver.fanout_deferred(
-                buffer.context.unique_servers,
-                lambda conn: P.ReleaseBufferRequest(buffer_id=buffer.id),
+            self.driver.fanout_holders(
+                buffer, context, lambda conn: P.ReleaseBufferRequest(buffer_id=buffer.id)
             )
 
     def clEnqueueWriteBuffer(
@@ -379,7 +389,7 @@ class DOpenCLAPI:
             event_id=event.id,
             offset=0,
             nbytes=buffer.size,
-            wait_event_ids=self.driver.daemon_wait_ids(wait_for),
+            wait_event_ids=self.driver.daemon_wait_ids(queue.server, wait_for),
             replica_servers=self.driver.replica_broadcast_targets(event),
         )
         if whole:
@@ -392,6 +402,7 @@ class DOpenCLAPI:
         try:
             # Ordered + zero-copy: flushes the window, then streams the
             # ndarray itself (no tobytes() materialisation).
+            self.driver.precede(queue.server, [buffer])
             self.driver.send_bulk([queue.server], lambda c: init, payload, buffer.size)
         except BaseException:
             if undo is not None:
@@ -827,6 +838,7 @@ class DOpenCLAPI:
             self._check_servers(program.context)
             program.retain()
         else:
+            kernel.holders = {name: {} for name in program.context.server_names}
             self.driver.fanout(
                 program.context.unique_servers,
                 lambda conn: P.CreateKernelRequest(kernel_id=kernel.id, program_id=program.id, name=name),
@@ -896,14 +908,10 @@ class DOpenCLAPI:
         the pipeline to the kernel's holders only, then its program's)."""
         kernel.release()
         if kernel.refcount <= 0:
-            batching = self.driver.batching_enabled
-            if batching:
-                self._check_servers(kernel.context)
-            self.driver.fanout_deferred(
-                [c for c in kernel.context.unique_servers if not batching or c.name in kernel.bound],
-                lambda conn: P.ReleaseKernelRequest(kernel_id=kernel.id),
+            self.driver.fanout_holders(
+                kernel, kernel.context, lambda conn: P.ReleaseKernelRequest(kernel_id=kernel.id)
             )
-            if batching and kernel.refcount == 0:
+            if self.driver.batching_enabled and kernel.refcount == 0:
                 self.clReleaseProgram(kernel.program)
 
     def _check_servers(self, context: ContextStub) -> None:
@@ -984,11 +992,16 @@ class DOpenCLAPI:
         # buffers whose access history shows a stable producer->consumer
         # edge ask the daemon to stream the replica at completion.
         push_hints = self.driver.plan_push_hints(written_buffers, server.name)
-        # On the pipeline the launch carries what its daemon lacks: the
-        # kernel's creation, and the argument values not bound there yet.
+        # On the pipeline the launch carries what its daemon lacks (the
+        # residency record, :class:`~repro.core.client.stubs.Resident`):
+        # the kernel's creation and the argument values not bound there
+        # yet; its buffer arguments and the replicas of the events it
+        # waits on are created there first, in the window ahead of it.
         create, entries = kernel.ship_to(server.name) if self.driver.batching_enabled else (False, [])
         self.driver.stats.kernels_created_on_launch += create
         self.driver.stats.folded_kernel_args += len(entries)
+        wait_ids = self.driver.daemon_wait_ids(server, wait_for)
+        self.driver.precede(server, kernel.buffer_args())
         self.driver.defer(
             server,
             P.EnqueueKernelRequest(
@@ -998,7 +1011,7 @@ class DOpenCLAPI:
                 global_size=[int(g) for g in global_size],
                 local_size=[int(v) for v in local_size] if local_size else [],
                 global_offset=[int(v) for v in global_offset] if global_offset else [],
-                wait_event_ids=self.driver.daemon_wait_ids(wait_for),
+                wait_event_ids=wait_ids,
                 replica_servers=self.driver.replica_broadcast_targets(event),
                 push_hints=push_hints,
                 args=entries or None,
@@ -1054,20 +1067,23 @@ class DOpenCLAPI:
             )
 
     def clCreateUserEvent(self, context: ContextStub) -> UserEventStub:
-        """User event with replicas on every server of the context."""
+        """User event with replicas on every server of the context
+        (reference path) or where commands wait on it (pipeline)."""
         self._tick()
         return self.driver.new_user_event_stub(context)
 
     def clSetUserEventStatus(self, event: UserEventStub, status: int) -> None:
-        """Complete a user event: the status fan-out rides the send
-        windows and the stub resolves immediately client-side."""
+        """Complete a user event: the status goes to its replicas' holders
+        through the send windows and the stub resolves immediately
+        client-side."""
         t = self._tick()
         if not isinstance(event, UserEventStub):
             raise CLError(ErrorCode.CL_INVALID_EVENT, "not a user event")
         if event.resolved:
             raise CLError(ErrorCode.CL_INVALID_OPERATION, "user event status already set")
-        self.driver.fanout_deferred(
-            event.context.unique_servers,
+        self.driver.fanout_holders(
+            event,
+            event.context,
             lambda conn: P.SetUserEventStatusRequest(event_id=event.id, status=status),
         )
         event.mark_complete(t, self.clock.now)

@@ -641,22 +641,70 @@ class DOpenCLDriver:
         return stub
 
     def daemon_wait_ids(
-        self, wait_for: Optional[Sequence[EventStub]]
+        self, conn: ServerConnection, wait_for: Optional[Sequence[EventStub]]
     ) -> List[int]:
-        """The wait-list ids a daemon-bound command may gate on.  A
+        """The wait-list ids a command bound for ``conn`` may gate on.  A
         pending deferred-read event in the list is client-local — no
         daemon registered it, so shipping its id would gate the command
         on an event that can never resolve daemon-side.  It is a true
         dependency (the command must run after the read completes), so
         the read resolves here and the id is dropped from the shipped
-        list."""
+        list.
+
+        On the pipeline the list follows the residency rule: an event
+        already resolved at the client gates nothing and is dropped; one
+        that ``conn`` neither owns nor holds a replica of gets its replica
+        created in ``conn``'s window ahead of the command (the reference
+        path replicated every event on every server at its creation)."""
         ids: List[int] = []
         for ev in wait_for or ():
             if ev.id in self._local_event_ids:
                 self.resolve_deferred_reads([ev.id])  # no-op once resolved
-            else:
-                ids.append(ev.id)
+                continue
+            if self.batching_enabled and ev.resolved:
+                continue
+            if ev.owner_server != conn.name and ev.place(conn.name, self._broadcast_to(ev, conn.name)):
+                # writes=(): a replica *receives* the completion (via
+                # relay or broadcast) rather than producing it, so it
+                # must not appear as the event's producer in the window
+                # graph.
+                self.defer(
+                    conn,
+                    P.CreateUserEventRequest(event_id=ev.id, context_id=ev.context.id),
+                    writes=(),
+                )
+            ids.append(ev.id)
         return ids
+
+    def precede(self, conn: ServerConnection, buffers: Iterable[BufferStub]) -> None:
+        """Window the creation of every buffer ``conn`` lacks ahead of the
+        command about to join its window, or about to be sent after the
+        window's flush (the residency rule for every command naming
+        buffers but a coherence upload, which carries the creations)."""
+        for buffer in buffers:
+            if buffer.place(conn.name):
+                self.defer(conn, self.buffer_creation(buffer))
+
+    @staticmethod
+    def buffer_creation(buffer: BufferStub) -> P.CreateBufferRequest:
+        """The request creating ``buffer``'s copy on a server."""
+        return P.CreateBufferRequest(
+            buffer_id=buffer.id,
+            context_id=buffer.context.id,
+            flags=buffer.remote_flags,
+            size=buffer.size,
+        )
+
+    def fanout_holders(self, obj, context: ContextStub, make_msg) -> None:
+        """Forward a deferrable command about ``obj`` to the servers
+        holding it (every context server on the reference path), failing
+        on a lost context server as a fan-out to all of them would."""
+        servers = context.unique_servers
+        if self.batching_enabled:
+            for conn in servers:
+                self.transport.check_usable(conn)
+            servers = [c for c in servers if c.name in obj.holders]
+        self.fanout_deferred(servers, make_msg)
 
     def record_deferred_read(
         self,
@@ -1022,22 +1070,20 @@ class DOpenCLDriver:
                 return
             stub.mark_complete(msg.completed_at, arrival)
             # With the Section III-F extension the owning daemon already
-            # broadcast the status to its peers — skip the client relay.
+            # broadcast the status to the replicas its command named.
             owner = self._connections.get(stub.owner_server) if stub.owner_server else None
-            if owner is not None and getattr(owner.daemon, "direct_event_broadcast", False):
-                return
-            if self.batching_enabled and not stub.has_replicas:
-                # No server holds a user-event replica of this event
-                # (transfer/read events are client-local): a relay would
-                # only earn an error Ack from every daemon.  Skip it.
-                self.stats.relays_suppressed += 1
-                return
-            # Replicate the status to the user-event replicas on all other
-            # servers of the context.
-            for conn in stub.context.unique_servers:
-                if conn.name == stub.owner_server or not conn.connected:
-                    continue
-                if self.batching_enabled:
+            direct = owner is not None and getattr(owner.daemon, "direct_event_broadcast", False)
+            if self.batching_enabled:
+                targets = [name for name, heard in stub.holders.items() if not heard]
+                if not targets and not direct:
+                    # No server holds a replica the broadcast misses (no
+                    # command waited cross-server; transfer/read events
+                    # are client-local): nothing to relay.
+                    self.stats.relays_suppressed += 1
+                for name in targets:
+                    conn = self._connections[name]
+                    if not conn.connected:
+                        continue
                     # The relay joins the replica server's send window:
                     # no round trip now, and program order puts it after
                     # the replica's (possibly still windowed)
@@ -1063,9 +1109,14 @@ class DOpenCLDriver:
                         writes=(),
                     )
                     self.stats.relays_deferred += 1
+                return
+            if direct:
+                return
+            # Reference path: one synchronous request per other server of
+            # the context (each replica's creation already round-tripped).
+            for conn in stub.context.unique_servers:
+                if conn.name == stub.owner_server or not conn.connected:
                     continue
-                # Reference path: one synchronous request per replica
-                # server (its replica's creation already round-tripped).
                 self.transport.post(
                     conn,
                     P.SetUserEventStatusRequest(event_id=msg.event_id, status=CL_COMPLETE),
@@ -1090,9 +1141,11 @@ class DOpenCLDriver:
         self.flush_for_handles([stub.id])
 
     def new_event_stub(self, context: ContextStub, owner_server: Optional[str], command_type: int) -> EventStub:
-        """Create an event stub and its user-event replicas on every
-        non-owning server of the context.  Replica creation is deferred
-        into the send windows (it is enqueue-class traffic)."""
+        """Create an event stub for a command on ``owner_server``.  The
+        reference path creates its user-event replicas on every other
+        server of the context; the pipeline creates a replica where a
+        command waits on the event (:meth:`daemon_wait_ids`) and checks
+        those servers as the fan-out would."""
         stub = self.register_event(
             EventStub(context, self.new_id(), owner_server, command_type), self.flush_for_event
         )
@@ -1108,52 +1161,64 @@ class DOpenCLDriver:
                 f"daemon {owner.name!r} died: {owner.dead_reason}",
             )
         replicas = [c for c in context.unique_servers if c.name != owner_server and c.connected]
-        if replicas:
-            stub.has_replicas = True
-            stub.replica_servers = tuple(c.name for c in replicas)
-            # writes=(): a replica *receives* the completion (via relay)
-            # rather than producing it, so it must not appear as the
-            # event's producer in the window graph.
-            self.fanout_deferred(
-                replicas,
-                lambda conn: P.CreateUserEventRequest(event_id=stub.id, context_id=context.id),
-                writes=(),
-            )
+        self._replicate(stub, replicas)
         return stub
+
+    def _replicate(self, stub: EventStub, servers: Sequence[ServerConnection]) -> None:
+        """The reference path's user-event replicas of ``stub`` on every
+        one of ``servers``; on the pipeline only the fan-out's check that
+        each is usable."""
+        if self.batching_enabled:
+            for conn in servers:
+                self.transport.check_usable(conn)
+            return
+        for conn in servers:
+            stub.place(conn.name)
+        self.fanout_deferred(
+            servers,
+            lambda conn: P.CreateUserEventRequest(event_id=stub.id, context_id=stub.context.id),
+        )
+
+    def _broadcast_to(self, stub: EventStub, name: str) -> bool:
+        """Whether the owner's direct broadcast will reach a replica of
+        ``stub`` created on ``name`` now: the owner broadcasts (Section
+        III-F) and the producing launch is still windowed, so ``name``
+        joins the ``replica_servers`` it carries."""
+        conn = self._connections.get(stub.owner_server) if stub.owner_server else None
+        if conn is None or not getattr(conn.daemon, "direct_event_broadcast", False):
+            return False
+        for cmd in conn.window.writer_index().get(stub.id, ()):
+            if isinstance(cmd.msg, P.EnqueueKernelRequest):
+                cmd.msg.replica_servers = [*cmd.msg.replica_servers, name]
+                return True
+        return False
 
     def replica_broadcast_targets(self, stub: EventStub) -> List[str]:
         """The peer-daemon names a direct-broadcasting owner should push
         ``stub``'s completion to — exactly the servers holding its
-        user-event replicas (recorded on the stub when the replicas were
-        created), or empty when the owner does not broadcast (Section
-        III-F) or the event has no replicas.  Carried on the
-        launch/upload message so the daemon never blankets peers outside
-        the event's context (which would waste s2s transfers and clog
-        the status-before-create buffers with entries no replica will
-        ever consume)."""
-        if stub.owner_server is None or not stub.has_replicas:
+        user-event replicas when the command is built, or empty when the
+        owner does not broadcast (Section III-F) or the event has no
+        replicas.  Carried on the launch/upload message so the daemon
+        never blankets peers outside the event's context (which would
+        waste s2s transfers and clog the status-before-create buffers
+        with entries no replica will ever consume)."""
+        if stub.owner_server is None or not stub.holders:
             return []
         conn = self._connections.get(stub.owner_server)
         if conn is None or not getattr(conn.daemon, "direct_event_broadcast", False):
             return []
         return [
             name
-            for name in stub.replica_servers
+            for name in stub.holders
             if name in self._connections and self._connections[name].connected
         ]
 
     def new_user_event_stub(self, context: ContextStub) -> UserEventStub:
-        """``clCreateUserEvent``: a user-event stub with replicas on every
-        server of the context (deferred, enqueue-class traffic)."""
+        """``clCreateUserEvent``: a user-event stub, with replicas on
+        every server of the context on the reference path and, on the
+        pipeline, where commands wait on it (:meth:`daemon_wait_ids`)."""
         stub = self.register_event(UserEventStub(context, self.new_id()), self.flush_for_event)
-        if context.unique_servers:
-            stub.has_replicas = True
-            stub.replica_servers = tuple(c.name for c in context.unique_servers)
-            self.fanout_deferred(
-                context.unique_servers,
-                lambda conn: P.CreateUserEventRequest(event_id=stub.id, context_id=context.id),
-                writes=(),
-            )
+        self._replicate(stub, context.unique_servers)
         return stub
 
     # ------------------------------------------------------------------
@@ -1443,16 +1508,23 @@ class DOpenCLDriver:
             self._new_transfer_event(buffer.context, dst_name).id for buffer in buffers
         ]
         sizes = [b.size for b in buffers]
+        # The init carries the creation of every copy ``dst_name`` lacks
+        # (its flags, else None), so a first upload costs no flush; the
+        # copies count as held once the upload succeeded.
+        create_flags = [None if dst_name in b.holders else b.remote_flags for b in buffers]
         init = P.CoalescedBufferUpload(
             queue_id=queue.id,
             buffer_ids=[b.id for b in buffers],
             event_ids=event_ids,
             nbytes_list=sizes,
+            create_flags=None if create_flags == [None] * len(buffers) else create_flags,
         )
         if len(buffers) > 1:
             self.stats.coalesced_uploads += 1
             self.stats.coalesced_upload_sections += len(buffers)
         self.send_bulk([conn], lambda c: init, [b.data for b in buffers], sum(sizes))
+        for buffer in buffers:
+            buffer.place(dst_name)
 
     def _fetch_bulk_prefixed(self, conn: ServerConnection, make_request, seen):
         """Stream-based download that flushes only ``conn``'s window
@@ -1556,6 +1628,11 @@ class DOpenCLDriver:
         for buffer in buffers:
             handles.extend(self.buffer_sync_handles(buffer))
         self.flush_for_handles(handles, raise_errors=False)
+        # The destination copies are created first, in its window, ahead
+        # of the commits and of the copies' arrival (the flush below).
+        dst = self._connections.get(dst_name)
+        if dst is not None and dst.connected and not dst.dead:
+            self.precede(dst, buffers)
         # Sections already staged at the destination by a current-epoch
         # push commit via their deferred PushCommit and drop out (see
         # :meth:`_apply_peer_push`); push-off leaves the group whole.
@@ -1567,7 +1644,6 @@ class DOpenCLDriver:
         src = self.connection(src_name)
         # The destination's window may hold commands that must precede
         # the incoming copies (buffer-state order is per-daemon).
-        dst = self._connections.get(dst_name)
         if dst is not None and dst.connected:
             self.flush_connection(dst)
         if len(buffers) > 1:

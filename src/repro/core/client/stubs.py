@@ -24,6 +24,8 @@ from repro.net.codec import encode
 from repro.ocl.constants import (
     CL_COMMAND_USER,
     CL_COMPLETE,
+    CL_MEM_COPY_HOST_PTR,
+    CL_MEM_USE_HOST_PTR,
     CL_QUEUED,
     CL_QUEUE_OUT_OF_ORDER_EXEC_MODE_ENABLE,
     ErrorCode,
@@ -160,7 +162,29 @@ class QueueStub:
         return f"<QueueStub #{self.id} on {self.server.name!r}>"
 
 
-class BufferStub:
+class Resident:
+    """The residency record every compound stub shares: which servers
+    hold the object, and in what state (``holders``: server name ->
+    state — a kernel's bound argument encodings, whether an event
+    replica hears of the completion from the owner's broadcast).
+
+    The reference path creates a compound object on every server of its
+    context and records them all.  On the pipeline an object exists only
+    where a command used it: :meth:`place` decides whether a command
+    bound for a server must carry, or be preceded by, its creation."""
+
+    holders: Dict[str, object]
+
+    def place(self, server: str, state: object = None) -> bool:
+        """Record ``server`` as holding the object; True when it did not
+        (the command bound there creates it first)."""
+        if server in self.holders:
+            return False
+        self.holders[server] = state
+        return True
+
+
+class BufferStub(Resident):
     """Compound stub with coherence state (Section III-D).
 
     Holds the client's copy of the data plus the MSI/MOSI directory over
@@ -202,8 +226,15 @@ class BufferStub:
         #: initial zeros — nothing has written the buffer anywhere, so no
         #: data movement can be needed to validate a copy.
         self.pristine = True
+        self.holders = {}
         self.refcount = 1
         self.released = False
+
+    @property
+    def remote_flags(self) -> int:
+        """The flags a server copy is created with: a plain allocation
+        (host data reaches servers through coherence uploads)."""
+        return self.flags & ~(CL_MEM_COPY_HOST_PTR | CL_MEM_USE_HOST_PTR)
 
     def check_range(self, offset: int, nbytes: int) -> None:
         """Validate a host access range against the buffer, raising
@@ -298,10 +329,11 @@ class ProgramStub:
         return f"<ProgramStub #{self.id} status={self.build_status}>"
 
 
-class KernelStub:
+class KernelStub(Resident):
     """Compound stub: argument metadata cached client-side from the
     build reply, argument values as set.  On the pipeline a daemon gets
-    the kernel and each value from the first launch there that needs it."""
+    the kernel and each value from the first launch there that needs it;
+    a holder's state is ``{index: wire encoding}`` of the values bound there."""
 
     def __init__(
         self,
@@ -325,8 +357,7 @@ class KernelStub:
         self.args_set: List[bool] = [False] * num_args
         self.wire: List[object] = [None] * num_args  #: each value as a launch entry carries it
         self.encoded: List[bytes] = [b""] * num_args  #: each ``wire`` value's encoding
-        #: Server name -> ``{index: wire encoding}`` bound there, for each daemon holding the kernel.
-        self.bound: Dict[str, Dict[int, bytes]] = {}
+        self.holders = {}
         self.refcount = 1
 
     def buffer_args(self) -> List[BufferStub]:
@@ -344,8 +375,8 @@ class KernelStub:
         whether it creates the kernel, and the ``[index, value]`` entries
         the daemon has not bound.  Values compare by wire encoding (``1``,
         ``1.0``, ``True``, ``0.0``, ``-0.0`` differ); a NaN always re-ships."""
-        create = server not in self.bound
-        held = self.bound.setdefault(server, {})
+        create = self.place(server, {})
+        held = self.holders[server]
         entries = [
             [i, v]
             for i, (v, e) in enumerate(zip(self.wire, self.encoded))
@@ -366,13 +397,17 @@ class KernelStub:
         return f"<KernelStub #{self.id} {self.name!r}>"
 
 
-class EventStub:
+class EventStub(Resident):
     """Client-side handle for a remote event.
 
-    The *original* event lives on ``owner_server``; every other server of
-    the context got a user-event replica with the same ID.  When the
-    daemon's completion callback arrives, the client records the arrival
-    time and replicates the status (Section III-D).
+    The *original* event lives on ``owner_server``; the servers in
+    ``holders`` got a user-event replica with the same ID — every other
+    server of the context on the reference path, on the pipeline the
+    servers where a command waited on the unresolved event.  A holder's
+    state is True when the owner's direct broadcast (Section III-F)
+    reaches it.  When the daemon's completion callback arrives, the
+    client records the arrival time and relays the status to the other
+    holders (Section III-D).
 
     With asynchronous batched forwarding the command that produces this
     event may still sit in a send window; the driver attaches a *flush
@@ -389,16 +424,7 @@ class EventStub:
         self.completion_arrival: Optional[float] = None
         #: Completion time on the owning server (from the notification).
         self.completed_at: Optional[float] = None
-        #: True when user-event replicas of this event were created on
-        #: other servers (so a completion must be relayed to them); the
-        #: driver sets it.  Events without replicas — internal transfer
-        #: and read events — need (and get) no relay traffic.
-        self.has_replicas = False
-        #: Names of the servers the driver created those replicas on
-        #: (set alongside ``has_replicas``) — the single source for the
-        #: Section III-F direct-broadcast target list, so it can never
-        #: drift from where the replicas actually live.
-        self.replica_servers: tuple = ()
+        self.holders = {}
         #: IDs of the events this event's producing command waits on
         #: (its wait list), recorded at enqueue time.  The window
         #: graph's closure walk follows these even after the producer
@@ -416,6 +442,11 @@ class EventStub:
         #: error instead of the generic deadlock diagnostic.
         self.poisoned: Optional[tuple] = None
         self.refcount = 1
+
+    @property
+    def replica_servers(self) -> tuple:
+        """The servers holding a user-event replica of this event."""
+        return tuple(self.holders)
 
     def attach_flush_hook(self, hook) -> None:
         """Install the driver's flush-on-wait callable."""
@@ -468,7 +499,8 @@ class EventStub:
 
 
 class UserEventStub(EventStub):
-    """``clCreateUserEvent`` through dOpenCL: replicas on all servers."""
+    """``clCreateUserEvent`` through dOpenCL: every copy is a replica —
+    on all servers (reference path), or where commands wait on it."""
 
     def __init__(self, context: ContextStub, stub_id: int) -> None:
         super().__init__(context, stub_id, owner_server=None, command_type=CL_COMMAND_USER)

@@ -526,6 +526,7 @@ class Daemon:
             if type(sub) is P.EnqueueKernelRequest:
                 failure = run_carried(sub, sender.name)
                 if failure is not None:
+                    self.registry.name(sender.name, P.request_handles(sub)[0])
                     return failure
             released = P.released_handle(sub)
             if released is not None and self.registry.unpoison(sender.name, released):
@@ -758,9 +759,23 @@ class Daemon:
                         ErrorCode.CL_INVALID_VALUE,
                         "coalesced upload needs aligned, non-empty section lists",
                     )
-                self._queue(sender.name, msg.queue_id)
+                queue = self._queue(sender.name, msg.queue_id)
+                client = sender.name
+                for buffer_id, nbytes, flags in zip(
+                    msg.buffer_ids, msg.nbytes_list, msg.create_flags or ()
+                ):
+                    if flags is None or self.registry.peek(client, buffer_id) is not None:
+                        continue  # held (a replayed init creates nothing twice)
+                    if self.registry.poison_info(client, (buffer_id,)) is not None:
+                        continue  # the lookup below re-raises the first failure
+                    try:
+                        self._admit_object(client)
+                        self.registry.put(client, buffer_id, Buffer(queue.context, flags, nbytes))
+                    except CLError as exc:
+                        self.registry.poison(client, (buffer_id,), exc.code.value, exc.message)
+                        raise
                 for buffer_id in msg.buffer_ids:
-                    self.registry.get(sender.name, buffer_id, Buffer)
+                    self.registry.get(client, buffer_id, Buffer)
                 return P.BufferDataResponse(nbytes=sum(msg.nbytes_list)), t
             except CLError as exc:
                 return P.BufferDataResponse(error=exc.code.value, detail=exc.message), t

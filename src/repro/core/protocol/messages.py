@@ -302,12 +302,17 @@ class CoalescedBufferUpload(Request):
     (whole-object uploads, so offsets are always zero); the daemon
     enqueues one write per section, in order, on ``queue_id`` and
     registers each section's (replica-less, internal) event.
+
+    ``create_flags[i]``, when not ``None``, creates section ``i``'s copy
+    first (in the queue's context, with these flags), so the pipeline's
+    first upload of a copy needs no window flush of its own.
     """
 
     queue_id: int
     buffer_ids: List[int]
     event_ids: List[int]
     nbytes_list: List[int]
+    create_flags: List[int] = None
 
 
 @message_type(replay_safe="a fresh request (fresh transfer-event IDs) is built per attempt")

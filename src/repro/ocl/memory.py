@@ -20,6 +20,20 @@ from repro.ocl.errors import CLError, require
 _ACCESS_FLAGS = CL_MEM_READ_WRITE | CL_MEM_READ_ONLY | CL_MEM_WRITE_ONLY
 
 
+def check_buffer_args(flags: int, size: int, max_alloc: int) -> None:
+    """``clCreateBuffer``'s checks that need no device memory: a positive
+    size within ``CL_DEVICE_MAX_MEM_ALLOC_SIZE``, one access mode."""
+    require(size > 0, ErrorCode.CL_INVALID_BUFFER_SIZE, f"size must be positive, got {size}")
+    access = flags & _ACCESS_FLAGS
+    if access not in (0, CL_MEM_READ_WRITE, CL_MEM_READ_ONLY, CL_MEM_WRITE_ONLY):
+        raise CLError(ErrorCode.CL_INVALID_VALUE, "conflicting access flags")
+    require(
+        size <= max_alloc,
+        ErrorCode.CL_INVALID_BUFFER_SIZE,
+        f"size {size} exceeds CL_DEVICE_MAX_MEM_ALLOC_SIZE ({max_alloc})",
+    )
+
+
 class Buffer:
     """``clCreateBuffer`` result: ``size`` bytes of device memory.
 
@@ -34,16 +48,7 @@ class Buffer:
         size: int,
         host_data: Optional[np.ndarray] = None,
     ) -> None:
-        require(size > 0, ErrorCode.CL_INVALID_BUFFER_SIZE, f"size must be positive, got {size}")
-        access = flags & _ACCESS_FLAGS
-        if access not in (0, CL_MEM_READ_WRITE, CL_MEM_READ_ONLY, CL_MEM_WRITE_ONLY):
-            raise CLError(ErrorCode.CL_INVALID_VALUE, "conflicting access flags")
-        max_alloc = min(d.hw.spec.max_alloc for d in context.devices)
-        require(
-            size <= max_alloc,
-            ErrorCode.CL_INVALID_BUFFER_SIZE,
-            f"size {size} exceeds CL_DEVICE_MAX_MEM_ALLOC_SIZE ({max_alloc})",
-        )
+        check_buffer_args(flags, size, min(d.hw.spec.max_alloc for d in context.devices))
         if flags & (CL_MEM_COPY_HOST_PTR | CL_MEM_USE_HOST_PTR):
             require(
                 host_data is not None,

@@ -452,14 +452,20 @@ def test_unresolved_producers_are_not_gang_fetched():
 
 
 def test_poisoned_producer_surfaces_through_the_coalesced_read():
-    """A creation failure poisoning a sibling's producer surfaces as
-    CLError *at the coalesced read* (the read's drain is a sync point),
-    before any gang directory state mutates — not silently after stale
-    bytes were applied."""
+    """A creation failure poisoning a producer ahead of the read's in
+    the daemon's window surfaces as CLError *at the coalesced read* (the
+    read's drain is a sync point), before any gang directory state
+    mutates — not silently after stale bytes were applied."""
+    from repro.core.daemon.admission import AdmissionPolicy
     from repro.ocl import CLError
-    from repro.ocl.constants import CL_MEM_READ_WRITE as RW
 
-    deployment = deploy_dopencl(make_ib_cpu_cluster(2))
+    # The daemon holds the context, queue and program: at quota, so the
+    # first buffer copy it is asked to create fails there (the client
+    # cannot know), the provisional ID poisons, and the fill writing the
+    # bad buffer is skipped with the creation's error.
+    deployment = deploy_dopencl(
+        make_ib_cpu_cluster(2), admission=AdmissionPolicy(max_objects_per_client=3)
+    )
     api = deployment.api
     devices = api.clGetDeviceIDs(api.clGetPlatformIDs()[0])
     ctx = api.clCreateContext(devices)
@@ -468,11 +474,8 @@ def test_poisoned_producer_surfaces_through_the_coalesced_read():
     program = api.clCreateProgramWithSource(ctx, FILL)
     api.clBuildProgram(program)
     good = api.clCreateBuffer(ctx, CL_MEM_WRITE_ONLY, 4 * n)
-    # Conflicting access flags pass the client checks but fail
-    # daemon-side: the provisional ID poisons, and the fill writing the
-    # bad buffer is skipped with the creation's error.
-    bad = api.clCreateBuffer(ctx, RW | CL_MEM_WRITE_ONLY, 4 * n)
-    for buf, base in ((good, 2.0), (bad, 8.0)):
+    bad = api.clCreateBuffer(ctx, CL_MEM_WRITE_ONLY, 4 * n)
+    for buf, base in ((bad, 8.0), (good, 2.0)):
         fill = api.clCreateKernel(program, "fill")
         api.clSetKernelArg(fill, 0, buf)
         api.clSetKernelArg(fill, 1, np.float32(base))

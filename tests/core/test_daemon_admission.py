@@ -18,6 +18,7 @@ All limits are per client, so one tenant hitting its bound never
 consumes a sibling's budget.
 """
 
+import numpy as np
 import pytest
 
 from repro.core.daemon import AdmissionControl, AdmissionPolicy, Daemon
@@ -178,9 +179,10 @@ def test_quota_rejection_composes_with_deferred_creation_poisoning():
     device = cl.clGetDeviceIDs(cl.clGetPlatformIDs()[0])[0]
     ctx = cl.clCreateContext([device])
     queue = cl.clCreateCommandQueue(ctx, device)  # 2 objects: at quota
-    buf = cl.clCreateBuffer(ctx, CL_MEM_READ_WRITE, 64)  # over quota, deferred
+    buf = cl.clCreateBuffer(ctx, CL_MEM_READ_WRITE, 64)  # nothing sent yet
     with pytest.raises(CLError) as err:
-        cl.clEnqueueReadBuffer(queue, buf)
+        # The write's flush carries the (over-quota) creation of its copy.
+        cl.clEnqueueWriteBuffer(queue, buf, True, 0, np.zeros(16, dtype=np.float32))
     assert err.value.code == ErrorCode.CL_OUT_OF_RESOURCES
     assert deployment.daemons[0].gcf.stats.quota_rejections >= 1
 

@@ -1,10 +1,12 @@
 """Deferred creation calls (handle promises): error surfacing.
 
 Satellite coverage for the fully deferred creation pipeline: a failing
-``clCreateBuffer`` (device memory exhausted) queued behind other work
+buffer allocation (device memory exhausted) queued behind other work
 must raise ``CLError`` at the next sync point *identifying the failing
 call*, and must poison its provisional ID daemon-side so dependent
-commands are answered with the original error without executing.
+commands are answered with the original error without executing.  On
+the pipeline a buffer's copy is allocated where a command first uses
+it, so each test launches on the buffers it means to allocate.
 """
 
 import numpy as np
@@ -43,9 +45,23 @@ def _gpu_context():
     return deployment, api, ctx, queue, program, kernel, daemon
 
 
-def _exhaust_device(api, ctx, chunk=1 << 30):
-    """Fill the GPU's 4 GB with four max_alloc buffers (all deferred)."""
-    return [api.clCreateBuffer(ctx, CL_MEM_READ_WRITE, chunk) for _ in range(4)]
+def _exhaust_device(api, ctx, queue, program, chunk=1 << 30):
+    """Fill the GPU's 4 GB with four max_alloc buffers (all deferred):
+    a launch on each allocates its copy (with a kernel of its own, so
+    the caller's kernel keeps its bindings)."""
+    buffers = [api.clCreateBuffer(ctx, CL_MEM_WRITE_ONLY, chunk) for _ in range(4)]
+    kernel = api.clCreateKernel(program, "scale")
+    for buf in buffers:
+        _launch_on(api, queue, kernel, buf)
+    return buffers
+
+
+def _launch_on(api, queue, kernel, buf):
+    """A 4-item ``scale`` launch on ``buf``: the command that first uses it."""
+    api.clSetKernelArg(kernel, 0, buf)
+    api.clSetKernelArg(kernel, 1, np.float32(2.0))
+    api.clSetKernelArg(kernel, 2, 4)
+    return api.clEnqueueNDRangeKernel(queue, kernel, (4,))
 
 
 def test_stubs_usable_before_any_round_trip():
@@ -65,14 +81,16 @@ def test_stubs_usable_before_any_round_trip():
     assert driver.pending_commands() == 0
     daemon = deployment.daemon_on(devices[0].server.name)
     assert daemon.registry.peek(driver.gcf.name, ctx.id) is not None
-    assert daemon.registry.peek(driver.gcf.name, buf.id) is not None
+    # No command used the buffer, so no server holds a copy of it yet.
+    assert daemon.registry.peek(driver.gcf.name, buf.id) is None
 
 
 def test_failed_creation_surfaces_at_sync_point_naming_the_call():
     deployment, api, ctx, queue, program, kernel, daemon = _gpu_context()
-    _kept = _exhaust_device(api, ctx)
-    bad = api.clCreateBuffer(ctx, CL_MEM_READ_WRITE, 1 << 30)  # 5th: no room
+    _kept = _exhaust_device(api, ctx, queue, program)
+    bad = api.clCreateBuffer(ctx, CL_MEM_WRITE_ONLY, 1 << 30)  # 5th: no room
     assert bad.id > 0  # the stub itself is a valid promise
+    _launch_on(api, queue, kernel, bad)  # its copy is allocated here
     with pytest.raises(CLError) as err:
         api.clFinish(queue)
     assert err.value.code == ErrorCode.CL_MEM_OBJECT_ALLOCATION_FAILURE
@@ -87,7 +105,7 @@ def test_failed_creation_poisons_dependents_without_executing_them():
     executes on the daemon."""
     deployment, api, ctx, queue, program, kernel, daemon = _gpu_context()
     driver = deployment.driver
-    _kept = _exhaust_device(api, ctx)
+    _kept = _exhaust_device(api, ctx, queue, program)
     bad = api.clCreateBuffer(ctx, CL_MEM_WRITE_ONLY, 1 << 30)  # fails remotely
     api.clSetKernelArg(kernel, 0, bad)  # direct dependent (reads bad.id)
     api.clSetKernelArg(kernel, 1, np.float32(2.0))
@@ -131,7 +149,7 @@ def test_skipped_arg_update_poisons_the_kernel_not_just_the_launch():
     api.clSetKernelArg(kernel, 2, n)
     api.clEnqueueNDRangeKernel(queue, kernel, (n,))
     api.clFinish(queue)  # daemon kernel now bound to `good`, scaled once
-    _kept = _exhaust_device(api, ctx, chunk=(1 << 30) - good_data.nbytes)
+    _kept = _exhaust_device(api, ctx, queue, program, chunk=(1 << 30) - good_data.nbytes)
     bad = api.clCreateBuffer(ctx, CL_MEM_WRITE_ONLY, 1 << 30)  # fails remotely
     api.clSetKernelArg(kernel, 0, bad)  # skipped -> kernel poisoned
     api.clEnqueueNDRangeKernel(queue, kernel, (n,))  # must NOT run stale-bound
@@ -152,8 +170,9 @@ def test_releasing_a_failed_creation_clears_the_poison():
     every later sync point, forever."""
     deployment, api, ctx, queue, program, kernel, daemon = _gpu_context()
     driver = deployment.driver
-    _kept = _exhaust_device(api, ctx)
-    bad = api.clCreateBuffer(ctx, CL_MEM_READ_WRITE, 1 << 30)
+    _kept = _exhaust_device(api, ctx, queue, program)
+    bad = api.clCreateBuffer(ctx, CL_MEM_WRITE_ONLY, 1 << 30)
+    _launch_on(api, queue, kernel, bad)
     with pytest.raises(CLError):
         api.clFinish(queue)  # the creation failure surfaces once
     api.clReleaseMemObject(bad)  # cleanup: must not resurrect the error
@@ -163,12 +182,14 @@ def test_releasing_a_failed_creation_clears_the_poison():
 
 def test_blocking_read_of_failed_creation_surfaces_the_error():
     """A blocking read is a data-consuming sync point: the buffer's
-    still-windowed creation is in its dependency closure, so a failed
-    allocation surfaces at the read — the app can never consume bogus
-    zeros from a buffer that never materialised."""
+    still-windowed creation (ahead of the launch that needed it) is in
+    its dependency closure, so a failed allocation surfaces at the read
+    — the app can never consume bogus zeros from a buffer that never
+    materialised."""
     deployment, api, ctx, queue, program, kernel, daemon = _gpu_context()
-    _kept = _exhaust_device(api, ctx)
-    bad = api.clCreateBuffer(ctx, CL_MEM_READ_WRITE, 1 << 30)  # fails remotely
+    _kept = _exhaust_device(api, ctx, queue, program)
+    bad = api.clCreateBuffer(ctx, CL_MEM_WRITE_ONLY, 1 << 30)  # fails remotely
+    _launch_on(api, queue, kernel, bad)
     with pytest.raises(CLError) as err:
         api.clEnqueueReadBuffer(queue, bad)
     assert err.value.code == ErrorCode.CL_MEM_OBJECT_ALLOCATION_FAILURE
@@ -179,8 +200,9 @@ def test_poisoned_id_rejects_synchronous_streams_with_original_error():
     """Even the synchronous paths (a bulk-stream init) attribute work on
     a poisoned ID to the creation failure that caused it."""
     deployment, api, ctx, queue, program, kernel, daemon = _gpu_context()
-    _kept = _exhaust_device(api, ctx)
-    bad = api.clCreateBuffer(ctx, CL_MEM_READ_WRITE, 1 << 30)
+    _kept = _exhaust_device(api, ctx, queue, program)
+    bad = api.clCreateBuffer(ctx, CL_MEM_WRITE_ONLY, 1 << 30)
+    _launch_on(api, queue, kernel, bad)
     with pytest.raises(CLError):
         api.clFinish(queue)  # surfaces (and clears) the stashed failure
     with pytest.raises(CLError) as err:
@@ -191,8 +213,9 @@ def test_poisoned_id_rejects_synchronous_streams_with_original_error():
 
 def test_deployment_stays_usable_after_creation_failure():
     deployment, api, ctx, queue, program, kernel, daemon = _gpu_context()
-    kept = _exhaust_device(api, ctx)
-    api.clCreateBuffer(ctx, CL_MEM_READ_WRITE, 1 << 30)
+    kept = _exhaust_device(api, ctx, queue, program)
+    bad = api.clCreateBuffer(ctx, CL_MEM_WRITE_ONLY, 1 << 30)
+    _launch_on(api, queue, api.clCreateKernel(program, "scale"), bad)
     with pytest.raises(CLError):
         api.clFinish(queue)
     api.clReleaseMemObject(kept.pop())  # free a slot

@@ -15,6 +15,7 @@ from repro.ocl import (
     CL_MEM_COPY_HOST_PTR,
     CL_MEM_READ_ONLY,
     CL_MEM_READ_WRITE,
+    CL_MEM_WRITE_ONLY,
     CLError,
     ErrorCode,
 )
@@ -227,17 +228,20 @@ def test_events_wait_across_network(deployment):
 
 
 def test_event_replicas_created_on_other_servers(deployment):
-    """Section III-D: an event's user-event replica exists on every other
-    server of the context, and completes when the original does."""
+    """Section III-D: an event's user-event replica exists on the other
+    server of the context where a command waits on it, and completes
+    when the original does."""
     api = deployment.api
     driver = deployment.driver
     platform = api.clGetPlatformIDs()[0]
     devices = api.clGetDeviceIDs(platform, CL_DEVICE_TYPE_ALL)
     ctx = api.clCreateContext(devices[:2])
     q0 = api.clCreateCommandQueue(ctx, devices[0])
+    q1 = api.clCreateCommandQueue(ctx, devices[1])
     n = 32
     x = np.ones(n, dtype=np.float32)
     buf = api.clCreateBuffer(ctx, CL_MEM_READ_WRITE | CL_MEM_COPY_HOST_PTR, x.nbytes, x)
+    out = api.clCreateBuffer(ctx, CL_MEM_WRITE_ONLY, x.nbytes)
     program = api.clCreateProgramWithSource(ctx, SCALE)
     api.clBuildProgram(program)
     kernel = api.clCreateKernel(program, "scale")
@@ -245,8 +249,13 @@ def test_event_replicas_created_on_other_servers(deployment):
     api.clSetKernelArg(kernel, 1, np.float32(2.0))
     api.clSetKernelArg(kernel, 2, n)
     ev = api.clEnqueueNDRangeKernel(q0, kernel, (n,))
-    # Forwarding is asynchronous: the enqueue (and the replica creation)
-    # sit in send windows until a synchronization point.
+    waiter = api.clCreateKernel(program, "scale")
+    for index, value in enumerate((out, np.float32(1.0), n)):
+        api.clSetKernelArg(waiter, index, value)
+    api.clEnqueueNDRangeKernel(q1, waiter, (n,), wait_for=[ev])
+    # Forwarding is asynchronous: the enqueues (and the replica creation
+    # ahead of the waiter) sit in send windows until a synchronization
+    # point.
     api.clFinish(q0)
     other_server = devices[1].server.name
     daemon = deployment.daemon_on(other_server)
@@ -407,4 +416,5 @@ def test_release_retain_and_event_query_surface(batch_window):
         cl.clCreateBuffer(ctx, CL_MEM_READ_WRITE, 64)
         cl.clFinish(other)
     assert err.value.code == ErrorCode.CL_INVALID_CONTEXT
+    deployment.driver.flush_all()  # the pipeline raised at the call: drain the releases
     assert all(d.registry.peek(client, ctx.id) is None for d in deployment.daemons)

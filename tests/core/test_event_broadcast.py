@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.hw.cluster import make_ib_cpu_cluster
-from repro.ocl import CL_MEM_COPY_HOST_PTR, CL_MEM_READ_WRITE
+from repro.ocl import CL_MEM_COPY_HOST_PTR, CL_MEM_READ_WRITE, CL_MEM_WRITE_ONLY
 from repro.ocl.event import UserEvent
 from repro.testbed import deploy_dopencl
 
@@ -34,6 +34,15 @@ def run_kernel_on_two_server_context(direct: bool):
     api.clSetKernelArg(kernel, 1, np.float32(2.0))
     api.clSetKernelArg(kernel, 2, n)
     event = api.clEnqueueNDRangeKernel(queue, kernel, (n,))
+    # A command on the other server waits on the event: its replica is
+    # created there (while the launch is windowed, so a broadcasting
+    # owner names it in the launch's replica_servers).
+    out = api.clCreateBuffer(ctx, CL_MEM_WRITE_ONLY, x.nbytes)
+    waiter = api.clCreateKernel(program, "scale")
+    for index, value in enumerate((out, np.float32(1.0), n)):
+        api.clSetKernelArg(waiter, index, value)
+    other = api.clCreateCommandQueue(ctx, devices[1])
+    api.clEnqueueNDRangeKernel(other, waiter, (n,), wait_for=[event])
     # Synchronize: forwarding is batched/asynchronous, and the wait is
     # dependency-tracked — it drains only the owner's window.  The
     # full drain afterwards pushes the replica bookkeeping (and any

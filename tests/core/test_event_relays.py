@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.protocol import messages as P
 from repro.hw.cluster import make_ib_cpu_cluster
-from repro.ocl import CL_MEM_COPY_HOST_PTR, CL_MEM_READ_WRITE, CLError
+from repro.ocl import CL_MEM_COPY_HOST_PTR, CL_MEM_READ_WRITE, CL_MEM_WRITE_ONLY, CLError
 from repro.ocl.event import UserEvent
 from repro.testbed import deploy_dopencl
 
@@ -43,12 +43,27 @@ def _prepared(n_servers=2, **kwargs):
     return deployment, api, devices, ctx, queue, buf, kernel, n
 
 
+def _wait_elsewhere(api, ctx, devices, kernel, event, n):
+    """A launch waiting on ``event`` on every other server of the
+    context, while the event is unresolved: on the pipeline that is what
+    creates its replicas there (ahead of each waiter in its window)."""
+    for dev in devices[1:]:
+        out = api.clCreateBuffer(ctx, CL_MEM_WRITE_ONLY, 4 * n)
+        waiter = api.clCreateKernel(kernel.program, "scale")
+        for index, value in enumerate((out, np.float32(1.0), n)):
+            api.clSetKernelArg(waiter, index, value)
+        api.clEnqueueNDRangeKernel(
+            api.clCreateCommandQueue(ctx, dev), waiter, (n,), wait_for=[event]
+        )
+
+
 def test_relays_ride_windows_not_round_trips():
     """No synchronous request is issued per replica server: the relay
     traffic shows up in the deferred counters and the batch tally."""
     deployment, api, devices, ctx, queue, buf, kernel, n = _prepared(n_servers=3)
     driver = deployment.driver
     event = api.clEnqueueNDRangeKernel(queue, kernel, (n,))
+    _wait_elsewhere(api, ctx, devices, kernel, event, n)
     requests_before = driver.stats.requests
     api.clWaitForEvents([event])  # completion arrives + relays drain here
     assert driver.stats.relays_deferred >= 2  # one per replica server
@@ -66,6 +81,7 @@ def test_wait_leaves_unrelated_windows_and_finish_drains_them():
     deployment, api, devices, ctx, queue, buf, kernel, n = _prepared(n_servers=3)
     driver = deployment.driver
     event = api.clEnqueueNDRangeKernel(queue, kernel, (n,))
+    _wait_elsewhere(api, ctx, devices, kernel, event, n)
     api.clWaitForEvents([event])
     assert driver.pending_commands(devices[0].server.name) == 0
     # The replica windows kept their traffic (creates + deferred relay).
@@ -84,6 +100,7 @@ def test_relayed_completion_respects_causality():
     relay is dispatched non-blockingly in virtual time."""
     deployment, api, devices, ctx, queue, buf, kernel, n = _prepared(n_servers=3)
     event = api.clEnqueueNDRangeKernel(queue, kernel, (n,))
+    _wait_elsewhere(api, ctx, devices, kernel, event, n)
     api.clWaitForEvents([event])
     deployment.driver.flush_all()  # deliver the windowed creates + relays
     for dev in devices[1:]:
@@ -103,6 +120,7 @@ def test_deferred_relay_never_races_windowed_replica_create():
     driver = deployment.driver
     other = devices[1].server
     event = api.clEnqueueNDRangeKernel(queue, kernel, (n,))
+    _wait_elsewhere(api, ctx, devices, kernel, event, n)
     # Flush ONLY the owner: the kernel runs, the completion notification
     # arrives, and the relay is deferred to the other server's window —
     # which still holds this event's CreateUserEventRequest.
@@ -134,6 +152,7 @@ def test_direct_broadcast_before_windowed_replica_create_is_buffered():
         daemon.direct_event_broadcast = True
     driver = deployment.driver
     event = api.clEnqueueNDRangeKernel(queue, kernel, (n,))
+    _wait_elsewhere(api, ctx, devices, kernel, event, n)
     # The replica create for the other server is still windowed here;
     # flushing only the owner dispatches the launch, whose completion the
     # owner daemon broadcasts directly to its peers.
@@ -193,20 +212,21 @@ def test_overflow_relays_cannot_overtake_swapped_out_batches():
     reach the daemon before the swapped-out batch holding its replica's
     CreateUserEventRequest.
 
-    Construction (batch_window=4, 2 servers): three user-event-gated
-    kernels whose replica creates already flushed, plus a fourth whose
-    create is still windowed next to the status fan-out.  Completing the
-    user event resolves all four kernels during the *first* batch of the
-    finish's flush, deferring four relays into the second server's fresh
-    window — exactly the overflow threshold."""
+    Construction (batch_window=4, 2 servers): four user-event-gated
+    kernels, each waited on from the second server — the earlier
+    waiters' replica creates already flushed by window overflow, the
+    last one's still windowed.  Completing the user event resolves all
+    four kernels during the *first* batch of the finish's flush,
+    deferring four relays into the second server's fresh window —
+    exactly the overflow threshold."""
     deployment, api, devices, ctx, queue, buf, kernel, n = _prepared(batch_window=4)
     driver = deployment.driver
     driver.flush_all()
     gate = api.clCreateUserEvent(ctx)
-    events = [
-        api.clEnqueueNDRangeKernel(queue, kernel, (n,), wait_for=[gate])
-        for _ in range(4)
-    ]
+    events = []
+    for _ in range(4):
+        events.append(api.clEnqueueNDRangeKernel(queue, kernel, (n,), wait_for=[gate]))
+        _wait_elsewhere(api, ctx, devices, kernel, events[-1], n)
     api.clSetUserEventStatus(gate, 0)
     api.clFinish(queue)  # must not surface a spurious "no such object"
     assert driver.pending_commands() == 0

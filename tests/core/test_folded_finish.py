@@ -139,9 +139,10 @@ def test_three_pass_cross_server_chain_folds_without_a_deadlock_error(monkeypatc
 
     monkeypatch.setattr(driver.gcf, "request_batch", spy)
     api.clFinish(q1)
-    # Passes: {S1 + Finish, S2}, {S2: e1's relay}, {S1: e2's relay + Finish};
-    # a Finish of its own would be a fifth round trip.
-    assert driver.stats.round_trips - before["round_trips"] == 4
+    # Passes: {S1 + Finish, S2 with e1's relay}, {S1: e2's relay + Finish}
+    # (no command waits on the last launch, so nothing relays back to
+    # S2); a Finish of its own would be a fourth round trip.
+    assert driver.stats.round_trips - before["round_trips"] == 3
     assert driver.stats.folded_finishes - before["folded_finishes"] == 1
     (early,), last = folded
     assert early.error and early.detail.startswith("deadlock: ")

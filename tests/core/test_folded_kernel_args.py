@@ -169,8 +169,16 @@ def _set_scale(api, kernel, buf, factor):
 
 
 def _exhaust_device(rig):
-    """Fill the GPU's 4 GB with four max_alloc buffers (all deferred)."""
-    return [rig.api.clCreateBuffer(rig.ctx, CL_MEM_READ_WRITE, 1 << 30) for _ in range(4)]
+    """Fill the GPU's 4 GB with four max_alloc buffers, settled: a copy
+    is allocated where a launch first uses it (here a kernel of its own)."""
+    api, kernel = rig.api, rig.api.clCreateKernel(rig.program, "scale")
+    chunk = (1 << 30) - 4096  # room for the test's own small buffers
+    buffers = [api.clCreateBuffer(rig.ctx, CL_MEM_WRITE_ONLY, chunk) for _ in range(4)]
+    for buf in buffers:
+        _set_scale(api, kernel, buf, 1.0)
+        api.clEnqueueNDRangeKernel(rig.queues[0], kernel, (4,))
+    api.clFinish(rig.queues[0])
+    return buffers
 
 
 # ----------------------------------------------------------------------
@@ -552,7 +560,7 @@ def test_a_lost_daemon_fails_kernel_calls_with_the_daemon_loss_error():
     for daemon in rig.deployment.daemons:
         injector.register_crash_hook(daemon.host.name, daemon.crash)
     calls = [
-        lambda: (api.clCreateUserEvent(rig.ctx), api.clFinish(q1)),  # the loss surfaces
+        lambda: (api.clFlush(q1), api.clFinish(q1)),  # the loss surfaces
         lambda: api.clEnqueueNDRangeKernel(q1, kernel, (N,)),
         lambda: api.clCreateKernel(rig.program, "scale"),
         lambda: api.clSetKernelArg(kernel, 1, np.float32(3.0)),
@@ -631,9 +639,11 @@ def _tenant_rounds(rounds):
 def test_a_tenant_round_is_a_batch_of_two_sub_commands():
     """The launch carrying its kernel's creation and three entries, and
     the Finish: a round trip per tenant and round, where a creation and
-    three updates sent as commands of their own would make it six."""
+    three updates sent as commands of their own would make it six.  The
+    first round also creates each tenant's buffer, ahead of its first
+    launch."""
     deployment, sizes = _tenant_rounds(2)
-    assert sizes == [2] * 6
+    assert sizes == [3] * 3 + [2] * 3
     text = cachestat_text(deployment)
     for driver in deployment.drivers:
         stats = driver.stats

@@ -9,6 +9,7 @@ from repro.ocl import (
     CL_DEVICE_TYPE_GPU,
     CL_MEM_COPY_HOST_PTR,
     CL_MEM_READ_WRITE,
+    CL_MEM_WRITE_ONLY,
     CLError,
     ErrorCode,
 )
@@ -68,38 +69,53 @@ def test_context_with_unavailable_device_rejected():
 
 
 def test_remote_device_memory_exhaustion():
-    """Buffer creation is a deferred handle promise: the allocation
-    failure surfaces as CLError at the next sync point, naming the
-    failed creation."""
+    """Buffer creation is a deferred handle promise, and a copy is
+    allocated where a command first uses it: the allocation failure
+    surfaces as CLError at the next sync point, naming the failed
+    creation."""
     deployment = deploy_dopencl(make_desktop_and_gpu_server())
     api = deployment.api
     driver = deployment.driver
     gpus = api.clGetDeviceIDs(api.clGetPlatformIDs()[0], CL_DEVICE_TYPE_GPU)
     ctx = api.clCreateContext(gpus[:1])
+    queue = api.clCreateCommandQueue(ctx, gpus[0])
+    program = api.clCreateProgramWithSource(ctx, SCALE)
+    api.clBuildProgram(program)
+
+    def allocate(size):
+        """A buffer plus the (4-item) launch that allocates its copy."""
+        buf = api.clCreateBuffer(ctx, CL_MEM_WRITE_ONLY, size)
+        kernel = api.clCreateKernel(program, "scale")
+        for index, value in enumerate((buf, np.float32(2.0), 4)):
+            api.clSetKernelArg(kernel, index, value)
+        api.clEnqueueNDRangeKernel(queue, kernel, (4,))
+        return buf
+
     chunk = 1 << 30  # the Tesla's max_alloc (4 GB global / 4)
-    kept = [api.clCreateBuffer(ctx, CL_MEM_READ_WRITE, chunk) for _ in range(4)]
+    kept = [allocate(chunk) for _ in range(4)]
     with pytest.raises(CLError) as err:
-        api.clCreateBuffer(ctx, CL_MEM_READ_WRITE, chunk)
+        allocate(chunk)
         driver.flush_all()  # the sync point where the failure lands
     assert err.value.code == ErrorCode.CL_MEM_OBJECT_ALLOCATION_FAILURE
     assert "CreateBufferRequest" in err.value.message
     # Releasing one frees the device memory for a new allocation.
     api.clReleaseMemObject(kept.pop())
-    buf = api.clCreateBuffer(ctx, CL_MEM_READ_WRITE, chunk)
+    buf = allocate(chunk)
     driver.flush_all()  # release + create replay in program order: ok
     assert buf.size == chunk
 
 
 def test_oversized_buffer_rejected_remotely():
+    """A size over the remote devices' ``CL_DEVICE_MAX_MEM_ALLOC_SIZE``
+    (shipped to the client at connect) is rejected at the call."""
     deployment = deploy_dopencl(make_desktop_and_gpu_server())
     api = deployment.api
     gpus = api.clGetDeviceIDs(api.clGetPlatformIDs()[0], CL_DEVICE_TYPE_GPU)
     ctx = api.clCreateContext(gpus[:1])
-    api.clCreateBuffer(ctx, CL_MEM_READ_WRITE, (1 << 30) + 1)  # promise, no raise
     with pytest.raises(CLError) as err:
-        deployment.driver.flush_all()  # the deferred rejection lands here
+        api.clCreateBuffer(ctx, CL_MEM_READ_WRITE, (1 << 30) + 1)
     assert err.value.code == ErrorCode.CL_INVALID_BUFFER_SIZE
-    assert "CreateBufferRequest" in err.value.message
+    assert "MAX_MEM_ALLOC_SIZE" in err.value.message
 
 
 def test_kernel_runtime_fault_surfaces_with_cl_code():
