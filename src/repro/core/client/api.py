@@ -290,7 +290,7 @@ class DOpenCLAPI:
                 size,
                 min(int(d.get_info("MAX_MEM_ALLOC_SIZE")) for d in context.devices),
             )
-            self._check_servers(context)
+            self.driver.check_servers(context.unique_servers)
         else:
             buffer.holders = dict.fromkeys(context.server_names)
             self.driver.forward_creation(
@@ -835,7 +835,7 @@ class DOpenCLAPI:
             writable_buffer_args=list(meta.get("writable_buffer_args") or []),
         )
         if self.driver.batching_enabled:
-            self._check_servers(program.context)
+            self.driver.check_servers(program.context.unique_servers)
             program.retain()
         else:
             kernel.holders = {name: {} for name in program.context.server_names}
@@ -895,7 +895,7 @@ class DOpenCLAPI:
         update = P.SetKernelArgRequest(kernel_id=kernel.id, index=index, **msg_kwargs)
         kernel.set_wire(index, update.arg)
         if self.driver.batching_enabled:
-            self._check_servers(kernel.context)
+            self.driver.check_servers(kernel.context.unique_servers)
         else:
             self.driver.fanout_deferred(kernel.context.unique_servers, lambda conn: update)
 
@@ -913,11 +913,6 @@ class DOpenCLAPI:
             )
             if self.driver.batching_enabled and kernel.refcount == 0:
                 self.clReleaseProgram(kernel.program)
-
-    def _check_servers(self, context: ContextStub) -> None:
-        """Fail on a lost daemon as a fan-out to ``context`` would."""
-        for conn in context.unique_servers:
-            self.driver.transport.check_usable(conn)
 
     def clEnqueueNDRangeKernel(
         self,

@@ -663,7 +663,8 @@ class DOpenCLDriver:
                 continue
             if self.batching_enabled and ev.resolved:
                 continue
-            if ev.owner_server != conn.name and ev.place(conn.name, self._broadcast_to(ev, conn.name)):
+            if ev.owner_server != conn.name and conn.name not in ev.holders:
+                ev.place(conn.name, self._broadcast_to(ev, conn.name))
                 # writes=(): a replica *receives* the completion (via
                 # relay or broadcast) rather than producing it, so it
                 # must not appear as the event's producer in the window
@@ -695,14 +696,18 @@ class DOpenCLDriver:
             size=buffer.size,
         )
 
+    def check_servers(self, servers: Iterable[ServerConnection]) -> None:
+        """Fail on a lost server as a fan-out to ``servers`` would."""
+        for conn in servers:
+            self.transport.check_usable(conn)
+
     def fanout_holders(self, obj, context: ContextStub, make_msg) -> None:
         """Forward a deferrable command about ``obj`` to the servers
         holding it (every context server on the reference path), failing
         on a lost context server as a fan-out to all of them would."""
         servers = context.unique_servers
         if self.batching_enabled:
-            for conn in servers:
-                self.transport.check_usable(conn)
+            self.check_servers(servers)
             servers = [c for c in servers if c.name in obj.holders]
         self.fanout_deferred(servers, make_msg)
 
@@ -1013,21 +1018,14 @@ class DOpenCLDriver:
                 pass
         return msgs
 
-    def fanout_deferred(
-        self,
-        servers: Sequence[ServerConnection],
-        make_msg,
-        reads: Optional[Iterable[int]] = None,
-        writes: Optional[Iterable[int]] = None,
-    ) -> None:
+    def fanout_deferred(self, servers: Sequence[ServerConnection], make_msg) -> None:
         """Replicate a deferrable command by appending it to every
         target server's send window (no round trips here; outcomes settle
-        at the next flush).  ``reads``/``writes`` override the window
-        graph annotation of every replica (see :meth:`defer`)."""
+        at the next flush)."""
         if not servers:
             return
         for conn, msg in zip(servers, self._replicated(servers, make_msg)):
-            self.defer(conn, msg, reads=reads, writes=writes)
+            self.defer(conn, msg)
 
     def forward_creation(self, servers: Sequence[ServerConnection], make_msg) -> None:
         """Forward a creation call as a *handle promise*: the stub's
@@ -1169,8 +1167,7 @@ class DOpenCLDriver:
         one of ``servers``; on the pipeline only the fan-out's check that
         each is usable."""
         if self.batching_enabled:
-            for conn in servers:
-                self.transport.check_usable(conn)
+            self.check_servers(servers)
             return
         for conn in servers:
             stub.place(conn.name)

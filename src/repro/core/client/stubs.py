@@ -443,11 +443,6 @@ class EventStub(Resident):
         self.poisoned: Optional[tuple] = None
         self.refcount = 1
 
-    @property
-    def replica_servers(self) -> tuple:
-        """The servers holding a user-event replica of this event."""
-        return tuple(self.holders)
-
     def attach_flush_hook(self, hook) -> None:
         """Install the driver's flush-on-wait callable."""
         self._flush_hook = hook

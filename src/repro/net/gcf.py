@@ -347,12 +347,9 @@ class NetStats:
 
     def count_command(self, name: str, nbytes: int) -> None:
         """Add one batched sub-command of class ``name`` to the census."""
-        entry = self.commands.get(name)
-        if entry is None:
-            self.commands[name] = [1, nbytes]
-        else:
-            entry[0] += 1
-            entry[1] += nbytes
+        entry = self.commands.setdefault(name, [0, 0])
+        entry[0] += 1
+        entry[1] += nbytes
 
     @property
     def round_trips(self) -> int:

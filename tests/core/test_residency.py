@@ -112,7 +112,7 @@ def test_a_waiter_creates_the_replica_of_an_unresolved_event_ahead_of_it():
                   if isinstance(m, P.EnqueueKernelRequest) and m.event_id == w.id]
         assert len(creates) == 1 and creates[0] < launch[0]
         assert window[launch[0]].wait_event_ids == [e.id]
-        assert e.replica_servers == (q1.server.name,)
+        assert list(e.holders) == [q1.server.name]
         seen["event"] = e
 
     got = _cross_queue_program(api, q0, q1, ctx, program, before_finish=inspect)
@@ -124,6 +124,24 @@ def test_a_waiter_creates_the_replica_of_an_unresolved_event_ahead_of_it():
     assert isinstance(replica, UserEvent) and replica.resolved
     assert replica.end >= e.completed_at
     assert _user_events(deployment) == {q0.server.name: 0, q1.server.name: 1}
+
+
+def test_a_broadcasting_owner_names_each_replica_holder_once():
+    """With the Section III-F direct broadcast, a replica created while
+    the producing launch is still windowed joins that launch's
+    ``replica_servers`` once, however many commands there wait on it,
+    and the broadcast replaces the client relay."""
+    deployment, api, ctx, (q0, q1), program = _rig()
+    for daemon in deployment.daemons:
+        daemon.direct_event_broadcast = True
+    e = _launch(api, program, q0, _buffer(api, ctx, 3.0), 2.0)
+    for value in (4.0, 5.0):
+        _launch(api, program, q1, _buffer(api, ctx, value), 2.0, wait_for=[e])
+    (launch,) = [m for m in _windowed(deployment, q0, P.EnqueueKernelRequest) if m.event_id == e.id]
+    assert launch.replica_servers == [q1.server.name]
+    api.clFinish(q1)
+    assert _user_events(deployment) == {q0.server.name: 0, q1.server.name: 1}
+    assert deployment.driver.stats.relays_deferred == 0
 
 
 def test_a_waiter_on_a_resolved_event_ships_nothing():
