@@ -16,14 +16,15 @@ extension where servers synchronise "by exchanging their data directly",
 adding the Owned state.
 
 With fully deferred creation calls the buffer IDs a plan's transfers
-target are *provisional* (handle promises): the ``CreateBufferRequest``
-registering the server-side copy may still sit in that daemon's send
-window when the plan is made.  Execution stays sound because every
-transfer is a bulk stream or synchronous request, and those flush the
-destination daemon's window first — per-daemon program order lands the
-creation before the stream init that references it.  A failed creation
-poisons the ID daemon-side, so the stream init reports the original
-allocation error rather than a bare unknown-ID failure.
+target are *provisional* (handle promises): the server-side copy may not
+exist yet when the plan is made.  Execution stays sound because every
+transfer is a bulk stream or synchronous request: a coherence upload
+carries the creation of a copy its destination lacks, and the other
+transfers flush the destination daemon's window first — per-daemon
+program order lands a windowed creation before the stream init that
+references it.  A failed creation poisons the ID daemon-side, so the
+stream init reports the original allocation error rather than a bare
+unknown-ID failure.
 
 Invariants (property-tested):
 
