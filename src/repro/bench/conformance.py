@@ -1044,13 +1044,14 @@ def fault_plan(schedule: str) -> FaultPlan:
         "sever-permanent": [
             FaultAction("sever", nth=2, tag="CommandBatch", heal_after=None)
         ],
-        "drop-request": [FaultAction("drop", nth=1, tag="FinishRequest")],
+        "drop-request": [FaultAction("drop", nth=1, tag="CoalescedBufferDownload")],
         "sever-push": [FaultAction("sever", nth=1, tag="s2s-push", heal_after=1)],
         "sever-fetch": [
             FaultAction(
                 "sever", nth=1, tag="bulk:CoalescedBufferDownload", heal_after=1
             )
         ],
+        "drop-section": [FaultAction("drop", nth=1, tag="bulk:BufferDataUpload")],
     }[schedule]
     return FaultPlan(actions=actions, max_transfers=FAULT_WATCHDOG_TRANSFERS)
 
@@ -1105,17 +1106,37 @@ def deferred_read_fault_spec(seed: int) -> Dict[str, object]:
     }
 
 
+def write_fault_spec(seed: int) -> Dict[str, object]:
+    """The program the ``drop-section`` schedule replays: the generated
+    program for ``seed`` with a non-blocking whole-buffer write appended
+    (its bytes drawn from ``seed``), so at least one host write streams
+    its payload as a section behind a batch.
+
+    The contract: dropping the first write section's leg fails the
+    batch that carries it before the daemon dispatches anything, the
+    retry policy replays the batch and re-streams the section, the
+    write applies exactly once, and every observable byte stays
+    identical to the fault-free run."""
+    spec = generate_program(seed)
+    rng = random.Random(seed)
+    data = [round(rng.uniform(-8.0, 8.0), 3) for _ in range(BUFFER_ELEMS)]
+    spec["ops"] = list(spec["ops"]) + [("write", 0, 0, False, 0, data)]
+    return spec
+
+
 #: Schedules that replay a *forced* program instead of the seed's
 #: generated one, kept out of the generic matrix (which asserts every
 #: schedule fires): a random program is not guaranteed to emit any
 #: ``s2s-push`` traffic (MSI protocol, or no producer->consumer loop
-#: drawn), and may resolve every deferred read off a staged push (no
-#: demand fetch at all).  ``schedule -> (spec builder, witness)``: the
+#: drawn), may resolve every deferred read off a staged push (no
+#: demand fetch at all), and may draw no host write (no section on the
+#: wire).  ``schedule -> (spec builder, witness)``: the
 #: cell is vacuous — and fails — unless the fault-free baseline moved
 #: the witness ``NetStats`` counter and the schedule fired.
 FORCED_PROGRAMS = {
     "sever-push": (push_fault_spec, "push_commits"),
     "sever-fetch": (deferred_read_fault_spec, "deferred_reads"),
+    "drop-section": (write_fault_spec, "bulk_sends"),
 }
 
 #: Every named schedule, in ``--faults`` matrix order.

@@ -10,8 +10,8 @@ Paper-parity limitations are honoured: images, samplers, buffer mapping
 and event profiling raise ``CL_INVALID_OPERATION`` (Section III-B lists
 them as unimplemented in dOpenCL).
 
-Enqueue-class calls (``clEnqueueNDRangeKernel``, releases, event status
-updates) **and creation calls** (``clCreateContext`` /
+Enqueue-class calls (``clEnqueueNDRangeKernel``, ``clEnqueueWriteBuffer``,
+releases, event status updates) **and creation calls** (``clCreateContext`` /
 ``clCreateCommandQueue`` / ``clCreateBuffer`` / ``clCreateProgramWithSource``;
 ``clCreateKernel`` and ``clSetKernelArg`` ride the launches that need them)
 are forwarded *asynchronously*: they join the driver's per-connection send windows and
@@ -97,7 +97,7 @@ class DOpenCLAPI:
         if queue.in_order and queue.last_event_id is not None:
             deps.append(queue.last_event_id)
         event.depends_on = tuple(deps)
-        queue.last_event_id = event.id
+        queue.last_event_id = queue.tail_event_id = event.id
 
     @property
     def now(self) -> float:
@@ -216,10 +216,12 @@ class DOpenCLAPI:
         """Synchronization point: every send window drains (commands on
         other servers may gate this queue through event wait lists), and
         the ``FinishRequest`` closes the drain's last batch to the
-        queue's daemon — one round trip, or the Finish's own when the
-        drain sends that daemon nothing (:meth:`DOpenCLDriver.finish`)."""
+        queue's daemon — one round trip.  When the drain sends that
+        daemon nothing, the Finish costs its own round trip, or none if
+        the client already holds the queue's last completion
+        (:meth:`DOpenCLDriver.finish`)."""
         self._tick()
-        self.driver.finish(queue.server, P.FinishRequest(queue_id=queue.id))
+        self.driver.finish(queue)
 
     def clFlush(self, queue: QueueStub) -> None:
         """Submission guarantee without blocking: everything enqueued on
@@ -336,8 +338,10 @@ class DOpenCLAPI:
         data: np.ndarray,
         wait_for: Optional[Sequence[EventStub]] = None,
     ) -> EventStub:
-        """Host-to-buffer write: stream the bytes to the queue's server
-        and mark that server's copy Modified (:meth:`_write_through`)."""
+        """Host-to-buffer write: send the bytes to the queue's server and
+        mark that server's copy Modified (:meth:`_write_through`).  On the
+        pipeline the write is windowed; a blocking one drains its event's
+        dependency closure and resumes at its completion."""
         t = self._tick()
         self._check_queue_buffer(queue, buffer)
         raw = np.ascontiguousarray(data).view(np.uint8).ravel()
@@ -348,7 +352,7 @@ class DOpenCLAPI:
         # observe the *pre-write* bytes — resolve it before the write
         # mutates anything.
         self.driver.resolve_deferred_reads([buffer.id] + [e.id for e in wait_for or ()])
-        event = self._write_through(queue, buffer, offset, raw, wait_for)
+        event = self._write_through(queue, buffer, offset, raw, wait_for, blocking)
         if blocking and event.resolved:
             self.clock.advance_to(event.completion_arrival)
         return event
@@ -360,15 +364,18 @@ class DOpenCLAPI:
         offset: int,
         raw: np.ndarray,
         wait_for: Optional[Sequence[EventStub]],
+        blocking: bool,
     ) -> EventStub:
         """The one host-write path (``clEnqueueWriteBuffer`` and the
-        client-mediated copy).  The protocol ships whole objects: a
-        write covering the buffer streams ``raw`` itself — the daemon
-        copies it into device memory before the upload returns — while a
-        partial write merges ``raw`` into a valid client copy
-        (read-modify-write) and streams that.  A failed upload puts the
-        merged range back, so every copy keeps its bytes and, since
-        ``note_host_write`` never ran, the directory its state."""
+        client-mediated copy; :meth:`DOpenCLDriver.enqueue_write`).  The
+        protocol ships whole objects: a write covering the buffer sends
+        ``raw`` itself — a blocking write streams it before the call
+        returns, a non-blocking one takes a copy — while a partial write
+        merges ``raw`` into a valid client copy (read-modify-write) and
+        sends that.  A write that failed before it landed puts the merged
+        range back, so every copy keeps its bytes and, since
+        ``note_host_write`` never ran, the directory its state; one that
+        landed before a failure surfaced is recorded like any other."""
         whole = offset == 0 and raw.size == buffer.size
         if not whole and not buffer.planner.is_valid("client"):
             buffer.planner.note_client_demand()
@@ -400,12 +407,11 @@ class DOpenCLAPI:
             buffer.write_host(offset, raw)
             payload = buffer.data
         try:
-            # Ordered + zero-copy: flushes the window, then streams the
-            # ndarray itself (no tobytes() materialisation).
-            self.driver.precede(queue.server, [buffer])
-            self.driver.send_bulk([queue.server], lambda c: init, payload, buffer.size)
+            self.driver.enqueue_write(queue, buffer, init, payload, blocking, wait_for)
         except BaseException:
-            if undo is not None:
+            if event.resolved:
+                self.driver.note_host_write(buffer, queue.server.name)
+            elif undo is not None:
                 buffer.data[offset : offset + raw.size] = undo
             raise
         # The application's host pointer is transient: after the upload the
@@ -562,7 +568,7 @@ class DOpenCLAPI:
         plan = src.planner.acquire_read("client")
         self.driver.run_transfer_plans([(src, plan)], queue)
         raw = src.data[src_offset : src_offset + nbytes]
-        return self._write_through(queue, dst, dst_offset, raw, wait_for)
+        return self._write_through(queue, dst, dst_offset, raw, wait_for, blocking=True)
 
     def _check_queue_buffer(self, queue: QueueStub, buffer: BufferStub) -> None:
         if not isinstance(buffer, BufferStub):
@@ -997,6 +1003,17 @@ class DOpenCLAPI:
         self.driver.stats.folded_kernel_args += len(entries)
         wait_ids = self.driver.daemon_wait_ids(server, wait_for)
         self.driver.precede(server, kernel.buffer_args())
+        # The kernel (may have) modified its writable buffer arguments:
+        # that server's copies become Modified, everything else Invalid.
+        # (Client-side directory state — updated eagerly, before the
+        # launch joins the window: a defer that overflows the window
+        # runs the kernel at once, and its push, staged meanwhile, must
+        # find the epoch this write creates.  The data effect happens
+        # when the window flushes, before anything re-reads it.)
+        for value in written_buffers:
+            self.driver.note_kernel_write(value, server.name)
+            value.pristine = False
+            value.last_write_event = event.id
         self.driver.defer(
             server,
             P.EnqueueKernelRequest(
@@ -1017,14 +1034,6 @@ class DOpenCLAPI:
             writes=[event.id] + [b.id for b in written_buffers],
             weight=1 + create + len(entries),
         )
-        # The kernel (may have) modified its writable buffer arguments:
-        # that server's copies become Modified, everything else Invalid.
-        # (Client-side directory state — updated eagerly; the data effect
-        # happens when the window flushes, before anything re-reads it.)
-        for value in written_buffers:
-            self.driver.note_kernel_write(value, server.name)
-            value.pristine = False
-            value.last_write_event = event.id
         return event
 
     # -- events -------------------------------------------------------------------------

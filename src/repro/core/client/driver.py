@@ -339,6 +339,7 @@ class DOpenCLDriver:
         reads: Optional[Iterable[int]] = None,
         writes: Optional[Iterable[int]] = None,
         weight: int = 1,
+        payload=None,
     ) -> None:
         """Append a deferrable command to ``conn``'s send window.
 
@@ -351,7 +352,8 @@ class DOpenCLDriver:
         richer knowledge (kernel launches and their buffer arguments,
         replica bookkeeping that produces nothing) pass explicit sets.
         ``weight``: the application calls the command stands for
-        (:class:`~repro.core.client.windows.WindowCommand`).
+        (:class:`~repro.core.client.windows.WindowCommand`); ``payload``:
+        the bytes a host write streams behind the batch carrying it.
 
         **Flush-point semantics** — the window the command joins drains
         (and any deferred daemon-side failure surfaces as ``CLError``) at
@@ -366,7 +368,8 @@ class DOpenCLDriver:
           queued;
         * any synchronous request or bulk stream to the same daemon
           (``roundtrip`` / ``fanout`` / ``send_bulk`` flush first,
-          preserving per-daemon program order);
+          preserving per-daemon program order); a host write is no
+          such stream — it is windowed itself (:meth:`enqueue_write`);
         * the window reaching ``batch_window`` application calls
           (:attr:`~repro.core.client.windows.SendWindow.calls`).
 
@@ -394,6 +397,7 @@ class DOpenCLDriver:
                 default_reads if reads is None else reads,
                 creates if writes is None else writes,
                 weight,
+                payload,
             )
         )
         if conn.window.calls >= self.batch_window and self.transport.dispatch_depth == 0:
@@ -482,13 +486,27 @@ class DOpenCLDriver:
         self.transport.surface_deferred_failure()
         return folded
 
-    def finish(self, conn: ServerConnection, msg: P.Request) -> None:
-        """``clFinish``: drain every window with ``msg`` closing each batch
-        to ``conn`` and block on the last one's reply (earlier ones, which
-        may report a deadlock a later relay resolved, are superseded).  If
-        the drain sent ``conn`` nothing, lost it, or left it more to send
-        (deferred reads), ``msg`` goes alone (:meth:`fanout`)."""
+    def finish(self, queue: QueueStub) -> None:
+        """``clFinish``: drain every window with the queue's
+        ``FinishRequest`` closing each batch to its daemon and block on
+        the last one's reply (earlier ones, which may report a deadlock a
+        later relay resolved, are superseded).  If the drain sent the
+        daemon nothing, the pipeline's Finish has nothing to learn when
+        the queue is in order and the event of its last command (the
+        driver's own transfers included, ``QueueStub.tail_event_id``)
+        already resolved here: the client resumes at that completion's
+        arrival, sending nothing (``local_finishes``).  Otherwise — or
+        if the drain lost the daemon or left it more to send (deferred
+        reads) — the Finish goes alone (:meth:`fanout`)."""
+        conn, msg = queue.server, P.FinishRequest(queue_id=queue.id)
         folded = self.flush_all((conn, msg))
+        if self.batching_enabled and folded is None and not conn.window and queue.in_order:
+            tail = self._events.get(queue.tail_event_id)
+            if tail is not None and tail.resolved:
+                self.transport.check_usable(conn)
+                self.stats.local_finishes += 1
+                self.clock.advance_to(tail.completion_arrival)
+                return
         if folded is None or conn.window or not conn.connected:
             self.fanout([conn], lambda c: msg)
             return
@@ -892,6 +910,39 @@ class DOpenCLDriver:
         self.flush_connections(servers)
         return self.transport.upload(servers, make_init, payload, nbytes)
 
+    def enqueue_write(
+        self,
+        queue: QueueStub,
+        buffer: BufferStub,
+        init: P.BufferDataUpload,
+        payload,
+        blocking: bool,
+        wait_for: Optional[Sequence[EventStub]],
+    ) -> None:
+        """Send a host write of ``payload`` into ``buffer``.  The reference
+        path streams it behind its own init exchange (:meth:`send_bulk`).
+        The pipeline windows ``init`` — after the buffer copy its daemon
+        lacks — like a launch, annotated as reading the queue, the buffer and the wait
+        list and writing its event and the buffer, and the payload
+        streams as a section behind the batch that carries it.  A
+        blocking write then drains its event's closure, so the
+        application's array has left before the call returns; a
+        non-blocking one takes its bytes now."""
+        conn = queue.server
+        if not self.batching_enabled:
+            self.send_bulk([conn], lambda c: init, payload, init.nbytes)
+            return
+        self.precede(conn, [buffer])
+        self.defer(
+            conn,
+            init,
+            reads=[queue.id, buffer.id, *(e.id for e in wait_for or ())],
+            writes=[init.event_id, buffer.id],
+            payload=payload if blocking else payload.copy(),
+        )
+        if blocking:
+            self.flush_for_handles([init.event_id])
+
     # ------------------------------------------------------------------
     # connection management (Section III-C + IV-B)
     #
@@ -1179,13 +1230,13 @@ class DOpenCLDriver:
     def _broadcast_to(self, stub: EventStub, name: str) -> bool:
         """Whether the owner's direct broadcast will reach a replica of
         ``stub`` created on ``name`` now: the owner broadcasts (Section
-        III-F) and the producing launch is still windowed, so ``name``
-        joins the ``replica_servers`` it carries."""
+        III-F) and the producing launch or write is still windowed, so
+        ``name`` joins the ``replica_servers`` it carries."""
         conn = self._connections.get(stub.owner_server) if stub.owner_server else None
         if conn is None or not getattr(conn.daemon, "direct_event_broadcast", False):
             return False
         for cmd in conn.window.writer_index().get(stub.id, ()):
-            if isinstance(cmd.msg, P.EnqueueKernelRequest):
+            if isinstance(cmd.msg, (P.EnqueueKernelRequest, P.BufferDataUpload)):
                 cmd.msg.replica_servers = [*cmd.msg.replica_servers, name]
                 return True
         return False
@@ -1520,6 +1571,7 @@ class DOpenCLDriver:
             self.stats.coalesced_uploads += 1
             self.stats.coalesced_upload_sections += len(buffers)
         self.send_bulk([conn], lambda c: init, [b.data for b in buffers], sum(sizes))
+        queue.tail_event_id = event_ids[-1]
         for buffer in buffers:
             buffer.place(dst_name)
 
@@ -1606,6 +1658,7 @@ class DOpenCLDriver:
                     f"download from {src_name!r} failed: {exc}"
                 )
             raise
+        queue.tail_event_id = attempt_stubs[-1].id
         sections = split_sections(fetched.payload, sizes)
         for buffer, data, stub in zip(remaining, sections, attempt_stubs):
             buffer.data[:] = data

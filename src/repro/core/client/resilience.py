@@ -321,7 +321,9 @@ class Transport:
 
         ``tail = (connection, closes_batch request)`` rides last in the
         batch to that connection, its reply no deferred failure; that
-        batch's outcome is returned (``None``: none was answered).
+        batch's outcome is returned (``None``: none was answered).  A
+        windowed host write's payload streams as a section behind its
+        batch (every attempt re-streams it).
 
         Without a policy a batch is identity-less (no replay fields on
         the wire); with one it carries the connection's ``(epoch, next
@@ -335,6 +337,11 @@ class Transport:
             for conn, commands in batches:
                 msgs = [c.msg for c in commands]
                 sent = msgs + [tail[1]] if tail is not None and conn is tail[0] else msgs
+                sections = {
+                    i: (c.payload, c.msg.nbytes)
+                    for i, c in enumerate(commands)
+                    if c.payload is not None
+                }
                 epoch, seq = 0, -1
                 if self.policy is not None:
                     epoch, seq = conn.epoch, conn.next_seq
@@ -345,7 +352,7 @@ class Transport:
                     if next(sends):
                         self.stats.replayed_batches += 1
                     return self.gcf.request_batch(
-                        conn.gcf, sent, self.clock.now, epoch=epoch, seq=seq
+                        conn.gcf, sent, self.clock.now, epoch=epoch, seq=seq, sections=sections
                     )
 
                 outcome = self.attempt(conn, send)

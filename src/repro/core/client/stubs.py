@@ -134,7 +134,9 @@ class QueueStub:
     command on this queue: for in-order queues every command implicitly
     depends on its predecessor, and recording the edge on the stubs
     keeps the window graph's dependency closure complete even after the
-    predecessor left its send window."""
+    predecessor left its send window.  ``tail_event_id`` is the event of
+    the last command its daemon queued — those plus the driver's own
+    coherence transfers on it: what a ``clFinish`` waits for."""
 
     def __init__(self, context: ContextStub, stub_id: int, device: RemoteDevice, properties: int) -> None:
         self.context = context
@@ -143,6 +145,7 @@ class QueueStub:
         self.server = device.server
         self.properties = properties
         self.last_event_id: Optional[int] = None
+        self.tail_event_id: Optional[int] = None
         self.refcount = 1
 
     @property

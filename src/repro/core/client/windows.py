@@ -65,17 +65,24 @@ class WindowCommand:
     completion the client already holds, so the graph never needs to
     chase either.  ``weight`` counts the application calls it stands
     for: a launch carrying its kernel's creation and ``k`` argument
-    entries weighs ``2 + k``."""
+    entries weighs ``2 + k``.  ``payload``: the bytes a host write
+    streams as a section behind the batch that carries it."""
 
-    __slots__ = ("msg", "reads", "writes", "weight")
+    __slots__ = ("msg", "reads", "writes", "weight", "payload")
 
     def __init__(
-        self, msg, reads: Iterable[int] = (), writes: Iterable[int] = (), weight: int = 1
+        self,
+        msg,
+        reads: Iterable[int] = (),
+        writes: Iterable[int] = (),
+        weight: int = 1,
+        payload=None,
     ) -> None:
         self.msg = msg
         self.reads: Tuple[int, ...] = tuple(reads)
         self.writes: Tuple[int, ...] = tuple(writes)
         self.weight = weight
+        self.payload = payload
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -724,13 +724,23 @@ class Daemon:
                 obj.release()
 
         @gcf.on_request(P.BufferDataUpload)
-        def upload_init(msg: P.BufferDataUpload, t: float, sender: GCFProcess):
+        def upload_init(msg: P.BufferDataUpload, t: float, sender: GCFProcess, section=None):
+            # The reference path's stream init only validates (the sink
+            # below runs when the stream lands); a batched write carries
+            # its ``section`` — the payload and its arrival — and applies
+            # it through the same sink, answering an Ack like any
+            # windowed command.
+            reply = P.BufferDataResponse if section is None else P.Ack
             try:
                 self.registry.get(sender.name, msg.buffer_id, Buffer)
                 self._queue(sender.name, msg.queue_id)
+                if section is not None:
+                    payload, arrival = section
+                    upload_sink(msg, payload, max(t, arrival), sender)
+                    return P.Ack(), t
                 return P.BufferDataResponse(nbytes=msg.nbytes), t
             except CLError as exc:
-                return P.BufferDataResponse(error=exc.code.value, detail=exc.message), t
+                return reply(error=exc.code.value, detail=exc.message), t
 
         @gcf.on_bulk_sink(P.BufferDataUpload)
         def upload_sink(msg: P.BufferDataUpload, payload, arrival: float, sender: GCFProcess):

@@ -268,24 +268,34 @@ class ReleaseBufferRequest(Request):
     buffer_id: int = releases()
 
 
-@message_type(replay_safe="init only validates; the whole-object write lands with the last leg")
+@message_type(deferrable=True)
 class BufferDataUpload(Request):
-    """Init message for an *application* write's client->server stream
-    (``clEnqueueWriteBuffer`` / the upload half of ``clEnqueueCopyBuffer``):
-    the one transfer that carries a wait list and a user-visible event.
-    Coherence transfers use the section-table messages below.
+    """An *application* write (``clEnqueueWriteBuffer`` / the upload half
+    of ``clEnqueueCopyBuffer``): the one transfer that carries a wait
+    list and a user-visible event.  Coherence transfers use the
+    section-table messages below.
+
+    On the pipeline the write is a windowed command like a launch: it
+    rides a ``CommandBatch`` and its ``nbytes`` stream as a *section*
+    behind the batch on the same link (``GCFProcess.request_batch``),
+    which the daemon's write sub-command applies at the section's
+    arrival, answering an :class:`Ack`.  The reference path
+    (``batch_window=0``) sends it as the init of its own bulk stream,
+    answered by a :class:`BufferDataResponse`.
 
     ``replica_servers`` names the peer daemons holding user-event
     replicas of ``event_id`` — set only when the receiving daemon runs
     the Section III-F direct broadcast, so it targets exactly the
     replica holders instead of blanketing every peer."""
 
-    buffer_id: int
-    queue_id: int
-    event_id: int
+    # Mutated: a skipped or failed write leaves the daemon's copy without
+    # the bytes the directory already credits it with.
+    buffer_id: int = mutates()
+    queue_id: int = reads()
+    event_id: int = creates()
     offset: int
     nbytes: int
-    wait_event_ids: List[int]
+    wait_event_ids: List[int] = reads()
     replica_servers: List[str] = None
 
 

@@ -89,9 +89,11 @@ class NetStats:
         cost bytes but no round trip.
     ``bulk_sends`` / ``bulk_fetches``
         Stream-based bulk transfers: uploads (init request + pushed
-        payload) and downloads (request + pulled payload).  A bulk
-        *fetch* blocks on the reply, so it counts as a round trip; a
-        bulk *send*'s init request is already counted in ``requests``.
+        payload, or a section streamed behind a batch) and downloads
+        (request + pulled payload).  A bulk *fetch* blocks on the reply,
+        so it counts as a round trip; a bulk *send*'s init request is
+        already counted in ``requests``, a section's batch in
+        ``batches``.
     ``bytes_sent`` / ``bytes_received``
         Wire bytes (message encodings incl. protocol headers, plus raw
         bulk payloads) this process put on / took off the network.
@@ -144,6 +146,10 @@ class NetStats:
         Client-side: ``clFinish`` calls answered by their drain's last
         batch to the queue's daemon, the ``FinishRequest`` riding as its
         last sub-command, instead of by a round trip of their own.
+    ``local_finishes``
+        Client-side: ``clFinish`` calls that sent nothing — the drain
+        sent the queue's daemon nothing, the queue is in order and the
+        client already held its last command's completion.
     ``kernels_created_on_launch``
         Client-side: kernel creations that rode a launch to a daemon
         lacking the kernel (the pipeline sends no ``CreateKernelRequest``).
@@ -311,6 +317,7 @@ class NetStats:
         "coalesced_peer_transfers",
         "coalesced_peer_transfer_sections",
         "folded_finishes",
+        "local_finishes",
         "kernels_created_on_launch",
         "folded_kernel_args",
         "prefix_flushes",
@@ -494,6 +501,10 @@ class GCFProcess:
         Response placed in its reply slot; without it such a command
         raises :class:`NetworkError`.
 
+        A sub-command with a *section* (:meth:`request_batch`) gets it
+        as a fourth handler argument, ``(payload, arrival)``; a guarded
+        one never sees it — its bytes crossed the link and are dropped.
+
         ``guard``/``observe`` are the dispatch *interceptor* hooks the
         daemon uses for dependency poisoning: ``guard(sub, sender, last)``
         (``last``: ``sub`` closes the batch) may return a Response that
@@ -541,7 +552,7 @@ class GCFProcess:
             return on_error(detail)
 
         @self.on_request(CommandBatch)
-        def dispatch_batch(msg: CommandBatch, t: float, sender: "GCFProcess"):
+        def dispatch_batch(msg: CommandBatch, t: float, sender: "GCFProcess", sections=None):
             replay_key = None
             if msg.seq >= 0:
                 replay_key = (sender.name, msg.epoch, msg.seq)
@@ -588,7 +599,8 @@ class GCFProcess:
                         results.append(short)
                         continue
                 iv = self.cpu.allocate(tcur, per_cmd, type(sub).__name__)
-                response, t_done = handler(sub, iv.end, sender)
+                section = (sections[i],) if sections and i in sections else ()
+                response, t_done = handler(sub, iv.end, sender, *section)
                 if t_done < iv.end:
                     raise NetworkError(
                         f"handler for {type(sub).__name__} returned "
@@ -689,6 +701,7 @@ class GCFProcess:
         t: float,
         epoch: int = 0,
         seq: int = -1,
+        sections: Optional[Dict[int, Tuple[Any, int]]] = None,
     ) -> RequestOutcome:
         """Forward a whole send window in ONE round trip.
 
@@ -711,6 +724,12 @@ class GCFProcess:
         receiver's dispatch dedupe (see :meth:`install_batch_dispatch`);
         the defaults leave the batch identity-less and its wire bytes
         unchanged.
+
+        ``sections`` maps a command's index to the ``(payload, nbytes)``
+        it streams: each payload leaves right behind the batch message on
+        the same link, as the batch leg does, without waiting for a
+        reply, and the receiver's handler for that command gets it with
+        its arrival time.  A replayed batch streams them again.
         """
         if not msgs:
             raise ValueError("request_batch needs at least one command")
@@ -725,7 +744,22 @@ class GCFProcess:
                 self.stats.encode_cache_hits += 1
             commands.append(m.cached_wire())
         batch = CommandBatch(commands=commands, epoch=epoch, seq=seq)
+        if sections:
+            dispatch = handler
+
+            def handler(msg, t_start, sender):  # the batch leg has left: stream
+                arrived = {
+                    i: (payload, self.network.transfer(
+                        self.host, target.host, t, nbytes, tag=f"bulk:{type(msgs[i]).__name__}"
+                    ))
+                    for i, (payload, nbytes) in sections.items()
+                }
+                return dispatch(msg, t_start, sender, arrived)
+
         outcome, _ = self._round_trip(target, handler, batch, t)
+        if sections:
+            self.stats.bulk_sends += len(sections)
+            self.stats.bytes_sent += sum(nbytes for _, nbytes in sections.values())
         reply = outcome.response
         if not isinstance(reply, CommandBatchResponse) or len(reply.results) not in (0, len(msgs)):
             raise NetworkError(

@@ -181,6 +181,7 @@ def cachestat_text(deployment) -> str:
     for driver in getattr(deployment, "drivers", []):
         stats = driver.stats
         lines.append(f"Client {driver.gcf.name}: round_trips={stats.round_trips} "
+                     f"local_finishes={stats.local_finishes} "
                      f"folded_finishes={stats.folded_finishes} "
                      f"kernels_created_on_launch={stats.kernels_created_on_launch} "
                      f"folded_kernel_args={stats.folded_kernel_args}")

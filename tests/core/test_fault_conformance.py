@@ -86,6 +86,20 @@ def test_severed_deferred_fetch_degrades_deterministically(seed):
     )
 
 
+@pytest.mark.parametrize("seed", MATRIX_SEEDS)
+def test_dropped_write_section_replays_the_batch(seed):
+    """Dropping the leg of the first host-write section (streamed behind
+    its batch) fails the batch before the daemon dispatches it: the
+    retry replays the batch, re-streams the section and applies the
+    write once, with bit-identical observables (``run_seed_with_faults``
+    carries the differential assertions; ``write_fault_spec`` appends a
+    non-blocking write so a section is always on the wire)."""
+    summary = run_seed_with_faults(seed, "drop-section")
+    assert summary["fired"] >= 1, f"drop-section never fired for seed {seed}"
+    faulted, baseline = summary["faulted_stats"], summary["baseline_stats"]
+    assert faulted["replayed_batches"] == baseline["replayed_batches"] + 1
+
+
 @pytest.mark.parametrize("schedule", ALL_SCHEDULES)
 def test_every_schedule_has_a_bounded_plan(schedule):
     plan = fault_plan(schedule)

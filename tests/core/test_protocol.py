@@ -196,12 +196,12 @@ def test_metadata_rows_name_registered_handled_requests(entries):
     what a batch can carry: role-tagged classes are all deferrable."""
     requests = _protocol_requests()
     tagged = {cls for cls in requests if _roles(cls)}
-    assert tagged and len(P.DEFERRABLE) == 18
+    assert tagged and len(P.DEFERRABLE) == 19
     for cls in P.DEFERRABLE | tagged:
         assert cls in requests, cls
         assert ("Daemon", "request") in entries.get(cls, []), cls.__name__
     changing = {cls for cls in requests if {"mutates", "releases"} & set(_roles(cls).values())}
-    assert len(changing) == 9 and changing <= tagged <= P.DEFERRABLE
+    assert len(changing) == 10 and changing <= tagged <= P.DEFERRABLE
 
 
 #: Stub-ID-looking fields that are *not* client stub IDs, so carry no
@@ -325,6 +325,18 @@ del _OLD_HANDLE_EXTRACTORS[P.CreateKernelRequest]
 # source digest) is gone with the digest-reference creation; its rows —
 # the ``CreateProgramWithSourceRequest`` rows with ``digest`` for
 # ``source`` — were deleted from both tables above.
+
+# Stated exception 6: ``BufferDataUpload`` joined the deferrable set —
+# on the pipeline a host write rides the send window with its bytes
+# streamed behind the batch.  It reads its queue and wait list, creates
+# its event and mutates its buffer (a skipped write leaves the daemon's
+# copy without the bytes the directory credits it with).
+_OLD_DEFERRABLE = _OLD_DEFERRABLE | {P.BufferDataUpload}
+_OLD_HANDLE_EXTRACTORS[P.BufferDataUpload] = lambda m: (
+    frozenset({m.buffer_id, m.queue_id} | set(m.wait_event_ids or [])),
+    frozenset({m.event_id}),
+)
+_OLD_MUTATION_EXTRACTORS[P.BufferDataUpload] = lambda m: frozenset({m.buffer_id})
 
 _IDS = st.integers(min_value=1, max_value=40)  # client IDs start at count(1)
 _ID_LISTS = st.lists(_IDS, max_size=6)  # narrow range: duplicates are common
