@@ -61,6 +61,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.client.resilience import RetryPolicy
+from repro.core.protocol import messages as P
 from repro.hw.cluster import make_ib_cpu_cluster
 from repro.ocl.constants import (
     CL_MEM_COPY_HOST_PTR,
@@ -69,6 +70,8 @@ from repro.ocl.constants import (
     ErrorCode,
 )
 from repro.ocl.errors import CLError
+from repro.ocl.event import Event
+from repro.ocl.queue import CommandQueue
 from repro.sim.faults import FaultAction, FaultPlan, install_fault_injector
 from repro.testbed import deploy_dopencl
 
@@ -718,15 +721,17 @@ def run_program(spec: Dict[str, object], flags: Dict[str, object]) -> Dict[str, 
 
     Returns the observable outcome the differential comparison keys on
     (see :meth:`ProgramRun.finalize`) plus the client's ``NetStats``
-    snapshot (``stats``) and the daemon-aggregate ``build_stats`` /
-    ``push_stats`` counters.
+    snapshot (``stats``), the daemon-aggregate ``build_stats`` /
+    ``push_stats`` counters and the run's ``causality`` violations.
     """
     deployment = deploy_dopencl(
         make_ib_cpu_cluster(spec["n_servers"]),
         coherence_protocol=spec["protocol"],
         **flags,
     )
+    probe = CausalityProbe(deployment)
     outcome = ProgramRun.execute(deployment.api, spec)
+    outcome["causality"] = probe.violations()
     daemon_stats = deployment.daemon_stats()
     outcome["objects"] = deployment.census()["objects"]
     outcome["stats"] = deployment.driver.stats.snapshot()
@@ -857,7 +862,8 @@ def run_multi_program(
 
     Returns ``(outcomes, deployment)`` — one outcome dict per client
     (:meth:`ProgramRun.finalize` plus the client's ``stats``) and the
-    deployment for daemon-side isolation audits.
+    deployment for daemon-side isolation audits (its ``causality``
+    attribute is the run's :class:`CausalityProbe`).
     """
     n_clients = mspec["n_clients"]
     cluster = make_ib_cpu_cluster(mspec["n_servers"], n_clients=n_clients)
@@ -874,6 +880,7 @@ def run_multi_program(
     install_fault_injector(
         cluster.network, FaultPlan(actions=[], max_transfers=MULTI_WATCHDOG_TRANSFERS)
     )
+    deployment.causality = CausalityProbe(deployment)
     runs = [
         ProgramRun(deployment.apis[ci], mspec["clients"][ci])
         for ci in range(n_clients)
@@ -983,6 +990,7 @@ def run_multi_seed(
     _audit_isolation(tag, mspec, deployment)
     _audit_multi_build_cache(tag, mspec, deployment, flags)
     _check_residency(tag, deployment.census()["objects"])
+    _check_causality(tag, deployment.causality.violations())
     for ci in range(n_clients):
         _assert_same_observables(
             f"{tag} client {ci}", outcomes[ci], run_client_solo(mspec, ci, flags),
@@ -1044,7 +1052,7 @@ def fault_plan(schedule: str) -> FaultPlan:
         "sever-permanent": [
             FaultAction("sever", nth=2, tag="CommandBatch", heal_after=None)
         ],
-        "drop-request": [FaultAction("drop", nth=1, tag="CoalescedBufferDownload")],
+        "drop-request": [FaultAction("drop", nth=1, tag="CoalescedBufferUpload")],
         "sever-push": [FaultAction("sever", nth=1, tag="s2s-push", heal_after=1)],
         "sever-fetch": [
             FaultAction(
@@ -1157,7 +1165,8 @@ def run_program_resilient(
     which is where the resilience machinery lives.  Each daemon's
     :meth:`~repro.core.daemon.daemon.Daemon.crash` is registered as its
     host's crash hook.  Returns the guarded outcome plus the client's
-    ``stats`` and the ``injector`` snapshot (``None`` without a plan).
+    ``stats``, the ``injector`` snapshot (``None`` without a plan) and
+    the run's ``causality`` violations.
     """
     deployment = deploy_dopencl(
         make_ib_cpu_cluster(spec["n_servers"]),
@@ -1170,7 +1179,9 @@ def run_program_resilient(
         injector = install_fault_injector(deployment.cluster.network, plan)
         for daemon in deployment.daemons:
             injector.register_crash_hook(daemon.host.name, daemon.crash)
+    probe = CausalityProbe(deployment)
     outcome = ProgramRun.execute(deployment.api, spec, guarded=True)
+    outcome["causality"] = probe.violations()
     outcome["objects"] = deployment.census()["objects"]
     outcome["stats"] = deployment.driver.stats.snapshot()
     outcome["injector"] = injector.snapshot() if injector is not None else None
@@ -1188,6 +1199,97 @@ def _check_residency(tag: str, objects: Dict[str, List[int]]) -> None:
         assert created <= named, (
             f"{tag}: {created} {kind} copies created but commands named {named}"
         )
+
+
+class CausalityProbe:
+    """Records, while a deployment runs, what the causality rules of
+    :meth:`violations` need: every event a daemon registered, and every
+    coherence read of a copy — a download section or a server-to-server
+    hop — with the time the copy's last write landed
+    (``Buffer.write_landed``).  It wraps the deployment's own objects
+    (each daemon's registry and hop handler, its queues, the network)."""
+
+    def __init__(self, deployment) -> None:
+        self.deployment = deployment
+        self.events: Dict[Tuple[str, str, int], Event] = {}
+        self.reads: List[Tuple[str, object, Optional[float]]] = []
+        self._hop: Optional[List[Optional[float]]] = None
+        network = deployment.cluster.network
+        transfer = network.transfer
+
+        def network_transfer(src, dst, ready, nbytes, tag=None):
+            if tag == "s2s-buffer" and self._hop is not None:
+                self.reads.extend((f"{src.name} hop", ready, at) for at in self._hop)
+            return transfer(src, dst, ready, nbytes, tag)
+
+        network.transfer = network_transfer
+        for daemon in deployment.daemons:
+            self._watch(daemon)
+
+    def _watch(self, daemon) -> None:
+        registry, handlers = daemon.registry, daemon.gcf._request_handlers
+        put, hop = registry.put, handlers[P.BufferPeerTransferBatch]
+
+        def registry_put(client, obj_id, obj):
+            if isinstance(obj, Event):
+                self.events[(daemon.host.name, client, obj_id)] = obj
+            elif isinstance(obj, CommandQueue):
+                read = obj.enqueue_read_buffer
+
+                def enqueue_read_buffer(buffer, *args, **kwargs):
+                    landed = buffer.write_landed()
+                    data, event = read(buffer, *args, **kwargs)
+                    self.reads.append((f"{daemon.name} download", event, landed))
+                    return data, event
+
+                obj.enqueue_read_buffer = enqueue_read_buffer
+            return put(client, obj_id, obj)
+
+        def peer_transfer(msg, t, sender, *section):
+            copies = [registry.peek(sender.name, i) for i in msg.buffer_ids]
+            self._hop = [c.write_landed() for c in copies if c is not None]
+            try:
+                return hop(msg, t, sender, *section)
+            finally:
+                self._hop = None
+
+        registry.put = registry_put
+        handlers[P.BufferPeerTransferBatch] = peer_transfer
+
+    def violations(self) -> List[str]:
+        """Every breach of the two causality rules:
+
+        1. A command a daemon ran starts no earlier than the end of each
+           event in its client-side ``depends_on`` (wait list plus
+           in-order predecessor), read on that event's owner.
+        2. A coherence read of a copy starts no earlier than the copy's
+           last write landed.  A read made while that write was still
+           gated on an event is not judged: the transfer cannot wait for
+           it (it blocks the application call that would set the event).
+        """
+        found = []
+        for driver in self.deployment.drivers:
+            client = driver.gcf.name
+            for stub in list(driver._events.values()):
+                ran = self.events.get((stub.owner_server, client, stub.id))
+                for dep_id in stub.depends_on if ran is not None and ran.resolved else ():
+                    dep = driver._events.get(dep_id)
+                    done = dep and self.events.get((dep.owner_server, client, dep_id))
+                    if done is not None and done.resolved and ran.start < done.end - 1e-12:
+                        found.append(f"event {stub.id} starts at {ran.start!r}, before "
+                                     f"its dependency {dep_id} ends at {done.end!r}")
+        for what, read, landed in self.reads:
+            start = getattr(read, "start", read)
+            if None not in (landed, start) and start < landed - 1e-12:
+                found.append(
+                    f"{what} reads at {start!r}, before its copy's write lands at {landed!r}"
+                )
+        return found
+
+
+def _check_causality(tag: str, violations: List[str]) -> None:
+    """The causality invariant (:meth:`CausalityProbe.violations`)."""
+    assert not violations, f"{tag}: causality broken: {violations[:3]}"
 
 
 def _semantics(outcome: Dict[str, object]) -> Dict[str, object]:
@@ -1239,6 +1341,7 @@ def run_seed_with_faults(seed: int, schedule: str) -> Dict[str, object]:
     _check_resilience_stats(tag, faulted["stats"])
     for outcome in (baseline, faulted):
         _check_residency(tag, outcome["objects"])
+        _check_causality(tag, outcome["causality"])
     if witness is not None:
         assert baseline["stats"][witness] > 0, (
             f"{tag}: fault-free run never moved {witness} — the schedule "
@@ -1287,6 +1390,7 @@ def _check_stats_invariants(
     tag = f"seed {seed}"
     for name in CACHED_CONFIGS:
         _check_residency(f"{tag}: {name}", outcomes[name]["objects"])
+        _check_causality(f"{tag}: {name}", outcomes[name]["causality"])
     sync = outcomes["sync"]["stats"]
     assert sync["batches"] == 0, f"{tag}: sync config dispatched batches"
     assert sync["flush_barriers"] == 0, f"{tag}: sync config recorded barriers"

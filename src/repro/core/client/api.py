@@ -480,13 +480,14 @@ class DOpenCLAPI:
         # Windows of causally unrelated daemons stay queued, and any
         # stashed deferred-command failure surfaces here.  (The ablation
         # drains too: a non-blocking read that skipped its writers could
-        # return pre-write bytes — the stale-read hazard.)
-        self.driver.flush_for_handles(
-            self.driver.buffer_sync_handles(buffer)
-            + self.driver.queue_sync_handles(queue)
-        )
-        if wait_for:
-            for ev in wait_for:
+        # return pre-write bytes — the stale-read hazard.)  On the
+        # pipeline, when the wait list already reached the client, the
+        # drain is the download's own: it rides the producers' batch.
+        handles = self.driver.buffer_sync_handles(buffer) + self.driver.queue_sync_handles(queue)
+        fold = self.driver.read_rides_drain(wait_for)
+        if not fold:
+            self.driver.flush_for_handles(handles)
+            for ev in wait_for or ():
                 # ev.wait drains the relevant send windows (flush hook)
                 # before resolving.
                 self.clock.advance_to(ev.wait(self.clock.now))
@@ -495,37 +496,40 @@ class DOpenCLAPI:
         )
         # Read coalescing: when this blocking read must
         # download its buffer, the sibling dirty buffers stranded on the
-        # same daemon ride the same CoalescedBufferDownload fetch — the
+        # same daemon ride the same CoalescedBufferDownload — the
         # next back-to-back result read finds its client copy already
-        # valid, so a multi-buffer readback costs one fetch round trip
-        # per source daemon.  Candidates are picked *before* any
-        # directory mutates (client_download_source is pure) and their
-        # union dependency closure drains first — with errors raised, so
-        # a poisoned producer surfaces here and no directory records a
-        # transfer that never happened.
+        # valid, so a multi-buffer readback costs one round trip per
+        # source daemon.  Candidates are picked *before* any directory
+        # mutates (client_download_source is pure); each is revalidated
+        # only if its section comes back.
         siblings: List[BufferStub] = []
         if blocking and self.driver.batching_enabled:
             source = buffer.planner.client_download_source()
             if source is not None:
-                siblings = self.driver.read_gang_candidates(buffer, source)
-                if siblings:
-                    handles = []
+                siblings = self.driver.read_gang_candidates(
+                    buffer, source, handles if fold else None
+                )
+                if siblings and not fold:
+                    sibling_handles = []
                     for sibling in siblings:
-                        handles.extend(self.driver.buffer_sync_handles(sibling))
-                    self.driver.flush_for_handles(handles)
+                        sibling_handles.extend(self.driver.buffer_sync_handles(sibling))
+                    self.driver.flush_for_handles(sibling_handles)
         # Discard any stale completion record for this buffer so the pop
-        # below observes only what *this* read's fetch (or staged-push
+        # below observes only what *this* read's download (or staged-push
         # apply) actually did.
         self.driver.pop_fetch_completion(buffer.id)
         buffer.planner.note_client_demand()
         plan = buffer.planner.acquire_read("client")
         if plan:
-            items = [(buffer, plan)]
-            items.extend(
-                (sibling, sibling.planner.acquire_read("client"))
-                for sibling in siblings
+            self.driver.run_transfer_plans(
+                [(buffer, plan)],
+                queue,
+                gang=siblings,
+                drain=handles if fold else None,
+                raising=fold,
             )
-            self.driver.run_transfer_plans(items, queue, read_group=bool(siblings))
+        elif fold:
+            self.driver.flush_for_handles(handles)
         # Profiling truth: a read that downloaded (or consumed a staged
         # push) completes at the transfer's daemon-side completion time
         # and resolves at the data's client arrival; a read satisfied

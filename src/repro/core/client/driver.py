@@ -41,15 +41,17 @@ The rest of the pipeline rides the same windows (design reference:
 ``docs/architecture.md``): event-completion relays join the replica
 servers' windows instead of round-tripping; coherence transfers
 coalesce per route in every direction
-(:meth:`DOpenCLDriver.run_transfer_plans`); and a blocking read that
-must download gang-revalidates the sibling dirty buffers stranded on
-the same daemon (:meth:`DOpenCLDriver.read_gang_candidates`).
+(:meth:`DOpenCLDriver.run_transfer_plans`); a read's download rides
+the batch that drains its producers (:meth:`DOpenCLDriver._download`);
+and a blocking read that must download gang-revalidates the sibling
+dirty buffers stranded on the same daemon
+(:meth:`DOpenCLDriver.read_gang_candidates`).
 
 One switch selects all of it: ``batch_window == 0`` is the paper's
 synchronous **reference path** as a whole (Section III-B — synchronous
 creation fan-outs and bulk-stream program source, one synchronous
 compile per server per build, one synchronous relay per replica server,
-one stream per transfer, one fetch per blocking read); any positive
+one stream per transfer, one fetch per download); any positive
 window runs the whole pipeline, builds included (the client resolves
 each build locally and windows a ``BuildProgramCachedRequest``).
 """
@@ -230,6 +232,10 @@ class DOpenCLDriver:
         #: :class:`~repro.core.protocol.messages.PushCommit` a planned
         #: server-to-server leg converts them into.
         self._peer_commits: Dict[int, Tuple[int, str]] = {}
+        #: ``buffer id -> epoch`` of the last client-destined push hint:
+        #: a read of that epoch waits for the push instead of folding
+        #: its download into the producer's batch.
+        self._client_push_epochs: Dict[int, int] = {}
         #: Every exchange with a daemon, the retry loop (``retry_policy``
         #: ``None``, the default, keeps each a single attempt — zero
         #: overhead, zero wire change) and the deferred-failure stash.
@@ -450,9 +456,9 @@ class DOpenCLDriver:
         dispatching anything now.  The barrier constrains prefix
         flushing (``SendWindow.barrier_floor``) so targeted sync
         points can never overtake flushed commands with synchronous
-        traffic.  A no-op with batching disabled (every command
-        already round-tripped) or on an empty window."""
-        if self.batching_enabled and conn.window.mark_barrier():
+        traffic.  A no-op on an empty window — always, with batching
+        disabled (every command already round-tripped)."""
+        if conn.window.mark_barrier():
             self.stats.flush_barriers += 1
 
     def flush_all(self, tail=None) -> Optional[RequestOutcome]:
@@ -466,7 +472,13 @@ class DOpenCLDriver:
         such relays — has reached its daemon, so this loops until all
         windows are empty (bounded by :data:`MAX_DRAIN_PASSES`).  ``tail``
         rides every pass's batch to its connection; the last one answered
-        is returned, ordered after everything the drain sent there."""
+        is returned, ordered after everything the drain sent there.
+
+        Pending deferred reads whose dependencies the client already
+        holds ride the drain: their downloads join the windows first,
+        ahead of the ``tail``, and complete after it."""
+        settle: list = []
+        self.resolve_deferred_reads(settle=settle)
         folded = None
         for _ in range(MAX_DRAIN_PASSES):
             targets = [c for c in self._connections.values() if c.connected]
@@ -482,6 +494,8 @@ class DOpenCLDriver:
         # Full sync point: every pending deferred read resolves here —
         # ``clFinish`` promises all forwarded work (fetches included)
         # has completed.
+        for complete in settle:
+            complete()
         self.resolve_deferred_reads()
         self.transport.surface_deferred_failure()
         return folded
@@ -521,8 +535,8 @@ class DOpenCLDriver:
         """Targeted sync point: drain only the *relevant prefixes* of
         the windows the given handles transitively depend on.  Returns
         the final pass's relevance set (every handle the closure walk
-        visited), so follow-up prefix work — a coherence fetch right
-        after the drain — can reuse it instead of recomputing the
+        visited), so follow-up work — resolving the deferred reads a
+        read's drain reached — can reuse it instead of recomputing the
         closure.
 
         Per closure window, only the prefix up to the last command
@@ -670,19 +684,23 @@ class DOpenCLDriver:
         list.
 
         On the pipeline the list follows the residency rule: an event
-        already resolved at the client gates nothing and is dropped; one
-        that ``conn`` neither owns nor holds a replica of gets its replica
-        created in ``conn``'s window ahead of the command (the reference
-        path replicated every event on every server at its creation)."""
+        whose completion already reached the client clock gates nothing
+        and is dropped; one that ``conn`` neither owns nor holds a replica
+        of gets its replica created in ``conn``'s window ahead of the
+        command (the reference path replicated every event on every
+        server at its creation).  A stub resolves in host order, so a
+        resolved event may still complete later in virtual time: its
+        replica's status relay is windowed right behind the creation,
+        timed as the completion handler would have timed it."""
         ids: List[int] = []
         for ev in wait_for or ():
             if ev.id in self._local_event_ids:
                 self.resolve_deferred_reads([ev.id])  # no-op once resolved
                 continue
-            if self.batching_enabled and ev.resolved:
+            if self.batching_enabled and self.arrived(ev):
                 continue
             if ev.owner_server != conn.name and conn.name not in ev.holders:
-                ev.place(conn.name, self._broadcast_to(ev, conn.name))
+                ev.place(conn.name, ev.resolved or self._broadcast_to(ev, conn.name))
                 # writes=(): a replica *receives* the completion (via
                 # relay or broadcast) rather than producing it, so it
                 # must not appear as the event's producer in the window
@@ -692,6 +710,17 @@ class DOpenCLDriver:
                     P.CreateUserEventRequest(event_id=ev.id, context_id=ev.context.id),
                     writes=(),
                 )
+                if ev.resolved:
+                    self.defer(
+                        conn,
+                        P.SetUserEventStatusRequest(
+                            event_id=ev.id,
+                            status=CL_COMPLETE,
+                            min_time=ev.completion_arrival + self.network.one_way_latency(),
+                        ),
+                        writes=(),
+                    )
+                    self.stats.relays_deferred += 1
             ids.append(ev.id)
         return ids
 
@@ -746,7 +775,9 @@ class DOpenCLDriver:
         )
         self.stats.deferred_reads += 1
 
-    def resolve_deferred_reads(self, handles: Optional[Iterable[int]] = None) -> None:
+    def resolve_deferred_reads(
+        self, handles: Optional[Iterable[int]] = None, settle: Optional[list] = None
+    ) -> None:
         """Resolve the pending deferred reads whose event or buffer is
         among ``handles`` (stub IDs are client-unique across events and
         buffers, so one ID set names a read event, a wait-list event, a
@@ -758,8 +789,15 @@ class DOpenCLDriver:
         group resolves in enqueue order, fusing its downloads per source
         daemon exactly like a blocking read's gang.
 
+        ``settle`` (a full drain about to run, on the pipeline): a group
+        whose dependencies the client already holds has its downloads
+        windowed for that drain to carry and appends its completion
+        here; any other group is left for the drain's end.
+
         Re-entrant calls (resolution drains windows and waits on events,
         whose hooks land back here) are no-ops."""
+        if settle is not None and not self.batching_enabled:
+            return
         if self._resolving_reads or not self._deferred_reads:
             return
         if handles is not None:
@@ -788,7 +826,7 @@ class DOpenCLDriver:
                     group.append(other)
                     frontier.append(other)
         group.sort(key=lambda d: self._deferred_reads.index(d))
-        self._resolve_deferred_group(group, member_ids)
+        self._resolve_deferred_group(group, member_ids, settle)
 
     def _dep_closure_ids(self, stub: EventStub) -> Set[int]:
         """All event ids reachable through ``depends_on`` from ``stub``."""
@@ -805,13 +843,16 @@ class DOpenCLDriver:
         return seen
 
     def _resolve_deferred_group(
-        self, group: List[_DeferredRead], member_ids: Set[int]
+        self, group: List[_DeferredRead], member_ids: Set[int], settle: Optional[list] = None
     ) -> None:
-        """Resolve one dependency-closed group of deferred reads: drain
-        the reads' window closures, wait out their non-member event
-        deps, run the fused coherence fetch, then complete each event
-        with the real transfer timestamps and fill the caller-visible
-        arrays."""
+        """Resolve one dependency-closed group of deferred reads: run the
+        fused coherence download in the drain of the reads' window
+        closures — after draining and waiting out their non-member event
+        deps first, unless those already reached the client — then
+        complete each event with the real transfer timestamps and fill
+        the caller-visible arrays.  With ``settle`` (see
+        :meth:`resolve_deferred_reads`) the caller's drain does the
+        draining and the completion is appended there."""
         # Daemon-loss poisoning: a read whose event was poisoned can
         # never be satisfied — drop it; its wait() raises the poison.
         live = [d for d in group if d.event.poisoned is None]
@@ -820,26 +861,34 @@ class DOpenCLDriver:
                 self._deferred_reads.remove(d)
         if not live:
             return
+        # Event deps (wait_for list + in-order queue predecessor): group
+        # members are exempt — they complete together below.
+        deps = [
+            self._events.get(dep_id)
+            for d in live
+            for dep_id in d.event.depends_on
+            if dep_id not in member_ids
+        ]
+        deps = [dep for dep in deps if dep is not None]
+        arrived = all(map(self.arrived, deps))
+        if settle is not None and not arrived:
+            return
+        seeds: List[int] = []
+        for d in live:
+            seeds.append(d.event.id)
+            seeds.extend(self.buffer_sync_handles(d.buffer))
         self._resolving_reads = True
         try:
-            seeds: List[int] = []
-            for d in live:
-                seeds.append(d.event.id)
-                seeds.extend(self.buffer_sync_handles(d.buffer))
-            self.flush_for_handles(seeds, raise_errors=False)
-            # Event deps (wait_for list + in-order queue predecessor):
-            # group members are exempt — they complete together below.
-            try:
-                for d in live:
-                    for dep_id in d.event.depends_on:
-                        if dep_id in member_ids:
-                            continue
-                        dep = self._events.get(dep_id)
-                        if dep is not None:
-                            self.clock.advance_to(dep.wait(self.clock.now))
-            except CLError as exc:
-                self._poison_deferred_group(live, exc)
-                raise
+            if not arrived:
+                # The download must follow the dependencies: drain and
+                # wait them out first.
+                self.flush_for_handles(seeds, raise_errors=False)
+                try:
+                    for dep in deps:
+                        self.clock.advance_to(dep.wait(self.clock.now))
+                except CLError as exc:
+                    self._poison_deferred_group(live, exc)
+                    raise
             unique: List[BufferStub] = []
             for d in live:
                 if all(b is not d.buffer for b in unique):
@@ -852,22 +901,44 @@ class DOpenCLDriver:
                 plan = buffer.planner.acquire_read("client")
                 if plan:
                     items.append((buffer, plan))
+            if arrived and settle is None and not items:
+                self.flush_for_handles(seeds, raise_errors=False)
+            downloads: Optional[list] = None if settle is None else []
             try:
                 if items:
                     self.run_transfer_plans(
-                        items, preferred_queue=None, read_group=len(items) > 1
+                        items,
+                        read_group=len(items) > 1,
+                        drain=seeds if arrived and settle is None else None,
+                        settle=downloads,
                     )
             except CLError as exc:
                 self._poison_deferred_group(live, exc)
                 raise
-            self.stats.deferred_read_batches += 1
-            for d in live:
-                d.out[:] = d.buffer.data[d.offset : d.offset + d.nbytes]
-                completed, arrival = self._fetch_completions.get(
-                    d.buffer.id, (self.clock.now, self.clock.now)
-                )
-                d.event.mark_complete(completed, arrival)
-                self._deferred_reads.remove(d)
+
+            def complete() -> None:
+                try:
+                    for download in downloads or ():
+                        download()
+                except CLError as exc:
+                    self._poison_deferred_group(live, exc)
+                    raise
+                self.stats.deferred_read_batches += 1
+                for d in live:
+                    d.out[:] = d.buffer.data[d.offset : d.offset + d.nbytes]
+                    completed, arrival = self._fetch_completions.get(
+                        d.buffer.id, (self.clock.now, self.clock.now)
+                    )
+                    d.event.mark_complete(completed, arrival)
+                    if d in self._deferred_reads:
+                        self._deferred_reads.remove(d)
+
+            if settle is None:
+                complete()
+            else:
+                for d in live:
+                    self._deferred_reads.remove(d)
+                settle.append(complete)
         finally:
             self._resolving_reads = False
 
@@ -1329,6 +1400,8 @@ class DOpenCLDriver:
                     "target": target,
                 }
             )
+            if target == CLIENT:
+                self._client_push_epochs[buffer.id] = buffer.planner.epoch + 1
             self.stats.speculative_pushes += 1
         return hints or None
 
@@ -1444,18 +1517,33 @@ class DOpenCLDriver:
         context._internal_queues[server_name] = queue
         return queue
 
+    def arrived(self, event: EventStub) -> bool:
+        """Whether ``event``'s completion reached the client clock (a stub
+        resolves in host order, possibly ahead of its arrival)."""
+        return event.resolved and event.completion_arrival <= self.clock.now
+
+    def read_rides_drain(self, wait_for: Optional[Sequence[EventStub]]) -> bool:
+        """Whether an eager read's drain can carry its download: on the
+        pipeline, with no failure stashed for its drain to raise and
+        every event it waits for already arrived at the client."""
+        return (
+            self.batching_enabled
+            and not self.transport.failure_pending
+            and all(self.arrived(ev) for ev in wait_for or ())
+        )
+
     def read_gang_candidates(
-        self, buffer: BufferStub, source: str
+        self, buffer: BufferStub, source: str, handles: Optional[Sequence[int]] = None
     ) -> List[BufferStub]:
         """Sibling buffers a blocking read of ``buffer`` can
-        gang-revalidate in the same fetch: live buffers of the same
+        gang-revalidate in the same download: live buffers of the same
         context whose client copy would be downloaded from the same
         ``source`` daemon (:meth:`~repro.core.coherence.directory.
         MSIDirectory.client_download_source`) and whose last windowed
-        writer has already *resolved* — an unresolved producer may be
-        gated on an event the application controls (a pending user
-        event), and fusing it would fail the whole fetch for data the
-        caller never asked about.  When ``push_transfers`` is on,
+        writer has already *resolved* — a producer still windowed behind
+        the read's prefix would run after the download, and an
+        unresolved one may be gated on an event the application controls
+        (a pending user event).  When ``push_transfers`` is on,
         candidacy is also access-pattern gated
         (:meth:`~repro.core.coherence.planner.TransferPlanner.
         gang_candidate`): a sibling with write history the client never
@@ -1464,8 +1552,19 @@ class DOpenCLDriver:
         ``push_transfers`` because it is the access-pattern half of the
         PR-9 replication schedule: with pushes off the gang is computed
         exactly as before the refactor (the planner-equivalence
-        property).  Released buffers are pruned from the context's
+        property).  With ``handles`` — the read's closure seeds, when its
+        drain carries the download — a producer windowed in the source's
+        relevant prefix counts as resolved: it runs ahead of the
+        download, whose section for the sibling comes back only if it
+        completed.  Released buffers are pruned from the context's
         registry on the way through."""
+        ahead: Set[int] = set()
+        conn = self._connections.get(source)
+        if handles is not None and conn is not None:
+            windows = {c.name: c.window for c in self.connections()}
+            relevant = closure(handles, windows, self._events.get)[1]
+            for cmd in conn.window.relevant_prefix(relevant):
+                ahead.update(cmd.writes)
         context = buffer.context
         context.live_buffers = [b for b in context.live_buffers if not b.released]
         candidates: List[BufferStub] = []
@@ -1478,7 +1577,7 @@ class DOpenCLDriver:
                 continue
             if sibling.last_write_event is not None:
                 stub = self._events.get(sibling.last_write_event)
-                if stub is None or not stub.resolved:
+                if stub is None or not (stub.resolved or stub.id in ahead):
                     continue
             candidates.append(sibling)
         return candidates
@@ -1488,6 +1587,10 @@ class DOpenCLDriver:
         items: Sequence[Tuple[BufferStub, Sequence[Transfer]]],
         preferred_queue: Optional[QueueStub] = None,
         read_group: bool = False,
+        gang: Sequence[BufferStub] = (),
+        drain: Optional[Sequence[int]] = None,
+        raising: bool = False,
+        settle: Optional[list] = None,
     ) -> None:
         """Execute several buffers' coherence plans (whole-object copies
         between client and servers under MSI, directly between servers
@@ -1497,7 +1600,7 @@ class DOpenCLDriver:
         partitioned by :func:`split_transfer_plan` (see there for why
         the regrouping preserves every data dependency) and each route
         group runs through one of three executors — downloads first
-        (:meth:`_download`, one fetch per source daemon), then
+        (:meth:`_download`, one download per source daemon), then
         server-to-server hops (:meth:`_peer_transfer`, one round trip
         per (src, dst) pair), then uploads (:meth:`_upload`, one stream
         per destination daemon) — whatever the group's size.  What the
@@ -1505,12 +1608,17 @@ class DOpenCLDriver:
         *grouping*, not the messages: every transfer is its own
         one-section group, run in plan order.
 
-        ``read_group=True`` marks the items as a read's gang (a
-        blocking read's own plan plus its :meth:`read_gang_candidates`,
-        or a group of deferred reads): fused download groups are then
-        counted in ``NetStats.coalesced_reads`` /
-        ``coalesced_read_sections`` on top of the ordinary download
-        counters."""
+        ``read_group=True`` marks the items as a group of deferred reads;
+        ``gang``: a blocking read's :meth:`read_gang_candidates`, which
+        ride its download and are revalidated only if their sections
+        come back.  Fused download groups of either kind are counted in
+        ``NetStats.coalesced_reads`` / ``coalesced_read_sections`` on top
+        of the ordinary download counters.  ``drain``: the closure seeds
+        of the read that owns this download, whose drain is the
+        download's; ``raising``: that drain surfaces failures as the
+        read's sync point would.  ``settle``: the download rides the
+        caller's drain instead and appends its completion here
+        (:meth:`_download`)."""
         items = [(buffer, plan) for buffer, plan in items if plan]
         if self.batching_enabled:
             batches = [items]
@@ -1519,10 +1627,13 @@ class DOpenCLDriver:
         for batch in batches:
             downloads, peers, uploads = split_transfer_plan(batch)
             for src_name, buffers in downloads.items():
-                if read_group and len(buffers) > 1:
+                group = [*buffers, *gang]
+                if (read_group or gang) and len(group) > 1:
                     self.stats.coalesced_reads += 1
-                    self.stats.coalesced_read_sections += len(buffers)
-                self._download(buffers, src_name, preferred_queue)
+                    self.stats.coalesced_read_sections += len(group)
+                self._download(
+                    group, src_name, preferred_queue, len(buffers), drain, raising, settle
+                )
             for (src_name, dst_name), buffers in peers.items():
                 self._peer_transfer(buffers, src_name, dst_name)
             for dst_name, buffers in uploads.items():
@@ -1575,94 +1686,167 @@ class DOpenCLDriver:
         for buffer in buffers:
             buffer.place(dst_name)
 
-    def _fetch_bulk_prefixed(self, conn: ServerConnection, make_request, seen):
-        """Stream-based download that flushes only ``conn``'s window
-        prefix relevant to ``seen`` (a relevance set from
-        :meth:`flush_for_handles`) instead of the whole window —
-        commands queued after the downloaded data's producers stay
-        windowed.  ``make_request`` builds the fetch request (and
-        registers its transfer-event stubs) once *per attempt*
-        (:meth:`~repro.core.client.resilience.Transport.fetch`)."""
-        if conn.window:
-            prefix = self._split_relevant_prefix(conn, seen)
-            if prefix:
-                self.transport.dispatch_batches([(conn, prefix)])
-        return self.transport.fetch(conn, make_request)
+    def _push_due(self, buffer: BufferStub) -> bool:
+        """Whether a push may carry ``buffer``'s current bytes to the
+        client: one is staged, or its producing launch hinted one."""
+        return (
+            buffer.id in self._staged_pushes
+            or self._client_push_epochs.get(buffer.id) == buffer.planner.epoch
+        )
 
     def _download(
         self,
         buffers: Sequence[BufferStub],
         src_name: str,
         preferred: Optional[QueueStub],
+        required: Optional[int] = None,
+        drain: Optional[Sequence[int]] = None,
+        raising: bool = False,
+        settle: Optional[list] = None,
     ) -> None:
         """Server->client route: the group's whole-object downloads ride
-        one fetch — one request round trip, one stream back (the payload
-        is the daemon's list of per-section arrays, zero-copy, never
-        concatenated), one registered event per section."""
-        # The download is gated daemon-side on each buffer's producing
-        # command: drain the dependency closures first so a
-        # dispatched-but-pending writer (waiting on an event produced on
-        # another daemon) can complete.  The transfer queue's handles
-        # join the seeds so the drain covers its (possibly windowed)
-        # creation *and* its in-order command chain — the daemon-side
-        # reads enqueue behind every prior command of that queue — and
-        # the fetch then pushes out only whatever relevant prefix
-        # remains; later, unrelated commands stay windowed.
+        one ``CoalescedBufferDownload``, one registered event per
+        section; buffers past the first ``required`` (default: none) are
+        a read's gang, acquired only if their sections come back.
+
+        The download is gated daemon-side on each buffer's producing
+        command, so it drains with the dependency closures of the
+        transfer queue (its creation and in-order chain), of each
+        buffer and of ``drain`` (raising the drain's failures when
+        ``raising``).  On the pipeline it is a window command at the end
+        of the source's relevant prefix: the producers' batch and the
+        download are one round trip, and each section streams back from
+        its read's completion.  ``settle`` leaves the drain to the
+        caller (``clFinish``), which runs the appended completion after
+        it.  The reference path drains, then fetches."""
+        required = len(buffers) if required is None else required
         conn = self.connection(src_name)
         queue = self._queue_on(buffers[0], src_name, preferred)
-        handles: List[int] = self.queue_sync_handles(queue)
+        handles: List[int] = [*(drain or ()), *self.queue_sync_handles(queue)]
         for buffer in buffers:
             handles.extend(self.buffer_sync_handles(buffer))
-        seen = self.flush_for_handles(handles, raise_errors=False)
-        # A staged push with the current epoch already carries exactly
-        # the bytes its section would download: consume it and drop the
-        # section; with every section staged the round trip vanishes
-        # (the flush above is the same one the demand path performs, so
-        # push-off behaviour is untouched).
-        remaining = list(buffers)
-        if self.push_transfers:
-            remaining = [b for b in buffers if not self._apply_staged_push(b)]
-            if not remaining:
-                return
-        sizes = [b.size for b in remaining]
-        attempt_stubs: List[EventStub] = []
-
-        def make_request():
-            # Fresh transfer events per attempt: the daemon registers
-            # the event IDs before streaming data back, so a retried
-            # fetch must not replay already-registered IDs.
-            attempt_stubs[:] = [
-                self._new_transfer_event(buffer.context, src_name)
-                for buffer in remaining
-            ]
-            return P.CoalescedBufferDownload(
-                queue_id=queue.id,
-                buffer_ids=[b.id for b in remaining],
-                event_ids=[stub.id for stub in attempt_stubs],
-                nbytes_list=sizes,
-            )
-
+        remaining, gang = list(buffers[:required]), list(buffers[required:])
+        if not self.batching_enabled or (self.push_transfers and any(map(self._push_due, buffers))):
+            # A staged push with the current epoch already carries
+            # exactly the bytes its section would download: drain (the
+            # push rides the producer's completion), consume it and drop
+            # the section; with every section staged the download
+            # vanishes.  Push-off behaviour is untouched.
+            self.flush_for_handles(handles, raise_errors=False)
+            if self.push_transfers:
+                remaining = [b for b in remaining if not self._apply_staged_push(b)]
+                pushed = [b for b in gang if self._apply_staged_push(b)]
+                for buffer in pushed:
+                    buffer.planner.acquire_read("client")
+                gang = [b for b in gang if b not in pushed]
+                if not remaining and not gang:
+                    return
+        group = remaining + gang
         if len(buffers) > 1:
             self.stats.coalesced_downloads += 1
-            self.stats.coalesced_download_sections += len(remaining)
+            self.stats.coalesced_download_sections += len(group)
+        stubs = [self._new_transfer_event(b.context, src_name) for b in group]
+        request = P.CoalescedBufferDownload(
+            queue_id=queue.id,
+            buffer_ids=[b.id for b in group],
+            event_ids=[stub.id for stub in stubs],
+            nbytes_list=[b.size for b in group],
+        )
+        if not self.batching_enabled:
+            try:
+                fetched = self.transport.fetch(conn, request)
+            except CLError as exc:
+                self._abort_downloads(remaining, src_name, exc)
+            sizes = request.nbytes_list
+            sections = [(data, fetched.arrival) for data in split_sections(fetched.payload, sizes)]
+            self._land(queue, group, stubs, sections, gang)
+            return
+        answers: list = []
+        command = WindowCommand(
+            request,
+            handles,
+            request.event_ids,
+            sink=lambda outcome, index: answers.append((outcome, index, self.stats.batches)),
+        )
+
+        def complete() -> None:
+            self._settle_download(conn, queue, remaining, gang, stubs, answers, preferred, raising)
+
+        if settle is not None:
+            conn.window.append(command)  # the caller drains every window
+            settle.append(complete)
+            return
+        windows = {c.name: c.window for c in self.connections()}
+        conn.window.insert(command, closure(handles, windows, self._events.get)[1])
+        seen = self.flush_for_handles([*handles, *request.event_ids], raise_errors=False)
+        complete()
+        if raising:
+            try:
+                # The read's own sync point: deferred reads it reaches
+                # ride it, and a failure of its drain surfaces here.
+                self.resolve_deferred_reads(seen)
+                self.transport.surface_deferred_failure()
+            except CLError as exc:
+                self._abort_downloads(remaining, src_name, exc)
+
+    @staticmethod
+    def _abort_downloads(buffers: Sequence[BufferStub], src_name: str, exc: CLError) -> None:
+        """Fail a download from ``src_name``: the directories already
+        marked the client copies valid (``acquire_read`` is optimistic)
+        and the bytes never arrived.  A push staged meanwhile stays
+        parked: only a *planned* retry read may consume it."""
+        for buffer in buffers:
+            buffer.planner.abort_client_fetch(f"download from {src_name!r} failed: {exc}")
+        raise exc
+
+    def _land(self, queue, buffers, stubs, sections, gang=()) -> None:
+        """Apply each returned ``(data, arrival)`` section to its buffer's
+        client copy (a gang member is acquired first), with its transfer
+        event's profiling truth; the clock moves to the last arrival."""
+        for buffer, stub, section in zip(buffers, stubs, sections):
+            if section is not None:
+                if buffer in gang:
+                    buffer.planner.acquire_read("client")
+                buffer.data[:] = section[0]
+                self._record_fetch_completion(buffer, stub, section[1])
+                queue.tail_event_id = stub.id
+                self.clock.advance_to(section[1])
+
+    def _settle_download(
+        self, conn, queue, remaining, gang, stubs, answers, preferred, raising
+    ) -> None:
+        """Apply a windowed download's answer (:meth:`_land`).  A section
+        the daemon could not read yet (its queue waits on an event) is
+        downloaded again when the drain sent further batches after it —
+        the wait may have cleared — and otherwise fails the download as
+        gated; an unread gang section is simply not revalidated.  A lost
+        daemon or an error reply fails it whole, behind the drain's own
+        failure when it is ``raising``."""
         try:
-            fetched = self._fetch_bulk_prefixed(conn, make_request, seen)
-        except CLError as exc:
-            # The directories already marked the client copies valid
-            # (acquire_read is optimistic); the bytes never arrived.
-            # A push staged meanwhile stays parked: the rollback must
-            # not resurrect the optimistic acquire — only a *planned*
-            # retry read may consume it.
-            for buffer in remaining:
-                buffer.planner.abort_client_fetch(
-                    f"download from {src_name!r} failed: {exc}"
+            if not answers or answers[0][0] is None:
+                self.transport.surface_deferred_failure()
+                self.transport.check_usable(conn)
+                raise CLError(ErrorCode.CL_DEVICE_NOT_AVAILABLE, f"{conn.name!r} lost a download")
+            outcome, index, batches = answers[0]
+            response = outcome.responses[index] if outcome.responses else None
+            if response is not None and response.error:
+                if raising:
+                    self.transport.surface_deferred_failure()
+                raise CLError(ErrorCode(response.error), response.detail)
+            sections = outcome.sections[index]
+            unread = [b for b, section in zip(remaining, sections) if section is None]
+            if unread and self.stats.batches == batches:
+                raise CLError(
+                    ErrorCode.CL_INVALID_OPERATION, "download gated on an incomplete user event"
                 )
-            raise
-        queue.tail_event_id = attempt_stubs[-1].id
-        sections = split_sections(fetched.payload, sizes)
-        for buffer, data, stub in zip(remaining, sections, attempt_stubs):
-            buffer.data[:] = data
-            self._record_fetch_completion(buffer, stub, fetched.arrival)
+        except CLError as exc:
+            self._abort_downloads(remaining, conn.name, exc)
+        self._land(queue, [*remaining, *gang], stubs, sections, gang)
+        if unread:
+            try:
+                self._download(unread, conn.name, preferred)
+            except CLError as exc:
+                self._abort_downloads([b for b in remaining if b not in unread], conn.name, exc)
 
     def _peer_transfer(
         self, buffers: Sequence[BufferStub], src_name: str, dst_name: str

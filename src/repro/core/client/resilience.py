@@ -21,8 +21,8 @@ itself lives here, once, as the driver's :class:`Transport`:
 
 **The replay contract.**  Everything the retry loop may re-send is
 either *replay-safe* (validation-only init whose whole-object write
-lands with the last leg; barrier; query; fetch under fresh event IDs
-per attempt) or *deduped* (a ``CommandBatch`` sent under a policy
+lands with the last leg; barrier; query) or *deduped* (a
+``CommandBatch`` sent under a policy
 carries the connection's ``(epoch, seq)``, which the daemon answers
 from its cached reply).  The reference path's single creation / build /
 enqueue requests are neither, so ``batch_window=0`` with a
@@ -290,14 +290,12 @@ class Transport:
             lambda conn, t: self.gcf.send_bulk(conn.gcf, make_init(conn), payload, nbytes, t),
         )
 
-    def fetch(self, conn: ServerConnection, make_request) -> RequestOutcome:
-        """Bulk download from ``conn``.  ``make_request`` runs *per
-        attempt*: the daemon registers the request's event IDs before the
-        reply leg, so a replay under the same IDs would be rejected as a
-        duplicate."""
-        return self.exchange(
-            [conn], lambda c, t: self.gcf.fetch_bulk(c.gcf, make_request(), t)
-        )[conn.name]
+    def fetch(self, conn: ServerConnection, request: P.Request) -> RequestOutcome:
+        """The reference path's bulk download from ``conn`` (never sent
+        under a retry policy: the pipeline's downloads ride batches)."""
+        return self.exchange([conn], lambda c, t: self.gcf.fetch_bulk(c.gcf, request, t))[
+            conn.name
+        ]
 
     def post(self, conn: ServerConnection, msg: P.Request, not_before: float) -> None:
         """A request from a context that must neither raise nor block (a
@@ -323,7 +321,8 @@ class Transport:
         batch to that connection, its reply no deferred failure; that
         batch's outcome is returned (``None``: none was answered).  A
         windowed host write's payload streams as a section behind its
-        batch (every attempt re-streams it).
+        batch (every attempt re-streams it); a windowed download's reply
+        and returned sections go to its ``sink``, not to the stash.
 
         Without a policy a batch is identity-less (no replay fields on
         the wire); with one it carries the connection's ``(epoch, next
@@ -357,9 +356,12 @@ class Transport:
 
                 outcome = self.attempt(conn, send)
                 if outcome is not None:  # else declared dead: the loss is stashed
-                    self.record_failures(msgs, outcome)
+                    self.record_failures([None if c.sink else c.msg for c in commands], outcome)
                     if sent is not msgs:
                         folded = outcome
+                for i, c in enumerate(commands):
+                    if c.sink is not None:
+                        c.sink(outcome, i)
         finally:
             self.dispatch_depth -= 1
         return folded
@@ -372,12 +374,18 @@ class Transport:
         """Stash the first daemon-reported failure among ``outcome``'s
         positional replies to ``msgs`` (checked per batch, as each
         returns, so a later transport error cannot discard an earlier
-        batch's deferred error)."""
+        batch's deferred error).  A ``None`` message's reply is not
+        judged here."""
         for msg, response in zip(msgs, outcome.responses):
             error = getattr(response, "error", 0)
-            if error:
+            if error and msg is not None:
                 self._stash(msg, error, getattr(response, "detail", ""), outcome.reply_arrival)
                 return
+
+    @property
+    def failure_pending(self) -> bool:
+        """Whether a failure is stashed for the next sync point."""
+        return self._deferred_failure is not None
 
     def surface_deferred_failure(self) -> None:
         """Raise the stashed failure, if any — called at client-initiated

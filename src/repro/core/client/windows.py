@@ -66,9 +66,12 @@ class WindowCommand:
     chase either.  ``weight`` counts the application calls it stands
     for: a launch carrying its kernel's creation and ``k`` argument
     entries weighs ``2 + k``.  ``payload``: the bytes a host write
-    streams as a section behind the batch that carries it."""
+    streams as a section behind the batch that carries it.  ``sink``: a
+    download's receiver, called as ``sink(outcome, index)`` once the
+    batch carrying it is answered (``outcome`` ``None``: the daemon was
+    lost); its reply is the sink's to judge, never a deferred failure."""
 
-    __slots__ = ("msg", "reads", "writes", "weight", "payload")
+    __slots__ = ("msg", "reads", "writes", "weight", "payload", "sink")
 
     def __init__(
         self,
@@ -77,12 +80,14 @@ class WindowCommand:
         writes: Iterable[int] = (),
         weight: int = 1,
         payload=None,
+        sink=None,
     ) -> None:
         self.msg = msg
         self.reads: Tuple[int, ...] = tuple(reads)
         self.writes: Tuple[int, ...] = tuple(writes)
         self.weight = weight
         self.payload = payload
+        self.sink = sink
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -162,6 +167,37 @@ class SendWindow:
         self._barriers = []
         return taken
 
+    def _cut(self, relevant) -> int:
+        """How many leading commands a targeted sync point dispatches:
+        through the last command reading or writing a ``relevant``
+        handle, and at least to the last barrier."""
+        last = -1
+        for i, cmd in enumerate(self.commands):
+            if any(h in relevant for h in cmd.writes) or any(
+                h in relevant for h in cmd.reads
+            ):
+                last = i
+        return max(last + 1, self.barrier_floor)
+
+    def relevant_prefix(self, relevant) -> List[WindowCommand]:
+        """The commands :meth:`split_prefix` would take, left windowed."""
+        return self.commands[: self._cut(relevant)]
+
+    def insert(self, command: WindowCommand, relevant) -> None:
+        """Queue ``command`` at the end of the prefix relevant to
+        ``relevant`` (:meth:`split_prefix`), ahead of the causally
+        unrelated commands after it: they would not have been dispatched
+        with that prefix, so the command may overtake them."""
+        self.commands.insert(self._cut(relevant), command)
+        self.calls += command.weight
+        self._reindex()
+
+    def _reindex(self) -> None:
+        self._writers = {}
+        for cmd in self.commands:
+            for handle in cmd.writes:
+                self._writers.setdefault(handle, []).append(cmd)
+
     def split_prefix(self, relevant) -> List[WindowCommand]:
         """Take the window *prefix* a targeted sync point must dispatch:
         everything up to — and including — the last command whose reads
@@ -191,22 +227,13 @@ class SendWindow:
 
         Returns ``[]`` — and leaves the window untouched — when no
         command is relevant and no barrier is pending."""
-        last = -1
-        for i, cmd in enumerate(self.commands):
-            if any(h in relevant for h in cmd.writes) or any(
-                h in relevant for h in cmd.reads
-            ):
-                last = i
-        cut = max(last + 1, self.barrier_floor)
+        cut = self._cut(relevant)
         if cut == 0:
             return []
         prefix = self.commands[:cut]
         self.commands = self.commands[cut:]
         self.calls -= sum(cmd.weight for cmd in prefix)
-        self._writers = {}
-        for cmd in self.commands:
-            for handle in cmd.writes:
-                self._writers.setdefault(handle, []).append(cmd)
+        self._reindex()
         # cut >= barrier_floor covers every recorded barrier, so none
         # can survive into the suffix.
         self._barriers = []

@@ -806,50 +806,75 @@ class Daemon:
                 self.registry.put(sender.name, event_id, event)
                 self._arm_completion_callback(event, event_id, sender)
 
+        def read_sections(msg: P.CoalescedBufferDownload, t: float, sender: GCFProcess):
+            # The section table is validated before anything enqueues, so
+            # a stale ID rejects the download before any section reads.
+            # Each section is then an ordinary enqueued read on the same
+            # queue, in section order, with its own registered event,
+            # reading its copy no earlier than the copy's last write
+            # lands (a write still gated on an event cannot be waited
+            # for here: the copy is read at once, as it always was).  A
+            # section whose read would wait on the queue's unresolved
+            # predecessor is not read: ``None``.  Read-only views of
+            # device memory stream back (zero-copy, never concatenated);
+            # the client copies each into its copy on arrival.
+            if not (
+                len(msg.buffer_ids) == len(msg.event_ids) == len(msg.nbytes_list)
+                and msg.buffer_ids
+            ):
+                raise CLError(
+                    ErrorCode.CL_INVALID_VALUE,
+                    "coalesced download needs aligned, non-empty section lists",
+                )
+            client = sender.name
+            queue = self._queue(client, msg.queue_id)
+            buffers = [self.registry.get(client, i, Buffer) for i in msg.buffer_ids]
+            sections, tcur = [], t
+            for buffer, event_id, nbytes in zip(buffers, msg.event_ids, msg.nbytes_list):
+                if queue.blocked:
+                    sections.append(None)
+                    continue
+                nbytes = nbytes if nbytes > 0 else buffer.size
+                start = max(tcur, buffer.write_landed() or 0.0)
+                data, event = queue.enqueue_read_buffer(buffer, start, 0, nbytes, [])
+                self.registry.put(client, event_id, event)
+                self._arm_completion_callback(event, event_id, sender)
+                tcur = event.end
+                sections.append((data, nbytes, tcur))
+            return sections
+
+        @gcf.on_request(P.CoalescedBufferDownload)
+        def coalesced_download(msg: P.CoalescedBufferDownload, t: float, sender: GCFProcess):
+            # The pipeline's download rides a batch: the reads run in
+            # section order and each section streams back from its read's
+            # completion, never behind the batch reply; the dispatch moves
+            # on at once.  An unread section is the client's to judge.
+            try:
+                return P.Ack(), t, read_sections(msg, t, sender)
+            except CLError as exc:
+                return P.Ack(error=exc.code.value, detail=exc.message), t
+
         @gcf.on_bulk_source(P.CoalescedBufferDownload)
         def coalesced_download_source(msg: P.CoalescedBufferDownload, t: float, sender: GCFProcess):
-            # One fetch round trip streaming the section table's
-            # whole-object reads back: each section becomes an ordinary
-            # enqueued read on the same queue, in section order, with
-            # its own registered event.  The section *table* is
-            # validated before anything enqueues, so a stale ID rejects
-            # the fetch before any section applies.  A mid-loop gating
-            # failure (a read behind an unresolved user event) fails the
-            # whole fetch; earlier sections' reads stay enqueued, and
-            # the client applies no bytes because the error raises out
-            # of the blocking call.
+            # The reference path's fetch: one round trip, the sections
+            # stream behind its reply.  A section that cannot be read
+            # fails the whole fetch; earlier sections' reads stay
+            # enqueued, and the client applies no bytes because the
+            # error raises out of the blocking call.
             try:
-                if not (
-                    len(msg.buffer_ids) == len(msg.event_ids) == len(msg.nbytes_list)
-                    and msg.buffer_ids
-                ):
+                sections = read_sections(msg, t, sender)
+                if None in sections:
                     raise CLError(
-                        ErrorCode.CL_INVALID_VALUE,
-                        "coalesced download needs aligned, non-empty section lists",
+                        ErrorCode.CL_INVALID_OPERATION,
+                        "download gated on an incomplete user event",
                     )
-                queue = self._queue(sender.name, msg.queue_id)
-                buffers = [
-                    self.registry.get(sender.name, buffer_id, Buffer)
-                    for buffer_id in msg.buffer_ids
-                ]
-                sections, total, tcur = [], 0, t
-                for buffer, event_id, nbytes in zip(buffers, msg.event_ids, msg.nbytes_list):
-                    nbytes = nbytes if nbytes > 0 else buffer.size
-                    data, event = queue.enqueue_read_buffer(buffer, tcur, 0, nbytes, [])
-                    self.registry.put(sender.name, event_id, event)
-                    self._arm_completion_callback(event, event_id, sender)
-                    if not event.resolved:
-                        raise CLError(
-                            ErrorCode.CL_INVALID_OPERATION,
-                            "download gated on an incomplete user event",
-                        )
-                    tcur = max(tcur, event.end)
-                    total += nbytes
-                    # Zero-copy: read-only views of device memory stream
-                    # back as a list, never concatenated; the client
-                    # copies each into its copy on arrival.
-                    sections.append(data)
-                return P.BufferDataResponse(nbytes=total), tcur, sections, total
+                total = sum(nbytes for _, nbytes, _ in sections)
+                return (
+                    P.BufferDataResponse(nbytes=total),
+                    max(end for _, _, end in sections),
+                    [data for data, _, _ in sections],
+                    total,
+                )
             except CLError as exc:
                 return (
                     P.BufferDataResponse(error=exc.code.value, detail=exc.message),
@@ -885,11 +910,16 @@ class Daemon:
                 peer.registry.get(sender.name, buffer_id, Buffer)
                 for buffer_id in msg.buffer_ids
             ]
+            # The source copies are read no earlier than their last
+            # writes land (a write still gated on an event cannot be
+            # waited for: the copy moves at once, as it always did).
+            start = max(t, *(buffer.write_landed() or 0.0 for buffer in buffers))
             arrival = self.network.transfer(
-                self.host, peer.host, t, sum(msg.nbytes_list), tag="s2s-buffer"
+                self.host, peer.host, start, sum(msg.nbytes_list), tag="s2s-buffer"
             )
             for src_buffer, dst_buffer in zip(buffers, peer_buffers):
                 dst_buffer.write(0, src_buffer.array)
+                dst_buffer.last_write = arrival
             return arrival
 
         @ack_handler(P.PushCommit)
@@ -915,7 +945,8 @@ class Daemon:
                 )
             _epoch, data, available_at = staged
             buffer.write(0, as_uint8_array(data))
-            return max(t, available_at)
+            buffer.last_write = max(t, available_at)
+            return buffer.last_write
 
         # -- programs / kernels ----------------------------------------------
         @ack_handler(P.CreateProgramRequest)

@@ -79,11 +79,14 @@ def releases():
 def _compile_roles(cls: type) -> None:
     """Generate ``cls``'s three extractors from its role-tagged fields,
     one expression each (they run three times per forwarded command)."""
-    required, optional, created, mutated, released = [], [], [], [], "None"
+    required, optional, created, minted, mutated, released = [], [], [], [], [], "None"
     for f in dataclasses.fields(cls):
         role, ref = f.metadata.get("handle"), f"m.{f.name}"
         if role == "creates":
-            created.append(ref)
+            if f.type.startswith("List"):
+                minted.append(f"set({ref})")
+            else:
+                created.append(ref)
         elif role is not None:
             if f.type.startswith("List"):
                 optional.append(f"set({ref} or [])")
@@ -100,7 +103,7 @@ def _compile_roles(cls: type) -> None:
         parts = [f"{{{', '.join(refs)}}}"] * bool(refs) + list(unions)
         return f"frozenset({' | '.join(parts)})" if parts else "_EMPTY"
 
-    cls._handles = eval(f"lambda m: ({ids(required, optional)}, {ids(created)})")
+    cls._handles = eval(f"lambda m: ({ids(required, optional)}, {ids(created, minted)})")
     cls._mutations = eval(f"lambda m: {ids(mutated)}")
     cls._released = eval(f"lambda m: {released}")
 
@@ -325,23 +328,29 @@ class CoalescedBufferUpload(Request):
     create_flags: List[int] = None
 
 
-@message_type(replay_safe="a fresh request (fresh transfer-event IDs) is built per attempt")
+@message_type(deferrable=True)
 class CoalescedBufferDownload(Request):
-    """Request for a coherence server->client download stream.
+    """A coherence server->client download.
 
     The download twin of :class:`CoalescedBufferUpload`: the buffers
     whose client copy must be revalidated from one daemon between two
-    sync points (one or more) ride a single request round trip whose
-    reply streams every section back together (the payload is the list
-    of per-section arrays, zero-copy, never concatenated).
-    ``buffer_ids[i]`` / ``event_ids[i]`` / ``nbytes_list[i]`` describe
-    section ``i`` (whole-object downloads, so offsets are always zero);
-    the daemon enqueues one read per section, in order, on ``queue_id``
-    and registers each section's event."""
+    sync points (one or more).  ``buffer_ids[i]`` / ``event_ids[i]`` /
+    ``nbytes_list[i]`` describe section ``i`` (whole-object downloads,
+    so offsets are always zero); the daemon enqueues one read per
+    section, in order, on ``queue_id`` and registers each section's
+    event.
 
-    queue_id: int
-    buffer_ids: List[int]
-    event_ids: List[int]
+    On the pipeline the download is a windowed command riding the batch
+    that drains its producers: each section streams back from its read's
+    completion (``GCFProcess.request_batch``), and a successful download
+    answers a bare :class:`Ack`.  The reference path
+    (``batch_window=0``) sends it as its own fetch round trip, whose
+    reply the sections stream behind (the payload is the list of
+    per-section arrays, zero-copy, never concatenated)."""
+
+    queue_id: int = reads()
+    buffer_ids: List[int] = reads()
+    event_ids: List[int] = creates()
     nbytes_list: List[int]
 
 

@@ -89,14 +89,17 @@ class NetStats:
         cost bytes but no round trip.
     ``bulk_sends`` / ``bulk_fetches``
         Stream-based bulk transfers: uploads (init request + pushed
-        payload, or a section streamed behind a batch) and downloads
-        (request + pulled payload).  A bulk *fetch* blocks on the reply,
-        so it counts as a round trip; a bulk *send*'s init request is
-        already counted in ``requests``, a section's batch in
-        ``batches``.
+        payload, or a section streamed behind a batch) and the reference
+        path's downloads (request + pulled payload).  A bulk *fetch*
+        blocks on the reply, so it counts as a round trip; a bulk
+        *send*'s init request is already counted in ``requests``, a
+        section's batch in ``batches``.  A download section a batch
+        streams back is neither: it is not a round trip, and its bytes
+        count in ``bytes_received``.
     ``bytes_sent`` / ``bytes_received``
         Wire bytes (message encodings incl. protocol headers, plus raw
-        bulk payloads) this process put on / took off the network.
+        bulk payloads and sections) this process put on / took off the
+        network.
     ``encode_cache_hits``
         Command encodings reused from :meth:`Message.cached_wire` when
         assembling batches — a command replicated to N daemons is
@@ -121,17 +124,17 @@ class NetStats:
         shipped (staged pushes may consume the rest) — so they stay 0
         on the reference path, whose groups are all singletons.
     ``coalesced_downloads`` / ``coalesced_download_sections``
-        Coherence download gangs (one request round trip streaming
-        several buffers back from one daemon), and the per-buffer
-        sections those fetches carried.
+        Coherence download gangs (one ``CoalescedBufferDownload``
+        streaming several buffers back from one daemon), and the
+        per-buffer sections those downloads carried.
     ``coalesced_reads`` / ``coalesced_read_sections``
-        Blocking-``clEnqueueReadBuffer`` result gathers fused per
-        source daemon: a blocking read that must download its buffer
-        gang-revalidates the sibling dirty buffers stranded on the
-        same daemon in one ``CoalescedBufferDownload`` fetch, so
-        back-to-back result reads cost one round trip per daemon.
-        Counted per fused group / per section (the group's fetch also
-        counts in ``coalesced_downloads``).
+        Read gathers fused per source daemon: a blocking read that must
+        download its buffer gang-revalidates the sibling dirty buffers
+        stranded on the same daemon in one ``CoalescedBufferDownload``,
+        so back-to-back result reads cost one round trip per daemon (a
+        group of deferred reads fuses the same way).  Counted per fused
+        group / per section (the group's download also counts in
+        ``coalesced_downloads``).
     ``flush_barriers``
         ``clFlush`` submission barriers recorded in send windows: the
         flush no longer force-dispatches the window — the FlushRequest
@@ -381,12 +384,13 @@ class RequestOutcome:
     successes; else one.
     ``arrival`` is when the last leg landed — the reply, or a bulk
     exchange's raw payload — and ``payload`` what a bulk fetch streamed
-    back.
+    back; ``sections`` what a batch's commands streamed back
+    (:meth:`GCFProcess.request_batch`).
     """
 
     __slots__ = (
         "responses", "sent_at", "request_arrival", "handled_at", "reply_arrival",
-        "arrival", "payload",
+        "arrival", "payload", "sections",
     )
 
     def __init__(
@@ -404,6 +408,7 @@ class RequestOutcome:
         self.reply_arrival = reply_arrival
         self.arrival = reply_arrival
         self.payload: Any = None
+        self.sections: Dict[int, list] = {}
 
     @property
     def response(self) -> Response:
@@ -504,6 +509,10 @@ class GCFProcess:
         A sub-command with a *section* (:meth:`request_batch`) gets it
         as a fourth handler argument, ``(payload, arrival)``; a guarded
         one never sees it — its bytes crossed the link and are dropped.
+        A handler may also return sections to stream back, as a third
+        value: a list of ``(payload, nbytes, start)``, ``None`` for a
+        section it did not read; they leave at their ``start``, not
+        behind the batch reply.
 
         ``guard``/``observe`` are the dispatch *interceptor* hooks the
         daemon uses for dependency poisoning: ``guard(sub, sender, last)``
@@ -537,14 +546,15 @@ class GCFProcess:
         replay identity (``msg.seq >= 0``) is looked up in a cache of
         ``REPLAY_CACHE_SIZE`` replies keyed ``(sender name, epoch, seq)``
         *before* any handler runs.  A hit re-answers the replayed batch from the cached
-        :class:`CommandBatchResponse` — no handler re-executes, no
+        :class:`CommandBatchResponse` and re-streams its returned
+        sections — no handler re-executes, no
         kernel runs twice, no transfer double-applies — and bumps
         ``stats.deduped_batches`` (the batch's sub-commands are *not*
         re-counted in ``batched_commands_received``).  Identity-less
         batches (``seq < 0``, the happy path) skip the lookup entirely.
         """
         decode_cache = WireDecodeCache()
-        replay_cache: "OrderedDict[Tuple[str, int, int], CommandBatchResponse]" = OrderedDict()
+        replay_cache: "OrderedDict[Tuple[str, int, int], tuple]" = OrderedDict()
 
         def undispatchable(detail: str) -> Response:
             if on_error is None:
@@ -560,9 +570,14 @@ class GCFProcess:
                 if cached is not None:
                     replay_cache.move_to_end(replay_key)
                     self.stats.deduped_batches += 1
-                    return cached, t
+                    reply, returned = cached
+                    return reply, t, {
+                        i: [s and (s[0], s[1], max(s[2], t)) for s in out]
+                        for i, out in returned.items()
+                    }
             per_cmd = self.host.spec.batch_command_overhead
             results: List[Response] = []
+            returned: Dict[int, list] = {}
             tcur = t
             self.stats.batched_commands_received += len(msg.commands)
             last = len(msg.commands) - 1
@@ -600,7 +615,9 @@ class GCFProcess:
                         continue
                 iv = self.cpu.allocate(tcur, per_cmd, type(sub).__name__)
                 section = (sections[i],) if sections and i in sections else ()
-                response, t_done = handler(sub, iv.end, sender, *section)
+                response, t_done, *out = handler(sub, iv.end, sender, *section)
+                if out:
+                    returned[i] = out[0]
                 if t_done < iv.end:
                     raise NetworkError(
                         f"handler for {type(sub).__name__} returned "
@@ -614,10 +631,10 @@ class GCFProcess:
                 results = []
             reply = CommandBatchResponse(results=results)
             if replay_key is not None:
-                replay_cache[replay_key] = reply
+                replay_cache[replay_key] = (reply, returned)
                 if len(replay_cache) > REPLAY_CACHE_SIZE:
                     replay_cache.popitem(last=False)
-            return reply, tcur
+            return reply, tcur, returned
 
     def on_disconnect(self, fn: Callable[[str, float], None]) -> Callable[[str, float], None]:
         """Register the handler observing peer disconnects."""
@@ -729,7 +746,11 @@ class GCFProcess:
         it streams: each payload leaves right behind the batch message on
         the same link, as the batch leg does, without waiting for a
         reply, and the receiver's handler for that command gets it with
-        its arrival time.  A replayed batch streams them again.
+        its arrival time.  Sections a handler streams back (a download)
+        leave the target when the handler says, ahead of the reply leg:
+        the outcome's ``sections`` maps the command's index to a list of
+        ``(payload, arrival)``, ``None`` for a section not read.  A
+        replayed batch streams both again.
         """
         if not msgs:
             raise ValueError("request_batch needs at least one command")
@@ -744,19 +765,30 @@ class GCFProcess:
                 self.stats.encode_cache_hits += 1
             commands.append(m.cached_wire())
         batch = CommandBatch(commands=commands, epoch=epoch, seq=seq)
-        if sections:
-            dispatch = handler
+        net, back = self.network, []
 
-            def handler(msg, t_start, sender):  # the batch leg has left: stream
-                arrived = {
-                    i: (payload, self.network.transfer(
-                        self.host, target.host, t, nbytes, tag=f"bulk:{type(msgs[i]).__name__}"
-                    ))
-                    for i, (payload, nbytes) in sections.items()
-                }
-                return dispatch(msg, t_start, sender, arrived)
+        def stream(msg, t_start, sender):  # the batch leg has left: stream
+            arrived = {
+                i: (payload, net.transfer(
+                    self.host, target.host, t, nbytes, tag=f"bulk:{type(msgs[i]).__name__}"
+                ))
+                for i, (payload, nbytes) in (sections or {}).items()
+            }
+            extra = (arrived,) if sections else ()
+            reply, t_done, *returned = handler(msg, t_start, sender, *extra)
+            landed = {}
+            for i, out in (returned[0] if returned else {}).items():
+                tag = f"bulk:{type(msgs[i]).__name__}"
+                landed[i] = [
+                    s and (s[0], net.transfer(target.host, self.host, s[2], s[1], tag=tag))
+                    for s in out
+                ]
+                back.extend(s[1] for s in out if s)
+            return reply, t_done, landed
 
-        outcome, _ = self._round_trip(target, handler, batch, t)
+        outcome, (landed,) = self._round_trip(target, stream, batch, t)
+        outcome.sections = landed
+        self.stats.bytes_received += sum(back)
         if sections:
             self.stats.bulk_sends += len(sections)
             self.stats.bytes_sent += sum(nbytes for _, nbytes in sections.values())

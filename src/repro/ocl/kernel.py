@@ -95,6 +95,16 @@ class Kernel:
     def buffer_args(self) -> List[Buffer]:
         return [a for a in self.args if isinstance(a, Buffer)]
 
+    def written_buffers(self) -> List[Buffer]:
+        """The buffers bound to writable (non-``const``) global pointers."""
+        return [
+            value
+            for value, sym in zip(self.args, self.compiled.info.param_symbols)
+            if isinstance(value, Buffer)
+            and getattr(sym.type, "address_space", None) == "global"
+            and not sym.is_const
+        ]
+
     def retain(self) -> None:
         self.refcount += 1
 

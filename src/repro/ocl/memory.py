@@ -84,6 +84,20 @@ class Buffer:
             raise CLError(ErrorCode.CL_MEM_OBJECT_ALLOCATION_FAILURE, str(exc)) from exc
         self.refcount = 1
         self.released = False
+        #: What last wrote this copy: the writing command's event, or the
+        #: time a write outside any queue (a peer transfer, a push
+        #: commit) landed.  Coherence transfers read no earlier than it.
+        self.last_write: Optional[object] = None
+
+    def write_landed(self) -> Optional[float]:
+        """When the copy's last write lands (0.0 if none is recorded), or
+        ``None`` while the command writing it has not resolved."""
+        last = self.last_write
+        if last is None:
+            return 0.0
+        if isinstance(last, float):
+            return last
+        return last.end
 
     @property
     def readable(self) -> bool:

@@ -158,9 +158,10 @@ class CommandQueue:
         self._check_buffer(buffer)
         nbytes = buffer.write(offset, data)
         duration = self.device.host.upload_duration(self.device.hw, nbytes)
-        return self._enqueue(
+        buffer.last_write = self._enqueue(
             CL_COMMAND_WRITE_BUFFER, t, duration, wait_for, self._bus_schedule("write", "h2d")
         )
+        return buffer.last_write
 
     def enqueue_read_buffer(
         self,
@@ -203,9 +204,10 @@ class CommandQueue:
                 raise CLError(ErrorCode.CL_MEM_COPY_OVERLAP)
         dst.write(dst_offset, src.view(src_offset, nbytes))
         duration = nbytes / DEVICE_COPY_BANDWIDTH
-        return self._enqueue(
+        dst.last_write = self._enqueue(
             CL_COMMAND_COPY_BUFFER, t, duration, wait_for, self._device_schedule("copy")
         )
+        return dst.last_write
 
     def enqueue_nd_range_kernel(
         self,
@@ -246,13 +248,16 @@ class CommandQueue:
                 raise CLError(ErrorCode.CL_INVALID_WORK_GROUP_SIZE, text) from exc
             raise CLError(ErrorCode.CL_OUT_OF_RESOURCES, text) from exc
         cost = kernel_cost(stats, self.device.hw.spec, self.workload_scale)
-        return self._enqueue(
+        event = self._enqueue(
             CL_COMMAND_NDRANGE_KERNEL,
             t,
             cost.seconds,
             wait_for,
             self._device_schedule(f"kernel:{kernel.name}"),
         )
+        for buffer in kernel.written_buffers():
+            buffer.last_write = event
+        return event
 
     def enqueue_marker(self, t: float) -> Event:
         return self._enqueue(CL_COMMAND_MARKER, t, 0.0, None, lambda r, d: (r, r))
@@ -266,6 +271,12 @@ class CommandQueue:
             raise CLError(ErrorCode.CL_INVALID_MEM_OBJECT, f"not a buffer: {buffer!r}")
         if buffer.context is not self.context:
             raise CLError(ErrorCode.CL_INVALID_MEM_OBJECT, "buffer from another context")
+
+    @property
+    def blocked(self) -> bool:
+        """Whether a command enqueued now waits on an unresolved in-order
+        predecessor."""
+        return self._prev is not None and not self._prev.resolved
 
     def finish(self, t: float) -> float:
         """``clFinish``: returns the time all enqueued commands complete."""

@@ -220,8 +220,9 @@ def test_msi_coalescing_saves_round_trips_via_merged_downloads():
     assert sm.coalesced_downloads == 1
     assert sm.coalesced_download_sections == 2
     assert su.coalesced_downloads == 0
-    # One merged fetch replaces two: one bulk-fetch round trip saved.
-    assert sm.bulk_fetches == su.bulk_fetches - 1
+    # One merged download replaces two fetches, and it rides a batch:
+    # the pipeline sends no fetch at all.
+    assert (sm.bulk_fetches, su.bulk_fetches) == (0, 3)
     assert sm.round_trips < su.round_trips
     assert sm.bytes_sent < su.bytes_sent
 
@@ -248,9 +249,11 @@ def test_merged_download_sections_register_their_events():
 
 
 def test_rejected_coalesced_download_registers_nothing():
-    """A merged fetch naming a stale buffer ID is rejected whole: the
-    error surfaces as CLError and no section's event registers."""
+    """A merged download naming a stale buffer ID is rejected whole — as
+    the reference path's fetch and as a batched command alike: the
+    error comes back and no section's event registers."""
     import repro.core.protocol.messages as P
+    from repro.core.client.windows import WindowCommand
     from repro.ocl import CLError
 
     dep, *_ = _run_two_remote_inputs("msi", True)
@@ -273,7 +276,11 @@ def test_rejected_coalesced_download_registers_nothing():
         nbytes_list=[16, 16],
     )
     with pytest.raises(CLError):
-        driver._fetch_bulk_prefixed(conn, lambda: request, [])
+        driver.transport.fetch(conn, request)
+    answers = []
+    command = WindowCommand(request, sink=lambda outcome, i: answers.append(outcome.responses[i]))
+    driver.transport.dispatch_batches([(conn, [command])])
+    assert answers[0].error and not driver.transport.failure_pending
     for event_id in bad_event_ids:
         assert daemon.registry.peek(client, event_id) is None
 
@@ -332,7 +339,7 @@ def test_merged_reads_match_unmerged_byte_for_byte(protocol):
     sm, su = dep_m.driver.stats, dep_u.driver.stats
     assert sm.coalesced_reads == 1 and sm.coalesced_read_sections == 2
     assert su.coalesced_reads == 0
-    assert sm.bulk_fetches == su.bulk_fetches - 1
+    assert (sm.bulk_fetches, su.bulk_fetches) == (0, 3)
     assert sm.round_trips < su.round_trips
     assert sm.bytes_sent < su.bytes_sent
 
@@ -362,11 +369,11 @@ def test_lone_transfers_ship_one_section_tables(protocol, batch_window, monkeypa
     )
     gcf = deployment.driver.gcf
     sent = []
-    for name in ("request", "fetch_bulk"):
+    for name in ("request", "fetch_bulk", "request_batch"):
 
-        def spy(target, msg, t, _send=getattr(gcf, name)):
-            sent.append(msg)
-            return _send(target, msg, t)
+        def spy(target, msg, t, *args, _send=getattr(gcf, name), **kwargs):
+            sent.extend(msg if isinstance(msg, list) else [msg])
+            return _send(target, msg, t, *args, **kwargs)
 
         monkeypatch.setattr(gcf, name, spy)
     api = deployment.api

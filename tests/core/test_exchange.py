@@ -65,7 +65,7 @@ def test_rejected_fetch_costs_its_round_trip(monkeypatch):
     )
     sent_at = driver.clock.now
     with pytest.raises(CLError):
-        driver._fetch_bulk_prefixed(queue.server, lambda: request, [])
+        driver.transport.fetch(queue.server, request)
     assert replies[-1].response.error
     assert driver.clock.now >= replies[-1].reply_arrival > sent_at
 

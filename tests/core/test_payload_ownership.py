@@ -19,7 +19,6 @@ bytes are copied).  These tests hold both halves of that rule on
 import numpy as np
 import pytest
 
-import repro.core.client.driver as driver_module
 from repro.hw import Host, WESTMERE_NODE
 from repro.hw.cluster import make_ib_cpu_cluster
 from repro.net import MessageDropped
@@ -174,14 +173,16 @@ def test_whole_buffer_write_streams_the_application_array(monkeypatch):
 def test_download_sections_are_read_only_views_of_device_memory(monkeypatch):
     rig = Rig("dopencl")
     sections = []
-    original = driver_module.split_sections
+    gcf = rig.deployment.driver.gcf
+    original = gcf.request_batch
 
-    def spy(payload, nbytes_list):
-        out = original(payload, nbytes_list)
-        sections.extend(out)
-        return out
+    def spy(*args, **kwargs):
+        outcome = original(*args, **kwargs)
+        for returned in outcome.sections.values():
+            sections.extend(data for data, _arrival in returned)
+        return outcome
 
-    monkeypatch.setattr(driver_module, "split_sections", spy)
+    monkeypatch.setattr(gcf, "request_batch", spy)
     rig.cl.clEnqueueWriteBuffer(rig.queue, rig.x, True, 0, np.arange(N, dtype=np.int32))
     rig.cl.clEnqueueNDRangeKernel(rig.queue, rig.kernel, (N,))
     data = rig.read(rig.y)

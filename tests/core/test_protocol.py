@@ -170,15 +170,20 @@ def test_every_request_has_exactly_one_handler_and_no_orphans(entries):
     """Deleting a message must take its handler with it and vice versa:
     every registered request class is served at exactly one entry point
     — a request handler (a bulk sink may complete it: the stream's
-    init) or a bulk source — on exactly one of Daemon / DeviceManager,
-    and no handler is registered for a class the registry lacks."""
+    init; a bulk source may serve it: the reference path's fetch of a
+    download the pipeline batches) or a bulk source — on exactly one of
+    Daemon / DeviceManager, and no handler is registered for a class the
+    registry lacks."""
     requests = _protocol_requests()
     assert set(entries) <= requests, "handler registered for an unregistered message"
     for cls in requests - SIZE_ONLY_REQUESTS:
         served = entries.get(cls, [])
         assert len({process for process, _ in served}) == 1, (cls.__name__, served)
         kinds = sorted(kind for _, kind in served)
-        assert kinds in (["request"], ["request", "sink"], ["source"]), (cls.__name__, served)
+        assert kinds in (["request"], ["request", "sink"], ["request", "source"], ["source"]), (
+            cls.__name__,
+            served,
+        )
     for cls in SIZE_ONLY_REQUESTS:
         assert cls in requests and cls not in entries
 
@@ -196,7 +201,7 @@ def test_metadata_rows_name_registered_handled_requests(entries):
     what a batch can carry: role-tagged classes are all deferrable."""
     requests = _protocol_requests()
     tagged = {cls for cls in requests if _roles(cls)}
-    assert tagged and len(P.DEFERRABLE) == 19
+    assert tagged and len(P.DEFERRABLE) == 20
     for cls in P.DEFERRABLE | tagged:
         assert cls in requests, cls
         assert ("Daemon", "request") in entries.get(cls, []), cls.__name__
@@ -337,6 +342,16 @@ _OLD_HANDLE_EXTRACTORS[P.BufferDataUpload] = lambda m: (
     frozenset({m.event_id}),
 )
 _OLD_MUTATION_EXTRACTORS[P.BufferDataUpload] = lambda m: frozenset({m.buffer_id})
+
+# Stated exception 7: ``CoalescedBufferDownload`` joined the deferrable
+# set — on the pipeline a coherence download rides the batch that drains
+# its producers.  It reads its queue and buffers and creates one
+# transfer event per section.
+_OLD_DEFERRABLE = _OLD_DEFERRABLE | {P.CoalescedBufferDownload}
+_OLD_HANDLE_EXTRACTORS[P.CoalescedBufferDownload] = lambda m: (
+    frozenset({m.queue_id} | set(m.buffer_ids or [])),
+    frozenset(set(m.event_ids)),
+)
 
 _IDS = st.integers(min_value=1, max_value=40)  # client IDs start at count(1)
 _ID_LISTS = st.lists(_IDS, max_size=6)  # narrow range: duplicates are common
