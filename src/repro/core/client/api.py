@@ -30,17 +30,12 @@ depends on.
 
 from __future__ import annotations
 
-import copy
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.clc import CLCompileError, LocalMemory
-from repro.clc.driver import (
-    deserialize_program,
-    front_end_outcome,
-    kernel_arg_metadata,
-)
+from repro.clc.driver import deserialize_program, kernel_arg_metadata
 from repro.core.client.driver import DOpenCLDriver, ProgramBuildRecord
 from repro.core.client.stubs import (
     BufferStub,
@@ -68,7 +63,6 @@ from repro.ocl.constants import (
     ErrorCode,
 )
 from repro.ocl.errors import CLError, require
-from repro.ocl.memory import check_buffer_args
 
 
 class DOpenCLAPI:
@@ -226,20 +220,10 @@ class DOpenCLAPI:
     def clFlush(self, queue: QueueStub) -> None:
         """Submission guarantee without blocking: everything enqueued on
         any queue of this daemon so far is ordered ahead of anything
-        issued later.
-
-        The flush costs no round trip of its own: the ``FlushRequest``
-        rides the send window like any deferrable command, and the
-        driver records a **submission barrier** at the window's tail
-        (:meth:`~repro.core.client.driver.DOpenCLDriver.
-        mark_flush_barrier`).  Whole-window dispatch replays in client
-        program order anyway; the barrier's teeth are in *prefix*
-        flushing, which must extend through every flushed command
-        before any synchronous traffic may bypass the window
-        (``SendWindow.barrier_floor``).  Flushes are non-blocking in
-        virtual time, so deferring the dispatch itself is
-        indistinguishable to the application — the synchronous call at
-        the next sync point is what blocks, exactly as before."""
+        issued later.  No round trip of its own: the ``FlushRequest``
+        rides the send window and the driver records a submission
+        barrier at its tail, which prefix flushing never reorders across
+        (:meth:`DOpenCLDriver.mark_flush_barrier`)."""
         self._tick()
         self.driver.defer(queue.server, P.FlushRequest(queue_id=queue.id))
         self.driver.mark_flush_barrier(queue.server)
@@ -252,8 +236,7 @@ class DOpenCLAPI:
         size: int,
         host_data: Optional[np.ndarray] = None,
     ) -> BufferStub:
-        """Create a compound buffer stub: one remote copy per server on the
-        reference path; on the pipeline nothing is sent — a copy is
+        """Create a compound buffer stub; nothing is sent — a copy is
         created where a command first uses the buffer."""
         self._tick()
         require(size > 0, ErrorCode.CL_INVALID_BUFFER_SIZE, f"size must be positive, got {size}")
@@ -284,20 +267,7 @@ class DOpenCLAPI:
         # allocation failure (device memory exhaustion, per-device size
         # limits) poisons the buffer ID there and fails the command that
         # needed the copy.
-        if self.driver.batching_enabled:
-            # The checks a daemon would make that need no device memory.
-            require(context.refcount > 0, ErrorCode.CL_INVALID_CONTEXT, "context was released")
-            check_buffer_args(
-                buffer.flags,
-                size,
-                min(int(d.get_info("MAX_MEM_ALLOC_SIZE")) for d in context.devices),
-            )
-            self.driver.check_servers(context.unique_servers)
-        else:
-            buffer.holders = dict.fromkeys(context.server_names)
-            self.driver.forward_creation(
-                context.unique_servers, lambda conn: self.driver.buffer_creation(buffer)
-            )
+        self.driver.create_buffer(buffer)
         # Registered for the read-coalescing planner's sibling scan.
         context.live_buffers.append(buffer)
         return buffer
@@ -325,9 +295,7 @@ class DOpenCLAPI:
             context.live_buffers = [
                 b for b in context.live_buffers if not b.released
             ]
-            self.driver.fanout_holders(
-                buffer, context, lambda conn: P.ReleaseBufferRequest(buffer_id=buffer.id)
-            )
+            self.driver.fanout_holders(buffer, lambda conn: P.ReleaseBufferRequest(buffer_id=buffer.id))
 
     def clEnqueueWriteBuffer(
         self,
@@ -437,8 +405,7 @@ class DOpenCLAPI:
         modified owner).  A blocking read that must download also
         gang-revalidates the sibling dirty buffers stranded on the same
         daemon in one fused fetch, so back-to-back result reads cost one
-        round trip per source daemon (the reference path,
-        ``batch_window=0``, fetches one buffer per read).
+        round trip per source daemon.
 
         A non-blocking read (with ``defer_reads`` on, the default) is a
         *deferred fetch*: the enqueue records a read-dep on the buffer's
@@ -470,19 +437,14 @@ class DOpenCLAPI:
             out = np.zeros(nbytes, dtype=np.uint8)
             self.driver.record_deferred_read(buffer, queue, event, offset, nbytes, out)
             return out, event
-        # Eager path: blocking reads, and every read under the
-        # ``defer_reads=False`` ablation.  An eager read is a *targeted*
-        # sync point: only the windows in the dependency closure drain —
-        # the buffer's writers (windowed or dispatched-but-pending,
-        # transitively through their wait lists) plus, on an in-order
-        # queue, the queue's own command chain (real OpenCL completes a
-        # blocking read after every prior command of that queue).
-        # Windows of causally unrelated daemons stay queued, and any
-        # stashed deferred-command failure surfaces here.  (The ablation
-        # drains too: a non-blocking read that skipped its writers could
-        # return pre-write bytes — the stale-read hazard.)  On the
-        # pipeline, when the wait list already reached the client, the
-        # drain is the download's own: it rides the producers' batch.
+        # Eager path (blocking reads; every read under the
+        # ``defer_reads=False`` ablation, which must drain too or it
+        # could return pre-write bytes): a targeted sync point draining
+        # the buffer's writers, transitively, plus an in-order queue's
+        # own command chain (real OpenCL completes a blocking read after
+        # every prior command of its queue); a stashed deferred failure
+        # surfaces here.  When the wait list already reached the client,
+        # the drain is the download's own: it rides the producers' batch.
         handles = self.driver.buffer_sync_handles(buffer) + self.driver.queue_sync_handles(queue)
         fold = self.driver.read_rides_drain(wait_for)
         if not fold:
@@ -494,26 +456,11 @@ class DOpenCLAPI:
         event = self.driver.register_event(
             EventStub(queue.context, self.driver.new_id(), queue.server.name, CL_COMMAND_READ_BUFFER)
         )
-        # Read coalescing: when this blocking read must
-        # download its buffer, the sibling dirty buffers stranded on the
-        # same daemon ride the same CoalescedBufferDownload — the
-        # next back-to-back result read finds its client copy already
-        # valid, so a multi-buffer readback costs one round trip per
-        # source daemon.  Candidates are picked *before* any directory
-        # mutates (client_download_source is pure); each is revalidated
-        # only if its section comes back.
-        siblings: List[BufferStub] = []
-        if blocking and self.driver.batching_enabled:
-            source = buffer.planner.client_download_source()
-            if source is not None:
-                siblings = self.driver.read_gang_candidates(
-                    buffer, source, handles if fold else None
-                )
-                if siblings and not fold:
-                    sibling_handles = []
-                    for sibling in siblings:
-                        sibling_handles.extend(self.driver.buffer_sync_handles(sibling))
-                    self.driver.flush_for_handles(sibling_handles)
+        # Read coalescing: when this blocking read must download its
+        # buffer, the sibling dirty buffers stranded on the same daemon
+        # ride the same CoalescedBufferDownload — the next back-to-back
+        # result read finds its client copy already valid.
+        siblings = self.driver.read_gang(buffer, handles, fold) if blocking else []
         # Discard any stale completion record for this buffer so the pop
         # below observes only what *this* read's download (or staged-push
         # apply) actually did.
@@ -615,129 +562,22 @@ class DOpenCLAPI:
 
     # -- program / kernel --------------------------------------------------------------
     def clCreateProgramWithSource(self, context: ContextStub, source: str) -> ProgramStub:
-        """Replicate the program source to every server.
-
-        Deferred (the default): the source rides the send windows inline
-        (:class:`~repro.core.protocol.messages.
-        CreateProgramWithSourceRequest`), costing no round trip of its
-        own — the bytes travel in the batch the next sync point (usually
-        ``clBuildProgram``) sends anyway.  The reference path
-        (``batch_window=0``) uses the paper's bulk stream ("the
-        implementation of some OpenCL functions ... includes bulk data
-        transfers", Section III-B)."""
+        """Replicate the program source to every server
+        (:meth:`DOpenCLDriver.create_program`)."""
         self._tick()
         require(bool(source.strip()), ErrorCode.CL_INVALID_VALUE, "empty program source")
         program = ProgramStub(context, self.driver.new_id(), source)
-        if self.driver.batching_enabled:
-            self.driver.forward_creation(
-                context.unique_servers,
-                lambda conn: P.CreateProgramWithSourceRequest(
-                    program_id=program.id, context_id=context.id, source=source
-                ),
-            )
-            return program
-        payload = source.encode("utf-8")
-        self.driver.send_bulk(
-            context.unique_servers,
-            lambda conn: P.CreateProgramRequest(
-                program_id=program.id, context_id=context.id, source_bytes=len(payload)
-            ),
-            payload,
-            len(payload),
-        )
+        self.driver.create_program(program)
         return program
 
     def clBuildProgram(self, program: ProgramStub, options: str = "") -> None:
-        """Build on every server; failures merge into one CLError.
-
-        On the pipeline the build is fully asynchronous: the client
-        resolves kernel-argument metadata from its own build-record
-        cache — running the deterministic compiler front-end locally on
-        the first sighting of a ``(digest, options)`` pair — and defers
-        a digest-keyed ``BuildProgramCachedRequest`` into each server's
-        send window.  The daemon charges (or cache-skips) the build
-        cost on its own timeline when the batch dispatches, so
-        ``clBuildProgram`` itself costs zero round trips.  Failed builds
-        replay from the client record with the identical log and error.
-
-        The reference path (``batch_window=0``) is the paper's
-        synchronous fan-out: one ``BuildProgramRequest`` round trip per
-        server, each a fresh compile.  Either way the kernel argument
-        metadata ends up cached on the stub so ``clCreateKernel`` needs
+        """Build on every server; failures merge into one CLError
+        (:meth:`DOpenCLDriver.build_program`).  The kernel argument
+        metadata ends up cached on the stub, so ``clCreateKernel`` needs
         no reply data of its own."""
         self._tick()
         program.options = options
-        if self.driver.batching_enabled:
-            self._build_program_cached(program, options)
-            return
-        outcomes = self.driver.fanout(
-            program.context.unique_servers,
-            lambda conn: P.BuildProgramRequest(program_id=program.id, options=options),
-            check=False,
-        )
-        failures = []
-        for name, outcome in outcomes.items():
-            resp = outcome.response
-            program.build_logs[name] = resp.log
-            if resp.error:
-                failures.append((name, resp))
-            elif resp.kernels:
-                program.kernel_meta = dict(resp.kernels)
-        if failures:
-            program.build_status = "ERROR"
-            raise CLError(
-                ErrorCode.CL_BUILD_PROGRAM_FAILURE,
-                "; ".join(f"[{name}] {resp.detail or resp.log}" for name, resp in failures),
-            )
-        program.build_status = "SUCCESS"
-
-    def _build_program_cached(self, program: ProgramStub, options: str) -> None:
-        """The pipeline's build: local metadata, deferred daemon builds.
-
-        The compiler is deterministic, so the client can reproduce the
-        daemon's build outcome — kernel metadata on success, the exact
-        build log on failure — from one front-end run per ``(digest,
-        options)`` pair (shared by every driver in the process, see
-        :func:`repro.clc.driver.front_end_outcome`) and replay its own
-        record afterwards.
-        The front-end pass is modeled as free client-side work; the
-        real build cost lands on each daemon's timeline when its
-        windowed ``BuildProgramCachedRequest`` dispatches."""
-        servers = program.context.unique_servers
-        record = self.driver.build_record(program.digest, options)
-        if record is None:
-            kernel_meta, log = front_end_outcome(program.source, options, program.digest)
-            if kernel_meta is None:
-                record = ProgramBuildRecord(kind="failure", log=log, detail=log)
-            else:
-                record = ProgramBuildRecord(kind="success", kernel_meta=kernel_meta)
-            self.driver.remember_build(program.digest, options, record)
-        else:
-            record.hits += 1
-            if record.kind == "success":
-                self.driver.stats.build_cache_hits += 1
-            else:
-                self.driver.stats.negative_build_hits += 1
-        self.driver.fanout_deferred(
-            servers,
-            lambda conn: P.BuildProgramCachedRequest(
-                program_id=program.id, digest=program.digest, options=options
-            ),
-        )
-        if record.kind == "failure":
-            program.build_status = "ERROR"
-            for conn in servers:
-                program.build_logs[conn.name] = record.log
-            raise CLError(
-                ErrorCode.CL_BUILD_PROGRAM_FAILURE,
-                "; ".join(
-                    f"[{conn.name}] {record.detail or record.log}" for conn in servers
-                ),
-            )
-        for conn in servers:
-            program.build_logs[conn.name] = record.log
-        program.kernel_meta = copy.deepcopy(record.kernel_meta)  # the stub's own
-        program.build_status = "SUCCESS"
+        self.driver.build_program(program, options)
 
     def clGetProgramBuildInfo(self, program: ProgramStub, device, key: str) -> object:
         """Build status/log/options from the program stub."""
@@ -822,10 +662,8 @@ class DOpenCLAPI:
 
     def clCreateKernel(self, program: ProgramStub, name: str) -> KernelStub:
         """Assemble the stub client-side from the argument metadata the
-        build replies carried (``BuildProgramResponse.kernels``), rejecting
-        unknown names.  The reference path creates the kernel on every
-        server; the pipeline sends nothing (:meth:`KernelStub.ship_to`),
-        so the stub holds its program until the kernel's last release."""
+        build cached on the program, rejecting unknown names
+        (:meth:`DOpenCLDriver.create_kernel`)."""
         self._tick()
         if program.build_status != "SUCCESS":
             raise CLError(
@@ -844,15 +682,7 @@ class DOpenCLAPI:
             arg_types=list(meta.get("arg_types") or []),
             writable_buffer_args=list(meta.get("writable_buffer_args") or []),
         )
-        if self.driver.batching_enabled:
-            self.driver.check_servers(program.context.unique_servers)
-            program.retain()
-        else:
-            kernel.holders = {name: {} for name in program.context.server_names}
-            self.driver.fanout(
-                program.context.unique_servers,
-                lambda conn: P.CreateKernelRequest(kernel_id=kernel.id, program_id=program.id, name=name),
-            )
+        self.driver.create_kernel(kernel)
         return kernel
 
     def clCreateKernelsInProgram(self, program: ProgramStub) -> List[KernelStub]:
@@ -863,8 +693,8 @@ class DOpenCLAPI:
         )
 
     def clSetKernelArg(self, kernel: KernelStub, index: int, value: object) -> None:
-        """Validate the argument client-side and record it on the stub;
-        only the reference path sends the update, to every server."""
+        """Validate the argument client-side and record it on the stub
+        (:meth:`DOpenCLDriver.set_kernel_arg`)."""
         self._tick()
         require(
             0 <= index < kernel.num_args,
@@ -904,24 +734,20 @@ class DOpenCLAPI:
         kernel.args_set[index] = True
         update = P.SetKernelArgRequest(kernel_id=kernel.id, index=index, **msg_kwargs)
         kernel.set_wire(index, update.arg)
-        if self.driver.batching_enabled:
-            self.driver.check_servers(kernel.context.unique_servers)
-        else:
-            self.driver.fanout_deferred(kernel.context.unique_servers, lambda conn: update)
+        self.driver.set_kernel_arg(kernel, update)
 
     def clRetainKernel(self, kernel: KernelStub) -> None:
         """Bump the kernel stub's reference count."""
         kernel.retain()
 
     def clReleaseKernel(self, kernel: KernelStub) -> None:
-        """Drop a reference; the last one defers the remote releases (on
-        the pipeline to the kernel's holders only, then its program's)."""
+        """Drop a reference; the last one defers the remote releases to
+        the kernel's holders, then drops the program reference the
+        kernel held, if it did."""
         kernel.release()
         if kernel.refcount <= 0:
-            self.driver.fanout_holders(
-                kernel, kernel.context, lambda conn: P.ReleaseKernelRequest(kernel_id=kernel.id)
-            )
-            if self.driver.batching_enabled and kernel.refcount == 0:
+            self.driver.fanout_holders(kernel, lambda conn: P.ReleaseKernelRequest(kernel_id=kernel.id))
+            if kernel.holds_program and kernel.refcount == 0:
                 self.clReleaseProgram(kernel.program)
 
     def clEnqueueNDRangeKernel(
@@ -997,12 +823,12 @@ class DOpenCLAPI:
         # buffers whose access history shows a stable producer->consumer
         # edge ask the daemon to stream the replica at completion.
         push_hints = self.driver.plan_push_hints(written_buffers, server.name)
-        # On the pipeline the launch carries what its daemon lacks (the
-        # residency record, :class:`~repro.core.client.stubs.Resident`):
-        # the kernel's creation and the argument values not bound there
-        # yet; its buffer arguments and the replicas of the events it
-        # waits on are created there first, in the window ahead of it.
-        create, entries = kernel.ship_to(server.name) if self.driver.batching_enabled else (False, [])
+        # The launch carries what its daemon lacks (the residency record,
+        # :class:`~repro.core.client.stubs.Resident`): the kernel's
+        # creation and the argument values not bound there yet; its
+        # buffer arguments and the replicas of the events it waits on
+        # are created there first, in the window ahead of it.
+        create, entries = self.driver.launch_carries(kernel, server.name)
         self.driver.stats.kernels_created_on_launch += create
         self.driver.stats.folded_kernel_args += len(entries)
         wait_ids = self.driver.daemon_wait_ids(server, wait_for)
@@ -1075,8 +901,7 @@ class DOpenCLAPI:
             )
 
     def clCreateUserEvent(self, context: ContextStub) -> UserEventStub:
-        """User event with replicas on every server of the context
-        (reference path) or where commands wait on it (pipeline)."""
+        """User event with replicas where commands wait on it."""
         self._tick()
         return self.driver.new_user_event_stub(context)
 
@@ -1090,9 +915,7 @@ class DOpenCLAPI:
         if event.resolved:
             raise CLError(ErrorCode.CL_INVALID_OPERATION, "user event status already set")
         self.driver.fanout_holders(
-            event,
-            event.context,
-            lambda conn: P.SetUserEventStatusRequest(event_id=event.id, status=status),
+            event, lambda conn: P.SetUserEventStatusRequest(event_id=event.id, status=status)
         )
         event.mark_complete(t, self.clock.now)
 

@@ -4,64 +4,42 @@
 functions and redirect them to daemons that own the management objects
 which the functions refer to" (Section III-B).
 
-This class owns: the connection set (config file, ``clConnectServerWWU``,
-device-manager assignment), the unique-ID allocator for stubs, the
-fan-out machinery for compound-stub call replication, the execution of
-coherence-protocol transfer plans, and the event-consistency protocol
-(original event + user-event replicas + completion notifications).
-Talking to a daemon is delegated to the driver's :class:`~repro.core.
-client.resilience.Transport`; what stays here is *ordering* — how much of
-a send window must precede an exchange (all, the relevant prefix, none).
+:class:`DOpenCLDriver` owns the connection set (config file,
+``clConnectServerWWU``, device-manager assignment), the stub-ID
+allocator, compound-stub call replication, coherence transfer plans and
+the event-consistency protocol.  Talking to a daemon is delegated to
+its :class:`~repro.core.client.resilience.Transport`; what stays here is
+*ordering* — how much of a send window must precede an exchange.
 
-It also owns the **asynchronous command-forwarding pipeline**: enqueue-
-class requests (kernel launches, kernel-arg updates, releases, event
-status traffic) *and creation calls* (contexts, queues, buffers,
-programs, kernels — *handle promises*: the stub's client-assigned ID is
-valid before anything is sent) are not round-tripped one by one but
-appended to a per-connection *send window* and coalesced into a single
-``CommandBatch`` per daemon.  Errors reported by deferred commands
-surface as ``CLError`` at a flush point, mirroring how real OpenCL
-surfaces asynchronous failures at synchronization.
-
-Windows are **dependency-tracked** (see
-:mod:`repro.core.client.windows`): each deferred command records the
-handles it reads and writes, so targeted sync points —
-``clWaitForEvents`` / ``EventStub.wait`` and blocking transfers — drain
-only the relevant *prefixes* (``SendWindow.split_prefix``) of the
-windows in the transitive dependency closure of the awaited handle
+It is the **asynchronous forwarding pipeline** (design reference:
+``docs/architecture.md``): enqueue-class requests *and creations*
+(handle promises: a stub's client-assigned ID is valid before anything
+is sent) join a per-connection *send window*, coalesced into one
+``CommandBatch`` per daemon; deferred errors surface as ``CLError`` at
+a flush point.  Windows are dependency-tracked
+(:mod:`repro.core.client.windows`): targeted sync points drain only the
+relevant prefixes of the awaited handle's closure
 (:meth:`DOpenCLDriver.flush_for_handles`), ``clFlush`` records a
-zero-round-trip **submission barrier** prefix flushing never reorders
-across (:meth:`DOpenCLDriver.mark_flush_barrier`), and ``clFinish``
-drains everything (:meth:`DOpenCLDriver.flush_all`).  Windows also
-flush before any synchronous request or bulk stream to the same daemon
-(which preserves per-daemon program order) and when they reach
-``batch_window`` application calls.
+submission barrier (:meth:`DOpenCLDriver.mark_flush_barrier`) and
+``clFinish`` drains everything (:meth:`DOpenCLDriver.flush_all`).
+Relays, coherence transfers (:meth:`DOpenCLDriver.run_transfer_plans`),
+downloads (:meth:`DOpenCLDriver._download`) and read gangs
+(:meth:`DOpenCLDriver.read_gang`) ride the same windows.
 
-The rest of the pipeline rides the same windows (design reference:
-``docs/architecture.md``): event-completion relays join the replica
-servers' windows instead of round-tripping; coherence transfers
-coalesce per route in every direction
-(:meth:`DOpenCLDriver.run_transfer_plans`); a read's download rides
-the batch that drains its producers (:meth:`DOpenCLDriver._download`);
-and a blocking read that must download gang-revalidates the sibling
-dirty buffers stranded on the same daemon
-(:meth:`DOpenCLDriver.read_gang_candidates`).
-
-One switch selects all of it: ``batch_window == 0`` is the paper's
-synchronous **reference path** as a whole (Section III-B — synchronous
-creation fan-outs and bulk-stream program source, one synchronous
-compile per server per build, one synchronous relay per replica server,
-one stream per transfer, one fetch per download); any positive
-window runs the whole pipeline, builds included (the client resolves
-each build locally and windows a ``BuildProgramCachedRequest``).
+The paper's synchronous forwarding (Section III-B), the reference path,
+is :class:`~repro.core.client.reference.ReferenceDriver`, which
+overrides the operations whose behaviour differs; ``deploy_dopencl``
+picks the class once, from ``batch_window == 0``.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
+from repro.clc.driver import front_end_outcome
 from repro.core.client.connection import (
     DaemonDirectory,
     ServerConnection,
@@ -74,6 +52,8 @@ from repro.core.client.stubs import (
     BufferStub,
     ContextStub,
     EventStub,
+    KernelStub,
+    ProgramStub,
     QueueStub,
     RemoteDevice,
     ServerHandle,
@@ -88,14 +68,15 @@ from repro.hw.node import Host
 from repro.net.gcf import GCFProcess, RequestOutcome
 from repro.net.link import ConnectionRefused
 from repro.net.network import Network
-from repro.net.streams import as_uint8_array, split_sections
+from repro.net.streams import as_uint8_array
 from repro.ocl.constants import (
     CL_COMMAND_READ_BUFFER,
     CL_COMPLETE,
     CL_DEVICE_TYPE_ALL,
     ErrorCode,
 )
-from repro.ocl.errors import CLError
+from repro.ocl.errors import CLError, require
+from repro.ocl.memory import check_buffer_args
 from repro.sim.clock import VirtualClock
 
 #: Default send-window size: a window is force-flushed once it holds this
@@ -160,16 +141,17 @@ class DOpenCLDriver:
         device_manager: Optional[object] = None,
         coherence_protocol: str = "msi",
         name: Optional[str] = None,
-        batch_window: Optional[int] = DEFAULT_BATCH_WINDOW,
+        batch_window: Optional[int] = None,
         push_transfers: bool = True,
         defer_reads: bool = True,
         retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
-        if retry_policy is not None and not batch_window:
+        #: Send-window size in application calls (``None``: the default).
+        self.window_size = DEFAULT_BATCH_WINDOW if batch_window is None else int(batch_window)
+        if self.window_size < 1:
             raise ValueError(
-                "batch_window=0 cannot run under a retry_policy: the reference "
-                "path's single creation/enqueue requests carry no replay "
-                "identity, so a retried one could execute twice"
+                "a send window holds at least one call; the reference path "
+                "(window 0) is ReferenceDriver"
             )
         self.host = host
         self.network = network
@@ -181,30 +163,13 @@ class DOpenCLDriver:
         self.devmgr_config_text = devmgr_config_text
         self.device_manager = device_manager
         self.coherence_protocol = coherence_protocol
-        #: Send-window size; 0/None selects the synchronous reference
-        #: path as a whole (see the module docstring).
-        self.batch_window = int(batch_window or 0)
-        #: When True (default) the coherence layer is *push-capable*
-        #: (PR 9): kernel launches carry the
-        #: :class:`~repro.core.coherence.planner.TransferPlanner`'s push
-        #: hints, the owning daemon streams predicted replicas at kernel
-        #: completion (client-destined copies ride the completion
-        #: notification, peer-destined ones the s2s mesh), and the sync
-        #: points here *consume* staged pushes — validating the epoch —
-        #: instead of orchestrating demand transfers.  False restores
-        #: pure demand-driven coherence: no hints, no staging, byte- and
-        #: plan-identical to the pre-push directory.
+        #: Daemon-initiated predictive replication: launches carry the
+        #: planner's push hints and sync points consume staged pushes
+        #: (False: pure demand-driven coherence; see ``deploy_dopencl``).
         self.push_transfers = bool(push_transfers)
-        #: When True (default) non-blocking ``clEnqueueReadBuffer``
-        #: calls are *deferred fetches*: the enqueue records a read-dep
-        #: on the buffer's writers (plus any ``wait_for`` events) on the
-        #: window graph and returns immediately — zero network traffic,
-        #: zero virtual-time advance — and the bytes ride the next
-        #: relevant flush as/alongside a ``CoalescedBufferDownload``,
-        #: resolving the returned event with the fetch's real
-        #: transfer-completion timestamps.  False restores the eager
-        #: fetch-at-enqueue behaviour (the streaming-bench ablation,
-        #: which serialises compute and readback).
+        #: Non-blocking reads are deferred fetches riding the next
+        #: relevant flush (False: fetched at enqueue, the streaming-bench
+        #: ablation; see :meth:`record_deferred_read`).
         self.defer_reads = bool(defer_reads)
         #: Pending :class:`_DeferredRead` records, in enqueue (program)
         #: order.  Drained by :meth:`resolve_deferred_reads`.
@@ -323,13 +288,6 @@ class DOpenCLDriver:
                 self.stats.wasted_pushes += 1
 
     @property
-    def batching_enabled(self) -> bool:
-        """The one pipeline switch: True (window size > 0) runs the
-        whole forwarding pipeline, False the paper's synchronous
-        reference path as a whole (see the module docstring)."""
-        return self.batch_window > 0
-
-    @property
     def stats(self):
         """The client process's round-trip / wire-byte counters."""
         return self.gcf.stats
@@ -361,41 +319,18 @@ class DOpenCLDriver:
         (:class:`~repro.core.client.windows.WindowCommand`); ``payload``:
         the bytes a host write streams behind the batch carrying it.
 
-        **Flush-point semantics** — the window the command joins drains
-        (and any deferred daemon-side failure surfaces as ``CLError``) at
-        the earliest of:
-
-        * ``clFinish`` — a full drain: it loops until *every* window is
-          empty, so relays deferred mid-flush also go out;
-        * ``clWaitForEvents`` / ``EventStub.wait`` / blocking transfers
-          — targeted drains: only the windows in the awaited handle's
-          transitive dependency closure flush
-          (:meth:`flush_for_handles`); causally unrelated windows stay
-          queued;
-        * any synchronous request or bulk stream to the same daemon
-          (``roundtrip`` / ``fanout`` / ``send_bulk`` flush first,
-          preserving per-daemon program order); a host write is no
-          such stream — it is windowed itself (:meth:`enqueue_write`);
-        * the window reaching ``batch_window`` application calls
-          (:attr:`~repro.core.client.windows.SendWindow.calls`).
+        The window drains — and a deferred daemon-side failure surfaces
+        as ``CLError`` — at the first flush point of the flush-rule
+        table in ``docs/architecture.md``: ``clFinish`` (everything),
+        a targeted sync point (:meth:`flush_for_handles`), a synchronous
+        exchange with its daemon, or :attr:`window_size` application
+        calls (:attr:`~repro.core.client.windows.SendWindow.calls`).
 
         ``raise_errors=False`` is for calls made from inside a
         daemon-to-client callback, where raising would unwind the wrong
         stack: failures are stashed and surface at the next
-        client-initiated sync point instead.
-
-        With batching disabled this degenerates to an immediate
-        synchronous round trip (identical outcome, eager error check)."""
-        self.transport.check_usable(conn)
-        if type(msg) not in P.DEFERRABLE:
-            raise CLError(
-                ErrorCode.CL_INVALID_OPERATION,
-                f"{type(msg).__name__} cannot be forwarded asynchronously",
-            )
-        if not self.batching_enabled:
-            outcome = self.transport.request([conn], lambda c: msg, check=raise_errors)
-            self.transport.record_failures([msg], outcome[conn.name])
-            return
+        client-initiated sync point instead."""
+        self.admit(conn, msg)
         default_reads, creates = P.request_handles(msg)
         conn.window.append(
             WindowCommand(
@@ -406,12 +341,22 @@ class DOpenCLDriver:
                 payload,
             )
         )
-        if conn.window.calls >= self.batch_window and self.transport.dispatch_depth == 0:
+        if conn.window.calls >= self.window_size and self.transport.dispatch_depth == 0:
             # Overflow flush — suppressed while a dispatch loop is live
             # (see ``Transport.dispatch_depth``): commands deferred mid-dispatch
             # wait for the enclosing drain so they can never overtake a
             # swapped-out batch they causally depend on.
             self.flush_connection(conn, raise_errors=raise_errors)
+
+    def admit(self, conn: ServerConnection, msg: P.Request) -> None:
+        """Fail a command :meth:`defer` cannot forward: ``conn`` is lost,
+        or ``msg`` is not a deferrable request."""
+        self.transport.check_usable(conn)
+        if type(msg) not in P.DEFERRABLE:
+            raise CLError(
+                ErrorCode.CL_INVALID_OPERATION,
+                f"{type(msg).__name__} cannot be forwarded asynchronously",
+            )
 
     def flush_connections(
         self, conns: Sequence[ServerConnection], raise_errors: bool = True, tail=None
@@ -422,16 +367,12 @@ class DOpenCLDriver:
 
         The flush itself is *non-blocking* in virtual time ("the client
         never waits for a communication operation to complete before it
-        proceeds", Section III-B): the client clock advances past the
-        hand-off to the NIC only.  Ordering with respect to subsequent
-        synchronous calls is still guaranteed — the daemon's CPU timeline
-        serialises the batch before anything sent after it — and the
-        synchronous call at the sync point (finish, wait, blocking
-        transfer) is what blocks.  Deferred daemon-side errors are raised
-        here when ``raise_errors`` (the client-initiated sync points);
-        flushes triggered from notification handlers pass ``False`` and
-        the failure surfaces at the next sync point instead.  ``tail``:
-        see :meth:`~repro.core.client.resilience.Transport.dispatch_batches`."""
+        proceeds", Section III-B): the daemon's CPU timeline serialises
+        the batch before anything sent after it, and the synchronous call
+        at the sync point is what blocks.  Deferred daemon-side errors
+        are raised here when ``raise_errors`` (client-initiated sync
+        points; a notification handler's flush leaves them stashed).
+        ``tail``: see :meth:`~repro.core.client.resilience.Transport.dispatch_batches`."""
         # Swap every window out first: completion notifications fired
         # while a batch is dispatched may defer/flush more commands,
         # which must land in a fresh window.
@@ -456,8 +397,7 @@ class DOpenCLDriver:
         dispatching anything now.  The barrier constrains prefix
         flushing (``SendWindow.barrier_floor``) so targeted sync
         points can never overtake flushed commands with synchronous
-        traffic.  A no-op on an empty window — always, with batching
-        disabled (every command already round-tripped)."""
+        traffic.  A no-op on an empty window."""
         if conn.window.mark_barrier():
             self.stats.flush_barriers += 1
 
@@ -514,7 +454,7 @@ class DOpenCLDriver:
         reads) — the Finish goes alone (:meth:`fanout`)."""
         conn, msg = queue.server, P.FinishRequest(queue_id=queue.id)
         folded = self.flush_all((conn, msg))
-        if self.batching_enabled and folded is None and not conn.window and queue.in_order:
+        if folded is None and not conn.window and queue.in_order:
             tail = self._events.get(queue.tail_event_id)
             if tail is not None and tail.resolved:
                 self.transport.check_usable(conn)
@@ -611,14 +551,10 @@ class DOpenCLDriver:
         """The closure seeds for a transfer that *enqueues* on
         ``queue``: the queue's handle (its possibly windowed creation)
         plus — on an in-order queue — the event of its most recent
-        command.  A daemon-side read/write enqueued on an in-order
-        queue sits behind every prior command of that queue, so the
-        drain must cover the chain's unresolved gates (e.g. a deferred
-        user-event status relay still windowed) or the transfer is
-        gated on a completion that can never arrive.  Found by the
-        randomized conformance harness: a dispatched-but-pending gated
-        kernel on the transfer queue deadlocked every coherence
-        download that seeded only the buffer's own handles."""
+        command.  A transfer enqueued on an in-order queue sits behind
+        every prior command of that queue, so the drain must cover the
+        chain's unresolved gates (a windowed user-event status relay,
+        say) or the transfer waits on a completion that never arrives."""
         handles = [queue.id]
         if queue.in_order and queue.last_event_id is not None:
             handles.append(queue.last_event_id)
@@ -683,46 +619,55 @@ class DOpenCLDriver:
         the read resolves here and the id is dropped from the shipped
         list.
 
-        On the pipeline the list follows the residency rule: an event
-        whose completion already reached the client clock gates nothing
-        and is dropped; one that ``conn`` neither owns nor holds a replica
-        of gets its replica created in ``conn``'s window ahead of the
-        command (the reference path replicated every event on every
-        server at its creation).  A stub resolves in host order, so a
-        resolved event may still complete later in virtual time: its
-        replica's status relay is windowed right behind the creation,
-        timed as the completion handler would have timed it."""
+        The rest follows the residency rule: an event whose completion
+        already reached the client clock gates nothing and is dropped,
+        and the others get a replica on ``conn`` (:meth:`hold_replica`)."""
         ids: List[int] = []
+        for ev in self.daemon_events(wait_for):
+            if not self.arrived(ev):
+                self.hold_replica(conn, ev)
+                ids.append(ev.id)
+        return ids
+
+    def daemon_events(self, wait_for: Optional[Sequence[EventStub]]) -> Iterator[EventStub]:
+        """The events of ``wait_for`` a daemon registered, in order; a
+        client-local deferred-read event resolves instead (a no-op once
+        resolved)."""
         for ev in wait_for or ():
             if ev.id in self._local_event_ids:
-                self.resolve_deferred_reads([ev.id])  # no-op once resolved
-                continue
-            if self.batching_enabled and self.arrived(ev):
-                continue
-            if ev.owner_server != conn.name and conn.name not in ev.holders:
-                ev.place(conn.name, ev.resolved or self._broadcast_to(ev, conn.name))
-                # writes=(): a replica *receives* the completion (via
-                # relay or broadcast) rather than producing it, so it
-                # must not appear as the event's producer in the window
-                # graph.
-                self.defer(
-                    conn,
-                    P.CreateUserEventRequest(event_id=ev.id, context_id=ev.context.id),
-                    writes=(),
-                )
-                if ev.resolved:
-                    self.defer(
-                        conn,
-                        P.SetUserEventStatusRequest(
-                            event_id=ev.id,
-                            status=CL_COMPLETE,
-                            min_time=ev.completion_arrival + self.network.one_way_latency(),
-                        ),
-                        writes=(),
-                    )
-                    self.stats.relays_deferred += 1
-            ids.append(ev.id)
-        return ids
+                self.resolve_deferred_reads([ev.id])
+            else:
+                yield ev
+
+    def hold_replica(self, conn: ServerConnection, ev: EventStub) -> None:
+        """Create ``ev``'s replica in ``conn``'s window ahead of the
+        command about to wait on it there, unless ``conn`` owns or holds
+        one.  A stub resolves in host order, so a resolved event may
+        still complete later in virtual time: the replica's status relay
+        is windowed right behind the creation, timed as the completion
+        handler would have timed it."""
+        if ev.owner_server == conn.name or conn.name in ev.holders:
+            return
+        ev.place(conn.name, ev.resolved or self._broadcast_to(ev, conn.name))
+        # writes=(): a replica *receives* the completion (via relay or
+        # broadcast) rather than producing it, so it must not appear as
+        # the event's producer in the window graph.
+        self.defer(
+            conn,
+            P.CreateUserEventRequest(event_id=ev.id, context_id=ev.context.id),
+            writes=(),
+        )
+        if ev.resolved:
+            self.defer(
+                conn,
+                P.SetUserEventStatusRequest(
+                    event_id=ev.id,
+                    status=CL_COMPLETE,
+                    min_time=ev.completion_arrival + self.network.one_way_latency(),
+                ),
+                writes=(),
+            )
+            self.stats.relays_deferred += 1
 
     def precede(self, conn: ServerConnection, buffers: Iterable[BufferStub]) -> None:
         """Window the creation of every buffer ``conn`` lacks ahead of the
@@ -748,15 +693,13 @@ class DOpenCLDriver:
         for conn in servers:
             self.transport.check_usable(conn)
 
-    def fanout_holders(self, obj, context: ContextStub, make_msg) -> None:
+    def fanout_holders(self, obj, make_msg) -> None:
         """Forward a deferrable command about ``obj`` to the servers
-        holding it (every context server on the reference path), failing
-        on a lost context server as a fan-out to all of them would."""
-        servers = context.unique_servers
-        if self.batching_enabled:
-            self.check_servers(servers)
-            servers = [c for c in servers if c.name in obj.holders]
-        self.fanout_deferred(servers, make_msg)
+        holding it, failing on a lost context server as a fan-out to all
+        of them would."""
+        servers = obj.context.unique_servers
+        self.check_servers(servers)
+        self.fanout_deferred([c for c in servers if c.name in obj.holders], make_msg)
 
     def record_deferred_read(
         self,
@@ -789,15 +732,13 @@ class DOpenCLDriver:
         group resolves in enqueue order, fusing its downloads per source
         daemon exactly like a blocking read's gang.
 
-        ``settle`` (a full drain about to run, on the pipeline): a group
+        ``settle`` (a full drain about to run): a group
         whose dependencies the client already holds has its downloads
         windowed for that drain to carry and appends its completion
         here; any other group is left for the drain's end.
 
         Re-entrant calls (resolution drains windows and waits on events,
         whose hooks land back here) are no-ops."""
-        if settle is not None and not self.batching_enabled:
-            return
         if self._resolving_reads or not self._deferred_reads:
             return
         if handles is not None:
@@ -990,19 +931,15 @@ class DOpenCLDriver:
         blocking: bool,
         wait_for: Optional[Sequence[EventStub]],
     ) -> None:
-        """Send a host write of ``payload`` into ``buffer``.  The reference
-        path streams it behind its own init exchange (:meth:`send_bulk`).
-        The pipeline windows ``init`` — after the buffer copy its daemon
-        lacks — like a launch, annotated as reading the queue, the buffer and the wait
+        """Send a host write of ``payload`` into ``buffer``: ``init`` is
+        windowed — after the buffer copy its daemon lacks — like a
+        launch, annotated as reading the queue, the buffer and the wait
         list and writing its event and the buffer, and the payload
         streams as a section behind the batch that carries it.  A
         blocking write then drains its event's closure, so the
         application's array has left before the call returns; a
         non-blocking one takes its bytes now."""
         conn = queue.server
-        if not self.batching_enabled:
-            self.send_bulk([conn], lambda c: init, payload, init.nbytes)
-            return
         self.precede(conn, [buffer])
         self.defer(
             conn,
@@ -1164,15 +1101,100 @@ class DOpenCLDriver:
         consumed.  Event closures stay unaffected: the walk recurses
         only through event handles, and user-event *replica* creations
         (which register an event another server produces) are annotated
-        separately as writing nothing.
+        separately as writing nothing."""
+        self.fanout_deferred(servers, make_msg)
 
-        On the reference path (``batch_window == 0``) this is the
-        synchronous fan-out, with the error checked eagerly at the call
-        site."""
-        if self.batching_enabled:
-            self.fanout_deferred(servers, make_msg)
+    # ------------------------------------------------------------------
+    # buffers, programs and kernels
+    # ------------------------------------------------------------------
+    def create_buffer(self, buffer: BufferStub) -> None:
+        """``clCreateBuffer`` sends nothing: a copy is created where a
+        command first uses the buffer (:meth:`precede`).  The checks a
+        daemon would make that need no device memory run here."""
+        context = buffer.context
+        require(context.refcount > 0, ErrorCode.CL_INVALID_CONTEXT, "context was released")
+        check_buffer_args(
+            buffer.flags,
+            buffer.size,
+            min(int(d.get_info("MAX_MEM_ALLOC_SIZE")) for d in context.devices),
+        )
+        self.check_servers(context.unique_servers)
+
+    def create_program(self, program: ProgramStub) -> None:
+        """``clCreateProgramWithSource``: the source rides the send
+        windows inline, costing no round trip of its own — the bytes
+        travel in the batch the next sync point (usually
+        ``clBuildProgram``) sends anyway."""
+        self.forward_creation(
+            program.context.unique_servers,
+            lambda conn: P.CreateProgramWithSourceRequest(
+                program_id=program.id, context_id=program.context.id, source=program.source
+            ),
+        )
+
+    def build_program(self, program: ProgramStub, options: str) -> None:
+        """``clBuildProgram``: local metadata, deferred daemon builds.
+
+        The compiler is deterministic, so the client can reproduce the
+        daemon's build outcome — kernel metadata on success, the exact
+        build log on failure — from one front-end run per ``(digest,
+        options)`` pair (shared by every driver in the process, see
+        :func:`repro.clc.driver.front_end_outcome`) and replay its own
+        record afterwards, with the identical log and error.  The
+        front-end pass is modeled as free client-side work; the real
+        build cost lands on each daemon's timeline when its windowed
+        ``BuildProgramCachedRequest`` dispatches, so the call itself
+        costs zero round trips."""
+        servers = program.context.unique_servers
+        record = self.build_record(program.digest, options)
+        if record is None:
+            kernel_meta, log = front_end_outcome(program.source, options, program.digest)
+            if kernel_meta is None:
+                record = ProgramBuildRecord(kind="failure", log=log, detail=log)
+            else:
+                record = ProgramBuildRecord(kind="success", kernel_meta=kernel_meta)
+            self.remember_build(program.digest, options, record)
         else:
-            self.fanout(servers, make_msg)
+            record.hits += 1
+            if record.kind == "success":
+                self.stats.build_cache_hits += 1
+            else:
+                self.stats.negative_build_hits += 1
+        self.fanout_deferred(
+            servers,
+            lambda conn: P.BuildProgramCachedRequest(
+                program_id=program.id, digest=program.digest, options=options
+            ),
+        )
+        for conn in servers:
+            program.build_logs[conn.name] = record.log
+        if record.kind == "failure":
+            program.build_status = "ERROR"
+            raise CLError(
+                ErrorCode.CL_BUILD_PROGRAM_FAILURE,
+                "; ".join(f"[{conn.name}] {record.detail or record.log}" for conn in servers),
+            )
+        program.kernel_meta = copy.deepcopy(record.kernel_meta)  # the stub's own
+        program.build_status = "SUCCESS"
+
+    def create_kernel(self, kernel: KernelStub) -> None:
+        """``clCreateKernel`` sends nothing: a launch carries the
+        kernel's creation where it runs (:meth:`launch_carries`), so the
+        stub holds its program until its last release."""
+        self.check_servers(kernel.context.unique_servers)
+        kernel.program.retain()
+        kernel.holds_program = True
+
+    def set_kernel_arg(self, kernel: KernelStub, update: P.SetKernelArgRequest) -> None:
+        """``clSetKernelArg`` sends nothing: the value, recorded on the
+        stub, rides the launches that need it."""
+        self.check_servers(kernel.context.unique_servers)
+
+    def launch_carries(self, kernel: KernelStub, server: str) -> Tuple[bool, list]:
+        """What a launch of ``kernel`` on ``server`` carries: the
+        kernel's creation if ``server`` lacks it, and the argument
+        entries not bound there (:meth:`KernelStub.ship_to`)."""
+        return kernel.ship_to(server)
 
     # ------------------------------------------------------------------
     # event consistency (Section III-D)
@@ -1193,79 +1215,50 @@ class DOpenCLDriver:
             # broadcast the status to the replicas its command named.
             owner = self._connections.get(stub.owner_server) if stub.owner_server else None
             direct = owner is not None and getattr(owner.daemon, "direct_event_broadcast", False)
-            if self.batching_enabled:
-                targets = [name for name, heard in stub.holders.items() if not heard]
-                if not targets and not direct:
-                    # No server holds a replica the broadcast misses (no
-                    # command waited cross-server; transfer/read events
-                    # are client-local): nothing to relay.
-                    self.stats.relays_suppressed += 1
-                for name in targets:
-                    conn = self._connections[name]
-                    if not conn.connected:
-                        continue
-                    # The relay joins the replica server's send window:
-                    # no round trip now, and program order puts it after
-                    # the replica's (possibly still windowed)
-                    # CreateUserEventRequest.  The window drains at the
-                    # next flush point; no raising from inside a
-                    # daemon->client callback, so failures stash.
-                    # min_time keeps virtual-time causality: the batch
-                    # carrying the relay may be modeled as dispatched
-                    # before this notification arrived, but the replica
-                    # must not resolve before the client learned of the
-                    # completion and one hop carried the word onward.
-                    # writes=(): the relay reports a completion that
-                    # already happened; the stub is resolved, so the
-                    # window graph never needs to chase it.
-                    self.defer(
-                        conn,
-                        P.SetUserEventStatusRequest(
-                            event_id=msg.event_id,
-                            status=CL_COMPLETE,
-                            min_time=arrival + self.network.one_way_latency(),
-                        ),
-                        raise_errors=False,
-                        writes=(),
-                    )
-                    self.stats.relays_deferred += 1
-                return
-            if direct:
-                return
-            # Reference path: one synchronous request per other server of
-            # the context (each replica's creation already round-tripped).
-            for conn in stub.context.unique_servers:
-                if conn.name == stub.owner_server or not conn.connected:
-                    continue
-                self.transport.post(
+            self.relay_completion(stub, arrival, direct)
+
+    def relay_completion(self, stub: EventStub, arrival: float, direct: bool) -> None:
+        """Relay ``stub``'s completion, known at the client at
+        ``arrival``, to the replicas the owner's broadcast (``direct``)
+        misses, through their servers' windows: program order puts each
+        relay behind its replica's creation, failures stash (this runs in
+        a notification handler), ``min_time`` keeps the replica from
+        resolving before the word could have reached it, and
+        ``writes=()``: the stub is resolved, so the window graph never
+        needs to chase the relay."""
+        targets = [name for name, heard in stub.holders.items() if not heard]
+        if not targets and not direct:
+            # No server holds a replica the broadcast misses (no command
+            # waited cross-server; transfer/read events are client-local).
+            self.stats.relays_suppressed += 1
+        for name in targets:
+            conn = self._connections[name]
+            if conn.connected:
+                self.defer(
                     conn,
-                    P.SetUserEventStatusRequest(event_id=msg.event_id, status=CL_COMPLETE),
-                    arrival,
+                    P.SetUserEventStatusRequest(
+                        event_id=stub.id,
+                        status=CL_COMPLETE,
+                        min_time=arrival + self.network.one_way_latency(),
+                    ),
+                    raise_errors=False,
+                    writes=(),
                 )
+                self.stats.relays_deferred += 1
 
     def flush_for_event(self, stub: EventStub) -> None:
-        """Push out exactly the forwarding the event's resolution depends
-        on (the wait-side half of 'event stubs resolve from batch
-        replies').
-
-        Dependency-tracked: only the windows in the event's transitive
-        closure drain — its owner server, the windowed producers of
-        anything its producer waits on (cross-server chains), and the
-        relays those flushes defer back into closure windows.  Windows
-        of causally unrelated daemons stay queued; relays to replica
-        servers outside the closure ride those servers' next flush,
-        where per-daemon program order still puts them behind the
-        replica's creation."""
+        """An event stub's flush hook: drain exactly the windows its
+        resolution depends on, its transitive closure
+        (:meth:`flush_for_handles`)."""
         if stub.resolved:
             return
         self.flush_for_handles([stub.id])
 
     def new_event_stub(self, context: ContextStub, owner_server: Optional[str], command_type: int) -> EventStub:
-        """Create an event stub for a command on ``owner_server``.  The
-        reference path creates its user-event replicas on every other
-        server of the context; the pipeline creates a replica where a
-        command waits on the event (:meth:`daemon_wait_ids`) and checks
-        those servers as the fan-out would."""
+        """Create an event stub for a command on ``owner_server``; its
+        replicas are created where commands wait on it
+        (:meth:`daemon_wait_ids`), the other context servers checked as
+        a fan-out to them would (:meth:`_replicate`)."""
         stub = self.register_event(
             EventStub(context, self.new_id(), owner_server, command_type), self.flush_for_event
         )
@@ -1285,18 +1278,9 @@ class DOpenCLDriver:
         return stub
 
     def _replicate(self, stub: EventStub, servers: Sequence[ServerConnection]) -> None:
-        """The reference path's user-event replicas of ``stub`` on every
-        one of ``servers``; on the pipeline only the fan-out's check that
-        each is usable."""
-        if self.batching_enabled:
-            self.check_servers(servers)
-            return
-        for conn in servers:
-            stub.place(conn.name)
-        self.fanout_deferred(
-            servers,
-            lambda conn: P.CreateUserEventRequest(event_id=stub.id, context_id=stub.context.id),
-        )
+        """A new event's replicas on ``servers``: none until a command
+        waits there, so only the check that each is usable."""
+        self.check_servers(servers)
 
     def _broadcast_to(self, stub: EventStub, name: str) -> bool:
         """Whether the owner's direct broadcast will reach a replica of
@@ -1333,9 +1317,8 @@ class DOpenCLDriver:
         ]
 
     def new_user_event_stub(self, context: ContextStub) -> UserEventStub:
-        """``clCreateUserEvent``: a user-event stub, with replicas on
-        every server of the context on the reference path and, on the
-        pipeline, where commands wait on it (:meth:`daemon_wait_ids`)."""
+        """``clCreateUserEvent``: a user-event stub, with replicas where
+        commands wait on it (:meth:`daemon_wait_ids`)."""
         stub = self.register_event(UserEventStub(context, self.new_id()), self.flush_for_event)
         self._replicate(stub, context.unique_servers)
         return stub
@@ -1523,14 +1506,27 @@ class DOpenCLDriver:
         return event.resolved and event.completion_arrival <= self.clock.now
 
     def read_rides_drain(self, wait_for: Optional[Sequence[EventStub]]) -> bool:
-        """Whether an eager read's drain can carry its download: on the
-        pipeline, with no failure stashed for its drain to raise and
-        every event it waits for already arrived at the client."""
-        return (
-            self.batching_enabled
-            and not self.transport.failure_pending
-            and all(self.arrived(ev) for ev in wait_for or ())
+        """Whether an eager read's drain can carry its download: no
+        failure is stashed for its drain to raise and every event it
+        waits for already arrived at the client."""
+        return not self.transport.failure_pending and all(
+            self.arrived(ev) for ev in wait_for or ()
         )
+
+    def read_gang(self, buffer: BufferStub, handles: Sequence[int], fold: bool) -> List[BufferStub]:
+        """The gang a blocking read of ``buffer`` downloads with it
+        (:meth:`read_gang_candidates` of its download source), with
+        their writers drained unless the read's drain carries the
+        download (``fold``, see :meth:`read_rides_drain`).  Picked before
+        any directory mutates (``client_download_source`` is pure); each
+        is revalidated only if its section comes back."""
+        source = buffer.planner.client_download_source()
+        if source is None:
+            return []
+        siblings = self.read_gang_candidates(buffer, source, handles if fold else None)
+        if siblings and not fold:
+            self.flush_for_handles([h for s in siblings for h in self.buffer_sync_handles(s)])
+        return siblings
 
     def read_gang_candidates(
         self, buffer: BufferStub, source: str, handles: Optional[Sequence[int]] = None
@@ -1538,26 +1534,17 @@ class DOpenCLDriver:
         """Sibling buffers a blocking read of ``buffer`` can
         gang-revalidate in the same download: live buffers of the same
         context whose client copy would be downloaded from the same
-        ``source`` daemon (:meth:`~repro.core.coherence.directory.
-        MSIDirectory.client_download_source`) and whose last windowed
-        writer has already *resolved* — a producer still windowed behind
-        the read's prefix would run after the download, and an
-        unresolved one may be gated on an event the application controls
-        (a pending user event).  When ``push_transfers`` is on,
-        candidacy is also access-pattern gated
-        (:meth:`~repro.core.coherence.planner.TransferPlanner.
-        gang_candidate`): a sibling with write history the client never
-        demand-reads is server-side working state, not a pending result
-        — revalidating it buys nothing.  The gate rides
-        ``push_transfers`` because it is the access-pattern half of the
-        PR-9 replication schedule: with pushes off the gang is computed
-        exactly as before the refactor (the planner-equivalence
-        property).  With ``handles`` — the read's closure seeds, when its
-        drain carries the download — a producer windowed in the source's
+        ``source`` daemon and whose last windowed writer has already
+        *resolved* (an unresolved one may be gated on a pending user
+        event).  With ``push_transfers`` on, candidacy is also
+        access-pattern gated
+        (:meth:`~repro.core.coherence.planner.TransferPlanner.gang_candidate`):
+        working state the client never demand-reads is not revalidated.
+        With ``handles`` — the read's closure seeds, when its drain
+        carries the download — a producer windowed in the source's
         relevant prefix counts as resolved: it runs ahead of the
-        download, whose section for the sibling comes back only if it
-        completed.  Released buffers are pruned from the context's
-        registry on the way through."""
+        download, whose section comes back only if it completed.
+        Released buffers are pruned from the context's registry."""
         ahead: Set[int] = set()
         conn = self._connections.get(source)
         if handles is not None and conn is not None:
@@ -1603,41 +1590,23 @@ class DOpenCLDriver:
         (:meth:`_download`, one download per source daemon), then
         server-to-server hops (:meth:`_peer_transfer`, one round trip
         per (src, dst) pair), then uploads (:meth:`_upload`, one stream
-        per destination daemon) — whatever the group's size.  What the
-        reference path (``batch_window == 0``) changes is the
-        *grouping*, not the messages: every transfer is its own
-        one-section group, run in plan order.
+        per destination daemon) — whatever the group's size.
 
-        ``read_group=True`` marks the items as a group of deferred reads;
-        ``gang``: a blocking read's :meth:`read_gang_candidates`, which
-        ride its download and are revalidated only if their sections
-        come back.  Fused download groups of either kind are counted in
-        ``NetStats.coalesced_reads`` / ``coalesced_read_sections`` on top
-        of the ordinary download counters.  ``drain``: the closure seeds
-        of the read that owns this download, whose drain is the
-        download's; ``raising``: that drain surfaces failures as the
-        read's sync point would.  ``settle``: the download rides the
-        caller's drain instead and appends its completion here
-        (:meth:`_download`)."""
-        items = [(buffer, plan) for buffer, plan in items if plan]
-        if self.batching_enabled:
-            batches = [items]
-        else:
-            batches = [[(buffer, [t])] for buffer, plan in items for t in plan]
-        for batch in batches:
-            downloads, peers, uploads = split_transfer_plan(batch)
-            for src_name, buffers in downloads.items():
-                group = [*buffers, *gang]
-                if (read_group or gang) and len(group) > 1:
-                    self.stats.coalesced_reads += 1
-                    self.stats.coalesced_read_sections += len(group)
-                self._download(
-                    group, src_name, preferred_queue, len(buffers), drain, raising, settle
-                )
-            for (src_name, dst_name), buffers in peers.items():
-                self._peer_transfer(buffers, src_name, dst_name)
-            for dst_name, buffers in uploads.items():
-                self._upload(buffers, dst_name, preferred_queue)
+        ``read_group=True`` marks the items as a group of deferred reads,
+        ``gang`` a blocking read's :meth:`read_gang`; fused download
+        groups of either kind count as ``coalesced_reads``.  ``drain``,
+        ``raising`` and ``settle`` go to :meth:`_download`."""
+        downloads, peers, uploads = split_transfer_plan([(b, plan) for b, plan in items if plan])
+        for src_name, buffers in downloads.items():
+            group = [*buffers, *gang]
+            if (read_group or gang) and len(group) > 1:
+                self.stats.coalesced_reads += 1
+                self.stats.coalesced_read_sections += len(group)
+            self._download(group, src_name, preferred_queue, len(buffers), drain, raising, settle)
+        for (src_name, dst_name), buffers in peers.items():
+            self._peer_transfer(buffers, src_name, dst_name)
+        for dst_name, buffers in uploads.items():
+            self._upload(buffers, dst_name, preferred_queue)
 
     def _queue_on(self, buffer: BufferStub, server_name: str, preferred: Optional[QueueStub]) -> QueueStub:
         if preferred is not None and preferred.server.name == server_name:
@@ -1713,12 +1682,11 @@ class DOpenCLDriver:
         command, so it drains with the dependency closures of the
         transfer queue (its creation and in-order chain), of each
         buffer and of ``drain`` (raising the drain's failures when
-        ``raising``).  On the pipeline it is a window command at the end
-        of the source's relevant prefix: the producers' batch and the
-        download are one round trip, and each section streams back from
-        its read's completion.  ``settle`` leaves the drain to the
-        caller (``clFinish``), which runs the appended completion after
-        it.  The reference path drains, then fetches."""
+        ``raising``).  It is a window command at the end of the source's
+        relevant prefix: the producers' batch and the download are one
+        round trip, and each section streams back from its read's
+        completion.  ``settle`` leaves the drain to the caller
+        (``clFinish``), which runs the appended completion after it."""
         required = len(buffers) if required is None else required
         conn = self.connection(src_name)
         queue = self._queue_on(buffers[0], src_name, preferred)
@@ -1726,21 +1694,20 @@ class DOpenCLDriver:
         for buffer in buffers:
             handles.extend(self.buffer_sync_handles(buffer))
         remaining, gang = list(buffers[:required]), list(buffers[required:])
-        if not self.batching_enabled or (self.push_transfers and any(map(self._push_due, buffers))):
+        if self.push_transfers and any(map(self._push_due, buffers)):
             # A staged push with the current epoch already carries
             # exactly the bytes its section would download: drain (the
             # push rides the producer's completion), consume it and drop
             # the section; with every section staged the download
-            # vanishes.  Push-off behaviour is untouched.
+            # vanishes.
             self.flush_for_handles(handles, raise_errors=False)
-            if self.push_transfers:
-                remaining = [b for b in remaining if not self._apply_staged_push(b)]
-                pushed = [b for b in gang if self._apply_staged_push(b)]
-                for buffer in pushed:
-                    buffer.planner.acquire_read("client")
-                gang = [b for b in gang if b not in pushed]
-                if not remaining and not gang:
-                    return
+            remaining = [b for b in remaining if not self._apply_staged_push(b)]
+            pushed = [b for b in gang if self._apply_staged_push(b)]
+            for buffer in pushed:
+                buffer.planner.acquire_read("client")
+            gang = [b for b in gang if b not in pushed]
+            if not remaining and not gang:
+                return
         group = remaining + gang
         if len(buffers) > 1:
             self.stats.coalesced_downloads += 1
@@ -1752,15 +1719,6 @@ class DOpenCLDriver:
             event_ids=[stub.id for stub in stubs],
             nbytes_list=[b.size for b in group],
         )
-        if not self.batching_enabled:
-            try:
-                fetched = self.transport.fetch(conn, request)
-            except CLError as exc:
-                self._abort_downloads(remaining, src_name, exc)
-            sizes = request.nbytes_list
-            sections = [(data, fetched.arrival) for data in split_sections(fetched.payload, sizes)]
-            self._land(queue, group, stubs, sections, gang)
-            return
         answers: list = []
         command = WindowCommand(
             request,

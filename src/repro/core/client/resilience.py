@@ -25,8 +25,8 @@ lands with the last leg; barrier; query) or *deduped* (a
 ``CommandBatch`` sent under a policy
 carries the connection's ``(epoch, seq)``, which the daemon answers
 from its cached reply).  The reference path's single creation / build /
-enqueue requests are neither, so ``batch_window=0`` with a
-retry policy is rejected at driver construction.  The per-exchange table
+enqueue requests are neither, so ``ReferenceDriver`` rejects a retry
+policy at construction.  The per-exchange table
 is in ``docs/architecture.md``, "Failure semantics", as are the *CL
 error mapping rules* whose single home is :func:`cl_error_for`.
 """

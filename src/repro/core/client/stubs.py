@@ -361,6 +361,7 @@ class KernelStub(Resident):
         self.wire: List[object] = [None] * num_args  #: each value as a launch entry carries it
         self.encoded: List[bytes] = [b""] * num_args  #: each ``wire`` value's encoding
         self.holders = {}
+        self.holds_program = False  #: retained its program until its last release
         self.refcount = 1
 
     def buffer_args(self) -> List[BufferStub]:

@@ -931,10 +931,12 @@ class Daemon:
             # replica.  Riding the destination's send window in program
             # order guarantees the apply lands before any deferred
             # command that reads the replica.  Missing or stale staging
-            # (only reachable after a crash wiped the staging table, or
-            # a replayed commit) answers a deterministic error; the
-            # commit's mutation extractor then poisons the buffer, so
-            # the stale replica can never be silently read.
+            # (after a crash wiped the staging table, a replayed commit,
+            # or a newer epoch's push that overwrote the bytes of a
+            # commit still windowed at the client — an open race that
+            # ``conformance --seed 312`` hits) answers a deterministic error;
+            # the commit's mutation extractor then poisons the buffer,
+            # so the stale replica can never be silently read.
             buffer = self.registry.get(sender.name, msg.buffer_id, Buffer)
             staged = self._push_staging.pop((sender.name, msg.buffer_id), None)
             if staged is None or staged[0] != msg.epoch:

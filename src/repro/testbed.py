@@ -12,6 +12,7 @@ from typing import Dict, List, Optional
 from repro.core.client.api import DOpenCLAPI
 from repro.core.client.connection import DaemonDirectory
 from repro.core.client.driver import DOpenCLDriver
+from repro.core.client.reference import ReferenceDriver
 from repro.core.client.resilience import RetryPolicy
 from repro.core.daemon.admission import AdmissionPolicy
 from repro.core.daemon.daemon import Daemon
@@ -121,16 +122,11 @@ def deploy_dopencl(
     corresponding entry of ``devmgr_config_texts`` (paper Listing 3)
     instead of a server list.
 
-    ``batch_window`` is the one pipeline switch.  ``None`` keeps the
-    driver default and any positive value sizes the send windows of the
-    **whole** forwarding pipeline (deferred calls and creations,
-    deferred/suppressed event relays, transfer coalescing in every
-    direction, gang reads).  **Window 0 = reference path**: the paper's
-    synchronous behaviour as a whole (Section III-B) — one round trip
-    per forwarded call, synchronous creation fan-outs with the program
-    source as a bulk stream, one fresh compile per server per build,
-    one synchronous relay per replica server,
-    one stream per transfer, one fetch per blocking read.  There is no
+    ``batch_window`` picks the forwarding side, once: **0** is the
+    paper's synchronous reference path as a whole
+    (:class:`~repro.core.client.reference.ReferenceDriver`); ``None``
+    (the driver default) or a positive size runs the whole pipeline
+    (:class:`~repro.core.client.driver.DOpenCLDriver`).  There is no
     per-stage switch in between.  ``push_transfers`` toggles
     daemon-initiated predictive replication (PR 9) on every driver;
     ``False`` restores pure demand-driven coherence.  ``defer_reads``
@@ -194,7 +190,7 @@ def deploy_dopencl(
             "defer_reads": defer_reads,
             "retry_policy": retry_policy,
         }
-        if batch_window is not None:
+        if batch_window:
             kwargs["batch_window"] = batch_window
         if managed:
             kwargs["devmgr_config_text"] = (devmgr_config_texts or [])[i]
@@ -203,7 +199,7 @@ def deploy_dopencl(
             kwargs["config_text"] = "\n".join(client_server_lists[i])
         else:
             kwargs["config_text"] = server_config_text(cluster)
-        driver = DOpenCLDriver(
+        driver = (ReferenceDriver if batch_window == 0 else DOpenCLDriver)(
             host,
             cluster.network,
             directory=directory,

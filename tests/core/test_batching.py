@@ -9,6 +9,7 @@ judged by.
 import numpy as np
 import pytest
 
+from repro.core.client.reference import ReferenceDriver
 from repro.core.protocol import messages as P
 from repro.hw.cluster import make_ib_cpu_cluster
 from repro.ocl import (
@@ -144,7 +145,7 @@ def test_window_fills_force_a_flush():
 def test_batching_disabled_is_fully_synchronous():
     deployment, api, devices, ctx, queue, buf, kernel, n = _prepared(batch_window=0)
     driver = deployment.driver
-    assert not driver.batching_enabled
+    assert type(driver) is ReferenceDriver
     before = driver.stats.requests
     api.clEnqueueNDRangeKernel(queue, kernel, (n,))
     assert driver.stats.requests > before  # immediate round trip

@@ -2,7 +2,8 @@
 
 The forwarding pipeline has one switch (``batch_window``: 0 is the
 paper's synchronous reference path, anything else the whole pipeline)
-plus two genuinely two-sided ones.  A new keyword argument on the
+plus two genuinely two-sided ones.  The first is a choice of class made
+once, at construction; no pipeline code asks which side it is on.  A new keyword argument on the
 deployment or driver surface — or a new conformance configuration, a
 second conformance executor, a snapshot outside the benchdiff table —
 fails here until it is argued for.  So does a second way to talk to a
@@ -20,6 +21,7 @@ import pytest
 from repro.bench import conformance
 from repro.core.client import api as client_api
 from repro.core.client.driver import DOpenCLDriver
+from repro.core.client.reference import ReferenceDriver
 from repro.core.client.resilience import RetryPolicy
 from repro.hw.cluster import make_ib_cpu_cluster
 from repro.testbed import deploy_dopencl
@@ -145,15 +147,71 @@ def test_one_way_to_talk_to_a_daemon():
 def test_reference_path_under_a_retry_policy_is_unrepresentable():
     """Window 0 sends single creation / enqueue requests with no replay
     identity; rather than retrying what is not replay-safe, the
-    combination is rejected at construction."""
+    combination is rejected at construction.  ``None`` is the default
+    window on both layers, so it runs the pipeline, retries included."""
     cluster = make_ib_cpu_cluster(1)
-    for window in (0, None):
-        with pytest.raises(ValueError, match="replay identity"):
-            DOpenCLDriver(
-                cluster.client, cluster.network,
-                batch_window=window, retry_policy=RetryPolicy(),
-            )
+    with pytest.raises(ValueError, match="replay identity"):
+        ReferenceDriver(cluster.client, cluster.network, retry_policy=RetryPolicy())
     with pytest.raises(ValueError, match="replay identity"):
         deploy_dopencl(cluster, batch_window=0, retry_policy=RetryPolicy())
-    DOpenCLDriver(cluster.client, cluster.network, batch_window=0)
-    DOpenCLDriver(cluster.client, cluster.network, retry_policy=RetryPolicy())
+    with pytest.raises(ValueError, match="ReferenceDriver"):
+        DOpenCLDriver(cluster.client, cluster.network, batch_window=0)
+    ReferenceDriver(cluster.client, cluster.network)
+    for window in (None, 1):
+        driver = DOpenCLDriver(
+            cluster.client, cluster.network, batch_window=window, retry_policy=RetryPolicy()
+        )
+        assert type(driver) is DOpenCLDriver
+    deployment = deploy_dopencl(cluster, batch_window=None, retry_policy=RetryPolicy())
+    assert type(deployment.driver) is DOpenCLDriver
+    assert (
+        DOpenCLDriver(cluster.client, cluster.network, batch_window=None).window_size
+        == deployment.driver.window_size
+    )
+
+
+def _batch_window_reads(path):
+    """The outermost enclosing ``Class.function`` (or ``function``) of
+    every read of a name or attribute ``batch_window`` in the module at
+    ``path``."""
+    sites = []
+
+    class Visitor(ast.NodeVisitor):
+        stack = []
+
+        def visit_ClassDef(self, node):
+            self.stack.append(node.name)
+            self.generic_visit(node)
+            self.stack.pop()
+
+        visit_FunctionDef = visit_ClassDef
+
+        def visit_Name(self, node):
+            if node.id == "batch_window" and isinstance(node.ctx, ast.Load):
+                sites.append(".".join(self.stack[:2]))
+
+        def visit_Attribute(self, node):
+            if node.attr == "batch_window" and isinstance(node.ctx, ast.Load):
+                sites.append(".".join(self.stack[:2]))
+            self.generic_visit(node)
+
+    with open(path) as fh:
+        Visitor().visit(ast.parse(fh.read()))
+    return sites
+
+
+def test_one_forwarder_per_side():
+    """The side is chosen once: ``deploy_dopencl`` constructs either the
+    pipeline (``DOpenCLDriver``) or the reference path
+    (``ReferenceDriver``).  Inside ``core/client/`` only the reference
+    module and the pipeline constructor that sizes the send window read
+    ``batch_window`` — no pipeline operation tests for window 0 — and no
+    module of ``repro`` asks a driver whether it batches."""
+    package = os.path.dirname(inspect.getsourcefile(client_api))
+    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+        if os.path.basename(path) != "reference.py":
+            assert set(_batch_window_reads(path)) <= {"DOpenCLDriver.__init__"}, path
+    root = os.path.dirname(os.path.dirname(package))
+    for path in glob.glob(os.path.join(root, "**", "*.py"), recursive=True):
+        with open(path) as fh:
+            assert "batching_enabled" not in fh.read(), path
