@@ -77,12 +77,19 @@ execution"):
   the survivors' values are gathered once (as a loop's compaction does)
   and the rest of the kernel runs on an all-true mask.  Nothing is
   scattered back: nothing follows the kernel.
+* **Inlining.**  A call outside a divergent loop to a helper of
+  :func:`_inline_shape` is generated in place with the caller's facts;
+  after its last guards that :func:`_selectable` admits, every lane runs
+  on and one select per guard picks the value, charged as the call was.
+* **Hoisting.**  In a uniform loop, what reads nothing it declares or
+  assigns is computed before it, and charged on every iteration.
 
 Uniformity and value numbering need facts only a generation walk
 produces (which stores merge; which expressions recur while still
 valid), so every function is generated twice: a dry run that collects
-:class:`_Facts`, then the real one.  Each decision is left as a comment
-in the generated source.
+:class:`_Facts` (inlining wherever the shape allows: which loops are
+uniform is one of them), then the real one.  Each decision is left as a
+comment in the generated source.
 """
 
 from __future__ import annotations
@@ -174,6 +181,9 @@ class _Summary(NamedTuple):
     effects: bool
     loads: bool
     lane_query: bool
+
+    #: Computes a value and nothing else, the same on every work-item given what it reads.
+    pure = property(lambda self: not (self.effects or self.loads or self.lane_query))
 
 
 _EMPTY = _Summary(_NOTHING, _NOTHING, _NOTHING, False, None, False, False, False)
@@ -452,17 +462,59 @@ def _owners(body: A.Block, named: Set[int]) -> FrozenSet[str]:
     return frozenset(owned - lost)
 
 
+def _selectable(node: A.Node) -> bool:
+    """May ``node`` run on lanes that have already returned: no load,
+    store, atomic or call of a user function, no ``vecrt`` division?"""
+    return not any(
+        isinstance(n, A.Index) or getattr(n, "func", None) is not None
+        or getattr(getattr(n, "builtin", None), "kind", None) in ("atomic", "barrier")
+        or isinstance(n, (A.BinaryOp, A.Assign)) and n.op in ("/", "%", "/=", "%=") and not _bare(n.op[0], n.type)
+        for n in _walk(node)
+    )
+
+
+def _inline_shape(info: FunctionInfo, summaries: Dict[int, _Summary]) -> Optional[int]:
+    """If calls to ``info`` may be inlined (a helper returning a value,
+    without work-group state, of declarations, expression statements,
+    top-level ``if (...) return v;`` guards and a final ``return``), the
+    index of the first guard from which all is :func:`_selectable` (else
+    of the ``return``): where :meth:`FunctionCodegen.select` takes over."""
+    stmts = info.node.body.stmts
+    guards = [isinstance(s, A.If) and s.els is None and [type(t) for t in s.then.stmts] == [A.Return] for s in stmts]
+    shape = all(g or isinstance(s, (A.DeclStmt, A.ExprStmt)) for s, g in zip(stmts[:-1], guards))
+    if info.is_kernel or isinstance(info.return_type, VoidType) or _summary(info.node.body, summaries).group_state:
+        return None
+    if not (shape and stmts and isinstance(stmts[-1], A.Return)):
+        return None
+    selected = (i for i, g in enumerate(guards) if g and all(map(_selectable, [stmts[i].then, *stmts[i + 1 :]])))
+    return next(selected, len(stmts) - 1)
+
+
+@dataclasses.dataclass
+class _Loop:
+    """A loop being generated: uniform?, the slots declared before it and not assigned in it,
+    the values computed before it (``avail`` entries, their lines, the per-lane ones)."""
+
+    k: int
+    uniform: bool
+    invariant: Set[str]
+    indent: int
+    hoisted: Dict[str, Tuple[object, str, float, _Summary]] = dataclasses.field(default_factory=dict)
+    pre: List[str] = dataclasses.field(default_factory=list)
+    gathered: List[str] = dataclasses.field(default_factory=list)
+
+
 class _Facts(NamedTuple):
     """What the dry run of a function learned for the real one."""
 
     #: Slots that hold a NumPy scalar wherever they are read.
     uniform: FrozenSet[str]
-    #: ``id`` of a side-effect-free expression -> the code generated for
-    #: it without value numbering: what makes two expressions "the same".
-    canon: Dict[int, str]
-    #: ``id`` of the expressions whose value is computed once and read
+    #: Key (:meth:`FunctionCodegen.key`) of a side-effect-free expression -> the code
+    #: generated for it without value numbering: what makes two expressions "the same".
+    canon: Dict[object, str]
+    #: Keys of the expressions whose value is computed once and read
     #: more than once: the first and every reuse.
-    named: Set[int]
+    named: Set[object]
     #: Slots updated in place where a merge is kept (:func:`_owners`).
     owners: FrozenSet[str]
 
@@ -479,9 +531,11 @@ class FunctionCodegen:
         consts: Dict[str, str],
         summaries: Dict[int, _Summary],
         called: Set[str],
+        inlinable: Dict[str, int],
         facts: Optional[_Facts] = None,
     ) -> None:
         self.info = info
+        self.inlinable = inlinable  # helper name -> where its select starts (:func:`_inline_shape`)
         self.consts = consts  # module-level expression -> its name
         self.summaries = summaries  # the program's _summary memo
         self.facts = facts  # None: this is the dry run that collects them
@@ -490,10 +544,16 @@ class FunctionCodegen:
         self._temp = 0
         self._label = 0
         self.loop_stack: List[int] = []  # labels of the loops being generated
+        self.loops: List[_Loop] = []  # the same (an inlined body's too), for hoisting
         self.frames: List[_Frame] = []  # constructs that park lanes, outermost first
         self.decl_depth: Dict[str, int] = {}  # slot -> len(frames) at its declaration
         self.scope: List[Symbol] = []  # scalar variables in scope, in declaration order
         self.returns = 0  # return statements generated so far
+        self.retv = "_retv"  # where a return puts its value
+        #: In an inlined body: parameter slot -> (code, slots read) of the
+        #: argument standing for it; the call sites (part of each key).
+        self.subst: Dict[str, Tuple[str, FrozenSet[str]]] = {}
+        self.site: Tuple[int, ...] = ()
         self.is_void = isinstance(info.return_type, VoidType)
         #: ``_ret`` (who has returned) is read where a loop that contains
         #: a ``return`` exits, and nowhere else.
@@ -505,13 +565,19 @@ class FunctionCodegen:
         #: op weight, summary) of the values that can still be reused.
         self.avail: Dict[str, Tuple[int, str, float, _Summary]] = {}
         # What the dry run collects: slots that may be uniform, and every
-        # store as (slot, value expression or None, merged).
+        # store as (slot, value pure, slots it reads, merged).
         self.candidates = {
             sym.slot for sym in info.param_symbols if info.is_kernel and info.name not in called and _is_value(sym)
         }
-        self.stores: List[Tuple[str, Optional[A.Expr], bool]] = []
-        self.canon: Dict[int, str] = {}
-        self.named: Set[int] = set()
+        self.stores: List[Tuple[str, bool, FrozenSet[str], bool]] = []
+        self.canon: Dict[object, str] = {}
+        self.named: Set[object] = set()
+        self.no_hoist: Set[int] = set()  # stored values (through conversions): no owner holds a hoisted array
+        for node in _walk(info.node.body) if facts is not None else ():  # only the real run hoists
+            value = node.init if isinstance(node, A.VarDecl) else node.value if isinstance(node, A.Assign) else None
+            while value is not None:
+                self.no_hoist.add(id(value))
+                value = _converted(value)
         #: Top-level ``if``s of a kernel nobody calls whose then-arm
         #: always returns, with statements after them and none of those
         #: needing work-group state: the lanes they remove are retired.
@@ -530,26 +596,39 @@ class FunctionCodegen:
     def collected(self) -> _Facts:
         """The dry run's verdicts.  Uniformity is the greatest fixpoint:
         assume every candidate uniform, drop the ones a store contradicts."""
-        uniform = self.candidates - {slot for slot, _, merged in self.stores if merged}
+        uniform = self.candidates - {slot for slot, _, _, merged in self.stores if merged}
         while True:
             varying = {
-                slot for slot, value, _ in self.stores if slot in uniform and not self._uniform(value, uniform)
+                slot for slot, pure, reads, _ in self.stores if slot in uniform and not (pure and reads <= uniform)
             }
             if not varying:
                 owners = _owners(self.info.node.body, self.named)
                 return _Facts(frozenset(uniform), self.canon, self.named, owners)
             uniform -= varying
 
-    def _uniform(self, expr: Optional[A.Expr], slots) -> bool:
-        does = self.does(expr)
-        return not (does.effects or does.loads or does.lane_query) and does.reads <= slots
+    def key(self, expr: A.Expr) -> object:
+        """``expr`` to the facts: an inlined node once per call site."""
+        return (self.site, id(expr)) if self.site else id(expr)
+
+    def reads(self, node: Optional[A.Node]) -> FrozenSet[str]:
+        """The slots ``node`` reads, a parameter read as its argument."""
+        reads = self.does(node).reads
+        if self.subst and not reads.isdisjoint(self.subst):
+            reads = frozenset().union(*(self.subst[slot][1] if slot in self.subst else (slot,) for slot in reads))
+        return reads
+
+    def name(self, sym: Symbol) -> str:
+        return self.subst[sym.slot][0] if sym.slot in self.subst else sym.slot
+
+    def uniform_value(self, expr: Optional[A.Expr]) -> bool:
+        return self.facts is not None and self.does(expr).pure and self.reads(expr) <= self.facts.uniform
 
     def uniform_note(self, cond: A.Expr) -> Optional[str]:
         """The comment for a condition every active lane agrees on, or
         ``None`` if that cannot be proved."""
-        if self.facts is None or not self._uniform(cond, self.facts.uniform):
+        if not self.uniform_value(cond):
             return None
-        return "  # uniform: " + (", ".join(sorted(self.does(cond).reads)) or "constant")
+        return "  # uniform: " + (", ".join(sorted(self.reads(cond))) or "constant")
 
     # -- emission helpers ---------------------------------------------------
     def emit(self, line: str) -> None:
@@ -569,9 +648,10 @@ class FunctionCodegen:
         """``code`` evaluated here, once: a name for its value."""
         return code if code.isidentifier() else self.temp(code)
 
-    def flush(self) -> None:
-        """End the current block: charge its operations, all executed
-        under the ``_mn`` of this point."""
+    def flush(self, pending: Optional[float] = None) -> None:
+        """End the current block: charge its operations (or ``pending``),
+        all executed under the ``_mn`` of this point."""
+        self.pending = self.pending if pending is None else pending
         if self.pending:
             ops = int(self.pending) if self.pending.is_integer() else self.pending
             self.emit(f"_ctx.ops += _mn * {ops}  # block: {ops} ops")
@@ -658,17 +738,20 @@ class FunctionCodegen:
             if value is not None and self.returns == 0 and not self.loop_stack:
                 # No lane has returned yet, so no lane's value is lost.
                 self.emit("# merge elided: first return")
-                self.emit(f"_retv = {value}")
+                self.emit(f"{self.retv} = {value}")
             elif value is not None:
-                value = self.hold(value)
-                self.emit("# merge kept: lanes that returned earlier keep their value")
-                self.emit(f"_retv = {value} if _mn == _w else _rt.merge(_m, {value}, _retv)")
+                self.merge_return(value)
             self.returns += 1
             if self.loop_stack:
                 self.emit("_ret = _ret | _m")
         if not dead:
             self.emit("_m = _np.zeros_like(_m)")
             self.emit("_mn = 0")
+
+    def merge_return(self, value: str) -> None:
+        value = self.hold(value)
+        self.emit("# merge kept: lanes that returned earlier keep their value")
+        self.emit(f"{self.retv} = {value} if _mn == _w else _rt.merge(_m, {value}, {self.retv})")
 
     def visit_decl(self, decl: A.VarDecl) -> None:
         sym: Symbol = decl.symbol
@@ -679,15 +762,20 @@ class FunctionCodegen:
             else:
                 self.emit(f"{sym.slot} = _rt.private_array(_ctx, '{elem.dtype}', {sym.array_size})")
             return
-        # A declaration starts the variable's life: no lane holds an old
-        # value, so it is a plain assignment under any mask.
         v = self.visit_expr(decl.init) if decl.init is not None else self.const(sym.type.dtype, 0)
-        self.emit(f"{sym.slot} = {v}")
+        self.declare(sym, v, decl.init)
+
+    def declare(self, sym: Symbol, code: str, value: Optional[A.Expr]) -> None:
+        """``sym = code`` starts the variable's life (an inlined one's per call): no merge."""
+        self.emit(f"{sym.slot} = {code}")
+        self.forget(sym.slot)
+        for loop in self.loops:
+            loop.invariant.discard(sym.slot)
         self.decl_depth[sym.slot] = len(self.frames)
         if _is_value(sym):
             self.scope.append(sym)
             self.candidates.add(sym.slot)
-            self.stores.append((sym.slot, decl.init, False))
+            self.stores.append((sym.slot, self.does(value).pure, self.reads(value), False))
 
     @contextlib.contextmanager
     def suite(self, head: str):
@@ -780,20 +868,23 @@ class FunctionCodegen:
         does = self.does(stmt)
         carried = self._carried(stmt) if does.group_state is None else None
         self.flush()
+        uniform = self.uniform_value(stmt.cond) and not does.returns and not _binds(stmt.body, A.Break)
+        loop = _Loop(k, uniform, set(self.decl_depth) - does.writes, self.indent)
+        at = len(self.lines)  # the hoisted values' lines go here; two of compaction's wait for them
+        self.lines.append("")
         self.emit(f"# loop {k}: " + ("compactable" if does.group_state is None else f"masked ({does.group_state})"))
         self.emit(f"_msv{k}, _mnsv{k} = _m, _mn")
         if carried:
-            names = ", ".join(name for name, _ in carried)
-            flags = f"_sc{k}"  # which of them the exit scatters back
-            self.emit(f"{state}, {flags} = None, ({', '.join(str(flag) for _, flag in carried)},)")
+            self.emit("")
         self.emit("while _mn:")
         self.indent += 1
         self.avail = {}  # every iteration recomputes; compaction changes the width
         if carried:
             self.emit("if _w > _rt.COMPACT_MIN_LANES and _mn <= _rt.COMPACT_OCCUPANCY * _w:")
-            self.emit(f"    {state}, _m, {names} = _rt.compact(_ctx, {state}, {flags}, _m, {names})")
+            self.emit("")
             self.emit("    _w = _mn")
         self.frames.append((f"after loop {k}", stmt.live_after))
+        self.loops.append(loop)
 
         def narrow_by_condition() -> None:
             if stmt.cond is None:
@@ -828,10 +919,17 @@ class FunctionCodegen:
             with self.suite("if _mn:"):
                 self.visit_discarded(stmt.step)
         self.frames.pop()
+        self.loops.pop()
         self.indent -= 1
         if carried:
+            carried += [(name, False) for name in loop.gathered]
+            names = ", ".join(name for name, _ in carried)
+            flags = f"_sc{k}"  # which of them the exit scatters back
+            self.lines[at + 3] += f"{state}, {flags} = None, ({', '.join(str(flag) for _, flag in carried)},)"
+            self.lines[at + 6] += f"    {state}, _m, {names} = _rt.compact(_ctx, {state}, {flags}, _m, {names})"
             self.emit(f"if {state} is not None:")
             self.emit(f"    _w, {names} = _rt.expand(_ctx, {state}, {flags}, {names})")
+        self.lines[at : at + 1] = loop.pre
         if does.returns:
             self.emit(f"_m = _msv{k} & ~_ret")
             self.emit("_mn = _rt.count(_m)")
@@ -868,24 +966,44 @@ class FunctionCodegen:
         if does.effects or isinstance(expr, _ATOMS):
             return method(expr)
         # Local value numbering.  The dry run finds out which values are
-        # reused (``named``); the real one gives exactly those a name.
-        dry = self.facts is None
-        key = None if dry else self.facts.canon[id(expr)]
-        if dry or key not in self.avail:
+        # reused (``named``); the real one gives exactly those a name.  A
+        # value hoisted before the innermost loop is numbered there.
+        dry, me, loop = self.facts is None, self.key(expr), self.hoist_to(expr)
+        key = None if dry else self.facts.canon[me]
+        avail = self.avail if loop is None else loop.hoisted
+        if dry or key not in avail:
             charged = self.pending
-            code = method(expr)
+            code = method(expr) if loop is None else self.hoist(loop, expr, method)
             if dry:  # the key *is* the code generated without numbering
-                key = self.canon[id(expr)] = code
-            elif id(expr) in self.facts.named:
+                key = self.canon[me] = code
+            elif me in self.facts.named and loop is None:
                 code = self.hold(code)
-            if key not in self.avail:
-                self.avail[key] = (id(expr), code, self.pending - charged, does)
+            if key not in avail:
+                does = does._replace(reads=self.reads(expr)) if self.subst else does
+                avail[key] = (me, code, self.pending - charged, does)
                 return code
-        first, code, weight, _ = self.avail[key]
-        self.named.update((first, id(expr)))
+        first, code, weight, _ = avail[key]
+        self.named.update((first, me))
         if not dry:
             self.pending += weight  # computed once, charged every time
         return code
+
+    def hoist_to(self, expr: A.Expr) -> Optional[_Loop]:
+        """The loop to compute ``expr`` before: the innermost, if uniform and ``expr`` invariant."""
+        loop = self.loops[-1] if self.loops and self.lines is not self.loops[-1].pre else None
+        if loop is None or not loop.uniform or isinstance(expr, _ATOMS) or id(expr) in self.no_hoist:
+            return None
+        return loop if self.does(expr).pure and self.reads(expr) <= loop.invariant else None
+
+    def hoist(self, loop: _Loop, expr: A.Expr, method) -> str:
+        """``expr`` computed before ``loop``, numbered among the values there."""
+        outer = self.lines, self.indent, self.avail
+        self.lines, self.indent, self.avail = loop.pre, loop.indent, loop.hoisted
+        name = self.temp(method(expr))
+        self.lines[-1] += f"  # hoisted: invariant in loop {loop.k}"
+        self.lines, self.indent, self.avail = outer
+        loop.gathered += [] if self.uniform_value(expr) else [name]
+        return name
 
     def operands(self, exprs: List[A.Expr]) -> List[str]:
         """The code of each of ``exprs``, evaluated left to right: a
@@ -923,14 +1041,15 @@ class FunctionCodegen:
         return self.const("bool", bool(expr.value))
 
     def gen_VarRef(self, expr: A.VarRef) -> str:
-        return expr.symbol.slot
+        return self.name(expr.symbol)
 
-    def _cast(self, code: str, dtype: str) -> str:
+    def _cast(self, code: str, dtype: str, uniform: bool = False) -> str:
+        """``code`` as ``dtype``: of a uniform value, ``vecrt.cast``'s conversion of a scalar."""
         self.pending += W_ALU
-        return f"_rt.cast({code}, '{dtype}')"
+        return f"_np.{dtype}({code})" if uniform else f"_rt.cast({code}, '{dtype}')"
 
     def gen_ImplicitCast(self, expr: A.ImplicitCast) -> str:
-        return self._cast(self.visit_expr(expr.expr), expr.target_type.dtype)
+        return self._cast(self.visit_expr(expr.expr), expr.target_type.dtype, self.uniform_value(expr.expr))
 
     gen_Cast = gen_ImplicitCast
 
@@ -1001,7 +1120,8 @@ class FunctionCodegen:
         value in place: is it an :func:`_operator` (not a cast, a load,
         a call or a variable) that value numbering does not read again?
         Never in the dry run, whose code is the canonical form."""
-        return self.facts is not None and id(lhs) not in self.facts.named and _operator(lhs)
+        return self.facts is not None and self.key(lhs) not in self.facts.named and _operator(lhs) \
+            and self.hoist_to(lhs) is None
 
     def gen_BinaryOp(self, expr: A.BinaryOp) -> str:
         if expr.op == ",":
@@ -1047,7 +1167,7 @@ class FunctionCodegen:
         slot = sym.slot
         parked = self.frames[self.decl_depth[slot] :]
         where = next((what for what, live in parked if slot in live), None)
-        self.stores.append((slot, value, where is not None))
+        self.stores.append((slot, self.does(value).pure, self.reads(value), where is not None))
         self.forget(slot)
         if where is not None and step is not None and self.facts is not None and slot in self.facts.owners:
             op, u, unit = step
@@ -1066,19 +1186,19 @@ class FunctionCodegen:
 
     def _load_code(self, sym: Symbol, idx: str, lanes: Tuple[str, str] = ("_m", "_mn")) -> str:
         self.pending += W_MEM
-        space = _space_of(sym)
+        space, name = _space_of(sym), self.name(sym)
         if space in ("global", "constant"):
-            return f"_rt.load_global({lanes[1]}, {lanes[0]}, {sym.slot}, {idx})"
-        return f"_rt.load_{space}(_ctx, {lanes[1]}, {lanes[0]}, {sym.slot}, {idx})"
+            return f"_rt.load_global({lanes[1]}, {lanes[0]}, {name}, {idx})"
+        return f"_rt.load_{space}(_ctx, {lanes[1]}, {lanes[0]}, {name}, {idx})"
 
     def _emit_store(self, sym: Symbol, idx: str, code: str) -> None:
         self.pending += W_MEM
         self.forget()
-        space = _space_of(sym)
+        space, name = _space_of(sym), self.name(sym)
         if space in ("global", "constant"):
-            self.emit(f"_rt.store_global(_mn, _m, {sym.slot}, {idx}, {code})")
+            self.emit(f"_rt.store_global(_mn, _m, {name}, {idx}, {code})")
         else:
-            self.emit(f"_rt.store_{space}(_ctx, _mn, _m, {sym.slot}, {idx}, {code})")
+            self.emit(f"_rt.store_{space}(_ctx, _mn, _m, {name}, {idx}, {code})")
 
     def gen_Index(self, expr: A.Index) -> str:
         return self._load_code(expr.base.symbol, self.visit_expr(expr.index), self.lanes)
@@ -1116,9 +1236,11 @@ class FunctionCodegen:
     # -- calls -------------------------------------------------------------------
     def gen_Call(self, expr: A.Call) -> str:
         if getattr(expr, "convert_type", None) is not None:
-            return self._cast(self.visit_expr(expr.args[0]), expr.convert_type.dtype)
+            return self._cast(self.visit_expr(expr.args[0]), expr.convert_type.dtype, self.uniform_value(expr.args[0]))
         builtin = getattr(expr, "builtin", None)
         if builtin is None:
+            if expr.func.name in self.inlinable and (self.facts is None or all(loop.uniform for loop in self.loops)):
+                return self.inline(expr)
             args = "".join(f", {code}" for code in self.operands(expr.args))
             self.forget()  # the callee may store
             return self.hold(f"_fn_{expr.func.name}(_ctx, _m, _mn{args})")
@@ -1147,6 +1269,78 @@ class FunctionCodegen:
             f"codegen: builtin kind {builtin.kind!r}", expr.line, expr.col
         )
 
+    def inline(self, expr: A.Call) -> str:
+        """A call of a helper of :func:`_inline_shape`, generated in place: its value's code."""
+        fn: FunctionInfo = expr.func
+        args = self.operands(expr.args)
+        stmts, written, first = fn.node.body.stmts, self.does(fn.node.body).writes, self.inlinable[fn.name]
+        saved = self.subst, self.site, self.loop_stack, self.returns, self.retv, self.lanes, len(self.scope)
+        t, self.subst, self.site = self.label(), dict(self.subst), self.site + (id(expr),)
+        self.retv, self.loop_stack, self.returns, self.lanes = f"_rv{t}", [], 0, ("_m", "_mn")
+        self.emit(f"# inlined: {fn.name}")
+        for sym, arg, code in zip(fn.param_symbols, expr.args, args):  # an argument reads no parameter
+            if not _is_value(sym) or isinstance(arg, _ATOMS) and sym.slot not in written:
+                self.subst[sym.slot] = code, self.reads(arg)
+            else:
+                self.declare(sym, code, arg)
+        narrowed = any(isinstance(s, A.If) for s in stmts[:first])
+        if narrowed:  # guards split the mask as the call did
+            self.emit(f"_msv{t}, _mnsv{t}, {self.retv} = _m, _mn, {self.const(fn.return_type.dtype, 0)}")
+        for stmt in stmts[:first]:
+            self.visit_stmt(stmt)
+        value = self.select(stmts[first:], t)
+        if narrowed:
+            self.flush()
+            self.merge_return(value)
+            self.emit(f"_m, _mn = _msv{t}, _mnsv{t}  # mask restored: {fn.name} inlined")
+            value = self.retv
+        self.subst, self.site, self.loop_stack, self.returns, self.retv, self.lanes, in_scope = saved
+        del self.scope[in_scope:]
+        return value if narrowed else self.temp(value)
+
+    def select(self, stmts: List[A.Stmt], t: int) -> str:
+        """The value of an inlined body's :func:`_selectable` guards and what follows, run on
+        every lane, one select per guard; a lane is charged for the value of the guard it
+        takes, or for what follows: each guard counts the lanes that take it."""
+        guards, marks = [], []  # marks: self.pending where a guard splits the lanes, and after its value
+        snapshot = self.temp if any(self.does(stmt).writes for stmt in stmts) else self.hold
+        for stmt in stmts:
+            if isinstance(stmt, A.If):
+                guards.append([stmt.cond, snapshot(self.visit_expr(stmt.cond))])
+                marks.append(self.pending)
+                guards[-1].append(snapshot(self.visit_expr(stmt.then.stmts[0].value)))
+                marks.append(self.pending)
+            elif isinstance(stmt, A.Return):
+                final, value = stmt.value, self.visit_expr(stmt.value)
+            else:
+                self.visit_stmt(stmt)
+        if not guards:
+            return value
+        marks.append(self.pending)
+        self.flush(marks[0])
+        self.emit(f"_mnin{t} = _mn  # guards selected: every lane runs on, each is charged as it returns")
+        for j, (node, cond, _) in enumerate(guards):
+            if j:  # the lanes that reach guard j + 1
+                self.emit(f"_mr{t}, _mnr{t} = {f'_mr{t}' if j > 1 else '_m'} & ~{guards[j - 1][1]}, _mn")
+            lanes = f"_mr{t} & {cond}" if j else f"{cond} if _mn == _w and {cond}.ndim else _m & {cond}"
+            lanes = f"_mn if {cond} else 0" if self.uniform_note(node) else f"_rt.count({lanes})"
+            self.emit(f"_mn = {lanes}  # lanes returning at guard {j + 1}")
+            self.flush(marks[2 * j + 1] - marks[2 * j])
+            self.emit(f"_mn = {f'_mnr{t}' if j else f'_mnin{t}'} - _mn")
+            self.flush(marks[2 * j + 2] - marks[2 * j + 1])
+        self.emit(f"_mn = _mnin{t}")
+        if self.heads_chain(final) and not any(self.uniform_note(node) for node, *_ in guards):
+            value = self.hold(value)  # an array nobody else holds (or a scalar): written into
+            self.avail = {key: entry for key, entry in self.avail.items() if entry[1] != value}
+            for _, cond, result in reversed(guards):
+                self.emit(f"if {value}.ndim: _np.copyto({value}, {result}, where={cond})")
+                self.emit(f"else: {value} = _np.where({cond}, {result}, {value})")
+            return value
+        for node, cond, result in reversed(guards):
+            pick = "({1} if {0} else {2})" if self.uniform_note(node) else "_np.where({0}, {1}, {2})"
+            value = pick.format(cond, result, value)
+        return value
+
     def _gen_atomic(self, expr: A.Call, builtin) -> str:
         ptr = expr.args[0]
         used = expr is not self.unused
@@ -1166,7 +1360,7 @@ class FunctionCodegen:
         kind = "global" if space in ("global", "constant") else space
         self.pending += W_ATOMIC
         self.forget()
-        args = ", ".join([base_sym.slot, idx, *vals])
+        args = ", ".join([self.name(base_sym), idx, *vals])
         call = f"_rt.atomic(_ctx, _mn, _m, {used}, '{builtin.name}', '{kind}', {args})"
         if used:
             return self.hold(call)
@@ -1187,12 +1381,17 @@ def generate_module(analyzed: AnalyzedProgram) -> str:
     consts: Dict[str, str] = {}
     summaries: Dict[int, _Summary] = {}
     called = set().union(*(info.callees for info in analyzed.functions.values()))
+    for info in analyzed.functions.values():  # an inlined body needs its own
+        _Liveness(summaries).run(info.node)
+    inlinable = {
+        name: shape for name, info in analyzed.functions.items()
+        if (shape := _inline_shape(info, summaries)) is not None
+    }
     functions = []
     for info in analyzed.functions.values():
-        _Liveness(summaries).run(info.node)
-        dry = FunctionCodegen(info, consts, summaries, called)
+        dry = FunctionCodegen(info, consts, summaries, called, inlinable)
         dry.generate()
-        functions.append(FunctionCodegen(info, consts, summaries, called, dry.collected()).generate())
+        functions.append(FunctionCodegen(info, consts, summaries, called, inlinable, dry.collected()).generate())
         functions.append("")
     literals = [f"{name} = {expr}" for expr, name in consts.items()]
     return "\n".join([MODULE_PRELUDE, *literals, "", *functions])

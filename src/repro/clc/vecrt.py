@@ -45,10 +45,11 @@ def merge(m: np.ndarray, new: Any, old: Any) -> np.ndarray:
 def restrict(m: np.ndarray, mn: int, c: Any):
     """The lanes of ``m`` (``mn`` of them) where ``c`` holds, and how
     many they are.  A uniform ``c`` keeps or drops every lane and is
-    never broadcast against the mask."""
+    never broadcast against the mask; with every lane active the mask
+    is ``c`` itself (no mask is ever updated in place)."""
     if c.ndim == 0:
         return (m, mn) if c else (np.zeros_like(m), 0)
-    m = m & c
+    m = c if mn == m.shape[0] else m & c
     return m, int(np.count_nonzero(m))
 
 
@@ -57,6 +58,9 @@ def split(m: np.ndarray, mn: int, c: Any):
     the two arms of an ``if``."""
     if c.ndim == 0:
         return (m, mn, np.zeros_like(m), 0) if c else (np.zeros_like(m), 0, m, mn)
+    if mn == m.shape[0]:
+        n = int(np.count_nonzero(c))
+        return c, n, ~c, mn - n
     then = m & c
     n = int(np.count_nonzero(then))
     return then, n, m & ~c, mn - n
@@ -192,6 +196,13 @@ def shr(a, b):
 
 
 # -- memory ----------------------------------------------------------------
+def _outside(idx: np.ndarray, size: int) -> bool:
+    """Is an index of ``idx`` outside ``[0, size)``?  One reduction: seen
+    as unsigned, a negative index wraps above any size."""
+    wide = idx.view(np.uint64) if idx.dtype == np.int64 else idx.astype(np.uint64)
+    return int(wide.max()) >= size
+
+
 def _select(mn: int, m: np.ndarray, size: int, what: str, idx: Any, *others):
     """``idx`` and ``others`` (per-lane arrays or uniform scalars) of the
     active lanes, in lane order, the indices bounds-checked."""
@@ -201,7 +212,7 @@ def _select(mn: int, m: np.ndarray, size: int, what: str, idx: Any, *others):
     if mn != m.shape[0]:
         picked = tuple(v[m] if _per_lane(v) else v for v in picked)
         idx = picked[0]
-    if mn and (idx.min() < 0 or idx.max() >= size):
+    if mn and _outside(idx, size):
         off = int(idx[np.argmax((idx < 0) | (idx >= size))])
         raise CLCRuntimeError(f"out-of-bounds {what}: index {off} not in [0, {size})")
     return picked
@@ -210,8 +221,8 @@ def _select(mn: int, m: np.ndarray, size: int, what: str, idx: Any, *others):
 def _load_index(mn: int, m: np.ndarray, size: int, what: str, idx: Any) -> np.ndarray:
     """An index every lane can load from: the active lanes' own,
     bounds-checked; element 0 for the others."""
-    safe = idx if mn == m.shape[0] and _per_lane(idx) else np.where(m, idx, 0)
-    if mn and (safe.min() < 0 or safe.max() >= size):
+    safe = idx if mn == m.shape[0] and _per_lane(idx) else idx * m  # 0 on the other lanes
+    if mn and _outside(safe, size):
         _select(mn, m, size, what, idx)  # raises, naming the first offending lane
     return safe
 
@@ -277,7 +288,7 @@ def atomic(ctx, mn, m, fetch: bool, op: str, kind: str, arr: np.ndarray, idx, *v
     sel, *vals = _select(mn, m, size, op, idx, *vals)
     old = None
     if fetch:
-        safe = sel if everyone else np.where(m, idx, 0)
+        safe = sel if everyone else idx * m
         old = arr[safe] if rows is None else arr[rows, safe]
     at = sel if rows is None else (rows if everyone else rows[m], sel)
     if op in _ATOMIC_UFUNC:

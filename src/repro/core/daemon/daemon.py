@@ -133,15 +133,16 @@ class Daemon:
         #: Peer daemons by name, for server-to-server transfers
         #: (Section III-F).  Wired by the client driver on connect.
         self.peer_daemons: Dict[str, "Daemon"] = {}
-        #: ``(client name, buffer id) -> (epoch, bytes, available_at)``:
+        #: ``(client name, buffer id, epoch) -> (bytes, available_at)``:
         #: replica bytes pushed here speculatively by the owning daemon
         #: (:class:`~repro.core.protocol.messages.PeerPushRequest`),
         #: parked until the client's deferred
-        #: :class:`~repro.core.protocol.messages.PushCommit` validates
-        #: the epoch and applies them.  A newer push for the same key
-        #: overwrites (the commit for the older one would fail its epoch
-        #: check anyway); volatile — dies with :meth:`crash`.
-        self._push_staging: Dict[Tuple[str, int], Tuple[int, bytes, float]] = {}
+        #: :class:`~repro.core.protocol.messages.PushCommit` for that
+        #: epoch applies them.  One row per epoch: a newer push never
+        #: overwrites bytes whose commit is still in the client's window
+        #: (:meth:`push_commit` drops the older rows it supersedes);
+        #: volatile — dies with :meth:`crash`.
+        self._push_staging: Dict[Tuple[str, int, int], Tuple[bytes, float]] = {}
         #: Section III-F extension: when True, this daemon broadcasts event
         #: completions directly to the peer daemons holding the user-event
         #: replicas ("event status can be broadcasted directly by the
@@ -924,28 +925,30 @@ class Daemon:
 
         @ack_handler(P.PushCommit)
         def push_commit(msg: P.PushCommit, t: float, sender: GCFProcess):
-            # The client-authorised apply of a speculative peer push
-            # (PR 9): pop the staged bytes this daemon parked in
-            # ``receive_peer_push`` and, if their epoch matches the one
-            # the client's sync point validated, write them into the
-            # replica.  Riding the destination's send window in program
-            # order guarantees the apply lands before any deferred
-            # command that reads the replica.  Missing or stale staging
-            # (after a crash wiped the staging table, a replayed commit,
-            # or a newer epoch's push that overwrote the bytes of a
-            # commit still windowed at the client — an open race that
-            # ``conformance --seed 312`` hits) answers a deterministic error;
-            # the commit's mutation extractor then poisons the buffer,
-            # so the stale replica can never be silently read.
+            """The client-authorised apply of a speculative peer push
+            (PR 9).  The rule: a commit applies the bytes staged for its
+            own epoch and drops the rows of older epochs of the buffer
+            (their commits can only come later by replay); a newer
+            epoch's row stays for its own commit, which may still be in
+            the client's window.  Riding the destination's send window in
+            program order guarantees the apply lands before any deferred
+            command that reads the replica.  Missing staging (after a
+            crash wiped the staging table, or a replayed commit) answers
+            a deterministic error; the commit's mutation extractor then
+            poisons the buffer, so the stale replica can never be
+            silently read."""
             buffer = self.registry.get(sender.name, msg.buffer_id, Buffer)
-            staged = self._push_staging.pop((sender.name, msg.buffer_id), None)
-            if staged is None or staged[0] != msg.epoch:
+            staged = self._push_staging.pop((sender.name, msg.buffer_id, msg.epoch), None)
+            older = [k for k in self._push_staging if k[:2] == (sender.name, msg.buffer_id) and k[2] < msg.epoch]
+            for key in older:
+                del self._push_staging[key]
+            if staged is None:
                 raise CLError(
                     ErrorCode.CL_INVALID_OPERATION,
                     f"daemon {self.name!r}: no staged push for buffer "
                     f"{msg.buffer_id} at epoch {msg.epoch}",
                 )
-            _epoch, data, available_at = staged
+            data, available_at = staged
             buffer.write(0, as_uint8_array(data))
             buffer.last_write = max(t, available_at)
             return buffer.last_write
@@ -1148,7 +1151,7 @@ class Daemon:
         PushCommit` validates the epoch and applies them.  Never touches
         the registry buffer — deferred commands already in this daemon's
         window may legitimately read the pre-push version."""
-        self._push_staging[(client_name, buffer_id)] = (epoch, data, available_at)
+        self._push_staging[(client_name, buffer_id, epoch)] = (data, available_at)
 
     def staged_pushes(self, client_name: str) -> int:
         """How many pushed replicas are staged for ``client_name``

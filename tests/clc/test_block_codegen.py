@@ -87,8 +87,12 @@ def test_generated_module_charges_once_per_block(program):
 def test_every_decision_leaves_a_comment():
     source = compile_program(OSEM_PROGRAM).python_source
     for comment in (
-        "# block: 14 ops",
-        "# mask restored: if 3 parks nobody for good",
+        "# block: 30 ops",  # the loop body up to pixel_at's guard: 13 of its own, 17 inlined
+        "# inlined: pixel_at",
+        "# guards selected: every lane runs on, each is charged as it returns",
+        "# lanes returning at guard 1",
+        "# hoisted: invariant in loop 2",
+        "# mask restored: if 4 parks nobody for good",
         "# mask restored: loop 2 parks nobody for good",
         "# the then-arm of if 1 always leaves",
         "# uniform: nsamp_12, s_42",
@@ -149,8 +153,9 @@ def _mandelbrot_frame():
 )
 def test_python_level_calls_per_launch_stay_within_budget(launch, budget):
     """The per-op generator made 8 182 and 14 295 calls for these two
-    launches, the block-charging one 2 523 and 3 001, and with in-place
-    updates and lane retirement they take 2 428 and 2 203; a NumPy call
+    launches, the block-charging one 2 523 and 3 001, with in-place
+    updates and lane retirement 2 428 and 2 203, and with ``pixel_at``
+    inlined and invariant work hoisted 1 901 and 2 184; a NumPy call
     costs about a microsecond of dispatch whatever the lane count, so the
     count *is* the host cost of uniform kernels."""
     source, name, gsize, args = launch()
@@ -472,3 +477,156 @@ def test_loads_at_the_last_index_and_one_past_it(space, active):
         if backend == "vector":
             message = f"out-of-bounds {space} load: index {first} not in [0, {size})"
             assert str(err.value) == message
+
+
+# ----------------------------------------------------------------------
+# inlined helpers and hoisted work: one case per hazard
+# ----------------------------------------------------------------------
+#: ``(helpers, kernel body)``: each case is run as written and with every
+#: helper's body wrapped in a block (which no inlining rule accepts, and
+#: which charges nothing), and both must charge and compute the same as
+#: each other and as the interpreter.  The kernel reads ``data`` (ten
+#: elements) and writes ``out[gid]``; ``n`` is 7.
+HAZARDS = {
+    # a load after the guard stays masked: on the lanes that returned it
+    # would read out of bounds
+    "load_after_guard": (
+        "int get(__global const int *d, int i) { if (i >= 10) return -1; return d[i] * 3; }",
+        "out[gid] = get(data, gid * 2);",
+    ),
+    # a store after the guard: the returned lanes must not store
+    "store_after_guard": (
+        "int put(__global int *o, int i, int v) { if (v > 4) return 0; o[i] = v; return 1; }",
+        "int k = put(out, gid, gid & 7); out[gid] += k * 100;",
+    ),
+    # a written parameter is a copy: the caller's variable keeps its value
+    "written_parameter": (
+        "int bump(int p, int q) { p += q; if (p > 9) return p; p *= 2; return p + q; }",
+        "int x = gid * 3; int y = bump(x, n); out[gid] = x * 1000 + y;",
+    ),
+    # two inlined calls in one expression: each value is its own, though
+    # both are the helper's ``q``
+    "two_calls_in_one_expression": (
+        "int twice(int p) { int q = p * 2; return q; }",
+        "out[gid] = twice(gid) + twice(gid + 7) * 1000;",
+    ),
+    # one helper expression, two call sites, two arguments: its value is
+    # numbered per call site (a key per AST node would reuse ``y + 1``)
+    "numbered_per_call_site": (
+        "int inc(int p) { return p + 1; }",
+        "int x = gid * 3; int y = gid ^ 6; int c = y + 1; int a = inc(x); int b = inc(y);"
+        " out[gid] = (a * 100 + b) * 100 + c;",
+    ),
+    # a uniform guard under a partial mask: the lanes that take it are
+    # the active ones, or none
+    "uniform_guard": (
+        "int pick(int p, int m) { if (m > 5) return p + 1; return p - 1; }",
+        "int x = gid; if (gid & 1) x = pick(gid, n); out[gid] = x;",
+    ),
+    # guards before and after a load: split, then selected
+    "masked_then_selected": (
+        "int f(__global const int *d, int i, int m) {"
+        " if (i > m) return 7; int v = d[i]; if (v > 15) return v; int w = v * m; if (w < 30) return 1; return w; }",
+        "int acc = 0; for (int s = 0; s < n; s++) acc += f(data, (gid + s) & 15, n); out[gid] = acc;",
+    ),
+    # a call inside a divergent loop stays a call
+    "call_in_divergent_loop": (
+        "int sq(int p) { if (p < 0) return 0; return p * p; }",
+        "int acc = 0; for (int s = 0; s < gid % 5; s++) acc += sq(s - 1); out[gid] = acc;",
+    ),
+    # a helper's variable declared again in the loop is not invariant
+    # there, though it was declared before it
+    "inlined_before_and_in_loop": (
+        "int sq1(int p) { int q = p * p; return q + 1; }",
+        "int acc = sq1(gid); for (int s = 0; s < n; s++) acc += sq1(s) * 3; out[gid] = acc;",
+    ),
+    # a value stored to a variable is not hoisted: an owner updated in
+    # place would change it for the next iteration
+    "stored_invariant": (
+        "",
+        "int x = gid * 3; int acc = 0;"
+        " for (int s = 0; s < n; s++) { int d = x * 3; if (gid & 1) d++; acc += d; } out[gid] = acc;",
+    ),
+    # a hoisted value never heads an in-place chain
+    "hoisted_chain_head": (
+        "",
+        "int x = gid * 3; int y = gid ^ 5; int acc = 0;"
+        " for (int s = 0; s < n; s++) acc += (x - y) * s + 1; out[gid] = acc;",
+    ),
+    # a variable declared in the loop is not invariant, though nothing
+    # assigns it
+    "declared_in_loop": (
+        "",
+        "int x = gid + 1; int acc = 0; for (int s = 0; s < n; s++) { int t = s * 2; acc += (t * x) ^ 3; } out[gid] = acc;",
+    ),
+    # hoisted before the innermost uniform loop only: a divergent inner
+    # loop compacts without it
+    "divergent_inner_loop": (
+        "",
+        "int x = gid * 3; int acc = 0; for (int s = 0; s < n; s++) {"
+        " for (int j = 0; j < (gid + s) % 6; j++) acc += (x - s) ^ (x * 5 + 1); acc += x * 7 + 2; } out[gid] = acc;",
+    ),
+    # a per-lane hoisted value joins the compaction of its uniform loop
+    "hoisted_and_compacted": (
+        "int off(int p, int m) { if (p > m * 3) return m; return p ^ m; }",
+        "int x = gid * 3; int acc = 0; if (gid % 3 == 0) {"
+        " for (int s = 0; s < n; s++) acc += off(x + 1, n) + (x - 5) * s; } out[gid] = acc;",
+    ),
+}
+
+
+def _hazard_source(case, wrapped):
+    helpers, body = HAZARDS[case]
+    if wrapped:
+        helpers = re.sub(r"\) \{(.*)\}$", r") { {\1} }", helpers)
+    return f"""
+    {helpers}
+    __kernel void k(__global int *out, __global const int *data, const int n) {{
+        int gid = (int)get_global_id(0);
+        {body}
+    }}
+    """
+
+
+@pytest.mark.parametrize("case", sorted(HAZARDS))
+def test_inlining_and_hoisting_hazards(case, floor):
+    make = lambda: [np.zeros(24, dtype=np.int32), (np.arange(10, dtype=np.int32) * 7) % 23, 7]
+    runs = []
+    for wrapped in (False, True):
+        program, outputs = _both(_hazard_source(case, wrapped), 24, make)
+        stats = execute_kernel(program.kernel("k"), (24,), make())
+        runs.append((stats.ops, outputs[0].tolist(), program.python_source.split("def _fn_k")[1]))
+    (ops, out, kernel), (called_ops, called_out, called) = runs
+    assert (ops, out) == (called_ops, called_out)
+    helper = bool(HAZARDS[case][0])
+    assert "# inlined" not in called and ("_fn_" in called) == helper
+    inlined = helper and case != "call_in_divergent_loop"
+    assert ("# inlined: " in kernel) == inlined and ("_fn_" in kernel) == (helper and not inlined)
+    for hoisted in re.findall(r"(_t\d+) = .*# hoisted", kernel):  # never updated in place
+        assert not re.search(rf"{hoisted} [-+*/&|^]= ", kernel)
+    assert HAZARD_SHAPES.get(case, lambda kernel: True)(kernel), kernel
+
+
+#: What the generated kernel of a case must show besides.
+HAZARD_SHAPES = {
+    "load_after_guard": lambda kernel: "_rt.split(" in kernel and "guards selected" not in kernel,
+    "store_after_guard": lambda kernel: "_rt.split(" in kernel and "guards selected" not in kernel,
+    "written_parameter": lambda kernel: re.search(r"\bp_\d+ = x_", kernel),
+    "masked_then_selected": lambda kernel: "_rt.split(" in kernel and "guards selected" in kernel,
+    "stored_invariant": lambda kernel: re.search(r"\n {8}d_\d+ = \(x_", kernel),  # in the loop
+    "hoisted_chain_head": lambda kernel: re.search(r"_t\d+ = \(x_\d+ - y_\d+\)  # hoisted", kernel),
+    "declared_in_loop": lambda kernel: "# hoisted" not in kernel,
+    "divergent_inner_loop": lambda kernel: kernel.count("# hoisted") == 1,  # x * 7 + 2, not (x * 5 + 1)
+    "hoisted_and_compacted": lambda kernel: re.search(r"= _rt\.compact\(.*, (_t\d+, )*_t\d+\)", kernel),
+}
+
+
+def test_osem_projector_inlines_pixel_at_and_hoists_its_uniform_work():
+    source = compile_program(OSEM_PROGRAM).python_source
+    for kernel in ("forward_project", "back_project", "back_project_ones"):
+        body = source.split(f"def _fn_{kernel}(")[1].split("\ndef ")[0]
+        loop = body[body.index("while _mn:") :]
+        assert "_fn_pixel_at(" not in body and "# inlined: pixel_at" in loop
+        assert "_np.float32(nsamp_" in body.split("# loop 2")[0]  # hoisted out of the loop
+        assert not re.findall(r"_rt\.cast\((s|n|nsamp)_\d+,", loop)  # no cast of a uniform value in it
+        assert "(bx_" in body.split("# loop 2")[0] and "(by_" in body.split("# loop 2")[0]

@@ -5,6 +5,9 @@ Integer arithmetic is exact (wraparound included), so any mismatch is a
 genuine backend bug, not floating-point noise.
 """
 
+import hashlib
+import json
+import os
 import random
 
 import numpy as np
@@ -530,6 +533,126 @@ def test_stores_that_share_arrays_match(compactions):
     assert sum(in_place) >= len(in_place) // 4
 
 
+# -- helpers called with mixed-uniformity arguments -----------------------
+#: The helper-call family draws from its own stream, so the programs of
+#: the other families (and ``generated_golden.json``) stay where they are.
+_HELPER_STREAM = 0x4E1_0000
+HELPER_PROGRAMS = 100
+#: ``helper_calls_golden.json``: per program ``sha256(source)`` and the
+#: vector backend's ``[ops, sha256(out || bins)]`` at the commit before
+#: helpers were inlined (``python tests/clc/test_differential.py`` with
+#: that commit's ``src`` first on ``PYTHONPATH``; never from the code the
+#: table judges), with the compaction floor at ``_FLOOR``.
+HELPER_GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "helper_calls_golden.json")
+
+
+def _hexpr(g, scope, depth=2):
+    """An integer expression over a helper's names (no ``gid`` there)."""
+    if depth == 0 or g.flip():
+        return str(g.rng.randint(-9, 9)) if g.flip() else g.pick(*scope)
+    return f"({_hexpr(g, scope, depth - 1)} {g.pick('+', '-', '*', '&', '|', '^')} {_hexpr(g, scope, depth - 1)})"
+
+
+def _helper(g, name, earlier):
+    """``int name(__global int *t, int p, int q)``: declarations, zero to
+    two guard returns and a final return; after a guard, half the time a
+    statement that keeps the rest masked (a load of ``t``, a ``vecrt``
+    division, a call of an earlier helper) or writes ``p`` (so ``p`` is
+    a copy of its argument, not the argument itself)."""
+    scope, body = ["p", "q"], []
+    if g.flip():
+        body.append(f"int r = {_hexpr(g, scope)};")
+        scope.append("r")
+    for k in range(g.rng.randint(0, 2)):
+        cond = f"{_hexpr(g, g.pick(scope, ['q']))} {g.pick('<', '>', '==', '!=')} {_hexpr(g, scope, 1)}"
+        body.append(f"if ({cond}) return {_hexpr(g, scope, 1)};")
+        after = g.pick("pure", "pure", "load", "division", "call", "param")
+        if after == "call" and earlier:
+            body.append(f"int c{k} = {g.pick(*earlier)}(t, {_hexpr(g, scope, 1)}, q);")
+            scope.append(f"c{k}")
+        elif after == "load":
+            body.append(f"int c{k} = t[({_hexpr(g, scope, 1)}) & 7];")
+            scope.append(f"c{k}")
+        elif after == "division":
+            body.append(f"int c{k} = {_hexpr(g, scope, 1)} {g.pick('/', '%')} {g.pick('q', 3, '(p | 1)')};")
+            scope.append(f"c{k}")
+        elif after == "param":
+            body.append(f"p {g.pick('+=', '^=')} {_hexpr(g, scope, 1)};")
+        else:
+            body.append(f"int c{k} = {_hexpr(g, scope)};")
+            scope.append(f"c{k}")
+    body.append(f"return {_hexpr(g, scope)};")
+    return f"int {name}(__global int *t, int p, int q) {{ {' '.join(body)} }}\n"
+
+
+def _helper_call_program(seed):
+    """``(source, lanes, a, b)`` of program ``seed`` of the family: one to
+    three helpers (reading ``bins`` through a pointer), called with
+    uniform and per-lane arguments at top level, in uniform loops (also
+    under a divergent ``if``, so their compaction gathers what is
+    hoisted before them) and in divergent loops, among random
+    statements with exits.  No atomics: ``bins`` is read, and a
+    work-item's atomic would race with another's load."""
+    g = _Gen(_HELPER_STREAM + seed, exits=("break", "continue", "return"))
+    names, source = [], ""
+    for h in range(g.rng.randint(1, 3)):
+        source += _helper(g, f"h{h}", list(names))
+        names.append(f"h{h}")
+    parts = [g.block(_CF_VARS, 1, False)]
+    for _ in range(g.rng.randint(2, 4)):
+        args = [g.pick("a", "b", "(a * 3 - b)", "7", "x", "gid", g.expr(_CF_VARS, 1), g.expr(_CF_VARS)) for _ in "pq"]
+        i = g.fresh("i")
+        call = f"{g.pick(*_CF_VARS)} {g.pick('=', '+=', '^=')} {g.pick(*names)}(bins, {args[0]}, {args[1]});"
+        site = g.pick("top", "uniform", "uniform", "under_if", "divergent")
+        if site == "top":
+            parts.append(call)
+            continue
+        bound = f"(gid + {g.rng.randint(0, 4)}) % 5" if site == "divergent" else f"(a & 3) + {g.rng.randint(1, 3)}"
+        invariant = f"{g.pick(*_CF_VARS)} += ({g.pick(*_CF_VARS)} * {g.rng.randint(2, 5)} + a) ^ {i};"
+        loop = f"for (int {i} = 0; {i} < {bound}; {i}++) {{ {call} {invariant} {g.stmt(_CF_VARS + (i,), 0, True)} }}"
+        parts.append(f"if ({g.cond(_CF_VARS)}) {{ {loop} }}" if site == "under_if" else f"{{ {loop} }}")
+    draw = random.Random(_HELPER_STREAM ^ seed)
+    source += _kernel(" ".join(parts))
+    return source, draw.choice((1, 2, 7, 8, 20, 33)), draw.randint(-5, 9), draw.randint(-5, 9)
+
+
+def _run(program, lanes, a, b, backend="vector"):
+    """``(ops, out, bins)`` of one whole-range launch of ``k``."""
+    out = np.full(lanes, -77, dtype=np.int32)
+    bins = np.arange(-20, 36, 7, dtype=np.int32)
+    stats = execute_kernel(program.kernel("k"), (lanes,), [out, bins, a, b], backend=backend)
+    return stats.ops, out, bins
+
+
+def _digest(data):
+    return hashlib.sha256(b"".join(part.tobytes() for part in data)).hexdigest()
+
+
+def test_helper_calls_match_interp_and_the_parent(compactions):
+    """The helper-call family: inlined where the call site and the shape
+    allow, called elsewhere, every program agrees with the interpreter
+    and charges and computes what the vector backend did before helpers
+    were inlined (``HELPER_GOLDEN``)."""
+    with open(HELPER_GOLDEN) as fh:
+        golden = json.load(fh)
+    assert len(golden) == HELPER_PROGRAMS
+    inlined = 0
+    for seed in range(HELPER_PROGRAMS):
+        source, lanes, a, b = _helper_call_program(seed)
+        assert hashlib.sha256(source.encode()).hexdigest() == golden[seed]["source"], (
+            f"program {seed} changed: the generator was edited; re-record at the parent commit"
+        )
+        program = compile_program(source)
+        inlined += "# inlined: " in program.python_source
+        compactions.extend((0, 0))
+        ops, out, bins = _run(program, lanes, a, b)
+        _, out_i, bins_i = _run(program, lanes, a, b, backend="interp")
+        np.testing.assert_array_equal(out, out_i, err_msg=source)
+        np.testing.assert_array_equal(bins, bins_i, err_msg=source)
+        assert [ops, _digest((out, bins))] == golden[seed]["run"], f"seed {seed}, {lanes} lanes:\n{source}"
+    assert inlined >= HELPER_PROGRAMS // 2 and max(compactions) >= 1
+
+
 _COUNTED = """
 __kernel void k(__global int *out, __global const int *stop) {
     int gid = (int)get_global_id(0);
@@ -679,3 +802,15 @@ def test_loop_with_barrier_is_not_compacted(compactions):
     execute_kernel(prog.kernel("k"), (32,), [out, stop], local_size=(8,))
     assert max(compactions) == 0
     np.testing.assert_array_equal(out, [sum(range(min(s, 4))) for s in stop])
+
+
+if __name__ == "__main__":  # pragma: no cover - recording HELPER_GOLDEN, at the parent commit only
+    vecrt.COMPACT_MIN_LANES = _FLOOR
+    table = []
+    for seed in range(HELPER_PROGRAMS):
+        source, lanes, a, b = _helper_call_program(seed)
+        ops, out, bins = _run(compile_program(source), lanes, a, b)
+        table.append({"source": hashlib.sha256(source.encode()).hexdigest(), "run": [ops, _digest((out, bins))]})
+    with open(HELPER_GOLDEN, "w") as fh:
+        fh.write("[\n" + ",\n".join(json.dumps(entry) for entry in table) + "\n]\n")
+    print(f"recorded {len(table)} programs -> {HELPER_GOLDEN}")

@@ -118,6 +118,44 @@ def test_load_global_bounds_check():
         rt.load_global(4, m, buf, bad)
 
 
+#: ``(mn, mask, index)``: one reduction per bounds check (the indices seen
+#: as unsigned) must find what a ``min`` and a ``max`` found, and name the
+#: same first offending lane.
+_ALL = np.ones(8, dtype=bool)
+_HALF = np.array([True, False] * 4)
+BOUNDS = {
+    "negative": (8, _ALL, np.array([0, 1, -1, 3, -5, 5, 6, 7]), -1),
+    "at_size": (8, _ALL, np.array([0, 1, 2, 3, 4, 5, 6, 10]), 10),
+    "last_in_bounds": (8, _ALL, np.arange(8) + 2, None),
+    "uniform_scalar_negative": (8, _ALL, np.int64(-2), -2),
+    "uniform_scalar_at_size": (8, _ALL, np.int64(10), 10),
+    "uniform_scalar_in_bounds": (8, _ALL, np.int64(9), None),
+    "masked_off_negative": (4, _HALF, np.array([0, -7, 2, -7, 4, 99, 6, 10]), None),
+    "partially_masked_negative": (4, _HALF, np.array([0, -7, 2, -7, -3, 99, 10, 10]), -3),
+    "partially_masked_at_size": (4, _HALF, np.array([0, 11, 2, 11, 4, 11, 10, 11]), 10),
+    "no_active_lane": (0, np.zeros(8, dtype=bool), np.full(8, -1), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUNDS))
+def test_one_reduction_bounds_check_names_the_first_offender(case):
+    mn, m, idx, offender = BOUNDS[case]
+    buf = np.arange(10, dtype=np.int32)
+    idx = idx.astype(np.int64) if isinstance(idx, np.ndarray) else idx
+    accesses = {
+        "global load": lambda: rt.load_global(mn, m, buf, idx),
+        "global store": lambda: rt.store_global(mn, m, buf, idx, np.int32(7)),
+        "atomic_add": lambda: rt.atomic(FakeCtx(), mn, m, False, "atomic_add", "global", buf, idx, np.int32(1)),
+    }
+    for what, access in accesses.items():
+        if offender is None:
+            access()
+            continue
+        with pytest.raises(CLCRuntimeError) as err:
+            access()
+        assert str(err.value) == f"out-of-bounds {what}: index {offender} not in [0, 10)"
+
+
 def test_store_global_masked():
     m = np.array([True, False] * 4)
     buf = np.zeros(8, dtype=np.int32)

@@ -242,6 +242,42 @@ def test_perfpair_statistics():
     assert perfpair.summarise(pairs)[1]["equal_per_seed"] is False
     assert "DIFFERS PER SEED" in perfpair.format_table(perfpair.summarise(pairs), 5)
 
+    # The verdicts, against the bounds BENCHMARK.json declares (0.25 for
+    # wall_s, lower is better); a metric it does not bound gets none.
+    bounds = perfpair.read_bounds()
+    assert bounds["wall_s"] == (0.25, "lower") and bounds["virtual_s"] == (0.02, "lower")
+    parent = [10.0, 10.2, 9.9, 10.1, 10.0, 10.3, 9.8, 10.1, 10.0, 10.2]  # median 10.05, IQR 0.2
+
+    def verdict(change, parent=parent, metric="wall_s"):
+        rows = perfpair.summarise([(_stub_run(p), _stub_run(c)) for p, c in zip(parent, change)], bounds)
+        return {row["metric"]: row["verdict"] for row in rows}[metric]
+
+    assert verdict([8.0] * 9 + [10.5]) == "gain"  # 9 of 10 won, medians 2.05 apart
+    assert verdict([8.0] * 8 + [10.5] * 2) == "same"  # only 8 of 10 won
+    assert verdict([9.95] * 10) == "same"  # every pair won, but within the parent's IQR
+    assert verdict([13.0] * 10) == "worse"  # 29 % above the parent's median
+    assert verdict([12.0] * 10) == "same"  # 19 %: within the bound
+    wide = [6.0, 14.0, 7.0, 13.0, 10.0, 10.0, 6.5, 13.5, 10.0, 10.0]  # IQR 4.5 > 0.25 x 10
+    assert verdict([9.0] * 9 + [15.0], parent=wide) == "unresolved"
+    assert verdict([5.9] * 10, parent=wide) == "same"  # every run better, yet not by the IQR
+    assert verdict([0.5] * 10, metric="virtual_s") == "same"  # equal per seed
+    assert perfpair.summarise(pairs, bounds={})[0]["verdict"] is None
+    assert "gain" in perfpair.format_table(
+        perfpair.summarise([(_stub_run(p), _stub_run(8.0)) for p in parent], bounds), 10
+    )
+
+
+def test_perfpair_warns_when_bytecode_is_not_cached(monkeypatch, capsys):
+    from repro.tools import perfpair
+
+    argv = ["--parent", "/parent", "--workload", "tenant_steady", "--pairs", "1"]
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    perfpair.main(argv, runner=lambda *a: _stub_run(1.0))
+    assert "PYTHONDONTWRITEBYTECODE is set" in capsys.readouterr().err
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
+    perfpair.main(argv, runner=lambda *a: _stub_run(1.0))
+    assert "PYTHONDONTWRITEBYTECODE" not in capsys.readouterr().err
+
 
 def _stub_root(tmp_path, body):
     """A checkout whose ``benchmarks/perf/run.py`` is ``body``."""
