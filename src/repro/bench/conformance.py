@@ -414,6 +414,8 @@ class ProgramRun:
         self.reads: Dict[int, bytes] = {}
         self.errors: List[object] = []
         self.build_logs: Dict[int, str] = {}
+        #: IDs of the buffers the program released for good.
+        self.released: List[int] = []
         #: op index -> ``(array, event)`` of every ``read_async ...
         #: later`` op, checked by :meth:`finalize`.
         self.pending_reads: Dict[int, Tuple] = {}
@@ -569,6 +571,7 @@ class ProgramRun:
                 cl.clRetainMemObject(scratch)
                 cl.clReleaseMemObject(scratch)
                 cl.clReleaseMemObject(scratch)
+                self.released.append(scratch.id)
             if variant in (1, 2):
                 kernel = cl.clCreateKernel(require(program), kernel_name)
                 cl.clRetainKernel(kernel)
@@ -645,6 +648,7 @@ class ProgramRun:
                 except CLError:
                     errors.append(op_index)
                 cl.clReleaseMemObject(bad)
+                self.released.append(bad.id)
             else:
                 # The creation raised eagerly.  Under deferred creations
                 # that means a window-overflow flush surfaced one server's
@@ -667,8 +671,9 @@ class ProgramRun:
         ``reads`` (op index -> bytes of every mid-run read), ``final``
         (buffer index -> bytes after the full drain), ``directories``
         (buffer index -> coherence state map), ``errors``, ``build_logs``
-        (op index -> ``clGetProgramBuildInfo`` log of every build op)
-        and, for a guarded run, ``lost`` (buffers whose only valid copy
+        (op index -> ``clGetProgramBuildInfo`` log of every build op),
+        ``released`` (IDs of the buffers it released) and, for a guarded
+        run, ``lost`` (buffers whose only valid copy
         died with a daemon)."""
         cl = self.cl
         for qi, queue in enumerate(self.queues):
@@ -707,6 +712,7 @@ class ProgramRun:
             },
             "errors": self.errors,
             "build_logs": self.build_logs,
+            "released": self.released,
         }
         if self.guarded:
             outcome["lost"] = sorted(
@@ -731,6 +737,7 @@ def run_program(spec: Dict[str, object], flags: Dict[str, object]) -> Dict[str, 
     )
     probe = CausalityProbe(deployment)
     outcome = ProgramRun.execute(deployment.api, spec)
+    _check_released_staging(deployment, [outcome])
     outcome["causality"] = probe.violations()
     daemon_stats = deployment.daemon_stats()
     outcome["objects"] = deployment.census()["objects"]
@@ -895,6 +902,7 @@ def run_multi_program(
         # aggregate round trips and the golden digests pin this.
         stats = driver.stats.snapshot()
         outcomes.append({**run.finalize(), "stats": stats})
+    _check_released_staging(deployment, outcomes)
     return outcomes, deployment
 
 
@@ -1181,6 +1189,7 @@ def run_program_resilient(
             injector.register_crash_hook(daemon.host.name, daemon.crash)
     probe = CausalityProbe(deployment)
     outcome = ProgramRun.execute(deployment.api, spec, guarded=True)
+    _check_released_staging(deployment, [outcome])
     outcome["causality"] = probe.violations()
     outcome["objects"] = deployment.census()["objects"]
     outcome["stats"] = deployment.driver.stats.snapshot()
@@ -1285,6 +1294,15 @@ class CausalityProbe:
                     f"{what} reads at {start!r}, before its copy's write lands at {landed!r}"
                 )
         return found
+
+
+def _check_released_staging(deployment, outcomes: List[Dict[str, object]]) -> None:
+    """No daemon keeps a staged push for a buffer its client's program
+    released: the release drops every staged row of the buffer."""
+    for driver, outcome in zip(deployment.drivers, outcomes):
+        for daemon in deployment.daemons:
+            rows = daemon.staged_pushes(driver.gcf.name, set(outcome["released"]))
+            assert not rows, f"{daemon.name}: {rows} staged pushes outlive released buffers"
 
 
 def _check_causality(tag: str, violations: List[str]) -> None:

@@ -46,8 +46,10 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.protocol import messages as P
 from repro.hw.node import Host
+from repro.net.codec import encoded_size
 from repro.net.gcf import GCFProcess
 from repro.net.link import ConnectionRefused
+from repro.net.messages import MESSAGE_HEADER_BYTES
 from repro.net.network import Network
 from repro.net.streams import as_uint8_array, split_sections
 from repro.ocl.constants import CL_DEVICE_TYPE_ALL, ErrorCode
@@ -135,13 +137,13 @@ class Daemon:
         self.peer_daemons: Dict[str, "Daemon"] = {}
         #: ``(client name, buffer id, epoch) -> (bytes, available_at)``:
         #: replica bytes pushed here speculatively by the owning daemon
-        #: (:class:`~repro.core.protocol.messages.PeerPushRequest`),
-        #: parked until the client's deferred
+        #: (:meth:`receive_peer_push`), parked until the client's deferred
         #: :class:`~repro.core.protocol.messages.PushCommit` for that
         #: epoch applies them.  One row per epoch: a newer push never
         #: overwrites bytes whose commit is still in the client's window
-        #: (:meth:`push_commit` drops the older rows it supersedes);
-        #: volatile — dies with :meth:`crash`.
+        #: (:meth:`push_commit` drops the older rows it supersedes), and
+        #: releasing the buffer drops all of its rows; volatile — dies
+        #: with :meth:`crash`.
         self._push_staging: Dict[Tuple[str, int, int], Tuple[bytes, float]] = {}
         #: Section III-F extension: when True, this daemon broadcasts event
         #: completions directly to the peer daemons holding the user-event
@@ -723,6 +725,8 @@ class Daemon:
             obj = self.registry.pop(sender.name, msg.buffer_id)
             if isinstance(obj, Buffer):
                 obj.release()
+            for key in [k for k in self._push_staging if k[:2] == (sender.name, msg.buffer_id)]:
+                del self._push_staging[key]  # no commit can apply them any more
 
         @gcf.on_request(P.BufferDataUpload)
         def upload_init(msg: P.BufferDataUpload, t: float, sender: GCFProcess, section=None):
@@ -1146,17 +1150,22 @@ class Daemon:
     def receive_peer_push(
         self, client_name: str, buffer_id: int, epoch: int, data: bytes, available_at: float
     ) -> None:
-        """Park replica bytes pushed here by the owning daemon until the
-        client's deferred :class:`~repro.core.protocol.messages.
-        PushCommit` validates the epoch and applies them.  Never touches
-        the registry buffer — deferred commands already in this daemon's
-        window may legitimately read the pre-push version."""
+        """Park replica bytes pushed here by the owning daemon, keyed
+        ``(client_name, buffer_id, epoch)``, until the client's deferred
+        :class:`~repro.core.protocol.messages.PushCommit` for that epoch
+        validates and applies them.  Never touches the registry buffer —
+        deferred commands already in this daemon's window may legitimately
+        read the pre-push version — and a push that lost a race with a
+        newer write is discarded by the epoch check, never observed."""
         self._push_staging[(client_name, buffer_id, epoch)] = (data, available_at)
 
-    def staged_pushes(self, client_name: str) -> int:
-        """How many pushed replicas are staged for ``client_name``
-        awaiting their commit (introspection for tests/``cachestat``)."""
-        return sum(1 for key in self._push_staging if key[0] == client_name)
+    def staged_pushes(self, client_name: str, buffer_ids=None) -> int:
+        """How many pushed replicas are staged for ``client_name`` (of
+        ``buffer_ids`` only, if given) awaiting their commit."""
+        return sum(
+            1 for client, buffer_id, _ in self._push_staging
+            if client == client_name and (buffer_ids is None or buffer_id in buffer_ids)
+        )
 
     def _execute_pushes(
         self, push_hints: List[Dict[str, object]], client: GCFProcess, t_complete: float
@@ -1167,9 +1176,10 @@ class Daemon:
 
         A client-destined replica rides the completion notification
         itself (``push_payloads``); a peer-destined one moves over the
-        s2s mesh as a :class:`~repro.core.protocol.messages.
-        PeerPushRequest` charged at ``s2s-push``, with only the commit
-        record (empty payload) riding the notification.  Either way the
+        s2s mesh at ``s2s-push`` to the peer's :meth:`receive_peer_push`
+        (a direct call, its header priced as one message of buffer ID,
+        client name, epoch and size), with only the commit record (empty
+        payload) riding the notification.  Either way the
         notification's hint piggyback tells the client what was staged,
         at which epoch — consumption and the epoch race are resolved
         entirely client-side.  A severed push link or a missing replica
@@ -1195,19 +1205,12 @@ class Daemon:
                 peer = self.peer_daemons.get(target)
                 if peer is None or peer is self:
                     continue
-                request = P.PeerPushRequest(
-                    buffer_id=buffer_id,
-                    client_name=client.name,
-                    epoch=epoch,
-                    nbytes=len(data),
+                header = MESSAGE_HEADER_BYTES + encoded_size(
+                    (buffer_id, client.name, epoch, len(data))
                 )
                 try:
                     arrival = self.network.transfer(
-                        self.host,
-                        peer.host,
-                        t_complete,
-                        request.wire_size + len(data),
-                        tag="s2s-push",
+                        self.host, peer.host, t_complete, header + len(data), tag="s2s-push"
                     )
                 except CommunicationError:
                     continue  # degraded to demand fetch, never half-pushed

@@ -378,29 +378,6 @@ class BufferPeerTransferBatch(Request):
     nbytes_list: List[int]
 
 
-@message_type
-class PeerPushRequest(Request):
-    """Daemon-initiated server-to-server replica push (PR 9).
-
-    Sent by the daemon that just completed a kernel write, directly to
-    the predicted consumer daemon over the s2s peer mesh — no client
-    round trip anywhere on the path.  The receiver *stages* the pushed
-    bytes keyed ``(client_name, buffer_id)`` instead of writing its
-    registry copy: commands already deferred in the receiver's send
-    window may legitimately read the pre-push version, so the staged
-    bytes only land when the owning client's :class:`PushCommit`
-    arrives in program order.  ``epoch`` is the buffer's sync epoch the
-    push belongs to (see
-    :class:`~repro.core.coherence.planner.TransferPlanner`): a push
-    that lost a race with a newer write is discarded by epoch check,
-    never observed."""
-
-    buffer_id: int
-    client_name: str
-    epoch: int
-    nbytes: int
-
-
 @message_type(deferrable=True)
 class PushCommit(Request):
     """Client -> consumer daemon: land a staged speculative push.
@@ -585,7 +562,7 @@ class EnqueueKernelRequest(Request):
     the ``epoch`` this launch's write creates and the ``target`` party
     (``"client"`` or a peer daemon name).  At kernel completion the
     daemon streams the written replica toward the target speculatively
-    (see :class:`PeerPushRequest`); absent under the ``push_transfers``
+    (``Daemon._execute_pushes``); absent under the ``push_transfers``
     ablation flag.
 
     ``program_id`` / ``name``: the kernel's creation, when the daemon

@@ -14,6 +14,17 @@ simple dtype, and every registered message class (added to the tables by
 :func:`repro.net.messages.message_type`: a nested message is the
 ``bytes`` of its own encoding).
 
+Every value starts with one tag byte, msgpack-style, and has exactly one
+encoding, so equal encodings mean equal values (a kernel stub compares
+argument values by their encodings).  The tags: the integers -32..127
+themselves (``0xe0``–``0x7f``, wrapping); ``None`` ``0xc0``, ``False`` /
+``True`` ``0xc2`` / ``0xc3``; ``bytes`` ``0xc4``, ``str`` (UTF-8)
+``0xc6``, list ``0xc8`` and dict (key, value, ...) ``0xca``, each with a
+1-byte length or count, the next tag up with a 4-byte one for 256 and
+more; an ndarray ``0xcc`` (dtype ``str``, 4-byte length, raw bytes); an
+IEEE double ``0xcd``; and int8 / 16 / 32 / 64 ``0xd0``–``0xd3``, the
+narrowest that holds the integer.  Everything is little-endian.
+
 The codec is zero-copy where it matters:
 
 * :func:`encoded_size` computes the exact wire size *arithmetically*,
@@ -42,27 +53,30 @@ from typing import Any, Callable, Tuple, Union
 
 import numpy as np
 
-_TAG_NONE = 0x00
-_TAG_FALSE = 0x01
-_TAG_TRUE = 0x02
-_TAG_INT = 0x03
-_TAG_FLOAT = 0x04
-_TAG_STR = 0x05
-_TAG_BYTES = 0x06
-_TAG_LIST = 0x07
-_TAG_DICT = 0x08
-_TAG_NDARRAY = 0x09
+_TAG_NONE = 0xC0
+_TAG_FALSE = 0xC2
+_TAG_TRUE = 0xC3
+# A sized value's tag has its 1-byte length form; ``tag + 1`` is the
+# 4-byte one.
+_TAG_BYTES = 0xC4
+_TAG_STR = 0xC6
+_TAG_LIST = 0xC8
+_TAG_DICT = 0xCA
+_TAG_NDARRAY = 0xCC
+_TAG_FLOAT = 0xCD
+_TAG_INT8 = 0xD0  # then int16, int32, int64
 
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
-
-_pack_int = struct.Struct("<Bq").pack  # tag + value
+#: An integer's encoded size -> its tag and packer (tag + value).
+_INT_FORMS = {
+    1 + struct.calcsize(code): (_TAG_INT8 + i, struct.Struct("<B" + code).pack)
+    for i, code in enumerate("bhiq")
+}
 _pack_float = struct.Struct("<Bd").pack
-_pack_head = struct.Struct("<BI").pack  # tag + length / element count
+_pack_head8 = struct.Struct("<BB").pack
+_pack_head32 = struct.Struct("<BI").pack
 _pack_len = struct.Struct("<I").pack
-_unpack_int = struct.Struct("<q").unpack_from
-_unpack_float = struct.Struct("<d").unpack_from
-_unpack_len = struct.Struct("<I").unpack_from
 
 Buffer = Union[bytes, bytearray, memoryview]
 
@@ -102,30 +116,49 @@ def decode(data: Buffer) -> Any:
 # by type: encoders ``(value, out)`` append, sizers ``(value)`` count
 # ----------------------------------------------------------------------
 def _encode_int(value: int, out: bytearray) -> None:
-    try:
-        out += _pack_int(_TAG_INT, value)
-    except struct.error as exc:
-        raise CodecError(f"integer out of 64-bit range: {value}") from exc
+    if -32 <= value < 128:
+        out.append(value & 0xFF)
+    else:
+        tag, pack = _INT_FORMS[_size_int(value)]
+        out += pack(tag, value)
 
 
 def _size_int(value: int) -> int:
-    if not _INT64_MIN <= value <= _INT64_MAX:
-        raise CodecError(f"integer out of 64-bit range: {value}")
-    return 9
+    if -32 <= value < 128:
+        return 1
+    if -128 <= value < 128:
+        return 2
+    if -32768 <= value < 32768:
+        return 3
+    if -(2**31) <= value < 2**31:
+        return 5
+    if _INT64_MIN <= value <= _INT64_MAX:
+        return 9
+    raise CodecError(f"integer out of 64-bit range: {value}")
 
 
 def _encode_float(value: float, out: bytearray) -> None:
     out += _pack_float(_TAG_FLOAT, value)
 
 
+def _head(tag: int, n: int, out: bytearray) -> None:
+    out += _pack_head8(tag, n) if n < 256 else _pack_head32(tag + 1, n)
+
+
+def head_size(n: int) -> int:
+    """Bytes of a sized value's tag and length head for ``n``."""
+    return 2 if n < 256 else 5
+
+
 def _encode_str(value: str, out: bytearray) -> None:
     data = value.encode("utf-8")
-    out += _pack_head(_TAG_STR, len(data))
+    _head(_TAG_STR, len(data), out)
     out += data
 
 
 def _size_str(value: str) -> int:
-    return 5 + (len(value) if value.isascii() else len(value.encode("utf-8")))
+    n = len(value) if value.isascii() else len(value.encode("utf-8"))
+    return (2 if n < 256 else 5) + n
 
 
 def _encode_bytes(value: Union[bytes, bytearray, memoryview], out: bytearray) -> None:
@@ -133,18 +166,23 @@ def _encode_bytes(value: Union[bytes, bytearray, memoryview], out: bytearray) ->
     # .contiguous is also true for Fortran layouts).
     if type(value) is memoryview and not value.c_contiguous:
         value = bytes(value)
-    out += _pack_head(_TAG_BYTES, value.nbytes if type(value) is memoryview else len(value))
+    _head(_TAG_BYTES, value.nbytes if type(value) is memoryview else len(value), out)
     out += value  # no intermediate copy
 
 
+def _size_bytes(value: Union[bytes, bytearray, memoryview]) -> int:
+    n = value.nbytes if type(value) is memoryview else len(value)
+    return (2 if n < 256 else 5) + n
+
+
 def _encode_list(value: Union[list, tuple], out: bytearray) -> None:
-    out += _pack_head(_TAG_LIST, len(value))
+    _head(_TAG_LIST, len(value), out)
     for item in value:
         ENCODERS[type(item)](item, out)
 
 
 def _size_list(value: Union[list, tuple]) -> int:
-    total = 5
+    total = 2 if len(value) < 256 else 5
     for item in value:
         total += SIZERS[type(item)](item)
     return total
@@ -157,14 +195,14 @@ def _str_key(key: object) -> str:
 
 
 def _encode_dict(value: dict, out: bytearray) -> None:
-    out += _pack_head(_TAG_DICT, len(value))
+    _head(_TAG_DICT, len(value), out)
     for key, item in value.items():
         _encode_str(_str_key(key), out)
         ENCODERS[type(item)](item, out)
 
 
 def _size_dict(value: dict) -> int:
-    total = 5
+    total = 2 if len(value) < 256 else 5
     for key, item in value.items():
         total += _size_str(_str_key(key)) + SIZERS[type(item)](item)
     return total
@@ -199,9 +237,9 @@ _HANDLERS = {
     float: (_encode_float, lambda value: 9),
     np.floating: (lambda value, out: _encode_float(float(value), out), lambda value: 9),
     str: (_encode_str, _size_str),
-    bytes: (_encode_bytes, lambda value: 5 + len(value)),
-    bytearray: (_encode_bytes, lambda value: 5 + len(value)),
-    memoryview: (_encode_bytes, lambda value: 5 + value.nbytes),
+    bytes: (_encode_bytes, _size_bytes),
+    bytearray: (_encode_bytes, _size_bytes),
+    memoryview: (_encode_bytes, _size_bytes),
     list: (_encode_list, _size_list),
     tuple: (_encode_list, _size_list),
     dict: (_encode_dict, _size_dict),
@@ -232,10 +270,7 @@ SIZERS = _Dispatch((tp, pair[1]) for tp, pair in _HANDLERS.items())
 def _decode_from(data: Buffer, offset: int) -> Tuple[Any, int]:
     if offset >= len(data):
         raise CodecError("truncated data: missing tag")
-    tag = data[offset]
-    if tag >= len(DECODERS):
-        raise CodecError(f"unknown tag byte 0x{tag:02x} at offset {offset}")
-    return DECODERS[tag](data, offset + 1)
+    return DECODERS[data[offset]](data, offset + 1)
 
 
 def _check(data: Buffer, offset: int, need: int) -> None:
@@ -243,21 +278,22 @@ def _check(data: Buffer, offset: int, need: int) -> None:
         raise CodecError(f"truncated data: need {need} bytes at offset {offset}")
 
 
-def _read_len(data: Buffer, offset: int) -> Tuple[int, int]:
-    _check(data, offset, 4)
-    return _unpack_len(data, offset)[0], offset + 4
+def _decode_struct(code: str) -> Callable:
+    """The decoder of one fixed-width little-endian value."""
+    unpacker = struct.Struct(code)
+    unpack, width = unpacker.unpack_from, unpacker.size
+
+    def decode_struct(data: Buffer, offset: int) -> Tuple[Any, int]:
+        _check(data, offset, width)
+        return unpack(data, offset)[0], offset + width
+
+    return decode_struct
 
 
-def _decode_scalar(unpack: Callable) -> Callable:
-    def decode_scalar(data: Buffer, offset: int) -> Tuple[Any, int]:
-        _check(data, offset, 8)
-        return unpack(data, offset)[0], offset + 8
-
-    return decode_scalar
+_read_len8, _read_len32 = _decode_struct("<B"), _decode_struct("<I")
 
 
-def _decode_str(data: Buffer, offset: int) -> Tuple[str, int]:
-    n, offset = _read_len(data, offset)
+def _decode_str(data: Buffer, offset: int, n: int) -> Tuple[str, int]:
     _check(data, offset, n)
     try:
         return str(data[offset : offset + n], "utf-8"), offset + n
@@ -265,14 +301,12 @@ def _decode_str(data: Buffer, offset: int) -> Tuple[str, int]:
         raise CodecError(f"string at offset {offset} is not UTF-8") from exc
 
 
-def _decode_bytes(data: Buffer, offset: int) -> Tuple[bytes, int]:
-    n, offset = _read_len(data, offset)
+def _decode_bytes(data: Buffer, offset: int, n: int) -> Tuple[bytes, int]:
     _check(data, offset, n)
     return bytes(data[offset : offset + n]), offset + n
 
 
-def _decode_list(data: Buffer, offset: int) -> Tuple[list, int]:
-    n, offset = _read_len(data, offset)
+def _decode_list(data: Buffer, offset: int, n: int) -> Tuple[list, int]:
     items = []
     for _ in range(n):
         item, offset = _decode_from(data, offset)
@@ -280,8 +314,7 @@ def _decode_list(data: Buffer, offset: int) -> Tuple[list, int]:
     return items, offset
 
 
-def _decode_dict(data: Buffer, offset: int) -> Tuple[dict, int]:
-    n, offset = _read_len(data, offset)
+def _decode_dict(data: Buffer, offset: int, n: int) -> Tuple[dict, int]:
     result = {}
     for _ in range(n):
         key, offset = _decode_from(data, offset)
@@ -291,7 +324,7 @@ def _decode_dict(data: Buffer, offset: int) -> Tuple[dict, int]:
 
 def _decode_ndarray(data: Buffer, offset: int) -> Tuple[np.ndarray, int]:
     dtype_name, offset = _decode_from(data, offset)
-    n, offset = _read_len(data, offset)
+    n, offset = _read_len32(data, offset)
     _check(data, offset, n)
     try:
         dtype = np.dtype(dtype_name)
@@ -307,16 +340,34 @@ def _decode_ndarray(data: Buffer, offset: int) -> Tuple[np.ndarray, int]:
     return arr, offset + n
 
 
-#: Tag byte -> decoder, in tag order.
-DECODERS = (
-    lambda data, offset: (None, offset),
-    lambda data, offset: (False, offset),
-    lambda data, offset: (True, offset),
-    _decode_scalar(_unpack_int),
-    _decode_scalar(_unpack_float),
-    _decode_str,
-    _decode_bytes,
-    _decode_list,
-    _decode_dict,
-    _decode_ndarray,
-)
+def _sized(read_len: Callable, body: Callable) -> Callable:
+    def decode_sized(data: Buffer, offset: int) -> Tuple[Any, int]:
+        n, offset = read_len(data, offset)
+        return body(data, offset, n)
+
+    return decode_sized
+
+
+def _unknown_tag(data: Buffer, offset: int) -> Tuple[Any, int]:
+    raise CodecError(f"unknown tag byte 0x{data[offset - 1]:02x} at offset {offset - 1}")
+
+
+def _decoders() -> list:
+    table = [_unknown_tag] * 256
+    constants = {value & 0xFF: value for value in range(-32, 128)}
+    constants.update({_TAG_NONE: None, _TAG_FALSE: False, _TAG_TRUE: True})
+    for tag, value in constants.items():
+        table[tag] = lambda data, offset, value=value: (value, offset)
+    bodies = _decode_bytes, _decode_str, _decode_list, _decode_dict
+    for tag, body in zip((_TAG_BYTES, _TAG_STR, _TAG_LIST, _TAG_DICT), bodies):
+        table[tag] = _sized(_read_len8, body)
+        table[tag + 1] = _sized(_read_len32, body)
+    table[_TAG_NDARRAY] = _decode_ndarray
+    table[_TAG_FLOAT] = _decode_struct("<d")
+    for i, code in enumerate("bhiq"):
+        table[_TAG_INT8 + i] = _decode_struct("<" + code)
+    return table
+
+
+#: Tag byte -> decoder: all 256 tags, the unused ones raising.
+DECODERS = tuple(_decoders())

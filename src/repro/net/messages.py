@@ -1,7 +1,7 @@
 """Message base classes, the wire-type registry, and the batch envelope.
 
 A message class declares its payload fields as a dataclass; the registry
-assigns each class a stable wire name.  ``to_wire`` produces its bytes in
+assigns each class a stable wire name and class id.  ``to_wire`` produces its bytes in
 the :mod:`repro.net.codec` format, and ``wire_size`` — the length of those
 bytes plus the protocol header — is what the network model charges for
 message-based communication.  Inside the simulator a message crosses by
@@ -10,30 +10,30 @@ object and charges its ``wire_size``.  The one exception is a
 :class:`CommandBatch`, whose commands are encoded by the sender and
 decoded by the receiver.
 
-Compiled at registration
-------------------------
+Positional wire form
+--------------------
 
-A message's wire form is ``[wire name, {field: value, ...}]``, and all of
-it but the values is known when the class is declared, so
-:func:`message_type` compiles each class's codec once: the envelope head
-(up to the field count) and every field key are pre-encoded constants,
-values go through the codec's exact-type tables, no payload dict is
-built.  Decoding compares head and keys by slice and dispatches values by
-tag byte; valid wire data laid out differently (fields reordered, a
-defaulted field left out) is decoded generically and checked against the
-class.  :meth:`Message.to_payload` is the same payload as a dict, for
-tests and oracles: ``to_wire() == encode([name, to_payload()])``.
+A message crosses as its class id (2 bytes, little-endian), the number
+of fields sent (1 byte) and those fields' values in declaration order,
+in the :mod:`repro.net.codec` format.  Field names and defaults are the
+receiver's to know: trailing fields that encode exactly as their
+defaults are left out (an identity-less :class:`CommandBatch` sends no
+``epoch``/``seq``).  The class id is the low 16 bits of the CRC-32 of
+the wire name, so no import order moves an id or a size;
+:func:`message_type` rejects a class whose id is taken, and compiles its
+codec once (the id and the defaults' encodings are constants, values go
+through the codec's exact-type tables).
 
 A message held in another message's field (a
 :class:`CommandBatchResponse`'s replies) is a value like any other: the
 codec encodes it as the ``bytes`` of its own encoding and sizes it as
-``5 + encoded_size()``, so the envelope prices exactly like one carrying
+that ``bytes`` value, so the envelope prices exactly like one carrying
 the encoded replies.
 
 ``wire_size`` never encodes: it is the length of the cached encoding
-when the message has one (see below), else the class's constant part
-plus the value sizes (``wire_size == len(to_wire()) +
-MESSAGE_HEADER_BYTES`` either way).
+when the message has one (see below), else 3 plus the sizes of the
+values sent (``wire_size == len(to_wire()) + MESSAGE_HEADER_BYTES``
+either way).
 
 :class:`CommandBatch` / :class:`CommandBatchResponse` are the transport
 envelope for *asynchronous batched call forwarding*: a window of
@@ -61,10 +61,12 @@ contract makes the two caches of the batched commands safe:
 from __future__ import annotations
 
 import dataclasses
+import operator
+import zlib
 from collections import OrderedDict
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple, Type, TypeVar
+from typing import Any, Callable, Dict, List, NamedTuple, Tuple, Type, TypeVar
 
-from repro.net.codec import DECODERS, ENCODERS, SIZERS, CodecError, decode, encode
+from repro.net.codec import DECODERS, ENCODERS, SIZERS, CodecError, encode, head_size
 
 #: Fixed per-message protocol overhead (framing, transport headers, GCF
 #: message envelope) in bytes.
@@ -72,61 +74,95 @@ MESSAGE_HEADER_BYTES = 64
 
 _REGISTRY: Dict[str, Type["Message"]] = {}
 
-#: Wire name as bytes -> the class's compiled decoder.
-_DECODERS: Dict[bytes, Callable[[bytes], Optional["Message"]]] = {}
+#: Class id -> class.
+_BY_ID: Dict[int, Type["Message"]] = {}
 
 M = TypeVar("M", bound="Message")
 
 
+def class_id(wire_name: str) -> int:
+    """The class id a wire name travels as (module docstring)."""
+    return zlib.crc32(wire_name.encode("utf-8")) & 0xFFFF
+
+
 class _Codec(NamedTuple):
-    """One class's compiled codec over a tuple of its fields."""
+    """One class's compiled codec."""
 
     fields: Tuple[str, ...]
     encode: Callable[["Message"], bytes]
     size: Callable[["Message"], int]
-    #: The message, or ``None`` if ``data`` is not laid out as
-    #: ``encode`` writes it (every field, in order).
-    decode: Callable[[bytes], Optional["Message"]]
+    decode: Callable[[bytes], "Message"]
 
 
-def _compile_codec(cls: Type["Message"], fields: Tuple[str, ...]) -> _Codec:
-    # ``[name, {`` + field count: an empty-payload envelope, recounted.
-    head = encode([cls.__name__, {}])[:-4] + len(fields).to_bytes(4, "little")
-    keyed = tuple((name, encode(name)) for name in fields)
-    constant = len(head) + sum(len(key) for _, key in keyed)
+def _encoding(value: Any) -> bytearray:
+    out = bytearray()  # not ``encode``: the perf harness counts its calls
+    ENCODERS[type(value)](value, out)
+    return out
+
+
+def _compile_codec(cls: Type["Message"]) -> _Codec:
+    fields = dataclasses.fields(cls)
+    names = tuple(f.name for f in fields)
+    if len(names) > 255:
+        raise ValueError(f"{cls.__name__} has more than 255 fields")
+    if len(names) == 1:  # ``attrgetter`` of one name returns no tuple
+        get = operator.attrgetter(names[0])
+        values_of = lambda msg: (get(msg),)  # noqa: E731
+    else:
+        values_of = operator.attrgetter(*names) if names else lambda msg: ()
+    # Only the trailing run of fields with a plain default may be left
+    # out: (default, its encoding), last field first.
+    required = len(fields)
+    while required and fields[required - 1].default is not dataclasses.MISSING:
+        required -= 1
+    trailing = tuple((f.default, encode(f.default)) for f in reversed(fields[required:]))
+    head = class_id(cls.__name__).to_bytes(2, "little")
+
+    def sent(values: Tuple[Any, ...]) -> int:
+        """How many leading values cross (the rest encode as defaults)."""
+        n = len(values)
+        for default, wire in trailing:
+            value = values[n - 1]
+            if value is not default:
+                if SIZERS[type(value)](value) != len(wire) or _encoding(value) != wire:
+                    break
+            n -= 1
+        return n
 
     def encode_message(msg: "Message") -> bytes:
+        values = values_of(msg)
+        n = sent(values)
         out = bytearray(head)
-        for name, key in keyed:
-            out += key
-            value = getattr(msg, name)
+        out.append(n)
+        for value in values[:n]:
             ENCODERS[type(value)](value, out)
         return bytes(out)
 
     def size_message(msg: "Message") -> int:
-        total = constant
-        for name in fields:
-            value = getattr(msg, name)
+        values = values_of(msg)
+        total = 3
+        for value in values[: sent(values)]:
             total += SIZERS[type(value)](value)
         return total
 
-    def decode_message(data: bytes) -> Optional["Message"]:
-        offset = len(head)
-        if data[:offset] != head:
-            return None
-        values = []
+    def decode_message(data: bytes) -> "Message":
+        n = data[2]
+        if n > len(names):
+            raise CodecError(f"{cls.__name__} has {len(names)} fields, {n} were sent")
+        if n < required:
+            raise CodecError(f"{cls.__name__} field {names[n]!r} is required but was not sent")
+        values, offset = [], 3
         try:
-            for _, key in keyed:
-                start = offset + len(key)
-                if data[offset:start] != key:
-                    return None
-                value, offset = DECODERS[data[start]](data, start + 1)
+            for _ in range(n):
+                value, offset = DECODERS[data[offset]](data, offset + 1)
                 values.append(value)
-        except IndexError:  # truncated, or no such tag
-            return None
-        return cls(*values) if offset == len(data) else None
+        except IndexError:  # no tag byte where a value should start
+            raise CodecError(f"truncated {cls.__name__}: {n} fields announced") from None
+        if offset != len(data):
+            raise CodecError(f"{len(data) - offset} trailing bytes after {cls.__name__}")
+        return cls(*values)
 
-    return _Codec(fields, encode_message, size_message, decode_message)
+    return _Codec(names, encode_message, size_message, decode_message)
 
 
 def _encode_nested(msg: "Message", out: bytearray) -> None:
@@ -134,23 +170,26 @@ def _encode_nested(msg: "Message", out: bytearray) -> None:
 
 
 def _size_nested(msg: "Message") -> int:
-    return 5 + msg.encoded_size()  # a bytes value: tag, length, the encoding
+    n = msg.encoded_size()
+    return head_size(n) + n  # a bytes value: its head, the encoding
 
 
 def message_type(cls: Type[M]) -> Type[M]:
     """Class decorator: make ``cls`` a dataclass, compile its wire codec,
-    register its wire name and make its instances values the codec can
-    nest (module docstring)."""
+    register its wire name and class id and make its instances values the
+    codec can nest (module docstring)."""
     cls = dataclasses.dataclass(cls)
-    wire_name = cls.__name__
-    if wire_name in _REGISTRY and _REGISTRY[wire_name] is not cls:
+    wire_name, cid = cls.__name__, class_id(cls.__name__)
+    if _REGISTRY.get(wire_name, cls) is not cls:
         raise ValueError(f"duplicate message type {wire_name!r}")
-    cls._codec = _compile_codec(cls, tuple(f.name for f in dataclasses.fields(cls)))
+    if _BY_ID.get(cid, cls) is not cls:
+        raise ValueError(f"{wire_name!r} has the class id {cid:#06x} of {_BY_ID[cid].__name__!r}")
+    cls._codec = _compile_codec(cls)
     cls.bare = cls._codec.fields == ("error", "detail")
-    _DECODERS[wire_name.encode("utf-8")] = cls._codec.decode
     ENCODERS[cls] = _encode_nested
     SIZERS[cls] = _size_nested
     _REGISTRY[wire_name] = cls
+    _BY_ID[cid] = cls
     return cls
 
 
@@ -166,14 +205,6 @@ class Message:
     def _codec(self) -> _Codec:
         """The compiled codec; :func:`message_type` sets it per class."""
         raise TypeError(f"{type(self).__name__} is not a @message_type dataclass")
-
-    def to_payload(self) -> Dict[str, Any]:
-        """The message's payload fields as a plain (encodable) dict.
-
-        Shallow: the values are the message's own field objects, not
-        copies — the codec only reads them, and messages are frozen by
-        convention (module docstring)."""
-        return {name: getattr(self, name) for name in self._codec.fields}
 
     def to_wire(self) -> bytes:
         """Encode the message into its wire bytes (uncached)."""
@@ -211,28 +242,17 @@ class Message:
     def from_wire(data: bytes) -> "Message":
         """Decode wire bytes back into a fresh message instance.
 
-        Raises :class:`CodecError` for anything that is not the encoding
-        of a registered class's payload: bytes the codec rejects, an
-        envelope that is not ``[name, {...}]``, an unknown name, an
-        unknown field, a missing field that has no default."""
-        # The wire name's bytes sit behind the list head (5 bytes) and
-        # their own string head (tag, then the length at 6..10).
-        name_end = 10 + int.from_bytes(data[6:10], "little")
-        decoder = _DECODERS.get(bytes(data[10:name_end]))
-        msg = decoder(data) if decoder is not None else None
-        if msg is not None:
-            return msg
-        decoded = decode(data)
-        if not (isinstance(decoded, list) and len(decoded) == 2):
-            raise CodecError("malformed message envelope")
-        wire_name, payload = decoded
-        cls = _REGISTRY.get(wire_name) if isinstance(wire_name, str) else None
+        Raises :class:`CodecError` for anything that is not a registered
+        class's encoding: an unknown class id, more fields than the class
+        has, fewer than it requires, a value the codec rejects (truncated,
+        unknown tag, ...), trailing bytes."""
+        if len(data) < 3:
+            raise CodecError("truncated message: no class id and field count")
+        cid = data[0] | data[1] << 8
+        cls = _BY_ID.get(cid)
         if cls is None:
-            raise CodecError(f"unknown message type {wire_name!r}")
-        try:
-            return cls(**payload)
-        except TypeError as exc:  # not a dict / unknown field / required field missing
-            raise CodecError(f"malformed {wire_name} payload: {exc}") from exc
+            raise CodecError(f"unknown message class id {cid:#06x}")
+        return cls._codec.decode(data)
 
 
 class WireDecodeCache:
@@ -301,24 +321,15 @@ class CommandBatch(Request):
     dedupe re-answers an already-executed (epoch, seq) from its cached
     reply instead of re-running the handlers — at-least-once on the wire,
     exactly-once in effect.  ``seq < 0`` (the default) means "no replay
-    identity": the two fields are omitted from the payload entirely so
-    the happy-path wire encoding is byte-identical to the pre-resilience
-    format.
+    identity": both fields then hold their defaults, so they are left off
+    the wire (module docstring) and replay identity costs the happy path
+    nothing.
     """
 
     commands: List[bytes]
     epoch: int = 0
     seq: int = -1
 
-
-# An identity-less batch (``seq < 0``) is the one message that does not
-# send all its fields: a second codec over ``commands`` alone, picked per
-# instance.  (Decoding needs nothing: both left-out fields have defaults.)
-_STAMPED_BATCH = CommandBatch._codec
-_UNSTAMPED_BATCH = _compile_codec(CommandBatch, ("commands",))
-CommandBatch._codec = property(
-    lambda self: _STAMPED_BATCH if self.seq >= 0 else _UNSTAMPED_BATCH
-)
 
 
 @message_type

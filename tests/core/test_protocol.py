@@ -121,11 +121,6 @@ def test_enqueue_kernel_round_trip_property(ids, gsize):
 # ----------------------------------------------------------------------
 # protocol table: messages, handlers and metadata rows stay in step
 # ----------------------------------------------------------------------
-#: Requests that never cross a GCF handler table: the daemon-to-daemon
-#: push is delivered by a direct call and the message only prices its
-#: header on the s2s mesh (``Daemon._execute_pushes``).
-SIZE_ONLY_REQUESTS = {P.PeerPushRequest}
-
 ONE_CPU_REQUEST = """
 <devmngr>devmgr</devmngr>
 <devices>
@@ -176,7 +171,7 @@ def test_every_request_has_exactly_one_handler_and_no_orphans(entries):
     registry lacks."""
     requests = _protocol_requests()
     assert set(entries) <= requests, "handler registered for an unregistered message"
-    for cls in requests - SIZE_ONLY_REQUESTS:
+    for cls in requests:
         served = entries.get(cls, [])
         assert len({process for process, _ in served}) == 1, (cls.__name__, served)
         kinds = sorted(kind for _, kind in served)
@@ -184,8 +179,6 @@ def test_every_request_has_exactly_one_handler_and_no_orphans(entries):
             cls.__name__,
             served,
         )
-    for cls in SIZE_ONLY_REQUESTS:
-        assert cls in requests and cls not in entries
 
 
 def _roles(cls):

@@ -64,3 +64,37 @@ def test_windowed_commits_of_two_epochs_each_apply_their_own_push():
     assert stats.speculative_pushes > 0 and stats.push_commits > 0
     # every push ends committed or wasted, none twice
     assert stats.push_commits + stats.wasted_pushes == stats.speculative_pushes
+
+
+def test_releasing_a_buffer_drops_its_wasted_staged_push():
+    """A push staged on the consumer's daemon and then wasted (a host
+    write made a newer epoch) never gets a commit; releasing the buffer
+    must drop its staging row rather than keep the bytes forever."""
+    deployment = deploy_dopencl(make_ib_cpu_cluster(2), coherence_protocol="mosi")
+    cl = deployment.api
+    devices = cl.clGetDeviceIDs(cl.clGetPlatformIDs()[0])[:2]
+    ctx = cl.clCreateContext(devices)
+    producer_queue, consumer_queue = (cl.clCreateCommandQueue(ctx, device) for device in devices)
+    program = cl.clCreateProgramWithSource(ctx, PROGRAM_SOURCE)
+    cl.clBuildProgram(program)
+    produced, out = (cl.clCreateBuffer(ctx, CL_MEM_READ_WRITE, 4 * BUFFER_ELEMS) for _ in "ab")
+
+    def launch(queue, name, args):
+        kernel = cl.clCreateKernel(program, name)
+        for i, arg in enumerate(args):
+            cl.clSetKernelArg(kernel, i, arg)
+        cl.clEnqueueNDRangeKernel(queue, kernel, (BUFFER_ELEMS,))
+        cl.clFinish(queue)
+
+    for r in range(4):  # the producer -> consumer edge, then one more push
+        launch(producer_queue, "fill", (produced, np.float32(r), BUFFER_ELEMS))
+        if r < 3:
+            launch(consumer_queue, "sum2", (out, produced, produced, BUFFER_ELEMS))
+    consumer_daemon, client = deployment.daemons[1], deployment.driver.gcf.name
+    assert consumer_daemon.staged_pushes(client) == 1
+    cl.clEnqueueWriteBuffer(producer_queue, produced, True, 0, np.zeros(BUFFER_ELEMS, np.float32))
+    assert deployment.driver.stats.wasted_pushes == 1
+    cl.clReleaseMemObject(produced)
+    cl.clFinish(producer_queue)
+    cl.clFinish(consumer_queue)
+    assert consumer_daemon.staged_pushes(client) == 0

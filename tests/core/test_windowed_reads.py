@@ -19,6 +19,7 @@ import pytest
 from repro.bench.conformance import CausalityProbe
 from repro.core.client.resilience import RetryPolicy
 from repro.core.coherence.directory import State
+from repro.core.protocol import messages as P
 from repro.hw import WESTMERE_NODE, Host
 from repro.hw.cluster import make_ib_cpu_cluster
 from repro.hw.specs import GIGABIT_ETHERNET
@@ -247,6 +248,34 @@ def test_a_read_from_a_lost_daemon_fails_and_leaves_the_client_copy_invalid():
         api.clEnqueueReadBuffer(queue, buf)
     assert err.value.code == ErrorCode.CL_DEVICE_NOT_AVAILABLE
     assert buf.coherence.state["client"] == State.INVALID
+
+
+@pytest.mark.parametrize("protocol", ["msi", "mosi"])
+def test_a_lone_download_costs_little_more_than_its_request(monkeypatch, protocol):
+    """A download whose drain sends its daemon nothing else is a batch
+    of one.  The envelope adds at most 8 B to the bare
+    ``CoalescedBufferDownload`` it carries, the request the reference
+    path's fetch sends alone."""
+    deployment, api, ctx, (queue,), program = _rig(coherence_protocol=protocol)
+    buf = api.clCreateBuffer(ctx, CL_MEM_READ_WRITE, 4 * N)
+    _spin(api, program, queue, buf, 1.5)
+    api.clFinish(queue)  # the producer is drained: the read rides nothing
+    gcf = deployment.driver.gcf
+    sent = []
+    request_batch = gcf.request_batch
+
+    def spy(target, msgs, t, **kwargs):
+        before = gcf.stats.bytes_sent
+        outcome = request_batch(target, msgs, t, **kwargs)
+        sent.append((msgs, gcf.stats.bytes_sent - before))
+        return outcome
+
+    monkeypatch.setattr(gcf, "request_batch", spy)
+    data, _ = api.clEnqueueReadBuffer(queue, buf)
+    [([download], nbytes)] = sent
+    assert type(download) is P.CoalescedBufferDownload
+    assert download.wire_size < nbytes <= download.wire_size + 8
+    np.testing.assert_array_equal(data, _expected(1.5))
 
 
 def test_the_reference_path_still_fetches():

@@ -34,11 +34,15 @@ ABAB = {
         "0x1.6623531ee982dp-8",
         "0x1.7b9ce2011a0f1p-8",
     ],
+    # The bcast half of an allgather sends a list of arrays, charged its
+    # codec size: re-recorded when the codec's heads shrank (57 -> 42
+    # bytes of envelope), the scheduler unchanged (charged the old sizes,
+    # it gives the old values to the last bit).
     "allgather": [
-        "0x1.2b6d832a0550fp-7",
-        "0x1.5660c72eecec5p-7",
-        "0x1.007a3f251db59p-7",
-        "0x1.2b6d832a0550fp-7",
+        "0x1.2b6d6b0144927p-7",
+        "0x1.5660a4f53133cp-7",
+        "0x1.007a310d57f12p-7",
+        "0x1.2b6d6b0144927p-7",
     ],
 }
 

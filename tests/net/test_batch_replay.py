@@ -62,20 +62,19 @@ def test_unstamped_batches_are_never_deduped(rig):
 
 def test_unstamped_batch_wire_shape_is_unchanged(rig):
     """Replay identity must be free on the happy path: an unstamped
-    CommandBatch encodes without epoch/seq, so the default-config wire
-    bytes are exactly the pre-replay ones (the benchdiff gate)."""
+    CommandBatch leaves its defaulted epoch/seq off the wire, so it costs
+    what a batch without the two fields would."""
+    from repro.net.codec import encode
     from repro.net.messages import CommandBatch
 
     unstamped = CommandBatch(commands=[b"x"])
-    assert "seq" not in unstamped.to_payload()
-    assert "epoch" not in unstamped.to_payload()
+    wire = unstamped.to_wire()
+    assert wire[2] == 1  # one field sent: the commands
+    assert wire[3:] == encode([b"x"])
     stamped = CommandBatch(commands=[b"x"], epoch=0, seq=0)
-    assert stamped.to_payload()["seq"] == 0
-    # The payload dict is shallow: the codec reads the message's own
-    # field objects, no per-encode deep copy.
-    assert stamped.to_payload()["commands"] is stamped.commands
-    assert stamped.wire_size > unstamped.wire_size
-    # Decoding the legacy payload yields the unstamped defaults.
+    assert stamped.to_wire()[2] == 3
+    assert stamped.wire_size == unstamped.wire_size + 2  # epoch 0, seq 0: one byte each
+    # Decoding the short form yields the unstamped defaults.
     assert CommandBatch.from_wire(unstamped.cached_wire()).seq == -1
 
 

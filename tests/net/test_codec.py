@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,8 +85,9 @@ def test_truncated_data_rejected():
 
 
 def test_unknown_tag_rejected():
-    with pytest.raises(CodecError):
-        decode(b"\xfe")
+    for tag in (0xC1, 0xCE, 0xCF, 0xD4, 0xDF):
+        with pytest.raises(CodecError):
+            decode(bytes([tag]))
 
 
 def test_empty_input_rejected():
@@ -95,11 +98,46 @@ def test_empty_input_rejected():
 def test_malformed_wire_strings_and_keys_rejected():
     # Bad wire data is CodecError, never UnicodeDecodeError / TypeError.
     with pytest.raises(CodecError):
-        decode(b"\x05\x01\x00\x00\x00\xff")  # a str that is not UTF-8
+        decode(b"\xc6\x01\xff")  # a str that is not UTF-8
     with pytest.raises(CodecError):
-        decode(b"\x08\x01\x00\x00\x00" + encode([]) + encode(1))  # a list as dict key
+        decode(b"\xca\x01" + encode([]) + encode(1))  # a list as dict key
     with pytest.raises(CodecError):
-        decode(b"\x08\x01\x00\x00\x00" + encode(1) + encode(1))  # an int as dict key
+        decode(b"\xca\x01" + encode(1) + encode(1))  # an int as dict key
+
+
+@pytest.mark.parametrize(
+    "value, size",
+    [
+        (0, 1), (127, 1), (-1, 1), (-32, 1),
+        (128, 3), (-33, 2), (-128, 2), (-129, 3),
+        (32767, 3), (32768, 5), (-32768, 3), (-32769, 5),
+        (2**31 - 1, 5), (2**31, 9), (-(2**31), 5), (-(2**31) - 1, 9),
+        (2**63 - 1, 9), (-(2**63), 9),
+    ],
+)
+def test_integers_take_the_narrowest_form(value, size):
+    assert encoded_size(value) == len(encode(value)) == size
+    assert decode(encode(value)) == value
+    assert type(decode(encode(value))) is int
+
+
+@pytest.mark.parametrize("n", [0, 1, 255, 256, 70000])
+def test_short_values_take_a_one_byte_length_head(n):
+    head = 2 if n < 256 else 5
+    for value in ("s" * n, b"b" * n, [None] * n, {f"{i:05}": None for i in range(n)}):
+        assert len(encode(value)) == encoded_size(value) == head + (len(encode(value)) - head)
+        assert decode(encode(value)) == value
+    assert len(encode("s" * n)) == head + n
+    assert len(encode([None] * n)) == head + n
+
+
+def test_floats_stay_bit_exact_doubles():
+    for value in (0.0, -0.0, 1e-300, 2.0**-1074, float("inf"), 0.1 + 0.2):
+        wire = encode(value)
+        assert len(wire) == encoded_size(value) == 9
+        assert struct.pack("<d", decode(wire)) == struct.pack("<d", value)
+    assert encode(-0.0) != encode(0.0)
+    assert encode(1) != encode(1.0) != encode(True)
 
 
 def test_encoded_size_matches():
@@ -158,12 +196,12 @@ def test_object_dtype_rejected_both_ways():
     # not let numpy's ValueError escape.
     import struct
 
-    hostile = b"\x09" + encode("|O") + struct.pack("<I", 8) + b"\x00" * 8
+    hostile = b"\xcc" + encode("|O") + struct.pack("<I", 8) + b"\x00" * 8
     with pytest.raises(CodecError):
         decode(hostile)
     for dtype_name in ("?i4", ",i4", ""):  # numpy: TypeError, SyntaxError, TypeError
         with pytest.raises(CodecError):
-            decode(b"\x09" + encode(dtype_name) + struct.pack("<I", 4) + b"\x00" * 4)
+            decode(b"\xcc" + encode(dtype_name) + struct.pack("<I", 4) + b"\x00" * 4)
 
 
 # ----------------------------------------------------------------------
@@ -191,7 +229,7 @@ def test_encoded_size_is_arithmetic_for_big_payloads():
     assert encoded_size(blob) == 5 + len(blob)
     arr = np.zeros(1 << 18, dtype=np.float64)
     assert encoded_size(arr) == 1 + encoded_size(arr.dtype.str) + 4 + arr.nbytes
-    assert encoded_size([blob, arr]) == 5 + encoded_size(blob) + encoded_size(arr)
+    assert encoded_size([blob, arr]) == 2 + encoded_size(blob) + encoded_size(arr)
 
 
 def test_decode_accepts_bytearray_and_memoryview():

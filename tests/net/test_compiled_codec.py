@@ -1,10 +1,13 @@
-"""The per-class wire codecs compiled at registration, against the
-generic value-by-value walk they replaced.
+"""The per-class wire codecs compiled at registration, against a generic
+value-by-value walk of the positional format.
 
-``reference_encode`` / ``reference_size`` are that walk, kept here
-verbatim as the oracle: one ``isinstance`` ladder per value, over the
-``[name, to_payload()]`` envelope (a nested message is the ``bytes`` of
-its own envelope's encoding).  Every registered message class must
+``reference_encode`` / ``reference_message`` are that walk, written
+independently of :mod:`repro.net.codec` as the oracle: one
+``isinstance`` ladder per value (integer widths found by trying
+``struct.pack``), and a message as its class id (CRC-32 of the class
+name, low 16 bits), its field count and its values, trailing fields
+whose encoding equals their default's left out (a nested message is the
+``bytes`` of its own encoding).  Every registered message class must
 produce the same bytes, the same size (with and without a cached
 encoding) and the same decoded message through its compiled codec, and
 reject the same values with :class:`CodecError`.
@@ -12,7 +15,13 @@ reject the same values with :class:`CodecError`.
 
 import dataclasses
 import enum
+import json
+import os
 import struct
+import subprocess
+import sys
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,13 +30,14 @@ from hypothesis import strategies as st
 
 from repro.bench import conformance
 from repro.core.protocol import messages as P
-from repro.net.codec import CodecError, decode, encode, encoded_size
+from repro.net.codec import CodecError, encode
 from repro.net.messages import (
     MESSAGE_HEADER_BYTES,
     CommandBatch,
     CommandBatchResponse,
     Message,
     Response,
+    class_id,
     registered_types,
 )
 from repro.ocl.errors import ErrorCode
@@ -37,85 +47,51 @@ _INT64_MAX = 2**63 - 1
 
 
 # ----------------------------------------------------------------------
-# the oracle: the generic codec as it was before the dispatch tables
+# the oracle: a generic walk of the positional format
 # ----------------------------------------------------------------------
-def _envelope(msg):
-    return [type(msg).__name__, msg.to_payload()]
-
-
-def reference_size(value):
-    if isinstance(value, Message):
-        return 5 + reference_size(_envelope(value))
-    if value is None or value is True or value is False:
-        return 1
-    if isinstance(value, (int, np.integer)):
-        if not _INT64_MIN <= int(value) <= _INT64_MAX:
-            raise CodecError(f"integer out of 64-bit range: {value}")
-        return 9
-    if isinstance(value, (float, np.floating)):
-        return 9
-    if isinstance(value, str):
-        return 5 + len(value.encode("utf-8"))
-    if isinstance(value, (bytes, bytearray)):
-        return 5 + len(value)
-    if isinstance(value, memoryview):
-        return 5 + value.nbytes
-    if isinstance(value, (list, tuple)):
-        return 5 + sum(reference_size(item) for item in value)
-    if isinstance(value, dict):
-        total = 5
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise CodecError(f"dict keys must be str, got {type(key).__name__}")
-            total += reference_size(key) + reference_size(item)
-        return total
-    if isinstance(value, np.ndarray):
-        if value.ndim != 1:
-            raise CodecError(f"only 1-D arrays are encodable, got shape {value.shape}")
-        if value.dtype.hasobject:
-            raise CodecError("object-dtype arrays are not encodable")
-        return 1 + reference_size(value.dtype.str) + 4 + value.nbytes
-    raise CodecError(f"cannot encode value of type {type(value).__name__}")
+def _reference_head(tag, n, out):
+    out += struct.pack("<BB", tag, n) if n < 256 else struct.pack("<BI", tag + 1, n)
 
 
 def _reference_encode_into(value, out):
     if isinstance(value, Message):
-        value = reference_encode(_envelope(value))
+        value = reference_message(value)
     if value is None:
-        out.append(0x00)
+        out.append(0xC0)
     elif value is True:
-        out.append(0x02)
+        out.append(0xC3)
     elif value is False:
-        out.append(0x01)
+        out.append(0xC2)
     elif isinstance(value, (int, np.integer)):
-        out.append(0x03)
-        try:
-            out += struct.pack("<q", int(value))
-        except struct.error as exc:
-            raise CodecError(f"integer out of 64-bit range: {value}") from exc
+        value = int(value)
+        if -32 <= value <= 127:
+            out += struct.pack("<b", value)
+            return
+        for tag, fmt in ((0xD0, "<b"), (0xD1, "<h"), (0xD2, "<i"), (0xD3, "<q")):
+            try:
+                packed = struct.pack(fmt, value)
+            except struct.error:
+                continue
+            out.append(tag)
+            out += packed
+            return
+        raise CodecError(f"integer out of 64-bit range: {value}")
     elif isinstance(value, (float, np.floating)):
-        out.append(0x04)
-        out += struct.pack("<d", float(value))
+        out += struct.pack("<Bd", 0xCD, float(value))
     elif isinstance(value, str):
         data = value.encode("utf-8")
-        out.append(0x05)
-        out += struct.pack("<I", len(data))
+        _reference_head(0xC6, len(data), out)
         out += data
     elif isinstance(value, (bytes, bytearray, memoryview)):
-        if isinstance(value, memoryview) and not value.c_contiguous:
-            value = bytes(value)
-        nbytes = value.nbytes if isinstance(value, memoryview) else len(value)
-        out.append(0x06)
-        out += struct.pack("<I", nbytes)
-        out += value
+        data = bytes(value)
+        _reference_head(0xC4, len(data), out)
+        out += data
     elif isinstance(value, (list, tuple)):
-        out.append(0x07)
-        out += struct.pack("<I", len(value))
+        _reference_head(0xC8, len(value), out)
         for item in value:
             _reference_encode_into(item, out)
     elif isinstance(value, dict):
-        out.append(0x08)
-        out += struct.pack("<I", len(value))
+        _reference_head(0xCA, len(value), out)
         for key, item in value.items():
             if not isinstance(key, str):
                 raise CodecError(f"dict keys must be str, got {type(key).__name__}")
@@ -127,10 +103,10 @@ def _reference_encode_into(value, out):
         if value.dtype.hasobject:
             raise CodecError("object-dtype arrays are not encodable")
         arr = np.ascontiguousarray(value)
-        out.append(0x09)
+        out.append(0xCC)
         _reference_encode_into(arr.dtype.str, out)
         out += struct.pack("<I", arr.nbytes)
-        out += memoryview(arr).cast("B")
+        out += arr.tobytes()
     else:
         raise CodecError(f"cannot encode value of type {type(value).__name__}")
 
@@ -141,27 +117,34 @@ def reference_encode(value):
     return bytes(out)
 
 
+def reference_message(msg):
+    fields = dataclasses.fields(msg)
+    values = [reference_encode(getattr(msg, f.name)) for f in fields]
+    n = len(values)
+    while n and fields[n - 1].default is not dataclasses.MISSING:
+        if values[n - 1] != reference_encode(fields[n - 1].default):
+            break
+        n -= 1
+    cid = zlib.crc32(type(msg).__name__.encode("utf-8")) & 0xFFFF
+    return struct.pack("<HB", cid, n) + b"".join(values[:n])
+
+
 # ----------------------------------------------------------------------
 # what every message must satisfy
 # ----------------------------------------------------------------------
 def assert_codec_equivalent(msg):
     """Bytes and sizes of ``msg`` agree with the oracle; returns the wire."""
-    envelope = _envelope(msg)
     wire = msg.to_wire()
-    assert wire == reference_encode(envelope)
-    assert wire == encode(envelope)  # the value-level codec agrees too
+    assert wire == reference_message(msg)
     assert "_cached_wire" not in msg.__dict__
-    assert msg.wire_size == reference_size(envelope) + MESSAGE_HEADER_BYTES
-    assert msg.wire_size == encoded_size(envelope) + MESSAGE_HEADER_BYTES
+    assert msg.encoded_size() == len(wire)
     assert msg.wire_size == len(wire) + MESSAGE_HEADER_BYTES
     assert msg.cached_wire() == wire
     assert msg.wire_size == len(wire) + MESSAGE_HEADER_BYTES  # now from the cached bytes
     del msg.__dict__["_cached_wire"]
-    # The compiled decoder and the generic decode-then-construct agree.
     back = Message.from_wire(wire)
     assert type(back) is type(msg)
     assert back.to_wire() == wire
-    assert back.to_wire() == type(msg)(**decode(wire)[1]).to_wire()
     return wire
 
 
@@ -173,7 +156,7 @@ REPRO_TYPES = sorted(
 
 def test_every_protocol_class_is_covered():
     assert P.Ack in REPRO_TYPES and CommandBatch in REPRO_TYPES
-    assert len(REPRO_TYPES) >= 48
+    assert len(REPRO_TYPES) >= 47
 
 
 # ----------------------------------------------------------------------
@@ -241,11 +224,26 @@ def test_compiled_codec_matches_generic_walk(cls, data):
 @settings(max_examples=4, deadline=None)
 def test_round_trip_restores_the_message(cls, data):
     msg = _build(cls, data, plain_values)
-    if cls is CommandBatch and msg.seq < 0:
-        # An identity-less batch does not send epoch/seq: they come
-        # back as the defaults.
-        msg = dataclasses.replace(msg, epoch=0, seq=-1)
     assert Message.from_wire(msg.to_wire()) == msg
+
+
+def _required(cls):
+    return [f for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING]
+
+
+@pytest.mark.parametrize("cls", REPRO_TYPES, ids=lambda cls: cls.__name__)
+def test_trailing_defaults_are_left_out(cls):
+    """A message holding its defaults sends its required fields only;
+    setting the last field sends every field."""
+    required = _required(cls)
+    msg = cls(**{f.name: 7 for f in required})
+    wire = assert_codec_equivalent(msg)
+    assert wire[2] == len(required)
+    fields = dataclasses.fields(cls)
+    if len(fields) > len(required):
+        last = dataclasses.replace(msg, **{fields[-1].name: "set"})
+        assert assert_codec_equivalent(last)[2] == len(fields)
+        assert Message.from_wire(last.to_wire()) == last
 
 
 RESPONSE_TYPES = [cls for cls in REPRO_TYPES if issubclass(cls, Response)]
@@ -304,7 +302,7 @@ EDGE_MESSAGES = [
     P.ServerInfoRequest(),  # no fields at all
     CommandBatch(commands=[P.Ack().to_wire(), P.FlushRequest(queue_id=1).to_wire()]),  # unstamped
     CommandBatch(commands=[P.Ack().to_wire()], epoch=2, seq=5),
-    CommandBatch(commands=[], epoch=7, seq=-1),  # epoch without seq: still unstamped
+    CommandBatch(commands=[], epoch=7, seq=-1),  # epoch without seq: seq left out
     CommandBatchResponse(results=[P.Ack().to_wire()] * 3),
     OBJECT_REPLIES,
 ]
@@ -328,10 +326,10 @@ def test_list_and_tuple_encode_identically():
 
 def test_unstamped_batch_leaves_its_identity_off_the_wire():
     unstamped = CommandBatch(commands=[b"x"])
-    assert decode(unstamped.to_wire()) == ["CommandBatch", {"commands": [b"x"]}]
+    assert unstamped.to_wire() == class_id("CommandBatch").to_bytes(2, "little") + b"\x01" + encode([b"x"])
     assert Message.from_wire(unstamped.to_wire()) == unstamped
     stamped = CommandBatch(commands=[b"x"], epoch=1, seq=0)
-    assert decode(stamped.to_wire())[1] == {"commands": [b"x"], "epoch": 1, "seq": 0}
+    assert stamped.to_wire() == unstamped.to_wire()[:2] + b"\x03" + encode([b"x"]) + b"\x01\x00"
     assert Message.from_wire(stamped.to_wire()) == stamped
 
 
@@ -353,7 +351,7 @@ UNENCODABLE = [
 @pytest.mark.parametrize("msg", UNENCODABLE, ids=lambda msg: type(msg).__name__)
 def test_unencodable_values_raise_codec_error_from_both_entry_points(msg):
     with pytest.raises(CodecError):
-        reference_encode(_envelope(msg))
+        reference_message(msg)
     with pytest.raises(CodecError):
         msg.to_wire()
     with pytest.raises(CodecError):
@@ -384,8 +382,78 @@ def test_from_wire_rejects_damaged_wire_with_codec_error(data):
     "envelope", [1, [], ["Ack"], ["Ack", {}, 3], [["Ack"], {}], [None, {}], {"Ack": {}}]
 )
 def test_from_wire_rejects_a_non_envelope(envelope):
+    """A plain value's encoding is not a message (no class id, or one
+    no class has, or a count the class cannot take)."""
     with pytest.raises(CodecError):
         Message.from_wire(encode(envelope))
+
+
+def _head(cls, count):
+    return class_id(cls.__name__).to_bytes(2, "little") + bytes([count])
+
+
+_ACK = P.Ack(error=3, detail="x")
+_UNUSED_ID = next(cid for cid in range(1 << 16) if cid not in map(class_id, registered_types()))
+MALFORMED = {
+    "unknown class id": _UNUSED_ID.to_bytes(2, "little") + _ACK.to_wire()[2:],
+    "no field count": _ACK.to_wire()[:2],
+    "truncated value": _ACK.to_wire()[:-1],
+    "a value missing": _head(P.Ack, 2) + encode(3),
+    "too many fields": _head(P.Ack, 3) + _ACK.to_wire()[3:] + encode(0),
+    "required field missing": _head(P.CreateContextRequest, 1) + encode(1),
+    "trailing bytes": _ACK.to_wire() + encode(0),
+}
+
+
+@pytest.mark.parametrize("data", MALFORMED.values(), ids=MALFORMED)
+def test_from_wire_rejects_malformed_messages(data):
+    with pytest.raises(CodecError):
+        Message.from_wire(data)
+
+
+def test_from_wire_fills_in_defaults_of_fields_not_sent():
+    assert Message.from_wire(_ACK.to_wire()) == _ACK
+    assert Message.from_wire(_head(P.Ack, 0)) == P.Ack()
+    assert Message.from_wire(_head(P.Ack, 1) + encode(3)) == P.Ack(error=3)
+
+
+_IDS_AND_SIZES = """
+import dataclasses, json, sys
+for module in sys.argv[1:]:
+    __import__(module)
+from repro.net.messages import class_id, registered_types
+out = {}
+for name, cls in sorted(registered_types().items()):
+    msg = cls(**{f.name: 7 for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING})
+    out[name] = [class_id(name), msg.wire_size]
+print(json.dumps(out))
+"""
+
+
+def test_class_ids_and_sizes_do_not_depend_on_import_order():
+    """In fresh interpreters, importing the protocol modules in another
+    order (or after an unrelated registration) changes no id and no
+    size."""
+    orders = (
+        ["repro.core.protocol.messages"],
+        ["repro.testbed", "repro.net.messages"],
+        ["tests.net.test_gcf", "repro.core.protocol.messages"],
+    )
+    root = Path(__file__).resolve().parents[2]
+    env = {**os.environ, "PYTHONPATH": f"{root / 'src'}{os.pathsep}{root}"}
+    runs = [
+        json.loads(
+            subprocess.run(
+                [sys.executable, "-c", _IDS_AND_SIZES, *order],
+                capture_output=True, text=True, check=True, cwd=root, env=env,
+            ).stdout
+        )
+        for order in orders
+    ]
+    protocol = {name for name in runs[0]}
+    assert len(protocol) >= 47
+    for run in runs[1:]:
+        assert {name: run[name] for name in protocol} == runs[0]
 
 
 def test_from_wire_accepts_any_buffer():

@@ -13,7 +13,7 @@ import pytest
 from repro.core.protocol import messages as P
 from repro.hw.cluster import make_ib_cpu_cluster
 from repro.net.codec import CodecError, encode
-from repro.net.messages import Message, WireDecodeCache
+from repro.net.messages import Message, WireDecodeCache, class_id
 from repro.ocl import CL_MEM_COPY_HOST_PTR, CL_MEM_READ_WRITE
 from repro.testbed import deploy_dopencl
 
@@ -251,5 +251,7 @@ def test_malformed_sub_command_is_answered_positionally(envelope):
 
 
 def test_omitting_a_defaulted_field_stays_legal():
-    assert Message.from_wire(encode(["Ack", {"detail": "x"}])) == P.Ack(detail="x")
-    assert Message.from_wire(encode(["Ack", {"detail": "x", "error": 3}])) == P.Ack(3, "x")
+    head = class_id("Ack").to_bytes(2, "little")
+    assert Message.from_wire(head + b"\x00") == P.Ack()
+    assert Message.from_wire(head + b"\x01" + encode(3)) == P.Ack(3)
+    assert P.Ack(3).to_wire() == head + b"\x01" + encode(3)
