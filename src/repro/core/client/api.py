@@ -371,16 +371,16 @@ class DOpenCLAPI:
             buffer.pristine = False
             payload, undo = raw, None
         else:
-            undo = buffer.data[offset : offset + raw.size].copy()
+            undo = buffer.array[offset : offset + raw.size].copy()
             buffer.write_host(offset, raw)
-            payload = buffer.data
+            payload = buffer.array
         try:
             self.driver.enqueue_write(queue, buffer, init, payload, blocking, wait_for)
         except BaseException:
             if event.resolved:
                 self.driver.note_host_write(buffer, queue.server.name)
             elif undo is not None:
-                buffer.data[offset : offset + raw.size] = undo
+                buffer.store(offset, undo)
             raise
         # The application's host pointer is transient: after the upload the
         # *server's* copy is the modified one and the client stub (like all
@@ -518,7 +518,7 @@ class DOpenCLAPI:
         src.planner.note_client_demand()
         plan = src.planner.acquire_read("client")
         self.driver.run_transfer_plans([(src, plan)], queue)
-        raw = src.data[src_offset : src_offset + nbytes]
+        raw = src.array[src_offset : src_offset + nbytes]
         return self._write_through(queue, dst, dst_offset, raw, wait_for, blocking=True)
 
     def _check_queue_buffer(self, queue: QueueStub, buffer: BufferStub) -> None:

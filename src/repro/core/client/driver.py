@@ -866,7 +866,7 @@ class DOpenCLDriver:
                     raise
                 self.stats.deferred_read_batches += 1
                 for d in live:
-                    d.out[:] = d.buffer.data[d.offset : d.offset + d.nbytes]
+                    d.out[:] = d.buffer.array[d.offset : d.offset + d.nbytes]
                     completed, arrival = self._fetch_completions.get(
                         d.buffer.id, (self.clock.now, self.clock.now)
                     )
@@ -1433,7 +1433,7 @@ class DOpenCLDriver:
         if epoch != buffer.planner.epoch:
             self.stats.wasted_pushes += 1
             return False
-        buffer.data[:] = as_uint8_array(payload)
+        buffer.adopt(as_uint8_array(payload))
         self.clock.advance_to(arrival)
         # The push's arrival is the transfer-completion truth for any
         # deferred-read event this apply satisfies.
@@ -1650,7 +1650,7 @@ class DOpenCLDriver:
         if len(buffers) > 1:
             self.stats.coalesced_uploads += 1
             self.stats.coalesced_upload_sections += len(buffers)
-        self.send_bulk([conn], lambda c: init, [b.data for b in buffers], sum(sizes))
+        self.send_bulk([conn], lambda c: init, [b.array for b in buffers], sum(sizes))
         queue.tail_event_id = event_ids[-1]
         for buffer in buffers:
             buffer.place(dst_name)
@@ -1758,14 +1758,15 @@ class DOpenCLDriver:
         raise exc
 
     def _land(self, queue, buffers, stubs, sections, gang=()) -> None:
-        """Apply each returned ``(data, arrival)`` section to its buffer's
-        client copy (a gang member is acquired first), with its transfer
-        event's profiling truth; the clock moves to the last arrival."""
+        """Adopt each returned ``(data, arrival)`` section, the daemon's
+        lent storage, as its buffer's client copy (a gang member is
+        acquired first), with its transfer event's profiling truth; the
+        clock moves to the last arrival."""
         for buffer, stub, section in zip(buffers, stubs, sections):
             if section is not None:
                 if buffer in gang:
                     buffer.planner.acquire_read("client")
-                buffer.data[:] = section[0]
+                buffer.adopt(section[0])
                 self._record_fetch_completion(buffer, stub, section[1])
                 queue.tail_event_id = stub.id
                 self.clock.advance_to(section[1])

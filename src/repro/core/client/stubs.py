@@ -31,6 +31,7 @@ from repro.ocl.constants import (
     ErrorCode,
 )
 from repro.ocl.errors import CLError
+from repro.ocl.memory import LentStorage
 
 
 class RemoteDevice:
@@ -187,11 +188,12 @@ class Resident:
         return True
 
 
-class BufferStub(Resident):
+class BufferStub(Resident, LentStorage):
     """Compound stub with coherence state (Section III-D).
 
     Holds the client's copy of the data plus the MSI/MOSI directory over
-    {client} ∪ servers of the context.
+    {client} ∪ servers of the context.  A download or a push adopts the
+    daemon's lent storage (:class:`~repro.ocl.memory.LentStorage`).
     """
 
     def __init__(
@@ -209,7 +211,7 @@ class BufferStub(Resident):
         #: The client copy.  Its bytes mean something only while the
         #: directory calls the client valid: a whole-buffer write streams
         #: the application's array and leaves this copy stale (Invalid).
-        self.data = np.zeros(self.size, dtype=np.uint8)
+        self.array = np.zeros(self.size, dtype=np.uint8)
         directory_cls = {"msi": MSIDirectory, "mosi": MOSIDirectory}.get(protocol)
         if directory_cls is None:
             raise CLError(ErrorCode.CL_INVALID_VALUE, f"unknown coherence protocol {protocol!r}")
@@ -256,12 +258,12 @@ class BufferStub(Resident):
         """Overwrite ``raw.size`` bytes of the client's copy at ``offset``."""
         self.check_range(offset, raw.size)
         self.pristine = False
-        self.data[offset : offset + raw.size] = raw
+        self.store(offset, raw)
 
     def read_host(self, offset: int, nbytes: int) -> np.ndarray:
         """Copy ``nbytes`` bytes out of the client's copy at ``offset``."""
         self.check_range(offset, nbytes)
-        return self.data[offset : offset + nbytes].copy()
+        return self.array[offset : offset + nbytes].copy()
 
     def retain(self) -> None:
         """``clRetainMemObject``."""

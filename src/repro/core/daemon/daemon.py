@@ -144,7 +144,7 @@ class Daemon:
         #: (:meth:`push_commit` drops the older rows it supersedes), and
         #: releasing the buffer drops all of its rows; volatile — dies
         #: with :meth:`crash`.
-        self._push_staging: Dict[Tuple[str, int, int], Tuple[bytes, float]] = {}
+        self._push_staging: Dict[Tuple[str, int, int], Tuple[object, float]] = {}
         #: Section III-F extension: when True, this daemon broadcasts event
         #: completions directly to the peer daemons holding the user-event
         #: replicas ("event status can be broadcasted directly by the
@@ -820,9 +820,9 @@ class Daemon:
             # lands (a write still gated on an event cannot be waited
             # for here: the copy is read at once, as it always was).  A
             # section whose read would wait on the queue's unresolved
-            # predecessor is not read: ``None``.  Read-only views of
-            # device memory stream back (zero-copy, never concatenated);
-            # the client copies each into its copy on arrival.
+            # predecessor is not read: ``None``.  Each copy's storage is
+            # lent (``Buffer.lend``): its read-only view streams back
+            # (zero-copy, never concatenated) and the client adopts it.
             if not (
                 len(msg.buffer_ids) == len(msg.event_ids) == len(msg.nbytes_list)
                 and msg.buffer_ids
@@ -841,7 +841,8 @@ class Daemon:
                     continue
                 nbytes = nbytes if nbytes > 0 else buffer.size
                 start = max(tcur, buffer.write_landed() or 0.0)
-                data, event = queue.enqueue_read_buffer(buffer, start, 0, nbytes, [])
+                _, event = queue.enqueue_read_buffer(buffer, start, 0, nbytes, [])
+                data = buffer.lend()[:nbytes]
                 self.registry.put(client, event_id, event)
                 self._arm_completion_callback(event, event_id, sender)
                 tcur = event.end
@@ -923,7 +924,7 @@ class Daemon:
                 self.host, peer.host, start, sum(msg.nbytes_list), tag="s2s-buffer"
             )
             for src_buffer, dst_buffer in zip(buffers, peer_buffers):
-                dst_buffer.write(0, src_buffer.array)
+                dst_buffer.adopt(src_buffer.lend())
                 dst_buffer.last_write = arrival
             return arrival
 
@@ -953,7 +954,7 @@ class Daemon:
                     f"{msg.buffer_id} at epoch {msg.epoch}",
                 )
             data, available_at = staged
-            buffer.write(0, as_uint8_array(data))
+            buffer.adopt(as_uint8_array(data))
             buffer.last_write = max(t, available_at)
             return buffer.last_write
 
@@ -1148,12 +1149,12 @@ class Daemon:
     # daemon-initiated pushes (PR 9)
     # ------------------------------------------------------------------
     def receive_peer_push(
-        self, client_name: str, buffer_id: int, epoch: int, data: bytes, available_at: float
+        self, client_name: str, buffer_id: int, epoch: int, data, available_at: float
     ) -> None:
-        """Park replica bytes pushed here by the owning daemon, keyed
+        """Park the replica (lent storage) pushed here by the owner, keyed
         ``(client_name, buffer_id, epoch)``, until the client's deferred
         :class:`~repro.core.protocol.messages.PushCommit` for that epoch
-        validates and applies them.  Never touches the registry buffer —
+        validates and adopts it.  Never touches the registry buffer —
         deferred commands already in this daemon's window may legitimately
         read the pre-push version — and a push that lost a race with a
         newer write is discarded by the epoch check, never observed."""
@@ -1170,9 +1171,10 @@ class Daemon:
     def _execute_pushes(
         self, push_hints: List[Dict[str, object]], client: GCFProcess, t_complete: float
     ) -> Dict[str, list]:
-        """Execute the client's push hints at kernel completion: snapshot
-        each hinted buffer's post-kernel bytes and stream them toward the
-        predicted consumer, off the client's critical path.
+        """Execute the client's push hints at kernel completion: lend each
+        hinted buffer's post-kernel storage (a snapshot: a later write
+        copies first) to the predicted consumer, off the client's
+        critical path.
 
         A client-destined replica rides the completion notification
         itself (``push_payloads``); a peer-destined one moves over the
@@ -1190,7 +1192,7 @@ class Daemon:
         ids: List[int] = []
         epochs: List[int] = []
         targets: List[str] = []
-        payloads: List[bytes] = []
+        payloads: List[object] = []
         for hint in push_hints:
             buffer_id = int(hint["buffer_id"])
             buffer = self.registry.peek(client.name, buffer_id)
@@ -1198,26 +1200,25 @@ class Daemon:
                 continue
             target = str(hint["target"])
             epoch = int(hint["epoch"])
-            data = bytes(buffer.array)
             if target == "client":
-                payload = data
+                payload = memoryview(buffer.lend())
             else:
                 peer = self.peer_daemons.get(target)
                 if peer is None or peer is self:
                     continue
                 header = MESSAGE_HEADER_BYTES + encoded_size(
-                    (buffer_id, client.name, epoch, len(data))
+                    (buffer_id, client.name, epoch, buffer.size)
                 )
                 try:
                     arrival = self.network.transfer(
-                        self.host, peer.host, t_complete, header + len(data), tag="s2s-push"
+                        self.host, peer.host, t_complete, header + buffer.size, tag="s2s-push"
                     )
                 except CommunicationError:
                     continue  # degraded to demand fetch, never half-pushed
-                peer.receive_peer_push(client.name, buffer_id, epoch, data, arrival)
+                peer.receive_peer_push(client.name, buffer_id, epoch, buffer.lend(), arrival)
                 payload = b""
             self.gcf.stats.daemon_pushes += 1
-            self.gcf.stats.push_bytes += len(data)
+            self.gcf.stats.push_bytes += buffer.size
             ids.append(buffer_id)
             epochs.append(epoch)
             targets.append(target)

@@ -109,6 +109,10 @@ class Registry:
         creation has replayed yet)."""
         return self._objects.get(client, {}).get(obj_id)
 
+    def objects(self) -> Iterator[object]:
+        """Every registered object, of every client."""
+        return (obj for table in self._objects.values() for obj in table.values())
+
     def pop(self, client: str, obj_id: int) -> object:
         """Remove and return an object (the release handlers)."""
         table = self._objects.get(client, {})

@@ -78,7 +78,10 @@ class Kernel:
         self.args[index] = value
 
     def bound_args(self) -> List[object]:
-        """Arguments ready for the clc runtime (buffers become typed views)."""
+        """Arguments ready for the clc runtime (buffers become typed views
+        of one storage each: a written buffer's is made private first)."""
+        for buffer in self.written_buffers():
+            buffer.own()
         out: List[object] = []
         for i, (value, sym) in enumerate(zip(self.args, self.compiled.info.param_symbols)):
             if value is _UNSET:

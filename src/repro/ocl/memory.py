@@ -34,7 +34,44 @@ def check_buffer_args(flags: int, size: int, max_alloc: int) -> None:
     )
 
 
-class Buffer:
+class LentStorage:
+    """One storage rule for a copy of a buffer's bytes (``array``): a view
+    that leaves its store is lent, and the owner copies only when it next
+    writes.  Until then the storage is shared, read-only to the lender and
+    to every holder that adopted it."""
+
+    array: np.ndarray
+    #: The storage is shared: lent out, or adopted from its lender.
+    lent = False
+    #: Copies a write took because the storage was shared.
+    cow_copies = 0
+
+    def lend(self) -> np.ndarray:
+        """The whole storage, read-only, for a receiver to adopt."""
+        self.array.flags.writeable, self.lent = False, True
+        return self.array
+
+    def adopt(self, data: np.ndarray) -> None:
+        """Take a lent view as this copy's storage: no copy."""
+        self.array, self.lent = data, True
+
+    def own(self) -> np.ndarray:
+        """The storage, private: a shared one is copied first."""
+        if self.lent:
+            self.array, self.lent = self.array.copy(), False
+            self.cow_copies += 1
+        return self.array
+
+    def store(self, offset: int, raw: np.ndarray) -> None:
+        """Copy ``raw`` in at ``offset``; over a shared storage a whole
+        write takes a new array and copies nothing old."""
+        if self.lent and raw.size == self.array.size:
+            self.array, self.lent = raw.copy(), False
+        else:
+            self.own()[offset : offset + raw.size] = raw
+
+
+class Buffer(LentStorage):
     """``clCreateBuffer`` result: ``size`` bytes of device memory.
 
     Backed by one NumPy byte array (the authoritative copy on the owning
@@ -118,9 +155,9 @@ class Buffer:
         return self.array.view(dtype)
 
     def view(self, offset: int, nbytes: int) -> np.ndarray:
-        """A validated, read-only view of ``nbytes`` bytes at ``offset``.
-        No copy: the receiver copies where the bytes change owner (a
-        device write, a client copy, the array handed to an application)."""
+        """A validated, read-only view of ``nbytes`` bytes at ``offset``
+        that its caller consumes before it returns; bytes that leave the
+        buffer are lent (:meth:`lend`)."""
         self._check_alive()
         self._check_range(offset, nbytes)
         out = self.array[offset : offset + nbytes]
@@ -131,7 +168,7 @@ class Buffer:
         self._check_alive()
         raw = np.ascontiguousarray(data).view(np.uint8).ravel()
         self._check_range(offset, raw.size)
-        self.array[offset : offset + raw.size] = raw
+        self.store(offset, raw)
         return raw.size
 
     def _check_range(self, offset: int, nbytes: int) -> None:

@@ -22,7 +22,8 @@ reservations, horizon and reservations pruned so far
 census closes each daemon's and each client's block: batched
 sub-commands per message class (count and bytes — dispatched on a
 daemon, sent by a client) and, per daemon, the objects of each kind its
-registry created and how many of those any command ever named.
+registry created and how many of those any command ever named.  A
+``storage:`` line counts the lent buffer storages and copy-on-write copies.
 
 Works against any object exposing ``daemons`` (a
 :class:`~repro.testbed.Deployment`) or directly against an iterable of
@@ -35,6 +36,8 @@ two tenants build the same source, and dumps the caches.
 from __future__ import annotations
 
 from typing import Dict, Iterable, List
+
+from repro.ocl.memory import LentStorage
 
 
 def _hit_ratio(stats) -> float:
@@ -120,6 +123,13 @@ def _census_lines(stats, registry=None) -> List[str]:
     return lines
 
 
+def _storage_line(copies: Iterable) -> str:
+    """Lent storages and copy-on-write copies among ``copies``."""
+    copies = [c for c in copies if isinstance(c, LentStorage)]
+    return (f"  storage: lent={sum(c.lent for c in copies)} "
+            f"cow_copies={sum(c.cow_copies for c in copies)}")
+
+
 def _timeline_line(host: str, timelines) -> str:
     """One host's timelines: live reservations, the latest horizon any
     of them pruned to, and the reservations pruned so far."""
@@ -167,6 +177,7 @@ def cachestat_text(deployment) -> str:
             f"  hit ratio: {_hit_ratio(stats):.2f}  "
             f"build seconds saved: {stats.build_seconds_saved:.3f}"
         )
+        lines.append(_storage_line(daemon.registry.objects()))
         lines.extend(_census_lines(stats, daemon.registry))
         entries = cache.entries()
         if entries:
@@ -185,6 +196,7 @@ def cachestat_text(deployment) -> str:
                      f"folded_finishes={stats.folded_finishes} "
                      f"kernels_created_on_launch={stats.kernels_created_on_launch} "
                      f"folded_kernel_args={stats.folded_kernel_args}")
+        lines.append(_storage_line(b for c in driver.contexts for b in c.live_buffers))
         lines.extend(_census_lines(stats))
     if hasattr(deployment, "timelines"):
         lines.extend(_timeline_line(host, tls) for host, tls in deployment.timelines().items())
