@@ -1,9 +1,10 @@
 """Perf smoke — OSEM steady-state forwarding (fast; tier-1 budget).
 
 The repeated-arg counterpart of ``bench_smoke``: list-mode OSEM re-binds
-identical kernel arguments every subset of every iteration, so the
-daemons' batch decode cache answers most of its steady-state command
-traffic.  Applies the shared gate
+identical kernel arguments every subset of every iteration, and every
+steady-state iteration must cost the same round trips and daemon
+decode-cache hits (none since a ``clFinish`` sends no ``FinishRequest``:
+identical Finishes were the only repeated sub-commands).  Applies the shared gate
 (:func:`repro.bench.osem.assert_osem_record`) and records the headline
 counters to ``benchmarks/results/bench_osem.json`` and ``BENCH_osem.json``.
 """

@@ -208,12 +208,13 @@ class DOpenCLAPI:
 
     def clFinish(self, queue: QueueStub) -> None:
         """Synchronization point: every send window drains (commands on
-        other servers may gate this queue through event wait lists), and
-        the ``FinishRequest`` closes the drain's last batch to the
-        queue's daemon — one round trip.  When the drain sends that
-        daemon nothing, the Finish costs its own round trip, or none if
-        the client already holds the queue's last completion
-        (:meth:`DOpenCLDriver.finish`)."""
+        other servers may gate this queue through event wait lists).  An
+        in-order queue learns its completion from the notification of its
+        last command, so its ``clFinish`` costs the drain and no more —
+        nothing if the drain sent nothing.  Otherwise the
+        ``FinishRequest`` closes the drain's last batch to the queue's
+        daemon, or takes its own round trip when the drain sent that
+        daemon nothing (:meth:`DOpenCLDriver.finish`)."""
         self._tick()
         self.driver.finish(queue)
 
@@ -365,7 +366,7 @@ class DOpenCLAPI:
             offset=0,
             nbytes=buffer.size,
             wait_event_ids=self.driver.daemon_wait_ids(queue.server, wait_for),
-            replica_servers=self.driver.replica_broadcast_targets(event),
+            replica_servers=self.driver.replica_broadcast_targets(event) or None,
         )
         if whole:
             buffer.pristine = False
@@ -851,10 +852,10 @@ class DOpenCLAPI:
                 kernel_id=kernel.id,
                 event_id=event.id,
                 global_size=[int(g) for g in global_size],
-                local_size=[int(v) for v in local_size] if local_size else [],
-                global_offset=[int(v) for v in global_offset] if global_offset else [],
-                wait_event_ids=wait_ids,
-                replica_servers=self.driver.replica_broadcast_targets(event),
+                local_size=[int(v) for v in local_size] if local_size else None,
+                global_offset=[int(v) for v in global_offset] if global_offset else None,
+                wait_event_ids=wait_ids or None,
+                replica_servers=self.driver.replica_broadcast_targets(event) or None,
                 push_hints=push_hints,
                 args=entries or None,
                 program_id=kernel.program.id if create else None,

@@ -376,12 +376,12 @@ class DOpenCLDriver:
         # Swap every window out first: completion notifications fired
         # while a batch is dispatched may defer/flush more commands,
         # which must land in a fresh window.
-        folded = self.transport.dispatch_batches(
+        last = self.transport.dispatch_batches(
             [(conn, conn.window.swap_out()) for conn in conns if conn.window], tail
         )
         if raise_errors:
             self.transport.surface_deferred_failure()
-        return folded
+        return last
 
     def flush_connection(self, conn: ServerConnection, raise_errors: bool = True) -> None:
         """Send ``conn``'s window as one CommandBatch and settle the
@@ -410,19 +410,21 @@ class DOpenCLDriver:
         relays to other servers' (already swapped-out) windows.  A full
         sync point promises that everything forwarded so far — including
         such relays — has reached its daemon, so this loops until all
-        windows are empty (bounded by :data:`MAX_DRAIN_PASSES`).  ``tail``
-        rides every pass's batch to its connection; the last one answered
-        is returned, ordered after everything the drain sent there.
+        windows are empty (bounded by :data:`MAX_DRAIN_PASSES`).  ``tail =
+        (connection, request)``: the last batch answered on that
+        connection is returned, ordered after everything the drain sent
+        there, and ``request`` (unless ``None``) rides every pass's batch
+        to it.
 
         Pending deferred reads whose dependencies the client already
         holds ride the drain: their downloads join the windows first,
         ahead of the ``tail``, and complete after it."""
         settle: list = []
         self.resolve_deferred_reads(settle=settle)
-        folded = None
+        last = None
         for _ in range(MAX_DRAIN_PASSES):
             targets = [c for c in self._connections.values() if c.connected]
-            folded = self.flush_connections(targets, raise_errors=False, tail=tail) or folded
+            last = self.flush_connections(targets, raise_errors=False, tail=tail) or last
             if not any(c.window for c in targets):
                 break
         else:
@@ -438,36 +440,66 @@ class DOpenCLDriver:
             complete()
         self.resolve_deferred_reads()
         self.transport.surface_deferred_failure()
-        return folded
+        return last
 
     def finish(self, queue: QueueStub) -> None:
-        """``clFinish``: drain every window with the queue's
-        ``FinishRequest`` closing each batch to its daemon and block on
-        the last one's reply (earlier ones, which may report a deadlock a
-        later relay resolved, are superseded).  If the drain sent the
-        daemon nothing, the pipeline's Finish has nothing to learn when
-        the queue is in order and the event of its last command (the
-        driver's own transfers included, ``QueueStub.tail_event_id``)
-        already resolved here: the client resumes at that completion's
-        arrival, sending nothing (``local_finishes``).  Otherwise — or
-        if the drain lost the daemon or left it more to send (deferred
-        reads) — the Finish goes alone (:meth:`fanout`)."""
-        conn, msg = queue.server, P.FinishRequest(queue_id=queue.id)
-        folded = self.flush_all((conn, msg))
-        if folded is None and not conn.window and queue.in_order:
-            tail = self._events.get(queue.tail_event_id)
-            if tail is not None and tail.resolved:
-                self.transport.check_usable(conn)
-                self.stats.local_finishes += 1
-                self.clock.advance_to(tail.completion_arrival)
-                return
-        if folded is None or conn.window or not conn.connected:
-            self.fanout([conn], lambda c: msg)
+        """``clFinish``: drain every window, then learn the queue's
+        completion.  An in-order queue still held by the application
+        whose last command (``QueueStub.tail_event_id``, the driver's own
+        transfers on it included) waits on no user event left unset
+        learns it from the completion notification its daemon sends
+        anyway: the drain carries no ``FinishRequest``, and once the tail
+        resolved the client resumes at that completion's arrival, or at
+        the reply to the drain's last batch to the daemon if later
+        (``local_finishes``; a stashed failure still raises, a lost
+        daemon still fails at ``check_usable``).  A tail the drain left
+        unresolved — its notification was lost — sends the Finish alone
+        (:meth:`fanout`).  Any other queue (out of order, nothing
+        enqueued yet, released, or gated on an unset user event, whose
+        Finish answers "deadlock") has its ``FinishRequest`` close every
+        pass's batch to its daemon and blocks on the last one's reply
+        (``folded_finishes``; earlier ones, which may report a deadlock a
+        later relay resolved, are superseded), or sends it alone when
+        the drain sent that daemon nothing."""
+        conn = queue.server
+        local = self._learns_completion(queue)
+        finish = None if local else P.FinishRequest(queue_id=queue.id)
+        last = self.flush_all((conn, finish))
+        tail = self._events.get(queue.tail_event_id)
+        if local and tail.resolved and not conn.window:
+            self.transport.check_usable(conn)
+            self.stats.local_finishes += 1
+            self.clock.advance_to(tail.completion_arrival)
+            if last is not None:
+                self.clock.advance_to(last.reply_arrival)
+            return
+        if local or last is None or conn.window or not conn.connected:
+            self.fanout([conn], lambda c: P.FinishRequest(queue_id=queue.id))
             return
         self.stats.folded_finishes += 1
-        self.clock.advance_to(folded.reply_arrival)
-        if folded.responses:  # else every command succeeded, the Finish too
-            self.transport.check(folded.responses[-1])
+        self.clock.advance_to(last.reply_arrival)
+        if last.responses:  # else every command succeeded, the Finish too
+            self.transport.check(last.responses[-1])
+
+    def _learns_completion(self, queue: QueueStub) -> bool:
+        """Whether a ``clFinish`` on ``queue`` can learn its completion
+        from a notification: the queue is in order and not released, it
+        has a tail, and no unresolved event that tail (or, behind a
+        driver transfer, the queue's last command) transitively waits on
+        is a user event — only the application can set one."""
+        if queue.refcount <= 0 or not queue.in_order or queue.tail_event_id is None:
+            return False
+        stack = [queue.tail_event_id, queue.last_event_id]
+        seen = set()
+        while stack:
+            ev = self._events.get(stack.pop())
+            if ev is None or ev.resolved or ev.id in seen:
+                continue
+            if isinstance(ev, UserEventStub):
+                return False
+            seen.add(ev.id)
+            stack.extend(ev.depends_on)
+        return True
 
     def flush_for_handles(
         self, handles: Iterable[int], raise_errors: bool = True
@@ -1292,7 +1324,7 @@ class DOpenCLDriver:
             return False
         for cmd in conn.window.writer_index().get(stub.id, ()):
             if isinstance(cmd.msg, (P.EnqueueKernelRequest, P.BufferDataUpload)):
-                cmd.msg.replica_servers = [*cmd.msg.replica_servers, name]
+                cmd.msg.replica_servers = [*(cmd.msg.replica_servers or ()), name]
                 return True
         return False
 

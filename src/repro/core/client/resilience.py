@@ -317,12 +317,13 @@ class Transport:
         windows (``swap_out`` / ``split_prefix``): dispatching can defer
         new commands, which belong in the live windows.
 
-        ``tail = (connection, closes_batch request)`` rides last in the
-        batch to that connection, its reply no deferred failure; that
-        batch's outcome is returned (``None``: none was answered).  A
-        windowed host write's payload streams as a section behind its
-        batch (every attempt re-streams it); a windowed download's reply
-        and returned sections go to its ``sink``, not to the stash.
+        ``tail = (connection, request)``: the batch to that connection is
+        the one whose outcome is returned (``None``: none was answered),
+        and ``request``, unless ``None``, rides last in it, its reply no
+        deferred failure.  A windowed host write's payload streams as a
+        section behind its batch (every attempt re-streams it); a
+        windowed download's reply and returned sections go to its
+        ``sink``, not to the stash.
 
         Without a policy a batch is identity-less (no replay fields on
         the wire); with one it carries the connection's ``(epoch, next
@@ -330,12 +331,13 @@ class Transport:
         dispatch dedupe answers a replay from its cached reply."""
         if not batches:
             return None
-        folded = None
+        watched_outcome = None
         self.dispatch_depth += 1
         try:
             for conn, commands in batches:
                 msgs = [c.msg for c in commands]
-                sent = msgs + [tail[1]] if tail is not None and conn is tail[0] else msgs
+                watched = tail is not None and conn is tail[0]
+                sent = msgs + [tail[1]] if watched and tail[1] is not None else msgs
                 sections = {
                     i: (c.payload, c.msg.nbytes)
                     for i, c in enumerate(commands)
@@ -357,14 +359,14 @@ class Transport:
                 outcome = self.attempt(conn, send)
                 if outcome is not None:  # else declared dead: the loss is stashed
                     self.record_failures([None if c.sink else c.msg for c in commands], outcome)
-                    if sent is not msgs:
-                        folded = outcome
+                    if watched:
+                        watched_outcome = outcome
                 for i, c in enumerate(commands):
                     if c.sink is not None:
                         c.sink(outcome, i)
         finally:
             self.dispatch_depth -= 1
-        return folded
+        return watched_outcome
 
     def _stash(self, msg: Optional[P.Request], error: int, detail: str, arrival: float) -> None:
         if self._deferred_failure is None:

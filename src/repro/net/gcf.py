@@ -148,11 +148,14 @@ class NetStats:
     ``folded_finishes``
         Client-side: ``clFinish`` calls answered by their drain's last
         batch to the queue's daemon, the ``FinishRequest`` riding as its
-        last sub-command, instead of by a round trip of their own.
+        last sub-command, instead of by a round trip of their own — only
+        for a queue a notification cannot finish (out of order, nothing
+        enqueued yet, released, or gated on an unset user event).
     ``local_finishes``
-        Client-side: ``clFinish`` calls that sent nothing — the drain
-        sent the queue's daemon nothing, the queue is in order and the
-        client already held its last command's completion.
+        Client-side: ``clFinish`` calls that sent no ``FinishRequest`` —
+        the queue is in order and its last command's completion
+        notification reached the client by the end of the drain, which
+        sent the daemon whatever was windowed, or nothing.
     ``kernels_created_on_launch``
         Client-side: kernel creations that rode a launch to a daemon
         lacking the kernel (the pipeline sends no ``CreateKernelRequest``).

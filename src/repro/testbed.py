@@ -7,7 +7,7 @@ stand up the paper's three testbeds with one call.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.client.api import DOpenCLAPI
 from repro.core.client.connection import DaemonDirectory
@@ -62,6 +62,32 @@ class Deployment:
         for process in [*self.daemons, *self.drivers, *managers]:
             by_host[process.gcf.host.name].append(process.gcf.cpu)
         return by_host
+
+    def mark(self) -> Tuple[float, Dict[str, float]]:
+        """One end of a :meth:`utilisation` window: the latest client
+        clock, and every timeline's busy time so far by label
+        (``Timeline.busy_time(0.0)``, which counts pruned reservations)."""
+        busy = {
+            (tl.name if tl.name.startswith(host) else f"{host}:{tl.name}"): tl.busy_time(0.0)
+            for host, tls in self.timelines().items()
+            for tl in tls
+        }
+        return max((d.clock.now for d in self.drivers), default=0.0), busy
+
+    def utilisation(self, t0=None, t1=None) -> List[Tuple[str, float]]:
+        """The busy share of every timeline between the marks ``t0`` and
+        ``t1`` (:meth:`mark`; by default the start of the run and now),
+        busiest first: the top row is the resource that bounds the
+        virtual clock over that window.  Marks difference whole-history
+        busy times, so the window needs no reservation that pruning
+        dropped."""
+        start, before = t0 or (0.0, {})
+        end, after = t1 or self.mark()
+        span = end - start
+        if span <= 0.0:
+            return []
+        shares = ((label, (busy - before.get(label, 0.0)) / span) for label, busy in after.items())
+        return sorted(shares, key=lambda row: -row[1])
 
     def daemon_stats(self) -> Dict[str, float]:
         """Key-wise sum of every daemon's ``NetStats.snapshot()`` — the

@@ -18,7 +18,9 @@ summary with the hit/waste ratios
 ``wasted_pushes / speculative_pushes``), one line per client (round
 trips and the three kernel/fold counters) and one per host on its timelines: live
 reservations, horizon and reservations pruned so far
-(:mod:`repro.sim.timeline`, "Pruning behind a floor").  The command
+(:mod:`repro.sim.timeline`, "Pruning behind a floor"), then the three
+busiest timelines of the run (``Deployment.utilisation``: the top one
+bounds the virtual clock).  The command
 census closes each daemon's and each client's block: batched
 sub-commands per message class (count and bytes — dispatched on a
 daemon, sent by a client) and, per daemon, the objects of each kind its
@@ -38,6 +40,10 @@ from __future__ import annotations
 from typing import Dict, Iterable, List
 
 from repro.ocl.memory import LentStorage
+
+
+#: Timelines the ``Utilisation`` line lists, busiest first.
+UTILISATION_ROWS = 3
 
 
 def _hit_ratio(stats) -> float:
@@ -200,6 +206,12 @@ def cachestat_text(deployment) -> str:
         lines.extend(_census_lines(stats))
     if hasattr(deployment, "timelines"):
         lines.extend(_timeline_line(host, tls) for host, tls in deployment.timelines().items())
+        busiest = deployment.utilisation()[:UTILISATION_ROWS]
+        if busiest:
+            lines.append(
+                "Utilisation (busy share over the run): "
+                + ", ".join(f"{label} {share:.2f}" for label, share in busiest)
+            )
     if getattr(deployment, "drivers", []):
         summary = push_summary(deployment)
         lines.append(

@@ -607,9 +607,9 @@ def test_a_dropped_folded_reply_binds_the_entries_once(monkeypatch):
 def _tenant_rounds(rounds):
     """``tenant_steady``'s round on three tenants: per tenant create a
     kernel, set its three arguments, launch; then every ``clFinish``.
-    Returns the deployment and the sub-command count of every batch."""
+    Returns the deployment and the messages of every batch."""
     deployment = deploy_dopencl(make_multi_client_gpu_server(3), n_clients=3)
-    states, sizes = [], []
+    states, batches = [], []
     for i, cl in enumerate(deployment.apis):
         gpu = cl.clGetDeviceIDs(cl.clGetPlatformIDs()[0], CL_DEVICE_TYPE_GPU)[i]
         ctx = cl.clCreateContext([gpu])
@@ -620,7 +620,7 @@ def _tenant_rounds(rounds):
         cl.clFinish(queue)
         request_batch = cl.driver.gcf.request_batch
         cl.driver.gcf.request_batch = (
-            lambda target, msgs, *a, _send=request_batch, **k: sizes.append(len(msgs))
+            lambda target, msgs, *a, _send=request_batch, **k: batches.append(list(msgs))
             or _send(target, msgs, *a, **k)
         )
         states.append((cl, queue, program, buf))
@@ -633,25 +633,41 @@ def _tenant_rounds(rounds):
             cl.clEnqueueNDRangeKernel(queue, kernel, (32,))
         for cl, queue, *_ in states:
             cl.clFinish(queue)
-    return deployment, sizes
+    return deployment, batches
 
 
-def test_a_tenant_round_is_a_batch_of_two_sub_commands():
+def test_a_tenant_round_is_a_batch_of_one_launch():
     """The launch carrying its kernel's creation and three entries, and
-    the Finish: a round trip per tenant and round, where a creation and
-    three updates sent as commands of their own would make it six.  The
-    first round also creates each tenant's buffer, ahead of its first
-    launch."""
-    deployment, sizes = _tenant_rounds(2)
-    assert sizes == [3] * 3 + [2] * 3
+    no Finish (the launch's notification ends the ``clFinish``): a round
+    trip per tenant and round, where a creation and three updates sent
+    as commands of their own would make it five.  The first round also
+    creates each tenant's buffer, ahead of its first launch."""
+    deployment, batches = _tenant_rounds(2)
+    assert [len(msgs) for msgs in batches] == [2] * 3 + [1] * 3
     text = cachestat_text(deployment)
     for driver in deployment.drivers:
         stats = driver.stats
         assert stats.kernels_created_on_launch == 2 and stats.folded_kernel_args == 6
+        assert stats.local_finishes == 2 and stats.folded_finishes == 1  # the set-up's
         assert (
-            f"folded_finishes={stats.folded_finishes} "
+            "local_finishes=2 folded_finishes=1 "
             "kernels_created_on_launch=2 folded_kernel_args=6"
         ) in text
+
+
+def test_a_tenant_launch_sends_its_unused_lists_as_none():
+    """A tenant round's launch leaves ``local_size``, ``global_offset``,
+    ``wait_event_ids`` and ``replica_servers`` at their ``None``
+    defaults: each sits ahead of the argument entries the launch
+    carries, so each crosses, and ``None`` encodes in 1 B where an empty
+    list takes 2 B — 43 B, not 47 B."""
+    _deployment, batches = _tenant_rounds(1)
+    launches = [msg for msgs in batches for msg in msgs if isinstance(msg, P.EnqueueKernelRequest)]
+    assert len(launches) == 3
+    for launch in launches:
+        assert launch.local_size is launch.global_offset is None
+        assert launch.wait_event_ids is launch.replica_servers is None
+        assert launch.encoded_size() == len(launch.to_wire()) == 43
 
 
 # ----------------------------------------------------------------------

@@ -165,7 +165,7 @@ def test_a_waiter_on_a_resolved_event_ships_nothing():
         return (w.completed_at, w.completion_arrival, api.now), shipped, replicas, started >= floor
 
     timed, shipped, replicas, after_floor = run(wait=True)
-    assert shipped == [[]] and replicas == []
+    assert shipped == [None] and replicas == []
     assert after_floor
     assert run(wait=False)[0] == timed
 
@@ -187,7 +187,7 @@ def test_a_user_event_reaches_only_its_replicas_holders():
     api.clSetUserEventStatus(late, 0)
     _launch(api, program, queues[2], bufs[2], 3.0, wait_for=[late])
     assert _windowed(deployment, queues[2], P.CreateUserEventRequest) == []
-    assert [m.wait_event_ids for m in _windowed(deployment, queues[2], P.EnqueueKernelRequest)] == [[]]
+    assert [m.wait_event_ids for m in _windowed(deployment, queues[2], P.EnqueueKernelRequest)] == [None]
     api.clFinish(queues[0])
     assert _user_events(deployment) == {queues[0].server.name: 0, queues[1].server.name: 1,
                                         queues[2].server.name: 0}

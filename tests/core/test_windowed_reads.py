@@ -157,18 +157,18 @@ def test_a_gang_read_revalidates_its_sibling_in_the_same_download():
     np.testing.assert_array_equal(data_b, _expected(0.25))
 
 
-def test_a_deferred_read_rides_the_finish_ahead_of_its_finish_request(monkeypatch):
+def test_a_deferred_read_rides_the_finish_drain(monkeypatch):
     """``clFinish`` with a pending deferred read sends one batch: the
-    next launch, the download and the Finish.  The section leaves at
-    its read's completion, so it lands before the reply the Finish
-    holds until the long kernel ends."""
+    next launch and the download, no Finish.  The section leaves at its
+    read's completion, so it lands before the notification of the long
+    kernel that ends the ``clFinish``."""
     deployment, api, ctx, (queue,), program = _rig(link=GIGABIT_ETHERNET)
     read_q = api.clCreateCommandQueue(ctx, queue.device)
     a = api.clCreateBuffer(ctx, CL_MEM_READ_WRITE, 4 * N)
     b = api.clCreateBuffer(ctx, CL_MEM_READ_WRITE, 4 * N)
     _spin(api, program, queue, a, 1.5)
     api.clFinish(queue)
-    _spin(api, program, queue, b, 0.5, n=LONG)
+    long_launch = _spin(api, program, queue, b, 0.5, n=LONG)
     out, event = api.clEnqueueReadBuffer(read_q, a, blocking=False)
     batches = _batches(monkeypatch, deployment)
     before = _round_trips(deployment)
@@ -176,10 +176,8 @@ def test_a_deferred_read_rides_the_finish_ahead_of_its_finish_request(monkeypatc
     assert _round_trips(deployment) - before == 1
     # A deferred read downloads on the daemon's internal transfer queue,
     # created (windowed) by its first use.
-    assert batches == [
-        ["EnqueueKernelRequest", "CreateQueueRequest", "CoalescedBufferDownload", "FinishRequest"]
-    ]
-    assert event.completion_arrival < api.now  # the section beat the Finish reply
+    assert batches == [["EnqueueKernelRequest", "CreateQueueRequest", "CoalescedBufferDownload"]]
+    assert event.completion_arrival < long_launch.completion_arrival == api.now
     np.testing.assert_array_equal(out, _expected(1.5))
 
 
