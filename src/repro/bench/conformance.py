@@ -1044,7 +1044,8 @@ def fault_plan(schedule: str) -> FaultPlan:
     """Build a fresh :class:`FaultPlan` for a named schedule.
 
     Every schedule targets steady-state traffic — batches, bulk streams,
-    the s2s mesh, the request leg of a synchronous fan-out — by tag
+    the s2s mesh, the request leg of the pipeline's one synchronous
+    coherence request (``BufferPeerTransferBatch``) — by tag
     (occurrence-counted, so the same program faults the same message
     every run) and carries the :data:`FAULT_WATCHDOG_TRANSFERS` budget.
     """
@@ -1060,7 +1061,7 @@ def fault_plan(schedule: str) -> FaultPlan:
         "sever-permanent": [
             FaultAction("sever", nth=2, tag="CommandBatch", heal_after=None)
         ],
-        "drop-request": [FaultAction("drop", nth=1, tag="CoalescedBufferUpload")],
+        "drop-request": [FaultAction("drop", nth=1, tag="BufferPeerTransferBatch")],
         "sever-push": [FaultAction("sever", nth=1, tag="s2s-push", heal_after=1)],
         "sever-fetch": [
             FaultAction(
@@ -1140,23 +1141,45 @@ def write_fault_spec(seed: int) -> Dict[str, object]:
     return spec
 
 
+def peer_transfer_fault_spec(seed: int) -> Dict[str, object]:
+    """The program the ``drop-request`` schedule replays: the generated
+    program for ``seed`` on MOSI, with two producers on daemon 0 and a
+    consumer of both on daemon 1 appended, so a two-section
+    ``BufferPeerTransferBatch`` always goes out.  Dropping its request
+    leg costs a timeout; the replay-safe retry re-sends it, and every
+    observable byte stays identical to the fault-free run."""
+    spec = generate_program(seed)
+    spec["protocol"] = "mosi"
+    spec["ops"] = list(spec["ops"]) + [
+        ("kernel", "fill", 0, (0,), 1.5, None),
+        ("kernel", "fill", 0, (1,), 0.75, None),
+        ("kernel", "sum2", 1, (2, 0, 1), 1.0, None),
+        ("read", 2, 1),
+    ]
+    return spec
+
+
 #: Schedules that replay a *forced* program instead of the seed's
-#: generated one, kept out of the generic matrix (which asserts every
-#: schedule fires): a random program is not guaranteed to emit any
+#: generated one: a random program is not guaranteed to emit any
 #: ``s2s-push`` traffic (MSI protocol, or no producer->consumer loop
 #: drawn), may resolve every deferred read off a staged push (no
-#: demand fetch at all), and may draw no host write (no section on the
-#: wire).  ``schedule -> (spec builder, witness)``: the
-#: cell is vacuous — and fails — unless the fault-free baseline moved
-#: the witness ``NetStats`` counter and the schedule fired.
+#: demand fetch at all), may draw no host write (no section on the
+#: wire) and no MOSI hop (no peer-transfer request).  ``schedule ->
+#: (spec builder, witness)``: the cell is vacuous — and fails — unless
+#: the fault-free baseline moved the witness ``NetStats`` counter and
+#: the schedule fired.  Only ``drop-request`` also runs in the generic
+#: matrix (it is recoverable), on its forced program.
 FORCED_PROGRAMS = {
     "sever-push": (push_fault_spec, "push_commits"),
     "sever-fetch": (deferred_read_fault_spec, "deferred_reads"),
     "drop-section": (write_fault_spec, "bulk_sends"),
+    "drop-request": (peer_transfer_fault_spec, "coalesced_peer_transfers"),
 }
 
 #: Every named schedule, in ``--faults`` matrix order.
-ALL_SCHEDULES = RECOVERABLE_SCHEDULES + UNRECOVERABLE_SCHEDULES + tuple(FORCED_PROGRAMS)
+ALL_SCHEDULES = tuple(
+    dict.fromkeys(RECOVERABLE_SCHEDULES + UNRECOVERABLE_SCHEDULES + tuple(FORCED_PROGRAMS))
+)
 
 
 def run_program_resilient(
@@ -1336,21 +1359,31 @@ def _check_resilience_stats(tag: str, stats: Dict[str, int]) -> None:
 
 
 def run_seed_with_faults(seed: int, schedule: str) -> Dict[str, object]:
-    """Run one (seed, schedule) fault cell and assert its contract.
+    """Run one (seed, schedule) fault cell and assert its contract
+    (:func:`run_faulted_program`): the program is the seed's generated
+    one, or the schedule's row of :data:`FORCED_PROGRAMS`, whose
+    vacuity check is asserted first."""
+    build_spec, witness = FORCED_PROGRAMS.get(schedule, (generate_program, None))
+    return run_faulted_program(build_spec(seed), schedule, witness)
 
-    The program is the seed's generated one, or the schedule's row of
-    :data:`FORCED_PROGRAMS` (whose vacuity check is asserted first),
-    run on the ``full`` configuration.
+
+def run_faulted_program(
+    spec: Dict[str, object], schedule: str, witness: Optional[str] = None
+) -> Dict[str, object]:
+    """Run ``spec`` fault-free and under ``schedule`` on the ``full``
+    configuration and assert the schedule's contract.
+
     Unrecoverable schedule: the faulted run must reproduce *itself*
     exactly on a second run, and every error it surfaces must be
     daemon-loss class.  Any other schedule is recoverable: the faulted
     run must be bit-identical (reads, final contents, directory state,
     observed errors) to the fault-free run of the same configuration
     and kill no daemon.  Either way the resilience counters are
-    audited and the watchdog bounds the run.
+    audited and the watchdog bounds the run.  With a ``witness``
+    ``NetStats`` counter, the fault-free run must move it and the
+    schedule must fire.
     """
-    build_spec, witness = FORCED_PROGRAMS.get(schedule, (generate_program, None))
-    spec = build_spec(seed)
+    seed = spec["seed"]
     flags = dict(CONFIGS["full"])
     tag = f"seed {seed} schedule {schedule}"
     baseline = run_program_resilient(spec, flags, None)
@@ -1414,8 +1447,7 @@ def _check_stats_invariants(
     assert sync["flush_barriers"] == 0, f"{tag}: sync config recorded barriers"
     assert sync["prefix_flushes"] == 0, f"{tag}: sync config prefix-flushed"
     assert sync["relays_deferred"] == 0, f"{tag}: sync config deferred relays"
-    for key in ("coalesced_reads", "coalesced_uploads", "coalesced_downloads",
-                "coalesced_peer_transfers"):
+    for key in ("coalesced_reads", "coalesced_downloads", "coalesced_peer_transfers"):
         assert sync[key] == 0, f"{tag}: sync config has {key} != 0"
     # Build structural invariants.  The reference path compiles every
     # build request it handles and never touches a build cache on

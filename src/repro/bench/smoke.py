@@ -252,7 +252,6 @@ def bench_smoke(n_devices: int = SMOKE_DEVICES, config: MandelbrotConfig = SMOKE
             "relays_deferred",
             "relays_suppressed",
             "encode_cache_hits",
-            "coalesced_uploads",
             "coalesced_downloads",
             "coalesced_peer_transfers",
             "coalesced_reads",
@@ -314,7 +313,6 @@ def bench_smoke(n_devices: int = SMOKE_DEVICES, config: MandelbrotConfig = SMOKE
             relays_deferred=c["relays_deferred"],
             relays_suppressed=c["relays_suppressed"],
             encode_cache_hits=c["encode_cache_hits"],
-            coalesced_uploads=c["coalesced_uploads"],
             coalesced_downloads=c["coalesced_downloads"],
             coalesced_peer_transfers=c["coalesced_peer_transfers"],
             coalesced_reads=c["coalesced_reads"],

@@ -728,8 +728,6 @@ class DOpenCLAPI:
             wire_value = value
             if isinstance(value, (np.integer, np.bool_)):
                 wire_value = int(value)
-            elif isinstance(value, np.floating):
-                wire_value = float(value)
             msg_kwargs = dict(kind="value", value=wire_value)
         kernel.args[index] = value
         kernel.args_set[index] = True

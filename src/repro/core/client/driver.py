@@ -705,7 +705,7 @@ class DOpenCLDriver:
         """Window the creation of every buffer ``conn`` lacks ahead of the
         command about to join its window, or about to be sent after the
         window's flush (the residency rule for every command naming
-        buffers but a coherence upload, which carries the creations)."""
+        buffers)."""
         for buffer in buffers:
             if buffer.place(conn.name):
                 self.defer(conn, self.buffer_creation(buffer))
@@ -944,15 +944,6 @@ class DOpenCLDriver:
     def roundtrip(self, conn: ServerConnection, msg: P.Request) -> RequestOutcome:
         """:meth:`fanout` of one request to one server."""
         return self.fanout([conn], lambda c: msg)[conn.name]
-
-    def send_bulk(
-        self, servers: Sequence[ServerConnection], make_init, payload, nbytes: int
-    ) -> Dict[str, RequestOutcome]:
-        """Ordered stream-based upload of ``payload`` to every server
-        behind its ``make_init(conn)`` exchange (each window is flushed
-        first)."""
-        self.flush_connections(servers)
-        return self.transport.upload(servers, make_init, payload, nbytes)
 
     def enqueue_write(
         self,
@@ -1496,6 +1487,7 @@ class DOpenCLDriver:
         if dst is None or not dst.connected or dst.dead:
             self.stats.wasted_pushes += 1
             return False
+        self.precede(dst, [buffer])
         self.defer(
             dst,
             P.PushCommit(buffer_id=buffer.id, epoch=epoch),
@@ -1510,9 +1502,9 @@ class DOpenCLDriver:
     def internal_queue(self, context: ContextStub, server_name: str) -> QueueStub:
         """Hidden per-(context, server) queue used for protocol transfers
         when the application has no queue on the owning server.  The
-        creation is a handle promise like any other: the bulk stream
-        that needs the queue flushes the window first, so the daemon
-        registers the queue before the stream init references it."""
+        creation is a handle promise like any other: it joins the
+        window ahead of the transfer that names the queue, so the
+        daemon registers the queue first."""
         queue = context._internal_queues.get(server_name)
         if queue is not None:
             return queue
@@ -1621,24 +1613,46 @@ class DOpenCLDriver:
         group runs through one of three executors — downloads first
         (:meth:`_download`, one download per source daemon), then
         server-to-server hops (:meth:`_peer_transfer`, one round trip
-        per (src, dst) pair), then uploads (:meth:`_upload`, one stream
-        per destination daemon) — whatever the group's size.
+        per (src, dst) pair), then uploads (:meth:`_upload`, windowed
+        host writes to each destination daemon) — whatever the group's
+        size.
 
         ``read_group=True`` marks the items as a group of deferred reads,
         ``gang`` a blocking read's :meth:`read_gang`; fused download
         groups of either kind count as ``coalesced_reads``.  ``drain``,
-        ``raising`` and ``settle`` go to :meth:`_download`."""
+        ``raising`` and ``settle`` go to :meth:`_download`.  A failed
+        transfer rolls back every server copy the plans had not moved
+        yet (:meth:`_abort_unmoved`)."""
         downloads, peers, uploads = split_transfer_plan([(b, plan) for b, plan in items if plan])
-        for src_name, buffers in downloads.items():
-            group = [*buffers, *gang]
-            if (read_group or gang) and len(group) > 1:
-                self.stats.coalesced_reads += 1
-                self.stats.coalesced_read_sections += len(group)
-            self._download(group, src_name, preferred_queue, len(buffers), drain, raising, settle)
-        for (src_name, dst_name), buffers in peers.items():
-            self._peer_transfer(buffers, src_name, dst_name)
-        for dst_name, buffers in uploads.items():
-            self._upload(buffers, dst_name, preferred_queue)
+        moved: Set[Tuple[int, str]] = set()
+        try:
+            for src_name, buffers in downloads.items():
+                group = [*buffers, *gang]
+                if (read_group or gang) and len(group) > 1:
+                    self.stats.coalesced_reads += 1
+                    self.stats.coalesced_read_sections += len(group)
+                self._download(group, src_name, preferred_queue, len(buffers), drain, raising, settle)
+            for (src_name, dst_name), buffers in peers.items():
+                self._peer_transfer(buffers, src_name, dst_name)
+                moved.update((b.id, dst_name) for b in buffers)
+            for dst_name, buffers in uploads.items():
+                self._upload(buffers, dst_name, preferred_queue)
+                moved.update((b.id, dst_name) for b in buffers)
+        except CLError as exc:
+            self._abort_unmoved(items, moved, exc)
+            raise
+
+    @staticmethod
+    def _abort_unmoved(items, moved: Set[Tuple[int, str]], exc: CLError) -> None:
+        """Roll back the optimistic acquire of every server a plan of
+        ``items`` was to copy to and that ``moved`` (``(buffer id,
+        server)`` pairs) does not name: a failed transfer stopped the run
+        before its copy moved, so the directory must not credit it (a
+        failed download rolls the client back itself)."""
+        for buffer, plan in items:
+            for transfer in plan or ():
+                if transfer.dst != CLIENT and (buffer.id, transfer.dst) not in moved:
+                    buffer.planner.abort_fetch(transfer.dst, f"copy to {transfer.dst!r} failed: {exc}")
 
     def _queue_on(self, buffer: BufferStub, server_name: str, preferred: Optional[QueueStub]) -> QueueStub:
         if preferred is not None and preferred.server.name == server_name:
@@ -1658,34 +1672,36 @@ class DOpenCLDriver:
         dst_name: str,
         preferred: Optional[QueueStub],
     ) -> None:
-        """Client->server route: the group's whole-object uploads ride
-        one bulk stream (one init header, one raw stream, zero-copy: the
-        payload is the list of client-side ndarrays, never
-        concatenated)."""
-        conn = self.connection(dst_name)
+        """Client->server route: each buffer's whole object is a host
+        write (:meth:`upload_write`) on the transfer queue, under an
+        internal event."""
         queue = self._queue_on(buffers[0], dst_name, preferred)
-        event_ids = [
-            self._new_transfer_event(buffer.context, dst_name).id for buffer in buffers
-        ]
-        sizes = [b.size for b in buffers]
-        # The init carries the creation of every copy ``dst_name`` lacks
-        # (its flags, else None), so a first upload costs no flush; the
-        # copies count as held once the upload succeeded.
-        create_flags = [None if dst_name in b.holders else b.remote_flags for b in buffers]
-        init = P.CoalescedBufferUpload(
-            queue_id=queue.id,
-            buffer_ids=[b.id for b in buffers],
-            event_ids=event_ids,
-            nbytes_list=sizes,
-            create_flags=None if create_flags == [None] * len(buffers) else create_flags,
-        )
-        if len(buffers) > 1:
-            self.stats.coalesced_uploads += 1
-            self.stats.coalesced_upload_sections += len(buffers)
-        self.send_bulk([conn], lambda c: init, [b.array for b in buffers], sum(sizes))
-        queue.tail_event_id = event_ids[-1]
         for buffer in buffers:
-            buffer.place(dst_name)
+            init = P.BufferDataUpload(
+                buffer_id=buffer.id,
+                queue_id=queue.id,
+                event_id=self._new_transfer_event(buffer.context, dst_name).id,
+                offset=0,
+                nbytes=buffer.size,
+                wait_event_ids=[],
+            )
+            self.upload_write(queue, buffer, init)
+            queue.tail_event_id = init.event_id
+
+    def upload_write(self, queue: QueueStub, buffer: BufferStub, init: P.BufferDataUpload) -> None:
+        """Window a coherence upload as :meth:`enqueue_write` windows a
+        host write, behind the copy's creation.  Its payload is the
+        client copy's lent storage: it streams as a section behind the
+        batch that carries it, and a later ``write_host`` copies on
+        write instead of changing the bytes before the flush."""
+        self.precede(queue.server, [buffer])
+        self.defer(
+            queue.server,
+            init,
+            reads=[queue.id, buffer.id],
+            writes=[init.event_id, buffer.id],
+            payload=buffer.lend(),
+        )
 
     def _push_due(self, buffer: BufferStub) -> bool:
         """Whether a push may carry ``buffer``'s current bytes to the
@@ -1786,7 +1802,7 @@ class DOpenCLDriver:
         and the bytes never arrived.  A push staged meanwhile stays
         parked: only a *planned* retry read may consume it."""
         for buffer in buffers:
-            buffer.planner.abort_client_fetch(f"download from {src_name!r} failed: {exc}")
+            buffer.planner.abort_fetch(CLIENT, f"download from {src_name!r} failed: {exc}")
         raise exc
 
     def _land(self, queue, buffers, stubs, sections, gang=()) -> None:
@@ -1853,11 +1869,6 @@ class DOpenCLDriver:
         for buffer in buffers:
             handles.extend(self.buffer_sync_handles(buffer))
         self.flush_for_handles(handles, raise_errors=False)
-        # The destination copies are created first, in its window, ahead
-        # of the commits and of the copies' arrival (the flush below).
-        dst = self._connections.get(dst_name)
-        if dst is not None and dst.connected and not dst.dead:
-            self.precede(dst, buffers)
         # Sections already staged at the destination by a current-epoch
         # push commit via their deferred PushCommit and drop out (see
         # :meth:`_apply_peer_push`); push-off leaves the group whole.
@@ -1867,9 +1878,14 @@ class DOpenCLDriver:
             if not remaining:
                 return
         src = self.connection(src_name)
-        # The destination's window may hold commands that must precede
-        # the incoming copies (buffer-state order is per-daemon).
+        # The destination copies are created in its window (a lost source
+        # raised above, before any was), and the window may hold commands
+        # that must precede the incoming copies (buffer-state order is
+        # per-daemon): flush it.
+        dst = self._connections.get(dst_name)
         if dst is not None and dst.connected:
+            if not dst.dead:
+                self.precede(dst, remaining)
             self.flush_connection(dst)
         if len(buffers) > 1:
             self.stats.coalesced_peer_transfers += 1

@@ -28,7 +28,6 @@ from repro.core.client.stubs import (
 )
 from repro.core.client.connection import ServerConnection
 from repro.core.protocol import messages as P
-from repro.net.streams import split_sections
 from repro.ocl.constants import CL_COMPLETE, ErrorCode
 from repro.ocl.errors import CLError
 
@@ -65,6 +64,13 @@ class ReferenceDriver(DOpenCLDriver):
         round trip of its own."""
         self.flush_all()
         self.fanout([queue.server], lambda c: P.FinishRequest(queue_id=queue.id))
+
+    def send_bulk(self, servers: Sequence[ServerConnection], make_init, payload, nbytes: int):
+        """Stream ``payload`` to every server behind its ``make_init(conn)``
+        exchange (:meth:`~repro.core.client.resilience.Transport.upload`),
+        stashed failures raised first."""
+        self.flush_connections(servers)
+        return self.transport.upload(servers, make_init, payload, nbytes)
 
     def enqueue_write(self, queue, buffer, init, payload, blocking, wait_for) -> None:
         """A host write streams behind its own init exchange."""
@@ -179,9 +185,20 @@ class ReferenceDriver(DOpenCLDriver):
         order: the same executors and messages as the pipeline, only
         the grouping differs.  Nothing rides a drain, and no read has a
         gang."""
-        for buffer, plan in items:
-            for transfer in plan or ():
-                super().run_transfer_plans([(buffer, [transfer])], preferred_queue)
+        moved = set()
+        try:
+            for buffer, plan in items:
+                for transfer in plan or ():
+                    super().run_transfer_plans([(buffer, [transfer])], preferred_queue)
+                    moved.add((buffer.id, transfer.dst))
+        except CLError as exc:
+            self._abort_unmoved(items, moved, exc)
+            raise
+
+    def upload_write(self, queue: QueueStub, buffer: BufferStub, init: P.BufferDataUpload) -> None:
+        """A coherence upload streams behind its own init exchange, as a
+        host write does."""
+        self.enqueue_write(queue, buffer, init, buffer.array, True, None)
 
     def _download(self, buffers: Sequence[BufferStub], src_name: str, preferred, *_fused) -> None:
         """One buffer's download as a fetch of its own (``fetch_bulk``),
@@ -202,7 +219,7 @@ class ReferenceDriver(DOpenCLDriver):
             fetched = self.transport.fetch(conn, request)
         except CLError as exc:
             self._abort_downloads([buffer], src_name, exc)
-        (data,) = split_sections(fetched.payload, request.nbytes_list)
+        (data,) = fetched.payload  # the section's read-only view of the daemon's copy
         self._land(queue, [buffer], [stub], [(data, fetched.arrival)])
 
     def read_rides_drain(self, wait_for) -> bool:

@@ -266,18 +266,18 @@ class MSIDirectory:
         if self.state[owner] in (State.MODIFIED, State.OWNED):
             self.state[owner] = State.SHARED
 
-    def abort_client_fetch(self, reason: str) -> None:
-        """Roll back an optimistic ``acquire_read(CLIENT)`` whose physical
-        download failed.
+    def abort_fetch(self, party: str, reason: str) -> None:
+        """Roll back an optimistic ``acquire_read(party)`` whose physical
+        transfer failed.
 
-        :meth:`acquire_read` marks the client Shared *before* the bytes
+        :meth:`acquire_read` marks ``party`` Shared *before* the bytes
         move; if the transfer then dies (daemon loss, exhausted retries)
-        the client's entry claims a copy it never received.  Re-invalidate
-        it — and if the demoted owner has meanwhile been evicted too, the
-        data is genuinely gone, so record ``lost_reason`` exactly as
+        its entry claims a copy it never received.  Re-invalidate it —
+        and if the demoted owner has meanwhile been evicted too, the data
+        is genuinely gone, so record ``lost_reason`` exactly as
         :meth:`evict` would have."""
-        if self.state.get(CLIENT) == State.SHARED:
-            self.state[CLIENT] = State.INVALID
+        if self.state.get(party) == State.SHARED:
+            self.state[party] = State.INVALID
         if not self._holders() and not self.data_lost:
             self.lost_reason = reason
         self._check()

@@ -121,11 +121,11 @@ class TransferPlanner:
         eviction defines no new bytes."""
         return self.directory.evict(party, reason)
 
-    def abort_client_fetch(self, reason: str) -> None:
-        """Roll back an optimistic client acquire whose fetch died.
-        Pure state rollback: the epoch is untouched, so a push staged
-        for the *current* version stays consumable by the retry."""
-        self.directory.abort_client_fetch(reason)
+    def abort_fetch(self, party: str, reason: str) -> None:
+        """Roll back an optimistic acquire of ``party`` whose transfer
+        died.  Pure state rollback: the epoch is untouched, so a push
+        staged for the *current* version stays consumable by the retry."""
+        self.directory.abort_fetch(party, reason)
 
     # -- planning (records the access history) ------------------------
     def acquire_read(self, party: str) -> List[Transfer]:

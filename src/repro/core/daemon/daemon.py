@@ -51,7 +51,7 @@ from repro.net.gcf import GCFProcess
 from repro.net.link import ConnectionRefused
 from repro.net.messages import MESSAGE_HEADER_BYTES
 from repro.net.network import Network
-from repro.net.streams import as_uint8_array, split_sections
+from repro.net.streams import as_uint8_array
 from repro.ocl.constants import CL_DEVICE_TYPE_ALL, ErrorCode
 from repro.ocl.context import Context
 from repro.ocl.errors import CLError
@@ -759,57 +759,6 @@ class Daemon:
             self._arm_completion_callback(
                 event, msg.event_id, sender, replica_servers=msg.replica_servers
             )
-
-        @gcf.on_request(P.CoalescedBufferUpload)
-        def coalesced_upload_init(msg: P.CoalescedBufferUpload, t: float, sender: GCFProcess):
-            # Validate the whole section table up front so the client's
-            # single init round trip reports any stale ID before the
-            # merged payload streams.
-            try:
-                if not (
-                    len(msg.buffer_ids) == len(msg.event_ids) == len(msg.nbytes_list)
-                    and msg.buffer_ids
-                ):
-                    raise CLError(
-                        ErrorCode.CL_INVALID_VALUE,
-                        "coalesced upload needs aligned, non-empty section lists",
-                    )
-                queue = self._queue(sender.name, msg.queue_id)
-                client = sender.name
-                for buffer_id, nbytes, flags in zip(
-                    msg.buffer_ids, msg.nbytes_list, msg.create_flags or ()
-                ):
-                    if flags is None or self.registry.peek(client, buffer_id) is not None:
-                        continue  # held (a replayed init creates nothing twice)
-                    if self.registry.poison_info(client, (buffer_id,)) is not None:
-                        continue  # the lookup below re-raises the first failure
-                    try:
-                        self._admit_object(client)
-                        self.registry.put(client, buffer_id, Buffer(queue.context, flags, nbytes))
-                    except CLError as exc:
-                        self.registry.poison(client, (buffer_id,), exc.code.value, exc.message)
-                        raise
-                for buffer_id in msg.buffer_ids:
-                    self.registry.get(client, buffer_id, Buffer)
-                return P.BufferDataResponse(nbytes=sum(msg.nbytes_list)), t
-            except CLError as exc:
-                return P.BufferDataResponse(error=exc.code.value, detail=exc.message), t
-
-        @gcf.on_bulk_sink(P.CoalescedBufferUpload)
-        def coalesced_upload_sink(msg: P.CoalescedBufferUpload, payload, arrival: float, sender: GCFProcess):
-            # One raw stream carrying the section table's whole-object
-            # uploads: each section becomes an ordinary enqueued write
-            # on the same queue, in section order, with its own
-            # registered event.  The payload arrives either as the
-            # client's list of per-section arrays (zero-copy) or as one
-            # flat concatenation (decoded stream).
-            queue = self._queue(sender.name, msg.queue_id)
-            sections = split_sections(payload, msg.nbytes_list)
-            for buffer_id, event_id, data in zip(msg.buffer_ids, msg.event_ids, sections):
-                buffer = self.registry.get(sender.name, buffer_id, Buffer)
-                event = queue.enqueue_write_buffer(buffer, data, arrival, 0, [])
-                self.registry.put(sender.name, event_id, event)
-                self._arm_completion_callback(event, event_id, sender)
 
         def read_sections(msg: P.CoalescedBufferDownload, t: float, sender: GCFProcess):
             # The section table is validated before anything enqueues, so

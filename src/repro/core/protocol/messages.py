@@ -273,10 +273,10 @@ class ReleaseBufferRequest(Request):
 
 @message_type(deferrable=True)
 class BufferDataUpload(Request):
-    """An *application* write (``clEnqueueWriteBuffer`` / the upload half
-    of ``clEnqueueCopyBuffer``): the one transfer that carries a wait
-    list and a user-visible event.  Coherence transfers use the
-    section-table messages below.
+    """A host write: an application's (``clEnqueueWriteBuffer`` / the
+    upload half of ``clEnqueueCopyBuffer``, with a wait list and a
+    user-visible event) or a coherence upload's (a whole-object write
+    behind the copy's creation, its event internal).
 
     On the pipeline the write is a windowed command like a launch: it
     rides a ``CommandBatch`` and its ``nbytes`` stream as a *section*
@@ -302,39 +302,12 @@ class BufferDataUpload(Request):
     replica_servers: List[str] = None
 
 
-@message_type(replay_safe="init only validates; the whole-object write lands with the last leg")
-class CoalescedBufferUpload(Request):
-    """Init message for a coherence client->server upload stream.
-
-    A coherence transfer is a *section table*: the buffers the protocol
-    must validate on one daemon between two sync points (typically the
-    buffer arguments of one kernel launch; a single buffer on the
-    reference path) ride one init round trip and one raw stream whose
-    payload is the concatenation of the sections.  ``buffer_ids[i]`` /
-    ``event_ids[i]`` / ``nbytes_list[i]`` describe section ``i``
-    (whole-object uploads, so offsets are always zero); the daemon
-    enqueues one write per section, in order, on ``queue_id`` and
-    registers each section's (replica-less, internal) event.
-
-    ``create_flags[i]``, when not ``None``, creates section ``i``'s copy
-    first (in the queue's context, with these flags), so the pipeline's
-    first upload of a copy needs no window flush of its own.
-    """
-
-    queue_id: int
-    buffer_ids: List[int]
-    event_ids: List[int]
-    nbytes_list: List[int]
-    create_flags: List[int] = None
-
-
 @message_type(deferrable=True)
 class CoalescedBufferDownload(Request):
     """A coherence server->client download.
 
-    The download twin of :class:`CoalescedBufferUpload`: the buffers
-    whose client copy must be revalidated from one daemon between two
-    sync points (one or more).  ``buffer_ids[i]`` / ``event_ids[i]`` /
+    The buffers whose client copy must be revalidated from one daemon
+    between two sync points (one or more).  ``buffer_ids[i]`` / ``event_ids[i]`` /
     ``nbytes_list[i]`` describe section ``i`` (whole-object downloads,
     so offsets are always zero); the daemon enqueues one read per
     section, in order, on ``queue_id`` and registers each section's

@@ -8,7 +8,8 @@ and is priced by :func:`encoded_size`'s arithmetic, which this module's
 encoder keeps honest as the oracle.
 
 Supported value types: ``None``, ``bool``, ``int`` (64-bit signed),
-``float`` (IEEE double), ``str``, ``bytes``, ``list``/``tuple`` (encoded
+``float`` (IEEE double), ``np.float32`` (IEEE single; any other NumPy
+float is a double), ``str``, ``bytes``, ``list``/``tuple`` (encoded
 identically), ``dict`` with ``str`` keys, 1-D ``numpy.ndarray`` of a
 simple dtype, and every registered message class (added to the tables by
 :func:`repro.net.messages.message_type`: a nested message is the
@@ -22,8 +23,10 @@ themselves (``0xe0``–``0x7f``, wrapping); ``None`` ``0xc0``, ``False`` /
 ``0xc6``, list ``0xc8`` and dict (key, value, ...) ``0xca``, each with a
 1-byte length or count, the next tag up with a 4-byte one for 256 and
 more; an ndarray ``0xcc`` (dtype ``str``, 4-byte length, raw bytes); an
-IEEE double ``0xcd``; and int8 / 16 / 32 / 64 ``0xd0``–``0xd3``, the
-narrowest that holds the integer.  Everything is little-endian.
+IEEE double ``0xcd`` and an IEEE single ``0xce``, each its value's exact
+bits (``-0.0`` and every NaN payload kept); and int8 / 16 / 32 / 64
+``0xd0``–``0xd3``, the narrowest that holds the integer.  Everything is
+little-endian.
 
 The codec is zero-copy where it matters:
 
@@ -64,6 +67,7 @@ _TAG_LIST = 0xC8
 _TAG_DICT = 0xCA
 _TAG_NDARRAY = 0xCC
 _TAG_FLOAT = 0xCD
+_TAG_SINGLE = 0xCE
 _TAG_INT8 = 0xD0  # then int16, int32, int64
 
 _INT64_MIN = -(2**63)
@@ -74,6 +78,7 @@ _INT_FORMS = {
     for i, code in enumerate("bhiq")
 }
 _pack_float = struct.Struct("<Bd").pack
+_pack_single = struct.Struct("<BI").pack  # tag + the single's bits
 _pack_head8 = struct.Struct("<BB").pack
 _pack_head32 = struct.Struct("<BI").pack
 _pack_len = struct.Struct("<I").pack
@@ -139,6 +144,10 @@ def _size_int(value: int) -> int:
 
 def _encode_float(value: float, out: bytearray) -> None:
     out += _pack_float(_TAG_FLOAT, value)
+
+
+def _encode_single(value: np.float32, out: bytearray) -> None:
+    out += _pack_single(_TAG_SINGLE, int(value.view(np.uint32)))
 
 
 def _head(tag: int, n: int, out: bytearray) -> None:
@@ -235,6 +244,7 @@ _HANDLERS = {
     int: (_encode_int, _size_int),
     np.integer: (lambda value, out: _encode_int(int(value), out), lambda v: _size_int(int(v))),
     float: (_encode_float, lambda value: 9),
+    np.float32: (_encode_single, lambda value: 5),
     np.floating: (lambda value, out: _encode_float(float(value), out), lambda value: 9),
     str: (_encode_str, _size_str),
     bytes: (_encode_bytes, _size_bytes),
@@ -322,6 +332,11 @@ def _decode_dict(data: Buffer, offset: int, n: int) -> Tuple[dict, int]:
     return result, offset
 
 
+def _decode_single(data: Buffer, offset: int) -> Tuple[np.float32, int]:
+    _check(data, offset, 4)
+    return np.frombuffer(data, "<f4", 1, offset)[0], offset + 4
+
+
 def _decode_ndarray(data: Buffer, offset: int) -> Tuple[np.ndarray, int]:
     dtype_name, offset = _decode_from(data, offset)
     n, offset = _read_len32(data, offset)
@@ -364,6 +379,7 @@ def _decoders() -> list:
         table[tag + 1] = _sized(_read_len32, body)
     table[_TAG_NDARRAY] = _decode_ndarray
     table[_TAG_FLOAT] = _decode_struct("<d")
+    table[_TAG_SINGLE] = _decode_single
     for i, code in enumerate("bhiq"):
         table[_TAG_INT8 + i] = _decode_struct("<" + code)
     return table

@@ -114,19 +114,15 @@ class NetStats:
         relays that joined a send window instead of round-tripping, and
         relays skipped entirely because the event has no user-event
         replicas anywhere.
-    ``coalesced_uploads`` / ``coalesced_upload_sections``
-        Coherence upload *gangs*: groups of two or more buffers bound
-        for one daemon that rode a single bulk stream, and the
-        per-buffer sections those streams carried.  Every coherence
-        transfer ships as a section table; these (and the download /
-        peer-transfer pairs below) count only groups that entered with
-        two or more members — once, with the sections actually
-        shipped (staged pushes may consume the rest) — so they stay 0
-        on the reference path, whose groups are all singletons.
     ``coalesced_downloads`` / ``coalesced_download_sections``
         Coherence download gangs (one ``CoalescedBufferDownload``
         streaming several buffers back from one daemon), and the
-        per-buffer sections those downloads carried.
+        per-buffer sections those downloads carried.  These (and the
+        peer-transfer pair below) count only groups that entered with
+        two or more members — once, with the sections actually shipped
+        (staged pushes may consume the rest) — so they stay 0 on the
+        reference path, whose groups are all singletons.  A coherence
+        upload is a host write per buffer, so it has no gang to count.
     ``coalesced_reads`` / ``coalesced_read_sections``
         Read gathers fused per source daemon: a blocking read that must
         download its buffer gang-revalidates the sibling dirty buffers
@@ -313,8 +309,6 @@ class NetStats:
         "decode_cache_hits",
         "relays_deferred",
         "relays_suppressed",
-        "coalesced_uploads",
-        "coalesced_upload_sections",
         "coalesced_downloads",
         "coalesced_download_sections",
         "coalesced_reads",

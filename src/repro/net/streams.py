@@ -40,21 +40,3 @@ def payload_nbytes(payload: Any) -> int:
         return int(payload.nbytes)
     return memoryview(payload).nbytes
 
-
-def split_sections(payload: Any, nbytes_list) -> list:
-    """Per-section ``uint8`` views of a coalesced bulk payload.
-
-    A merged transfer's payload arrives either as the sender's list of
-    per-section buffers (the zero-copy path — each element becomes its
-    own view) or as one flat concatenation (a decoded stream), which is
-    split at the byte counts in ``nbytes_list``.  The single splitting
-    rule shared by both ends of the wire, so section boundaries can
-    never drift between the daemon's sink and the client's fetch."""
-    if isinstance(payload, (list, tuple)):
-        return [as_uint8_array(part) for part in payload]
-    flat = as_uint8_array(payload)
-    sections, cursor = [], 0
-    for nbytes in nbytes_list:
-        sections.append(flat[cursor : cursor + nbytes])
-        cursor += nbytes
-    return sections

@@ -137,13 +137,6 @@ class Timeline:
                 total += hi - lo
         return total
 
-    def utilization(self, window_start: float, window_end: float) -> float:
-        """Fraction of ``[window_start, window_end)`` that is reserved."""
-        span = window_end - window_start
-        if span <= 0.0:
-            return 0.0
-        return self.busy_time(window_start, window_end) / span
-
     def busy_runs(self) -> List[Tuple[float, float]]:
         """The busy runs (module docstring) of the live reservations as
         ``(start, end)`` pairs in time order."""

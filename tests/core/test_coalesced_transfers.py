@@ -356,11 +356,11 @@ __kernel void bump(__global float *x, const int n) {
 @pytest.mark.parametrize("protocol", ["msi", "mosi"])
 def test_lone_transfers_ship_one_section_tables(protocol, batch_window, monkeypatch):
     """A transfer is always a section table: a buffer moving alone
-    along any route ships the same ``CoalescedBufferUpload`` /
-    ``BufferPeerTransferBatch`` / ``CoalescedBufferDownload`` a gang
-    does, with exactly one section — on the reference path and in the
-    pipeline alike.  It is not a gang, so no ``coalesced_*`` counter
-    moves."""
+    along any route ships the same ``BufferDataUpload`` (a whole-object
+    host write) / ``BufferPeerTransferBatch`` /
+    ``CoalescedBufferDownload`` a gang does, the last two with exactly
+    one section — on the reference path and in the pipeline alike.  It
+    is not a gang, so no ``coalesced_*`` counter moves."""
     import repro.core.protocol.messages as P
     from repro.ocl import CL_MEM_COPY_HOST_PTR, CL_MEM_READ_WRITE
 
@@ -395,15 +395,17 @@ def test_lone_transfers_ship_one_section_tables(protocol, batch_window, monkeypa
     data, _ = api.clEnqueueReadBuffer(queues[1], buf)
     np.testing.assert_array_equal(data.view(np.float32), x + 2.0)
 
-    up, down, hop = P.CoalescedBufferUpload, P.CoalescedBufferDownload, P.BufferPeerTransferBatch
+    up, down, hop = P.BufferDataUpload, P.CoalescedBufferDownload, P.BufferPeerTransferBatch
     transfers = [m for m in sent if isinstance(m, (up, down, hop))]
     assert [type(m) for m in transfers] == (
         [up, down, up, down] if protocol == "msi" else [up, hop, down]
     )
     for msg in transfers:
-        assert msg.buffer_ids == [buf.id] and msg.nbytes_list == [x.nbytes]
+        if isinstance(msg, up):
+            assert (msg.buffer_id, msg.offset, msg.nbytes) == (buf.id, 0, x.nbytes)
+        else:
+            assert msg.buffer_ids == [buf.id] and msg.nbytes_list == [x.nbytes]
     stats = deployment.driver.stats
-    assert stats.coalesced_uploads == 0 and stats.coalesced_upload_sections == 0
     assert stats.coalesced_downloads == 0 and stats.coalesced_download_sections == 0
     assert stats.coalesced_peer_transfers == 0
     assert stats.coalesced_reads == 0 and stats.coalesced_read_sections == 0

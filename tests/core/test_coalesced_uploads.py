@@ -1,20 +1,27 @@
-"""Window-aware coalescing of coherence uploads.
+"""Coherence uploads ride the send window as host writes.
 
-End-to-end invariants for the upload direction: merged uploads must
-leave every MSI/MOSI directory — and the data — in exactly the state
-the unmerged plans would, while spending fewer round trips.  The
-property tests for the pure regrouping the driver applies
-(:func:`repro.core.coherence.directory.split_transfer_plan`, which
-covers uploads alongside downloads and peer transfers) live in
+A coherence upload is one ``BufferDataUpload`` per buffer, windowed
+behind the copy's creation exactly like ``clEnqueueWriteBuffer``'s: its
+bytes — the client copy's lent storage — stream as a section behind the
+batch that carries it.  The uploads a launch needs on its daemon ride
+the launch's batch and cost no round trip of their own, and they must
+leave every MSI/MOSI directory — and the data — in exactly the state the
+reference path's one stream per upload does.  The property tests for
+the pure regrouping the driver applies
+(:func:`repro.core.coherence.directory.split_transfer_plan`) live in
 ``tests/core/test_coalesced_transfers.py``.
 """
 
 import numpy as np
 import pytest
 
+import repro.core.protocol.messages as P
+from repro.core.client.stubs import BufferStub
+from repro.hw import Host, WESTMERE_NODE
 from repro.hw.cluster import make_ib_cpu_cluster
-from repro.ocl import CL_MEM_COPY_HOST_PTR, CL_MEM_READ_WRITE
-from repro.testbed import deploy_dopencl
+from repro.ocl import CL_MEM_COPY_HOST_PTR, CL_MEM_READ_WRITE, CLError, ErrorCode
+from repro.ocl.memory import Buffer
+from repro.testbed import deploy_dopencl, native_api_on
 
 ADD = """
 __kernel void add(__global float *out, __global const float *a,
@@ -24,17 +31,38 @@ __kernel void add(__global float *out, __global const float *a,
 }
 """
 
+COPY = """
+__kernel void copy(__global float *out, __global const float *x, const int n) {
+    int i = (int)get_global_id(0);
+    if (i < n) out[i] = x[i];
+}
+"""
+
+
+def _spy_batches(monkeypatch, gcf):
+    """Record ``(commands, sections)`` of every batch ``gcf`` sends."""
+    batches = []
+
+    def spy(target, msgs, t, *args, _send=gcf.request_batch, **kwargs):
+        batches.append((list(msgs), kwargs.get("sections") or {}))
+        return _send(target, msgs, t, *args, **kwargs)
+
+    monkeypatch.setattr(gcf, "request_batch", spy)
+    return batches
+
 
 # ----------------------------------------------------------------------
-# end-to-end: merged vs unmerged execution
+# end-to-end: windowed vs reference execution
 # ----------------------------------------------------------------------
-def _run_two_buffer_kernel(coalesce: bool, protocol: str = "msi"):
-    """``coalesce=False`` is the reference path (``batch_window=0``):
-    one stream per transfer."""
+def _run_two_buffer_kernel(windowed: bool, protocol: str = "msi", monkeypatch=None):
+    """``windowed=False`` is the reference path (``batch_window=0``):
+    one stream per upload.  Returns the deployment, the result, the
+    directories, the round trips the launch and its ``clFinish`` cost,
+    and (with ``monkeypatch``) the batches they sent."""
     deployment = deploy_dopencl(
         make_ib_cpu_cluster(2),
         coherence_protocol=protocol,
-        batch_window=None if coalesce else 0,
+        batch_window=None if windowed else 0,
     )
     api = deployment.api
     devices = api.clGetDeviceIDs(api.clGetPlatformIDs()[0])
@@ -53,97 +81,135 @@ def _run_two_buffer_kernel(coalesce: bool, protocol: str = "msi"):
     api.clSetKernelArg(kernel, 1, buf_a)
     api.clSetKernelArg(kernel, 2, buf_b)
     api.clSetKernelArg(kernel, 3, n)
-    # Both input buffers need validation on the kernel's server: two
-    # uploads to one daemon between sync points -> the coalescing case.
+    batches = _spy_batches(monkeypatch, deployment.driver.gcf) if monkeypatch else None
+    # Every buffer argument needs validation on the kernel's server:
+    # three uploads to one daemon between sync points.
+    before = deployment.driver.stats.round_trips
     api.clEnqueueNDRangeKernel(queue, kernel, (n,))
     api.clFinish(queue)
+    launch_round_trips = deployment.driver.stats.round_trips - before
     data, _ = api.clEnqueueReadBuffer(queue, buf_out)
     states = {
         "a": dict(buf_a.coherence.state),
         "b": dict(buf_b.coherence.state),
         "out": dict(buf_out.coherence.state),
     }
-    return deployment, data.view(np.float32), states
+    return deployment, data.view(np.float32), states, launch_round_trips, batches
 
 
 @pytest.mark.parametrize("protocol", ["msi", "mosi"])
 def test_merged_uploads_match_unmerged_data_and_directories(protocol):
-    dep_m, data_m, states_m = _run_two_buffer_kernel(True, protocol)
-    dep_u, data_u, states_u = _run_two_buffer_kernel(False, protocol)
-    np.testing.assert_array_equal(data_m, data_u)
-    np.testing.assert_allclose(data_m, np.arange(64) + 10.0)
-    assert states_m == states_u
+    _dep_w, data_w, states_w, _, _ = _run_two_buffer_kernel(True, protocol)
+    _dep_r, data_r, states_r, _, _ = _run_two_buffer_kernel(False, protocol)
+    np.testing.assert_array_equal(data_w, data_r)
+    np.testing.assert_allclose(data_w, np.arange(64) + 10.0)
+    assert states_w == states_r
 
 
-def test_coalescing_saves_round_trips_and_bytes():
-    dep_m, data_m, _ = _run_two_buffer_kernel(True)
-    dep_u, data_u, _ = _run_two_buffer_kernel(False)
-    sm, su = dep_m.driver.stats, dep_u.driver.stats
-    # All three buffers (the two inputs plus the READ_WRITE output, which
-    # is not pristine-skippable) validate on the kernel's server in one
-    # merged stream.
-    assert sm.coalesced_uploads == 1
-    assert sm.coalesced_upload_sections == 3
-    assert su.coalesced_uploads == 0
-    # One merged stream pays one init round trip instead of three (the
-    # reference path also streams the program source to both servers).
-    assert sm.round_trips < su.round_trips
-    assert sm.bulk_sends == 1
-    assert su.bulk_sends == 3 + 2
-    assert sm.bytes_sent < su.bytes_sent
+def test_coalescing_saves_round_trips_and_bytes(monkeypatch):
+    """The three uploads ride the launch's batch, each behind its copy's
+    creation and ahead of the launch, their bytes as its sections: the
+    launch and its ``clFinish`` cost one batch per daemon (the other
+    daemon's carries the context and the build), where the reference
+    path pays a round trip per creation, per upload init and for the
+    launch and the finish."""
+    dep_w, _, _, trips_w, batches = _run_two_buffer_kernel(True, monkeypatch=monkeypatch)
+    dep_r, _, _, trips_r, _ = _run_two_buffer_kernel(False)
+    assert (trips_w, trips_r) == (2, 10)
+    (launch,) = [b for b in batches if any(type(m) is P.EnqueueKernelRequest for m in b[0])]
+    msgs, sections = launch
+    kinds = [type(msg) for msg in msgs]
+    uploads = [i for i, kind in enumerate(kinds) if kind is P.BufferDataUpload]
+    assert len(uploads) == 3 and max(uploads) < kinds.index(P.EnqueueKernelRequest)
+    assert sorted(sections) == uploads
+    for i in uploads:
+        assert kinds[i - 1] is P.CreateBufferRequest
+        assert msgs[i - 1].buffer_id == msgs[i].buffer_id
+    sw, sr = dep_w.driver.stats, dep_r.driver.stats
+    assert sw.round_trips < sr.round_trips and sw.bytes_sent < sr.bytes_sent
 
 
-def test_rejected_init_streams_nothing_and_applies_nothing():
-    """A coalesced init naming a stale buffer ID is rejected up front:
-    the error surfaces as a CLError, the payload never streams, and no
-    section — not even the valid one — is applied on the daemon."""
-    import repro.core.protocol.messages as P
-    from repro.ocl.memory import Buffer
+def test_windowed_upload_sends_the_bytes_of_its_enqueue():
+    """The upload's payload is the client copy's *lent* storage: a
+    partial ``clEnqueueWriteBuffer`` of the same buffer before the flush
+    copies on write, so the launch still reads the bytes it was enqueued
+    behind — as native OpenCL does.  (Were the payload the copy's live
+    array, the write would change the windowed bytes in place.)"""
+    n = 16
+    x = np.arange(n, dtype=np.float32)
+    patch = np.full(4, -1.0, dtype=np.float32)
+    results = {}
+    for name in ("native", "dopencl"):
+        if name == "native":
+            cl = native_api_on(Host(WESTMERE_NODE))
+        else:
+            deployment = deploy_dopencl(make_ib_cpu_cluster(1))
+            cl = deployment.api
+        devices = cl.clGetDeviceIDs(cl.clGetPlatformIDs()[0])
+        ctx = cl.clCreateContext(devices)
+        queue = cl.clCreateCommandQueue(ctx, devices[0])
+        src = cl.clCreateBuffer(ctx, CL_MEM_READ_WRITE | CL_MEM_COPY_HOST_PTR, x.nbytes, x)
+        dst = cl.clCreateBuffer(ctx, CL_MEM_READ_WRITE, x.nbytes)
+        program = cl.clCreateProgramWithSource(ctx, COPY)
+        cl.clBuildProgram(program)
+        kernel = cl.clCreateKernel(program, "copy")
+        cl.clSetKernelArg(kernel, 0, dst)
+        cl.clSetKernelArg(kernel, 1, src)
+        cl.clSetKernelArg(kernel, 2, n)
+        cl.clEnqueueNDRangeKernel(queue, kernel, (n,))
+        if name == "dopencl":
+            # The upload of ``src`` is windowed, not yet sent.
+            assert any(
+                type(msg) is P.BufferDataUpload and msg.buffer_id == src.id
+                for msg in deployment.driver.window_messages(devices[0].server.name)
+            )
+        cl.clEnqueueWriteBuffer(queue, src, False, 8, patch)
+        cl.clFinish(queue)
+        results[name] = [
+            cl.clEnqueueReadBuffer(queue, buf)[0].view(np.float32).copy() for buf in (dst, src)
+        ]
+    for native, dopencl in zip(results["native"], results["dopencl"]):
+        np.testing.assert_array_equal(dopencl, native)
+    np.testing.assert_array_equal(results["dopencl"][0], x)
 
-    deployment, _data, _ = _run_two_buffer_kernel(True)
-    driver = deployment.driver
-    api = deployment.api
+
+def test_a_stale_upload_fails_at_the_sync_point_applying_nothing():
+    """A windowed upload naming a buffer its daemon does not hold sends
+    nothing when planned; its error surfaces at the next sync point, its
+    event is never registered and no copy on the daemon changes."""
+    deployment = deploy_dopencl(make_ib_cpu_cluster(1))
+    api, driver = deployment.api, deployment.driver
     devices = api.clGetDeviceIDs(api.clGetPlatformIDs()[0])
-    conn = driver.connection(devices[0].server.name)
+    ctx = api.clCreateContext(devices)
+    queue = api.clCreateCommandQueue(ctx, devices[0])
+    x = np.arange(16, dtype=np.float32)
+    held = api.clCreateBuffer(ctx, CL_MEM_READ_WRITE, x.nbytes)
+    api.clEnqueueWriteBuffer(queue, held, True, 0, x)
+    api.clFinish(queue)
+    conn, client = queue.server, driver.gcf.name
     daemon = deployment.daemon_on(conn.name)
-    # Find a live (buffer, queue) pair on daemon 0 from the earlier run.
-    client = driver.gcf.name
-    buffers = {i: o for i, o in daemon.registry._objects[client].items() if isinstance(o, Buffer)}
-    buf_id = next(iter(buffers))
-    before = buffers[buf_id].array.copy()
-    queue_stub = next(iter(deployment.api.driver._events.values())).context  # context handle
-    queue_id = next(
-        i for i, o in daemon.registry._objects[client].items()
-        if type(o).__name__ == "CommandQueue"
-    )
-    bad_event_ids = [driver.new_id(), driver.new_id()]
-    init = P.CoalescedBufferUpload(
-        queue_id=queue_id,
-        buffer_ids=[buf_id, 999999],
-        event_ids=bad_event_ids,
-        nbytes_list=[before.size, 16],
-    )
-    bulk_sends_before = driver.stats.bulk_sends
-    with pytest.raises(Exception):
-        driver.send_bulk(
-            [conn], lambda c: init,
-            [np.ones(before.size, np.uint8), np.ones(16, np.uint8)],
-            before.size + 16,
-        )
-    # The stream never flowed and the valid section was not applied.
-    assert driver.stats.bulk_sends == bulk_sends_before
-    np.testing.assert_array_equal(buffers[buf_id].array, before)
-    for event_id in bad_event_ids:
-        assert event_id not in daemon.registry._objects[client]
+    copy = daemon.registry.get(client, held.id, Buffer)
+    before = copy.array.copy()
+    stale = BufferStub(ctx, driver.new_id(), CL_MEM_READ_WRITE, 16)
+    stale.holders[conn.name] = None  # the client believes the daemon holds it
+    trips = driver.stats.round_trips
+    driver._upload([stale], conn.name, queue)
+    assert driver.stats.round_trips == trips  # windowed: nothing sent yet
+    (upload,) = [m for m in driver.window_messages(conn.name) if type(m) is P.BufferDataUpload]
+    with pytest.raises(CLError) as err:
+        api.clFinish(queue)
+    assert err.value.code == ErrorCode.CL_INVALID_MEM_OBJECT
+    assert daemon.registry.peek(client, upload.event_id) is None
+    assert daemon.registry.peek(client, stale.id) is None
+    np.testing.assert_array_equal(daemon.registry.get(client, held.id, Buffer).array, before)
 
 
 def test_merged_sections_register_their_events():
-    """Each section of a merged upload still registers its own event on
-    the daemon (the unmerged per-buffer behaviour)."""
-    dep, _data, _ = _run_two_buffer_kernel(True)
+    """Each upload registers its own event on the daemon, and every
+    event the driver tracks there resolves."""
+    dep, _data, _, _, _ = _run_two_buffer_kernel(True)
     daemon = dep.daemons[0]
     driver = dep.driver
-    # Every event the driver tracks that lives on daemon 0 must resolve.
     owner = daemon.name
     stubs = [s for s in driver._events.values() if s.owner_server == owner]
     assert stubs and all(s.resolved for s in stubs)

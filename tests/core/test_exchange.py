@@ -16,8 +16,8 @@ from repro.ocl import CL_MEM_READ_WRITE, CLError
 from repro.testbed import deploy_dopencl
 
 
-def _live_queue():
-    deployment = deploy_dopencl(make_ib_cpu_cluster(1))
+def _live_queue(batch_window=None):
+    deployment = deploy_dopencl(make_ib_cpu_cluster(1), batch_window=batch_window)
     api = deployment.api
     devices = api.clGetDeviceIDs(api.clGetPlatformIDs()[0])
     ctx = api.clCreateContext(devices)
@@ -41,16 +41,17 @@ def _spy_outcomes(monkeypatch, gcf, name):
 def test_rejected_upload_init_costs_its_round_trip(monkeypatch):
     """An error reply costs the round trip that carried it: the client
     clock stands at (or past) the rejected init's reply arrival when the
-    ``CLError`` raises — it used to stay at the send time."""
-    driver, queue = _live_queue()
+    ``CLError`` raises — it used to stay at the send time.  Only the
+    reference path (``batch_window=0``) sends an upload init of its own."""
+    driver, queue = _live_queue(batch_window=0)
     replies = _spy_outcomes(monkeypatch, driver.gcf, "request")
-    init = P.CoalescedBufferUpload(
-        queue_id=queue.id, buffer_ids=[999999], event_ids=[driver.new_id()],
-        nbytes_list=[16],
+    init = P.BufferDataUpload(
+        buffer_id=999999, queue_id=queue.id, event_id=driver.new_id(), offset=0,
+        nbytes=16, wait_event_ids=[],
     )
     sent_at = driver.clock.now
     with pytest.raises(CLError):
-        driver.send_bulk([queue.server], lambda conn: init, [np.ones(16, np.uint8)], 16)
+        driver.send_bulk([queue.server], lambda conn: init, np.ones(16, np.uint8), 16)
     assert replies[-1].response.error
     assert driver.clock.now >= replies[-1].reply_arrival > sent_at
     assert driver.stats.bulk_sends == 0  # the payload never streamed

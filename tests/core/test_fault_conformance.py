@@ -24,6 +24,8 @@ from repro.bench.conformance import (
     RECOVERABLE_SCHEDULES,
     UNRECOVERABLE_SCHEDULES,
     fault_plan,
+    generate_program,
+    run_faulted_program,
     run_seed_with_faults,
 )
 
@@ -98,6 +100,33 @@ def test_dropped_write_section_replays_the_batch(seed):
     assert summary["fired"] >= 1, f"drop-section never fired for seed {seed}"
     faulted, baseline = summary["faulted_stats"], summary["baseline_stats"]
     assert faulted["replayed_batches"] == baseline["replayed_batches"] + 1
+
+
+@pytest.mark.parametrize("seed", MATRIX_SEEDS)
+def test_dropped_upload_section_replays_the_batch(seed):
+    """Coherence uploads stream as sections too: on the seed's generated
+    program (no write appended), dropping the first section's leg —
+    whichever upload, host write or coherence, it carries — replays its
+    batch once, with bit-identical observables."""
+    summary = run_faulted_program(generate_program(seed), "drop-section")
+    assert summary["fired"] >= 1, f"drop-section never fired for seed {seed}"
+    faulted, baseline = summary["faulted_stats"], summary["baseline_stats"]
+    assert faulted["replayed_batches"] == baseline["replayed_batches"] + 1
+
+
+@pytest.mark.parametrize("seed", MATRIX_SEEDS)
+def test_dropped_peer_transfer_request_is_re_sent(seed):
+    """Dropping the request leg of the first ``BufferPeerTransferBatch``
+    — the pipeline's one synchronous coherence request — costs its
+    exchange one timeout; the retry re-sends it, the hop lands once, and
+    observables stay bit-identical (``peer_transfer_fault_spec`` appends
+    a two-buffer MOSI hop, so one is always on the wire)."""
+    summary = run_seed_with_faults(seed, "drop-request")
+    assert summary["fired"] >= 1, f"drop-request never fired for seed {seed}"
+    faulted, baseline = summary["faulted_stats"], summary["baseline_stats"]
+    assert faulted["retries"] == baseline["retries"] + 1
+    assert faulted["coalesced_peer_transfers"] == baseline["coalesced_peer_transfers"] >= 1
+    assert faulted["replayed_batches"] == baseline["replayed_batches"]
 
 
 @pytest.mark.parametrize("schedule", ALL_SCHEDULES)

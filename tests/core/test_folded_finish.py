@@ -104,12 +104,12 @@ def _tags(monkeypatch, deployment):
 
 
 def test_finish_with_pending_work_costs_one_round_trip(monkeypatch):
-    """The drain's batch carries the launch and no Finish; the client
-    resumes at the launch's completion notification, which arrives after
-    the batch's reply."""
+    """The drain's batch carries the launch (behind its copy's creation
+    and upload) and no Finish; the client resumes at the launch's
+    completion notification, which arrives after the batch's reply."""
     deployment, api, ctx, (queue,), program = _rig()
     buf = _buffer(api, ctx)
-    event = _launch(api, program, queue, buf, 2.0)  # uploads buf; the launch stays windowed
+    event = _launch(api, program, queue, buf, 2.0)  # buf's upload and the launch stay windowed
     stats = deployment.driver.stats
     before = stats.snapshot()
     batches = _batches(monkeypatch, deployment.driver)
@@ -122,7 +122,9 @@ def test_finish_with_pending_work_costs_one_round_trip(monkeypatch):
     assert "FinishRequest" not in tags
     assert tags.count("CommandBatch") == tags.count("CommandBatchResponse") == 1
     ((msgs, outcome),) = batches
-    assert [type(m).__name__ for m in msgs] == ["EnqueueKernelRequest"]
+    assert [type(m).__name__ for m in msgs] == [
+        "CreateBufferRequest", "BufferDataUpload", "EnqueueKernelRequest",
+    ]
     assert outcome.reply_arrival < event.completion_arrival == api.now
     data, _ = api.clEnqueueReadBuffer(queue, buf)
     np.testing.assert_array_equal(data.view(np.float32), 2.0)
@@ -179,10 +181,11 @@ def test_three_pass_cross_server_chain_folds_without_a_deadlock_error(monkeypatc
 
     monkeypatch.setattr(driver.gcf, "request_batch", spy)
     api.clFinish(q1)
-    # Passes: {S1 + Finish, S2 with e1's relay}, {S1: e2's relay + Finish}
-    # (no command waits on the last launch, so nothing relays back to
-    # S2); a Finish of its own would be a fourth round trip.
-    assert driver.stats.round_trips - before["round_trips"] == 3
+    # The launches and their uploads are all windowed.  Passes: {S1 +
+    # Finish, S2}, {S2: e1's relay}, {S1: e2's relay + Finish} (no
+    # command waits on the last launch, so nothing relays back to S2); a
+    # Finish of its own would be a fifth round trip.
+    assert driver.stats.round_trips - before["round_trips"] == 4
     assert driver.stats.folded_finishes - before["folded_finishes"] == 1
     (early,), last = folded
     assert early.error and early.detail.startswith("deadlock: ")
@@ -205,7 +208,7 @@ def test_three_pass_cross_server_chain_on_an_in_order_queue_sends_no_finish(monk
     before = driver.stats.snapshot()
     batches = _batches(monkeypatch, driver)
     api.clFinish(q1)
-    assert driver.stats.round_trips - before["round_trips"] == 3
+    assert driver.stats.round_trips - before["round_trips"] == 4
     assert driver.stats.local_finishes - before["local_finishes"] == 1
     assert driver.stats.folded_finishes == before["folded_finishes"]
     assert not any(isinstance(m, P.FinishRequest) for msgs, _ in batches for m in msgs)

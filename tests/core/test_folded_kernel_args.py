@@ -99,7 +99,7 @@ class Rig:
             elif isinstance(arg, LocalMemory):
                 out.append(("local", arg.nbytes))
             else:
-                out.append(arg if isinstance(arg, (int, float)) else repr(arg))
+                out.append(arg if isinstance(arg, (int, float, np.floating)) else repr(arg))
         return out
 
     def sync(self, errors, queue=None):
@@ -660,14 +660,15 @@ def test_a_tenant_launch_sends_its_unused_lists_as_none():
     ``wait_event_ids`` and ``replica_servers`` at their ``None``
     defaults: each sits ahead of the argument entries the launch
     carries, so each crosses, and ``None`` encodes in 1 B where an empty
-    list takes 2 B — 43 B, not 47 B."""
+    list takes 2 B — 39 B where empty lists would make 43 B (its
+    ``np.float32`` argument crosses as a 5-byte single)."""
     _deployment, batches = _tenant_rounds(1)
     launches = [msg for msgs in batches for msg in msgs if isinstance(msg, P.EnqueueKernelRequest)]
     assert len(launches) == 3
     for launch in launches:
         assert launch.local_size is launch.global_offset is None
         assert launch.wait_event_ids is launch.replica_servers is None
-        assert launch.encoded_size() == len(launch.to_wire()) == 43
+        assert launch.encoded_size() == len(launch.to_wire()) == 39
 
 
 # ----------------------------------------------------------------------
@@ -727,7 +728,8 @@ def _launch_bindings(seed, window):
             kernel = _daemon.registry.peek(client, msg.kernel_id)
             ids = {id(obj): key for key, obj in _daemon.registry._objects[client].items()}
             observed.append((msg.event_id, [
-                ids[id(a)] if id(a) in ids else getattr(a, "nbytes", a) for a in kernel.args
+                ids[id(a)] if id(a) in ids else a.nbytes if isinstance(a, LocalMemory) else a
+                for a in kernel.args
             ]))
             return _run(msg, t, sender)
 

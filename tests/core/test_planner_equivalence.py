@@ -86,8 +86,8 @@ def _lockstep_trace(seed: int, protocol):
                 f"{where}: evicted-replica count diverged"
             )
         elif kind == "abort":
-            oracle.abort_client_fetch("test")
-            planner.abort_client_fetch("test")
+            oracle.abort_fetch(CLIENT, "test")
+            planner.abort_fetch(CLIENT, "test")
         else:
             party = rng.choice(parties)
             assert planner.is_valid(party) == oracle.is_valid(party), where

@@ -23,7 +23,6 @@ def test_all_protocol_types_registered():
         "CreateQueueRequest",
         "CreateBufferRequest",
         "BufferDataUpload",
-        "CoalescedBufferUpload",
         "CoalescedBufferDownload",
         "BufferPeerTransferBatch",
         "CreateProgramRequest",
@@ -58,7 +57,7 @@ def test_all_protocol_types_registered():
         P.FinishRequest(queue_id=9),
         P.CreateBufferRequest(buffer_id=4, context_id=3, flags=1, size=1024),
         P.BufferDataUpload(buffer_id=4, queue_id=9, event_id=77, offset=0, nbytes=64, wait_event_ids=[1, 2]),
-        P.CoalescedBufferUpload(queue_id=9, buffer_ids=[4], event_ids=[77], nbytes_list=[64]),
+        P.BufferDataUpload(buffer_id=4, queue_id=9, event_id=78, offset=0, nbytes=64, wait_event_ids=[]),
         P.CoalescedBufferDownload(queue_id=9, buffer_ids=[4, 5], event_ids=[78, 79], nbytes_list=[32, 16]),
         P.BufferDataResponse(nbytes=32),
         P.BufferPeerTransferBatch(peer_name="node01", buffer_ids=[4], nbytes_list=[64]),

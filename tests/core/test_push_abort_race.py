@@ -4,7 +4,7 @@ The PR-9 race: a completion notification stages a push payload for a
 buffer, then a blocking read's *demand* fetch for that buffer dies
 (daemon unreachable, retries exhausted).  The driver rolls the
 optimistic ``acquire_read`` back with
-:meth:`~repro.core.coherence.planner.TransferPlanner.abort_client_fetch`
+:meth:`~repro.core.coherence.planner.TransferPlanner.abort_fetch`
 — which must be a pure directory rollback: the write epoch stays
 untouched and the staged entry stays parked, so the application-level
 retry read consumes the pushed bytes instead of re-fetching from a
@@ -77,7 +77,7 @@ def test_staged_push_survives_an_aborted_fetch_and_feeds_the_retry():
     # valid, then the physical fetch dies and the driver rolls back.
     plan = buf.planner.acquire_read(CLIENT)
     assert plan, "client copy should have been invalid (a fetch was planned)"
-    buf.planner.abort_client_fetch("injected: daemon unreachable mid-fetch")
+    buf.planner.abort_fetch(CLIENT, "injected: daemon unreachable mid-fetch")
     # The rollback re-invalidates the client's entry (the demoted owner
     # keeps its valid copy — demotion is conservative), leaves the
     # write epoch untouched, and keeps the staged entry parked and

@@ -124,8 +124,7 @@ def test_blocking_read_prefix_flushes_only_up_to_the_producer():
     driver = deployment.driver
     qa1, b1, k1 = _kernel_on(api, ctx, program, devices[0])
     # A second, independent queue on the SAME device/daemon.  Its buffer
-    # is pristine WRITE_ONLY so the launch plans no coherence upload
-    # (an upload's bulk stream would full-flush the window).
+    # is pristine WRITE_ONLY, so the launch plans no coherence upload.
     qa2 = api.clCreateCommandQueue(ctx, devices[0])
     b2 = api.clCreateBuffer(ctx, CL_MEM_WRITE_ONLY, 64 * 4)
     k2 = api.clCreateKernel(program, "scale")
@@ -136,9 +135,9 @@ def test_blocking_read_prefix_flushes_only_up_to_the_producer():
     ev1 = api.clEnqueueNDRangeKernel(qa1, k1, (64,))  # the producer of b1
     ev2 = api.clEnqueueNDRangeKernel(qa2, k2, (64,))  # after it, same window
     # Each launch weighs 5 calls: itself, its kernel's creation and
-    # three argument entries; b2's copy is created ahead of its launch
-    # (b1's rode its coherence upload).
-    assert driver.pending_commands(devices[0].server.name) == 11
+    # three argument entries; each buffer's copy is created ahead of its
+    # launch, and b1's coherence upload rides behind its creation.
+    assert driver.pending_commands(devices[0].server.name) == 13
     flushes_before = driver.stats.prefix_flushes
     data, _ = api.clEnqueueReadBuffer(qa1, b1)
     np.testing.assert_allclose(data.view(np.float32), 2.0)

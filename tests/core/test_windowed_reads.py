@@ -113,6 +113,11 @@ def _batches(monkeypatch, deployment):
     return sent
 
 
+#: What a launch's batch carries ahead of it for a copy its daemon
+#: lacks: the copy's creation and its coherence upload.
+UPLOAD = ["CreateBufferRequest", "BufferDataUpload"]
+
+
 def _round_trips(deployment):
     return deployment.driver.stats.round_trips
 
@@ -121,18 +126,21 @@ def _round_trips(deployment):
 # the folded download
 # ----------------------------------------------------------------------
 def test_a_blocking_read_and_its_producer_are_one_round_trip(monkeypatch):
-    """The launch and the download ride one batch; the section streams
-    back ahead of the (bare) batch reply and no fetch is sent."""
+    """The launch and the download ride one batch, behind the copy's
+    creation and its upload; the upload's section streams behind the
+    batch, the download's back ahead of the (bare) batch reply, and no
+    fetch is sent."""
     deployment, api, ctx, (queue,), program = _rig()
     buf = api.clCreateBuffer(ctx, CL_MEM_READ_WRITE, 4 * N)
-    _spin(api, program, queue, buf, 1.5)  # uploads the zeroed copy, windows the launch
+    _spin(api, program, queue, buf, 1.5)  # windows the zeroed copy's upload and the launch
     tags, batches = _tags(monkeypatch, deployment), _batches(monkeypatch, deployment)
     before = _round_trips(deployment)
     data, event = api.clEnqueueReadBuffer(queue, buf)
     assert _round_trips(deployment) - before == 1
-    assert batches == [["EnqueueKernelRequest", "CoalescedBufferDownload"]]
+    assert batches == [UPLOAD + ["EnqueueKernelRequest", "CoalescedBufferDownload"]]
     assert [t for t in tags if t != "EventCompleteNotification"] == [
-        "CommandBatch", "bulk:CoalescedBufferDownload", "CommandBatchResponse",
+        "CommandBatch", "bulk:BufferDataUpload", "bulk:CoalescedBufferDownload",
+        "CommandBatchResponse",
     ]
     assert deployment.driver.stats.bulk_fetches == 0
     np.testing.assert_array_equal(data, _expected(1.5))
@@ -147,7 +155,7 @@ def test_a_gang_read_revalidates_its_sibling_in_the_same_download():
     b = api.clCreateBuffer(ctx, CL_MEM_READ_WRITE, 4 * N)
     _spin(api, program, queue, a, 1.5)
     _spin(api, program, queue, b, 0.25)
-    before = _round_trips(deployment)  # after the two uploads of the zeroed copies
+    before = _round_trips(deployment)  # the uploads and launches are all windowed
     data_b, _ = api.clEnqueueReadBuffer(queue, b)
     data_a, _ = api.clEnqueueReadBuffer(queue, a)
     assert _round_trips(deployment) - before == 1
@@ -159,7 +167,7 @@ def test_a_gang_read_revalidates_its_sibling_in_the_same_download():
 
 def test_a_deferred_read_rides_the_finish_drain(monkeypatch):
     """``clFinish`` with a pending deferred read sends one batch: the
-    next launch and the download, no Finish.  The section leaves at its
+    next launch (behind its copy's upload) and the download, no Finish.  The section leaves at its
     read's completion, so it lands before the notification of the long
     kernel that ends the ``clFinish``."""
     deployment, api, ctx, (queue,), program = _rig(link=GIGABIT_ETHERNET)
@@ -176,7 +184,7 @@ def test_a_deferred_read_rides_the_finish_drain(monkeypatch):
     assert _round_trips(deployment) - before == 1
     # A deferred read downloads on the daemon's internal transfer queue,
     # created (windowed) by its first use.
-    assert batches == [["EnqueueKernelRequest", "CreateQueueRequest", "CoalescedBufferDownload"]]
+    assert batches == [UPLOAD + ["EnqueueKernelRequest", "CreateQueueRequest", "CoalescedBufferDownload"]]
     assert event.completion_arrival < long_launch.completion_arrival == api.now
     np.testing.assert_array_equal(out, _expected(1.5))
 
@@ -198,7 +206,8 @@ def test_a_deferred_read_at_wait_rides_its_producers_batch():
 
 def test_an_msi_launch_leg_downloads_in_the_producers_batch(monkeypatch):
     """Under MSI a launch on node01 consuming node00's result downloads
-    it in the batch that carries the producer, then uploads it."""
+    it in the batch that carries the producer, then windows its upload
+    to node01."""
     deployment, api, ctx, queues, program = _rig(2, coherence_protocol="msi")
     buf = api.clCreateBuffer(ctx, CL_MEM_READ_WRITE, 4 * N)
     _spin(api, program, queues[0], buf, 1.5)
@@ -206,8 +215,10 @@ def test_an_msi_launch_leg_downloads_in_the_producers_batch(monkeypatch):
     before = _round_trips(deployment)
     _spin(api, program, queues[1], buf, 0.25)
     # node00's internal transfer queue is created in the same batch.
-    assert batches == [["EnqueueKernelRequest", "CreateQueueRequest", "CoalescedBufferDownload"]]
-    assert _round_trips(deployment) - before == 2  # and the upload to node01
+    assert batches == [UPLOAD + ["EnqueueKernelRequest", "CreateQueueRequest", "CoalescedBufferDownload"]]
+    assert _round_trips(deployment) - before == 1
+    windowed = deployment.driver.window_messages("node01")
+    assert "BufferDataUpload" in [type(m).__name__ for m in windowed]
     data, _ = api.clEnqueueReadBuffer(queues[1], buf)
     np.testing.assert_array_equal(data, _expected(1.5, 0.25))
 
@@ -377,7 +388,7 @@ def test_a_folded_download_waits_for_the_kernel_still_writing_its_copy(monkeypat
     launch = _spin(api, program, queues[0], buf, 1.5, n=LONG)
     batches = _batches(monkeypatch, deployment)
     data, _ = api.clEnqueueReadBuffer(queues[1], buf)
-    assert batches == [["EnqueueKernelRequest", "CreateQueueRequest", "CoalescedBufferDownload"]]
+    assert batches == [UPLOAD + ["EnqueueKernelRequest", "CreateQueueRequest", "CoalescedBufferDownload"]]
     (what, read, _landed), = probe.reads
     kernel = next(e for (_n, _c, eid), e in probe.events.items() if eid == launch.id)
     assert what == "node00 download" and read.start >= kernel.end

@@ -224,6 +224,51 @@ def test_only_copy_dying_is_reported_then_recoverable_by_overwrite():
     np.testing.assert_allclose(data.view(np.float32), 7.0)
 
 
+@pytest.mark.parametrize("protocol", ["msi", "mosi"])
+def test_a_copy_a_failed_transfer_never_moved_is_not_credited(protocol):
+    """A launch on node00 needs the buffer whose only copy is on node01,
+    which crashes at the transfer (MSI: the download leg, then the
+    upload; MOSI: the direct hop).  The launch fails with the daemon
+    loss, and the directory does not credit node00 with the copy that
+    never moved: the data is lost, and a read says so instead of
+    returning node00's zeros."""
+    deployment = deploy_dopencl(
+        make_ib_cpu_cluster(2), coherence_protocol=protocol, retry_policy=RetryPolicy()
+    )
+    api = deployment.api
+    devices = api.clGetDeviceIDs(api.clGetPlatformIDs()[0])
+    ctx = api.clCreateContext(devices)
+    queues = [api.clCreateCommandQueue(ctx, d) for d in devices]
+    n = 256
+    x = np.ones(n, dtype=np.float32)
+    buf = api.clCreateBuffer(ctx, CL_MEM_READ_WRITE | CL_MEM_COPY_HOST_PTR, x.nbytes, x)
+    program = api.clCreateProgramWithSource(ctx, SCALE)
+    api.clBuildProgram(program)
+    kernel = api.clCreateKernel(program, "scale")
+    api.clSetKernelArg(kernel, 0, buf)
+    api.clSetKernelArg(kernel, 1, np.float32(5.0))
+    api.clSetKernelArg(kernel, 2, n)
+    api.clEnqueueNDRangeKernel(queues[1], kernel, (n,))
+    api.clFinish(queues[1])
+    victim = deployment.daemons[1]
+    injector = install_fault_injector(
+        deployment.cluster.network,
+        FaultPlan(
+            [FaultAction("crash", nth=1, dst=victim.host.name, host=victim.host.name)],
+            max_transfers=100_000,
+        ),
+    )
+    injector.register_crash_hook(victim.host.name, victim.crash)
+    with pytest.raises(CLError) as err:
+        api.clEnqueueNDRangeKernel(queues[0], kernel, (n,))
+    assert int(err.value.code) in LOSS_CODES
+    assert not buf.coherence.is_valid(devices[0].server.name)
+    assert buf.coherence.data_lost
+    with pytest.raises(CLError) as err:
+        api.clEnqueueReadBuffer(queues[0], buf)
+    assert int(err.value.code) in LOSS_CODES
+
+
 def test_command_enqueued_on_a_dead_daemon_is_born_poisoned():
     """Regression (conformance seed 15 x crash / sever-permanent): a
     command enqueued *after* its daemon was declared dead fails with

@@ -140,6 +140,42 @@ def test_floats_stay_bit_exact_doubles():
     assert encode(1) != encode(1.0) != encode(True)
 
 
+def _single_bits(value) -> int:
+    return int(np.asarray(value, dtype=np.float32).view(np.uint32))
+
+
+@pytest.mark.parametrize(
+    "bits",
+    [0x00000000, 0x80000000, 0x3FC00000, 0x00000001, 0x7F800000, 0xFF800000,
+     0x7FC00000, 0x7FC00001, 0x7F800001, 0xFFC12345],
+    ids=["0", "-0", "1.5", "denormal", "inf", "-inf", "nan", "nan-payload",
+         "signaling-nan", "negative-nan"],
+)
+def test_float32_is_a_bit_exact_single(bits):
+    """``np.float32`` crosses as a 5-byte single under its own tag and
+    comes back a ``np.float32`` with the same bits: ``-0.0`` and every
+    NaN payload survive."""
+    value = np.uint32(bits).view(np.float32)
+    wire = encode(value)
+    assert len(wire) == encoded_size(value) == 5
+    assert wire == b"\xce" + struct.pack("<I", bits)
+    decoded = decode(wire)
+    assert type(decoded) is np.float32 and _single_bits(decoded) == bits
+
+
+def test_one_encoding_per_float_value():
+    """A value has exactly one encoding and equal encodings mean equal
+    values: a single and the double of the same number differ, as do
+    ``0.0`` and ``-0.0`` of either width; other NumPy floats are
+    doubles."""
+    assert encode(np.float32(1.5)) != encode(1.5) == encode(np.float64(1.5))
+    assert encode(np.float16(1.5)) == encode(1.5)
+    assert encode(np.float32(-0.0)) != encode(np.float32(0.0))
+    assert encode(np.float32(2.5)) == encode(np.float32(2.5))
+    assert decode(encode([np.float32(0.25), 0.25])) == [0.25, 0.25]
+    assert [type(v) for v in decode(encode([np.float32(0.25), 0.25]))] == [np.float32, float]
+
+
 def test_encoded_size_matches():
     v = {"a": [1, 2.0, "three"]}
     assert encoded_size(v) == len(encode(v))

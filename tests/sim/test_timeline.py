@@ -91,8 +91,7 @@ def test_busy_time_and_utilization():
     tl.reserve(4.0, 6.0)
     assert tl.busy_time() == pytest.approx(4.0)
     assert tl.busy_time(1.0, 5.0) == pytest.approx(2.0)
-    assert tl.utilization(0.0, 8.0) == pytest.approx(0.5)
-    assert tl.utilization(5.0, 5.0) == 0.0
+    assert tl.busy_time(5.0, 5.0) == 0.0
 
 
 def test_out_of_order_clients_share_fairly():

@@ -88,7 +88,7 @@ def test_exchange_table_states_the_declared_replay_contract():
     rows that are neither name classes declaring no reason."""
     types = registered_types()
     rows = _table_rows("fixed by **the replay contract**")
-    assert len(rows) == 9
+    assert len(rows) == 8
     safe = set()
     for exchange, _sender, _ordered, replay, _lost in rows:
         kind = re.match(r"\**(safe|deduped|neither|not retried)\b", replay).group(1)

@@ -215,3 +215,36 @@ def test_one_forwarder_per_side():
     for path in glob.glob(os.path.join(root, "**", "*.py"), recursive=True):
         with open(path) as fh:
             assert "batching_enabled" not in fh.read(), path
+
+
+def _bulk_exchange_sites(path):
+    """The ``receiver.method`` of every bulk exchange called in the module
+    at ``path``: ``<...>.send_bulk(`` on anything but a ``GCFProcess``
+    (the transport's own send, which :func:`test_one_way_to_talk_to_a_daemon`
+    guards) and ``<...>.transport.upload(`` / ``<...>.transport.fetch(``."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    sites = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            receiver = node.func.value
+            name = getattr(receiver, "attr", getattr(receiver, "id", None))
+            if (node.func.attr == "send_bulk" and name != "gcf") or (
+                node.func.attr in ("upload", "fetch") and name == "transport"
+            ):
+                sites.append(f"{name}.{node.func.attr}")
+    return sites
+
+
+def test_the_pipeline_makes_no_bulk_exchange():
+    """Host writes and coherence uploads ride the send window as
+    sections, and downloads ride batches: inside ``core/client/`` only
+    the reference module calls ``send_bulk``, ``transport.upload`` or
+    ``transport.fetch``, and the pipeline driver defines no
+    ``send_bulk``."""
+    package = os.path.dirname(inspect.getsourcefile(client_api))
+    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+        if os.path.basename(path) != "reference.py":
+            assert not _bulk_exchange_sites(path), path
+    assert _bulk_exchange_sites(os.path.join(package, "reference.py"))
+    assert not hasattr(DOpenCLDriver, "send_bulk")
