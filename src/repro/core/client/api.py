@@ -52,7 +52,6 @@ from repro.core.protocol import messages as P
 from repro.ocl.api import API_CALL_OVERHEAD
 from repro.ocl.constants import (
     CL_COMMAND_NDRANGE_KERNEL,
-    CL_COMMAND_READ_BUFFER,
     CL_COMMAND_WRITE_BUFFER,
     CL_COMPLETE,
     CL_DEVICE_TYPE_ALL,
@@ -80,18 +79,23 @@ class DOpenCLAPI:
 
     @staticmethod
     def _record_command_deps(
-        queue: QueueStub, event: EventStub, wait_for: Optional[Sequence[EventStub]]
+        queue: QueueStub,
+        event: EventStub,
+        wait_for: Optional[Sequence[EventStub]],
+        queued: bool = True,
     ) -> None:
         """Record a forwarded command's dependency edges on its stubs:
         the explicit wait list plus — on an in-order queue — the queue's
         previous command (which the daemon serialises before this one).
         Stored on the event stub so the window graph can follow the
-        chain even after the commands left their send windows."""
+        chain even after the commands left their send windows.  A
+        ``queued`` command becomes the queue's last one."""
         deps = [e.id for e in (wait_for or ())]
         if queue.in_order and queue.last_event_id is not None:
             deps.append(queue.last_event_id)
         event.depends_on = tuple(deps)
-        queue.last_event_id = queue.tail_event_id = event.id
+        if queued:
+            queue.last_event_id = queue.tail_event_id = event.id
 
     @property
     def now(self) -> float:
@@ -288,14 +292,9 @@ class DOpenCLAPI:
             self.driver.resolve_deferred_reads([buffer.id])
         buffer.release()
         if buffer.released:
-            # Drop it from the read-coalescing candidate pool eagerly —
-            # a released stub pins its host-side data array, and the
-            # lazy prune in read_gang_candidates only runs when a gang
-            # scan happens.
-            context = buffer.context
-            context.live_buffers = [
-                b for b in context.live_buffers if not b.released
-            ]
+            # Out of the read gangs' candidate pool at once: a released
+            # stub pins its host-side data array.
+            buffer.context.live_buffers.remove(buffer)
             self.driver.fanout_holders(buffer, lambda conn: P.ReleaseBufferRequest(buffer_id=buffer.id))
 
     def clEnqueueWriteBuffer(
@@ -401,93 +400,45 @@ class DOpenCLAPI:
     ):
         """Returns ``(data, event)``.
 
-        Per the MSI protocol: only touches the network when the client's
-        copy is invalid (then it downloads the whole object from the
-        modified owner).  A blocking read that must download also
-        gang-revalidates the sibling dirty buffers stranded on the same
-        daemon in one fused fetch, so back-to-back result reads cost one
-        round trip per source daemon.
+        Every read is recorded on the window graph
+        (:meth:`DOpenCLDriver.record_read`) and resolved by the one
+        resolver (:meth:`DOpenCLDriver.resolve_deferred_reads`).  A
+        non-blocking read (with ``defer_reads`` on, the default) is a
+        *deferred fetch*: the enqueue returns at once — zero network
+        traffic, zero virtual-time advance beyond the call overhead —
+        and the returned array fills (and the event resolves, with the
+        transfer's real completion timestamps) when the fetch rides the
+        next relevant flush: ``event.wait()``, a sync point touching the
+        buffer, or ``clFinish``.  A blocking read — and every read under
+        ``defer_reads=False`` — is that read resolved at once, as OpenCL
+        defines it: the non-blocking read followed by a wait on its
+        event.  It returns a copy of the client's copy, which the
+        resolution made valid.
 
-        A non-blocking read (with ``defer_reads`` on, the default) is a
-        *deferred fetch*: the enqueue records a read-dep on the buffer's
-        writers plus the ``wait_for`` list on the window graph and
-        returns immediately — zero network traffic, zero virtual-time
-        advance beyond the call overhead.  The returned array fills (and
-        the event resolves, with the transfer's real completion
-        timestamps) when the fetch rides the next relevant flush —
-        ``event.wait()``, a sync point touching the buffer, or
-        ``clFinish``.  With ``defer_reads=False`` the read is eager:
-        fetched synchronously at enqueue, like a blocking read."""
+        Per the MSI protocol the resolution only touches the network
+        when the client's copy is invalid (then it downloads the whole
+        object from the modified owner).  A blocking read that must
+        download also gang-revalidates the sibling dirty buffers
+        stranded on the same daemon in one fused fetch, so back-to-back
+        result reads cost one round trip per source daemon."""
         t = self._tick()
         self._check_queue_buffer(queue, buffer)
         if nbytes is None:
             nbytes = buffer.size - offset
         # Bounds are validated *before* any planner or directory state
-        # mutates (note_client_demand / acquire_read below): a rejected
-        # read must leave the coherence machinery untouched.
+        # mutates: a rejected read must leave the coherence machinery
+        # untouched.
         buffer.check_range(offset, nbytes)
-        if not blocking and self.driver.defer_reads:
-            event = self.driver.new_deferred_read_event(
-                queue.context, queue.server.name
-            )
-            # The wait list becomes event-deps of the deferred fetch
-            # (plus the in-order queue predecessor) instead of blocking
-            # the enqueue — resolution waits them out when the fetch
-            # actually runs.
-            self._record_command_deps(queue, event, wait_for)
-            out = np.zeros(nbytes, dtype=np.uint8)
-            self.driver.record_deferred_read(buffer, queue, event, offset, nbytes, out)
+        deferred = not blocking and self.driver.defer_reads
+        out = np.zeros(nbytes, dtype=np.uint8) if deferred else None
+        event = self.driver.record_read(queue, buffer, offset, nbytes, wait_for, out, blocking)
+        # A read resolved at once leaves the queue's chain as it was: it
+        # completes before anything can join the queue behind it.
+        self._record_command_deps(queue, event, wait_for, queued=deferred)
+        if deferred:
             return out, event
-        # Eager path (blocking reads; every read under the
-        # ``defer_reads=False`` ablation, which must drain too or it
-        # could return pre-write bytes): a targeted sync point draining
-        # the buffer's writers, transitively, plus an in-order queue's
-        # own command chain (real OpenCL completes a blocking read after
-        # every prior command of its queue); a stashed deferred failure
-        # surfaces here.  When the wait list already reached the client,
-        # the drain is the download's own: it rides the producers' batch.
-        handles = self.driver.buffer_sync_handles(buffer) + self.driver.queue_sync_handles(queue)
-        fold = self.driver.read_rides_drain(wait_for)
-        if not fold:
-            self.driver.flush_for_handles(handles)
-            for ev in wait_for or ():
-                # ev.wait drains the relevant send windows (flush hook)
-                # before resolving.
-                self.clock.advance_to(ev.wait(self.clock.now))
-        event = self.driver.register_event(
-            EventStub(queue.context, self.driver.new_id(), queue.server.name, CL_COMMAND_READ_BUFFER)
-        )
-        # Read coalescing: when this blocking read must download its
-        # buffer, the sibling dirty buffers stranded on the same daemon
-        # ride the same CoalescedBufferDownload — the next back-to-back
-        # result read finds its client copy already valid.
-        siblings = self.driver.read_gang(buffer, handles, fold) if blocking else []
-        # Discard any stale completion record for this buffer so the pop
-        # below observes only what *this* read's download (or staged-push
-        # apply) actually did.
-        self.driver.pop_fetch_completion(buffer.id)
-        buffer.planner.note_client_demand()
-        plan = buffer.planner.acquire_read("client")
-        if plan:
-            self.driver.run_transfer_plans(
-                [(buffer, plan)],
-                queue,
-                gang=siblings,
-                drain=handles if fold else None,
-                raising=fold,
-            )
-        elif fold:
-            self.driver.flush_for_handles(handles)
-        # Profiling truth: a read that downloaded (or consumed a staged
-        # push) completes at the transfer's daemon-side completion time
-        # and resolves at the data's client arrival; a read satisfied
-        # from a valid client copy completes locally, now.
-        completion = self.driver.pop_fetch_completion(buffer.id)
-        if completion is None:
-            completion = (self.clock.now, self.clock.now)
-        event.mark_complete(*completion)
-        data = buffer.read_host(offset, nbytes)
-        return data, event
+        self.driver.resolve_deferred_reads([event.id])
+        return buffer.read_host(offset, nbytes), event
 
     def clEnqueueCopyBuffer(
         self,

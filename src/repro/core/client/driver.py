@@ -110,21 +110,25 @@ class ProgramBuildRecord:
 
 
 @dataclass
-class _DeferredRead:
-    """One pending non-blocking read: a deferred-fetch command recorded
-    on the window graph by ``clEnqueueReadBuffer(blocking=False)``.
+class _PendingRead:
+    """One ``clEnqueueReadBuffer`` awaiting its bytes, recorded on the
+    window graph by :meth:`DOpenCLDriver.record_read`.
 
     ``event`` is the stub handed back to the application (its
-    ``depends_on`` carries the ``wait_for`` list plus the in-order queue
-    predecessor); ``out`` is the caller-visible destination array the
-    resolved bytes are written into when the fetch lands."""
+    ``depends_on`` carries ``wait_for`` plus the in-order queue
+    predecessor); ``out`` is the caller-visible destination array a
+    deferred read's bytes are written into when the fetch lands, or
+    ``None`` for a read resolved at once (blocking, or any read under
+    ``defer_reads=False``), whose caller copies the client copy itself."""
 
     buffer: BufferStub
     queue: QueueStub
     event: EventStub
     offset: int
     nbytes: int
-    out: object  # np.ndarray handed back to the caller at enqueue
+    out: object  # np.ndarray, or None when resolved at once
+    wait_for: Tuple[EventStub, ...]
+    blocking: bool
 
 
 class DOpenCLDriver:
@@ -168,12 +172,12 @@ class DOpenCLDriver:
         #: (False: pure demand-driven coherence; see ``deploy_dopencl``).
         self.push_transfers = bool(push_transfers)
         #: Non-blocking reads are deferred fetches riding the next
-        #: relevant flush (False: fetched at enqueue, the streaming-bench
-        #: ablation; see :meth:`record_deferred_read`).
+        #: relevant flush (False: resolved at enqueue like a blocking
+        #: read, the streaming-bench ablation; see :meth:`record_read`).
         self.defer_reads = bool(defer_reads)
-        #: Pending :class:`_DeferredRead` records, in enqueue (program)
+        #: Pending :class:`_PendingRead` records, in enqueue (program)
         #: order.  Drained by :meth:`resolve_deferred_reads`.
-        self._deferred_reads: List["_DeferredRead"] = []
+        self._deferred_reads: List["_PendingRead"] = []
         #: IDs of *client-local* events (deferred-read events): no daemon
         #: ever registered them, so daemon-bound wait lists must resolve
         #: and drop them (see :meth:`daemon_wait_ids`).
@@ -185,8 +189,8 @@ class DOpenCLDriver:
         #: ``buffer id -> (completed_at, arrival)``: the daemon-side
         #: completion timestamp and client-side data arrival of the most
         #: recent client-bound download (or staged-push apply) of that
-        #: buffer — the profiling truth deferred/blocking read events
-        #: are resolved with (see :meth:`pop_fetch_completion`).
+        #: buffer — the profiling truth read events are resolved with
+        #: (consumed by :meth:`_resolve_deferred_group`).
         self._fetch_completions: Dict[int, Tuple[float, float]] = {}
         #: ``buffer id -> (epoch, payload, arrival)``: client-destined
         #: replica bytes that arrived on a completion notification,
@@ -276,10 +280,7 @@ class DOpenCLDriver:
                 stub.poisoned = (code, reason)
         for context in self.contexts:
             for buffer in context.live_buffers:
-                if not buffer.released:
-                    self.stats.evicted_replicas += buffer.planner.evict(
-                        conn.name, reason=reason
-                    )
+                self.stats.evicted_replicas += buffer.planner.evict(conn.name, reason=reason)
         # Commit records destined for the dead daemon can never be
         # applied (the staged bytes died with its process).
         for buffer_id, (_epoch, target) in list(self._peer_commits.items()):
@@ -615,30 +616,10 @@ class DOpenCLDriver:
         download of ``buffer``: the daemon-side completion timestamp of
         its registered transfer event (delivered synchronously on the
         completion notification that rode the fetch) and the client-side
-        data arrival.  Deferred/blocking read events are resolved with
-        these instead of a fabricated ``clock.now`` pair."""
+        data arrival.  Read events are resolved with these instead of a
+        fabricated ``clock.now`` pair."""
         completed = stub.completed_at if stub.resolved else arrival
         self._fetch_completions[buffer.id] = (completed, arrival)
-
-    def pop_fetch_completion(self, buffer_id: int) -> Optional[Tuple[float, float]]:
-        """Consume the recorded ``(completed_at, arrival)`` of the most
-        recent download of ``buffer_id``, if any (see
-        :meth:`_record_fetch_completion`)."""
-        return self._fetch_completions.pop(buffer_id, None)
-
-    def new_deferred_read_event(
-        self, context: ContextStub, owner_server: str
-    ) -> EventStub:
-        """The event stub handed back by a deferred non-blocking read.
-        Client-local (no replica fan-out — daemons never gate on it) and
-        wired so that ``wait()`` resolves the pending fetch instead of
-        merely draining windows."""
-        stub = self.register_event(
-            EventStub(context, self.new_id(), owner_server, CL_COMMAND_READ_BUFFER),
-            lambda stub: self.resolve_deferred_reads([stub.id]),
-        )
-        self._local_event_ids.add(stub.id)
-        return stub
 
     def daemon_wait_ids(
         self, conn: ServerConnection, wait_for: Optional[Sequence[EventStub]]
@@ -733,41 +714,58 @@ class DOpenCLDriver:
         self.check_servers(servers)
         self.fanout_deferred([c for c in servers if c.name in obj.holders], make_msg)
 
-    def record_deferred_read(
+    def record_read(
         self,
-        buffer: BufferStub,
         queue: QueueStub,
-        event: EventStub,
+        buffer: BufferStub,
         offset: int,
         nbytes: int,
+        wait_for: Optional[Sequence[EventStub]],
         out,
-    ) -> None:
-        """Record one pending non-blocking read (the enqueue half of the
-        deferred-fetch command).  Costs zero network traffic and zero
-        virtual-time advance; counted in ``NetStats.deferred_reads``."""
+        blocking: bool,
+    ) -> EventStub:
+        """Record one pending read (the enqueue half of every
+        ``clEnqueueReadBuffer``) and return its event.  A deferred read
+        (``out`` is its destination) costs zero network traffic and zero
+        virtual-time advance, is counted in ``NetStats.deferred_reads``,
+        and its event is client-local — no daemon registers it, and
+        ``wait()`` resolves the read.  A read resolved at once (``out``
+        ``None``) gets a registered event, as any command's, which the
+        caller resolves next (:meth:`resolve_deferred_reads`)."""
+        stub = EventStub(queue.context, self.new_id(), queue.server.name, CL_COMMAND_READ_BUFFER)
+        if out is None:
+            self.register_event(stub)
+        else:
+            self.register_event(stub, lambda stub: self.resolve_deferred_reads([stub.id]))
+            self._local_event_ids.add(stub.id)
+            self.stats.deferred_reads += 1
         self._deferred_reads.append(
-            _DeferredRead(buffer, queue, event, offset, nbytes, out)
+            _PendingRead(buffer, queue, stub, offset, nbytes, out, tuple(wait_for or ()), blocking)
         )
-        self.stats.deferred_reads += 1
+        return stub
 
     def resolve_deferred_reads(
         self, handles: Optional[Iterable[int]] = None, settle: Optional[list] = None
     ) -> None:
-        """Resolve the pending deferred reads whose event or buffer is
-        among ``handles`` (stub IDs are client-unique across events and
+        """Resolve the pending reads whose event or buffer is among
+        ``handles`` (stub IDs are client-unique across events and
         buffers, so one ID set names a read event, a wait-list event, a
         buffer about to be overwritten or released, or a flush's whole
         relevance set alike); ``None`` is the full sync point and selects
-        every pending read.  The selection is closed transitively over
-        event dependencies — a read whose ``wait_for`` names another
-        pending read pulls that one into the same group — and the whole
-        group resolves in enqueue order, fusing its downloads per source
-        daemon exactly like a blocking read's gang.
+        every pending read.  The one resolver of every read: a blocking
+        read (or any read under ``defer_reads=False``) calls it with its
+        own event right after :meth:`record_read`; a deferred one rides
+        ``EventStub.wait``, a write-after-read sync point, a release or
+        ``clFinish``.  The selection is closed transitively over event
+        dependencies — a read whose ``wait_for`` or queue predecessor is
+        another pending read pulls that one into the same group — and the
+        whole group resolves in enqueue order, fusing its downloads per
+        source daemon (:meth:`_resolve_deferred_group`).
 
-        ``settle`` (a full drain about to run): a group
-        whose dependencies the client already holds has its downloads
-        windowed for that drain to carry and appends its completion
-        here; any other group is left for the drain's end.
+        ``settle`` (a full drain about to run): a group that may ride a
+        drain has its downloads windowed for that drain to carry and
+        appends its completion here; any other group is left for the
+        drain's end.
 
         Re-entrant calls (resolution drains windows and waits on events,
         whose hooks land back here) are no-ops."""
@@ -816,14 +814,21 @@ class DOpenCLDriver:
         return seen
 
     def _resolve_deferred_group(
-        self, group: List[_DeferredRead], member_ids: Set[int], settle: Optional[list] = None
+        self, group: List[_PendingRead], member_ids: Set[int], settle: Optional[list] = None
     ) -> None:
-        """Resolve one dependency-closed group of deferred reads: run the
-        fused coherence download in the drain of the reads' window
-        closures — after draining and waiting out their non-member event
-        deps first, unless those already reached the client — then
-        complete each event with the real transfer timestamps and fill
-        the caller-visible arrays.  With ``settle`` (see
+        """Resolve one dependency-closed group of reads.  The group's
+        downloads ride the drain of its closure when no failure is
+        stashed and every ``wait_for`` event outside the group already
+        reached the client: the queue chains ride that drain too, and
+        each download is windowed behind them on the last read's queue
+        (unless a later command joined that queue: then on the source's
+        transfer queue).  Otherwise the group drains, waits its
+        ``wait_for`` events out, then downloads.  A blocking read also
+        gang-revalidates its source's stranded siblings
+        (:meth:`read_gang`).  A read resolved at once raises a failure
+        its drain surfaced before its bytes are credited.  Each event
+        completes with the real transfer timestamps and each deferred
+        read's array fills.  With ``settle`` (see
         :meth:`resolve_deferred_reads`) the caller's drain does the
         draining and the completion is appended there."""
         # Daemon-loss poisoning: a read whose event was poisoned can
@@ -834,58 +839,65 @@ class DOpenCLDriver:
                 self._deferred_reads.remove(d)
         if not live:
             return
-        # Event deps (wait_for list + in-order queue predecessor): group
-        # members are exempt — they complete together below.
-        deps = [
-            self._events.get(dep_id)
+        # What the reads wait for: their wait lists and any predecessor
+        # that failed (its wait raises the failure).  Group members are
+        # exempt: they complete together.
+        waits = [
+            ev
             for d in live
-            for dep_id in d.event.depends_on
-            if dep_id not in member_ids
+            for ev in map(self._events.get, d.event.depends_on)
+            if ev is not None and ev.id not in member_ids and (ev in d.wait_for or ev.poisoned)
         ]
-        deps = [dep for dep in deps if dep is not None]
-        arrived = all(map(self.arrived, deps))
-        if settle is not None and not arrived:
+        fold = not self.transport.failure_pending and all(map(self.arrived, waits))
+        if settle is not None and not fold:
             return
+        at_once = any(d.out is None for d in live)
+        last = live[-1]
+        queue = last.queue if last.out is None or last.queue.last_event_id == last.event.id else None
         seeds: List[int] = []
         for d in live:
-            seeds.append(d.event.id)
             seeds.extend(self.buffer_sync_handles(d.buffer))
+            seeds.extend(self.queue_sync_handles(d.queue) if d.out is None else [d.event.id])
+        unique: List[BufferStub] = []
+        for d in live:
+            if all(b is not d.buffer for b in unique):
+                unique.append(d.buffer)
         self._resolving_reads = True
         try:
-            if not arrived:
-                # The download must follow the dependencies: drain and
-                # wait them out first.
-                self.flush_for_handles(seeds, raise_errors=False)
-                try:
-                    for dep in deps:
-                        self.clock.advance_to(dep.wait(self.clock.now))
-                except CLError as exc:
-                    self._poison_deferred_group(live, exc)
-                    raise
-            unique: List[BufferStub] = []
-            for d in live:
-                if all(b is not d.buffer for b in unique):
-                    unique.append(d.buffer)
-            for buffer in unique:
-                self._fetch_completions.pop(buffer.id, None)
-                buffer.planner.note_client_demand()
-            items = []
-            for buffer in unique:
-                plan = buffer.planner.acquire_read("client")
-                if plan:
-                    items.append((buffer, plan))
-            if arrived and settle is None and not items:
-                self.flush_for_handles(seeds, raise_errors=False)
             downloads: Optional[list] = None if settle is None else []
             try:
+                if not fold:
+                    # The downloads must follow the wait lists: drain and
+                    # wait them out first.
+                    self.flush_for_handles(seeds, raise_errors=at_once)
+                    for ev in waits:
+                        self.clock.advance_to(ev.wait(self.clock.now))
+                gang = []
+                for d in live:
+                    if d.blocking:
+                        gang += [b for b in self.read_gang(d.buffer, seeds, fold) if b not in unique]
+                for buffer in unique:
+                    self._fetch_completions.pop(buffer.id, None)
+                    buffer.planner.note_client_demand()
+                items = []
+                for buffer in unique:
+                    plan = buffer.planner.acquire_read("client")
+                    if plan:
+                        items.append((buffer, plan))
                 if items:
                     self.run_transfer_plans(
                         items,
-                        read_group=len(items) > 1,
-                        drain=seeds if arrived and settle is None else None,
+                        queue,
+                        gang=gang,
+                        drain=seeds if fold and settle is None else None,
+                        raising=fold and at_once,
                         settle=downloads,
                     )
+                elif fold and settle is None:
+                    self.flush_for_handles(seeds, raise_errors=at_once)
             except CLError as exc:
+                # The group fails once: left pending, it would raise again
+                # at every later sync point and fail reads resolved with it.
                 self._poison_deferred_group(live, exc)
                 raise
 
@@ -896,13 +908,14 @@ class DOpenCLDriver:
                 except CLError as exc:
                     self._poison_deferred_group(live, exc)
                     raise
-                self.stats.deferred_read_batches += 1
+                if any(d.out is not None for d in live):
+                    self.stats.deferred_read_batches += 1
+                now = (self.clock.now, self.clock.now)
+                completions = {b.id: self._fetch_completions.pop(b.id, now) for b in unique}
                 for d in live:
-                    d.out[:] = d.buffer.array[d.offset : d.offset + d.nbytes]
-                    completed, arrival = self._fetch_completions.get(
-                        d.buffer.id, (self.clock.now, self.clock.now)
-                    )
-                    d.event.mark_complete(completed, arrival)
+                    if d.out is not None:
+                        d.out[:] = d.buffer.array[d.offset : d.offset + d.nbytes]
+                    d.event.mark_complete(*completions[d.buffer.id])
                     if d in self._deferred_reads:
                         self._deferred_reads.remove(d)
 
@@ -916,7 +929,7 @@ class DOpenCLDriver:
             self._resolving_reads = False
 
     def _poison_deferred_group(
-        self, live: List[_DeferredRead], exc: CLError
+        self, live: List[_PendingRead], exc: CLError
     ) -> None:
         """A group resolution failed terminally: poison every member
         event (later waits re-raise deterministically) and drop the
@@ -1529,19 +1542,11 @@ class DOpenCLDriver:
         resolves in host order, possibly ahead of its arrival)."""
         return event.resolved and event.completion_arrival <= self.clock.now
 
-    def read_rides_drain(self, wait_for: Optional[Sequence[EventStub]]) -> bool:
-        """Whether an eager read's drain can carry its download: no
-        failure is stashed for its drain to raise and every event it
-        waits for already arrived at the client."""
-        return not self.transport.failure_pending and all(
-            self.arrived(ev) for ev in wait_for or ()
-        )
-
     def read_gang(self, buffer: BufferStub, handles: Sequence[int], fold: bool) -> List[BufferStub]:
         """The gang a blocking read of ``buffer`` downloads with it
         (:meth:`read_gang_candidates` of its download source), with
         their writers drained unless the read's drain carries the
-        download (``fold``, see :meth:`read_rides_drain`).  Picked before
+        download (``fold``, see :meth:`_resolve_deferred_group`).  Picked before
         any directory mutates (``client_download_source`` is pure); each
         is revalidated only if its section comes back."""
         source = buffer.planner.client_download_source()
@@ -1567,8 +1572,7 @@ class DOpenCLDriver:
         With ``handles`` — the read's closure seeds, when its drain
         carries the download — a producer windowed in the source's
         relevant prefix counts as resolved: it runs ahead of the
-        download, whose section comes back only if it completed.
-        Released buffers are pruned from the context's registry."""
+        download, whose section comes back only if it completed."""
         ahead: Set[int] = set()
         conn = self._connections.get(source)
         if handles is not None and conn is not None:
@@ -1576,10 +1580,8 @@ class DOpenCLDriver:
             relevant = closure(handles, windows, self._events.get)[1]
             for cmd in conn.window.relevant_prefix(relevant):
                 ahead.update(cmd.writes)
-        context = buffer.context
-        context.live_buffers = [b for b in context.live_buffers if not b.released]
         candidates: List[BufferStub] = []
-        for sibling in context.live_buffers:
+        for sibling in buffer.context.live_buffers:
             if sibling is buffer or sibling.size <= 0:
                 continue
             if sibling.planner.client_download_source() != source:
@@ -1597,8 +1599,7 @@ class DOpenCLDriver:
         self,
         items: Sequence[Tuple[BufferStub, Sequence[Transfer]]],
         preferred_queue: Optional[QueueStub] = None,
-        read_group: bool = False,
-        gang: Sequence[BufferStub] = (),
+        gang: Optional[Sequence[BufferStub]] = None,
         drain: Optional[Sequence[int]] = None,
         raising: bool = False,
         settle: Optional[list] = None,
@@ -1617,9 +1618,12 @@ class DOpenCLDriver:
         host writes to each destination daemon) — whatever the group's
         size.
 
-        ``read_group=True`` marks the items as a group of deferred reads,
-        ``gang`` a blocking read's :meth:`read_gang`; fused download
-        groups of either kind count as ``coalesced_reads``.  ``drain``,
+        ``gang`` marks the items as a read group
+        (:meth:`_resolve_deferred_group`) and lists a blocking read's
+        :meth:`read_gang` siblings (empty for any other group); each
+        source's download fuses them with the group's buffers and, when
+        it carries more than one section, counts as a
+        ``coalesced_reads``.  ``drain``,
         ``raising`` and ``settle`` go to :meth:`_download`.  A failed
         transfer rolls back every server copy the plans had not moved
         yet (:meth:`_abort_unmoved`)."""
@@ -1627,8 +1631,8 @@ class DOpenCLDriver:
         moved: Set[Tuple[int, str]] = set()
         try:
             for src_name, buffers in downloads.items():
-                group = [*buffers, *gang]
-                if (read_group or gang) and len(group) > 1:
+                group = [*buffers, *(gang or ())]
+                if gang is not None and len(group) > 1:
                     self.stats.coalesced_reads += 1
                     self.stats.coalesced_read_sections += len(group)
                 self._download(group, src_name, preferred_queue, len(buffers), drain, raising, settle)
@@ -1742,7 +1746,7 @@ class DOpenCLDriver:
         for buffer in buffers:
             handles.extend(self.buffer_sync_handles(buffer))
         remaining, gang = list(buffers[:required]), list(buffers[required:])
-        if self.push_transfers and any(map(self._push_due, buffers)):
+        if any(map(self._push_due, buffers)):
             # A staged push with the current epoch already carries
             # exactly the bytes its section would download: drain (the
             # push rides the producer's completion), consume it and drop
@@ -1784,13 +1788,12 @@ class DOpenCLDriver:
             return
         windows = {c.name: c.window for c in self.connections()}
         conn.window.insert(command, closure(handles, windows, self._events.get)[1])
-        seen = self.flush_for_handles([*handles, *request.event_ids], raise_errors=False)
+        self.flush_for_handles([*handles, *request.event_ids], raise_errors=False)
         complete()
         if raising:
             try:
-                # The read's own sync point: deferred reads it reaches
-                # ride it, and a failure of its drain surfaces here.
-                self.resolve_deferred_reads(seen)
+                # The read's own sync point: a failure of its drain
+                # surfaces here.
                 self.transport.surface_deferred_failure()
             except CLError as exc:
                 self._abort_downloads(remaining, src_name, exc)
@@ -1871,12 +1874,10 @@ class DOpenCLDriver:
         self.flush_for_handles(handles, raise_errors=False)
         # Sections already staged at the destination by a current-epoch
         # push commit via their deferred PushCommit and drop out (see
-        # :meth:`_apply_peer_push`); push-off leaves the group whole.
-        remaining = list(buffers)
-        if self.push_transfers:
-            remaining = [b for b in buffers if not self._apply_peer_push(b, dst_name)]
-            if not remaining:
-                return
+        # :meth:`_apply_peer_push`).
+        remaining = [b for b in buffers if not self._apply_peer_push(b, dst_name)]
+        if not remaining:
+            return
         src = self.connection(src_name)
         # The destination copies are created in its window (a lost source
         # raised above, before any was), and the window may hold commands

@@ -206,7 +206,7 @@ class ReferenceDriver(DOpenCLDriver):
         (buffer,) = buffers
         conn = self.connection(src_name)
         queue = self._queue_on(buffer, src_name, preferred)
-        if self.push_transfers and self._apply_staged_push(buffer):
+        if self._apply_staged_push(buffer):
             return
         stub = self._new_transfer_event(buffer.context, src_name)
         request = P.CoalescedBufferDownload(
@@ -221,14 +221,6 @@ class ReferenceDriver(DOpenCLDriver):
             self._abort_downloads([buffer], src_name, exc)
         (data,) = fetched.payload  # the section's read-only view of the daemon's copy
         self._land(queue, [buffer], [stub], [(data, fetched.arrival)])
-
-    def read_rides_drain(self, wait_for) -> bool:
-        """Never: a read drains, then fetches."""
-        return False
-
-    def read_gang(self, buffer: BufferStub, handles, fold: bool) -> List[BufferStub]:
-        """None: each read fetches its own buffer."""
-        return []
 
     def resolve_deferred_reads(self, handles=None, settle: Optional[list] = None) -> None:
         """Pending reads resolve after a drain, never inside it."""

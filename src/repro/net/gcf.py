@@ -124,12 +124,12 @@ class NetStats:
         reference path, whose groups are all singletons.  A coherence
         upload is a host write per buffer, so it has no gang to count.
     ``coalesced_reads`` / ``coalesced_read_sections``
-        Read gathers fused per source daemon: a blocking read that must
-        download its buffer gang-revalidates the sibling dirty buffers
-        stranded on the same daemon in one ``CoalescedBufferDownload``,
-        so back-to-back result reads cost one round trip per daemon (a
-        group of deferred reads fuses the same way).  Counted per fused
-        group / per section (the group's download also counts in
+        Read downloads fused per source daemon: a resolved read group's
+        buffers plus, for a blocking read only, the sibling dirty
+        buffers stranded on the same daemon (its gang), in one
+        ``CoalescedBufferDownload`` — so back-to-back result reads cost
+        one round trip per daemon.  Counted per download carrying more
+        than one section / per section (it also counts in
         ``coalesced_downloads``).
     ``flush_barriers``
         ``clFlush`` submission barriers recorded in send windows: the
@@ -275,13 +275,16 @@ class NetStats:
 
     ``deferred_reads``
         Client-side: non-blocking ``clEnqueueReadBuffer`` calls recorded
-        as *deferred fetches* on the window graph (``defer_reads=True``)
-        — zero network traffic and zero virtual-time advance at enqueue;
-        the bytes ride a later relevant flush.
+        as *deferred fetches* (``defer_reads=True``) — zero network
+        traffic and zero virtual-time advance at enqueue; the bytes ride
+        a later relevant flush.  A blocking read (or any read under
+        ``defer_reads=False``) is recorded too but resolved at once, and
+        is never counted here.
     ``deferred_read_batches``
-        Client-side: deferred-read resolution groups that actually ran
-        a sync point (one group may cover several pending reads, whose
-        downloads fuse exactly like a blocking read's gang).
+        Client-side: resolved read groups holding at least one deferred
+        read (one group may cover several pending reads, whose downloads
+        fuse per source daemon); a blocking read resolved on its own is
+        not one.
 
     ``round_trips`` (a property) is ``requests + batches + bulk_fetches``:
     every synchronous client<->server exchange the process blocked on.

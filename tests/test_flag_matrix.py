@@ -248,3 +248,34 @@ def test_the_pipeline_makes_no_bulk_exchange():
             assert not _bulk_exchange_sites(path), path
     assert _bulk_exchange_sites(os.path.join(package, "reference.py"))
     assert not hasattr(DOpenCLDriver, "send_bulk")
+
+
+#: The transfer, gang, drain and completion steps only the read resolver
+#: may take.
+EAGER_READ_CALLS = {"run_transfer_plans", "read_gang", "flush_for_handles", "pop_fetch_completion"}
+
+
+def test_one_read_path():
+    """A blocking read is a non-blocking read resolved at once:
+    ``clEnqueueReadBuffer`` records the read and resolves it through the
+    one resolver, calling none of the transfer, gang, drain or
+    completion helpers itself, and no driver keeps a second fold rule
+    (``read_rides_drain``) anywhere under ``core/client/``."""
+    with open(inspect.getsourcefile(client_api)) as fh:
+        tree = ast.parse(fh.read())
+    (read,) = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "clEnqueueReadBuffer"
+    ]
+    called = {
+        node.func.attr
+        for node in ast.walk(read)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+    }
+    assert not called & EAGER_READ_CALLS, sorted(called & EAGER_READ_CALLS)
+    assert {"record_read", "resolve_deferred_reads"} <= called
+    package = os.path.dirname(inspect.getsourcefile(client_api))
+    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+        with open(path) as fh:
+            assert "read_rides_drain" not in fh.read(), path
