@@ -79,10 +79,7 @@ class DOpenCLAPI:
 
     @staticmethod
     def _record_command_deps(
-        queue: QueueStub,
-        event: EventStub,
-        wait_for: Optional[Sequence[EventStub]],
-        queued: bool = True,
+        queue: QueueStub, event: EventStub, wait_for: Optional[Sequence[EventStub]], queued: bool = True
     ) -> None:
         """Record a forwarded command's dependency edges on its stubs:
         the explicit wait list plus — on an in-order queue — the queue's
@@ -400,27 +397,20 @@ class DOpenCLAPI:
     ):
         """Returns ``(data, event)``.
 
-        Every read is recorded on the window graph
-        (:meth:`DOpenCLDriver.record_read`) and resolved by the one
-        resolver (:meth:`DOpenCLDriver.resolve_deferred_reads`).  A
-        non-blocking read (with ``defer_reads`` on, the default) is a
-        *deferred fetch*: the enqueue returns at once — zero network
-        traffic, zero virtual-time advance beyond the call overhead —
-        and the returned array fills (and the event resolves, with the
-        transfer's real completion timestamps) when the fetch rides the
-        next relevant flush: ``event.wait()``, a sync point touching the
-        buffer, or ``clFinish``.  A blocking read — and every read under
-        ``defer_reads=False`` — is that read resolved at once, as OpenCL
-        defines it: the non-blocking read followed by a wait on its
-        event.  It returns a copy of the client's copy, which the
-        resolution made valid.
-
-        Per the MSI protocol the resolution only touches the network
-        when the client's copy is invalid (then it downloads the whole
-        object from the modified owner).  A blocking read that must
-        download also gang-revalidates the sibling dirty buffers
-        stranded on the same daemon in one fused fetch, so back-to-back
-        result reads cost one round trip per source daemon."""
+        Every read is recorded (:meth:`DOpenCLDriver.record_read`) and
+        resolved by one resolver (:meth:`DOpenCLDriver.resolve_deferred_reads`).
+        A non-blocking read (with ``defer_reads`` on, the default) is a
+        *deferred fetch*: the enqueue returns at once, at no network or
+        virtual-time cost, and the array fills (the event resolves with
+        the transfer's real timestamps) when the fetch rides the next
+        relevant flush — ``event.wait()``, a sync point touching the
+        buffer, or ``clFinish``.  A blocking read, and every read under
+        ``defer_reads=False``, is that read resolved at once, as OpenCL
+        defines it; it returns a copy of the client's copy.  Per MSI a
+        resolution downloads only when the client's copy is invalid, and
+        a blocking read gangs the sibling dirty buffers stranded on the
+        same daemon, so back-to-back result reads cost one round trip
+        per daemon."""
         t = self._tick()
         self._check_queue_buffer(queue, buffer)
         if nbytes is None:

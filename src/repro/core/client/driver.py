@@ -752,11 +752,10 @@ class DOpenCLDriver:
         buffers, so one ID set names a read event, a wait-list event, a
         buffer about to be overwritten or released, or a flush's whole
         relevance set alike); ``None`` is the full sync point and selects
-        every pending read.  The one resolver of every read: a blocking
-        read (or any read under ``defer_reads=False``) calls it with its
-        own event right after :meth:`record_read`; a deferred one rides
-        ``EventStub.wait``, a write-after-read sync point, a release or
-        ``clFinish``.  The selection is closed transitively over event
+        every pending read.  A read resolved at once calls it right after
+        :meth:`record_read`; a deferred one rides ``EventStub.wait``, a
+        write-after-read sync point, a release or ``clFinish``.  The
+        selection is closed transitively over event
         dependencies — a read whose ``wait_for`` or queue predecessor is
         another pending read pulls that one into the same group — and the
         whole group resolves in enqueue order, fusing its downloads per
@@ -816,18 +815,17 @@ class DOpenCLDriver:
     def _resolve_deferred_group(
         self, group: List[_PendingRead], member_ids: Set[int], settle: Optional[list] = None
     ) -> None:
-        """Resolve one dependency-closed group of reads.  The group's
-        downloads ride the drain of its closure when no failure is
-        stashed and every ``wait_for`` event outside the group already
-        reached the client: the queue chains ride that drain too, and
-        each download is windowed behind them on the last read's queue
-        (unless a later command joined that queue: then on the source's
-        transfer queue).  Otherwise the group drains, waits its
-        ``wait_for`` events out, then downloads.  A blocking read also
-        gang-revalidates its source's stranded siblings
-        (:meth:`read_gang`).  A read resolved at once raises a failure
-        its drain surfaced before its bytes are credited.  Each event
-        completes with the real transfer timestamps and each deferred
+        """Resolve one dependency-closed group of reads.  Its downloads
+        ride the drain of its closure (the queue chains ride it too)
+        when no failure is stashed and every event it must follow,
+        outside the group, reached the client: the ``wait_for`` events,
+        and a deferred read's in-order predecessor unless its download
+        rides its own queue on the source daemon.  Otherwise it drains,
+        waits those out, then downloads.  A read resolved at once raises
+        a failure its drain surfaced before its bytes are credited; a
+        blocking one gangs its source's stranded siblings
+        (:meth:`read_gang`).  Each
+        event completes with the real transfer timestamps; each deferred
         read's array fills.  With ``settle`` (see
         :meth:`resolve_deferred_reads`) the caller's drain does the
         draining and the completion is appended there."""
@@ -839,29 +837,45 @@ class DOpenCLDriver:
                 self._deferred_reads.remove(d)
         if not live:
             return
-        # What the reads wait for: their wait lists and any predecessor
-        # that failed (its wait raises the failure).  Group members are
-        # exempt: they complete together.
+        at_once = any(d.out is None for d in live)
+        last = live[-1]
+        # A deferred read joins its queue's chain: it completes after its
+        # in-order predecessor.  While that has not reached the client,
+        # the read downloads on its own queue (if nothing joined it
+        # since), which orders the two on the source daemon; else on the
+        # source's transfer queue, off the queue's later commands.
+        ahead = [
+            ev
+            for ev in map(self._events.get, last.event.depends_on)
+            if ev is not None and ev.id not in member_ids and ev not in last.wait_for and not self.arrived(ev)
+        ]
+        queue = last.queue if last.out is None or (ahead and last.queue.last_event_id == last.event.id) else None
+        ordered = (
+            queue is not None
+            and queue.server.name == last.buffer.planner.client_download_source()
+            and not self._push_due(last.buffer)
+        )
+        # What the reads wait for: their wait lists, any predecessor that
+        # failed (its wait raises the failure) and a deferred read's
+        # predecessor the daemon does not order it behind.  Group members
+        # are exempt: they complete together.
         waits = [
             ev
             for d in live
             for ev in map(self._events.get, d.event.depends_on)
-            if ev is not None and ev.id not in member_ids and (ev in d.wait_for or ev.poisoned)
+            if ev is not None
+            and ev.id not in member_ids
+            and (ev in d.wait_for or ev.poisoned or (d.out is not None and not (d is last and ordered)))
         ]
         fold = not self.transport.failure_pending and all(map(self.arrived, waits))
         if settle is not None and not fold:
             return
-        at_once = any(d.out is None for d in live)
-        last = live[-1]
-        queue = last.queue if last.out is None or last.queue.last_event_id == last.event.id else None
         seeds: List[int] = []
         for d in live:
             seeds.extend(self.buffer_sync_handles(d.buffer))
             seeds.extend(self.queue_sync_handles(d.queue) if d.out is None else [d.event.id])
-        unique: List[BufferStub] = []
-        for d in live:
-            if all(b is not d.buffer for b in unique):
-                unique.append(d.buffer)
+        unique: List[BufferStub] = list(dict.fromkeys(d.buffer for d in live))
+        items: List[Tuple[BufferStub, Sequence[Transfer]]] = []
         self._resolving_reads = True
         try:
             downloads: Optional[list] = None if settle is None else []
@@ -872,23 +886,19 @@ class DOpenCLDriver:
                     self.flush_for_handles(seeds, raise_errors=at_once)
                     for ev in waits:
                         self.clock.advance_to(ev.wait(self.clock.now))
-                gang = []
-                for d in live:
-                    if d.blocking:
-                        gang += [b for b in self.read_gang(d.buffer, seeds, fold) if b not in unique]
+                # Only the last read can be blocking: it closes its group.
+                gang = self.read_gang(last.buffer, seeds, fold) if last.blocking else {}
                 for buffer in unique:
                     self._fetch_completions.pop(buffer.id, None)
                     buffer.planner.note_client_demand()
-                items = []
-                for buffer in unique:
                     plan = buffer.planner.acquire_read("client")
                     if plan:
                         items.append((buffer, plan))
                 if items:
-                    self.run_transfer_plans(
+                    self.download_reads(
                         items,
                         queue,
-                        gang=gang,
+                        gang,
                         drain=seeds if fold and settle is None else None,
                         raising=fold and at_once,
                         settle=downloads,
@@ -898,7 +908,7 @@ class DOpenCLDriver:
             except CLError as exc:
                 # The group fails once: left pending, it would raise again
                 # at every later sync point and fail reads resolved with it.
-                self._poison_deferred_group(live, exc)
+                self._poison_deferred_group(live, items, exc)
                 raise
 
             def complete() -> None:
@@ -906,7 +916,7 @@ class DOpenCLDriver:
                     for download in downloads or ():
                         download()
                 except CLError as exc:
-                    self._poison_deferred_group(live, exc)
+                    self._poison_deferred_group(live, items, exc)
                     raise
                 if any(d.out is not None for d in live):
                     self.stats.deferred_read_batches += 1
@@ -928,12 +938,17 @@ class DOpenCLDriver:
         finally:
             self._resolving_reads = False
 
-    def _poison_deferred_group(
-        self, live: List[_PendingRead], exc: CLError
-    ) -> None:
+    def _poison_deferred_group(self, live: List[_PendingRead], items, exc: CLError) -> None:
         """A group resolution failed terminally: poison every member
         event (later waits re-raise deterministically) and drop the
-        entries — the fetch cannot be replayed from here."""
+        entries — the fetch cannot be replayed from here.  A download of
+        ``items`` whose bytes never landed (no fetch completion: the
+        failure stopped the group before its daemon's turn) rolls back
+        its optimistic client acquire, or a later read would take the
+        stale client copy for valid."""
+        for buffer, _plan in items:
+            if buffer.id not in self._fetch_completions:
+                buffer.planner.abort_fetch(CLIENT, f"read failed: {exc}")
         for d in live:
             if d.event.poisoned is None and not d.event.resolved:
                 d.event.poisoned = (int(exc.code), str(exc))
@@ -1542,20 +1557,21 @@ class DOpenCLDriver:
         resolves in host order, possibly ahead of its arrival)."""
         return event.resolved and event.completion_arrival <= self.clock.now
 
-    def read_gang(self, buffer: BufferStub, handles: Sequence[int], fold: bool) -> List[BufferStub]:
-        """The gang a blocking read of ``buffer`` downloads with it
-        (:meth:`read_gang_candidates` of its download source), with
-        their writers drained unless the read's drain carries the
-        download (``fold``, see :meth:`_resolve_deferred_group`).  Picked before
-        any directory mutates (``client_download_source`` is pure); each
-        is revalidated only if its section comes back."""
+    def read_gang(self, buffer: BufferStub, handles: Sequence[int], fold: bool) -> Dict[str, List[BufferStub]]:
+        """The gang a blocking read of ``buffer`` downloads with it, keyed
+        by its download source (:meth:`read_gang_candidates` of that
+        daemon), with their writers drained unless the read's drain
+        carries the download (``fold``, see
+        :meth:`_resolve_deferred_group`).  Picked before any directory
+        mutates (``client_download_source`` is pure); each is
+        revalidated only if its section comes back."""
         source = buffer.planner.client_download_source()
         if source is None:
-            return []
+            return {}
         siblings = self.read_gang_candidates(buffer, source, handles if fold else None)
         if siblings and not fold:
             self.flush_for_handles([h for s in siblings for h in self.buffer_sync_handles(s)])
-        return siblings
+        return {source: siblings}
 
     def read_gang_candidates(
         self, buffer: BufferStub, source: str, handles: Optional[Sequence[int]] = None
@@ -1599,10 +1615,6 @@ class DOpenCLDriver:
         self,
         items: Sequence[Tuple[BufferStub, Sequence[Transfer]]],
         preferred_queue: Optional[QueueStub] = None,
-        gang: Optional[Sequence[BufferStub]] = None,
-        drain: Optional[Sequence[int]] = None,
-        raising: bool = False,
-        settle: Optional[list] = None,
     ) -> None:
         """Execute several buffers' coherence plans (whole-object copies
         between client and servers under MSI, directly between servers
@@ -1616,26 +1628,13 @@ class DOpenCLDriver:
         server-to-server hops (:meth:`_peer_transfer`, one round trip
         per (src, dst) pair), then uploads (:meth:`_upload`, windowed
         host writes to each destination daemon) — whatever the group's
-        size.
-
-        ``gang`` marks the items as a read group
-        (:meth:`_resolve_deferred_group`) and lists a blocking read's
-        :meth:`read_gang` siblings (empty for any other group); each
-        source's download fuses them with the group's buffers and, when
-        it carries more than one section, counts as a
-        ``coalesced_reads``.  ``drain``,
-        ``raising`` and ``settle`` go to :meth:`_download`.  A failed
-        transfer rolls back every server copy the plans had not moved
-        yet (:meth:`_abort_unmoved`)."""
+        size.  A failed transfer rolls back every server copy the plans
+        had not moved yet (:meth:`_abort_unmoved`)."""
         downloads, peers, uploads = split_transfer_plan([(b, plan) for b, plan in items if plan])
         moved: Set[Tuple[int, str]] = set()
         try:
             for src_name, buffers in downloads.items():
-                group = [*buffers, *(gang or ())]
-                if gang is not None and len(group) > 1:
-                    self.stats.coalesced_reads += 1
-                    self.stats.coalesced_read_sections += len(group)
-                self._download(group, src_name, preferred_queue, len(buffers), drain, raising, settle)
+                self._download(buffers, src_name, preferred_queue)
             for (src_name, dst_name), buffers in peers.items():
                 self._peer_transfer(buffers, src_name, dst_name)
                 moved.update((b.id, dst_name) for b in buffers)
@@ -1645,6 +1644,27 @@ class DOpenCLDriver:
         except CLError as exc:
             self._abort_unmoved(items, moved, exc)
             raise
+
+    def download_reads(
+        self,
+        items: Sequence[Tuple[BufferStub, Sequence[Transfer]]],
+        queue: Optional[QueueStub],
+        gang: Dict[str, List[BufferStub]],
+        drain: Optional[Sequence[int]] = None,
+        raising: bool = False,
+        settle: Optional[list] = None,
+    ) -> None:
+        """Run a read group's download plans (:meth:`_resolve_deferred_group`):
+        one download per source daemon, fused with that daemon's
+        ``gang`` (a blocking read's :meth:`read_gang`).  A download
+        carrying more than one section counts as a ``coalesced_reads``.
+        ``drain``, ``raising`` and ``settle`` go to :meth:`_download`."""
+        for src_name, buffers in split_transfer_plan(items)[0].items():
+            group = [*buffers, *(b for b in gang.get(src_name, ()) if b not in buffers)]
+            if len(group) > 1:
+                self.stats.coalesced_reads += 1
+                self.stats.coalesced_read_sections += len(group)
+            self._download(group, src_name, queue, len(buffers), drain, raising, settle)
 
     @staticmethod
     def _abort_unmoved(items, moved: Set[Tuple[int, str]], exc: CLError) -> None:

@@ -16,7 +16,7 @@ windows empty.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.client.driver import DOpenCLDriver
 from repro.core.client.stubs import (
@@ -180,11 +180,10 @@ class ReferenceDriver(DOpenCLDriver):
     # ------------------------------------------------------------------
     # coherence transfers and reads: one transfer at a time
     # ------------------------------------------------------------------
-    def run_transfer_plans(self, items, preferred_queue: Optional[QueueStub] = None, **_fused) -> None:
+    def run_transfer_plans(self, items, preferred_queue: Optional[QueueStub] = None) -> None:
         """Every transfer is its own one-section group, run in plan
         order: the same executors and messages as the pipeline, only
-        the grouping differs.  Nothing rides a drain, and no read has a
-        gang."""
+        the grouping differs."""
         moved = set()
         try:
             for buffer, plan in items:
@@ -200,7 +199,16 @@ class ReferenceDriver(DOpenCLDriver):
         host write does."""
         self.enqueue_write(queue, buffer, init, buffer.array, True, None)
 
-    def _download(self, buffers: Sequence[BufferStub], src_name: str, preferred, *_fused) -> None:
+    def read_gang(self, buffer: BufferStub, handles, fold: bool) -> Dict[str, List[BufferStub]]:
+        """None: each read fetches its own buffer."""
+        return {}
+
+    def download_reads(self, items, queue, gang, drain=None, raising=False, settle=None) -> None:
+        """Transfers like any other: nothing rides a drain (``drain``,
+        ``raising``, ``settle`` go unused); ``gang`` is empty."""
+        self.run_transfer_plans(items, queue)
+
+    def _download(self, buffers: Sequence[BufferStub], src_name: str, preferred) -> None:
         """One buffer's download as a fetch of its own (``fetch_bulk``),
         unless a current-epoch push already staged its bytes."""
         (buffer,) = buffers

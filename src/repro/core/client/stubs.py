@@ -107,7 +107,7 @@ class ContextStub:
         #: Live buffer stubs of this context, registered at creation —
         #: the candidate pool the read-coalescing planner scans for
         #: sibling dirty buffers to gang onto one download fetch
-        #: (released entries are pruned on each scan).
+        #: (``clReleaseMemObject`` removes a released buffer).
         self.live_buffers: List["BufferStub"] = []
         self.refcount = 1
 

@@ -140,16 +140,17 @@ after, as full/push_off for the solo rows:
 Re-recorded again when a blocking read became a non-blocking read
 resolved at once, with one fold rule for both: a read's download rides
 the drain of its closure when no failure is stashed and its wait list
-already reached the client, whether or not its in-order predecessor
-did (the daemon orders the download behind the queue's chain).  Every
-moved slice has the one cause: a non-blocking read resolved before its
-queue predecessor (a kernel) reached the client used to drain, wait
-that kernel out and download in a round trip of its own, and now costs
-what the blocking read costs.  Every slice without ``round_trips`` is
-identical before and after, the ``sync`` rows did not move, and no
-round-trip count rose.  Round trips before → after:
+already reached the client, and — for a non-blocking read — its
+in-order predecessor too, unless the download rides the read's own
+queue on the daemon it downloads from (the daemon then orders the
+download behind the queue's chain).  The one moved slice has that
+cause: a non-blocking read resolved before its queue predecessor (a
+kernel) reached the client used to drain, wait that kernel out and
+download in a round trip of its own, and now costs what the blocking
+read costs.  Every slice without ``round_trips`` is identical before
+and after, the ``sync`` rows did not move, and no round-trip count
+rose.  Round trips before → after:
 
-* ``solo:4`` 11/11 → 10/10 (full/push_off: op 6's wait);
 * ``fault:0:sever-fetch`` 6 → 4 (op 1's wait and op 3's ``clFinish``).
 
 Re-print the table with ``PYTHONPATH=src python
@@ -222,8 +223,8 @@ GOLDEN = {
     "solo:3:full": "6fe58102c9eb7556",
     "solo:3:push_off": "6fe58102c9eb7556",
     "solo:4:sync": "440f8877b238c965",
-    "solo:4:full": "5b024f5a14e48839",
-    "solo:4:push_off": "5b024f5a14e48839",
+    "solo:4:full": "3cd6d330efbab386",
+    "solo:4:push_off": "3cd6d330efbab386",
     "solo:5:sync": "2fcfa8fda9cd9b6f",
     "solo:5:full": "0b39f63f9066e619",
     "solo:5:push_off": "e21faa9b1ec160f3",

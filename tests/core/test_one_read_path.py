@@ -6,10 +6,12 @@ wait on its event, so the two must cost the same: the same round trips
 and the same virtual time, up to the wait's own call overhead, on the
 pipeline and on the reference path, under MSI and MOSI.  Both return
 ``NativeAPI``'s bytes.  A read's download rides the drain of its closure
-whenever its wait list already reached the client — the queue's own
-chain rides that drain and the daemon orders the download behind it —
-so a non-blocking read no longer waits its in-order predecessor out
-first.  Released buffers leave the read gangs' candidate pool at once.
+whenever its wait list already reached the client.  A non-blocking read
+whose download rides its own queue on the daemon it downloads from is
+ordered behind its in-order predecessor there, so it need not wait that
+predecessor out first; one downloading from another daemon must.  A
+blocking read gangs only siblings of its own source.  Released buffers
+leave the read gangs' candidate pool at once.
 """
 
 import numpy as np
@@ -27,6 +29,16 @@ __kernel void touch(__global int *x) {
     x[i] += 1;
 }
 """
+
+SPIN = """
+__kernel void spin(__global int *x) {
+    int i = (int)get_global_id(0);
+    int acc = 0;
+    for (int k = 0; k < 20000; k++) acc += k ^ i;
+    x[i] = acc;
+}
+"""
+
 
 NBYTES = 4096
 ITEMS = 64
@@ -50,12 +62,10 @@ def _native_bytes():
     return data
 
 
-def _launch_then_read(protocol, batch_window, blocking):
-    """A 4 KiB buffer written on queue 0 and finished, then ``touch``
-    launched on queue 1 of the other server and the buffer read there:
-    blocking, or non-blocking plus ``clWaitForEvents``.  Returns the
-    round trips and virtual time of the launch and the read, and the
-    bytes."""
+def _two_servers(protocol, batch_window, source):
+    """A 2-server ``make_ib_cpu_cluster`` deployment with a queue per
+    server and ``source`` built.  Returns the deployment, the API, the
+    context, the queues and the program."""
     deployment = deploy_dopencl(
         make_ib_cpu_cluster(2), coherence_protocol=protocol, batch_window=batch_window
     )
@@ -63,8 +73,24 @@ def _launch_then_read(protocol, batch_window, blocking):
     devices = api.clGetDeviceIDs(api.clGetPlatformIDs()[0])
     ctx = api.clCreateContext(devices)
     queues = [api.clCreateCommandQueue(ctx, device) for device in devices]
-    program = api.clCreateProgramWithSource(ctx, TOUCH)
+    program = api.clCreateProgramWithSource(ctx, source)
     api.clBuildProgram(program)
+    return deployment, api, ctx, queues, program
+
+
+def _launch(api, program, name, queue, buf):
+    kernel = api.clCreateKernel(program, name)
+    api.clSetKernelArg(kernel, 0, buf)
+    return api.clEnqueueNDRangeKernel(queue, kernel, (ITEMS,))
+
+
+def _launch_then_read(protocol, batch_window, blocking):
+    """A 4 KiB buffer written on queue 0 and finished, then ``touch``
+    launched on queue 1 of the other server and the buffer read there:
+    blocking, or non-blocking plus ``clWaitForEvents``.  Returns the
+    round trips and virtual time of the launch and the read, and the
+    bytes."""
+    deployment, api, ctx, queues, program = _two_servers(protocol, batch_window, TOUCH)
     buf = api.clCreateBuffer(ctx, CL_MEM_READ_WRITE, NBYTES)
     api.clEnqueueWriteBuffer(queues[0], buf, True, 0, INIT)
     api.clFinish(queues[0])
@@ -91,6 +117,66 @@ def test_a_nonblocking_read_and_its_wait_cost_what_a_blocking_read_costs(protoco
     expected = _native_bytes()
     np.testing.assert_array_equal(blocking[2], expected)
     np.testing.assert_array_equal(deferred[2], expected)
+
+
+@pytest.mark.parametrize("batch_window", [None, 0], ids=["pipeline", "reference"])
+@pytest.mark.parametrize("protocol", ["msi", "mosi"])
+def test_a_deferred_read_from_another_daemon_completes_after_its_predecessor(
+    protocol, batch_window
+):
+    """The buffer is dirty on server 0; a long kernel runs on server 1's
+    queue, then a non-blocking read of the buffer joins that queue.  Its
+    download comes from server 0, which does not order it behind the
+    kernel: the read must wait the kernel out, and ``clFinish`` of the
+    queue must not return before the kernel's completion arrived."""
+    deployment, api, ctx, queues, program = _two_servers(protocol, batch_window, TOUCH + SPIN)
+    buf = api.clCreateBuffer(ctx, CL_MEM_READ_WRITE, NBYTES)
+    other = api.clCreateBuffer(ctx, CL_MEM_READ_WRITE, NBYTES)
+    api.clEnqueueWriteBuffer(queues[0], buf, True, 0, INIT)
+    _launch(api, program, "touch", queues[0], buf)
+    api.clFinish(queues[0])
+    spin = _launch(api, program, "spin", queues[1], other)
+    data, read = api.clEnqueueReadBuffer(queues[1], buf, blocking=False)
+    api.clFinish(queues[1])
+    assert spin.resolved and read.resolved
+    assert api.now >= spin.completion_arrival
+    assert read.completed_at >= spin.completed_at
+    assert read.completion_arrival >= spin.completion_arrival
+    expected = INIT.copy()
+    expected[:ITEMS] += 1
+    np.testing.assert_array_equal(data.view(np.int32), expected)
+
+
+@pytest.mark.parametrize("batch_window", [None, 0], ids=["pipeline", "reference"])
+def test_a_blocking_read_gangs_only_siblings_of_its_own_source(batch_window):
+    """A blocking read of ``y`` (dirty on server 1) waits on a pending
+    deferred read of ``x`` (dirty on server 0), so both resolve as one
+    group downloading from two daemons.  ``y``'s gang, ``z``, rides the
+    download from server 1 only: server 0 holds no copy of it."""
+    deployment, api, ctx, queues, program = _two_servers("msi", batch_window, TOUCH)
+    x, y, z = (api.clCreateBuffer(ctx, CL_MEM_READ_WRITE, NBYTES) for _ in range(3))
+    for _round in range(2):
+        _launch(api, program, "touch", queues[0], x)
+        _launch(api, program, "touch", queues[1], y)
+        _launch(api, program, "touch", queues[1], z)
+        for queue in queues:
+            api.clFinish(queue)
+        if _round == 0:
+            for buf in (x, y, z):
+                api.clEnqueueReadBuffer(queues[0], buf)
+    stats = deployment.driver.stats
+    before = stats.coalesced_reads
+    _, read_x = api.clEnqueueReadBuffer(queues[0], x, blocking=False)
+    data_y, _ = api.clEnqueueReadBuffer(queues[1], y, wait_for=[read_x])
+    assert read_x.resolved
+    ganged = batch_window is None
+    assert stats.coalesced_reads - before == int(ganged)
+    assert z.planner.is_valid("client") is ganged
+    data_z, _ = api.clEnqueueReadBuffer(queues[1], z)
+    expected = np.zeros(NBYTES // 4, dtype=np.int32)
+    expected[:ITEMS] = 2
+    np.testing.assert_array_equal(data_y.view(np.int32), expected)
+    np.testing.assert_array_equal(data_z.view(np.int32), expected)
 
 
 def _result_buffers(release):

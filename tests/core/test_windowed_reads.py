@@ -182,9 +182,9 @@ def test_a_deferred_read_rides_the_finish_drain(monkeypatch):
     before = _round_trips(deployment)
     api.clFinish(queue)
     assert _round_trips(deployment) - before == 1
-    # A deferred read downloads on its own queue, as a blocking read
-    # does: the daemon orders it behind that queue's chain.
-    assert batches == [UPLOAD + ["EnqueueKernelRequest", "CoalescedBufferDownload"]]
+    # A deferred read downloads on the daemon's internal transfer queue,
+    # created (windowed) by its first use.
+    assert batches == [UPLOAD + ["EnqueueKernelRequest", "CreateQueueRequest", "CoalescedBufferDownload"]]
     assert event.completion_arrival < long_launch.completion_arrival == api.now
     np.testing.assert_array_equal(out, _expected(1.5))
 

@@ -269,6 +269,52 @@ def test_a_copy_a_failed_transfer_never_moved_is_not_credited(protocol):
     assert int(err.value.code) in LOSS_CODES
 
 
+@pytest.mark.parametrize("protocol", ["msi", "mosi"])
+def test_a_failed_read_group_credits_no_copy_it_never_downloaded(protocol):
+    """Two non-blocking reads resolve as one group: ``a``'s only copy is
+    on node01, which crashes at its download, and ``b``'s on node00,
+    whose download the failure stopped before it ran.  The group fails
+    with the daemon loss and the client copy of ``b`` is not credited:
+    a later read (on a fresh queue: ``b``'s queue holds the failed read)
+    downloads node00's bytes instead of returning the client's zeros."""
+    deployment = deploy_dopencl(
+        make_ib_cpu_cluster(2), coherence_protocol=protocol, retry_policy=RetryPolicy()
+    )
+    api = deployment.api
+    devices = api.clGetDeviceIDs(api.clGetPlatformIDs()[0])
+    ctx = api.clCreateContext(devices)
+    queues = [api.clCreateCommandQueue(ctx, d) for d in devices]
+    n = 256
+    program = api.clCreateProgramWithSource(ctx, SCALE)
+    api.clBuildProgram(program)
+    a, b = (api.clCreateBuffer(ctx, CL_MEM_READ_WRITE, 4 * n) for _ in range(2))
+    for queue, buf in ((queues[1], a), (queues[0], b)):
+        api.clEnqueueWriteBuffer(queue, buf, True, 0, np.ones(n, dtype=np.float32))
+        kernel = api.clCreateKernel(program, "scale")
+        api.clSetKernelArg(kernel, 0, buf)
+        api.clSetKernelArg(kernel, 1, np.float32(3.0))
+        api.clSetKernelArg(kernel, 2, n)
+        api.clEnqueueNDRangeKernel(queue, kernel, (n,))
+        api.clFinish(queue)
+    victim = deployment.daemons[1]
+    injector = install_fault_injector(
+        deployment.cluster.network,
+        FaultPlan(
+            [FaultAction("crash", nth=1, dst=victim.host.name, host=victim.host.name)],
+            max_transfers=100_000,
+        ),
+    )
+    injector.register_crash_hook(victim.host.name, victim.crash)
+    _, read_a = api.clEnqueueReadBuffer(queues[1], a, blocking=False)
+    _, read_b = api.clEnqueueReadBuffer(queues[0], b, blocking=False, wait_for=[read_a])
+    with pytest.raises(CLError) as err:
+        api.clWaitForEvents([read_b])
+    assert int(err.value.code) in LOSS_CODES
+    assert not b.coherence.is_valid("client")
+    data, _ = api.clEnqueueReadBuffer(api.clCreateCommandQueue(ctx, devices[0]), b)
+    np.testing.assert_allclose(data.view(np.float32), 3.0)
+
+
 def test_command_enqueued_on_a_dead_daemon_is_born_poisoned():
     """Regression (conformance seed 15 x crash / sever-permanent): a
     command enqueued *after* its daemon was declared dead fails with
