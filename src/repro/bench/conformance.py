@@ -930,8 +930,8 @@ def run_client_solo(
 def _audit_isolation(tag: str, mspec: Dict[str, object], deployment) -> None:
     """Daemon-side per-client isolation audits after a multi run:
     registry namespaces match exactly the clients that own objects
-    there, no status-before-create drop or admission event fired, and
-    every send window fully drained."""
+    there, no admission event fired, and every send window fully
+    drained."""
     client_names = {driver.gcf.name for driver in deployment.drivers}
     for daemon in deployment.daemons:
         namespaces = set(daemon.registry.client_names())
@@ -940,10 +940,6 @@ def _audit_isolation(tag: str, mspec: Dict[str, object], deployment) -> None:
             f"{namespaces - client_names}"
         )
         stats = daemon.gcf.stats
-        assert stats.dropped_event_statuses == 0, (
-            f"{tag}: daemon {daemon.name} dropped event statuses under a "
-            f"workload that never fills the buffer"
-        )
         assert stats.refused_connections == 0 and stats.quota_rejections == 0, (
             f"{tag}: daemon {daemon.name} admission control fired without a policy"
         )

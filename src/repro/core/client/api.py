@@ -362,7 +362,6 @@ class DOpenCLAPI:
             offset=0,
             nbytes=buffer.size,
             wait_event_ids=self.driver.daemon_wait_ids(queue.server, wait_for),
-            replica_servers=self.driver.replica_broadcast_targets(event) or None,
         )
         if whole:
             buffer.pristine = False
@@ -794,7 +793,6 @@ class DOpenCLAPI:
                 local_size=[int(v) for v in local_size] if local_size else None,
                 global_offset=[int(v) for v in global_offset] if global_offset else None,
                 wait_event_ids=wait_ids or None,
-                replica_servers=self.driver.replica_broadcast_targets(event) or None,
                 push_hints=push_hints,
                 args=entries or None,
                 program_id=kernel.program.id if create else None,

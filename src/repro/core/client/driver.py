@@ -187,11 +187,14 @@ class DOpenCLDriver:
         # back into resolution.
         self._resolving_reads = False
         #: ``buffer id -> (completed_at, arrival)``: the daemon-side
-        #: completion timestamp and client-side data arrival of the most
-        #: recent client-bound download (or staged-push apply) of that
-        #: buffer — the profiling truth read events are resolved with
-        #: (consumed by :meth:`_resolve_deferred_group`).
-        self._fetch_completions: Dict[int, Tuple[float, float]] = {}
+        #: completion timestamp and client-side data arrival of the
+        #: client-bound download (or staged-push apply) of a buffer
+        #: whose read group is resolving — the profiling truth its read
+        #: events are resolved with.  :meth:`_resolve_deferred_group`
+        #: opens the entry (``None``) and consumes it; a landing for
+        #: any other buffer (a gang sibling, a launch's coherence leg)
+        #: records nothing.
+        self._fetch_completions: Dict[int, Optional[Tuple[float, float]]] = {}
         #: ``buffer id -> (epoch, payload, arrival)``: client-destined
         #: replica bytes that arrived on a completion notification,
         #: awaiting an epoch-validated apply at a sync point.
@@ -618,8 +621,9 @@ class DOpenCLDriver:
         completion notification that rode the fetch) and the client-side
         data arrival.  Read events are resolved with these instead of a
         fabricated ``clock.now`` pair."""
-        completed = stub.completed_at if stub.resolved else arrival
-        self._fetch_completions[buffer.id] = (completed, arrival)
+        if buffer.id in self._fetch_completions:
+            completed = stub.completed_at if stub.resolved else arrival
+            self._fetch_completions[buffer.id] = (completed, arrival)
 
     def daemon_wait_ids(
         self, conn: ServerConnection, wait_for: Optional[Sequence[EventStub]]
@@ -661,10 +665,10 @@ class DOpenCLDriver:
         handler would have timed it."""
         if ev.owner_server == conn.name or conn.name in ev.holders:
             return
-        ev.place(conn.name, ev.resolved or self._broadcast_to(ev, conn.name))
-        # writes=(): a replica *receives* the completion (via relay or
-        # broadcast) rather than producing it, so it must not appear as
-        # the event's producer in the window graph.
+        ev.place(conn.name)
+        # writes=(): a replica *receives* the completion (via relay)
+        # rather than producing it, so it must not appear as the
+        # event's producer in the window graph.
         self.defer(
             conn,
             P.CreateUserEventRequest(event_id=ev.id, context_id=ev.context.id),
@@ -889,7 +893,7 @@ class DOpenCLDriver:
                 # Only the last read can be blocking: it closes its group.
                 gang = self.read_gang(last.buffer, seeds, fold) if last.blocking else {}
                 for buffer in unique:
-                    self._fetch_completions.pop(buffer.id, None)
+                    self._fetch_completions[buffer.id] = None
                     buffer.planner.note_client_demand()
                     plan = buffer.planner.acquire_read("client")
                     if plan:
@@ -921,7 +925,7 @@ class DOpenCLDriver:
                 if any(d.out is not None for d in live):
                     self.stats.deferred_read_batches += 1
                 now = (self.clock.now, self.clock.now)
-                completions = {b.id: self._fetch_completions.pop(b.id, now) for b in unique}
+                completions = {b.id: self._fetch_completions.pop(b.id, None) or now for b in unique}
                 for d in live:
                     if d.out is not None:
                         d.out[:] = d.buffer.array[d.offset : d.offset + d.nbytes]
@@ -946,8 +950,9 @@ class DOpenCLDriver:
         failure stopped the group before its daemon's turn) rolls back
         its optimistic client acquire, or a later read would take the
         stale client copy for valid."""
+        landed = {d.buffer.id: self._fetch_completions.pop(d.buffer.id, None) for d in live}
         for buffer, _plan in items:
-            if buffer.id not in self._fetch_completions:
+            if landed[buffer.id] is None:
                 buffer.planner.abort_fetch(CLIENT, f"read failed: {exc}")
         for d in live:
             if d.event.poisoned is None and not d.event.resolved:
@@ -1262,27 +1267,21 @@ class DOpenCLDriver:
             if stub is None:
                 return
             stub.mark_complete(msg.completed_at, arrival)
-            # With the Section III-F extension the owning daemon already
-            # broadcast the status to the replicas its command named.
-            owner = self._connections.get(stub.owner_server) if stub.owner_server else None
-            direct = owner is not None and getattr(owner.daemon, "direct_event_broadcast", False)
-            self.relay_completion(stub, arrival, direct)
+            self.relay_completion(stub, arrival)
 
-    def relay_completion(self, stub: EventStub, arrival: float, direct: bool) -> None:
+    def relay_completion(self, stub: EventStub, arrival: float) -> None:
         """Relay ``stub``'s completion, known at the client at
-        ``arrival``, to the replicas the owner's broadcast (``direct``)
-        misses, through their servers' windows: program order puts each
-        relay behind its replica's creation, failures stash (this runs in
-        a notification handler), ``min_time`` keeps the replica from
-        resolving before the word could have reached it, and
-        ``writes=()``: the stub is resolved, so the window graph never
-        needs to chase the relay."""
-        targets = [name for name, heard in stub.holders.items() if not heard]
-        if not targets and not direct:
-            # No server holds a replica the broadcast misses (no command
-            # waited cross-server; transfer/read events are client-local).
+        ``arrival``, to every replica holder through its server's
+        window: program order puts each relay behind its replica's
+        creation, failures stash (this runs in a notification handler),
+        ``min_time`` keeps the replica from resolving before the word
+        could have reached it, and ``writes=()``: the stub is resolved,
+        so the window graph never needs to chase the relay."""
+        if not stub.holders:
+            # No server holds a replica (no command waited cross-server;
+            # transfer/read events are client-local).
             self.stats.relays_suppressed += 1
-        for name in targets:
+        for name in stub.holders:
             conn = self._connections[name]
             if conn.connected:
                 self.defer(
@@ -1332,40 +1331,6 @@ class DOpenCLDriver:
         """A new event's replicas on ``servers``: none until a command
         waits there, so only the check that each is usable."""
         self.check_servers(servers)
-
-    def _broadcast_to(self, stub: EventStub, name: str) -> bool:
-        """Whether the owner's direct broadcast will reach a replica of
-        ``stub`` created on ``name`` now: the owner broadcasts (Section
-        III-F) and the producing launch or write is still windowed, so
-        ``name`` joins the ``replica_servers`` it carries."""
-        conn = self._connections.get(stub.owner_server) if stub.owner_server else None
-        if conn is None or not getattr(conn.daemon, "direct_event_broadcast", False):
-            return False
-        for cmd in conn.window.writer_index().get(stub.id, ()):
-            if isinstance(cmd.msg, (P.EnqueueKernelRequest, P.BufferDataUpload)):
-                cmd.msg.replica_servers = [*(cmd.msg.replica_servers or ()), name]
-                return True
-        return False
-
-    def replica_broadcast_targets(self, stub: EventStub) -> List[str]:
-        """The peer-daemon names a direct-broadcasting owner should push
-        ``stub``'s completion to — exactly the servers holding its
-        user-event replicas when the command is built, or empty when the
-        owner does not broadcast (Section III-F) or the event has no
-        replicas.  Carried on the launch/upload message so the daemon
-        never blankets peers outside the event's context (which would
-        waste s2s transfers and clog the status-before-create buffers
-        with entries no replica will ever consume)."""
-        if stub.owner_server is None or not stub.holders:
-            return []
-        conn = self._connections.get(stub.owner_server)
-        if conn is None or not getattr(conn.daemon, "direct_event_broadcast", False):
-            return []
-        return [
-            name
-            for name in stub.holders
-            if name in self._connections and self._connections[name].connected
-        ]
 
     def new_user_event_stub(self, context: ContextStub) -> UserEventStub:
         """``clCreateUserEvent``: a user-event stub, with replicas where
@@ -1486,9 +1451,10 @@ class DOpenCLDriver:
             return False
         buffer.adopt(as_uint8_array(payload))
         self.clock.advance_to(arrival)
-        # The push's arrival is the transfer-completion truth for any
-        # deferred-read event this apply satisfies.
-        self._fetch_completions[buffer.id] = (arrival, arrival)
+        # The push's arrival is the transfer-completion truth for the
+        # read group this apply satisfies, if one is resolving.
+        if buffer.id in self._fetch_completions:
+            self._fetch_completions[buffer.id] = (arrival, arrival)
         self.stats.push_commits += 1
         return True
 

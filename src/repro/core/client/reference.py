@@ -165,14 +165,13 @@ class ReferenceDriver(DOpenCLDriver):
             ids.append(ev.id)
         return ids
 
-    def relay_completion(self, stub: EventStub, arrival: float, direct: bool) -> None:
-        """Unless the owner broadcast it, one synchronous request per
-        other server of the context (each replica's creation already
-        round-tripped)."""
-        if direct:
-            return
-        for conn in stub.context.unique_servers:
-            if conn.name != stub.owner_server and conn.connected:
+    def relay_completion(self, stub: EventStub, arrival: float) -> None:
+        """One synchronous request per replica holder (each replica's
+        creation already round-tripped); an internal transfer event
+        holds none and relays nowhere."""
+        for name in stub.holders:
+            conn = self._connections[name]
+            if conn.connected:
                 self.transport.post(
                     conn, P.SetUserEventStatusRequest(event_id=stub.id, status=CL_COMPLETE), arrival
                 )

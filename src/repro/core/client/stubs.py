@@ -169,8 +169,8 @@ class QueueStub:
 class Resident:
     """The residency record every compound stub shares: which servers
     hold the object, and in what state (``holders``: server name ->
-    state — a kernel's bound argument encodings, whether an event
-    replica hears of the completion from the owner's broadcast).
+    state — a kernel's bound argument encodings; ``None`` for a buffer
+    copy or an event replica).
 
     The reference path creates a compound object on every server of its
     context and records them all.  On the pipeline an object exists only
@@ -409,11 +409,10 @@ class EventStub(Resident):
     The *original* event lives on ``owner_server``; the servers in
     ``holders`` got a user-event replica with the same ID — every other
     server of the context on the reference path, on the pipeline the
-    servers where a command waited on the unresolved event.  A holder's
-    state is True when the owner's direct broadcast (Section III-F)
-    reaches it.  When the daemon's completion callback arrives, the
-    client records the arrival time and relays the status to the other
-    holders (Section III-D).
+    servers where a command waited on the unresolved event.  When the
+    daemon's completion callback arrives, the client records the arrival
+    time and relays the status to every holder (Section III-D); an
+    event with no holders (an internal transfer event) relays nowhere.
 
     With asynchronous batched forwarding the command that produces this
     event may still sit in a send window; the driver attaches a *flush

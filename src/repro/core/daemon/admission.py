@@ -1,10 +1,9 @@
 """Per-daemon admission control and multi-tenant backpressure policy.
 
 A daemon serving one client can afford to be generous: every buffer it
-holds, every buffered status-before-create entry, every pending
-notification belongs to the only tenant there is.  Under N concurrent
-clients the same generosity turns into a fairness hazard — one runaway
-client can exhaust the registry, the status buffers or the session
+holds, every pending notification belongs to the only tenant there is.
+Under N concurrent clients the same generosity turns into a fairness
+hazard — one runaway client can exhaust the registry or the session
 table and starve its siblings.  This module centralises the bounds the
 daemon enforces *per client* (and per process), so contention degrades
 the offender, never the neighbours:
@@ -19,14 +18,7 @@ the offender, never the neighbours:
   ``CL_OUT_OF_RESOURCES`` (counted in ``NetStats.quota_rejections``);
   under deferred creations the provisional ID poisons exactly like any
   other failed creation, so dependents are answered positionally and
-  the error surfaces at the client's next sync point;
-* **status-buffer bound** (``max_pending_statuses``) — the per-client
-  ceiling on buffered status-before-create entries; ``None`` keeps the
-  module-wide default
-  (:data:`~repro.core.daemon.daemon.PENDING_EVENT_STATUS_LIMIT`).
-  Overflow policy is unchanged: an error reply on the request path, a
-  counted drop (``NetStats.dropped_event_statuses``) on the
-  callback path.
+  the error surfaces at the client's next sync point.
 
 Every bound is per *client name*, matching the registry's namespace
 keying — the isolation boundary of the whole daemon (see
@@ -54,9 +46,6 @@ class AdmissionPolicy:
     max_clients: Optional[int] = None
     #: Maximum live registry objects per client (``None`` = unbounded).
     max_objects_per_client: Optional[int] = None
-    #: Per-client status-before-create buffer bound (``None`` = the
-    #: module default ``PENDING_EVENT_STATUS_LIMIT``).
-    max_pending_statuses: Optional[int] = None
 
 
 class AdmissionControl:
@@ -94,8 +83,3 @@ class AdmissionControl:
                 f"admission control: client {client!r} holds {live_objects} "
                 f"objects (quota {quota})",
             )
-
-    def status_limit(self, default: int) -> int:
-        """The effective per-client status-before-create bound."""
-        limit = self.policy.max_pending_statuses
-        return default if limit is None else limit

@@ -25,12 +25,11 @@ positionally with the original error, without executing (the
 ``guard``/``observe`` hooks of ``install_batch_dispatch``), and a
 ``closes_batch`` request (``clFinish``) may only come last.
 
-Event statuses tolerate wire-level reordering: a
-``SetUserEventStatusRequest`` (or Section III-F direct broadcast)
-arriving before the replica's creation replays is buffered and applied
-the moment the replica registers — the daemon-side half of what lets
-replica bookkeeping stay in program order instead of being hoisted ahead
-of every flush.
+Event statuses rely on the same program order: the client sends a
+``SetUserEventStatusRequest`` only to a server holding the user-event
+replica, behind that replica's ``CreateUserEventRequest`` on the same
+connection, so a status always finds its replica registered; one for
+an id that was never created answers ``CL_INVALID_EVENT``.
 
 In *managed mode* (Section IV-A) the daemon registers its devices with the
 central device manager, accepts connections only with a valid
@@ -41,7 +40,6 @@ that client's lease.
 from __future__ import annotations
 
 import functools
-from collections import OrderedDict
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.protocol import messages as P
@@ -70,25 +68,6 @@ from repro.core.daemon.registry import Registry
 from repro.sim.errors import CommunicationError
 
 
-#: Bound on the buffered status-before-create entries **per client**.
-#: Every buffered status has a guaranteed consumer — relays land behind
-#: the replica's creation in the same window, and direct broadcasts
-#: target exactly the replica holders (``replica_servers``) — so the
-#: buffer only holds statuses whose creations are in flight and drains
-#: at the next batch replay.  Hitting the bound therefore means
-#: statuses are outrunning replica creations without bound (a feedback
-#: bug, cf. ``MAX_DRAIN_PASSES``), never backpressure.  The overflow
-#: policy must stay non-raising all the same: ``deliver_event_status``
-#: is also invoked from daemon-side event callbacks (the Section III-F
-#: direct broadcast), where an exception would unwind the owning
-#: daemon's completion machinery instead of reaching any client — so an
-#: overflowing status is *dropped and counted*
-#: (``NetStats.dropped_event_statuses``), and the request path turns
-#: the drop into an error reply the client can surface.  Bounding per
-#: client keeps one runaway client from consuming another client's
-#: budget.
-PENDING_EVENT_STATUS_LIMIT = 4096
-
 #: Immediate re-send budget for event-completion notifications.  A
 #: notification is fired from inside an OpenCL event callback, where an
 #: exception would unwind the daemon's completion machinery instead of
@@ -115,8 +94,7 @@ class Daemon:
         self.network = network
         self.gcf = GCFProcess(name or host.name, host, network)
         #: Multi-tenant resource bounds (session cap, per-client registry
-        #: quota, status-buffer bound); the default policy is fully
-        #: permissive.  See :mod:`repro.core.daemon.admission`.
+        #: quota); the default policy is fully permissive.  See :mod:`repro.core.daemon.admission`.
         self.admission = AdmissionControl(admission)
         # Accepting a client costs real session setup on the server (GCF
         # process objects, per-client state) — part of the init overhead
@@ -145,20 +123,6 @@ class Daemon:
         #: releasing the buffer drops all of its rows; volatile — dies
         #: with :meth:`crash`.
         self._push_staging: Dict[Tuple[str, int, int], Tuple[object, float]] = {}
-        #: Section III-F extension: when True, this daemon broadcasts event
-        #: completions directly to the peer daemons holding the user-event
-        #: replicas ("event status can be broadcasted directly by the
-        #: server that owns the original event") instead of relying on the
-        #: client to relay them.
-        self.direct_event_broadcast = False
-        #: client -> {event_id: (status, time)}: statuses that arrived
-        #: before the replica's deferred creation replayed (relay or
-        #: broadcast overtaking a still-windowed CreateUserEventRequest);
-        #: applied — with the buffered time as causality floor — the
-        #: moment the replica registers.  Bounded per client (see
-        #: :data:`PENDING_EVENT_STATUS_LIMIT`); a second status for the
-        #: same replica keeps the *later* causality floor.
-        self._pending_event_status: Dict[str, "OrderedDict[int, Tuple[int, float]]"] = {}
         #: Content-addressed program build cache, serving the
         #: pipeline's ``BuildProgramCachedRequest``: one compile per
         #: unique ``(source digest, options)`` per daemon, with binaries
@@ -170,80 +134,6 @@ class Daemon:
         self._install_handlers()
 
     # ------------------------------------------------------------------
-    def deliver_event_status(self, client: str, event_id: int, status: int, t: float) -> bool:
-        """Apply a user-event status now, or buffer it until the
-        replica's in-flight creation registers (see class docstring).
-
-        Returns ``False`` when the status had to be *dropped* because
-        ``client``'s status-before-create buffer is full
-        (:data:`PENDING_EVENT_STATUS_LIMIT`); the drop is counted in
-        ``NetStats.dropped_event_statuses``.  Callers on the request
-        path turn that into an error reply; the broadcast-callback path
-        must never raise from inside a daemon's event callback, so
-        there the counted drop is the whole policy.
-
-        Two statuses can legitimately arrive for the same replica before
-        its creation replays — a deferred relay racing a Section III-F
-        direct broadcast — and each carries its own causality floor; the
-        buffered entry keeps the *first* status value (the applied-path
-        rule: a resolved replica ignores later updates) with the
-        **maximum** of the two times, so the replica can never resolve
-        earlier than the latest constraint either source established.
-
-        Residual limitation: a status arriving for an id that was
-        registered and then *released* cannot be told apart from a
-        not-yet-created one and lingers until disconnect — unreachable
-        through the current API (event releases are client-local),
-        bounded by the per-client limit."""
-        obj = self.registry.peek(client, event_id)
-        if isinstance(obj, UserEvent):
-            if not obj.resolved:
-                obj.set_status(status, t)
-            return True
-        if obj is not None:
-            return True  # registered, but not a replica: nothing to update
-        if self.registry.poison_info(client, (event_id,)) is not None:
-            return True  # the replica's creation failed: no consumer, ever
-        if client not in self.gcf.peers:
-            # The client disconnected (its namespace here is gone, and
-            # IDs are never reused): no creation can ever consume the
-            # status — dropping it mirrors the disconnect cleanup.
-            return True
-        pending = self._pending_event_status.setdefault(client, OrderedDict())
-        buffered = pending.get(event_id)
-        if buffered is not None:
-            # Second status for the same in-flight replica: the *first*
-            # status value wins — exactly as on the applied path, where
-            # a resolved replica ignores later updates — but the entry
-            # keeps the later causality floor (discarding it would let
-            # the replica resolve before the slower of the two sources
-            # allows).
-            status_buffered, t_buffered = buffered
-            pending[event_id] = (status_buffered, max(t_buffered, t))
-            return True
-        if len(pending) >= self.admission.status_limit(PENDING_EVENT_STATUS_LIMIT):
-            self.gcf.stats.dropped_event_statuses += 1
-            return False
-        pending[event_id] = (status, t)
-        return True
-
-    def _pop_pending_status(self, client: str, event_id: int) -> Optional[Tuple[int, float]]:
-        """Remove and return ``client``'s buffered status for
-        ``event_id`` (``None`` when nothing is buffered); empty
-        per-client tables are discarded."""
-        pending = self._pending_event_status.get(client)
-        if pending is None:
-            return None
-        entry = pending.pop(event_id, None)
-        if not pending:
-            del self._pending_event_status[client]
-        return entry
-
-    def pending_event_statuses(self, client: str) -> int:
-        """How many statuses are buffered ahead of their replica
-        creations for ``client`` (introspection for tests/debugging)."""
-        return len(self._pending_event_status.get(client, ()))
-
     def _admit_object(self, client: str) -> None:
         """Admission gate for every explicit creation handler: raises
         ``CL_OUT_OF_RESOURCES`` (counted in
@@ -268,15 +158,13 @@ class Daemon:
 
         All volatile state dies with the process: the object registry
         (every buffer, program, kernel, queue, event — and their data),
-        the status-before-create buffers, the client sessions and their
-        auth mappings, and the GCF peer table.  Clearing ``gcf.peers``
+        the client sessions and their auth mappings, and the GCF peer table.  Clearing ``gcf.peers``
         is what the client driver's liveness probe observes
         (``Transport.attempt``), so a crash is detected as an
         immediate connection reset rather than a timeout.  The
         incarnation counter lets tests distinguish pre- and post-crash
         state after a :meth:`restart`."""
         self.registry = Registry()
-        self._pending_event_status.clear()
         self._push_staging.clear()
         self.client_auth.clear()
         self.auth_devices.clear()
@@ -557,11 +445,6 @@ class Daemon:
             error = getattr(response, "error", 0)
             if not error:
                 return
-            if isinstance(sub, P.CreateUserEventRequest):
-                # The replica will never register (creation failed or was
-                # poison-skipped): discard any status buffered for it, or
-                # the entry would sit in the pending table forever.
-                self._pop_pending_status(sender.name, sub.event_id)
             _reads, creates = P.request_handles(sub)
             # A failed (or skipped) command poisons what it promised to
             # create AND what it mutates in place: for the latter the
@@ -604,7 +487,6 @@ class Daemon:
             # Abnormal-termination reclamation (Section IV-C): report the
             # invalidated auth ID so the device manager frees the devices.
             auth = self.client_auth.pop(client_name, None)
-            self._pending_event_status.pop(client_name, None)
             for _obj_id, obj in self.registry.drop_client(client_name):
                 if isinstance(obj, Buffer):
                     obj.release()
@@ -756,9 +638,7 @@ class Daemon:
                 buffer, as_uint8_array(payload), arrival, msg.offset, wait
             )
             self.registry.put(sender.name, msg.event_id, event)
-            self._arm_completion_callback(
-                event, msg.event_id, sender, replica_servers=msg.replica_servers
-            )
+            self._arm_completion_callback(event, msg.event_id, sender)
 
         def read_sections(msg: P.CoalescedBufferDownload, t: float, sender: GCFProcess):
             # The section table is validated before anything enqueues, so
@@ -1027,7 +907,6 @@ class Daemon:
                     event,
                     msg.event_id,
                     sender,
-                    replica_servers=msg.replica_servers,
                     push_hints=msg.push_hints,
                 )
                 return P.EnqueueKernelResponse(), t
@@ -1041,46 +920,22 @@ class Daemon:
             ctx = self._ctx(sender.name, msg.context_id)
             event = UserEvent(ctx, t)
             self.registry.put(sender.name, msg.event_id, event)
-            # A relay or direct broadcast may have overtaken this
-            # (deferred) creation on the wire; apply the buffered
-            # status now, with the buffered time as causality floor.
-            pending = self._pop_pending_status(sender.name, msg.event_id)
-            if pending is not None:
-                status, t_status = pending
-                event.set_status(status, max(t, t_status))
 
         @ack_handler(P.SetUserEventStatusRequest)
         def set_user_event_status(msg: P.SetUserEventStatusRequest, t: float, sender: GCFProcess):
-            # One delivery policy for every status source (app
-            # fan-out, relay, broadcast): apply to the replica,
-            # ignore duplicates for already-resolved ones, buffer
-            # statuses whose replica creation has not replayed yet.
-            # msg.min_time is the relay's causality floor: a status
-            # riding an early-dispatched batch still takes effect no
-            # sooner than the completion it reports became knowable
-            # here (see SetUserEventStatusRequest).
-            delivered = self.deliver_event_status(
-                sender.name, msg.event_id, msg.status, max(t, msg.min_time)
-            )
-            if not delivered:
-                # The request path's half of the overflow policy:
-                # the status was dropped (buffer full), so the
-                # client gets a faithful error reply instead of a
-                # silently lost completion.
-                raise CLError(
-                    ErrorCode.CL_OUT_OF_RESOURCES,
-                    f"daemon {self.name!r}: event-status buffer "
-                    f"full ({PENDING_EVENT_STATUS_LIMIT} statuses "
-                    "buffered ahead of their replica creations "
-                    "for this client)",
-                )
+            # Every status source (app fan-out, relay) names a replica
+            # created ahead of it in program order; a resolved replica
+            # ignores duplicates.  msg.min_time is the relay's causality
+            # floor: a status riding an early-dispatched batch still
+            # takes effect no sooner than the completion it reports
+            # became knowable here (see SetUserEventStatusRequest).
+            event = self.registry.get(sender.name, msg.event_id, UserEvent)
+            if not event.resolved:
+                event.set_status(msg.status, max(t, msg.min_time))
 
         @ack_handler(P.ReleaseEventRequest)
         def release_event(msg, t, sender):
             self.registry.pop(sender.name, msg.event_id)
-            # A status buffered for the now-released replica has no
-            # consumer any more (client IDs are never reused).
-            self._pop_pending_status(sender.name, msg.event_id)
 
         # -- device manager ------------------------------------------------------
         @gcf.on_notification(P.LeaseAssignNotification)
@@ -1187,23 +1042,11 @@ class Daemon:
         event: Event,
         event_id: int,
         client: GCFProcess,
-        replica_servers: Optional[List[str]] = None,
         push_hints: Optional[List[Dict[str, object]]] = None,
     ) -> None:
         """clSetEventCallback on the original event: notify the client on
         completion so it can replicate the status to user-event replicas
-        on other servers (Section III-D).
-
-        With :attr:`direct_event_broadcast`, ``replica_servers`` (set by
-        the client on the launch/upload message — exactly the peers
-        holding user-event replicas of this event) receive the status
-        straight from this daemon (Section III-F).  Each target applies
-        it immediately or, if the replica's deferred creation has not
-        replayed yet, buffers it (:meth:`deliver_event_status`) — the
-        broadcast can therefore never race a windowed creation, and it
-        never touches daemons outside the event's replica set (whose
-        buffers no create would ever drain).  Internal transfer events
-        have no replicas and pass nothing."""
+        on other servers (Section III-D)."""
 
         def on_complete(_event, status, t_complete):
             # Speculative pushes run first, at the kernel's completion
@@ -1226,20 +1069,6 @@ class Daemon:
                     t_complete,
                 )
             )
-            if self.direct_event_broadcast and replica_servers:
-                for name in replica_servers:
-                    peer = self.peer_daemons.get(name)
-                    if peer is None:
-                        continue
-
-                    def broadcast(peer=peer):
-                        arrival = self.network.transfer(
-                            self.host, peer.host, t_complete, 96, tag="s2s-event"
-                        )
-                        peer.deliver_event_status(client.name, event_id, 0, arrival)
-
-                    self._send_from_callback(broadcast)
-
         event.set_callback(on_complete)
 
     def _send_from_callback(self, send) -> bool:

@@ -284,12 +284,7 @@ class BufferDataUpload(Request):
     which the daemon's write sub-command applies at the section's
     arrival, answering an :class:`Ack`.  The reference path
     (``batch_window=0``) sends it as the init of its own bulk stream,
-    answered by a :class:`BufferDataResponse`.
-
-    ``replica_servers`` names the peer daemons holding user-event
-    replicas of ``event_id`` — set only when the receiving daemon runs
-    the Section III-F direct broadcast, so it targets exactly the
-    replica holders instead of blanketing every peer."""
+    answered by a :class:`BufferDataResponse`."""
 
     # Mutated: a skipped or failed write leaves the daemon's copy without
     # the bytes the directory already credits it with.
@@ -299,7 +294,6 @@ class BufferDataUpload(Request):
     offset: int
     nbytes: int
     wait_event_ids: List[int] = reads()
-    replica_servers: List[str] = None
 
 
 @message_type(deferrable=True)
@@ -525,10 +519,6 @@ class EnqueueKernelRequest(Request):
     """``clEnqueueNDRangeKernel`` — fire-and-forget from the client's
     point of view, so it rides the send window.
 
-    ``replica_servers`` names the peer daemons holding user-event
-    replicas of ``event_id`` (see :class:`BufferDataUpload`); only
-    populated when the owning daemon runs the direct broadcast.
-
     ``push_hints`` piggybacks the client planner's directory hints
     (PR 9): one dict per writable buffer argument whose access history
     shows a stable producer->consumer edge, carrying ``buffer_id``,
@@ -550,7 +540,6 @@ class EnqueueKernelRequest(Request):
     local_size: List[int] = None  # empty/None -> implementation choice
     global_offset: List[int] = None
     wait_event_ids: List[int] = reads(default=None)
-    replica_servers: List[str] = None
     push_hints: List[Dict[str, object]] = None
     args: List[List[object]] = None
     program_id: int = reads(default=None)
@@ -583,9 +572,11 @@ class SetUserEventStatusRequest(Request):
 
     Sent by the application (``clSetUserEventStatus`` fan-out) and by
     the client driver's completion *relay* when an original event
-    finishes on its owning server.  Relays are deferrable: they join the
-    replica server's send window, where program order guarantees the
-    replica's :class:`CreateUserEventRequest` precedes them.
+    finishes on its owning server, only ever to a server holding the
+    replica.  Relays are deferrable: they join the replica server's send
+    window, where program order guarantees the replica's
+    :class:`CreateUserEventRequest` precedes them.  A status for an id
+    the daemon never registered answers ``CL_INVALID_EVENT``.
 
     ``min_time`` is the causality floor: the daemon applies the status
     no earlier than this virtual time.  A deferred relay may ride a

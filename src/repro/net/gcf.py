@@ -162,11 +162,6 @@ class NetStats:
         Targeted sync points that dispatched only a window *prefix*
         (up to the awaited handle's producer), leaving causally
         unrelated commands after it windowed.
-    ``dropped_event_statuses``
-        Daemon-side: early event statuses dropped because the sending
-        client's status-before-create buffer was full (the bounded
-        overflow policy — an error reply on the request path, a counted
-        drop on the broadcast-callback path).
     ``timeouts``
         Client-side: transport attempts that failed with a
         :class:`~repro.sim.errors.CommunicationError` and were charged
@@ -324,7 +319,6 @@ class NetStats:
         "kernels_created_on_launch",
         "folded_kernel_args",
         "prefix_flushes",
-        "dropped_event_statuses",
         "timeouts",
         "retries",
         "replayed_batches",

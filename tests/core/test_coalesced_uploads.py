@@ -111,11 +111,12 @@ def test_coalescing_saves_round_trips_and_bytes(monkeypatch):
     creation and ahead of the launch, their bytes as its sections: the
     launch and its ``clFinish`` cost one batch per daemon (the other
     daemon's carries the context and the build), where the reference
-    path pays a round trip per creation, per upload init and for the
-    launch and the finish."""
+    path pays a round trip per upload init, for the launch event's
+    replica on the other daemon and its relay, and for the launch and
+    the finish (an upload's event holds no replica: no relay)."""
     dep_w, _, _, trips_w, batches = _run_two_buffer_kernel(True, monkeypatch=monkeypatch)
     dep_r, _, _, trips_r, _ = _run_two_buffer_kernel(False)
-    assert (trips_w, trips_r) == (2, 10)
+    assert (trips_w, trips_r) == (2, 7)
     (launch,) = [b for b in batches if any(type(m) is P.EnqueueKernelRequest for m in b[0])]
     msgs, sections = launch
     kinds = [type(msg) for msg in msgs]

@@ -159,43 +159,27 @@ def test_release_unknown_object(setup):
     assert out.response.error == ErrorCode.CL_INVALID_VALUE.value
 
 
-def test_failed_replica_create_discards_buffered_status(setup):
-    """A status buffered ahead of its replica's creation is discarded
-    when that creation fails — otherwise the entry would sit in the
-    pending table until disconnect (the buffer's every-entry-has-a-
-    consumer invariant)."""
+def test_status_for_a_never_created_event_is_invalid(setup):
+    """A status names a replica created ahead of it in program order; one
+    for an id the daemon never registered answers ``CL_INVALID_EVENT``
+    and registers nothing.  Behind a failed creation in a batch, the
+    batch guard skips it with the creation's error."""
     _, daemon, client = setup
-    client.connect(daemon.gcf, 0.0)  # buffering requires a live client
-    daemon.deliver_event_status("client", 99, 0, 1.0)
-    assert daemon.pending_event_statuses("client") == 1
-    # The creation fails (unknown context): the buffered status goes too.
-    client.request_batch(
-        daemon.gcf, [P.CreateUserEventRequest(event_id=99, context_id=424242)], 0.0
+    client.connect(daemon.gcf, 0.0)
+    out = client.request(daemon.gcf, P.SetUserEventStatusRequest(event_id=99, status=0), 0.0)
+    assert out.response.error == ErrorCode.CL_INVALID_EVENT.value
+    batch = client.request_batch(
+        daemon.gcf,
+        [
+            P.CreateUserEventRequest(event_id=55, context_id=424242),  # no such context
+            P.SetUserEventStatusRequest(event_id=55, status=0),
+        ],
+        1.0,
     )
-    assert daemon.pending_event_statuses("client") == 0
-
-
-def test_status_for_poisoned_replica_is_not_buffered(setup):
-    """A status arriving after the replica's creation already failed has
-    no consumer — buffering it would leak the entry until disconnect."""
-    _, daemon, client = setup
-    client.connect(daemon.gcf, 0.0)
-    client.request_batch(
-        daemon.gcf, [P.CreateUserEventRequest(event_id=55, context_id=424242)], 0.0
-    )  # fails -> event ID 55 poisoned
-    daemon.deliver_event_status("client", 55, 0, 1.0)
-    assert daemon.pending_event_statuses("client") == 0
-
-
-def test_status_after_client_disconnect_is_not_buffered(setup):
-    """A broadcast landing after the client disconnected (its namespace
-    and poison table are gone) must be dropped, not buffered under a
-    key no creation can ever drain."""
-    _, daemon, client = setup
-    client.connect(daemon.gcf, 0.0)
-    client.disconnect(daemon.gcf, 1.0)
-    daemon.deliver_event_status("client", 77, 0, 2.0)
-    assert daemon.pending_event_statuses("client") == 0
+    create, status = batch.responses
+    assert create.error == status.error == ErrorCode.CL_INVALID_CONTEXT.value
+    assert "skipped" in status.detail
+    assert daemon.registry.count("client") == 0
 
 
 def test_poison_skipped_commands_still_charge_dispatch_time(setup):
@@ -259,16 +243,6 @@ def test_batch_refuses_sub_commands_outside_the_deferrable_registry(setup):
     sync = client.request(daemon.gcf, P.BuildProgramRequest(program_id=3), 2.0)
     assert type(sync.response) is P.BuildProgramResponse and not sync.response.error
     assert daemon.gcf.stats.programs_built == built + 1
-
-
-def test_status_for_non_replica_object_is_not_buffered(setup):
-    """A status delivered for an ID registered as something other than a
-    user-event replica updates nothing and must not be buffered under a
-    key no creation will ever drain."""
-    _, daemon, client = setup
-    client.request(daemon.gcf, P.CreateContextRequest(context_id=7, device_ids=[0]), 0.0)
-    daemon.deliver_event_status("client", 7, 0, 1.0)
-    assert daemon.pending_event_statuses("client") == 0
 
 
 def test_registry_poison_blocks_registered_objects_too(setup):

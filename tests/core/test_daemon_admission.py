@@ -1,6 +1,6 @@
 """Daemon admission control and backpressure under multi-tenancy.
 
-An :class:`~repro.core.daemon.admission.AdmissionPolicy` bounds three
+An :class:`~repro.core.daemon.admission.AdmissionPolicy` bounds two
 per-daemon resources a hostile or runaway tenant could otherwise
 exhaust:
 
@@ -10,9 +10,7 @@ exhaust:
 * **registry objects** — ``max_objects_per_client`` quotas each
   client's live objects; an over-quota creation answers
   ``CL_OUT_OF_RESOURCES`` (``NetStats.quota_rejections``) and, being an
-  ordinary failed creation, composes with deferred-creation poisoning;
-* **status buffers** — ``max_pending_statuses`` overrides the
-  status-before-create bound (see ``test_event_status_delivery``).
+  ordinary failed creation, composes with deferred-creation poisoning.
 
 All limits are per client, so one tenant hitting its bound never
 consumes a sibling's budget.
@@ -29,7 +27,7 @@ from repro.hw.specs import GIGABIT_ETHERNET, GPU_SERVER, WESTMERE_NODE
 from repro.net import GCFProcess, Network
 from repro.net.link import ConnectionRefused
 from repro.ocl import CLError, ErrorCode
-from repro.ocl.constants import CL_COMPLETE, CL_MEM_READ_WRITE
+from repro.ocl.constants import CL_MEM_READ_WRITE
 from repro.testbed import deploy_dopencl
 
 
@@ -54,13 +52,11 @@ def test_default_policy_imposes_no_limits():
     control = AdmissionControl(None)
     control.check_connect(10_000)
     control.check_create("anyone", 10_000)
-    assert control.status_limit(4096) == 4096
-    assert AdmissionControl(AdmissionPolicy()).status_limit(7) == 7
 
 
 def test_policy_checks_raise_cl_errors():
     control = AdmissionControl(
-        AdmissionPolicy(max_clients=1, max_objects_per_client=2, max_pending_statuses=3)
+        AdmissionPolicy(max_clients=1, max_objects_per_client=2)
     )
     control.check_connect(0)
     with pytest.raises(CLError) as err:
@@ -69,7 +65,6 @@ def test_policy_checks_raise_cl_errors():
     control.check_create("a", 1)
     with pytest.raises(CLError):
         control.check_create("a", 2)
-    assert control.status_limit(4096) == 3
 
 
 # ----------------------------------------------------------------------
@@ -186,17 +181,3 @@ def test_quota_rejection_composes_with_deferred_creation_poisoning():
     assert err.value.code == ErrorCode.CL_OUT_OF_RESOURCES
     assert deployment.daemons[0].gcf.stats.quota_rejections >= 1
 
-
-# ----------------------------------------------------------------------
-# status-buffer bound override
-# ----------------------------------------------------------------------
-def test_policy_overrides_the_status_buffer_bound():
-    daemon, net = make_daemon(AdmissionPolicy(max_pending_statuses=2))
-    make_client(net, daemon, "a")
-    assert daemon.deliver_event_status("a", 1, CL_COMPLETE, 1.0)
-    assert daemon.deliver_event_status("a", 2, CL_COMPLETE, 1.0)
-    assert daemon.deliver_event_status("a", 3, CL_COMPLETE, 1.0) is False
-    assert daemon.gcf.stats.dropped_event_statuses == 1
-    # Per client: the sibling's buffer is untouched by the hog's bound.
-    make_client(net, daemon, "b")
-    assert daemon.deliver_event_status("b", 1, CL_COMPLETE, 1.0)

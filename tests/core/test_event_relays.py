@@ -1,11 +1,11 @@
 """Deferred event-completion relays (the PR-2 pipeline extension).
 
 Covers: relays joining send windows instead of round-tripping, the
-create-before-status ordering guarantee (both the in-window ordering the
-deferral relies on and the hoisting the direct broadcast needs),
-suppression of relays for replica-less events, virtual-time causality of
-relayed completions, and the synchronous reference path
-(``batch_window=0``).
+create-before-status ordering guarantee (the in-window ordering the
+deferral relies on), a status only ever naming a registered replica
+(replica-less events relay nowhere, on both sides of ``batch_window``),
+virtual-time causality of relayed completions, and the synchronous
+reference path (``batch_window=0``).
 """
 
 import numpy as np
@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.protocol import messages as P
 from repro.hw.cluster import make_ib_cpu_cluster
-from repro.ocl import CL_MEM_COPY_HOST_PTR, CL_MEM_READ_WRITE, CL_MEM_WRITE_ONLY, CLError
+from repro.ocl import CL_MEM_COPY_HOST_PTR, CL_MEM_READ_WRITE, CL_MEM_WRITE_ONLY
 from repro.ocl.event import UserEvent
 from repro.testbed import deploy_dopencl
 
@@ -139,49 +139,38 @@ def test_deferred_relay_never_races_windowed_replica_create():
     assert replica.resolved
 
 
-def test_direct_broadcast_before_windowed_replica_create_is_buffered():
-    """With the Section III-F direct broadcast, the peer daemon learns
-    of the completion the instant the original completes — mid-dispatch
-    of the owner's batch, while the replica's CreateUserEventRequest may
-    still sit in its send window.  The status-before-create tolerance
-    (the hoisting machinery's replacement) buffers the broadcast; the
-    create applies it when it replays, no earlier than the broadcast's
-    arrival."""
-    deployment, api, devices, ctx, queue, buf, kernel, n = _prepared()
-    for daemon in deployment.daemons:
-        daemon.direct_event_broadcast = True
-    driver = deployment.driver
-    event = api.clEnqueueNDRangeKernel(queue, kernel, (n,))
-    _wait_elsewhere(api, ctx, devices, kernel, event, n)
-    # The replica create for the other server is still windowed here;
-    # flushing only the owner dispatches the launch, whose completion the
-    # owner daemon broadcasts directly to its peers.
-    assert driver.pending_commands(devices[1].server.name) > 0
-    driver.flush_connection(driver.connection(devices[0].server.name))
-    daemon = deployment.daemon_on(devices[1].server.name)
-    # No replica registered yet: the broadcast was buffered, not lost.
-    assert daemon.registry.peek(driver.gcf.name, event.id) is None
-    assert driver.pending_commands(devices[1].server.name) > 0
-    driver.flush_all()  # the create replays and applies the status
-    replica = daemon.registry.get(driver.gcf.name, event.id, UserEvent)
-    assert replica.resolved
-    assert replica.end >= event.completed_at
-
-
-def test_replica_less_events_do_not_relay():
+@pytest.mark.parametrize("batch_window", [None, 0])
+def test_replica_less_events_do_not_relay(batch_window):
     """Internal transfer/read events have no user-event replicas; their
-    completions must produce zero relay traffic (PR-1 used to send one
-    error-answered request per server)."""
-    deployment, api, devices, ctx, queue, buf, kernel, n = _prepared()
+    completions must produce zero relay traffic on either side: every
+    status a daemon receives across a launch that uploads and a read
+    that downloads names a ``UserEvent`` replica registered there (the
+    reference path once posted each transfer event's completion to every
+    other context server)."""
+    deployment, api, devices, ctx, queue, buf, kernel, n = _prepared(batch_window=batch_window)
     driver = deployment.driver
-    api.clEnqueueNDRangeKernel(queue, kernel, (n,))
+    statuses = []
+    for daemon in deployment.daemons:
+        handler = daemon.gcf._request_handlers[P.SetUserEventStatusRequest]
+
+        def spy(msg, t, sender, daemon=daemon, handler=handler):
+            replica = daemon.registry.peek(sender.name, msg.event_id)
+            statuses.append((daemon.name, msg.event_id, type(replica).__name__))
+            return handler(msg, t, sender)
+
+        daemon.gcf._request_handlers[P.SetUserEventStatusRequest] = spy
+    event = api.clEnqueueNDRangeKernel(queue, kernel, (n,))  # uploads buf
+    _wait_elsewhere(api, ctx, devices, kernel, event, n)  # a replica that relays
     api.clFinish(queue)
     suppressed_before = driver.stats.relays_suppressed
     data, _ = api.clEnqueueReadBuffer(queue, buf)  # read event: no replicas
     np.testing.assert_allclose(data.view(np.float32), 2.0)
-    assert driver.stats.relays_suppressed > suppressed_before
+    if batch_window is None:
+        assert driver.stats.relays_suppressed > suppressed_before
     # And nothing surfaced as a deferred failure at the next sync point.
     driver.flush_all()
+    assert statuses, "the cross-server wait relays one status"
+    assert all(kind == "UserEvent" for _name, _id, kind in statuses), statuses
 
 
 def test_reference_path_relays_synchronously():

@@ -656,19 +656,19 @@ def test_a_tenant_round_is_a_batch_of_one_launch():
 
 
 def test_a_tenant_launch_sends_its_unused_lists_as_none():
-    """A tenant round's launch leaves ``local_size``, ``global_offset``,
-    ``wait_event_ids`` and ``replica_servers`` at their ``None``
-    defaults: each sits ahead of the argument entries the launch
-    carries, so each crosses, and ``None`` encodes in 1 B where an empty
-    list takes 2 B — 39 B where empty lists would make 43 B (its
-    ``np.float32`` argument crosses as a 5-byte single)."""
+    """A tenant round's launch leaves ``local_size``, ``global_offset``
+    and ``wait_event_ids`` at their ``None`` defaults: each sits ahead of
+    the argument entries the launch carries, so each crosses, and
+    ``None`` encodes in 1 B where an empty list takes 2 B — 38 B where
+    empty lists would make 41 B (its ``np.float32`` argument crosses as
+    a 5-byte single)."""
     _deployment, batches = _tenant_rounds(1)
     launches = [msg for msgs in batches for msg in msgs if isinstance(msg, P.EnqueueKernelRequest)]
     assert len(launches) == 3
     for launch in launches:
         assert launch.local_size is launch.global_offset is None
-        assert launch.wait_event_ids is launch.replica_servers is None
-        assert launch.encoded_size() == len(launch.to_wire()) == 39
+        assert launch.wait_event_ids is None
+        assert launch.encoded_size() == len(launch.to_wire()) == 38
 
 
 # ----------------------------------------------------------------------
@@ -691,7 +691,7 @@ def test_a_folded_launch_is_priced_as_its_encoding(entries, creation):
     program_id, name = creation or (None, None)
     msg = P.EnqueueKernelRequest(
         queue_id=3, kernel_id=9, event_id=12, global_size=[32], local_size=[],
-        global_offset=[], wait_event_ids=[], replica_servers=[], push_hints=None,
+        global_offset=[], wait_event_ids=[], push_hints=None,
         args=[[index, value] for index, value in entries] or None,
         program_id=program_id, name=name,
     )

@@ -11,7 +11,8 @@ whose download rides its own queue on the daemon it downloads from is
 ordered behind its in-order predecessor there, so it need not wait that
 predecessor out first; one downloading from another daemon must.  A
 blocking read gangs only siblings of its own source.  Released buffers
-leave the read gangs' candidate pool at once.
+leave the read gangs' candidate pool at once, and a landed gang sibling
+leaves no completion record behind.
 """
 
 import numpy as np
@@ -220,3 +221,15 @@ def test_a_released_buffer_leaves_the_gang_pool_at_once(release):
     expected = np.zeros(NBYTES // 4, dtype=np.int32)
     expected[:ITEMS] = 2
     np.testing.assert_array_equal(data.view(np.int32), expected)
+
+
+def test_a_gang_sibling_leaves_no_fetch_completion_behind():
+    """A blocking read of ``a`` gangs ``b``: ``b``'s section lands with
+    no read of ``b`` pending, so it records no completion, and nothing
+    outlives the read or ``clReleaseMemObject(b)``."""
+    deployment, api, _ctx, queue, (a, b) = _result_buffers(False)
+    before = deployment.driver.stats.coalesced_reads
+    api.clEnqueueReadBuffer(queue, a)
+    assert deployment.driver.stats.coalesced_reads - before == 1  # b rode a's download
+    api.clReleaseMemObject(b)
+    assert deployment.driver._fetch_completions == {}

@@ -7,10 +7,14 @@ once, at construction; no pipeline code asks which side it is on.  A new keyword
 deployment or driver surface — or a new conformance configuration, a
 second conformance executor, a snapshot outside the benchdiff table —
 fails here until it is argued for.  So does a second way to talk to a
-daemon: the client reaches GCF through one transport module.
+daemon: the client reaches GCF through one transport module.  So does a
+second way to deliver an event status: the client relays a completion
+to the replicas it created, and nothing buffers a status for a replica
+that does not exist.
 """
 
 import ast
+import dataclasses
 import glob
 import inspect
 import os
@@ -18,12 +22,15 @@ import re
 
 import pytest
 
+import repro.core.protocol.messages  # registers the protocol's message classes
 from repro.bench import conformance
 from repro.core.client import api as client_api
 from repro.core.client.driver import DOpenCLDriver
 from repro.core.client.reference import ReferenceDriver
 from repro.core.client.resilience import RetryPolicy
+from repro.core.daemon.admission import AdmissionPolicy
 from repro.hw.cluster import make_ib_cpu_cluster
+from repro.net.messages import registered_types
 from repro.testbed import deploy_dopencl
 from repro.tools.benchdiff import SNAPSHOTS, snapshot_path
 
@@ -279,3 +286,27 @@ def test_one_read_path():
     for path in sorted(glob.glob(os.path.join(package, "*.py"))):
         with open(path) as fh:
             assert "read_rides_drain" not in fh.read(), path
+
+
+def test_one_status_rule():
+    """A completion goes only to a replica that exists: the daemon
+    admits no status-buffer bound (``AdmissionPolicy`` bounds sessions
+    and registry objects only), no message names the peer daemons a
+    completion should be broadcast to (``replica_servers``), and no
+    module of ``repro`` carries the direct-broadcast switch."""
+    assert {f.name for f in dataclasses.fields(AdmissionPolicy)} == {
+        "max_clients", "max_objects_per_client",
+    }
+    carriers = [
+        name
+        for name, cls in registered_types().items()
+        if "replica_servers" in {f.name for f in dataclasses.fields(cls)}
+    ]
+    assert not carriers, carriers
+    package = os.path.dirname(inspect.getsourcefile(client_api))
+    root = os.path.dirname(os.path.dirname(package))
+    paths = glob.glob(os.path.join(root, "**", "*.py"), recursive=True)
+    assert os.path.join(root, "core", "daemon", "daemon.py") in paths
+    for path in paths:
+        with open(path) as fh:
+            assert "direct_event_broadcast" not in fh.read(), path
