@@ -26,8 +26,8 @@ API object it is handed.  Three drivers deploy, arm and compare:
   client programs on disjoint and overlapping daemon subsets of one
   shared deployment, interleaved at op granularity by a seed-replayable
   schedule.  Every tenant's observables must be bit-identical to its
-  solo run, and the daemons' per-client registries, status buffers and
-  build cache are audited.
+  solo run, and the daemons' per-client registries, admission counters
+  and build cache are audited.
 * :func:`run_seed_with_faults` (``--faults``) — the program under a
   deterministic fault schedule (:func:`fault_plan`: drops, delays,
   truncated bulk streams, link severs, daemon crashes — see
@@ -414,8 +414,6 @@ class ProgramRun:
         self.reads: Dict[int, bytes] = {}
         self.errors: List[object] = []
         self.build_logs: Dict[int, str] = {}
-        #: IDs of the buffers the program released for good.
-        self.released: List[int] = []
         #: op index -> ``(array, event)`` of every ``read_async ...
         #: later`` op, checked by :meth:`finalize`.
         self.pending_reads: Dict[int, Tuple] = {}
@@ -571,7 +569,6 @@ class ProgramRun:
                 cl.clRetainMemObject(scratch)
                 cl.clReleaseMemObject(scratch)
                 cl.clReleaseMemObject(scratch)
-                self.released.append(scratch.id)
             if variant in (1, 2):
                 kernel = cl.clCreateKernel(require(program), kernel_name)
                 cl.clRetainKernel(kernel)
@@ -648,7 +645,6 @@ class ProgramRun:
                 except CLError:
                     errors.append(op_index)
                 cl.clReleaseMemObject(bad)
-                self.released.append(bad.id)
             else:
                 # The creation raised eagerly.  Under deferred creations
                 # that means a window-overflow flush surfaced one server's
@@ -671,9 +667,8 @@ class ProgramRun:
         ``reads`` (op index -> bytes of every mid-run read), ``final``
         (buffer index -> bytes after the full drain), ``directories``
         (buffer index -> coherence state map), ``errors``, ``build_logs``
-        (op index -> ``clGetProgramBuildInfo`` log of every build op),
-        ``released`` (IDs of the buffers it released) and, for a guarded
-        run, ``lost`` (buffers whose only valid copy
+        (op index -> ``clGetProgramBuildInfo`` log of every build op)
+        and, for a guarded run, ``lost`` (buffers whose only valid copy
         died with a daemon)."""
         cl = self.cl
         for qi, queue in enumerate(self.queues):
@@ -712,7 +707,6 @@ class ProgramRun:
             },
             "errors": self.errors,
             "build_logs": self.build_logs,
-            "released": self.released,
         }
         if self.guarded:
             outcome["lost"] = sorted(
@@ -737,7 +731,6 @@ def run_program(spec: Dict[str, object], flags: Dict[str, object]) -> Dict[str, 
     )
     probe = CausalityProbe(deployment)
     outcome = ProgramRun.execute(deployment.api, spec)
-    _check_released_staging(deployment, [outcome])
     outcome["causality"] = probe.violations()
     daemon_stats = deployment.daemon_stats()
     outcome["objects"] = deployment.census()["objects"]
@@ -902,7 +895,6 @@ def run_multi_program(
         # aggregate round trips and the golden digests pin this.
         stats = driver.stats.snapshot()
         outcomes.append({**run.finalize(), "stats": stats})
-    _check_released_staging(deployment, outcomes)
     return outcomes, deployment
 
 
@@ -1040,8 +1032,8 @@ def fault_plan(schedule: str) -> FaultPlan:
     """Build a fresh :class:`FaultPlan` for a named schedule.
 
     Every schedule targets steady-state traffic — batches, bulk streams,
-    the s2s mesh, the request leg of the pipeline's one synchronous
-    coherence request (``BufferPeerTransferBatch``) — by tag
+    the request leg of the pipeline's one synchronous coherence request
+    (``BufferPeerTransferBatch``) — by tag
     (occurrence-counted, so the same program faults the same message
     every run) and carries the :data:`FAULT_WATCHDOG_TRANSFERS` budget.
     """
@@ -1058,7 +1050,6 @@ def fault_plan(schedule: str) -> FaultPlan:
             FaultAction("sever", nth=2, tag="CommandBatch", heal_after=None)
         ],
         "drop-request": [FaultAction("drop", nth=1, tag="BufferPeerTransferBatch")],
-        "sever-push": [FaultAction("sever", nth=1, tag="s2s-push", heal_after=1)],
         "sever-fetch": [
             FaultAction(
                 "sever", nth=1, tag="bulk:CoalescedBufferDownload", heal_after=1
@@ -1067,23 +1058,6 @@ def fault_plan(schedule: str) -> FaultPlan:
         "drop-section": [FaultAction("drop", nth=1, tag="bulk:BufferDataUpload")],
     }[schedule]
     return FaultPlan(actions=actions, max_transfers=FAULT_WATCHDOG_TRANSFERS)
-
-
-def push_fault_spec(seed: int) -> Dict[str, object]:
-    """The program the ``sever-push`` schedule replays: the generated
-    program for ``seed`` forced onto MOSI with a deterministic
-    cross-daemon producer->consumer loop appended, so the s2s push path
-    engages regardless of what the seed happened to draw.
-
-    The contract: cutting the s2s mesh under a speculative push (at the
-    first ``s2s-push`` transfer, healed one blocked transfer later)
-    must *degrade to demand fetch* — the owning daemon abandons the
-    push, the consumer pays the ordinary client-mediated transfer, and
-    every observable stays bit-identical to the fault-free run."""
-    spec = generate_program(seed)
-    spec["protocol"] = "mosi"
-    spec["ops"] = list(spec["ops"]) + [("loop", 0, 1, 0, 1, 1.25, 4)]
-    return spec
 
 
 def deferred_read_fault_spec(seed: int) -> Dict[str, object]:
@@ -1156,17 +1130,14 @@ def peer_transfer_fault_spec(seed: int) -> Dict[str, object]:
 
 
 #: Schedules that replay a *forced* program instead of the seed's
-#: generated one: a random program is not guaranteed to emit any
-#: ``s2s-push`` traffic (MSI protocol, or no producer->consumer loop
-#: drawn), may resolve every deferred read off a staged push (no
-#: demand fetch at all), may draw no host write (no section on the
-#: wire) and no MOSI hop (no peer-transfer request).  ``schedule ->
-#: (spec builder, witness)``: the cell is vacuous — and fails — unless
-#: the fault-free baseline moved the witness ``NetStats`` counter and
-#: the schedule fired.  Only ``drop-request`` also runs in the generic
+#: generated one: a random program may resolve every deferred read off
+#: a staged push (no demand fetch at all), may draw no host write (no
+#: section on the wire) and no MOSI hop (no peer-transfer request).
+#: ``schedule -> (spec builder, witness)``: the cell is vacuous — and
+#: fails — unless the fault-free baseline moved the witness
+#: ``NetStats`` counter and the schedule fired.  Only ``drop-request`` also runs in the generic
 #: matrix (it is recoverable), on its forced program.
 FORCED_PROGRAMS = {
-    "sever-push": (push_fault_spec, "push_commits"),
     "sever-fetch": (deferred_read_fault_spec, "deferred_reads"),
     "drop-section": (write_fault_spec, "bulk_sends"),
     "drop-request": (peer_transfer_fault_spec, "coalesced_peer_transfers"),
@@ -1208,7 +1179,6 @@ def run_program_resilient(
             injector.register_crash_hook(daemon.host.name, daemon.crash)
     probe = CausalityProbe(deployment)
     outcome = ProgramRun.execute(deployment.api, spec, guarded=True)
-    _check_released_staging(deployment, [outcome])
     outcome["causality"] = probe.violations()
     outcome["objects"] = deployment.census()["objects"]
     outcome["stats"] = deployment.driver.stats.snapshot()
@@ -1313,15 +1283,6 @@ class CausalityProbe:
                     f"{what} reads at {start!r}, before its copy's write lands at {landed!r}"
                 )
         return found
-
-
-def _check_released_staging(deployment, outcomes: List[Dict[str, object]]) -> None:
-    """No daemon keeps a staged push for a buffer its client's program
-    released: the release drops every staged row of the buffer."""
-    for driver, outcome in zip(deployment.drivers, outcomes):
-        for daemon in deployment.daemons:
-            rows = daemon.staged_pushes(driver.gcf.name, set(outcome["released"]))
-            assert not rows, f"{daemon.name}: {rows} staged pushes outlive released buffers"
 
 
 def _check_causality(tag: str, violations: List[str]) -> None:

@@ -199,12 +199,7 @@ class DOpenCLDriver:
         #: replica bytes that arrived on a completion notification,
         #: awaiting an epoch-validated apply at a sync point.
         self._staged_pushes: Dict[int, Tuple[int, object, float]] = {}
-        #: ``buffer id -> (epoch, daemon name)``: commit records for
-        #: replicas staged *at a peer daemon*, awaiting the deferred
-        #: :class:`~repro.core.protocol.messages.PushCommit` a planned
-        #: server-to-server leg converts them into.
-        self._peer_commits: Dict[int, Tuple[int, str]] = {}
-        #: ``buffer id -> epoch`` of the last client-destined push hint:
+        #: ``buffer id -> epoch`` of the last push hint:
         #: a read of that epoch waits for the push instead of folding
         #: its download into the producer's batch.
         self._client_push_epochs: Dict[int, int] = {}
@@ -275,21 +270,15 @@ class DOpenCLDriver:
     def _on_daemon_lost(self, conn: ServerConnection, code: int, reason: str) -> None:
         """The driver's half of a daemon-loss declaration (the transport
         marked the connection dead): poison every unresolved event homed
-        on the daemon, evict its replicas from every coherence directory
-        and drop the commit records it can no longer apply.  Never
-        raises — it can run inside a notification handler's flush."""
+        on the daemon and evict its replicas from every coherence
+        directory.  Never raises — it can run inside a notification
+        handler's flush."""
         for stub in self._events.values():
             if stub.owner_server == conn.name and not stub.resolved:
                 stub.poisoned = (code, reason)
         for context in self.contexts:
             for buffer in context.live_buffers:
                 self.stats.evicted_replicas += buffer.planner.evict(conn.name, reason=reason)
-        # Commit records destined for the dead daemon can never be
-        # applied (the staged bytes died with its process).
-        for buffer_id, (_epoch, target) in list(self._peer_commits.items()):
-            if target == conn.name:
-                del self._peer_commits[buffer_id]
-                self.stats.wasted_pushes += 1
 
     @property
     def stats(self):
@@ -1363,16 +1352,14 @@ class DOpenCLDriver:
         count the speculation as wasted."""
         if self._staged_pushes.pop(buffer.id, None) is not None:
             self.stats.wasted_pushes += 1
-        if self._peer_commits.pop(buffer.id, None) is not None:
-            self.stats.wasted_pushes += 1
 
     def plan_push_hints(
         self, buffers: Sequence[BufferStub], server_name: str
     ) -> Optional[List[Dict[str, object]]]:
         """The push hints riding a kernel launch on ``server_name``
         whose writable arguments are ``buffers``: one hint per buffer
-        with a stable producer->consumer edge
-        (:meth:`~repro.core.coherence.planner.TransferPlanner.
+        whose stable producer->consumer edge predicts a push to the
+        client (:meth:`~repro.core.coherence.planner.TransferPlanner.
         predict_push_target`), labeled with the epoch the kernel's
         write is about to create.  ``None`` (field omitted from the
         wire) when pushes are off or nothing predicts — the launch
@@ -1385,57 +1372,30 @@ class DOpenCLDriver:
             if buffer.id in seen or buffer.size <= 0:
                 continue
             seen.add(buffer.id)
-            target = buffer.planner.predict_push_target(server_name)
-            if target is None:
+            if buffer.planner.predict_push_target(server_name) is None:
                 continue
-            if target != CLIENT:
-                dst = self._connections.get(target)
-                if dst is None or not dst.connected or dst.dead:
-                    continue
-            hints.append(
-                {
-                    "buffer_id": buffer.id,
-                    "epoch": buffer.planner.epoch + 1,
-                    "target": target,
-                }
-            )
-            if target == CLIENT:
-                self._client_push_epochs[buffer.id] = buffer.planner.epoch + 1
+            hints.append({"buffer_id": buffer.id, "epoch": buffer.planner.epoch + 1})
+            self._client_push_epochs[buffer.id] = buffer.planner.epoch + 1
             self.stats.speculative_pushes += 1
         return hints or None
 
     def _record_pushes(self, msg: P.EventCompleteNotification, arrival: float) -> None:
-        """Stage the push piggyback of a completion notification.
-
-        Client-destined payloads park in :attr:`_staged_pushes`;
-        peer-destined commit records in :attr:`_peer_commits`.  Nothing
-        is applied here — a notification handler must not touch buffer
+        """Stage the push piggyback of a completion notification: the
+        payloads park in :attr:`_staged_pushes`.  Nothing is applied
+        here — a notification handler must not touch buffer
         bytes or directory state; sync points consume the staging under
         the epoch check.  Overwriting an unconsumed entry counts it
         wasted (a newer push exists only because a newer epoch does,
         so the old entry could never have been applied)."""
         if not self.push_transfers:
             return
-        for buffer_id, epoch, target, payload in zip(
-            msg.push_buffer_ids, msg.push_epochs, msg.push_targets, msg.push_payloads
-        ):
-            if target == CLIENT:
-                if self._staged_pushes.pop(buffer_id, None) is not None:
-                    self.stats.wasted_pushes += 1
-                self._staged_pushes[buffer_id] = (epoch, payload, arrival)
-            else:
-                dst = self._connections.get(target)
-                if dst is None or not dst.connected or dst.dead:
-                    # Staged at a daemon this client can no longer
-                    # commit to: the speculation is lost.
-                    self.stats.wasted_pushes += 1
-                    continue
-                if self._peer_commits.pop(buffer_id, None) is not None:
-                    self.stats.wasted_pushes += 1
-                self._peer_commits[buffer_id] = (epoch, target)
+        for buffer_id, epoch, payload in zip(msg.push_buffer_ids, msg.push_epochs, msg.push_payloads):
+            if self._staged_pushes.pop(buffer_id, None) is not None:
+                self.stats.wasted_pushes += 1
+            self._staged_pushes[buffer_id] = (epoch, payload, arrival)
 
     def _apply_staged_push(self, buffer: BufferStub) -> bool:
-        """Consume a staged client-destined push for ``buffer``: apply
+        """Consume a staged push for ``buffer``: apply
         the bytes and return True iff the staged epoch matches the
         buffer's *current* epoch (no write was enqueued since the push
         was hinted — the bytes are provably the current version).  A
@@ -1455,38 +1415,6 @@ class DOpenCLDriver:
         # read group this apply satisfies, if one is resolving.
         if buffer.id in self._fetch_completions:
             self._fetch_completions[buffer.id] = (arrival, arrival)
-        self.stats.push_commits += 1
-        return True
-
-    def _apply_peer_push(self, buffer: BufferStub, dst_name: str) -> bool:
-        """Convert a staged peer push into its deferred
-        :class:`~repro.core.protocol.messages.PushCommit`, replacing a
-        planned ``src -> dst_name`` demand hop.  The commit joins
-        ``dst``'s send window (zero round trips now) annotated as
-        writing the buffer handle: per-daemon program order lands the
-        apply before any deferred command that reads the replica, so —
-        unlike the demand path — no destination flush is needed.
-        Returns True iff the epoch check passed and the commit was
-        deferred; a stale or undeliverable record is dropped and
-        counted wasted."""
-        record = self._peer_commits.get(buffer.id)
-        if record is None or record[1] != dst_name:
-            return False
-        del self._peer_commits[buffer.id]
-        epoch, _target = record
-        if epoch != buffer.planner.epoch:
-            self.stats.wasted_pushes += 1
-            return False
-        dst = self._connections.get(dst_name)
-        if dst is None or not dst.connected or dst.dead:
-            self.stats.wasted_pushes += 1
-            return False
-        self.precede(dst, [buffer])
-        self.defer(
-            dst,
-            P.PushCommit(buffer_id=buffer.id, epoch=epoch),
-            writes=[buffer.id],
-        )
         self.stats.push_commits += 1
         return True
 
@@ -1858,12 +1786,6 @@ class DOpenCLDriver:
         for buffer in buffers:
             handles.extend(self.buffer_sync_handles(buffer))
         self.flush_for_handles(handles, raise_errors=False)
-        # Sections already staged at the destination by a current-epoch
-        # push commit via their deferred PushCommit and drop out (see
-        # :meth:`_apply_peer_push`).
-        remaining = [b for b in buffers if not self._apply_peer_push(b, dst_name)]
-        if not remaining:
-            return
         src = self.connection(src_name)
         # The destination copies are created in its window (a lost source
         # raised above, before any was), and the window may hold commands
@@ -1872,17 +1794,17 @@ class DOpenCLDriver:
         dst = self._connections.get(dst_name)
         if dst is not None and dst.connected:
             if not dst.dead:
-                self.precede(dst, remaining)
+                self.precede(dst, buffers)
             self.flush_connection(dst)
         if len(buffers) > 1:
             self.stats.coalesced_peer_transfers += 1
-            self.stats.coalesced_peer_transfer_sections += len(remaining)
+            self.stats.coalesced_peer_transfer_sections += len(buffers)
         self.roundtrip(
             src,
             P.BufferPeerTransferBatch(
                 peer_name=dst_name,
-                buffer_ids=[b.id for b in remaining],
-                nbytes_list=[b.size for b in remaining],
+                buffer_ids=[b.id for b in buffers],
+                nbytes_list=[b.size for b in buffers],
             ),
         )
 

@@ -19,13 +19,15 @@ routes its coherence traffic through.  The planner
   edge — the two most recent closed kernel epochs written by the same
   daemon and read by the same consumer — predicts that the *next*
   write by that daemon will be consumed the same way, so the daemon
-  can stream the replica at kernel completion, overlapping the
-  transfer with the next iteration's compute (the HDArray-style
-  schedule derived from observed access information).
+  can send the replica to the client with the kernel's completion
+  notification, overlapping the transfer with the next iteration's
+  compute (the HDArray-style schedule derived from observed access
+  information).  A push only ever targets the client: a server
+  consumer gets its bytes by the demand route when it needs them.
 
 Epochs are the push protocol's safety token: a hint carries the epoch
-its kernel's write will create, the daemon labels the staged bytes and
-the commit record with it, and the client only consumes a staged push
+its kernel's write will create, the daemon labels the pushed bytes
+with it, and the client only consumes a staged push
 whose epoch equals the buffer's *current* epoch.  Any intervening
 write bumps the epoch, so a speculative push that lost the race is
 discarded (counted in ``NetStats.wasted_pushes``), never observed.
@@ -192,18 +194,19 @@ class TransferPlanner:
 
     # -- prediction ----------------------------------------------------
     def predict_push_target(self, writer: str) -> Optional[str]:
-        """The party a push should target if ``writer``'s upcoming
-        kernel write fits the buffer's stable producer->consumer edge;
-        ``None`` when the history shows no such edge.
+        """:data:`CLIENT` if ``writer``'s upcoming kernel write fits the
+        buffer's stable producer->consumer edge and the client is the
+        push's consumer; ``None`` otherwise.
 
         The edge is stable when the :data:`STABLE_EPOCHS` most recent
         closed kernel epochs were written by ``writer`` and share a
         consumer other than the writer.  Under MSI every transfer is
-        client-mediated, so the push always targets the client (a
+        client-mediated, so any such consumer is served by the push (a
         staged client copy serves both a direct client read and the
-        "revalidate client copy" leg of a server miss); under MOSI a
-        server consumer receives the replica directly over the peer
-        mesh."""
+        "revalidate client copy" leg of a server miss); under MOSI an
+        edge whose consumers are servers only predicts nothing: the
+        consumer's hop takes the demand route when it needs the
+        bytes."""
         if len(self._history) < STABLE_EPOCHS:
             return None
         recent = list(self._history)[-STABLE_EPOCHS:]
@@ -213,11 +216,9 @@ class TransferPlanner:
                 return None
             consumers = set(readers) if consumers is None else consumers & readers
         consumers = (consumers or set()) - {writer}
-        if not consumers:
+        if not consumers or (CLIENT not in consumers and isinstance(self.directory, MOSIDirectory)):
             return None
-        if CLIENT in consumers or not isinstance(self.directory, MOSIDirectory):
-            return CLIENT
-        return min(consumers)
+        return CLIENT
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

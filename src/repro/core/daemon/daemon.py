@@ -44,10 +44,8 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.protocol import messages as P
 from repro.hw.node import Host
-from repro.net.codec import encoded_size
 from repro.net.gcf import GCFProcess
 from repro.net.link import ConnectionRefused
-from repro.net.messages import MESSAGE_HEADER_BYTES
 from repro.net.network import Network
 from repro.net.streams import as_uint8_array
 from repro.ocl.constants import CL_DEVICE_TYPE_ALL, ErrorCode
@@ -113,16 +111,6 @@ class Daemon:
         #: Peer daemons by name, for server-to-server transfers
         #: (Section III-F).  Wired by the client driver on connect.
         self.peer_daemons: Dict[str, "Daemon"] = {}
-        #: ``(client name, buffer id, epoch) -> (bytes, available_at)``:
-        #: replica bytes pushed here speculatively by the owning daemon
-        #: (:meth:`receive_peer_push`), parked until the client's deferred
-        #: :class:`~repro.core.protocol.messages.PushCommit` for that
-        #: epoch applies them.  One row per epoch: a newer push never
-        #: overwrites bytes whose commit is still in the client's window
-        #: (:meth:`push_commit` drops the older rows it supersedes), and
-        #: releasing the buffer drops all of its rows; volatile — dies
-        #: with :meth:`crash`.
-        self._push_staging: Dict[Tuple[str, int, int], Tuple[object, float]] = {}
         #: Content-addressed program build cache, serving the
         #: pipeline's ``BuildProgramCachedRequest``: one compile per
         #: unique ``(source digest, options)`` per daemon, with binaries
@@ -165,7 +153,6 @@ class Daemon:
         incarnation counter lets tests distinguish pre- and post-crash
         state after a :meth:`restart`."""
         self.registry = Registry()
-        self._push_staging.clear()
         self.client_auth.clear()
         self.auth_devices.clear()
         self.gcf.peers.clear()
@@ -607,8 +594,6 @@ class Daemon:
             obj = self.registry.pop(sender.name, msg.buffer_id)
             if isinstance(obj, Buffer):
                 obj.release()
-            for key in [k for k in self._push_staging if k[:2] == (sender.name, msg.buffer_id)]:
-                del self._push_staging[key]  # no commit can apply them any more
 
         @gcf.on_request(P.BufferDataUpload)
         def upload_init(msg: P.BufferDataUpload, t: float, sender: GCFProcess, section=None):
@@ -756,36 +741,6 @@ class Daemon:
                 dst_buffer.adopt(src_buffer.lend())
                 dst_buffer.last_write = arrival
             return arrival
-
-        @ack_handler(P.PushCommit)
-        def push_commit(msg: P.PushCommit, t: float, sender: GCFProcess):
-            """The client-authorised apply of a speculative peer push
-            (PR 9).  The rule: a commit applies the bytes staged for its
-            own epoch and drops the rows of older epochs of the buffer
-            (their commits can only come later by replay); a newer
-            epoch's row stays for its own commit, which may still be in
-            the client's window.  Riding the destination's send window in
-            program order guarantees the apply lands before any deferred
-            command that reads the replica.  Missing staging (after a
-            crash wiped the staging table, or a replayed commit) answers
-            a deterministic error; the commit's mutation extractor then
-            poisons the buffer, so the stale replica can never be
-            silently read."""
-            buffer = self.registry.get(sender.name, msg.buffer_id, Buffer)
-            staged = self._push_staging.pop((sender.name, msg.buffer_id, msg.epoch), None)
-            older = [k for k in self._push_staging if k[:2] == (sender.name, msg.buffer_id) and k[2] < msg.epoch]
-            for key in older:
-                del self._push_staging[key]
-            if staged is None:
-                raise CLError(
-                    ErrorCode.CL_INVALID_OPERATION,
-                    f"daemon {self.name!r}: no staged push for buffer "
-                    f"{msg.buffer_id} at epoch {msg.epoch}",
-                )
-            data, available_at = staged
-            buffer.adopt(as_uint8_array(data))
-            buffer.last_write = max(t, available_at)
-            return buffer.last_write
 
         # -- programs / kernels ----------------------------------------------
         @ack_handler(P.CreateProgramRequest)
@@ -952,89 +907,33 @@ class Daemon:
     # ------------------------------------------------------------------
     # daemon-initiated pushes (PR 9)
     # ------------------------------------------------------------------
-    def receive_peer_push(
-        self, client_name: str, buffer_id: int, epoch: int, data, available_at: float
-    ) -> None:
-        """Park the replica (lent storage) pushed here by the owner, keyed
-        ``(client_name, buffer_id, epoch)``, until the client's deferred
-        :class:`~repro.core.protocol.messages.PushCommit` for that epoch
-        validates and adopts it.  Never touches the registry buffer —
-        deferred commands already in this daemon's window may legitimately
-        read the pre-push version — and a push that lost a race with a
-        newer write is discarded by the epoch check, never observed."""
-        self._push_staging[(client_name, buffer_id, epoch)] = (data, available_at)
-
-    def staged_pushes(self, client_name: str, buffer_ids=None) -> int:
-        """How many pushed replicas are staged for ``client_name`` (of
-        ``buffer_ids`` only, if given) awaiting their commit."""
-        return sum(
-            1 for client, buffer_id, _ in self._push_staging
-            if client == client_name and (buffer_ids is None or buffer_id in buffer_ids)
-        )
-
-    def _execute_pushes(
-        self, push_hints: List[Dict[str, object]], client: GCFProcess, t_complete: float
-    ) -> Dict[str, list]:
+    def _execute_pushes(self, push_hints: List[Dict[str, object]], client: GCFProcess) -> Dict[str, list]:
         """Execute the client's push hints at kernel completion: lend each
         hinted buffer's post-kernel storage (a snapshot: a later write
-        copies first) to the predicted consumer, off the client's
-        critical path.
-
-        A client-destined replica rides the completion notification
-        itself (``push_payloads``); a peer-destined one moves over the
-        s2s mesh at ``s2s-push`` to the peer's :meth:`receive_peer_push`
-        (a direct call, its header priced as one message of buffer ID,
-        client name, epoch and size), with only the commit record (empty
-        payload) riding the notification.  Either way the
-        notification's hint piggyback tells the client what was staged,
-        at which epoch — consumption and the epoch race are resolved
-        entirely client-side.  A severed push link or a missing replica
-        skips the hint (no counters, no commit record): the consumer
-        simply demand-fetches, bit-identically.  Returns the
-        ``EventCompleteNotification`` push fields (empty when nothing
-        executed)."""
+        copies first) to the client, riding the completion notification
+        itself (``push_payloads``), off the client's critical path.  The
+        notification's piggyback tells the client what was pushed, at
+        which epoch — consumption and the epoch race are resolved
+        entirely client-side.  A missing replica skips the hint (no
+        counters): the client simply demand-fetches, bit-identically.
+        Returns the ``EventCompleteNotification`` push fields (empty
+        when nothing executed)."""
         ids: List[int] = []
         epochs: List[int] = []
-        targets: List[str] = []
         payloads: List[object] = []
         for hint in push_hints:
             buffer_id = int(hint["buffer_id"])
             buffer = self.registry.peek(client.name, buffer_id)
             if not isinstance(buffer, Buffer):
                 continue
-            target = str(hint["target"])
-            epoch = int(hint["epoch"])
-            if target == "client":
-                payload = memoryview(buffer.lend())
-            else:
-                peer = self.peer_daemons.get(target)
-                if peer is None or peer is self:
-                    continue
-                header = MESSAGE_HEADER_BYTES + encoded_size(
-                    (buffer_id, client.name, epoch, buffer.size)
-                )
-                try:
-                    arrival = self.network.transfer(
-                        self.host, peer.host, t_complete, header + buffer.size, tag="s2s-push"
-                    )
-                except CommunicationError:
-                    continue  # degraded to demand fetch, never half-pushed
-                peer.receive_peer_push(client.name, buffer_id, epoch, buffer.lend(), arrival)
-                payload = b""
             self.gcf.stats.daemon_pushes += 1
             self.gcf.stats.push_bytes += buffer.size
             ids.append(buffer_id)
-            epochs.append(epoch)
-            targets.append(target)
-            payloads.append(payload)
+            epochs.append(int(hint["epoch"]))
+            payloads.append(memoryview(buffer.lend()))
         if not ids:
             return {}
-        return {
-            "push_buffer_ids": ids,
-            "push_epochs": epochs,
-            "push_targets": targets,
-            "push_payloads": payloads,
-        }
+        return {"push_buffer_ids": ids, "push_epochs": epochs, "push_payloads": payloads}
 
     # ------------------------------------------------------------------
     def _arm_completion_callback(
@@ -1050,13 +949,14 @@ class Daemon:
 
         def on_complete(_event, status, t_complete):
             # Speculative pushes run first, at the kernel's completion
-            # time: the staged transfer overlaps the next iteration's
-            # compute instead of gating a later sync point.  A failed
+            # time: the pushed bytes ride this notification, overlapping
+            # the next iteration's compute instead of gating a later
+            # sync point.  A failed
             # kernel pushes nothing — there are no post-kernel bytes to
             # speculate on.
             push_fields: Dict[str, list] = {}
             if push_hints and status == 0:
-                push_fields = self._execute_pushes(push_hints, client, t_complete)
+                push_fields = self._execute_pushes(push_hints, client)
             self._send_from_callback(
                 lambda: self.gcf.notify(
                     client,

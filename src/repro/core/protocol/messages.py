@@ -345,26 +345,6 @@ class BufferPeerTransferBatch(Request):
     nbytes_list: List[int]
 
 
-@message_type(deferrable=True)
-class PushCommit(Request):
-    """Client -> consumer daemon: land a staged speculative push.
-
-    Deferrable (rides the consumer daemon's send window, zero round
-    trips): the client's sync point validated the push's commit record
-    against the buffer's current epoch, and program order lands the
-    apply before the consuming command.  The handler pops the staged
-    bytes into the registry copy; a missing or epoch-mismatched staging
-    entry (possible only after the consumer daemon crashed) is answered
-    with a deterministic error that surfaces at the next sync point —
-    it never writes stale bytes."""
-
-    # Read for the window graph (the consumer's closure must drain the
-    # commit); mutated because a failed or skipped commit leaves the
-    # daemon's copy pre-push while the directory believes it landed.
-    buffer_id: int = mutates()
-    epoch: int
-
-
 # ----------------------------------------------------------------------
 # programs / kernels
 # ----------------------------------------------------------------------
@@ -521,12 +501,11 @@ class EnqueueKernelRequest(Request):
 
     ``push_hints`` piggybacks the client planner's directory hints
     (PR 9): one dict per writable buffer argument whose access history
-    shows a stable producer->consumer edge, carrying ``buffer_id``,
-    the ``epoch`` this launch's write creates and the ``target`` party
-    (``"client"`` or a peer daemon name).  At kernel completion the
-    daemon streams the written replica toward the target speculatively
-    (``Daemon._execute_pushes``); absent under the ``push_transfers``
-    ablation flag.
+    shows a stable producer->consumer edge to the client, carrying
+    ``buffer_id`` and the ``epoch`` this launch's write creates.  At
+    kernel completion the daemon sends the written replica to the
+    client speculatively (``Daemon._execute_pushes``); absent under the
+    ``push_transfers`` ablation flag.
 
     ``program_id`` / ``name``: the kernel's creation, when the daemon
     lacks the kernel; ``args``: the ``[index, value]`` entries it has not
@@ -605,21 +584,19 @@ class EventCompleteNotification(Notification):
     """Sent by the daemon owning the original event when its status
     changes to CL_COMPLETE (registered via ``clSetEventCallback``).
 
-    The push protocol's commit records ride this notification (PR 9):
-    when the completed kernel carried ``push_hints``, the parallel
-    ``push_*`` lists describe each push the daemon executed —
-    ``push_targets[i]`` is ``"client"`` or a peer daemon name,
-    ``push_payloads[i]`` carries the replica bytes for client-destined
-    pushes (empty for peer pushes, whose bytes moved daemon-to-daemon),
-    and ``push_epochs[i]`` the sync epoch the client validates before
-    consuming.  One notification, zero extra round trips."""
+    The push protocol's replicas ride this notification (PR 9): when
+    the completed kernel carried ``push_hints``, the parallel ``push_*``
+    lists describe each push the daemon executed —
+    ``push_payloads[i]`` carries the replica bytes of buffer
+    ``push_buffer_ids[i]`` and ``push_epochs[i]`` the sync epoch the
+    client validates before consuming.  One notification, zero extra
+    round trips."""
 
     event_id: int
     status: int
     completed_at: float
     push_buffer_ids: List[int] = None
     push_epochs: List[int] = None
-    push_targets: List[str] = None
     push_payloads: List[bytes] = None
 
 

@@ -243,27 +243,24 @@ class NetStats:
 
     ``speculative_pushes``
         Client-side: push hints the transfer planner attached to
-        kernel launches (one per writable buffer argument with a
-        stable producer->consumer edge).  Zero under
-        ``push_transfers=False``.
+        kernel launches (one per writable buffer argument whose stable
+        producer->consumer edge predicts a push to the client).  Zero
+        under ``push_transfers=False``.
     ``daemon_pushes`` / ``push_bytes``
         Daemon-side: speculative replica pushes this daemon executed
-        at kernel completion (client-destined payloads riding the
-        completion notification, or direct s2s pushes to a peer
-        daemon), and the payload bytes they carried.  A push whose
-        transfer failed (severed link) is not counted — the consumer
-        demand-fetches instead.  Without faults, the sum over daemons
+        at kernel completion (payloads riding the completion
+        notification to the client), and the payload bytes they
+        carried.  A failed kernel, or a hint naming a buffer the
+        daemon does not hold, pushes nothing and counts nothing — the
+        client demand-fetches instead.  Without faults, the sum over daemons
         equals the clients' ``speculative_pushes``.
     ``push_commits``
         Client-side: staged pushes whose epoch matched the buffer's
         current epoch at a sync point and therefore replaced a demand
-        transfer (a client download served from staged bytes, or a
-        deferred :class:`~repro.core.protocol.messages.PushCommit`
-        replacing a peer-transfer round trip).
+        transfer (a client download served from staged bytes).
     ``wasted_pushes``
-        Client-side: staged pushes / commit records discarded without
-        being consumed — a newer write bumped the buffer's epoch, or
-        the target daemon was declared dead.  Structurally
+        Client-side: staged pushes discarded without being consumed —
+        a newer write bumped the buffer's epoch.  Structurally
         ``push_commits + wasted_pushes <= sum(daemon_pushes) <=
         speculative_pushes``, and a discarded push is *never* observed
         by application reads.

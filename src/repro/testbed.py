@@ -171,8 +171,7 @@ def deploy_dopencl(
     disjoint or overlapping daemon subsets.  The default ``None`` keeps
     every client on the full server set.  ``admission`` installs a
     per-daemon :class:`~repro.core.daemon.admission.AdmissionPolicy`
-    (session cap, per-client registry quota, status-buffer bound) on
-    every daemon.
+    (session cap, per-client registry quota) on every daemon.
 
     Every daemon owns a content-addressed build cache (with sibling
     binary shipping); the pipeline's builds go through it, while the

@@ -11,9 +11,8 @@ Since PR 9 the dump also covers the coherence layer: each daemon's
 **replica residency** (how many live buffers hold a valid copy on that
 daemon, by directory state — computed from the clients' coherence
 directories, which are the authoritative replica map) and its
-**push-protocol tallies** (executed pushes, pushed bytes, replicas
-still staged awaiting a commit), followed by a deployment-wide push
-summary with the hit/waste ratios
+**push-protocol tallies** (executed pushes and pushed bytes),
+followed by a deployment-wide push summary with the hit/waste ratios
 (``push_commits / speculative_pushes`` and
 ``wasted_pushes / speculative_pushes``), one line per client (round
 trips and the three kernel/fold counters) and one per host on its timelines: live
@@ -154,7 +153,6 @@ def cachestat_text(deployment) -> str:
     the deployment-wide push summary."""
     daemons: Iterable = getattr(deployment, "daemons", deployment)
     residency = replica_residency(deployment)
-    clients = [drv.gcf.name for drv in getattr(deployment, "drivers", [])]
     lines: List[str] = []
     for daemon in daemons:
         stats = daemon.gcf.stats
@@ -162,12 +160,8 @@ def cachestat_text(deployment) -> str:
         per_state = residency.get(daemon.name)
         if per_state:
             lines.append(f"  replicas: {_residency_line(per_state)}")
-        staged = sum(daemon.staged_pushes(client) for client in clients)
-        if stats.daemon_pushes or staged:
-            lines.append(
-                f"  pushes: executed={stats.daemon_pushes} "
-                f"bytes={stats.push_bytes} staged_pending={staged}"
-            )
+        if stats.daemon_pushes:
+            lines.append(f"  pushes: executed={stats.daemon_pushes} bytes={stats.push_bytes}")
         cache = daemon.buildcache
         lines.append(
             f"  build cache: {len(cache)}/{cache.capacity} entries, "

@@ -7,7 +7,7 @@ seed-replayable schedule — and each client's observables (buffer bytes,
 directory state, surfaced errors) must be bit-identical to the same
 program run *solo* on an otherwise-idle deployment.  Any cross-tenant
 bleed-through (registry collisions, window mixing, cache confusion,
-status-buffer theft) breaks the equality.
+a status reaching another tenant's event) breaks the equality.
 
 The matrix here is the tier-1 slice (``SEEDS`` x ``CLIENT_COUNTS``); the
 soak target is the CLI — ``PYTHONPATH=src python -m

@@ -51,24 +51,6 @@ def test_fault_matrix(seed, schedule):
 
 
 @pytest.mark.parametrize("seed", MATRIX_SEEDS)
-def test_severed_push_link_degrades_to_demand_fetch(seed):
-    """ISSUE-9 fault cell: cutting the s2s mesh under a speculative
-    push must fall back to the ordinary demand fetch with bit-identical
-    observables (``run_seed_with_faults`` carries the differential
-    assertions; ``push_fault_spec`` forces the seed's program onto MOSI
-    with a cross-daemon producer->consumer loop so the push path
-    engages)."""
-    summary = run_seed_with_faults(seed, "sever-push")
-    assert summary["fired"] >= 1, f"sever-push never fired for seed {seed}"
-    # The baseline run really pushed and the sever really cost commits —
-    # otherwise the degradation claim is untested.
-    assert (
-        summary["baseline_stats"]["push_commits"]
-        > summary["faulted_stats"]["push_commits"]
-    )
-
-
-@pytest.mark.parametrize("seed", MATRIX_SEEDS)
 def test_severed_deferred_fetch_degrades_deterministically(seed):
     """ISSUE-10 fault cell: severing the client<->daemon link at the
     exact bulk transfer that carries a deferred read's fetch must

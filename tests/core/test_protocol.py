@@ -193,12 +193,12 @@ def test_metadata_rows_name_registered_handled_requests(entries):
     what a batch can carry: role-tagged classes are all deferrable."""
     requests = _protocol_requests()
     tagged = {cls for cls in requests if _roles(cls)}
-    assert tagged and len(P.DEFERRABLE) == 20
+    assert tagged and len(P.DEFERRABLE) == 19
     for cls in P.DEFERRABLE | tagged:
         assert cls in requests, cls
         assert ("Daemon", "request") in entries.get(cls, []), cls.__name__
     changing = {cls for cls in requests if {"mutates", "releases"} & set(_roles(cls).values())}
-    assert len(changing) == 10 and changing <= tagged <= P.DEFERRABLE
+    assert len(changing) == 9 and changing <= tagged <= P.DEFERRABLE
 
 
 #: Stub-ID-looking fields that are *not* client stub IDs, so carry no
@@ -233,7 +233,6 @@ _OLD_DEFERRABLE = frozenset(
         P.CreateKernelRequest,
         P.SetKernelArgRequest,
         P.EnqueueKernelRequest,
-        P.PushCommit,
         P.CreateUserEventRequest,
         P.SetUserEventStatusRequest,
         P.FlushRequest,
@@ -279,7 +278,6 @@ _OLD_HANDLE_EXTRACTORS = {
         ),
         frozenset({m.event_id}),
     ),
-    P.PushCommit: lambda m: (frozenset({m.buffer_id}), _EMPTY),
     P.CreateUserEventRequest: lambda m: (
         frozenset({m.context_id}),
         frozenset({m.event_id}),
@@ -290,7 +288,6 @@ _OLD_HANDLE_EXTRACTORS = {
 
 _OLD_MUTATION_EXTRACTORS = {
     P.SetKernelArgRequest: lambda m: frozenset({m.kernel_id}),
-    P.PushCommit: lambda m: frozenset({m.buffer_id}),
     P.BuildProgramCachedRequest: lambda m: frozenset({m.program_id}),
 }
 

@@ -26,12 +26,16 @@ from repro.testbed import deploy_dopencl
 #: reader set), round 4's launch carries the hint.
 ROUNDS = 4
 
+#: Both protocols push to a client consumer (under MOSI the client is
+#: the only party a push may target); each test runs under both.
+PROTOCOLS = ("msi", "mosi")
 
-def _deployment_with_a_staged_push():
+
+def _deployment_with_a_staged_push(protocol):
     """Drive the producer->demand-read loop until a push payload is
     parked in the driver's staging, then stop *before* any sync point
     touches the buffer again."""
-    deployment = deploy_dopencl(make_ib_cpu_cluster(1))
+    deployment = deploy_dopencl(make_ib_cpu_cluster(1), coherence_protocol=protocol)
     cl = deployment.api
     devices = cl.clGetDeviceIDs(cl.clGetPlatformIDs()[0])
     ctx = cl.clCreateContext(devices)
@@ -61,16 +65,22 @@ def _deployment_with_a_staged_push():
 def test_the_loop_genuinely_stages_a_push():
     """Sanity for the fixture itself: the final launch was hinted and
     its payload is parked at the hinted (current) epoch."""
-    deployment, _cl, _queue, buf = _deployment_with_a_staged_push()
-    driver = deployment.driver
-    assert driver.stats.speculative_pushes == 1
-    assert buf.id in driver._staged_pushes
-    staged_epoch, _payload, _arrival = driver._staged_pushes[buf.id]
-    assert staged_epoch == buf.planner.epoch
+    for protocol in PROTOCOLS:
+        deployment, _cl, _queue, buf = _deployment_with_a_staged_push(protocol)
+        driver = deployment.driver
+        assert driver.stats.speculative_pushes == 1, protocol
+        assert buf.id in driver._staged_pushes, protocol
+        staged_epoch, _payload, _arrival = driver._staged_pushes[buf.id]
+        assert staged_epoch == buf.planner.epoch, protocol
 
 
 def test_staged_push_survives_an_aborted_fetch_and_feeds_the_retry():
-    deployment, cl, queue, buf = _deployment_with_a_staged_push()
+    for protocol in PROTOCOLS:
+        _abort_a_fetch_then_read(protocol)
+
+
+def _abort_a_fetch_then_read(protocol):
+    deployment, cl, queue, buf = _deployment_with_a_staged_push(protocol)
     driver = deployment.driver
     staged_epoch = driver._staged_pushes[buf.id][0]
     # The race: a blocking read's optimistic acquire marks the client

@@ -158,7 +158,7 @@ REPRO_TYPES = sorted(
 
 def test_every_protocol_class_is_covered():
     assert P.Ack in REPRO_TYPES and CommandBatch in REPRO_TYPES
-    assert len(REPRO_TYPES) >= 46
+    assert len(REPRO_TYPES) >= 45
 
 
 # ----------------------------------------------------------------------
@@ -292,9 +292,9 @@ EDGE_MESSAGES = [
         completed_at=1.5,
         push_buffer_ids=(4, 5, 6),
         push_epochs=[1, 2, 3],
-        push_targets=["client", "node1", "ünïcode"],
         push_payloads=[memoryview(b"abcd"), memoryview(_STRIDED), bytearray(b"xy")],
     ),
+    P.LeaseGrantedNotification(ticket="t-1", auth_id="ünïcode", server_names=["node1", "ünïcode", ""]),
     P.EnqueueKernelRequest(queue_id=1, kernel_id=2, event_id=3, global_size=(4, 4), local_size=[2, 2]),
     P.ListDevicesResponse(
         device_ids=[1, 2],
@@ -454,7 +454,7 @@ def test_class_ids_and_sizes_do_not_depend_on_import_order():
         for order in orders
     ]
     protocol = {name for name in runs[0]}
-    assert len(protocol) >= 46
+    assert len(protocol) >= 45
     for run in runs[1:]:
         assert {name: run[name] for name in protocol} == runs[0]
 

@@ -10,7 +10,8 @@ fails here until it is argued for.  So does a second way to talk to a
 daemon: the client reaches GCF through one transport module.  So does a
 second way to deliver an event status: the client relays a completion
 to the replicas it created, and nothing buffers a status for a replica
-that does not exist.
+that does not exist.  So does a second way to push: a speculative push
+goes only to the client; a server gets a buffer when a command needs it.
 """
 
 import ast
@@ -21,9 +22,13 @@ import os
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.core.protocol.messages  # registers the protocol's message classes
 from repro.bench import conformance
+from repro.core.coherence.directory import CLIENT, MOSIDirectory, MSIDirectory
+from repro.core.coherence.planner import TransferPlanner
 from repro.core.client import api as client_api
 from repro.core.client.driver import DOpenCLDriver
 from repro.core.client.reference import ReferenceDriver
@@ -303,10 +308,63 @@ def test_one_status_rule():
         if "replica_servers" in {f.name for f in dataclasses.fields(cls)}
     ]
     assert not carriers, carriers
+    for path in _repro_sources():
+        with open(path) as fh:
+            assert "direct_event_broadcast" not in fh.read(), path
+
+
+def _repro_sources():
+    """Every module file under ``src/repro``."""
     package = os.path.dirname(inspect.getsourcefile(client_api))
     root = os.path.dirname(os.path.dirname(package))
     paths = glob.glob(os.path.join(root, "**", "*.py"), recursive=True)
     assert os.path.join(root, "core", "daemon", "daemon.py") in paths
-    for path in paths:
+    return paths
+
+
+#: Names of the deleted server-to-server push: its commit message, the
+#: daemon's staging table and receiver, and the transfer tag.
+PEER_PUSH_NAMES = ("PushCommit", "receive_peer_push", "_push_staging", "s2s-push")
+
+SERVERS = ("s0", "s1", "s2")
+
+
+def test_no_server_to_server_push():
+    """No module of ``repro`` names the server-to-server push, and a
+    completion names no push target: every push is the client's."""
+    assert "push_targets" not in {
+        f.name for f in dataclasses.fields(repro.core.protocol.messages.EventCompleteNotification)
+    }
+    for path in _repro_sources():
         with open(path) as fh:
-            assert "direct_event_broadcast" not in fh.read(), path
+            text = fh.read()
+        assert not [name for name in PEER_PUSH_NAMES if name in text], path
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    protocol=st.sampled_from((MSIDirectory, MOSIDirectory)),
+    epochs=st.lists(
+        st.tuples(
+            st.sampled_from(SERVERS),
+            st.frozensets(st.sampled_from(SERVERS), min_size=1),
+        ),
+        min_size=2,
+        max_size=6,
+    ),
+)
+def test_a_push_is_predicted_only_for_the_client(protocol, epochs):
+    """A history whose consumers are servers only predicts the client
+    under MSI (a server's miss there is client-mediated) and nothing
+    under MOSI (the consumer's hop takes the demand route)."""
+    planner = TransferPlanner(protocol(list(SERVERS)))
+    for writer, readers in epochs:
+        planner.note_kernel_write(writer)
+        for reader in sorted(readers):
+            planner.acquire_read(reader)
+    planner.note_kernel_write(epochs[-1][0])
+    for writer in SERVERS:
+        target = planner.predict_push_target(writer)
+        assert target in (CLIENT, None)
+        if protocol is MOSIDirectory:
+            assert target is None
