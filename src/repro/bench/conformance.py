@@ -699,10 +699,7 @@ class ProgramRun:
             "reads": self.reads,
             "final": final,
             "directories": {
-                bi: never_created if buffer is None else {
-                    party: state.value
-                    for party, state in buffer.coherence.state.items()
-                }
+                bi: never_created if buffer is None else buffer.coherence.party_states()
                 for bi, buffer in enumerate(self.buffers)
             },
             "errors": self.errors,
@@ -1032,8 +1029,8 @@ def fault_plan(schedule: str) -> FaultPlan:
     """Build a fresh :class:`FaultPlan` for a named schedule.
 
     Every schedule targets steady-state traffic — batches, bulk streams,
-    the request leg of the pipeline's one synchronous coherence request
-    (``BufferPeerTransferBatch``) — by tag
+    the request leg of the batch a MOSI hop (``BufferPeerTransferBatch``)
+    closes — by tag
     (occurrence-counted, so the same program faults the same message
     every run) and carries the :data:`FAULT_WATCHDOG_TRANSFERS` budget.
     """
@@ -1049,7 +1046,9 @@ def fault_plan(schedule: str) -> FaultPlan:
         "sever-permanent": [
             FaultAction("sever", nth=2, tag="CommandBatch", heal_after=None)
         ],
-        "drop-request": [FaultAction("drop", nth=1, tag="BufferPeerTransferBatch")],
+        "drop-request": [
+            FaultAction("drop", nth=1, tag="CommandBatch+BufferPeerTransferBatch")
+        ],
         "sever-fetch": [
             FaultAction(
                 "sever", nth=1, tag="bulk:CoalescedBufferDownload", heal_after=1

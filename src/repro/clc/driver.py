@@ -19,6 +19,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
+from repro.clc.access import program_summaries
 from repro.clc.codegen import compile_module
 from repro.clc.errors import CLCompileError
 from repro.clc.parser import parse
@@ -63,6 +64,11 @@ class CompiledKernel:
     def arg_kinds(self):
         return self.info.arg_kinds
 
+    @property
+    def access(self) -> Dict[int, tuple]:
+        """The kernel's access summaries (:mod:`repro.clc.access`)."""
+        return self.program.summaries().get(self.name, {})
+
 
 @dataclass
 class CompiledProgram:
@@ -74,6 +80,16 @@ class CompiledProgram:
     kernels: Dict[str, CompiledKernel] = field(default_factory=dict)
     python_source: str = field(repr=False, default="")
     build_log: str = ""
+    _summaries: Optional[dict] = field(repr=False, default=None)
+
+    def summaries(self) -> Dict[str, Dict[int, tuple]]:
+        """Every kernel's access summaries, derived once: from the
+        analysed AST, or — for a program rebuilt from a binary, which
+        carries none — from a front-end pass over its source."""
+        if self._summaries is None:
+            analyzed = self.analyzed or analyze(parse(_expand(self.source, self.options)))
+            self._summaries = program_summaries(analyzed)
+        return self._summaries
 
     def kernel(self, name: str) -> CompiledKernel:
         try:
@@ -82,12 +98,8 @@ class CompiledProgram:
             raise CLCompileError(f"no kernel named {name!r} in program") from None
 
 
-def compile_program(source: str, options: str = "") -> CompiledProgram:
-    """Compile OpenCL C source; raises :class:`CLCompileError` on failure.
-
-    The OpenCL runtime layer converts failures into
-    ``CL_BUILD_PROGRAM_FAILURE`` with the exception text as the build log.
-    """
+def _expand(source: str, options: str) -> str:
+    """``source`` preprocessed under ``options`` and the predefined macros."""
     prelude_defs = "".join(
         f"#define {name} {value}\n" for name, value in PREDEFINED_MACROS.items()
     )
@@ -95,8 +107,16 @@ def compile_program(source: str, options: str = "") -> CompiledProgram:
     # the prelude's newlines after preprocessing (the preprocessor keeps
     # line structure stable).
     expanded = preprocess(prelude_defs + source, options)
-    expanded = "\n".join(expanded.split("\n")[len(PREDEFINED_MACROS) :])
-    program_ast = parse(expanded)
+    return "\n".join(expanded.split("\n")[len(PREDEFINED_MACROS) :])
+
+
+def compile_program(source: str, options: str = "") -> CompiledProgram:
+    """Compile OpenCL C source; raises :class:`CLCompileError` on failure.
+
+    The OpenCL runtime layer converts failures into
+    ``CL_BUILD_PROGRAM_FAILURE`` with the exception text as the build log.
+    """
+    program_ast = parse(_expand(source, options))
     analyzed = analyze(program_ast)
     namespace = compile_module(analyzed)
     program = CompiledProgram(
@@ -173,6 +193,9 @@ def front_end_outcome(
 ) -> Tuple[Optional[Dict[str, Dict[str, object]]], str]:
     """What a *client* needs of a build: ``(kernel_arg_metadata, "")``
     when ``source`` compiles, ``(None, build log)`` when it does not.
+    Each kernel's entry also holds its access summaries (``access``:
+    :mod:`repro.clc.access`), which no reply carries: the client
+    derives them here, from its own front-end result.
 
     The compiler is deterministic, so the whole front-end (code
     generation included: it can still reject a program) runs once per
@@ -183,7 +206,11 @@ def front_end_outcome(
     outcome = _FRONT_END_OUTCOMES.get(key)
     if outcome is None:
         try:
-            outcome = (kernel_arg_metadata(compile_program(source, options)), "")
+            compiled = compile_program(source, options)
+            meta = kernel_arg_metadata(compiled)
+            for name, access in compiled.summaries().items():
+                meta[name]["access"] = access
+            outcome = (meta, "")
         except CLCompileError as exc:
             outcome = (None, str(exc))
         _FRONT_END_OUTCOMES[key] = outcome

@@ -35,6 +35,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.clc import CLCompileError, LocalMemory
+from repro.clc.access import Launch
 from repro.clc.driver import deserialize_program, kernel_arg_metadata
 from repro.core.client.driver import DOpenCLDriver, ProgramBuildRecord
 from repro.core.client.stubs import (
@@ -622,6 +623,7 @@ class DOpenCLAPI:
             arg_kinds=list(meta.get("arg_kinds") or []),
             arg_types=list(meta.get("arg_types") or []),
             writable_buffer_args=list(meta.get("writable_buffer_args") or []),
+            access=meta.get("access") or {},
         )
         self.driver.create_kernel(kernel)
         return kernel
@@ -735,11 +737,16 @@ class DOpenCLAPI:
         self.driver.resolve_deferred_reads(
             [b.id for b in war_buffers] + [e.id for e in wait_for or ()]
         )
+        # The compiler's access summaries (:mod:`repro.clc.access`) name
+        # the bytes the launch may read and may write: it acquires both
+        # (bytes a may-write skips keep their old values) and
+        # invalidates the other copies of what it may write only.
+        acquired, written = kernel.sections(Launch(global_size, global_offset, local_size, kernel.args))
         plans = []
         for buffer in kernel.buffer_args():
             if buffer.flags & CL_MEM_WRITE_ONLY and buffer.pristine:
                 continue
-            plans.append((buffer, buffer.planner.acquire_read(server.name)))
+            plans.append((buffer, buffer.planner.acquire_read(server.name, *acquired[buffer.id])))
         self.driver.run_transfer_plans(plans, queue)
         event = self.driver.new_event_stub(queue.context, server.name, CL_COMMAND_NDRANGE_KERNEL)
         # Recorded on the stubs (not just the windowed command) so the
@@ -761,7 +768,7 @@ class DOpenCLAPI:
         # bumps the epochs, labeled with the epoch the write creates):
         # buffers whose access history shows a stable producer->consumer
         # edge ask the daemon to stream the replica at completion.
-        push_hints = self.driver.plan_push_hints(written_buffers, server.name)
+        push_hints = self.driver.plan_push_hints(written_buffers, server.name, written)
         # The launch carries what its daemon lacks (the residency record,
         # :class:`~repro.core.client.stubs.Resident`): the kernel's
         # creation and the argument values not bound there yet; its
@@ -780,7 +787,8 @@ class DOpenCLAPI:
         # find the epoch this write creates.  The data effect happens
         # when the window flushes, before anything re-reads it.)
         for value in written_buffers:
-            self.driver.note_kernel_write(value, server.name)
+            if written[value.id][1]:
+                self.driver.note_kernel_write(value, server.name, *written[value.id])
             value.pristine = False
             value.last_write_event = event.id
         self.driver.defer(

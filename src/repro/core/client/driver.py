@@ -609,10 +609,12 @@ class DOpenCLDriver:
         its registered transfer event (delivered synchronously on the
         completion notification that rode the fetch) and the client-side
         data arrival.  Read events are resolved with these instead of a
-        fabricated ``clock.now`` pair."""
+        fabricated ``clock.now`` pair; a read assembled from several
+        downloads completes with the last of them."""
         if buffer.id in self._fetch_completions:
             completed = stub.completed_at if stub.resolved else arrival
-            self._fetch_completions[buffer.id] = (completed, arrival)
+            landed = self._fetch_completions[buffer.id]
+            self._fetch_completions[buffer.id] = max(landed, (completed, arrival)) if landed else (completed, arrival)
 
     def daemon_wait_ids(
         self, conn: ServerConnection, wait_for: Optional[Sequence[EventStub]]
@@ -845,7 +847,7 @@ class DOpenCLDriver:
         queue = last.queue if last.out is None or (ahead and last.queue.last_event_id == last.event.id) else None
         ordered = (
             queue is not None
-            and queue.server.name == last.buffer.planner.client_download_source()
+            and queue.server.name in last.buffer.planner.client_download_sources()
             and not self._push_due(last.buffer)
         )
         # What the reads wait for: their wait lists, any predecessor that
@@ -940,9 +942,10 @@ class DOpenCLDriver:
         its optimistic client acquire, or a later read would take the
         stale client copy for valid."""
         landed = {d.buffer.id: self._fetch_completions.pop(d.buffer.id, None) for d in live}
-        for buffer, _plan in items:
+        for buffer, plan in items:
             if landed[buffer.id] is None:
-                buffer.planner.abort_fetch(CLIENT, f"read failed: {exc}")
+                for transfer in plan:
+                    buffer.planner.abort_fetch(CLIENT, f"read failed: {exc}", transfer.offset, transfer.nbytes)
         for d in live:
             if d.event.poisoned is None and not d.event.resolved:
                 d.event.poisoned = (int(exc.code), str(exc))
@@ -1331,12 +1334,12 @@ class DOpenCLDriver:
     # ------------------------------------------------------------------
     # daemon-initiated pushes (PR 9)
     # ------------------------------------------------------------------
-    def note_kernel_write(self, buffer: BufferStub, party: str) -> None:
-        """Record a kernel's whole-object write of ``buffer`` on
-        ``party`` with the buffer's planner (directory ``mark_modified``
-        plus epoch/history bookkeeping) and eagerly discard any staged
-        push the new epoch just invalidated."""
-        buffer.planner.note_kernel_write(party)
+    def note_kernel_write(self, buffer: BufferStub, party: str, offset: int = 0, nbytes: Optional[int] = None) -> None:
+        """Record a kernel's write of ``buffer``'s section on ``party``
+        with the buffer's planner (directory ``mark_modified`` plus
+        epoch/history bookkeeping) and eagerly discard any staged push
+        the new epoch just invalidated."""
+        buffer.planner.note_kernel_write(party, offset, nbytes)
         self._discard_stale_pushes(buffer)
 
     def note_host_write(self, buffer: BufferStub, party: str) -> None:
@@ -1354,16 +1357,20 @@ class DOpenCLDriver:
             self.stats.wasted_pushes += 1
 
     def plan_push_hints(
-        self, buffers: Sequence[BufferStub], server_name: str
+        self, buffers: Sequence[BufferStub], server_name: str, written: Dict[int, Tuple[int, int]]
     ) -> Optional[List[Dict[str, object]]]:
         """The push hints riding a kernel launch on ``server_name``
-        whose writable arguments are ``buffers``: one hint per buffer
-        whose stable producer->consumer edge predicts a push to the
-        client (:meth:`~repro.core.coherence.planner.TransferPlanner.
-        predict_push_target`), labeled with the epoch the kernel's
-        write is about to create.  ``None`` (field omitted from the
-        wire) when pushes are off or nothing predicts — the launch
-        encoding is then byte-identical to the pre-push format."""
+        whose writable arguments are ``buffers``, each writing the
+        ``(offset, nbytes)`` section ``written`` names: one hint per
+        buffer whose stable producer->consumer edge predicts a push to
+        the client (:meth:`~repro.core.coherence.planner.TransferPlanner.
+        predict_push_target`) and that the producer will hold valid
+        *whole* after the write — the daemon pushes its whole copy, so a
+        stale byte outside the section would reach the client.  Each is
+        labeled with the epoch the kernel's write is about to create.
+        ``None`` (field omitted from the wire) when pushes are off or
+        nothing predicts — the launch encoding is then byte-identical to
+        the pre-push format."""
         if not self.push_transfers:
             return None
         hints: List[Dict[str, object]] = []
@@ -1373,6 +1380,10 @@ class DOpenCLDriver:
                 continue
             seen.add(buffer.id)
             if buffer.planner.predict_push_target(server_name) is None:
+                continue
+            offset, nbytes = written[buffer.id]
+            valid = buffer.planner.is_valid
+            if not (valid(server_name, 0, offset) and valid(server_name, offset + nbytes, buffer.size - offset - nbytes)):
                 continue
             hints.append({"buffer_id": buffer.id, "epoch": buffer.planner.epoch + 1})
             self._client_push_epochs[buffer.id] = buffer.planner.epoch + 1
@@ -1510,7 +1521,7 @@ class DOpenCLDriver:
         items: Sequence[Tuple[BufferStub, Sequence[Transfer]]],
         preferred_queue: Optional[QueueStub] = None,
     ) -> None:
-        """Execute several buffers' coherence plans (whole-object copies
+        """Execute several buffers' coherence plans (section copies
         between client and servers under MSI, directly between servers
         under MOSI).
 
@@ -1525,16 +1536,16 @@ class DOpenCLDriver:
         size.  A failed transfer rolls back every server copy the plans
         had not moved yet (:meth:`_abort_unmoved`)."""
         downloads, peers, uploads = split_transfer_plan([(b, plan) for b, plan in items if plan])
-        moved: Set[Tuple[int, str]] = set()
+        moved: Set[Tuple[int, Transfer]] = set()
         try:
-            for src_name, buffers in downloads.items():
-                self._download(buffers, src_name, preferred_queue)
-            for (src_name, dst_name), buffers in peers.items():
-                self._peer_transfer(buffers, src_name, dst_name)
-                moved.update((b.id, dst_name) for b in buffers)
-            for dst_name, buffers in uploads.items():
-                self._upload(buffers, dst_name, preferred_queue)
-                moved.update((b.id, dst_name) for b in buffers)
+            for src_name, sections in downloads.items():
+                self._download(sections, src_name, preferred_queue)
+            for (src_name, dst_name), sections in peers.items():
+                self._peer_transfer(sections, src_name, dst_name)
+                moved.update((b.id, t) for b, t in sections)
+            for dst_name, sections in uploads.items():
+                self._upload(sections, dst_name, preferred_queue)
+                moved.update((b.id, t) for b, t in sections)
         except CLError as exc:
             self._abort_unmoved(items, moved, exc)
             raise
@@ -1550,27 +1561,35 @@ class DOpenCLDriver:
     ) -> None:
         """Run a read group's download plans (:meth:`_resolve_deferred_group`):
         one download per source daemon, fused with that daemon's
-        ``gang`` (a blocking read's :meth:`read_gang`).  A download
-        carrying more than one section counts as a ``coalesced_reads``.
-        ``drain``, ``raising`` and ``settle`` go to :meth:`_download`."""
-        for src_name, buffers in split_transfer_plan(items)[0].items():
-            group = [*buffers, *(b for b in gang.get(src_name, ()) if b not in buffers)]
+        ``gang`` (a blocking read's :meth:`read_gang`), so a read whose
+        sections are valid on two daemons downloads from each of them,
+        riding each one's drain.  A download carrying more than one
+        section counts as a ``coalesced_reads``.  ``drain``, ``raising``
+        and ``settle`` go to :meth:`_download`."""
+        for src_name, sections in split_transfer_plan(items)[0].items():
+            named = {b for b, _ in sections}
+            group = [
+                *sections,
+                *((b, Transfer(src_name, CLIENT, "gang", 0, b.size)) for b in gang.get(src_name, ()) if b not in named),
+            ]
             if len(group) > 1:
                 self.stats.coalesced_reads += 1
                 self.stats.coalesced_read_sections += len(group)
-            self._download(group, src_name, queue, len(buffers), drain, raising, settle)
+            self._download(group, src_name, queue, len(sections), drain, raising, settle)
 
     @staticmethod
-    def _abort_unmoved(items, moved: Set[Tuple[int, str]], exc: CLError) -> None:
-        """Roll back the optimistic acquire of every server a plan of
-        ``items`` was to copy to and that ``moved`` (``(buffer id,
-        server)`` pairs) does not name: a failed transfer stopped the run
-        before its copy moved, so the directory must not credit it (a
-        failed download rolls the client back itself)."""
+    def _abort_unmoved(items, moved: Set[Tuple[int, Transfer]], exc: CLError) -> None:
+        """Roll back the optimistic acquire of every server section a
+        plan of ``items`` was to copy and that ``moved`` (``(buffer id,
+        transfer)`` pairs) does not name: a failed transfer stopped the
+        run before its copy moved, so the directory must not credit it
+        (a failed download rolls the client back itself)."""
         for buffer, plan in items:
             for transfer in plan or ():
-                if transfer.dst != CLIENT and (buffer.id, transfer.dst) not in moved:
-                    buffer.planner.abort_fetch(transfer.dst, f"copy to {transfer.dst!r} failed: {exc}")
+                if transfer.dst != CLIENT and (buffer.id, transfer) not in moved:
+                    buffer.planner.abort_fetch(
+                        transfer.dst, f"copy to {transfer.dst!r} failed: {exc}", transfer.offset, transfer.nbytes
+                    )
 
     def _queue_on(self, buffer: BufferStub, server_name: str, preferred: Optional[QueueStub]) -> QueueStub:
         if preferred is not None and preferred.server.name == server_name:
@@ -1586,21 +1605,21 @@ class DOpenCLDriver:
 
     def _upload(
         self,
-        buffers: Sequence[BufferStub],
+        sections: Sequence[Tuple[BufferStub, Transfer]],
         dst_name: str,
         preferred: Optional[QueueStub],
     ) -> None:
-        """Client->server route: each buffer's whole object is a host
-        write (:meth:`upload_write`) on the transfer queue, under an
-        internal event."""
-        queue = self._queue_on(buffers[0], dst_name, preferred)
-        for buffer in buffers:
+        """Client->server route: each section is a host write
+        (:meth:`upload_write`) on the transfer queue, under an internal
+        event."""
+        queue = self._queue_on(sections[0][0], dst_name, preferred)
+        for buffer, transfer in sections:
             init = P.BufferDataUpload(
                 buffer_id=buffer.id,
                 queue_id=queue.id,
                 event_id=self._new_transfer_event(buffer.context, dst_name).id,
-                offset=0,
-                nbytes=buffer.size,
+                offset=transfer.offset,
+                nbytes=transfer.nbytes,
                 wait_event_ids=[],
             )
             self.upload_write(queue, buffer, init)
@@ -1609,16 +1628,17 @@ class DOpenCLDriver:
     def upload_write(self, queue: QueueStub, buffer: BufferStub, init: P.BufferDataUpload) -> None:
         """Window a coherence upload as :meth:`enqueue_write` windows a
         host write, behind the copy's creation.  Its payload is the
-        client copy's lent storage: it streams as a section behind the
-        batch that carries it, and a later ``write_host`` copies on
-        write instead of changing the bytes before the flush."""
+        client copy's lent storage (the section ``init`` names of it):
+        it streams as a section behind the batch that carries it, and a
+        later ``write_host`` copies on write instead of changing the
+        bytes before the flush."""
         self.precede(queue.server, [buffer])
         self.defer(
             queue.server,
             init,
             reads=[queue.id, buffer.id],
             writes=[init.event_id, buffer.id],
-            payload=buffer.lend(),
+            payload=buffer.lend()[init.offset : init.offset + init.nbytes],
         )
 
     def _push_due(self, buffer: BufferStub) -> bool:
@@ -1631,7 +1651,7 @@ class DOpenCLDriver:
 
     def _download(
         self,
-        buffers: Sequence[BufferStub],
+        sections: Sequence[Tuple[BufferStub, Transfer]],
         src_name: str,
         preferred: Optional[QueueStub],
         required: Optional[int] = None,
@@ -1639,10 +1659,11 @@ class DOpenCLDriver:
         raising: bool = False,
         settle: Optional[list] = None,
     ) -> None:
-        """Server->client route: the group's whole-object downloads ride
-        one ``CoalescedBufferDownload``, one registered event per
-        section; buffers past the first ``required`` (default: none) are
-        a read's gang, acquired only if their sections come back.
+        """Server->client route: the group's ``(buffer, transfer)``
+        sections ride one ``CoalescedBufferDownload``, one registered
+        event per section; sections past the first ``required``
+        (default: none) are a read's gang, acquired only if they come
+        back.
 
         The download is gated daemon-side on each buffer's producing
         command, so it drains with the dependency closures of the
@@ -1653,37 +1674,38 @@ class DOpenCLDriver:
         round trip, and each section streams back from its read's
         completion.  ``settle`` leaves the drain to the caller
         (``clFinish``), which runs the appended completion after it."""
-        required = len(buffers) if required is None else required
+        required = len(sections) if required is None else required
         conn = self.connection(src_name)
-        queue = self._queue_on(buffers[0], src_name, preferred)
+        queue = self._queue_on(sections[0][0], src_name, preferred)
         handles: List[int] = [*(drain or ()), *self.queue_sync_handles(queue)]
-        for buffer in buffers:
+        for buffer, _ in sections:
             handles.extend(self.buffer_sync_handles(buffer))
-        remaining, gang = list(buffers[:required]), list(buffers[required:])
-        if any(map(self._push_due, buffers)):
+        remaining, gang = list(sections[:required]), list(sections[required:])
+        if any(self._push_due(b) for b, _ in sections):
             # A staged push with the current epoch already carries
             # exactly the bytes its section would download: drain (the
             # push rides the producer's completion), consume it and drop
             # the section; with every section staged the download
             # vanishes.
             self.flush_for_handles(handles, raise_errors=False)
-            remaining = [b for b in remaining if not self._apply_staged_push(b)]
-            pushed = [b for b in gang if self._apply_staged_push(b)]
-            for buffer in pushed:
+            remaining = [(b, t) for b, t in remaining if not self._apply_staged_push(b)]
+            pushed = [(b, t) for b, t in gang if self._apply_staged_push(b)]
+            for buffer, _ in pushed:
                 buffer.planner.acquire_read("client")
-            gang = [b for b in gang if b not in pushed]
+            gang = [section for section in gang if section not in pushed]
             if not remaining and not gang:
                 return
         group = remaining + gang
-        if len(buffers) > 1:
+        if len(sections) > 1:
             self.stats.coalesced_downloads += 1
             self.stats.coalesced_download_sections += len(group)
-        stubs = [self._new_transfer_event(b.context, src_name) for b in group]
+        stubs = [self._new_transfer_event(b.context, src_name) for b, _ in group]
         request = P.CoalescedBufferDownload(
             queue_id=queue.id,
-            buffer_ids=[b.id for b in group],
+            buffer_ids=[b.id for b, _ in group],
             event_ids=[stub.id for stub in stubs],
-            nbytes_list=[b.size for b in group],
+            nbytes_list=[t.nbytes for _, t in group],
+            offsets=[t.offset for _, t in group] if any(t.offset for _, t in group) else None,
         )
         answers: list = []
         command = WindowCommand(
@@ -1713,28 +1735,35 @@ class DOpenCLDriver:
                 self._abort_downloads(remaining, src_name, exc)
 
     @staticmethod
-    def _abort_downloads(buffers: Sequence[BufferStub], src_name: str, exc: CLError) -> None:
+    def _abort_downloads(sections: Sequence[Tuple[BufferStub, Transfer]], src_name: str, exc: CLError) -> None:
         """Fail a download from ``src_name``: the directories already
-        marked the client copies valid (``acquire_read`` is optimistic)
-        and the bytes never arrived.  A push staged meanwhile stays
-        parked: only a *planned* retry read may consume it."""
-        for buffer in buffers:
-            buffer.planner.abort_fetch(CLIENT, f"download from {src_name!r} failed: {exc}")
+        marked the client's sections valid (``acquire_read`` is
+        optimistic) and the bytes never arrived.  A push staged
+        meanwhile stays parked: only a *planned* retry read may consume
+        it."""
+        for buffer, transfer in sections:
+            buffer.planner.abort_fetch(
+                CLIENT, f"download from {src_name!r} failed: {exc}", transfer.offset, transfer.nbytes
+            )
         raise exc
 
-    def _land(self, queue, buffers, stubs, sections, gang=()) -> None:
-        """Adopt each returned ``(data, arrival)`` section, the daemon's
-        lent storage, as its buffer's client copy (a gang member is
-        acquired first), with its transfer event's profiling truth; the
-        clock moves to the last arrival."""
-        for buffer, stub, section in zip(buffers, stubs, sections):
-            if section is not None:
-                if buffer in gang:
+    def _land(self, queue, sections, stubs, answers, gang=()) -> None:
+        """Land each returned ``(data, arrival)`` answer, the daemon's
+        lent bytes, in its buffer's client copy (a gang member is
+        acquired first): a whole section is adopted as the copy's
+        storage, a partial one copied into it.  Each transfer event gets
+        its profiling truth; the clock moves to the last arrival."""
+        for (buffer, transfer), stub, answer in zip(sections, stubs, answers):
+            if answer is not None:
+                if (buffer, transfer) in gang:
                     buffer.planner.acquire_read("client")
-                buffer.adopt(section[0])
-                self._record_fetch_completion(buffer, stub, section[1])
+                if transfer.nbytes == buffer.size:
+                    buffer.adopt(answer[0])
+                else:
+                    buffer.store(transfer.offset, answer[0])
+                self._record_fetch_completion(buffer, stub, answer[1])
                 queue.tail_event_id = stub.id
-                self.clock.advance_to(section[1])
+                self.clock.advance_to(answer[1])
 
     def _settle_download(
         self, conn, queue, remaining, gang, stubs, answers, preferred, raising
@@ -1758,7 +1787,7 @@ class DOpenCLDriver:
                     self.transport.surface_deferred_failure()
                 raise CLError(ErrorCode(response.error), response.detail)
             sections = outcome.sections[index]
-            unread = [b for b, section in zip(remaining, sections) if section is None]
+            unread = [s for s, answer in zip(remaining, sections) if answer is None]
             if unread and self.stats.batches == batches:
                 raise CLError(
                     ErrorCode.CL_INVALID_OPERATION, "download gated on an incomplete user event"
@@ -1770,22 +1799,28 @@ class DOpenCLDriver:
             try:
                 self._download(unread, conn.name, preferred)
             except CLError as exc:
-                self._abort_downloads([b for b in remaining if b not in unread], conn.name, exc)
+                self._abort_downloads([s for s in remaining if s not in unread], conn.name, exc)
 
     def _peer_transfer(
-        self, buffers: Sequence[BufferStub], src_name: str, dst_name: str
+        self, sections: Sequence[Tuple[BufferStub, Transfer]], src_name: str, dst_name: str
     ) -> None:
-        """Section III-F server-to-server route: one round trip makes
-        the source daemon ship the group's sections to the peer in one
-        direct exchange."""
+        """Section III-F server-to-server route: the source daemon ships
+        the group's sections to the peer in one direct exchange.  The
+        hop closes the source's batch (``closes_batch``): when the
+        source's window holds commands, they and the hop are one round
+        trip; otherwise the hop goes alone."""
+        buffers = list(dict.fromkeys(b for b, _ in sections))
         # Like the download path: a source copy may still be owed a
         # write by a dispatched-but-pending command (gated on an event
         # produced elsewhere) — drain the dependency closures so the
-        # peer copies ship the completed state.
+        # peer copies ship the completed state.  A closure confined to
+        # the source's own window drains in the hop's batch.
         handles: List[int] = []
         for buffer in buffers:
             handles.extend(self.buffer_sync_handles(buffer))
-        self.flush_for_handles(handles, raise_errors=False)
+        windows = {c.name: c.window for c in self.connections()}
+        if not closure(handles, windows, self._events.get)[0] <= {src_name}:
+            self.flush_for_handles(handles, raise_errors=False)
         src = self.connection(src_name)
         # The destination copies are created in its window (a lost source
         # raised above, before any was), and the window may hold commands
@@ -1796,17 +1831,23 @@ class DOpenCLDriver:
             if not dst.dead:
                 self.precede(dst, buffers)
             self.flush_connection(dst)
-        if len(buffers) > 1:
+        if len(sections) > 1:
             self.stats.coalesced_peer_transfers += 1
-            self.stats.coalesced_peer_transfer_sections += len(buffers)
-        self.roundtrip(
-            src,
-            P.BufferPeerTransferBatch(
-                peer_name=dst_name,
-                buffer_ids=[b.id for b in buffers],
-                nbytes_list=[b.size for b in buffers],
-            ),
+            self.stats.coalesced_peer_transfer_sections += len(sections)
+        hop = P.BufferPeerTransferBatch(
+            peer_name=dst_name,
+            buffer_ids=[b.id for b, _ in sections],
+            nbytes_list=[t.nbytes for _, t in sections],
+            offsets=[t.offset for _, t in sections] if any(t.offset for _, t in sections) else None,
         )
+        last = self.flush_connections([src], raise_errors=False, tail=(src, hop)) if src.window else None
+        if last is None:
+            self.roundtrip(src, hop)
+            return
+        self.clock.advance_to(last.reply_arrival)
+        self.transport.surface_deferred_failure()
+        if last.responses:  # else every command succeeded, the hop too
+            self.transport.check(last.responses[-1])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -188,7 +188,7 @@ class ReferenceDriver(DOpenCLDriver):
             for buffer, plan in items:
                 for transfer in plan or ():
                     super().run_transfer_plans([(buffer, [transfer])], preferred_queue)
-                    moved.add((buffer.id, transfer.dst))
+                    moved.add((buffer.id, transfer))
         except CLError as exc:
             self._abort_unmoved(items, moved, exc)
             raise
@@ -196,7 +196,7 @@ class ReferenceDriver(DOpenCLDriver):
     def upload_write(self, queue: QueueStub, buffer: BufferStub, init: P.BufferDataUpload) -> None:
         """A coherence upload streams behind its own init exchange, as a
         host write does."""
-        self.enqueue_write(queue, buffer, init, buffer.array, True, None)
+        self.enqueue_write(queue, buffer, init, buffer.array[init.offset : init.offset + init.nbytes], True, None)
 
     def read_gang(self, buffer: BufferStub, handles, fold: bool) -> Dict[str, List[BufferStub]]:
         """None: each read fetches its own buffer."""
@@ -207,10 +207,10 @@ class ReferenceDriver(DOpenCLDriver):
         ``raising``, ``settle`` go unused); ``gang`` is empty."""
         self.run_transfer_plans(items, queue)
 
-    def _download(self, buffers: Sequence[BufferStub], src_name: str, preferred) -> None:
-        """One buffer's download as a fetch of its own (``fetch_bulk``),
-        unless a current-epoch push already staged its bytes."""
-        (buffer,) = buffers
+    def _download(self, sections, src_name: str, preferred) -> None:
+        """One section's download as a fetch of its own (``fetch_bulk``),
+        unless a current-epoch push already staged its buffer's bytes."""
+        ((buffer, transfer),) = sections
         conn = self.connection(src_name)
         queue = self._queue_on(buffer, src_name, preferred)
         if self._apply_staged_push(buffer):
@@ -220,14 +220,15 @@ class ReferenceDriver(DOpenCLDriver):
             queue_id=queue.id,
             buffer_ids=[buffer.id],
             event_ids=[stub.id],
-            nbytes_list=[buffer.size],
+            nbytes_list=[transfer.nbytes],
+            offsets=[transfer.offset] if transfer.offset else None,
         )
         try:
             fetched = self.transport.fetch(conn, request)
         except CLError as exc:
-            self._abort_downloads([buffer], src_name, exc)
-        (data,) = fetched.payload  # the section's read-only view of the daemon's copy
-        self._land(queue, [buffer], [stub], [(data, fetched.arrival)])
+            self._abort_downloads(sections, src_name, exc)
+        (data,) = fetched.payload  # the section as it left the daemon's copy
+        self._land(queue, sections, [stub], [(data, fetched.arrival)])
 
     def resolve_deferred_reads(self, handles=None, settle: Optional[list] = None) -> None:
         """Pending reads resolve after a drain, never inside it."""

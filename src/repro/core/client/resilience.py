@@ -338,6 +338,10 @@ class Transport:
                 msgs = [c.msg for c in commands]
                 watched = tail is not None and conn is tail[0]
                 sent = msgs + [tail[1]] if watched and tail[1] is not None else msgs
+                # The batch a MOSI hop closes names it, so a fault plan
+                # can address the hop's request leg.
+                hop = isinstance(sent[-1], P.BufferPeerTransferBatch)
+                tag = "CommandBatch+BufferPeerTransferBatch" if hop else None
                 sections = {
                     i: (c.payload, c.msg.nbytes)
                     for i, c in enumerate(commands)
@@ -353,7 +357,7 @@ class Transport:
                     if next(sends):
                         self.stats.replayed_batches += 1
                     return self.gcf.request_batch(
-                        conn.gcf, sent, self.clock.now, epoch=epoch, seq=seq, sections=sections
+                        conn.gcf, sent, self.clock.now, epoch=epoch, seq=seq, sections=sections, tag=tag
                     )
 
                 outcome = self.attempt(conn, send)

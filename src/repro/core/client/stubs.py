@@ -13,10 +13,11 @@ code works against them.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.clc.access import Launch, launch_sections
 from repro.clc.driver import program_digest
 from repro.core.coherence.directory import MOSIDirectory, MSIDirectory
 from repro.core.coherence.planner import TransferPlanner
@@ -215,7 +216,7 @@ class BufferStub(Resident, LentStorage):
         directory_cls = {"msi": MSIDirectory, "mosi": MOSIDirectory}.get(protocol)
         if directory_cls is None:
             raise CLError(ErrorCode.CL_INVALID_VALUE, f"unknown coherence protocol {protocol!r}")
-        self.coherence = directory_cls(context.server_names)
+        self.coherence = directory_cls(context.server_names, self.size)
         #: The planning facade every coherence operation routes through
         #: (PR 9): delegates state to ``self.coherence``, records the
         #: per-epoch access history and emits push hints.
@@ -334,6 +335,16 @@ class ProgramStub:
         return f"<ProgramStub #{self.id} status={self.build_status}>"
 
 
+def _hull(a: Tuple[int, int], b: Tuple[int, int]) -> Tuple[int, int]:
+    """The smallest ``(offset, nbytes)`` section holding two sections."""
+    if not a[1]:
+        return b
+    if not b[1]:
+        return a
+    lo, hi = min(a[0], b[0]), max(a[0] + a[1], b[0] + b[1])
+    return lo, hi - lo
+
+
 class KernelStub(Resident):
     """Compound stub: argument metadata cached client-side from the
     build reply, argument values as set.  On the pipeline a daemon gets
@@ -349,6 +360,7 @@ class KernelStub(Resident):
         arg_kinds: List[str],
         arg_types: List[str],
         writable_buffer_args: List[int],
+        access: Optional[Dict[int, tuple]] = None,
     ) -> None:
         self.program = program
         self.context = program.context
@@ -358,6 +370,10 @@ class KernelStub(Resident):
         self.arg_kinds = list(arg_kinds)
         self.arg_types = list(arg_types)
         self.writable_buffer_args = set(writable_buffer_args)
+        #: ``{parameter index: (read, write, cover)}`` access summaries
+        #: (:mod:`repro.clc.access`); a parameter without one may touch
+        #: every byte.
+        self.access = access or {}
         self.args: List[object] = [None] * num_args
         self.args_set: List[bool] = [False] * num_args
         self.wire: List[object] = [None] * num_args  #: each value as a launch entry carries it
@@ -369,6 +385,24 @@ class KernelStub(Resident):
     def buffer_args(self) -> List[BufferStub]:
         """The currently bound buffer arguments (coherence planning)."""
         return [a for a in self.args if isinstance(a, BufferStub)]
+
+    def sections(self, launch: Launch) -> Tuple[Dict[int, Tuple[int, int]], Dict[int, Tuple[int, int]]]:
+        """``(acquired, written)``: per bound buffer id, the ``(offset,
+        nbytes)`` hull of what ``launch`` may read or write, and of what
+        it may write, over every parameter the buffer is bound to."""
+        acquired: Dict[int, Tuple[int, int]] = {}
+        written: Dict[int, Tuple[int, int]] = {}
+        for i, value in enumerate(self.args):
+            if not isinstance(value, BufferStub):
+                continue
+            access = self.access.get(i)
+            whole = (0, value.size)
+            read, write = launch_sections(access, value.size, launch) if access else (whole, whole)
+            if i not in self.writable_buffer_args:
+                write = (0, 0)
+            written[value.id] = _hull(written.get(value.id, (0, 0)), write)
+            acquired[value.id] = _hull(acquired.get(value.id, (0, 0)), _hull(read, write))
+        return acquired, written
 
     def set_wire(self, index: int, value: object) -> None:
         """Record argument ``index`` as a launch entry carries it,

@@ -26,19 +26,31 @@ references it.  A failed creation poisons the ID daemon-side, so the
 stream init reports the original allocation error rather than a bare
 unknown-ID failure.
 
-Invariants (property-tested):
+Validity is kept per *section* (HDArray's array sections): the
+directory holds a sorted list of segments of the buffer, each with the
+per-party MSI/MOSI state the paper keeps per object, and runs the state
+machine on each segment an operation names.  An operation splits the
+segments at its bounds, and adjacent segments whose states are equal
+merge again, so a whole-buffer write folds the buffer back to one
+segment — the paper's one state per object.  A plan's :class:`Transfer`
+names the ``(offset, nbytes)`` section it moves; adjacent sections with
+the same source and destination merge into one.
+
+Invariants (property-tested, per segment):
 
 * at most one party is Modified/Owned;
 * Modified implies every other party is Invalid;
 * at least one party holds a valid copy (the data never vanishes);
-* executing the returned plan leaves the requested party valid.
+* executing the returned plan leaves the requested party valid on the
+  requested section.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.ocl.constants import ErrorCode
 from repro.ocl.errors import CLError
@@ -62,19 +74,22 @@ class CoherenceError(RuntimeError):
 @dataclass(frozen=True)
 class Transfer:
     """One data movement the driver must perform: ``src`` holds a valid
-    copy, ``dst`` receives one."""
+    copy of the section ``[offset, offset + nbytes)``, ``dst`` receives
+    it."""
 
     src: str
     dst: str
     reason: str
+    offset: int = 0
+    nbytes: int = 0
 
 
 def split_transfer_plan(
     plans: Sequence[Tuple[object, Sequence[Transfer]]],
 ) -> Tuple[
-    "Dict[str, List[object]]",
-    "Dict[Tuple[str, str], List[object]]",
-    "Dict[str, List[object]]",
+    "Dict[str, List[Tuple[object, Transfer]]]",
+    "Dict[Tuple[str, str], List[Tuple[object, Transfer]]]",
+    "Dict[str, List[Tuple[object, Transfer]]]",
 ]:
     """Split per-buffer transfer plans for window-aware coalescing of
     *every* transfer direction.
@@ -82,18 +97,19 @@ def split_transfer_plan(
     ``plans`` is a sequence of ``(key, plan)`` pairs — ``key``
     identifies the memory object (the driver passes the buffer stub),
     ``plan`` the ordered :class:`Transfer` list its directory emitted.
-    Returns ``(downloads, peers, uploads)``:
+    Returns ``(downloads, peers, uploads)``, each group a list of
+    ``(key, transfer)`` sections:
 
     * ``downloads`` groups server->client downloads by **source
-      daemon** — two buffers revalidating the client from the same
+      daemon** — two sections revalidating the client from the same
       daemon fuse into one ``CoalescedBufferDownload`` fetch (both
       the coherence misses of a kernel launch and the gang
       revalidation of a coalesced blocking read, see
       :meth:`MSIDirectory.client_download_source`);
     * ``peers`` groups direct server-to-server hops (the MOSI
       Section III-F exchanges) by **(source, destination) pair** —
-      two buffers moving along the same pair fuse into one
-      ``BufferPeerTransferBatch`` round trip;
+      two sections moving along the same pair fuse into one
+      ``BufferPeerTransferBatch``;
     * ``uploads`` groups client->server uploads by **destination
       daemon**, exactly as the original (PR-2) upload-only split did.
 
@@ -104,12 +120,13 @@ def split_transfer_plan(
     planners (verified by the coalescing property tests):
 
     * within one object's plan, a client->server upload only ever
-      *follows* the download that revalidates the client's copy — so
-      running the download phase before the upload phase keeps the
-      per-object order intact;
-    * an MSI plan never contains a server-to-server hop and a MOSI
-      plan is always a single direct hop, so no object's plan orders a
-      peer transfer against another category;
+      *follows* the download that revalidates the client's copy of its
+      section — so running the download phase before the upload phase
+      keeps the per-object order intact;
+    * an MSI plan never contains a server-to-server hop, and a MOSI
+      plan moves each section in a single direct hop from its owner, so
+      no section's plan orders a peer transfer against another
+      category;
     * transfers of different objects are independent (each directory
       governs exactly one object), so regrouping across objects cannot
       reorder anything that matters.
@@ -118,109 +135,185 @@ def split_transfer_plan(
     never at execution time — grouping therefore leaves the
     directories in exactly the state one-at-a-time execution would.
     """
-    downloads: Dict[str, List[object]] = {}
-    peers: Dict[Tuple[str, str], List[object]] = {}
-    uploads: Dict[str, List[object]] = {}
+    downloads: Dict[str, List[Tuple[object, Transfer]]] = {}
+    peers: Dict[Tuple[str, str], List[Tuple[object, Transfer]]] = {}
+    uploads: Dict[str, List[Tuple[object, Transfer]]] = {}
     for key, plan in plans:
         for transfer in plan:
             if transfer.src == CLIENT and transfer.dst != CLIENT:
-                uploads.setdefault(transfer.dst, []).append(key)
+                uploads.setdefault(transfer.dst, []).append((key, transfer))
             elif transfer.dst == CLIENT and transfer.src != CLIENT:
-                downloads.setdefault(transfer.src, []).append(key)
+                downloads.setdefault(transfer.src, []).append((key, transfer))
             else:
-                peers.setdefault((transfer.src, transfer.dst), []).append(key)
+                peers.setdefault((transfer.src, transfer.dst), []).append((key, transfer))
     return downloads, peers, uploads
 
 
+Segment = Dict[str, State]
+
+
 class MSIDirectory:
-    """Client-mediated MSI directory for one memory object."""
+    """Client-mediated MSI directory for one memory object of ``size``
+    bytes, its state kept per segment."""
 
     #: Set of states considered valid (readable).
     VALID = (State.MODIFIED, State.SHARED)
 
-    def __init__(self, servers: List[str]) -> None:
+    def __init__(self, servers: List[str], size: int = 1) -> None:
         if CLIENT in servers:
             raise CoherenceError(f"{CLIENT!r} is a reserved party name")
-        self.state: Dict[str, State] = {CLIENT: State.SHARED}
+        initial: Segment = {CLIENT: State.SHARED}
         for name in servers:
-            self.state[name] = State.INVALID
-        #: Non-``None`` once every valid copy died with its daemon (see
+            initial[name] = State.INVALID
+        self.size = int(size)
+        #: Segment ``i`` spans ``[starts[i], starts[i + 1])`` (the last
+        #: one ends at ``size``) and has the per-party states
+        #: ``segments[i]``.
+        self.starts: List[int] = [0]
+        self.segments: List[Segment] = [initial]
+        #: Non-``None`` while some segment has no valid copy left (see
         #: :meth:`evict`): names the loss for the deterministic
-        #: ``CL_DEVICE_NOT_AVAILABLE`` raised by later acquires.
+        #: ``CL_DEVICE_NOT_AVAILABLE`` raised by acquires that need it.
         self.lost_reason: Optional[str] = None
         self._check()
 
+    # -- sections ------------------------------------------------------
+    def _bounds(self, offset: int, nbytes: Optional[int]) -> Tuple[int, int]:
+        return offset, self.size if nbytes is None else offset + nbytes
+
+    def _span(self, i: int) -> Tuple[int, int]:
+        end = self.starts[i + 1] if i + 1 < len(self.starts) else self.size
+        return self.starts[i], end
+
+    def _overlapping(self, lo: int, hi: int) -> List[Segment]:
+        """The segments meeting ``[lo, hi)``, without splitting."""
+        if hi <= lo:
+            return []
+        return self.segments[bisect_right(self.starts, lo) - 1 : bisect_left(self.starts, hi)]
+
+    def _split(self, lo: int, hi: int) -> range:
+        """Cut the segments at ``lo`` and ``hi``; the indexes of the
+        segments spanning ``[lo, hi)``."""
+        if hi <= lo:
+            return range(0)
+        for cut in (lo, hi):
+            if 0 < cut < self.size:
+                i = bisect_right(self.starts, cut) - 1
+                if self.starts[i] != cut:
+                    self.starts.insert(i + 1, cut)
+                    self.segments.insert(i + 1, dict(self.segments[i]))
+        return range(bisect_left(self.starts, lo), bisect_left(self.starts, hi))
+
+    def _merge(self) -> None:
+        """Fold adjacent segments whose states are equal into one."""
+        if len(self.segments) == 1:
+            return
+        starts, segments = [self.starts[0]], [self.segments[0]]
+        for start, segment in zip(self.starts[1:], self.segments[1:]):
+            if segment != segments[-1]:
+                starts.append(start)
+                segments.append(segment)
+        self.starts, self.segments = starts, segments
+
     # -- queries -------------------------------------------------------
+    @property
+    def state(self) -> Segment:
+        """The per-party state of the whole object, while it is one
+        segment (:meth:`party_states` describes any directory)."""
+        if len(self.segments) != 1:
+            raise CoherenceError(f"{len(self.segments)} segments have no single state")
+        return self.segments[0]
+
+    def party_states(self) -> Dict[str, str]:
+        """Each party's state letters, one per segment in order (``"M"``
+        for a one-segment directory, ``"MI"`` for two)."""
+        return {p: "".join(seg[p].value for seg in self.segments) for p in self.segments[0]}
+
     @property
     def parties(self) -> List[str]:
         """Every party tracked: the client plus the context's servers."""
-        return list(self.state)
+        return list(self.segments[0])
 
     @property
     def servers(self) -> List[str]:
         """The server parties (everyone but the client)."""
-        return [p for p in self.state if p != CLIENT]
+        return [p for p in self.segments[0] if p != CLIENT]
 
     def directory(self) -> List[str]:
-        """Servers holding a valid copy (the paper's per-stub server list)."""
-        return [p for p in self.servers if self.state[p] in self.VALID]
+        """Servers holding a valid copy of every byte (the paper's
+        per-stub server list)."""
+        return [p for p in self.servers if self.is_valid(p)]
 
-    def is_valid(self, party: str) -> bool:
-        """Whether ``party`` currently holds a readable copy."""
-        return self.state[self._known(party)] in self.VALID
+    def is_valid(self, party: str, offset: int = 0, nbytes: Optional[int] = None) -> bool:
+        """Whether ``party`` holds readable bytes on the whole section."""
+        party = self._known(party)
+        if len(self.segments) == 1 and nbytes != 0:
+            return self.segments[0][party] in self.VALID
+        return all(seg[party] in self.VALID for seg in self._overlapping(*self._bounds(offset, nbytes)))
 
-    def client_download_source(self) -> "str | None":
-        """The server an ``acquire_read(CLIENT)`` would download from
-        *right now*, or ``None`` when the client's copy is already
-        valid.  Pure (no state change) — the read-coalescing planner's
+    def client_download_sources(self, offset: int = 0, nbytes: Optional[int] = None) -> Set[str]:
+        """The servers an ``acquire_read(CLIENT)`` of the section would
+        download from *right now* (none when the client's copy is
+        already valid there, or data is lost: the owning read raises
+        deterministically through ``acquire_read``).  Pure."""
+        if self.data_lost:
+            return set()
+        return {
+            self._pick_owner(seg)
+            for seg in self._overlapping(*self._bounds(offset, nbytes))
+            if seg[CLIENT] not in self.VALID
+        }
+
+    def client_download_source(self, offset: int = 0, nbytes: Optional[int] = None) -> "str | None":
+        """The one server of :meth:`client_download_sources`, ``None``
+        when there is none or several — the read-coalescing planner's
         candidate test: two buffers answering the same source daemon
         here can ride one ``CoalescedBufferDownload`` fetch, and
-        grouping by this value is exactly how
-        :func:`split_transfer_plan` would group their individual
-        download plans."""
-        if self.data_lost:
-            # Lost objects are never gang-fetch candidates; the owning
-            # read raises deterministically through ``acquire_read``.
-            return None
-        if self.is_valid(CLIENT):
-            return None
-        return self._pick_owner()
+        grouping by this value is exactly how :func:`split_transfer_plan`
+        would group their individual download plans."""
+        sources = self.client_download_sources(offset, nbytes)
+        return sources.pop() if len(sources) == 1 else None
 
     @property
     def data_lost(self) -> bool:
-        """True when no valid copy survives anywhere (see :meth:`evict`)."""
+        """True while some segment has no valid copy anywhere (see :meth:`evict`)."""
         return self.lost_reason is not None
 
     def evict(self, party: str, reason: str = "") -> int:
         """Discard ``party``'s replica because its daemon died.
 
-        Returns 1 when a *valid* copy was discarded (the quantity behind
-        ``NetStats.evicted_replicas``), else 0.  If the evicted copy was
-        the last valid one the object's data is gone for good: the
-        directory records ``lost_reason`` and every later acquire raises
-        ``CL_DEVICE_NOT_AVAILABLE`` deterministically — unless a party
-        later overwrites the whole object (:meth:`mark_modified`), which
-        makes the data well-defined again.  Unknown parties are a no-op
-        (the dead daemon never held this object)."""
-        if party not in self.state or party == CLIENT:
+        Returns 1 when a *valid* copy of some segment was discarded (the
+        quantity behind ``NetStats.evicted_replicas``), else 0.  If the
+        evicted copy was a segment's last valid one, that data is gone
+        for good: the directory records ``lost_reason`` and every later
+        acquire that needs the segment raises ``CL_DEVICE_NOT_AVAILABLE``
+        deterministically — unless a party later overwrites it
+        (:meth:`mark_modified`), which makes the data well-defined again.
+        Unknown parties are a no-op (the dead daemon never held this
+        object)."""
+        if party not in self.segments[0] or party == CLIENT:
             return 0
-        was_valid = self.state[party] in self.VALID
-        self.state[party] = State.INVALID
-        if was_valid and not self._holders():
-            self.lost_reason = reason or f"only valid copy was on {party!r}"
+        was_valid = False
+        for seg in self.segments:
+            if seg[party] in self.VALID:
+                was_valid = True
+                seg[party] = State.INVALID
+                if not self._holders(seg) and self.lost_reason is None:
+                    self.lost_reason = reason or f"only valid copy was on {party!r}"
+        self._merge()
         self._check()
         return 1 if was_valid else 0
 
     def _known(self, party: str) -> str:
-        if party not in self.state:
+        if party not in self.segments[0]:
             raise CoherenceError(f"unknown party {party!r}")
         return party
 
-    def _holders(self) -> List[str]:
-        return [p for p, s in self.state.items() if s in self.VALID]
+    def _holders(self, seg: Segment) -> List[str]:
+        return [p for p, s in seg.items() if s in self.VALID]
 
-    def _pick_owner(self) -> str:
-        holders = self._holders()
+    def _pick_owner(self, seg: Segment) -> str:
+        holders = self._holders(seg)
         if not holders:
             if self.data_lost:
                 raise CLError(
@@ -229,68 +322,107 @@ class MSIDirectory:
                 )
             raise CoherenceError("no valid copy exists anywhere")
         for p in holders:
-            if self.state[p] in (State.MODIFIED, State.OWNED):
+            if seg[p] in (State.MODIFIED, State.OWNED):
                 return p
         return holders[0]
 
     # -- operations -------------------------------------------------------
-    def acquire_read(self, party: str) -> List[Transfer]:
-        """Make ``party`` hold a valid copy; returns the transfer plan.
-
-        MSI routes everything through the client: a server miss first
-        revalidates the client's copy (download from the owner), then
-        uploads from the client.
-        """
+    def acquire_read(self, party: str, offset: int = 0, nbytes: Optional[int] = None) -> List[Transfer]:
+        """Make ``party`` hold a valid copy of the section (default: the
+        whole object); returns the transfer plan.  Each segment the party
+        lacks runs the protocol's state machine (:meth:`_acquire`); the
+        plan lists the downloads to the client first, then the
+        server-to-server hops, then the uploads, and merges adjacent
+        sections moving between the same two parties."""
         party = self._known(party)
+        lo, hi = self._bounds(offset, nbytes)
+        if self.is_valid(party, lo, hi - lo):
+            return []
+        for seg in self._overlapping(lo, hi):  # a lost segment raises before anything changes
+            if seg[party] not in self.VALID:
+                self._pick_owner(seg)
+        moves: List[Tuple[int, str, str, str, int, int]] = []
+        for i in self._split(lo, hi):
+            seg = self.segments[i]
+            if seg[party] not in self.VALID:
+                a, b = self._span(i)
+                for src, dst, reason in self._acquire(seg, party):
+                    phase = 0 if dst == CLIENT else 2 if src == CLIENT else 1
+                    moves.append((phase, src, dst, reason, a, b))
+        moves.sort(key=lambda m: m[0])
         plan: List[Transfer] = []
-        if self.is_valid(party):
-            return plan
-        if party == CLIENT:
-            owner = self._pick_owner()
-            plan.append(Transfer(owner, CLIENT, "client read miss"))
-            self._demote(owner)
-            self.state[CLIENT] = State.SHARED
-        else:
-            if not self.is_valid(CLIENT):
-                owner = self._pick_owner()
-                plan.append(Transfer(owner, CLIENT, "revalidate client copy"))
-                self._demote(owner)
-                self.state[CLIENT] = State.SHARED
-            plan.append(Transfer(CLIENT, party, "server read miss"))
-            self._demote(CLIENT)  # a Modified client copy is now shared
-            self.state[party] = State.SHARED
+        for _phase, src, dst, reason, a, b in moves:
+            last = plan[-1] if plan else None
+            if last is not None and (last.src, last.dst) == (src, dst) and last.offset + last.nbytes == a:
+                plan[-1] = Transfer(src, dst, last.reason, last.offset, b - last.offset)
+            else:
+                plan.append(Transfer(src, dst, reason, a, b - a))
+        self._merge()
         self._check()
         return plan
 
-    def _demote(self, owner: str) -> None:
-        if self.state[owner] in (State.MODIFIED, State.OWNED):
-            self.state[owner] = State.SHARED
+    def _acquire(self, seg: Segment, party: str) -> List[Tuple[str, str, str]]:
+        """One segment's MSI miss: everything goes through the client —
+        a server miss first revalidates the client's copy (download from
+        the owner), then uploads from the client."""
+        moves = []
+        if party == CLIENT:
+            owner = self._pick_owner(seg)
+            moves.append((owner, CLIENT, "client read miss"))
+            self._demote(seg, owner)
+            seg[CLIENT] = State.SHARED
+            return moves
+        if seg[CLIENT] not in self.VALID:
+            owner = self._pick_owner(seg)
+            moves.append((owner, CLIENT, "revalidate client copy"))
+            self._demote(seg, owner)
+            seg[CLIENT] = State.SHARED
+        moves.append((CLIENT, party, "server read miss"))
+        self._demote(seg, CLIENT)  # a Modified client copy is now shared
+        seg[party] = State.SHARED
+        return moves
 
-    def abort_fetch(self, party: str, reason: str) -> None:
-        """Roll back an optimistic ``acquire_read(party)`` whose physical
-        transfer failed.
+    @staticmethod
+    def _demote(seg: Segment, owner: str) -> None:
+        if seg[owner] in (State.MODIFIED, State.OWNED):
+            seg[owner] = State.SHARED
+
+    def abort_fetch(self, party: str, reason: str, offset: int = 0, nbytes: Optional[int] = None) -> None:
+        """Roll back an optimistic ``acquire_read(party)`` of the section
+        whose physical transfer failed.
 
         :meth:`acquire_read` marks ``party`` Shared *before* the bytes
         move; if the transfer then dies (daemon loss, exhausted retries)
-        its entry claims a copy it never received.  Re-invalidate it —
-        and if the demoted owner has meanwhile been evicted too, the data
-        is genuinely gone, so record ``lost_reason`` exactly as
+        its segments claim a copy it never received.  Re-invalidate them
+        — and if a demoted owner has meanwhile been evicted too, the
+        data is genuinely gone, so record ``lost_reason`` exactly as
         :meth:`evict` would have."""
-        if self.state.get(party) == State.SHARED:
-            self.state[party] = State.INVALID
-        if not self._holders() and not self.data_lost:
-            self.lost_reason = reason
+        for i in self._split(*self._bounds(offset, nbytes)):
+            seg = self.segments[i]
+            if seg.get(party) == State.SHARED:
+                seg[party] = State.INVALID
+            if not self._holders(seg) and not self.data_lost:
+                self.lost_reason = reason
+        self._merge()
         self._check()
 
-    def mark_modified(self, party: str) -> None:
-        """``party`` wrote the object: it becomes Modified, everyone else
-        Invalid (kernel wrote a buffer / host overwrote the stub)."""
+    def mark_modified(self, party: str, offset: int = 0, nbytes: Optional[int] = None) -> None:
+        """``party`` wrote the section (default: the whole object): it
+        becomes Modified there, everyone else Invalid (a kernel wrote a
+        buffer / the host overwrote the stub)."""
         party = self._known(party)
-        for p in self.state:
-            self.state[p] = State.MODIFIED if p == party else State.INVALID
-        # A whole-object overwrite defines every byte anew: previously
-        # lost data is well-defined again.
-        self.lost_reason = None
+        lo, hi = self._bounds(offset, nbytes)
+        if lo == 0 and hi == self.size:  # the whole object: one segment
+            self.starts, self.segments = [0], [self.segments[0]]
+        for i in self._split(lo, hi):
+            seg = self.segments[i]
+            for p in seg:
+                seg[p] = State.MODIFIED if p == party else State.INVALID
+        # An overwrite defines its bytes anew: data lost there is
+        # well-defined again.
+        if self.lost_reason is not None and all(map(self._holders, self.segments)):
+            self.lost_reason = None
+        self._merge()
         self._check()
 
     def host_overwrite(self) -> None:
@@ -300,19 +432,20 @@ class MSIDirectory:
 
     # -- invariants ------------------------------------------------------
     def _check(self) -> None:
-        exclusive = [p for p, s in self.state.items() if s in (State.MODIFIED, State.OWNED)]
-        if len(exclusive) > 1:
-            raise CoherenceError(f"multiple exclusive holders: {exclusive}")
-        for p, s in self.state.items():
-            if s == State.MODIFIED:
-                others = [q for q in self.state if q != p and self.state[q] != State.INVALID]
-                if others:
-                    raise CoherenceError(f"{p} is Modified but {others} are not Invalid")
-        if not self._holders() and not self.data_lost:
-            raise CoherenceError("no valid copy exists anywhere")
+        for seg in self.segments:
+            exclusive = [p for p, s in seg.items() if s in (State.MODIFIED, State.OWNED)]
+            if len(exclusive) > 1:
+                raise CoherenceError(f"multiple exclusive holders: {exclusive}")
+            for p, s in seg.items():
+                if s == State.MODIFIED:
+                    others = [q for q in seg if q != p and seg[q] != State.INVALID]
+                    if others:
+                        raise CoherenceError(f"{p} is Modified but {others} are not Invalid")
+            if not self._holders(seg) and not self.data_lost:
+                raise CoherenceError("no valid copy exists anywhere")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        inner = ", ".join(f"{p}={s.value}" for p, s in self.state.items())
+        inner = ", ".join(f"{p}={s}" for p, s in self.party_states().items())
         return f"<{type(self).__name__} {inner}>"
 
 
@@ -323,19 +456,13 @@ class MOSIDirectory(MSIDirectory):
 
     VALID = (State.MODIFIED, State.OWNED, State.SHARED)
 
-    def acquire_read(self, party: str) -> List[Transfer]:
-        """Make ``party`` valid with a single direct hop from the owner
+    def _acquire(self, seg: Segment, party: str) -> List[Tuple[str, str, str]]:
+        """One segment's MOSI miss: a single direct hop from the owner
         (server-to-server when both are servers), keeping dirty sharing
         via the Owned state."""
-        party = self._known(party)
-        plan: List[Transfer] = []
-        if self.is_valid(party):
-            return plan
-        owner = self._pick_owner()
-        plan.append(Transfer(owner, party, "direct transfer"))
-        if self.state[owner] == State.MODIFIED:
+        owner = self._pick_owner(seg)
+        if seg[owner] == State.MODIFIED:
             # The previous modifier keeps ownership (dirty sharing).
-            self.state[owner] = State.OWNED if owner != CLIENT else State.SHARED
-        self.state[party] = State.SHARED
-        self._check()
-        return plan
+            seg[owner] = State.OWNED if owner != CLIENT else State.SHARED
+        seg[party] = State.SHARED
+        return [(owner, party, "direct transfer")]

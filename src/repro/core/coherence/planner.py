@@ -10,8 +10,8 @@ routes its coherence traffic through.  The planner
   ``push_transfers=False`` it is *behaviour-identical* to calling the
   directory raw (property-tested against the pre-refactor oracle in
   ``tests/core/test_planner_equivalence.py``);
-* maintains the buffer's **sync-epoch history**: every whole-object
-  write (kernel launch or host upload) opens a new epoch, and the set
+* maintains the buffer's **sync-epoch history**: every write (kernel
+  launch or host upload, whole or to a section) opens a new epoch, and the set
   of parties that ``acquire_read`` the buffer during an epoch is its
   reader set.  When the next write closes a *kernel* epoch the
   ``(writer, readers)`` pair enters a short history window;
@@ -81,7 +81,7 @@ class TransferPlanner:
     def __init__(self, directory: MSIDirectory) -> None:
         self.directory = directory
         #: Monotone per-buffer write counter: bumped by every
-        #: whole-object write, at *enqueue* time (client program
+        #: write, at *enqueue* time (client program
         #: order), which is what makes the epoch check race-free.
         self.epoch = 0
         self._writer: Optional[str] = None
@@ -109,31 +109,39 @@ class TransferPlanner:
         """Whether every valid copy was lost to daemon failures."""
         return self.directory.data_lost
 
-    def is_valid(self, party: str) -> bool:
-        """Whether ``party`` holds a valid copy (pure passthrough)."""
-        return self.directory.is_valid(party)
+    def is_valid(self, party: str, offset: int = 0, nbytes: Optional[int] = None) -> bool:
+        """Whether ``party`` holds a valid copy of the section (pure
+        passthrough)."""
+        return self.directory.is_valid(party, offset, nbytes)
 
-    def client_download_source(self) -> "str | None":
-        """The daemon a client read would download from, ``None`` when
-        the client copy is already valid (pure passthrough)."""
-        return self.directory.client_download_source()
+    def client_download_sources(self, offset: int = 0, nbytes: Optional[int] = None) -> Set[str]:
+        """The daemons a client read of the section would download from
+        (pure passthrough)."""
+        return self.directory.client_download_sources(offset, nbytes)
+
+    def client_download_source(self, offset: int = 0, nbytes: Optional[int] = None) -> "str | None":
+        """The one daemon a client read of the section would download
+        from, ``None`` when the client copy is already valid there or
+        the section has several sources (pure passthrough)."""
+        return self.directory.client_download_source(offset, nbytes)
 
     def evict(self, party: str, reason: str = "") -> int:
         """Replica loss (daemon death): pure state change, no epoch —
         eviction defines no new bytes."""
         return self.directory.evict(party, reason)
 
-    def abort_fetch(self, party: str, reason: str) -> None:
-        """Roll back an optimistic acquire of ``party`` whose transfer
-        died.  Pure state rollback: the epoch is untouched, so a push
-        staged for the *current* version stays consumable by the retry."""
-        self.directory.abort_fetch(party, reason)
+    def abort_fetch(self, party: str, reason: str, offset: int = 0, nbytes: Optional[int] = None) -> None:
+        """Roll back an optimistic acquire of the section by ``party``
+        whose transfer died.  Pure state rollback: the epoch is
+        untouched, so a push staged for the *current* version stays
+        consumable by the retry."""
+        self.directory.abort_fetch(party, reason, offset, nbytes)
 
     # -- planning (records the access history) ------------------------
-    def acquire_read(self, party: str) -> List[Transfer]:
-        """Plan making ``party`` valid; records ``party`` in the
-        current epoch's reader set."""
-        plan = self.directory.acquire_read(party)
+    def acquire_read(self, party: str, offset: int = 0, nbytes: Optional[int] = None) -> List[Transfer]:
+        """Plan making ``party`` valid on the section; records ``party``
+        in the current epoch's reader set."""
+        plan = self.directory.acquire_read(party, offset, nbytes)
         self._readers.add(party)
         return plan
 
@@ -167,11 +175,11 @@ class TransferPlanner:
             and self.epoch - self._demand_epoch <= GANG_DEMAND_WINDOW
         )
 
-    def note_kernel_write(self, party: str) -> int:
-        """A kernel (device-side) whole-object write by ``party``:
-        closes the current epoch into the history, opens the next.
-        Returns the new epoch."""
-        return self._note_write(party, kernel=True)
+    def note_kernel_write(self, party: str, offset: int = 0, nbytes: Optional[int] = None) -> int:
+        """A kernel (device-side) write by ``party`` of the section it
+        may write (default: the whole object): closes the current epoch
+        into the history, opens the next.  Returns the new epoch."""
+        return self._note_write(party, True, offset, nbytes)
 
     def note_host_write(self, party: str) -> int:
         """A host-supplied whole-object write landing on ``party``
@@ -182,10 +190,10 @@ class TransferPlanner:
         feeding it to the history would erase the stable edge)."""
         return self._note_write(party, kernel=False)
 
-    def _note_write(self, party: str, kernel: bool) -> int:
+    def _note_write(self, party: str, kernel: bool, offset: int = 0, nbytes: Optional[int] = None) -> int:
         if self._writer is not None and self._kernel_epoch:
             self._history.append((self._writer, frozenset(self._readers)))
-        self.directory.mark_modified(party)
+        self.directory.mark_modified(party, offset, nbytes)
         self.epoch += 1
         self._writer = party
         self._kernel_epoch = kernel

@@ -634,11 +634,12 @@ class Daemon:
             # lands (a write still gated on an event cannot be waited
             # for here: the copy is read at once, as it always was).  A
             # section whose read would wait on the queue's unresolved
-            # predecessor is not read: ``None``.  Each copy's storage is
-            # lent (``Buffer.lend``): its read-only view streams back
-            # (zero-copy, never concatenated) and the client adopts it.
+            # predecessor is not read: ``None``.  Each section leaves as
+            # :meth:`_section` gives it: a view of the lent storage
+            # (zero-copy, never concatenated) or a copy of a small part.
+            offsets = msg.offsets or [0] * len(msg.buffer_ids)
             if not (
-                len(msg.buffer_ids) == len(msg.event_ids) == len(msg.nbytes_list)
+                len(msg.buffer_ids) == len(msg.event_ids) == len(msg.nbytes_list) == len(offsets)
                 and msg.buffer_ids
             ):
                 raise CLError(
@@ -649,14 +650,14 @@ class Daemon:
             queue = self._queue(client, msg.queue_id)
             buffers = [self.registry.get(client, i, Buffer) for i in msg.buffer_ids]
             sections, tcur = [], t
-            for buffer, event_id, nbytes in zip(buffers, msg.event_ids, msg.nbytes_list):
+            for buffer, event_id, nbytes, offset in zip(buffers, msg.event_ids, msg.nbytes_list, offsets):
                 if queue.blocked:
                     sections.append(None)
                     continue
                 nbytes = nbytes if nbytes > 0 else buffer.size
                 start = max(tcur, buffer.write_landed() or 0.0)
-                _, event = queue.enqueue_read_buffer(buffer, start, 0, nbytes, [])
-                data = buffer.lend()[:nbytes]
+                _, event = queue.enqueue_read_buffer(buffer, start, offset, nbytes, [])
+                data = self._section(buffer, offset, nbytes)
                 self.registry.put(client, event_id, event)
                 self._arm_completion_callback(event, event_id, sender)
                 tcur = event.end
@@ -706,12 +707,15 @@ class Daemon:
         @ack_handler(P.BufferPeerTransferBatch)
         def peer_transfer_batch(msg: P.BufferPeerTransferBatch, t: float, sender: GCFProcess):
             # Section III-F server-to-server synchronisation (MOSI): the
-            # section table's buffer copies move straight to the peer
+            # section table's buffer sections move straight to the peer
             # daemon in one direct stream, bypassing the client, and are
             # answered by a single Ack.  The whole table (source and
             # destination copies) is validated before any bytes move, so
-            # a stale ID rejects the batch whole.
-            if not (len(msg.buffer_ids) == len(msg.nbytes_list) and msg.buffer_ids):
+            # a stale ID rejects the batch whole.  A whole section is
+            # adopted as the destination's storage, a partial one copied
+            # into it.
+            offsets = msg.offsets or [0] * len(msg.buffer_ids)
+            if not (len(msg.buffer_ids) == len(msg.nbytes_list) == len(offsets) and msg.buffer_ids):
                 raise CLError(
                     ErrorCode.CL_INVALID_VALUE,
                     "batched peer transfer needs aligned, non-empty section lists",
@@ -730,6 +734,12 @@ class Daemon:
                 peer.registry.get(sender.name, buffer_id, Buffer)
                 for buffer_id in msg.buffer_ids
             ]
+            for buffer, offset, nbytes in zip(buffers, offsets, msg.nbytes_list):
+                if not 0 <= offset < offset + nbytes <= buffer.size:
+                    raise CLError(
+                        ErrorCode.CL_INVALID_VALUE,
+                        f"section [{offset}, {offset + nbytes}) outside buffer of {buffer.size} bytes",
+                    )
             # The source copies are read no earlier than their last
             # writes land (a write still gated on an event cannot be
             # waited for: the copy moves at once, as it always did).
@@ -737,8 +747,11 @@ class Daemon:
             arrival = self.network.transfer(
                 self.host, peer.host, start, sum(msg.nbytes_list), tag="s2s-buffer"
             )
-            for src_buffer, dst_buffer in zip(buffers, peer_buffers):
-                dst_buffer.adopt(src_buffer.lend())
+            for src_buffer, dst_buffer, offset, nbytes in zip(buffers, peer_buffers, offsets, msg.nbytes_list):
+                if nbytes == src_buffer.size:
+                    dst_buffer.adopt(src_buffer.lend())
+                else:
+                    dst_buffer.store(offset, self._section(src_buffer, offset, nbytes))
                 dst_buffer.last_write = arrival
             return arrival
 
@@ -903,6 +916,16 @@ class Daemon:
             stale = [c for c, a in self.client_auth.items() if a == msg.auth_id]
             for client in stale:
                 del self.client_auth[client]
+
+    @staticmethod
+    def _section(buffer: Buffer, offset: int, nbytes: int):
+        """The bytes ``[offset, offset + nbytes)`` of ``buffer`` as they
+        leave it: a view of its lent storage, unless the section is at
+        most half the buffer — then a copy, since a view marks the whole
+        storage shared and its next write would copy all of it."""
+        if 2 * nbytes <= buffer.size:
+            return buffer.array[offset : offset + nbytes].copy()
+        return buffer.lend()[offset : offset + nbytes]
 
     # ------------------------------------------------------------------
     # daemon-initiated pushes (PR 9)

@@ -300,12 +300,13 @@ class BufferDataUpload(Request):
 class CoalescedBufferDownload(Request):
     """A coherence server->client download.
 
-    The buffers whose client copy must be revalidated from one daemon
-    between two sync points (one or more).  ``buffer_ids[i]`` / ``event_ids[i]`` /
-    ``nbytes_list[i]`` describe section ``i`` (whole-object downloads,
-    so offsets are always zero); the daemon enqueues one read per
-    section, in order, on ``queue_id`` and registers each section's
-    event.
+    The buffer sections whose client copy must be revalidated from one
+    daemon between two sync points (one or more).  ``buffer_ids[i]`` /
+    ``event_ids[i]`` / ``nbytes_list[i]`` / ``offsets[i]`` describe
+    section ``i`` (``offsets`` left out: all zero, so a whole-object
+    download encodes as it always did); the daemon enqueues one read
+    per section, in order, on ``queue_id`` and registers each
+    section's event.
 
     On the pipeline the download is a windowed command riding the batch
     that drains its producers: each section streams back from its read's
@@ -319,6 +320,7 @@ class CoalescedBufferDownload(Request):
     buffer_ids: List[int] = reads()
     event_ids: List[int] = creates()
     nbytes_list: List[int]
+    offsets: List[int] = None
 
 
 @message_type
@@ -330,19 +332,23 @@ class BufferDataResponse(Response):
     detail: str = ""
 
 
-@message_type(replay_safe="re-ships whole objects")
+@message_type(replay_safe="re-ships the same sections", closes_batch=True)
 class BufferPeerTransferBatch(Request):
     """Section III-F server-to-server synchronisation: one request makes
-    the receiving daemon push the listed buffer copies (one or more —
+    the receiving daemon push the listed buffer sections (one or more —
     every MOSI hop along the same ``(source, destination)`` daemon pair
-    between two sync points) to the peer daemon in one direct exchange:
-    one client round trip, and one daemon-to-daemon stream carrying
-    every section (``buffer_ids[i]`` / ``nbytes_list[i]``) back to
-    back."""
+    between two sync points) to the peer daemon in one direct exchange,
+    one daemon-to-daemon stream carrying every section
+    (``buffer_ids[i]`` / ``nbytes_list[i]`` / ``offsets[i]``, offsets
+    left out when all are zero) back to back.  It closes the source's
+    batch when the source's window holds commands — its handler returns
+    when the bytes land, so anywhere else it would stall the commands
+    behind it — and is a round trip of its own otherwise."""
 
     peer_name: str
     buffer_ids: List[int]
     nbytes_list: List[int]
+    offsets: List[int] = None
 
 
 # ----------------------------------------------------------------------
@@ -713,10 +719,11 @@ class ClientLostNotification(Notification):
 #:    the normal handler table), and the type must not itself be an
 #:    envelope (nested batches are rejected).
 #:
-#: A ``closes_batch`` request (``FinishRequest``) is not deferrable but
-#: may be a batch's last sub-command, appended at dispatch: its handler
-#: returns when the queue drains, so anywhere else it would stall the
-#: commands behind it, and the daemon refuses it there.
+#: A ``closes_batch`` request (``FinishRequest``, ``BufferPeerTransferBatch``)
+#: is not deferrable but may be a batch's last sub-command, appended at
+#: dispatch: its handler returns when the queue drains or the bytes land,
+#: so anywhere else it would stall the commands behind it, and the
+#: daemon refuses it there.
 #:
 #: Flush points — where windows drain and deferred errors surface — are
 #: enumerated in :meth:`repro.core.client.driver.DOpenCLDriver.defer`'s

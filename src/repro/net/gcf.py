@@ -664,17 +664,17 @@ class GCFProcess:
     # message-based communication
     # ------------------------------------------------------------------
     def _round_trip(
-        self, target: "GCFProcess", handler: Callable, msg: Message, t: float
+        self, target: "GCFProcess", handler: Callable, msg: Message, t: float, tag: Optional[str] = None
     ) -> Tuple[RequestOutcome, list]:
         """The one round-trip body under :meth:`request`,
         :meth:`request_batch` and :meth:`fetch_bulk`: size each message
         once (``wire_size`` walks the payload), request leg, the
         target's ``request_overhead`` CPU slice, ``handler``, reply leg,
         byte counters.  Legs and slice are tagged with their message's
-        class name — what fault plans address.  Returns the outcome plus
-        whatever ``handler`` returned beyond ``(response, t_done)`` (a
-        bulk source's ``payload, nbytes``)."""
-        name = type(msg).__name__
+        class name (or ``tag``) — what fault plans address.  Returns the
+        outcome plus whatever ``handler`` returned beyond ``(response,
+        t_done)`` (a bulk source's ``payload, nbytes``)."""
+        name = tag or type(msg).__name__
         msg_size = msg.wire_size
         arrival = self.network.transfer(self.host, target.host, t, msg_size, tag=name)
         iv = target.cpu.allocate(arrival, target.host.spec.request_overhead, name)
@@ -710,6 +710,7 @@ class GCFProcess:
         epoch: int = 0,
         seq: int = -1,
         sections: Optional[Dict[int, Tuple[Any, int]]] = None,
+        tag: Optional[str] = None,
     ) -> RequestOutcome:
         """Forward a whole send window in ONE round trip.
 
@@ -741,7 +742,8 @@ class GCFProcess:
         leave the target when the handler says, ahead of the reply leg:
         the outcome's ``sections`` maps the command's index to a list of
         ``(payload, arrival)``, ``None`` for a section not read.  A
-        replayed batch streams both again.
+        replayed batch streams both again.  ``tag`` names the request
+        leg for fault plans instead of the envelope's class.
         """
         if not msgs:
             raise ValueError("request_batch needs at least one command")
@@ -777,7 +779,7 @@ class GCFProcess:
                 back.extend(s[1] for s in out if s)
             return reply, t_done, landed
 
-        outcome, (landed,) = self._round_trip(target, stream, batch, t)
+        outcome, (landed,) = self._round_trip(target, stream, batch, t, tag)
         outcome.sections = landed
         self.stats.bytes_received += sum(back)
         if sections:

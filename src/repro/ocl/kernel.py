@@ -7,6 +7,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.clc import LocalMemory
+from repro.clc.access import Launch, covers
 from repro.clc.driver import CompiledKernel
 from repro.clc.types import PointerType
 from repro.ocl.constants import ErrorCode
@@ -77,11 +78,17 @@ class Kernel:
                 )
         self.args[index] = value
 
-    def bound_args(self) -> List[object]:
+    def bound_args(self, global_size=None, global_offset=None, local_size=None) -> List[object]:
         """Arguments ready for the clc runtime (buffers become typed views
-        of one storage each: a written buffer's is made private first)."""
+        of one storage each: a written buffer's is made private first,
+        without its old bytes when the launch of ``global_size`` work
+        items overwrites them all)."""
         for buffer in self.written_buffers():
-            buffer.own()
+            if buffer.lent and global_size is not None:
+                launch = Launch(global_size, global_offset, local_size, self.args)
+                buffer.own(not self.overwrites(buffer, launch))
+            else:
+                buffer.own()
         out: List[object] = []
         for i, (value, sym) in enumerate(zip(self.args, self.compiled.info.param_symbols)):
             if value is _UNSET:
@@ -94,6 +101,16 @@ class Kernel:
             else:
                 out.append(value)
         return out
+
+    def overwrites(self, buffer: Buffer, launch: Launch) -> bool:
+        """Whether ``launch`` writes every byte of ``buffer`` and reads
+        none: no parameter bound to it has a read summary, and one has a
+        cover of its size (:func:`repro.clc.access.covers`)."""
+        access = self.compiled.access
+        bound = [access.get(i) for i, value in enumerate(self.args) if value is buffer]
+        return all(a is not None and a[0] is None for a in bound) and any(
+            covers(a[2], buffer.size, launch) for a in bound
+        )
 
     def buffer_args(self) -> List[Buffer]:
         return [a for a in self.args if isinstance(a, Buffer)]

@@ -55,11 +55,17 @@ class LentStorage:
         """Take a lent view as this copy's storage: no copy."""
         self.array, self.lent = data, True
 
-    def own(self) -> np.ndarray:
-        """The storage, private: a shared one is copied first."""
+    def own(self, keep: bool = True) -> np.ndarray:
+        """The storage, private: a shared one is copied first — or, when
+        the caller overwrites every byte before it reads one (``keep``
+        false), replaced by a new array."""
         if self.lent:
-            self.array, self.lent = self.array.copy(), False
-            self.cow_copies += 1
+            if keep:
+                self.array = self.array.copy()
+                self.cow_copies += 1
+            else:
+                self.array = np.empty_like(self.array)
+            self.lent = False
         return self.array
 
     def store(self, offset: int, raw: np.ndarray) -> None:

@@ -231,7 +231,7 @@ class CommandQueue:
                 ErrorCode.CL_INVALID_WORK_GROUP_SIZE,
                 f"work-group size {wg} exceeds device limit {max_wg}",
             )
-        args = kernel.bound_args()
+        args = kernel.bound_args(global_size, global_offset, local_size)
         from repro.clc.errors import CLCRuntimeError
 
         try:

@@ -12,9 +12,11 @@ snapshots, so a change that quietly costs round trips or bytes (or
 quietly improves them without re-recording the snapshot) fails loudly
 instead of rotting the perf floor.
 
-Round-trip and cache-hit counters are compared exactly by default; byte
-counters get a small relative tolerance (codec-level changes
-legitimately move a few header bytes).  Both directions are violations:
+Every key is compared exactly: round trips, cache hits, byte counters
+and virtual-clock numbers alike (a codec change that moves a header
+byte re-records the snapshot and says why).  A violation names the first
+digit where the fresh value leaves the committed one.  Both directions
+are violations:
 *worse* means a regression, *better* means the committed snapshot is
 stale and must be re-recorded, which way is better being per key
 (:func:`improved`) (``PYTHONPATH=src python -m pytest benchmarks/bench_smoke.py
@@ -43,8 +45,7 @@ from repro.bench.osem import bench_osem, osem_payload
 from repro.bench.smoke import bench_smoke, smoke_payload
 from repro.bench.stream import bench_stream, stream_payload
 
-#: Compared keys -> relative tolerance.  Round trips are deterministic
-#: integers (exact); byte counts tolerate small codec-level drift.  The
+#: Compared keys -> relative tolerance, every one exact.  The
 #: ``gather``/``mosi`` keys gate the download and peer-transfer
 #: coalescing floors (the gathered mini Fig. 4); the ``readback`` keys
 #: gate the result-read coalescing floor the same way (the
@@ -69,8 +70,8 @@ DEFAULT_TOLERANCES: Dict[str, float] = {
     "batched_commands_batched": 0.0,
     "buffers_created_batched": 0.0,
     "replicas_created_batched": 0.0,
-    "bytes_sent_sync": 0.02,
-    "bytes_sent_batched": 0.02,
+    "bytes_sent_sync": 0.0,
+    "bytes_sent_batched": 0.0,
 }
 
 #: OSEM-snapshot keys -> relative tolerance (``BENCH_osem.json``): the
@@ -118,19 +119,18 @@ def _multiclient_tolerances() -> Dict[str, float]:
 MULTICLIENT_TOLERANCES: Dict[str, float] = _multiclient_tolerances()
 
 #: Stream-snapshot keys -> relative tolerance (``BENCH_stream.json``):
-#: the double-buffered deferred-read overlap numbers.  The round-trip
-#: and deferred-read counters are exact; the virtual-time periods get a
-#: small relative tolerance (legitimate codec/header-size changes move
-#: wire durations by fractions of a percent) and the derived
-#: pipelined:serial ratio a slightly wider one.
+#: the double-buffered deferred-read overlap numbers.  The virtual-time
+#: periods, the derived pipelined:serial ratio and the round-trip and
+#: deferred-read counters are all exact properties of the deterministic
+#: simulation.
 STREAM_TOLERANCES: Dict[str, float] = {
-    "steady_period_pipelined": 0.02,
-    "steady_period_serial": 0.02,
-    "steady_period_compute_only": 0.02,
-    "transfer_period": 0.05,
-    "makespan_pipelined": 0.02,
-    "makespan_serial": 0.02,
-    "pipelined_ratio": 0.05,
+    "steady_period_pipelined": 0.0,
+    "steady_period_serial": 0.0,
+    "steady_period_compute_only": 0.0,
+    "transfer_period": 0.0,
+    "makespan_pipelined": 0.0,
+    "makespan_serial": 0.0,
+    "pipelined_ratio": 0.0,
     "round_trips_pipelined": 0.0,
     "round_trips_serial": 0.0,
     "deferred_reads": 0.0,
@@ -242,7 +242,8 @@ def compare(
         better = improved(key, got, want)
         problems.append(
             f"{key}: {'improved' if better else 'regressed'} — fresh {got:g} "
-            f"vs committed {want:g} (tolerance ±{tolerance:.0%}); "
+            f"vs committed {want:g} (tolerance ±{tolerance:.0%}; "
+            f"{first_difference(fresh[key], committed[key])}); "
             + (
                 f"re-record {snapshot} to bank the improvement"
                 if better
@@ -250,6 +251,14 @@ def compare(
             )
         )
     return problems
+
+
+def first_difference(got: object, want: object) -> str:
+    """Where ``got`` leaves ``want``, as their texts with the first
+    differing character bracketed: ``0.00568213[9] vs 0.00568214[9]``."""
+    a, b = repr(got), repr(want)
+    i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    return f"first difference at character {i + 1}: {a[:i]}[{a[i:i + 1]}] vs {b[:i]}[{b[i:i + 1]}]"
 
 
 def format_report(

@@ -24,7 +24,10 @@ census closes each daemon's and each client's block: batched
 sub-commands per message class (count and bytes — dispatched on a
 daemon, sent by a client) and, per daemon, the objects of each kind its
 registry created and how many of those any command ever named.  A
-``storage:`` line counts the lent buffer storages and copy-on-write copies.
+``storage:`` line counts the lent buffer storages and copy-on-write copies;
+a client's is followed by a ``segments:`` line, the number of segments
+each live buffer's coherence directory holds (``#id=n``; 1 is the whole
+buffer).
 
 Works against any object exposing ``daemons`` (a
 :class:`~repro.testbed.Deployment`) or directly against an iterable of
@@ -63,7 +66,8 @@ def _entry_line(entry) -> str:
 
 def replica_residency(deployment) -> Dict[str, Dict[str, int]]:
     """Per-daemon replica residency: ``daemon name -> {directory-state
-    letter -> live buffers in that state on the daemon}``, aggregated
+    letters -> live buffers in that state on the daemon}`` (one letter
+    per segment of a buffer's directory), aggregated
     over every driver's live (unreleased) buffers.  The client rows ride
     along under the reserved party name ``client``."""
     residency: Dict[str, Dict[str, int]] = {}
@@ -72,10 +76,9 @@ def replica_residency(deployment) -> Dict[str, Dict[str, int]]:
             for buffer in context.live_buffers:
                 if buffer.released:
                     continue
-                for party, state in buffer.planner.state.items():
+                for party, letters in buffer.coherence.party_states().items():
                     per_state = residency.setdefault(party, {})
-                    letter = state.value
-                    per_state[letter] = per_state.get(letter, 0) + 1
+                    per_state[letters] = per_state.get(letters, 0) + 1
     return residency
 
 
@@ -196,7 +199,10 @@ def cachestat_text(deployment) -> str:
                      f"folded_finishes={stats.folded_finishes} "
                      f"kernels_created_on_launch={stats.kernels_created_on_launch} "
                      f"folded_kernel_args={stats.folded_kernel_args}")
-        lines.append(_storage_line(b for c in driver.contexts for b in c.live_buffers))
+        buffers = [b for c in driver.contexts for b in c.live_buffers]
+        lines.append(_storage_line(buffers))
+        if buffers:
+            lines.append("  segments: " + " ".join(f"#{b.id}={len(b.coherence.segments)}" for b in buffers))
         lines.extend(_census_lines(stats))
     if hasattr(deployment, "timelines"):
         lines.extend(_timeline_line(host, tls) for host, tls in deployment.timelines().items())

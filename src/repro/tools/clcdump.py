@@ -10,7 +10,11 @@ compiler decision (``# merge elided: zr_16 dead after loop 2``,
 if 3 parks nobody for good``, ``# uniform: s_42``, ``# merge in place:
 iter_18 ...``, ``# lanes retired: ...``, ``# in place: ...``), so the
 liveness, compaction, block, mask, uniformity and in-place verdicts can
-be read without reading the code generator.
+be read without reading the code generator.  After the module come the
+access summaries: for each kernel and ``__global`` parameter, the
+elements it may read and may write as affine forms of the work-item ids
+(``4·[gid0 + arg1·gid1]``: 4-byte elements at ``gid0 + width·gid1``) or
+``whole``, and whether a top-level store covers the buffer.
 
 With ``--run N`` one ``N``-work-item launch of one kernel is executed on
 both backends and the report adds, per backend, ``ops`` and
@@ -41,6 +45,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.clc import CLCRuntimeError, LocalMemory, compile_program, execute_kernel, vecrt
+from repro.clc.access import describe
 from repro.clc.driver import CompiledProgram
 from repro.clc.types import PointerType
 
@@ -186,6 +191,20 @@ def run_report(program: CompiledProgram, kernel_name: str, lanes: int, args: Seq
     return "\n".join(lines)
 
 
+def summaries_text(program: CompiledProgram) -> str:
+    """Each kernel's read and write summary for each ``__global``
+    parameter (:mod:`repro.clc.access`), and whether it has a cover."""
+    lines = ["# access summaries (elements read and written; whole: every byte, -: none)"]
+    for name, kernel in program.kernels.items():
+        for index, (read, write, cover) in kernel.access.items():
+            param = kernel.info.param_symbols[index].name
+            lines.append(
+                f"#   {name}.{param}: read {describe(read)}; write {describe(write)}"
+                + ("; covers its buffer when no guard fires" if cover else "")
+            )
+    return "\n".join(lines)
+
+
 def clcdump_text(
     source: str,
     kernel: Optional[str] = None,
@@ -196,7 +215,7 @@ def clcdump_text(
     (``args`` default to the synthetic ones described in the module
     docstring)."""
     program = compile_program(source)
-    text = program.python_source
+    text = program.python_source + "\n" + summaries_text(program)
     if run is not None:
         name = kernel or next(iter(program.kernels))
         launch_args = args if args is not None else _synthetic_args(program.kernel(name), run)

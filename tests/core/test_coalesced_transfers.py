@@ -90,18 +90,18 @@ def test_split_is_a_pure_partition_with_correct_grouping(directory_cls, sequence
     )
     assert n_grouped == sum(len(p) for _k, p in plans)
     by_key = dict(plans)
-    for src, keys in downloads.items():
+    for src, sections in downloads.items():
         assert src != CLIENT
-        for key in keys:
-            assert any(t.src == src and t.dst == CLIENT for t in by_key[key])
-    for (src, dst), keys in peers.items():
+        for key, t in sections:
+            assert t in by_key[key] and (t.src, t.dst) == (src, CLIENT)
+    for (src, dst), sections in peers.items():
         assert CLIENT not in (src, dst)
-        for key in keys:
-            assert any(t.src == src and t.dst == dst for t in by_key[key])
-    for dst, keys in uploads.items():
+        for key, t in sections:
+            assert t in by_key[key] and (t.src, t.dst) == (src, dst)
+    for dst, sections in uploads.items():
         assert dst != CLIENT
-        for key in keys:
-            assert any(t.src == CLIENT and t.dst == dst for t in by_key[key])
+        for key, t in sections:
+            assert t in by_key[key] and (t.src, t.dst) == (CLIENT, dst)
     # MSI plans never produce direct server-to-server hops.
     if directory_cls is MSIDirectory:
         assert not peers

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import repro.core.protocol.messages as P
+from repro.core.coherence.directory import CLIENT, Transfer
 from repro.core.client.stubs import BufferStub
 from repro.hw import Host, WESTMERE_NODE
 from repro.hw.cluster import make_ib_cpu_cluster
@@ -194,7 +195,7 @@ def test_a_stale_upload_fails_at_the_sync_point_applying_nothing():
     stale = BufferStub(ctx, driver.new_id(), CL_MEM_READ_WRITE, 16)
     stale.holders[conn.name] = None  # the client believes the daemon holds it
     trips = driver.stats.round_trips
-    driver._upload([stale], conn.name, queue)
+    driver._upload([(stale, Transfer(CLIENT, conn.name, "upload", 0, 16))], conn.name, queue)
     assert driver.stats.round_trips == trips  # windowed: nothing sent yet
     (upload,) = [m for m in driver.window_messages(conn.name) if type(m) is P.BufferDataUpload]
     with pytest.raises(CLError) as err:

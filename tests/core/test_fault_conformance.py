@@ -98,17 +98,18 @@ def test_dropped_upload_section_replays_the_batch(seed):
 
 @pytest.mark.parametrize("seed", MATRIX_SEEDS)
 def test_dropped_peer_transfer_request_is_re_sent(seed):
-    """Dropping the request leg of the first ``BufferPeerTransferBatch``
-    — the pipeline's one synchronous coherence request — costs its
-    exchange one timeout; the retry re-sends it, the hop lands once, and
-    observables stay bit-identical (``peer_transfer_fault_spec`` appends
-    a two-buffer MOSI hop, so one is always on the wire)."""
+    """Dropping the request leg of the first batch a
+    ``BufferPeerTransferBatch`` closes costs its exchange one timeout;
+    the retry replays the batch, the hop lands once, and observables
+    stay bit-identical (``peer_transfer_fault_spec`` appends a
+    two-buffer MOSI hop behind two producers on its source, so one
+    always rides the producers' batch)."""
     summary = run_seed_with_faults(seed, "drop-request")
     assert summary["fired"] >= 1, f"drop-request never fired for seed {seed}"
     faulted, baseline = summary["faulted_stats"], summary["baseline_stats"]
     assert faulted["retries"] == baseline["retries"] + 1
     assert faulted["coalesced_peer_transfers"] == baseline["coalesced_peer_transfers"] >= 1
-    assert faulted["replayed_batches"] == baseline["replayed_batches"]
+    assert faulted["replayed_batches"] == baseline["replayed_batches"] + 1
 
 
 @pytest.mark.parametrize("schedule", ALL_SCHEDULES)

@@ -333,7 +333,10 @@ def test_a_kernel_writing_a_downloaded_buffer_leaves_the_client_copy(window):
     rig.cl.clEnqueueWriteBuffer(rig.queue, rig.x, True, 0, np.full(N, 7, np.int32))
     rig.cl.clEnqueueNDRangeKernel(rig.queue, rig.kernel, (N,))
     rig.cl.clFinish(rig.queue)
-    assert rig.remote(rig.y).cow_copies == 1
+    # ``incr`` writes every byte of ``y`` and reads none (its compiler
+    # cover): the daemon takes a new array instead of copying the lent one.
+    assert rig.remote(rig.y).cow_copies == 0
+    assert not np.shares_memory(client_copy, rig.remote(rig.y).array)
     np.testing.assert_array_equal(client_copy.view(np.int32), np.arange(N) + 1)
     np.testing.assert_array_equal(rig.read(rig.y).view(np.int32), 8)
 
@@ -437,26 +440,33 @@ def test_a_buffer_bound_as_const_and_writable_gets_one_storage(window):
 def test_a_bounce_copies_the_payload_three_times(window, monkeypatch):
     """``bulk_pingpong``'s op on 1 MiB, twice: a host write to node 0, a
     kernel there, a kernel on node 1 (a MOSI peer transfer) and a read
-    back.  The copies: the host write into node 0's memory (a new array
-    the second time, node 0's old one being lent), node 1's kernel
-    writing its adopted copy, and the array the read hands out.  The
-    peer transfer and the download lend; each used to copy too."""
+    back.  Three copies of more than half the buffer each time.
+
+    On the pipeline the peer transfer moves the 256 B the kernels touch
+    (their compiler summaries) and the read is assembled from node 1's
+    256 B and node 0's rest: the host write into node 0's memory (a new
+    array the second time, node 0's old one being lent), the client
+    copy taking node 0's section, and the array the read hands out.
+    The small sections are copied where they leave, so node 1's storage
+    is never shared and its kernel copies nothing.  The reference path
+    has no summaries and moves whole objects, which are lent: the host
+    write, node 1's kernel writing its adopted copy, and the read."""
     nbytes = 1 << 20
     copies = []
 
-    def count(cls, name, copying=lambda self: True):
+    def count(cls, name, copied):
         original = getattr(cls, name)
 
         def wrapper(self, *args):
-            if self.size == nbytes and copying(self):
+            if self.size == nbytes and 2 * copied(self, *args) > nbytes:
                 copies.append(name)
             return original(self, *args)
 
         monkeypatch.setattr(cls, name, wrapper)
 
-    count(LentStorage, "store")  # every store copies its bytes in
-    count(LentStorage, "own", lambda self: self.lent)  # copy on write
-    count(BufferStub, "read_host")
+    count(LentStorage, "store", lambda self, offset, raw: raw.size)
+    count(LentStorage, "own", lambda self, keep=True: nbytes if self.lent and keep else 0)
+    count(BufferStub, "read_host", lambda self, offset, size: size)
     rig = Rig("dopencl", window, servers=2)
     cl = rig.cl
     buf = cl.clCreateBuffer(rig.ctx, CL_MEM_READ_WRITE, nbytes)
@@ -473,19 +483,29 @@ def test_a_bounce_copies_the_payload_three_times(window, monkeypatch):
         got, _ = cl.clEnqueueReadBuffer(rig.queues[1], buf)
         sent[:64] += 2
         np.testing.assert_array_equal(got.view(np.int32), sent)
-        assert copies == ["store", "own", "read_host"]
-    # Every copy is its own storage: node 0's, node 1's (which the
-    # client copy adopted) and the application's.
+        assert copies == (["store", "store", "read_host"] if window is None else ["store", "own", "read_host"])
+    # Every copy is its own storage: node 0's, node 1's, the client's
+    # (on the reference path node 1's, adopted) and the application's.
     storages = []
     for memory in (rig.remote(buf, 0).array, rig.remote(buf, 1).array, buf.array, got):
         if not any(np.shares_memory(memory, seen) for seen in storages):
             storages.append(memory)
-    assert len(storages) == 3
-    # node 0 lent its copy to node 1, node 1 lent the copy its kernel
-    # wrote to the client, and the client adopted that one.
+    assert len(storages) == (4 if window is None else 3)
+    # Pipeline: node 0 lent its storage for the client's section, and
+    # nothing else is shared.  Reference: node 0 lent its copy to node 1,
+    # node 1 lent the copy its kernel wrote to the client, and the
+    # client adopted that one.
     text = cachestat_text(rig.deployment)
-    assert [line for line in text.splitlines() if "storage:" in line] == [
-        "  storage: lent=1 cow_copies=0",
-        "  storage: lent=1 cow_copies=2",
-        "  storage: lent=1 cow_copies=0",
-    ]
+    assert [line for line in text.splitlines() if "storage:" in line] == (
+        [
+            "  storage: lent=1 cow_copies=0",
+            "  storage: lent=0 cow_copies=0",
+            "  storage: lent=0 cow_copies=0",
+        ]
+        if window is None
+        else [
+            "  storage: lent=1 cow_copies=0",
+            "  storage: lent=1 cow_copies=2",
+            "  storage: lent=1 cow_copies=0",
+        ]
+    )

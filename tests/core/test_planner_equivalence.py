@@ -108,10 +108,10 @@ def test_planner_matches_raw_directory_in_lockstep(seed, protocol):
     _lockstep_trace(seed, protocol)
 
 
-def _raw_note_write(self, party, kernel):
+def _raw_note_write(self, party, kernel, *section):
     """The pre-refactor write path: protocol transition and epoch bump
     only, no history bookkeeping."""
-    self.directory.mark_modified(party)
+    self.directory.mark_modified(party, *section)
     self.epoch += 1
     return self.epoch
 
@@ -131,7 +131,7 @@ def test_push_off_seeds_match_pre_refactor_oracle():
         TransferPlanner._note_write,
     )
     TransferPlanner.acquire_read = (
-        lambda self, party: self.directory.acquire_read(party)
+        lambda self, party, *section: self.directory.acquire_read(party, *section)
     )
     TransferPlanner.note_client_demand = lambda self: None
     TransferPlanner._note_write = _raw_note_write

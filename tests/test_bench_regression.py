@@ -52,11 +52,10 @@ def test_compare_flags_regressions_and_stale_snapshots():
     assert any("regressed" in p for p in compare(worse, committed))
     better = dict(committed, round_trips_batched=99)
     assert any("improved" in p for p in compare(better, committed))
-    # Byte keys tolerate small drift but not large.
-    jitter = dict(committed, bytes_sent_batched=101)
-    assert compare(jitter, committed) == []
-    blowup = dict(committed, bytes_sent_batched=110)
-    assert any("bytes_sent_batched" in p for p in compare(blowup, committed))
+    # Byte keys are exact too, and a violation names the first digit
+    # where the fresh value leaves the committed one.
+    (jitter,) = compare(dict(committed, bytes_sent_batched=101), committed)
+    assert "bytes_sent_batched" in jitter and "10[1] vs 10[0]" in jitter
     missing = {k: v for k, v in committed.items() if k != "round_trips_sync"}
     assert any("missing" in p for p in compare(dict(committed), missing))
 
@@ -121,3 +120,14 @@ def test_cli_fails_and_names_a_perturbed_key(committed_copy, capsys):
     assert len(violations) == 1
     assert "iteration_decode_cache_hits" in violations[0]
     assert "BENCH_osem.json" in violations[0]
+
+
+def test_a_two_ppm_virtual_time_drift_fails_the_stream_snapshot():
+    """The drift PR 48 left in ``BENCH_stream.json`` (about 2e-6
+    relative) is a violation now that every stream key is exact."""
+    from repro.tools.benchdiff import STREAM_TOLERANCES, load_committed
+
+    committed = load_committed("stream")
+    fresh = dict(committed, steady_period_pipelined=committed["steady_period_pipelined"] * (1 + 2e-6))
+    (problem,) = compare(fresh, committed, STREAM_TOLERANCES, snapshot="BENCH_stream.json")
+    assert problem.startswith("steady_period_pipelined: regressed") and "first difference" in problem

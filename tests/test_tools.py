@@ -1,10 +1,11 @@
 """Operator-tool tests: clinfo (all three API flavours) and cachestat."""
 
+import numpy as np
 import pytest
 
 from repro.hw import GPU_SERVER, Host
 from repro.hw.cluster import make_desktop_and_gpu_server, make_ib_cpu_cluster
-from repro.ocl import ICDLoader, NativeAPI
+from repro.ocl import CL_MEM_READ_WRITE, ICDLoader, NativeAPI
 from repro.ocl.errors import CLError
 from repro.testbed import deploy_dopencl
 from repro.tools import cachestat_text, clinfo_text
@@ -192,6 +193,35 @@ def test_clcdump_prints_decisions_and_run_report(capsys):
     assert "lanes retired=0" in report  # every pixel of the row is inside the image
     assert "buffers identical on both backends: yes" in report
     assert (vecrt.merge, vecrt.compact) == (merge, compact)  # counters removed again
+
+
+def test_clcdump_prints_each_kernels_access_summaries(capsys):
+    from repro.tools import clcdump
+
+    clcdump._main(["--app", "osem"])
+    text = capsys.readouterr().out
+    assert "#   forward_project.x1: read 4·[gid0]; write -" in text
+    assert "#   back_project.corr: read whole; write whole" in text
+    assert "#   update.image: read 4·[gid0]; write 4·[gid0]; covers its buffer" in text
+
+
+def test_cachestat_prints_each_buffers_segment_count():
+    deployment = deploy_dopencl(make_ib_cpu_cluster(2), coherence_protocol="mosi")
+    cl = deployment.api
+    devices = cl.clGetDeviceIDs(cl.clGetPlatformIDs()[0])[:2]
+    ctx = cl.clCreateContext(devices)
+    queues = [cl.clCreateCommandQueue(ctx, d) for d in devices]
+    program = cl.clCreateProgramWithSource(
+        ctx, "__kernel void t(__global int *x) { int i = (int)get_global_id(0); x[i] = x[i] + 1; }"
+    )
+    cl.clBuildProgram(program)
+    whole, split = (cl.clCreateBuffer(ctx, CL_MEM_READ_WRITE, 1024) for _ in range(2))
+    kernel = cl.clCreateKernel(program, "t")
+    cl.clSetKernelArg(kernel, 0, split)
+    cl.clEnqueueWriteBuffer(queues[0], split, True, 0, np.zeros(256, np.int32))
+    cl.clEnqueueNDRangeKernel(queues[1], kernel, (16,))
+    cl.clFinish(queues[1])
+    assert f"  segments: #{whole.id}=1 #{split.id}=2" in cachestat_text(deployment)
 
 
 def test_clcdump_reads_a_file_and_reports_a_backend_failure(tmp_path, capsys):
