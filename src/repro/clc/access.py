@@ -400,7 +400,9 @@ class Launch:
         if kind == "gid":
             lo = self.global_offset[dim]
             return lo, lo + g - 1
-        local = self.local_size[dim] if self.local_size else g
+        if not self.local_size:  # the runtime picks it: both ids lie in [0, g)
+            return 0, g - 1
+        local = self.local_size[dim]
         return 0, (local if kind == "lid" else g // local) - 1
 
     def bounds(self, form) -> Tuple[int, int]:

@@ -195,6 +195,10 @@ class DOpenCLDriver:
         #: any other buffer (a gang sibling, a launch's coherence leg)
         #: records nothing.
         self._fetch_completions: Dict[int, Optional[Tuple[float, float]]] = {}
+        #: ``buffer id -> transfers`` of the same resolving reads that
+        #: have landed on the client (``None``: a staged push landed the
+        #: whole copy): a failed read rolls back every other section.
+        self._landed: Dict[int, Set[Optional[Transfer]]] = {}
         #: ``buffer id -> (epoch, payload, arrival)``: client-destined
         #: replica bytes that arrived on a completion notification,
         #: awaiting an epoch-validated apply at a sync point.
@@ -602,7 +606,7 @@ class DOpenCLDriver:
     # deferred (non-blocking) reads
     # ------------------------------------------------------------------
     def _record_fetch_completion(
-        self, buffer: BufferStub, stub: EventStub, arrival: float
+        self, buffer: BufferStub, transfer: Transfer, stub: EventStub, arrival: float
     ) -> None:
         """Remember the profiling truth of a just-landed client-bound
         download of ``buffer``: the daemon-side completion timestamp of
@@ -610,8 +614,10 @@ class DOpenCLDriver:
         completion notification that rode the fetch) and the client-side
         data arrival.  Read events are resolved with these instead of a
         fabricated ``clock.now`` pair; a read assembled from several
-        downloads completes with the last of them."""
+        downloads completes with the last of them.  The section is
+        noted landed (:attr:`_landed`)."""
         if buffer.id in self._fetch_completions:
+            self._landed[buffer.id].add(transfer)
             completed = stub.completed_at if stub.resolved else arrival
             landed = self._fetch_completions[buffer.id]
             self._fetch_completions[buffer.id] = max(landed, (completed, arrival)) if landed else (completed, arrival)
@@ -885,6 +891,7 @@ class DOpenCLDriver:
                 gang = self.read_gang(last.buffer, seeds, fold) if last.blocking else {}
                 for buffer in unique:
                     self._fetch_completions[buffer.id] = None
+                    self._landed[buffer.id] = set()
                     buffer.planner.note_client_demand()
                     plan = buffer.planner.acquire_read("client")
                     if plan:
@@ -917,6 +924,8 @@ class DOpenCLDriver:
                     self.stats.deferred_read_batches += 1
                 now = (self.clock.now, self.clock.now)
                 completions = {b.id: self._fetch_completions.pop(b.id, None) or now for b in unique}
+                for b in unique:
+                    self._landed.pop(b.id, None)
                 for d in live:
                     if d.out is not None:
                         d.out[:] = d.buffer.array[d.offset : d.offset + d.nbytes]
@@ -936,16 +945,20 @@ class DOpenCLDriver:
     def _poison_deferred_group(self, live: List[_PendingRead], items, exc: CLError) -> None:
         """A group resolution failed terminally: poison every member
         event (later waits re-raise deterministically) and drop the
-        entries — the fetch cannot be replayed from here.  A download of
-        ``items`` whose bytes never landed (no fetch completion: the
-        failure stopped the group before its daemon's turn) rolls back
-        its optimistic client acquire, or a later read would take the
-        stale client copy for valid."""
-        landed = {d.buffer.id: self._fetch_completions.pop(d.buffer.id, None) for d in live}
+        entries — the fetch cannot be replayed from here.  Each section
+        of ``items`` whose own download never landed (the failure
+        stopped the group before its daemon's turn; a read assembled
+        from two daemons may have landed the other's) rolls back its
+        optimistic client acquire, or a later read would take the stale
+        client bytes for valid."""
+        landed = {d.buffer.id: self._landed.pop(d.buffer.id, set()) for d in live}
+        for d in live:
+            self._fetch_completions.pop(d.buffer.id, None)
         for buffer, plan in items:
-            if landed[buffer.id] is None:
+            if None not in landed[buffer.id]:
                 for transfer in plan:
-                    buffer.planner.abort_fetch(CLIENT, f"read failed: {exc}", transfer.offset, transfer.nbytes)
+                    if transfer not in landed[buffer.id]:
+                        buffer.planner.abort_fetch(CLIENT, f"read failed: {exc}", transfer.offset, transfer.nbytes)
         for d in live:
             if d.event.poisoned is None and not d.event.resolved:
                 d.event.poisoned = (int(exc.code), str(exc))
@@ -1367,7 +1380,9 @@ class DOpenCLDriver:
         predict_push_target`) and that the producer will hold valid
         *whole* after the write — the daemon pushes its whole copy, so a
         stale byte outside the section would reach the client.  Each is
-        labeled with the epoch the kernel's write is about to create.
+        labeled with the epoch the kernel's write is about to create; a
+        buffer the launch writes no byte of creates none and gets no
+        hint (a later writer's epoch would match its push).
         ``None`` (field omitted from the wire) when pushes are off or
         nothing predicts — the launch encoding is then byte-identical to
         the pre-push format."""
@@ -1383,7 +1398,7 @@ class DOpenCLDriver:
                 continue
             offset, nbytes = written[buffer.id]
             valid = buffer.planner.is_valid
-            if not (valid(server_name, 0, offset) and valid(server_name, offset + nbytes, buffer.size - offset - nbytes)):
+            if not nbytes or not (valid(server_name, 0, offset) and valid(server_name, offset + nbytes, buffer.size - offset - nbytes)):
                 continue
             hints.append({"buffer_id": buffer.id, "epoch": buffer.planner.epoch + 1})
             self._client_push_epochs[buffer.id] = buffer.planner.epoch + 1
@@ -1426,6 +1441,7 @@ class DOpenCLDriver:
         # read group this apply satisfies, if one is resolving.
         if buffer.id in self._fetch_completions:
             self._fetch_completions[buffer.id] = (arrival, arrival)
+            self._landed[buffer.id].add(None)
         self.stats.push_commits += 1
         return True
 
@@ -1761,7 +1777,7 @@ class DOpenCLDriver:
                     buffer.adopt(answer[0])
                 else:
                     buffer.store(transfer.offset, answer[0])
-                self._record_fetch_completion(buffer, stub, answer[1])
+                self._record_fetch_completion(buffer, transfer, stub, answer[1])
                 queue.tail_event_id = stub.id
                 self.clock.advance_to(answer[1])
 

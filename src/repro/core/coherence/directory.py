@@ -251,8 +251,8 @@ class MSIDirectory:
             return self.segments[0][party] in self.VALID
         return all(seg[party] in self.VALID for seg in self._overlapping(*self._bounds(offset, nbytes)))
 
-    def client_download_sources(self, offset: int = 0, nbytes: Optional[int] = None) -> Set[str]:
-        """The servers an ``acquire_read(CLIENT)`` of the section would
+    def client_download_sources(self) -> Set[str]:
+        """The servers an ``acquire_read(CLIENT)`` of the object would
         download from *right now* (none when the client's copy is
         already valid there, or data is lost: the owning read raises
         deterministically through ``acquire_read``).  Pure."""
@@ -260,18 +260,18 @@ class MSIDirectory:
             return set()
         return {
             self._pick_owner(seg)
-            for seg in self._overlapping(*self._bounds(offset, nbytes))
+            for seg in self.segments
             if seg[CLIENT] not in self.VALID
         }
 
-    def client_download_source(self, offset: int = 0, nbytes: Optional[int] = None) -> "str | None":
+    def client_download_source(self) -> "str | None":
         """The one server of :meth:`client_download_sources`, ``None``
         when there is none or several — the read-coalescing planner's
         candidate test: two buffers answering the same source daemon
         here can ride one ``CoalescedBufferDownload`` fetch, and
         grouping by this value is exactly how :func:`split_transfer_plan`
         would group their individual download plans."""
-        sources = self.client_download_sources(offset, nbytes)
+        sources = self.client_download_sources()
         return sources.pop() if len(sources) == 1 else None
 
     @property

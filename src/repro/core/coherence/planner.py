@@ -114,16 +114,16 @@ class TransferPlanner:
         passthrough)."""
         return self.directory.is_valid(party, offset, nbytes)
 
-    def client_download_sources(self, offset: int = 0, nbytes: Optional[int] = None) -> Set[str]:
-        """The daemons a client read of the section would download from
+    def client_download_sources(self) -> Set[str]:
+        """The daemons a client read of the object would download from
         (pure passthrough)."""
-        return self.directory.client_download_sources(offset, nbytes)
+        return self.directory.client_download_sources()
 
-    def client_download_source(self, offset: int = 0, nbytes: Optional[int] = None) -> "str | None":
-        """The one daemon a client read of the section would download
-        from, ``None`` when the client copy is already valid there or
-        the section has several sources (pure passthrough)."""
-        return self.directory.client_download_source(offset, nbytes)
+    def client_download_source(self) -> "str | None":
+        """The one daemon a client read of the object would download
+        from, ``None`` when the client copy is already valid or the
+        object has several sources (pure passthrough)."""
+        return self.directory.client_download_source()
 
     def evict(self, party: str, reason: str = "") -> int:
         """Replica loss (daemon death): pure state change, no epoch —

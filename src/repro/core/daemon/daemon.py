@@ -713,7 +713,8 @@ class Daemon:
             # destination copies) is validated before any bytes move, so
             # a stale ID rejects the batch whole.  A whole section is
             # adopted as the destination's storage, a partial one copied
-            # into it.
+            # into it from a view of the source (never lent: the copy
+            # is done before the handler returns).
             offsets = msg.offsets or [0] * len(msg.buffer_ids)
             if not (len(msg.buffer_ids) == len(msg.nbytes_list) == len(offsets) and msg.buffer_ids):
                 raise CLError(
@@ -751,7 +752,7 @@ class Daemon:
                 if nbytes == src_buffer.size:
                     dst_buffer.adopt(src_buffer.lend())
                 else:
-                    dst_buffer.store(offset, self._section(src_buffer, offset, nbytes))
+                    dst_buffer.store(offset, src_buffer.view(offset, nbytes))
                 dst_buffer.last_write = arrival
             return arrival
 

@@ -78,17 +78,14 @@ class Kernel:
                 )
         self.args[index] = value
 
-    def bound_args(self, global_size=None, global_offset=None, local_size=None) -> List[object]:
+    def bound_args(self, global_size, global_offset, local_size) -> List[object]:
         """Arguments ready for the clc runtime (buffers become typed views
         of one storage each: a written buffer's is made private first,
         without its old bytes when the launch of ``global_size`` work
         items overwrites them all)."""
         for buffer in self.written_buffers():
-            if buffer.lent and global_size is not None:
-                launch = Launch(global_size, global_offset, local_size, self.args)
-                buffer.own(not self.overwrites(buffer, launch))
-            else:
-                buffer.own()
+            if buffer.lent:
+                buffer.own(not self.overwrites(buffer, Launch(global_size, global_offset, local_size, self.args)))
         out: List[object] = []
         for i, (value, sym) in enumerate(zip(self.args, self.compiled.info.param_symbols)):
             if value is _UNSET:

@@ -141,6 +141,23 @@ def _oracle_kernel(seed):
     return source, stride
 
 
+@pytest.mark.parametrize("index", ["get_group_id(0)", "get_local_id(0)", "2 * get_group_id(0) + get_local_id(0)"])
+@pytest.mark.parametrize("local_size", [None, (40,)], ids=["runtime-local", "local-40"])
+def test_work_group_ids_stay_inside_their_summary(index, local_size):
+    """Without a local size the runtime picks one (a divisor of the
+    global size up to 256): the summary must hold for any it picks."""
+    kernel = compile_program(
+        f"__kernel void k(__global int *out) {{ out[(int){index}] = out[(int){index}] + 1; }}"
+    ).kernel("k")
+    out = traced(np.zeros(600, dtype=np.int32))
+    execute_kernel(kernel, (600,), [out], local_size=local_size, backend="interp")
+    read, write, _cover = kernel.access[0]
+    launch = Launch((600,), local_size=local_size)
+    for touched, summary in ((out.reads, read), (out.writes, write)):
+        offset, nbytes = section(summary, out.nbytes, launch)
+        assert touched and offset <= min(touched) * 4 and max(touched) * 4 + 4 <= offset + nbytes
+
+
 @given(seed=st.integers(0, 2**32), lanes=st.sampled_from((1, 3, 8)), a=st.integers(-2, 4), b=st.integers(-5, 9))
 @settings(max_examples=200, deadline=None)
 def test_no_byte_is_touched_outside_its_summary(seed, lanes, a, b):

@@ -13,6 +13,7 @@ from repro.apps.mandelbrot import MANDELBROT_KERNEL, MandelbrotConfig, mandelbro
 from repro.hw import Host, WESTMERE_NODE
 from repro.hw.cluster import make_ib_cpu_cluster
 from repro.net.gcf import GCFProcess
+from repro.net.link import ConnectionReset
 from repro.ocl import CL_MEM_READ_WRITE, CL_MEM_WRITE_ONLY, CLError, ErrorCode
 from repro.testbed import deploy_dopencl, native_api_on
 from repro.tools import cachestat_text
@@ -225,3 +226,72 @@ def test_a_peer_batch_naming_a_section_outside_its_buffer_moves_nothing():
         )
     assert err.value.code == ErrorCode.CL_INVALID_VALUE
     np.testing.assert_array_equal(dst.registry.get(client, buf.id).array, before)
+
+
+PEEK = """
+__kernel void peek(__global int *x, __global int *y) {
+    int i = (int)get_global_id(0);
+    y[i] = x[i];
+}
+"""
+
+
+def test_a_launch_that_writes_nothing_hints_no_push():
+    """``peek`` binds the buffer to a writable parameter it only reads:
+    the launch makes no epoch, so a push it hinted would carry the label
+    of the next write's epoch — node 1's below — and the read would take
+    node 0's older bytes for current."""
+    deployment, cl, queues, program, buf = _rig("msi", 2, push_transfers=True)
+    peek = cl.clCreateProgramWithSource(buf.context, PEEK)
+    cl.clBuildProgram(peek)
+    sink = cl.clCreateBuffer(buf.context, CL_MEM_READ_WRITE, 16 * 4)
+
+    def _peek(queue):
+        kernel = cl.clCreateKernel(peek, "peek")
+        cl.clSetKernelArg(kernel, 0, buf)
+        cl.clSetKernelArg(kernel, 1, sink)
+        cl.clEnqueueNDRangeKernel(queue, kernel, (16,))
+
+    cl.clEnqueueWriteBuffer(queues[0], buf, True, 0, INIT)
+    for _ in range(3):  # node 0 -> client: a stable push edge
+        _touch(cl, program, queues[0], buf, 0)
+        cl.clEnqueueReadBuffer(queues[0], buf)
+    _peek(queues[1])  # node 1 now holds the section touch writes
+    _peek(queues[0])
+    _touch(cl, program, queues[1], buf, 0)
+    got = cl.clEnqueueReadBuffer(queues[1], buf)[0].view(np.int32)
+    np.testing.assert_array_equal(got, _native([0] * 4))
+
+
+def test_a_read_whose_second_source_dies_returns_no_stale_bytes(monkeypatch):
+    """A read assembled from two daemons: node 1's section lands, then
+    node 0 is lost before its download leaves.  Its section must not
+    stay valid on the client, whose bytes there predate node 0's write:
+    every later read fails or returns the current bytes."""
+    deployment, cl, queues, program, buf = _rig("mosi", 2)
+    driver = deployment.driver
+    cl.clEnqueueWriteBuffer(queues[0], buf, True, 0, INIT)
+    _touch(cl, program, queues[0], buf, 16)  # node 0: [64, 128)
+    _touch(cl, program, queues[1], buf, 0)  # node 1: [0, 64)
+    cl.clFinish(queues[1])
+    assert buf.planner.client_download_sources() == {q.server.name for q in queues}
+    download, sources = driver._download, []
+
+    def crash_the_other(sections, src_name, *args, **kwargs):
+        if sources:
+            (other,) = {q.server.name for q in queues} - {sources[0]}
+            deployment.daemon_on(other).crash()
+            driver.transport.declare_lost(driver.connection(other), ConnectionReset("crashed"))
+        sources.append(src_name)
+        return download(sections, src_name, *args, **kwargs)
+
+    monkeypatch.setattr(driver, "_download", crash_the_other)
+    with pytest.raises(CLError):
+        cl.clEnqueueReadBuffer(queues[1], buf)
+    monkeypatch.undo()
+    for _ in range(2):  # the first surfaces the loss itself
+        try:
+            got = cl.clEnqueueReadBuffer(queues[1], buf)[0].view(np.int32)
+        except CLError:
+            continue
+        np.testing.assert_array_equal(got, _native([16, 0]))
