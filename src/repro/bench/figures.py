@@ -34,7 +34,7 @@ from repro.hw.cluster import (
 )
 from repro.hw.specs import GIGABIT_ETHERNET, INFINIBAND_QDR
 from repro.net.iperf import run_iperf
-from repro.ocl import CL_DEVICE_TYPE_GPU
+from repro.ocl import CL_DEVICE_TYPE_GPU, CL_MEM_COPY_HOST_PTR, CL_MEM_READ_WRITE
 from repro.testbed import deploy_dopencl, native_api_on
 
 # ----------------------------------------------------------------------
@@ -274,37 +274,43 @@ __kernel void scale(__global float *x, const float f, const int n) {
 
 def ablation_coherence(rounds: int = 6, nbytes: int = 8 << 20) -> ExperimentRecord:
     """A buffer ping-pongs between kernels on two servers: MSI pays two
-    client-mediated hops per move, MOSI one direct hop (Section III-F)."""
+    client-mediated hops per move, MOSI one direct hop (Section III-F).
+    Run on the pipeline and on the reference path (``batch_window=0``);
+    the timed region starts at a sync point (``clFinish`` on both
+    queues), so the deferred set-up stays out of it."""
     record = ExperimentRecord(
         experiment="ablation_coherence",
         title="Shared-buffer ping-pong between two servers (seconds)",
-        columns=["protocol", "total_time", "transfers"],
+        columns=["path", "protocol", "total_time", "transfers"],
         notes="Section III-F: server-to-server communication halves the hops",
     )
     n = nbytes // 4
-    for protocol in ("msi", "mosi"):
-        deployment = deploy_dopencl(make_ib_cpu_cluster(2), coherence_protocol=protocol)
-        api = deployment.api
-        devices = api.clGetDeviceIDs(api.clGetPlatformIDs()[0])
-        ctx = api.clCreateContext(devices)
-        queues = [api.clCreateCommandQueue(ctx, d) for d in devices]
-        from repro.ocl.constants import CL_MEM_COPY_HOST_PTR, CL_MEM_READ_WRITE
-
-        data = np.ones(n, dtype=np.float32)
-        buf = api.clCreateBuffer(ctx, CL_MEM_READ_WRITE | CL_MEM_COPY_HOST_PTR, data.nbytes, data)
-        program = api.clCreateProgramWithSource(ctx, SCALE_KERNEL)
-        api.clBuildProgram(program)
-        kernel = api.clCreateKernel(program, "scale")
-        api.clSetKernelArg(kernel, 0, buf)
-        api.clSetKernelArg(kernel, 1, np.float32(1.0000001))
-        api.clSetKernelArg(kernel, 2, n)
-        t0 = api.now
-        for r in range(rounds):
-            queue = queues[r % 2]
-            api.clEnqueueNDRangeKernel(queue, kernel, (n,))
-            api.clFinish(queue)
-        total = api.now - t0
-        record.add(protocol=protocol.upper(), total_time=total, transfers=rounds)
+    for path, window in (("pipeline", None), ("reference", 0)):
+        for protocol in ("msi", "mosi"):
+            deployment = deploy_dopencl(
+                make_ib_cpu_cluster(2), coherence_protocol=protocol, batch_window=window
+            )
+            api = deployment.api
+            devices = api.clGetDeviceIDs(api.clGetPlatformIDs()[0])
+            ctx = api.clCreateContext(devices)
+            queues = [api.clCreateCommandQueue(ctx, d) for d in devices]
+            data = np.ones(n, dtype=np.float32)
+            buf = api.clCreateBuffer(ctx, CL_MEM_READ_WRITE | CL_MEM_COPY_HOST_PTR, data.nbytes, data)
+            program = api.clCreateProgramWithSource(ctx, SCALE_KERNEL)
+            api.clBuildProgram(program)
+            kernel = api.clCreateKernel(program, "scale")
+            api.clSetKernelArg(kernel, 0, buf)
+            api.clSetKernelArg(kernel, 1, np.float32(1.0000001))
+            api.clSetKernelArg(kernel, 2, n)
+            for queue in queues:
+                api.clFinish(queue)
+            t0 = api.now
+            for r in range(rounds):
+                queue = queues[r % 2]
+                api.clEnqueueNDRangeKernel(queue, kernel, (n,))
+                api.clFinish(queue)
+            total = api.now - t0
+            record.add(path=path, protocol=protocol.upper(), total_time=total, transfers=rounds)
     return record
 
 

@@ -367,7 +367,7 @@ class DOpenCLAPI:
         if whole:
             buffer.pristine = False
             payload, undo = raw, None
-        else:
+        else:  # ``array`` merges a client copy held in pieces first
             undo = buffer.array[offset : offset + raw.size].copy()
             buffer.write_host(offset, raw)
             payload = buffer.array

@@ -928,7 +928,7 @@ class DOpenCLDriver:
                     self._landed.pop(b.id, None)
                 for d in live:
                     if d.out is not None:
-                        d.out[:] = d.buffer.array[d.offset : d.offset + d.nbytes]
+                        d.buffer.copy_out(d.out, d.offset)
                     d.event.mark_complete(*completions[d.buffer.id])
                     if d in self._deferred_reads:
                         self._deferred_reads.remove(d)
@@ -1644,10 +1644,10 @@ class DOpenCLDriver:
     def upload_write(self, queue: QueueStub, buffer: BufferStub, init: P.BufferDataUpload) -> None:
         """Window a coherence upload as :meth:`enqueue_write` windows a
         host write, behind the copy's creation.  Its payload is the
-        client copy's lent storage (the section ``init`` names of it):
-        it streams as a section behind the batch that carries it, and a
-        later ``write_host`` copies on write instead of changing the
-        bytes before the flush."""
+        client copy's lent storage (the section ``init`` names of it; a
+        copy held in pieces is merged first): it streams as a section
+        behind the batch that carries it, and a later ``write_host``
+        copies on write instead of changing the bytes before the flush."""
         self.precede(queue.server, [buffer])
         self.defer(
             queue.server,
@@ -1767,8 +1767,9 @@ class DOpenCLDriver:
         """Land each returned ``(data, arrival)`` answer, the daemon's
         lent bytes, in its buffer's client copy (a gang member is
         acquired first): a whole section is adopted as the copy's
-        storage, a partial one copied into it.  Each transfer event gets
-        its profiling truth; the clock moves to the last arrival."""
+        storage, a partial one kept as a piece of it (no copy either
+        way).  Each transfer event gets its profiling truth; the clock
+        moves to the last arrival."""
         for (buffer, transfer), stub, answer in zip(sections, stubs, answers):
             if answer is not None:
                 if (buffer, transfer) in gang:
@@ -1776,7 +1777,7 @@ class DOpenCLDriver:
                 if transfer.nbytes == buffer.size:
                     buffer.adopt(answer[0])
                 else:
-                    buffer.store(transfer.offset, answer[0])
+                    buffer.keep_section(transfer.offset, answer[0])
                 self._record_fetch_completion(buffer, transfer, stub, answer[1])
                 queue.tail_event_id = stub.id
                 self.clock.advance_to(answer[1])

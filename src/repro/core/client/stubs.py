@@ -194,8 +194,17 @@ class BufferStub(Resident, LentStorage):
 
     Holds the client's copy of the data plus the MSI/MOSI directory over
     {client} ∪ servers of the context.  A download or a push adopts the
-    daemon's lent storage (:class:`~repro.ocl.memory.LentStorage`).
+    daemon's lent storage (:class:`~repro.ocl.memory.LentStorage`); a
+    read assembled from sections keeps each as a lent piece
+    (:meth:`keep_section`).
     """
+
+    #: The client copy in pieces: sorted ``(offset, read-only view)``
+    #: pairs that cover the buffer, while ``array`` is absent; ``None``
+    #: while ``array`` is the whole copy.  A read copies straight out of
+    #: the pieces (:meth:`copy_out`); any other use of ``array`` merges
+    #: them into one private array first (:meth:`__getattr__`).
+    pieces: Optional[List[Tuple[int, np.ndarray]]] = None
 
     def __init__(
         self,
@@ -264,7 +273,58 @@ class BufferStub(Resident, LentStorage):
     def read_host(self, offset: int, nbytes: int) -> np.ndarray:
         """Copy ``nbytes`` bytes out of the client's copy at ``offset``."""
         self.check_range(offset, nbytes)
-        return self.array[offset : offset + nbytes].copy()
+        if self.pieces is None:
+            return self.array[offset : offset + nbytes].copy()
+        out = np.empty(nbytes, dtype=np.uint8)
+        self.copy_out(out, offset)
+        return out
+
+    def copy_out(self, out: np.ndarray, offset: int) -> None:
+        """Fill ``out`` with the client copy's bytes from ``offset``:
+        one copy per byte, from each piece it spans."""
+        if self.pieces is None:
+            out[:] = self.array[offset : offset + out.size]
+            return
+        end = offset + out.size
+        for start, piece in self.pieces:
+            lo, hi = max(start, offset), min(start + piece.size, end)
+            if lo < hi:
+                out[lo - offset : hi - offset] = piece[lo - start : hi - start]
+
+    def adopt(self, data: np.ndarray) -> None:
+        """Take a lent view as the whole copy (no copy): the pieces go."""
+        self.array, self.lent, self.pieces = data, True, None
+
+    def keep_section(self, offset: int, view: np.ndarray) -> None:
+        """Hold ``view``, a lent section a read landed, as the copy's
+        bytes at ``offset``: it replaces the pieces it covers, and no
+        byte is copied.  The copy stays cut where the directory's
+        segments are: one cut finer than three pieces a segment (a
+        section landed inside each) is merged into one private array."""
+        end = offset + view.size
+        pieces = self.pieces or [(0, self.__dict__.pop("array"))]
+        self.pieces = (
+            [(s, p[: offset - s]) for s, p in pieces if s < offset]
+            + [(offset, view)]
+            + [(max(s, end), p[max(s, end) - s :]) for s, p in pieces if s + p.size > end]
+        )
+        self.lent = True
+        if len(self.pieces) > 3 * len(self.coherence.segments):
+            self.flatten()
+
+    def flatten(self) -> None:
+        """Merge the pieces into one private array: the whole copy."""
+        array = np.empty(self.size, dtype=np.uint8)
+        self.copy_out(array, 0)
+        self.array, self.lent, self.pieces = array, False, None
+
+    def __getattr__(self, name: str):
+        # Called only for a missing attribute: ``array`` while the copy
+        # is held in pieces.  Its user gets them merged first.
+        if name == "array" and self.pieces is not None:
+            self.flatten()
+            return self.array
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     def retain(self) -> None:
         """``clRetainMemObject``."""

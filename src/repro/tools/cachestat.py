@@ -27,7 +27,8 @@ registry created and how many of those any command ever named.  A
 ``storage:`` line counts the lent buffer storages and copy-on-write copies;
 a client's is followed by a ``segments:`` line, the number of segments
 each live buffer's coherence directory holds (``#id=n``; 1 is the whole
-buffer).
+buffer), and a ``pieces:`` line the pieces of each client copy a read
+assembled from sections holds (only copies in more than one piece).
 
 Works against any object exposing ``daemons`` (a
 :class:`~repro.testbed.Deployment`) or directly against an iterable of
@@ -203,6 +204,9 @@ def cachestat_text(deployment) -> str:
         lines.append(_storage_line(buffers))
         if buffers:
             lines.append("  segments: " + " ".join(f"#{b.id}={len(b.coherence.segments)}" for b in buffers))
+        cut = [b for b in buffers if b.pieces]
+        if cut:
+            lines.append("  pieces: " + " ".join(f"#{b.id}={len(b.pieces)}" for b in cut))
         lines.extend(_census_lines(stats))
     if hasattr(deployment, "timelines"):
         lines.extend(_timeline_line(host, tls) for host, tls in deployment.timelines().items())

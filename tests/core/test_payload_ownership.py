@@ -11,7 +11,10 @@ These tests hold that rule on ``NativeAPI`` and ``DOpenCLAPI``:
   hands out is the application's own;
 * the copies that must not happen don't: a whole-buffer write streams
   the application's array to the daemon, a download streams read-only
-  views of device memory, and a bounce makes 3 copies;
+  views of device memory, and a bounce makes 2 copies (3 on the
+  reference path): a read assembled from sections keeps them as pieces
+  of the client copy and builds the application's array straight from
+  them;
 * every copy-on-write site copies a lent storage before writing it, on
   both sides of ``batch_window``;
 * a write whose upload fails leaves every copy's bytes and the coherence
@@ -21,6 +24,7 @@ These tests hold that rule on ``NativeAPI`` and ``DOpenCLAPI``:
 import numpy as np
 import pytest
 
+from repro.core.client.driver import DOpenCLDriver
 from repro.core.client.stubs import BufferStub
 from repro.hw import Host, WESTMERE_NODE
 from repro.hw.cluster import make_ib_cpu_cluster
@@ -437,20 +441,21 @@ def test_a_buffer_bound_as_const_and_writable_gets_one_storage(window):
 # the copy census of one bounce
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("window", SIDES)
-def test_a_bounce_copies_the_payload_three_times(window, monkeypatch):
+def test_a_bounce_copies_the_payload_twice_on_the_pipeline(window, monkeypatch):
     """``bulk_pingpong``'s op on 1 MiB, twice: a host write to node 0, a
     kernel there, a kernel on node 1 (a MOSI peer transfer) and a read
-    back.  Three copies of more than half the buffer each time.
+    back.  Each copy counted moves more than half the buffer.
 
     On the pipeline the peer transfer moves the 256 B the kernels touch
     (their compiler summaries) and the read is assembled from node 1's
-    256 B and node 0's rest: the host write into node 0's memory (a new
-    array the second time, node 0's old one being lent), the client
-    copy taking node 0's section, and the array the read hands out.
-    The small sections are copied where they leave, so node 1's storage
-    is never shared and its kernel copies nothing.  The reference path
-    has no summaries and moves whole objects, which are lent: the host
-    write, node 1's kernel writing its adopted copy, and the read."""
+    256 B and node 0's rest: two copies, the host write into node 0's
+    memory (a new array the second time, node 0's old one being lent)
+    and the array the read hands out, built straight from the client
+    copy's two pieces — node 1's section, copied where it left, and a
+    view of node 0's storage.  Node 1's storage is never shared, so its
+    kernel copies nothing.  The reference path has no summaries and
+    moves whole objects, which are lent: three copies, the host write,
+    node 1's kernel writing its adopted copy, and the read."""
     nbytes = 1 << 20
     copies = []
 
@@ -467,6 +472,7 @@ def test_a_bounce_copies_the_payload_three_times(window, monkeypatch):
     count(LentStorage, "store", lambda self, offset, raw: raw.size)
     count(LentStorage, "own", lambda self, keep=True: nbytes if self.lent and keep else 0)
     count(BufferStub, "read_host", lambda self, offset, size: size)
+    count(BufferStub, "flatten", lambda self: nbytes)
     rig = Rig("dopencl", window, servers=2)
     cl = rig.cl
     buf = cl.clCreateBuffer(rig.ctx, CL_MEM_READ_WRITE, nbytes)
@@ -483,15 +489,23 @@ def test_a_bounce_copies_the_payload_three_times(window, monkeypatch):
         got, _ = cl.clEnqueueReadBuffer(rig.queues[1], buf)
         sent[:64] += 2
         np.testing.assert_array_equal(got.view(np.int32), sent)
-        assert copies == (["store", "store", "read_host"] if window is None else ["store", "own", "read_host"])
-    # Every copy is its own storage: node 0's, node 1's, the client's
-    # (on the reference path node 1's, adopted) and the application's.
+        assert copies == (["store", "read_host"] if window is None else ["store", "own", "read_host"])
+    node0, node1 = rig.remote(buf, 0).array, rig.remote(buf, 1).array
+    if window is None:
+        assert [(start, piece.size) for start, piece in buf.pieces] == [(0, 256), (256, nbytes - 256)]
+        assert np.shares_memory(buf.pieces[1][1], node0)
+        client = [piece for _, piece in buf.pieces]
+    else:
+        assert buf.pieces is None
+        client = [buf.array]
+    # Every buffer-sized storage is node 0's, node 1's or the
+    # application's: the client copy holds none of its own.
     storages = []
-    for memory in (rig.remote(buf, 0).array, rig.remote(buf, 1).array, buf.array, got):
-        if not any(np.shares_memory(memory, seen) for seen in storages):
+    for memory in (node0, node1, *client, got):
+        if 2 * memory.size > nbytes and not any(np.shares_memory(memory, seen) for seen in storages):
             storages.append(memory)
-    assert len(storages) == (4 if window is None else 3)
-    # Pipeline: node 0 lent its storage for the client's section, and
+    assert len(storages) == 3
+    # Pipeline: node 0 lent its storage to the client copy's piece, and
     # nothing else is shared.  Reference: node 0 lent its copy to node 1,
     # node 1 lent the copy its kernel wrote to the client, and the
     # client adopted that one.
@@ -500,7 +514,7 @@ def test_a_bounce_copies_the_payload_three_times(window, monkeypatch):
         [
             "  storage: lent=1 cow_copies=0",
             "  storage: lent=0 cow_copies=0",
-            "  storage: lent=0 cow_copies=0",
+            "  storage: lent=1 cow_copies=0",
         ]
         if window is None
         else [
@@ -509,3 +523,239 @@ def test_a_bounce_copies_the_payload_three_times(window, monkeypatch):
             "  storage: lent=1 cow_copies=0",
         ]
     )
+    assert (f"  pieces: #{buf.id}=2" in text.splitlines()) == (window is None)
+
+
+# ----------------------------------------------------------------------
+# a client copy held in pieces: a read copies out of them, and every
+# other user of the copy merges them first
+# ----------------------------------------------------------------------
+PEEK = """
+__kernel void peek(__global const int *x, __global int *y, const int n) {
+    int i = (int)get_global_id(0);
+    y[i] = x[i % n];
+}
+"""
+
+#: Bytes of the assembled buffer: node 1's 256 B section is copied where
+#: it leaves, node 0's 3 840 B are a view of its storage.
+ASSEMBLED = 4096
+
+
+class Assembled:
+    """``bump`` over the first 256 B of an ``ASSEMBLED``-byte buffer on
+    node 0, then on node 1, on either API (``NativeAPI`` runs both
+    launches on its one queue).  On dOpenCL the next read of the buffer
+    is assembled from node 1's 256 B and node 0's rest, and the client
+    copy keeps the two sections as its pieces."""
+
+    def __init__(self, kind: str, protocol: str = "mosi") -> None:
+        self.deployment = None
+        if kind == "native":
+            self.cl = native_api_on(Host(WESTMERE_NODE))
+            devices = self.cl.clGetDeviceIDs(self.cl.clGetPlatformIDs()[0])[:1]
+        else:
+            self.deployment = deploy_dopencl(make_ib_cpu_cluster(2), coherence_protocol=protocol)
+            self.cl = self.deployment.api
+            devices = self.cl.clGetDeviceIDs(self.cl.clGetPlatformIDs()[0])[:2]
+        cl = self.cl
+        self.ctx = cl.clCreateContext(devices)
+        self.queues = [cl.clCreateCommandQueue(self.ctx, d) for d in devices]
+        if kind == "native":
+            self.queues *= 2
+        self.buf = cl.clCreateBuffer(self.ctx, CL_MEM_READ_WRITE, ASSEMBLED)
+        self.program = cl.clCreateProgramWithSource(self.ctx, BUMP + PEEK)
+        cl.clBuildProgram(self.program)
+        self.bump = cl.clCreateKernel(self.program, "bump")
+        cl.clSetKernelArg(self.bump, 0, self.buf)
+        init = np.arange(ASSEMBLED // 4, dtype=np.int32)
+        cl.clEnqueueWriteBuffer(self.queues[0], self.buf, True, 0, init)
+        for queue in self.queues:
+            cl.clEnqueueNDRangeKernel(queue, self.bump, (64,))
+
+    def read(self, buffer=None, **kwargs) -> np.ndarray:
+        """A blocking read on node 1's queue."""
+        return self.cl.clEnqueueReadBuffer(self.queues[1], buffer or self.buf, **kwargs)[0]
+
+    def assert_in_pieces(self) -> None:
+        """On dOpenCL the client copy holds node 1's section and node 0's."""
+        if self.deployment is not None:
+            assert [(s, p.size) for s, p in self.buf.pieces] == [(0, 256), (256, ASSEMBLED - 256)]
+
+    def round_trips(self) -> int:
+        return self.deployment.driver.stats.round_trips if self.deployment else 0
+
+
+def _on_both(run, protocol: str = "mosi") -> Assembled:
+    """``run(rig)`` on dOpenCL and on ``NativeAPI`` returns the same
+    bytes; the dOpenCL rig is returned for its own checks."""
+    rig = Assembled("dopencl", protocol)
+    np.testing.assert_array_equal(run(rig), run(Assembled("native")))
+    return rig
+
+
+@pytest.mark.parametrize("protocol", ["msi", "mosi"])
+def test_a_partial_write_over_a_copy_in_pieces_merges_them_first(protocol):
+    def run(rig):
+        rig.read()
+        rig.assert_in_pieces()
+        rig.cl.clEnqueueWriteBuffer(rig.queues[0], rig.buf, True, 200, np.full(30, -1, np.int32))
+        return rig.read()
+
+    _on_both(run, protocol)
+
+
+@pytest.mark.parametrize("protocol", ["msi", "mosi"])
+def test_a_failed_partial_write_over_a_copy_in_pieces_is_undone(protocol):
+    """The write's upload is dropped: the merged copy gets its bytes
+    back, stays valid, and a read returns what it did before."""
+
+    def run(rig):
+        before = rig.read()
+        rig.assert_in_pieces()
+        if rig.deployment is not None:
+            install_fault_injector(
+                rig.deployment.cluster.network, FaultPlan([FaultAction("drop", tag_prefix="bulk:")])
+            )
+            with pytest.raises(MessageDropped):
+                rig.cl.clEnqueueWriteBuffer(rig.queues[0], rig.buf, True, 200, np.full(30, -1, np.int32))
+            assert rig.buf.planner.is_valid("client") and rig.buf.pieces is None
+        np.testing.assert_array_equal(rig.read(), before)
+        return rig.read()
+
+    _on_both(run, protocol)
+
+
+def test_a_coherence_upload_of_a_copy_in_pieces_sends_the_merged_bytes(monkeypatch):
+    """MSI: node 0 lacks the 256 B node 1 wrote, and the client copy is
+    the upload's source: its pieces are merged, and the upload lends the
+    merged array."""
+    uploads = []
+    original = DOpenCLDriver.upload_write
+
+    def spy(self, queue, buffer, init):
+        cut = len(buffer.pieces)
+        original(self, queue, buffer, init)
+        uploads.append((cut, buffer.pieces, buffer.lent, init.offset, init.nbytes))
+
+    monkeypatch.setattr(DOpenCLDriver, "upload_write", spy)
+
+    def run(rig):
+        rig.read()
+        rig.assert_in_pieces()
+        rig.cl.clEnqueueNDRangeKernel(rig.queues[0], rig.bump, (64,))
+        return rig.read()
+
+    _on_both(run, "msi")
+    # Node 1's set-up launch uploads the 256 B the client just took from
+    # node 0 (also a copy in pieces), node 0's the 256 B node 1 wrote.
+    assert uploads == [(2, None, True, 0, 256)] * 2
+
+
+def test_a_copy_from_a_copy_in_pieces_reads_the_merged_bytes():
+    def run(rig):
+        rig.read()
+        rig.assert_in_pieces()
+        whole, part = (rig.cl.clCreateBuffer(rig.ctx, CL_MEM_READ_WRITE, ASSEMBLED) for _ in range(2))
+        rig.cl.clEnqueueCopyBuffer(rig.queues[0], rig.buf, whole)
+        rig.cl.clEnqueueCopyBuffer(rig.queues[0], rig.buf, part, 200, 40, 400)
+        return np.concatenate([rig.read(whole), rig.read(part)])
+
+    _on_both(run)
+
+
+def test_a_staged_push_applied_over_a_copy_in_pieces_replaces_them(monkeypatch):
+    """MOSI: once ``peek`` made node 1 hold the whole buffer, its
+    ``bump`` rounds, each read back by the client, push the buffer; the
+    first push applies over the two pieces the last download left, and
+    the copy adopts node 1's storage whole."""
+    cuts = []
+    original = DOpenCLDriver._apply_staged_push
+
+    def spy(self, buffer):
+        cut = buffer.pieces and len(buffer.pieces)
+        applied = original(self, buffer)
+        if applied:
+            cuts.append(cut)
+        return applied
+
+    monkeypatch.setattr(DOpenCLDriver, "_apply_staged_push", spy)
+
+    def run(rig):
+        out = [rig.read()]
+        rig.assert_in_pieces()
+        y = rig.cl.clCreateBuffer(rig.ctx, CL_MEM_READ_WRITE, 4)
+        peek = rig.cl.clCreateKernel(rig.program, "peek")
+        for index, value in enumerate((rig.buf, y, np.int32(ASSEMBLED // 4))):
+            rig.cl.clSetKernelArg(peek, index, value)
+        rig.cl.clEnqueueNDRangeKernel(rig.queues[1], peek, (1,))
+        for _ in range(4):
+            rig.cl.clEnqueueNDRangeKernel(rig.queues[1], rig.bump, (64,))
+            rig.cl.clFinish(rig.queues[1])
+            out.append(rig.read())
+        return np.concatenate(out)
+
+    rig = _on_both(run)
+    assert cuts[0] == 2 and rig.buf.pieces is None
+    node1 = rig.deployment.daemons[1].registry.peek(rig.deployment.driver.gcf.name, rig.buf.id)
+    assert rig.buf.lent and np.shares_memory(rig.buf.array, node1.array)
+
+
+def test_a_deferred_read_copies_straight_out_of_the_pieces():
+    """A deferred read that assembles the copy, then one served from its
+    pieces (no round trip) across the cut at 256 B."""
+
+    def run(rig):
+        first, event = rig.cl.clEnqueueReadBuffer(rig.queues[1], rig.buf, blocking=False)
+        rig.cl.clWaitForEvents([event])
+        rig.assert_in_pieces()
+        trips = rig.round_trips()
+        part, event = rig.cl.clEnqueueReadBuffer(rig.queues[1], rig.buf, False, 200, 400)
+        rig.cl.clWaitForEvents([event])
+        rig.assert_in_pieces()
+        assert rig.round_trips() == trips
+        return np.concatenate([first, part])
+
+    _on_both(run)
+
+
+SHIFT = """
+__kernel void shift(__global int *x, const int base) {
+    int i = (int)get_global_id(0);
+    x[base + i] = x[base + i] + 1;
+}
+"""
+
+
+def test_a_copy_cut_finer_than_three_pieces_a_segment_is_merged():
+    """One daemon: each round a kernel bumps 64 B further into the buffer
+    and the client reads it back, landing that section alone.  The first
+    read cuts the copy into three pieces in the directory's one segment;
+    the next cut makes five, and the copy is merged into one private
+    array instead."""
+    cuts = []
+
+    def run(cl, deployment=None):
+        device = cl.clGetDeviceIDs(cl.clGetPlatformIDs()[0])[0]
+        ctx = cl.clCreateContext([device])
+        queue = cl.clCreateCommandQueue(ctx, device)
+        buf = cl.clCreateBuffer(ctx, CL_MEM_READ_WRITE, ASSEMBLED)
+        program = cl.clCreateProgramWithSource(ctx, SHIFT)
+        cl.clBuildProgram(program)
+        kernel = cl.clCreateKernel(program, "shift")
+        cl.clSetKernelArg(kernel, 0, buf)
+        cl.clEnqueueWriteBuffer(queue, buf, True, 0, np.arange(ASSEMBLED // 4, dtype=np.int32))
+        out = [cl.clEnqueueReadBuffer(queue, buf)[0]]
+        for base in (64, 128):
+            cl.clSetKernelArg(kernel, 1, np.int32(base))
+            cl.clEnqueueNDRangeKernel(queue, kernel, (16,))
+            out.append(cl.clEnqueueReadBuffer(queue, buf)[0])
+            if deployment is not None:
+                cuts.append((buf.pieces and len(buf.pieces), len(buf.coherence.segments), buf.lent))
+        return np.concatenate(out)
+
+    deployment = deploy_dopencl(make_ib_cpu_cluster(1))
+    np.testing.assert_array_equal(
+        run(deployment.api, deployment), run(native_api_on(Host(WESTMERE_NODE)))
+    )
+    assert cuts == [(3, 1, True), (None, 1, False)]

@@ -224,6 +224,35 @@ def test_cachestat_prints_each_buffers_segment_count():
     assert f"  segments: #{whole.id}=1 #{split.id}=2" in cachestat_text(deployment)
 
 
+def test_cachestat_prints_a_client_copy_held_in_pieces():
+    """A read assembled from two daemons keeps their sections as two
+    pieces of the client copy: a ``pieces:`` line beside ``segments:``,
+    naming only copies held in more than one piece, and the client's
+    ``storage:`` line counting the copy as lent."""
+    deployment = deploy_dopencl(make_ib_cpu_cluster(2), coherence_protocol="mosi")
+    cl = deployment.api
+    devices = cl.clGetDeviceIDs(cl.clGetPlatformIDs()[0])[:2]
+    ctx = cl.clCreateContext(devices)
+    queues = [cl.clCreateCommandQueue(ctx, d) for d in devices]
+    program = cl.clCreateProgramWithSource(
+        ctx, "__kernel void t(__global int *x) { int i = (int)get_global_id(0); x[i] = x[i] + 1; }"
+    )
+    cl.clBuildProgram(program)
+    whole, split = (cl.clCreateBuffer(ctx, CL_MEM_READ_WRITE, 1024) for _ in range(2))
+    kernel = cl.clCreateKernel(program, "t")
+    cl.clSetKernelArg(kernel, 0, split)
+    for buffer in (whole, split):
+        cl.clEnqueueWriteBuffer(queues[0], buffer, True, 0, np.arange(256, dtype=np.int32))
+    cl.clEnqueueNDRangeKernel(queues[1], kernel, (16,))
+    assert "pieces:" not in cachestat_text(deployment)
+    for buffer in (whole, split):
+        cl.clEnqueueReadBuffer(queues[1], buffer)
+    lines = cachestat_text(deployment).splitlines()
+    at = lines.index(f"  segments: #{whole.id}=1 #{split.id}=2")
+    assert lines[at - 1] == "  storage: lent=2 cow_copies=0"
+    assert lines[at + 1] == f"  pieces: #{split.id}=2"
+
+
 def test_clcdump_reads_a_file_and_reports_a_backend_failure(tmp_path, capsys):
     from repro.tools import clcdump
 
