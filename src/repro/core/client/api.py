@@ -344,7 +344,6 @@ class DOpenCLAPI:
         landed before a failure surfaced is recorded like any other."""
         whole = offset == 0 and raw.size == buffer.size
         if not whole and not buffer.planner.is_valid("client"):
-            buffer.planner.note_client_demand()
             plan = buffer.planner.acquire_read("client")
             self.driver.run_transfer_plans([(buffer, plan)], queue)
         event = self.driver.new_event_stub(queue.context, queue.server.name, CL_COMMAND_WRITE_BUFFER)
@@ -408,9 +407,9 @@ class DOpenCLAPI:
         ``defer_reads=False``, is that read resolved at once, as OpenCL
         defines it; it returns a copy of the client's copy.  Per MSI a
         resolution downloads only when the client's copy is invalid, and
-        a blocking read gangs the sibling dirty buffers stranded on the
-        same daemon, so back-to-back result reads cost one round trip
-        per daemon."""
+        a blocking read that downloads gangs the sections its siblings
+        lack from the same daemon, so back-to-back result reads cost one
+        round trip per daemon."""
         t = self._tick()
         self._check_queue_buffer(queue, buffer)
         if nbytes is None:
@@ -457,7 +456,6 @@ class DOpenCLAPI:
         self.driver.resolve_deferred_reads([dst.id] + [e.id for e in wait_for or ()])
         # Client-mediated copy: validate the client's copy of src, then
         # write its slice to dst through the host-write path.
-        src.planner.note_client_demand()
         plan = src.planner.acquire_read("client")
         self.driver.run_transfer_plans([(src, plan)], queue)
         raw = src.array[src_offset : src_offset + nbytes]

@@ -892,7 +892,6 @@ class DOpenCLDriver:
                 for buffer in unique:
                     self._fetch_completions[buffer.id] = None
                     self._landed[buffer.id] = set()
-                    buffer.planner.note_client_demand()
                     plan = buffer.planner.acquire_read("client")
                     if plan:
                         items.append((buffer, plan))
@@ -1478,21 +1477,25 @@ class DOpenCLDriver:
         resolves in host order, possibly ahead of its arrival)."""
         return event.resolved and event.completion_arrival <= self.clock.now
 
-    def read_gang(self, buffer: BufferStub, handles: Sequence[int], fold: bool) -> Dict[str, List[BufferStub]]:
-        """The gang a blocking read of ``buffer`` downloads with it, keyed
-        by its download source (:meth:`read_gang_candidates` of that
-        daemon), with their writers drained unless the read's drain
-        carries the download (``fold``, see
-        :meth:`_resolve_deferred_group`).  Picked before any directory
-        mutates (``client_download_source`` is pure); each is
-        revalidated only if its section comes back."""
+    def read_gang(
+        self, buffer: BufferStub, handles: Sequence[int], fold: bool
+    ) -> Dict[str, List[Tuple[BufferStub, Transfer]]]:
+        """The gang a blocking read of ``buffer`` downloads with its own
+        bytes, keyed by their download source: the sections the client
+        lacks of each sibling of :meth:`read_gang_candidates`, all owned
+        by that daemon, with their writers drained unless the read's
+        drain carries the download (``fold``, see
+        :meth:`_resolve_deferred_group`).  A read a current push serves
+        (:meth:`_push_due`) downloads nothing of its own and gangs
+        nothing.  Picked before any directory mutates (``client_misses``
+        is pure); each section is acquired only if it comes back."""
         source = buffer.planner.client_download_source()
-        if source is None:
+        if source is None or self._push_due(buffer):
             return {}
         siblings = self.read_gang_candidates(buffer, source, handles if fold else None)
         if siblings and not fold:
             self.flush_for_handles([h for s in siblings for h in self.buffer_sync_handles(s)])
-        return {source: siblings}
+        return {source: [(s, t) for s in siblings for t in s.coherence.client_misses()]}
 
     def read_gang_candidates(
         self, buffer: BufferStub, source: str, handles: Optional[Sequence[int]] = None
@@ -1502,14 +1505,10 @@ class DOpenCLDriver:
         context whose client copy would be downloaded from the same
         ``source`` daemon and whose last windowed writer has already
         *resolved* (an unresolved one may be gated on a pending user
-        event).  With ``push_transfers`` on, candidacy is also
-        access-pattern gated
-        (:meth:`~repro.core.coherence.planner.TransferPlanner.gang_candidate`):
-        working state the client never demand-reads is not revalidated.
-        With ``handles`` — the read's closure seeds, when its drain
-        carries the download — a producer windowed in the source's
-        relevant prefix counts as resolved: it runs ahead of the
-        download, whose section comes back only if it completed."""
+        event).  With ``handles`` — the read's closure seeds, when its
+        drain carries the download — a producer windowed in the
+        source's relevant prefix counts as resolved: it runs ahead of
+        the download, whose section comes back only if it completed."""
         ahead: Set[int] = set()
         conn = self._connections.get(source)
         if handles is not None and conn is not None:
@@ -1522,8 +1521,6 @@ class DOpenCLDriver:
             if sibling is buffer or sibling.size <= 0:
                 continue
             if sibling.planner.client_download_source() != source:
-                continue
-            if self.push_transfers and not sibling.planner.gang_candidate():
                 continue
             if sibling.last_write_event is not None:
                 stub = self._events.get(sibling.last_write_event)
@@ -1570,7 +1567,7 @@ class DOpenCLDriver:
         self,
         items: Sequence[Tuple[BufferStub, Sequence[Transfer]]],
         queue: Optional[QueueStub],
-        gang: Dict[str, List[BufferStub]],
+        gang: Dict[str, List[Tuple[BufferStub, Transfer]]],
         drain: Optional[Sequence[int]] = None,
         raising: bool = False,
         settle: Optional[list] = None,
@@ -1584,10 +1581,7 @@ class DOpenCLDriver:
         and ``settle`` go to :meth:`_download`."""
         for src_name, sections in split_transfer_plan(items)[0].items():
             named = {b for b, _ in sections}
-            group = [
-                *sections,
-                *((b, Transfer(src_name, CLIENT, "gang", 0, b.size)) for b in gang.get(src_name, ()) if b not in named),
-            ]
+            group = [*sections, *((b, t) for b, t in gang.get(src_name, ()) if b not in named)]
             if len(group) > 1:
                 self.stats.coalesced_reads += 1
                 self.stats.coalesced_read_sections += len(group)
@@ -1705,10 +1699,10 @@ class DOpenCLDriver:
             # vanishes.
             self.flush_for_handles(handles, raise_errors=False)
             remaining = [(b, t) for b, t in remaining if not self._apply_staged_push(b)]
-            pushed = [(b, t) for b, t in gang if self._apply_staged_push(b)]
-            for buffer, _ in pushed:
+            pushed = [b for b in dict.fromkeys(b for b, _ in gang) if self._apply_staged_push(b)]
+            for buffer in pushed:
                 buffer.planner.acquire_read("client")
-            gang = [section for section in gang if section not in pushed]
+            gang = [(b, t) for b, t in gang if b not in pushed]
             if not remaining and not gang:
                 return
         group = remaining + gang
@@ -1765,7 +1759,7 @@ class DOpenCLDriver:
 
     def _land(self, queue, sections, stubs, answers, gang=()) -> None:
         """Land each returned ``(data, arrival)`` answer, the daemon's
-        lent bytes, in its buffer's client copy (a gang member is
+        lent bytes, in its buffer's client copy (a gang section is
         acquired first): a whole section is adopted as the copy's
         storage, a partial one kept as a piece of it (no copy either
         way).  Each transfer event gets its profiling truth; the clock
@@ -1773,7 +1767,7 @@ class DOpenCLDriver:
         for (buffer, transfer), stub, answer in zip(sections, stubs, answers):
             if answer is not None:
                 if (buffer, transfer) in gang:
-                    buffer.planner.acquire_read("client")
+                    buffer.planner.acquire_read("client", transfer.offset, transfer.nbytes)
                 if transfer.nbytes == buffer.size:
                     buffer.adopt(answer[0])
                 else:

@@ -27,6 +27,7 @@ from repro.core.client.stubs import (
     QueueStub,
 )
 from repro.core.client.connection import ServerConnection
+from repro.core.coherence.directory import Transfer
 from repro.core.protocol import messages as P
 from repro.ocl.constants import CL_COMPLETE, ErrorCode
 from repro.ocl.errors import CLError
@@ -198,7 +199,7 @@ class ReferenceDriver(DOpenCLDriver):
         host write does."""
         self.enqueue_write(queue, buffer, init, buffer.array[init.offset : init.offset + init.nbytes], True, None)
 
-    def read_gang(self, buffer: BufferStub, handles, fold: bool) -> Dict[str, List[BufferStub]]:
+    def read_gang(self, buffer: BufferStub, handles, fold: bool) -> Dict[str, List[Tuple[BufferStub, Transfer]]]:
         """None: each read fetches its own buffer."""
         return {}
 

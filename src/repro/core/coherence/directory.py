@@ -251,18 +251,26 @@ class MSIDirectory:
             return self.segments[0][party] in self.VALID
         return all(seg[party] in self.VALID for seg in self._overlapping(*self._bounds(offset, nbytes)))
 
-    def client_download_sources(self) -> Set[str]:
-        """The servers an ``acquire_read(CLIENT)`` of the object would
-        download from *right now* (none when the client's copy is
-        already valid there, or data is lost: the owning read raises
+    def client_misses(self) -> List[Transfer]:
+        """The downloads an ``acquire_read(CLIENT)`` of the object would
+        plan *right now*: each section the client lacks, from its owner,
+        adjacent sections from one owner merged (none when the client's
+        copy is valid, or data is lost: the owning read raises
         deterministically through ``acquire_read``).  Pure."""
+        misses: List[Transfer] = []
         if self.data_lost:
-            return set()
-        return {
-            self._pick_owner(seg)
-            for seg in self.segments
-            if seg[CLIENT] not in self.VALID
-        }
+            return misses
+        for i, seg in enumerate(self.segments):
+            if seg[CLIENT] not in self.VALID:
+                src, (a, b) = self._pick_owner(seg), self._span(i)
+                if misses and misses[-1].src == src and misses[-1].offset + misses[-1].nbytes == a:
+                    a = misses.pop().offset
+                misses.append(Transfer(src, CLIENT, "client read miss", a, b - a))
+        return misses
+
+    def client_download_sources(self) -> Set[str]:
+        """The servers of :meth:`client_misses`."""
+        return {t.src for t in self.client_misses()}
 
     def client_download_source(self) -> "str | None":
         """The one server of :meth:`client_download_sources`, ``None``

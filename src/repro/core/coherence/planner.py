@@ -25,6 +25,12 @@ routes its coherence traffic through.  The planner
   information).  A push only ever targets the client: a server
   consumer gets its bytes by the demand route when it needs them.
 
+The history drives pushes and nothing else.  Which stranded siblings a
+blocking read gangs onto its download is the driver's rule
+(``DOpenCLDriver.read_gang``), read from the directories alone
+(:meth:`~repro.core.coherence.directory.MSIDirectory.client_misses`),
+the same with pushes on and off.
+
 Epochs are the push protocol's safety token: a hint carries the epoch
 its kernel's write will create, the daemon labels the pushed bytes
 with it, and the client only consumes a staged push
@@ -62,12 +68,6 @@ HISTORY_WINDOW = 4
 #: consumer) before a push hint is emitted.
 STABLE_EPOCHS = 2
 
-#: A sibling stays a gang-revalidation candidate for this many write
-#: epochs after the client last *demand*-read it.  Matches
-#: :data:`HISTORY_WINDOW`: both answer "is this buffer part of the
-#: client's current access pattern".
-GANG_DEMAND_WINDOW = 4
-
 
 class TransferPlanner:
     """Per-buffer planning facade over one pure coherence directory.
@@ -75,7 +75,8 @@ class TransferPlanner:
     All directory *state* stays in ``self.directory`` (the object
     ``BufferStub.coherence`` continues to expose); the planner adds the
     access-history bookkeeping and the push prediction on top.  The
-    driver talks to buffers exclusively through this interface.
+    driver plans every transfer and records every write through it; the
+    directory's own queries stay reachable as ``planner.directory``.
     """
 
     def __init__(self, directory: MSIDirectory) -> None:
@@ -91,24 +92,8 @@ class TransferPlanner:
         self._history: Deque[Tuple[str, FrozenSet[str]]] = deque(
             maxlen=HISTORY_WINDOW
         )
-        #: Epoch at the client's last *demand* read (the application
-        #: explicitly asked for the bytes), ``None`` until the first.
-        #: Gang revalidation records plain ``acquire_read`` but not a
-        #: demand — otherwise revalidating a buffer would keep it a
-        #: candidate forever, circularly.
-        self._demand_epoch: Optional[int] = None
 
     # -- pure-state passthroughs --------------------------------------
-    @property
-    def state(self):
-        """The wrapped directory's per-party state dict."""
-        return self.directory.state
-
-    @property
-    def data_lost(self) -> bool:
-        """Whether every valid copy was lost to daemon failures."""
-        return self.directory.data_lost
-
     def is_valid(self, party: str, offset: int = 0, nbytes: Optional[int] = None) -> bool:
         """Whether ``party`` holds a valid copy of the section (pure
         passthrough)."""
@@ -144,36 +129,6 @@ class TransferPlanner:
         plan = self.directory.acquire_read(party, offset, nbytes)
         self._readers.add(party)
         return plan
-
-    def note_client_demand(self) -> None:
-        """The application explicitly read this buffer's bytes on the
-        client (blocking read, read-modify-write, copy source).  Demand
-        reads — not opportunistic revalidations — are what keep a
-        buffer in the client's access pattern (:meth:`gang_candidate`)."""
-        self._demand_epoch = self.epoch
-
-    def gang_candidate(self) -> bool:
-        """Whether this buffer belongs in a blocking read's
-        gang-revalidation fetch, judged by the access history: a buffer
-        with no closed kernel epochs yet is always a candidate (no
-        evidence either way — the pre-PR-9 behaviour), but once the
-        history shows a write pattern, only buffers the client
-        *demand*-read within the last :data:`GANG_DEMAND_WINDOW` write
-        epochs stay in.  A buffer only ever written for server-side
-        consumption (OSEM's forward projections) drops out, so its
-        producer daemon stops paying fetch traffic for bytes the client
-        never looks at — and once every demanded sibling is served by a
-        staged push, the fetch round trip disappears entirely.  The
-        driver consults this only when ``push_transfers`` is on: the
-        gate is the access-pattern half of the replication schedule, so
-        the ablation flag restores unconditional candidacy (pre-refactor
-        behaviour) together with switching the pushes off."""
-        if not self._history:
-            return True
-        return (
-            self._demand_epoch is not None
-            and self.epoch - self._demand_epoch <= GANG_DEMAND_WINDOW
-        )
 
     def note_kernel_write(self, party: str, offset: int = 0, nbytes: Optional[int] = None) -> int:
         """A kernel (device-side) write by ``party`` of the section it

@@ -125,10 +125,11 @@ class NetStats:
         upload is a host write per buffer, so it has no gang to count.
     ``coalesced_reads`` / ``coalesced_read_sections``
         Read downloads fused per source daemon: a resolved read group's
-        buffers plus, for a blocking read only, the sibling dirty
-        buffers stranded on the same daemon (its gang), in one
-        ``CoalescedBufferDownload`` — so back-to-back result reads cost
-        one round trip per daemon.  Counted per download carrying more
+        sections plus, for a blocking read that downloads its own
+        bytes, the sections its siblings stranded on the same daemon
+        lack (its gang), in one ``CoalescedBufferDownload`` — so
+        back-to-back result reads cost one round trip per daemon.  A
+        read a push serves gangs nothing.  Counted per download carrying more
         than one section / per section (it also counts in
         ``coalesced_downloads``).
     ``flush_barriers``

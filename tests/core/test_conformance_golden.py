@@ -200,6 +200,18 @@ program.  Round trips 8 → 10; one launch fewer fails
 (``CL_DEVICE_NOT_AVAILABLE``), buffer 2 survives Owned on node01 and
 is read, and no buffer is lost.
 
+Re-recorded again when a blocking read stopped consulting the client's
+demand history for its gang: it gangs its source's stranded siblings
+whenever it downloads its own bytes, and nothing when a push serves it,
+with pushes on and off alike.  The two moved rows are ``full`` rows
+whose closing readback dropped a sibling a pushes-on gate judged out of
+the client's access pattern; each now equals its ``push_off`` row.
+Their slices without ``round_trips`` are identical before and after,
+and no other row moved.  Round trips before → after:
+
+* ``solo:5:full`` 11 → 10;
+* ``solo:7:full`` 18 → 16.
+
 Re-print the table with ``PYTHONPATH=src python
 tests/core/test_conformance_golden.py``.
 """
@@ -271,13 +283,13 @@ GOLDEN = {
     "solo:4:full": "3cd6d330efbab386",
     "solo:4:push_off": "3cd6d330efbab386",
     "solo:5:sync": "948892255d916130",
-    "solo:5:full": "0d0ab1912c0cbd96",
+    "solo:5:full": "c37fc8a7a8153d0f",
     "solo:5:push_off": "c37fc8a7a8153d0f",
     "solo:6:sync": "537ae95f851c8124",
     "solo:6:full": "b03fadb3ac092845",
     "solo:6:push_off": "b03fadb3ac092845",
     "solo:7:sync": "4b49a2f732fd3d34",
-    "solo:7:full": "2fb9f4665a94ab70",
+    "solo:7:full": "f28628800c34ef86",
     "solo:7:push_off": "f28628800c34ef86",
     "multi:0:2": ["8c1e583ee6becc46", "af05d181905b9143"],
     "multi:0:4": [

@@ -67,10 +67,6 @@ def _lockstep_trace(seed: int, protocol):
                     planner.acquire_read(party)
                 continue
             assert got == want, f"{where}: plan diverged"
-            # Interleave the pure observation calls: they must never
-            # influence the next transition.
-            planner.note_client_demand()
-            planner.gang_candidate()
         elif kind == "kernel_write":
             party = rng.choice(servers)
             oracle.mark_modified(party)
@@ -91,9 +87,9 @@ def _lockstep_trace(seed: int, protocol):
         else:
             party = rng.choice(parties)
             assert planner.is_valid(party) == oracle.is_valid(party), where
-        assert planner.state == oracle.state, f"{where}: directory state diverged"
-        assert planner.data_lost == oracle.data_lost, f"{where}: data_lost diverged"
-        if not planner.data_lost:
+        assert planner.directory.state == oracle.state, f"{where}: directory state diverged"
+        assert planner.directory.data_lost == oracle.data_lost, f"{where}: data_lost diverged"
+        if not oracle.data_lost:
             assert (
                 planner.client_download_source() == oracle.client_download_source()
             ), f"{where}: download source diverged"
@@ -104,7 +100,7 @@ def _lockstep_trace(seed: int, protocol):
 def test_planner_matches_raw_directory_in_lockstep(seed, protocol):
     """Every plan and every directory transition the planner produces is
     bit-identical to the raw pre-refactor directory, under both
-    protocols, with the prediction/observation calls interleaved."""
+    protocols, with the push prediction interleaved."""
     _lockstep_trace(seed, protocol)
 
 
@@ -125,15 +121,10 @@ def test_push_off_seeds_match_pre_refactor_oracle():
         seed: run_program(generate_program(seed), dict(CONFIGS["push_off"]))
         for seed in SEEDS
     }
-    saved = (
-        TransferPlanner.acquire_read,
-        TransferPlanner.note_client_demand,
-        TransferPlanner._note_write,
-    )
+    saved = (TransferPlanner.acquire_read, TransferPlanner._note_write)
     TransferPlanner.acquire_read = (
         lambda self, party, *section: self.directory.acquire_read(party, *section)
     )
-    TransferPlanner.note_client_demand = lambda self: None
     TransferPlanner._note_write = _raw_note_write
     try:
         oracle = {
@@ -141,11 +132,7 @@ def test_push_off_seeds_match_pre_refactor_oracle():
             for seed in SEEDS
         }
     finally:
-        (
-            TransferPlanner.acquire_read,
-            TransferPlanner.note_client_demand,
-            TransferPlanner._note_write,
-        ) = saved
+        TransferPlanner.acquire_read, TransferPlanner._note_write = saved
     for seed in SEEDS:
         for key in ("reads", "final", "directories", "errors", "build_logs", "stats"):
             assert stock[seed][key] == oracle[seed][key], (

@@ -92,7 +92,7 @@ def _abort_a_fetch_then_read(protocol):
     # keeps its valid copy — demotion is conservative), leaves the
     # write epoch untouched, and keeps the staged entry parked and
     # current; nothing is counted wasted.
-    assert buf.planner.state[CLIENT] == State.INVALID
+    assert buf.planner.directory.state[CLIENT] == State.INVALID
     assert buf.planner.client_download_source() is not None
     assert buf.planner.epoch == staged_epoch
     assert driver._staged_pushes[buf.id][0] == staged_epoch

@@ -6,11 +6,14 @@ party, the version of every byte it holds; executing a plan copies the
 versions of each transfer's section from its source to its destination.
 Whatever sequence of section reads, kernel writes, host overwrites,
 evictions and failed fetches runs, a party that acquired a section must
-then hold the newest version of every byte in it, the protocol
+then hold the newest version of every byte in it, the client's misses
+must be the sections a client read would download, the protocol
 invariants must hold on every segment, and segments merge back: no two
 adjacent ones are equal, and there are no more than the cut points the
 operations made.
 """
+
+import copy
 
 import pytest
 from hypothesis import given, settings
@@ -104,6 +107,13 @@ def test_plans_deliver_the_newest_bytes_of_every_section(directory_cls, sequence
                     for i in range(offset, offset + nbytes):
                         newest[i] = held[party][i] = version
         _check_segments(d, cuts)
+        # The client's misses are the sections a client read would
+        # download, each from the same owner (a read gang relies on it).
+        if not d.data_lost:
+            planned = copy.deepcopy(d).acquire_read(CLIENT)
+            assert [(t.src, t.offset, t.nbytes) for t in d.client_misses()] == [
+                (t.src, t.offset, t.nbytes) for t in planned
+            ]
         # Every valid byte anywhere is the newest one.
         for p in d.parties:
             for start, seg in zip(d.starts, d.segments):

@@ -12,6 +12,7 @@ second way to deliver an event status: the client relays a completion
 to the replicas it created, and nothing buffers a status for a replica
 that does not exist.  So does a second way to push: a speculative push
 goes only to the client; a server gets a buffer when a command needs it.
+And the push switch gates pushes only, never a read's gang.
 """
 
 import ast
@@ -260,6 +261,36 @@ def test_the_pipeline_makes_no_bulk_exchange():
             assert not _bulk_exchange_sites(path), path
     assert _bulk_exchange_sites(os.path.join(package, "reference.py"))
     assert not hasattr(DOpenCLDriver, "send_bulk")
+
+
+def _push_transfers_reads(path):
+    """The ``Class.method`` of every load of ``self.push_transfers`` in
+    the module at ``path``."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    return {
+        f"{cls.name}.{fn.name}"
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "push_transfers"
+        and isinstance(node.ctx, ast.Load)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    }
+
+
+def test_push_transfers_gates_only_pushes():
+    """``push_transfers=False`` means no pushes and nothing else: the
+    driver reads the switch only where a launch asks for push hints and
+    where a notification's pushes are staged, so no read, gang or
+    transfer rule forks on it."""
+    package = os.path.dirname(inspect.getsourcefile(client_api))
+    sites = set().union(*(_push_transfers_reads(path) for path in glob.glob(os.path.join(package, "*.py"))))
+    assert sites == {"DOpenCLDriver.plan_push_hints", "DOpenCLDriver._record_pushes"}, sorted(sites)
 
 
 #: The transfer, gang, drain and completion steps only the read resolver
